@@ -1736,7 +1736,7 @@ fn serve(port: u16, smoke: bool) {
         let stats = client.cache_stats().expect("smoke: cache stats");
         server.shutdown();
         println!(
-            "  smoke OK — ingested {} raw bytes; protein query {} B, strided range {} B; cache {} hit(s) / {} miss(es)",
+            "  smoke OK — ingested {} raw bytes; protein query {} decoded B, strided range {} decoded B; cache {} hit(s) / {} miss(es)",
             ing.raw_bytes,
             q.bytes(),
             r.bytes(),

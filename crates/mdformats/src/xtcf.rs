@@ -76,8 +76,12 @@ pub fn encoded_len(nframes: usize, natoms: usize) -> usize {
     XTCF_HEADER_LEN.saturating_add(nframes.saturating_mul(frame_record_len(natoms)))
 }
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables, built at compile time: `[0]` is the
+/// classic bytewise table and `[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, so sixteen input bytes fold into the state
+/// with sixteen independent loads.
+static CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -90,17 +94,50 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC-32 (the zlib/PNG polynomial) — used for chunk checksums.
+/// IEEE CRC-32 (the zlib/PNG polynomial) — used for chunk checksums and
+/// the wire frame checksum. Slicing-by-16: sixteen bytes per step through
+/// [`CRC32_TABLES`], then a bytewise tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -475,7 +512,21 @@ pub fn parse_directory(data: &[u8]) -> Result<Option<ChunkDirectory>, FormatErro
                 ),
             });
         }
-        expect += e.nframes as u64 * frame_record_len(e.natoms as usize) as u64;
+        // Both factors are untrusted u32s whose product can exceed u64:
+        // bound the span against the body before it can wrap.
+        expect = (e.nframes as u64)
+            .checked_mul(frame_record_len(e.natoms as usize) as u64)
+            .and_then(|len| expect.checked_add(len))
+            .filter(|&end| end <= dir_start as u64)
+            .ok_or_else(|| FormatError::ChunkCorrupt {
+                chunk: i,
+                detail: format!(
+                    "chunk span of {} frames x {} atoms overruns the {}-byte body",
+                    e.nframes,
+                    e.natoms,
+                    dir_start - XTCF_HEADER_LEN
+                ),
+            })?;
         entries.push(e);
     }
     if expect != dir_start as u64 {
@@ -617,7 +668,7 @@ pub fn decode_chunk(
 
 /// Encode a whole trajectory.
 pub fn write_xtcf(traj: &Trajectory) -> Result<Vec<u8>, FormatError> {
-    let mut w = XtcfWriter::new();
+    let mut w = XtcfWriter::with_capacity(traj.len(), traj.natoms());
     for f in &traj.frames {
         w.write_frame(f)?;
     }
@@ -856,9 +907,84 @@ mod tests {
     }
 
     #[test]
+    fn chunk_span_wider_than_u64_is_rejected_not_wrapped() {
+        // One entry declaring u32::MAX frames of u32::MAX atoms: the span
+        // product exceeds u64 and must fail typed, not wrap or panic.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&XTCF_MAGIC.to_le_bytes());
+        bytes.extend_from_slice(&XTCF_VERSION_V2.to_le_bytes());
+        bytes.extend_from_slice(&(XTCF_HEADER_LEN as u64).to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&XTCF_FOOTER_MAGIC.to_le_bytes());
+        match parse_directory(&bytes) {
+            Err(FormatError::ChunkCorrupt { chunk: 0, detail }) => {
+                assert!(detail.contains("overruns"), "{}", detail)
+            }
+            other => panic!("expected ChunkCorrupt, got {:?}", other),
+        }
+    }
+
+    /// The byte-at-a-time table loop the slicing kernel replaced, kept as
+    /// the reference it is checked against.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // Long enough to take the 16-byte main loop twice plus a tail.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn crc32_slicing_equals_bytewise_at_every_small_length_and_offset() {
+        let buf: Vec<u8> = (0..96u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {} len {}", start, len);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_crc32_slicing_equals_bytewise(
+            seed: u64,
+            len in 0usize..(1 << 20) + 1,
+            start in 0usize..16,
+        ) {
+            // One xorshift stream fills the buffer: cheap at 1 MiB and
+            // dense in every byte value.
+            let mut x = seed | 1;
+            let buf: Vec<u8> = (0..start + len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 24) as u8
+                })
+                .collect();
+            let s = &buf[start..];
+            proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! structural decoder — a flipped bit fails fast with a typed error
 //! instead of a confusing decode failure deeper in.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use ada_mdformats::xtcf::crc32;
 
@@ -17,7 +17,7 @@ use crate::wire::ProtoError;
 pub const MAGIC: [u8; 4] = *b"ADAP";
 
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Encoded header size: magic(4) + version(1) + length(4) + crc(4).
 pub const HEADER_LEN: usize = 13;
@@ -46,15 +46,23 @@ fn header_bytes(payload: &[u8]) -> [u8; HEADER_LEN] {
     h
 }
 
-/// Header + payload as one buffer (the send path writes it with a single
-/// syscall so a concurrent reader never sees a torn frame boundary).
-pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
+/// The header's length field is a `u32`; a longer payload cannot be
+/// framed.
+fn check_len(payload: &[u8]) -> Result<(), ProtoError> {
     if payload.len() > u32::MAX as usize {
         return Err(ProtoError::Oversized {
             declared: u32::MAX,
             max: u32::MAX,
         });
     }
+    Ok(())
+}
+
+/// Header + payload as one buffer, for callers that need the frame's
+/// bytes in hand (fault injection, the bench ladder); the socket path is
+/// [`write_frame`], which does not build this copy.
+pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
+    check_len(payload)?;
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&header_bytes(payload));
     out.extend_from_slice(payload);
@@ -94,10 +102,26 @@ pub fn verify_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), ProtoE
     Ok(())
 }
 
-/// Write one frame to `w` (blocking).
+/// Write one frame to `w` (blocking): header then payload, gathered into
+/// one vectored write so no concatenated copy of the payload is built.
+/// Two plain `write_all`s would do for a multi-megabyte answer, but on a
+/// small frame (a ping, a request) the second write would sit behind
+/// Nagle until the peer's delayed ACK of the first. Each stream has one
+/// writing thread, so a short write resumed here cannot interleave with
+/// another frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
-    let frame = encode_frame(payload)?;
-    w.write_all(&frame)?;
+    check_len(payload)?;
+    let header = header_bytes(payload);
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut left = &mut bufs[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(ProtoError::Io("write returned zero bytes".to_string())),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(())
 }
 
@@ -150,6 +174,34 @@ mod tests {
         assert_eq!(back, Some(payload));
         // Clean EOF after the frame.
         assert_eq!(read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap(), None);
+    }
+
+    /// Accepts at most seven bytes per call, so every frame is resumed
+    /// mid-header and mid-payload.
+    struct ShortWriter(Vec<u8>);
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_emits_exactly_the_encoded_frame() {
+        for len in [0usize, 1, 1000] {
+            let payload = vec![0x5a; len];
+            let mut out = Vec::new();
+            write_frame(&mut out, &payload).unwrap();
+            assert_eq!(out, encode_frame(&payload).unwrap());
+            let mut short = ShortWriter(Vec::new());
+            write_frame(&mut short, &payload).unwrap();
+            assert_eq!(short.0, out, "short writes must resume, len {}", len);
+        }
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "ADAP"
-//! 4       1     version (currently 1)
+//! 4       1     version (currently 2: query payloads are XTCF v2 containers)
 //! 5       4     payload length N, little-endian u32
 //! 9       4     IEEE CRC-32 of the payload (same polynomial as XTCF v2)
 //! 13      N     payload (one encoded request or response)
 //! ```
+//!
+//! A real-mode query response carries its frames as one uncompressed XTCF
+//! v2 chunk container ([`message::QUERY_CHUNK_FRAMES`] frames per chunk):
+//! the client decodes it with `parse_directory` + `decode_chunk`, so every
+//! chunk's own CRC is verified end to end and coordinates arrive as the
+//! same `f32` bits the server decoded.
 //!
 //! A receiver validates magic, version, and declared length (against its
 //! configured maximum, *before* allocating) and then the CRC; every
@@ -43,6 +49,6 @@ pub use frame::{
 };
 pub use message::{
     RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, WireCacheStats, WireIngestReport,
-    WirePayload, WireQueryReport,
+    WirePayload, WireQueryReport, QUERY_CHUNK_FRAMES,
 };
 pub use wire::{ProtoError, WireReader, WireWriter};

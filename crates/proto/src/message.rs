@@ -1,18 +1,20 @@
 //! The request/response vocabulary of the wire — the networked mirror of
 //! `ada_frontend::Request`/`Reply`, plus transport-friendly report types.
 //!
-//! A query's trajectory crosses the wire as canonical XTC bytes (encoded
-//! at [`ada_mdformats::xtc::DEFAULT_PRECISION`]), which is exactly the
-//! byte form the equivalence suites already use to compare results — so
-//! "byte-identical to the in-process path" is a statement about the
-//! actual wire payload, not about a re-encoded copy.
+//! A query's trajectory crosses the wire uncompressed, as one XTCF v2
+//! chunk container (the on-disk dropping format): the compute node gets
+//! the already-decompressed subset with every `f32` bit intact, and each
+//! chunk's CRC-32 is verified by the same `decode_chunk` the server-side
+//! cache uses.
 
 use std::collections::BTreeMap;
 
 use ada_cache::CacheStats;
 use ada_core::{AdaError, IngestReport, QueryReport, RetrievedData};
-use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-use ada_mdformats::Trajectory;
+use ada_mdformats::xtcf::{
+    decode_chunk, frame_record_len, parse_directory, seal_v2, ChunkDirectory, XtcfWriter,
+};
+use ada_mdformats::{FormatError, Trajectory};
 use ada_mdmodel::Tag;
 use ada_storagesim::SimDuration;
 
@@ -221,9 +223,14 @@ pub enum ResponseBody {
 }
 
 impl ResponseEnvelope {
-    /// Encode for framing.
+    /// Encode for framing. A query answer is megabytes of payload, so the
+    /// buffer is sized for it up front instead of doubling its way there.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let body_len = match &self.body {
+            ResponseBody::Query(rep) => rep.encoded_len(),
+            _ => 0,
+        };
+        let mut w = WireWriter::with_capacity(9 + body_len);
         w.put_u64(self.id);
         match &self.body {
             ResponseBody::Pong => w.put_u8(0),
@@ -377,13 +384,17 @@ impl WireIngestReport {
     }
 }
 
+/// Frames per chunk of a query payload's XTCF v2 container — the on-disk
+/// default (`AdaConfig::chunk_frames`), so a sealed answer has the shape
+/// of a stored dropping.
+pub const QUERY_CHUNK_FRAMES: usize = 64;
+
 /// The data a query delivers, in wire form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WirePayload {
-    /// Decoded frames, re-encoded as canonical XTC bytes at
-    /// [`DEFAULT_PRECISION`] — the byte form every equivalence suite in
-    /// this repo compares.
-    Xtc(Vec<u8>),
+    /// The delivered frames, uncompressed, as one sealed XTCF v2 chunk
+    /// container of at most [`QUERY_CHUNK_FRAMES`] frames per chunk.
+    Xtcf(Vec<u8>),
     /// Size-only payload (synthetic datasets).
     Synthetic {
         /// Delivered bytes.
@@ -406,13 +417,43 @@ pub struct WireQueryReport {
     pub payload: WirePayload,
 }
 
+/// A query payload that fails XTCF validation, as the typed error a
+/// corrupt stored dropping raises.
+fn payload_err(source: FormatError) -> AdaError {
+    AdaError::Xtcf {
+        dropping: "query response payload".to_string(),
+        source,
+    }
+}
+
+/// The chunk directory of a query payload; a directory-less (v1) stream
+/// is not a valid payload.
+fn payload_directory(bytes: &[u8]) -> Result<ChunkDirectory, AdaError> {
+    parse_directory(bytes).map_err(payload_err)?.ok_or_else(|| {
+        payload_err(FormatError::Corrupt(
+            "v1 stream carries no chunk directory".to_string(),
+        ))
+    })
+}
+
 impl WireQueryReport {
-    /// Convert a middleware report for the wire. Fails (as a typed
-    /// `AdaError::Xtc`) only if the trajectory cannot be XTC-encoded,
-    /// which a trajectory that was just XTC-decoded never is.
+    /// Convert a middleware report for the wire: the delivered frames are
+    /// written as XTCF records (an `XtcfWriter` sized for them up front)
+    /// and sealed into one v2 chunk container.
+    /// Fails (as a typed `AdaError::Xtcf`) only on frames of unequal atom
+    /// counts, which no retrieval path produces.
     pub fn from_report(rep: &QueryReport) -> Result<WireQueryReport, AdaError> {
         let payload = match &rep.data {
-            RetrievedData::Real(traj) => WirePayload::Xtc(write_xtc(traj, DEFAULT_PRECISION)?),
+            RetrievedData::Real(traj) => {
+                let natoms = traj.natoms();
+                let mut w = XtcfWriter::with_capacity(traj.len(), natoms);
+                for f in &traj.frames {
+                    w.write_frame(f).map_err(payload_err)?;
+                }
+                WirePayload::Xtcf(
+                    seal_v2(w.into_bytes(), natoms, QUERY_CHUNK_FRAMES).map_err(payload_err)?,
+                )
+            }
             RetrievedData::Synthetic {
                 bytes,
                 frames,
@@ -430,29 +471,55 @@ impl WireQueryReport {
         })
     }
 
-    /// Decode the payload back into frames (real-mode responses only).
+    /// Decode the payload back into frames (real-mode responses only),
+    /// verifying every chunk's CRC; a bad chunk is an `AdaError::Xtcf`
+    /// naming it.
     pub fn trajectory(&self) -> Result<Trajectory, AdaError> {
         match &self.payload {
-            WirePayload::Xtc(bytes) => Ok(ada_mdformats::read_xtc(bytes)?),
+            WirePayload::Xtcf(bytes) => {
+                let dir = payload_directory(bytes)?;
+                let mut frames = Vec::with_capacity(dir.nframes());
+                for chunk in 0..dir.nchunks() {
+                    frames.extend(decode_chunk(bytes, &dir, chunk).map_err(payload_err)?);
+                }
+                Ok(Trajectory::from_frames(frames))
+            }
             WirePayload::Synthetic { .. } => Err(AdaError::Internal(
                 "synthetic payload carries no frames".to_string(),
             )),
         }
     }
 
-    /// Delivered byte volume (mirrors `RetrievedData::bytes`).
+    /// Delivered decoded volume: frames × XTCF record bytes, read off the
+    /// chunk directory without decoding (`0` for a payload whose
+    /// directory does not parse — it delivers no frames).
     pub fn bytes(&self) -> u64 {
         match &self.payload {
-            WirePayload::Xtc(b) => b.len() as u64,
+            WirePayload::Xtcf(bytes) => payload_directory(bytes).map_or(0, |dir| {
+                dir.entries
+                    .iter()
+                    .map(|e| e.nframes as u64 * frame_record_len(e.natoms as usize) as u64)
+                    .sum()
+            }),
             WirePayload::Synthetic { bytes, .. } => *bytes,
         }
+    }
+
+    /// Exact size of [`WireQueryReport::encode`]'s output.
+    fn encoded_len(&self) -> usize {
+        16 + 16
+            + 1
+            + match &self.payload {
+                WirePayload::Xtcf(bytes) => 4 + bytes.len(),
+                WirePayload::Synthetic { .. } => 24,
+            }
     }
 
     fn encode(&self, w: &mut WireWriter) {
         w.put_u128(self.indexer_ns);
         w.put_u128(self.read_ns);
         match &self.payload {
-            WirePayload::Xtc(bytes) => {
+            WirePayload::Xtcf(bytes) => {
                 w.put_u8(0);
                 w.put_bytes(bytes);
             }
@@ -473,7 +540,7 @@ impl WireQueryReport {
         let indexer_ns = r.get_u128()?;
         let read_ns = r.get_u128()?;
         let payload = match r.get_u8()? {
-            0 => WirePayload::Xtc(r.get_bytes()?),
+            0 => WirePayload::Xtcf(r.get_bytes()?),
             1 => WirePayload::Synthetic {
                 bytes: r.get_u64()?,
                 frames: r.get_u64()?,
@@ -568,6 +635,7 @@ impl WireCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ada_mdformats::xtcf::write_xtcf;
 
     #[test]
     fn request_envelopes_round_trip() {
@@ -663,7 +731,7 @@ mod tests {
         let query = WireQueryReport {
             indexer_ns: 11,
             read_ns: 22,
-            payload: WirePayload::Xtc(vec![9, 8, 7]),
+            payload: WirePayload::Xtcf(vec![9, 8, 7]),
         };
         let resp = ResponseEnvelope {
             id: 10,
@@ -718,25 +786,139 @@ mod tests {
         assert_eq!(WireIngestReport::from_report(&rep), wire);
     }
 
-    #[test]
-    fn query_report_payload_survives_the_wire_byte_for_byte() {
-        let w = ada_workload::gpcr_workload(120, 3, 5);
-        let bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
-        let rep = WireQueryReport {
-            indexer_ns: 0,
-            read_ns: 0,
-            payload: WirePayload::Xtc(bytes.clone()),
-        };
+    fn real_report(traj: Trajectory) -> QueryReport {
+        QueryReport {
+            indexer: SimDuration(3),
+            read: SimDuration(5),
+            data: RetrievedData::Real(traj),
+            profile: None,
+        }
+    }
+
+    /// `from_report` → envelope → `trajectory()`, asserting bit identity.
+    fn assert_round_trips(traj: Trajectory) {
+        let wire = WireQueryReport::from_report(&real_report(traj.clone())).unwrap();
+        assert_eq!(
+            wire.bytes(),
+            (traj.len() * frame_record_len(traj.natoms())) as u64
+        );
         let resp = ResponseEnvelope {
             id: 1,
-            body: ResponseBody::Query(rep),
+            body: ResponseBody::Query(wire.clone()),
         };
-        match ResponseEnvelope::decode(&resp.encode()).unwrap().body {
-            ResponseBody::Query(back) => {
-                assert_eq!(back.payload, WirePayload::Xtc(bytes));
-                assert_eq!(back.trajectory().unwrap().len(), 3);
-            }
+        let encoded = resp.encode();
+        assert_eq!(encoded.len(), 9 + wire.encoded_len());
+        assert_eq!(encoded.capacity(), encoded.len(), "encode re-allocated");
+        let back = match ResponseEnvelope::decode(&encoded).unwrap().body {
+            ResponseBody::Query(back) => back,
             other => panic!("wrong body {:?}", other),
+        };
+        assert_eq!(back, wire);
+        let got = back.trajectory().unwrap();
+        assert_eq!(got.len(), traj.len());
+        // XTCF is bit-exact, so equal encodings mean every step, time,
+        // box and coordinate has the same bits (`==` on the floats would
+        // let `-0.0` pass for `0.0`).
+        assert_eq!(write_xtcf(&got).unwrap(), write_xtcf(&traj).unwrap());
+    }
+
+    #[test]
+    fn query_payload_round_trips_bit_identically_at_every_chunk_shape() {
+        // Empty answer, one frame, exactly one chunk, one chunk plus a
+        // ragged tail.
+        for nframes in [0, 1, QUERY_CHUNK_FRAMES, QUERY_CHUNK_FRAMES + 7] {
+            let w = ada_workload::gpcr_workload(120, nframes.max(1), 5);
+            let mut traj = w.trajectory;
+            traj.frames.truncate(nframes);
+            if let Some(f) = traj.frames.first_mut() {
+                // Values XTC quantization would not preserve.
+                f.coords[0] = [f32::MIN_POSITIVE, -0.0, 1.000_000_1];
+            }
+            assert_round_trips(traj);
+        }
+    }
+
+    #[test]
+    fn query_payload_is_sealed_at_the_fixed_chunk_size() {
+        let w = ada_workload::gpcr_workload(120, QUERY_CHUNK_FRAMES + 7, 5);
+        let wire = WireQueryReport::from_report(&real_report(w.trajectory)).unwrap();
+        let WirePayload::Xtcf(bytes) = &wire.payload else {
+            panic!("real report must seal an XTCF payload");
+        };
+        let dir = parse_directory(bytes).unwrap().unwrap();
+        assert_eq!(dir.chunk_nframes(), vec![QUERY_CHUNK_FRAMES as u32, 7]);
+    }
+
+    fn sealed_payload() -> Vec<u8> {
+        let w = ada_workload::gpcr_workload(120, 5, 9);
+        match WireQueryReport::from_report(&real_report(w.trajectory))
+            .unwrap()
+            .payload
+        {
+            WirePayload::Xtcf(bytes) => bytes,
+            other => panic!("expected XTCF payload, got {:?}", other),
+        }
+    }
+
+    fn report_of(bytes: Vec<u8>) -> WireQueryReport {
+        WireQueryReport {
+            indexer_ns: 0,
+            read_ns: 0,
+            payload: WirePayload::Xtcf(bytes),
+        }
+    }
+
+    fn assert_xtcf_error(bytes: Vec<u8>, needle: &str) {
+        let rep = report_of(bytes);
+        assert_eq!(rep.bytes(), 0, "an unparsable payload delivers nothing");
+        let err = rep.trajectory().unwrap_err();
+        assert_eq!(err.kind(), "xtcf", "{}", err);
+        assert!(err.to_string().contains(needle), "{}", err);
+    }
+
+    #[test]
+    fn hostile_query_payloads_are_typed_errors() {
+        let good = sealed_payload();
+        assert_eq!(report_of(good.clone()).trajectory().unwrap().len(), 5);
+
+        // Truncated directory: cut into the trailer, then into an entry.
+        assert_xtcf_error(good[..good.len() - 1].to_vec(), "footer magic");
+        let mut cut = good[..good.len() - 12 - 20].to_vec();
+        cut.extend_from_slice(&good[good.len() - 12..]);
+        assert_xtcf_error(cut, "corrupt chunk 0");
+
+        // A v1 stream (what `XtcfWriter` emits before sealing) has no
+        // directory to verify against.
+        let w = ada_workload::gpcr_workload(120, 2, 9);
+        assert_xtcf_error(write_xtcf(&w.trajectory).unwrap(), "no chunk directory");
+
+        // Oversized declared chunk span: the single entry claims
+        // u32::MAX frames of u32::MAX atoms. Rejected from the directory
+        // alone — nothing is sized from the claim.
+        let mut huge = good.clone();
+        let entry = huge.len() - 12 - 20;
+        huge[entry + 8..entry + 16].copy_from_slice(&[0xff; 8]);
+        assert_xtcf_error(huge, "overruns");
+
+        // A flipped body byte passes the directory and fails the chunk.
+        let mut flipped = good;
+        flipped[100] ^= 0x01;
+        let err = report_of(flipped).trajectory().unwrap_err();
+        assert_eq!(err.kind(), "xtcf");
+        assert!(err.to_string().contains("corrupt chunk 0"), "{}", err);
+    }
+
+    #[test]
+    fn truncated_query_response_is_a_typed_proto_error() {
+        let resp = ResponseEnvelope {
+            id: 4,
+            body: ResponseBody::Query(report_of(sealed_payload())),
+        };
+        let encoded = resp.encode();
+        // The blob length prefix now promises more than the frame holds.
+        match ResponseEnvelope::decode(&encoded[..encoded.len() - 1]) {
+            Err(ProtoError::Truncated { .. }) => {}
+            other => panic!("expected Truncated, got {:?}", other),
         }
     }
 

@@ -106,6 +106,14 @@ impl WireWriter {
         WireWriter::default()
     }
 
+    /// An empty writer with room for `capacity` bytes, for payloads whose
+    /// size is known before encoding.
+    pub fn with_capacity(capacity: usize) -> WireWriter {
+        WireWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

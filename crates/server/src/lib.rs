@@ -7,7 +7,7 @@
 //! ([`trace::root_remote`]), so admission, shedding, deadlines, and the
 //! flight-recorder tree behave exactly as they do for an in-process
 //! caller — the protocol equivalence suite holds the two paths
-//! byte-identical.
+//! bit-identical (every delivered `f32`).
 //!
 //! ## Threading model
 //!

@@ -8,7 +8,11 @@
 //! allocation), and both sides must stay usable for well-formed peers
 //! afterwards. The corpus runs against the real server with 0, 1, 4,
 //! and 8 well-behaved background client threads hammering it the whole
-//! time.
+//! time. Under the same load, a hostile *server* answers a query with a
+//! perfectly framed response whose XTCF payload has one flipped byte: the
+//! frame CRC passes, so only the per-chunk CRC stands between the
+//! corruption and the caller, and it must surface as a typed `xtcf`
+//! error naming the chunk — never as frames.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -17,12 +21,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ada_client::{Client, ClientConfig};
-use ada_core::{Ada, AdaConfig};
+use ada_core::{Ada, AdaConfig, QueryReport, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_plfs::ContainerSet;
 use ada_proto::{
     encode_frame, read_frame, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope,
-    DEFAULT_MAX_FRAME,
+    WirePayload, WireQueryReport, DEFAULT_MAX_FRAME, QUERY_CHUNK_FRAMES,
 };
 use ada_server::{Server, ServerConfig};
 use ada_simfs::{LocalFs, SimFileSystem};
@@ -209,6 +213,70 @@ fn run_fault_corpus(server: &Server) {
     }
 }
 
+/// A hostile server answers one query with a well-framed response (valid
+/// frame CRC, valid envelope, matching request id) whose payload has one
+/// flipped byte inside chunk 1 of three. The client must hand the answer
+/// over (the frame is fine) and `trajectory()` must refuse it with a
+/// typed `xtcf` error naming chunk 1.
+fn corrupt_chunk_in_response_is_typed() {
+    let w = ada_workload::gpcr_workload(120, 2 * QUERY_CHUNK_FRAMES + 3, 41);
+    let mut wire = WireQueryReport::from_report(&QueryReport {
+        indexer: ada_storagesim::SimDuration(0),
+        read: ada_storagesim::SimDuration(0),
+        data: RetrievedData::Real(w.trajectory),
+        profile: None,
+    })
+    .expect("seal the answer");
+    let WirePayload::Xtcf(bytes) = &mut wire.payload else {
+        panic!("a real report must seal an XTCF payload");
+    };
+    let dir = ada_mdformats::xtcf::parse_directory(bytes)
+        .expect("directory parses")
+        .expect("payload is v2");
+    assert_eq!(dir.nchunks(), 3);
+    bytes[dir.entries[1].offset as usize + 60] ^= 0x10;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let evil = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let request = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+            .expect("request frame")
+            .expect("a request, not EOF");
+        let id = RequestEnvelope::decode(&request).expect("request").id;
+        let resp = ResponseEnvelope {
+            id,
+            body: ResponseBody::Query(wire),
+        };
+        let frame = encode_frame(&resp.encode()).unwrap();
+        stream.write_all(&frame).unwrap();
+        let _ = stream.shutdown(Shutdown::Write);
+    });
+
+    let victim = Client::new(
+        addr.to_string(),
+        ClientConfig {
+            name: "victim".to_string(),
+            io_timeout: Duration::from_secs(5),
+            ..ClientConfig::default()
+        },
+    );
+    let rep = victim
+        .query("shared", Some("p"))
+        .expect("the frame itself is valid, so the transport must deliver it");
+    let err = rep
+        .trajectory()
+        .expect_err("a corrupt chunk must never decode into frames");
+    assert_eq!(err.kind(), "xtcf", "{}", err);
+    let text = err.to_string();
+    assert!(text.contains("corrupt chunk 1"), "{}", text);
+    assert!(text.contains("checksum"), "{}", text);
+    evil.join().expect("evil server thread must not panic");
+}
+
 /// The corpus with N background clients hammering the same server; every
 /// background request must resolve Ok (the server stays fully usable
 /// while hostile peers are being evicted).
@@ -241,6 +309,7 @@ fn corpus_under_background_load(background: usize) {
         }
 
         run_fault_corpus(&server);
+        corrupt_chunk_in_response_is_typed();
 
         stop.store(true, Ordering::Relaxed);
         for h in handles {
