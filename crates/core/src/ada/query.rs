@@ -1,0 +1,620 @@
+//! The read side as callers see it: `mol addfile <dataset>.xtc [tag <t>]`
+//! ([`Ada::query`]) and the strided frame-range read of the sampling
+//! workload ([`Ada::query_range`]). Both resolve the dataset's mode, run
+//! the indexer, read (size-only datasets) or retrieve + reassemble (real
+//! ones), then bump the tag heat and close the report through the same
+//! four helpers; the retrieval itself lives in [`super::retrieve`].
+
+use super::retrieve::FrameSelection;
+use super::{traced, Ada, DatasetState, QueryReport, RetrievedData};
+use crate::labeler::LabelFile;
+use crate::profile::StageProfile;
+use crate::AdaError;
+use ada_cache::DecodedDropping;
+use ada_mdformats::xtcf::{frame_record_len, XTCF_HEADER_LEN};
+use ada_mdformats::{Frame, Trajectory};
+use ada_mdmodel::Tag;
+use ada_plfs::IndexRecord;
+use ada_storagesim::SimDuration;
+use ada_telemetry::span;
+use ada_telemetry::trace::TraceContext;
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Instant;
+
+impl Ada {
+    /// Serve `mol addfile <dataset>.xtc [tag <t>]`: deliver the requested
+    /// subset, already decompressed.
+    pub fn query(&self, dataset: &str, tag: Option<&Tag>) -> Result<QueryReport, AdaError> {
+        self.query_traced(dataset, tag, &TraceContext::inactive())
+    }
+
+    /// [`Ada::query`] under an existing trace (see [`Ada::ingest_traced`]):
+    /// index, per-backend read, per-unit decode, cache lookup, and
+    /// reassemble each contribute a span to the request's tree.
+    pub fn query_traced(
+        &self,
+        dataset: &str,
+        tag: Option<&Tag>,
+        parent: &TraceContext,
+    ) -> Result<QueryReport, AdaError> {
+        traced("query", "ada.query", parent, |ctx| {
+            self.query_inner(dataset, tag, ctx)
+        })
+    }
+
+    fn query_inner(
+        &self,
+        dataset: &str,
+        tag: Option<&Tag>,
+        ctx: &TraceContext,
+    ) -> Result<QueryReport, AdaError> {
+        let wall = Instant::now();
+        let parallel = self.config.query_threads > 0;
+        let mut profile = StageProfile::new(if parallel { "query_parallel" } else { "query" });
+        let state = self.resolve(dataset, tag)?;
+        let (records, indexer) = self.index(dataset, tag, &mut profile, ctx)?;
+
+        let (data, read) = match &state {
+            DatasetState::Synthetic { spec } => {
+                let (bytes, read) = self.read_sizes(records.iter(), &mut profile, ctx)?;
+                let atoms_per_frame = match tag {
+                    Some(t) => spec.atoms_by_tag.get(t).copied().unwrap_or(0),
+                    None => spec.natoms,
+                };
+                let data = RetrievedData::Synthetic {
+                    bytes,
+                    frames: spec.frames,
+                    atoms_per_frame,
+                };
+                (data, read)
+            }
+            DatasetState::Real { label } => {
+                let indexed: Vec<(usize, IndexRecord, FrameSelection)> = records
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, r)| (i, r, None))
+                    .collect();
+                let (fetched, read) =
+                    self.retrieve_droppings(dataset, label, indexed, &mut profile, ctx)?;
+                let mut per_tag: BTreeMap<Tag, Vec<Frame>> = BTreeMap::new();
+                for (_, tag, payload) in fetched {
+                    // Unwrap a sole Arc (cache off, or evicted since the
+                    // lookup) to move the frames; clone otherwise.
+                    let frames = match Arc::try_unwrap(payload) {
+                        Ok(owned) => owned.into_frames(),
+                        Err(shared) => shared.cloned_frames(),
+                    }
+                    .ok_or_else(|| {
+                        AdaError::Internal(format!(
+                            "retrieval returned an incomplete dropping for tag '{}'",
+                            tag
+                        ))
+                    })?;
+                    per_tag.entry(Tag::new(tag)).or_default().extend(frames);
+                }
+                let t = Instant::now();
+                let traj = {
+                    let mut ts = ctx.span("query.reassemble");
+                    let mut s = span!("query.reassemble");
+                    let traj = reassemble(label, tag, per_tag)?;
+                    s.add_bytes(traj.nbytes() as u64);
+                    s.add_frames(traj.len() as u64);
+                    ts.arg("bytes", traj.nbytes());
+                    ts.arg("frames", traj.len());
+                    traj
+                };
+                profile.add_stage_ns("reassemble", t.elapsed().as_nanos() as u64);
+                (RetrievedData::Real(traj), read)
+            }
+        };
+
+        match tag {
+            Some(t) => self.bump_heat(dataset, [t.clone()]),
+            None => self.bump_heat(dataset, state.tags()),
+        }
+        Ok(seal_report(profile, wall, indexer, read, data))
+    }
+
+    /// Serve a frame-range read: every `stride`-th frame of `tag` in the
+    /// half-open `window` — the ML-sampling access pattern (Atompack-style
+    /// shuffled `(tag × frame-range)` reads, millions of small samples per
+    /// training epoch). Consults the decoded-dropping cache first and runs
+    /// the regular retrieval pipeline only for the droppings the selection
+    /// actually touches; with `cache.readahead > 0`, the droppings just
+    /// past the window are decoded and admitted too, so the next
+    /// sequential window starts hot.
+    ///
+    /// Equivalence contract: `query_range(ds, t, 0..nframes, 1)` returns
+    /// frames byte-identical to `query(ds, Some(t))`, cache on or off.
+    pub fn query_range(
+        &self,
+        dataset: &str,
+        tag: &Tag,
+        window: Range<usize>,
+        stride: usize,
+    ) -> Result<QueryReport, AdaError> {
+        self.query_range_traced(dataset, tag, window, stride, &TraceContext::inactive())
+    }
+
+    /// [`Ada::query_range`] under an existing trace (see
+    /// [`Ada::query_traced`]); cache readahead shows up as its own span.
+    pub fn query_range_traced(
+        &self,
+        dataset: &str,
+        tag: &Tag,
+        window: Range<usize>,
+        stride: usize,
+        parent: &TraceContext,
+    ) -> Result<QueryReport, AdaError> {
+        traced("query_range", "ada.query_range", parent, |ctx| {
+            self.query_range_inner(dataset, tag, window, stride, ctx)
+        })
+    }
+
+    fn query_range_inner(
+        &self,
+        dataset: &str,
+        tag: &Tag,
+        window: Range<usize>,
+        stride: usize,
+        ctx: &TraceContext,
+    ) -> Result<QueryReport, AdaError> {
+        let wall = Instant::now();
+        let mut profile = StageProfile::new("query_range");
+        let state = self.resolve(dataset, Some(tag))?;
+        let nframes = state.nframes();
+        if stride == 0 || window.start >= window.end || window.end > nframes {
+            return Err(AdaError::InvalidRange {
+                start: window.start,
+                end: window.end,
+                stride,
+                nframes,
+            });
+        }
+        let (records, indexer) = self.index(dataset, Some(tag), &mut profile, ctx)?;
+        let selected: Vec<usize> = window.clone().step_by(stride).collect();
+
+        let (data, read) = match &state {
+            DatasetState::Synthetic { spec } => {
+                // Size-only content: droppings cover the frame space
+                // evenly, so read just the ones the selection touches.
+                let per = nframes.div_ceil(records.len().max(1)).max(1);
+                let mut needed: Vec<usize> = Vec::new();
+                for f in &selected {
+                    let d = (*f / per).min(records.len().saturating_sub(1));
+                    if needed.last() != Some(&d) {
+                        needed.push(d);
+                    }
+                }
+                let touched = needed.into_iter().filter_map(|d| records.get(d));
+                let (bytes, read) = self.read_sizes(touched, &mut profile, ctx)?;
+                let data = RetrievedData::Synthetic {
+                    bytes,
+                    frames: selected.len() as u64,
+                    atoms_per_frame: spec.atoms_by_tag.get(tag).copied().unwrap_or(0),
+                };
+                (data, read)
+            }
+            DatasetState::Real { label } => {
+                let natoms = label.ranges(tag)?.count();
+                let spans = dropping_frame_spans(&records, natoms);
+                let covered = spans.last().map_or(0, |s| s.1);
+                if window.end > covered {
+                    // The label promises more frames than the droppings
+                    // hold — same corruption a full query would surface.
+                    return Err(AdaError::FrameCountMismatch {
+                        tag: tag.to_string(),
+                        expected: label.nframes,
+                        got: covered,
+                    });
+                }
+
+                // Map the selection onto droppings (both are ascending),
+                // keeping each needed dropping's local frame list so the
+                // retriever decodes only the chunks those frames touch.
+                let mut needed: Vec<usize> = Vec::new();
+                let mut local_sel: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+                let mut d = 0usize;
+                for f in &selected {
+                    while d < spans.len() && spans[d].1 <= *f {
+                        d += 1;
+                    }
+                    if d >= spans.len() {
+                        return Err(AdaError::Internal(format!(
+                            "frame {} escaped the dropping spans of tag '{}'",
+                            f, tag
+                        )));
+                    }
+                    if needed.last() != Some(&d) {
+                        needed.push(d);
+                    }
+                    local_sel.entry(d).or_default().push(*f - spans[d].0);
+                }
+
+                // Sequential readahead: also decode the droppings just
+                // past the window so the next window starts hot. Insert-
+                // only — their frames are not part of this reply.
+                let mut fetch_ids = needed.clone();
+                if self.cache.enabled() && self.config.cache.readahead > 0 {
+                    if let Some(&last) = needed.last() {
+                        let upto = last
+                            .saturating_add(self.config.cache.readahead)
+                            .min(spans.len().saturating_sub(1));
+                        for ahead in last + 1..=upto {
+                            fetch_ids.push(ahead);
+                        }
+                        if fetch_ids.len() > needed.len() {
+                            // Marker span: how many droppings beyond the
+                            // window this request pre-warmed (the fetch
+                            // itself is traced in the retrieval spans).
+                            let mut ts = ctx.span("cache.readahead");
+                            ts.arg("droppings", fetch_ids.len() - needed.len());
+                        }
+                    }
+                }
+                let want: std::collections::BTreeSet<usize> = fetch_ids.into_iter().collect();
+                // Readahead droppings (no local selection) decode whole —
+                // they exist to warm the cache for the next window.
+                let indexed: Vec<(usize, IndexRecord, FrameSelection)> = records
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| want.contains(i))
+                    .map(|(i, r)| {
+                        let sel = local_sel.get(&i).cloned();
+                        (i, r, sel)
+                    })
+                    .collect();
+
+                let (fetched, read) =
+                    self.retrieve_droppings(dataset, label, indexed, &mut profile, ctx)?;
+                let by_dropping: BTreeMap<usize, Arc<DecodedDropping>> =
+                    fetched.into_iter().map(|(i, _tag, p)| (i, p)).collect();
+
+                // Assemble the reply, cloning only the chosen frames.
+                let t = Instant::now();
+                let mut frames: Vec<Frame> = Vec::with_capacity(selected.len());
+                {
+                    let mut ts = ctx.span("query.reassemble");
+                    let mut s = span!("query.reassemble");
+                    for f in &selected {
+                        let d = spans.partition_point(|(_, end)| *end <= *f);
+                        let frame = spans
+                            .get(d)
+                            .and_then(|(start, _)| {
+                                by_dropping.get(&d).and_then(|p| p.frame(f - start))
+                            })
+                            .ok_or_else(|| {
+                                AdaError::Internal(format!(
+                                    "dropping {} of tag '{}' is missing frame {}",
+                                    d, tag, f
+                                ))
+                            })?;
+                        frames.push(frame.clone());
+                    }
+                    let bytes: u64 = frames.iter().map(|f| f.nbytes() as u64).sum();
+                    s.add_bytes(bytes);
+                    s.add_frames(frames.len() as u64);
+                    ts.arg("bytes", bytes);
+                    ts.arg("frames", frames.len());
+                }
+                profile.add_stage_ns("reassemble", t.elapsed().as_nanos() as u64);
+                (RetrievedData::Real(Trajectory::from_frames(frames)), read)
+            }
+        };
+
+        // A range read counts as one access of the tag — the same heat
+        // accounting as a tagged query.
+        self.bump_heat(dataset, [tag.clone()]);
+        Ok(seal_report(profile, wall, indexer, read, data))
+    }
+
+    /// The mode a query against `dataset` runs in, with `tag` (when given)
+    /// checked against the tags the dataset actually has.
+    fn resolve(&self, dataset: &str, tag: Option<&Tag>) -> Result<DatasetState, AdaError> {
+        let state = self.state(dataset)?;
+        match tag {
+            Some(t) if !state.has_tag(t) => Err(AdaError::UnknownTag(t.to_string())),
+            _ => Ok(state),
+        }
+    }
+
+    /// Indexer: find the droppings, sorted into logical order.
+    fn index(
+        &self,
+        dataset: &str,
+        tag: Option<&Tag>,
+        profile: &mut StageProfile,
+        ctx: &TraceContext,
+    ) -> Result<(Vec<IndexRecord>, SimDuration), AdaError> {
+        let t = Instant::now();
+        let (mut records, indexer) = {
+            let _ts = ctx.span("query.index");
+            let _s = span!("query.index");
+            self.determinator.index_lookup(dataset, tag)?
+        };
+        records.sort_by_key(|r| r.logical_offset);
+        profile.add_stage_ns("index", t.elapsed().as_nanos() as u64);
+        Ok((records, indexer))
+    }
+
+    /// The whole read side of a size-only dataset: fetch the droppings in
+    /// order and report their volume.
+    fn read_sizes<'a>(
+        &self,
+        records: impl Iterator<Item = &'a IndexRecord>,
+        profile: &mut StageProfile,
+        ctx: &TraceContext,
+    ) -> Result<(u64, SimDuration), AdaError> {
+        let (contents, read) = self.fetch_in_order(records, profile, ctx)?;
+        Ok((contents.iter().map(|c| c.len()).sum(), read))
+    }
+
+    /// Count one access of each tag a query touched. Called only once
+    /// retrieval succeeded, so failed queries (unknown tags, lost
+    /// droppings, corrupt data) don't skew tag-heat accounting.
+    fn bump_heat(&self, dataset: &str, touched: impl IntoIterator<Item = Tag>) {
+        let mut g = self.access.lock();
+        let counts = g.entry(dataset.to_string()).or_default();
+        for t in touched {
+            *counts.entry(t).or_insert(0) += 1;
+        }
+    }
+}
+
+/// Close a query's report: stamp the wall time and attach the profile.
+fn seal_report(
+    mut profile: StageProfile,
+    wall: Instant,
+    indexer: SimDuration,
+    read: SimDuration,
+    data: RetrievedData,
+) -> QueryReport {
+    profile.wall_ns = wall.elapsed().as_nanos() as u64;
+    QueryReport {
+        indexer,
+        read,
+        data,
+        profile: ada_telemetry::enabled().then_some(profile),
+    }
+}
+
+/// Cumulative frame spans of a tag's droppings in logical order:
+/// `spans[i] = (first_frame, end_frame)` of `records[i]`. Droppings
+/// indexed with a frame count use it directly; legacy records (`frames ==
+/// 0`, written before the index carried frame counts) fall back to byte
+/// arithmetic, which is exact for v1 files — the tag's atom count fixes
+/// the record length. No dropping bytes are touched either way.
+fn dropping_frame_spans(records: &[IndexRecord], natoms: usize) -> Vec<(usize, usize)> {
+    let record_len = frame_record_len(natoms).max(1);
+    let mut spans = Vec::with_capacity(records.len());
+    let mut at = 0usize;
+    for r in records {
+        let nf = if r.frames > 0 {
+            r.frames as usize
+        } else {
+            (r.len as usize).saturating_sub(XTCF_HEADER_LEN) / record_len
+        };
+        spans.push((at, at + nf));
+        at += nf;
+    }
+    spans
+}
+
+/// Reassemble the delivered trajectory from per-tag frame subsets: a
+/// tagged query hands back that tag's frames verbatim; a full-frame query
+/// scatters every tag's subset back into its label ranges, in logical
+/// order. Each tag must contribute exactly the label's frame count — a
+/// mismatch means a corrupt or foreign dropping, and truncating to the
+/// shortest subset would silently drop frames.
+fn reassemble(
+    label: &LabelFile,
+    tag: Option<&Tag>,
+    mut per_tag: BTreeMap<Tag, Vec<Frame>>,
+) -> Result<Trajectory, AdaError> {
+    if let Some(t) = tag {
+        return Ok(Trajectory::from_frames(
+            per_tag.remove(t).unwrap_or_default(),
+        ));
+    }
+    let mut full: Option<Vec<Frame>> = None;
+    for (t, sub_frames) in &per_tag {
+        if sub_frames.len() != label.nframes {
+            return Err(AdaError::FrameCountMismatch {
+                tag: t.to_string(),
+                expected: label.nframes,
+                got: sub_frames.len(),
+            });
+        }
+        let ranges = label.ranges(t)?;
+        let frames = full.get_or_insert_with(|| {
+            sub_frames
+                .iter()
+                .map(|f| Frame {
+                    step: f.step,
+                    time: f.time,
+                    pbc: f.pbc,
+                    coords: vec![[0.0; 3]; label.natoms],
+                })
+                .collect()
+        });
+        for (dst, src) in frames.iter_mut().zip(sub_frames) {
+            ranges.scatter(&src.coords, &mut dst.coords);
+        }
+    }
+    Ok(Trajectory::from_frames(full.unwrap_or_default()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::{IngestInput, RetrievedData};
+    use crate::synth::SyntheticDataset;
+    use crate::AdaError;
+    use ada_mdformats::Frame;
+    use ada_mdmodel::Tag;
+
+    #[test]
+    fn query_all_reassembles_full_frames() {
+        let ada = make_ada();
+        let (input, w) = real_input(900, 2);
+        ada.ingest("bar", input).unwrap();
+        let q = ada.query("bar", None).unwrap();
+        match q.data {
+            RetrievedData::Real(traj) => {
+                assert_eq!(traj.natoms(), w.system.len());
+                assert_eq!(traj.len(), 2);
+                for (a, b) in traj.frames[0]
+                    .coords
+                    .iter()
+                    .zip(&w.trajectory.frames[0].coords)
+                {
+                    for d in 0..3 {
+                        assert!((a[d] - b[d]).abs() < 0.5 / 1000.0 + 1e-6);
+                    }
+                }
+            }
+            _ => panic!("expected real data"),
+        }
+    }
+
+    #[test]
+    fn protein_query_reads_less_than_all() {
+        let ada = make_ada();
+        let (input, _) = real_input(2000, 3);
+        ada.ingest("bar", input).unwrap();
+        let qp = ada.query("bar", Some(&Tag::protein())).unwrap();
+        let qa = ada.query("bar", None).unwrap();
+        assert!(qp.data.bytes() < qa.data.bytes());
+        // Protein lives on the fast backend: tagged read is much faster.
+        assert!(qp.read < qa.read);
+    }
+
+    #[test]
+    fn unknown_tag_and_dataset_errors() {
+        let ada = make_ada();
+        assert!(matches!(
+            ada.query("nope", None),
+            Err(AdaError::UnknownDataset(_))
+        ));
+        let (input, _) = real_input(800, 1);
+        ada.ingest("bar", input).unwrap();
+        assert!(matches!(
+            ada.query("bar", Some(&Tag::new("zzz"))),
+            Err(AdaError::UnknownTag(_))
+        ));
+    }
+
+    #[test]
+    fn query_range_full_window_equals_tagged_query() {
+        let ada = make_ada_with(cached_config(2, ada_cache::CacheConfig::default()));
+        let (input, _) = real_input(1200, 6);
+        ada.ingest("bar", input).unwrap();
+        for tag in [Tag::protein(), Tag::misc()] {
+            let full = frames_of(ada.query("bar", Some(&tag)).unwrap());
+            let ranged = frames_of(ada.query_range("bar", &tag, 0..6, 1).unwrap());
+            assert_eq!(full, ranged);
+        }
+    }
+
+    #[test]
+    fn query_range_strided_window_selects_exactly() {
+        let ada = make_ada_with(cached_config(2, hot_cache_cfg()));
+        let (input, _) = real_input(1000, 7);
+        ada.ingest("bar", input).unwrap();
+        let tag = Tag::protein();
+        let full = frames_of(ada.query("bar", Some(&tag)).unwrap());
+        let ranged = frames_of(ada.query_range("bar", &tag, 1..6, 2).unwrap());
+        let expect: Vec<Frame> = (1..6).step_by(2).map(|i| full[i].clone()).collect();
+        assert_eq!(ranged, expect);
+        // And again, now served from the cache: still identical.
+        let again = frames_of(ada.query_range("bar", &tag, 1..6, 2).unwrap());
+        assert_eq!(again, expect);
+        assert!(ada.cache_stats().hits > 0);
+    }
+
+    #[test]
+    fn query_range_validates_inputs() {
+        let ada = make_ada();
+        let (input, _) = real_input(800, 3);
+        ada.ingest("bar", input).unwrap();
+        let t = Tag::protein();
+        for (win, stride) in [(0..0, 1), (2..1, 1), (0..4, 1), (0..3, 0)] {
+            let err = ada.query_range("bar", &t, win, stride).unwrap_err();
+            assert_eq!(err.kind(), "invalid_range");
+        }
+        let err = ada
+            .query_range("bar", &Tag::new("zz"), 0..1, 1)
+            .unwrap_err();
+        assert_eq!(err.kind(), "unknown_tag");
+        let err = ada.query_range("nope", &t, 0..1, 1).unwrap_err();
+        assert_eq!(err.kind(), "unknown_dataset");
+        // Failed range reads leave no heat behind.
+        assert!(ada.access_counts("bar").is_empty());
+    }
+
+    #[test]
+    fn query_range_synthetic_reads_partial_volume() {
+        let ada = make_ada();
+        let spec = SyntheticDataset::gpcr_paper(626);
+        ada.ingest("big", IngestInput::Synthetic(spec)).unwrap();
+        let full = ada
+            .query("big", Some(&Tag::protein()))
+            .unwrap()
+            .data
+            .bytes();
+        let q = ada.query_range("big", &Tag::protein(), 0..10, 2).unwrap();
+        match q.data {
+            RetrievedData::Synthetic { bytes, frames, .. } => {
+                assert_eq!(frames, 5);
+                assert!(bytes > 0);
+                assert!(bytes <= full);
+            }
+            _ => panic!("expected synthetic"),
+        }
+    }
+
+    #[test]
+    fn readahead_decodes_past_the_window() {
+        let mut cache = hot_cache_cfg();
+        cache.readahead = 2;
+        let ada = make_ada_with(cached_config(2, cache));
+        let (input, _) = real_input(1000, 8); // 4 droppings of 2 frames per tag
+        ada.ingest("bar", input).unwrap();
+        let tag = Tag::protein();
+        // The window touches dropping 0 only; readahead admits 1 and 2.
+        ada.query_range("bar", &tag, 0..2, 1).unwrap();
+        assert_eq!(ada.cache_stats().inserts, 3);
+        // Next sequential window: dropping 1 is already resident, and
+        // readahead tops the hot set up with dropping 3.
+        ada.query_range("bar", &tag, 2..4, 1).unwrap();
+        assert_eq!(ada.cache_stats().inserts, 4);
+        let decoded = ada.cache_stats().bytes_decoded;
+        // Everything resident: a covering read decodes nothing.
+        ada.query_range("bar", &tag, 4..8, 1).unwrap();
+        let stats = ada.cache_stats();
+        assert_eq!(stats.bytes_decoded, decoded);
+        assert!(stats.hits > 0);
+    }
+
+    #[test]
+    fn readahead_leaves_tag_heat_untouched() {
+        // Speculative decodes must not count as accesses: heat feeds cache
+        // admission and tier rebalancing, and readahead would otherwise
+        // make sequential scans look hotter than they are.
+        let plain = make_ada_with(cached_config(2, hot_cache_cfg()));
+        let mut cache = hot_cache_cfg();
+        cache.readahead = 2;
+        let eager = make_ada_with(cached_config(2, cache));
+        for ada in [&plain, &eager] {
+            let (input, _) = real_input(1000, 8);
+            ada.ingest("bar", input).unwrap();
+            let tag = Tag::protein();
+            ada.query_range("bar", &tag, 0..2, 1).unwrap();
+            ada.query_range("bar", &tag, 2..4, 1).unwrap();
+        }
+        assert!(eager.cache_stats().inserts > plain.cache_stats().inserts);
+        assert_eq!(plain.access_counts("bar"), eager.access_counts("bar"));
+    }
+}

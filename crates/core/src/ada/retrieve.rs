@@ -1,0 +1,846 @@
+//! The I/O retriever: fetch the droppings a query needs and hand them
+//! back decoded.
+//!
+//! [`Ada::retrieve_droppings`] partitions the request into cache hits and
+//! misses; the misses go through one stage set — [`plan`] (which units of
+//! a fetched dropping to decode), [`decode_unit`] (one whole v1 file or
+//! one v2 chunk, atom-count validated) and [`assemble`] (resident chunks
+//! + fresh chunks → payload) — under one of two schedules:
+//!
+//! * [`Ada::retrieve_serial`] (`query_threads = 0`): everything on the
+//!   caller's thread, every dropping fetched in logical order before any
+//!   is decoded. This is the reference the parallel schedule is compared
+//!   with (`query_equivalence`, `core.parallel_speedup`).
+//! * [`Ada::retrieve_parallel`]: one reader thread per backend feeding
+//!   `query_threads` decode workers, one work unit per chunk.
+//!
+//! Both resolve errors the same way: the earliest fetch failure in
+//! logical order, else the earliest decode failure by (dropping, chunk).
+
+use super::{max_across_backends, Ada, QueueDepth};
+use crate::labeler::LabelFile;
+use crate::profile::StageProfile;
+use crate::AdaError;
+use ada_cache::{CacheKey, DecodedDropping};
+use ada_mdformats::xtcf::{
+    decode_chunk, frame_record_len, parse_directory, read_xtcf, ChunkDirectory,
+};
+use ada_mdformats::{FormatError, Frame};
+use ada_mdmodel::Tag;
+use ada_plfs::{ContainerSet, IndexRecord};
+use ada_simfs::Content;
+use ada_storagesim::SimDuration;
+use ada_telemetry::span;
+use ada_telemetry::trace::TraceContext;
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Per-dropping retrieval output, tagged with the record's logical index
+/// and tag, plus the simulated backend read time of the whole batch.
+type Retrieved<T> = (Vec<(usize, String, T)>, SimDuration);
+
+/// Dropping-local frames a retrieval must deliver: `None` means the whole
+/// dropping (full queries, readahead warming), `Some` the ascending local
+/// frame indices a range read actually selects — the retriever decodes
+/// only the chunks those frames live in.
+pub(super) type FrameSelection = Option<Vec<usize>>;
+
+/// One retrieval work item after the cache lookup: the dropping, the
+/// frames wanted from it, and whatever partial payload is already resident
+/// (so only the missing chunks are decoded and the entry upgrades in
+/// place).
+struct RetrieveItem {
+    idx: usize,
+    record: IndexRecord,
+    select: FrameSelection,
+    prior: Option<Arc<DecodedDropping>>,
+}
+
+/// A freshly assembled dropping payload plus the frame bytes that were
+/// actually decoded to build it (resident prior chunks cost nothing).
+struct PayloadOutcome {
+    payload: DecodedDropping,
+    fresh_bytes: u64,
+}
+
+/// Running totals of one fetch loop: simulated cost per backend (reads
+/// within a backend queue up, backends overlap) and bytes per tag.
+#[derive(Default)]
+struct ReadTally {
+    per_backend: BTreeMap<String, SimDuration>,
+    bytes_by_tag: BTreeMap<String, u64>,
+    bytes: u64,
+}
+
+impl ReadTally {
+    fn read(
+        &mut self,
+        containers: &ContainerSet,
+        record: &IndexRecord,
+    ) -> Result<Content, AdaError> {
+        let (content, cost) = containers.read_dropping(record)?;
+        *self
+            .per_backend
+            .entry(record.backend.clone())
+            .or_insert(SimDuration::ZERO) += cost;
+        *self.bytes_by_tag.entry(record.tag.clone()).or_insert(0) += content.len();
+        self.bytes += content.len();
+        Ok(content)
+    }
+
+    fn merge(&mut self, other: ReadTally) {
+        for (backend, cost) in other.per_backend {
+            *self.per_backend.entry(backend).or_insert(SimDuration::ZERO) += cost;
+        }
+        for (tag, bytes) in other.bytes_by_tag {
+            *self.bytes_by_tag.entry(tag).or_insert(0) += bytes;
+        }
+        self.bytes += other.bytes;
+    }
+
+    /// Book the per-tag bytes into `profile`; returns the simulated read
+    /// time of everything tallied.
+    fn finish(self, profile: &mut StageProfile) -> SimDuration {
+        for (tag, bytes) in self.bytes_by_tag {
+            *profile.bytes_by_tag.entry(tag).or_insert(0) += bytes;
+        }
+        max_across_backends(&self.per_backend)
+    }
+}
+
+/// A fetched dropping with its decode plan, and what the assembly needs
+/// once the planned units are decoded.
+struct Planned {
+    idx: usize,
+    record: IndexRecord,
+    /// Atoms the label says this tag selects; every decoded frame is
+    /// checked against it.
+    natoms: Option<usize>,
+    /// Chunk directory of a v2 container. `None` is a v1 file, which
+    /// always decodes whole, as the single unit 0 (the compatibility shim).
+    dir: Option<ChunkDirectory>,
+    /// A resident payload whose chunk layout matches `dir` — only then can
+    /// its chunks be merged with a fresh decode.
+    prior: Option<Arc<DecodedDropping>>,
+    /// Chunks to decode, ascending: the ones the selection touches, minus
+    /// any already resident in `prior`.
+    units: Vec<usize>,
+}
+
+fn xtcf_err(record: &IndexRecord, source: FormatError) -> AdaError {
+    AdaError::Xtcf {
+        dropping: record.dropping_path.clone(),
+        source,
+    }
+}
+
+/// The bytes of a fetched dropping; size-only content cannot be decoded.
+fn real_bytes<'a>(record: &IndexRecord, content: &'a Content) -> Result<&'a [u8], AdaError> {
+    match content.as_real() {
+        Some(bytes) => Ok(bytes),
+        None => Err(xtcf_err(
+            record,
+            FormatError::Corrupt("expected real dropping bytes".into()),
+        )),
+    }
+}
+
+/// Map a fetched dropping and its frame selection to a decode plan.
+fn plan(item: RetrieveItem, content: &Content, label: &LabelFile) -> Result<Planned, AdaError> {
+    let RetrieveItem {
+        idx,
+        record,
+        select,
+        prior,
+    } = item;
+    let bytes = real_bytes(&record, content)?;
+    let natoms = label
+        .tags
+        .get(&Tag::new(record.tag.clone()))
+        .map(|r| r.count());
+    let Some(dir) = parse_directory(bytes).map_err(|e| xtcf_err(&record, e))? else {
+        return Ok(Planned {
+            idx,
+            record,
+            natoms,
+            dir: None,
+            prior: None,
+            units: vec![0],
+        });
+    };
+    let prior = prior.filter(|p| p.chunk_layout() == dir.chunk_nframes().as_slice());
+    let wanted: Vec<usize> = match &select {
+        None => (0..dir.nchunks()).collect(),
+        Some(sel) => {
+            let mut out = Vec::new();
+            for &f in sel {
+                let c = dir.chunk_of_frame(f).ok_or_else(|| {
+                    xtcf_err(
+                        &record,
+                        FormatError::Corrupt(format!(
+                            "frame {} beyond the {} frames in the chunk directory",
+                            f,
+                            dir.nframes()
+                        )),
+                    )
+                })?;
+                if out.last() != Some(&c) {
+                    out.push(c);
+                }
+            }
+            out
+        }
+    };
+    let units = wanted
+        .into_iter()
+        .filter(|&c| prior.as_ref().is_none_or(|p| p.chunk(c).is_none()))
+        .collect();
+    Ok(Planned {
+        idx,
+        record,
+        natoms,
+        dir: Some(dir),
+        prior,
+        units,
+    })
+}
+
+/// Reject frames whose atom count disagrees with the tag's label ranges —
+/// reassembly would scatter them out of bounds.
+fn validate_atoms(
+    record: &IndexRecord,
+    natoms: Option<usize>,
+    frames: &[Frame],
+) -> Result<(), AdaError> {
+    let Some(n) = natoms else { return Ok(()) };
+    match frames.iter().position(|f| f.len() != n) {
+        None => Ok(()),
+        Some(i) => Err(xtcf_err(
+            record,
+            FormatError::Corrupt(format!(
+                "frame {} has {} atoms, tag '{}' selects {}",
+                i,
+                frames.get(i).map_or(0, |f| f.len()),
+                record.tag,
+                n
+            )),
+        )),
+    }
+}
+
+/// Decode unit `c` of a planned dropping — the whole file for v1, chunk
+/// `c` for v2 — atom-count validated. Both schedules decode through
+/// here, so the unit's trace span and stage span are opened here and
+/// nowhere else.
+fn decode_unit(
+    p: &Planned,
+    content: &Content,
+    c: usize,
+    ctx: &TraceContext,
+) -> Result<Vec<Frame>, AdaError> {
+    let mut ts = ctx.span("query.decode");
+    let mut s = span!("query.decode");
+    ts.arg("tag", p.record.tag.as_str());
+    let unit_bytes = match &p.dir {
+        None => content.len(),
+        Some(dir) => {
+            ts.arg("chunk", c);
+            dir.entries.get(c).map_or(0, |e| {
+                e.nframes as u64 * frame_record_len(e.natoms as usize) as u64
+            })
+        }
+    };
+    ts.arg("bytes", unit_bytes);
+    s.add_bytes(unit_bytes);
+    let res = real_bytes(&p.record, content)
+        .and_then(|bytes| {
+            match &p.dir {
+                None => read_xtcf(bytes).map(|t| t.frames),
+                Some(dir) => decode_chunk(bytes, dir, c),
+            }
+            .map_err(|e| {
+                if matches!(e, FormatError::ChunkCorrupt { .. }) && ada_telemetry::enabled() {
+                    ada_telemetry::global().counter("xtcf.chunk.corrupt").inc();
+                }
+                xtcf_err(&p.record, e)
+            })
+        })
+        .and_then(|frames| validate_atoms(&p.record, p.natoms, &frames).map(|_| frames));
+    match &res {
+        Ok(frames) => {
+            ts.arg("frames", frames.len());
+            s.add_frames(frames.len() as u64);
+        }
+        Err(e) => ts.set_error(e.kind()),
+    }
+    res
+}
+
+/// Build a dropping's payload from its resident (prior) chunks plus the
+/// freshly decoded `(chunk, frames)` units, and bump the per-backend and
+/// global chunk counters: decoded chunks cost decode work, skipped ones
+/// were outside the selection or already resident.
+fn assemble(p: &Planned, mut fresh: Vec<(usize, Vec<Frame>)>) -> PayloadOutcome {
+    fresh.sort_by_key(|(c, _)| *c);
+    let fresh_bytes = fresh
+        .iter()
+        .flat_map(|(_, frames)| frames)
+        .map(|f| f.nbytes() as u64)
+        .sum();
+    let decoded = fresh.len() as u64;
+    let (payload, nchunks) = match &p.dir {
+        None => {
+            let frames = fresh.pop().map(|(_, f)| f).unwrap_or_default();
+            let natoms = p
+                .natoms
+                .unwrap_or_else(|| frames.first().map_or(0, |f| f.len()));
+            (DecodedDropping::complete(frames, natoms), 1)
+        }
+        Some(dir) => {
+            let mut chunks: Vec<Option<Arc<Vec<Frame>>>> = match &p.prior {
+                Some(prior) => (0..dir.nchunks())
+                    .map(|i| prior.chunk(i).cloned())
+                    .collect(),
+                None => vec![None; dir.nchunks()],
+            };
+            for (c, frames) in fresh {
+                if let Some(slot) = chunks.get_mut(c) {
+                    *slot = Some(Arc::new(frames));
+                }
+            }
+            let natoms = p
+                .natoms
+                .unwrap_or_else(|| dir.entries.first().map_or(0, |e| e.natoms as usize));
+            (
+                DecodedDropping::from_chunks(dir.chunk_nframes(), chunks, natoms),
+                dir.nchunks() as u64,
+            )
+        }
+    };
+    let skipped = nchunks.saturating_sub(decoded);
+    ada_plfs::note_chunk_reads(&p.record.backend, decoded, skipped);
+    if ada_telemetry::enabled() {
+        let reg = ada_telemetry::global();
+        if decoded > 0 {
+            reg.counter("xtcf.chunk.decoded").add(decoded);
+        }
+        if skipped > 0 {
+            reg.counter("xtcf.chunk.skipped").add(skipped);
+        }
+    }
+    PayloadOutcome {
+        payload,
+        fresh_bytes,
+    }
+}
+
+impl Ada {
+    /// Cache-aware retrieval: partition `records` into cache hits and
+    /// misses, fetch + decode only the misses (serial or parallel per
+    /// `query_threads`), then admit fresh payloads whose tag is hot
+    /// enough. Hits contribute **zero** backend read time — that is the
+    /// point of keeping the hot set decoded. Returns one entry per input
+    /// record, in input (logical) order.
+    ///
+    /// Byte-equivalence contract: a hit returns exactly the frames a
+    /// fresh decode of the same dropping would return (same key ⇒ same
+    /// dropping bytes ⇒ same frames), so cache-on and cache-off queries
+    /// are indistinguishable to callers.
+    pub(super) fn retrieve_droppings(
+        &self,
+        dataset: &str,
+        label: &LabelFile,
+        records: Vec<(usize, IndexRecord, FrameSelection)>,
+        profile: &mut StageProfile,
+        ctx: &TraceContext,
+    ) -> Result<Retrieved<Arc<DecodedDropping>>, AdaError> {
+        let cache_on = self.cache.enabled();
+        let mut out: Vec<(usize, String, Arc<DecodedDropping>)> = Vec::with_capacity(records.len());
+        let mut misses: Vec<RetrieveItem> = Vec::new();
+        if cache_on {
+            let mut ts = ctx.span("cache.lookup");
+            let t = Instant::now();
+            for (idx, r, select) in records {
+                let key = CacheKey::new(dataset, &r.tag, r.logical_offset);
+                let expected = label
+                    .tags
+                    .get(&Tag::new(r.tag.clone()))
+                    .map(|rg| rg.count());
+                match self.cache.get(&key) {
+                    // The atom count was validated frame-by-frame once at
+                    // decode time; a hit revalidates the whole dropping
+                    // with this single comparison. A resident entry only
+                    // counts as a hit when it holds the selected frames —
+                    // otherwise it rides along as the prior and only the
+                    // missing chunks are decoded.
+                    Some(hit) if expected.is_none_or(|n| n == hit.natoms) => {
+                        let covered = match &select {
+                            None => hit.is_complete(),
+                            Some(sel) => hit.has_frames(sel),
+                        };
+                        if covered {
+                            out.push((idx, r.tag, hit));
+                        } else {
+                            misses.push(RetrieveItem {
+                                idx,
+                                record: r,
+                                select,
+                                prior: Some(hit),
+                            });
+                        }
+                    }
+                    _ => misses.push(RetrieveItem {
+                        idx,
+                        record: r,
+                        select,
+                        prior: None,
+                    }),
+                }
+            }
+            profile.add_stage_ns("cache_lookup", t.elapsed().as_nanos() as u64);
+            ts.arg("hits", out.len());
+            ts.arg("misses", misses.len());
+        } else {
+            misses = records
+                .into_iter()
+                .map(|(idx, record, select)| RetrieveItem {
+                    idx,
+                    record,
+                    select,
+                    prior: None,
+                })
+                .collect();
+        }
+
+        let offsets: BTreeMap<usize, u64> = misses
+            .iter()
+            .map(|m| (m.idx, m.record.logical_offset))
+            .collect();
+        let (fresh, read) = if misses.is_empty() {
+            (Vec::new(), SimDuration::ZERO)
+        } else if self.config.query_threads > 0 {
+            self.retrieve_parallel(label, misses, profile, ctx)?
+        } else {
+            self.retrieve_serial(label, misses, profile, ctx)?
+        };
+
+        // Admission heat is the tag's access count *before* this query
+        // (the counter bumps only after the whole query succeeds), so a
+        // tag must prove itself hot across queries before it may displace
+        // resident entries. Readahead decodes feed the same path and bump
+        // nothing — heat moves only when a query completes.
+        let heat = crate::tiering::heat_snapshot(self, dataset);
+        for (idx, tag, outcome) in fresh {
+            self.cache.note_decoded(outcome.fresh_bytes);
+            let payload = Arc::new(outcome.payload);
+            if cache_on {
+                if let Some(offset) = offsets.get(&idx) {
+                    let key = CacheKey::new(dataset, &tag, *offset);
+                    let _ = self
+                        .cache
+                        .insert(key, &payload, heat.heat(&Tag::new(tag.clone())));
+                }
+            }
+            out.push((idx, tag, payload));
+        }
+        out.sort_by_key(|(idx, _, _)| *idx);
+        Ok((out, read))
+    }
+
+    /// Fetch `records` one after another on the caller's thread, under
+    /// one `query.read` span: the read stage of the serial reference, and
+    /// all there is to a size-only (synthetic) query — with nothing to
+    /// decode, a pipeline would only add thread overhead.
+    pub(super) fn fetch_in_order<'a>(
+        &self,
+        records: impl Iterator<Item = &'a IndexRecord>,
+        profile: &mut StageProfile,
+        ctx: &TraceContext,
+    ) -> Result<(Vec<Content>, SimDuration), AdaError> {
+        let containers = self.determinator.containers();
+        let t = Instant::now();
+        let mut tally = ReadTally::default();
+        let mut fetched = Vec::new();
+        {
+            let mut ts = ctx.span("query.read");
+            let mut s = span!("query.read");
+            for record in records {
+                fetched.push(tally.read(containers, record)?);
+            }
+            s.add_bytes(tally.bytes);
+            ts.arg("bytes", tally.bytes);
+        }
+        let read = tally.finish(profile);
+        profile.add_stage_ns("read", t.elapsed().as_nanos() as u64);
+        Ok((fetched, read))
+    }
+
+    /// Serial reference schedule (`query_threads = 0`): fetch every
+    /// dropping in logical order, then decode each one, all on the
+    /// caller's thread. Kept as the ground truth the parallel schedule
+    /// must match byte-for-byte. Takes and returns records with their
+    /// logical indices so the cache layer can feed it a miss subset
+    /// without losing ordering.
+    fn retrieve_serial(
+        &self,
+        label: &LabelFile,
+        items: Vec<RetrieveItem>,
+        profile: &mut StageProfile,
+        ctx: &TraceContext,
+    ) -> Result<Retrieved<PayloadOutcome>, AdaError> {
+        let (fetched, read) = self.fetch_in_order(items.iter().map(|i| &i.record), profile, ctx)?;
+
+        let t = Instant::now();
+        let mut out: Vec<(usize, String, PayloadOutcome)> = Vec::with_capacity(items.len());
+        for (item, content) in items.into_iter().zip(fetched) {
+            let planned = plan(item, &content, label)?;
+            let mut fresh = Vec::with_capacity(planned.units.len());
+            for &c in &planned.units {
+                fresh.push((c, decode_unit(&planned, &content, c, ctx)?));
+            }
+            let outcome = assemble(&planned, fresh);
+            out.push((planned.idx, planned.record.tag, outcome));
+        }
+        profile.add_stage_ns("decode", t.elapsed().as_nanos() as u64);
+        Ok((out, read))
+    }
+
+    /// Parallel schedule, mirroring the streaming-ingest engine: one
+    /// reader thread per backend (reads within a backend stay ordered, so
+    /// wall clock matches the simulated "sum per backend, max across
+    /// backends" model) plans each dropping it fetched and feeds
+    /// `query_threads` decode workers over a bounded channel, one work
+    /// unit per planned chunk — the chunks of a single large dropping
+    /// decode concurrently. Errors resolve to whatever the serial
+    /// reference would have returned: the earliest fetch failure in
+    /// logical order wins over any decode failure, then the earliest
+    /// decode failure ordered by (dropping, chunk).
+    fn retrieve_parallel(
+        &self,
+        label: &LabelFile,
+        items: Vec<RetrieveItem>,
+        profile: &mut StageProfile,
+        ctx: &TraceContext,
+    ) -> Result<Retrieved<PayloadOutcome>, AdaError> {
+        // Group per backend, preserving logical order within each group.
+        let mut by_backend: BTreeMap<String, Vec<RetrieveItem>> = BTreeMap::new();
+        for item in items {
+            by_backend
+                .entry(item.record.backend.clone())
+                .or_default()
+                .push(item);
+        }
+        // Workers are not clamped to the dropping count: one dropping can
+        // fan out into many chunk units.
+        let workers = self.config.query_threads.max(1);
+        let containers = self.determinator.containers();
+
+        // Busy-time accumulators (ns): stages overlap, so these measure
+        // work done, excluding time blocked on the channel.
+        let read_ns = AtomicU64::new(0);
+        let decode_ns = AtomicU64::new(0);
+        // One decode work unit: a planned dropping, its bytes (a cheap
+        // refcount clone per unit) and the chunk to decode.
+        let queue_fetched = QueueDepth::gauge("query.queue.fetched");
+        let (tx, rx) = queue_fetched
+            .channel::<(Arc<Planned>, Content, usize)>(self.config.pipeline_depth.max(1) * workers);
+        let planned: Mutex<Vec<Arc<Planned>>> = Mutex::new(Vec::new());
+        // Plan failures found by the readers (corrupt directory, size-only
+        // bytes) abort a dropping before its first chunk: they rank as a
+        // decode error of chunk 0.
+        let decode_errs: Mutex<Vec<(usize, usize, AdaError)>> = Mutex::new(Vec::new());
+
+        // Per-reader outcome: what it fetched, and its first fetch failure
+        // (with the dropping's logical index) if any.
+        type ReadOutcome = (ReadTally, Option<(usize, AdaError)>);
+        type Decoded = (usize, usize, Result<Vec<Frame>, AdaError>);
+
+        let (reads, slots) = crossbeam::thread::scope(|scope| {
+            let (read_ns, decode_ns) = (&read_ns, &decode_ns);
+            let (planned, decode_errs, rx) = (&planned, &decode_errs, &rx);
+            let readers: Vec<_> = by_backend
+                .into_iter()
+                .map(|(backend, group)| {
+                    let tx = tx.clone();
+                    scope.spawn(move |_| -> ReadOutcome {
+                        // One read span per backend reader thread, tied to
+                        // the request by its context (not the thread).
+                        let mut tspan = ctx.span("query.read");
+                        tspan.arg("backend", backend.as_str());
+                        let mut tally = ReadTally::default();
+                        let mut err: Option<(usize, AdaError)> = None;
+                        let mut busy_total = 0u64;
+                        let mut busy = Instant::now();
+                        'items: for item in group {
+                            let idx = item.idx;
+                            let content = match tally.read(containers, &item.record) {
+                                Ok(content) => content,
+                                Err(e) => {
+                                    err = Some((idx, e));
+                                    break;
+                                }
+                            };
+                            let ns = busy.elapsed().as_nanos() as u64;
+                            busy_total += ns;
+                            read_ns.fetch_add(ns, Ordering::Relaxed);
+                            match plan(item, &content, label) {
+                                Err(e) => decode_errs.lock().push((idx, 0, e)),
+                                Ok(p) => {
+                                    let p = Arc::new(p);
+                                    planned.lock().push(Arc::clone(&p));
+                                    for &c in &p.units {
+                                        // The decode pool hung up: stop
+                                        // fetching this backend.
+                                        if !tx.send((Arc::clone(&p), content.clone(), c)) {
+                                            break 'items;
+                                        }
+                                    }
+                                }
+                            }
+                            busy = Instant::now(); // exclude channel-block time
+                        }
+                        tspan.arg("bytes", tally.bytes);
+                        if let Some((_, e)) = &err {
+                            tspan.set_error(e.kind());
+                        }
+                        span::record("query.read", Some(backend), busy_total, tally.bytes, 0);
+                        (tally, err)
+                    })
+                })
+                .collect();
+            drop(tx); // decoders see the end once the readers drain
+
+            let decoders: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(move |_| {
+                        let mut out: Vec<Decoded> = Vec::new();
+                        while let Some((p, content, c)) = rx.recv() {
+                            let busy = Instant::now();
+                            let res = decode_unit(&p, &content, c, ctx);
+                            decode_ns
+                                .fetch_add(busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            out.push((p.idx, c, res));
+                        }
+                        out
+                    })
+                })
+                .collect();
+
+            let mut reads: Vec<ReadOutcome> = Vec::with_capacity(readers.len());
+            for h in readers {
+                reads.push(
+                    h.join()
+                        .map_err(|p| crate::worker_panic("query reader", p))?,
+                );
+            }
+            let mut slots: Vec<Decoded> = Vec::new();
+            for h in decoders {
+                slots.extend(
+                    h.join()
+                        .map_err(|p| crate::worker_panic("query decoder", p))?,
+                );
+            }
+            Ok::<_, AdaError>((reads, slots))
+        })
+        .map_err(|p| crate::worker_panic("query pipeline", p))??;
+
+        profile.add_stage_ns("read", read_ns.load(Ordering::Relaxed));
+        profile.add_stage_ns("decode", decode_ns.load(Ordering::Relaxed));
+        profile
+            .queue_hwm
+            .insert("fetched".to_string(), queue_fetched.high_water());
+
+        // The serial reference fetches everything before decoding anything,
+        // so its first failure is the earliest fetch error in logical
+        // order; only a fully-fetched request can fail in decode.
+        let mut tally = ReadTally::default();
+        let mut fetch_errs: Vec<(usize, AdaError)> = Vec::new();
+        for (reader_tally, err) in reads {
+            tally.merge(reader_tally);
+            fetch_errs.extend(err);
+        }
+        let read = tally.finish(profile);
+        if let Some((_, e)) = fetch_errs.into_iter().min_by_key(|(idx, _)| *idx) {
+            return Err(e);
+        }
+
+        // Likewise for decode failures: the reference decodes droppings in
+        // logical order and each dropping's chunks in ascending order, so
+        // the earliest (dropping, chunk) error is the one it would have
+        // surfaced.
+        let mut decode_errs = decode_errs.into_inner();
+        let mut fresh: BTreeMap<usize, Vec<(usize, Vec<Frame>)>> = BTreeMap::new();
+        for (idx, c, res) in slots {
+            match res {
+                Ok(frames) => fresh.entry(idx).or_default().push((c, frames)),
+                Err(e) => decode_errs.push((idx, c, e)),
+            }
+        }
+        if let Some((_, _, e)) = decode_errs.into_iter().min_by_key(|(idx, c, _)| (*idx, *c)) {
+            return Err(e);
+        }
+
+        let out = planned
+            .into_inner()
+            .into_iter()
+            .map(|p| {
+                let outcome = assemble(&p, fresh.remove(&p.idx).unwrap_or_default());
+                (p.idx, p.record.tag.clone(), outcome)
+            })
+            .collect();
+        Ok((out, read))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::AdaConfig;
+    use ada_mdmodel::Tag;
+
+    #[test]
+    fn cached_query_is_byte_identical_and_stops_decoding() {
+        let cold = make_ada_with(cached_config(2, ada_cache::CacheConfig::default()));
+        let hot = make_ada_with(cached_config(2, hot_cache_cfg()));
+        let (input, _) = real_input(1200, 6);
+        cold.ingest("bar", input).unwrap();
+        let (input2, _) = real_input(1200, 6);
+        hot.ingest("bar", input2).unwrap();
+        let tag = Tag::protein();
+        let reference = frames_of(cold.query("bar", Some(&tag)).unwrap());
+        let first = frames_of(hot.query("bar", Some(&tag)).unwrap());
+        let decoded_after_first = hot.cache_stats().bytes_decoded;
+        assert!(decoded_after_first > 0);
+        let second = frames_of(hot.query("bar", Some(&tag)).unwrap());
+        assert_eq!(first, reference);
+        assert_eq!(second, reference);
+        let stats = hot.cache_stats();
+        assert_eq!(
+            stats.bytes_decoded, decoded_after_first,
+            "hot query must not re-decode"
+        );
+        assert!(stats.hits > 0);
+        // The cache-off instance still counts decodes, uniformly.
+        let cold_decoded = cold.cache_stats().bytes_decoded;
+        assert!(cold_decoded > 0);
+        frames_of(cold.query("bar", Some(&tag)).unwrap());
+        assert!(cold.cache_stats().bytes_decoded > cold_decoded);
+    }
+
+    #[test]
+    fn min_heat_gates_admission_until_tag_proves_hot() {
+        let mut cache = hot_cache_cfg();
+        cache.min_heat = 2;
+        let ada = make_ada_with(cached_config(2, cache));
+        let (input, _) = real_input(1000, 4);
+        ada.ingest("bar", input).unwrap();
+        let tag = Tag::protein();
+        // Queries 1 and 2 run at heat 0 and 1: both bypass admission.
+        ada.query("bar", Some(&tag)).unwrap();
+        ada.query("bar", Some(&tag)).unwrap();
+        assert_eq!(ada.cache_stats().inserts, 0);
+        assert!(ada.cache_stats().bypasses > 0);
+        // Query 3 runs at heat 2: admitted; query 4 is all hits.
+        ada.query("bar", Some(&tag)).unwrap();
+        assert!(ada.cache_stats().inserts > 0);
+        let before = ada.cache_stats().bytes_decoded;
+        ada.query("bar", Some(&tag)).unwrap();
+        assert_eq!(ada.cache_stats().bytes_decoded, before);
+    }
+
+    #[test]
+    fn serial_schedule_spawns_nothing_and_reads_before_it_decodes() {
+        // The reference must not share the scheduling it is there to
+        // check: no thread, and every dropping fetched before any decode.
+        let ada = make_ada_with(AdaConfig {
+            query_threads: 0,
+            ..cached_config(2, ada_cache::CacheConfig::default())
+        });
+        let (input, _) = real_input(800, 6); // 3 droppings per tag
+        ada.ingest("bar", input).unwrap();
+        let (ctx, root) = ada_telemetry::trace::root("ada.query");
+        let id = ctx.trace_id().expect("tracing is on by default");
+        ada.query_traced("bar", None, &ctx).unwrap();
+        drop(root);
+        let trace = ada
+            .flight_recorder()
+            .all()
+            .into_iter()
+            .find(|t| t.id == id)
+            .expect("the trace was just sealed");
+        let named =
+            |name: &str| -> Vec<_> { trace.spans.iter().filter(|s| s.name == name).collect() };
+        let (reads, decodes) = (named("query.read"), named("query.decode"));
+        assert_eq!(reads.len(), 1, "one fetch loop");
+        assert_eq!(decodes.len(), 6, "one unit per single-chunk dropping");
+        assert!(decodes.iter().all(|d| d.start_ns >= reads[0].end_ns));
+        let caller = &trace.root().expect("root span").thread;
+        assert!(trace.spans.iter().all(|s| &s.thread == caller));
+    }
+
+    fn chunked_config(chunk_frames: usize, cache: ada_cache::CacheConfig) -> AdaConfig {
+        AdaConfig {
+            frames_per_dropping: 64,
+            chunk_frames,
+            cache,
+            ..AdaConfig::paper_prototype("ssd", "hdd")
+        }
+    }
+
+    #[test]
+    fn partial_window_decodes_only_touched_chunks() {
+        // One 64-frame dropping per tag, sealed as 8 chunks of 8 frames.
+        // Cache off: every decode is fresh, so `bytes_decoded` measures
+        // exactly which chunks each query touched — under both schedules.
+        for query_threads in [0, 4] {
+            let ada = make_ada_with(AdaConfig {
+                query_threads,
+                ..chunked_config(8, ada_cache::CacheConfig::default())
+            });
+            let (input, _) = real_input(600, 64);
+            ada.ingest("bar", input).unwrap();
+            let tag = Tag::protein();
+            ada.query_range("bar", &tag, 0..8, 1).unwrap();
+            let one = ada.cache_stats().bytes_decoded;
+            assert!(one > 0, "one chunk's worth of fresh decode");
+            // Frames 8..24 live in chunks 1 and 2: two chunks, not the file.
+            ada.query_range("bar", &tag, 8..24, 1).unwrap();
+            assert_eq!(ada.cache_stats().bytes_decoded, one * 3);
+            // A full-tag query decodes all 8 chunks.
+            ada.query("bar", Some(&tag)).unwrap();
+            assert_eq!(ada.cache_stats().bytes_decoded, one * 11);
+        }
+    }
+
+    #[test]
+    fn cached_partial_window_upgrades_in_place() {
+        // With the cache on, a dropping's entry records which chunks are
+        // resident: a repeat window decodes nothing, and a wider window
+        // only decodes the chunks the entry is missing.
+        for query_threads in [0, 4] {
+            let ada = make_ada_with(AdaConfig {
+                query_threads,
+                ..chunked_config(8, hot_cache_cfg())
+            });
+            let (input, _) = real_input(600, 64);
+            ada.ingest("bar", input).unwrap();
+            let tag = Tag::protein();
+            ada.query_range("bar", &tag, 0..8, 1).unwrap();
+            let one = ada.cache_stats().bytes_decoded;
+            assert!(one > 0);
+            ada.query_range("bar", &tag, 0..8, 1).unwrap();
+            assert_eq!(
+                ada.cache_stats().bytes_decoded,
+                one,
+                "repeat window is free"
+            );
+            ada.query_range("bar", &tag, 0..16, 1).unwrap();
+            let stats = ada.cache_stats();
+            assert_eq!(stats.bytes_decoded, one * 2, "only chunk 1 is fresh");
+            assert!(stats.hits > 0);
+        }
+    }
+}

@@ -24,7 +24,6 @@ pub mod gro;
 pub mod pdb;
 pub mod structure;
 pub mod traj;
-pub mod trr;
 pub mod xdr;
 pub mod xtc;
 pub mod xtcf;
@@ -33,7 +32,6 @@ pub use gro::{parse_gro, write_gro, GroError};
 pub use pdb::{parse_pdb, write_pdb, PdbError};
 pub use structure::{detect_structure, parse_structure, StructureFormat};
 pub use traj::{Frame, Trajectory};
-pub use trr::{read_trr, write_trr};
 pub use xtc::{read_xtc, write_xtc, XtcError, XtcIndexedReader, XtcReader, XtcWriter};
 pub use xtcf::{read_xtcf, write_xtcf, XtcfReader, XtcfWriter};
 

@@ -8,7 +8,7 @@
 //! the quantized lattice.
 
 use ada_mdformats::xtc::{decode_frames_parallel, index_frames, write_xtc};
-use ada_mdformats::{read_trr, read_xtc, read_xtcf, write_trr, write_xtcf, Frame, Trajectory};
+use ada_mdformats::{read_xtc, read_xtcf, write_xtcf, Frame, Trajectory};
 use ada_mdmodel::PbcBox;
 use proptest::prelude::*;
 
@@ -160,25 +160,12 @@ proptest! {
     }
 
     #[test]
-    fn trr_bit_exact(coords in arb_coords(150, 500.0)) {
-        let traj = Trajectory::from_frames(vec![Frame {
-            step: 7,
-            time: 1.25,
-            pbc: PbcBox::rectangular(3.0, 4.0, 5.0),
-            coords,
-        }]);
-        let bytes = write_trr(&traj).unwrap();
-        prop_assert_eq!(read_trr(&bytes).unwrap(), traj);
-    }
-
-    #[test]
     fn xtc_decoder_never_panics_on_garbage(data in prop::collection::vec(any::<u8>(), 0..2000)) {
         // Whatever the bytes, the decoder returns Ok or Err — no panic, no
         // unbounded allocation.
         let _ = read_xtc(&data);
         let _ = index_frames(&data);
         let _ = read_xtcf(&data);
-        let _ = read_trr(&data);
     }
 
     #[test]

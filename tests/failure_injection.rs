@@ -3,7 +3,7 @@
 //! racing deletions. The middleware must fail with typed errors — never
 //! panic, never return silently wrong data.
 
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput};
+use ada_core::{Ada, AdaConfig, AdaError, IngestInput, IngestReport, LabelFile, RetrievedData};
 use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
@@ -15,7 +15,6 @@ use std::sync::Arc;
 struct Rig {
     ada: Ada,
     ssd: Arc<dyn SimFileSystem>,
-    #[allow(dead_code)]
     hdd: Arc<dyn SimFileSystem>,
 }
 
@@ -33,16 +32,16 @@ fn rig() -> Rig {
     }
 }
 
+fn real_input(w: &ada_workload::Workload) -> IngestInput {
+    IngestInput::Real {
+        pdb_text: write_pdb(&w.system),
+        xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
+    }
+}
+
 fn ingest_demo(ada: &Ada, name: &str) {
     let w = ada_workload::gpcr_workload(900, 2, 55);
-    ada.ingest(
-        name,
-        IngestInput::Real {
-            pdb_text: write_pdb(&w.system),
-            xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        },
-    )
-    .unwrap();
+    ada.ingest(name, real_input(&w)).unwrap();
 }
 
 #[test]
@@ -137,38 +136,125 @@ fn pdb_xtc_atom_mismatch_rejected() {
     assert!(matches!(result, Err(AdaError::AtomMismatch { .. })));
 }
 
-#[test]
-fn backend_out_of_space_mid_ingest() {
-    // A comically small SSD backend: ingest fails with a storage error
-    // instead of corrupting state.
+/// A hybrid rig whose SSD — protein droppings, label files and the
+/// persisted index all live there — holds only 50 kB.
+fn tiny_ssd_rig() -> Rig {
     let tiny_profile = DeviceProfile {
-        capacity: 50_000, // 50 kB
+        capacity: 50_000,
         ..DeviceProfile::nvme_ssd_256gb()
     };
-    let tiny: Arc<dyn SimFileSystem> = Arc::new(LocalFs::new(
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::new(
         "tiny-ssd",
         FsParams::ext4(),
         ada_simfs::local::Backing::Single(Device::new(tiny_profile)),
     ));
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), tiny.clone()),
-        ("hdd".into(), hdd),
+        ("ssd".into(), ssd.clone()),
+        ("hdd".into(), hdd.clone()),
     ]));
-    let ada = Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, tiny);
-    let w = ada_workload::gpcr_workload(5000, 3, 59);
-    let result = ada.ingest(
-        "big",
-        IngestInput::Real {
-            pdb_text: write_pdb(&w.system),
-            xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        },
-    );
-    match result {
+    Rig {
+        ada: Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd.clone()),
+        ssd,
+        hdd,
+    }
+}
+
+/// Every file either backend holds under `<mnt>/<dataset>/`.
+fn files_of(r: &Rig, dataset: &str) -> Vec<String> {
+    let mut files = r.ssd.list(&format!("ssd/{}/", dataset));
+    files.extend(r.hdd.list(&format!("hdd/{}/", dataset)));
+    files
+}
+
+fn protein_frames(ada: &Ada, dataset: &str) -> ada_mdformats::Trajectory {
+    match ada.query(dataset, Some(&Tag::protein())).unwrap().data {
+        RetrievedData::Real(t) => t,
+        other => panic!("expected real data, got {:?}", other),
+    }
+}
+
+/// Capacity exhaustion mid-ingest must fail with a typed storage error
+/// *and leave nothing behind*: the ingest is all or nothing, whichever
+/// flavour (`ingest(ada, dataset, workload)`) ran it. `fits` (one frame)
+/// is stored first as `guide`, so it doubles as the structure a guided
+/// ingest reuses; `too_big` shares its structure but overflows the SSD
+/// after the HDD droppings (and, when streaming, several batches) are
+/// already written.
+fn assert_no_space_is_all_or_nothing(
+    ingest: impl Fn(&Ada, &str, &ada_workload::Workload) -> Result<IngestReport, AdaError>,
+) {
+    let r = tiny_ssd_rig();
+    let fits = ada_workload::gpcr_workload(2000, 1, 59);
+    let too_big = ada_workload::gpcr_workload(2000, 12, 59);
+    r.ada.ingest("guide", real_input(&fits)).unwrap();
+    let guide_files = files_of(&r, "guide");
+    let guide_frames = protein_frames(&r.ada, "guide");
+
+    match ingest(&r.ada, "big", &too_big) {
         Err(AdaError::Plfs(ada_plfs::PlfsError::Fs(ada_simfs::FsError::NoSpace { .. })))
         | Err(AdaError::Fs(ada_simfs::FsError::NoSpace { .. })) => {}
         other => panic!("expected NoSpace, got {:?}", other.map(|r| r.dataset)),
     }
+    // The name is gone from ADA, from the container layer and from both
+    // backends — no orphan dropping, marker, index or label file.
+    assert!(!r.ada.list_datasets().contains(&"big".to_string()));
+    assert!(!r
+        .ada
+        .containers()
+        .list_logical()
+        .contains(&"big".to_string()));
+    assert_eq!(files_of(&r, "big"), Vec::<String>::new());
+    assert!(!r.ssd.exists(&LabelFile::path_for("big")));
+    assert!(matches!(
+        r.ada.query("big", None),
+        Err(AdaError::UnknownDataset(_))
+    ));
+
+    // So the name can be reused: an input that fits ingests under it and
+    // is queryable.
+    ingest(&r.ada, "big", &fits).unwrap();
+    assert_eq!(protein_frames(&r.ada, "big"), guide_frames);
+
+    // The opposite failure: a name that is taken belongs to someone else.
+    // The refused ingest must not touch the dataset that owns it.
+    match ingest(&r.ada, "guide", &fits) {
+        Err(AdaError::Plfs(ada_plfs::PlfsError::LogicalExists(_))) => {}
+        other => panic!("expected LogicalExists, got {:?}", other.map(|r| r.dataset)),
+    }
+    assert_eq!(files_of(&r, "guide"), guide_files);
+    assert!(r.ssd.exists(&LabelFile::path_for("guide")));
+    assert_eq!(protein_frames(&r.ada, "guide"), guide_frames);
+}
+
+#[test]
+fn backend_out_of_space_mid_ingest() {
+    assert_no_space_is_all_or_nothing(|ada, dataset, w| ada.ingest(dataset, real_input(w)));
+}
+
+#[test]
+fn backend_out_of_space_mid_streaming_ingest() {
+    // Batches of two frames: the SSD fills up in a late batch, after
+    // earlier ones already stored droppings on both backends.
+    assert_no_space_is_all_or_nothing(|ada, dataset, w| {
+        ada.ingest_streaming(
+            dataset,
+            &write_pdb(&w.system),
+            &write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
+            2,
+        )
+    });
+}
+
+#[test]
+fn backend_out_of_space_mid_guided_ingest() {
+    assert_no_space_is_all_or_nothing(|ada, dataset, w| {
+        ada.ingest_guided(
+            dataset,
+            "guide",
+            &write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
+        )
+    });
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Pipelined ingest must be observably identical to the serial baseline:
 //! same label file, same per-tag stored bytes, and bit-equal query
-//! payloads — for every split-thread count, for both the batch path
-//! ([`Ada::ingest`]) and the streaming pipeline
-//! ([`Ada::ingest_streaming`]).
+//! payloads — for every split-thread count, for the batch path
+//! ([`Ada::ingest`]), the streaming pipeline ([`Ada::ingest_streaming`])
+//! and guided ingest ([`Ada::ingest_guided`]).
 
 use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
@@ -206,4 +206,44 @@ fn streaming_matches_batch_ingest_modulo_chunk_headers() {
         2,
         "streaming batch=3",
     );
+}
+
+#[test]
+fn guided_ingest_matches_batch_ingest() {
+    let w = workload();
+    // A second motion phase over the same structure (same seed ⇒ same
+    // system), with a frame count of its own so the guided label cannot
+    // get away with copying the guide's.
+    let phase2 = ada_workload::gpcr_workload(1600, 5, 11);
+    let xtc2 = write_xtc(&phase2.trajectory, DEFAULT_PRECISION).unwrap();
+    for split_threads in [1, 0] {
+        let reference = ada_with(split_threads, 2);
+        let rep_ref = reference
+            .ingest(
+                "b",
+                IngestInput::Real {
+                    pdb_text: w.pdb_text.clone(),
+                    xtc_bytes: xtc2.clone(),
+                },
+            )
+            .unwrap();
+
+        let guided = ada_with(split_threads, 2);
+        guided
+            .ingest(
+                "a",
+                IngestInput::Real {
+                    pdb_text: w.pdb_text.clone(),
+                    xtc_bytes: w.xtc_bytes.clone(),
+                },
+            )
+            .unwrap();
+        let rep_guided = guided.ingest_guided("b", "a", &xtc2).unwrap();
+        assert_equivalent(
+            (&reference, &rep_ref),
+            (&guided, &rep_guided),
+            0,
+            &format!("guided split_threads={}", split_threads),
+        );
+    }
 }
