@@ -1,10 +1,12 @@
 //! Telemetry overhead budget: the same instrumented split hot loop with
 //! telemetry enabled vs `set_enabled(false)`.
 //!
-//! The loop is the serial splitter wrapped in a `span!` that records
-//! bytes/frames — exactly the shape `Ada::ingest` uses. With telemetry
-//! disabled every record site collapses to a relaxed load + branch, so
-//! the enabled/disabled delta IS the telemetry cost.
+//! The loop is the serial splitter under a trace span that records
+//! bytes/frames — exactly the shape `Ada::ingest` uses: the span is the
+//! stage's one clock, and sealing its trace folds it into the `span.*`
+//! registry family. With telemetry disabled every record site collapses
+//! to a relaxed load + branch, so the enabled/disabled delta IS the
+//! telemetry cost.
 //!
 //! A second group measures request *tracing* the same way: a full
 //! ingest+query roundtrip through the `Ada` facade (which mints a trace
@@ -22,17 +24,18 @@ use ada_mdmodel::category::Taxonomy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
-use ada_telemetry::{span, trace};
+use ada_telemetry::trace;
 use ada_workload::gpcr_workload;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 use std::time::Instant;
 
 fn split_instrumented(traj: &Trajectory, labeler: &Labeler) -> u64 {
-    let mut s = span!("bench.split");
+    let (ctx, _root) = trace::root("bench.request");
+    let mut s = ctx.span("bench.split");
     let out = split_trajectory_serial(traj, labeler).unwrap();
-    s.add_bytes(out.raw_bytes);
-    s.add_frames(traj.len() as u64);
+    s.arg("bytes", out.raw_bytes);
+    s.arg("frames", traj.len());
     out.raw_bytes
 }
 

@@ -156,7 +156,6 @@ fn main() {
     }
 
     if let Some(path) = metrics_out {
-        ada_telemetry::flush();
         let snap = ada_telemetry::snapshot_with_traces();
         std::fs::write(&path, snap.to_vec()).expect("write metrics snapshot");
         eprintln!("wrote metrics snapshot to {}", path);
@@ -172,8 +171,9 @@ fn main() {
 /// ingest, tag/full/range queries, one failing request), then export the
 /// flight recorder's span trees as `TRACE_events.json` (Chrome
 /// trace-event JSON — load it in Perfetto or chrome://tracing). With
-/// `--selftest`, re-parse the export and validate the event schema plus
-/// the tree invariants CI cares about, exiting non-zero on violation.
+/// `--selftest`, re-parse the export and validate the event schema, the
+/// tree invariants CI cares about, and that every sealed span reached its
+/// `span.{stage}.calls` counter, exiting non-zero on violation.
 fn run_trace(selftest: bool) {
     use ada_core::IngestInput;
     use ada_frontend::{Frontend, FrontendConfig};
@@ -184,6 +184,7 @@ fn run_trace(selftest: bool) {
 
     let recorder = ada_telemetry::trace::recorder();
     recorder.clear();
+    let counters_before = ada_telemetry::global().snapshot().counters;
     recorder.set_latency_threshold(Some(std::time::Duration::from_millis(250)));
 
     let w = ada_workload::gpcr_workload(2_000, 100, 7);
@@ -259,11 +260,28 @@ fn run_trace(selftest: bool) {
     check(
         traces.iter().any(|t| {
             let threads: std::collections::BTreeSet<&str> =
-                t.spans.iter().map(|s| s.thread.as_str()).collect();
+                t.spans.iter().map(|s| &*s.thread).collect();
             threads.len() >= 2
         }),
         "at least one trace crosses a thread boundary",
     );
+
+    // The seal is the only feed of the `span.*` family: each counter grew
+    // by exactly the number of spans of its stage in the sealed traces.
+    let mut sealed: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
+    for s in traces.iter().flat_map(|t| &t.spans) {
+        *sealed.entry(s.name).or_insert(0) += 1;
+    }
+    let counters = ada_telemetry::global().snapshot().counters;
+    for (stage, n) in sealed {
+        let name = format!("span.{}.calls", stage);
+        let grew = counters.get(&name).copied().unwrap_or(0)
+            - counters_before.get(&name).copied().unwrap_or(0);
+        check(
+            grew == n,
+            &format!("{} grew by {} for {} sealed span(s)", name, grew, n),
+        );
+    }
 
     // Round-trip the written file through the JSON parser and validate
     // the Chrome trace-event schema.
@@ -996,12 +1014,12 @@ fn profile_ingest() {
         )
         .unwrap()
         .profile
-        .expect("telemetry must be enabled for profile-ingest");
+        .expect("tracing must be on for profile-ingest");
     let pipelined = fresh_ada()
         .ingest_streaming("profiled", &pdb_text, &xtc_bytes, 64)
         .unwrap()
         .profile
-        .expect("telemetry must be enabled for profile-ingest");
+        .expect("tracing must be on for profile-ingest");
 
     print_stage_profile("Ingest", &serial);
     print_stage_profile("Ingest", &pipelined);
@@ -2014,7 +2032,7 @@ fn profile_query() {
         ada.query("profiled", None)
             .unwrap()
             .profile
-            .expect("telemetry must be enabled for profile-query")
+            .expect("tracing must be on for profile-query")
     };
     let serial = run(0);
     let parallel = run(4);

@@ -17,7 +17,6 @@ use super::{
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
 use crate::preprocess::{split_trajectory_opts, split_trajectory_traced, SplitOptions};
-use crate::profile::StageProfile;
 use crate::synth::SyntheticDataset;
 use crate::AdaError;
 use ada_mdformats::parse_structure;
@@ -27,33 +26,9 @@ use ada_mdformats::Trajectory;
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_simfs::Content;
 use ada_storagesim::{CpuWork, SimDuration};
-use ada_telemetry::span;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// The measured side of one ingest call: its stage profile and when the
-/// call started.
-struct IngestRun {
-    profile: StageProfile,
-    wall: Instant,
-}
-
-impl IngestRun {
-    fn start(mode: &str) -> IngestRun {
-        IngestRun {
-            profile: StageProfile::new(mode),
-            wall: Instant::now(),
-        }
-    }
-
-    /// Book the time since `since` as `stage`'s busy time.
-    fn stage(&mut self, stage: &str, since: Instant) {
-        self.profile
-            .add_stage_ns(stage, since.elapsed().as_nanos() as u64);
-    }
-}
 
 /// What the splitter needs to know about the structure, however it was
 /// learned.
@@ -88,18 +63,16 @@ impl Ada {
         input: IngestInput,
         parent: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        traced("ingest", "ada.ingest", parent, |ctx| match input {
+        let mode = match &input {
+            IngestInput::Real { .. } => "serial",
+            IngestInput::Synthetic(_) => "synthetic",
+        };
+        traced("ada.ingest", mode, parent, |ctx| match input {
             IngestInput::Real {
                 pdb_text,
                 xtc_bytes,
-            } => self.ingest_whole(
-                dataset,
-                "serial",
-                |run| self.categorize(&pdb_text, run, ctx),
-                &xtc_bytes,
-                ctx,
-            ),
-            IngestInput::Synthetic(spec) => self.ingest_synthetic(dataset, spec),
+            } => self.ingest_whole(dataset, || self.categorize(&pdb_text, ctx), &xtc_bytes, ctx),
+            IngestInput::Synthetic(spec) => self.ingest_synthetic(dataset, spec, ctx),
         })
     }
 
@@ -125,11 +98,10 @@ impl Ada {
         xtc_bytes: &[u8],
         parent: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        traced("ingest_guided", "ada.ingest_guided", parent, |ctx| {
+        traced("ada.ingest_guided", "guided", parent, |ctx| {
             self.ingest_whole(
                 dataset,
-                "guided",
-                |_| {
+                || {
                     let guide = self.label(guide)?;
                     Ok(Labels {
                         natoms: guide.natoms,
@@ -144,20 +116,10 @@ impl Ada {
     }
 
     /// Categorizer: analyze the structure file (Algo 1).
-    fn categorize(
-        &self,
-        pdb_text: &str,
-        run: &mut IngestRun,
-        ctx: &TraceContext,
-    ) -> Result<Labels, AdaError> {
-        let t = Instant::now();
-        let system = {
-            let _ts = ctx.span("ingest.categorize");
-            let _s = span!("ingest.categorize");
-            parse_structure(pdb_text).map_err(AdaError::Pdb)?
-        };
+    fn categorize(&self, pdb_text: &str, ctx: &TraceContext) -> Result<Labels, AdaError> {
+        let _ts = ctx.span("ingest.categorize");
+        let system = parse_structure(pdb_text).map_err(AdaError::Pdb)?;
         let labeler = categorize_algo1(&system, &self.config.taxonomy);
-        run.stage("categorize", t);
         Ok(Labels {
             natoms: system.len(),
             labeler,
@@ -169,29 +131,22 @@ impl Ada {
     }
 
     /// Whole-trajectory ingest: decode everything, split everything,
-    /// dispatch everything. `labels` says where the labeler comes from,
-    /// `mode` names that choice in the report's profile.
+    /// dispatch everything. `labels` says where the labeler comes from.
     fn ingest_whole(
         &self,
         dataset: &str,
-        mode: &str,
-        labels: impl FnOnce(&mut IngestRun) -> Result<Labels, AdaError>,
+        labels: impl FnOnce() -> Result<Labels, AdaError>,
         xtc_bytes: &[u8],
         ctx: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        let mut run = IngestRun::start(mode);
-        let labels = labels(&mut run)?;
+        let labels = labels()?;
 
         // Decompressor: decode the trajectory (parallel across frames —
         // storage-node cores are ADA's to spend).
-        let t = Instant::now();
         let traj = {
             let mut ts = ctx.span("ingest.decode");
             ts.arg("bytes", xtc_bytes.len());
-            let mut s = span!("ingest.decode");
-            s.add_bytes(xtc_bytes.len() as u64);
             let traj = decode_frames_parallel(xtc_bytes, self.config.decode_threads)?;
-            s.add_frames(traj.len() as u64);
             ts.arg("frames", traj.len());
             traj
         };
@@ -202,18 +157,13 @@ impl Ada {
             });
         }
         let raw_bytes = traj.nbytes() as u64;
-        run.stage("decode", t);
 
         // Splitter: divide every frame by the labeler's ranges (tag ×
         // frame-chunk work cells over the configured worker pool).
-        let t = Instant::now();
         let split_out = {
             let mut ts = ctx.span("ingest.split");
             ts.arg("bytes", raw_bytes);
             ts.arg("frames", traj.len());
-            let mut s = span!("ingest.split");
-            s.add_bytes(raw_bytes);
-            s.add_frames(traj.len() as u64);
             split_trajectory_traced(
                 &traj,
                 &labels.labeler,
@@ -221,19 +171,15 @@ impl Ada {
                 ctx,
             )?
         };
-        run.stage("split", t);
 
         self.in_new_container(dataset, || {
             // Dispatcher: chunked droppings to policy-chosen backends.
-            let t = Instant::now();
             let routed = {
                 let _ts = ctx.span("ingest.dispatch");
-                let _s = span!("ingest.dispatch");
                 self.dispatch_subsets(dataset, split_out.subsets, &labels.labeler, ctx)?
             };
-            run.stage("dispatch", t);
             let label = LabelFile::new(dataset, labels.natoms, traj.len(), labels.labeler);
-            self.commit(label, None, labels.categorize, raw_bytes, routed, run)
+            self.commit(label, None, labels.categorize, raw_bytes, routed, ctx)
         })
     }
 
@@ -241,20 +187,21 @@ impl Ada {
         &self,
         dataset: &str,
         spec: SyntheticDataset,
+        ctx: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        let mut run = IngestRun::start("synthetic");
         let categorize = CpuWork::Categorize {
             bytes: spec.pdb_bytes(),
         }
         .duration(&self.config.storage_cpu);
         self.in_new_container(dataset, || {
-            let t = Instant::now();
             let mut routed = Routed::default();
-            for tag in spec.tags() {
-                let content = Content::synthetic(spec.tag_bytes(&tag));
-                self.append(dataset, &tag, content, 0, &mut routed)?;
+            {
+                let _ts = ctx.span("ingest.dispatch");
+                for tag in spec.tags() {
+                    let content = Content::synthetic(spec.tag_bytes(&tag));
+                    self.append(dataset, &tag, content, 0, &mut routed)?;
+                }
             }
-            run.stage("dispatch", t);
 
             // The label metadata itself is real (it is small).
             let mut labeler = BTreeMap::new();
@@ -269,7 +216,7 @@ impl Ada {
             let label =
                 LabelFile::new(dataset, spec.natoms as usize, spec.frames as usize, labeler);
             let raw_bytes = spec.raw_bytes();
-            self.commit(label, Some(spec), categorize, raw_bytes, routed, run)
+            self.commit(label, Some(spec), categorize, raw_bytes, routed, ctx)
         })
     }
 
@@ -326,15 +273,16 @@ impl Ada {
         categorize: SimDuration,
         raw_bytes: u64,
         routed: Routed,
-        mut run: IngestRun,
+        ctx: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
         let cpu = &self.config.storage_cpu;
         let dataset = label.dataset.clone();
 
-        let t = Instant::now();
-        let mut label_write = label.store(self.label_fs.as_ref())?;
-        label_write += self.determinator.containers().persist_index(&dataset)?;
-        run.stage("label_write", t);
+        let label_write = {
+            let _ts = ctx.span("ingest.label_write");
+            label.store(self.label_fs.as_ref())?
+                + self.determinator.containers().persist_index(&dataset)?
+        };
 
         self.cache.invalidate_dataset(&dataset);
         let state = match synthetic {
@@ -343,11 +291,9 @@ impl Ada {
         };
         self.datasets.lock().insert(dataset.clone(), state);
 
-        run.profile.wall_ns = run.wall.elapsed().as_nanos() as u64;
         if ada_telemetry::enabled() {
             let reg = ada_telemetry::global();
             for (tag, bytes) in &routed.stored_by_tag {
-                run.profile.bytes_by_tag.insert(tag.to_string(), *bytes);
                 reg.counter(&format!("ingest.bytes_routed.{}", tag))
                     .add(*bytes);
             }
@@ -364,7 +310,7 @@ impl Ada {
             label_write,
             raw_bytes,
             bytes_by_tag: routed.stored_by_tag,
-            profile: ada_telemetry::enabled().then_some(run.profile),
+            profile: None, // cut from the op span's tree once it closes
         })
     }
 
@@ -478,20 +424,13 @@ impl Ada {
         batch_frames: usize,
         parent: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        traced("ingest_streaming", "ada.ingest_streaming", parent, |ctx| {
-            let mut run = IngestRun::start("pipelined");
-            let labels = self.categorize(pdb_text, &mut run, ctx)?;
+        traced("ada.ingest_streaming", "pipelined", parent, |ctx| {
+            let labels = self.categorize(pdb_text, ctx)?;
             self.in_new_container(dataset, || {
-                let (raw_bytes, nframes, routed) = self.stream_batches(
-                    dataset,
-                    &labels,
-                    xtc_bytes,
-                    batch_frames.max(1),
-                    &mut run.profile,
-                    ctx,
-                )?;
+                let (raw_bytes, nframes, routed) =
+                    self.stream_batches(dataset, &labels, xtc_bytes, batch_frames.max(1), ctx)?;
                 let label = LabelFile::new(dataset, labels.natoms, nframes, labels.labeler);
-                self.commit(label, None, labels.categorize, raw_bytes, routed, run)
+                self.commit(label, None, labels.categorize, raw_bytes, routed, ctx)
             })
         })
     }
@@ -504,7 +443,6 @@ impl Ada {
         labels: &Labels,
         xtc_bytes: &[u8],
         batch_frames: usize,
-        profile: &mut StageProfile,
         ctx: &TraceContext,
     ) -> Result<(u64, usize, Routed), AdaError> {
         let depth = self.config.pipeline_depth.max(1);
@@ -518,13 +456,12 @@ impl Ada {
         // (raw bytes, frames, per-tag payloads) of one split batch.
         type SplitMsg = Result<(u64, usize, BTreeMap<Tag, Vec<u8>>), AdaError>;
 
-        // Busy-time accumulators, nanoseconds: each stage measures only
-        // the time it spends working, excluding time blocked on a channel.
-        // Stages overlap, so these legitimately sum past the wall time;
-        // the largest one is the pipeline's ceiling.
-        let decode_ns = AtomicU64::new(0);
-        let split_ns = AtomicU64::new(0);
-        let mut dispatch_ns = 0u64;
+        // Each stage's span covers its worker's whole life, so the stage
+        // times itself: `busy_ns` counts only the time it spends working,
+        // excluding time blocked on a channel. Stages overlap, so these
+        // legitimately sum past the wall time; the largest one is the
+        // pipeline's ceiling. A producer also leaves the high-water mark
+        // of the queue it feeds, as it last saw it, on its span.
         let queue_decoded = QueueDepth::gauge("ingest.queue.decoded");
         let queue_split = QueueDepth::gauge("ingest.queue.split");
         let (decoded_tx, decoded_rx) = queue_decoded.channel::<(u64, Trajectory)>(depth);
@@ -535,7 +472,8 @@ impl Ada {
         let mut nframes = 0usize;
 
         let outcome: Result<(), AdaError> = crossbeam::thread::scope(|scope| {
-            let (decode_ns, split_ns, decoded_rx) = (&decode_ns, &split_ns, &decoded_rx);
+            let (queue_decoded, queue_split, decoded_rx) =
+                (&queue_decoded, &queue_split, &decoded_rx);
 
             // Stage 1 — decoder: one serial header scan finds the frame
             // boundaries (headers are cheap, inflate dominates), then each
@@ -545,36 +483,41 @@ impl Ada {
                 // One span per stage-worker lifetime: its trace ancestry
                 // (not a thread-local) ties it to the request, so the tree
                 // stays connected across the bounded channels.
-                let _tspan = ctx.span("ingest.decode");
-                let spans = index_frames(xtc_bytes)?;
-                let mut busy = Instant::now();
-                for (seq, window) in spans.chunks(batch_frames).enumerate() {
-                    if let Some(bad) = window.iter().find(|s| s.natoms != labels.natoms) {
-                        return Err(AdaError::AtomMismatch {
-                            pdb: labels.natoms,
-                            xtc: bad.natoms,
-                        });
+                let mut tspan = ctx.span("ingest.decode");
+                let (mut busy_ns, mut in_bytes, mut frames) = (0u64, 0usize, 0usize);
+                let outcome = (|| {
+                    let spans = index_frames(xtc_bytes)?;
+                    let mut busy = Instant::now();
+                    for (seq, window) in spans.chunks(batch_frames).enumerate() {
+                        if let Some(bad) = window.iter().find(|s| s.natoms != labels.natoms) {
+                            return Err(AdaError::AtomMismatch {
+                                pdb: labels.natoms,
+                                xtc: bad.natoms,
+                            });
+                        }
+                        let (Some(first), Some(last)) = (window.first(), window.last()) else {
+                            break; // chunks() never yields an empty window
+                        };
+                        let bytes = &xtc_bytes[first.offset..last.offset + last.len];
+                        let traj = decode_frames_parallel(bytes, decode_threads)?;
+                        busy_ns += busy.elapsed().as_nanos() as u64;
+                        in_bytes += bytes.len();
+                        frames += traj.len();
+                        if !decoded_tx.send((seq as u64, traj)) {
+                            break; // downstream hung up on its own error
+                        }
+                        busy = Instant::now(); // exclude time blocked on send
                     }
-                    let (Some(first), Some(last)) = (window.first(), window.last()) else {
-                        break; // chunks() never yields an empty window
-                    };
-                    let bytes = &xtc_bytes[first.offset..last.offset + last.len];
-                    let traj = decode_frames_parallel(bytes, decode_threads)?;
-                    let ns = busy.elapsed().as_nanos() as u64;
-                    decode_ns.fetch_add(ns, Ordering::Relaxed);
-                    span::record(
-                        "ingest.decode",
-                        None,
-                        ns,
-                        traj.nbytes() as u64,
-                        traj.len() as u64,
-                    );
-                    if !decoded_tx.send((seq as u64, traj)) {
-                        return Ok(()); // downstream hung up on its own error
-                    }
-                    busy = Instant::now(); // exclude time blocked on send
+                    Ok(())
+                })();
+                tspan.arg("busy_ns", busy_ns);
+                tspan.arg("bytes", in_bytes);
+                tspan.arg("frames", frames);
+                tspan.arg("queue.decoded", queue_decoded.high_water());
+                if let Err(e) = &outcome {
+                    tspan.set_error(e.kind());
                 }
-                Ok(())
+                outcome
             });
 
             // Stage 2 — splitter pool: workers pull decoded batches from
@@ -583,7 +526,8 @@ impl Ada {
             for _ in 0..split_workers {
                 let tx = split_tx.clone();
                 scope.spawn(move |_| {
-                    let _tspan = ctx.span("ingest.split");
+                    let mut tspan = ctx.span("ingest.split");
+                    let (mut busy_ns, mut raw, mut frames) = (0u64, 0u64, 0usize);
                     while let Some((seq, traj)) = decoded_rx.recv() {
                         let busy = Instant::now();
                         let res: SplitMsg = split_trajectory_opts(
@@ -595,15 +539,19 @@ impl Ada {
                             },
                         )
                         .map(|out| (out.raw_bytes, traj.len(), out.subsets));
-                        let ns = busy.elapsed().as_nanos() as u64;
-                        split_ns.fetch_add(ns, Ordering::Relaxed);
+                        busy_ns += busy.elapsed().as_nanos() as u64;
                         if let Ok((rb, nf, _)) = &res {
-                            span::record("ingest.split", None, ns, *rb, *nf as u64);
+                            raw += rb;
+                            frames += nf;
                         }
                         if !tx.send((seq, res)) {
                             break;
                         }
                     }
+                    tspan.arg("busy_ns", busy_ns);
+                    tspan.arg("bytes", raw);
+                    tspan.arg("frames", frames);
+                    tspan.arg("queue.split", queue_split.high_water());
                 });
             }
             drop(split_tx); // dispatcher sees the end once the pool drains
@@ -612,14 +560,14 @@ impl Ada {
             // number, then write each batch's subsets. After the first
             // error it keeps draining, without dispatching, so the stages
             // upstream can finish.
-            let _tspan = ctx.span("ingest.dispatch");
+            let mut tspan = ctx.span("ingest.dispatch");
+            let (mut busy_ns, mut stored_bytes) = (0u64, 0u64);
             let mut pending: BTreeMap<u64, SplitMsg> = BTreeMap::new();
             let mut next_seq = 0u64;
             let mut first_err: Option<AdaError> = None;
             while let Some((seq, res)) = split_rx.recv() {
                 pending.insert(seq, res);
                 let busy = Instant::now();
-                let mut batch_bytes = 0u64;
                 while let Some(res) = pending.remove(&next_seq) {
                     next_seq += 1;
                     if first_err.is_some() {
@@ -631,14 +579,15 @@ impl Ada {
                         self.dispatch_batch(dataset, &labels.labeler, nf, subsets, &mut routed)
                     });
                     match stored {
-                        Ok(bytes) => batch_bytes += bytes,
+                        Ok(bytes) => stored_bytes += bytes,
                         Err(e) => first_err = Some(e),
                     }
                 }
-                let ns = busy.elapsed().as_nanos() as u64;
-                dispatch_ns += ns;
-                span::record("ingest.dispatch", None, ns, batch_bytes, 0);
+                busy_ns += busy.elapsed().as_nanos() as u64;
             }
+            tspan.arg("busy_ns", busy_ns);
+            tspan.arg("bytes", stored_bytes);
+            drop(tspan);
 
             let decode_outcome = decoder
                 .join()
@@ -650,16 +599,6 @@ impl Ada {
         })
         .map_err(|p| crate::worker_panic("ingest pipeline", p))?;
         outcome?;
-
-        profile.add_stage_ns("decode", decode_ns.load(Ordering::Relaxed));
-        profile.add_stage_ns("split", split_ns.load(Ordering::Relaxed));
-        profile.add_stage_ns("dispatch", dispatch_ns);
-        profile
-            .queue_hwm
-            .insert("decoded".to_string(), queue_decoded.high_water());
-        profile
-            .queue_hwm
-            .insert("split".to_string(), queue_split.high_water());
         Ok((raw_bytes, nframes, routed))
     }
 
@@ -959,7 +898,6 @@ mod tests {
         assert!(p.queue_hwm["decoded"] >= 1);
         assert!(p.wall_ns > 0);
         // Global outcome counter saw this call.
-        ada_telemetry::flush();
         let snap = ada_telemetry::global().snapshot();
         assert!(snap.counters["ada.ingest_streaming.ok"] >= 1);
     }

@@ -2,13 +2,12 @@
 //! ([`Ada::query`]) and the strided frame-range read of the sampling
 //! workload ([`Ada::query_range`]). Both resolve the dataset's mode, run
 //! the indexer, read (size-only datasets) or retrieve + reassemble (real
-//! ones), then bump the tag heat and close the report through the same
-//! four helpers; the retrieval itself lives in [`super::retrieve`].
+//! ones), then bump the tag heat, through the same four helpers; the
+//! retrieval itself lives in [`super::retrieve`].
 
 use super::retrieve::FrameSelection;
 use super::{traced, Ada, DatasetState, QueryReport, RetrievedData};
 use crate::labeler::LabelFile;
-use crate::profile::StageProfile;
 use crate::AdaError;
 use ada_cache::DecodedDropping;
 use ada_mdformats::xtcf::{frame_record_len, XTCF_HEADER_LEN};
@@ -16,12 +15,10 @@ use ada_mdformats::{Frame, Trajectory};
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
 use ada_storagesim::SimDuration;
-use ada_telemetry::span;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 impl Ada {
     /// Serve `mol addfile <dataset>.xtc [tag <t>]`: deliver the requested
@@ -39,7 +36,12 @@ impl Ada {
         tag: Option<&Tag>,
         parent: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        traced("query", "ada.query", parent, |ctx| {
+        let mode = if self.config.query_threads > 0 {
+            "query_parallel"
+        } else {
+            "query"
+        };
+        traced("ada.query", mode, parent, |ctx| {
             self.query_inner(dataset, tag, ctx)
         })
     }
@@ -50,15 +52,12 @@ impl Ada {
         tag: Option<&Tag>,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let wall = Instant::now();
-        let parallel = self.config.query_threads > 0;
-        let mut profile = StageProfile::new(if parallel { "query_parallel" } else { "query" });
         let state = self.resolve(dataset, tag)?;
-        let (records, indexer) = self.index(dataset, tag, &mut profile, ctx)?;
+        let (records, indexer) = self.index(dataset, tag, ctx)?;
 
         let (data, read) = match &state {
             DatasetState::Synthetic { spec } => {
-                let (bytes, read) = self.read_sizes(records.iter(), &mut profile, ctx)?;
+                let (bytes, read) = self.read_sizes(records.iter(), ctx)?;
                 let atoms_per_frame = match tag {
                     Some(t) => spec.atoms_by_tag.get(t).copied().unwrap_or(0),
                     None => spec.natoms,
@@ -76,8 +75,7 @@ impl Ada {
                     .enumerate()
                     .map(|(i, r)| (i, r, None))
                     .collect();
-                let (fetched, read) =
-                    self.retrieve_droppings(dataset, label, indexed, &mut profile, ctx)?;
+                let (fetched, read) = self.retrieve_droppings(dataset, label, indexed, ctx)?;
                 let mut per_tag: BTreeMap<Tag, Vec<Frame>> = BTreeMap::new();
                 for (_, tag, payload) in fetched {
                     // Unwrap a sole Arc (cache off, or evicted since the
@@ -94,18 +92,13 @@ impl Ada {
                     })?;
                     per_tag.entry(Tag::new(tag)).or_default().extend(frames);
                 }
-                let t = Instant::now();
                 let traj = {
                     let mut ts = ctx.span("query.reassemble");
-                    let mut s = span!("query.reassemble");
                     let traj = reassemble(label, tag, per_tag)?;
-                    s.add_bytes(traj.nbytes() as u64);
-                    s.add_frames(traj.len() as u64);
                     ts.arg("bytes", traj.nbytes());
                     ts.arg("frames", traj.len());
                     traj
                 };
-                profile.add_stage_ns("reassemble", t.elapsed().as_nanos() as u64);
                 (RetrievedData::Real(traj), read)
             }
         };
@@ -114,7 +107,12 @@ impl Ada {
             Some(t) => self.bump_heat(dataset, [t.clone()]),
             None => self.bump_heat(dataset, state.tags()),
         }
-        Ok(seal_report(profile, wall, indexer, read, data))
+        Ok(QueryReport {
+            indexer,
+            read,
+            data,
+            profile: None, // cut from the op span's tree once it closes
+        })
     }
 
     /// Serve a frame-range read: every `stride`-th frame of `tag` in the
@@ -148,7 +146,7 @@ impl Ada {
         stride: usize,
         parent: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        traced("query_range", "ada.query_range", parent, |ctx| {
+        traced("ada.query_range", "query_range", parent, |ctx| {
             self.query_range_inner(dataset, tag, window, stride, ctx)
         })
     }
@@ -161,8 +159,6 @@ impl Ada {
         stride: usize,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let wall = Instant::now();
-        let mut profile = StageProfile::new("query_range");
         let state = self.resolve(dataset, Some(tag))?;
         let nframes = state.nframes();
         if stride == 0 || window.start >= window.end || window.end > nframes {
@@ -173,7 +169,7 @@ impl Ada {
                 nframes,
             });
         }
-        let (records, indexer) = self.index(dataset, Some(tag), &mut profile, ctx)?;
+        let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
         let selected: Vec<usize> = window.clone().step_by(stride).collect();
 
         let (data, read) = match &state {
@@ -189,7 +185,7 @@ impl Ada {
                     }
                 }
                 let touched = needed.into_iter().filter_map(|d| records.get(d));
-                let (bytes, read) = self.read_sizes(touched, &mut profile, ctx)?;
+                let (bytes, read) = self.read_sizes(touched, ctx)?;
                 let data = RetrievedData::Synthetic {
                     bytes,
                     frames: selected.len() as u64,
@@ -267,17 +263,14 @@ impl Ada {
                     })
                     .collect();
 
-                let (fetched, read) =
-                    self.retrieve_droppings(dataset, label, indexed, &mut profile, ctx)?;
+                let (fetched, read) = self.retrieve_droppings(dataset, label, indexed, ctx)?;
                 let by_dropping: BTreeMap<usize, Arc<DecodedDropping>> =
                     fetched.into_iter().map(|(i, _tag, p)| (i, p)).collect();
 
                 // Assemble the reply, cloning only the chosen frames.
-                let t = Instant::now();
                 let mut frames: Vec<Frame> = Vec::with_capacity(selected.len());
                 {
                     let mut ts = ctx.span("query.reassemble");
-                    let mut s = span!("query.reassemble");
                     for f in &selected {
                         let d = spans.partition_point(|(_, end)| *end <= *f);
                         let frame = spans
@@ -294,12 +287,9 @@ impl Ada {
                         frames.push(frame.clone());
                     }
                     let bytes: u64 = frames.iter().map(|f| f.nbytes() as u64).sum();
-                    s.add_bytes(bytes);
-                    s.add_frames(frames.len() as u64);
                     ts.arg("bytes", bytes);
                     ts.arg("frames", frames.len());
                 }
-                profile.add_stage_ns("reassemble", t.elapsed().as_nanos() as u64);
                 (RetrievedData::Real(Trajectory::from_frames(frames)), read)
             }
         };
@@ -307,7 +297,12 @@ impl Ada {
         // A range read counts as one access of the tag — the same heat
         // accounting as a tagged query.
         self.bump_heat(dataset, [tag.clone()]);
-        Ok(seal_report(profile, wall, indexer, read, data))
+        Ok(QueryReport {
+            indexer,
+            read,
+            data,
+            profile: None, // cut from the op span's tree once it closes
+        })
     }
 
     /// The mode a query against `dataset` runs in, with `tag` (when given)
@@ -325,17 +320,11 @@ impl Ada {
         &self,
         dataset: &str,
         tag: Option<&Tag>,
-        profile: &mut StageProfile,
         ctx: &TraceContext,
     ) -> Result<(Vec<IndexRecord>, SimDuration), AdaError> {
-        let t = Instant::now();
-        let (mut records, indexer) = {
-            let _ts = ctx.span("query.index");
-            let _s = span!("query.index");
-            self.determinator.index_lookup(dataset, tag)?
-        };
+        let _ts = ctx.span("query.index");
+        let (mut records, indexer) = self.determinator.index_lookup(dataset, tag)?;
         records.sort_by_key(|r| r.logical_offset);
-        profile.add_stage_ns("index", t.elapsed().as_nanos() as u64);
         Ok((records, indexer))
     }
 
@@ -344,10 +333,9 @@ impl Ada {
     fn read_sizes<'a>(
         &self,
         records: impl Iterator<Item = &'a IndexRecord>,
-        profile: &mut StageProfile,
         ctx: &TraceContext,
     ) -> Result<(u64, SimDuration), AdaError> {
-        let (contents, read) = self.fetch_in_order(records, profile, ctx)?;
+        let (contents, read) = self.fetch_in_order(records, ctx)?;
         Ok((contents.iter().map(|c| c.len()).sum(), read))
     }
 
@@ -360,23 +348,6 @@ impl Ada {
         for t in touched {
             *counts.entry(t).or_insert(0) += 1;
         }
-    }
-}
-
-/// Close a query's report: stamp the wall time and attach the profile.
-fn seal_report(
-    mut profile: StageProfile,
-    wall: Instant,
-    indexer: SimDuration,
-    read: SimDuration,
-    data: RetrievedData,
-) -> QueryReport {
-    profile.wall_ns = wall.elapsed().as_nanos() as u64;
-    QueryReport {
-        indexer,
-        read,
-        data,
-        profile: ada_telemetry::enabled().then_some(profile),
     }
 }
 

@@ -19,7 +19,6 @@
 
 use super::{max_across_backends, Ada, QueueDepth};
 use crate::labeler::LabelFile;
-use crate::profile::StageProfile;
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
 use ada_mdformats::xtcf::{
@@ -30,11 +29,9 @@ use ada_mdmodel::Tag;
 use ada_plfs::{ContainerSet, IndexRecord};
 use ada_simfs::Content;
 use ada_storagesim::SimDuration;
-use ada_telemetry::span;
 use ada_telemetry::trace::TraceContext;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,11 +64,10 @@ struct PayloadOutcome {
 }
 
 /// Running totals of one fetch loop: simulated cost per backend (reads
-/// within a backend queue up, backends overlap) and bytes per tag.
+/// within a backend queue up, backends overlap) and bytes fetched.
 #[derive(Default)]
 struct ReadTally {
     per_backend: BTreeMap<String, SimDuration>,
-    bytes_by_tag: BTreeMap<String, u64>,
     bytes: u64,
 }
 
@@ -86,7 +82,6 @@ impl ReadTally {
             .per_backend
             .entry(record.backend.clone())
             .or_insert(SimDuration::ZERO) += cost;
-        *self.bytes_by_tag.entry(record.tag.clone()).or_insert(0) += content.len();
         self.bytes += content.len();
         Ok(content)
     }
@@ -95,18 +90,11 @@ impl ReadTally {
         for (backend, cost) in other.per_backend {
             *self.per_backend.entry(backend).or_insert(SimDuration::ZERO) += cost;
         }
-        for (tag, bytes) in other.bytes_by_tag {
-            *self.bytes_by_tag.entry(tag).or_insert(0) += bytes;
-        }
         self.bytes += other.bytes;
     }
 
-    /// Book the per-tag bytes into `profile`; returns the simulated read
-    /// time of everything tallied.
-    fn finish(self, profile: &mut StageProfile) -> SimDuration {
-        for (tag, bytes) in self.bytes_by_tag {
-            *profile.bytes_by_tag.entry(tag).or_insert(0) += bytes;
-        }
+    /// The simulated read time of everything tallied.
+    fn cost(&self) -> SimDuration {
         max_across_backends(&self.per_backend)
     }
 }
@@ -233,8 +221,9 @@ fn validate_atoms(
 
 /// Decode unit `c` of a planned dropping — the whole file for v1, chunk
 /// `c` for v2 — atom-count validated. Both schedules decode through
-/// here, so the unit's trace span and stage span are opened here and
-/// nowhere else.
+/// here, so the unit's span — the decode stage's only clock, and the
+/// `tag` + `bytes` a profile's per-tag volume is folded from — is opened
+/// here and nowhere else.
 fn decode_unit(
     p: &Planned,
     content: &Content,
@@ -242,7 +231,6 @@ fn decode_unit(
     ctx: &TraceContext,
 ) -> Result<Vec<Frame>, AdaError> {
     let mut ts = ctx.span("query.decode");
-    let mut s = span!("query.decode");
     ts.arg("tag", p.record.tag.as_str());
     let unit_bytes = match &p.dir {
         None => content.len(),
@@ -254,7 +242,6 @@ fn decode_unit(
         }
     };
     ts.arg("bytes", unit_bytes);
-    s.add_bytes(unit_bytes);
     let res = real_bytes(&p.record, content)
         .and_then(|bytes| {
             match &p.dir {
@@ -270,10 +257,7 @@ fn decode_unit(
         })
         .and_then(|frames| validate_atoms(&p.record, p.natoms, &frames).map(|_| frames));
     match &res {
-        Ok(frames) => {
-            ts.arg("frames", frames.len());
-            s.add_frames(frames.len() as u64);
-        }
+        Ok(frames) => ts.arg("frames", frames.len()),
         Err(e) => ts.set_error(e.kind()),
     }
     res
@@ -354,7 +338,6 @@ impl Ada {
         dataset: &str,
         label: &LabelFile,
         records: Vec<(usize, IndexRecord, FrameSelection)>,
-        profile: &mut StageProfile,
         ctx: &TraceContext,
     ) -> Result<Retrieved<Arc<DecodedDropping>>, AdaError> {
         let cache_on = self.cache.enabled();
@@ -362,7 +345,6 @@ impl Ada {
         let mut misses: Vec<RetrieveItem> = Vec::new();
         if cache_on {
             let mut ts = ctx.span("cache.lookup");
-            let t = Instant::now();
             for (idx, r, select) in records {
                 let key = CacheKey::new(dataset, &r.tag, r.logical_offset);
                 let expected = label
@@ -400,7 +382,6 @@ impl Ada {
                     }),
                 }
             }
-            profile.add_stage_ns("cache_lookup", t.elapsed().as_nanos() as u64);
             ts.arg("hits", out.len());
             ts.arg("misses", misses.len());
         } else {
@@ -422,9 +403,9 @@ impl Ada {
         let (fresh, read) = if misses.is_empty() {
             (Vec::new(), SimDuration::ZERO)
         } else if self.config.query_threads > 0 {
-            self.retrieve_parallel(label, misses, profile, ctx)?
+            self.retrieve_parallel(label, misses, ctx)?
         } else {
-            self.retrieve_serial(label, misses, profile, ctx)?
+            self.retrieve_serial(label, misses, ctx)?
         };
 
         // Admission heat is the tag's access count *before* this query
@@ -457,25 +438,17 @@ impl Ada {
     pub(super) fn fetch_in_order<'a>(
         &self,
         records: impl Iterator<Item = &'a IndexRecord>,
-        profile: &mut StageProfile,
         ctx: &TraceContext,
     ) -> Result<(Vec<Content>, SimDuration), AdaError> {
         let containers = self.determinator.containers();
-        let t = Instant::now();
+        let mut ts = ctx.span("query.read");
         let mut tally = ReadTally::default();
         let mut fetched = Vec::new();
-        {
-            let mut ts = ctx.span("query.read");
-            let mut s = span!("query.read");
-            for record in records {
-                fetched.push(tally.read(containers, record)?);
-            }
-            s.add_bytes(tally.bytes);
-            ts.arg("bytes", tally.bytes);
+        for record in records {
+            fetched.push(tally.read(containers, record)?);
         }
-        let read = tally.finish(profile);
-        profile.add_stage_ns("read", t.elapsed().as_nanos() as u64);
-        Ok((fetched, read))
+        ts.arg("bytes", tally.bytes);
+        Ok((fetched, tally.cost()))
     }
 
     /// Serial reference schedule (`query_threads = 0`): fetch every
@@ -488,12 +461,10 @@ impl Ada {
         &self,
         label: &LabelFile,
         items: Vec<RetrieveItem>,
-        profile: &mut StageProfile,
         ctx: &TraceContext,
     ) -> Result<Retrieved<PayloadOutcome>, AdaError> {
-        let (fetched, read) = self.fetch_in_order(items.iter().map(|i| &i.record), profile, ctx)?;
+        let (fetched, read) = self.fetch_in_order(items.iter().map(|i| &i.record), ctx)?;
 
-        let t = Instant::now();
         let mut out: Vec<(usize, String, PayloadOutcome)> = Vec::with_capacity(items.len());
         for (item, content) in items.into_iter().zip(fetched) {
             let planned = plan(item, &content, label)?;
@@ -504,7 +475,6 @@ impl Ada {
             let outcome = assemble(&planned, fresh);
             out.push((planned.idx, planned.record.tag, outcome));
         }
-        profile.add_stage_ns("decode", t.elapsed().as_nanos() as u64);
         Ok((out, read))
     }
 
@@ -522,7 +492,6 @@ impl Ada {
         &self,
         label: &LabelFile,
         items: Vec<RetrieveItem>,
-        profile: &mut StageProfile,
         ctx: &TraceContext,
     ) -> Result<Retrieved<PayloadOutcome>, AdaError> {
         // Group per backend, preserving logical order within each group.
@@ -538,10 +507,6 @@ impl Ada {
         let workers = self.config.query_threads.max(1);
         let containers = self.determinator.containers();
 
-        // Busy-time accumulators (ns): stages overlap, so these measure
-        // work done, excluding time blocked on the channel.
-        let read_ns = AtomicU64::new(0);
-        let decode_ns = AtomicU64::new(0);
         // One decode work unit: a planned dropping, its bytes (a cheap
         // refcount clone per unit) and the chunk to decode.
         let queue_fetched = QueueDepth::gauge("query.queue.fetched");
@@ -559,20 +524,23 @@ impl Ada {
         type Decoded = (usize, usize, Result<Vec<Frame>, AdaError>);
 
         let (reads, slots) = crossbeam::thread::scope(|scope| {
-            let (read_ns, decode_ns) = (&read_ns, &decode_ns);
             let (planned, decode_errs, rx) = (&planned, &decode_errs, &rx);
+            let queue_fetched = &queue_fetched;
             let readers: Vec<_> = by_backend
                 .into_iter()
                 .map(|(backend, group)| {
                     let tx = tx.clone();
                     scope.spawn(move |_| -> ReadOutcome {
                         // One read span per backend reader thread, tied to
-                        // the request by its context (not the thread).
+                        // the request by its context (not the thread). It
+                        // spans the thread's life, so the reader times the
+                        // part it spent reading (`busy_ns`): planning and
+                        // time blocked on the channel are not read time.
                         let mut tspan = ctx.span("query.read");
                         tspan.arg("backend", backend.as_str());
                         let mut tally = ReadTally::default();
                         let mut err: Option<(usize, AdaError)> = None;
-                        let mut busy_total = 0u64;
+                        let mut busy_ns = 0u64;
                         let mut busy = Instant::now();
                         'items: for item in group {
                             let idx = item.idx;
@@ -583,9 +551,7 @@ impl Ada {
                                     break;
                                 }
                             };
-                            let ns = busy.elapsed().as_nanos() as u64;
-                            busy_total += ns;
-                            read_ns.fetch_add(ns, Ordering::Relaxed);
+                            busy_ns += busy.elapsed().as_nanos() as u64;
                             match plan(item, &content, label) {
                                 Err(e) => decode_errs.lock().push((idx, 0, e)),
                                 Ok(p) => {
@@ -603,10 +569,11 @@ impl Ada {
                             busy = Instant::now(); // exclude channel-block time
                         }
                         tspan.arg("bytes", tally.bytes);
+                        tspan.arg("busy_ns", busy_ns);
+                        tspan.arg("queue.fetched", queue_fetched.high_water());
                         if let Some((_, e)) = &err {
                             tspan.set_error(e.kind());
                         }
-                        span::record("query.read", Some(backend), busy_total, tally.bytes, 0);
                         (tally, err)
                     })
                 })
@@ -618,11 +585,7 @@ impl Ada {
                     scope.spawn(move |_| {
                         let mut out: Vec<Decoded> = Vec::new();
                         while let Some((p, content, c)) = rx.recv() {
-                            let busy = Instant::now();
-                            let res = decode_unit(&p, &content, c, ctx);
-                            decode_ns
-                                .fetch_add(busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            out.push((p.idx, c, res));
+                            out.push((p.idx, c, decode_unit(&p, &content, c, ctx)));
                         }
                         out
                     })
@@ -647,12 +610,6 @@ impl Ada {
         })
         .map_err(|p| crate::worker_panic("query pipeline", p))??;
 
-        profile.add_stage_ns("read", read_ns.load(Ordering::Relaxed));
-        profile.add_stage_ns("decode", decode_ns.load(Ordering::Relaxed));
-        profile
-            .queue_hwm
-            .insert("fetched".to_string(), queue_fetched.high_water());
-
         // The serial reference fetches everything before decoding anything,
         // so its first failure is the earliest fetch error in logical
         // order; only a fully-fetched request can fail in decode.
@@ -662,7 +619,7 @@ impl Ada {
             tally.merge(reader_tally);
             fetch_errs.extend(err);
         }
-        let read = tally.finish(profile);
+        let read = tally.cost();
         if let Some((_, e)) = fetch_errs.into_iter().min_by_key(|(idx, _)| *idx) {
             return Err(e);
         }

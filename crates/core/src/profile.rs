@@ -13,9 +13,42 @@
 //! splitter pool, and dispatcher overlap, so stage times legitimately sum
 //! to more than `wall_ns`. The bottleneck is the stage with the largest
 //! busy time — the one the pipeline cannot hide.
+//!
+//! A profile is not measured beside the request's trace; it **is** the
+//! trace, cut one way: [`StageProfile::from_spans`] folds the finished
+//! subtree of the call's op span (`ada.ingest`, `ada.query`, …) once the
+//! op span has closed. A report therefore carries a profile exactly when
+//! the request was traced.
 
 use ada_json::Value;
+use ada_telemetry::trace::{ArgValue, TraceSpan};
 use std::collections::BTreeMap;
+
+/// Span name → profile stage. Every other span of a request (facade and
+/// front-end spans, per-worker fan-out, markers) is structure, not a stage.
+const STAGES: [(&str, &str); 10] = [
+    ("ingest.categorize", "categorize"),
+    ("ingest.decode", "decode"),
+    ("ingest.split", "split"),
+    ("ingest.dispatch", "dispatch"),
+    ("ingest.label_write", "label_write"),
+    ("query.index", "index"),
+    ("cache.lookup", "cache_lookup"),
+    ("query.read", "read"),
+    ("query.decode", "decode"),
+    ("query.reassemble", "reassemble"),
+];
+
+/// `map[key] += n`, allocating the key only the first time it is seen (a
+/// query folds one `query.decode` span per decoded chunk).
+fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+    match map.get_mut(key) {
+        Some(total) => *total += n,
+        None => {
+            map.insert(key.to_string(), n);
+        }
+    }
+}
 
 /// Measured wall-clock attribution of one ingest or query call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -27,24 +60,57 @@ pub struct StageProfile {
     pub stages_ns: BTreeMap<String, u64>,
     /// High-water mark of each bounded inter-stage channel (batches).
     pub queue_hwm: BTreeMap<String, u64>,
-    /// Bytes routed (ingest) or delivered (query) per tag.
+    /// Bytes stored (ingest) or freshly decoded (query) per tag.
     pub bytes_by_tag: BTreeMap<String, u64>,
-    /// End-to-end wall time of the call, nanoseconds.
+    /// End-to-end wall time of the call — its op span's — nanoseconds.
     pub wall_ns: u64,
 }
 
 impl StageProfile {
-    /// New profile for a code path.
-    pub fn new(mode: &str) -> StageProfile {
-        StageProfile {
+    /// Cut a profile from a request's finished spans: fold the subtree of
+    /// span `op`, which must itself be finished. `wall_ns` is the op
+    /// span's duration; each stage span adds its
+    /// [busy time](TraceSpan::busy_ns) to its stage; a `queue.{name}` arg
+    /// is that channel's high-water mark as its producer last saw it
+    /// (fold = max); `query.decode` spans add their `bytes` under their
+    /// `tag`.
+    pub fn from_spans(mode: &str, spans: &[TraceSpan], op: u64) -> StageProfile {
+        let mut p = StageProfile {
             mode: mode.to_string(),
             ..StageProfile::default()
+        };
+        // A span's id is allocated after its parent's, so one pass in id
+        // order has seen every ancestor before it meets a descendant.
+        let mut by_id: Vec<&TraceSpan> = spans.iter().filter(|s| s.id >= op).collect();
+        by_id.sort_unstable_by_key(|s| s.id);
+        let mut subtree: Vec<u64> = Vec::with_capacity(by_id.len());
+        for s in by_id {
+            let inside = s.id == op
+                || s.parent
+                    .is_some_and(|up| subtree.binary_search(&up).is_ok());
+            if !inside {
+                continue;
+            }
+            subtree.push(s.id);
+            if s.id == op {
+                p.wall_ns = s.duration_ns();
+            }
+            if let Some((_, stage)) = STAGES.iter().find(|(name, _)| *name == s.name) {
+                add(&mut p.stages_ns, stage, s.busy_ns());
+            }
+            for (key, value) in &s.args {
+                if let (Some(queue), ArgValue::U64(hwm)) = (key.strip_prefix("queue."), value) {
+                    let seen = p.queue_hwm.entry(queue.to_string()).or_insert(0);
+                    *seen = (*seen).max(*hwm);
+                }
+            }
+            if let ("query.decode", Some(ArgValue::Str(tag)), Some(bytes)) =
+                (s.name, s.arg("tag"), s.arg_u64("bytes"))
+            {
+                add(&mut p.bytes_by_tag, tag, bytes);
+            }
         }
-    }
-
-    /// Record a stage's busy time (accumulates on repeat).
-    pub fn add_stage_ns(&mut self, stage: &str, ns: u64) {
-        *self.stages_ns.entry(stage.to_string()).or_insert(0) += ns;
+        p
     }
 
     /// The stage with the largest busy time — the pipeline's wall-clock
@@ -96,27 +162,106 @@ impl StageProfile {
 mod tests {
     use super::*;
 
+    fn profile(mode: &str, stages: &[(&str, u64)], wall_ns: u64) -> StageProfile {
+        StageProfile {
+            mode: mode.to_string(),
+            stages_ns: stages.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            wall_ns,
+            ..StageProfile::default()
+        }
+    }
+
+    fn span(
+        id: u64,
+        parent: u64,
+        name: &'static str,
+        (start_ns, end_ns): (u64, u64),
+        args: Vec<(&'static str, ArgValue)>,
+    ) -> TraceSpan {
+        TraceSpan {
+            id,
+            parent: Some(parent),
+            name,
+            start_ns,
+            end_ns,
+            thread: "t".into(),
+            args,
+            error: None,
+        }
+    }
+
     #[test]
     fn bottleneck_and_share() {
-        let mut p = StageProfile::new("pipelined");
-        p.add_stage_ns("decode", 600);
-        p.add_stage_ns("split", 250);
-        p.add_stage_ns("split", 150); // accumulates to 400
-        p.add_stage_ns("dispatch", 100);
-        p.wall_ns = 800;
+        let p = profile(
+            "pipelined",
+            &[("decode", 600), ("split", 400), ("dispatch", 100)],
+            800,
+        );
         assert_eq!(p.bottleneck(), Some(("decode", 600)));
         assert!((p.stage_share("decode") - 0.75).abs() < 1e-12);
         assert_eq!(p.stage_share("missing"), 0.0);
-        assert_eq!(StageProfile::new("x").bottleneck(), None);
+        assert_eq!(profile("x", &[], 0).bottleneck(), None);
+    }
+
+    #[test]
+    fn fold_keeps_to_the_op_subtree_and_prefers_busy_time() {
+        let u = ArgValue::U64;
+        let tag = |t: &str| ("tag", ArgValue::Str(t.to_string()));
+        // Completion order, as a live trace holds them: children first.
+        let spans = vec![
+            // A sibling op under the same root: not this op's business.
+            span(3, 2, "query.index", (0, 5), vec![]),
+            span(2, 1, "ada.query", (0, 9), vec![]),
+            span(5, 4, "query.index", (10, 13), vec![]),
+            span(
+                7,
+                6,
+                "query.read",
+                (13, 40),
+                vec![("busy_ns", u(11)), ("queue.fetched", u(2))],
+            ),
+            span(8, 6, "query.read", (13, 30), vec![("queue.fetched", u(3))]),
+            span(
+                9,
+                6,
+                "query.decode",
+                (20, 24),
+                vec![tag("p"), ("bytes", u(100))],
+            ),
+            span(
+                10,
+                6,
+                "query.decode",
+                (24, 29),
+                vec![tag("p"), ("bytes", u(28))],
+            ),
+            span(
+                11,
+                6,
+                "query.decode",
+                (24, 26),
+                vec![tag("m"), ("bytes", u(7))],
+            ),
+            // Structure below the op that is no stage of its own.
+            span(6, 4, "cache.readahead", (13, 41), vec![("droppings", u(1))]),
+            span(4, 1, "ada.query", (10, 50), vec![]),
+        ];
+        let p = StageProfile::from_spans("query_parallel", &spans, 4);
+        assert_eq!(p.mode, "query_parallel");
+        assert_eq!(p.wall_ns, 40);
+        let stages: Vec<(&str, u64)> = p.stages_ns.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        // read = 11 (busy arg) + 17 (duration); decode = 4 + 5 + 2.
+        assert_eq!(stages, [("decode", 11), ("index", 3), ("read", 28)]);
+        assert_eq!(p.queue_hwm["fetched"], 3);
+        assert_eq!(p.bytes_by_tag["p"], 128);
+        assert_eq!(p.bytes_by_tag["m"], 7);
     }
 
     #[test]
     fn json_shape() {
-        let mut p = StageProfile::new("serial");
-        p.add_stage_ns("decode", 10);
+        let mut p = profile("serial", &[("decode", 10)], 42);
         p.queue_hwm.insert("decoded".into(), 2);
         p.bytes_by_tag.insert("p".into(), 1024);
-        p.wall_ns = 42;
         let v = ada_json::parse(&p.to_json().to_vec()).unwrap();
         assert_eq!(v.field("mode").unwrap().as_str().unwrap(), "serial");
         assert_eq!(v.field("wall_ns").unwrap().as_u64().unwrap(), 42);
@@ -152,7 +297,7 @@ mod tests {
 
     #[test]
     fn empty_profile_serializes() {
-        let v = ada_json::parse(&StageProfile::new("query").to_json().to_vec()).unwrap();
+        let v = ada_json::parse(&profile("query", &[], 0).to_json().to_vec()).unwrap();
         assert!(matches!(v.field("bottleneck").unwrap(), Value::Null));
     }
 }

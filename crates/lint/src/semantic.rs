@@ -19,8 +19,8 @@
 //! The second pass, [`check_metric_names`], keeps `METRICS.md` the single
 //! source of truth for the observability vocabulary: every string literal
 //! handed to a telemetry sink (`counter`/`gauge`/`histogram`/`span`/
-//! `record`/`record_span`/`root`, function or macro form) must appear
-//! backtick-quoted in the catalog. Dynamically built names (`format!`
+//! `record`/`root`/`root_remote`) must appear backtick-quoted in the
+//! catalog. Dynamically built names (`format!`
 //! families) are invisible to the pass and are documented in the
 //! catalog's prose instead. Like the kind pass, findings here are not
 //! suppressible — an uncatalogued name is fixed by registering it.
@@ -161,15 +161,14 @@ pub fn check_error_kinds(files: &[SourceFile]) -> Vec<Diagnostic> {
 
 /// Idents that record a metric or span when called with a string-literal
 /// first argument: registry sinks (`counter`/`gauge`/`histogram`), trace
-/// and stage-span openers (`span`/`root`/`root_remote`, fn or macro
-/// form), and the pre-measured recorders (`record`/`record_span`).
+/// span openers (`span`/`root`/`root_remote`), and the pre-measured span
+/// recorder (`record`).
 const METRIC_SINKS: &[&str] = &[
     "counter",
     "gauge",
     "histogram",
     "span",
     "record",
-    "record_span",
     "root",
     "root_remote",
 ];
@@ -189,15 +188,11 @@ pub fn check_metric_names(files: &[SourceFile], catalog: &str) -> Vec<Diagnostic
             {
                 continue;
             }
-            // Optional `!` (macro form), then `(`, then a string literal.
-            let mut k = j + 1;
-            if file.is_p(k, '!') {
-                k += 1;
-            }
-            if !file.is_p(k, '(') {
+            // `(`, then a string literal.
+            if !file.is_p(j + 1, '(') {
                 continue;
             }
-            k += 1;
+            let k = j + 2;
             if !(k < file.code.len() && file.tok(k).kind == TokenKind::Str) {
                 continue;
             }

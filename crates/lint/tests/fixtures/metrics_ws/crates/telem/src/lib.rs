@@ -2,10 +2,10 @@
 //! Metric-name fixture: registered, unregistered, dynamic, and test-only
 //! names for the `metric-name-registered` pass. Lexed, never compiled.
 
-pub fn record_metrics(reg: &Registry, op: &str) {
+pub fn record_metrics(reg: &Registry, ctx: &TraceContext, op: &str) {
     reg.counter("app.requests").inc();
     reg.gauge("app.depth").set(1);
-    let _s = span!("app.stage");
+    let _s = ctx.span("app.stage");
     reg.histogram("app.unknown_ns").record(1);
     let (_c, _g) = root("app.trace");
     reg.counter(&format!("app.{}.ok", op)).inc();

@@ -15,21 +15,21 @@
 //!   takes a short lock once; the returned `Arc` handles touch only
 //!   atomics, so per-event cost on the hot path is a relaxed
 //!   `fetch_add`.
-//! * a **span API** ([`span!`], [`span::SpanGuard`]) recording per-stage
-//!   wall time, bytes, and frames into thread-local buffers that drain to
-//!   the registry in batches (one registry lock per ~256 spans, not per
-//!   span).
 //! * **snapshot export**: [`Registry::snapshot`] → [`Snapshot::to_json`]
 //!   via `ada-json`, consumed by `repro --metrics-out` and
 //!   `repro profile-ingest`.
 //! * **request tracing** ([`trace`]): per-request span *trees* with a
 //!   propagatable [`TraceContext`], a bounded [`trace::FlightRecorder`]
 //!   retaining slow/shed/errored traces, and Chrome trace-event export
-//!   ([`trace::chrome_trace`]) for Perfetto — the per-request complement
-//!   to the aggregate metrics above (DESIGN.md §13).
+//!   ([`trace::chrome_trace`]) for Perfetto (DESIGN.md §13). A trace span
+//!   is the only stage instrumentation there is: when a trace seals, each
+//!   of its spans is folded once into the registry's
+//!   `span.{stage}.ns/.calls/.bytes/.frames` family, and `ada-core` cuts a
+//!   request's stage profile from the same tree — one clock per stage,
+//!   read by every view.
 //!
 //! Telemetry is on by default and globally switchable: [`set_enabled`]
-//! flips an `AtomicBool` that span creation and the instrumented call
+//! flips an `AtomicBool` that trace roots and the instrumented call
 //! sites check first, so a disabled build path costs one relaxed load
 //! (the `telemetry_overhead` bench in `ada-bench` guards the budget).
 //!
@@ -38,11 +38,9 @@
 //! stub (registration lock).
 
 pub mod histogram;
-pub mod span;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use span::{flush, SpanGuard, SpanRecord};
 pub use trace::{FlightRecorder, Trace, TraceContext, TraceSpan, TraceSpanGuard};
 
 use ada_json::Value;
@@ -161,6 +159,16 @@ pub struct GaugeSnapshot {
     pub high_water: i64,
 }
 
+/// Handles of one stage's `span.{stage}.*` family. The byte and frame
+/// counters register on the first span that carries the arg, so a stage
+/// that never annotates them leaves no zero-valued counter behind.
+struct StageMetrics {
+    ns: Arc<Histogram>,
+    calls: Arc<Counter>,
+    bytes: Option<Arc<Counter>>,
+    frames: Option<Arc<Counter>>,
+}
+
 /// The metric store. Handles returned by `counter`/`gauge`/`histogram`
 /// are `Arc`s sharing the underlying atomics: keep them across a loop and
 /// the loop never touches the registry lock.
@@ -169,6 +177,9 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    /// `span.{stage}.*` handles by span name, so sealing a trace formats
+    /// and looks up a stage's metric names once, not once per span.
+    stages: Mutex<BTreeMap<&'static str, StageMetrics>>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -228,6 +239,30 @@ impl Registry {
         }
     }
 
+    /// Fold the spans of a sealed trace into the `span.{stage}.*` family:
+    /// per span, its [`TraceSpan::busy_ns`] into the `.ns` histogram, one
+    /// `.calls`, and its `bytes` / `frames` args into the counters of the
+    /// same name.
+    pub(crate) fn record_spans(&self, spans: &[TraceSpan]) {
+        let mut stages = self.stages.lock();
+        for s in spans {
+            let m = stages.entry(s.name).or_insert_with(|| StageMetrics {
+                ns: self.histogram(&format!("span.{}.ns", s.name)),
+                calls: self.counter(&format!("span.{}.calls", s.name)),
+                bytes: None,
+                frames: None,
+            });
+            m.ns.record(s.busy_ns());
+            m.calls.inc();
+            for (key, slot) in [("bytes", &mut m.bytes), ("frames", &mut m.frames)] {
+                if let Some(n) = s.arg_u64(key).filter(|n| *n > 0) {
+                    slot.get_or_insert_with(|| self.counter(&format!("span.{}.{}", s.name, key)))
+                        .add(n);
+                }
+            }
+        }
+    }
+
     /// Point-in-time snapshot of every metric.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -267,6 +302,7 @@ impl Registry {
         self.counters.lock().clear();
         self.gauges.lock().clear();
         self.histograms.lock().clear();
+        self.stages.lock().clear();
     }
 }
 

@@ -26,6 +26,16 @@
 //!   the root drops (the pipelines already do — they run under scoped
 //!   threads); late spans from leaked clones are dropped on the floor.
 //!
+//! ## One clock per stage
+//!
+//! A trace span is the only record a stage writes. Sealing a trace
+//! ([`root`]'s guard dropping) folds every span of it into the registry's
+//! `span.{stage}.ns/.calls/.bytes/.frames` family — a stage's duration, or
+//! its `busy_ns` arg where a pipelined stage times itself to leave out
+//! channel-blocked time ([`TraceSpan::busy_ns`]) — and a caller that wants
+//! its own cut of the tree (`ada-core`'s stage profile) closes its span
+//! with [`TraceSpanGuard::finish_with`] and reads the same spans.
+//!
 //! ## Flight recorder
 //!
 //! Completed traces go into a bounded ring of recent traces (any of which
@@ -83,16 +93,17 @@ fn next_trace_id() -> u128 {
 }
 
 /// Stable label for the calling thread: its name when it has one, else a
-/// process-unique `t{n}` — the Chrome export's track name.
-fn thread_label() -> String {
+/// process-unique `t{n}` — the Chrome export's track name. Built once per
+/// thread; every span of the thread shares it.
+fn thread_label() -> Arc<str> {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
-        static LABEL: String = match std::thread::current().name() {
-            Some(n) => n.to_string(),
-            None => format!("t{}", NEXT.fetch_add(1, Ordering::Relaxed)),
+        static LABEL: Arc<str> = match std::thread::current().name() {
+            Some(n) => n.into(),
+            None => format!("t{}", NEXT.fetch_add(1, Ordering::Relaxed)).into(),
         };
     }
-    LABEL.with(|l| l.clone())
+    LABEL.with(Arc::clone)
 }
 
 /// One argument value attached to a span.
@@ -161,7 +172,7 @@ pub struct TraceSpan {
     /// End, nanoseconds since the trace epoch.
     pub end_ns: u64,
     /// Label of the thread that recorded the span.
-    pub thread: String,
+    pub thread: Arc<str>,
     /// Key/value annotations (bytes, frames, tag, backend, …).
     pub args: Vec<(&'static str, ArgValue)>,
     /// `AdaError::kind()` of the failure this span observed, if any.
@@ -172,6 +183,27 @@ impl TraceSpan {
     /// Wall time of the span.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
+    }
+
+    /// The first arg named `key`.
+    pub fn arg(&self, key: &str) -> Option<&ArgValue> {
+        self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// The arg named `key`, when it is an unsigned integer.
+    pub fn arg_u64(&self, key: &str) -> Option<u64> {
+        match self.arg(key) {
+            Some(ArgValue::U64(n)) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Time the stage spent working: its `busy_ns` arg when the stage
+    /// timed itself (a pipelined stage's span covers its thread's whole
+    /// life, channel waits included), else the span's wall time.
+    pub fn busy_ns(&self) -> u64 {
+        self.arg_u64("busy_ns")
+            .unwrap_or_else(|| self.duration_ns())
     }
 }
 
@@ -287,6 +319,23 @@ struct GuardLive {
     root: bool,
 }
 
+impl GuardLive {
+    /// End the span now and add it to its trace's finished spans.
+    fn close(self) -> (Arc<ActiveTrace>, u64, bool) {
+        self.trace.push(TraceSpan {
+            id: self.id,
+            parent: self.parent,
+            name: self.name,
+            start_ns: self.start_ns,
+            end_ns: now_ns(),
+            thread: thread_label(),
+            args: self.args,
+            error: self.error,
+        });
+        (self.trace, self.id, self.root)
+    }
+}
+
 /// An open trace span; records itself (and, for the root, seals the whole
 /// trace into the flight recorder) on drop.
 pub struct TraceSpanGuard {
@@ -327,24 +376,28 @@ impl TraceSpanGuard {
             None => TraceContext::inactive(),
         }
     }
+
+    /// Close the span now and read the trace as it stands: `f` gets every
+    /// finished span of the trace (completion order, this span last) and
+    /// this span's id, before a root guard seals them away. `None` when
+    /// the guard is inert. Workers of the span must have been joined —
+    /// what they have not pushed yet, `f` does not see.
+    pub fn finish_with<R>(mut self, f: impl FnOnce(&[TraceSpan], u64) -> R) -> Option<R> {
+        let (trace, id, root) = self.live.take()?.close();
+        let out = f(&trace.spans.lock(), id);
+        if root {
+            finalize(&trace);
+        }
+        Some(out)
+    }
 }
 
 impl Drop for TraceSpanGuard {
     fn drop(&mut self) {
         let Some(l) = self.live.take() else { return };
-        let end_ns = now_ns();
-        l.trace.push(TraceSpan {
-            id: l.id,
-            parent: l.parent,
-            name: l.name,
-            start_ns: l.start_ns,
-            end_ns,
-            thread: thread_label(),
-            args: l.args,
-            error: l.error,
-        });
-        if l.root {
-            finalize(&l.trace);
+        let (trace, _, root) = l.close();
+        if root {
+            finalize(&trace);
         }
     }
 }
@@ -443,6 +496,7 @@ fn finalize(trace: &Arc<ActiveTrace>) {
         .find(|s| s.id == 1)
         .map(|r| (r.duration_ns(), r.error.clone()))
         .unwrap_or((0, None));
+    crate::global().record_spans(&spans);
     let rec = recorder();
     let flag = match error {
         Some(kind) => Some(format!("error:{}", kind)),
@@ -585,7 +639,7 @@ impl FlightRecorder {
 /// `chrome://tracing`. Spans keep their trace/span/parent ids, error
 /// kinds, and annotations in `args`.
 pub fn chrome_trace(traces: &[Arc<Trace>]) -> Value {
-    let mut tids: Vec<String> = Vec::new();
+    let mut tids: Vec<Arc<str>> = Vec::new();
     let mut events: Vec<Value> = Vec::new();
     events.push(Value::obj(vec![
         ("name", Value::str("process_name")),
@@ -602,7 +656,7 @@ pub fn chrome_trace(traces: &[Arc<Trace>]) -> Value {
             let tid = match tids.iter().position(|t| *t == span.thread) {
                 Some(i) => i + 1,
                 None => {
-                    tids.push(span.thread.clone());
+                    tids.push(Arc::clone(&span.thread));
                     events.push(Value::obj(vec![
                         ("name", Value::str("thread_name")),
                         ("ph", Value::str("M")),
@@ -610,7 +664,7 @@ pub fn chrome_trace(traces: &[Arc<Trace>]) -> Value {
                         ("tid", Value::num_u(tids.len() as u64)),
                         (
                             "args",
-                            Value::obj(vec![("name", Value::str(span.thread.clone()))]),
+                            Value::obj(vec![("name", Value::str(&*span.thread))]),
                         ),
                     ]));
                     tids.len()
@@ -749,6 +803,73 @@ mod tests {
         drop(guard);
         set_tracing(true);
         assert!(recorder().recent().iter().all(|t| t.op != "test.trace_off"));
+    }
+
+    #[test]
+    fn sealed_spans_feed_stage_metrics() {
+        let _g = crate::test_guard();
+        let (ctx, guard) = root("test.fold_op");
+        for (bytes, frames) in [(100u64, 2u64), (28, 0)] {
+            let mut s = ctx.span("test.fold_stage");
+            s.arg("bytes", bytes);
+            s.arg("frames", frames);
+        }
+        // A pipelined stage reports the time it worked, not its span's life.
+        ctx.span("test.fold_busy").arg("busy_ns", 7u64);
+        // The seal is the one place spans reach the registry.
+        let before = crate::global().snapshot();
+        assert!(!before.counters.contains_key("span.test.fold_stage.calls"));
+        drop(guard);
+        let snap = crate::global().snapshot();
+        assert_eq!(snap.counters["span.test.fold_op.calls"], 1);
+        assert_eq!(snap.counters["span.test.fold_stage.calls"], 2);
+        assert_eq!(snap.counters["span.test.fold_stage.bytes"], 128);
+        assert_eq!(snap.counters["span.test.fold_stage.frames"], 2);
+        assert_eq!(snap.histograms["span.test.fold_stage.ns"].count, 2);
+        assert_eq!(snap.histograms["span.test.fold_busy.ns"].sum, 7);
+        // Un-annotated stages leave no zero-valued byte/frame counters.
+        assert!(!snap.counters.contains_key("span.test.fold_busy.bytes"));
+        assert!(!snap.counters.contains_key("span.test.fold_op.frames"));
+    }
+
+    #[test]
+    fn disabled_telemetry_registers_no_stage_metrics() {
+        let _g = crate::test_guard();
+        crate::set_enabled(false);
+        let (ctx, guard) = root("test.fold_off");
+        ctx.span("test.fold_off_stage").arg("bytes", 1u64);
+        drop(guard);
+        crate::set_enabled(true);
+        let snap = crate::global().snapshot();
+        assert!(!snap.counters.contains_key("span.test.fold_off.calls"));
+        assert!(!snap.counters.contains_key("span.test.fold_off_stage.calls"));
+    }
+
+    #[test]
+    fn finish_with_reads_the_trace_then_seals_a_root() {
+        let _g = crate::test_guard();
+        let (ctx, root_guard) = root("test.finish_root");
+        let id = ctx.trace_id().expect("tracing is on");
+        let op = ctx.span("test.finish_op");
+        drop(op.ctx().span("test.finish_child"));
+        let seen = op
+            .finish_with(|spans, op_id| {
+                assert_eq!(spans.last().map(|s| s.id), Some(op_id));
+                spans.iter().map(|s| s.name).collect::<Vec<_>>()
+            })
+            .expect("live guard");
+        assert_eq!(seen, ["test.finish_child", "test.finish_op"]);
+        // A root closed this way still seals its trace.
+        assert_eq!(
+            root_guard.finish_with(|spans, id| (spans.len(), id)),
+            Some((3, 1))
+        );
+        assert!(recorder().recent().iter().any(|t| t.id == id));
+
+        set_tracing(false);
+        let (_, inert) = root("test.finish_off");
+        assert_eq!(inert.finish_with(|_, _| ()), None);
+        set_tracing(true);
     }
 
     #[test]

@@ -56,7 +56,6 @@ impl Molecule {
 #[derive(Debug, Default)]
 pub struct VmdSession {
     molecules: Vec<Molecule>,
-    last_query_profile: Option<ada_core::StageProfile>,
 }
 
 impl VmdSession {
@@ -68,14 +67,6 @@ impl VmdSession {
     /// Loaded molecules.
     pub fn molecules(&self) -> &[Molecule] {
         &self.molecules
-    }
-
-    /// Stage attribution of the most recent ADA-backed `mol addfile`
-    /// (present when telemetry is enabled): where the retrieval spent its
-    /// time — index, per-backend read, decode, reassemble — so playback
-    /// tooling can report load latency without reaching into ADA.
-    pub fn last_query_profile(&self) -> Option<&ada_core::StageProfile> {
-        self.last_query_profile.as_ref()
     }
 
     /// Access one molecule.
@@ -129,7 +120,6 @@ impl VmdSession {
         tag: Option<&Tag>,
     ) -> Result<usize, AdaError> {
         let report = ada.query(dataset, tag)?;
-        self.last_query_profile = report.profile.clone();
         let traj = match report.data {
             RetrievedData::Real(t) => t,
             RetrievedData::Synthetic { .. } => {
@@ -388,24 +378,6 @@ mod tests {
             vmd.mol_addfile_xtc(id, &bad_xtc),
             Err(AdaError::AtomMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn ada_load_retains_query_profile() {
-        let (ada, _w, pdb_text, _) = setup();
-        let mut vmd = VmdSession::new();
-        assert!(vmd.last_query_profile().is_none());
-        let id = vmd.mol_new(&pdb_text).unwrap();
-        vmd.mol_addfile_ada(id, &ada, "bar", Some(&Tag::protein()))
-            .unwrap();
-        let p = vmd.last_query_profile().expect("telemetry on by default");
-        assert_eq!(p.mode, "query_parallel");
-        for stage in ["index", "read", "decode", "reassemble"] {
-            assert!(p.stages_ns.contains_key(stage), "missing stage {}", stage);
-        }
-        // A failed load leaves the previous profile in place.
-        assert!(vmd.mol_addfile_ada(id, &ada, "nope", None).is_err());
-        assert!(vmd.last_query_profile().is_some());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! render-cost constant abstracts.
 
 use ada_mdmodel::{Bond, Category, MolecularSystem};
+use ada_telemetry::Counter;
+use std::sync::{Arc, OnceLock};
 
 /// Drawing style, mirroring VMD's representation methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,9 +104,14 @@ pub fn render_frame(
     opts: &RenderOptions,
 ) -> RenderStats {
     assert_eq!(system.len(), coords.len(), "coords must match system");
-    let mut span = ada_telemetry::span!("render.frame");
-    span.add_frames(1);
-    span.add_bytes(std::mem::size_of_val(coords) as u64);
+    if ada_telemetry::enabled() {
+        // No request to hang a span on: count through a handle resolved
+        // once, so the render loop never takes the registry lock.
+        static FRAMES: OnceLock<Arc<Counter>> = OnceLock::new();
+        FRAMES
+            .get_or_init(|| ada_telemetry::global().counter("render.frame"))
+            .inc();
+    }
     let mut fb = vec![0u32; opts.width * opts.height];
     if coords.is_empty() {
         return RenderStats {

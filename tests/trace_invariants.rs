@@ -9,16 +9,19 @@
 //!   produce a trace, flagged and retained by the flight recorder, with
 //!   the shed/expired ones carrying queue-depth and retry/deadline args;
 //! * turning tracing off changes no query bytes (observability is
-//!   side-effect-free).
+//!   side-effect-free);
+//! * a report's `StageProfile` and the `span.*` registry family are folds
+//!   of the request's span tree, not measurements taken beside it.
 //!
 //! The flight recorder is process-global, so these tests serialize on a
 //! local mutex and only assert on traces they can attribute to
 //! themselves (by op, flag, or a cleared recorder).
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData, StageProfile};
 use ada_frontend::{Frontend, FrontendConfig, Request};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
@@ -32,13 +35,17 @@ fn serialize() -> MutexGuard<'static, ()> {
 }
 
 fn make_ada() -> Arc<Ada> {
+    make_ada_with(AdaConfig::paper_prototype("ssd", "hdd"))
+}
+
+fn make_ada_with(config: AdaConfig) -> Arc<Ada> {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let cs = Arc::new(ContainerSet::new(vec![
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd),
     ]));
-    Arc::new(Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd))
+    Arc::new(Ada::new(config, cs, ssd))
 }
 
 fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
@@ -415,4 +422,245 @@ fn tracing_toggle_leaves_query_bytes_identical() {
         with_tracing, without_tracing,
         "tracing on/off changed query bytes"
     );
+}
+
+/// The span → stage table as METRICS.md documents it, written out here so
+/// the check does not lean on `StageProfile::from_spans`' own copy.
+fn stage_of(span: &str) -> Option<&'static str> {
+    Some(match span {
+        "ingest.categorize" => "categorize",
+        "ingest.decode" | "query.decode" => "decode",
+        "ingest.split" => "split",
+        "ingest.dispatch" => "dispatch",
+        "ingest.label_write" => "label_write",
+        "query.index" => "index",
+        "cache.lookup" => "cache_lookup",
+        "query.read" => "read",
+        "query.reassemble" => "reassemble",
+        _ => return None,
+    })
+}
+
+fn u64_arg(s: &TraceSpan, key: &str) -> Option<u64> {
+    match arg(s, key) {
+        Some(ArgValue::U64(n)) => Some(*n),
+        _ => None,
+    }
+}
+
+/// Run one request against a cleared recorder and return its reply with
+/// the trace it sealed, having checked that every `span.{stage}.calls`
+/// counter grew by exactly the number of spans of that stage in the trace.
+fn sealed<R>(request: impl FnOnce() -> R) -> (R, Arc<Trace>) {
+    trace::recorder().clear();
+    let before = ada_telemetry::global().snapshot().counters;
+    let reply = request();
+    let after = ada_telemetry::global().snapshot().counters;
+    let traces = trace::recorder().recent();
+    assert_eq!(traces.len(), 1, "one request seals one trace");
+    let t = Arc::clone(&traces[0]);
+    assert_tree_invariants(&t);
+
+    let mut spans_of: BTreeMap<&str, u64> = BTreeMap::new();
+    for s in &t.spans {
+        *spans_of.entry(s.name).or_insert(0) += 1;
+    }
+    for (name, n) in spans_of {
+        let counter = format!("span.{}.calls", name);
+        let grew =
+            after.get(&counter).copied().unwrap_or(0) - before.get(&counter).copied().unwrap_or(0);
+        assert_eq!(grew, n, "{} vs {} sealed span(s)", counter, n);
+    }
+    (reply, t)
+}
+
+/// Recompute a profile from the sealed trace — the subtree of the span
+/// named `op` — and require `p` to be exactly that.
+fn assert_profile_is_fold(
+    p: &StageProfile,
+    t: &Trace,
+    op: &str,
+    mode: &str,
+    stored_by_tag: Option<&BTreeMap<Tag, u64>>,
+) {
+    let op_span = t
+        .spans
+        .iter()
+        .find(|s| s.name == op)
+        .unwrap_or_else(|| panic!("trace {:x} has no {} span", t.id, op));
+    let under_op = |s: &TraceSpan| {
+        let mut cur = s;
+        while cur.id != op_span.id {
+            match cur.parent {
+                Some(up) => cur = span_by_id(t, up),
+                None => return false,
+            }
+        }
+        true
+    };
+
+    let mut stages_ns: BTreeMap<String, u64> = BTreeMap::new();
+    let mut queue_hwm: BTreeMap<String, u64> = BTreeMap::new();
+    let mut decoded_by_tag: BTreeMap<String, u64> = BTreeMap::new();
+    for s in t.spans.iter().filter(|s| under_op(s)) {
+        if let Some(stage) = stage_of(s.name) {
+            let ns = u64_arg(s, "busy_ns").unwrap_or(s.end_ns - s.start_ns);
+            *stages_ns.entry(stage.to_string()).or_insert(0) += ns;
+        }
+        for (key, value) in &s.args {
+            if let (Some(queue), ArgValue::U64(hwm)) = (key.strip_prefix("queue."), value) {
+                let seen = queue_hwm.entry(queue.to_string()).or_insert(0);
+                *seen = (*seen).max(*hwm);
+            }
+        }
+        if s.name == "query.decode" {
+            let Some(ArgValue::Str(tag)) = arg(s, "tag") else {
+                panic!("query.decode span without a tag");
+            };
+            *decoded_by_tag.entry(tag.clone()).or_insert(0) += u64_arg(s, "bytes").unwrap();
+        }
+    }
+    let bytes_by_tag = match stored_by_tag {
+        Some(stored) => stored.iter().map(|(t, b)| (t.to_string(), *b)).collect(),
+        None => decoded_by_tag,
+    };
+
+    assert_eq!(p.mode, mode);
+    assert_eq!(p.wall_ns, op_span.end_ns - op_span.start_ns, "{} wall", op);
+    assert_eq!(p.stages_ns, stages_ns, "{} stages", op);
+    assert_eq!(p.queue_hwm, queue_hwm, "{} queue high-water marks", op);
+    assert_eq!(p.bytes_by_tag, bytes_by_tag, "{} per-tag bytes", op);
+}
+
+/// A report's profile and the `span.*` counters are two folds of the
+/// request's one span tree: recomputing them from the sealed trace gives
+/// the same numbers, on every ingest body and both retrieval schedules,
+/// under a front-end root and under the facade's own.
+#[test]
+fn profile_is_a_fold_of_the_tree() {
+    let _g = serialize();
+    trace::set_tracing(true);
+    let stages = |p: &StageProfile| -> Vec<String> { p.stages_ns.keys().cloned().collect() };
+
+    let w = ada_workload::gpcr_workload(900, 12, 21);
+    let pdb = ada_mdformats::write_pdb(&w.system);
+    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
+        .unwrap();
+    let input = || IngestInput::Real {
+        pdb_text: pdb.clone(),
+        xtc_bytes: xtc.clone(),
+    };
+
+    // The three ingest bodies.
+    let fe = Frontend::new(make_ada(), FrontendConfig::default());
+    let (report, t) = sealed(|| fe.ingest("c0", "whole", input()).unwrap());
+    let p = report
+        .profile
+        .as_ref()
+        .expect("traced ingest has a profile");
+    assert_profile_is_fold(p, &t, "ada.ingest", "serial", Some(&report.bytes_by_tag));
+    assert_eq!(
+        stages(p),
+        ["categorize", "decode", "dispatch", "label_write", "split"]
+    );
+
+    let (report, t) = sealed(|| {
+        fe.ingest_streaming("c0", "streamed", &pdb, &xtc, 4)
+            .unwrap()
+    });
+    let p = report
+        .profile
+        .as_ref()
+        .expect("traced ingest has a profile");
+    let stored = Some(&report.bytes_by_tag);
+    assert_profile_is_fold(p, &t, "ada.ingest_streaming", "pipelined", stored);
+    assert_eq!(
+        stages(p),
+        ["categorize", "decode", "dispatch", "label_write", "split"]
+    );
+    assert!(p.queue_hwm["decoded"] >= 1 && p.queue_hwm["split"] >= 1);
+
+    // No front-end entry for a guided ingest: the facade mints the root,
+    // so the op span is the trace's root span.
+    let (report, t) = sealed(|| fe.ada().ingest_guided("guided", "whole", &xtc).unwrap());
+    let p = report
+        .profile
+        .as_ref()
+        .expect("traced ingest has a profile");
+    let stored = Some(&report.bytes_by_tag);
+    assert_profile_is_fold(p, &t, "ada.ingest_guided", "guided", stored);
+    assert_eq!(t.op, "ada.ingest_guided");
+    assert_eq!(stages(p), ["decode", "dispatch", "label_write", "split"]);
+
+    // Both retrieval schedules.
+    for (query_threads, mode) in [(0, "query"), (4, "query_parallel")] {
+        let fe = Frontend::new(
+            make_ada_with(AdaConfig {
+                query_threads,
+                frames_per_dropping: 4,
+                ..AdaConfig::paper_prototype("ssd", "hdd")
+            }),
+            FrontendConfig::default(),
+        );
+        fe.ingest("c0", "d", input()).unwrap();
+        for tag in [Some(Tag::protein()), None] {
+            let (report, t) = sealed(|| fe.query("c0", "d", tag.as_ref()).unwrap());
+            let p = report.profile.as_ref().expect("traced query has a profile");
+            assert_profile_is_fold(p, &t, "ada.query", mode, None);
+            assert_eq!(stages(p), ["decode", "index", "read", "reassemble"]);
+            assert_eq!(p.queue_hwm.contains_key("fetched"), query_threads > 0);
+            assert_eq!(p.bytes_by_tag.len(), if tag.is_some() { 1 } else { 2 });
+        }
+    }
+
+    // A range read, cold and then served from the cache.
+    let fe = Frontend::new(
+        make_ada_with(AdaConfig {
+            frames_per_dropping: 4,
+            cache: ada_cache::CacheConfig {
+                min_heat: 0,
+                ..ada_cache::CacheConfig::with_capacity(64 << 20)
+            },
+            ..AdaConfig::paper_prototype("ssd", "hdd")
+        }),
+        FrontendConfig::default(),
+    );
+    fe.ingest("c0", "d", input()).unwrap();
+    let range = || {
+        fe.query_range("c0", "d", &Tag::protein(), 2..10, 2)
+            .unwrap()
+    };
+    let (cold, t) = sealed(range);
+    let p = cold
+        .profile
+        .as_ref()
+        .expect("traced range read has a profile");
+    assert_profile_is_fold(p, &t, "ada.query_range", "query_range", None);
+    assert_eq!(
+        stages(p),
+        ["cache_lookup", "decode", "index", "read", "reassemble"]
+    );
+    let (hit, t) = sealed(range);
+    let p = hit
+        .profile
+        .as_ref()
+        .expect("traced range read has a profile");
+    assert_profile_is_fold(p, &t, "ada.query_range", "query_range", None);
+    assert_eq!(stages(p), ["cache_lookup", "index", "reassemble"]);
+    assert!(p.bytes_by_tag.is_empty(), "a cache hit decodes nothing");
+
+    // Untraced, there is no tree to cut a profile from — and nothing else
+    // about the reply changes.
+    trace::set_tracing(false);
+    let untraced = range();
+    trace::set_tracing(true);
+    assert!(untraced.profile.is_none());
+    let frames = |r: ada_core::QueryReport| match r.data {
+        RetrievedData::Real(traj) => traj.frames,
+        other => panic!("expected real data, got {:?}", other),
+    };
+    let (cold, hit, untraced) = (frames(cold), frames(hit), frames(untraced));
+    assert_eq!(cold.len(), 4);
+    assert_eq!(cold, hit);
+    assert_eq!(cold, untraced);
 }
