@@ -1,19 +1,21 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-//! # ada-bench — benchmark harness and figure regeneration
+//! # ada-bench — figure regeneration and operator gates
 //!
 //! Two surfaces:
 //!
 //! * the **`repro` binary** (`cargo run -p ada-bench --bin repro -- all`)
 //!   regenerates every table and figure of the paper's evaluation,
-//!   printing model values next to the published ones;
-//! * **Criterion benches** (`cargo bench`) measure this repository's real
-//!   kernels: the XTC codec, the categorizer/splitter, PLFS dispatch, the
-//!   striped file system, and the renderer — one bench group per
-//!   experiment family, plus ablations (see `benches/`).
+//!   printing model values next to the published ones, and hosts the
+//!   `serve`, `trace` and `lint` gates; `tests/repro_cli.rs` pins its
+//!   item table and its `all` output (`repro_output.txt`);
+//! * the **`telemetry_overhead` bench** asserts the < 2 % price of
+//!   telemetry and of tracing.
 //!
-//! The library part hosts shared helpers used by both.
+//! Nothing here measures the product: that is `benchmark/` (its four
+//! workloads and layer ladder; DESIGN.md §4 has the map). The library part
+//! hosts the figure renderer `repro` prints with.
 
 use ada_platforms::figures::FigureSeries;
 use ada_platforms::report::format_table;

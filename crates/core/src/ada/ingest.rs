@@ -16,7 +16,7 @@ use super::{
 };
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
-use crate::preprocess::{split_trajectory_opts, split_trajectory_traced, SplitOptions};
+use crate::preprocess::{split_trajectory_traced, SplitOptions};
 use crate::synth::SyntheticDataset;
 use crate::AdaError;
 use ada_mdformats::parse_structure;
@@ -530,13 +530,14 @@ impl Ada {
                     let (mut busy_ns, mut raw, mut frames) = (0u64, 0u64, 0usize);
                     while let Some((seq, traj)) = decoded_rx.recv() {
                         let busy = Instant::now();
-                        let res: SplitMsg = split_trajectory_opts(
+                        let res: SplitMsg = split_trajectory_traced(
                             &traj,
                             &labels.labeler,
                             SplitOptions {
                                 threads: 1,
                                 chunk_frames: 0,
                             },
+                            &TraceContext::inactive(),
                         )
                         .map(|out| (out.raw_bytes, traj.len(), out.subsets));
                         busy_ns += busy.elapsed().as_nanos() as u64;

@@ -53,8 +53,8 @@ pub use categorizer::{categorize_algo1, Labeler};
 pub use determinator::{Determinator, DispatchPolicy};
 pub use labeler::LabelFile;
 pub use preprocess::{
-    split_trajectory, split_trajectory_opts, split_trajectory_serial, split_trajectory_traced,
-    PreprocessOutput, SplitOptions,
+    split_trajectory, split_trajectory_serial, split_trajectory_traced, PreprocessOutput,
+    SplitOptions,
 };
 pub use profile::StageProfile;
 pub use synth::SyntheticDataset;

@@ -39,7 +39,7 @@ pub struct PreprocessOutput {
     pub raw_bytes: u64,
 }
 
-/// Tuning knobs for [`split_trajectory_opts`]. The default (zeros) means
+/// Tuning knobs for [`split_trajectory_traced`]. The default (zeros) means
 /// one worker per available core with automatic chunking.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SplitOptions {
@@ -82,26 +82,23 @@ pub fn split_trajectory(
     traj: &Trajectory,
     labeler: &Labeler,
 ) -> Result<PreprocessOutput, AdaError> {
-    split_trajectory_opts(traj, labeler, SplitOptions::default())
+    split_trajectory_traced(
+        traj,
+        labeler,
+        SplitOptions::default(),
+        &TraceContext::inactive(),
+    )
 }
 
-/// Split `traj` with explicit parallelism options.
+/// Split `traj` with explicit parallelism options, under request trace
+/// `ctx` (an untraced caller passes [`TraceContext::inactive`]).
 ///
 /// Work is a queue of (tag, frame-chunk) cells claimed by `threads`
 /// crossbeam scoped workers; the output is byte-identical to
 /// [`split_trajectory_serial`] for every thread count and chunk size.
-pub fn split_trajectory_opts(
-    traj: &Trajectory,
-    labeler: &Labeler,
-    opts: SplitOptions,
-) -> Result<PreprocessOutput, AdaError> {
-    split_trajectory_traced(traj, labeler, opts, &TraceContext::inactive())
-}
-
-/// [`split_trajectory_opts`] with request tracing: each scoped worker
-/// records an `ingest.split.worker` span under `ctx` covering its share
-/// of the cell queue, so the flight recorder shows the split stage's
-/// actual fan-out instead of one opaque gap.
+/// Each worker records an `ingest.split.worker` span under `ctx` covering
+/// its share of the cell queue, so the flight recorder shows the split
+/// stage's actual fan-out instead of one opaque gap.
 pub fn split_trajectory_traced(
     traj: &Trajectory,
     labeler: &Labeler,
@@ -288,13 +285,14 @@ mod tests {
         // don't divide the frame count and chunks larger than it.
         for threads in [1, 2, 3, 8] {
             for chunk_frames in [1, 2, 3, 100] {
-                let par = split_trajectory_opts(
+                let par = split_trajectory_traced(
                     &traj,
                     &labeler,
                     SplitOptions {
                         threads,
                         chunk_frames,
                     },
+                    &TraceContext::inactive(),
                 )
                 .unwrap();
                 assert_eq!(par.raw_bytes, serial.raw_bytes);

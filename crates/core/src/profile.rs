@@ -4,10 +4,10 @@
 //! paper's storage node; a [`StageProfile`] is the *measured* counterpart —
 //! real wall time this process spent in each pipeline stage, queue
 //! high-water marks of the streaming channels, and per-tag routed bytes.
-//! `repro profile-ingest` serializes these to answer the ROADMAP question
-//! ("is decode, split, or dispatch the wall-clock ceiling?") and
-//! `BENCH_ingest.json` embeds them so benchmark numbers are
-//! self-explaining.
+//! Every report carries one, to answer the ROADMAP question ("is decode,
+//! split, or dispatch the wall-clock ceiling?") per request;
+//! `tests/trace_invariants.rs::profile_is_a_fold_of_the_tree` pins it to
+//! the trace it is cut from.
 //!
 //! Stage times are **busy** times: in the pipelined path the decoder,
 //! splitter pool, and dispatcher overlap, so stage times legitimately sum
@@ -20,7 +20,6 @@
 //! op span has closed. A report therefore carries a profile exactly when
 //! the request was traced.
 
-use ada_json::Value;
 use ada_telemetry::trace::{ArgValue, TraceSpan};
 use std::collections::BTreeMap;
 
@@ -112,64 +111,11 @@ impl StageProfile {
         }
         p
     }
-
-    /// The stage with the largest busy time — the pipeline's wall-clock
-    /// ceiling. `None` for an empty profile.
-    pub fn bottleneck(&self) -> Option<(&str, u64)> {
-        self.stages_ns
-            .iter()
-            .max_by_key(|(_, ns)| **ns)
-            .map(|(k, ns)| (k.as_str(), *ns))
-    }
-
-    /// Fraction of the wall time a stage was busy (0.0 when unknown).
-    pub fn stage_share(&self, stage: &str) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.stages_ns.get(stage).copied().unwrap_or(0) as f64 / self.wall_ns as f64
-    }
-
-    /// Machine-readable form:
-    /// `{"mode", "wall_ns", "bottleneck", "stages_ns": {..},
-    ///   "queue_high_water": {..}, "bytes_by_tag": {..}}`.
-    pub fn to_json(&self) -> Value {
-        let map = |m: &BTreeMap<String, u64>| {
-            Value::Obj(
-                m.iter()
-                    .map(|(k, v)| (k.clone(), Value::num_u(*v)))
-                    .collect(),
-            )
-        };
-        Value::obj(vec![
-            ("mode", Value::str(self.mode.clone())),
-            ("wall_ns", Value::num_u(self.wall_ns)),
-            (
-                "bottleneck",
-                match self.bottleneck() {
-                    Some((stage, _)) => Value::str(stage),
-                    None => Value::Null,
-                },
-            ),
-            ("stages_ns", map(&self.stages_ns)),
-            ("queue_high_water", map(&self.queue_hwm)),
-            ("bytes_by_tag", map(&self.bytes_by_tag)),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn profile(mode: &str, stages: &[(&str, u64)], wall_ns: u64) -> StageProfile {
-        StageProfile {
-            mode: mode.to_string(),
-            stages_ns: stages.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            wall_ns,
-            ..StageProfile::default()
-        }
-    }
 
     fn span(
         id: u64,
@@ -188,19 +134,6 @@ mod tests {
             args,
             error: None,
         }
-    }
-
-    #[test]
-    fn bottleneck_and_share() {
-        let p = profile(
-            "pipelined",
-            &[("decode", 600), ("split", 400), ("dispatch", 100)],
-            800,
-        );
-        assert_eq!(p.bottleneck(), Some(("decode", 600)));
-        assert!((p.stage_share("decode") - 0.75).abs() < 1e-12);
-        assert_eq!(p.stage_share("missing"), 0.0);
-        assert_eq!(profile("x", &[], 0).bottleneck(), None);
     }
 
     #[test]
@@ -255,49 +188,5 @@ mod tests {
         assert_eq!(p.queue_hwm["fetched"], 3);
         assert_eq!(p.bytes_by_tag["p"], 128);
         assert_eq!(p.bytes_by_tag["m"], 7);
-    }
-
-    #[test]
-    fn json_shape() {
-        let mut p = profile("serial", &[("decode", 10)], 42);
-        p.queue_hwm.insert("decoded".into(), 2);
-        p.bytes_by_tag.insert("p".into(), 1024);
-        let v = ada_json::parse(&p.to_json().to_vec()).unwrap();
-        assert_eq!(v.field("mode").unwrap().as_str().unwrap(), "serial");
-        assert_eq!(v.field("wall_ns").unwrap().as_u64().unwrap(), 42);
-        assert_eq!(v.field("bottleneck").unwrap().as_str().unwrap(), "decode");
-        assert_eq!(
-            v.field("stages_ns")
-                .unwrap()
-                .field("decode")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            10
-        );
-        assert_eq!(
-            v.field("queue_high_water")
-                .unwrap()
-                .field("decoded")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            2
-        );
-        assert_eq!(
-            v.field("bytes_by_tag")
-                .unwrap()
-                .field("p")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            1024
-        );
-    }
-
-    #[test]
-    fn empty_profile_serializes() {
-        let v = ada_json::parse(&profile("query", &[], 0).to_json().to_vec()).unwrap();
-        assert!(matches!(v.field("bottleneck").unwrap(), Value::Null));
     }
 }

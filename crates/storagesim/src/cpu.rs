@@ -7,8 +7,8 @@
 //! retrieval under 10 % of it) put VMD's effective single-threaded
 //! xdr3dfcoord decompression near **30 MB/s of decompressed output** on
 //! these Xeons — decompression dominates, which is exactly Fig. 8's claim.
-//! `ada-bench` measures this repo's real codec throughput separately; the
-//! simulator intentionally uses the paper-calibrated figure so the
+//! `benchmark/` measures this repo's real codec throughput separately
+//! (`mdformats.read_xtc_mib_per_s`); the simulator intentionally uses the paper-calibrated figure so the
 //! reproduced curves match the published hardware.
 
 use crate::SimDuration;

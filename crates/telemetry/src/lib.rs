@@ -16,8 +16,7 @@
 //!   atomics, so per-event cost on the hot path is a relaxed
 //!   `fetch_add`.
 //! * **snapshot export**: [`Registry::snapshot`] → [`Snapshot::to_json`]
-//!   via `ada-json`, consumed by `repro --metrics-out` and
-//!   `repro profile-ingest`.
+//!   via `ada-json`, consumed by `repro --metrics-out`.
 //! * **request tracing** ([`trace`]): per-request span *trees* with a
 //!   propagatable [`TraceContext`], a bounded [`trace::FlightRecorder`]
 //!   retaining slow/shed/errored traces, and Chrome trace-event export

@@ -16,12 +16,19 @@
 //!   network failure;
 //! * a traced remote request seals ONE connected tree under the
 //!   client's trace id: the server's spans are rooted from the
-//!   wire-carried id instead of minting a disconnected root.
+//!   wire-carried id instead of minting a disconnected root;
+//! * a two-server fleet behind `Router` stores every dataset on exactly
+//!   the shard `Router::shard_for` names, and routed answers are the
+//!   in-process ones;
+//! * a herd against a starved server is shed as typed `overloaded`
+//!   errors whose `retry_after` survives the wire, and the server's
+//!   `rejected` counter agrees with what the clients saw.
 
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::time::Duration;
 
-use ada_client::{Client, ClientConfig};
-use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
+use ada_client::{Client, ClientConfig, Router};
+use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
@@ -435,4 +442,145 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
         );
     }
     trace::set_tracing(false);
+}
+
+/// Two servers, each over its own instance, behind one `Router`: every
+/// dataset lives on its ring owner and nowhere else, and what the router
+/// returns is what an in-process instance returns.
+#[test]
+fn router_places_each_dataset_on_its_ring_shard() {
+    let _guard = serialize();
+    const DATASETS: usize = 8;
+    let mut servers = [start_server(), start_server()];
+    let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let router = Router::new(addrs, ClientConfig::default());
+    assert_eq!(router.shards(), 2);
+
+    let serial = make_ada();
+    let p = Tag::protein();
+    let mut owned = [0usize; 2];
+    for d in 0..DATASETS {
+        let name = format!("ds{}", d);
+        let (pdb, xtc) = real_bytes(300, 5, 200 + d as u64);
+        router.ingest(&name, &pdb, &xtc, 0).unwrap();
+        serial
+            .ingest(&name, real_input(300, 5, 200 + d as u64))
+            .unwrap();
+
+        let owner = router.shard_for(&name);
+        owned[owner] += 1;
+        router
+            .client(owner)
+            .unwrap()
+            .query(&name, Some("p"))
+            .unwrap_or_else(|e| panic!("{} is not on its ring shard {}: {}", name, owner, e));
+        let stray = router.client(1 - owner).unwrap().query(&name, Some("p"));
+        assert_eq!(stray.unwrap_err().kind(), "unknown_dataset");
+        serial.query(&name, Some(&p)).unwrap(); // the owner probe, mirrored
+
+        assert_eq!(
+            wire_bits(router.query(&name, None).unwrap()),
+            query_bits(serial.query(&name, None).unwrap()),
+            "routed full query of {} diverged from in-process",
+            name
+        );
+        assert_eq!(
+            wire_bits(router.query_range(&name, "p", 1, 5, 2).unwrap()),
+            query_bits(serial.query_range(&name, &p, 1..5, 2).unwrap()),
+            "routed range query of {} diverged from in-process",
+            name
+        );
+    }
+    assert!(
+        owned[0] > 0 && owned[1] > 0,
+        "ring left a shard empty: {:?}",
+        owned
+    );
+
+    // Every shard answers, and together they decoded what one instance
+    // serving the same requests decodes (the cache is off: each read is
+    // a fresh decode, counted in `bytes_decoded`).
+    let stats = router.cache_stats_all();
+    assert_eq!(stats.len(), 2);
+    let decoded: u64 = stats
+        .values()
+        .map(|s| s.as_ref().expect("live shard").bytes_decoded)
+        .sum();
+    assert_eq!(decoded, serial.cache_stats().bytes_decoded);
+
+    for s in &mut servers {
+        s.shutdown();
+    }
+}
+
+/// The TCP twin of `concurrent_clients::thundering_herd_sheds_typed_overloads`:
+/// eight clients released at once against a one-slot, one-waiter query
+/// front-end. Whatever is not served is shed as `Overloaded` with its
+/// retry hint intact across the wire, and the server counted the same.
+#[test]
+fn tcp_herd_is_shed_as_typed_overloads() {
+    let _guard = serialize();
+    const CLIENTS: usize = 8;
+    // Same race, same remedy as the in-process test: the queries take
+    // milliseconds, the submit window after the barrier microseconds.
+    for attempt in 0..5 {
+        let fe = Arc::new(Frontend::new(
+            make_ada(),
+            FrontendConfig {
+                ingest_slots: 1,
+                query_slots: 1,
+                ingest_queue: 1,
+                query_queue: 1,
+                default_deadline: None,
+                ..FrontendConfig::default()
+            },
+        ));
+        let mut server =
+            Server::start(fe.clone(), ServerConfig::default()).expect("server must start");
+        let (pdb, xtc) = real_bytes(2500, 8, 11);
+        client_for(&server, "setup")
+            .ingest("big", &pdb, &xtc, 0)
+            .unwrap();
+
+        let barrier = Barrier::new(CLIENTS);
+        let (mut ok, mut overloaded) = (0u64, 0u64);
+        std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for t in 0..CLIENTS {
+                let (server, barrier) = (&server, &barrier);
+                handles.push(scope.spawn(move || {
+                    let client = client_for(server, &format!("c{}", t));
+                    client.ping().unwrap(); // dial before the race, not in it
+                    barrier.wait();
+                    client.query("big", None)
+                }));
+            }
+            for h in handles {
+                match h.join().expect("client thread must not panic") {
+                    Ok(_) => ok += 1,
+                    Err(AdaError::Overloaded {
+                        queue_depth,
+                        retry_after,
+                    }) => {
+                        assert!(queue_depth >= 1);
+                        assert!(retry_after > Duration::ZERO);
+                        overloaded += 1;
+                    }
+                    Err(other) => panic!("untyped rejection: {:?}", other),
+                }
+            }
+        });
+        server.shutdown();
+        assert_eq!(ok + overloaded, CLIENTS as u64);
+        assert!(ok >= 1, "at least one request must be served");
+        assert_eq!(fe.stats().query.counters.rejected, overloaded);
+        if overloaded >= 1 {
+            return;
+        }
+        eprintln!(
+            "attempt {}: herd fully serialized ({} ok), retrying",
+            attempt, ok
+        );
+    }
+    panic!("8 TCP clients through a 1-slot/1-deep queue never overlapped in 5 attempts");
 }
