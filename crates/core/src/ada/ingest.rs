@@ -20,7 +20,7 @@ use crate::preprocess::{split_trajectory_traced, SplitOptions};
 use crate::synth::SyntheticDataset;
 use crate::AdaError;
 use ada_mdformats::parse_structure;
-use ada_mdformats::xtc::{decode_frames_parallel, index_frames};
+use ada_mdformats::xtc::{decode_frames_parallel, index_frames, FrameSpan};
 use ada_mdformats::xtcf::{frame_record_len, seal_v2, XTCF_HEADER_LEN};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::{IndexRanges, Tag};
@@ -37,6 +37,21 @@ struct Labels {
     labeler: Labeler,
     /// Simulated categorizer time (zero when the labeler was reused).
     categorize: SimDuration,
+}
+
+impl Labels {
+    /// Every frame of the trajectory must have the structure's atom count.
+    /// The frame headers say so before anything is decompressed; the first
+    /// frame that disagrees is the one reported.
+    fn check_frames(&self, spans: &[FrameSpan]) -> Result<(), AdaError> {
+        match spans.iter().find(|s| s.natoms != self.natoms) {
+            Some(bad) => Err(AdaError::AtomMismatch {
+                pdb: self.natoms,
+                xtc: bad.natoms,
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// What the dispatcher has written so far: virtual write time per backend
@@ -146,16 +161,11 @@ impl Ada {
         let traj = {
             let mut ts = ctx.span("ingest.decode");
             ts.arg("bytes", xtc_bytes.len());
+            labels.check_frames(&index_frames(xtc_bytes)?)?;
             let traj = decode_frames_parallel(xtc_bytes, self.config.decode_threads)?;
             ts.arg("frames", traj.len());
             traj
         };
-        if traj.natoms() != labels.natoms && !traj.is_empty() {
-            return Err(AdaError::AtomMismatch {
-                pdb: labels.natoms,
-                xtc: traj.natoms(),
-            });
-        }
         let raw_bytes = traj.nbytes() as u64;
 
         // Splitter: divide every frame by the labeler's ranges (tag ×
@@ -485,16 +495,11 @@ impl Ada {
                 // stays connected across the bounded channels.
                 let mut tspan = ctx.span("ingest.decode");
                 let (mut busy_ns, mut in_bytes, mut frames) = (0u64, 0usize, 0usize);
-                let outcome = (|| {
+                let outcome = (|| -> Result<(), AdaError> {
                     let spans = index_frames(xtc_bytes)?;
+                    labels.check_frames(&spans)?;
                     let mut busy = Instant::now();
                     for (seq, window) in spans.chunks(batch_frames).enumerate() {
-                        if let Some(bad) = window.iter().find(|s| s.natoms != labels.natoms) {
-                            return Err(AdaError::AtomMismatch {
-                                pdb: labels.natoms,
-                                xtc: bad.natoms,
-                            });
-                        }
                         let (Some(first), Some(last)) = (window.first(), window.last()) else {
                             break; // chunks() never yields an empty window
                         };

@@ -83,8 +83,13 @@ impl Trajectory {
         self.frames.is_empty()
     }
 
-    /// Atom count of the first frame (0 when empty). All codecs enforce a
-    /// uniform atom count across frames.
+    /// Atom count of the first frame (0 when empty). The writers enforce a
+    /// uniform count (`XtcWriter::write_frame` and the XTCF writer refuse a
+    /// frame of another size) and an XTCF file has one count by
+    /// construction, but an `.xtc` read back is whatever its frame headers
+    /// say: a consumer that needs uniformity checks the
+    /// [`index_frames`](crate::xtc::index_frames) spans, as ADA's ingest
+    /// does against the structure's count before it decodes anything.
     pub fn natoms(&self) -> usize {
         self.frames.first().map_or(0, Frame::len)
     }

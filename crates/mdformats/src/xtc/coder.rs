@@ -19,7 +19,7 @@
 //! `1/precision` nm) but decompress∘compress is idempotent on the quantized
 //! lattice — properties the test suite checks.
 
-use super::bits::{size_of_int, size_of_ints, BitReader, BitWriter};
+use super::bits::{size_of_int, size_of_ints, BitReader, BitWriter, Triple};
 use crate::xdr::{XdrDecoder, XdrEncoder};
 use crate::FormatError;
 
@@ -64,7 +64,7 @@ impl std::error::Error for XtcError {}
 
 /// The magic bit-scale table: `MAGICINTS[i]³ ≤ 2^i`, so a triple of values
 /// each below `MAGICINTS[i]` packs into exactly `i` bits.
-pub const MAGICINTS: [i32; 73] = [
+pub(super) const MAGICINTS: [i32; 73] = [
     0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 10, 12, 16, 20, 25, 32, 40, 50, 64, 80, 101, 128, 161, 203, 256,
     322, 406, 512, 645, 812, 1024, 1290, 1625, 2048, 2580, 3250, 4096, 5060, 6501, 8192, 10321,
     13003, 16384, 20642, 26007, 32768, 41285, 52015, 65536, 82570, 104031, 131072, 165140, 208063,
@@ -72,17 +72,30 @@ pub const MAGICINTS: [i32; 73] = [
     3329021, 4194304, 5284491, 6658042, 8388607, 10568983, 13316085, 16777216,
 ];
 
-const FIRSTIDX: usize = 9;
-const LASTIDX: usize = MAGICINTS.len() - 1;
+pub(super) const FIRSTIDX: usize = 9;
+pub(super) const LASTIDX: usize = MAGICINTS.len() - 1;
 /// Largest representable |quantized coordinate| (INT_MAX - 2, as in C).
-const MAX_ABS: f32 = (i32::MAX - 2) as f32;
+pub(super) const MAX_ABS: f32 = (i32::MAX - 2) as f32;
 /// Frames with at most this many atoms are stored as plain floats.
-pub const PLAIN_FLOAT_THRESHOLD: usize = 9;
+pub(super) const PLAIN_FLOAT_THRESHOLD: usize = 9;
+
+/// `SMALL[i]` is the shape of a small-run field at `smallidx == i`: `i`
+/// bits, all three components below `MAGICINTS[i]`. (Below `FIRSTIDX`
+/// there are no runs, only placeholders.)
+const SMALL: [Triple; MAGICINTS.len()] = {
+    let mut table = [Triple::new(0, &[1; 3]); MAGICINTS.len()];
+    let mut i = FIRSTIDX;
+    while i < table.len() {
+        table[i] = Triple::new(i as u32, &[MAGICINTS[i] as u32; 3]);
+        i += 1;
+    }
+    table
+};
 
 /// Encode coordinates at `precision` into `enc` (the body that follows the
 /// XTC frame header). Layout: natoms, [precision, minint×3, maxint×3,
 /// smallidx, nbytes, payload] or plain floats for ≤ 9 atoms.
-pub fn encode_3dfcoord(
+pub(super) fn encode_3dfcoord(
     enc: &mut XdrEncoder,
     coords: &[[f32; 3]],
     precision: f32,
@@ -278,7 +291,7 @@ pub fn encode_3dfcoord(
 /// Decode a coordinate block produced by [`encode_3dfcoord`]. Returns the
 /// coordinates and the precision recorded in the stream (`-1.0` for the
 /// plain-float small-frame path, matching the C API).
-pub fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), XtcError> {
+pub(super) fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), XtcError> {
     let lsize = dec.get_i32()?;
     if lsize < 0 {
         return Err(XtcError::BadAtomCount(lsize));
@@ -339,7 +352,6 @@ pub fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), Xtc
     let mut smallidx = smallidx_raw as usize;
     let mut smaller = MAGICINTS[FIRSTIDX.max(smallidx - 1)] / 2;
     let mut smallnum = MAGICINTS[smallidx] / 2;
-    let mut sizesmall = [MAGICINTS[smallidx] as u32; 3];
 
     let nbytes = dec.get_i32()?;
     if nbytes < 0 {
@@ -349,6 +361,7 @@ pub fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), Xtc
     }
     let payload = dec.get_opaque(nbytes as usize)?;
     let mut r = BitReader::new(payload);
+    let absolute = Triple::new(bitsize, &sizeint);
 
     // Bound the up-front reservation so a corrupt atom count cannot force a
     // multi-gigabyte allocation before the payload proves itself.
@@ -365,7 +378,7 @@ pub fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), Xtc
             }
         } else {
             let nums = r
-                .receive_ints(bitsize, &sizeint)
+                .receive_ints(&absolute)
                 .map_err(|_| XtcError::TruncatedPayload)?;
             this = [nums[0] as i32, nums[1] as i32, nums[2] as i32];
         }
@@ -392,9 +405,10 @@ pub fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), Xtc
             ))));
         }
         if run > 0 {
+            let small = &SMALL[smallidx];
             for k in (0..run).step_by(3) {
                 let nums = r
-                    .receive_ints(smallidx as u32, &sizesmall)
+                    .receive_ints(small)
                     .map_err(|_| XtcError::TruncatedPayload)?;
                 i += 1;
                 let mut this = [0i32; 3];
@@ -429,6 +443,11 @@ pub fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), Xtc
             ]);
         }
         smallidx = (smallidx as i32 + is_smaller) as usize;
+        if smallidx > LASTIDX {
+            return Err(XtcError::Format(FormatError::Corrupt(
+                "smallidx drifted out of range".into(),
+            )));
+        }
         if is_smaller < 0 {
             smallnum = smaller;
             smaller = if smallidx > FIRSTIDX {
@@ -440,13 +459,7 @@ pub fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), Xtc
             smaller = smallnum;
             smallnum = MAGICINTS[smallidx] / 2;
         }
-        if smallidx > LASTIDX {
-            return Err(XtcError::Format(FormatError::Corrupt(
-                "smallidx drifted out of range".into(),
-            )));
-        }
-        sizesmall = [MAGICINTS[smallidx] as u32; 3];
-        if sizesmall[0] == 0 {
+        if MAGICINTS[smallidx] == 0 {
             return Err(XtcError::Format(FormatError::Corrupt(
                 "small size underflow".into(),
             )));
@@ -635,6 +648,24 @@ mod tests {
     }
 
     #[test]
+    fn smallidx_stepping_past_the_table_is_an_error() {
+        // Header says smallidx 72 (the last entry); the first group's run
+        // descriptor (flag 1, then 00010: run 0, scale up) steps it to 73.
+        let mut enc = XdrEncoder::new();
+        enc.put_i32(10);
+        enc.put_f32(1000.0);
+        for bound in [0, 0, 0, 1, 1, 1] {
+            enc.put_i32(bound); // sizes 2×2×2: a 4-bit absolute field
+        }
+        enc.put_i32(LASTIDX as i32);
+        enc.put_i32(2);
+        enc.put_opaque(&[0b0000_1000, 0b1000_0000]);
+        let bytes = enc.into_bytes();
+        let err = decode_3dfcoord(&mut XdrDecoder::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("smallidx drifted"), "{}", err);
+    }
+
+    #[test]
     fn empty_frame() {
         let out = roundtrip(&[], 1000.0);
         assert!(out.is_empty());
@@ -661,5 +692,185 @@ mod tests {
             compressed,
             plain
         );
+    }
+
+    // ---- the word-buffer coder against the seed's (`super::reference`) ----
+
+    use crate::xtc::reference;
+    use proptest::prelude::*;
+
+    // The two generators of `tests/proptest_formats.rs` (the reference is
+    // compiled for unit tests only, so the comparison has to live here).
+    fn arb_coords(max_atoms: usize, span: f32) -> impl Strategy<Value = Vec<[f32; 3]>> {
+        prop::collection::vec(prop::array::uniform3(-span..span), 0..max_atoms)
+    }
+
+    fn arb_clustered_coords() -> impl Strategy<Value = Vec<[f32; 3]>> {
+        prop::collection::vec(
+            (
+                prop::array::uniform3(-20.0f32..20.0),
+                prop::collection::vec(prop::array::uniform3(-0.15f32..0.15), 0..4),
+            ),
+            1..40,
+        )
+        .prop_map(|clusters| {
+            let mut out = Vec::new();
+            for (center, offsets) in clusters {
+                out.push(center);
+                for o in offsets {
+                    out.push([center[0] + o[0], center[1] + o[1], center[2] + o[2]]);
+                }
+            }
+            out
+        })
+    }
+
+    fn arb_precision() -> impl Strategy<Value = f32> {
+        prop::sample::select(vec![10.0f32, 100.0, 1000.0, 10_000.0, 100_000.0])
+    }
+
+    type Encode = fn(&mut XdrEncoder, &[[f32; 3]], f32) -> Result<(), XtcError>;
+    type Decode = fn(&mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f32), XtcError>;
+
+    /// The encoded block, or the error's text.
+    fn encoded(encode: Encode, coords: &[[f32; 3]], precision: f32) -> Result<Vec<u8>, String> {
+        let mut enc = XdrEncoder::new();
+        encode(&mut enc, coords, precision).map_err(|e| e.to_string())?;
+        Ok(enc.into_bytes())
+    }
+
+    /// What a decode yields, down to the bit: coordinates and precision as
+    /// `f32::to_bits`, and how many bytes it consumed — or the error's text.
+    fn decoded(decode: Decode, bytes: &[u8]) -> Result<(Vec<[u32; 3]>, u32, usize), String> {
+        let mut dec = XdrDecoder::new(bytes);
+        let (coords, precision) = decode(&mut dec).map_err(|e| e.to_string())?;
+        let bits = coords.iter().map(|c| c.map(f32::to_bits)).collect();
+        Ok((bits, precision.to_bits(), dec.position()))
+    }
+
+    /// Encoder and decoder each agree with their reference on `coords`;
+    /// returns the encoded block when there is one.
+    fn assert_equivalent(coords: &[[f32; 3]], precision: f32) -> Option<Vec<u8>> {
+        let bytes = encoded(encode_3dfcoord, coords, precision);
+        assert_eq!(
+            bytes,
+            encoded(reference::encode_3dfcoord, coords, precision)
+        );
+        let bytes = bytes.ok()?;
+        let out = decoded(decode_3dfcoord, &bytes);
+        assert_eq!(out, decoded(reference::decode_3dfcoord, &bytes));
+        assert_eq!(
+            out.map(|(c, _, used)| (c.len(), used)),
+            Ok((coords.len(), bytes.len()))
+        );
+        Some(bytes)
+    }
+
+    /// Both decoders give the same answer — same bits or same error — on
+    /// `bytes` with one byte XORed, and on `bytes` cut short.
+    fn assert_equivalent_when_damaged(bytes: &[u8], at: usize, mask: u8, cut: usize) {
+        let mut flipped = bytes.to_vec();
+        flipped[at % bytes.len()] ^= mask;
+        let cut = &bytes[..cut % bytes.len()];
+        for damaged in [&flipped[..], cut] {
+            assert_eq!(
+                decoded(decode_3dfcoord, damaged),
+                decoded(reference::decode_3dfcoord, damaged)
+            );
+        }
+    }
+
+    /// A frame whose lattice spans `spread` nm: past 16,777 nm at precision
+    /// 1000 one axis outgrows 0xffffff (`bitsize == 0`, per-component
+    /// widths); a few thousand nm on all three make 65..=72-bit fields.
+    fn spread_out(mut coords: Vec<[f32; 3]>, spread: f32) -> Vec<[f32; 3]> {
+        for (i, c) in coords.iter_mut().enumerate() {
+            if i % 5 == 0 {
+                *c = c.map(|x| x * spread / 20.0);
+            }
+        }
+        coords
+    }
+
+    #[test]
+    fn wide_boxes_take_the_wide_paths() {
+        // Pin that the generators above reach what they claim to reach.
+        let coords: Vec<[f32; 3]> = (0..40)
+            .map(|i| [i as f32 * 150.0, i as f32 * 140.0, i as f32 * 160.0])
+            .collect();
+        let bytes = assert_equivalent(&coords, 1000.0).unwrap();
+        let sizes = |b: &[u8]| -> Vec<u32> {
+            let int = |k: usize| i32::from_be_bytes(b[8 + 4 * k..12 + 4 * k].try_into().unwrap());
+            (0..3).map(|d| (int(d + 3) - int(d) + 1) as u32).collect()
+        };
+        let s = sizes(&bytes);
+        assert!(
+            (65..=72).contains(&size_of_ints(&[s[0], s[1], s[2]])),
+            "{:?}",
+            s
+        );
+
+        let mut coords = coords;
+        coords[7] = [20_000.0, 0.0, 0.0];
+        let bytes = assert_equivalent(&coords, 1000.0).unwrap();
+        assert!(sizes(&bytes)[0] > 0xff_ffff);
+    }
+
+    #[test]
+    fn a_frame_cut_at_every_byte_is_a_typed_error() {
+        let coords: Vec<[f32; 3]> = (0..150)
+            .map(|i| {
+                let base = (i / 3) as f32;
+                [
+                    base * 0.31 + (i % 3) as f32 * 0.09,
+                    (base * 0.7).sin() * 4.0,
+                    base * 0.05,
+                ]
+            })
+            .collect();
+        let bytes = assert_equivalent(&coords, 1000.0).unwrap();
+        for cut in 0..bytes.len() {
+            let got = decoded(decode_3dfcoord, &bytes[..cut]);
+            assert!(got.is_err(), "cut at {} of {} decoded", cut, bytes.len());
+            assert_eq!(got, decoded(reference::decode_3dfcoord, &bytes[..cut]));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_matches_reference_uniform(
+            coords in arb_coords(300, 50.0),
+            precision in arb_precision(),
+            damage in (any::<usize>(), 1u8..=255, any::<usize>()),
+        ) {
+            if let Some(bytes) = assert_equivalent(&coords, precision) {
+                assert_equivalent_when_damaged(&bytes, damage.0, damage.1, damage.2);
+            }
+        }
+
+        #[test]
+        fn prop_matches_reference_clustered(
+            coords in arb_clustered_coords(),
+            precision in arb_precision(),
+            damage in (any::<usize>(), 1u8..=255, any::<usize>()),
+        ) {
+            if let Some(bytes) = assert_equivalent(&coords, precision) {
+                assert_equivalent_when_damaged(&bytes, damage.0, damage.1, damage.2);
+            }
+        }
+
+        #[test]
+        fn prop_matches_reference_wide_boxes(
+            coords in arb_clustered_coords(),
+            spread in prop::sample::select(vec![3_000.0f32, 9_000.0, 40_000.0]),
+            damage in (any::<usize>(), 1u8..=255, any::<usize>()),
+        ) {
+            let coords = spread_out(coords, spread);
+            if let Some(bytes) = assert_equivalent(&coords, 1000.0) {
+                assert_equivalent_when_damaged(&bytes, damage.0, damage.1, damage.2);
+            }
+        }
     }
 }

@@ -20,9 +20,11 @@
 
 mod bits;
 mod coder;
+#[cfg(test)]
+mod reference;
 
-pub use bits::{size_of_int, size_of_ints, BitReader, BitWriter};
-pub use coder::{decode_3dfcoord, encode_3dfcoord, XtcError, MAGICINTS, PLAIN_FLOAT_THRESHOLD};
+pub use coder::XtcError;
+use coder::{decode_3dfcoord, encode_3dfcoord, PLAIN_FLOAT_THRESHOLD};
 
 use crate::traj::{Frame, Trajectory};
 use crate::xdr::{XdrDecoder, XdrEncoder};
@@ -190,14 +192,10 @@ pub fn write_xtc(traj: &Trajectory, precision: f32) -> Result<Vec<u8>, XtcError>
     Ok(w.into_bytes())
 }
 
-/// Decode a whole XTC byte stream.
+/// Decode a whole XTC byte stream: [`decode_frames_parallel`] on the
+/// caller's thread.
 pub fn read_xtc(data: &[u8]) -> Result<Trajectory, XtcError> {
-    let mut r = XtcReader::new(data);
-    let mut frames = Vec::new();
-    while let Some(f) = r.next_frame()? {
-        frames.push(f);
-    }
-    Ok(Trajectory::from_frames(frames))
+    decode_frames_parallel(data, 1)
 }
 
 /// Scan frame boundaries without decompressing coordinate payloads.
@@ -301,20 +299,31 @@ impl<'a> XtcIndexedReader<'a> {
                 self.spans.len()
             )))
         })?;
-        let mut dec = XdrDecoder::new(&self.data[span.offset..span.offset + span.len]);
-        read_frame(&mut dec)
+        decode_span(self.data, span)
     }
 }
 
-/// Decode all frames of an XTC stream in parallel over `nthreads` crossbeam
-/// scoped threads. Equivalent to [`read_xtc`] but with the per-frame
-/// decompression fanned out after a cheap sequential [`index_frames`] scan.
+/// Decode the one frame `span` (from [`index_frames`] over `data`) covers.
+fn decode_span(data: &[u8], span: &FrameSpan) -> Result<Frame, XtcError> {
+    read_frame(&mut XdrDecoder::new(
+        &data[span.offset..span.offset + span.len],
+    ))
+}
+
+/// Decode all frames of an XTC stream over `nthreads` crossbeam scoped
+/// threads: a cheap sequential [`index_frames`] scan, then the per-frame
+/// decompression fanned out. With one thread (or one frame) there is
+/// nothing to fan out and the frames decode on the caller's thread.
 pub fn decode_frames_parallel(data: &[u8], nthreads: usize) -> Result<Trajectory, XtcError> {
     let spans = index_frames(data)?;
-    if spans.is_empty() {
-        return Ok(Trajectory::new());
+    let nthreads = nthreads.min(spans.len());
+    if nthreads <= 1 {
+        let mut frames = Vec::with_capacity(spans.len());
+        for span in &spans {
+            frames.push(decode_span(data, span)?);
+        }
+        return Ok(Trajectory::from_frames(frames));
     }
-    let nthreads = nthreads.max(1).min(spans.len());
     let mut slots: Vec<Option<Result<Frame, XtcError>>> = Vec::new();
     slots.resize_with(spans.len(), || None);
     let chunk = spans.len().div_ceil(nthreads);
@@ -323,9 +332,7 @@ pub fn decode_frames_parallel(data: &[u8], nthreads: usize) -> Result<Trajectory
         for (spans_chunk, slots_chunk) in spans.chunks(chunk).zip(slots.chunks_mut(chunk)) {
             scope.spawn(move |_| {
                 for (span, slot) in spans_chunk.iter().zip(slots_chunk.iter_mut()) {
-                    let bytes = &data[span.offset..span.offset + span.len];
-                    let mut dec = XdrDecoder::new(bytes);
-                    *slot = Some(read_frame(&mut dec));
+                    *slot = Some(decode_span(data, span));
                 }
             });
         }

@@ -136,6 +136,69 @@ fn pdb_xtc_atom_mismatch_rejected() {
     assert!(matches!(result, Err(AdaError::AtomMismatch { .. })));
 }
 
+/// Two `.xtc` files of different atom counts, concatenated: every frame
+/// is valid, the file is not. Whichever way it comes in, the answer is the
+/// same typed mismatch naming the first offending frame's count — from
+/// the frame headers, before a frame is decoded or a byte stored.
+#[test]
+fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
+    let r = rig();
+    let w = ada_workload::gpcr_workload(900, 3, 60);
+    let other = ada_workload::gpcr_workload(400, 2, 61);
+    let pdb = write_pdb(&w.system);
+    let good = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
+    let mut ragged = good.clone();
+    ragged.extend(write_xtc(&other.trajectory, DEFAULT_PRECISION).unwrap());
+    r.ada.ingest("guide", real_input(&w)).unwrap();
+
+    type Ingest<'a> = Box<dyn Fn(&[u8]) -> Result<IngestReport, AdaError> + 'a>;
+    let entry_points: [(&str, Ingest); 3] = [
+        (
+            "ingest",
+            Box::new(|xtc| {
+                let input = IngestInput::Real {
+                    pdb_text: pdb.clone(),
+                    xtc_bytes: xtc.to_vec(),
+                };
+                r.ada.ingest("ragged", input)
+            }),
+        ),
+        (
+            "ingest_guided",
+            Box::new(|xtc| r.ada.ingest_guided("ragged", "guide", xtc)),
+        ),
+        (
+            // Batches of two: the offending frames sit in the second batch.
+            "ingest_streaming",
+            Box::new(|xtc| r.ada.ingest_streaming("ragged", &pdb, xtc, 2)),
+        ),
+    ];
+    for (name, ingest) in entry_points {
+        let err = match ingest(&ragged) {
+            Err(e) => e,
+            Ok(_) => panic!("{}: a ragged file was ingested", name),
+        };
+        assert_eq!(err.kind(), "atom_mismatch", "{}: {}", name, err);
+        assert!(
+            matches!(err, AdaError::AtomMismatch { pdb, xtc }
+                if (pdb, xtc) == (w.system.len(), other.system.len())),
+            "{}: {}",
+            name,
+            err
+        );
+        // The name is free: nothing was stored, and a well-formed file
+        // ingests under it.
+        assert!(!r.ada.list_datasets().contains(&"ragged".to_string()));
+        assert_eq!(files_of(&r, "ragged"), Vec::<String>::new(), "{}", name);
+        ingest(&good).unwrap();
+        assert_eq!(
+            protein_frames(&r.ada, "ragged"),
+            protein_frames(&r.ada, "guide")
+        );
+        r.ada.delete_dataset("ragged").unwrap();
+    }
+}
+
 /// A hybrid rig whose SSD — protein droppings, label files and the
 /// persisted index all live there — holds only 50 kB.
 fn tiny_ssd_rig() -> Rig {
