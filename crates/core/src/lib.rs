@@ -157,11 +157,9 @@ pub enum AdaError {
 
 /// Convert a worker-thread panic payload into a structured [`AdaError`]
 /// so a bug in a pipeline stage fails the operation instead of aborting
-/// (and deadlocking) the whole pipeline.
-pub(crate) fn worker_panic(
-    what: &str,
-    payload: Box<dyn std::any::Any + Send + 'static>,
-) -> AdaError {
+/// (and deadlocking) the whole pipeline. `ada-frontend` answers a panic
+/// on a request's own thread in the same shape.
+pub fn worker_panic(what: &str, payload: Box<dyn std::any::Any + Send + 'static>) -> AdaError {
     let msg = payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())

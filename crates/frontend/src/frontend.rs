@@ -1,24 +1,47 @@
-//! The threaded front-end: worker pools per class over a shared [`Ada`],
-//! driven by the deterministic [`SchedulerCore`].
+//! The admission front-end: every caller runs its own request against the
+//! shared [`Ada`]; the deterministic [`SchedulerCore`] only says when.
 //!
 //! ## Concurrency shape
 //!
-//! All scheduling state lives in one `parking_lot::Mutex<SchedulerCore>`;
-//! workers are woken through bounded *token* channels (one unit token per
-//! admitted request, buffer sized `queue + slots` so a send never blocks).
-//! Tokens are interchangeable — FIFO order comes from the core's queue,
-//! not from token arrival order — which keeps admission (under the lock)
-//! and wake-up (after the lock) free of ordering races. The vendored
-//! `parking_lot` has no `Condvar`, and the workspace lint bans unbounded
-//! channels, so this token design is also the only shape that satisfies
-//! both constraints.
+//! The front-end owns no threads. All scheduling state lives in one
+//! `parking_lot::Mutex<SchedulerCore>`, and each of the two critical
+//! sections that can change who may run — a submit, which enqueues, and a
+//! slot release, which frees a slot — ends with a *drain*
+//! ([`SchedulerCore::drain`]): every job that can leave the queue now
+//! leaves it. So whenever the lock is free, **no job is queued beside a
+//! free slot**: a queued job is behind `slots` running ones, each of which
+//! drains again when it finishes. That invariant is the whole liveness
+//! argument; there are no idle workers to fall back on.
 //!
-//! A client blocks on a rendezvous reply channel; it never holds the
-//! scheduler lock while waiting, and workers never hold it while touching
+//! A submitter whose own request left the queue in its own drain (the
+//! uncontended case) executes it on its own stack and never touches
+//! another thread. Otherwise it blocks on its one-shot wake channel until
+//! a finishing caller's drain hands it `Start` or `Expired`. Wakes are
+//! collected under the lock and sent after it is released; a wake channel
+//! holds one message and gets exactly one, so the send never blocks. The
+//! vendored `parking_lot` has no `Condvar`, and the workspace lint bans
+//! unbounded channels — a bounded one-shot channel per request, read only
+//! by a request that has to wait, satisfies both.
+//!
+//! Nobody holds the scheduler lock while waiting or while touching
 //! storage, so the lock guards only O(1) queue operations.
+//!
+//! ## Whose memory
+//!
+//! A request's multi-megabyte buffers (its input, the decoded frames, the
+//! per-tag payloads, the reply) are allocated and freed on the caller's
+//! thread, so they live in the *caller's* malloc arena, among whatever
+//! else that thread keeps alive — for a program that calls the front-end
+//! from `main`, glibc's `brk` heap. Whether that arena hands its top back
+//! to the kernel after a request, and faults it in again for the next,
+//! depends on glibc's trim threshold, which glibc moves by itself; see
+//! [`settle_malloc_thresholds`], which [`Frontend::new`] runs so that the
+//! first request is served like the millionth.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::hint::black_box;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use ada_core::{Ada, AdaError, IngestInput, IngestReport, QueryReport};
@@ -32,17 +55,57 @@ use crate::request::{Class, Reply, Request};
 use crate::scheduler::{Popped, SchedulerCore};
 use crate::stats::{ClassStats, FrontendStats};
 
-/// One admitted request plus the channel its client is blocked on. The
-/// trace context rides along so the worker's spans (queue wait, slot-held
-/// execution, everything the middleware adds) join the tree rooted at
-/// admission; the root guard itself stays with the blocked client in
-/// [`Frontend::submit`], which seals the trace before returning.
-#[derive(Debug)]
-struct Job {
-    client: String,
-    request: Request,
-    reply: SyncSender<Result<Reply, AdaError>>,
-    ctx: TraceContext,
+/// How a request left the queue: what its caller reads off its own drain
+/// or, if it had to wait, is woken with.
+#[derive(Debug, Clone, Copy)]
+struct Left {
+    waited_ns: u64,
+    /// `None`: a slot is held in the request's name. `Some((deadline_ns,
+    /// queue_depth))`: the deadline passed while it waited, and this deep
+    /// was the line it left behind — both ride along as span args, so an
+    /// expired request's trace says how deep the line it died in was.
+    expired: Option<(u64, usize)>,
+}
+
+/// All the scheduler holds of a queued request: the sending end of the
+/// one-shot channel its caller blocks on if it has to wait. The request,
+/// its client name and its trace context stay on the caller's stack.
+type Waiter = SyncSender<Left>;
+
+/// Outcomes collected under the scheduler guard, delivered once it is gone.
+type Wakes = Vec<(Waiter, Left)>;
+
+fn send_wakes(wakes: Wakes) {
+    for (waiter, left) in wakes {
+        // The receiver is blocked in `admit` until exactly this arrives.
+        let _ = waiter.send(left);
+    }
+}
+
+/// Put glibc's mmap and trim thresholds where a serving process ends up
+/// anyway, before the first request instead of at some point during the
+/// run. Once per process; two system calls; a no-op on other allocators.
+///
+/// glibc raises its mmap threshold to the size of the largest mmapped
+/// block freed so far, up to `DEFAULT_MMAP_THRESHOLD_MAX` (32 MiB on
+/// 64-bit), and keeps the trim threshold at twice that (`mallopt(3)`,
+/// `M_MMAP_THRESHOLD`). An ingest of a 5 MB trajectory moves ≈ 40 MB
+/// through the caller's arena; while the trim threshold is below that,
+/// every release may return the top of the heap to the kernel and every
+/// next request fault it in again — or may not, when a longer-lived
+/// allocation happens to sit on top. Called from a main thread, the same
+/// binary ran blocks of eight such ingests at 0, ≈ 40 k and ≈ 50 k page
+/// faults (≈ 35 against ≈ 23 ops/s), changing mode between runs and
+/// within one. Freeing one block just under the ceiling — never touched,
+/// so never resident — ends the adjusting: nothing larger can move the
+/// thresholds afterwards, and 64 MiB of trim threshold is above what a
+/// request holds.
+fn settle_malloc_thresholds() {
+    /// One page of chunk header short of `DEFAULT_MMAP_THRESHOLD_MAX`,
+    /// so the mapped chunk still counts as "at most the maximum".
+    const JUST_UNDER_THE_CEILING: usize = (32 << 20) - (8 << 10);
+    static SETTLED: Once = Once::new();
+    SETTLED.call_once(|| drop(black_box(Vec::<u8>::with_capacity(JUST_UNDER_THE_CEILING))));
 }
 
 /// Global-registry handles, registered once at construction so every
@@ -78,30 +141,80 @@ impl Metrics {
     }
 }
 
-struct Shared {
+/// Multi-client admission front-end over one shared [`Ada`].
+///
+/// Requests are submitted from any number of client threads via
+/// [`Frontend::submit`] (or the typed [`Frontend::ingest`] /
+/// [`Frontend::query`] wrappers), which block until the request completes,
+/// is shed with [`AdaError::Overloaded`], or dies in the queue with
+/// [`AdaError::DeadlineExceeded`]. An admitted request executes on the
+/// thread that submitted it while holding one of its class's slots, so at
+/// most `ingest_slots + query_slots` callers are inside [`Ada`] at once.
+pub struct Frontend {
     ada: Arc<Ada>,
-    core: Mutex<SchedulerCore<Job>>,
+    core: Mutex<SchedulerCore<Waiter>>,
     start: Instant,
     metrics: Option<Metrics>,
     default_deadline: Option<Duration>,
 }
 
-impl Shared {
+impl std::fmt::Debug for Frontend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Frontend")
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
+}
+
+/// One held slot. Dropping it — on success, error and unwind alike —
+/// releases the slot and drains the queue in the same critical section,
+/// which is what starts the next waiting request.
+struct Slot<'a> {
+    frontend: &'a Frontend,
+    class: Class,
+    taken: Instant,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let service_ns = self.taken.elapsed().as_nanos() as u64;
+        let mut wakes = Wakes::new();
+        {
+            let mut core = self.frontend.core.lock();
+            core.complete(self.class, service_ns);
+            self.frontend.drain(&mut core, self.class, None, &mut wakes);
+        }
+        send_wakes(wakes);
+    }
+}
+
+impl Frontend {
+    /// Build the admission state over `ada`. Spawns nothing.
+    pub fn new(ada: Arc<Ada>, config: FrontendConfig) -> Frontend {
+        settle_malloc_thresholds();
+        let config = config.normalized();
+        let retry_floor = config.retry_after_floor.as_nanos().min(u64::MAX as u128) as u64;
+        Frontend {
+            ada,
+            core: Mutex::new(SchedulerCore::new(
+                (config.ingest_slots, config.ingest_queue),
+                (config.query_slots, config.query_queue),
+                retry_floor,
+            )),
+            start: Instant::now(),
+            metrics: ada_telemetry::enabled().then(Metrics::register),
+            default_deadline: config.default_deadline,
+        }
+    }
+
     /// Monotonic nanoseconds since the front-end was built — the queue's
     /// clock (enqueue stamps, deadline expiry).
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn note_enqueue(&self, class: Class) {
+    fn note_wait(&self, class: Class, waited_ns: u64) {
         if let Some(m) = &self.metrics {
-            m.queue[class.idx()].inc();
-        }
-    }
-
-    fn note_dequeue(&self, class: Class, waited_ns: u64) {
-        if let Some(m) = &self.metrics {
-            m.queue[class.idx()].dec();
             m.wait[class.idx()].record(waited_ns);
         }
     }
@@ -126,73 +239,41 @@ impl Shared {
             Metrics::client_counter(client, "deadline_exceeded").inc();
         }
     }
-}
 
-/// Multi-client admission front-end over one shared [`Ada`].
-///
-/// Owns `ingest_slots + query_slots` worker threads; requests are
-/// submitted from any number of client threads via [`Frontend::submit`]
-/// (or the typed [`Frontend::ingest`] / [`Frontend::query`] wrappers),
-/// which block until the request completes, is shed with
-/// [`AdaError::Overloaded`], or dies in the queue with
-/// [`AdaError::DeadlineExceeded`]. Dropping the front-end drains every
-/// admitted request before the workers exit, so no client is left hanging.
-pub struct Frontend {
-    shared: Arc<Shared>,
-    tokens: [Option<SyncSender<()>>; 2],
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("Frontend")
-            .field("workers", &self.workers.len())
-            .field("stats", &stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Frontend {
-    /// Spawn the per-class worker pools over `ada`.
-    pub fn new(ada: Arc<Ada>, config: FrontendConfig) -> Frontend {
-        let config = config.normalized();
-        let retry_floor = config.retry_after_floor.as_nanos().min(u64::MAX as u128) as u64;
-        let shared = Arc::new(Shared {
-            ada,
-            core: Mutex::new(SchedulerCore::new(
-                (config.ingest_slots, config.ingest_queue),
-                (config.query_slots, config.query_queue),
-                retry_floor,
-            )),
-            start: Instant::now(),
-            metrics: ada_telemetry::enabled().then(Metrics::register),
-            default_deadline: config.default_deadline,
-        });
-        let mut tokens = [None, None];
-        let mut workers = Vec::with_capacity(config.ingest_slots + config.query_slots);
-        for class in Class::ALL {
-            let (slots, cap) = match class {
-                Class::Ingest => (config.ingest_slots, config.ingest_queue),
-                Class::Query => (config.query_slots, config.query_queue),
-            };
-            // Tokens outstanding never exceed the number of queued jobs
-            // (send happens after a successful admit, recv before the
-            // pop), so `cap + slots` of buffer means a send cannot block.
-            let (tx, rx) = sync_channel::<()>(cap + slots);
-            let rx = Arc::new(Mutex::new(rx));
-            for _ in 0..slots {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                workers.push(std::thread::spawn(move || worker_loop(&shared, class, &rx)));
+    /// End a critical section that enqueued a job or freed a slot: drain
+    /// `class` at the current time, moving the `frontend.queue.{class}`
+    /// gauge under the lock of the queue it mirrors. Returns what became
+    /// of request `own`; everyone else who left is pushed onto `wakes`,
+    /// for the caller to send once the guard is gone.
+    fn drain(
+        &self,
+        core: &mut SchedulerCore<Waiter>,
+        class: Class,
+        own: Option<u64>,
+        wakes: &mut Wakes,
+    ) -> Option<Left> {
+        let mut mine = None;
+        core.drain(class, self.now_ns(), |popped, queue_depth| {
+            if let Some(m) = &self.metrics {
+                m.queue[class.idx()].dec();
             }
-            tokens[class.idx()] = Some(tx);
-        }
-        Frontend {
-            shared,
-            tokens,
-            workers,
-        }
+            let (id, waiter, waited_ns, expired) = match popped {
+                Popped::Start { id, job, waited_ns } => (id, job, waited_ns, None),
+                Popped::Expired {
+                    id,
+                    job,
+                    waited_ns,
+                    deadline_ns,
+                } => (id, job, waited_ns, Some((deadline_ns, queue_depth))),
+            };
+            let left = Left { waited_ns, expired };
+            if own == Some(id) {
+                mine = Some(left);
+            } else {
+                wakes.push((waiter, left));
+            }
+        });
+        mine
     }
 
     /// Submit a request and block until it resolves. `deadline` bounds
@@ -205,10 +286,8 @@ impl Frontend {
         deadline: Option<Duration>,
     ) -> Result<Reply, AdaError> {
         // Every request — including one about to be shed — gets a trace
-        // root here at admission. The guard stays on this (client) thread;
-        // it seals the trace when this function returns, by which point
-        // the worker has already sent the reply and therefore finished
-        // every child span.
+        // root here at admission; the guard seals the trace when this
+        // function returns.
         let (ctx, mut root) = trace::root("frontend.request");
         self.submit_rooted(client, request, deadline, &ctx, &mut root)
     }
@@ -227,58 +306,114 @@ impl Frontend {
         ctx: &TraceContext,
         root: &mut trace::TraceSpanGuard,
     ) -> Result<Reply, AdaError> {
-        let class = request.class();
         root.arg("op", request.op_name());
         root.arg("client", client);
-        let (reply_tx, reply_rx) = sync_channel::<Result<Reply, AdaError>>(1);
-        let job = Job {
-            client: client.to_string(),
-            request,
-            reply: reply_tx,
-            ctx: ctx.clone(),
-        };
-        let now = self.shared.now_ns();
+        let res = self
+            .admit(request.class(), client, deadline, ctx, root)
+            .and_then(|slot| self.execute(slot, request, ctx));
+        if let Err(e) = &res {
+            root.set_error(e.kind());
+        }
+        res
+    }
+
+    /// Queue for a slot of `class` and return holding one: at once if one
+    /// is free, else when a finishing caller's drain starts this request.
+    fn admit(
+        &self,
+        class: Class,
+        client: &str,
+        deadline: Option<Duration>,
+        ctx: &TraceContext,
+        root: &mut trace::TraceSpanGuard,
+    ) -> Result<Slot<'_>, AdaError> {
         let deadline_ns = deadline.map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
-        let admitted = self.shared.core.lock().submit(class, job, now, deadline_ns);
-        match admitted {
+        let (waiter, wake) = sync_channel::<Left>(1);
+        let enqueued_ns = self.now_ns();
+        let mut wakes = Wakes::new();
+        let offered = {
+            let mut core = self.core.lock();
+            core.submit(class, waiter, enqueued_ns, deadline_ns)
+                .map(|id| {
+                    if let Some(m) = &self.metrics {
+                        m.queue[class.idx()].inc();
+                    }
+                    // The drain reads the clock again, after the enqueue:
+                    // a 0 ns deadline has passed by then, so the request
+                    // dies in the queue and not on a slot.
+                    self.drain(&mut core, class, Some(id), &mut wakes)
+                })
+        };
+        send_wakes(wakes);
+        let left = match offered {
             Err(rej) => {
-                self.shared.note_rejected(class, client);
+                self.note_rejected(class, client);
                 // A shed request keeps a debuggable (flagged) trace: the
                 // queue depth that triggered the shed and the retry hint
                 // handed to the client.
-                root.set_error("overloaded");
                 root.arg("queue_depth", rej.queue_depth);
                 root.arg("retry_after_ns", rej.retry_after_ns);
-                Err(AdaError::Overloaded {
+                return Err(AdaError::Overloaded {
                     queue_depth: rej.queue_depth,
                     retry_after: Duration::from_nanos(rej.retry_after_ns),
+                });
+            }
+            Ok(Some(left)) => left,
+            Ok(None) => wake.recv().map_err(|_| {
+                AdaError::Internal("frontend scheduler dropped a queued request".to_string())
+            })?,
+        };
+        let end = trace::now_ns();
+        self.note_wait(class, left.waited_ns);
+        let mut args = vec![("waited_ns", left.waited_ns.into())];
+        let admitted = match left.expired {
+            None => {
+                let slot = Slot {
+                    frontend: self,
+                    class,
+                    taken: Instant::now(),
+                };
+                self.note_accepted(class, client);
+                Ok(slot)
+            }
+            Some((deadline_ns, queue_depth)) => {
+                self.note_deadline_exceeded(class, client);
+                args.push(("deadline_ns", deadline_ns.into()));
+                args.push(("queue_depth", queue_depth.into()));
+                Err(AdaError::DeadlineExceeded {
+                    waited: Duration::from_nanos(left.waited_ns),
+                    deadline: Duration::from_nanos(deadline_ns),
                 })
             }
-            Ok(_id) => {
-                self.shared.note_enqueue(class);
-                if let Some(tx) = &self.tokens[class.idx()] {
-                    if tx.send(()).is_err() {
-                        root.set_error("internal");
-                        return Err(AdaError::Internal(
-                            "frontend worker pool is gone".to_string(),
-                        ));
-                    }
-                }
-                let res = match reply_rx.recv() {
-                    Ok(r) => r,
-                    Err(_) => {
-                        root.set_error("internal");
-                        return Err(AdaError::Internal(
-                            "frontend worker dropped the reply channel".to_string(),
-                        ));
-                    }
-                };
-                if let Err(e) = &res {
-                    root.set_error(e.kind());
-                }
-                res
-            }
-        }
+        };
+        let start = end.saturating_sub(left.waited_ns);
+        ctx.record("frontend.queue_wait", start, end, args);
+        admitted
+    }
+
+    /// Run `request` on this thread under the held `slot`. A panic inside
+    /// the middleware is answered as a typed `Internal` error, like the
+    /// panics `ada-core` catches in its own stage pools.
+    fn execute(
+        &self,
+        slot: Slot<'_>,
+        request: Request,
+        ctx: &TraceContext,
+    ) -> Result<Reply, AdaError> {
+        let op = request.op_name();
+        let res = {
+            // Slot-held span: everything the middleware does for this
+            // request nests under it.
+            let exec = ctx.span("frontend.execute");
+            let ectx = exec.ctx();
+            // All the closure shares with other threads is `Ada`, whose
+            // locks do not poison.
+            catch_unwind(AssertUnwindSafe(|| request.execute(&self.ada, &ectx)))
+        };
+        // Release the slot before returning so a client that saw its
+        // request finish also sees balanced stats.
+        drop(slot);
+        res.unwrap_or_else(|payload| Err(ada_core::worker_panic(op, payload)))
     }
 
     /// Whole-buffer ingest through admission control, with the
@@ -293,7 +428,7 @@ impl Frontend {
             dataset: dataset.to_string(),
             input,
         };
-        self.submit(client, request, self.shared.default_deadline)?
+        self.submit(client, request, self.default_deadline)?
             .into_ingest()
             .ok_or_else(|| AdaError::Internal("ingest reply carried a query report".to_string()))
     }
@@ -313,7 +448,7 @@ impl Frontend {
             xtc_bytes: xtc_bytes.to_vec(),
             batch_frames,
         };
-        self.submit(client, request, self.shared.default_deadline)?
+        self.submit(client, request, self.default_deadline)?
             .into_ingest()
             .ok_or_else(|| AdaError::Internal("ingest reply carried a query report".to_string()))
     }
@@ -329,7 +464,7 @@ impl Frontend {
             dataset: dataset.to_string(),
             tag: tag.cloned(),
         };
-        self.submit(client, request, self.shared.default_deadline)?
+        self.submit(client, request, self.default_deadline)?
             .into_query()
             .ok_or_else(|| AdaError::Internal("query reply carried an ingest report".to_string()))
     }
@@ -351,7 +486,7 @@ impl Frontend {
             end: window.end,
             stride,
         };
-        self.submit(client, request, self.shared.default_deadline)?
+        self.submit(client, request, self.default_deadline)?
             .into_query()
             .ok_or_else(|| AdaError::Internal("query reply carried an ingest report".to_string()))
     }
@@ -359,7 +494,7 @@ impl Frontend {
     /// Point-in-time admission statistics (process-local, not the global
     /// telemetry registry — safe for concurrent tests in one binary).
     pub fn stats(&self) -> FrontendStats {
-        let core = self.shared.core.lock();
+        let core = self.core.lock();
         let class_stats = |class: Class| ClassStats {
             counters: core.counters(class),
             queue_depth: core.queue_depth(class),
@@ -375,7 +510,7 @@ impl Frontend {
 
     /// The shared middleware this front-end guards.
     pub fn ada(&self) -> &Ada {
-        &self.shared.ada
+        &self.ada
     }
 
     /// The process-wide flight recorder of completed request traces
@@ -383,97 +518,7 @@ impl Frontend {
     /// leaves a recent trace; shed, expired, errored, and
     /// over-latency-threshold requests are retained.
     pub fn flight_recorder(&self) -> &'static ada_telemetry::trace::FlightRecorder {
-        self.shared.ada.flight_recorder()
-    }
-}
-
-impl Drop for Frontend {
-    fn drop(&mut self) {
-        // Dropping the token senders lets workers drain the remaining
-        // buffered tokens (each one an admitted request) and then exit on
-        // the channel hangup, so no client blocks forever.
-        for tx in &mut self.tokens {
-            *tx = None;
-        }
-        for handle in self.workers.drain(..) {
-            // A panicked worker already failed its own client via the
-            // dropped reply channel; teardown has nothing left to fix.
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, class: Class, rx: &Mutex<Receiver<()>>) {
-    loop {
-        // Holding the receiver lock while blocked is fine: the other
-        // workers of this class are either executing or waiting their
-        // turn on this same lock.
-        // ada-lint: allow(no-blocking-under-lock) the mutex exists only to share the consumer end; senders never take it, and peer workers just wait their turn on this same lock
-        if rx.lock().recv().is_err() {
-            return; // front-end dropped and the queue is drained
-        }
-        let now = shared.now_ns();
-        // Queue depth observed at pop time rides along as a span arg, so
-        // an expired request's trace says how deep the line it died in was.
-        let (popped, depth) = {
-            let mut core = shared.core.lock();
-            let p = core.pop(class, now);
-            (p, core.queue_depth(class))
-        };
-        match popped {
-            // Unreachable by construction (tokens are 1:1 with queued
-            // jobs and worker count equals the slot limit), but a lost
-            // token must not kill the worker.
-            None => continue,
-            Some(Popped::Expired {
-                job,
-                waited_ns,
-                deadline_ns,
-                ..
-            }) => {
-                shared.note_dequeue(class, waited_ns);
-                shared.note_deadline_exceeded(class, &job.client);
-                let end = trace::now_ns();
-                job.ctx.record(
-                    "frontend.queue_wait",
-                    end.saturating_sub(waited_ns),
-                    end,
-                    vec![
-                        ("waited_ns", waited_ns.into()),
-                        ("deadline_ns", deadline_ns.into()),
-                        ("queue_depth", depth.into()),
-                    ],
-                );
-                let _ = job.reply.send(Err(AdaError::DeadlineExceeded {
-                    waited: Duration::from_nanos(waited_ns),
-                    deadline: Duration::from_nanos(deadline_ns),
-                }));
-            }
-            Some(Popped::Start { job, waited_ns, .. }) => {
-                shared.note_dequeue(class, waited_ns);
-                shared.note_accepted(class, &job.client);
-                let end = trace::now_ns();
-                job.ctx.record(
-                    "frontend.queue_wait",
-                    end.saturating_sub(waited_ns),
-                    end,
-                    vec![("waited_ns", waited_ns.into())],
-                );
-                let t = Instant::now();
-                let res = {
-                    // Slot-held span: everything the middleware does for
-                    // this request nests under it.
-                    let exec = job.ctx.span("frontend.execute");
-                    let ectx = exec.ctx();
-                    job.request.execute(&shared.ada, &ectx)
-                };
-                let service_ns = t.elapsed().as_nanos() as u64;
-                // Release the slot before replying so a client that saw
-                // its request finish also sees balanced stats.
-                shared.core.lock().complete(class, service_ns);
-                let _ = job.reply.send(res);
-            }
-        }
+        self.ada.flight_recorder()
     }
 }
 
@@ -511,6 +556,23 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Frontend>();
         assert_send_sync::<Ada>();
+    }
+
+    /// glibc hands out a block at or above its mmap threshold as a mapping
+    /// of its own, whose payload always starts 16 bytes into a page; a
+    /// chunk cut from an arena heap does so one time in 256.
+    #[test]
+    #[cfg(all(target_env = "gnu", target_pointer_width = "64"))]
+    fn large_blocks_come_from_the_heap_once_a_frontend_exists() {
+        let _fe = Frontend::new(make_ada(), FrontendConfig::default());
+        let blocks: Vec<Vec<u8>> = (0..4)
+            .map(|_| black_box(Vec::with_capacity(4 << 20)))
+            .collect();
+        let mapped = |b: &&Vec<u8>| b.as_ptr() as usize & 0xfff == 0x10;
+        assert!(
+            blocks.iter().filter(mapped).count() < blocks.len(),
+            "4 MiB blocks are still mmapped one by one: the thresholds did not move"
+        );
     }
 
     #[test]
@@ -552,11 +614,5 @@ mod tests {
         let s = fe.stats();
         assert_eq!(s.query.counters.expired, 1);
         assert!(s.is_quiescent());
-    }
-
-    #[test]
-    fn drop_with_empty_queue_joins_workers() {
-        let fe = Frontend::new(make_ada(), FrontendConfig::default());
-        drop(fe); // must not hang
     }
 }

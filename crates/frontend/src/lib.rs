@@ -18,10 +18,12 @@
 //!   load shedding (`AdaError::Overloaded { queue_depth, retry_after }`);
 //!   all timestamps are supplied by the caller, so the proptest suite can
 //!   replay arbitrary interleavings exactly;
-//! * [`Frontend`] — the threaded layer: one worker pool per class woken
-//!   by unit tokens on bounded channels, clients blocking on rendezvous
-//!   reply channels, full `ada-telemetry` integration (queue-depth HWM
-//!   gauges, admission-wait histograms, per-client accepted / rejected /
+//! * [`Frontend`] — the core under one lock, shared by client threads.
+//!   It owns no threads: an admitted request executes on the thread that
+//!   submitted it, and a request that has to wait blocks on a one-shot
+//!   bounded channel until a finishing caller's slot release starts it.
+//!   Full `ada-telemetry` integration (queue-depth HWM gauges,
+//!   admission-wait histograms, per-client accepted / rejected /
 //!   deadline-exceeded counters).
 //!
 //! Shedding is graceful: a rejected request carries the current queue

@@ -35,8 +35,8 @@ impl Class {
     }
 }
 
-/// One client request, self-contained so a worker thread can execute it
-/// against the shared [`Ada`] without further input from the client.
+/// One client request, self-contained: the op and everything it needs
+/// besides the shared [`Ada`], so one `submit` serves all four ops.
 #[derive(Debug)]
 pub enum Request {
     /// Whole-buffer ingest of a `(pdb, xtc)` pair or a synthetic spec.
@@ -99,9 +99,10 @@ impl Request {
         }
     }
 
-    /// Execute against the shared middleware. Runs on a worker thread
-    /// after the scheduler granted a slot; `ctx` is the request's trace
-    /// context, so the middleware's spans join the admission root's tree.
+    /// Execute against the shared middleware. Runs on the submitting
+    /// thread once the scheduler granted a slot; `ctx` is the request's
+    /// trace context, so the middleware's spans join the admission root's
+    /// tree.
     pub(crate) fn execute(self, ada: &Ada, ctx: &TraceContext) -> Result<Reply, AdaError> {
         match self {
             Request::Ingest { dataset, input } => {

@@ -98,8 +98,8 @@ impl<T> ClassState<T> {
     }
 }
 
-/// The admission state machine. `T` is the queued payload; the threaded
-/// front-end uses a job struct with a reply channel, the tests use plain
+/// The admission state machine. `T` is the queued payload; the front-end
+/// queues the sender of each request's wake channel, the tests use plain
 /// ids.
 #[derive(Debug)]
 pub struct SchedulerCore<T> {
@@ -185,6 +185,19 @@ impl<T> SchedulerCore<T> {
             job: q.job,
             waited_ns,
         })
+    }
+
+    /// [`SchedulerCore::pop`] until nothing more can leave the queue of
+    /// `class` at `now_ns`, handing `leave` each outcome together with the
+    /// depth of the line it left behind. Afterwards no job of `class` is
+    /// queued beside a free slot. A front-end without idle workers ends
+    /// every critical section that enqueued a job or freed a slot with
+    /// this, so a queued job is always behind `slots` running ones, and
+    /// each of those drains again when it completes.
+    pub fn drain(&mut self, class: Class, now_ns: u64, mut leave: impl FnMut(Popped<T>, usize)) {
+        while let Some(popped) = self.pop(class, now_ns) {
+            leave(popped, self.queue_depth(class));
+        }
     }
 
     /// Release the slot a `Start` consumed and record its service time,

@@ -8,6 +8,11 @@
 //!   at quiescence),
 //! * never observe a queue deeper than its capacity.
 //!
+//! A second driver uses the core the way the thread-less `Frontend` does —
+//! every submit and every completion ends with a `drain`, nothing else pops
+//! — and checks the invariant that replaces "idle workers exist": after
+//! every step, no job is queued beside a free slot.
+//!
 //! The core is deterministic given the op sequence, so every failure here
 //! replays exactly — this is the "deterministic concurrency test suite"
 //! half of the front-end's trust story; `tests/concurrent_clients.rs` at
@@ -133,6 +138,99 @@ fn quiesce(core: &mut SchedulerCore<u64>, mut now: u64) {
     }
 }
 
+/// Drive `core` the way `Frontend` does: a submit and a completion each end
+/// with a drain at the current logical time, and nothing pops outside one.
+/// Checks after every step that no job waits beside a free slot (the
+/// no-lost-wake-up invariant), FIFO starts and exact accounting; then
+/// completes everything and requires the queue to have emptied itself.
+fn drive_draining(
+    core: &mut SchedulerCore<u64>,
+    ops: &[(u8, u64, u64)],
+) -> Result<(), TestCaseError> {
+    let mut now = 0u64;
+    let mut next_job = 0u64;
+    let mut last_started: [Option<u64>; 2] = [None, None];
+    // Drain `class` as a critical section's last act: starts come out in id
+    // order, and each outcome is handed the depth it left behind.
+    let mut drain = |core: &mut SchedulerCore<u64>, class: Class, now: u64| {
+        let mut left = Vec::new();
+        core.drain(class, now, |popped, depth| {
+            let started = match popped {
+                Popped::Start { id, .. } => Some(id),
+                Popped::Expired { .. } => None,
+            };
+            left.push((started, depth));
+        });
+        let slot = if class == Class::Query { 1 } else { 0 };
+        for (i, (started, depth)) in left.iter().enumerate() {
+            prop_assert_eq!(*depth, core.queue_depth(class) + left.len() - 1 - i);
+            if let Some(id) = *started {
+                if let Some(prev) = last_started[slot] {
+                    prop_assert!(id > prev, "FIFO violated: started {} after {}", id, prev);
+                }
+                last_started[slot] = Some(id);
+            }
+        }
+        Ok(())
+    };
+    for &(code, a, b) in ops {
+        match decode(code, a, b) {
+            Op::Submit { query, deadline } => {
+                let class = class_of(query);
+                // A shed submit changed nothing, but draining after it is
+                // what the front-end's one code path would cost anyway.
+                let _ = core.submit(class, next_job, now, (deadline > 0).then_some(deadline));
+                next_job += 1;
+                drain(core, class, now)?;
+            }
+            Op::Complete { query, service_ns } => {
+                let class = class_of(query);
+                if core.running(class) > 0 {
+                    core.complete(class, service_ns);
+                    drain(core, class, now)?;
+                }
+            }
+            // The front-end never pops outside a drain.
+            Op::Pop { .. } => {}
+            Op::Tick { ns } => now += ns,
+        }
+        for class in Class::ALL {
+            prop_assert!(
+                core.running(class) <= core.slots(class),
+                "slot limit exceeded for {}",
+                class.name()
+            );
+            prop_assert!(
+                core.queue_depth(class) == 0 || core.running(class) == core.slots(class),
+                "{}: {} queued beside {} of {} slots taken — nobody is left to start them",
+                class.name(),
+                core.queue_depth(class),
+                core.running(class),
+                core.slots(class)
+            );
+            let n = core.counters(class);
+            prop_assert_eq!(
+                n.admitted + n.rejected + n.expired + core.queue_depth(class) as u64,
+                n.submitted,
+                "{} accounting broken: {:?}",
+                class.name(),
+                n
+            );
+        }
+    }
+    for class in Class::ALL {
+        while core.running(class) > 0 {
+            now += 1;
+            core.complete(class, 1);
+            drain(core, class, now)?;
+        }
+        let n = core.counters(class);
+        prop_assert_eq!(n.completed, n.admitted);
+        prop_assert_eq!(core.queue_depth(class), 0);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -171,6 +269,24 @@ proptest! {
             prop_assert_eq!(core.queue_depth(class), 0);
             prop_assert_eq!(core.running(class), 0);
         }
+    }
+
+    /// The same interleavings with a drain after every submit and
+    /// completion: a queued job is always behind a full set of slots.
+    #[test]
+    fn draining_never_leaves_a_job_beside_a_free_slot(
+        ingest_slots in 1usize..4,
+        query_slots in 1usize..4,
+        ingest_queue in 1usize..6,
+        query_queue in 1usize..6,
+        ops in prop::collection::vec((0u8..8, 0u64..100, 0u64..10_000), 1..200),
+    ) {
+        let mut core: SchedulerCore<u64> = SchedulerCore::new(
+            (ingest_slots, ingest_queue),
+            (query_slots, query_queue),
+            1_000,
+        );
+        drive_draining(&mut core, &ops)?;
     }
 
     /// Saturating a class never lets the queue grow past capacity, and

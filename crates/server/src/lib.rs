@@ -19,7 +19,8 @@
 //!   byte of a frame arrives, which evicts slow-loris peers),
 //! - an **executor** that drives decoded requests through the frontend
 //!   (in-flight bounded by the `sync_channel` between reader and
-//!   executor), and
+//!   executor) — the frontend owns no threads, so this is the thread that
+//!   waits for the admission slot, holds it and runs the request — and
 //! - a **writer** that frames responses back to the socket.
 //!
 //! ## Shutdown sequence

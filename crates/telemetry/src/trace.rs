@@ -6,9 +6,8 @@
 //! "why was **this** request slow" — by giving every request a
 //! [`TraceContext`] minted at its entry point (`Frontend` admission, or
 //! the `Ada` facade for direct callers) and carried **explicitly** across
-//! every thread boundary of the pipelines: the scheduler queue wait, the
-//! per-backend reader threads, the decode worker pool, and the cache
-//! lookups. Each stage opens a child span; the spans of one request form
+//! every thread boundary of the pipelines: the per-backend reader
+//! threads, the decode worker pool, and the cache lookups. Each stage opens a child span; the spans of one request form
 //! a single connected tree regardless of which threads executed them.
 //!
 //! ## Context propagation rules

@@ -9,6 +9,8 @@
 //!   same accepted set on a fresh, serially-driven instance;
 //! * the front-end's accounting balances at quiescence.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -16,7 +18,8 @@ use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig, Request};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
+use ada_simfs::{Content, FileStat, FsError, LocalFs, SimFileSystem, TimedRead};
+use ada_storagesim::SimDuration;
 
 fn make_ada() -> Arc<Ada> {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
@@ -270,4 +273,113 @@ fn queued_deadline_misses_are_typed() {
     assert!(s.is_quiescent(), "front-end not quiescent: {:?}", s);
     assert_eq!(s.query.counters.expired, CLIENTS as u64);
     assert_eq!(s.query.counters.admitted, 0);
+}
+
+/// A file system whose reads panic while `poisoned` is set: a bug in a
+/// layer below the front-end, on demand.
+struct PanickyFs {
+    inner: LocalFs,
+    poisoned: AtomicBool,
+}
+
+impl PanickyFs {
+    fn check(&self) {
+        if self.poisoned.load(Ordering::SeqCst) {
+            panic!("injected read fault");
+        }
+    }
+}
+
+impl SimFileSystem for PanickyFs {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn create(&self, path: &str, content: Content) -> Result<SimDuration, FsError> {
+        self.inner.create(path, content)
+    }
+    fn append(&self, path: &str, content: Content) -> Result<SimDuration, FsError> {
+        self.inner.append(path, content)
+    }
+    fn read(&self, path: &str) -> Result<TimedRead, FsError> {
+        self.check();
+        self.inner.read(path)
+    }
+    fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<TimedRead, FsError> {
+        self.check();
+        self.inner.read_range(path, offset, len)
+    }
+    fn delete(&self, path: &str) -> Result<(), FsError> {
+        self.inner.delete(path)
+    }
+    fn stat(&self, path: &str) -> Result<FileStat, FsError> {
+        self.inner.stat(path)
+    }
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+    fn used_bytes(&self) -> u64 {
+        self.inner.used_bytes()
+    }
+}
+
+/// A request that panics inside the middleware answers its caller with a
+/// typed `Internal` error and gives its slot back: with one query slot,
+/// the next query must still be served. A leaked slot shows as a hang, so
+/// the scenario runs under its own watchdog.
+#[test]
+fn panicking_request_is_typed_and_releases_its_slot() {
+    let (done_tx, done_rx) = sync_channel::<()>(1);
+    let scenario = std::thread::spawn(move || {
+        let ssd = Arc::new(PanickyFs {
+            inner: LocalFs::ext4_on_nvme(),
+            poisoned: AtomicBool::new(false),
+        });
+        let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
+        let cs = Arc::new(ContainerSet::new(vec![
+            ("ssd".into(), ssd.clone() as Arc<dyn SimFileSystem>),
+            ("hdd".into(), hdd),
+        ]));
+        // Serial retrieval: the read, and so the panic, happen on the
+        // thread that executes the request, not in a pool of `ada-core`.
+        let config = AdaConfig {
+            query_threads: 0,
+            ..AdaConfig::paper_prototype("ssd", "hdd")
+        };
+        let fe = Frontend::new(
+            Arc::new(Ada::new(config, cs, ssd.clone())),
+            FrontendConfig {
+                query_slots: 1,
+                ..FrontendConfig::default()
+            },
+        );
+        fe.ingest("setup", "bar", real_input(400, 2, 3)).unwrap();
+
+        ssd.poisoned.store(true, Ordering::SeqCst);
+        let err = fe.query("c0", "bar", Some(&Tag::protein())).unwrap_err();
+        assert_eq!(err.kind(), "internal", "got {:?}", err);
+        let text = err.to_string();
+        assert!(
+            text.contains("query") && text.contains("injected read fault"),
+            "the error names the op and the panic: {}",
+            text
+        );
+        let s = fe.stats();
+        assert!(s.is_quiescent(), "the slot leaked: {:?}", s);
+
+        ssd.poisoned.store(false, Ordering::SeqCst);
+        fe.query("c1", "bar", Some(&Tag::protein())).unwrap();
+        let s = fe.stats();
+        assert!(s.is_quiescent(), "front-end not quiescent: {:?}", s);
+        assert_eq!(s.query.counters.completed, 2);
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        // Done, or failed an assertion and hung up: join reports which.
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            scenario.join().expect("scenario must not panic")
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("a query behind a panicked one never got the only slot")
+        }
+    }
 }

@@ -11,7 +11,9 @@
 //! * turning tracing off changes no query bytes (observability is
 //!   side-effect-free);
 //! * a report's `StageProfile` and the `span.*` registry family are folds
-//!   of the request's span tree, not measurements taken beside it.
+//!   of the request's span tree, not measurements taken beside it;
+//! * an admitted request executes on the thread that submitted it, and one
+//!   that had to queue still seals as one tree, on its own thread.
 //!
 //! The flight recorder is process-global, so these tests serialize on a
 //! local mutex and only assert on traces they can attribute to
@@ -663,4 +665,120 @@ fn profile_is_a_fold_of_the_tree() {
     assert_eq!(cold.len(), 4);
     assert_eq!(cold, hit);
     assert_eq!(cold, untraced);
+}
+
+fn span_named<'a>(t: &'a Trace, name: &str) -> &'a TraceSpan {
+    t.spans
+        .iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("trace {:x} has no {} span", t.id, name))
+}
+
+/// Caller-runs admission: an uncontended request never leaves the thread
+/// that submitted it — queue wait, slot-held execution and the middleware
+/// facade all carry the root's thread label.
+#[test]
+fn uncontended_request_runs_on_the_submitting_thread() {
+    let _g = serialize();
+    trace::set_tracing(true);
+
+    let fe = Frontend::new(
+        make_ada_with(AdaConfig {
+            frames_per_dropping: 4,
+            cache: ada_cache::CacheConfig {
+                min_heat: 0,
+                ..ada_cache::CacheConfig::with_capacity(64 << 20)
+            },
+            ..AdaConfig::paper_prototype("ssd", "hdd")
+        }),
+        FrontendConfig::default(),
+    );
+    fe.ingest("c0", "d", real_input(600, 12, 5)).unwrap();
+    let range = || {
+        fe.query_range("c0", "d", &Tag::protein(), 2..10, 2)
+            .unwrap()
+    };
+    range(); // warm the cache: the next read touches no reader thread
+    let (_, t) = sealed(range);
+    let root = t.root().unwrap();
+    for name in ["frontend.queue_wait", "frontend.execute", "ada.query_range"] {
+        assert_eq!(
+            span_named(&t, name).thread,
+            root.thread,
+            "{} left the submitting thread",
+            name
+        );
+    }
+}
+
+/// Two clients, one query slot: the one that had to queue is woken by the
+/// other's slot release and then runs its request itself. Its trace is one
+/// tree with a real queue wait, executed on its own thread — not on the
+/// thread of the client whose release started it. The overlap is a race
+/// the barrier and a multi-millisecond query stack heavily; it is retried
+/// like the thundering-herd tests.
+#[test]
+fn queued_request_traces_as_one_tree_on_its_own_thread() {
+    let _g = serialize();
+    trace::set_tracing(true);
+    for attempt in 0..5 {
+        trace::recorder().clear();
+        let fe = Frontend::new(
+            make_ada(),
+            FrontendConfig {
+                query_slots: 1,
+                ..FrontendConfig::default()
+            },
+        );
+        fe.ingest("setup", "big", real_input(2500, 8, 11)).unwrap();
+
+        let barrier = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for client in ["c0", "c1"] {
+                let (fe, barrier) = (&fe, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    fe.query(client, "big", None).unwrap();
+                });
+            }
+        });
+
+        let mut queries: Vec<Arc<Trace>> = fe
+            .flight_recorder()
+            .recent()
+            .into_iter()
+            .filter(|t| matches!(arg(t.root().unwrap(), "op"), Some(ArgValue::Str(op)) if op == "query"))
+            .collect();
+        assert_eq!(queries.len(), 2, "one trace per client");
+        queries.sort_by_key(|t| span_named(t, "frontend.execute").start_ns);
+        let (first, second) = (&queries[0], &queries[1]);
+        // `second` queued behind `first` iff its wait began while `first`
+        // still held the only slot.
+        let wait = span_named(second, "frontend.queue_wait");
+        if wait.start_ns >= span_named(first, "frontend.execute").end_ns {
+            eprintln!(
+                "attempt {}: the two queries never overlapped, retrying",
+                attempt
+            );
+            continue;
+        }
+
+        assert_tree_invariants(second);
+        assert!(
+            !second.is_flagged(),
+            "queued, then served: {:?}",
+            second.flag
+        );
+        assert!(u64_arg(wait, "waited_ns").unwrap() > 0);
+        let exec = span_named(second, "frontend.execute");
+        assert_eq!(exec.thread, second.root().unwrap().thread);
+        assert_eq!(span_named(second, "ada.query").thread, exec.thread);
+        assert_ne!(
+            exec.thread,
+            span_named(first, "frontend.execute").thread,
+            "the queued request ran on the thread that woke it"
+        );
+        return;
+    }
+    panic!("two clients through one query slot never overlapped in 5 attempts");
 }
