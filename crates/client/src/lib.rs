@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use ada_core::AdaError;
 use ada_proto::{
-    read_frame, write_frame, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope,
-    WireCacheStats, WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
+    read_frame, write_frame, CacheStats, RequestBody, RequestEnvelope, ResponseBody,
+    ResponseEnvelope, WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
 };
 use ada_telemetry::trace;
 use parking_lot::Mutex;
@@ -153,7 +153,7 @@ impl Client {
     }
 
     /// Snapshot of the server's decoded-dropping cache counters.
-    pub fn cache_stats(&self) -> Result<WireCacheStats, AdaError> {
+    pub fn cache_stats(&self) -> Result<CacheStats, AdaError> {
         match self.request(RequestBody::CacheStats)? {
             ResponseBody::CacheStats(s) => Ok(s),
             other => Err(unexpected_body("cache stats", &other)),

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use ada_core::AdaError;
-use ada_proto::{WireCacheStats, WireIngestReport, WireQueryReport};
+use ada_proto::{CacheStats, WireIngestReport, WireQueryReport};
 
 use crate::{Client, ClientConfig};
 
@@ -154,7 +154,7 @@ impl Router {
 
     /// Cache counters of every shard, keyed by shard index. Dead shards
     /// are reported as typed errors alongside the live answers.
-    pub fn cache_stats_all(&self) -> BTreeMap<usize, Result<WireCacheStats, AdaError>> {
+    pub fn cache_stats_all(&self) -> BTreeMap<usize, Result<CacheStats, AdaError>> {
         self.clients
             .iter()
             .enumerate()

@@ -13,15 +13,17 @@
 //! drains again when it finishes. That invariant is the whole liveness
 //! argument; there are no idle workers to fall back on.
 //!
-//! A submitter whose own request left the queue in its own drain (the
-//! uncontended case) executes it on its own stack and never touches
-//! another thread. Otherwise it blocks on its one-shot wake channel until
-//! a finishing caller's drain hands it `Start` or `Expired`. Wakes are
-//! collected under the lock and sent after it is released; a wake channel
-//! holds one message and gets exactly one, so the send never blocks. The
-//! vendored `parking_lot` has no `Condvar`, and the workspace lint bans
-//! unbounded channels — a bounded one-shot channel per request, read only
-//! by a request that has to wait, satisfies both.
+//! A request is the closure its caller hands [`Frontend::run`]; the
+//! scheduler never sees it. A submitter whose own request left the queue
+//! in its own drain (the uncontended case) calls it on its own stack and
+//! never touches another thread. Otherwise it blocks on its one-shot wake
+//! channel until a finishing caller's drain hands it `Start` or
+//! `Expired`. Wakes are collected under the lock and sent after it is
+//! released; a wake channel holds one message and gets exactly one, so
+//! the send never blocks. The vendored `parking_lot` has no `Condvar`,
+//! and the workspace lint bans unbounded channels — a bounded one-shot
+//! channel per request, read only by a request that has to wait,
+//! satisfies both.
 //!
 //! Nobody holds the scheduler lock while waiting or while touching
 //! storage, so the lock guards only O(1) queue operations.
@@ -51,8 +53,7 @@ use ada_telemetry::{Counter, Gauge, Histogram};
 use parking_lot::Mutex;
 
 use crate::config::FrontendConfig;
-use crate::request::{Class, Reply, Request};
-use crate::scheduler::{Popped, SchedulerCore};
+use crate::scheduler::{Class, Popped, SchedulerCore};
 use crate::stats::{ClassStats, FrontendStats};
 
 /// How a request left the queue: what its caller reads off its own drain
@@ -144,7 +145,7 @@ impl Metrics {
 /// Multi-client admission front-end over one shared [`Ada`].
 ///
 /// Requests are submitted from any number of client threads via
-/// [`Frontend::submit`] (or the typed [`Frontend::ingest`] /
+/// [`Frontend::run`] (or the typed [`Frontend::ingest`] /
 /// [`Frontend::query`] wrappers), which block until the request completes,
 /// is shed with [`AdaError::Overloaded`], or dies in the queue with
 /// [`AdaError::DeadlineExceeded`]. An admitted request executes on the
@@ -276,41 +277,48 @@ impl Frontend {
         mine
     }
 
-    /// Submit a request and block until it resolves. `deadline` bounds
-    /// only the queue wait (a request that started executing runs to
-    /// completion); `None` waits indefinitely.
-    pub fn submit(
+    /// Run `f` against the shared [`Ada`] through admission control and
+    /// block until it resolves: queue for a slot of `class`, then call `f`
+    /// on this thread while holding it. `op` names the operation in the
+    /// trace and in a caught panic's error. `deadline` bounds only the
+    /// queue wait (a request that started executing runs to completion);
+    /// `None` waits indefinitely.
+    pub fn run<T>(
         &self,
+        class: Class,
+        op: &'static str,
         client: &str,
-        request: Request,
         deadline: Option<Duration>,
-    ) -> Result<Reply, AdaError> {
+        f: impl FnOnce(&Ada, &TraceContext) -> Result<T, AdaError>,
+    ) -> Result<T, AdaError> {
         // Every request — including one about to be shed — gets a trace
         // root here at admission; the guard seals the trace when this
         // function returns.
-        let (ctx, mut root) = trace::root("frontend.request");
-        self.submit_rooted(client, request, deadline, &ctx, &mut root)
+        let (_, mut root) = trace::root("frontend.request");
+        self.run_rooted(class, op, client, deadline, &mut root, f)
     }
 
-    /// [`Frontend::submit`] under a caller-minted trace root. The
-    /// networked server uses this with a root minted from the wire-carried
-    /// trace id ([`trace::root_remote`]), so the admission queue wait,
-    /// slot execution, and every middleware span seal into the *client's*
+    /// [`Frontend::run`] under a caller-minted trace root. The networked
+    /// server uses this with a root minted from the wire-carried trace id
+    /// ([`trace::root_remote`]), so the admission queue wait, slot
+    /// execution, and every middleware span seal into the *client's*
     /// trace instead of a disconnected local one. The caller keeps the
     /// root guard alive until this returns (the guard seals the tree).
-    pub fn submit_rooted(
+    pub fn run_rooted<T>(
         &self,
+        class: Class,
+        op: &'static str,
         client: &str,
-        request: Request,
         deadline: Option<Duration>,
-        ctx: &TraceContext,
         root: &mut trace::TraceSpanGuard,
-    ) -> Result<Reply, AdaError> {
-        root.arg("op", request.op_name());
+        f: impl FnOnce(&Ada, &TraceContext) -> Result<T, AdaError>,
+    ) -> Result<T, AdaError> {
+        root.arg("op", op);
         root.arg("client", client);
+        let ctx = root.ctx();
         let res = self
-            .admit(request.class(), client, deadline, ctx, root)
-            .and_then(|slot| self.execute(slot, request, ctx));
+            .admit(class, client, deadline, &ctx, root)
+            .and_then(|slot| self.execute(slot, op, &ctx, f));
         if let Err(e) = &res {
             root.set_error(e.kind());
         }
@@ -391,16 +399,16 @@ impl Frontend {
         admitted
     }
 
-    /// Run `request` on this thread under the held `slot`. A panic inside
-    /// the middleware is answered as a typed `Internal` error, like the
+    /// Run `f` on this thread under the held `slot`. A panic inside the
+    /// middleware is answered as a typed `Internal` error, like the
     /// panics `ada-core` catches in its own stage pools.
-    fn execute(
+    fn execute<T>(
         &self,
         slot: Slot<'_>,
-        request: Request,
+        op: &'static str,
         ctx: &TraceContext,
-    ) -> Result<Reply, AdaError> {
-        let op = request.op_name();
+        f: impl FnOnce(&Ada, &TraceContext) -> Result<T, AdaError>,
+    ) -> Result<T, AdaError> {
         let res = {
             // Slot-held span: everything the middleware does for this
             // request nests under it.
@@ -408,7 +416,7 @@ impl Frontend {
             let ectx = exec.ctx();
             // All the closure shares with other threads is `Ada`, whose
             // locks do not poison.
-            catch_unwind(AssertUnwindSafe(|| request.execute(&self.ada, &ectx)))
+            catch_unwind(AssertUnwindSafe(|| f(&self.ada, &ectx)))
         };
         // Release the slot before returning so a client that saw its
         // request finish also sees balanced stats.
@@ -424,13 +432,13 @@ impl Frontend {
         dataset: &str,
         input: IngestInput,
     ) -> Result<IngestReport, AdaError> {
-        let request = Request::Ingest {
-            dataset: dataset.to_string(),
-            input,
-        };
-        self.submit(client, request, self.default_deadline)?
-            .into_ingest()
-            .ok_or_else(|| AdaError::Internal("ingest reply carried a query report".to_string()))
+        self.run(
+            Class::Ingest,
+            "ingest",
+            client,
+            self.default_deadline,
+            |ada, ctx| ada.ingest_traced(dataset, input, ctx),
+        )
     }
 
     /// Streaming ingest through admission control.
@@ -442,15 +450,13 @@ impl Frontend {
         xtc_bytes: &[u8],
         batch_frames: usize,
     ) -> Result<IngestReport, AdaError> {
-        let request = Request::IngestStreaming {
-            dataset: dataset.to_string(),
-            pdb_text: pdb_text.to_string(),
-            xtc_bytes: xtc_bytes.to_vec(),
-            batch_frames,
-        };
-        self.submit(client, request, self.default_deadline)?
-            .into_ingest()
-            .ok_or_else(|| AdaError::Internal("ingest reply carried a query report".to_string()))
+        self.run(
+            Class::Ingest,
+            "ingest_streaming",
+            client,
+            self.default_deadline,
+            |ada, ctx| ada.ingest_streaming_traced(dataset, pdb_text, xtc_bytes, batch_frames, ctx),
+        )
     }
 
     /// Tag-aware (or full-frame) query through admission control.
@@ -460,13 +466,13 @@ impl Frontend {
         dataset: &str,
         tag: Option<&Tag>,
     ) -> Result<QueryReport, AdaError> {
-        let request = Request::Query {
-            dataset: dataset.to_string(),
-            tag: tag.cloned(),
-        };
-        self.submit(client, request, self.default_deadline)?
-            .into_query()
-            .ok_or_else(|| AdaError::Internal("query reply carried an ingest report".to_string()))
+        self.run(
+            Class::Query,
+            "query",
+            client,
+            self.default_deadline,
+            |ada, ctx| ada.query_traced(dataset, tag, ctx),
+        )
     }
 
     /// Strided frame-range query (the ML-sampling read path) through
@@ -479,16 +485,13 @@ impl Frontend {
         window: std::ops::Range<usize>,
         stride: usize,
     ) -> Result<QueryReport, AdaError> {
-        let request = Request::QueryRange {
-            dataset: dataset.to_string(),
-            tag: tag.clone(),
-            start: window.start,
-            end: window.end,
-            stride,
-        };
-        self.submit(client, request, self.default_deadline)?
-            .into_query()
-            .ok_or_else(|| AdaError::Internal("query reply carried an ingest report".to_string()))
+        self.run(
+            Class::Query,
+            "query_range",
+            client,
+            self.default_deadline,
+            |ada, ctx| ada.query_range_traced(dataset, tag, window, stride, ctx),
+        )
     }
 
     /// Point-in-time admission statistics (process-local, not the global
@@ -601,14 +604,16 @@ mod tests {
     fn zero_deadline_expires_in_queue() {
         let fe = Frontend::new(make_ada(), FrontendConfig::default());
         fe.ingest("c0", "bar", real_input(300, 2)).unwrap();
-        let req = Request::Query {
-            dataset: "bar".into(),
-            tag: None,
-        };
-        // A 0 ns deadline is always in the past by the time a worker
-        // picks the request up.
+        // A 0 ns deadline is always in the past by the time the drain
+        // that follows the enqueue reads the clock.
         let err = fe
-            .submit("c0", req, Some(Duration::from_nanos(0)))
+            .run(
+                Class::Query,
+                "query",
+                "c0",
+                Some(Duration::from_nanos(0)),
+                |ada, ctx| ada.query_traced("bar", None, ctx),
+            )
             .unwrap_err();
         assert_eq!(err.kind(), "deadline_exceeded");
         let s = fe.stats();

@@ -22,6 +22,10 @@
 //!   It owns no threads: an admitted request executes on the thread that
 //!   submitted it, and a request that has to wait blocks on a one-shot
 //!   bounded channel until a finishing caller's slot release starts it.
+//!   A request is therefore a call, not a message: [`Frontend::run`]
+//!   takes the operation as a closure over the shared `Ada` and returns
+//!   whatever it returns; the typed `ingest` / `query` / … wrappers are
+//!   one such call each, and nothing owned is built to carry a request.
 //!   Full `ada-telemetry` integration (queue-depth HWM gauges,
 //!   admission-wait histograms, per-client accepted / rejected /
 //!   deadline-exceeded counters).
@@ -33,12 +37,10 @@
 
 pub mod config;
 pub mod frontend;
-pub mod request;
 pub mod scheduler;
 pub mod stats;
 
 pub use config::FrontendConfig;
 pub use frontend::Frontend;
-pub use request::{Class, Reply, Request};
-pub use scheduler::{ClassCounters, Popped, Rejection, SchedulerCore};
+pub use scheduler::{Class, ClassCounters, Popped, Rejection, SchedulerCore};
 pub use stats::{ClassStats, FrontendStats};

@@ -9,7 +9,36 @@
 
 use std::collections::VecDeque;
 
-use crate::request::Class;
+/// Admission class a request competes in. Ingest and query contend for
+/// different storage-node resources (write bandwidth + split CPU vs. read
+/// bandwidth + decode CPU), so each class has its own slots and queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Class {
+    /// Write path: `ingest` / `ingest_streaming`.
+    Ingest,
+    /// Read path: `query` / `query_range`.
+    Query,
+}
+
+impl Class {
+    /// Both classes, in stable order (used to size per-class state).
+    pub const ALL: [Class; 2] = [Class::Ingest, Class::Query];
+
+    /// Stable lowercase name used in telemetry metric names.
+    pub fn name(self) -> &'static str {
+        match self {
+            Class::Ingest => "ingest",
+            Class::Query => "query",
+        }
+    }
+
+    pub(crate) fn idx(self) -> usize {
+        match self {
+            Class::Ingest => 0,
+            Class::Query => 1,
+        }
+    }
+}
 
 /// Per-class lifetime counters. At quiescence (empty queue, nothing
 /// running) they satisfy `submitted == admitted + rejected + expired` and
@@ -254,6 +283,13 @@ mod tests {
 
     fn core() -> SchedulerCore<u32> {
         SchedulerCore::new((1, 2), (2, 3), 1_000)
+    }
+
+    #[test]
+    fn class_names_are_stable() {
+        assert_eq!(Class::Ingest.name(), "ingest");
+        assert_eq!(Class::Query.name(), "query");
+        assert_eq!(Class::ALL.len(), 2);
     }
 
     #[test]

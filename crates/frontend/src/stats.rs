@@ -2,8 +2,7 @@
 //! telemetry registry so concurrent tests in one process don't share
 //! counters.
 
-use crate::request::Class;
-use crate::scheduler::ClassCounters;
+use crate::scheduler::{Class, ClassCounters};
 
 /// Snapshot of one class's admission state.
 #[derive(Debug, Clone, Copy, Default)]

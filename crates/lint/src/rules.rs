@@ -96,9 +96,9 @@ pub fn suppressible(rule: &str) -> bool {
 }
 
 /// Crates whose pipelines rely on bounded channels for backpressure.
-/// `server` is here for its per-connection reader→executor→writer
-/// channels: an unbounded one would let a fast peer queue frames without
-/// limit.
+/// `server` is here although a connection is one thread and no channel:
+/// should one come back, an unbounded one would let a fast peer queue
+/// frames without limit.
 const PIPELINE_CRATES: &[&str] = &["core", "frontend", "plfs", "simfs", "vmdsim", "server"];
 /// Crates on the ingest/query hot path that must use `parking_lot`.
 const HOT_CRATES: &[&str] = &[

@@ -29,11 +29,11 @@ pub const DEFAULT_MAX_FRAME: u32 = 64 << 20;
 
 /// A validated frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameHeader {
+struct FrameHeader {
     /// Payload length in bytes.
-    pub len: u32,
+    len: u32,
     /// IEEE CRC-32 the payload must hash to.
-    pub crc: u32,
+    crc: u32,
 }
 
 /// Render the header for `payload`.
@@ -71,7 +71,7 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
 
 /// Validate magic, version, and declared length (against `max_len`,
 /// *before* the caller allocates the payload buffer).
-pub fn parse_header(bytes: &[u8; HEADER_LEN], max_len: u32) -> Result<FrameHeader, ProtoError> {
+fn parse_header(bytes: &[u8; HEADER_LEN], max_len: u32) -> Result<FrameHeader, ProtoError> {
     let got = [bytes[0], bytes[1], bytes[2], bytes[3]];
     if got != MAGIC {
         return Err(ProtoError::BadMagic { got });
@@ -91,7 +91,7 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN], max_len: u32) -> Result<FrameHeade
 }
 
 /// Check the received payload against the header's CRC declaration.
-pub fn verify_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), ProtoError> {
+fn verify_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), ProtoError> {
     let computed = crc32(payload);
     if computed != header.crc {
         return Err(ProtoError::BadCrc {

@@ -42,13 +42,13 @@ pub mod frame;
 pub mod message;
 pub mod wire;
 
+pub use ada_cache::CacheStats;
 pub use errmap::{decode_error, encode_error};
 pub use frame::{
-    encode_frame, parse_header, read_frame, verify_payload, write_frame, FrameHeader,
-    DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
+    encode_frame, read_frame, write_frame, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
 };
 pub use message::{
-    RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, WireCacheStats, WireIngestReport,
-    WirePayload, WireQueryReport, QUERY_CHUNK_FRAMES,
+    RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, WireIngestReport, WirePayload,
+    WireQueryReport, QUERY_CHUNK_FRAMES,
 };
 pub use wire::{ProtoError, WireReader, WireWriter};

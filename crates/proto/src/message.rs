@@ -1,5 +1,5 @@
-//! The request/response vocabulary of the wire — the networked mirror of
-//! `ada_frontend::Request`/`Reply`, plus transport-friendly report types.
+//! The request/response vocabulary of the wire — one body per operation
+//! the remote `Frontend` runs — plus transport-friendly report types.
 //!
 //! A query's trajectory crosses the wire uncompressed, as one XTCF v2
 //! chunk container (the on-disk dropping format): the compute node gets
@@ -217,7 +217,7 @@ pub enum ResponseBody {
     /// Answer to [`RequestBody::Query`] / [`RequestBody::QueryRange`].
     Query(WireQueryReport),
     /// Answer to [`RequestBody::CacheStats`].
-    CacheStats(WireCacheStats),
+    CacheStats(CacheStats),
     /// The request failed; the error carries the exact `AdaError`.
     Error(AdaError),
 }
@@ -244,7 +244,7 @@ impl ResponseEnvelope {
             }
             ResponseBody::CacheStats(s) => {
                 w.put_u8(3);
-                s.encode(&mut w);
+                encode_cache_stats(s, &mut w);
             }
             ResponseBody::Error(e) => {
                 w.put_u8(255);
@@ -262,7 +262,7 @@ impl ResponseEnvelope {
             0 => ResponseBody::Pong,
             1 => ResponseBody::Ingest(WireIngestReport::decode(&mut r)?),
             2 => ResponseBody::Query(WireQueryReport::decode(&mut r)?),
-            3 => ResponseBody::CacheStats(WireCacheStats::decode(&mut r)?),
+            3 => ResponseBody::CacheStats(decode_cache_stats(&mut r)?),
             255 => ResponseBody::Error(decode_error(&mut r)?),
             other => {
                 return Err(ProtoError::Malformed(format!(
@@ -561,75 +561,35 @@ impl WireQueryReport {
     }
 }
 
-/// [`CacheStats`] in wire form (field-for-field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireCacheStats {
-    /// Lookups that returned a resident payload.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Payloads stored.
-    pub inserts: u64,
-    /// Entries evicted by the CLOCK hand.
-    pub evictions: u64,
-    /// Inserts refused by admission.
-    pub bypasses: u64,
-    /// Bytes currently resident.
-    pub resident_bytes: u64,
-    /// High-water mark of `resident_bytes`.
-    pub resident_hwm: u64,
-    /// Frame-payload bytes decoded from droppings.
-    pub bytes_decoded: u64,
-    /// Frame-payload bytes served from resident entries.
-    pub bytes_served_from_cache: u64,
-}
-
-impl From<CacheStats> for WireCacheStats {
-    fn from(s: CacheStats) -> WireCacheStats {
-        WireCacheStats {
-            hits: s.hits,
-            misses: s.misses,
-            inserts: s.inserts,
-            evictions: s.evictions,
-            bypasses: s.bypasses,
-            resident_bytes: s.resident_bytes,
-            resident_hwm: s.resident_hwm,
-            bytes_decoded: s.bytes_decoded,
-            bytes_served_from_cache: s.bytes_served_from_cache,
-        }
+/// [`CacheStats`] on the wire: its nine counters as `u64`s, in field order.
+fn encode_cache_stats(s: &CacheStats, w: &mut WireWriter) {
+    for v in [
+        s.hits,
+        s.misses,
+        s.inserts,
+        s.evictions,
+        s.bypasses,
+        s.resident_bytes,
+        s.resident_hwm,
+        s.bytes_decoded,
+        s.bytes_served_from_cache,
+    ] {
+        w.put_u64(v);
     }
 }
 
-impl WireCacheStats {
-    fn encode(&self, w: &mut WireWriter) {
-        for v in [
-            self.hits,
-            self.misses,
-            self.inserts,
-            self.evictions,
-            self.bypasses,
-            self.resident_bytes,
-            self.resident_hwm,
-            self.bytes_decoded,
-            self.bytes_served_from_cache,
-        ] {
-            w.put_u64(v);
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> Result<WireCacheStats, ProtoError> {
-        Ok(WireCacheStats {
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
-            inserts: r.get_u64()?,
-            evictions: r.get_u64()?,
-            bypasses: r.get_u64()?,
-            resident_bytes: r.get_u64()?,
-            resident_hwm: r.get_u64()?,
-            bytes_decoded: r.get_u64()?,
-            bytes_served_from_cache: r.get_u64()?,
-        })
-    }
+fn decode_cache_stats(r: &mut WireReader) -> Result<CacheStats, ProtoError> {
+    Ok(CacheStats {
+        hits: r.get_u64()?,
+        misses: r.get_u64()?,
+        inserts: r.get_u64()?,
+        evictions: r.get_u64()?,
+        bypasses: r.get_u64()?,
+        resident_bytes: r.get_u64()?,
+        resident_hwm: r.get_u64()?,
+        bytes_decoded: r.get_u64()?,
+        bytes_served_from_cache: r.get_u64()?,
+    })
 }
 
 #[cfg(test)]
@@ -742,10 +702,10 @@ mod tests {
             other => panic!("wrong body {:?}", other),
         }
 
-        let stats = WireCacheStats {
+        let stats = CacheStats {
             hits: 5,
             misses: 2,
-            ..WireCacheStats::default()
+            ..CacheStats::default()
         };
         let resp = ResponseEnvelope {
             id: 11,

@@ -2,7 +2,7 @@
 //! [`ada_frontend::Frontend`] over the `ada-proto` wire protocol.
 //!
 //! The daemon adds transport, not semantics: every request decoded off
-//! the wire is driven through [`Frontend::submit_rooted`] under a trace
+//! the wire is driven through [`Frontend::run_rooted`] under a trace
 //! root minted from the wire-carried trace id
 //! ([`trace::root_remote`]), so admission, shedding, deadlines, and the
 //! flight-recorder tree behave exactly as they do for an in-process
@@ -12,46 +12,47 @@
 //! ## Threading model
 //!
 //! One nonblocking accept loop polls a stop flag; each accepted
-//! connection gets three threads joined at connection teardown:
+//! connection gets **one** named thread (`ada-server-conn-{id}`) that
+//! serves it one request at a time: deframe ([`ada_proto::read_frame`]
+//! behind the idle and whole-frame deadlines, which evict silent and
+//! slow-loris peers), decode, run the request through the frontend,
+//! encode, write. The frontend owns no threads, so the thread that read
+//! the request is the thread that waits for the admission slot, holds it,
+//! runs the middleware and writes the answer.
 //!
-//! - a **reader** that deframes and decodes requests (with an idle
-//!   timeout between frames and a whole-frame deadline once the first
-//!   byte of a frame arrives, which evicts slow-loris peers),
-//! - an **executor** that drives decoded requests through the frontend
-//!   (in-flight bounded by the `sync_channel` between reader and
-//!   executor) — the frontend owns no threads, so this is the thread that
-//!   waits for the admission slot, holds it and runs the request — and
-//! - a **writer** that frames responses back to the socket.
+//! Requests a peer sends ahead of their answers wait in the socket
+//! buffers: TCP back-pressure is the bound on what a connection can hold
+//! — no decoded request and at most one encoded answer — and the answers
+//! come back in request order. A peer that stops *reading* stalls the
+//! write; `frame_timeout` bounds that as it bounds a stalled request
+//! frame, and the connection closes.
 //!
 //! ## Shutdown sequence
 //!
 //! [`Server::shutdown`] sets the stop flag, then the accept loop calls
-//! `TcpStream::shutdown(Both)` on every registered connection. Readers
-//! observe EOF (or the flag at their next poll tick) and drop their job
-//! channel; executors drain and drop the response channel; writers
-//! flush what remains and exit. The accept thread joins every
-//! connection handler before exiting, so no thread outlives the
-//! `Server`.
+//! `TcpStream::shutdown(Both)` on every registered connection. A
+//! connection thread waiting for a frame observes EOF (or the flag at its
+//! next poll tick) and returns; one inside a request finishes it, fails
+//! the write and returns. The accept thread joins every connection
+//! thread before exiting, so no thread outlives the `Server`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ada_core::{AdaError, IngestInput};
-use ada_frontend::{Frontend, Reply, Request};
+use ada_frontend::{Class, Frontend};
 use ada_mdmodel::Tag;
 use ada_proto::{
-    parse_header, verify_payload, write_frame, ProtoError, RequestBody, RequestEnvelope,
-    ResponseBody, ResponseEnvelope, WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
-    HEADER_LEN,
+    read_frame, write_frame, ProtoError, RequestBody, RequestEnvelope, ResponseBody,
+    ResponseEnvelope, WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
 use ada_telemetry::trace;
 use parking_lot::Mutex;
@@ -64,13 +65,11 @@ pub struct ServerConfig {
     /// Connections beyond this are answered with a typed `Overloaded`
     /// error frame and closed.
     pub max_connections: usize,
-    /// Decoded requests buffered between a connection's reader and its
-    /// executor; the reader stops deframing once this many are pending.
-    pub max_in_flight: usize,
     /// A connection idle (no frame started) longer than this is closed.
     pub idle_timeout: Duration,
     /// A frame that started arriving must complete within this window —
-    /// the slow-loris bound.
+    /// the slow-loris bound — and a response frame the peer takes nothing
+    /// of for this long is abandoned with the connection.
     pub frame_timeout: Duration,
     /// Receive-side payload limit; larger declared lengths are rejected
     /// before allocation.
@@ -82,7 +81,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 64,
-            max_in_flight: 4,
             idle_timeout: Duration::from_secs(30),
             frame_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME,
@@ -261,127 +259,138 @@ fn reject_connection(mut stream: TcpStream, active: usize) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Why the reader stopped deframing.
-enum ReadEnd {
-    /// Peer closed cleanly at a frame boundary.
-    Eof,
-    /// Stop flag observed.
-    Stopping,
-    /// Idle/frame deadline hit or a transport/framing violation; the
-    /// byte stream is no longer trustworthy, so the connection closes
-    /// after a best-effort error frame.
-    Fatal(ProtoError),
-}
-
 fn handle_connection(shared: Arc<Shared>, stream: TcpStream, conn_id: u64, peer: SocketAddr) {
-    let registry = ada_telemetry::global();
-    let config = shared.config.clone();
-
-    // reader -> executor (bounds in-flight requests per connection) and
-    // executor/reader -> writer (encoded response frames).
-    let (job_tx, job_rx) = sync_channel::<RequestEnvelope>(config.max_in_flight.max(1));
-    let (resp_tx, resp_rx) = sync_channel::<Vec<u8>>(config.max_in_flight.max(1) + 1);
-
-    let writer = stream.try_clone().ok().map(|mut wstream| {
-        // ada-lint: allow(trace-context-propagated) byte pump: frames reaching this thread were already sealed under their request ctx by the executor
-        thread::spawn(move || {
-            for frame in resp_rx {
-                if write_frame(&mut wstream, &frame).is_err() {
-                    ada_telemetry::global().counter("server.write.errors").inc();
-                    break;
-                }
-                ada_telemetry::global()
-                    .counter("server.bytes.written")
-                    .add(frame.len() as u64 + HEADER_LEN as u64);
-            }
-            let _ = wstream.shutdown(Shutdown::Write);
-        })
-    });
-
-    let exec_frontend = Arc::clone(&shared.frontend);
-    let exec_resp_tx = resp_tx.clone();
-    let executor = thread::spawn(move || {
-        for env in job_rx {
-            let resp = execute_request(&exec_frontend, env);
-            if exec_resp_tx.send(resp.encode()).is_err() {
-                break; // writer is gone; the reader will notice EOF/stop
-            }
-        }
-    });
-
-    let end = read_loop(&shared, &stream, &config, &job_tx, &resp_tx);
-
-    if let ReadEnd::Fatal(proto_err) = &end {
-        registry.counter("server.protocol.errors").inc();
+    if let Err(proto_err) = serve_connection(&shared, &stream) {
+        // The byte stream is no longer trustworthy: say why under the
+        // connection-level id 0 (best-effort), then close.
+        ada_telemetry::global()
+            .counter("server.protocol.errors")
+            .inc();
         let resp = ResponseEnvelope {
             id: 0,
             body: ResponseBody::Error(AdaError::Network {
                 detail: format!("{} (peer {})", proto_err, peer),
             }),
         };
-        let _ = resp_tx.send(resp.encode());
-    }
-
-    // Teardown in dependency order: no more jobs -> executor drains and
-    // exits -> last response sender drops -> writer flushes and exits.
-    drop(job_tx);
-    if executor.join().is_err() {
-        registry.counter("server.connection.panics").inc();
-    }
-    drop(resp_tx);
-    if let Some(handle) = writer {
-        if handle.join().is_err() {
-            registry.counter("server.connection.panics").inc();
-        }
+        send_response(&stream, resp);
     }
     let _ = stream.shutdown(Shutdown::Both);
     shared.unregister(conn_id);
 }
 
-/// Deframe and decode requests until EOF, stop, or a fatal violation.
-/// Structural decode failures on a well-framed payload are answered with
-/// a typed error frame and the connection keeps serving.
-fn read_loop(
-    shared: &Shared,
-    stream: &TcpStream,
-    config: &ServerConfig,
-    job_tx: &std::sync::mpsc::SyncSender<RequestEnvelope>,
-    resp_tx: &std::sync::mpsc::SyncSender<Vec<u8>>,
-) -> ReadEnd {
+/// Serve one connection on the calling thread: deframe, decode, execute,
+/// encode, write, one request at a time. Returns `Ok` at a clean EOF, at
+/// the stop flag and after a failed write; `Err` for an idle or frame
+/// deadline and for any transport or framing violation. Structural decode
+/// failures on a well-framed payload are answered with a typed error
+/// frame and the connection keeps serving.
+fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoError> {
     let registry = ada_telemetry::global();
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
-        return ReadEnd::Fatal(ProtoError::Io("set_read_timeout failed".to_string()));
-    }
+    let config = &shared.config;
+    stream.set_read_timeout(Some(POLL_TICK))?;
+    // `frame_timeout` in the other direction: a peer that stops reading
+    // its answers is dropped like one that stops sending its request.
+    stream.set_write_timeout(Some(config.frame_timeout))?;
     loop {
-        let payload = match read_frame_timed(stream, config, &shared.stop) {
-            TimedRead::Frame(payload) => payload,
-            TimedRead::Eof => return ReadEnd::Eof,
-            TimedRead::Stopping => return ReadEnd::Stopping,
-            TimedRead::Failed(e) => return ReadEnd::Fatal(e),
+        let mut patient = PatientRead {
+            stream,
+            shared,
+            idle_deadline: Instant::now() + config.idle_timeout,
+            frame_deadline: None,
+            stopping: false,
+        };
+        let payload = match read_frame(&mut patient, config.max_frame_len) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => return Ok(()),
+            Err(_) if patient.stopping => return Ok(()),
+            Err(e) => return Err(e),
         };
         registry
             .counter("server.bytes.read")
             .add(payload.len() as u64 + HEADER_LEN as u64);
-        match RequestEnvelope::decode(&payload) {
+        let resp = match RequestEnvelope::decode(&payload) {
             Ok(env) => {
-                if job_tx.send(env).is_err() {
-                    // Executor died (its panic already became a counter);
-                    // nothing can be served anymore.
-                    return ReadEnd::Fatal(ProtoError::Io("executor is gone".to_string()));
-                }
+                drop(payload);
+                execute_request(&shared.frontend, env)
             }
             Err(e) => {
                 // The frame passed CRC, so the stream is still aligned:
                 // answer with a typed error and keep the connection.
                 registry.counter("server.protocol.errors").inc();
-                let resp = ResponseEnvelope {
+                ResponseEnvelope {
                     id: peek_request_id(&payload),
                     body: ResponseBody::Error(AdaError::from(e)),
-                };
-                if resp_tx.send(resp.encode()).is_err() {
-                    return ReadEnd::Fatal(ProtoError::Io("writer is gone".to_string()));
                 }
             }
+        };
+        if !send_response(stream, resp) {
+            return Ok(());
+        }
+    }
+}
+
+/// Encode `resp` and write it as one frame; `false` when the peer is gone
+/// or took nothing for `frame_timeout`. The envelope is dropped before
+/// the write, so the connection holds the answer once while it blocks.
+fn send_response(mut stream: &TcpStream, resp: ResponseEnvelope) -> bool {
+    let registry = ada_telemetry::global();
+    let payload = resp.encode();
+    drop(resp);
+    if write_frame(&mut stream, &payload).is_err() {
+        registry.counter("server.write.errors").inc();
+        return false;
+    }
+    registry
+        .counter("server.bytes.written")
+        .add(payload.len() as u64 + HEADER_LEN as u64);
+    true
+}
+
+/// The connection's socket as [`read_frame`] sees it for one frame: the
+/// socket has a short `SO_RCVTIMEO` ([`POLL_TICK`]), and every timeout
+/// tick re-checks the stop flag, the frame deadline (a frame started
+/// arriving but has not completed — the slow-loris case) and the idle
+/// deadline (no frame started) before reading again.
+struct PatientRead<'a> {
+    stream: &'a TcpStream,
+    shared: &'a Shared,
+    idle_deadline: Instant,
+    /// Set by the frame's first byte.
+    frame_deadline: Option<Instant>,
+    /// The read failed because the stop flag is up, not because of the peer.
+    stopping: bool,
+}
+
+impl Read for PatientRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let config = &self.shared.config;
+        loop {
+            let e = match self.stream.read(buf) {
+                Ok(n) => {
+                    if n > 0 {
+                        self.frame_deadline
+                            .get_or_insert_with(|| Instant::now() + config.frame_timeout);
+                    }
+                    return Ok(n);
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => e,
+                Err(e) => return Err(e),
+            };
+            if self.shared.stop.load(Ordering::SeqCst) {
+                self.stopping = true;
+                return Err(e);
+            }
+            let late = match self.frame_deadline {
+                Some(d) if Instant::now() >= d => format!(
+                    "frame incomplete after {:?} (slow peer)",
+                    config.frame_timeout
+                ),
+                None if Instant::now() >= self.idle_deadline => {
+                    format!("idle for {:?}", config.idle_timeout)
+                }
+                _ => continue,
+            };
+            return Err(std::io::Error::new(ErrorKind::TimedOut, late));
         }
     }
 }
@@ -398,158 +407,72 @@ fn peek_request_id(payload: &[u8]) -> u64 {
     }
 }
 
-enum TimedRead {
-    Frame(Vec<u8>),
-    Eof,
-    Stopping,
-    Failed(ProtoError),
-}
-
-/// Read one frame under the connection's deadlines. The socket has a
-/// short `SO_RCVTIMEO`; every timeout tick re-checks the stop flag, the
-/// idle deadline (no frame started), and the frame deadline (a frame
-/// started arriving but has not completed — the slow-loris case).
-fn read_frame_timed(mut stream: &TcpStream, config: &ServerConfig, stop: &AtomicBool) -> TimedRead {
-    let idle_deadline = Instant::now() + config.idle_timeout;
-    let mut frame_deadline: Option<Instant> = None;
-
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0usize;
-    while filled < HEADER_LEN {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    TimedRead::Eof
-                } else {
-                    TimedRead::Failed(ProtoError::Truncated {
-                        needed: HEADER_LEN,
-                        got: filled,
-                    })
-                };
-            }
-            Ok(n) => {
-                filled += n;
-                frame_deadline.get_or_insert_with(|| Instant::now() + config.frame_timeout);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return TimedRead::Stopping;
-                }
-                match frame_deadline {
-                    Some(d) if Instant::now() >= d => {
-                        return TimedRead::Failed(ProtoError::Io(format!(
-                            "frame incomplete after {:?} (slow peer)",
-                            config.frame_timeout
-                        )));
-                    }
-                    None if Instant::now() >= idle_deadline => {
-                        return TimedRead::Failed(ProtoError::Io(format!(
-                            "idle for {:?}",
-                            config.idle_timeout
-                        )));
-                    }
-                    _ => {}
-                }
-            }
-            Err(e) => return TimedRead::Failed(ProtoError::Io(e.to_string())),
-        }
-    }
-
-    let h = match parse_header(&header, config.max_frame_len) {
-        Ok(h) => h,
-        Err(e) => return TimedRead::Failed(e),
-    };
-    let mut payload = vec![0u8; h.len as usize];
-    let mut filled = 0usize;
-    while filled < payload.len() {
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return TimedRead::Failed(ProtoError::Truncated {
-                    needed: payload.len(),
-                    got: filled,
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return TimedRead::Stopping;
-                }
-                if let Some(d) = frame_deadline {
-                    if Instant::now() >= d {
-                        return TimedRead::Failed(ProtoError::Io(format!(
-                            "frame incomplete after {:?} (slow peer)",
-                            config.frame_timeout
-                        )));
-                    }
-                }
-            }
-            Err(e) => return TimedRead::Failed(ProtoError::Io(e.to_string())),
-        }
-    }
-    match verify_payload(&h, &payload) {
-        Ok(()) => TimedRead::Frame(payload),
-        Err(e) => TimedRead::Failed(e),
-    }
-}
-
 /// Drive one decoded request through the frontend under a trace root
 /// minted from the wire-carried trace id, and build the response.
 fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelope {
     let registry = ada_telemetry::global();
     registry.counter("server.requests").inc();
     let started = Instant::now();
-    let (ctx, mut root) = trace::root_remote("server.request", env.trace_id);
-    root.arg("op", env.body.op_name());
-    root.arg("client", env.client.as_str());
+    let (_, mut root) = trace::root_remote("server.request", env.trace_id);
     let deadline = (env.deadline_ns != 0).then(|| Duration::from_nanos(env.deadline_ns));
-    let id = env.id;
-    let client = env.client;
+    let RequestEnvelope {
+        id, client, body, ..
+    } = env;
+    if matches!(body, RequestBody::Ping | RequestBody::CacheStats) {
+        // Answered without admission; `run_rooted` names every other root.
+        root.arg("op", body.op_name());
+        root.arg("client", client.as_str());
+    }
 
-    let outcome: Result<ResponseBody, AdaError> = match env.body {
+    let outcome: Result<ResponseBody, AdaError> = match body {
         RequestBody::Ping => Ok(ResponseBody::Pong),
-        RequestBody::CacheStats => Ok(ResponseBody::CacheStats(
-            frontend.ada().cache_stats().into(),
-        )),
+        RequestBody::CacheStats => Ok(ResponseBody::CacheStats(frontend.ada().cache_stats())),
         RequestBody::Ingest {
             dataset,
             pdb_text,
             xtc_bytes,
             batch_frames,
         } => {
-            let request = if batch_frames == 0 {
-                Request::Ingest {
-                    dataset,
-                    input: IngestInput::Real {
-                        pdb_text,
-                        xtc_bytes,
-                    },
-                }
-            } else {
-                Request::IngestStreaming {
-                    dataset,
+            let report = if batch_frames == 0 {
+                let input = IngestInput::Real {
                     pdb_text,
                     xtc_bytes,
-                    batch_frames: batch_frames as usize,
-                }
+                };
+                frontend.run_rooted(
+                    Class::Ingest,
+                    "ingest",
+                    &client,
+                    deadline,
+                    &mut root,
+                    |ada, ctx| ada.ingest_traced(&dataset, input, ctx),
+                )
+            } else {
+                let batch = batch_frames as usize;
+                frontend.run_rooted(
+                    Class::Ingest,
+                    "ingest_streaming",
+                    &client,
+                    deadline,
+                    &mut root,
+                    |ada, ctx| {
+                        ada.ingest_streaming_traced(&dataset, &pdb_text, &xtc_bytes, batch, ctx)
+                    },
+                )
             };
-            frontend
-                .submit_rooted(&client, request, deadline, &ctx, &mut root)
-                .and_then(reply_to_ingest)
+            report.map(|rep| ResponseBody::Ingest(WireIngestReport::from_report(&rep)))
         }
         RequestBody::Query { dataset, tag } => {
-            let request = Request::Query {
-                dataset,
-                tag: tag.map(Tag::new),
-            };
+            let tag = tag.map(Tag::new);
             frontend
-                .submit_rooted(&client, request, deadline, &ctx, &mut root)
-                .and_then(reply_to_query)
+                .run_rooted(
+                    Class::Query,
+                    "query",
+                    &client,
+                    deadline,
+                    &mut root,
+                    |ada, ctx| ada.query_traced(&dataset, tag.as_ref(), ctx),
+                )
+                .and_then(|rep| WireQueryReport::from_report(&rep).map(ResponseBody::Query))
         }
         RequestBody::QueryRange {
             dataset,
@@ -558,16 +481,18 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
             end,
             stride,
         } => {
-            let request = Request::QueryRange {
-                dataset,
-                tag: Tag::new(tag),
-                start: start as usize,
-                end: end as usize,
-                stride: stride as usize,
-            };
+            let tag = Tag::new(tag);
+            let window = start as usize..end as usize;
             frontend
-                .submit_rooted(&client, request, deadline, &ctx, &mut root)
-                .and_then(reply_to_query)
+                .run_rooted(
+                    Class::Query,
+                    "query_range",
+                    &client,
+                    deadline,
+                    &mut root,
+                    |ada, ctx| ada.query_range_traced(&dataset, &tag, window, stride as usize, ctx),
+                )
+                .and_then(|rep| WireQueryReport::from_report(&rep).map(ResponseBody::Query))
         }
     };
 
@@ -583,23 +508,5 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
                 body: ResponseBody::Error(e),
             }
         }
-    }
-}
-
-fn reply_to_ingest(reply: Reply) -> Result<ResponseBody, AdaError> {
-    match reply.into_ingest() {
-        Some(rep) => Ok(ResponseBody::Ingest(WireIngestReport::from_report(&rep))),
-        None => Err(AdaError::Internal(
-            "ingest request got a query reply".to_string(),
-        )),
-    }
-}
-
-fn reply_to_query(reply: Reply) -> Result<ResponseBody, AdaError> {
-    match reply.into_query() {
-        Some(rep) => WireQueryReport::from_report(&rep).map(ResponseBody::Query),
-        None => Err(AdaError::Internal(
-            "query request got an ingest reply".to_string(),
-        )),
     }
 }

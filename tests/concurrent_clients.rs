@@ -15,7 +15,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
-use ada_frontend::{Frontend, FrontendConfig, Request};
+use ada_frontend::{Class, Frontend, FrontendConfig};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{Content, FileStat, FsError, LocalFs, SimFileSystem, TimedRead};
@@ -249,14 +249,13 @@ fn queued_deadline_misses_are_typed() {
             let barrier = &barrier;
             handles.push(scope.spawn(move || {
                 barrier.wait();
-                // 1 ns is always in the past by the time a worker pops.
-                fe.submit(
+                // 1 ns is always in the past by the time the queue drains.
+                fe.run(
+                    Class::Query,
+                    "query",
                     &format!("c{}", t),
-                    Request::Query {
-                        dataset: "bar".into(),
-                        tag: None,
-                    },
                     Some(Duration::from_nanos(1)),
+                    |ada, ctx| ada.query_traced("bar", None, ctx),
                 )
             }));
         }

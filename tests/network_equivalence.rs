@@ -16,7 +16,9 @@
 //!   network failure;
 //! * a traced remote request seals ONE connected tree under the
 //!   client's trace id: the server's spans are rooted from the
-//!   wire-carried id instead of minting a disconnected root;
+//!   wire-carried id instead of minting a disconnected root, recorded on
+//!   the connection's own thread from root to `ada.{op}`, and the root
+//!   names `op` (the one that ran) and `client` once;
 //! * a two-server fleet behind `Router` stores every dataset on exactly
 //!   the shard `Router::shard_for` names, and routed answers are the
 //!   in-process ones;
@@ -394,7 +396,9 @@ fn remote_ingest_report_matches_in_process() {
 
 /// A traced remote request produces ONE server-side tree sealed under
 /// the client's trace id — the wire carries the id, `root_remote` adopts
-/// it, and the frontend's spans nest under that root.
+/// it, and the frontend's spans nest under that root. The whole tree down
+/// to the middleware's facade span is recorded on the connection's own
+/// thread, and its root names the op that actually ran, once.
 #[test]
 fn server_trace_tree_adopts_the_wire_trace_id() {
     let _guard = serialize();
@@ -405,6 +409,7 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
     let client = client_for(&server, "traced");
     let (pdb, xtc) = real_bytes(300, 3, 55);
     client.ingest("ds", &pdb, &xtc, 0).unwrap();
+    client.ingest("ds-streamed", &pdb, &xtc, 2).unwrap();
     client.query("ds", Some("p")).unwrap();
     server.shutdown();
 
@@ -425,22 +430,46 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
                 .unwrap_or(false)
         })
         .collect();
-    assert_eq!(client_roots.len(), 2, "one client tree per request");
-    assert_eq!(server_roots.len(), 2, "one server tree per request");
+    assert_eq!(client_roots.len(), 3, "one client tree per request");
+    assert_eq!(server_roots.len(), 3, "one server tree per request");
+    let mut ops = Vec::new();
     for st in &server_roots {
         assert!(
             client_roots.iter().any(|ct| ct.id == st.id),
             "server tree {:x} does not share its id with any client tree",
             st.id
         );
-        // The frontend's spans sealed under the adopted root: the tree
-        // has more than the bare root span.
+        let root = st.root().unwrap();
+        let mut keys: Vec<_> = root.args.iter().map(|(k, _)| *k).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["client", "op"], "root args of tree {:x}", st.id);
+        let Some(trace::ArgValue::Str(op)) = root.arg("op") else {
+            panic!("op of tree {:x} is not text: {:?}", st.id, root.arg("op"));
+        };
+        ops.push(op.as_str());
+
+        // The frontend's spans sealed under the adopted root, and the
+        // thread that read the request waited for its slot, held it and
+        // ran the middleware: a remote request never leaves its
+        // connection's thread either.
         assert!(
-            st.spans.len() > 1,
-            "server tree {:x} carries no frontend spans",
-            st.id
+            root.thread.starts_with("ada-server-conn-"),
+            "root of tree {:x} was recorded on thread {:?}",
+            st.id,
+            root.thread
         );
+        let facade = format!("ada.{}", op);
+        for name in ["frontend.queue_wait", "frontend.execute", facade.as_str()] {
+            let span = st
+                .spans
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("server tree {:x} has no {} span", st.id, name));
+            assert_eq!(span.thread, root.thread, "{} left the connection", name);
+        }
     }
+    ops.sort_unstable();
+    assert_eq!(ops, ["ingest", "ingest_streaming", "query"]);
     trace::set_tracing(false);
 }
 

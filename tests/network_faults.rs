@@ -13,6 +13,12 @@
 //! frame CRC passes, so only the per-chunk CRC stands between the
 //! corruption and the caller, and it must surface as a typed `xtcf`
 //! error naming the chunk — never as frames.
+//!
+//! Two peers that are not malformed, only inconsiderate: one sends eight
+//! frames ahead of their answers and gets them back in request order; one
+//! sends queries and never reads, and loses its connection after
+//! `frame_timeout` instead of holding it (and a `max_connections` slot)
+//! until shutdown.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -21,7 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ada_client::{Client, ClientConfig};
-use ada_core::{Ada, AdaConfig, QueryReport, RetrievedData};
+use ada_core::{Ada, AdaConfig, IngestInput, QueryReport, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_plfs::ContainerSet;
 use ada_proto::{
@@ -527,4 +533,130 @@ fn graceful_shutdown_with_clients_in_flight() {
     );
     let err = late.ping().expect_err("server is down");
     assert_eq!(err.kind(), "network");
+}
+
+/// What a connection's single thread owes a peer that sends ahead of its
+/// answers: K frames written back to back before anything is read — pings,
+/// a tag query, one well-framed garbage payload in the middle — come back
+/// as K responses in request order, the garbage as a typed `network` error
+/// under its own id, and the frames behind it are still served.
+#[test]
+fn pipelined_frames_are_answered_in_request_order() {
+    let _guard = serialize();
+    let mut server = start_fault_server();
+    let w = ada_workload::gpcr_workload(300, 3, 23);
+    let pdb = ada_mdformats::write_pdb(&w.system);
+    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
+        .unwrap();
+    well_behaved_client(&server, "setup")
+        .ingest("shared", &pdb, &xtc, 0)
+        .unwrap();
+
+    const K: u64 = 8;
+    const QUERY_ID: u64 = 3;
+    const GARBAGE_ID: u64 = 4;
+    let mut burst = Vec::new();
+    for id in 1..=K {
+        let payload = match id {
+            // The id where a request keeps it, then nothing a request has.
+            GARBAGE_ID => [&id.to_le_bytes()[..], &[0xff; 5]].concat(),
+            _ => RequestEnvelope {
+                id,
+                client: "pipeliner".to_string(),
+                trace_id: 0,
+                deadline_ns: 0,
+                body: match id {
+                    QUERY_ID => RequestBody::Query {
+                        dataset: "shared".to_string(),
+                        tag: Some("p".to_string()),
+                    },
+                    _ => RequestBody::Ping,
+                },
+            }
+            .encode(),
+        };
+        burst.extend(encode_frame(&payload).unwrap());
+    }
+    let mut s = evil_socket(&server);
+    s.write_all(&burst).unwrap();
+
+    for id in 1..=K {
+        let resp = read_response(&mut s).expect("one response per frame sent");
+        assert_eq!(resp.id, id, "responses must come back in request order");
+        match (id, resp.body) {
+            (GARBAGE_ID, ResponseBody::Error(e)) => assert_eq!(e.kind(), "network", "{}", e),
+            (QUERY_ID, ResponseBody::Query(rep)) => {
+                assert_eq!(rep.trajectory().expect("payload decodes").len(), 3)
+            }
+            (GARBAGE_ID | QUERY_ID, other) => panic!("frame {}: wrong answer {:?}", id, other),
+            (_, ResponseBody::Pong) => {}
+            (_, other) => panic!("frame {}: expected a pong, got {:?}", id, other),
+        }
+    }
+    server.shutdown();
+}
+
+/// A peer that sends queries and never reads an answer holds its
+/// connection only until a write makes no progress for `frame_timeout`:
+/// with one connection allowed, a well-behaved client gets in again — at
+/// the parent commit it was `Overloaded` until shutdown.
+#[test]
+fn peer_that_never_reads_is_evicted_and_frees_its_connection() {
+    let _guard = serialize();
+    let frame_timeout = Duration::from_millis(300);
+    let fe = Arc::new(Frontend::new(make_ada(), FrontendConfig::default()));
+    let mut server = Server::start(
+        Arc::clone(&fe),
+        ServerConfig {
+            max_connections: 1,
+            frame_timeout,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server must start");
+
+    // In process, so the one connection is still free for the hostile peer.
+    let w = ada_workload::gpcr_workload(3000, 32, 31);
+    let input = IngestInput::Real {
+        pdb_text: ada_mdformats::write_pdb(&w.system),
+        xtc_bytes: ada_mdformats::xtc::write_xtc(
+            &w.trajectory,
+            ada_mdformats::xtc::DEFAULT_PRECISION,
+        )
+        .unwrap(),
+    };
+    let raw_bytes = fe.ingest("setup", "big", input).unwrap().raw_bytes;
+    assert!(raw_bytes >= 1 << 20, "answer too small: {} B", raw_bytes);
+
+    // 64 answers of ≥ 1 MiB are several times what the loopback socket
+    // buffers between the two ends can absorb.
+    let mut deaf = evil_socket(&server);
+    for id in 1..=64 {
+        let query = RequestEnvelope {
+            id,
+            client: "deaf".to_string(),
+            trace_id: 0,
+            deadline_ns: 0,
+            body: RequestBody::Query {
+                dataset: "big".to_string(),
+                tag: None,
+            },
+        };
+        deaf.write_all(&encode_frame(&query.encode()).unwrap())
+            .unwrap();
+    }
+
+    let patient = well_behaved_client(&server, "patient");
+    let give_up = Instant::now() + frame_timeout + Duration::from_secs(3);
+    loop {
+        match patient.ping() {
+            Ok(()) => break,
+            Err(e) if e.kind() == "overloaded" && Instant::now() < give_up => {
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            Err(e) => panic!("the deaf peer still holds the only connection: {}", e),
+        }
+    }
+    drop(deaf);
+    server.shutdown();
 }

@@ -24,7 +24,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData, StageProfile};
-use ada_frontend::{Frontend, FrontendConfig, Request};
+use ada_frontend::{Class, Frontend, FrontendConfig};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
@@ -287,15 +287,14 @@ fn expired_request_trace_records_wait_and_depth() {
 
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
     fe.ingest("setup", "d", real_input(300, 2, 3)).unwrap();
-    // 1 ns is always in the past by the time a worker pops.
+    // 1 ns is always in the past by the time the queue drains.
     let err = fe
-        .submit(
+        .run(
+            Class::Query,
+            "query",
             "c0",
-            Request::Query {
-                dataset: "d".into(),
-                tag: None,
-            },
             Some(Duration::from_nanos(1)),
+            |ada, ctx| ada.query_traced("d", None, ctx),
         )
         .unwrap_err();
     assert!(matches!(err, AdaError::DeadlineExceeded { .. }));
