@@ -852,7 +852,7 @@ fn serve(port: u16, smoke: bool) {
         let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
         client.ping().expect("smoke: ping");
         let ing = client
-            .ingest("smoke", &pdb_text, &xtc_bytes, 0)
+            .ingest("smoke", &pdb_text, &xtc_bytes)
             .expect("smoke: ingest");
         let q = client.query("smoke", Some("p")).expect("smoke: query");
         let r = client

@@ -97,20 +97,17 @@ impl Client {
         }
     }
 
-    /// Ingest real bytes remotely. `batch_frames == 0` runs the server's
-    /// whole-buffer path, anything else the streaming pipeline.
+    /// Ingest real bytes remotely.
     pub fn ingest(
         &self,
         dataset: &str,
         pdb_text: &str,
         xtc_bytes: &[u8],
-        batch_frames: u32,
     ) -> Result<WireIngestReport, AdaError> {
         let body = RequestBody::Ingest {
             dataset: dataset.to_string(),
             pdb_text: pdb_text.to_string(),
             xtc_bytes: xtc_bytes.to_vec(),
-            batch_frames,
         };
         match self.request(body)? {
             ResponseBody::Ingest(rep) => Ok(rep),

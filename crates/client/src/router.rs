@@ -125,12 +125,9 @@ impl Router {
         dataset: &str,
         pdb_text: &str,
         xtc_bytes: &[u8],
-        batch_frames: u32,
     ) -> Result<WireIngestReport, AdaError> {
         let shard = self.shard_for(dataset);
-        self.route(shard, |c| {
-            c.ingest(dataset, pdb_text, xtc_bytes, batch_frames)
-        })
+        self.route(shard, |c| c.ingest(dataset, pdb_text, xtc_bytes))
     }
 
     /// Route a query to the dataset's owning shard.

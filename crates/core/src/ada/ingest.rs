@@ -1,34 +1,32 @@
 //! The write side (§3.4): categorize → decompress → split → dispatch,
 //! then persist the label and the index.
 //!
-//! Two bodies run those stages. [`Ada::ingest_whole`] holds the whole
-//! decoded trajectory at once and takes "where the labeler comes from" as
-//! a parameter — parse + Algorithm 1 for [`Ada::ingest`], an ingested
-//! dataset's label for [`Ada::ingest_guided`]. [`Ada::ingest_streaming`]
-//! runs the same stages as a bounded pipeline over frame batches. A
-//! size-only dataset ([`IngestInput::Synthetic`]) skips the codecs and
-//! dispatches volumes. All of them dispatch through [`Ada::append`] and
-//! end in the same [`Ada::commit`], inside [`Ada::in_new_container`],
-//! which takes the dataset name back if anything after it failed.
+//! One body runs those stages over real bytes, [`Ada::ingest_windows`]: a
+//! loop over dropping-sized windows of frames, each decoded, split,
+//! dropped and stored before the next is touched, so an ingest holds one
+//! dropping's frames in memory however long the trajectory is. It takes
+//! "where the labeler comes from" as a parameter — parse + Algorithm 1
+//! for [`Ada::ingest`], an ingested dataset's label for
+//! [`Ada::ingest_guided`]. A size-only dataset
+//! ([`IngestInput::Synthetic`]) skips the codecs and dispatches volumes.
+//! Both dispatch through [`Ada::append`] and end in the same
+//! [`Ada::commit`], inside [`Ada::in_new_container`], which takes the
+//! dataset name back if anything after it failed.
 
-use super::{
-    max_across_backends, traced, Ada, DatasetState, IngestInput, IngestReport, QueueDepth,
-};
+use super::{max_across_backends, traced, Ada, DatasetState, IngestInput, IngestReport};
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
 use crate::preprocess::{split_trajectory_traced, SplitOptions};
 use crate::synth::SyntheticDataset;
 use crate::AdaError;
 use ada_mdformats::parse_structure;
-use ada_mdformats::xtc::{decode_frames_parallel, index_frames, FrameSpan};
-use ada_mdformats::xtcf::{frame_record_len, seal_v2, XTCF_HEADER_LEN};
-use ada_mdformats::Trajectory;
+use ada_mdformats::xtc::{decode_spans, index_frames, FrameSpan};
+use ada_mdformats::xtcf::seal_v2;
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_simfs::Content;
 use ada_storagesim::{CpuWork, SimDuration};
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// What the splitter needs to know about the structure, however it was
 /// learned.
@@ -42,12 +40,17 @@ struct Labels {
 impl Labels {
     /// Every frame of the trajectory must have the structure's atom count.
     /// The frame headers say so before anything is decompressed; the first
-    /// frame that disagrees is the one reported.
+    /// frame that disagrees is the one reported, and a file without frames
+    /// has no atoms at all.
     fn check_frames(&self, spans: &[FrameSpan]) -> Result<(), AdaError> {
-        match spans.iter().find(|s| s.natoms != self.natoms) {
-            Some(bad) => Err(AdaError::AtomMismatch {
+        let xtc = match spans {
+            [] => Some(0),
+            _ => spans.iter().map(|s| s.natoms).find(|n| *n != self.natoms),
+        };
+        match xtc {
+            Some(xtc) => Err(AdaError::AtomMismatch {
                 pdb: self.natoms,
-                xtc: bad.natoms,
+                xtc,
             }),
             None => Ok(()),
         }
@@ -86,7 +89,7 @@ impl Ada {
             IngestInput::Real {
                 pdb_text,
                 xtc_bytes,
-            } => self.ingest_whole(dataset, || self.categorize(&pdb_text, ctx), &xtc_bytes, ctx),
+            } => self.ingest_windows(dataset, || self.categorize(&pdb_text, ctx), &xtc_bytes, ctx),
             IngestInput::Synthetic(spec) => self.ingest_synthetic(dataset, spec, ctx),
         })
     }
@@ -114,7 +117,7 @@ impl Ada {
         parent: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
         traced("ada.ingest_guided", "guided", parent, |ctx| {
-            self.ingest_whole(
+            self.ingest_windows(
                 dataset,
                 || {
                     let guide = self.label(guide)?;
@@ -145,9 +148,13 @@ impl Ada {
         })
     }
 
-    /// Whole-trajectory ingest: decode everything, split everything,
-    /// dispatch everything. `labels` says where the labeler comes from.
-    fn ingest_whole(
+    /// The real-bytes ingest: one header scan, then one dropping-sized
+    /// window of frames at a time through decode → split → dispatch.
+    /// `labels` says where the labeler comes from. The stages of a window
+    /// are parallel inside (decode across `decode_threads`, split across
+    /// cells, sealing across backends); windows do not overlap, so the
+    /// decoded frames alive at any moment are one window's.
+    fn ingest_windows(
         &self,
         dataset: &str,
         labels: impl FnOnce() -> Result<Labels, AdaError>,
@@ -155,40 +162,50 @@ impl Ada {
         ctx: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
         let labels = labels()?;
-
-        // Decompressor: decode the trajectory (parallel across frames —
-        // storage-node cores are ADA's to spend).
-        let traj = {
-            let mut ts = ctx.span("ingest.decode");
-            ts.arg("bytes", xtc_bytes.len());
-            labels.check_frames(&index_frames(xtc_bytes)?)?;
-            let traj = decode_frames_parallel(xtc_bytes, self.config.decode_threads)?;
-            ts.arg("frames", traj.len());
-            traj
-        };
-        let raw_bytes = traj.nbytes() as u64;
-
-        // Splitter: divide every frame by the labeler's ranges (tag ×
-        // frame-chunk work cells over the configured worker pool).
-        let split_out = {
-            let mut ts = ctx.span("ingest.split");
-            ts.arg("bytes", raw_bytes);
-            ts.arg("frames", traj.len());
-            split_trajectory_traced(
-                &traj,
-                &labels.labeler,
-                SplitOptions::with_threads(self.config.split_threads),
-                ctx,
-            )?
+        let spans = index_frames(xtc_bytes)?;
+        labels.check_frames(&spans)?;
+        // `check_frames` refused an empty file, so a window is never empty.
+        let frames_per_dropping = match self.config.frames_per_dropping {
+            0 => spans.len(),
+            n => n,
         };
 
         self.in_new_container(dataset, || {
-            // Dispatcher: chunked droppings to policy-chosen backends.
-            let routed = {
+            let mut routed = Routed::default();
+            let mut raw_bytes = 0u64;
+            for window in spans.chunks(frames_per_dropping) {
+                // Decompressor: parallel across the window's frames —
+                // storage-node cores are ADA's to spend.
+                let traj = {
+                    let mut ts = ctx.span("ingest.decode");
+                    ts.arg("bytes", window.iter().map(|s| s.len).sum::<usize>());
+                    ts.arg("frames", window.len());
+                    decode_spans(xtc_bytes, window, self.config.decode_threads)?
+                };
+                let nbytes = traj.nbytes() as u64;
+                raw_bytes += nbytes;
+
+                // Splitter: divide every frame by the labeler's ranges (tag
+                // × frame-chunk work cells over the configured worker pool).
+                let subsets = {
+                    let mut ts = ctx.span("ingest.split");
+                    ts.arg("bytes", nbytes);
+                    ts.arg("frames", traj.len());
+                    let opts = SplitOptions::with_threads(self.config.split_threads);
+                    split_trajectory_traced(&traj, &labels.labeler, opts, ctx)?.subsets
+                };
+                drop(traj);
+
+                // Dispatcher: one dropping per tag to its policy-chosen
+                // backend; the window's frame count rides in the index so
+                // range reads map frames without bytes.
                 let _ts = ctx.span("ingest.dispatch");
-                self.dispatch_subsets(dataset, split_out.subsets, &labels.labeler, ctx)?
-            };
-            let label = LabelFile::new(dataset, labels.natoms, traj.len(), labels.labeler);
+                let nframes = window.len() as u64;
+                for (tag, dropping) in self.seal_subsets(subsets, &labels.labeler, ctx)? {
+                    self.append(dataset, &tag, Content::real(dropping), nframes, &mut routed)?;
+                }
+            }
+            let label = LabelFile::new(dataset, labels.natoms, spans.len(), labels.labeler);
             self.commit(label, None, labels.categorize, raw_bytes, routed, ctx)
         })
     }
@@ -252,7 +269,6 @@ impl Ada {
     }
 
     /// Append one dropping to its policy-chosen backend and tally it.
-    /// Returns the stored length.
     fn append(
         &self,
         dataset: &str,
@@ -260,7 +276,7 @@ impl Ada {
         content: Content,
         nframes: u64,
         routed: &mut Routed,
-    ) -> Result<u64, AdaError> {
+    ) -> Result<(), AdaError> {
         let len = content.len();
         let (backend, d) = self
             .determinator
@@ -270,7 +286,7 @@ impl Ada {
             .entry(backend)
             .or_insert(SimDuration::ZERO) += d;
         *routed.stored_by_tag.entry(tag.clone()).or_insert(0) += len;
-        Ok(len)
+        Ok(())
     }
 
     /// The epilogue every ingest ends in: persist the label file and the
@@ -324,32 +340,29 @@ impl Ada {
         })
     }
 
-    /// Dispatcher stage of the whole-trajectory body: chunk each tag's
-    /// payload into droppings and write them out. Sealing (the per-chunk
-    /// checksums) fans out across scoped threads, one per backend; the
-    /// appends then run on the caller in backend order, so the
-    /// container's dropping sequence and logical offsets — and with them
-    /// the persisted index's size and the simulated `label_write` — do
-    /// not depend on which thread won a race. (The appends never
-    /// overlapped anyway: `ContainerSet` serializes them under its lock.)
-    fn dispatch_subsets(
+    /// Seal each tag's subset of one window as one dropping. Sealing (the
+    /// per-chunk checksums) fans out across scoped threads, one per
+    /// backend; the droppings come back in backend-then-tag order for the
+    /// caller to append, so the container's dropping sequence and logical
+    /// offsets — and with them the persisted index's size and the
+    /// simulated `label_write` — do not depend on which thread won a race.
+    /// (The appends never overlapped anyway: `ContainerSet` serializes
+    /// them under its lock.)
+    fn seal_subsets(
         &self,
-        dataset: &str,
         subsets: BTreeMap<Tag, Vec<u8>>,
         labeler: &Labeler,
         ctx: &TraceContext,
-    ) -> Result<Routed, AdaError> {
+    ) -> Result<Vec<(Tag, Vec<u8>)>, AdaError> {
         let mut by_backend: BTreeMap<String, Vec<(Tag, Vec<u8>)>> = BTreeMap::new();
         for (tag, payload) in subsets {
             let backend = self.determinator.policy().backend_for(&tag).to_string();
             by_backend.entry(backend).or_default().push((tag, payload));
         }
 
-        let frames_per_dropping = self.config.frames_per_dropping;
         let chunk_frames = self.config.chunk_frames;
-        /// One backend's tags, each with its sealed droppings and their
-        /// frame counts.
-        type Sealed = Result<Vec<(Tag, Vec<(Vec<u8>, u64)>)>, AdaError>;
+        /// One backend's tags, each with its sealed dropping.
+        type Sealed = Result<Vec<(Tag, Vec<u8>)>, AdaError>;
         let sealed: Vec<Sealed> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = by_backend
                 .into_values()
@@ -358,18 +371,13 @@ impl Ada {
                     scope.spawn(move |_| -> Sealed {
                         let mut ts = bctx.span("ingest.dispatch.backend");
                         ts.arg("tags", group.len());
-                        let mut out = Vec::with_capacity(group.len());
-                        for (tag, payload) in group {
-                            let natoms = labeler[&tag].count();
-                            let droppings = chunk_droppings(
-                                payload,
-                                natoms,
-                                frames_per_dropping,
-                                chunk_frames,
-                            )?;
-                            out.push((tag, droppings));
-                        }
-                        Ok(out)
+                        group
+                            .into_iter()
+                            .map(|(tag, payload)| {
+                                let natoms = labeler[&tag].count();
+                                Ok((tag, seal(payload, natoms, chunk_frames)?))
+                            })
+                            .collect()
                     })
                 })
                 .collect();
@@ -383,248 +391,11 @@ impl Ada {
         })
         .map_err(|p| crate::worker_panic("dispatch scope", p))?;
 
-        let mut routed = Routed::default();
+        let mut droppings = Vec::new();
         for backend_out in sealed {
-            for (tag, droppings) in backend_out? {
-                for (bytes, nf) in droppings {
-                    self.append(dataset, &tag, Content::real(bytes), nf, &mut routed)?;
-                }
-            }
+            droppings.extend(backend_out?);
         }
-        Ok(routed)
-    }
-
-    /// Streaming real-mode ingest: decode and dispatch the trajectory in
-    /// batches of `batch_frames`, so the storage node's memory footprint
-    /// stays bounded by a few batches instead of the whole decompressed
-    /// dataset. Functionally identical to [`Ada::ingest`] (same droppings
-    /// modulo chunk boundaries, same label).
-    ///
-    /// The stages form a bounded pipeline — decoder thread → splitter
-    /// pool → dispatcher — connected by `sync_channel`s of depth
-    /// [`super::AdaConfig::pipeline_depth`]: batch N+1 decodes while batch
-    /// N splits and batch N−1 writes. Splitters may finish out of order;
-    /// the dispatcher reorders by batch sequence number so the stored
-    /// droppings are identical to the serial schedule's.
-    pub fn ingest_streaming(
-        &self,
-        dataset: &str,
-        pdb_text: &str,
-        xtc_bytes: &[u8],
-        batch_frames: usize,
-    ) -> Result<IngestReport, AdaError> {
-        self.ingest_streaming_traced(
-            dataset,
-            pdb_text,
-            xtc_bytes,
-            batch_frames,
-            &TraceContext::inactive(),
-        )
-    }
-
-    /// [`Ada::ingest_streaming`] under an existing trace (see
-    /// [`Ada::ingest_traced`]). The context crosses both bounded channels:
-    /// the decoder thread, every splitter worker, and the dispatcher each
-    /// contribute a span to the same tree.
-    pub fn ingest_streaming_traced(
-        &self,
-        dataset: &str,
-        pdb_text: &str,
-        xtc_bytes: &[u8],
-        batch_frames: usize,
-        parent: &TraceContext,
-    ) -> Result<IngestReport, AdaError> {
-        traced("ada.ingest_streaming", "pipelined", parent, |ctx| {
-            let labels = self.categorize(pdb_text, ctx)?;
-            self.in_new_container(dataset, || {
-                let (raw_bytes, nframes, routed) =
-                    self.stream_batches(dataset, &labels, xtc_bytes, batch_frames.max(1), ctx)?;
-                let label = LabelFile::new(dataset, labels.natoms, nframes, labels.labeler);
-                self.commit(label, None, labels.categorize, raw_bytes, routed, ctx)
-            })
-        })
-    }
-
-    /// The streaming pipeline proper. Returns the raw bytes and frames
-    /// that went through it and what the dispatcher wrote.
-    fn stream_batches(
-        &self,
-        dataset: &str,
-        labels: &Labels,
-        xtc_bytes: &[u8],
-        batch_frames: usize,
-        ctx: &TraceContext,
-    ) -> Result<(u64, usize, Routed), AdaError> {
-        let depth = self.config.pipeline_depth.max(1);
-        let decode_threads = self.config.decode_threads.max(1);
-        let split_workers = if self.config.split_threads > 0 {
-            self.config.split_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-
-        // (raw bytes, frames, per-tag payloads) of one split batch.
-        type SplitMsg = Result<(u64, usize, BTreeMap<Tag, Vec<u8>>), AdaError>;
-
-        // Each stage's span covers its worker's whole life, so the stage
-        // times itself: `busy_ns` counts only the time it spends working,
-        // excluding time blocked on a channel. Stages overlap, so these
-        // legitimately sum past the wall time; the largest one is the
-        // pipeline's ceiling. A producer also leaves the high-water mark
-        // of the queue it feeds, as it last saw it, on its span.
-        let queue_decoded = QueueDepth::gauge("ingest.queue.decoded");
-        let queue_split = QueueDepth::gauge("ingest.queue.split");
-        let (decoded_tx, decoded_rx) = queue_decoded.channel::<(u64, Trajectory)>(depth);
-        let (split_tx, split_rx) = queue_split.channel::<(u64, SplitMsg)>(depth);
-
-        let mut routed = Routed::default();
-        let mut raw_bytes = 0u64;
-        let mut nframes = 0usize;
-
-        let outcome: Result<(), AdaError> = crossbeam::thread::scope(|scope| {
-            let (queue_decoded, queue_split, decoded_rx) =
-                (&queue_decoded, &queue_split, &decoded_rx);
-
-            // Stage 1 — decoder: one serial header scan finds the frame
-            // boundaries (headers are cheap, inflate dominates), then each
-            // batch's byte span fans out across `decode_frames_parallel`,
-            // the same decoder the whole-trajectory body uses.
-            let decoder = scope.spawn(move |_| -> Result<(), AdaError> {
-                // One span per stage-worker lifetime: its trace ancestry
-                // (not a thread-local) ties it to the request, so the tree
-                // stays connected across the bounded channels.
-                let mut tspan = ctx.span("ingest.decode");
-                let (mut busy_ns, mut in_bytes, mut frames) = (0u64, 0usize, 0usize);
-                let outcome = (|| -> Result<(), AdaError> {
-                    let spans = index_frames(xtc_bytes)?;
-                    labels.check_frames(&spans)?;
-                    let mut busy = Instant::now();
-                    for (seq, window) in spans.chunks(batch_frames).enumerate() {
-                        let (Some(first), Some(last)) = (window.first(), window.last()) else {
-                            break; // chunks() never yields an empty window
-                        };
-                        let bytes = &xtc_bytes[first.offset..last.offset + last.len];
-                        let traj = decode_frames_parallel(bytes, decode_threads)?;
-                        busy_ns += busy.elapsed().as_nanos() as u64;
-                        in_bytes += bytes.len();
-                        frames += traj.len();
-                        if !decoded_tx.send((seq as u64, traj)) {
-                            break; // downstream hung up on its own error
-                        }
-                        busy = Instant::now(); // exclude time blocked on send
-                    }
-                    Ok(())
-                })();
-                tspan.arg("busy_ns", busy_ns);
-                tspan.arg("bytes", in_bytes);
-                tspan.arg("frames", frames);
-                tspan.arg("queue.decoded", queue_decoded.high_water());
-                if let Err(e) = &outcome {
-                    tspan.set_error(e.kind());
-                }
-                outcome
-            });
-
-            // Stage 2 — splitter pool: workers pull decoded batches from
-            // the shared receiver; each splits its batch single-threaded
-            // (parallelism comes from batches in flight).
-            for _ in 0..split_workers {
-                let tx = split_tx.clone();
-                scope.spawn(move |_| {
-                    let mut tspan = ctx.span("ingest.split");
-                    let (mut busy_ns, mut raw, mut frames) = (0u64, 0u64, 0usize);
-                    while let Some((seq, traj)) = decoded_rx.recv() {
-                        let busy = Instant::now();
-                        let res: SplitMsg = split_trajectory_traced(
-                            &traj,
-                            &labels.labeler,
-                            SplitOptions {
-                                threads: 1,
-                                chunk_frames: 0,
-                            },
-                            &TraceContext::inactive(),
-                        )
-                        .map(|out| (out.raw_bytes, traj.len(), out.subsets));
-                        busy_ns += busy.elapsed().as_nanos() as u64;
-                        if let Ok((rb, nf, _)) = &res {
-                            raw += rb;
-                            frames += nf;
-                        }
-                        if !tx.send((seq, res)) {
-                            break;
-                        }
-                    }
-                    tspan.arg("busy_ns", busy_ns);
-                    tspan.arg("bytes", raw);
-                    tspan.arg("frames", frames);
-                    tspan.arg("queue.split", queue_split.high_water());
-                });
-            }
-            drop(split_tx); // dispatcher sees the end once the pool drains
-
-            // Stage 3 — dispatcher (this thread): reorder by sequence
-            // number, then write each batch's subsets. After the first
-            // error it keeps draining, without dispatching, so the stages
-            // upstream can finish.
-            let mut tspan = ctx.span("ingest.dispatch");
-            let (mut busy_ns, mut stored_bytes) = (0u64, 0u64);
-            let mut pending: BTreeMap<u64, SplitMsg> = BTreeMap::new();
-            let mut next_seq = 0u64;
-            let mut first_err: Option<AdaError> = None;
-            while let Some((seq, res)) = split_rx.recv() {
-                pending.insert(seq, res);
-                let busy = Instant::now();
-                while let Some(res) = pending.remove(&next_seq) {
-                    next_seq += 1;
-                    if first_err.is_some() {
-                        continue;
-                    }
-                    let stored = res.and_then(|(rb, nf, subsets)| {
-                        raw_bytes += rb;
-                        nframes += nf;
-                        self.dispatch_batch(dataset, &labels.labeler, nf, subsets, &mut routed)
-                    });
-                    match stored {
-                        Ok(bytes) => stored_bytes += bytes,
-                        Err(e) => first_err = Some(e),
-                    }
-                }
-                busy_ns += busy.elapsed().as_nanos() as u64;
-            }
-            tspan.arg("busy_ns", busy_ns);
-            tspan.arg("bytes", stored_bytes);
-            drop(tspan);
-
-            let decode_outcome = decoder
-                .join()
-                .unwrap_or_else(|p| Err(crate::worker_panic("ingest decoder", p)));
-            match (decode_outcome, first_err) {
-                (Err(e), _) | (Ok(()), Some(e)) => Err(e),
-                (Ok(()), None) => Ok(()),
-            }
-        })
-        .map_err(|p| crate::worker_panic("ingest pipeline", p))?;
-        outcome?;
-        Ok((raw_bytes, nframes, routed))
-    }
-
-    /// Dispatcher step of the streaming pipeline: each subset of a batch
-    /// becomes one v2 dropping; its frame count rides in the index so
-    /// range reads map frames without bytes. Returns the bytes stored.
-    fn dispatch_batch(
-        &self,
-        dataset: &str,
-        labeler: &Labeler,
-        nframes: usize,
-        subsets: BTreeMap<Tag, Vec<u8>>,
-        routed: &mut Routed,
-    ) -> Result<u64, AdaError> {
-        let mut stored = 0u64;
-        for (tag, payload) in subsets {
-            let sealed = seal(payload, labeler[&tag].count(), self.config.chunk_frames)?;
-            stored += self.append(dataset, &tag, Content::real(sealed), nframes as u64, routed)?;
-        }
-        Ok(stored)
+        Ok(droppings)
     }
 }
 
@@ -632,37 +403,6 @@ impl Ada {
 fn seal(payload: Vec<u8>, natoms: usize, chunk_frames: usize) -> Result<Vec<u8>, AdaError> {
     seal_v2(payload, natoms, chunk_frames)
         .map_err(|e| AdaError::Internal(format!("sealing a fresh dropping failed: {}", e)))
-}
-
-/// Split an XTCF payload into dropping-sized pieces along frame
-/// boundaries, sealing each piece as a chunked v2 dropping and pairing it
-/// with its frame count for the index. Takes the payload by value: when it
-/// already fits one dropping (the common case) its bytes are sealed in
-/// place without copying.
-fn chunk_droppings(
-    payload: Vec<u8>,
-    natoms: usize,
-    frames_per_dropping: usize,
-    chunk_frames: usize,
-) -> Result<Vec<(Vec<u8>, u64)>, AdaError> {
-    let record = frame_record_len(natoms).max(1);
-    let nframes = payload.len().saturating_sub(XTCF_HEADER_LEN) / record;
-    if nframes <= frames_per_dropping {
-        return Ok(vec![(seal(payload, natoms, chunk_frames)?, nframes as u64)]);
-    }
-    let mut out = Vec::new();
-    let header = &payload[..XTCF_HEADER_LEN];
-    let body = &payload[XTCF_HEADER_LEN..];
-    let mut f = 0usize;
-    while f < nframes {
-        let take = frames_per_dropping.min(nframes - f);
-        let mut piece = Vec::with_capacity(XTCF_HEADER_LEN + take * record);
-        piece.extend_from_slice(header);
-        piece.extend_from_slice(&body[f * record..(f + take) * record]);
-        out.push((seal(piece, natoms, chunk_frames)?, take as u64));
-        f += take;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -736,73 +476,83 @@ mod tests {
     }
 
     #[test]
-    fn streaming_ingest_equals_batch_ingest() {
+    fn dropping_size_does_not_change_what_is_delivered() {
         let w = ada_workload::gpcr_workload(1000, 7, 91);
         let pdb_text = ada_mdformats::write_pdb(&w.system);
         let xtc_bytes = xtc_of(&w);
-
-        let whole = make_ada();
-        whole
-            .ingest(
-                "bar",
-                IngestInput::Real {
-                    pdb_text: pdb_text.clone(),
-                    xtc_bytes: xtc_bytes.clone(),
-                },
-            )
-            .unwrap();
-        // `decode_threads = 1` is the decoder's serial schedule: the same
-        // batches, inflated one frame after another.
-        for (batch, decode_threads) in [(1usize, 4usize), (3, 4), (100, 4), (3, 1)] {
-            let streamed = make_ada_with(AdaConfig {
+        let ingest = |frames_per_dropping, decode_threads| {
+            let ada = make_ada_with(AdaConfig {
+                frames_per_dropping,
                 decode_threads,
                 ..AdaConfig::paper_prototype("ssd", "hdd")
             });
-            let report = streamed
-                .ingest_streaming("bar", &pdb_text, &xtc_bytes, batch)
-                .unwrap();
-            assert!(report.raw_bytes > 0);
-            // Delivered data identical regardless of batching.
+            let input = IngestInput::Real {
+                pdb_text: pdb_text.clone(),
+                xtc_bytes: xtc_bytes.clone(),
+            };
+            assert!(ada.ingest("bar", input).unwrap().raw_bytes > 0);
+            ada
+        };
+
+        let whole = ingest(512, 4);
+        // `decode_threads = 1` is the decoder's serial schedule: the same
+        // windows, inflated one frame after another. `0` frames per
+        // dropping is the whole trajectory as one dropping.
+        for (fpd, decode_threads) in [(1usize, 4usize), (3, 4), (100, 4), (3, 1), (0, 4)] {
+            let windowed = ingest(fpd, decode_threads);
+            let droppings_per_tag = if fpd == 0 { 1 } else { 7usize.div_ceil(fpd) };
+            let index = windowed.containers().index("bar").unwrap();
+            assert_eq!(index.len(), 2 * droppings_per_tag, "fpd {}", fpd);
+            // Delivered data identical regardless of where droppings are cut.
             for tag in [Tag::protein(), Tag::misc()] {
-                let a = match whole.query("bar", Some(&tag)).unwrap().data {
-                    RetrievedData::Real(t) => t,
-                    _ => unreachable!(),
-                };
-                let b = match streamed.query("bar", Some(&tag)).unwrap().data {
-                    RetrievedData::Real(t) => t,
-                    _ => unreachable!(),
-                };
-                assert_eq!(a, b, "batch {} tag {}", batch, tag);
+                let a = frames_of(whole.query("bar", Some(&tag)).unwrap());
+                let b = frames_of(windowed.query("bar", Some(&tag)).unwrap());
+                assert_eq!(a, b, "fpd {} tag {}", fpd, tag);
             }
             assert_eq!(
                 whole.label("bar").unwrap().tags,
-                streamed.label("bar").unwrap().tags
+                windowed.label("bar").unwrap().tags
             );
         }
     }
 
     #[test]
-    fn streaming_ingest_rejects_bad_input() {
-        let ada = make_ada();
-        let w = ada_workload::gpcr_workload(500, 2, 92);
+    fn multi_window_ingest_rejects_bad_input() {
+        let ada = make_ada_with(cached_config(4, Default::default()));
+        let w = ada_workload::gpcr_workload(500, 9, 92);
         let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, 1000.0).unwrap();
+        let input = |pdb_text: &str, xtc_bytes: &[u8]| IngestInput::Real {
+            pdb_text: pdb_text.to_string(),
+            xtc_bytes: xtc_bytes.to_vec(),
+        };
         // Mismatched structure.
         let other = ada_workload::gpcr_workload(300, 1, 93);
         let bad_pdb = ada_mdformats::write_pdb(&other.system);
         assert!(matches!(
-            ada.ingest_streaming("x", &bad_pdb, &xtc, 4),
+            ada.ingest("x", input(&bad_pdb, &xtc)),
             Err(AdaError::AtomMismatch { .. })
         ));
         // Truncated trajectory.
         let good_pdb = ada_mdformats::write_pdb(&w.system);
         assert!(ada
-            .ingest_streaming("y", &good_pdb, &xtc[..xtc.len() - 9], 4)
+            .ingest("y", input(&good_pdb, &xtc[..xtc.len() - 9]))
             .is_err());
-        // Neither failure keeps its name: both ingest cleanly afterwards.
+        // A frame of the third window that scans but does not decode (its
+        // precision field, which the header scan skips, is zero): two
+        // windows are stored by the time it is met.
+        let mut undecodable = xtc.clone();
+        let at = ada_mdformats::xtc::index_frames(&xtc).unwrap()[8].offset + 56;
+        undecodable[at..at + 4].fill(0);
+        assert!(matches!(
+            ada.ingest("z", input(&good_pdb, &undecodable)),
+            Err(AdaError::Xtc(_))
+        ));
+        // No failure keeps its name: all three ingest cleanly afterwards.
         assert!(ada.list_datasets().is_empty());
         assert!(ada.containers().list_logical().is_empty());
-        ada.ingest_streaming("x", &good_pdb, &xtc, 4).unwrap();
-        ada.ingest_streaming("y", &good_pdb, &xtc, 4).unwrap();
+        for name in ["x", "y", "z"] {
+            ada.ingest(name, input(&good_pdb, &xtc)).unwrap();
+        }
     }
 
     #[test]
@@ -885,39 +635,24 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_profile_has_queue_high_water_marks() {
-        let ada = make_ada();
-        let w = ada_workload::gpcr_workload(800, 6, 13);
-        let pdb_text = ada_mdformats::write_pdb(&w.system);
-        let xtc_bytes = xtc_of(&w);
-        let report = ada
-            .ingest_streaming("bar", &pdb_text, &xtc_bytes, 2)
-            .unwrap();
-        let p = report.profile.expect("telemetry is on by default");
-        assert_eq!(p.mode, "pipelined");
-        for stage in ["categorize", "decode", "split", "dispatch", "label_write"] {
-            assert!(p.stages_ns.contains_key(stage), "missing stage {}", stage);
-        }
-        // 3 batches flowed through both channels; the queues were observed.
-        assert!(p.queue_hwm.contains_key("decoded"));
-        assert!(p.queue_hwm.contains_key("split"));
-        assert!(p.queue_hwm["decoded"] >= 1);
-        assert!(p.wall_ns > 0);
-        // Global outcome counter saw this call.
-        let snap = ada_telemetry::global().snapshot();
-        assert!(snap.counters["ada.ingest_streaming.ok"] >= 1);
-    }
-
-    #[test]
     fn dropping_chunking_respected() {
         let mut cfg = AdaConfig::paper_prototype("ssd", "hdd");
         cfg.frames_per_dropping = 2;
         let ada = make_ada_with(cfg);
         let (input, w) = real_input(600, 5);
-        ada.ingest("bar", input).unwrap();
+        let report = ada.ingest("bar", input).unwrap();
         // 5 frames / 2 per dropping = 3 droppings per tag.
         let index = ada.containers().index("bar").unwrap();
         assert_eq!(index.len(), 6);
+        // Three windows ran; the profile still names each stage once.
+        let p = report.profile.expect("telemetry is on by default");
+        assert_eq!(p.mode, "serial");
+        for stage in ["categorize", "decode", "split", "dispatch", "label_write"] {
+            assert!(p.stages_ns.contains_key(stage), "missing stage {}", stage);
+        }
+        assert!(p.queue_hwm.is_empty());
+        let snap = ada_telemetry::global().snapshot();
+        assert!(snap.counters["ada.ingest.ok"] >= 1);
         // And the data still reads back whole.
         let q = ada.query("bar", Some(&Tag::protein())).unwrap();
         match q.data {

@@ -478,12 +478,11 @@ impl Ada {
         Ok((out, read))
     }
 
-    /// Parallel schedule, mirroring the streaming-ingest engine: one
-    /// reader thread per backend (reads within a backend stay ordered, so
-    /// wall clock matches the simulated "sum per backend, max across
-    /// backends" model) plans each dropping it fetched and feeds
-    /// `query_threads` decode workers over a bounded channel, one work
-    /// unit per planned chunk — the chunks of a single large dropping
+    /// Parallel schedule: one reader thread per backend (reads within a
+    /// backend stay ordered, so wall clock matches the simulated "sum per
+    /// backend, max across backends" model) plans each dropping it fetched
+    /// and feeds `query_threads` decode workers over a bounded channel, one
+    /// work unit per planned chunk — the chunks of a single large dropping
     /// decode concurrently. Errors resolve to whatever the serial
     /// reference would have returned: the earliest fetch failure in
     /// logical order wins over any decode failure, then the earliest
@@ -510,8 +509,7 @@ impl Ada {
         // One decode work unit: a planned dropping, its bytes (a cheap
         // refcount clone per unit) and the chunk to decode.
         let queue_fetched = QueueDepth::gauge("query.queue.fetched");
-        let (tx, rx) = queue_fetched
-            .channel::<(Arc<Planned>, Content, usize)>(self.config.pipeline_depth.max(1) * workers);
+        let (tx, rx) = queue_fetched.channel::<(Arc<Planned>, Content, usize)>(2 * workers);
         let planned: Mutex<Vec<Arc<Planned>>> = Mutex::new(Vec::new());
         // Plan failures found by the readers (corrupt directory, size-only
         // bytes) abort a dropping before its first chunk: they rank as a

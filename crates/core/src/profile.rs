@@ -2,17 +2,19 @@
 //!
 //! The simulated [`IngestReport`](crate::IngestReport) durations model the
 //! paper's storage node; a [`StageProfile`] is the *measured* counterpart —
-//! real wall time this process spent in each pipeline stage, queue
-//! high-water marks of the streaming channels, and per-tag routed bytes.
+//! real wall time this process spent in each pipeline stage, the
+//! high-water mark of the parallel retrieval's channel, and per-tag bytes.
 //! Every report carries one, to answer the ROADMAP question ("is decode,
 //! split, or dispatch the wall-clock ceiling?") per request;
 //! `tests/trace_invariants.rs::profile_is_a_fold_of_the_tree` pins it to
 //! the trace it is cut from.
 //!
-//! Stage times are **busy** times: in the pipelined path the decoder,
-//! splitter pool, and dispatcher overlap, so stage times legitimately sum
-//! to more than `wall_ns`. The bottleneck is the stage with the largest
-//! busy time — the one the pipeline cannot hide.
+//! Stage times are **busy** times. An ingest's stages run one after
+//! another, window by window, and a stage is the sum of its windows' spans.
+//! The parallel retrieval's backend readers and decode workers overlap, so
+//! a query's stage times legitimately sum to more than `wall_ns`; a reader
+//! times itself (`busy_ns`) to leave out the time it was blocked on the
+//! channel. The bottleneck is the stage with the largest busy time.
 //!
 //! A profile is not measured beside the request's trace; it **is** the
 //! trace, cut one way: [`StageProfile::from_spans`] folds the finished
@@ -52,8 +54,9 @@ fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
 /// Measured wall-clock attribution of one ingest or query call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageProfile {
-    /// Which code path produced this (`"serial"`, `"pipelined"`,
-    /// `"guided"`, `"synthetic"`, `"query"`).
+    /// Which entry point and schedule produced this: `"serial"`,
+    /// `"guided"` or `"synthetic"` for an ingest; `"query"`,
+    /// `"query_parallel"` or `"query_range"` for a read.
     pub mode: String,
     /// Per-stage busy wall time, nanoseconds.
     pub stages_ns: BTreeMap<String, u64>,

@@ -424,8 +424,8 @@ impl Frontend {
         res.unwrap_or_else(|payload| Err(ada_core::worker_panic(op, payload)))
     }
 
-    /// Whole-buffer ingest through admission control, with the
-    /// configured default deadline.
+    /// Ingest through admission control, with the configured default
+    /// deadline.
     pub fn ingest(
         &self,
         client: &str,
@@ -438,24 +438,6 @@ impl Frontend {
             client,
             self.default_deadline,
             |ada, ctx| ada.ingest_traced(dataset, input, ctx),
-        )
-    }
-
-    /// Streaming ingest through admission control.
-    pub fn ingest_streaming(
-        &self,
-        client: &str,
-        dataset: &str,
-        pdb_text: &str,
-        xtc_bytes: &[u8],
-        batch_frames: usize,
-    ) -> Result<IngestReport, AdaError> {
-        self.run(
-            Class::Ingest,
-            "ingest_streaming",
-            client,
-            self.default_deadline,
-            |ada, ctx| ada.ingest_streaming_traced(dataset, pdb_text, xtc_bytes, batch_frames, ctx),
         )
     }
 

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 /// bandwidth + decode CPU), so each class has its own slots and queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Class {
-    /// Write path: `ingest` / `ingest_streaming`.
+    /// Write path: `ingest`.
     Ingest,
     /// Read path: `query` / `query_range`.
     Query,

@@ -32,7 +32,7 @@ pub use gro::{parse_gro, write_gro, GroError};
 pub use pdb::{parse_pdb, write_pdb, PdbError};
 pub use structure::{detect_structure, parse_structure, StructureFormat};
 pub use traj::{Frame, Trajectory};
-pub use xtc::{read_xtc, write_xtc, XtcError, XtcIndexedReader, XtcReader, XtcWriter};
+pub use xtc::{read_xtc, write_xtc, XtcError, XtcWriter};
 pub use xtcf::{read_xtcf, write_xtcf, XtcfReader, XtcfWriter};
 
 /// Errors shared by the format codecs.

@@ -11,12 +11,12 @@
 //! ...  xdr3dfcoord    (natoms again, then compressed coordinates)
 //! ```
 //!
-//! Besides the sequential [`XtcReader`]/[`XtcWriter`], this module provides
-//! a header-only [`index_frames`] scan (used by random access and by ADA's
-//! dispatcher to size subsets without decompressing) and a
-//! [`decode_frames_parallel`] helper that fans frame decompression out over
-//! crossbeam scoped threads — decompression dominates turnaround time in
-//! the paper (Fig. 8), so the substrate makes it parallelizable.
+//! There is one reader: a header-only [`index_frames`] scan finds the
+//! frames (ADA checks and windows a trajectory from it without
+//! decompressing anything), and [`decode_spans`] decodes any sub-slice of
+//! them, fanning the decompression out over crossbeam scoped threads —
+//! decompression dominates turnaround time in the paper (Fig. 8), so the
+//! substrate makes it parallelizable. [`XtcWriter`] is the write side.
 
 mod bits;
 mod coder;
@@ -105,36 +105,6 @@ impl XtcWriter {
     }
 }
 
-/// Sequential frame reader over an XTC byte stream.
-#[derive(Debug)]
-pub struct XtcReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> XtcReader<'a> {
-    /// Reader at the start of `data`.
-    pub fn new(data: &'a [u8]) -> XtcReader<'a> {
-        XtcReader { data, pos: 0 }
-    }
-
-    /// Whether all frames were consumed.
-    pub fn is_at_end(&self) -> bool {
-        self.pos >= self.data.len()
-    }
-
-    /// Read the next frame, or `Ok(None)` at a clean end of stream.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, XtcError> {
-        if self.is_at_end() {
-            return Ok(None);
-        }
-        let mut dec = XdrDecoder::new(&self.data[self.pos..]);
-        let frame = read_frame(&mut dec)?;
-        self.pos += dec.position();
-        Ok(Some(frame))
-    }
-}
-
 fn read_frame(dec: &mut XdrDecoder) -> Result<Frame, XtcError> {
     let magic = dec.get_i32()?;
     if magic != XTC_MAGIC {
@@ -192,10 +162,9 @@ pub fn write_xtc(traj: &Trajectory, precision: f32) -> Result<Vec<u8>, XtcError>
     Ok(w.into_bytes())
 }
 
-/// Decode a whole XTC byte stream: [`decode_frames_parallel`] on the
-/// caller's thread.
+/// Decode a whole XTC byte stream on the caller's thread.
 pub fn read_xtc(data: &[u8]) -> Result<Trajectory, XtcError> {
-    decode_frames_parallel(data, 1)
+    decode_spans(data, &index_frames(data)?, 1)
 }
 
 /// Scan frame boundaries without decompressing coordinate payloads.
@@ -257,69 +226,29 @@ pub fn index_frames(data: &[u8]) -> Result<Vec<FrameSpan>, XtcError> {
     Ok(spans)
 }
 
-/// Random-access XTC reader: one cheap header scan up front, then any
-/// frame decodes independently — the access pattern of a VMD user
-/// scrubbing the timeline (§2.1) without holding the whole trajectory.
-#[derive(Debug)]
-pub struct XtcIndexedReader<'a> {
-    data: &'a [u8],
-    spans: Vec<FrameSpan>,
-}
-
-impl<'a> XtcIndexedReader<'a> {
-    /// Build the frame index (headers only; no coordinate decoding).
-    pub fn new(data: &'a [u8]) -> Result<XtcIndexedReader<'a>, XtcError> {
-        Ok(XtcIndexedReader {
-            data,
-            spans: index_frames(data)?,
-        })
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when the file holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Frame metadata without decoding.
-    pub fn span(&self, i: usize) -> Option<&FrameSpan> {
-        self.spans.get(i)
-    }
-
-    /// Decode exactly frame `i`.
-    pub fn frame(&self, i: usize) -> Result<Frame, XtcError> {
-        let span = self.spans.get(i).ok_or_else(|| {
-            XtcError::Format(FormatError::Corrupt(format!(
-                "frame {} out of range ({} frames)",
-                i,
-                self.spans.len()
-            )))
-        })?;
-        decode_span(self.data, span)
-    }
-}
-
-/// Decode the one frame `span` (from [`index_frames`] over `data`) covers.
+/// Decode the one frame `span` covers. A span that does not lie inside
+/// `data` is an `UnexpectedEof`, not a panic.
 fn decode_span(data: &[u8], span: &FrameSpan) -> Result<Frame, XtcError> {
-    read_frame(&mut XdrDecoder::new(
-        &data[span.offset..span.offset + span.len],
-    ))
+    let bytes = data
+        .get(span.offset..span.offset.saturating_add(span.len))
+        .ok_or(XtcError::Format(FormatError::UnexpectedEof))?;
+    read_frame(&mut XdrDecoder::new(bytes))
 }
 
-/// Decode all frames of an XTC stream over `nthreads` crossbeam scoped
-/// threads: a cheap sequential [`index_frames`] scan, then the per-frame
-/// decompression fanned out. With one thread (or one frame) there is
-/// nothing to fan out and the frames decode on the caller's thread.
-pub fn decode_frames_parallel(data: &[u8], nthreads: usize) -> Result<Trajectory, XtcError> {
-    let spans = index_frames(data)?;
+/// Decode the frames `spans` cover — all of [`index_frames`]`(data)` or
+/// any sub-slice of it; a frame decodes the same alone as in a full read
+/// — over `nthreads` crossbeam scoped threads. With one thread (or one
+/// frame) there is nothing to fan out and the frames decode on the
+/// caller's thread.
+pub fn decode_spans(
+    data: &[u8],
+    spans: &[FrameSpan],
+    nthreads: usize,
+) -> Result<Trajectory, XtcError> {
     let nthreads = nthreads.min(spans.len());
     if nthreads <= 1 {
         let mut frames = Vec::with_capacity(spans.len());
-        for span in &spans {
+        for span in spans {
             frames.push(decode_span(data, span)?);
         }
         return Ok(Trajectory::from_frames(frames));
@@ -337,7 +266,7 @@ pub fn decode_frames_parallel(data: &[u8], nthreads: usize) -> Result<Trajectory
             });
         }
     })
-    // ada-lint: allow(no-panic-in-lib) scope errs only if a worker panicked; workers run panic-free span decodes over pre-validated offsets
+    // ada-lint: allow(no-panic-in-lib) scope errs only if a worker panicked; workers run panic-free span decodes over bounds-checked spans
     .expect("decode worker panicked");
 
     let mut frames = Vec::with_capacity(spans.len());
@@ -433,25 +362,34 @@ mod tests {
         let traj = test_traj(16, 200);
         let bytes = write_xtc(&traj, DEFAULT_PRECISION).unwrap();
         let seq = read_xtc(&bytes).unwrap();
+        let spans = index_frames(&bytes).unwrap();
         for threads in [1, 2, 4, 7] {
-            let par = decode_frames_parallel(&bytes, threads).unwrap();
+            let par = decode_spans(&bytes, &spans, threads).unwrap();
             assert_eq!(seq, par);
         }
     }
 
     #[test]
-    fn indexed_reader_random_access() {
+    fn a_sub_slice_of_the_spans_decodes_to_those_frames() {
         let traj = test_traj(9, 150);
         let bytes = write_xtc(&traj, DEFAULT_PRECISION).unwrap();
-        let reader = XtcIndexedReader::new(&bytes).unwrap();
-        assert_eq!(reader.len(), 9);
+        let spans = index_frames(&bytes).unwrap();
         let seq = read_xtc(&bytes).unwrap();
-        // Access out of order; each frame equals the sequential decode.
+        // Frame i decoded alone is frame i of a full read, in any order.
         for i in [7usize, 0, 4, 8, 4, 2] {
-            assert_eq!(reader.frame(i).unwrap(), seq.frames[i]);
+            let one = decode_spans(&bytes, &spans[i..=i], 4).unwrap();
+            assert_eq!(one.frames, seq.frames[i..=i]);
         }
-        assert!(reader.frame(9).is_err());
-        assert_eq!(reader.span(3).unwrap().step, 300);
+        // So is a window of them, on one thread or several.
+        for threads in [1, 3] {
+            let window = decode_spans(&bytes, &spans[2..7], threads).unwrap();
+            assert_eq!(window.frames, seq.frames[2..7]);
+        }
+        assert!(decode_spans(&bytes, &[], 4).unwrap().is_empty());
+        // A span that is not of this stream is an error, not a panic.
+        let mut stray = spans[8];
+        stray.offset = bytes.len();
+        assert!(decode_spans(&bytes, &[stray], 1).is_err());
     }
 
     #[test]
@@ -484,7 +422,6 @@ mod tests {
     fn empty_stream_is_empty_trajectory() {
         assert!(read_xtc(&[]).unwrap().is_empty());
         assert!(index_frames(&[]).unwrap().is_empty());
-        assert_eq!(decode_frames_parallel(&[], 4).unwrap().len(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! is always `|decoded - original| <= 0.5/precision` plus idempotence on
 //! the quantized lattice.
 
-use ada_mdformats::xtc::{decode_frames_parallel, index_frames, write_xtc};
+use ada_mdformats::xtc::{decode_spans, index_frames, write_xtc};
 use ada_mdformats::{read_xtc, read_xtcf, write_xtcf, Frame, Trajectory};
 use ada_mdmodel::PbcBox;
 use proptest::prelude::*;
@@ -128,7 +128,7 @@ proptest! {
         prop_assert_eq!(spans.len(), traj.len());
         prop_assert_eq!(spans.last().unwrap().offset + spans.last().unwrap().len, bytes.len());
         // Parallel decode agrees with sequential.
-        prop_assert_eq!(decode_frames_parallel(&bytes, 3).unwrap(), back);
+        prop_assert_eq!(decode_spans(&bytes, &spans, 3).unwrap(), back);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::wire::ProtoError;
 pub const MAGIC: [u8; 4] = *b"ADAP";
 
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Encoded header size: magic(4) + version(1) + length(4) + crc(4).
 pub const HEADER_LEN: usize = 13;
@@ -228,13 +228,17 @@ mod tests {
 
     #[test]
     fn bad_version_is_typed() {
-        let mut frame = encode_frame(b"x").unwrap();
-        frame[4] = VERSION + 1;
-        let mut cursor = std::io::Cursor::new(frame);
-        assert!(matches!(
-            read_frame(&mut cursor, DEFAULT_MAX_FRAME),
-            Err(ProtoError::BadVersion { .. })
-        ));
+        // A newer peer's, and version 2's: its `Ingest` carried a fourth
+        // field this build would misread.
+        for version in [VERSION + 1, 2] {
+            let mut frame = encode_frame(b"x").unwrap();
+            frame[4] = version;
+            let mut cursor = std::io::Cursor::new(frame);
+            assert!(matches!(
+                read_frame(&mut cursor, DEFAULT_MAX_FRAME),
+                Err(ProtoError::BadVersion { .. })
+            ));
+        }
     }
 
     #[test]

@@ -45,8 +45,7 @@ pub struct RequestEnvelope {
 pub enum RequestBody {
     /// Liveness probe; answered without touching admission.
     Ping,
-    /// Real-bytes ingest. `batch_frames == 0` runs the whole-buffer
-    /// path; otherwise the streaming pipeline with that batch size.
+    /// Real-bytes ingest.
     Ingest {
         /// Logical dataset name to create.
         dataset: String,
@@ -54,8 +53,6 @@ pub enum RequestBody {
         pdb_text: String,
         /// `.xtc` contents.
         xtc_bytes: Vec<u8>,
-        /// Frames per streaming batch, `0` = whole-buffer ingest.
-        batch_frames: u32,
     },
     /// Tag-aware (or full-frame when `tag` is `None`) retrieval.
     Query {
@@ -119,13 +116,11 @@ impl RequestEnvelope {
                 dataset,
                 pdb_text,
                 xtc_bytes,
-                batch_frames,
             } => {
                 w.put_u8(1);
                 w.put_str(dataset);
                 w.put_str(pdb_text);
                 w.put_bytes(xtc_bytes);
-                w.put_u32(*batch_frames);
             }
             RequestBody::Query { dataset, tag } => {
                 w.put_u8(2);
@@ -164,7 +159,6 @@ impl RequestEnvelope {
                 dataset: r.get_str()?,
                 pdb_text: r.get_str()?,
                 xtc_bytes: r.get_bytes()?,
-                batch_frames: r.get_u32()?,
             },
             2 => RequestBody::Query {
                 dataset: r.get_str()?,
@@ -616,7 +610,6 @@ mod tests {
                     dataset: "ds".into(),
                     pdb_text: "ATOM".into(),
                     xtc_bytes: vec![1, 2, 3, 4],
-                    batch_frames: 0,
                 },
             },
             RequestEnvelope {

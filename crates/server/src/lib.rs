@@ -431,14 +431,13 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
             dataset,
             pdb_text,
             xtc_bytes,
-            batch_frames,
         } => {
-            let report = if batch_frames == 0 {
-                let input = IngestInput::Real {
-                    pdb_text,
-                    xtc_bytes,
-                };
-                frontend.run_rooted(
+            let input = IngestInput::Real {
+                pdb_text,
+                xtc_bytes,
+            };
+            frontend
+                .run_rooted(
                     Class::Ingest,
                     "ingest",
                     &client,
@@ -446,20 +445,7 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
                     &mut root,
                     |ada, ctx| ada.ingest_traced(&dataset, input, ctx),
                 )
-            } else {
-                let batch = batch_frames as usize;
-                frontend.run_rooted(
-                    Class::Ingest,
-                    "ingest_streaming",
-                    &client,
-                    deadline,
-                    &mut root,
-                    |ada, ctx| {
-                        ada.ingest_streaming_traced(&dataset, &pdb_text, &xtc_bytes, batch, ctx)
-                    },
-                )
-            };
-            report.map(|rep| ResponseBody::Ingest(WireIngestReport::from_report(&rep)))
+                .map(|rep| ResponseBody::Ingest(WireIngestReport::from_report(&rep)))
         }
         RequestBody::Query { dataset, tag } => {
             let tag = tag.map(Tag::new);

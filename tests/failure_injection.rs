@@ -18,18 +18,29 @@ struct Rig {
     hdd: Arc<dyn SimFileSystem>,
 }
 
-fn rig() -> Rig {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
+/// A hybrid rig on `ssd` that cuts a dropping — one window of the ingest
+/// loop — every `frames_per_dropping` frames.
+fn rig_on(ssd: Arc<dyn SimFileSystem>, frames_per_dropping: usize) -> Rig {
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let cs = Arc::new(ContainerSet::new(vec![
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd.clone()),
     ]));
+    let config = AdaConfig {
+        frames_per_dropping,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    };
     Rig {
-        ada: Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd.clone()),
+        ada: Ada::new(config, cs, ssd.clone()),
         ssd,
         hdd,
     }
+}
+
+/// Two frames per dropping, so that a fault in a later frame strikes
+/// after earlier windows were stored.
+fn rig() -> Rig {
+    rig_on(Arc::new(LocalFs::ext4_on_nvme()), 2)
 }
 
 fn real_input(w: &ada_workload::Workload) -> IngestInput {
@@ -139,7 +150,9 @@ fn pdb_xtc_atom_mismatch_rejected() {
 /// Two `.xtc` files of different atom counts, concatenated: every frame
 /// is valid, the file is not. Whichever way it comes in, the answer is the
 /// same typed mismatch naming the first offending frame's count — from
-/// the frame headers, before a frame is decoded or a byte stored.
+/// the frame headers, before a frame is decoded or a byte stored. (The
+/// offending frames sit in the second and third windows.) A file with no
+/// frames at all is the same mismatch against zero atoms.
 #[test]
 fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
     let r = rig();
@@ -152,7 +165,7 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
     r.ada.ingest("guide", real_input(&w)).unwrap();
 
     type Ingest<'a> = Box<dyn Fn(&[u8]) -> Result<IngestReport, AdaError> + 'a>;
-    let entry_points: [(&str, Ingest); 3] = [
+    let entry_points: [(&str, Ingest); 2] = [
         (
             "ingest",
             Box::new(|xtc| {
@@ -160,67 +173,58 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
                     pdb_text: pdb.clone(),
                     xtc_bytes: xtc.to_vec(),
                 };
-                r.ada.ingest("ragged", input)
+                r.ada.ingest("bad", input)
             }),
         ),
         (
             "ingest_guided",
-            Box::new(|xtc| r.ada.ingest_guided("ragged", "guide", xtc)),
-        ),
-        (
-            // Batches of two: the offending frames sit in the second batch.
-            "ingest_streaming",
-            Box::new(|xtc| r.ada.ingest_streaming("ragged", &pdb, xtc, 2)),
+            Box::new(|xtc| r.ada.ingest_guided("bad", "guide", xtc)),
         ),
     ];
+    let bad_files: [(&str, &[u8], usize); 2] =
+        [("ragged", &ragged, other.system.len()), ("empty", &[], 0)];
     for (name, ingest) in entry_points {
-        let err = match ingest(&ragged) {
-            Err(e) => e,
-            Ok(_) => panic!("{}: a ragged file was ingested", name),
-        };
-        assert_eq!(err.kind(), "atom_mismatch", "{}: {}", name, err);
-        assert!(
-            matches!(err, AdaError::AtomMismatch { pdb, xtc }
-                if (pdb, xtc) == (w.system.len(), other.system.len())),
-            "{}: {}",
-            name,
-            err
-        );
-        // The name is free: nothing was stored, and a well-formed file
-        // ingests under it.
-        assert!(!r.ada.list_datasets().contains(&"ragged".to_string()));
-        assert_eq!(files_of(&r, "ragged"), Vec::<String>::new(), "{}", name);
-        ingest(&good).unwrap();
-        assert_eq!(
-            protein_frames(&r.ada, "ragged"),
-            protein_frames(&r.ada, "guide")
-        );
-        r.ada.delete_dataset("ragged").unwrap();
+        for (what, bytes, found) in bad_files {
+            let err = match ingest(bytes) {
+                Err(e) => e,
+                Ok(_) => panic!("{}: a {} file was ingested", name, what),
+            };
+            assert_eq!(err.kind(), "atom_mismatch", "{} {}: {}", name, what, err);
+            assert!(
+                matches!(err, AdaError::AtomMismatch { pdb, xtc }
+                    if (pdb, xtc) == (w.system.len(), found)),
+                "{} {}: {}",
+                name,
+                what,
+                err
+            );
+            // The name is free: nothing was stored, and a well-formed
+            // file ingests under it.
+            assert!(!r.ada.list_datasets().contains(&"bad".to_string()));
+            assert_eq!(files_of(&r, "bad"), Vec::<String>::new(), "{}", name);
+            ingest(&good).unwrap();
+            assert_eq!(
+                protein_frames(&r.ada, "bad"),
+                protein_frames(&r.ada, "guide")
+            );
+            r.ada.delete_dataset("bad").unwrap();
+        }
     }
 }
 
 /// A hybrid rig whose SSD — protein droppings, label files and the
 /// persisted index all live there — holds only 50 kB.
-fn tiny_ssd_rig() -> Rig {
+fn tiny_ssd_rig(frames_per_dropping: usize) -> Rig {
     let tiny_profile = DeviceProfile {
         capacity: 50_000,
         ..DeviceProfile::nvme_ssd_256gb()
     };
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::new(
+    let ssd = Arc::new(LocalFs::new(
         "tiny-ssd",
         FsParams::ext4(),
         ada_simfs::local::Backing::Single(Device::new(tiny_profile)),
     ));
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd.clone()),
-    ]));
-    Rig {
-        ada: Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd.clone()),
-        ssd,
-        hdd,
-    }
+    rig_on(ssd, frames_per_dropping)
 }
 
 /// Every file either backend holds under `<mnt>/<dataset>/`.
@@ -241,13 +245,15 @@ fn protein_frames(ada: &Ada, dataset: &str) -> ada_mdformats::Trajectory {
 /// *and leave nothing behind*: the ingest is all or nothing, whichever
 /// flavour (`ingest(ada, dataset, workload)`) ran it. `fits` (one frame)
 /// is stored first as `guide`, so it doubles as the structure a guided
-/// ingest reuses; `too_big` shares its structure but overflows the SSD
-/// after the HDD droppings (and, when streaming, several batches) are
-/// already written.
+/// ingest reuses; `too_big` (twelve frames) shares its structure but
+/// overflows the SSD after the window's HDD dropping (and, at two frames
+/// per dropping, whole earlier windows on both backends) are already
+/// written.
 fn assert_no_space_is_all_or_nothing(
+    frames_per_dropping: usize,
     ingest: impl Fn(&Ada, &str, &ada_workload::Workload) -> Result<IngestReport, AdaError>,
 ) {
-    let r = tiny_ssd_rig();
+    let r = tiny_ssd_rig(frames_per_dropping);
     let fits = ada_workload::gpcr_workload(2000, 1, 59);
     let too_big = ada_workload::gpcr_workload(2000, 12, 59);
     r.ada.ingest("guide", real_input(&fits)).unwrap();
@@ -292,26 +298,17 @@ fn assert_no_space_is_all_or_nothing(
 
 #[test]
 fn backend_out_of_space_mid_ingest() {
-    assert_no_space_is_all_or_nothing(|ada, dataset, w| ada.ingest(dataset, real_input(w)));
+    assert_no_space_is_all_or_nothing(512, |ada, dataset, w| ada.ingest(dataset, real_input(w)));
 }
 
 #[test]
-fn backend_out_of_space_mid_streaming_ingest() {
-    // Batches of two frames: the SSD fills up in a late batch, after
-    // earlier ones already stored droppings on both backends.
-    assert_no_space_is_all_or_nothing(|ada, dataset, w| {
-        ada.ingest_streaming(
-            dataset,
-            &write_pdb(&w.system),
-            &write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-            2,
-        )
-    });
+fn backend_out_of_space_in_a_late_window() {
+    assert_no_space_is_all_or_nothing(2, |ada, dataset, w| ada.ingest(dataset, real_input(w)));
 }
 
 #[test]
 fn backend_out_of_space_mid_guided_ingest() {
-    assert_no_space_is_all_or_nothing(|ada, dataset, w| {
+    assert_no_space_is_all_or_nothing(2, |ada, dataset, w| {
         ada.ingest_guided(
             dataset,
             "guide",

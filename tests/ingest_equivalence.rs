@@ -1,8 +1,8 @@
-//! Pipelined ingest must be observably identical to the serial baseline:
-//! same label file, same per-tag stored bytes, and bit-equal query
-//! payloads — for every split-thread count, for the batch path
-//! ([`Ada::ingest`]), the streaming pipeline ([`Ada::ingest_streaming`])
-//! and guided ingest ([`Ada::ingest_guided`]).
+//! What an ingest stores must not depend on how it was scheduled: same
+//! label file, same per-tag stored bytes, and bit-equal query payloads —
+//! for every split-thread count, for every dropping size (one window of
+//! the ingest loop each; only the per-dropping framing may differ), and
+//! for guided ingest ([`Ada::ingest_guided`]) against [`Ada::ingest`].
 
 use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
@@ -12,8 +12,8 @@ use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
 use std::sync::Arc;
 
-/// Hybrid SSD/HDD ADA with explicit parallelism knobs.
-fn ada_with(split_threads: usize, pipeline_depth: usize) -> Ada {
+/// Hybrid SSD/HDD ADA with an explicit splitter pool and dropping size.
+fn ada_with(split_threads: usize, frames_per_dropping: usize) -> Ada {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let containers = Arc::new(ContainerSet::new(vec![
@@ -22,7 +22,7 @@ fn ada_with(split_threads: usize, pipeline_depth: usize) -> Ada {
     ]));
     let config = AdaConfig {
         split_threads,
-        pipeline_depth,
+        frames_per_dropping,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     Ada::new(config, containers, ssd)
@@ -40,6 +40,16 @@ fn workload() -> Workload {
         pdb_text: write_pdb(&w.system),
         xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
         nframes: w.trajectory.len(),
+    }
+}
+
+impl Workload {
+    fn ingest(&self, ada: &Ada) -> ada_core::IngestReport {
+        let input = IngestInput::Real {
+            pdb_text: self.pdb_text.clone(),
+            xtc_bytes: self.xtc_bytes.clone(),
+        };
+        ada.ingest("d", input).unwrap()
     }
 }
 
@@ -114,98 +124,59 @@ fn assert_equivalent(
 #[test]
 fn batch_ingest_parallel_split_matches_serial() {
     let w = workload();
-    let serial = ada_with(1, 1);
-    let rep_serial = serial
-        .ingest(
-            "d",
-            IngestInput::Real {
-                pdb_text: w.pdb_text.clone(),
-                xtc_bytes: w.xtc_bytes.clone(),
-            },
-        )
-        .unwrap();
-    for threads in [2, 4, 8] {
-        let par = ada_with(threads, 2);
-        let rep_par = par
-            .ingest(
-                "d",
-                IngestInput::Real {
-                    pdb_text: w.pdb_text.clone(),
-                    xtc_bytes: w.xtc_bytes.clone(),
-                },
-            )
-            .unwrap();
-        assert_equivalent(
-            (&serial, &rep_serial),
-            (&par, &rep_par),
-            0,
-            &format!("ingest threads={}", threads),
-        );
+    // One window, and 7 frames in windows of 2, 2, 2, 1.
+    for fpd in [512, 2] {
+        let serial = ada_with(1, fpd);
+        let rep_serial = w.ingest(&serial);
+        for threads in [2, 4, 8] {
+            let par = ada_with(threads, fpd);
+            let rep_par = w.ingest(&par);
+            // Same dropping size ⇒ same droppings ⇒ byte totals exactly equal.
+            assert_equivalent(
+                (&serial, &rep_serial),
+                (&par, &rep_par),
+                0,
+                &format!("ingest threads={} fpd={}", threads, fpd),
+            );
+        }
     }
 }
 
 #[test]
-fn streaming_pipeline_matches_serial_streaming() {
+fn dropping_size_changes_only_the_framing() {
     let w = workload();
-    let batch = 2; // 7 frames -> batches of 2,2,2,1
-    let serial = ada_with(1, 1);
-    let rep_serial = serial
-        .ingest_streaming("d", &w.pdb_text, &w.xtc_bytes, batch)
-        .unwrap();
-    for (threads, depth) in [(2, 1), (4, 4), (8, 3)] {
-        let par = ada_with(threads, depth);
-        let rep_par = par
-            .ingest_streaming("d", &w.pdb_text, &w.xtc_bytes, batch)
-            .unwrap();
-        // Same batch size ⇒ same droppings ⇒ byte totals exactly equal.
+    // frames_per_dropping ≫ nframes: one dropping per tag.
+    let one = ada_with(4, 1 << 20);
+    let rep_one = w.ingest(&one);
+
+    // 3 frames per dropping on 7 frames is 3 droppings per tag, i.e. two
+    // extra droppings' framing per tag over the single dropping.
+    for fpd in [1, 3, w.nframes, 512] {
+        let cut = ada_with(4, fpd);
+        let rep_cut = w.ingest(&cut);
+        let droppings_per_tag = w.nframes.div_ceil(fpd);
         assert_equivalent(
-            (&serial, &rep_serial),
-            (&par, &rep_par),
-            0,
-            &format!("streaming threads={} depth={}", threads, depth),
+            (&one, &rep_one),
+            (&cut, &rep_cut),
+            droppings_per_tag as u64 - 1,
+            &format!("fpd={}", fpd),
         );
+
+        // Each tag's droppings hold `fpd` frames, the last one the rest.
+        let index = cut.containers().index("d").unwrap();
+        for tag in rep_cut.bytes_by_tag.keys() {
+            let frames: Vec<u64> = index
+                .iter()
+                .filter(|r| r.tag == tag.to_string())
+                .map(|r| r.frames)
+                .collect();
+            let expect: Vec<u64> = (0..w.nframes)
+                .step_by(fpd)
+                .map(|first| fpd.min(w.nframes - first) as u64)
+                .collect();
+            assert_eq!(frames, expect, "fpd={} tag {:?}", fpd, tag);
+        }
     }
-}
-
-#[test]
-fn streaming_matches_batch_ingest_modulo_chunk_headers() {
-    let w = workload();
-    let batch_ada = ada_with(4, 2);
-    let rep_batch = batch_ada
-        .ingest(
-            "d",
-            IngestInput::Real {
-                pdb_text: w.pdb_text.clone(),
-                xtc_bytes: w.xtc_bytes.clone(),
-            },
-        )
-        .unwrap();
-
-    // batch_frames ≥ nframes: one streaming dropping per tag, exactly
-    // like the batch path (frames_per_dropping ≫ nframes here).
-    let stream_one = ada_with(4, 2);
-    let rep_one = stream_one
-        .ingest_streaming("d", &w.pdb_text, &w.xtc_bytes, w.nframes)
-        .unwrap();
-    assert_equivalent(
-        (&batch_ada, &rep_batch),
-        (&stream_one, &rep_one),
-        0,
-        "streaming single-batch",
-    );
-
-    // Small batches: 7 frames / 3 = 3 droppings per tag, i.e. two extra
-    // droppings' framing per tag over the batch path's single dropping.
-    let stream_many = ada_with(4, 2);
-    let rep_many = stream_many
-        .ingest_streaming("d", &w.pdb_text, &w.xtc_bytes, 3)
-        .unwrap();
-    assert_equivalent(
-        (&batch_ada, &rep_batch),
-        (&stream_many, &rep_many),
-        2,
-        "streaming batch=3",
-    );
 }
 
 #[test]
@@ -216,8 +187,9 @@ fn guided_ingest_matches_batch_ingest() {
     // get away with copying the guide's.
     let phase2 = ada_workload::gpcr_workload(1600, 5, 11);
     let xtc2 = write_xtc(&phase2.trajectory, DEFAULT_PRECISION).unwrap();
-    for split_threads in [1, 0] {
-        let reference = ada_with(split_threads, 2);
+    // One window, and 5 frames in windows of 2, 2, 1.
+    for (split_threads, fpd) in [(1, 512), (0, 512), (0, 2)] {
+        let reference = ada_with(split_threads, fpd);
         let rep_ref = reference
             .ingest(
                 "b",
@@ -228,7 +200,7 @@ fn guided_ingest_matches_batch_ingest() {
             )
             .unwrap();
 
-        let guided = ada_with(split_threads, 2);
+        let guided = ada_with(split_threads, fpd);
         guided
             .ingest(
                 "a",
@@ -243,7 +215,7 @@ fn guided_ingest_matches_batch_ingest() {
             (&reference, &rep_ref),
             (&guided, &rep_guided),
             0,
-            &format!("guided split_threads={}", split_threads),
+            &format!("guided split_threads={} fpd={}", split_threads, fpd),
         );
     }
 }

@@ -169,7 +169,7 @@ fn eight_tcp_clients_match_in_process_serial_byte_for_byte() {
     // Shared dataset every client can read.
     let (pdb, xtc) = real_bytes(500, 6, 7);
     client_for(&server, "setup")
-        .ingest("shared", &pdb, &xtc, 0)
+        .ingest("shared", &pdb, &xtc)
         .unwrap();
 
     let barrier = Barrier::new(CLIENTS);
@@ -183,14 +183,12 @@ fn eight_tcp_clients_match_in_process_serial_byte_for_byte() {
                 let client = client_for(server, &format!("c{}", t));
                 barrier.wait();
                 let mut out = Vec::new();
-                // Odd clients first ingest a private dataset — half of
-                // them through the streaming path — exercising
+                // Odd clients first ingest a private dataset, exercising
                 // ingest/query interleaving over the wire.
                 let dataset = if t % 2 == 1 {
                     let name = format!("ds{}", t);
                     let (pdb, xtc) = real_bytes(400, 4, 100 + t as u64);
-                    let batch = if t % 4 == 1 { 2 } else { 0 };
-                    client.ingest(&name, &pdb, &xtc, batch).unwrap();
+                    client.ingest(&name, &pdb, &xtc).unwrap();
                     name
                 } else {
                     "shared".to_string()
@@ -283,7 +281,7 @@ fn ragged_single_frame_and_empty_windows_round_trip() {
     let mut server = start_server();
     let client = client_for(&server, "ragged");
     let (pdb, xtc) = real_bytes(300, nframes, 77);
-    client.ingest("ds", &pdb, &xtc, 0).unwrap();
+    client.ingest("ds", &pdb, &xtc).unwrap();
     let serial = make_ada();
     serial.ingest("ds", real_input(300, nframes, 77)).unwrap();
     let p = Tag::protein();
@@ -343,7 +341,7 @@ fn remote_error_kinds_match_in_process() {
     let mut server = start_server();
     let client = client_for(&server, "errs");
     let (pdb, xtc) = real_bytes(300, 3, 21);
-    client.ingest("ds", &pdb, &xtc, 0).unwrap();
+    client.ingest("ds", &pdb, &xtc).unwrap();
 
     // unknown dataset
     let remote = client.query("no-such-dataset", None).unwrap_err();
@@ -382,7 +380,7 @@ fn remote_ingest_report_matches_in_process() {
     let mut server = start_server();
     let client = client_for(&server, "rep");
     let (pdb, xtc) = real_bytes(350, 4, 33);
-    let wire = client.ingest("ds", &pdb, &xtc, 0).unwrap();
+    let wire = client.ingest("ds", &pdb, &xtc).unwrap();
     server.shutdown();
 
     let serial = make_ada();
@@ -408,8 +406,8 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
     let mut server = start_server();
     let client = client_for(&server, "traced");
     let (pdb, xtc) = real_bytes(300, 3, 55);
-    client.ingest("ds", &pdb, &xtc, 0).unwrap();
-    client.ingest("ds-streamed", &pdb, &xtc, 2).unwrap();
+    client.ingest("ds", &pdb, &xtc).unwrap();
+    client.ingest("ds-again", &pdb, &xtc).unwrap();
     client.query("ds", Some("p")).unwrap();
     server.shutdown();
 
@@ -469,7 +467,7 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
         }
     }
     ops.sort_unstable();
-    assert_eq!(ops, ["ingest", "ingest_streaming", "query"]);
+    assert_eq!(ops, ["ingest", "ingest", "query"]);
     trace::set_tracing(false);
 }
 
@@ -491,7 +489,7 @@ fn router_places_each_dataset_on_its_ring_shard() {
     for d in 0..DATASETS {
         let name = format!("ds{}", d);
         let (pdb, xtc) = real_bytes(300, 5, 200 + d as u64);
-        router.ingest(&name, &pdb, &xtc, 0).unwrap();
+        router.ingest(&name, &pdb, &xtc).unwrap();
         serial
             .ingest(&name, real_input(300, 5, 200 + d as u64))
             .unwrap();
@@ -568,7 +566,7 @@ fn tcp_herd_is_shed_as_typed_overloads() {
             Server::start(fe.clone(), ServerConfig::default()).expect("server must start");
         let (pdb, xtc) = real_bytes(2500, 8, 11);
         client_for(&server, "setup")
-            .ingest("big", &pdb, &xtc, 0)
+            .ingest("big", &pdb, &xtc)
             .unwrap();
 
         let barrier = Barrier::new(CLIENTS);

@@ -294,7 +294,7 @@ fn corpus_under_background_load(background: usize) {
     let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
         .unwrap();
     well_behaved_client(&server, "setup")
-        .ingest("shared", &pdb, &xtc, 0)
+        .ingest("shared", &pdb, &xtc)
         .unwrap();
 
     let stop = AtomicBool::new(false);
@@ -466,7 +466,7 @@ fn graceful_shutdown_with_clients_in_flight() {
     let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
         .unwrap();
     well_behaved_client(&server, "setup")
-        .ingest("shared", &pdb, &xtc, 0)
+        .ingest("shared", &pdb, &xtc)
         .unwrap();
 
     let stop = AtomicBool::new(false);
@@ -549,7 +549,7 @@ fn pipelined_frames_are_answered_in_request_order() {
     let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
         .unwrap();
     well_behaved_client(&server, "setup")
-        .ingest("shared", &pdb, &xtc, 0)
+        .ingest("shared", &pdb, &xtc)
         .unwrap();
 
     const K: u64 = 8;

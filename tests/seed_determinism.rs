@@ -1,6 +1,7 @@
 //! Satellite suite: the full workload-gen → ingest → query pipeline is
 //! byte-deterministic under a fixed seed, *including* the parallel paths
-//! (batch-parallel streaming decode, splitter pool, parallel retrieval).
+//! (frame-parallel decode, splitter pool, per-backend sealing, parallel
+//! retrieval).
 //!
 //! Two independent runs with the same seed must leave byte-identical
 //! artifacts on the simulated storage — every dropping, the persisted
@@ -11,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ada_core::{Ada, AdaConfig, RetrievedData};
+use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
@@ -31,8 +32,13 @@ fn rig() -> Rig {
     ]));
     // paper_prototype keeps every parallel knob on (decode_threads,
     // split_threads=all cores, query_threads) — exactly the paths whose
-    // determinism this suite locks in.
-    let ada = Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd.clone());
+    // determinism this suite locks in. 2 frames per dropping force the
+    // ingest loop through several windows.
+    let config = AdaConfig {
+        frames_per_dropping: 2,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    };
+    let ada = Ada::new(config, cs, ssd.clone());
     Rig { ada, ssd, hdd }
 }
 
@@ -46,9 +52,11 @@ fn artifacts(seed: u64) -> BTreeMap<String, Vec<u8>> {
     let pdb = ada_mdformats::write_pdb(&w.system);
     let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
         .unwrap();
-    // Streaming ingest: decoder (batch-parallel) → splitter pool →
-    // reordering dispatcher, 2 frames per batch to force many batches.
-    r.ada.ingest_streaming("bar", &pdb, &xtc, 2).unwrap();
+    let input = IngestInput::Real {
+        pdb_text: pdb,
+        xtc_bytes: xtc,
+    };
+    r.ada.ingest("bar", input).unwrap();
 
     let mut out = BTreeMap::new();
     for (name, fs) in [("ssd", &r.ssd), ("hdd", &r.hdd)] {

@@ -535,8 +535,8 @@ fn assert_profile_is_fold(
 
 /// A report's profile and the `span.*` counters are two folds of the
 /// request's one span tree: recomputing them from the sealed trace gives
-/// the same numbers, on every ingest body and both retrieval schedules,
-/// under a front-end root and under the facade's own.
+/// the same numbers, on an ingest of one window and of several and on both
+/// retrieval schedules, under a front-end root and under the facade's own.
 #[test]
 fn profile_is_a_fold_of_the_tree() {
     let _g = serialize();
@@ -552,7 +552,7 @@ fn profile_is_a_fold_of_the_tree() {
         xtc_bytes: xtc.clone(),
     };
 
-    // The three ingest bodies.
+    // The ingest body, in one window.
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
     let (report, t) = sealed(|| fe.ingest("c0", "whole", input()).unwrap());
     let p = report
@@ -565,21 +565,47 @@ fn profile_is_a_fold_of_the_tree() {
         ["categorize", "decode", "dispatch", "label_write", "split"]
     );
 
-    let (report, t) = sealed(|| {
-        fe.ingest_streaming("c0", "streamed", &pdb, &xtc, 4)
-            .unwrap()
-    });
+    // Twelve frames at four to a dropping: three windows of the same
+    // body, the same fold — and the trace shows their schedule. No window
+    // decodes more than a dropping's frames, and window k + 1 starts
+    // decoding only once window k's droppings are stored, so one window's
+    // decoded frames are all an ingest ever holds.
+    let fe4 = Frontend::new(
+        make_ada_with(AdaConfig {
+            frames_per_dropping: 4,
+            ..AdaConfig::paper_prototype("ssd", "hdd")
+        }),
+        FrontendConfig::default(),
+    );
+    let (report, t) = sealed(|| fe4.ingest("c0", "windowed", input()).unwrap());
     let p = report
         .profile
         .as_ref()
         .expect("traced ingest has a profile");
     let stored = Some(&report.bytes_by_tag);
-    assert_profile_is_fold(p, &t, "ada.ingest_streaming", "pipelined", stored);
+    assert_profile_is_fold(p, &t, "ada.ingest", "serial", stored);
     assert_eq!(
         stages(p),
         ["categorize", "decode", "dispatch", "label_write", "split"]
     );
-    assert!(p.queue_hwm["decoded"] >= 1 && p.queue_hwm["split"] >= 1);
+    assert!(p.queue_hwm.is_empty());
+    let in_start_order = |name: &str| {
+        let mut spans: Vec<&TraceSpan> = t.spans.iter().filter(|s| s.name == name).collect();
+        spans.sort_by_key(|s| s.start_ns);
+        spans
+    };
+    let decodes = in_start_order("ingest.decode");
+    let dispatches = in_start_order("ingest.dispatch");
+    assert_eq!((decodes.len(), dispatches.len()), (3, 3));
+    for (k, decode) in decodes.iter().enumerate() {
+        assert_eq!(u64_arg(decode, "frames"), Some(4), "window {}", k);
+        assert!(
+            k == 0 || decode.start_ns >= dispatches[k - 1].end_ns,
+            "window {} decoded before window {} was stored",
+            k,
+            k - 1
+        );
+    }
 
     // No front-end entry for a guided ingest: the facade mints the root,
     // so the op span is the trace's root span.
