@@ -650,7 +650,6 @@ mod tests {
         for stage in ["categorize", "decode", "split", "dispatch", "label_write"] {
             assert!(p.stages_ns.contains_key(stage), "missing stage {}", stage);
         }
-        assert!(p.queue_hwm.is_empty());
         let snap = ada_telemetry::global().snapshot();
         assert!(snap.counters["ada.ingest.ok"] >= 1);
         // And the data still reads back whole.

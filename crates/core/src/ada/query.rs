@@ -28,8 +28,8 @@ impl Ada {
     }
 
     /// [`Ada::query`] under an existing trace (see [`Ada::ingest_traced`]):
-    /// index, per-backend read, per-unit decode, cache lookup, and
-    /// reassemble each contribute a span to the request's tree.
+    /// index, read, per-unit decode, cache lookup, and reassemble each
+    /// contribute a span to the request's tree.
     pub fn query_traced(
         &self,
         dataset: &str,

@@ -2,22 +2,23 @@
 //! back decoded.
 //!
 //! [`Ada::retrieve_droppings`] partitions the request into cache hits and
-//! misses; the misses go through one stage set — [`plan`] (which units of
-//! a fetched dropping to decode), [`decode_unit`] (one whole v1 file or
-//! one v2 chunk, atom-count validated) and [`assemble`] (resident chunks
-//! + fresh chunks → payload) — under one of two schedules:
+//! misses; the misses go through one body ([`Ada::fetch_and_decode`]):
+//! [`Ada::fetch_in_order`] on the caller's thread, [`plan`] (which units
+//! of a fetched dropping to decode) for each dropping in logical order,
+//! [`decode_unit`] (one whole v1 file or one v2 chunk, atom-count
+//! validated) over the planned units, and [`assemble`] (resident chunks +
+//! fresh chunks → payload). A backend read is a refcount clone beside a
+//! decode that costs milliseconds, so decode is the one stage worth a
+//! pool: `query_threads` workers claim units from it, and `query_threads
+//! = 0` decodes them inline — the reference schedule, which spawns
+//! nothing and which `query_equivalence` and `core.parallel_speedup`
+//! compare the pool with.
 //!
-//! * [`Ada::retrieve_serial`] (`query_threads = 0`): everything on the
-//!   caller's thread, every dropping fetched in logical order before any
-//!   is decoded. This is the reference the parallel schedule is compared
-//!   with (`query_equivalence`, `core.parallel_speedup`).
-//! * [`Ada::retrieve_parallel`]: one reader thread per backend feeding
-//!   `query_threads` decode workers, one work unit per chunk.
-//!
-//! Both resolve errors the same way: the earliest fetch failure in
-//! logical order, else the earliest decode failure by (dropping, chunk).
+//! Every schedule fails with the same error: a fetch failure (everything
+//! is fetched before anything is decoded), else the first failure in
+//! (dropping, chunk) order, a plan failure ranking as chunk 0.
 
-use super::{max_across_backends, Ada, QueueDepth};
+use super::{max_across_backends, Ada};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
@@ -26,18 +27,17 @@ use ada_mdformats::xtcf::{
 };
 use ada_mdformats::{FormatError, Frame};
 use ada_mdmodel::Tag;
-use ada_plfs::{ContainerSet, IndexRecord};
+use ada_plfs::IndexRecord;
 use ada_simfs::Content;
 use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Per-dropping retrieval output, tagged with the record's logical index
-/// and tag, plus the simulated backend read time of the whole batch.
-type Retrieved<T> = (Vec<(usize, String, T)>, SimDuration);
+/// Per-dropping retrieval output, keyed by the record's logical index and
+/// its tag (`K = String`) or the whole record, plus the simulated backend
+/// read time of the whole batch.
+type Retrieved<K, T> = (Vec<(usize, K, T)>, SimDuration);
 
 /// Dropping-local frames a retrieval must deliver: `None` means the whole
 /// dropping (full queries, readahead warming), `Some` the ascending local
@@ -61,42 +61,6 @@ struct RetrieveItem {
 struct PayloadOutcome {
     payload: DecodedDropping,
     fresh_bytes: u64,
-}
-
-/// Running totals of one fetch loop: simulated cost per backend (reads
-/// within a backend queue up, backends overlap) and bytes fetched.
-#[derive(Default)]
-struct ReadTally {
-    per_backend: BTreeMap<String, SimDuration>,
-    bytes: u64,
-}
-
-impl ReadTally {
-    fn read(
-        &mut self,
-        containers: &ContainerSet,
-        record: &IndexRecord,
-    ) -> Result<Content, AdaError> {
-        let (content, cost) = containers.read_dropping(record)?;
-        *self
-            .per_backend
-            .entry(record.backend.clone())
-            .or_insert(SimDuration::ZERO) += cost;
-        self.bytes += content.len();
-        Ok(content)
-    }
-
-    fn merge(&mut self, other: ReadTally) {
-        for (backend, cost) in other.per_backend {
-            *self.per_backend.entry(backend).or_insert(SimDuration::ZERO) += cost;
-        }
-        self.bytes += other.bytes;
-    }
-
-    /// The simulated read time of everything tallied.
-    fn cost(&self) -> SimDuration {
-        max_across_backends(&self.per_backend)
-    }
 }
 
 /// A fetched dropping with its decode plan, and what the assembly needs
@@ -268,7 +232,6 @@ fn decode_unit(
 /// global chunk counters: decoded chunks cost decode work, skipped ones
 /// were outside the selection or already resident.
 fn assemble(p: &Planned, mut fresh: Vec<(usize, Vec<Frame>)>) -> PayloadOutcome {
-    fresh.sort_by_key(|(c, _)| *c);
     let fresh_bytes = fresh
         .iter()
         .flat_map(|(_, frames)| frames)
@@ -323,9 +286,8 @@ fn assemble(p: &Planned, mut fresh: Vec<(usize, Vec<Frame>)>) -> PayloadOutcome 
 
 impl Ada {
     /// Cache-aware retrieval: partition `records` into cache hits and
-    /// misses, fetch + decode only the misses (serial or parallel per
-    /// `query_threads`), then admit fresh payloads whose tag is hot
-    /// enough. Hits contribute **zero** backend read time — that is the
+    /// misses, fetch + decode only the misses, then admit fresh payloads
+    /// whose tag is hot enough. Hits contribute **zero** backend read time — that is the
     /// point of keeping the hot set decoded. Returns one entry per input
     /// record, in input (logical) order.
     ///
@@ -339,7 +301,7 @@ impl Ada {
         label: &LabelFile,
         records: Vec<(usize, IndexRecord, FrameSelection)>,
         ctx: &TraceContext,
-    ) -> Result<Retrieved<Arc<DecodedDropping>>, AdaError> {
+    ) -> Result<Retrieved<String, Arc<DecodedDropping>>, AdaError> {
         let cache_on = self.cache.enabled();
         let mut out: Vec<(usize, String, Arc<DecodedDropping>)> = Vec::with_capacity(records.len());
         let mut misses: Vec<RetrieveItem> = Vec::new();
@@ -396,45 +358,40 @@ impl Ada {
                 .collect();
         }
 
-        let offsets: BTreeMap<usize, u64> = misses
-            .iter()
-            .map(|m| (m.idx, m.record.logical_offset))
-            .collect();
         let (fresh, read) = if misses.is_empty() {
             (Vec::new(), SimDuration::ZERO)
-        } else if self.config.query_threads > 0 {
-            self.retrieve_parallel(label, misses, ctx)?
         } else {
-            self.retrieve_serial(label, misses, ctx)?
+            self.fetch_and_decode(label, misses, ctx)?
         };
 
         // Admission heat is the tag's access count *before* this query
         // (the counter bumps only after the whole query succeeds), so a
         // tag must prove itself hot across queries before it may displace
         // resident entries. Readahead decodes feed the same path and bump
-        // nothing — heat moves only when a query completes.
-        let heat = crate::tiering::heat_snapshot(self, dataset);
-        for (idx, tag, outcome) in fresh {
+        // nothing — heat moves only when a query completes. Only an
+        // admission reads it, so only a cache-on call with something fresh
+        // pays for the snapshot.
+        let heat =
+            (cache_on && !fresh.is_empty()).then(|| crate::tiering::heat_snapshot(self, dataset));
+        for (idx, record, outcome) in fresh {
             self.cache.note_decoded(outcome.fresh_bytes);
             let payload = Arc::new(outcome.payload);
-            if cache_on {
-                if let Some(offset) = offsets.get(&idx) {
-                    let key = CacheKey::new(dataset, &tag, *offset);
-                    let _ = self
-                        .cache
-                        .insert(key, &payload, heat.heat(&Tag::new(tag.clone())));
-                }
+            if let Some(heat) = &heat {
+                let key = CacheKey::new(dataset, &record.tag, record.logical_offset);
+                let tag_heat = heat.heat(&Tag::new(record.tag.clone()));
+                let _ = self.cache.insert(key, &payload, tag_heat);
             }
-            out.push((idx, tag, payload));
+            out.push((idx, record.tag, payload));
         }
         out.sort_by_key(|(idx, _, _)| *idx);
         Ok((out, read))
     }
 
     /// Fetch `records` one after another on the caller's thread, under
-    /// one `query.read` span: the read stage of the serial reference, and
-    /// all there is to a size-only (synthetic) query — with nothing to
-    /// decode, a pipeline would only add thread overhead.
+    /// one `query.read` span: the read stage of every retrieval, and all
+    /// there is to a size-only (synthetic) query. The simulated read time
+    /// is the paper's model, not this loop's clock: reads within a backend
+    /// queue up, backends overlap.
     pub(super) fn fetch_in_order<'a>(
         &self,
         records: impl Iterator<Item = &'a IndexRecord>,
@@ -442,208 +399,87 @@ impl Ada {
     ) -> Result<(Vec<Content>, SimDuration), AdaError> {
         let containers = self.determinator.containers();
         let mut ts = ctx.span("query.read");
-        let mut tally = ReadTally::default();
+        let mut per_backend: BTreeMap<String, SimDuration> = BTreeMap::new();
+        let mut bytes = 0u64;
         let mut fetched = Vec::new();
         for record in records {
-            fetched.push(tally.read(containers, record)?);
+            let (content, cost) = containers.read_dropping(record)?;
+            *per_backend
+                .entry(record.backend.clone())
+                .or_insert(SimDuration::ZERO) += cost;
+            bytes += content.len();
+            fetched.push(content);
         }
-        ts.arg("bytes", tally.bytes);
-        Ok((fetched, tally.cost()))
+        ts.arg("bytes", bytes);
+        Ok((fetched, max_across_backends(&per_backend)))
     }
 
-    /// Serial reference schedule (`query_threads = 0`): fetch every
-    /// dropping in logical order, then decode each one, all on the
-    /// caller's thread. Kept as the ground truth the parallel schedule
-    /// must match byte-for-byte. Takes and returns records with their
-    /// logical indices so the cache layer can feed it a miss subset
-    /// without losing ordering.
-    fn retrieve_serial(
+    /// The one retrieval body. Fetch every dropping in logical order on
+    /// the caller's thread, plan each, decode the planned (dropping, chunk)
+    /// units — inline at `query_threads = 0`, else on a pool of at most
+    /// `query_threads` workers, never more than there are units — and
+    /// assemble. The simulated read time is the fetch loop's on every
+    /// schedule; the first error in (dropping, chunk) order is the
+    /// request's, a plan failure (corrupt directory, size-only bytes)
+    /// ranking as chunk 0 of its dropping.
+    fn fetch_and_decode(
         &self,
         label: &LabelFile,
         items: Vec<RetrieveItem>,
         ctx: &TraceContext,
-    ) -> Result<Retrieved<PayloadOutcome>, AdaError> {
+    ) -> Result<Retrieved<IndexRecord, PayloadOutcome>, AdaError> {
         let (fetched, read) = self.fetch_in_order(items.iter().map(|i| &i.record), ctx)?;
 
-        let mut out: Vec<(usize, String, PayloadOutcome)> = Vec::with_capacity(items.len());
-        for (item, content) in items.into_iter().zip(fetched) {
-            let planned = plan(item, &content, label)?;
-            let mut fresh = Vec::with_capacity(planned.units.len());
-            for &c in &planned.units {
-                fresh.push((c, decode_unit(&planned, &content, c, ctx)?));
+        // Nothing past a dropping that fails to plan can be the first
+        // error, so planning stops there; the units before it still
+        // decode, since one of them may fail first.
+        let mut planned: Vec<Planned> = Vec::with_capacity(items.len());
+        let mut plan_err = None;
+        for (item, content) in items.into_iter().zip(&fetched) {
+            match plan(item, content, label) {
+                Ok(p) => planned.push(p),
+                Err(e) => {
+                    plan_err = Some(e);
+                    break;
+                }
             }
-            let outcome = assemble(&planned, fresh);
-            out.push((planned.idx, planned.record.tag, outcome));
         }
-        Ok((out, read))
-    }
+        let units: Vec<(&Planned, &Content, usize)> = planned
+            .iter()
+            .zip(&fetched)
+            .flat_map(|(p, content)| p.units.iter().map(move |&c| (p, content, c)))
+            .collect();
 
-    /// Parallel schedule: one reader thread per backend (reads within a
-    /// backend stay ordered, so wall clock matches the simulated "sum per
-    /// backend, max across backends" model) plans each dropping it fetched
-    /// and feeds `query_threads` decode workers over a bounded channel, one
-    /// work unit per planned chunk — the chunks of a single large dropping
-    /// decode concurrently. Errors resolve to whatever the serial
-    /// reference would have returned: the earliest fetch failure in
-    /// logical order wins over any decode failure, then the earliest
-    /// decode failure ordered by (dropping, chunk).
-    fn retrieve_parallel(
-        &self,
-        label: &LabelFile,
-        items: Vec<RetrieveItem>,
-        ctx: &TraceContext,
-    ) -> Result<Retrieved<PayloadOutcome>, AdaError> {
-        // Group per backend, preserving logical order within each group.
-        let mut by_backend: BTreeMap<String, Vec<RetrieveItem>> = BTreeMap::new();
-        for item in items {
-            by_backend
-                .entry(item.record.backend.clone())
-                .or_default()
-                .push(item);
-        }
-        // Workers are not clamped to the dropping count: one dropping can
-        // fan out into many chunk units.
-        let workers = self.config.query_threads.max(1);
-        let containers = self.determinator.containers();
-
-        // One decode work unit: a planned dropping, its bytes (a cheap
-        // refcount clone per unit) and the chunk to decode.
-        let queue_fetched = QueueDepth::gauge("query.queue.fetched");
-        let (tx, rx) = queue_fetched.channel::<(Arc<Planned>, Content, usize)>(2 * workers);
-        let planned: Mutex<Vec<Arc<Planned>>> = Mutex::new(Vec::new());
-        // Plan failures found by the readers (corrupt directory, size-only
-        // bytes) abort a dropping before its first chunk: they rank as a
-        // decode error of chunk 0.
-        let decode_errs: Mutex<Vec<(usize, usize, AdaError)>> = Mutex::new(Vec::new());
-
-        // Per-reader outcome: what it fetched, and its first fetch failure
-        // (with the dropping's logical index) if any.
-        type ReadOutcome = (ReadTally, Option<(usize, AdaError)>);
-        type Decoded = (usize, usize, Result<Vec<Frame>, AdaError>);
-
-        let (reads, slots) = crossbeam::thread::scope(|scope| {
-            let (planned, decode_errs, rx) = (&planned, &decode_errs, &rx);
-            let queue_fetched = &queue_fetched;
-            let readers: Vec<_> = by_backend
-                .into_iter()
-                .map(|(backend, group)| {
-                    let tx = tx.clone();
-                    scope.spawn(move |_| -> ReadOutcome {
-                        // One read span per backend reader thread, tied to
-                        // the request by its context (not the thread). It
-                        // spans the thread's life, so the reader times the
-                        // part it spent reading (`busy_ns`): planning and
-                        // time blocked on the channel are not read time.
-                        let mut tspan = ctx.span("query.read");
-                        tspan.arg("backend", backend.as_str());
-                        let mut tally = ReadTally::default();
-                        let mut err: Option<(usize, AdaError)> = None;
-                        let mut busy_ns = 0u64;
-                        let mut busy = Instant::now();
-                        'items: for item in group {
-                            let idx = item.idx;
-                            let content = match tally.read(containers, &item.record) {
-                                Ok(content) => content,
-                                Err(e) => {
-                                    err = Some((idx, e));
-                                    break;
-                                }
-                            };
-                            busy_ns += busy.elapsed().as_nanos() as u64;
-                            match plan(item, &content, label) {
-                                Err(e) => decode_errs.lock().push((idx, 0, e)),
-                                Ok(p) => {
-                                    let p = Arc::new(p);
-                                    planned.lock().push(Arc::clone(&p));
-                                    for &c in &p.units {
-                                        // The decode pool hung up: stop
-                                        // fetching this backend.
-                                        if !tx.send((Arc::clone(&p), content.clone(), c)) {
-                                            break 'items;
-                                        }
-                                    }
-                                }
-                            }
-                            busy = Instant::now(); // exclude channel-block time
-                        }
-                        tspan.arg("bytes", tally.bytes);
-                        tspan.arg("busy_ns", busy_ns);
-                        tspan.arg("queue.fetched", queue_fetched.high_water());
-                        if let Some((_, e)) = &err {
-                            tspan.set_error(e.kind());
-                        }
-                        (tally, err)
-                    })
-                })
-                .collect();
-            drop(tx); // decoders see the end once the readers drain
-
-            let decoders: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move |_| {
-                        let mut out: Vec<Decoded> = Vec::new();
-                        while let Some((p, content, c)) = rx.recv() {
-                            out.push((p.idx, c, decode_unit(&p, &content, c, ctx)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-
-            let mut reads: Vec<ReadOutcome> = Vec::with_capacity(readers.len());
-            for h in readers {
-                reads.push(
-                    h.join()
-                        .map_err(|p| crate::worker_panic("query reader", p))?,
-                );
+        let threads = self.config.query_threads;
+        let decoded = crate::run_pool("query decoder", threads, units.len(), ctx, |ctx, claim| {
+            let mut done = Vec::new();
+            while let Some(u) = claim() {
+                let (p, content, c) = units[u];
+                done.push((u, decode_unit(p, content, c, ctx)));
             }
-            let mut slots: Vec<Decoded> = Vec::new();
-            for h in decoders {
-                slots.extend(
-                    h.join()
-                        .map_err(|p| crate::worker_panic("query decoder", p))?,
-                );
-            }
-            Ok::<_, AdaError>((reads, slots))
-        })
-        .map_err(|p| crate::worker_panic("query pipeline", p))??;
+            done
+        })?;
 
-        // The serial reference fetches everything before decoding anything,
-        // so its first failure is the earliest fetch error in logical
-        // order; only a fully-fetched request can fail in decode.
-        let mut tally = ReadTally::default();
-        let mut fetch_errs: Vec<(usize, AdaError)> = Vec::new();
-        for (reader_tally, err) in reads {
-            tally.merge(reader_tally);
-            fetch_errs.extend(err);
+        // Unit order is (dropping, chunk) order, so the first `Err` met
+        // here is the one the request fails with.
+        let mut decoded = decoded.into_iter();
+        let mut fresh: Vec<Vec<(usize, Vec<Frame>)>> = Vec::with_capacity(planned.len());
+        for p in &planned {
+            let mut of_dropping = Vec::with_capacity(p.units.len());
+            for (&c, frames) in p.units.iter().zip(decoded.by_ref()) {
+                of_dropping.push((c, frames?));
+            }
+            fresh.push(of_dropping);
         }
-        let read = tally.cost();
-        if let Some((_, e)) = fetch_errs.into_iter().min_by_key(|(idx, _)| *idx) {
+        if let Some(e) = plan_err {
             return Err(e);
         }
-
-        // Likewise for decode failures: the reference decodes droppings in
-        // logical order and each dropping's chunks in ascending order, so
-        // the earliest (dropping, chunk) error is the one it would have
-        // surfaced.
-        let mut decode_errs = decode_errs.into_inner();
-        let mut fresh: BTreeMap<usize, Vec<(usize, Vec<Frame>)>> = BTreeMap::new();
-        for (idx, c, res) in slots {
-            match res {
-                Ok(frames) => fresh.entry(idx).or_default().push((c, frames)),
-                Err(e) => decode_errs.push((idx, c, e)),
-            }
-        }
-        if let Some((_, _, e)) = decode_errs.into_iter().min_by_key(|(idx, c, _)| (*idx, *c)) {
-            return Err(e);
-        }
-
         let out = planned
-            .into_inner()
             .into_iter()
-            .map(|p| {
-                let outcome = assemble(&p, fresh.remove(&p.idx).unwrap_or_default());
-                (p.idx, p.record.tag.clone(), outcome)
+            .zip(fresh)
+            .map(|(p, fresh)| {
+                let outcome = assemble(&p, fresh);
+                (p.idx, p.record, outcome)
             })
             .collect();
         Ok((out, read))
@@ -655,6 +491,7 @@ mod tests {
     use super::super::testkit::*;
     use super::super::AdaConfig;
     use ada_mdmodel::Tag;
+    use ada_telemetry::trace::{TraceContext, TraceSpan};
 
     #[test]
     fn cached_query_is_byte_identical_and_stops_decoding() {
@@ -706,6 +543,32 @@ mod tests {
         assert_eq!(ada.cache_stats().bytes_decoded, before);
     }
 
+    /// Run `request` under a fresh root and return the trace it sealed.
+    fn traced(
+        ada: &super::Ada,
+        request: impl FnOnce(&TraceContext),
+    ) -> std::sync::Arc<ada_telemetry::trace::Trace> {
+        let (ctx, root) = ada_telemetry::trace::root("ada.query");
+        let id = ctx.trace_id().expect("tracing is on by default");
+        request(&ctx);
+        drop(root);
+        let sealed = ada.flight_recorder().all().into_iter().find(|t| t.id == id);
+        sealed.expect("the trace was just sealed")
+    }
+
+    /// The `query.read` and `query.decode` spans of a trace, having checked
+    /// what every schedule promises: one fetch loop, on the caller's
+    /// thread, over before the first decode starts.
+    fn reads_then_decodes(trace: &ada_telemetry::trace::Trace) -> Vec<&TraceSpan> {
+        let named =
+            |name: &str| -> Vec<_> { trace.spans.iter().filter(|s| s.name == name).collect() };
+        let (reads, decodes) = (named("query.read"), named("query.decode"));
+        assert_eq!(reads.len(), 1, "one fetch loop");
+        assert_eq!(reads[0].thread, trace.root().expect("root span").thread);
+        assert!(decodes.iter().all(|d| d.start_ns >= reads[0].end_ns));
+        decodes
+    }
+
     #[test]
     fn serial_schedule_spawns_nothing_and_reads_before_it_decodes() {
         // The reference must not share the scheduling it is there to
@@ -716,24 +579,49 @@ mod tests {
         });
         let (input, _) = real_input(800, 6); // 3 droppings per tag
         ada.ingest("bar", input).unwrap();
-        let (ctx, root) = ada_telemetry::trace::root("ada.query");
-        let id = ctx.trace_id().expect("tracing is on by default");
-        ada.query_traced("bar", None, &ctx).unwrap();
-        drop(root);
-        let trace = ada
-            .flight_recorder()
-            .all()
-            .into_iter()
-            .find(|t| t.id == id)
-            .expect("the trace was just sealed");
-        let named =
-            |name: &str| -> Vec<_> { trace.spans.iter().filter(|s| s.name == name).collect() };
-        let (reads, decodes) = (named("query.read"), named("query.decode"));
-        assert_eq!(reads.len(), 1, "one fetch loop");
+        let trace = traced(&ada, |ctx| {
+            ada.query_traced("bar", None, ctx).unwrap();
+        });
+        let decodes = reads_then_decodes(&trace);
         assert_eq!(decodes.len(), 6, "one unit per single-chunk dropping");
-        assert!(decodes.iter().all(|d| d.start_ns >= reads[0].end_ns));
         let caller = &trace.root().expect("root span").thread;
         assert!(trace.spans.iter().all(|s| &s.thread == caller));
+    }
+
+    #[test]
+    fn pool_schedule_reads_on_the_caller_and_clamps_workers_to_units() {
+        let ada = make_ada_with(AdaConfig {
+            query_threads: 4,
+            ..cached_config(2, ada_cache::CacheConfig::default())
+        });
+        let (input, _) = real_input(800, 12); // 6 droppings per tag
+        ada.ingest("bar", input).unwrap();
+        let workers = |trace: &ada_telemetry::trace::Trace, decodes: &[&TraceSpan]| {
+            let caller = &trace.root().expect("root span").thread;
+            assert!(decodes.iter().all(|d| &d.thread != caller));
+            let threads: std::collections::BTreeSet<_> =
+                decodes.iter().map(|d| d.thread.clone()).collect();
+            threads.len()
+        };
+
+        let trace = traced(&ada, |ctx| {
+            ada.query_traced("bar", None, ctx).unwrap();
+        });
+        let decodes = reads_then_decodes(&trace);
+        assert_eq!(decodes.len(), 12);
+        assert!(workers(&trace, &decodes) <= 4);
+
+        // One dropping, one chunk: one unit, so one worker — not four.
+        let trace = traced(&ada, |ctx| {
+            let tag = Tag::protein();
+            ada.query_range_traced("bar", &tag, 0..2, 1, ctx).unwrap();
+        });
+        let decodes = reads_then_decodes(&trace);
+        assert_eq!(decodes.len(), 1);
+        assert_eq!(workers(&trace, &decodes), 1);
+        let spawned: std::collections::BTreeSet<_> =
+            trace.spans.iter().map(|s| s.thread.clone()).collect();
+        assert_eq!(spawned.len(), 2, "the caller and one decode worker");
     }
 
     fn chunked_config(chunk_frames: usize, cache: ada_cache::CacheConfig) -> AdaConfig {
@@ -749,7 +637,7 @@ mod tests {
     fn partial_window_decodes_only_touched_chunks() {
         // One 64-frame dropping per tag, sealed as 8 chunks of 8 frames.
         // Cache off: every decode is fresh, so `bytes_decoded` measures
-        // exactly which chunks each query touched — under both schedules.
+        // exactly which chunks each query touched — inline and on the pool.
         for query_threads in [0, 4] {
             let ada = make_ada_with(AdaConfig {
                 query_threads,

@@ -64,6 +64,8 @@ use ada_mdformats::FormatError;
 use ada_mdformats::XtcError;
 use ada_plfs::PlfsError;
 use ada_simfs::FsError;
+use ada_telemetry::trace::TraceContext;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Errors across the ADA middleware.
 #[derive(Debug)]
@@ -166,6 +168,53 @@ pub fn worker_panic(what: &str, payload: Box<dyn std::any::Any + Send + 'static>
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "opaque panic payload".to_string());
     AdaError::Internal(format!("{} panicked: {}", what, msg))
+}
+
+/// The crate's one worker pool: `units` independent work items claimed
+/// from an atomic counter. `worker` runs once per worker with the
+/// request's trace context and a `claim` that yields the next unclaimed
+/// unit index until none is left, and returns what it made of each unit it
+/// claimed; the results come back in unit order. `threads == 0` runs
+/// `worker` on the caller's thread; otherwise `min(threads, units)` scoped
+/// threads run it — a pool never starts more workers than it has units.
+pub(crate) fn run_pool<T: Send>(
+    what: &str,
+    threads: usize,
+    units: usize,
+    ctx: &TraceContext,
+    worker: impl Fn(&TraceContext, &dyn Fn() -> Option<usize>) -> Vec<(usize, T)> + Sync,
+) -> Result<Vec<T>, AdaError> {
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let unit = next.fetch_add(1, Ordering::Relaxed);
+        (unit < units).then_some(unit)
+    };
+    let done = if threads == 0 {
+        worker(ctx, &claim)
+    } else {
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads.min(units))
+                .map(|_| scope.spawn(|_| worker(ctx, &claim)))
+                .collect();
+            let mut done = Vec::with_capacity(units);
+            for h in handles {
+                done.extend(h.join().map_err(|p| worker_panic(what, p))?);
+            }
+            Ok::<_, AdaError>(done)
+        })
+        .map_err(|p| worker_panic(what, p))??
+    };
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(units, || None);
+    for (unit, result) in done {
+        if let Some(slot) = slots.get_mut(unit) {
+            *slot = Some(result);
+        }
+    }
+    slots
+        .into_iter()
+        .collect::<Option<Vec<T>>>()
+        .ok_or_else(|| AdaError::Internal(format!("{} left a unit unclaimed", what)))
 }
 
 impl From<FsError> for AdaError {

@@ -28,7 +28,6 @@ use ada_mdmodel::{IndexRanges, Tag};
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Result of splitting a trajectory by tags.
 #[derive(Debug)]
@@ -93,8 +92,8 @@ pub fn split_trajectory(
 /// Split `traj` with explicit parallelism options, under request trace
 /// `ctx` (an untraced caller passes [`TraceContext::inactive`]).
 ///
-/// Work is a queue of (tag, frame-chunk) cells claimed by `threads`
-/// crossbeam scoped workers; the output is byte-identical to
+/// Work is a queue of (tag, frame-chunk) cells claimed by the workers of
+/// the crate's pool (at most `threads`); the output is byte-identical to
 /// [`split_trajectory_serial`] for every thread count and chunk size.
 /// Each worker records an `ingest.split.worker` span under `ctx` covering
 /// its share of the cell queue, so the flight recorder shows the split
@@ -114,66 +113,33 @@ pub fn split_trajectory_traced(
     let nchunks = nframes.div_ceil(chunk_frames);
     let ncells = entries.len() * nchunks;
 
-    // cell index -> encoded body bytes (header stripped at stitch time).
-    let mut cells: Vec<Option<Vec<u8>>> = Vec::new();
-    cells.resize_with(ncells, || None);
-
-    if ncells > 0 {
-        let next = AtomicUsize::new(0);
-        let workers = threads.min(ncells);
-        let outcome: Result<(), AdaError> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let entries = &entries;
-                    let wctx = ctx.clone();
-                    scope.spawn(move |_| {
-                        let mut ts = wctx.span("ingest.split.worker");
-                        let mut done: Vec<(usize, Result<Vec<u8>, AdaError>)> = Vec::new();
-                        let mut gather_buf: Vec<[f32; 3]> = Vec::new();
-                        loop {
-                            let cell = next.fetch_add(1, Ordering::Relaxed);
-                            if cell >= ncells {
-                                break;
-                            }
-                            let ranges = entries[cell / nchunks].1;
-                            let start = (cell % nchunks) * chunk_frames;
-                            let end = (start + chunk_frames).min(nframes);
-                            done.push((
-                                cell,
-                                encode_chunk(traj, ranges, start..end, &mut gather_buf),
-                            ));
-                        }
-                        ts.arg("cells", done.len());
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                let done = h
-                    .join()
-                    .map_err(|p| crate::worker_panic("split worker", p))?;
-                for (idx, res) in done {
-                    cells[idx] = Some(res?);
-                }
-            }
-            Ok(())
-        })
-        .map_err(|p| crate::worker_panic("split scope", p))?;
-        outcome?;
-    }
+    // cell index -> encoded bytes (header stripped at stitch time).
+    let cells = crate::run_pool("split worker", threads, ncells, ctx, |ctx, claim| {
+        let mut ts = ctx.span("ingest.split.worker");
+        let mut done: Vec<(usize, Result<Vec<u8>, AdaError>)> = Vec::new();
+        let mut gather_buf: Vec<[f32; 3]> = Vec::new();
+        while let Some(cell) = claim() {
+            let ranges = entries[cell / nchunks].1;
+            let start = (cell % nchunks) * chunk_frames;
+            let end = (start + chunk_frames).min(nframes);
+            done.push((
+                cell,
+                encode_chunk(traj, ranges, start..end, &mut gather_buf),
+            ));
+        }
+        ts.arg("cells", done.len());
+        done
+    })?;
+    let mut cells = cells.into_iter();
 
     // Stitch: per tag, one header + chunk bodies in frame order.
     let mut subsets = BTreeMap::new();
-    for (ti, (tag, ranges)) in entries.iter().enumerate() {
+    for (tag, ranges) in &entries {
         let mut out = Vec::with_capacity(xtcf::encoded_len(nframes, ranges.count()));
         out.extend_from_slice(&xtcf::XTCF_MAGIC.to_le_bytes());
         out.extend_from_slice(&xtcf::XTCF_VERSION.to_le_bytes());
-        for ci in 0..nchunks {
-            let body = cells[ti * nchunks + ci]
-                .take()
-                .ok_or_else(|| AdaError::Internal("split cell missing after scope join".into()))?;
-            out.extend_from_slice(&body[xtcf::XTCF_HEADER_LEN..]);
+        for cell in cells.by_ref().take(nchunks) {
+            out.extend_from_slice(&cell?[xtcf::XTCF_HEADER_LEN..]);
         }
         subsets.insert((*tag).clone(), out);
     }

@@ -2,19 +2,18 @@
 //!
 //! The simulated [`IngestReport`](crate::IngestReport) durations model the
 //! paper's storage node; a [`StageProfile`] is the *measured* counterpart —
-//! real wall time this process spent in each pipeline stage, the
-//! high-water mark of the parallel retrieval's channel, and per-tag bytes.
+//! real wall time this process spent in each pipeline stage, and per-tag
+//! bytes.
 //! Every report carries one, to answer the ROADMAP question ("is decode,
 //! split, or dispatch the wall-clock ceiling?") per request;
 //! `tests/trace_invariants.rs::profile_is_a_fold_of_the_tree` pins it to
 //! the trace it is cut from.
 //!
-//! Stage times are **busy** times. An ingest's stages run one after
-//! another, window by window, and a stage is the sum of its windows' spans.
-//! The parallel retrieval's backend readers and decode workers overlap, so
-//! a query's stage times legitimately sum to more than `wall_ns`; a reader
-//! times itself (`busy_ns`) to leave out the time it was blocked on the
-//! channel. The bottleneck is the stage with the largest busy time.
+//! A stage's time is the sum of its spans' durations. An ingest's stages
+//! run one after another, window by window, and a stage is the sum of its
+//! windows' spans. A retrieval's decode workers overlap, so a query's
+//! stage times legitimately sum to more than `wall_ns`. The bottleneck is
+//! the stage with the largest time.
 //!
 //! A profile is not measured beside the request's trace; it **is** the
 //! trace, cut one way: [`StageProfile::from_spans`] folds the finished
@@ -58,10 +57,8 @@ pub struct StageProfile {
     /// `"guided"` or `"synthetic"` for an ingest; `"query"`,
     /// `"query_parallel"` or `"query_range"` for a read.
     pub mode: String,
-    /// Per-stage busy wall time, nanoseconds.
+    /// Per-stage wall time (the sum of the stage's spans), nanoseconds.
     pub stages_ns: BTreeMap<String, u64>,
-    /// High-water mark of each bounded inter-stage channel (batches).
-    pub queue_hwm: BTreeMap<String, u64>,
     /// Bytes stored (ingest) or freshly decoded (query) per tag.
     pub bytes_by_tag: BTreeMap<String, u64>,
     /// End-to-end wall time of the call — its op span's — nanoseconds.
@@ -71,11 +68,8 @@ pub struct StageProfile {
 impl StageProfile {
     /// Cut a profile from a request's finished spans: fold the subtree of
     /// span `op`, which must itself be finished. `wall_ns` is the op
-    /// span's duration; each stage span adds its
-    /// [busy time](TraceSpan::busy_ns) to its stage; a `queue.{name}` arg
-    /// is that channel's high-water mark as its producer last saw it
-    /// (fold = max); `query.decode` spans add their `bytes` under their
-    /// `tag`.
+    /// span's duration; each stage span adds its duration to its stage;
+    /// `query.decode` spans add their `bytes` under their `tag`.
     pub fn from_spans(mode: &str, spans: &[TraceSpan], op: u64) -> StageProfile {
         let mut p = StageProfile {
             mode: mode.to_string(),
@@ -98,13 +92,7 @@ impl StageProfile {
                 p.wall_ns = s.duration_ns();
             }
             if let Some((_, stage)) = STAGES.iter().find(|(name, _)| *name == s.name) {
-                add(&mut p.stages_ns, stage, s.busy_ns());
-            }
-            for (key, value) in &s.args {
-                if let (Some(queue), ArgValue::U64(hwm)) = (key.strip_prefix("queue."), value) {
-                    let seen = p.queue_hwm.entry(queue.to_string()).or_insert(0);
-                    *seen = (*seen).max(*hwm);
-                }
+                add(&mut p.stages_ns, stage, s.duration_ns());
             }
             if let ("query.decode", Some(ArgValue::Str(tag)), Some(bytes)) =
                 (s.name, s.arg("tag"), s.arg_u64("bytes"))
@@ -140,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_keeps_to_the_op_subtree_and_prefers_busy_time() {
+    fn fold_keeps_to_the_op_subtree() {
         let u = ArgValue::U64;
         let tag = |t: &str| ("tag", ArgValue::Str(t.to_string()));
         // Completion order, as a live trace holds them: children first.
@@ -149,14 +137,8 @@ mod tests {
             span(3, 2, "query.index", (0, 5), vec![]),
             span(2, 1, "ada.query", (0, 9), vec![]),
             span(5, 4, "query.index", (10, 13), vec![]),
-            span(
-                7,
-                6,
-                "query.read",
-                (13, 40),
-                vec![("busy_ns", u(11)), ("queue.fetched", u(2))],
-            ),
-            span(8, 6, "query.read", (13, 30), vec![("queue.fetched", u(3))]),
+            span(7, 6, "query.read", (13, 40), vec![]),
+            span(8, 6, "query.read", (13, 30), vec![]),
             span(
                 9,
                 6,
@@ -186,9 +168,8 @@ mod tests {
         assert_eq!(p.mode, "query_parallel");
         assert_eq!(p.wall_ns, 40);
         let stages: Vec<(&str, u64)> = p.stages_ns.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        // read = 11 (busy arg) + 17 (duration); decode = 4 + 5 + 2.
-        assert_eq!(stages, [("decode", 11), ("index", 3), ("read", 28)]);
-        assert_eq!(p.queue_hwm["fetched"], 3);
+        // read = 27 + 17; decode = 4 + 5 + 2.
+        assert_eq!(stages, [("decode", 11), ("index", 3), ("read", 44)]);
         assert_eq!(p.bytes_by_tag["p"], 128);
         assert_eq!(p.bytes_by_tag["m"], 7);
     }

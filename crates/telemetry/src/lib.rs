@@ -239,9 +239,8 @@ impl Registry {
     }
 
     /// Fold the spans of a sealed trace into the `span.{stage}.*` family:
-    /// per span, its [`TraceSpan::busy_ns`] into the `.ns` histogram, one
-    /// `.calls`, and its `bytes` / `frames` args into the counters of the
-    /// same name.
+    /// per span, its duration into the `.ns` histogram, one `.calls`, and
+    /// its `bytes` / `frames` args into the counters of the same name.
     pub(crate) fn record_spans(&self, spans: &[TraceSpan]) {
         let mut stages = self.stages.lock();
         for s in spans {
@@ -251,7 +250,7 @@ impl Registry {
                 bytes: None,
                 frames: None,
             });
-            m.ns.record(s.busy_ns());
+            m.ns.record(s.duration_ns());
             m.calls.inc();
             for (key, slot) in [("bytes", &mut m.bytes), ("frames", &mut m.frames)] {
                 if let Some(n) = s.arg_u64(key).filter(|n| *n > 0) {

@@ -6,19 +6,20 @@
 //! "why was **this** request slow" — by giving every request a
 //! [`TraceContext`] minted at its entry point (`Frontend` admission, or
 //! the `Ada` facade for direct callers) and carried **explicitly** across
-//! every thread boundary of the pipelines: the per-backend reader
-//! threads, the decode worker pool, and the cache lookups. Each stage opens a child span; the spans of one request form
-//! a single connected tree regardless of which threads executed them.
+//! every thread boundary of the pipelines: the splitter's and the
+//! retriever's worker pools. Each stage opens a child span; the spans of
+//! one request form a single connected tree regardless of which threads
+//! executed them.
 //!
 //! ## Context propagation rules
 //!
 //! * A context is either **active** (it carries a shared handle to the
 //!   request's span buffer) or **inactive** (tracing disabled — every
 //!   operation is a no-op costing one branch).
-//! * Crossing a channel or spawning a worker clones the context; the
-//!   clone's spans land in the same tree. Nothing is implicit — there is
-//!   no thread-local "current span", so a context in a message is the
-//!   only way causality crosses a `sync_channel`.
+//! * A spawned worker is handed the context (or a clone); its spans land
+//!   in the same tree. Nothing is implicit — there is no thread-local
+//!   "current span", so a context passed along is the only way causality
+//!   crosses a thread boundary.
 //! * The **root** guard finishes the trace: when it drops, the span
 //!   buffer is sealed into an immutable [`Trace`] and offered to the
 //!   global [`FlightRecorder`]. Workers must therefore be joined before
@@ -29,9 +30,7 @@
 //!
 //! A trace span is the only record a stage writes. Sealing a trace
 //! ([`root`]'s guard dropping) folds every span of it into the registry's
-//! `span.{stage}.ns/.calls/.bytes/.frames` family — a stage's duration, or
-//! its `busy_ns` arg where a pipelined stage times itself to leave out
-//! channel-blocked time ([`TraceSpan::busy_ns`]) — and a caller that wants
+//! `span.{stage}.ns/.calls/.bytes/.frames` family, and a caller that wants
 //! its own cut of the tree (`ada-core`'s stage profile) closes its span
 //! with [`TraceSpanGuard::finish_with`] and reads the same spans.
 //!
@@ -195,14 +194,6 @@ impl TraceSpan {
             Some(ArgValue::U64(n)) => Some(*n),
             _ => None,
         }
-    }
-
-    /// Time the stage spent working: its `busy_ns` arg when the stage
-    /// timed itself (a pipelined stage's span covers its thread's whole
-    /// life, channel waits included), else the span's wall time.
-    pub fn busy_ns(&self) -> u64 {
-        self.arg_u64("busy_ns")
-            .unwrap_or_else(|| self.duration_ns())
     }
 }
 
@@ -813,8 +804,6 @@ mod tests {
             s.arg("bytes", bytes);
             s.arg("frames", frames);
         }
-        // A pipelined stage reports the time it worked, not its span's life.
-        ctx.span("test.fold_busy").arg("busy_ns", 7u64);
         // The seal is the one place spans reach the registry.
         let before = crate::global().snapshot();
         assert!(!before.counters.contains_key("span.test.fold_stage.calls"));
@@ -825,9 +814,8 @@ mod tests {
         assert_eq!(snap.counters["span.test.fold_stage.bytes"], 128);
         assert_eq!(snap.counters["span.test.fold_stage.frames"], 2);
         assert_eq!(snap.histograms["span.test.fold_stage.ns"].count, 2);
-        assert_eq!(snap.histograms["span.test.fold_busy.ns"].sum, 7);
         // Un-annotated stages leave no zero-valued byte/frame counters.
-        assert!(!snap.counters.contains_key("span.test.fold_busy.bytes"));
+        assert!(!snap.counters.contains_key("span.test.fold_op.bytes"));
         assert!(!snap.counters.contains_key("span.test.fold_op.frames"));
     }
 

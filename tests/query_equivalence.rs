@@ -6,8 +6,8 @@
 
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-use ada_mdformats::xtcf::write_xtcf;
-use ada_mdformats::{write_pdb, Frame, Trajectory};
+use ada_mdformats::xtcf::{parse_directory, write_xtcf, XTCF_TRAILER_LEN};
+use ada_mdformats::{write_pdb, FormatError, Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
 use ada_plfs::ContainerSet;
 use ada_simfs::{Content, LocalFs, SimFileSystem};
@@ -21,6 +21,10 @@ struct Rig {
 
 /// Hybrid SSD/HDD ADA with explicit query parallelism knobs.
 fn rig(query_threads: usize, frames_per_dropping: usize) -> Rig {
+    rig_chunked(query_threads, frames_per_dropping, 64)
+}
+
+fn rig_chunked(query_threads: usize, frames_per_dropping: usize, chunk_frames: usize) -> Rig {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let containers = Arc::new(ContainerSet::new(vec![
@@ -30,6 +34,7 @@ fn rig(query_threads: usize, frames_per_dropping: usize) -> Rig {
     let config = AdaConfig {
         query_threads,
         frames_per_dropping,
+        chunk_frames,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     Rig {
@@ -340,4 +345,125 @@ fn frame_count_mismatch_is_a_structured_error() {
         assert_eq!(query_real(&r.ada, "d", Some(&Tag::protein())).len(), 4);
         assert_eq!(query_real(&r.ada, "d", Some(&Tag::misc())).len(), 3);
     }
+}
+
+/// Two faults in one request. Twelve frames sealed four to a dropping and
+/// two to a chunk: three protein droppings of two chunks each, so a fault
+/// has a (dropping, chunk) position to be ordered by.
+fn two_fault_rig(query_threads: usize) -> (Rig, Vec<String>) {
+    let r = rig_chunked(query_threads, 4, 2);
+    ingest_real(&r.ada, "d", 900, 12, 71);
+    let mut protein: Vec<_> = r
+        .ada
+        .containers()
+        .index("d")
+        .unwrap()
+        .into_iter()
+        .filter(|rec| rec.tag == "p")
+        .collect();
+    protein.sort_by_key(|rec| rec.logical_offset);
+    let paths: Vec<String> = protein.into_iter().map(|rec| rec.dropping_path).collect();
+    assert_eq!(paths.len(), 3);
+    (r, paths)
+}
+
+/// Rewrite the dropping at `path` with `mutate` applied to its bytes.
+fn mutate_dropping(r: &Rig, path: &str, mutate: impl FnOnce(&mut Vec<u8>)) {
+    let (content, _) = r.ssd.read(path).unwrap();
+    let mut bytes = content.as_real().expect("real dropping").to_vec();
+    mutate(&mut bytes);
+    r.ssd.delete(path).unwrap();
+    r.ssd.create(path, Content::real(bytes)).unwrap();
+}
+
+/// Flip one byte inside the body of chunk `chunk`.
+fn flip_in_chunk(chunk: usize) -> impl FnOnce(&mut Vec<u8>) {
+    move |b| {
+        let dir = parse_directory(b).unwrap().expect("sealed v2");
+        b[dir.entries[chunk].offset as usize + 5] ^= 0xFF;
+    }
+}
+
+/// Break the protein droppings with `faults`, then require the tagged and
+/// the untagged query to fail, at every thread count, with exactly the
+/// error the serial reference returns — and the tagged one with `expect`.
+fn assert_two_faults_one_answer(
+    what: &str,
+    faults: impl Fn(&Rig, &[String]),
+    expect: impl Fn(&AdaError, &[String]) -> bool,
+) {
+    let mut reference: Vec<String> = Vec::new();
+    for threads in [0, 1, 4, 8] {
+        let (r, paths) = two_fault_rig(threads);
+        faults(&r, &paths);
+        let mut got = Vec::new();
+        for tag in [Some(Tag::protein()), None] {
+            let err = r.ada.query("d", tag.as_ref()).unwrap_err();
+            if tag.is_some() {
+                assert!(
+                    expect(&err, &paths),
+                    "{} threads={}: {:?}",
+                    what,
+                    threads,
+                    err
+                );
+            }
+            got.push(format!("{:?}", err));
+        }
+        if threads == 0 {
+            reference = got;
+        } else {
+            assert_eq!(got, reference, "{} threads={}", what, threads);
+        }
+    }
+}
+
+fn is_chunk_corrupt(err: &AdaError, path: &str, chunk: usize) -> bool {
+    matches!(err, AdaError::Xtcf { dropping, source: FormatError::ChunkCorrupt { chunk: c, .. } }
+        if dropping == path && *c == chunk)
+}
+
+#[test]
+fn a_lost_dropping_outranks_an_earlier_corrupt_chunk() {
+    // Everything is fetched before anything is decoded, so the fetch
+    // failure is the request's error however early the decode fault sits.
+    assert_two_faults_one_answer(
+        "lost + corrupt",
+        |r, paths| {
+            mutate_dropping(r, &paths[0], flip_in_chunk(1));
+            r.ssd.delete(&paths[2]).unwrap();
+        },
+        |err, paths| matches!(err.kind(), "fs" | "plfs") && err.to_string().contains(&paths[2]),
+    );
+}
+
+#[test]
+fn two_corrupt_chunks_fail_with_the_lower_dropping_and_chunk() {
+    // The later dropping's fault has the lower chunk id: (dropping, chunk)
+    // orders by dropping first.
+    assert_two_faults_one_answer(
+        "corrupt + corrupt",
+        |r, paths| {
+            mutate_dropping(r, &paths[0], flip_in_chunk(1));
+            mutate_dropping(r, &paths[1], flip_in_chunk(0));
+        },
+        |err, paths| is_chunk_corrupt(err, &paths[0], 1),
+    );
+}
+
+#[test]
+fn an_earlier_corrupt_chunk_outranks_a_later_broken_directory() {
+    // A dropping that cannot be planned ranks as its own chunk 0: behind
+    // every fault of an earlier dropping.
+    assert_two_faults_one_answer(
+        "corrupt + truncated directory",
+        |r, paths| {
+            mutate_dropping(r, &paths[0], flip_in_chunk(1));
+            mutate_dropping(r, &paths[2], |b| {
+                let t = b.len() - XTCF_TRAILER_LEN;
+                b[t..t + 4].copy_from_slice(&0xFFFFu32.to_le_bytes());
+            });
+        },
+        |err, paths| is_chunk_corrupt(err, &paths[0], 1),
+    );
 }

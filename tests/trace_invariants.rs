@@ -501,18 +501,10 @@ fn assert_profile_is_fold(
     };
 
     let mut stages_ns: BTreeMap<String, u64> = BTreeMap::new();
-    let mut queue_hwm: BTreeMap<String, u64> = BTreeMap::new();
     let mut decoded_by_tag: BTreeMap<String, u64> = BTreeMap::new();
     for s in t.spans.iter().filter(|s| under_op(s)) {
         if let Some(stage) = stage_of(s.name) {
-            let ns = u64_arg(s, "busy_ns").unwrap_or(s.end_ns - s.start_ns);
-            *stages_ns.entry(stage.to_string()).or_insert(0) += ns;
-        }
-        for (key, value) in &s.args {
-            if let (Some(queue), ArgValue::U64(hwm)) = (key.strip_prefix("queue."), value) {
-                let seen = queue_hwm.entry(queue.to_string()).or_insert(0);
-                *seen = (*seen).max(*hwm);
-            }
+            *stages_ns.entry(stage.to_string()).or_insert(0) += s.end_ns - s.start_ns;
         }
         if s.name == "query.decode" {
             let Some(ArgValue::Str(tag)) = arg(s, "tag") else {
@@ -529,7 +521,6 @@ fn assert_profile_is_fold(
     assert_eq!(p.mode, mode);
     assert_eq!(p.wall_ns, op_span.end_ns - op_span.start_ns, "{} wall", op);
     assert_eq!(p.stages_ns, stages_ns, "{} stages", op);
-    assert_eq!(p.queue_hwm, queue_hwm, "{} queue high-water marks", op);
     assert_eq!(p.bytes_by_tag, bytes_by_tag, "{} per-tag bytes", op);
 }
 
@@ -588,7 +579,6 @@ fn profile_is_a_fold_of_the_tree() {
         stages(p),
         ["categorize", "decode", "dispatch", "label_write", "split"]
     );
-    assert!(p.queue_hwm.is_empty());
     let in_start_order = |name: &str| {
         let mut spans: Vec<&TraceSpan> = t.spans.iter().filter(|s| s.name == name).collect();
         spans.sort_by_key(|s| s.start_ns);
@@ -635,7 +625,6 @@ fn profile_is_a_fold_of_the_tree() {
             let p = report.profile.as_ref().expect("traced query has a profile");
             assert_profile_is_fold(p, &t, "ada.query", mode, None);
             assert_eq!(stages(p), ["decode", "index", "read", "reassemble"]);
-            assert_eq!(p.queue_hwm.contains_key("fetched"), query_threads > 0);
             assert_eq!(p.bytes_by_tag.len(), if tag.is_some() { 1 } else { 2 });
         }
     }
@@ -723,7 +712,7 @@ fn uncontended_request_runs_on_the_submitting_thread() {
         fe.query_range("c0", "d", &Tag::protein(), 2..10, 2)
             .unwrap()
     };
-    range(); // warm the cache: the next read touches no reader thread
+    range(); // warm the cache: the next read starts no decode worker
     let (_, t) = sealed(range);
     let root = t.root().unwrap();
     for name in ["frontend.queue_wait", "frontend.execute", "ada.query_range"] {
