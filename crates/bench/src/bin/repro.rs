@@ -146,7 +146,8 @@ fn main() {
 }
 
 /// `repro trace` — run a small mixed workload through the front-end (an
-/// ingest, tag/full/range queries, one failing request), then export the
+/// ingest, tag/full/range queries, one failing request, and the tag query
+/// once more over loopback TCP, where it is forwarded), then export the
 /// flight recorder's span trees as `TRACE_events.json` (Chrome
 /// trace-event JSON — load it in Perfetto or chrome://tracing). With
 /// `--selftest`, re-parse the export and validate the event schema, the
@@ -166,7 +167,10 @@ fn run_trace(selftest: bool) {
     recorder.set_latency_threshold(Some(std::time::Duration::from_millis(250)));
 
     let w = ada_workload::gpcr_workload(2_000, 100, 7);
-    let fe = Frontend::new(Arc::new(hybrid_ada(2)), FrontendConfig::default());
+    let fe = Arc::new(Frontend::new(
+        Arc::new(hybrid_ada(2)),
+        FrontendConfig::default(),
+    ));
     fe.ingest(
         "demo-client",
         "demo",
@@ -185,6 +189,14 @@ fn run_trace(selftest: bool) {
     let err = fe
         .query("demo-client", "no-such-dataset", None)
         .expect_err("unknown dataset must fail");
+    // The tag query again, as a compute node sends it: two trees under one
+    // id, and on the server's a `server.send` where the decode would be.
+    let mut server =
+        ada_server::Server::start(Arc::clone(&fe), Default::default()).expect("loopback server");
+    ada_client::Client::new(server.local_addr().to_string(), Default::default())
+        .query("demo", Some("p"))
+        .expect("remote protein query");
+    server.shutdown();
 
     let traces = recorder.all();
     let retained = recorder.retained();
@@ -214,7 +226,21 @@ fn run_trace(selftest: bool) {
     };
 
     check(err.kind() == "unknown_dataset", "failing request kind");
-    check(traces.len() == 5, "expected 5 traces (1 ingest, 4 queries)");
+    check(
+        traces.len() == 7,
+        "expected 7 traces (1 ingest, 4 queries, the remote query from both ends)",
+    );
+    let forwarded = traces.iter().any(|t| {
+        let sent_stored = |s: &ada_telemetry::trace::TraceSpan| {
+            s.name == "server.send"
+                && s.arg("forwarded") == Some(&ada_telemetry::trace::ArgValue::Str("true".into()))
+        };
+        t.spans.iter().any(sent_stored) && t.spans.iter().all(|s| s.name != "query.decode")
+    });
+    check(
+        forwarded,
+        "remote tag query forwarded: server.send, no query.decode",
+    );
     check(
         retained
             .iter()
@@ -867,6 +893,34 @@ fn serve(port: u16, smoke: bool) {
             r.bytes(),
             stats.hits,
             stats.misses
+        );
+        // How the two answers left the server: its `server.send` spans, in
+        // request order (ping, ingest, query, range, cache stats).
+        let sends: Vec<String> = ada_telemetry::trace::recorder()
+            .all()
+            .iter()
+            .flat_map(|t| t.spans.iter())
+            .filter(|s| s.name == "server.send" && s.arg_u64("chunks") > Some(0))
+            .map(|s| {
+                let forwarded = matches!(
+                    s.arg("forwarded"),
+                    Some(ada_telemetry::trace::ArgValue::Str(f)) if f == "true"
+                );
+                format!(
+                    "{} chunk frame(s), {}",
+                    s.arg_u64("chunks").unwrap_or(0),
+                    if forwarded {
+                        "forwarded as stored"
+                    } else {
+                        "decoded and re-sealed"
+                    }
+                )
+            })
+            .collect();
+        println!(
+            "  answers on the wire — protein query: {}; strided range: {}",
+            sends.first().map_or("untraced", |s| s.as_str()),
+            sends.get(1).map_or("untraced", |s| s.as_str())
         );
     } else {
         println!("  serving until killed (ctrl-C to stop)");

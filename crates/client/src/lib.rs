@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use ada_core::AdaError;
 use ada_proto::{
-    read_frame, write_frame, CacheStats, RequestBody, RequestEnvelope, ResponseBody,
-    ResponseEnvelope, WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
+    read_response, write_frame, CacheStats, RequestBody, RequestEnvelope, ResponseBody,
+    WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
 };
 use ada_telemetry::trace;
 use parking_lot::Mutex;
@@ -43,7 +43,8 @@ pub struct ClientConfig {
     /// Socket read timeout per blocking read (bounds how long a call can
     /// hang on a stalled or half-dead server).
     pub io_timeout: Duration,
-    /// Receive-side frame payload limit.
+    /// Receive-side limit on a frame's payload. An answer is a stream of
+    /// frames and may exceed it; no single frame may.
     pub max_frame_len: u32,
     /// Queue-wait deadline attached to every request (`None` = wait
     /// indefinitely in the server's admission queue).
@@ -204,14 +205,15 @@ impl Client {
             detail: "connection vanished under the lock".to_string(),
         })?;
         write_frame(stream, &env.encode()).map_err(|e| self.net(e.to_string()))?;
-        let payload = match read_frame(stream, self.config.max_frame_len) {
-            Ok(Some(p)) => p,
+        // One frame, or a chunk stream folded into the query report it
+        // carries; a stream that breaks off is an error, never a report.
+        let resp = match read_response(stream, self.config.max_frame_len) {
+            Ok(Some(resp)) => resp,
             Ok(None) => {
                 return Err(self.net("server closed the connection mid-request".to_string()))
             }
             Err(e) => return Err(self.net(e.to_string())),
         };
-        let resp = ResponseEnvelope::decode(&payload).map_err(|e| self.net(e.to_string()))?;
         // id 0 = connection-level error (protocol violation or overload
         // reject); anything else must match our request.
         if resp.id != 0 && resp.id != env.id {
@@ -241,6 +243,11 @@ impl Client {
         stream
             .set_write_timeout(Some(self.config.io_timeout))
             .map_err(|e| self.net(format!("set_write_timeout: {}", e)))?;
+        // The server sets it too: a small frame must not wait behind
+        // Nagle for the ACK of a large one.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| self.net(format!("set_nodelay: {}", e)))?;
         Ok(stream)
     }
 

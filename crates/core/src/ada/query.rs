@@ -4,21 +4,95 @@
 //! the indexer, read (size-only datasets) or retrieve + reassemble (real
 //! ones), then bump the tag heat, through the same four helpers; the
 //! retrieval itself lives in [`super::retrieve`].
+//!
+//! A caller that hands a whole tag on undecoded — the daemon, to a socket
+//! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
+//! resolve / index / read / heat helpers, and no retrieval at all.
 
-use super::retrieve::FrameSelection;
-use super::{traced, Ada, DatasetState, QueryReport, RetrievedData};
+use super::retrieve::{atoms_err, chunk_err, real_bytes, xtcf_err, FrameSelection};
+use super::{observe, op_span, traced, Ada, DatasetState, QueryReport, RetrievedData};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_cache::DecodedDropping;
-use ada_mdformats::xtcf::{frame_record_len, XTCF_HEADER_LEN};
+use ada_mdformats::xtcf::{
+    frame_record_len, parse_directory, verify_chunk, ChunkDirectory, XTCF_HEADER_LEN,
+    XTCF_RECORD_NATOMS_OFFSET,
+};
 use ada_mdformats::{Frame, Trajectory};
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
+use ada_simfs::Content;
 use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// One fetched v2 dropping of a [`StoredAnswer`].
+#[derive(Debug)]
+struct StoredDropping {
+    record: IndexRecord,
+    content: Content,
+    dir: ChunkDirectory,
+}
+
+/// A whole tag as its stored XTCF v2 chunks, undecoded: what
+/// [`Ada::query_stored`] answers with. The chunks sealed at ingest are
+/// already the decompressed active subset, so a caller that ships them
+/// on needs them checked, not decoded.
+#[derive(Debug)]
+pub struct StoredAnswer {
+    /// Indexer tag-search time — the `QueryReport::indexer` of the same query.
+    pub indexer: SimDuration,
+    /// Backend read time — the `QueryReport::read` of the same query, cache off.
+    pub read: SimDuration,
+    natoms: usize,
+    droppings: Vec<StoredDropping>,
+}
+
+impl StoredAnswer {
+    /// Atoms per frame: what the label says the tag selects.
+    pub fn natoms(&self) -> usize {
+        self.natoms
+    }
+
+    /// Frames the chunk directories declare, all droppings together.
+    pub fn nframes(&self) -> usize {
+        self.droppings.iter().map(|d| d.dir.nframes()).sum()
+    }
+
+    /// The nominal chunk size (frames) the droppings were sealed with.
+    pub fn chunk_frames(&self) -> u32 {
+        self.droppings.first().map_or(0, |d| d.dir.chunk_frames)
+    }
+
+    /// The answer's chunks in (dropping, chunk) order, each as `(body,
+    /// nframes, crc)`: the chunk's frame records borrowed from the
+    /// backend's bytes, and the frame count and CRC-32 its directory
+    /// stores. A chunk is checked **as it is yielded** — its CRC
+    /// (`verify_chunk`, so a corrupt one is the error [`Ada::query`]
+    /// raises for it, counted in `xtcf.chunk.corrupt`) and every record's
+    /// atom count against the label's — so nothing is held back while
+    /// the rest is checked; stop at the first `Err`.
+    pub fn chunks(&self) -> impl Iterator<Item = Result<(&[u8], u32, u32), AdaError>> + '_ {
+        self.droppings.iter().flat_map(move |d| {
+            d.dir.entries.iter().enumerate().map(move |(c, e)| {
+                let bytes = real_bytes(&d.record, &d.content)?;
+                let body = verify_chunk(bytes, &d.dir, c).map_err(|e| chunk_err(&d.record, e))?;
+                let records = body.chunks_exact(frame_record_len(e.natoms as usize));
+                for (i, record) in records.enumerate() {
+                    let n = record
+                        .get(XTCF_RECORD_NATOMS_OFFSET..XTCF_RECORD_NATOMS_OFFSET + 4)
+                        .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+                    if n as usize != self.natoms {
+                        return Err(atoms_err(&d.record, i, n as usize, self.natoms));
+                    }
+                }
+                Ok((body, e.nframes, e.crc))
+            })
+        })
+    }
+}
 
 impl Ada {
     /// Serve `mol addfile <dataset>.xtc [tag <t>]`: deliver the requested
@@ -113,6 +187,71 @@ impl Ada {
             data,
             profile: None, // cut from the op span's tree once it closes
         })
+    }
+
+    /// The whole of `tag` as its stored chunks, undecoded — for a caller
+    /// that forwards them (the daemon's tagged `Query`). Runs what
+    /// [`Ada::query`] runs up to the decode — resolve, index, read, under
+    /// the same `ada.query` op span, `query.index` / `query.read` spans and
+    /// `ada.query.*` counters, so the simulated `indexer` / `read` are the
+    /// decoded path's — then parses every dropping's chunk directory and
+    /// bumps the tag's heat as a query does. `Ok(None)` when there is
+    /// nothing stored to forward — a size-only dataset, or a v1 dropping
+    /// (no directory, no CRCs) among the tag's: nothing was counted, and
+    /// the caller runs [`Ada::query_traced`]. The decoded-dropping cache is
+    /// neither consulted nor filled: nothing here is decoded. The chunks
+    /// are checked as [`StoredAnswer::chunks`] yields them, after this
+    /// returns — a corrupt chunk is found once its predecessors are gone,
+    /// and by then the heat is bumped.
+    pub fn query_stored(
+        &self,
+        dataset: &str,
+        tag: &Tag,
+        parent: &TraceContext,
+    ) -> Result<Option<StoredAnswer>, AdaError> {
+        let (ctx, mut guard) = op_span("ada.query", parent);
+        let res = self.query_stored_inner(dataset, tag, &ctx);
+        if let Err(e) = &res {
+            guard.set_error(e.kind());
+        }
+        drop(guard);
+        match res {
+            Ok(None) => Ok(None),
+            decided => observe("query", decided),
+        }
+    }
+
+    fn query_stored_inner(
+        &self,
+        dataset: &str,
+        tag: &Tag,
+        ctx: &TraceContext,
+    ) -> Result<Option<StoredAnswer>, AdaError> {
+        let DatasetState::Real { label } = self.resolve(dataset, Some(tag))? else {
+            return Ok(None);
+        };
+        let natoms = label.ranges(tag)?.count();
+        let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
+        let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
+        let mut droppings = Vec::with_capacity(records.len());
+        for (record, content) in records.into_iter().zip(contents) {
+            let parsed = parse_directory(real_bytes(&record, &content)?);
+            let Some(dir) = parsed.map_err(|e| xtcf_err(&record, e))? else {
+                return Ok(None);
+            };
+            droppings.push(StoredDropping {
+                record,
+                content,
+                dir,
+            });
+        }
+        self.bump_heat(dataset, [tag.clone()]);
+        Ok(Some(StoredAnswer {
+            indexer,
+            read,
+            natoms,
+            droppings,
+        }))
     }
 
     /// Serve a frame-range read: every `stride`-th frame of `tag` in the
@@ -475,6 +614,65 @@ mod tests {
             ada.query("bar", Some(&Tag::new("zzz"))),
             Err(AdaError::UnknownTag(_))
         ));
+    }
+
+    #[test]
+    fn stored_answer_is_the_tagged_query_undecoded() {
+        use ada_mdformats::xtcf::{read_xtcf, XtcfWriter};
+        // 7 frames in droppings of 3, sealed in chunks of 2: ragged chunks
+        // in the middle of the answer (2 + 1, 2 + 1, 1).
+        let config = |query_threads| super::super::AdaConfig {
+            query_threads,
+            chunk_frames: 2,
+            ..cached_config(3, ada_cache::CacheConfig::default())
+        };
+        let (stored_ada, decoded_ada) = (make_ada_with(config(4)), make_ada_with(config(0)));
+        for ada in [&stored_ada, &decoded_ada] {
+            let (input, _) = real_input(900, 7);
+            ada.ingest("bar", input).unwrap();
+        }
+        let tag = Tag::protein();
+        let ctx = ada_telemetry::trace::TraceContext::inactive();
+        let stored = stored_ada.query_stored("bar", &tag, &ctx).unwrap().unwrap();
+        let report = decoded_ada.query("bar", Some(&tag)).unwrap();
+        assert_eq!((stored.indexer, stored.read), (report.indexer, report.read));
+        assert_eq!(stored_ada.cache_stats().bytes_decoded, 0);
+        assert_eq!(
+            stored_ada.access_counts("bar"),
+            decoded_ada.access_counts("bar")
+        );
+
+        // The chunk bodies, end to end, are the v1 stream of the frames.
+        let frames = frames_of(report);
+        let mut body = XtcfWriter::new().into_bytes();
+        let mut per_chunk = Vec::new();
+        for chunk in stored.chunks() {
+            let (bytes, nframes, crc) = chunk.unwrap();
+            assert_eq!(crc, ada_mdformats::xtcf::crc32(bytes));
+            body.extend_from_slice(bytes);
+            per_chunk.push(nframes);
+        }
+        assert_eq!(per_chunk, [2, 1, 2, 1, 1]);
+        assert_eq!(stored.nframes(), 7);
+        assert_eq!(stored.chunk_frames(), 2);
+        assert_eq!(stored.natoms(), frames[0].len());
+        assert_eq!(read_xtcf(&body).unwrap().frames, frames);
+
+        // Failures are `query`'s, and leave no heat; a size-only dataset
+        // has nothing stored to hand on.
+        let err = stored_ada.query_stored("bar", &Tag::new("zz"), &ctx);
+        assert_eq!(err.unwrap_err().kind(), "unknown_tag");
+        let err = stored_ada.query_stored("nope", &tag, &ctx);
+        assert_eq!(err.unwrap_err().kind(), "unknown_dataset");
+        let spec = SyntheticDataset::gpcr_paper(626);
+        stored_ada
+            .ingest("big", IngestInput::Synthetic(spec))
+            .unwrap();
+        assert!(stored_ada
+            .query_stored("big", &tag, &ctx)
+            .unwrap()
+            .is_none());
+        assert!(stored_ada.access_counts("big").is_empty());
     }
 
     #[test]

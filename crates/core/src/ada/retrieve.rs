@@ -22,9 +22,7 @@ use super::{max_across_backends, Ada};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
-use ada_mdformats::xtcf::{
-    decode_chunk, frame_record_len, parse_directory, read_xtcf, ChunkDirectory,
-};
+use ada_mdformats::xtcf::{decode_chunk, parse_directory, read_xtcf, ChunkDirectory};
 use ada_mdformats::{FormatError, Frame};
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
@@ -82,15 +80,42 @@ struct Planned {
     units: Vec<usize>,
 }
 
-fn xtcf_err(record: &IndexRecord, source: FormatError) -> AdaError {
+pub(super) fn xtcf_err(record: &IndexRecord, source: FormatError) -> AdaError {
     AdaError::Xtcf {
         dropping: record.dropping_path.clone(),
         source,
     }
 }
 
+/// [`xtcf_err`] for a chunk that failed its span or checksum test
+/// (`verify_chunk`, alone or inside `decode_chunk`): the one place
+/// `xtcf.chunk.corrupt` is counted, whether the chunk was about to be
+/// decoded or forwarded.
+pub(super) fn chunk_err(record: &IndexRecord, source: FormatError) -> AdaError {
+    if matches!(source, FormatError::ChunkCorrupt { .. }) && ada_telemetry::enabled() {
+        ada_telemetry::global().counter("xtcf.chunk.corrupt").inc();
+    }
+    xtcf_err(record, source)
+}
+
+/// Frame `frame` of a unit of `record` carries `got` atoms where the
+/// tag's label ranges select `want` — reassembly would scatter it out of
+/// bounds.
+pub(super) fn atoms_err(record: &IndexRecord, frame: usize, got: usize, want: usize) -> AdaError {
+    xtcf_err(
+        record,
+        FormatError::Corrupt(format!(
+            "frame {} has {} atoms, tag '{}' selects {}",
+            frame, got, record.tag, want
+        )),
+    )
+}
+
 /// The bytes of a fetched dropping; size-only content cannot be decoded.
-fn real_bytes<'a>(record: &IndexRecord, content: &'a Content) -> Result<&'a [u8], AdaError> {
+pub(super) fn real_bytes<'a>(
+    record: &IndexRecord,
+    content: &'a Content,
+) -> Result<&'a [u8], AdaError> {
     match content.as_real() {
         Some(bytes) => Ok(bytes),
         None => Err(xtcf_err(
@@ -168,18 +193,9 @@ fn validate_atoms(
     frames: &[Frame],
 ) -> Result<(), AdaError> {
     let Some(n) = natoms else { return Ok(()) };
-    match frames.iter().position(|f| f.len() != n) {
+    match frames.iter().enumerate().find(|(_, f)| f.len() != n) {
         None => Ok(()),
-        Some(i) => Err(xtcf_err(
-            record,
-            FormatError::Corrupt(format!(
-                "frame {} has {} atoms, tag '{}' selects {}",
-                i,
-                frames.get(i).map_or(0, |f| f.len()),
-                record.tag,
-                n
-            )),
-        )),
+        Some((i, f)) => Err(atoms_err(record, i, f.len(), n)),
     }
 }
 
@@ -200,9 +216,7 @@ fn decode_unit(
         None => content.len(),
         Some(dir) => {
             ts.arg("chunk", c);
-            dir.entries.get(c).map_or(0, |e| {
-                e.nframes as u64 * frame_record_len(e.natoms as usize) as u64
-            })
+            dir.entries.get(c).map_or(0, |e| e.body_len() as u64)
         }
     };
     ts.arg("bytes", unit_bytes);
@@ -212,12 +226,7 @@ fn decode_unit(
                 None => read_xtcf(bytes).map(|t| t.frames),
                 Some(dir) => decode_chunk(bytes, dir, c),
             }
-            .map_err(|e| {
-                if matches!(e, FormatError::ChunkCorrupt { .. }) && ada_telemetry::enabled() {
-                    ada_telemetry::global().counter("xtcf.chunk.corrupt").inc();
-                }
-                xtcf_err(&p.record, e)
-            })
+            .map_err(|e| chunk_err(&p.record, e))
         })
         .and_then(|frames| validate_atoms(&p.record, p.natoms, &frames).map(|_| frames));
     match &res {

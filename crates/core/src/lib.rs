@@ -48,7 +48,9 @@ pub mod profile;
 pub mod synth;
 pub mod tiering;
 
-pub use ada::{Ada, AdaConfig, IngestInput, IngestReport, QueryReport, RetrievedData};
+pub use ada::{
+    Ada, AdaConfig, IngestInput, IngestReport, QueryReport, RetrievedData, StoredAnswer,
+};
 pub use categorizer::{categorize_algo1, Labeler};
 pub use determinator::{Determinator, DispatchPolicy};
 pub use labeler::LabelFile;

@@ -63,6 +63,10 @@ pub const XTCF_DIR_ENTRY_LEN: usize = 20;
 /// Size of the v2 trailer in bytes.
 pub const XTCF_TRAILER_LEN: usize = 12;
 
+/// Byte offset of the atom count `n` inside a frame record: after `step`,
+/// `time` and the nine box floats.
+pub const XTCF_RECORD_NATOMS_OFFSET: usize = 4 + 4 + 36;
+
 /// Per-frame record length for `natoms` (saturating: an impossible shape
 /// yields `usize::MAX` instead of wrapping).
 pub fn frame_record_len(natoms: usize) -> usize {
@@ -289,13 +293,12 @@ impl<'a> XtcfReader<'a> {
         })
     }
 
-    /// Raw cursor over a record span the caller has already bounds-checked
-    /// (chunk decoding).
-    fn at(data: &'a [u8], pos: usize, body_end: usize) -> XtcfReader<'a> {
+    /// Raw cursor over the frame records of one verified chunk.
+    fn over(body: &'a [u8]) -> XtcfReader<'a> {
         XtcfReader {
-            data,
-            pos,
-            body_end,
+            data: body,
+            pos: 0,
+            body_end: body.len(),
             version: XTCF_VERSION_V2,
             directory: None,
         }
@@ -378,6 +381,14 @@ pub struct ChunkEntry {
     pub crc: u32,
 }
 
+impl ChunkEntry {
+    /// Length of the chunk's body — its frame records — in bytes
+    /// (saturating, like [`frame_record_len`]).
+    pub fn body_len(&self) -> usize {
+        (self.nframes as usize).saturating_mul(frame_record_len(self.natoms as usize))
+    }
+}
+
 /// The parsed chunk directory of a v2 file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkDirectory {
@@ -401,6 +412,22 @@ impl ChunkDirectory {
     /// Per-chunk frame counts, in body order.
     pub fn chunk_nframes(&self) -> Vec<u32> {
         self.entries.iter().map(|e| e.nframes).collect()
+    }
+
+    /// Append this directory and its trailer to `file` — a v2 header
+    /// followed by the chunk bodies the entries describe — which seals it.
+    /// The one writer of the layout [`parse_directory`] reads.
+    pub fn append_to(&self, file: &mut Vec<u8>) {
+        file.reserve(self.entries.len() * XTCF_DIR_ENTRY_LEN + XTCF_TRAILER_LEN);
+        for e in &self.entries {
+            file.extend_from_slice(&e.offset.to_le_bytes());
+            file.extend_from_slice(&e.nframes.to_le_bytes());
+            file.extend_from_slice(&e.natoms.to_le_bytes());
+            file.extend_from_slice(&e.crc.to_le_bytes());
+        }
+        file.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        file.extend_from_slice(&self.chunk_frames.to_le_bytes());
+        file.extend_from_slice(&XTCF_FOOTER_MAGIC.to_le_bytes());
     }
 
     /// The chunk holding file-local frame index `local`, if in range.
@@ -580,43 +607,45 @@ pub fn seal_v2(
         chunk_frames
     };
     payload[4..8].copy_from_slice(&XTCF_VERSION_V2.to_le_bytes());
-    let nchunks = nframes.div_ceil(per_chunk);
-    payload.reserve(nchunks * XTCF_DIR_ENTRY_LEN + XTCF_TRAILER_LEN);
     let mut off = XTCF_HEADER_LEN;
     let mut left = nframes;
-    let mut dir = Vec::with_capacity(nchunks * XTCF_DIR_ENTRY_LEN);
+    let mut dir = ChunkDirectory {
+        entries: Vec::with_capacity(nframes.div_ceil(per_chunk)),
+        chunk_frames: u32::try_from(per_chunk).unwrap_or(u32::MAX),
+    };
     while left > 0 {
         let take = left.min(per_chunk);
         let len = take * record;
-        let take32 = u32::try_from(take)
-            .map_err(|_| FormatError::OutOfRange(format!("chunk of {} frames", take)))?;
-        dir.extend_from_slice(&(off as u64).to_le_bytes());
-        dir.extend_from_slice(&take32.to_le_bytes());
-        dir.extend_from_slice(&(natoms as u32).to_le_bytes());
-        dir.extend_from_slice(&crc32(&payload[off..off + len]).to_le_bytes());
+        dir.entries.push(ChunkEntry {
+            offset: off as u64,
+            nframes: u32::try_from(take)
+                .map_err(|_| FormatError::OutOfRange(format!("chunk of {} frames", take)))?,
+            natoms: natoms as u32,
+            crc: crc32(&payload[off..off + len]),
+        });
         off += len;
         left -= take;
     }
-    payload.extend_from_slice(&dir);
-    payload.extend_from_slice(&(nchunks as u32).to_le_bytes());
-    payload.extend_from_slice(&u32::try_from(per_chunk).unwrap_or(u32::MAX).to_le_bytes());
-    payload.extend_from_slice(&XTCF_FOOTER_MAGIC.to_le_bytes());
+    dir.append_to(&mut payload);
     Ok(payload)
 }
 
-/// Decode one chunk of a v2 file with its CRC verified first. Corruption
-/// surfaces as [`FormatError::ChunkCorrupt`] carrying the chunk id.
-pub fn decode_chunk(
-    data: &[u8],
+/// The body bytes of one chunk of a v2 file — its frame records, verbatim
+/// — once its span lies inside the file and its CRC matches the
+/// directory's. The check [`decode_chunk`] makes before it decodes, for a
+/// caller that hands the bytes on undecoded. Corruption surfaces as
+/// [`FormatError::ChunkCorrupt`] carrying the chunk id.
+pub fn verify_chunk<'a>(
+    data: &'a [u8],
     dir: &ChunkDirectory,
     chunk: usize,
-) -> Result<Vec<Frame>, FormatError> {
+) -> Result<&'a [u8], FormatError> {
     let e = dir.entries.get(chunk).ok_or(FormatError::ChunkCorrupt {
         chunk,
         detail: format!("chunk index out of range ({} chunks)", dir.entries.len()),
     })?;
     let start = e.offset as usize;
-    let len = (e.nframes as usize).saturating_mul(frame_record_len(e.natoms as usize));
+    let len = e.body_len();
     let end = start
         .checked_add(len)
         .filter(|&end| end <= data.len())
@@ -629,7 +658,8 @@ pub fn decode_chunk(
                 data.len()
             ),
         })?;
-    let computed = crc32(&data[start..end]);
+    let body = &data[start..end];
+    let computed = crc32(body);
     if computed != e.crc {
         return Err(FormatError::ChunkCorrupt {
             chunk,
@@ -639,8 +669,21 @@ pub fn decode_chunk(
             ),
         });
     }
-    let mut r = XtcfReader::at(data, start, end);
-    let mut frames = Vec::with_capacity(e.nframes as usize);
+    Ok(body)
+}
+
+/// Decode one chunk of a v2 file with its CRC verified first
+/// ([`verify_chunk`]). Corruption surfaces as
+/// [`FormatError::ChunkCorrupt`] carrying the chunk id.
+pub fn decode_chunk(
+    data: &[u8],
+    dir: &ChunkDirectory,
+    chunk: usize,
+) -> Result<Vec<Frame>, FormatError> {
+    let body = verify_chunk(data, dir, chunk)?;
+    let declared = dir.entries.get(chunk).map_or(0, |e| e.nframes as usize);
+    let mut r = XtcfReader::over(body);
+    let mut frames = Vec::with_capacity(declared);
     loop {
         match r.next_frame() {
             Ok(Some(f)) => frames.push(f),
@@ -653,13 +696,13 @@ pub fn decode_chunk(
             }
         }
     }
-    if frames.len() != e.nframes as usize {
+    if frames.len() != declared {
         return Err(FormatError::ChunkCorrupt {
             chunk,
             detail: format!(
                 "decoded {} frames, directory declares {}",
                 frames.len(),
-                e.nframes
+                declared
             ),
         });
     }
@@ -863,6 +906,13 @@ mod tests {
         let off = dir.entries[1].offset as usize + 50;
         sealed[off] ^= 0xFF;
         assert!(decode_chunk(&sealed, &dir, 0).is_ok());
+        // The undecoded check hands out exactly the chunk's records.
+        let start = dir.entries[0].offset as usize;
+        let len = 2 * frame_record_len(25);
+        assert_eq!(
+            verify_chunk(&sealed, &dir, 0).unwrap(),
+            &sealed[start..start + len]
+        );
         match decode_chunk(&sealed, &dir, 1) {
             Err(FormatError::ChunkCorrupt { chunk, detail }) => {
                 assert_eq!(chunk, 1);
@@ -870,6 +920,11 @@ mod tests {
             }
             other => panic!("expected ChunkCorrupt, got {:?}", other),
         }
+        // ... and refuses a corrupt one with the decoder's own error.
+        assert_eq!(
+            verify_chunk(&sealed, &dir, 1).unwrap_err().to_string(),
+            decode_chunk(&sealed, &dir, 1).unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -1,11 +1,21 @@
 //! Length-prefixed frame envelope: magic, version, declared length, and
-//! a payload CRC (the XTCF v2 checksum, [`ada_mdformats::xtcf::crc32`]).
+//! a CRC-32 (the XTCF v2 checksum, [`ada_mdformats::xtcf::crc32`]).
+//!
+//! Two kinds of frame share the 13-byte header. A **message frame**
+//! (`"ADAP"`: every request, and every response but the chunks of a
+//! streamed answer) carries the CRC of its payload, computed by the
+//! sender and checked by [`read_frame`] before the payload reaches the
+//! structural decoder — a flipped bit fails fast with a typed error
+//! instead of a confusing decode failure deeper in. A **chunk frame**
+//! (`"ADAC"`: one XTCF chunk of a streamed answer, [`crate::stream`])
+//! carries the chunk's own CRC-32, the one sealed into the dropping's
+//! directory at ingest: the sender supplies it, the frame reader hands it
+//! on unchecked, and the one consumer of the bytes (`decode_chunk`)
+//! checks it — once per hop instead of once per layer.
 //!
 //! The framing is deliberately paranoid in the receive direction: the
 //! declared length is validated against the receiver's limit *before*
-//! any allocation, and the CRC is checked before the payload reaches the
-//! structural decoder — a flipped bit fails fast with a typed error
-//! instead of a confusing decode failure deeper in.
+//! any allocation, for both kinds.
 
 use std::io::{IoSlice, Read, Write};
 
@@ -13,36 +23,50 @@ use ada_mdformats::xtcf::crc32;
 
 use crate::wire::ProtoError;
 
-/// Frame magic: every frame starts with these four bytes.
+/// Message-frame magic: requests and every response that is not a chunk.
 pub const MAGIC: [u8; 4] = *b"ADAP";
 
+/// Chunk-frame magic: one XTCF chunk body of a streamed answer.
+pub const CHUNK_MAGIC: [u8; 4] = *b"ADAC";
+
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
 /// Encoded header size: magic(4) + version(1) + length(4) + crc(4).
 pub const HEADER_LEN: usize = 13;
 
-/// Default receive-side payload limit (64 MiB) — comfortably above the
-/// largest trajectory the test workloads ship, far below a hostile
-/// 4 GiB declaration.
+/// Default receive-side limit on a frame's payload (64 MiB) — far above
+/// any request or chunk the test workloads ship, far below a hostile
+/// 4 GiB declaration. It bounds a frame, not an answer: a streamed answer
+/// is as many chunk frames as it needs.
 pub const DEFAULT_MAX_FRAME: u32 = 64 << 20;
+
+/// Which of the two frame kinds a header announced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameKind {
+    /// `"ADAP"`: the CRC covers the payload and is checked on read.
+    Message,
+    /// `"ADAC"`: the CRC is the chunk's own, checked by its consumer.
+    Chunk,
+}
 
 /// A validated frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FrameHeader {
+pub(crate) struct FrameHeader {
+    pub(crate) kind: FrameKind,
     /// Payload length in bytes.
-    len: u32,
-    /// IEEE CRC-32 the payload must hash to.
-    crc: u32,
+    pub(crate) len: u32,
+    /// The CRC-32 the sender declared for the payload.
+    pub(crate) crc: u32,
 }
 
-/// Render the header for `payload`.
-fn header_bytes(payload: &[u8]) -> [u8; HEADER_LEN] {
+/// Render a header.
+fn header_bytes(magic: [u8; 4], len: usize, crc: u32) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
-    h[0..4].copy_from_slice(&MAGIC);
+    h[0..4].copy_from_slice(&magic);
     h[4] = VERSION;
-    h[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    h[9..13].copy_from_slice(&crc32(payload).to_le_bytes());
+    h[5..9].copy_from_slice(&(len as u32).to_le_bytes());
+    h[9..13].copy_from_slice(&crc.to_le_bytes());
     h
 }
 
@@ -58,13 +82,13 @@ fn check_len(payload: &[u8]) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// Header + payload as one buffer, for callers that need the frame's
-/// bytes in hand (fault injection, the bench ladder); the socket path is
-/// [`write_frame`], which does not build this copy.
+/// Header + payload of a message frame as one buffer, for callers that
+/// need the frame's bytes in hand (fault injection, the bench ladder);
+/// the socket path is [`write_frame`], which does not build this copy.
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
     check_len(payload)?;
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&header_bytes(payload));
+    out.extend_from_slice(&header_bytes(MAGIC, payload.len(), crc32(payload)));
     out.extend_from_slice(payload);
     Ok(out)
 }
@@ -73,9 +97,11 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
 /// *before* the caller allocates the payload buffer).
 fn parse_header(bytes: &[u8; HEADER_LEN], max_len: u32) -> Result<FrameHeader, ProtoError> {
     let got = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    if got != MAGIC {
-        return Err(ProtoError::BadMagic { got });
-    }
+    let kind = match got {
+        MAGIC => FrameKind::Message,
+        CHUNK_MAGIC => FrameKind::Chunk,
+        _ => return Err(ProtoError::BadMagic { got }),
+    };
     if bytes[4] != VERSION {
         return Err(ProtoError::BadVersion { got: bytes[4] });
     }
@@ -87,31 +113,19 @@ fn parse_header(bytes: &[u8; HEADER_LEN], max_len: u32) -> Result<FrameHeader, P
         });
     }
     let crc = u32::from_le_bytes([bytes[9], bytes[10], bytes[11], bytes[12]]);
-    Ok(FrameHeader { len, crc })
+    Ok(FrameHeader { kind, len, crc })
 }
 
-/// Check the received payload against the header's CRC declaration.
-fn verify_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), ProtoError> {
-    let computed = crc32(payload);
-    if computed != header.crc {
-        return Err(ProtoError::BadCrc {
-            declared: header.crc,
-            computed,
-        });
-    }
-    Ok(())
-}
-
-/// Write one frame to `w` (blocking): header then payload, gathered into
-/// one vectored write so no concatenated copy of the payload is built.
-/// Two plain `write_all`s would do for a multi-megabyte answer, but on a
-/// small frame (a ping, a request) the second write would sit behind
-/// Nagle until the peer's delayed ACK of the first. Each stream has one
-/// writing thread, so a short write resumed here cannot interleave with
-/// another frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
-    check_len(payload)?;
-    let header = header_bytes(payload);
+/// Header then payload, gathered into one vectored write so no
+/// concatenated copy of the payload is built. Two plain `write_all`s
+/// would put a small frame (a ping, a request) on the wire as two
+/// segments. Each stream has one writing thread, so a short write resumed
+/// here cannot interleave with another frame.
+fn write_gathered(
+    w: &mut impl Write,
+    header: [u8; HEADER_LEN],
+    payload: &[u8],
+) -> Result<(), ProtoError> {
     let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
     let mut left = &mut bufs[..];
     while !left.is_empty() {
@@ -125,10 +139,32 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
     Ok(())
 }
 
-/// Read one frame from `r` (blocking), returning the verified payload.
-/// `Ok(None)` means the peer closed cleanly at a frame boundary; EOF
-/// mid-frame is a typed [`ProtoError::Truncated`].
-pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, ProtoError> {
+/// Write one message frame to `w` (blocking), checksumming `payload`.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
+    check_len(payload)?;
+    write_gathered(
+        w,
+        header_bytes(MAGIC, payload.len(), crc32(payload)),
+        payload,
+    )
+}
+
+/// Write one chunk frame to `w` (blocking): `body` is a chunk's frame
+/// records and `crc` the CRC-32 its directory already holds. Nothing is
+/// recomputed and nothing copied — one vectored write of the header and
+/// the caller's bytes.
+pub fn write_chunk_frame(w: &mut impl Write, body: &[u8], crc: u32) -> Result<(), ProtoError> {
+    check_len(body)?;
+    write_gathered(w, header_bytes(CHUNK_MAGIC, body.len(), crc), body)
+}
+
+/// Read and validate the next frame's header. `Ok(None)` means the peer
+/// closed cleanly at a frame boundary; EOF inside the header is a typed
+/// [`ProtoError::Truncated`].
+pub(crate) fn read_header(
+    r: &mut impl Read,
+    max_len: u32,
+) -> Result<Option<FrameHeader>, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
     while filled < HEADER_LEN {
@@ -144,21 +180,52 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, Pr
         }
         filled += n;
     }
-    let h = parse_header(&header, max_len)?;
-    let mut payload = vec![0u8; h.len as usize];
-    let mut filled = 0usize;
-    while filled < payload.len() {
-        let n = r.read(&mut payload[filled..])?;
-        if n == 0 {
-            return Err(ProtoError::Truncated {
-                needed: payload.len(),
-                got: filled,
-            });
-        }
-        filled += n;
+    parse_header(&header, max_len).map(Some)
+}
+
+/// Append the `len` payload bytes of the frame whose header was just read
+/// to `into`, straight into its spare capacity: nothing is zero-filled
+/// first and there is no intermediate buffer. `len` has passed the
+/// header's limit check.
+pub(crate) fn read_body(r: &mut impl Read, len: u32, into: &mut Vec<u8>) -> Result<(), ProtoError> {
+    let got = r.by_ref().take(u64::from(len)).read_to_end(into)?;
+    if got < len as usize {
+        return Err(ProtoError::Truncated {
+            needed: len as usize,
+            got,
+        });
     }
-    verify_payload(&h, &payload)?;
-    Ok(Some(payload))
+    Ok(())
+}
+
+/// The payload of the message frame `header` announced, checked against
+/// the header's CRC declaration.
+pub(crate) fn read_message(r: &mut impl Read, header: &FrameHeader) -> Result<Vec<u8>, ProtoError> {
+    let mut payload = Vec::with_capacity(header.len as usize);
+    read_body(r, header.len, &mut payload)?;
+    let computed = crc32(&payload);
+    if computed != header.crc {
+        return Err(ProtoError::BadCrc {
+            declared: header.crc,
+            computed,
+        });
+    }
+    Ok(payload)
+}
+
+/// Read one message frame from `r` (blocking), returning the verified
+/// payload. `Ok(None)` means the peer closed cleanly at a frame boundary;
+/// EOF mid-frame is a typed [`ProtoError::Truncated`]. A chunk frame here
+/// is out of place — chunks exist only inside a streamed answer
+/// ([`crate::read_response`]) — and is refused by its magic.
+pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, ProtoError> {
+    let Some(header) = read_header(r, max_len)? else {
+        return Ok(None);
+    };
+    match header.kind {
+        FrameKind::Message => read_message(r, &header).map(Some),
+        FrameKind::Chunk => Err(ProtoError::BadMagic { got: CHUNK_MAGIC }),
+    }
 }
 
 #[cfg(test)]
@@ -205,6 +272,41 @@ mod tests {
     }
 
     #[test]
+    fn chunk_frame_carries_the_callers_crc_and_resumes_short_writes() {
+        for len in [0usize, 1, 1000] {
+            let body = vec![0xa5; len];
+            // Not the body's checksum: the writer must not recompute it.
+            let crc = 0xdead_beef;
+            let mut out = Vec::new();
+            write_chunk_frame(&mut out, &body, crc).unwrap();
+            let mut short = ShortWriter(Vec::new());
+            write_chunk_frame(&mut short, &body, crc).unwrap();
+            assert_eq!(short.0, out, "short writes must resume, len {}", len);
+
+            let mut cursor = std::io::Cursor::new(&out);
+            let header = read_header(&mut cursor, DEFAULT_MAX_FRAME)
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                header,
+                FrameHeader {
+                    kind: FrameKind::Chunk,
+                    len: len as u32,
+                    crc
+                }
+            );
+            let mut back = vec![7u8]; // appended to, not overwritten
+            read_body(&mut cursor, header.len, &mut back).unwrap();
+            assert_eq!(back[1..], body[..]);
+            // Outside a stream a chunk frame is out of place.
+            assert!(matches!(
+                read_frame(&mut std::io::Cursor::new(&out), DEFAULT_MAX_FRAME),
+                Err(ProtoError::BadMagic { got: CHUNK_MAGIC })
+            ));
+        }
+    }
+
+    #[test]
     fn empty_payload_is_a_valid_frame() {
         let frame = encode_frame(&[]).unwrap();
         assert_eq!(frame.len(), HEADER_LEN);
@@ -228,9 +330,10 @@ mod tests {
 
     #[test]
     fn bad_version_is_typed() {
-        // A newer peer's, and version 2's: its `Ingest` carried a fourth
-        // field this build would misread.
-        for version in [VERSION + 1, 2] {
+        // A newer peer's; version 3's, whose query answer was one frame;
+        // version 2's, whose `Ingest` carried a fourth field this build
+        // would misread.
+        for version in [VERSION + 1, 3, 2] {
             let mut frame = encode_frame(b"x").unwrap();
             frame[4] = version;
             let mut cursor = std::io::Cursor::new(frame);
@@ -287,11 +390,11 @@ mod tests {
             read_frame(&mut cursor, DEFAULT_MAX_FRAME),
             Err(ProtoError::Truncated { .. })
         ));
-        // Full header, half the payload.
+        // Full header, a third of the payload.
         let mut cursor = std::io::Cursor::new(frame[..HEADER_LEN + 4].to_vec());
         assert!(matches!(
             read_frame(&mut cursor, DEFAULT_MAX_FRAME),
-            Err(ProtoError::Truncated { .. })
+            Err(ProtoError::Truncated { needed: 12, got: 4 })
         ));
     }
 }

@@ -1,19 +1,20 @@
 //! The request/response vocabulary of the wire — one body per operation
 //! the remote `Frontend` runs — plus transport-friendly report types.
 //!
-//! A query's trajectory crosses the wire uncompressed, as one XTCF v2
+//! A query's trajectory reaches the caller uncompressed, as one XTCF v2
 //! chunk container (the on-disk dropping format): the compute node gets
 //! the already-decompressed subset with every `f32` bit intact, and each
 //! chunk's CRC-32 is verified by the same `decode_chunk` the server-side
-//! cache uses.
+//! cache uses. On the socket that container travels as a stream of its
+//! chunks ([`crate::stream`]); the one-frame encoding of a `Query` body
+//! below is what [`ResponseEnvelope::encode`] builds in memory, which the
+//! server never sends and the client still accepts.
 
 use std::collections::BTreeMap;
 
 use ada_cache::CacheStats;
 use ada_core::{AdaError, IngestReport, QueryReport, RetrievedData};
-use ada_mdformats::xtcf::{
-    decode_chunk, frame_record_len, parse_directory, seal_v2, ChunkDirectory, XtcfWriter,
-};
+use ada_mdformats::xtcf::{decode_chunk, parse_directory, seal_v2, ChunkDirectory, XtcfWriter};
 use ada_mdformats::{FormatError, Trajectory};
 use ada_mdmodel::Tag;
 use ada_storagesim::SimDuration;
@@ -216,6 +217,10 @@ pub enum ResponseBody {
     Error(AdaError),
 }
 
+/// Discriminant of [`ResponseBody::Error`], which also ends a chunk
+/// stream that failed.
+pub(crate) const DISC_ERROR: u8 = 255;
+
 impl ResponseEnvelope {
     /// Encode for framing. A query answer is megabytes of payload, so the
     /// buffer is sized for it up front instead of doubling its way there.
@@ -241,7 +246,7 @@ impl ResponseEnvelope {
                 encode_cache_stats(s, &mut w);
             }
             ResponseBody::Error(e) => {
-                w.put_u8(255);
+                w.put_u8(DISC_ERROR);
                 encode_error(&mut w, e);
             }
         }
@@ -257,7 +262,7 @@ impl ResponseEnvelope {
             1 => ResponseBody::Ingest(WireIngestReport::decode(&mut r)?),
             2 => ResponseBody::Query(WireQueryReport::decode(&mut r)?),
             3 => ResponseBody::CacheStats(decode_cache_stats(&mut r)?),
-            255 => ResponseBody::Error(decode_error(&mut r)?),
+            DISC_ERROR => ResponseBody::Error(decode_error(&mut r)?),
             other => {
                 return Err(ProtoError::Malformed(format!(
                     "unknown response discriminant {}",
@@ -422,7 +427,7 @@ fn payload_err(source: FormatError) -> AdaError {
 
 /// The chunk directory of a query payload; a directory-less (v1) stream
 /// is not a valid payload.
-fn payload_directory(bytes: &[u8]) -> Result<ChunkDirectory, AdaError> {
+pub(crate) fn payload_directory(bytes: &[u8]) -> Result<ChunkDirectory, AdaError> {
     parse_directory(bytes).map_err(payload_err)?.ok_or_else(|| {
         payload_err(FormatError::Corrupt(
             "v1 stream carries no chunk directory".to_string(),
@@ -490,10 +495,7 @@ impl WireQueryReport {
     pub fn bytes(&self) -> u64 {
         match &self.payload {
             WirePayload::Xtcf(bytes) => payload_directory(bytes).map_or(0, |dir| {
-                dir.entries
-                    .iter()
-                    .map(|e| e.nframes as u64 * frame_record_len(e.natoms as usize) as u64)
-                    .sum()
+                dir.entries.iter().map(|e| e.body_len() as u64).sum()
             }),
             WirePayload::Synthetic { bytes, .. } => *bytes,
         }
@@ -589,7 +591,7 @@ fn decode_cache_stats(r: &mut WireReader) -> Result<CacheStats, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ada_mdformats::xtcf::write_xtcf;
+    use ada_mdformats::xtcf::{frame_record_len, write_xtcf};
 
     #[test]
     fn request_envelopes_round_trip() {

@@ -16,13 +16,22 @@
 //! serves it one request at a time: deframe ([`ada_proto::read_frame`]
 //! behind the idle and whole-frame deadlines, which evict silent and
 //! slow-loris peers), decode, run the request through the frontend,
-//! encode, write. The frontend owns no threads, so the thread that read
+//! write. The frontend owns no threads, so the thread that read
 //! the request is the thread that waits for the admission slot, holds it,
 //! runs the middleware and writes the answer.
 //!
+//! A real-mode query answer leaves as a stream of chunk frames
+//! ([`ada_proto::stream`]). A whole-tag `Query` is **forwarded**: the
+//! slot covers index + fetch ([`ada_core::Ada::query_stored`]), and the
+//! stored chunks go from the backend's own bytes to the socket, each
+//! checked just before it is written — no decode, no re-seal, nothing
+//! allocated in proportion to the answer. A full-frame or ranged answer
+//! has to be assembled, so it is decoded and sealed as before and then
+//! streamed chunk by chunk out of that one container.
+//!
 //! Requests a peer sends ahead of their answers wait in the socket
 //! buffers: TCP back-pressure is the bound on what a connection can hold
-//! — no decoded request and at most one encoded answer — and the answers
+//! — no decoded request and at most one answer — and the answers
 //! come back in request order. A peer that stops *reading* stalls the
 //! write; `frame_timeout` bounds that as it bounds a stalled request
 //! frame, and the connection closes.
@@ -47,14 +56,15 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ada_core::{AdaError, IngestInput};
+use ada_core::{AdaError, IngestInput, QueryReport, StoredAnswer};
 use ada_frontend::{Class, Frontend};
 use ada_mdmodel::Tag;
 use ada_proto::{
-    read_frame, write_frame, ProtoError, RequestBody, RequestEnvelope, ResponseBody,
-    ResponseEnvelope, WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME, HEADER_LEN,
+    read_frame, write_query_stream, write_response, ProtoError, RequestBody, RequestEnvelope,
+    ResponseBody, ResponseEnvelope, Sent, StreamHead, WireIngestReport, WireQueryReport,
+    DEFAULT_MAX_FRAME, HEADER_LEN,
 };
-use ada_telemetry::trace;
+use ada_telemetry::trace::{self, TraceSpanGuard};
 use parking_lot::Mutex;
 
 /// Tuning knobs for one [`Server`].
@@ -71,8 +81,8 @@ pub struct ServerConfig {
     /// the slow-loris bound — and a response frame the peer takes nothing
     /// of for this long is abandoned with the connection.
     pub frame_timeout: Duration,
-    /// Receive-side payload limit; larger declared lengths are rejected
-    /// before allocation.
+    /// Receive-side limit on a frame's payload; larger declared lengths
+    /// are rejected before allocation.
     pub max_frame_len: u32,
 }
 
@@ -255,7 +265,7 @@ fn reject_connection(mut stream: TcpStream, active: usize) {
             retry_after: Duration::from_millis(100),
         }),
     };
-    let _ = write_frame(&mut stream, &resp.encode());
+    let _ = write_response(&mut stream, &resp);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -279,7 +289,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream, conn_id: u64, peer:
 }
 
 /// Serve one connection on the calling thread: deframe, decode, execute,
-/// encode, write, one request at a time. Returns `Ok` at a clean EOF, at
+/// write, one request at a time. Returns `Ok` at a clean EOF, at
 /// the stop flag and after a failed write; `Err` for an idle or frame
 /// deadline and for any transport or framing violation. Structural decode
 /// failures on a well-framed payload are answered with a typed error
@@ -291,6 +301,9 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
     // `frame_timeout` in the other direction: a peer that stops reading
     // its answers is dropped like one that stops sending its request.
     stream.set_write_timeout(Some(config.frame_timeout))?;
+    // A streamed answer ends in a small trailer frame; behind Nagle it
+    // would wait for the peer's delayed ACK of the chunk before it.
+    stream.set_nodelay(true)?;
     loop {
         let mut patient = PatientRead {
             stream,
@@ -308,41 +321,124 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
         registry
             .counter("server.bytes.read")
             .add(payload.len() as u64 + HEADER_LEN as u64);
-        let resp = match RequestEnvelope::decode(&payload) {
+        let delivered = match RequestEnvelope::decode(&payload) {
             Ok(env) => {
                 drop(payload);
-                execute_request(&shared.frontend, env)
+                // The root outlives the write: the send is part of the
+                // request's trace.
+                let (mut root, id, answer) = execute_request(&shared.frontend, env);
+                send_answer(stream, id, answer, &mut root)
             }
             Err(e) => {
                 // The frame passed CRC, so the stream is still aligned:
                 // answer with a typed error and keep the connection.
                 registry.counter("server.protocol.errors").inc();
-                ResponseEnvelope {
+                let resp = ResponseEnvelope {
                     id: peek_request_id(&payload),
                     body: ResponseBody::Error(AdaError::from(e)),
-                }
+                };
+                send_response(stream, resp)
             }
         };
-        if !send_response(stream, resp) {
+        if !delivered {
             return Ok(());
         }
     }
 }
 
-/// Encode `resp` and write it as one frame; `false` when the peer is gone
-/// or took nothing for `frame_timeout`. The envelope is dropped before
-/// the write, so the connection holds the answer once while it blocks.
-fn send_response(mut stream: &TcpStream, resp: ResponseEnvelope) -> bool {
-    let registry = ada_telemetry::global();
-    let payload = resp.encode();
-    drop(resp);
-    if write_frame(&mut stream, &payload).is_err() {
-        registry.counter("server.write.errors").inc();
-        return false;
+/// What a request left to be written.
+enum Answer {
+    /// A response in hand. A real-mode query report among these is a
+    /// sealed container, and leaves as the stream of its chunks.
+    Body(ResponseBody),
+    /// A whole tag as the backend stores it, to be forwarded chunk by
+    /// chunk.
+    Stored(StoredAnswer),
+}
+
+/// What an admitted query produced while it held its slot.
+enum Queried {
+    Stored(StoredAnswer),
+    Decoded(QueryReport),
+}
+
+impl Queried {
+    /// The answer to write: a decoded report is sealed for the wire here,
+    /// after the slot is released.
+    fn into_answer(self) -> Result<Answer, AdaError> {
+        match self {
+            Queried::Stored(stored) => Ok(Answer::Stored(stored)),
+            Queried::Decoded(rep) => WireQueryReport::from_report(&rep)
+                .map(|wire| Answer::Body(ResponseBody::Query(wire))),
+        }
     }
-    registry
-        .counter("server.bytes.written")
-        .add(payload.len() as u64 + HEADER_LEN as u64);
+}
+
+/// Count what a write put on the wire; `None` when the peer is gone or
+/// took nothing for `frame_timeout`.
+fn written(res: Result<Sent, ProtoError>) -> Option<Sent> {
+    let registry = ada_telemetry::global();
+    match res {
+        Ok(sent) => {
+            registry.counter("server.bytes.written").add(sent.bytes);
+            Some(sent)
+        }
+        Err(_) => {
+            registry.counter("server.write.errors").inc();
+            None
+        }
+    }
+}
+
+/// Write a response no request root covers; `false` when the connection
+/// is done for.
+fn send_response(mut stream: &TcpStream, resp: ResponseEnvelope) -> bool {
+    written(write_response(&mut stream, &resp)).is_some()
+}
+
+/// Write a request's answer under its root, as one `server.send` span;
+/// `false` when the connection is done for. A stored answer is checked
+/// chunk by chunk as it leaves, so it can still fail here, after its
+/// first chunks are gone: the stream then ends in the typed error, which
+/// counts as the request's.
+fn send_answer(mut stream: &TcpStream, id: u64, answer: Answer, root: &mut TraceSpanGuard) -> bool {
+    let mut span = root.ctx().span("server.send");
+    let (res, forwarded) = match answer {
+        Answer::Body(body) => {
+            let resp = ResponseEnvelope { id, body };
+            (write_response(&mut stream, &resp), "false")
+        }
+        Answer::Stored(stored) => {
+            let head = StreamHead {
+                id,
+                natoms: u32::try_from(stored.natoms()).unwrap_or(u32::MAX),
+                nframes: stored.nframes() as u64,
+                chunk_frames: stored.chunk_frames(),
+            };
+            let chunks = stored
+                .chunks()
+                .map(|chunk| chunk.map(|(body, _, crc)| (body, crc)));
+            let (indexer, read) = (stored.indexer.0, stored.read.0);
+            (
+                write_query_stream(&mut stream, head, indexer, read, chunks),
+                "true",
+            )
+        }
+    };
+    span.arg("forwarded", forwarded);
+    let Some(sent) = written(res) else {
+        span.set_error("network");
+        return false;
+    };
+    span.arg("chunks", sent.chunks);
+    span.arg("bytes", sent.bytes);
+    if let Some(e) = sent.error {
+        ada_telemetry::global()
+            .counter("server.request.errors")
+            .inc();
+        span.set_error(e.kind());
+        root.set_error(e.kind());
+    }
     true
 }
 
@@ -408,8 +504,9 @@ fn peek_request_id(payload: &[u8]) -> u64 {
 }
 
 /// Drive one decoded request through the frontend under a trace root
-/// minted from the wire-carried trace id, and build the response.
-fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelope {
+/// minted from the wire-carried trace id. Returns the root — the caller
+/// keeps it open across the write — with the request id and the answer.
+fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> (TraceSpanGuard, u64, Answer) {
     let registry = ada_telemetry::global();
     registry.counter("server.requests").inc();
     let started = Instant::now();
@@ -424,9 +521,11 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
         root.arg("client", client.as_str());
     }
 
-    let outcome: Result<ResponseBody, AdaError> = match body {
-        RequestBody::Ping => Ok(ResponseBody::Pong),
-        RequestBody::CacheStats => Ok(ResponseBody::CacheStats(frontend.ada().cache_stats())),
+    let outcome: Result<Answer, AdaError> = match body {
+        RequestBody::Ping => Ok(Answer::Body(ResponseBody::Pong)),
+        RequestBody::CacheStats => Ok(Answer::Body(ResponseBody::CacheStats(
+            frontend.ada().cache_stats(),
+        ))),
         RequestBody::Ingest {
             dataset,
             pdb_text,
@@ -445,10 +544,14 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
                     &mut root,
                     |ada, ctx| ada.ingest_traced(&dataset, input, ctx),
                 )
-                .map(|rep| ResponseBody::Ingest(WireIngestReport::from_report(&rep)))
+                .map(|rep| Answer::Body(ResponseBody::Ingest(WireIngestReport::from_report(&rep))))
         }
         RequestBody::Query { dataset, tag } => {
             let tag = tag.map(Tag::new);
+            // A whole tag is forwarded as stored; what is not stored in
+            // forwardable form (a size-only dataset, a v1 dropping) and
+            // the full-frame query take the decoded path. Either way the
+            // slot is gone before anything is sealed or written.
             frontend
                 .run_rooted(
                     Class::Query,
@@ -456,9 +559,20 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
                     &client,
                     deadline,
                     &mut root,
-                    |ada, ctx| ada.query_traced(&dataset, tag.as_ref(), ctx),
+                    |ada, ctx| {
+                        let stored = match &tag {
+                            Some(tag) => ada.query_stored(&dataset, tag, ctx)?,
+                            None => None,
+                        };
+                        match stored {
+                            Some(stored) => Ok(Queried::Stored(stored)),
+                            None => ada
+                                .query_traced(&dataset, tag.as_ref(), ctx)
+                                .map(Queried::Decoded),
+                        }
+                    },
                 )
-                .and_then(|rep| WireQueryReport::from_report(&rep).map(ResponseBody::Query))
+                .and_then(Queried::into_answer)
         }
         RequestBody::QueryRange {
             dataset,
@@ -478,21 +592,16 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> ResponseEnvelop
                     &mut root,
                     |ada, ctx| ada.query_range_traced(&dataset, &tag, window, stride as usize, ctx),
                 )
-                .and_then(|rep| WireQueryReport::from_report(&rep).map(ResponseBody::Query))
+                .and_then(|rep| Queried::Decoded(rep).into_answer())
         }
     };
 
     registry
         .histogram("server.request.ns")
         .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    match outcome {
-        Ok(body) => ResponseEnvelope { id, body },
-        Err(e) => {
-            registry.counter("server.request.errors").inc();
-            ResponseEnvelope {
-                id,
-                body: ResponseBody::Error(e),
-            }
-        }
-    }
+    let answer = outcome.unwrap_or_else(|e| {
+        registry.counter("server.request.errors").inc();
+        Answer::Body(ResponseBody::Error(e))
+    });
+    (root, id, answer)
 }

@@ -588,12 +588,14 @@ impl FlightRecorder {
     }
 
     /// Every held trace exactly once (retained traces may have already
-    /// rotated out of the recent ring), ordered by trace id.
+    /// rotated out of the recent ring), ordered by trace id. Two trees
+    /// under one id — the client's and the server's of a remote request,
+    /// when one process hosts both ends — are two traces.
     pub fn all(&self) -> Vec<Arc<Trace>> {
         let mut out = self.recent();
         out.extend(self.retained());
-        out.sort_by_key(|t| t.id);
-        out.dedup_by_key(|t| t.id);
+        out.sort_by_key(|t| (t.id, t.op, Arc::as_ptr(t) as usize));
+        out.dedup_by(|a, b| Arc::ptr_eq(a, b));
         out
     }
 

@@ -11,6 +11,13 @@
 //! * answers of every chunk shape survive: a single frame, a frame count
 //!   that is not a multiple of the wire chunk size, and an empty window
 //!   (the same typed `invalid_range` on both paths);
+//! * an answer is a stream of chunk frames, so one larger than
+//!   `max_frame_len` arrives whole (whole-tag, full-frame, strided), and a
+//!   whole tag is forwarded as stored: ragged chunks where droppings meet
+//!   survive, the report's simulated durations and the server's tag heat
+//!   are the in-process ones, and the server decodes nothing — while what
+//!   cannot be forwarded (a v1 dropping, a size-only dataset) still
+//!   answers, decoded;
 //! * remote errors keep their exact `kind()` — `unknown_dataset` and
 //!   `invalid_range` cross the wire as themselves, not as a generic
 //!   network failure;
@@ -30,13 +37,17 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ada_client::{Client, ClientConfig, Router};
+use ada_core::synth::SyntheticDataset;
+use ada_core::tiering::heat_snapshot;
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
+use ada_mdformats::xtcf::{parse_directory, read_xtcf, write_xtcf};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
+use ada_proto::{WirePayload, WireQueryReport};
 use ada_server::{Server, ServerConfig};
-use ada_simfs::{LocalFs, SimFileSystem};
+use ada_simfs::{Content, LocalFs, SimFileSystem};
 use ada_telemetry::trace;
 
 static GUARD: Mutex<()> = Mutex::new(());
@@ -46,13 +57,26 @@ fn serialize() -> MutexGuard<'static, ()> {
 }
 
 fn make_ada() -> Arc<Ada> {
+    make_ada_with(AdaConfig::paper_prototype("ssd", "hdd")).0
+}
+
+/// An instance and its SSD backend (where tag `p` lives).
+fn make_ada_with(config: AdaConfig) -> (Arc<Ada>, Arc<dyn SimFileSystem>) {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let cs = Arc::new(ContainerSet::new(vec![
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd),
     ]));
-    Arc::new(Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd))
+    (Arc::new(Ada::new(config, cs, ssd.clone())), ssd)
+}
+
+/// A server over `ada` whose frontend the test keeps, to ingest without a
+/// request frame and to read the instance's state afterwards.
+fn serve(ada: Arc<Ada>, config: ServerConfig) -> (Server, Arc<Frontend>) {
+    let fe = Arc::new(Frontend::new(ada, FrontendConfig::default()));
+    let server = Server::start(Arc::clone(&fe), config).expect("server must start");
+    (server, fe)
 }
 
 fn start_server() -> Server {
@@ -127,7 +151,7 @@ fn query_bits(rep: ada_core::QueryReport) -> Vec<FrameBits> {
 
 /// The frames a remote query delivers, decoded (and CRC-verified chunk by
 /// chunk) from its wire payload.
-fn wire_bits(rep: ada_proto::WireQueryReport) -> Vec<FrameBits> {
+fn wire_bits(rep: WireQueryReport) -> Vec<FrameBits> {
     frame_bits(&rep.trajectory().expect("remote payload must decode"))
 }
 
@@ -333,6 +357,150 @@ fn ragged_single_frame_and_empty_windows_round_trip() {
     server.shutdown();
 }
 
+/// An answer is as many frames as it has chunks, so `max_frame_len` — here
+/// 256 KiB on both ends — bounds a frame and not an answer: whole-tag
+/// (forwarded), full-frame and strided (sealed, then streamed) answers of
+/// several times that come back bit-identical. At the parent commit each
+/// was one frame, and `Oversized`.
+#[test]
+fn answers_larger_than_max_frame_len_arrive_whole() {
+    let _guard = serialize();
+    const MAX_FRAME: u32 = 256 << 10;
+    let nframes = 900;
+    let config = ServerConfig {
+        max_frame_len: MAX_FRAME,
+        ..ServerConfig::default()
+    };
+    let (mut server, fe) = serve(make_ada(), config);
+    // In process: the `.xtc` alone would not fit a request frame.
+    fe.ingest("setup", "ds", real_input(250, nframes, 91))
+        .unwrap();
+    let serial = make_ada();
+    serial.ingest("ds", real_input(250, nframes, 91)).unwrap();
+    let client = Client::new(
+        server.local_addr().to_string(),
+        ClientConfig {
+            max_frame_len: MAX_FRAME,
+            ..ClientConfig::default()
+        },
+    );
+    let p = Tag::protein();
+
+    let oversize = |rep: WireQueryReport| {
+        assert!(
+            rep.bytes() > u64::from(MAX_FRAME),
+            "the case needs an answer above the frame limit, got {} B",
+            rep.bytes()
+        );
+        wire_bits(rep)
+    };
+    assert_eq!(
+        oversize(client.query("ds", Some("p")).unwrap()),
+        query_bits(serial.query("ds", Some(&p)).unwrap())
+    );
+    assert_eq!(
+        oversize(client.query("ds", None).unwrap()),
+        query_bits(serial.query("ds", None).unwrap())
+    );
+    assert_eq!(
+        oversize(client.query_range("ds", "p", 1, nframes as u64, 2).unwrap()),
+        query_bits(serial.query_range("ds", &p, 1..nframes, 2).unwrap())
+    );
+    server.shutdown();
+}
+
+/// A tag spread over droppings whose length is not a multiple of the chunk
+/// size has short chunks in the middle of its answer. Forwarded, they
+/// arrive as stored — and the rest of the report is the in-process one:
+/// the simulated durations, and the heat the query left behind.
+#[test]
+fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
+    let _guard = serialize();
+    let config = || AdaConfig {
+        frames_per_dropping: 20,
+        chunk_frames: 8,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    };
+    let (mut server, fe) = serve(make_ada_with(config()).0, ServerConfig::default());
+    let (serial, _) = make_ada_with(config());
+    let client = client_for(&server, "ragged-stored");
+    let (pdb, xtc) = real_bytes(400, 50, 63);
+    client.ingest("ds", &pdb, &xtc).unwrap();
+    serial.ingest("ds", real_input(400, 50, 63)).unwrap();
+    let p = Tag::protein();
+
+    for _ in 0..2 {
+        let remote = client.query("ds", Some("p")).unwrap();
+        let local = serial.query("ds", Some(&p)).unwrap();
+        assert_eq!(remote.indexer_ns, local.indexer.0);
+        assert_eq!(remote.read_ns, local.read.0);
+        let WirePayload::Xtcf(container) = &remote.payload else {
+            panic!("a real answer is an XTCF container");
+        };
+        let dir = parse_directory(container).unwrap().unwrap();
+        // Droppings of 20, 20 and 10 frames in chunks of 8.
+        assert_eq!(dir.chunk_nframes(), [8, 8, 4, 8, 8, 4, 8, 2]);
+        assert_eq!(dir.chunk_frames, 8);
+        assert_eq!(wire_bits(remote), query_bits(local));
+    }
+    // The other tag, and a ranged read: one forwarded, one not.
+    client.query("ds", Some("m")).unwrap();
+    serial.query("ds", Some(&Tag::misc())).unwrap();
+    client.query_range("ds", "p", 5, 45, 3).unwrap();
+    serial.query_range("ds", &p, 5..45, 3).unwrap();
+    assert_eq!(heat_snapshot(fe.ada(), "ds"), heat_snapshot(&serial, "ds"));
+    assert_eq!(heat_snapshot(&serial, "ds").heat(&p), 3);
+    server.shutdown();
+}
+
+/// What is not stored as checksummed chunks cannot be forwarded and is
+/// answered the old way, decoded and sealed: a tag with a v1 dropping
+/// among its droppings (no directory), and a size-only dataset.
+#[test]
+fn v1_droppings_and_size_only_datasets_answer_through_the_decoded_path() {
+    let _guard = serialize();
+    let (ada, ssd) = make_ada_with(AdaConfig::paper_prototype("ssd", "hdd"));
+    let (mut server, fe) = serve(ada, ServerConfig::default());
+    let client = client_for(&server, "fallback");
+    let (pdb, xtc) = real_bytes(300, 6, 71);
+    client.ingest("old", &pdb, &xtc).unwrap();
+
+    // Re-encode the protein dropping as the v1 file it would have been.
+    let path = ssd
+        .list("ssd/old/hostdir.0/")
+        .into_iter()
+        .find(|p| p.contains("dropping.data.p"))
+        .expect("protein dropping exists");
+    let (content, _) = ssd.read(&path).unwrap();
+    let frames = read_xtcf(content.as_real().expect("real dropping")).unwrap();
+    let v1 = write_xtcf(&frames).unwrap();
+    assert!(parse_directory(&v1).unwrap().is_none(), "a genuine v1 file");
+    ssd.delete(&path).unwrap();
+    ssd.create(&path, Content::real(v1)).unwrap();
+
+    let decoded_before = fe.ada().cache_stats().bytes_decoded;
+    let remote = client.query("old", Some("p")).unwrap();
+    assert_eq!(
+        fe.ada().cache_stats().bytes_decoded - decoded_before,
+        frames.nbytes() as u64,
+        "a v1 dropping is decoded on the server"
+    );
+    assert_eq!(wire_bits(remote), frame_bits(&frames));
+
+    let spec = SyntheticDataset::gpcr_paper(626);
+    fe.ingest("setup", "big", IngestInput::Synthetic(spec))
+        .unwrap();
+    let remote = client.query("big", Some("p")).unwrap();
+    let local = fe.ada().query("big", Some(&Tag::protein())).unwrap();
+    assert!(matches!(remote.payload, WirePayload::Synthetic { .. }));
+    assert_eq!(remote.bytes(), local.data.bytes());
+    assert_eq!(
+        (remote.indexer_ns, remote.read_ns),
+        (local.indexer.0, local.read.0)
+    );
+    server.shutdown();
+}
+
 /// Remote failures keep their exact kind: the wire carries the full
 /// `AdaError` structure, not a lossy "remote error" wrapper.
 #[test]
@@ -457,13 +625,40 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
             root.thread
         );
         let facade = format!("ada.{}", op);
-        for name in ["frontend.queue_wait", "frontend.execute", facade.as_str()] {
-            let span = st
-                .spans
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("server tree {:x} has no {} span", st.id, name));
-            assert_eq!(span.thread, root.thread, "{} left the connection", name);
+        let find = |name: &str| {
+            let span = st.spans.iter().find(|s| s.name == name);
+            span.unwrap_or_else(|| panic!("server tree {:x} has no {} span", st.id, name))
+        };
+        for name in [
+            "frontend.queue_wait",
+            "frontend.execute",
+            facade.as_str(),
+            "server.send",
+        ] {
+            assert_eq!(
+                find(name).thread,
+                root.thread,
+                "{} left the connection",
+                name
+            );
+        }
+
+        // The root stays open across the write: the send is its child and
+        // says what left. The tag query was forwarded as stored — chunk
+        // frames on the wire, and no decode anywhere in the server's tree.
+        let send = find("server.send");
+        assert_eq!(send.parent, Some(root.id));
+        assert!(send.end_ns <= root.end_ns);
+        assert!(send.arg_u64("bytes").unwrap() > 0);
+        let forwarded = send.arg("forwarded");
+        if op == "query" {
+            assert_eq!(forwarded, Some(&trace::ArgValue::Str("true".into())));
+            assert_eq!(send.arg_u64("chunks"), Some(1));
+            assert!(st.spans.iter().all(|s| s.name != "query.decode"));
+            assert!(send.start_ns >= find("frontend.execute").end_ns);
+        } else {
+            assert_eq!(forwarded, Some(&trace::ArgValue::Str("false".into())));
+            assert_eq!(send.arg_u64("chunks"), Some(0));
         }
     }
     ops.sort_unstable();
@@ -496,14 +691,20 @@ fn router_places_each_dataset_on_its_ring_shard() {
 
         let owner = router.shard_for(&name);
         owned[owner] += 1;
-        router
-            .client(owner)
-            .unwrap()
+        let owner_client = router.client(owner).unwrap();
+        let decoded_before = owner_client.cache_stats().unwrap().bytes_decoded;
+        owner_client
             .query(&name, Some("p"))
             .unwrap_or_else(|e| panic!("{} is not on its ring shard {}: {}", name, owner, e));
         let stray = router.client(1 - owner).unwrap().query(&name, Some("p"));
         assert_eq!(stray.unwrap_err().kind(), "unknown_dataset");
-        serial.query(&name, Some(&p)).unwrap(); // the owner probe, mirrored
+        // A whole tag is forwarded as stored: the probe decoded nothing.
+        assert_eq!(
+            owner_client.cache_stats().unwrap().bytes_decoded,
+            decoded_before,
+            "the whole-tag probe of {} was decoded on its shard",
+            name
+        );
 
         assert_eq!(
             wire_bits(router.query(&name, None).unwrap()),
@@ -525,8 +726,8 @@ fn router_places_each_dataset_on_its_ring_shard() {
     );
 
     // Every shard answers, and together they decoded what one instance
-    // serving the same requests decodes (the cache is off: each read is
-    // a fresh decode, counted in `bytes_decoded`).
+    // serving the full and range queries decodes (the cache is off: each
+    // such read is a fresh decode, counted in `bytes_decoded`).
     let stats = router.cache_stats_all();
     assert_eq!(stats.len(), 2);
     let decoded: u64 = stats

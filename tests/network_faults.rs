@@ -14,28 +14,42 @@
 //! corruption and the caller, and it must surface as a typed `xtcf`
 //! error naming the chunk — never as frames.
 //!
+//! A query answer is a stream of chunk frames, which adds the faults of
+//! a stream. Corruption *stored on the backend* is found while the answer
+//! is being forwarded, after its first chunk has left: the stream ends in
+//! the typed error the in-process query raises, and the client hands out
+//! that error and no report. A hostile server's streams — closed after a
+//! chunk, longer than announced, a chunk of one and a half records, a head
+//! announcing `u64::MAX` frames, an error trailer after good chunks, a
+//! flipped byte in a chunk body — each end in one typed error, at the
+//! client or (the flipped byte, which no frame check sees) at
+//! `trajectory()`.
+//!
 //! Two peers that are not malformed, only inconsiderate: one sends eight
 //! frames ahead of their answers and gets them back in request order; one
 //! sends queries and never reads, and loses its connection after
 //! `frame_timeout` instead of holding it (and a `max_connections` slot)
 //! until shutdown.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ada_client::{Client, ClientConfig};
-use ada_core::{Ada, AdaConfig, IngestInput, QueryReport, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, IngestInput, QueryReport, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
+use ada_mdformats::xtcf::{frame_record_len, parse_directory};
+use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_proto::{
-    encode_frame, read_frame, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope,
-    WirePayload, WireQueryReport, DEFAULT_MAX_FRAME, QUERY_CHUNK_FRAMES,
+    encode_frame, read_frame, write_query_stream, RequestBody, RequestEnvelope, ResponseBody,
+    ResponseEnvelope, StreamHead, WirePayload, WireQueryReport, CHUNK_MAGIC, DEFAULT_MAX_FRAME,
+    HEADER_LEN, MAGIC, QUERY_CHUNK_FRAMES,
 };
 use ada_server::{Server, ServerConfig};
-use ada_simfs::{LocalFs, SimFileSystem};
+use ada_simfs::{Content, LocalFs, SimFileSystem};
 
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -109,11 +123,11 @@ fn ping_payload() -> Vec<u8> {
     .encode()
 }
 
-/// Read one response envelope off an evil socket.
+/// Read one response off an evil socket the way a client does: one
+/// message frame, or a chunk stream folded into its query report.
 fn read_response(stream: &mut TcpStream) -> Option<ResponseEnvelope> {
-    match read_frame(stream, DEFAULT_MAX_FRAME) {
-        Ok(Some(payload)) => Some(ResponseEnvelope::decode(&payload).expect("valid response")),
-        Ok(None) => None,
+    match ada_proto::read_response(stream, DEFAULT_MAX_FRAME) {
+        Ok(resp) => resp,
         Err(e) => panic!("reading the server's response failed: {:?}", e),
     }
 }
@@ -219,24 +233,29 @@ fn run_fault_corpus(server: &Server) {
     }
 }
 
+/// A sealed answer of two full chunks and a three-frame tail.
+fn three_chunk_answer() -> WireQueryReport {
+    let w = ada_workload::gpcr_workload(120, 2 * QUERY_CHUNK_FRAMES + 3, 41);
+    WireQueryReport::from_report(&QueryReport {
+        indexer: ada_storagesim::SimDuration(0),
+        read: ada_storagesim::SimDuration(0),
+        data: RetrievedData::Real(w.trajectory),
+        profile: None,
+    })
+    .expect("seal the answer")
+}
+
 /// A hostile server answers one query with a well-framed response (valid
 /// frame CRC, valid envelope, matching request id) whose payload has one
 /// flipped byte inside chunk 1 of three. The client must hand the answer
 /// over (the frame is fine) and `trajectory()` must refuse it with a
 /// typed `xtcf` error naming chunk 1.
 fn corrupt_chunk_in_response_is_typed() {
-    let w = ada_workload::gpcr_workload(120, 2 * QUERY_CHUNK_FRAMES + 3, 41);
-    let mut wire = WireQueryReport::from_report(&QueryReport {
-        indexer: ada_storagesim::SimDuration(0),
-        read: ada_storagesim::SimDuration(0),
-        data: RetrievedData::Real(w.trajectory),
-        profile: None,
-    })
-    .expect("seal the answer");
+    let mut wire = three_chunk_answer();
     let WirePayload::Xtcf(bytes) = &mut wire.payload else {
         panic!("a real report must seal an XTCF payload");
     };
-    let dir = ada_mdformats::xtcf::parse_directory(bytes)
+    let dir = parse_directory(bytes)
         .expect("directory parses")
         .expect("payload is v2");
     assert_eq!(dir.nchunks(), 3);
@@ -451,6 +470,296 @@ fn hostile_server_yields_typed_client_errors() {
         let err = client.ping().expect_err("listener is gone");
         assert_eq!(err.kind(), "network");
     }
+}
+
+/// What a hostile server's chunk stream must come to at the client.
+enum Expect {
+    /// `Client::query` fails with a `network` error mentioning this.
+    Network(&'static str),
+    /// `Client::query` fails with exactly this error text.
+    Remote(&'static str),
+    /// `Client::query` succeeds; `trajectory()` fails with an `xtcf`
+    /// error mentioning this.
+    Xtcf(&'static str),
+}
+
+/// The stream side of the client corpus: a hostile server answers a tag
+/// query with a chunk stream that is broken in one way. Each must end in
+/// one typed error and no report — within bounded time, and with nothing
+/// sized from what the head merely claims.
+#[test]
+fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
+    let _guard = serialize();
+    let WirePayload::Xtcf(container) = three_chunk_answer().payload else {
+        panic!("a real report must seal an XTCF payload");
+    };
+    let dir = parse_directory(&container).unwrap().unwrap();
+    let natoms = dir.entries[0].natoms;
+    let record = frame_record_len(natoms as usize);
+    let chunks: Vec<(Vec<u8>, u32)> = dir
+        .entries
+        .iter()
+        .map(|e| {
+            let start = e.offset as usize;
+            let body = &container[start..start + e.nframes as usize * record];
+            (body.to_vec(), e.crc)
+        })
+        .collect();
+    let total = dir.nframes() as u64;
+
+    // Each scenario: the announced total, the chunks to send (`Err` ends
+    // the stream with an `unknown_dataset` error of that name), how many
+    // bytes to cut off the end of the encoded stream before closing, and
+    // the outcome.
+    type Chunk = Result<(Vec<u8>, u32), &'static str>;
+    let good = || -> Vec<Chunk> { chunks.iter().cloned().map(Ok).collect() };
+    let trailer_len = HEADER_LEN + 8 + 1 + 32;
+    let mut flipped = good();
+    if let Ok((body, _)) = &mut flipped[1] {
+        body[60] ^= 0x10;
+    }
+    let mut errored = good();
+    errored[2] = Err("vanished mid-stream");
+    let scenarios: Vec<(&str, u64, Vec<Chunk>, usize, Expect)> = vec![
+        (
+            "closed after chunk 1",
+            total,
+            good(),
+            trailer_len + HEADER_LEN + chunks[2].0.len(),
+            Expect::Network("truncated"),
+        ),
+        (
+            "closed inside chunk 2",
+            total,
+            good(),
+            trailer_len + 100,
+            Expect::Network("truncated"),
+        ),
+        (
+            "trailer after two of three chunks",
+            total,
+            good().into_iter().take(2).collect(),
+            0,
+            Expect::Network("ended after 128 of the 131 frames"),
+        ),
+        (
+            "chunk frames past the head's total",
+            2 * QUERY_CHUNK_FRAMES as u64,
+            good(),
+            0,
+            Expect::Network("more than the 128 frames"),
+        ),
+        (
+            "a chunk of one and a half records",
+            total,
+            vec![Ok((chunks[0].0[..record + record / 2].to_vec(), 0))],
+            0,
+            Expect::Network("whole number"),
+        ),
+        (
+            "a head announcing u64::MAX frames",
+            u64::MAX,
+            good(),
+            0,
+            Expect::Network("more than memory addresses"),
+        ),
+        (
+            "an error trailer after two good chunks",
+            total,
+            errored,
+            0,
+            Expect::Remote("unknown dataset 'vanished mid-stream'"),
+        ),
+        (
+            "a flipped body byte in chunk 1",
+            total,
+            flipped,
+            0,
+            Expect::Xtcf("corrupt chunk 1"),
+        ),
+    ];
+
+    for (what, nframes, chunks, cut, expect) in scenarios {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let evil = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let request = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+                .expect("request frame")
+                .expect("a request, not EOF");
+            let head = StreamHead {
+                id: RequestEnvelope::decode(&request).expect("request").id,
+                natoms,
+                nframes,
+                chunk_frames: QUERY_CHUNK_FRAMES as u32,
+            };
+            let mut wire = Vec::new();
+            let chunks = chunks.iter().map(|c| match c {
+                Ok((body, crc)) => Ok((&body[..], *crc)),
+                Err(name) => Err(AdaError::UnknownDataset(name.to_string())),
+            });
+            write_query_stream(&mut wire, head, 0, 0, chunks).unwrap();
+            // The peer may have given up already; that is its answer.
+            let _ = stream.write_all(&wire[..wire.len() - cut]);
+            let _ = stream.shutdown(Shutdown::Both);
+        });
+
+        let client = Client::new(
+            addr.to_string(),
+            ClientConfig {
+                name: "victim".to_string(),
+                io_timeout: Duration::from_secs(5),
+                ..ClientConfig::default()
+            },
+        );
+        let started = Instant::now();
+        let outcome = client.query("shared", Some("p"));
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "{}: client took {:?}",
+            what,
+            started.elapsed()
+        );
+        match (expect, outcome) {
+            (Expect::Network(needle), Err(e)) => {
+                assert_eq!(e.kind(), "network", "{}: {}", what, e);
+                assert!(e.to_string().contains(needle), "{}: {}", what, e);
+            }
+            (Expect::Remote(text), Err(e)) => {
+                assert_eq!(e.kind(), "unknown_dataset", "{}: {}", what, e);
+                assert!(e.to_string().ends_with(text), "{}: {}", what, e);
+            }
+            (Expect::Xtcf(needle), Ok(rep)) => {
+                let e = rep.trajectory().expect_err(what);
+                assert_eq!(e.kind(), "xtcf", "{}: {}", what, e);
+                assert!(e.to_string().contains(needle), "{}: {}", what, e);
+                assert!(e.to_string().contains("checksum"), "{}: {}", what, e);
+            }
+            (_, Ok(_)) => panic!("{}: the client handed out a report", what),
+            (_, Err(e)) => panic!("{}: unexpected error {}", what, e),
+        }
+        evil.join().expect("evil server thread must not panic");
+    }
+}
+
+/// One raw frame off a socket: its magic and payload, nothing verified.
+fn read_raw_frame(stream: &mut TcpStream) -> ([u8; 4], Vec<u8>) {
+    let mut header = [0u8; HEADER_LEN];
+    stream.read_exact(&mut header).expect("frame header");
+    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
+    let mut payload = vec![0u8; len];
+    stream.read_exact(&mut payload).expect("frame payload");
+    ([header[0], header[1], header[2], header[3]], payload)
+}
+
+/// Corruption stored on the backend — a flipped byte in chunk 1 of a
+/// three-chunk dropping — is found while the answer is being forwarded:
+/// chunk 0 is already on the wire, then the stream ends in the typed
+/// error. It is the error the in-process query raises on the same
+/// instance, kind and text, and the client hands out no report; the
+/// connection and the server stay usable.
+#[test]
+fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
+    let _guard = serialize();
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
+    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
+    let cs = Arc::new(ContainerSet::new(vec![
+        ("ssd".into(), ssd.clone()),
+        ("hdd".into(), hdd),
+    ]));
+    let config = AdaConfig {
+        chunk_frames: 2,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    };
+    let ada = Arc::new(Ada::new(config, cs, ssd.clone()));
+    let fe = Arc::new(Frontend::new(Arc::clone(&ada), FrontendConfig::default()));
+    let mut server = Server::start(fe, ServerConfig::default()).expect("server must start");
+    let client = well_behaved_client(&server, "reader");
+    let w = ada_workload::gpcr_workload(300, 6, 37);
+    let pdb = ada_mdformats::write_pdb(&w.system);
+    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
+        .unwrap();
+    client.ingest("ds", &pdb, &xtc).unwrap();
+    assert_eq!(
+        client
+            .query("ds", Some("p"))
+            .unwrap()
+            .trajectory()
+            .unwrap()
+            .len(),
+        6
+    );
+
+    let path = ssd
+        .list("ssd/ds/hostdir.0/")
+        .into_iter()
+        .find(|p| p.contains("dropping.data.p"))
+        .expect("protein dropping exists");
+    let (content, _) = ssd.read(&path).unwrap();
+    let mut bytes = content.as_real().expect("real dropping").to_vec();
+    let dir = parse_directory(&bytes).unwrap().unwrap();
+    assert_eq!(dir.nchunks(), 3);
+    bytes[dir.entries[1].offset as usize + 60] ^= 0x10;
+    ssd.delete(&path).unwrap();
+    ssd.create(&path, Content::real(bytes)).unwrap();
+
+    let local = ada.query("ds", Some(&Tag::protein())).unwrap_err();
+    assert_eq!(local.kind(), "xtcf");
+    assert!(local.to_string().contains("corrupt chunk 1"), "{}", local);
+    let remote = client
+        .query("ds", Some("p"))
+        .expect_err("no report may be handed out");
+    assert_eq!(remote.kind(), local.kind());
+    assert_eq!(remote.to_string(), local.to_string());
+
+    // The same answer frame by frame: head, chunk 0 as stored, then the
+    // error — nothing of chunk 1 or 2.
+    let mut s = evil_socket(&server);
+    let query = RequestEnvelope {
+        id: 11,
+        client: "raw".to_string(),
+        trace_id: 0,
+        deadline_ns: 0,
+        body: RequestBody::Query {
+            dataset: "ds".to_string(),
+            tag: Some("p".to_string()),
+        },
+    };
+    s.write_all(&encode_frame(&query.encode()).unwrap())
+        .unwrap();
+    let (magic, _head) = read_raw_frame(&mut s);
+    assert_eq!(magic, MAGIC);
+    let (magic, chunk0) = read_raw_frame(&mut s);
+    assert_eq!(magic, CHUNK_MAGIC);
+    let len0 = 2 * frame_record_len(dir.entries[0].natoms as usize);
+    let start0 = dir.entries[0].offset as usize;
+    let (content, _) = ssd.read(&path).unwrap();
+    assert_eq!(chunk0, content.as_real().unwrap()[start0..start0 + len0]);
+    let (magic, trailer) = read_raw_frame(&mut s);
+    assert_eq!(magic, MAGIC);
+    match ResponseEnvelope::decode(&trailer)
+        .expect("error trailer")
+        .body
+    {
+        ResponseBody::Error(e) => assert_eq!(e.to_string(), local.to_string()),
+        other => panic!("expected the error trailer, got {:?}", other),
+    }
+
+    // Both connections are still aligned, and the other tag still reads.
+    s.write_all(&encode_frame(&ping_payload()).unwrap())
+        .unwrap();
+    assert!(matches!(
+        read_response(&mut s),
+        Some(ResponseEnvelope {
+            id: 7,
+            body: ResponseBody::Pong
+        })
+    ));
+    assert!(client.query("ds", Some("m")).is_ok());
+    server.shutdown();
 }
 
 /// Graceful shutdown with clients in flight: every in-flight call either
