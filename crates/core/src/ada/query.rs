@@ -16,7 +16,6 @@ use crate::AdaError;
 use ada_cache::DecodedDropping;
 use ada_mdformats::xtcf::{
     frame_record_len, parse_directory, verify_chunk, ChunkDirectory, XTCF_HEADER_LEN,
-    XTCF_RECORD_NATOMS_OFFSET,
 };
 use ada_mdformats::{Frame, Trajectory};
 use ada_mdmodel::Tag;
@@ -69,24 +68,19 @@ impl StoredAnswer {
     /// The answer's chunks in (dropping, chunk) order, each as `(body,
     /// nframes, crc)`: the chunk's frame records borrowed from the
     /// backend's bytes, and the frame count and CRC-32 its directory
-    /// stores. A chunk is checked **as it is yielded** — its CRC
-    /// (`verify_chunk`, so a corrupt one is the error [`Ada::query`]
-    /// raises for it, counted in `xtcf.chunk.corrupt`) and every record's
-    /// atom count against the label's — so nothing is held back while
-    /// the rest is checked; stop at the first `Err`.
+    /// stores. A chunk is checked **as it is yielded** — `verify_chunk`,
+    /// the check a decode makes (a corrupt chunk is the error
+    /// [`Ada::query`] raises for it, counted in `xtcf.chunk.corrupt`), then
+    /// the atom count its records carry against the label's — so nothing
+    /// is held back while the rest is checked; stop at the first `Err`.
     pub fn chunks(&self) -> impl Iterator<Item = Result<(&[u8], u32, u32), AdaError>> + '_ {
         self.droppings.iter().flat_map(move |d| {
             d.dir.entries.iter().enumerate().map(move |(c, e)| {
                 let bytes = real_bytes(&d.record, &d.content)?;
                 let body = verify_chunk(bytes, &d.dir, c).map_err(|e| chunk_err(&d.record, e))?;
-                let records = body.chunks_exact(frame_record_len(e.natoms as usize));
-                for (i, record) in records.enumerate() {
-                    let n = record
-                        .get(XTCF_RECORD_NATOMS_OFFSET..XTCF_RECORD_NATOMS_OFFSET + 4)
-                        .map_or(0, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                    if n as usize != self.natoms {
-                        return Err(atoms_err(&d.record, i, n as usize, self.natoms));
-                    }
+                // Every record declares the directory's count (verified).
+                if e.natoms as usize != self.natoms {
+                    return Err(atoms_err(&d.record, 0, e.natoms as usize, self.natoms));
                 }
                 Ok((body, e.nframes, e.crc))
             })
@@ -514,10 +508,14 @@ fn dropping_frame_spans(records: &[IndexRecord], natoms: usize) -> Vec<(usize, u
 
 /// Reassemble the delivered trajectory from per-tag frame subsets: a
 /// tagged query hands back that tag's frames verbatim; a full-frame query
-/// scatters every tag's subset back into its label ranges, in logical
-/// order. Each tag must contribute exactly the label's frame count — a
-/// mismatch means a corrupt or foreign dropping, and truncating to the
-/// shortest subset would silently drop frames.
+/// lays every tag's subset back into its label ranges. The ranges of all
+/// tags, sorted by where they start, are the order an output frame is
+/// written in, so each frame is *appended* piece by piece — zeros only
+/// across atoms no tag covers, and where two tags' ranges overlap the
+/// piece that starts later lands on top. Each tag must contribute exactly
+/// the label's frame count — a mismatch means a corrupt or foreign
+/// dropping, and truncating to the shortest subset would silently drop
+/// frames.
 fn reassemble(
     label: &LabelFile,
     tag: Option<&Tag>,
@@ -528,7 +526,11 @@ fn reassemble(
             per_tag.remove(t).unwrap_or_default(),
         ));
     }
-    let mut full: Option<Vec<Frame>> = None;
+    // One piece per label range: (start, len, tag, offset in that tag's
+    // subset). Decode validated every subset frame against its ranges'
+    // atom count, so `offset + len` is inside it.
+    let mut pieces: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let mut subsets: Vec<&[Frame]> = Vec::with_capacity(per_tag.len());
     for (t, sub_frames) in &per_tag {
         if sub_frames.len() != label.nframes {
             return Err(AdaError::FrameCountMismatch {
@@ -537,33 +539,175 @@ fn reassemble(
                 got: sub_frames.len(),
             });
         }
-        let ranges = label.ranges(t)?;
-        let frames = full.get_or_insert_with(|| {
-            sub_frames
-                .iter()
-                .map(|f| Frame {
-                    step: f.step,
-                    time: f.time,
-                    pbc: f.pbc,
-                    coords: vec![[0.0; 3]; label.natoms],
-                })
-                .collect()
-        });
-        for (dst, src) in frames.iter_mut().zip(sub_frames) {
-            ranges.scatter(&src.coords, &mut dst.coords);
+        let mut offset = 0usize;
+        for r in label.ranges(t)?.iter_ranges() {
+            pieces.push((r.start, r.len(), subsets.len(), offset));
+            offset += r.len();
         }
+        subsets.push(sub_frames);
     }
-    Ok(Trajectory::from_frames(full.unwrap_or_default()))
+    pieces.sort_by_key(|&(start, ..)| start);
+    // Step, time and box are the same in every tag's copy of a frame.
+    let heads = subsets.first().copied().unwrap_or_default();
+    let frames = heads
+        .iter()
+        .enumerate()
+        .map(|(i, head)| {
+            let mut coords: Vec<[f32; 3]> = Vec::with_capacity(label.natoms);
+            for &(start, len, t, offset) in &pieces {
+                let src = &subsets[t][i].coords[offset..offset + len];
+                if coords.len() < start {
+                    coords.resize(start, [0.0; 3]);
+                }
+                let overlap = (coords.len() - start).min(len);
+                coords[start..start + overlap].copy_from_slice(&src[..overlap]);
+                coords.extend_from_slice(&src[overlap..]);
+            }
+            coords.resize(label.natoms, [0.0; 3]);
+            Frame {
+                step: head.step,
+                time: head.time,
+                pbc: head.pbc,
+                coords,
+            }
+        })
+        .collect();
+    Ok(Trajectory::from_frames(frames))
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
     use super::super::{IngestInput, RetrievedData};
+    use super::reassemble;
+    use crate::labeler::LabelFile;
     use crate::synth::SyntheticDataset;
     use crate::AdaError;
-    use ada_mdformats::Frame;
-    use ada_mdmodel::Tag;
+    use ada_mdformats::{Frame, Trajectory};
+    use ada_mdmodel::{IndexRanges, PbcBox, Tag};
+    use std::collections::BTreeMap;
+
+    /// The full-frame reassembly the piece list replaced — a zero-filled
+    /// frame per output frame, then one scatter per tag in tag order —
+    /// kept as the reference it is checked against.
+    fn reassemble_scatter(
+        label: &LabelFile,
+        per_tag: &BTreeMap<Tag, Vec<Frame>>,
+    ) -> Result<Trajectory, AdaError> {
+        let mut full: Option<Vec<Frame>> = None;
+        for (t, sub_frames) in per_tag {
+            if sub_frames.len() != label.nframes {
+                return Err(AdaError::FrameCountMismatch {
+                    tag: t.to_string(),
+                    expected: label.nframes,
+                    got: sub_frames.len(),
+                });
+            }
+            let ranges = label.ranges(t)?;
+            let frames = full.get_or_insert_with(|| {
+                sub_frames
+                    .iter()
+                    .map(|f| Frame {
+                        step: f.step,
+                        time: f.time,
+                        pbc: f.pbc,
+                        coords: vec![[0.0; 3]; label.natoms],
+                    })
+                    .collect()
+            });
+            for (dst, src) in frames.iter_mut().zip(sub_frames) {
+                ranges.scatter(&src.coords, &mut dst.coords);
+            }
+        }
+        Ok(Trajectory::from_frames(full.unwrap_or_default()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_reassemble_equals_the_scatter_reference(
+            seed: u64,
+            natoms in 0usize..48,
+            nframes in 0usize..4,
+            ntags in 0usize..5,
+            partition in 0usize..2,
+        ) {
+            let mut x = seed | 1;
+            let mut next = |below: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 33) as usize % below.max(1)
+            };
+            // Either a partition — every atom dealt to exactly one tag —
+            // or free-for-all ranges: gaps no tag covers, and ranges of
+            // two tags that overlap.
+            let mut tags: BTreeMap<Tag, IndexRanges> = BTreeMap::new();
+            let names: Vec<Tag> = (0..ntags).map(|t| Tag::new(format!("t{}", t))).collect();
+            if partition == 1 && ntags > 0 {
+                let owner: Vec<usize> = (0..natoms).map(|_| next(ntags)).collect();
+                for (t, name) in names.iter().enumerate() {
+                    let mine = (0..natoms).filter(|&a| owner[a] == t);
+                    tags.insert(name.clone(), IndexRanges::from_indices(mine));
+                }
+            } else {
+                for name in &names {
+                    let ranges = (0..next(4)).map(|_| {
+                        let start = next(natoms + 1);
+                        start..(start + next(12)).min(natoms)
+                    });
+                    tags.insert(name.clone(), IndexRanges::from_ranges(ranges.collect::<Vec<_>>()));
+                }
+            }
+            let source: Vec<Frame> = (0..nframes)
+                .map(|f| Frame {
+                    step: f as i32 * 10,
+                    time: f as f32 * 0.5,
+                    pbc: PbcBox::rectangular(3.0, 4.0, 5.0),
+                    coords: (0..natoms)
+                        .map(|a| [a as f32 + 0.25, f as f32 + 1.0, -(next(1000) as f32) - 1.0])
+                        .collect(),
+                })
+                .collect();
+            // Both copies of an overlap come from one source frame.
+            let per_tag: BTreeMap<Tag, Vec<Frame>> = tags
+                .iter()
+                .map(|(t, r)| (t.clone(), source.iter().map(|f| f.subset(r)).collect()))
+                .collect();
+            let label = LabelFile::new("d", natoms, nframes, tags);
+            let got = reassemble(&label, None, per_tag.clone()).unwrap();
+            proptest::prop_assert_eq!(&got, &reassemble_scatter(&label, &per_tag).unwrap());
+            if partition == 1 && ntags > 0 {
+                proptest::prop_assert_eq!(&got.frames, &source);
+            }
+            // A tagged answer is that tag's subset, untouched.
+            if let Some((t, frames)) = per_tag.iter().next() {
+                let tagged = reassemble(&label, Some(t), per_tag.clone()).unwrap();
+                proptest::prop_assert_eq!(&tagged.frames, frames);
+            }
+        }
+    }
+
+    #[test]
+    fn reassemble_refuses_a_tag_that_is_short_of_frames() {
+        let tags: BTreeMap<Tag, IndexRanges> = [
+            (Tag::new("a"), IndexRanges::single(0..2)),
+            (Tag::new("b"), IndexRanges::single(2..5)),
+        ]
+        .into();
+        let label = LabelFile::new("d", 5, 3, tags);
+        let frames = |n: usize, atoms: usize| vec![Frame::from_coords(vec![[1.0; 3]; atoms]); n];
+        let per_tag: BTreeMap<Tag, Vec<Frame>> =
+            [(Tag::new("a"), frames(3, 2)), (Tag::new("b"), frames(2, 3))].into();
+        let err = reassemble(&label, None, per_tag.clone()).unwrap_err();
+        assert!(
+            matches!(&err, AdaError::FrameCountMismatch { tag, expected: 3, got: 2 } if tag == "b"),
+            "{:?}",
+            err
+        );
+        let reference = reassemble_scatter(&label, &per_tag).unwrap_err();
+        assert_eq!(err.to_string(), reference.to_string());
+    }
 
     #[test]
     fn query_all_reassembles_full_frames() {

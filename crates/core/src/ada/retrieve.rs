@@ -99,7 +99,7 @@ pub(super) fn chunk_err(record: &IndexRecord, source: FormatError) -> AdaError {
 }
 
 /// Frame `frame` of a unit of `record` carries `got` atoms where the
-/// tag's label ranges select `want` — reassembly would scatter it out of
+/// tag's label ranges select `want` — reassembly would slice it out of
 /// bounds.
 pub(super) fn atoms_err(record: &IndexRecord, frame: usize, got: usize, want: usize) -> AdaError {
     xtcf_err(
@@ -186,7 +186,7 @@ fn plan(item: RetrieveItem, content: &Content, label: &LabelFile) -> Result<Plan
 }
 
 /// Reject frames whose atom count disagrees with the tag's label ranges —
-/// reassembly would scatter them out of bounds.
+/// reassembly would slice them out of bounds.
 fn validate_atoms(
     record: &IndexRecord,
     natoms: Option<usize>,

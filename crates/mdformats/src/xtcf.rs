@@ -66,11 +66,13 @@ pub const XTCF_TRAILER_LEN: usize = 12;
 /// Byte offset of the atom count `n` inside a frame record: after `step`,
 /// `time` and the nine box floats.
 pub const XTCF_RECORD_NATOMS_OFFSET: usize = 4 + 4 + 36;
+/// Bytes of a frame record before its coordinates: through `n`.
+const RECORD_HEAD_LEN: usize = XTCF_RECORD_NATOMS_OFFSET + 4;
 
 /// Per-frame record length for `natoms` (saturating: an impossible shape
 /// yields `usize::MAX` instead of wrapping).
 pub fn frame_record_len(natoms: usize) -> usize {
-    (4usize + 4 + 36 + 4).saturating_add(natoms.saturating_mul(12))
+    RECORD_HEAD_LEN.saturating_add(natoms.saturating_mul(12))
 }
 
 /// Total encoded v1 size for a trajectory of `nframes` × `natoms`
@@ -80,12 +82,32 @@ pub fn encoded_len(nframes: usize, natoms: usize) -> usize {
     XTCF_HEADER_LEN.saturating_add(nframes.saturating_mul(frame_record_len(natoms)))
 }
 
-/// Slicing-by-16 lookup tables, built at compile time: `[0]` is the
-/// classic bytewise table and `[k][b]` is the CRC state after byte `b`
-/// followed by `k` zero bytes, so sixteen input bytes fold into the state
-/// with sixteen independent loads.
-static CRC32_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
+/// Lanes of the braided checksum: independent CRC states advanced side by
+/// side over consecutive 8-byte words. Chosen by the `crc32` rung (DESIGN.md
+/// §14 *The checksum kernel* has the sweep), not a setting.
+const CRC32_LANES: usize = 5;
+/// Bytes one main-loop step of [`crc32`] consumes: one word per lane.
+const CRC32_BLOCK: usize = CRC32_LANES * 8;
+
+/// The two table sets of the braided checksum, built at compile time from
+/// one chain: `chain[z][b]` is the raw CRC state after byte `b` followed by
+/// `z` zero bytes (`chain[0]` is the classic bytewise table).
+///
+/// * `word[k] = chain[k]` folds one 8-byte word into the state that
+///   *follows* it: byte `k` of the word has `7 - k` bytes after it.
+/// * `braid[k] = chain[CRC32_BLOCK - 8 + k]` carries a lane's word to the
+///   same lane's word of the *next block*: byte `k` has `CRC32_BLOCK - 1 -
+///   k` bytes after it, the rest of its word and the other lanes' words.
+struct Crc32Tables {
+    word: [[u32; 256]; 8],
+    braid: [[u32; 256]; 8],
+}
+
+static CRC32_TABLES: Crc32Tables = {
+    let mut t = Crc32Tables {
+        word: [[0u32; 256]; 8],
+        braid: [[0u32; 256]; 8],
+    };
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -98,50 +120,85 @@ static CRC32_TABLES: [[u32; 256]; 16] = {
             };
             k += 1;
         }
-        tables[0][i] = c;
+        t.word[0][i] = c;
         i += 1;
     }
-    let mut k = 1;
-    while k < 16 {
+    let mut link = t.word[0];
+    let mut z = 1;
+    while z < CRC32_BLOCK {
         let mut i = 0;
         while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            link[i] = (link[i] >> 8) ^ t.word[0][(link[i] & 0xFF) as usize];
             i += 1;
         }
-        k += 1;
+        if z < 8 {
+            t.word[z] = link;
+        }
+        if z >= CRC32_BLOCK - 8 {
+            t.braid[z - (CRC32_BLOCK - 8)] = link;
+        }
+        z += 1;
     }
-    tables
+    t
 };
 
-/// IEEE CRC-32 (the zlib/PNG polynomial) — used for chunk checksums and
-/// the wire frame checksum. Slicing-by-16: sixteen bytes per step through
-/// [`CRC32_TABLES`], then a bytewise tail.
+/// Sum of `tables[7 - k][byte k of w]`: the state eight bytes contribute
+/// once everything after them (per `tables`) has gone by.
+#[inline(always)]
+fn crc32_fold(tables: &[[u32; 256]; 8], w: u64) -> u32 {
+    tables[7][(w & 0xFF) as usize]
+        ^ tables[6][((w >> 8) & 0xFF) as usize]
+        ^ tables[5][((w >> 16) & 0xFF) as usize]
+        ^ tables[4][((w >> 24) & 0xFF) as usize]
+        ^ tables[3][((w >> 32) & 0xFF) as usize]
+        ^ tables[2][((w >> 40) & 0xFF) as usize]
+        ^ tables[1][((w >> 48) & 0xFF) as usize]
+        ^ tables[0][(w >> 56) as usize]
+}
+
+/// The little-endian word at the head of a slice `chunks_exact(8)` cut.
+#[inline(always)]
+fn le_word(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// IEEE CRC-32 (the zlib/PNG polynomial) — the workspace's one checksum:
+/// XTCF chunks and the wire's message frames. A *braided* kernel (zlib's
+/// `crc32_braid`, after Kadatch & Jenkins): [`CRC32_LANES`] states run over
+/// interleaved words with no dependency between them, so a step waits on
+/// the load ports, not on one chain of table lookups. Every block but the
+/// last whole one advances each lane by a block; the last folds the lanes
+/// into one state, in stream order, through the word tables; what is left
+/// (and any input shorter than two blocks) goes a word, then a byte, at a
+/// time. The value is the serial one whatever the split — the bytewise
+/// loop in the tests is the reference.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(16);
-    for b in &mut blocks {
-        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        c = t[15][(lo & 0xFF) as usize]
-            ^ t[14][((lo >> 8) & 0xFF) as usize]
-            ^ t[13][((lo >> 16) & 0xFF) as usize]
-            ^ t[12][(lo >> 24) as usize]
-            ^ t[11][b[4] as usize]
-            ^ t[10][b[5] as usize]
-            ^ t[9][b[6] as usize]
-            ^ t[8][b[7] as usize]
-            ^ t[7][b[8] as usize]
-            ^ t[6][b[9] as usize]
-            ^ t[5][b[10] as usize]
-            ^ t[4][b[11] as usize]
-            ^ t[3][b[12] as usize]
-            ^ t[2][b[13] as usize]
-            ^ t[1][b[14] as usize]
-            ^ t[0][b[15] as usize];
+    let mut rest = data;
+    let nblocks = data.len() / CRC32_BLOCK;
+    if nblocks >= 2 {
+        let (braided, after) = data.split_at((nblocks - 1) * CRC32_BLOCK);
+        let mut lanes = [0u32; CRC32_LANES];
+        lanes[0] = c;
+        for block in braided.chunks_exact(CRC32_BLOCK) {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = crc32_fold(&t.braid, le_word(word) ^ u64::from(*lane));
+            }
+        }
+        let (last, tail) = after.split_at(CRC32_BLOCK);
+        c = 0;
+        for (lane, word) in lanes.iter().zip(last.chunks_exact(8)) {
+            c = crc32_fold(&t.word, le_word(word) ^ u64::from(*lane ^ c));
+        }
+        rest = tail;
     }
-    for &b in blocks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = rest.chunks_exact(8);
+    for word in &mut words {
+        c = crc32_fold(&t.word, le_word(word) ^ u64::from(c));
+    }
+    for &b in words.remainder() {
+        c = t.word[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -222,10 +279,12 @@ impl XtcfWriter {
         }
         self.buf
             .extend_from_slice(&(coords.len() as u32).to_le_bytes());
-        for c in coords {
-            for &v in c {
-                self.buf.extend_from_slice(&v.to_le_bytes());
-            }
+        let xyz = self.buf.len();
+        self.buf.resize(xyz + 12 * coords.len(), 0);
+        for (dst, c) in self.buf[xyz..].chunks_exact_mut(12).zip(coords) {
+            dst[0..4].copy_from_slice(&c[0].to_le_bytes());
+            dst[4..8].copy_from_slice(&c[1].to_le_bytes());
+            dst[8..12].copy_from_slice(&c[2].to_le_bytes());
         }
         Ok(())
     }
@@ -252,10 +311,43 @@ impl XtcfWriter {
 }
 
 /// Copy the first four bytes of a slice the caller has already
-/// length-checked (header bounds or `take(4)`), so little-endian reads
-/// need no fallible `try_into`.
+/// length-checked (header bounds, a record of known length), so
+/// little-endian reads need no fallible `try_into`.
 fn le_bytes4(b: &[u8]) -> [u8; 4] {
     [b[0], b[1], b[2], b[3]]
+}
+
+/// The atom count a frame record declares (the record holds its header).
+fn record_natoms(rec: &[u8]) -> u32 {
+    u32::from_le_bytes(le_bytes4(&rec[XTCF_RECORD_NATOMS_OFFSET..]))
+}
+
+/// Decode one frame record. The caller fixed its length at
+/// `frame_record_len(n)` for the `n` it declares — `verify_chunk` for a
+/// chunk's records, the bound on the untrusted `n` for a v1 stream's — so
+/// the header sits at fixed offsets and the coordinates are whole rows.
+fn decode_record(rec: &[u8]) -> Frame {
+    let (head, xyz) = rec.split_at(RECORD_HEAD_LEN);
+    let f32_at = |at: usize| f32::from_le_bytes(le_bytes4(&head[at..]));
+    let mut pbc = PbcBox::zero();
+    for (i, v) in pbc.m.iter_mut().flatten().enumerate() {
+        *v = f32_at(8 + 4 * i);
+    }
+    Frame {
+        step: i32::from_le_bytes(le_bytes4(head)),
+        time: f32_at(4),
+        pbc,
+        coords: xyz
+            .chunks_exact(12)
+            .map(|c| {
+                [
+                    f32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+                    f32::from_le_bytes([c[4], c[5], c[6], c[7]]),
+                    f32::from_le_bytes([c[8], c[9], c[10], c[11]]),
+                ]
+            })
+            .collect(),
+    }
 }
 
 /// Streaming XTCF reader. Auto-detects the file version: v2 files stream
@@ -293,17 +385,6 @@ impl<'a> XtcfReader<'a> {
         })
     }
 
-    /// Raw cursor over the frame records of one verified chunk.
-    fn over(body: &'a [u8]) -> XtcfReader<'a> {
-        XtcfReader {
-            data: body,
-            pos: 0,
-            body_end: body.len(),
-            version: XTCF_VERSION_V2,
-            directory: None,
-        }
-    }
-
     /// The detected format version (1 or 2).
     pub fn version(&self) -> u32 {
         self.version
@@ -314,57 +395,31 @@ impl<'a> XtcfReader<'a> {
         self.directory.as_ref()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
-        if self.body_end - self.pos < n {
-            return Err(FormatError::UnexpectedEof);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
     /// Read the next frame, `Ok(None)` at a clean end.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FormatError> {
-        if self.pos == self.body_end {
+        let body = &self.data[self.pos..self.body_end];
+        if body.is_empty() {
             return Ok(None);
         }
-        let step = i32::from_le_bytes(le_bytes4(self.take(4)?));
-        let time = f32::from_le_bytes(le_bytes4(self.take(4)?));
-        let mut pbc = PbcBox::zero();
-        for r in 0..3 {
-            for c in 0..3 {
-                pbc.m[r][c] = f32::from_le_bytes(le_bytes4(self.take(4)?));
-            }
+        if body.len() < RECORD_HEAD_LEN {
+            return Err(FormatError::UnexpectedEof);
         }
-        let n = u32::from_le_bytes(le_bytes4(self.take(4)?)) as usize;
+        let n = record_natoms(body) as usize;
         // The atom count is untrusted on-disk input: bound it against the
         // remaining bytes before sizing any allocation, and multiply
         // checked so 32-bit targets cannot wrap into a short slice.
-        let remaining = self.body_end - self.pos;
-        let need = match n.checked_mul(12) {
-            Some(need) if need <= remaining => need,
-            _ => {
-                return Err(FormatError::Corrupt(format!(
-                    "frame atom count {} overruns the remaining {} bytes",
-                    n, remaining
-                )))
+        let remaining = body.len() - RECORD_HEAD_LEN;
+        match n.checked_mul(12) {
+            Some(need) if need <= remaining => {
+                let len = RECORD_HEAD_LEN + need;
+                self.pos += len;
+                Ok(Some(decode_record(&body[..len])))
             }
-        };
-        let body = self.take(need)?;
-        let mut coords = Vec::with_capacity(n);
-        for chunk in body.chunks_exact(12) {
-            coords.push([
-                f32::from_le_bytes(le_bytes4(&chunk[0..4])),
-                f32::from_le_bytes(le_bytes4(&chunk[4..8])),
-                f32::from_le_bytes(le_bytes4(&chunk[8..12])),
-            ]);
+            _ => Err(FormatError::Corrupt(format!(
+                "frame atom count {} overruns the remaining {} bytes",
+                n, remaining
+            ))),
         }
-        Ok(Some(Frame {
-            step,
-            time,
-            pbc,
-            coords,
-        }))
     }
 }
 
@@ -631,10 +686,12 @@ pub fn seal_v2(
 }
 
 /// The body bytes of one chunk of a v2 file — its frame records, verbatim
-/// — once its span lies inside the file and its CRC matches the
-/// directory's. The check [`decode_chunk`] makes before it decodes, for a
-/// caller that hands the bytes on undecoded. Corruption surfaces as
-/// [`FormatError::ChunkCorrupt`] carrying the chunk id.
+/// — once the chunk is known sound: its span lies inside the file, its
+/// CRC matches the directory's, and every record declares the directory's
+/// atom count, so the body *is* `nframes` records of
+/// `frame_record_len(natoms)` bytes. The one check of a chunk, whether it
+/// is then decoded ([`decode_chunk`]) or handed on as stored. Corruption
+/// surfaces as [`FormatError::ChunkCorrupt`] carrying the chunk id.
 pub fn verify_chunk<'a>(
     data: &'a [u8],
     dir: &ChunkDirectory,
@@ -669,44 +726,39 @@ pub fn verify_chunk<'a>(
             ),
         });
     }
+    for (frame, rec) in body
+        .chunks_exact(frame_record_len(e.natoms as usize))
+        .enumerate()
+    {
+        let n = record_natoms(rec);
+        if n != e.natoms {
+            return Err(FormatError::ChunkCorrupt {
+                chunk,
+                detail: format!(
+                    "frame {} declares {} atoms, the chunk directory {}",
+                    frame, n, e.natoms
+                ),
+            });
+        }
+    }
     Ok(body)
 }
 
-/// Decode one chunk of a v2 file with its CRC verified first
-/// ([`verify_chunk`]). Corruption surfaces as
-/// [`FormatError::ChunkCorrupt`] carrying the chunk id.
+/// Decode one chunk of a v2 file, verified first ([`verify_chunk`]) — after
+/// which its body is fixed-size records and decoding it is copying them.
+/// Corruption surfaces as [`FormatError::ChunkCorrupt`] carrying the chunk
+/// id.
 pub fn decode_chunk(
     data: &[u8],
     dir: &ChunkDirectory,
     chunk: usize,
 ) -> Result<Vec<Frame>, FormatError> {
     let body = verify_chunk(data, dir, chunk)?;
-    let declared = dir.entries.get(chunk).map_or(0, |e| e.nframes as usize);
-    let mut r = XtcfReader::over(body);
-    let mut frames = Vec::with_capacity(declared);
-    loop {
-        match r.next_frame() {
-            Ok(Some(f)) => frames.push(f),
-            Ok(None) => break,
-            Err(err) => {
-                return Err(FormatError::ChunkCorrupt {
-                    chunk,
-                    detail: err.to_string(),
-                })
-            }
-        }
-    }
-    if frames.len() != declared {
-        return Err(FormatError::ChunkCorrupt {
-            chunk,
-            detail: format!(
-                "decoded {} frames, directory declares {}",
-                frames.len(),
-                declared
-            ),
-        });
-    }
-    Ok(frames)
+    let natoms = dir.entries.get(chunk).map_or(0, |e| e.natoms as usize);
+    Ok(body
+        .chunks_exact(frame_record_len(natoms))
+        .map(decode_record)
+        .collect())
 }
 
 /// Encode a whole trajectory.
@@ -927,6 +979,41 @@ mod tests {
         );
     }
 
+    /// `sealed` with the atom count of record `frame` of chunk `chunk` set
+    /// to `n` and the directory's CRC re-sealed over the changed body, so
+    /// the checksum cannot be what catches it.
+    fn redeclare_atoms(mut sealed: Vec<u8>, chunk: usize, frame: usize, n: u32) -> Vec<u8> {
+        let dir = parse_directory(&sealed).unwrap().unwrap();
+        let e = dir.entries[chunk];
+        let start = e.offset as usize;
+        let at = start + frame * frame_record_len(e.natoms as usize) + XTCF_RECORD_NATOMS_OFFSET;
+        sealed[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        let crc = crc32(&sealed[start..start + e.body_len()]);
+        let entry =
+            sealed.len() - XTCF_TRAILER_LEN - (dir.nchunks() - chunk) * XTCF_DIR_ENTRY_LEN + 16;
+        sealed[entry..entry + 4].copy_from_slice(&crc.to_le_bytes());
+        sealed
+    }
+
+    #[test]
+    fn record_declaring_another_atom_count_is_corrupt_though_the_crc_matches() {
+        let sealed = seal_v2(write_xtcf(&traj()).unwrap(), 25, 2).unwrap();
+        let broken = redeclare_atoms(sealed, 1, 1, 26);
+        let dir = parse_directory(&broken).unwrap().unwrap();
+        assert!(decode_chunk(&broken, &dir, 0).is_ok());
+        match decode_chunk(&broken, &dir, 1) {
+            Err(FormatError::ChunkCorrupt { chunk: 1, detail }) => {
+                assert_eq!(detail, "frame 1 declares 26 atoms, the chunk directory 25")
+            }
+            other => panic!("expected ChunkCorrupt, got {:?}", other),
+        }
+        // Forwarding the chunk undecoded meets the same check.
+        assert_eq!(
+            verify_chunk(&broken, &dir, 1).unwrap_err().to_string(),
+            decode_chunk(&broken, &dir, 1).unwrap_err().to_string()
+        );
+    }
+
     #[test]
     fn truncated_directory_is_corrupt() {
         let sealed = seal_v2(write_xtcf(&traj()).unwrap(), 25, 2).unwrap();
@@ -983,12 +1070,12 @@ mod tests {
         }
     }
 
-    /// The byte-at-a-time table loop the slicing kernel replaced, kept as
-    /// the reference it is checked against.
+    /// The byte-at-a-time table loop the braided kernel (and the slicing
+    /// loop before it) replaced, kept as the reference it is checked against.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut c = 0xFFFF_FFFFu32;
         for &b in data {
-            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            c = CRC32_TABLES.word[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         c ^ 0xFFFF_FFFF
     }
@@ -999,7 +1086,7 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        // Long enough to take the 16-byte main loop twice plus a tail.
+        // Under two blocks: five whole words, then three bytes.
         assert_eq!(
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
@@ -1007,12 +1094,17 @@ mod tests {
     }
 
     #[test]
-    fn crc32_slicing_equals_bytewise_at_every_small_length_and_offset() {
-        let buf: Vec<u8> = (0..96u32)
+    fn crc32_braided_equals_bytewise_at_every_small_length_and_offset() {
+        // Every length from nothing to five blocks and a word and a byte:
+        // below two blocks (words and bytes only), exactly two (one main
+        // iteration into the fold block), two and a word and bytes, and
+        // the fold block fed by two, three and four main iterations.
+        let max = 5 * CRC32_BLOCK + 9;
+        let buf: Vec<u8> = (0..(16 + max) as u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
         for start in 0..16 {
-            for len in 0..=64 {
+            for len in 0..=max {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {} len {}", start, len);
             }
@@ -1022,7 +1114,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
         #[test]
-        fn prop_crc32_slicing_equals_bytewise(
+        fn prop_crc32_braided_equals_bytewise(
             seed: u64,
             len in 0usize..(1 << 20) + 1,
             start in 0usize..16,
@@ -1040,6 +1132,62 @@ mod tests {
                 .collect();
             let s = &buf[start..];
             proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
+
+        #[test]
+        fn prop_decode_chunk_equals_read_xtcf_bit_for_bit(
+            seed: u64,
+            natoms in 0usize..41,
+            nframes in 0usize..20,
+            chunking in 0usize..4,
+        ) {
+            // Every field is raw random bits, NaN payloads included, so
+            // frames compare as bits, not as floats.
+            let mut x = seed | 1;
+            let mut bits = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u32
+            };
+            let mut f = || f32::from_bits(bits());
+            let mut w = XtcfWriter::new();
+            for _ in 0..nframes {
+                let mut pbc = PbcBox::zero();
+                pbc.m.iter_mut().flatten().for_each(|v| *v = f());
+                let coords: Vec<[f32; 3]> = (0..natoms).map(|_| [f(), f(), f()]).collect();
+                w.write_frame_parts(f().to_bits() as i32, f(), &pbc, &coords).unwrap();
+            }
+            let v1 = w.into_bytes();
+            let as_bits = |frames: &[Frame]| -> Vec<Vec<u32>> {
+                frames
+                    .iter()
+                    .map(|fr| {
+                        let head = [fr.step as u32, fr.time.to_bits()];
+                        let floats = fr.pbc.m.iter().flatten().chain(fr.coords.iter().flatten());
+                        head.into_iter().chain(floats.map(|v| v.to_bits())).collect()
+                    })
+                    .collect()
+            };
+            let streamed = read_xtcf(&v1).unwrap().frames;
+            proptest::prop_assert_eq!(streamed.len(), nframes);
+            let chunk_frames = [0, 1, 7, 64][chunking];
+            let sealed = seal_v2(v1, natoms, chunk_frames).unwrap();
+            let dir = parse_directory(&sealed).unwrap().unwrap();
+            let mut chunked = Vec::new();
+            for c in 0..dir.nchunks() {
+                chunked.extend(decode_chunk(&sealed, &dir, c).unwrap());
+            }
+            proptest::prop_assert_eq!(as_bits(&chunked), as_bits(&streamed));
+            // And the bits are the ones written: re-encoding reproduces them.
+            let mut again = XtcfWriter::with_capacity(nframes, natoms);
+            for fr in &chunked {
+                again.write_frame(fr).unwrap();
+            }
+            proptest::prop_assert_eq!(
+                seal_v2(again.into_bytes(), natoms, chunk_frames).unwrap(),
+                sealed
+            );
         }
     }
 }

@@ -10,7 +10,8 @@
 use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::xtcf::{
-    parse_directory, read_xtcf, write_xtcf, XtcfReader, XTCF_DIR_ENTRY_LEN, XTCF_TRAILER_LEN,
+    crc32, decode_chunk, frame_record_len, parse_directory, read_xtcf, seal_v2, verify_chunk,
+    write_xtcf, XtcfReader, XTCF_DIR_ENTRY_LEN, XTCF_RECORD_NATOMS_OFFSET, XTCF_TRAILER_LEN,
 };
 use ada_mdformats::{write_pdb, Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
@@ -212,6 +213,45 @@ fn windows_clear_of_the_corrupt_chunk_still_decode() {
 }
 
 #[test]
+fn record_declaring_another_atom_count_is_one_error_decoded_or_forwarded() {
+    // The second record of chunk 1 declares one atom more than the chunk
+    // directory, and the directory's CRC is re-sealed over the changed
+    // body: only the per-record check can see it. Decoding the chunk
+    // (`Ada::query`) and handing it on as stored (`StoredAnswer::chunks`)
+    // make that check through the same `verify_chunk`, so they fail with
+    // the same text.
+    let redeclare = |mut bytes: Vec<u8>| {
+        let dir = parse_directory(&bytes).unwrap().unwrap();
+        let e = dir.entries[1];
+        let start = e.offset as usize;
+        let n = start + frame_record_len(e.natoms as usize) + XTCF_RECORD_NATOMS_OFFSET;
+        bytes[n..n + 4].copy_from_slice(&(e.natoms + 1).to_le_bytes());
+        let crc = crc32(&bytes[start..start + e.body_len()]);
+        let entry = bytes.len() - XTCF_TRAILER_LEN - (dir.nchunks() - 1) * XTCF_DIR_ENTRY_LEN + 16;
+        bytes[entry..entry + 4].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    };
+    assert_corrupt(
+        "re-sealed atom count",
+        "corrupt chunk 1: frame 1 declares",
+        redeclare,
+    );
+
+    let r = rig(4);
+    ingest(&r);
+    let (path, bytes) = protein_dropping(&r);
+    rewrite(&r, &path, redeclare(bytes));
+    let tag = Tag::protein();
+    let decoded = r.ada.query("d", Some(&tag)).unwrap_err();
+    let ctx = ada_telemetry::trace::TraceContext::inactive();
+    let stored = r.ada.query_stored("d", &tag, &ctx).unwrap().unwrap();
+    let mut chunks = stored.chunks();
+    assert!(chunks.next().unwrap().is_ok(), "chunk 0 is sound");
+    let forwarded = chunks.next().unwrap().unwrap_err();
+    assert_eq!(forwarded.to_string(), decoded.to_string());
+}
+
+#[test]
 fn v1_dropping_fed_to_v2_path_decodes_identically() {
     // The compatibility shim: a dropping written in the v1 format (no
     // directory, no trailer) must keep decoding bit-identically through
@@ -297,4 +337,58 @@ fn golden_v1_fixture_decodes_bit_identically() {
 fn regenerate_golden_fixture() {
     std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).unwrap();
     std::fs::write(GOLDEN, write_xtcf(&golden_traj()).unwrap()).unwrap();
+}
+
+const GOLDEN_V2: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v2.xtcf");
+/// Chunk size the v2 fixture was sealed with: 5 frames as 2 + 2 + 1.
+const GOLDEN_V2_CHUNK_FRAMES: usize = 2;
+
+/// The committed v2 fixture is the v1 fixture sealed by the checksum
+/// kernel of the commit *before* the braided one (PR 21's slicing-by-16),
+/// so its stored CRCs are bytes no later kernel wrote: it must verify,
+/// decode to the known frames chunk by chunk, and be what sealing the v1
+/// fixture produces today, byte for byte. A checksum kernel that computes
+/// anything but the serial CRC-32 fails here.
+#[test]
+fn golden_v2_fixture_verifies_decodes_and_reseals_byte_for_byte() {
+    let sealed = std::fs::read(GOLDEN_V2).expect(
+        "golden v2 fixture present (rebuild: cargo test --test format_v2 -- --ignored regenerate_golden_v2_fixture)",
+    );
+    let dir = parse_directory(&sealed).unwrap().expect("a v2 file");
+    assert_eq!(dir.chunk_nframes(), [2, 2, 1]);
+    let golden = golden_traj();
+    let mut frames = Vec::new();
+    for c in 0..dir.nchunks() {
+        let e = dir.entries[c];
+        let start = e.offset as usize;
+        assert_eq!(
+            verify_chunk(&sealed, &dir, c).unwrap(),
+            &sealed[start..start + e.body_len()]
+        );
+        assert_eq!(e.crc, crc32(&sealed[start..start + e.body_len()]));
+        frames.extend(decode_chunk(&sealed, &dir, c).unwrap());
+    }
+    assert_eq!(frames, golden.frames, "v2 chunk decode drifted");
+    assert_eq!(
+        read_xtcf(&sealed).unwrap(),
+        golden,
+        "v2 streaming shim drifted"
+    );
+    let v1 = std::fs::read(GOLDEN).unwrap();
+    assert_eq!(
+        seal_v2(v1, golden.natoms(), GOLDEN_V2_CHUNK_FRAMES).unwrap(),
+        sealed,
+        "sealing drifted: a stored CRC or the directory layout changed"
+    );
+}
+
+/// Rebuild the v2 fixture after an intentional change to the *format*.
+/// Never to make a new checksum kernel pass: the fixture's worth is that
+/// an earlier kernel sealed it.
+#[test]
+#[ignore]
+fn regenerate_golden_v2_fixture() {
+    let v1 = std::fs::read(GOLDEN).unwrap();
+    let sealed = seal_v2(v1, golden_traj().natoms(), GOLDEN_V2_CHUNK_FRAMES).unwrap();
+    std::fs::write(GOLDEN_V2, sealed).unwrap();
 }
