@@ -9,6 +9,15 @@
 //! cargo run --release -p ada-bench --bin repro -- trace --trace-out trace.json
 //! ```
 
+// A CLI: stdout and stderr are its interface, and a panic aborts one run.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 use ada_bench::render_figure;
 use ada_mdmodel::Tag;
 use ada_platforms::figures::{fig10, fig7, fig8, fig9, table1, table2, table6};

@@ -1,5 +1,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+// The CLI's crate: a panic here aborts one `repro` run, not a caller's pipeline.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 //! # ada-bench — figure regeneration and operator gates
 //!

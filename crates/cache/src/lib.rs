@@ -12,7 +12,7 @@
 //!
 //! * keyed by `(dataset, tag, dropping)` — [`CacheKey`] — where `dropping`
 //!   is the dropping's logical offset within its `(dataset, tag)` stream;
-//! * **sharded**: each shard is an independent `parking_lot::Mutex` over a
+//! * **sharded**: each shard is an independent `ada_sync::Mutex` over a
 //!   map + CLOCK ring, so concurrent clients on different droppings do not
 //!   serialize on one lock;
 //! * bounded by a **byte budget** split evenly across shards, enforced
@@ -35,8 +35,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ada_mdformats::Frame;
+use ada_sync::Mutex;
 use ada_telemetry::{Counter, Gauge, Histogram};
-use parking_lot::Mutex;
 
 /// Tuning knobs for the decoded-dropping cache.
 ///

@@ -29,8 +29,8 @@ use ada_proto::{
     read_response, write_frame, CacheStats, RequestBody, RequestEnvelope, ResponseBody,
     WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
 };
+use ada_sync::Mutex;
 use ada_telemetry::trace;
-use parking_lot::Mutex;
 
 /// Tuning knobs for one [`Client`].
 #[derive(Debug, Clone)]

@@ -25,6 +25,7 @@ use ada_mdformats::xtcf::seal_v2;
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_simfs::Content;
 use ada_storagesim::{CpuWork, SimDuration};
+use ada_sync::Mutex;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 
@@ -341,55 +342,48 @@ impl Ada {
     }
 
     /// Seal each tag's subset of one window as one dropping. Sealing (the
-    /// per-chunk checksums) fans out across scoped threads, one per
-    /// backend; the droppings come back in backend-then-tag order for the
-    /// caller to append, so the container's dropping sequence and logical
-    /// offsets — and with them the persisted index's size and the
-    /// simulated `label_write` — do not depend on which thread won a race.
-    /// (The appends never overlapped anyway: `ContainerSet` serializes
-    /// them under its lock.)
+    /// per-chunk checksums) fans out over the crate's pool, one unit and
+    /// one worker per backend; the droppings come back in backend-then-tag
+    /// order for the caller to append, so the container's dropping sequence
+    /// and logical offsets — and with them the persisted index's size and
+    /// the simulated `label_write` — do not depend on which thread won a
+    /// race. (The appends never overlapped anyway: `ContainerSet`
+    /// serializes them under its lock.)
     fn seal_subsets(
         &self,
         subsets: BTreeMap<Tag, Vec<u8>>,
         labeler: &Labeler,
         ctx: &TraceContext,
     ) -> Result<Vec<(Tag, Vec<u8>)>, AdaError> {
-        let mut by_backend: BTreeMap<String, Vec<(Tag, Vec<u8>)>> = BTreeMap::new();
+        /// One backend's tags, each with its payload or its sealed dropping.
+        type Group = Vec<(Tag, Vec<u8>)>;
+        let mut by_backend: BTreeMap<String, Group> = BTreeMap::new();
         for (tag, payload) in subsets {
             let backend = self.determinator.policy().backend_for(&tag).to_string();
             by_backend.entry(backend).or_default().push((tag, payload));
         }
+        // A unit is sealed in place, so its claimant takes it out of its slot.
+        let groups: Vec<Mutex<Group>> = by_backend.into_values().map(Mutex::new).collect();
 
         let chunk_frames = self.config.chunk_frames;
-        /// One backend's tags, each with its sealed dropping.
-        type Sealed = Result<Vec<(Tag, Vec<u8>)>, AdaError>;
-        let sealed: Vec<Sealed> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = by_backend
-                .into_values()
-                .map(|group| {
-                    let bctx = ctx.clone();
-                    scope.spawn(move |_| -> Sealed {
-                        let mut ts = bctx.span("ingest.dispatch.backend");
-                        ts.arg("tags", group.len());
-                        group
-                            .into_iter()
-                            .map(|(tag, payload)| {
-                                let natoms = labeler[&tag].count();
-                                Ok((tag, seal(payload, natoms, chunk_frames)?))
-                            })
-                            .collect()
+        let n = groups.len();
+        let sealed = crate::run_pool("dispatch worker", n, n, ctx, |ctx, claim| {
+            let mut done = Vec::new();
+            while let Some(backend) = claim() {
+                let group = std::mem::take(&mut *groups[backend].lock());
+                let mut ts = ctx.span("ingest.dispatch.backend");
+                ts.arg("tags", group.len());
+                let droppings: Result<Group, AdaError> = group
+                    .into_iter()
+                    .map(|(tag, payload)| {
+                        let natoms = labeler[&tag].count();
+                        Ok((tag, seal(payload, natoms, chunk_frames)?))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| Err(crate::worker_panic("dispatch worker", p)))
-                })
-                .collect()
-        })
-        .map_err(|p| crate::worker_panic("dispatch scope", p))?;
+                    .collect();
+                done.push((backend, droppings));
+            }
+            done
+        })?;
 
         let mut droppings = Vec::new();
         for backend_out in sealed {
@@ -665,6 +659,51 @@ mod tests {
                 );
             }
             _ => panic!(),
+        }
+    }
+
+    /// The dispatch stage on the crate's pool: whether a window's two tags
+    /// share a backend (one unit, one worker) or not (two), every dropping
+    /// is what `seal_v2` makes of its payload inline, in backend-then-tag
+    /// order.
+    #[test]
+    fn seal_subsets_on_the_pool_equals_inline_sealing() {
+        use crate::categorizer::categorize_algo1;
+        use crate::determinator::DispatchPolicy;
+        use crate::preprocess::split_trajectory;
+        use ada_mdformats::xtcf::seal_v2;
+        use ada_telemetry::trace::TraceContext;
+
+        let w = ada_workload::gpcr_workload(900, 7, 77);
+        let (p, m) = (Tag::protein(), Tag::misc());
+        // "hdd" sorts before "ssd": the hybrid policy appends misc first.
+        let cases = [
+            (DispatchPolicy::all_to("ssd"), [&m, &p]),
+            (DispatchPolicy::hybrid_gpcr("ssd", "hdd"), [&m, &p]),
+            (DispatchPolicy::hybrid_gpcr("hdd", "ssd"), [&p, &m]),
+        ];
+        for (policy, order) in cases {
+            let cfg = AdaConfig {
+                policy,
+                chunk_frames: 3,
+                ..AdaConfig::paper_prototype("ssd", "hdd")
+            };
+            let ada = make_ada_with(cfg);
+            let labeler = categorize_algo1(&w.system, &ada.config.taxonomy);
+            let subsets = split_trajectory(&w.trajectory, &labeler).unwrap().subsets;
+            assert_eq!(subsets.len(), 2);
+
+            let expected: Vec<(Tag, Vec<u8>)> = order
+                .iter()
+                .map(|&tag| {
+                    let sealed = seal_v2(subsets[tag].clone(), labeler[tag].count(), 3).unwrap();
+                    (tag.clone(), sealed)
+                })
+                .collect();
+            let got = ada
+                .seal_subsets(subsets, &labeler, &TraceContext::inactive())
+                .unwrap();
+            assert_eq!(got, expected);
         }
     }
 }

@@ -60,13 +60,14 @@ pub use preprocess::{
 };
 pub use profile::StageProfile;
 pub use synth::SyntheticDataset;
-pub use tiering::{heat_snapshot, HeatSnapshot, MigrationPlan, Rebalancer};
+pub use tiering::{heat_snapshot, HeatSnapshot};
 
 use ada_mdformats::FormatError;
 use ada_mdformats::XtcError;
 use ada_plfs::PlfsError;
 use ada_simfs::FsError;
 use ada_telemetry::trace::TraceContext;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Errors across the ADA middleware.
@@ -179,6 +180,8 @@ pub fn worker_panic(what: &str, payload: Box<dyn std::any::Any + Send + 'static>
 /// claimed; the results come back in unit order. `threads == 0` runs
 /// `worker` on the caller's thread; otherwise `min(threads, units)` scoped
 /// threads run it — a pool never starts more workers than it has units.
+/// This is the only place the crate spawns. A worker that panics, on
+/// either kind of thread, fails the pool with [`worker_panic`]'s error.
 pub(crate) fn run_pool<T: Send>(
     what: &str,
     threads: usize,
@@ -192,19 +195,23 @@ pub(crate) fn run_pool<T: Send>(
         (unit < units).then_some(unit)
     };
     let done = if threads == 0 {
-        worker(ctx, &claim)
+        // The caller's thread is the one worker: its panic is answered in
+        // the shape a joined worker's is.
+        catch_unwind(AssertUnwindSafe(|| worker(ctx, &claim))).map_err(|p| worker_panic(what, p))?
     } else {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads.min(units))
-                .map(|_| scope.spawn(|_| worker(ctx, &claim)))
+                .map(|_| scope.spawn(|| worker(ctx, &claim)))
                 .collect();
+            // Every handle is joined before the first panic is reported,
+            // so the scope's own end-of-scope join never meets one.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
             let mut done = Vec::with_capacity(units);
-            for h in handles {
-                done.extend(h.join().map_err(|p| worker_panic(what, p))?);
+            for outcome in joined {
+                done.extend(outcome.map_err(|p| worker_panic(what, p))?);
             }
             Ok::<_, AdaError>(done)
-        })
-        .map_err(|p| worker_panic(what, p))??
+        })?
     };
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(units, || None);
@@ -435,6 +442,83 @@ mod error_tests {
                     assert!(e.to_string().contains(&src.to_string()));
                 }
                 _ => assert!(e.source().is_none()),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod pool_tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    const THREADS: [usize; 4] = [0, 1, 4, 8];
+
+    /// Square every claimed unit; `on_start` sees each worker once.
+    fn squares(
+        threads: usize,
+        units: usize,
+        on_start: impl Fn() + Sync,
+        on_unit: impl Fn(usize) + Sync,
+    ) -> Result<Vec<usize>, AdaError> {
+        let ctx = TraceContext::inactive();
+        run_pool("test pool", threads, units, &ctx, |_, claim| {
+            on_start();
+            let mut done = Vec::new();
+            while let Some(u) = claim() {
+                on_unit(u);
+                done.push((u, u * u));
+            }
+            done
+        })
+    }
+
+    #[test]
+    fn results_come_back_in_unit_order_at_every_thread_count() {
+        for threads in THREADS {
+            for units in [0, 1, 37] {
+                let got = squares(threads, units, || (), |_| ()).unwrap();
+                let expected: Vec<usize> = (0..units).map(|u| u * u).collect();
+                assert_eq!(got, expected, "threads {} units {}", threads, units);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_threads_is_the_callers_thread_and_workers_never_outnumber_units() {
+        let started: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        let note = || started.lock().unwrap().push(std::thread::current().id());
+
+        squares(0, 3, note, |_| ()).unwrap();
+        assert_eq!(*started.lock().unwrap(), [std::thread::current().id()]);
+
+        started.lock().unwrap().clear();
+        squares(8, 3, note, |_| ()).unwrap();
+        let ids: HashSet<ThreadId> = started.lock().unwrap().iter().copied().collect();
+        assert_eq!(ids.len(), 3, "8 threads over 3 units start 3 workers");
+        assert!(!ids.contains(&std::thread::current().id()));
+    }
+
+    /// A panic on one unit is the typed error `Frontend::execute` answers
+    /// a panicking request with — `"{what} panicked: {message}"` — whether
+    /// the worker was a spawned thread or the caller's own.
+    #[test]
+    fn a_panicking_unit_is_a_typed_internal_error_at_every_thread_count() {
+        for threads in THREADS {
+            let boom = |u: usize| {
+                if u == 5 {
+                    panic!("unit {} went wrong", u);
+                }
+            };
+            match squares(threads, 37, || (), boom) {
+                Err(AdaError::Internal(msg)) => assert_eq!(
+                    msg, "test pool panicked: unit 5 went wrong",
+                    "threads {}",
+                    threads
+                ),
+                other => panic!("threads {}: expected Internal, got {:?}", threads, other),
             }
         }
     }

@@ -1,93 +1,21 @@
-//! Access-aware tiering — an extension beyond the paper's prototype.
+//! Access heat — an extension beyond the paper's prototype.
 //!
 //! The paper's placement is static: the GPCR study marks protein active at
 //! ingest and that's that. But "active" is a property of the *study*, not
-//! the data — a solvation analysis hammers the water subset. This module
-//! adds the obvious adaptive layer: ADA counts tag accesses and a
-//! [`Rebalancer`] migrates hot tags to the fast backend (and cold ones off
-//! it) using the PLFS layer's dropping migration.
+//! the data — a solvation analysis hammers the water subset. ADA counts
+//! tag accesses, and the decoded-dropping cache admits by that heat.
 
 use crate::ada::Ada;
-use crate::AdaError;
 use ada_mdmodel::Tag;
-use ada_storagesim::SimDuration;
 use std::collections::BTreeMap;
-
-/// A tag-migration plan produced by the rebalancer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigrationPlan {
-    /// (dataset, tag, target backend) moves, in execution order.
-    pub moves: Vec<(String, Tag, String)>,
-}
-
-impl MigrationPlan {
-    /// True when nothing needs to move.
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
-}
-
-/// Threshold-based hot/cold rebalancer.
-#[derive(Debug, Clone)]
-pub struct Rebalancer {
-    /// Backend for hot tags.
-    pub fast_backend: String,
-    /// Backend for cold tags.
-    pub slow_backend: String,
-    /// Accesses at or above this count make a tag hot.
-    pub hot_threshold: u64,
-}
-
-impl Rebalancer {
-    /// New rebalancer.
-    pub fn new(fast: &str, slow: &str, hot_threshold: u64) -> Rebalancer {
-        Rebalancer {
-            fast_backend: fast.to_string(),
-            slow_backend: slow.to_string(),
-            hot_threshold,
-        }
-    }
-
-    /// Plan migrations for `dataset` from its access counts and current
-    /// placement.
-    pub fn plan(&self, ada: &Ada, dataset: &str) -> Result<MigrationPlan, AdaError> {
-        let heat = heat_snapshot(ada, dataset);
-        let mut moves = Vec::new();
-        for record in ada.containers().index(dataset)? {
-            let tag = Tag::new(record.tag.clone());
-            let hits = heat.heat(&tag);
-            let want = if hits >= self.hot_threshold {
-                &self.fast_backend
-            } else {
-                &self.slow_backend
-            };
-            if &record.backend != want
-                && !moves.contains(&(dataset.to_string(), tag.clone(), want.clone()))
-            {
-                moves.push((dataset.to_string(), tag, want.clone()));
-            }
-        }
-        Ok(MigrationPlan { moves })
-    }
-
-    /// Plan and execute; returns the total migration time.
-    pub fn rebalance(&self, ada: &Ada, dataset: &str) -> Result<SimDuration, AdaError> {
-        let plan = self.plan(ada, dataset)?;
-        let mut total = SimDuration::ZERO;
-        for (ds, tag, backend) in plan.moves {
-            total += ada.containers().migrate_tag(&ds, tag.as_str(), &backend)?;
-        }
-        Ok(total)
-    }
-}
 
 /// Per-tag access counters for one dataset.
 pub type AccessCounts = BTreeMap<Tag, u64>;
 
 /// A read-only view of one dataset's per-tag access heat, taken at a
-/// point in time. Cache admission and migration planners consume this
-/// instead of reaching into [`Ada`]'s counter internals, so "how hot is
-/// this tag" has one answer everywhere.
+/// point in time. Cache admission consumes this instead of reaching into
+/// [`Ada`]'s counter internals, so "how hot is this tag" has one answer
+/// everywhere.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeatSnapshot {
     counts: AccessCounts,
@@ -125,7 +53,7 @@ impl HeatSnapshot {
 
 /// Snapshot the per-tag access heat of `dataset`. Cheap (one clone of the
 /// dataset's counter map under the access lock) and read-only — the
-/// canonical input for cache admission and the [`Rebalancer`].
+/// canonical input for cache admission.
 pub fn heat_snapshot(ada: &Ada, dataset: &str) -> HeatSnapshot {
     HeatSnapshot {
         counts: ada.access_counts(dataset),
@@ -202,82 +130,5 @@ mod tests {
         assert_eq!(heat.heat(&Tag::misc()), 3);
         // Unknown datasets read as cold, not as an error.
         assert!(heat_snapshot(&ada, "nope").is_cold());
-    }
-
-    #[test]
-    fn hot_misc_gets_promoted() {
-        let ada = rig();
-        // A solvation study: MISC is queried heavily.
-        for _ in 0..5 {
-            ada.query("bar", Some(&Tag::misc())).unwrap();
-        }
-        let rb = Rebalancer::new("ssd", "hdd", 3);
-        let plan = rb.plan(&ada, "bar").unwrap();
-        assert!(plan
-            .moves
-            .iter()
-            .any(|(_, t, b)| *t == Tag::misc() && b == "ssd"));
-        // Protein is cold (never queried): planned down to HDD.
-        assert!(plan
-            .moves
-            .iter()
-            .any(|(_, t, b)| *t == Tag::protein() && b == "hdd"));
-
-        let migration_time = rb.rebalance(&ada, "bar").unwrap();
-        assert!(migration_time.as_secs_f64() > 0.0);
-        let by_backend = ada.containers().bytes_by_backend("bar").unwrap();
-        // Everything moved: MISC on ssd, protein on hdd.
-        let index = ada.containers().index("bar").unwrap();
-        for r in &index {
-            if r.tag == "m" {
-                assert_eq!(r.backend, "ssd");
-            } else {
-                assert_eq!(r.backend, "hdd");
-            }
-        }
-        assert!(by_backend["ssd"] > by_backend["hdd"]);
-    }
-
-    #[test]
-    fn rebalance_is_idempotent() {
-        let ada = rig();
-        for _ in 0..4 {
-            ada.query("bar", Some(&Tag::protein())).unwrap();
-        }
-        let rb = Rebalancer::new("ssd", "hdd", 2);
-        rb.rebalance(&ada, "bar").unwrap();
-        // Second pass: protein already hot+on ssd, misc already cold+on hdd.
-        let plan = rb.plan(&ada, "bar").unwrap();
-        assert!(plan.is_empty(), "plan {:?}", plan);
-    }
-
-    #[test]
-    fn data_survives_migration() {
-        let ada = rig();
-        let before = match ada.query("bar", Some(&Tag::protein())).unwrap().data {
-            crate::RetrievedData::Real(t) => t,
-            _ => unreachable!(),
-        };
-        // Demote protein to HDD and read it back.
-        ada.containers().migrate_tag("bar", "p", "hdd").unwrap();
-        let after_q = ada.query("bar", Some(&Tag::protein())).unwrap();
-        let after = match after_q.data {
-            crate::RetrievedData::Real(t) => t,
-            _ => unreachable!(),
-        };
-        assert_eq!(before, after);
-        // And the read now pays HDD latency: slower than the SSD read was.
-        let ssd_read = {
-            let ada2 = rig();
-            ada2.query("bar", Some(&Tag::protein())).unwrap().read
-        };
-        assert!(after_q.read > ssd_read);
-    }
-
-    #[test]
-    fn migrate_unknown_tag_or_backend_fails() {
-        let ada = rig();
-        assert!(ada.containers().migrate_tag("bar", "zz", "hdd").is_err());
-        assert!(ada.containers().migrate_tag("bar", "p", "tape").is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! ## Concurrency shape
 //!
 //! The front-end owns no threads. All scheduling state lives in one
-//! `parking_lot::Mutex<SchedulerCore>`, and each of the two critical
+//! `ada_sync::Mutex<SchedulerCore>`, and each of the two critical
 //! sections that can change who may run — a submit, which enqueues, and a
 //! slot release, which frees a slot — ends with a *drain*
 //! ([`SchedulerCore::drain`]): every job that can leave the queue now
@@ -19,11 +19,9 @@
 //! never touches another thread. Otherwise it blocks on its one-shot wake
 //! channel until a finishing caller's drain hands it `Start` or
 //! `Expired`. Wakes are collected under the lock and sent after it is
-//! released; a wake channel holds one message and gets exactly one, so
-//! the send never blocks. The vendored `parking_lot` has no `Condvar`,
-//! and the workspace lint bans unbounded channels — a bounded one-shot
-//! channel per request, read only by a request that has to wait,
-//! satisfies both.
+//! released; a wake channel (`sync_channel(1)`, read only by a request
+//! that has to wait) holds one message and gets exactly one, so the send
+//! never blocks.
 //!
 //! Nobody holds the scheduler lock while waiting or while touching
 //! storage, so the lock guards only O(1) queue operations.
@@ -40,6 +38,7 @@
 //! [`settle_malloc_thresholds`], which [`Frontend::new`] runs so that the
 //! first request is served like the millionth.
 
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -48,9 +47,9 @@ use std::time::{Duration, Instant};
 
 use ada_core::{Ada, AdaError, IngestInput, IngestReport, QueryReport};
 use ada_mdmodel::Tag;
+use ada_sync::Mutex;
 use ada_telemetry::trace::{self, TraceContext};
 use ada_telemetry::{Counter, Gauge, Histogram};
-use parking_lot::Mutex;
 
 use crate::config::FrontendConfig;
 use crate::scheduler::{Class, Popped, SchedulerCore};
@@ -109,6 +108,32 @@ fn settle_malloc_thresholds() {
     SETTLED.call_once(|| drop(black_box(Vec::<u8>::with_capacity(JUST_UNDER_THE_CEILING))));
 }
 
+/// How many distinct client names get a `frontend.client.{name}.*` family
+/// of their own. The name is whatever the peer put on the wire, so the
+/// families must be bounded: every name past the first this many is
+/// counted under `frontend.client.other.*`.
+const CLIENT_FAMILIES_MAX: usize = 64;
+
+/// One client family's outcome counters, resolved once.
+struct ClientCounters {
+    accepted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    deadline: Arc<Counter>,
+}
+
+impl ClientCounters {
+    fn register(family: &str) -> ClientCounters {
+        let outcome = |what: &str| {
+            ada_telemetry::global().counter(&format!("frontend.client.{}.{}", family, what))
+        };
+        ClientCounters {
+            accepted: outcome("accepted"),
+            rejected: outcome("rejected"),
+            deadline: outcome("deadline_exceeded"),
+        }
+    }
+}
+
 /// Global-registry handles, registered once at construction so every
 /// admission metric appears in snapshots even while still zero.
 struct Metrics {
@@ -117,6 +142,10 @@ struct Metrics {
     accepted: [Arc<Counter>; 2],
     rejected: [Arc<Counter>; 2],
     deadline: [Arc<Counter>; 2],
+    /// The client names met so far, at most [`CLIENT_FAMILIES_MAX`] of
+    /// them.
+    clients: Mutex<HashMap<String, ClientCounters>>,
+    other: ClientCounters,
 }
 
 impl Metrics {
@@ -134,11 +163,22 @@ impl Metrics {
             accepted: per_class("accepted"),
             rejected: per_class("rejected"),
             deadline: per_class("deadline_exceeded"),
+            clients: Mutex::new(HashMap::new()),
+            other: ClientCounters::register("other"),
         }
     }
 
-    fn client_counter(client: &str, what: &str) -> Arc<Counter> {
-        ada_telemetry::global().counter(&format!("frontend.client.{}.{}", client, what))
+    /// Count one outcome for `client`: one small-map lookup per request.
+    fn note_client(&self, client: &str, outcome: impl Fn(&ClientCounters) -> &Counter) {
+        let mut clients = self.clients.lock();
+        let counters = match clients.get(client) {
+            Some(known) => known,
+            None if clients.len() < CLIENT_FAMILIES_MAX => clients
+                .entry(client.to_string())
+                .or_insert_with(|| ClientCounters::register(client)),
+            None => &self.other,
+        };
+        outcome(counters).inc();
     }
 }
 
@@ -223,21 +263,21 @@ impl Frontend {
     fn note_accepted(&self, class: Class, client: &str) {
         if let Some(m) = &self.metrics {
             m.accepted[class.idx()].inc();
-            Metrics::client_counter(client, "accepted").inc();
+            m.note_client(client, |c| &c.accepted);
         }
     }
 
     fn note_rejected(&self, class: Class, client: &str) {
         if let Some(m) = &self.metrics {
             m.rejected[class.idx()].inc();
-            Metrics::client_counter(client, "rejected").inc();
+            m.note_client(client, |c| &c.rejected);
         }
     }
 
     fn note_deadline_exceeded(&self, class: Class, client: &str) {
         if let Some(m) = &self.metrics {
             m.deadline[class.idx()].inc();
-            Metrics::client_counter(client, "deadline_exceeded").inc();
+            m.note_client(client, |c| &c.deadline);
         }
     }
 

@@ -7,7 +7,7 @@
 //! The paper's Fig. 9 measures ADA under *concurrent* VMD clients, where
 //! the storage node's fixed CPU and bandwidth are the bottleneck. The
 //! core [`Ada`](ada_core::Ada) object is already shareable (`&self` with
-//! internal `parking_lot` locks) but unguarded: any number of clients can
+//! internal `ada_sync` locks) but unguarded: any number of clients can
 //! pile onto it and the node degrades unboundedly. This crate adds the
 //! arbitration layer:
 //!

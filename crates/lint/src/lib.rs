@@ -4,17 +4,20 @@
 
 //! # ada-lint — workspace-aware static analysis for the ADA reproduction
 //!
-//! The ingest and query paths are multi-threaded pipelines whose
-//! correctness rests on conventions `clippy` cannot see: bounded channels
-//! only, no panics on library hot paths (a panic inside a worker poisons a
-//! channel instead of surfacing an [`AdaError`]-style structured error),
-//! every error variant mapped to a distinct telemetry kind, `parking_lot`
-//! locks on hot crates. This crate locks those invariants in:
+//! The ingest and query paths are multi-threaded, and part of their
+//! correctness rests on *project* invariants neither `rustc` nor `clippy`
+//! can state: every [`AdaError`] variant mapped to a distinct telemetry
+//! kind, every emitted metric name in the catalog and no stale one left
+//! there, one global lock order, nothing blocking under a lock, every
+//! spawn carrying its request's trace context and keeping its handle.
+//! This crate holds those seven; what the toolchain can say — no
+//! `unsafe`, no panic or printing in library code — it says itself,
+//! through `[workspace.lints]` (DESIGN.md §9).
 //!
 //! * [`lexer`] — a small Rust lexer (comments, strings, raw strings,
 //!   lifetimes handled correctly) so rules match tokens, not text;
-//! * [`rules`] — per-file rules with stable IDs, span-accurate diagnostics
-//!   and `// ada-lint: allow(rule-id) reason` suppression;
+//! * [`rules`] — the rule IDs, span-accurate diagnostics and
+//!   `// ada-lint: allow(rule-id) reason` suppression;
 //! * [`semantic`] — cross-file passes: the `AdaError::kind()` map stays
 //!   exhaustive and distinct, and `METRICS.md` neither misses an emitted
 //!   name nor carries a stale one;
@@ -222,32 +225,25 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, LintError> {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        load_dir(root, &crate_dir.join("src"), &crate_name, false, &mut files)?;
+        load_dir(root, &crate_dir.join("src"), &crate_name, &mut files)?;
     }
     // The umbrella crate at the workspace root (re-exports + integration
-    // surface) and the runnable examples ride under the same rules: the
-    // umbrella is library code, examples are bin targets (may print).
+    // surface) and the runnable examples ride under the same rules.
     let root_src = root.join("src");
     if root_src.is_dir() {
-        load_dir(root, &root_src, "ada", false, &mut files)?;
+        load_dir(root, &root_src, "ada", &mut files)?;
     }
     let examples = root.join("examples");
     if examples.is_dir() {
-        load_dir(root, &examples, "examples", true, &mut files)?;
+        load_dir(root, &examples, "examples", &mut files)?;
     }
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     let mut allows: Vec<Allow> = Vec::new();
     for file in &files {
-        let (d, a) = rules::scan_file(&file.class, &file.tokens);
-        diagnostics.extend(d);
+        let (a, d) = rules::parse_allows(&file.class, &file.tokens);
         allows.extend(a);
-        let rel = file.class.path.as_str();
-        if rel.ends_with("/src/lib.rs") || rel == "src/lib.rs" {
-            if let Some(d) = rules::check_crate_root(&file.class, &file.tokens) {
-                diagnostics.push(d);
-            }
-        }
+        diagnostics.extend(d);
     }
 
     diagnostics.extend(semantic::check_error_kinds(&files));
@@ -282,7 +278,6 @@ fn load_dir(
     root: &Path,
     dir: &Path,
     crate_name: &str,
-    force_bin: bool,
     out: &mut Vec<SourceFile>,
 ) -> Result<(), LintError> {
     let mut paths = Vec::new();
@@ -297,8 +292,7 @@ fn load_dir(
         let tokens = lexer::lex(&body);
         let class = FileClass {
             crate_name: crate_name.to_string(),
-            path: rel.clone(),
-            is_bin_target: force_bin || rel.ends_with("src/main.rs") || rel.contains("/src/bin/"),
+            path: rel,
         };
         out.push(SourceFile::new(class, tokens));
     }

@@ -16,6 +16,9 @@
 //! `rule path line col open|suppressed`), exiting nonzero on any mismatch —
 //! the analyzer proves its own rules still fire before gating the tree.
 
+// A CLI: stdout and stderr are its interface.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use std::path::{Path, PathBuf};
 
 fn main() {

@@ -1,30 +1,15 @@
-//! The rule engine: per-file rules over the token stream.
+//! The rule catalog and the suppression machinery.
 //!
-//! Every rule has a stable ID (see [`RULES`]), produces span-accurate
-//! diagnostics, and can be suppressed site-by-site with
-//! `// ada-lint: allow(rule-id) reason` — the reason is mandatory, and the
-//! comment must sit on the finding's line or the line directly above it.
-//! Unused or malformed suppressions are themselves findings, so annotations
-//! cannot rot silently.
+//! Every rule has a stable ID (see [`RULES`]) and produces span-accurate
+//! diagnostics; the passes themselves live in `semantic.rs` and
+//! `concurrency.rs`. A concurrency finding can be suppressed site by site
+//! with `// ada-lint: allow(rule-id) reason` — the reason is mandatory, and
+//! the comment must sit on the finding's line or the line directly above
+//! it. Unused or malformed suppressions are themselves findings, so
+//! annotations cannot rot silently.
 
 use crate::lexer::{Token, TokenKind};
 
-/// `no-panic-in-lib`: no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
-/// `unimplemented!` in non-test, non-bench library code. A panic inside a
-/// pipeline worker thread poisons channels instead of surfacing a
-/// structured `AdaError`.
-pub const NO_PANIC: &str = "no-panic-in-lib";
-/// `bounded-channels-only`: pipeline crates must not construct unbounded
-/// channels (`mpsc::channel()`, `unbounded()`); backpressure is load-bearing.
-pub const BOUNDED_CHANNELS: &str = "bounded-channels-only";
-/// `no-std-sync-in-hot-crates`: core/plfs/simfs must use `parking_lot`
-/// locks, not `std::sync::{Mutex, RwLock, Condvar}` (no poisoning, faster
-/// uncontended path).
-pub const NO_STD_SYNC: &str = "no-std-sync-in-hot-crates";
-/// `no-print-in-lib`: `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` only
-/// in `crates/bench` (the CLI) — libraries report through return values and
-/// telemetry.
-pub const NO_PRINT: &str = "no-print-in-lib";
 /// `error-kind-exhaustive`: every `AdaError` variant maps to a distinct
 /// kind string in `kind()`, with no wildcard arm (see `semantic.rs`).
 pub const ERROR_KIND: &str = "error-kind-exhaustive";
@@ -38,9 +23,6 @@ pub const METRIC_NAME: &str = "metric-name-registered";
 /// that no scanned crate ever emits is stale and must be removed (see
 /// `semantic.rs`).
 pub const METRIC_UNUSED: &str = "unregistered-metric-unused";
-/// `forbid-unsafe`: no `unsafe` tokens anywhere, and every library crate
-/// root carries `#![forbid(unsafe_code)]`.
-pub const FORBID_UNSAFE: &str = "forbid-unsafe";
 /// `lock-order-cycle`: a cycle in the workspace-wide lock acquisition-order
 /// graph (per-function acquisition sets propagated through the call graph);
 /// two threads interleaving the witness paths deadlock (see
@@ -67,14 +49,9 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 /// All rule IDs, in reporting order. JSON reports emit a count per entry
 /// even when zero, so baselines diff cleanly.
 pub const RULES: &[&str] = &[
-    NO_PANIC,
-    BOUNDED_CHANNELS,
-    NO_STD_SYNC,
-    NO_PRINT,
     ERROR_KIND,
     METRIC_NAME,
     METRIC_UNUSED,
-    FORBID_UNSAFE,
     LOCK_ORDER,
     NO_BLOCKING,
     TRACE_PROP,
@@ -95,18 +72,6 @@ pub fn suppressible(rule: &str) -> bool {
     )
 }
 
-/// Crates whose pipelines rely on bounded channels for backpressure.
-/// `server` is here although a connection is one thread and no channel:
-/// should one come back, an unbounded one would let a fast peer queue
-/// frames without limit.
-const PIPELINE_CRATES: &[&str] = &["core", "frontend", "plfs", "simfs", "vmdsim", "server"];
-/// Crates on the ingest/query hot path that must use `parking_lot`.
-const HOT_CRATES: &[&str] = &[
-    "cache", "core", "frontend", "plfs", "simfs", "server", "client",
-];
-/// Crates exempt from `no-panic-in-lib` / `no-print-in-lib` (CLI + bench
-/// harness; panics there abort one run, not a library caller's pipeline).
-const BENCH_CRATES: &[&str] = &["bench"];
 /// Crates carrying request-scoped tracing: every spawn there must
 /// propagate a `TraceContext` (`trace-context-propagated`).
 const INSTRUMENTED_CRATES: &[&str] = &["core", "frontend", "server", "client"];
@@ -165,40 +130,13 @@ pub struct FileClass {
     pub crate_name: String,
     /// Repo-relative path (e.g. `crates/core/src/ada.rs`).
     pub path: String,
-    /// `src/main.rs` or `src/bin/**` — binary targets may print and panic.
-    pub is_bin_target: bool,
 }
 
 impl FileClass {
-    fn is_bench(&self) -> bool {
-        BENCH_CRATES.contains(&self.crate_name.as_str())
-    }
-    fn panic_rules_apply(&self) -> bool {
-        !self.is_bench() && !self.is_bin_target
-    }
-    fn is_pipeline(&self) -> bool {
-        PIPELINE_CRATES.contains(&self.crate_name.as_str())
-    }
-    fn is_hot(&self) -> bool {
-        HOT_CRATES.contains(&self.crate_name.as_str())
-    }
     /// Does the trace-propagation pass apply to this file's crate?
     pub(crate) fn is_instrumented(&self) -> bool {
         INSTRUMENTED_CRATES.contains(&self.crate_name.as_str())
     }
-}
-
-/// Run every per-file token rule over one file and return the *raw*
-/// diagnostics (including `malformed-allow`) plus the parsed `allow`
-/// directives. Suppression is resolved globally afterwards — see
-/// [`resolve_suppressions`] — so cross-file passes (semantic, concurrency)
-/// participate in the same allow mechanism.
-pub fn scan_file(class: &FileClass, tokens: &[Token]) -> (Vec<Diagnostic>, Vec<Allow>) {
-    let in_test = test_regions(tokens);
-    let (allows, mut diags) = parse_allows(class, tokens);
-    let code = crate::lexer::code_indices(tokens);
-    scan_code_rules(class, tokens, &code, &in_test, &mut diags);
-    (diags, allows)
 }
 
 /// Resolve suppressions across the whole workspace: an allow covers
@@ -238,205 +176,6 @@ pub fn resolve_suppressions(diags: &mut Vec<Diagnostic>, allows: &mut [Allow]) {
             });
         }
     }
-}
-
-/// Token-sequence matching for all code rules in one pass.
-fn scan_code_rules(
-    class: &FileClass,
-    tokens: &[Token],
-    code: &[usize],
-    in_test: &[bool],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let tok = |j: usize| -> &Token { &tokens[code[j]] };
-    let text = |j: usize| -> &str { tok(j).text.as_str() };
-    let is_p = |j: usize, c: char| tok(j).kind == TokenKind::Punct && text(j).starts_with(c);
-
-    for j in 0..code.len() {
-        let t = tok(j);
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let tested = in_test[code[j]];
-
-        // --- no-panic-in-lib ------------------------------------------------
-        if class.panic_rules_apply() && !tested {
-            let is_method_call = |name: &str| {
-                t.text == name
-                    && j > 0
-                    && is_p(j - 1, '.')
-                    && j + 1 < code.len()
-                    && is_p(j + 1, '(')
-            };
-            let is_macro = |name: &str| t.text == name && j + 1 < code.len() && is_p(j + 1, '!');
-            if is_method_call("unwrap") || is_method_call("expect") {
-                diags.push(Diagnostic::new(
-                    NO_PANIC,
-                    &class.path,
-                    t,
-                    format!(
-                        "`.{}()` can panic inside a library/worker path; return a structured \
-                         error (AdaError) or annotate why it is infallible",
-                        t.text
-                    ),
-                ));
-            } else if ["panic", "unreachable", "todo", "unimplemented"]
-                .iter()
-                .any(|m| is_macro(m))
-            {
-                diags.push(Diagnostic::new(
-                    NO_PANIC,
-                    &class.path,
-                    t,
-                    format!(
-                        "`{}!` aborts the thread; in a pipeline this poisons channels instead of \
-                         surfacing an AdaError",
-                        t.text
-                    ),
-                ));
-            }
-        }
-
-        // --- no-print-in-lib ------------------------------------------------
-        if class.panic_rules_apply()
-            && !tested
-            && j + 1 < code.len()
-            && is_p(j + 1, '!')
-            && ["println", "eprintln", "print", "eprint", "dbg"].contains(&t.text.as_str())
-        {
-            diags.push(Diagnostic::new(
-                NO_PRINT,
-                &class.path,
-                t,
-                format!(
-                    "`{}!` in library code; report through return values or ada-telemetry \
-                     (stdout/stderr belong to crates/bench)",
-                    t.text
-                ),
-            ));
-        }
-
-        // --- bounded-channels-only ------------------------------------------
-        if class.is_pipeline() && !tested {
-            // Skip a turbofish (`::<T>`) between the constructor name and
-            // its argument list.
-            let after_generics = |k: usize| -> usize {
-                if k + 2 < code.len() && is_p(k, ':') && is_p(k + 1, ':') && is_p(k + 2, '<') {
-                    let mut depth = 0i32;
-                    let mut m = k + 2;
-                    while m < code.len() {
-                        if is_p(m, '<') {
-                            depth += 1;
-                        } else if is_p(m, '>') {
-                            depth -= 1;
-                            if depth == 0 {
-                                return m + 1;
-                            }
-                        }
-                        m += 1;
-                    }
-                    return m;
-                }
-                k
-            };
-            let k = after_generics(j + 1);
-            let unbounded_ctor =
-                (t.text == "channel" && k + 1 < code.len() && is_p(k, '(') && is_p(k + 1, ')'))
-                    || ((t.text == "unbounded" || t.text == "unbounded_channel")
-                        && k < code.len()
-                        && is_p(k, '('));
-            if unbounded_ctor {
-                diags.push(Diagnostic::new(
-                    BOUNDED_CHANNELS,
-                    &class.path,
-                    t,
-                    "unbounded channel constructor in a pipeline crate; use \
-                     `sync_channel(depth)` so backpressure bounds memory"
-                        .to_string(),
-                ));
-            }
-        }
-
-        // --- no-std-sync-in-hot-crates --------------------------------------
-        if class.is_hot()
-            && !tested
-            && t.text == "std"
-            && matches_path(tokens, code, j, &["std", "::", "sync", "::"])
-        {
-            // `std::sync::X` or `std::sync::{A, B}` — flag banned names.
-            // The matched prefix is six code tokens: `std` `:` `:` `sync`
-            // `:` `:`.
-            const BANNED: &[&str] = &["Mutex", "RwLock", "Condvar"];
-            let after = j + 6;
-            let mut hits: Vec<usize> = Vec::new();
-            if after < code.len() {
-                if is_p(after, '{') {
-                    let mut k = after + 1;
-                    while k < code.len() && !is_p(k, '}') {
-                        if tok(k).kind == TokenKind::Ident && BANNED.contains(&text(k)) {
-                            hits.push(k);
-                        }
-                        k += 1;
-                    }
-                } else if tok(after).kind == TokenKind::Ident && BANNED.contains(&text(after)) {
-                    hits.push(after);
-                }
-            }
-            for h in hits {
-                diags.push(Diagnostic::new(
-                    NO_STD_SYNC,
-                    &class.path,
-                    tok(h),
-                    format!(
-                        "std::sync::{} in a hot crate; use parking_lot::{} (no lock poisoning, \
-                         faster uncontended path)",
-                        text(h),
-                        text(h)
-                    ),
-                ));
-            }
-        }
-
-        // --- forbid-unsafe (token half; crate-root attr half is in lib.rs) --
-        if t.text == "unsafe" {
-            diags.push(Diagnostic::new(
-                FORBID_UNSAFE,
-                &class.path,
-                t,
-                "`unsafe` is forbidden workspace-wide (crate roots carry \
-                 #![forbid(unsafe_code)])"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// True when code tokens starting at `j` spell the `::`-separated path in
-/// `parts` (`::` entries match two consecutive `:` puncts).
-fn matches_path(tokens: &[Token], code: &[usize], j: usize, parts: &[&str]) -> bool {
-    let mut k = j;
-    for part in parts {
-        if *part == "::" {
-            let ok = k + 1 < code.len()
-                && tokens[code[k]].text == ":"
-                && tokens[code[k + 1]].text == ":"
-                && tokens[code[k]].kind == TokenKind::Punct
-                && tokens[code[k + 1]].kind == TokenKind::Punct;
-            if !ok {
-                return false;
-            }
-            k += 2;
-        } else {
-            if k >= code.len()
-                || tokens[code[k]].kind != TokenKind::Ident
-                || tokens[code[k]].text != *part
-            {
-                return false;
-            }
-            k += 1;
-        }
-    }
-    true
 }
 
 /// Mark every token that lives inside `#[cfg(test)]` / `#[test]` items.
@@ -630,29 +369,4 @@ pub(crate) fn parse_allows(class: &FileClass, tokens: &[Token]) -> (Vec<Allow>, 
         }
     }
     (allows, diags)
-}
-
-/// Crate-root check for `#![forbid(unsafe_code)]` — called once per crate
-/// on its `src/lib.rs` token stream.
-pub fn check_crate_root(class: &FileClass, tokens: &[Token]) -> Option<Diagnostic> {
-    let code: Vec<usize> = (0..tokens.len())
-        .filter(|&i| !tokens[i].is_comment())
-        .collect();
-    for j in 0..code.len().saturating_sub(6) {
-        let texts: Vec<&str> = code[j..j + 7]
-            .iter()
-            .map(|&i| tokens[i].text.as_str())
-            .collect();
-        if texts == ["#", "!", "[", "forbid", "(", "unsafe_code", ")"] {
-            return None;
-        }
-    }
-    Some(Diagnostic {
-        rule: FORBID_UNSAFE,
-        path: class.path.clone(),
-        line: 1,
-        col: 1,
-        message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-        suppressed: None,
-    })
 }

@@ -2,7 +2,7 @@
 //! live, plus the safe shapes (drop first, suppressed site) for contrast.
 #![forbid(unsafe_code)]
 
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::sync::mpsc::{Receiver, SyncSender};
 
 /// Shared pipeline endpoints guarded by mutexes.

@@ -3,7 +3,7 @@
 //! closes a cycle with the direct edge `a -> b`.
 #![forbid(unsafe_code)]
 
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 
 /// Engine with two independent locks.
 pub struct Eng {

@@ -1,6 +1,5 @@
-//! Fixture crate: every rule fires somewhere in this file.
-use std::sync::Mutex;
-use std::sync::mpsc;
+//! Fixture crate: the error-kind pass fires three ways in this file.
+#![forbid(unsafe_code)]
 
 pub enum AdaError {
     A(String),
@@ -15,50 +14,5 @@ impl AdaError {
             AdaError::B => "a",
             _ => "other",
         }
-    }
-}
-
-pub fn from_option(x: Option<u32>) -> u32 {
-    let s = "strings may say .unwrap() and panic!() freely";
-    let _ = s;
-    x.unwrap()
-}
-
-/// Doc comments may say `.unwrap()` and `panic!()` freely.
-pub fn suppressed_and_open(x: Option<u32>) -> u32 {
-    // ada-lint: allow(no-panic-in-lib) fixture: first unwrap is guarded by the caller
-    let a = x.unwrap();
-    let b = x.unwrap();
-    a + b
-}
-
-pub fn channels_and_locks() {
-    let (_tx, _rx) = mpsc::channel::<u32>();
-    let _lock = Mutex::new(0u32);
-}
-
-pub fn printing() {
-    println!("libraries must not print");
-}
-
-pub fn dangerous() -> u32 {
-    let p = &1u32 as *const u32;
-    unsafe { *p }
-}
-
-// ada-lint: allow(no-print-in-lib) stale: nothing on the next line prints
-pub fn quiet() {}
-
-// ada-lint: allow(definitely-not-a-rule) bogus rule id
-pub fn fine() {}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn anything_goes_in_tests() {
-        let x: Option<u32> = Some(1);
-        x.unwrap();
-        println!("ok");
-        panic!("fine");
     }
 }

@@ -75,39 +75,37 @@ fn lexer_spans_are_one_based() {
     assert_eq!(spans, [("ab", 1, 1), ("cd", 1, 4), ("ef", 2, 3)]);
 }
 
-/// The dirty fixture exercises every rule; expectations are exact
-/// `(rule, line, col, suppressed)` tuples, so spans cannot drift.
+/// The dirty fixture holds the error-kind pass (three ways) and the allow
+/// machinery on `unjoined-spawn`; expectations are exact
+/// `(rule, path, line, col, suppressed)` tuples, so spans cannot drift.
 #[test]
-fn fixture_workspace_reports_every_rule_with_exact_spans() {
+fn fixture_workspace_reports_exact_spans() {
     let report = run_workspace(&fixture("ws")).unwrap();
-    assert_eq!(report.files_scanned, 3, "core lib + core bin + bench lib");
-    assert!(
-        report
-            .diagnostics
-            .iter()
-            .all(|d| d.path == "crates/core/src/lib.rs"),
-        "bench crates and bin targets must not produce findings: {:?}",
-        report.diagnostics
-    );
-    let got: Vec<(&str, u32, u32, bool)> = report
+    assert_eq!(report.files_scanned, 2, "core lib + util lib");
+    let got: Vec<(&str, &str, u32, u32, bool)> = report
         .diagnostics
         .iter()
-        .map(|d| (d.rule, d.line, d.col, d.suppressed.is_some()))
+        .map(|d| {
+            (
+                d.rule,
+                d.path.as_str(),
+                d.line,
+                d.col,
+                d.suppressed.is_some(),
+            )
+        })
         .collect();
+    let core = "crates/core/src/lib.rs";
+    let util = "crates/util/src/lib.rs";
     let expected = [
-        ("forbid-unsafe", 1, 1, false), // missing #![forbid(unsafe_code)]
-        ("no-std-sync-in-hot-crates", 2, 16, false),
-        ("error-kind-exhaustive", 8, 5, false), // variant C unmapped
-        ("error-kind-exhaustive", 15, 23, false), // duplicate kind "a"
-        ("error-kind-exhaustive", 16, 13, false), // wildcard arm
-        ("no-panic-in-lib", 24, 7, false),
-        ("no-panic-in-lib", 30, 15, true), // allow on the line above
-        ("no-panic-in-lib", 31, 15, false), // allow covers exactly one line
-        ("bounded-channels-only", 36, 28, false), // turbofish form
-        ("no-print-in-lib", 41, 5, false),
-        ("forbid-unsafe", 46, 5, false), // `unsafe` token
-        ("unused-allow", 49, 1, false),
-        ("malformed-allow", 52, 1, false),
+        ("error-kind-exhaustive", core, 7, 5, false), // variant C unmapped
+        ("error-kind-exhaustive", core, 14, 23, false), // duplicate kind "a"
+        ("error-kind-exhaustive", core, 15, 13, false), // wildcard arm
+        ("unjoined-spawn", util, 8, 18, false),
+        ("unjoined-spawn", util, 15, 18, true), // allow on the line above
+        ("unjoined-spawn", util, 16, 18, false), // allow covers exactly one line
+        ("unused-allow", util, 19, 1, false),
+        ("malformed-allow", util, 22, 1, false),
     ];
     assert_eq!(got, expected);
 }
@@ -117,21 +115,21 @@ fn allow_comment_suppresses_exactly_one_finding_and_keeps_its_reason() {
     let report = run_workspace(&fixture("ws")).unwrap();
     let suppressed: Vec<_> = report.suppressed().collect();
     assert_eq!(suppressed.len(), 1);
-    assert_eq!(suppressed[0].line, 30);
+    assert_eq!(suppressed[0].line, 15);
     assert_eq!(
         suppressed[0].suppressed.as_deref(),
-        Some("fixture: first unwrap is guarded by the caller")
+        Some("fixture: the first worker exits with the process")
     );
-    // The structurally identical unwrap on the next line stays open.
+    // The structurally identical spawn on the next line stays open.
     assert!(report
         .unsuppressed()
-        .any(|d| d.rule == "no-panic-in-lib" && d.line == 31));
+        .any(|d| d.rule == "unjoined-spawn" && d.line == 16));
 }
 
 /// The metric catalog pass: literals registered in METRICS.md (and names
 /// in test code) pass; unregistered literals fail with exact spans. The
 /// `ws`/`clean_ws` fixtures have no METRICS.md, so the pass is skipped
-/// there — their exact-tuple expectations above stay valid.
+/// there.
 #[test]
 fn metric_names_must_be_registered_in_the_catalog() {
     let report = run_workspace(&fixture("metrics_ws")).unwrap();
@@ -162,8 +160,8 @@ fn json_report_parses_back_with_per_rule_counts() {
     let report = run_workspace(&fixture("ws")).unwrap();
     let v = ada_json::parse(&report.to_json().to_vec()).unwrap();
     assert_eq!(v.field("schema").unwrap().as_str().unwrap(), "ada-lint/2");
-    assert_eq!(v.field("files_scanned").unwrap().as_u64().unwrap(), 3);
-    assert_eq!(v.field("unsuppressed_total").unwrap().as_u64().unwrap(), 12);
+    assert_eq!(v.field("files_scanned").unwrap().as_u64().unwrap(), 2);
+    assert_eq!(v.field("unsuppressed_total").unwrap().as_u64().unwrap(), 7);
     assert_eq!(v.field("suppressed_total").unwrap().as_u64().unwrap(), 1);
 
     let rules = v.field("rules").unwrap();
@@ -176,27 +174,24 @@ fn json_report_parses_back_with_per_rule_counts() {
             .as_u64()
             .unwrap()
     };
-    assert_eq!(count("no-panic-in-lib", "unsuppressed"), 2);
-    assert_eq!(count("no-panic-in-lib", "suppressed"), 1);
+    assert_eq!(rules.as_obj().unwrap().len(), 9, "seven rules + two meta");
+    assert_eq!(count("unjoined-spawn", "unsuppressed"), 2);
+    assert_eq!(count("unjoined-spawn", "suppressed"), 1);
     assert_eq!(count("error-kind-exhaustive", "unsuppressed"), 3);
-    assert_eq!(count("bounded-channels-only", "unsuppressed"), 1);
-    assert_eq!(count("no-std-sync-in-hot-crates", "unsuppressed"), 1);
-    assert_eq!(count("no-print-in-lib", "unsuppressed"), 1);
-    assert_eq!(count("forbid-unsafe", "unsuppressed"), 2);
     assert_eq!(count("malformed-allow", "unsuppressed"), 1);
     assert_eq!(count("unused-allow", "unsuppressed"), 1);
-    // v2 additions: per-rule distinct-file counts (all findings live in
-    // the one dirty file) and zeroed entries for rules that never fired.
-    assert_eq!(count("no-panic-in-lib", "files"), 1);
+    // v2 additions: per-rule distinct-file counts and zeroed entries for
+    // rules that never fired.
+    assert_eq!(count("unjoined-spawn", "files"), 1);
     assert_eq!(count("lock-order-cycle", "files"), 0);
     assert_eq!(count("lock-order-cycle", "unsuppressed"), 0);
 
-    assert_eq!(v.field("findings").unwrap().as_arr().unwrap().len(), 12);
+    assert_eq!(v.field("findings").unwrap().as_arr().unwrap().len(), 7);
     let sups = v.field("suppressions").unwrap().as_arr().unwrap();
     assert_eq!(sups.len(), 1);
     assert_eq!(
         sups[0].field("allow_reason").unwrap().as_str().unwrap(),
-        "fixture: first unwrap is guarded by the caller"
+        "fixture: the first worker exits with the process"
     );
 }
 
@@ -214,7 +209,7 @@ fn deny_flag_drives_the_exit_code() {
     assert_eq!(dirty.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&dirty.stdout);
     assert!(
-        stdout.contains("crates/core/src/lib.rs:24:7 [no-panic-in-lib]"),
+        stdout.contains("crates/util/src/lib.rs:8:18 [unjoined-spawn]"),
         "diagnostic lines must be span-accurate: {}",
         stdout
     );

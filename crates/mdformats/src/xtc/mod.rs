@@ -14,7 +14,7 @@
 //! There is one reader: a header-only [`index_frames`] scan finds the
 //! frames (ADA checks and windows a trajectory from it without
 //! decompressing anything), and [`decode_spans`] decodes any sub-slice of
-//! them, fanning the decompression out over crossbeam scoped threads —
+//! them, fanning the decompression out over `std::thread::scope` —
 //! decompression dominates turnaround time in the paper (Fig. 8), so the
 //! substrate makes it parallelizable. [`XtcWriter`] is the write side.
 
@@ -237,9 +237,9 @@ fn decode_span(data: &[u8], span: &FrameSpan) -> Result<Frame, XtcError> {
 
 /// Decode the frames `spans` cover — all of [`index_frames`]`(data)` or
 /// any sub-slice of it; a frame decodes the same alone as in a full read
-/// — over `nthreads` crossbeam scoped threads. With one thread (or one
-/// frame) there is nothing to fan out and the frames decode on the
-/// caller's thread.
+/// — over `nthreads` scoped threads, each a contiguous share of the
+/// spans. With one thread (or one frame) there is nothing to fan out and
+/// the frames decode on the caller's thread.
 pub fn decode_spans(
     data: &[u8],
     spans: &[FrameSpan],
@@ -253,26 +253,23 @@ pub fn decode_spans(
         }
         return Ok(Trajectory::from_frames(frames));
     }
-    let mut slots: Vec<Option<Result<Frame, XtcError>>> = Vec::new();
-    slots.resize_with(spans.len(), || None);
     let chunk = spans.len().div_ceil(nthreads);
+    let decoded: Vec<Result<Vec<Frame>, XtcError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = spans
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || part.iter().map(|s| decode_span(data, s)).collect()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
 
-    crossbeam::thread::scope(|scope| {
-        for (spans_chunk, slots_chunk) in spans.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (span, slot) in spans_chunk.iter().zip(slots_chunk.iter_mut()) {
-                    *slot = Some(decode_span(data, span));
-                }
-            });
-        }
-    })
-    // ada-lint: allow(no-panic-in-lib) scope errs only if a worker panicked; workers run panic-free span decodes over bounds-checked spans
-    .expect("decode worker panicked");
-
+    // Parts are in span order and a worker stops at its first bad span,
+    // so the first `Err` met here is the one a serial decode would return.
     let mut frames = Vec::with_capacity(spans.len());
-    for slot in slots {
-        // ada-lint: allow(no-panic-in-lib) every slot is filled above: chunks(chunk) and chunks_mut(chunk) zip one-to-one over identical lengths
-        frames.push(slot.expect("slot not filled")?);
+    for part in decoded {
+        frames.extend(part?);
     }
     Ok(Trajectory::from_frames(frames))
 }

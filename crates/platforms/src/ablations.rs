@@ -63,20 +63,20 @@ pub fn dispatch_policy_ablation(frames: u64) -> Vec<PolicyRow> {
                 ..AdaConfig::paper_prototype("pvfs-ssd", "pvfs-hdd")
             };
             let ada = Ada::new(cfg, cs, ssd);
+            #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
             ada.ingest(
                 "bar",
                 IngestInput::Synthetic(SyntheticDataset::gpcr_paper(frames)),
             )
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
             .expect("ingest");
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
             let qp = ada.query("bar", Some(&Tag::protein())).expect("query p");
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
             let qa = ada.query("bar", None).expect("query all");
+            #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
             let ssd_bytes = ada
                 .containers()
                 .bytes_by_backend("bar")
-                // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
                 .expect("placement")
                 .get("pvfs-ssd")
                 .copied()
@@ -186,15 +186,15 @@ pub fn indexer_cost_ablation(dropping_counts: &[usize]) -> Vec<IndexerRow> {
             };
             let ada = Ada::new(cfg, cs, ssd);
             // Hand-build a container with n droppings per tag.
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
             ada.containers().create_logical("bar").unwrap();
             let spec = SyntheticDataset::gpcr_paper(5006);
             let per = spec.raw_bytes() / (2 * n as u64);
             for tag in ["p", "m"] {
                 for _ in 0..n {
+                    #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
                     ada.containers()
                         .append_tagged("bar", tag, "ssd", Content::synthetic(per))
-                        // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
                         .unwrap();
                 }
             }
@@ -203,9 +203,9 @@ pub fn indexer_cost_ablation(dropping_counts: &[usize]) -> Vec<IndexerRow> {
                 ada.containers().clone(),
                 DispatchPolicy::all_to("ssd"),
             );
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
             let (_, indexer) = det.index_lookup("bar", None).unwrap();
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
             let (_, read) = det.retrieve("bar", None).unwrap();
             IndexerRow {
                 droppings: 2 * n,

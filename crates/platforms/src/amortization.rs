@@ -44,12 +44,15 @@ pub fn ingest_amortization(frames: u64) -> Amortization {
         ..AdaConfig::paper_prototype("ssd", "ssd")
     };
     let ada = Ada::new(cfg, cs, ssd);
+    #[expect(
+        clippy::expect_used,
+        reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
+    )]
     let report = ada
         .ingest(
             "bar",
             IngestInput::Synthetic(SyntheticDataset::gpcr_paper(frames)),
         )
-        // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
         .expect("ingest");
     let ingest_s = report.total().as_secs_f64();
 

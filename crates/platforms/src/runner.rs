@@ -155,37 +155,55 @@ pub fn run_scenario(platform: &Platform, scenario: Scenario, frames: u64) -> Run
     let mut indexer = SimDuration::ZERO;
     let (mut retrieval, delivered_bytes) = match scenario {
         Scenario::CTraditional => {
+            #[expect(
+                clippy::expect_used,
+                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
+            )]
             stack
                 .plain
                 .create("bar.xtc", Content::synthetic(spec.compressed_bytes))
-                // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
                 .expect("seed compressed");
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(
+                clippy::expect_used,
+                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
+            )]
             let (_, d) = stack.plain.read("bar.xtc").expect("read compressed");
             (d, spec.compressed_bytes)
         }
         Scenario::DTraditional => {
+            #[expect(
+                clippy::expect_used,
+                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
+            )]
             stack
                 .plain
                 .create("bar.raw", Content::synthetic(raw_bytes))
-                // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
                 .expect("seed raw");
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(
+                clippy::expect_used,
+                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
+            )]
             let (_, d) = stack.plain.read("bar.raw").expect("read raw");
             (d, raw_bytes)
         }
         Scenario::AdaAll | Scenario::AdaProtein => {
+            #[expect(
+                clippy::expect_used,
+                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
+            )]
             stack
                 .ada
                 .ingest("bar", IngestInput::Synthetic(spec.clone()))
-                // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
                 .expect("ingest");
             let tag = if scenario == Scenario::AdaProtein {
                 Some(Tag::protein())
             } else {
                 None
             };
-            // ada-lint: allow(no-panic-in-lib) paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable
+            #[expect(
+                clippy::expect_used,
+                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
+            )]
             let q = stack.ada.query("bar", tag.as_ref()).expect("query");
             indexer = q.indexer;
             (q.read, q.data.bytes())
@@ -220,11 +238,14 @@ pub fn run_scenario(platform: &Platform, scenario: Scenario, frames: u64) -> Run
     let mut mem = MemoryTracker::new(platform.memory_bytes);
     let mut killed = None;
     if scenario == Scenario::CTraditional {
+        #[expect(
+            clippy::expect_used,
+            reason = "allocation is clamped to the memory budget by min() above"
+        )]
         mem.alloc(
             "stream-buffer",
             STREAM_BUFFER_BYTES.min(spec.compressed_bytes),
         )
-        // ada-lint: allow(no-panic-in-lib) allocation is clamped to the memory budget by min() above
         .expect("stream buffer always fits");
     }
     match mem.alloc("frames", frames_bytes) {

@@ -3,7 +3,7 @@
 use ada_json::Value;
 use ada_simfs::{Content, FsError, SimFileSystem};
 use ada_storagesim::SimDuration;
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -371,53 +371,6 @@ impl ContainerSet {
             *out.entry(r.backend).or_insert(0) += r.len;
         }
         Ok(out)
-    }
-
-    /// Move every dropping of `tag` in `logical` onto `target` backend,
-    /// rewriting the index. Returns the virtual time spent (reads from the
-    /// old backend + writes to the new one, serialized — migration is a
-    /// background maintenance task, not a fast path).
-    pub fn migrate_tag(
-        &self,
-        logical: &str,
-        tag: &str,
-        target: &str,
-    ) -> Result<SimDuration, PlfsError> {
-        // Validate the target before touching anything.
-        let target_fs = self.backend(target)?.clone();
-        let records: Vec<(usize, IndexRecord)> = self
-            .index(logical)?
-            .into_iter()
-            .enumerate()
-            .filter(|(_, r)| r.tag == tag)
-            .collect();
-        if records.is_empty() {
-            return Err(PlfsError::NoSuchTag {
-                logical: logical.to_string(),
-                tag: tag.to_string(),
-            });
-        }
-        let mut total = SimDuration::ZERO;
-        for (pos, record) in records {
-            if record.backend == target {
-                continue;
-            }
-            let source_fs = self.backend(&record.backend)?.clone();
-            let (content, rd) = source_fs.read(&record.dropping_path)?;
-            total += rd;
-            // New dropping path under the target mount keeps the container
-            // naming scheme.
-            let new_path = record.dropping_path.replacen(&record.backend, target, 1);
-            total += target_fs.create(&new_path, content)?;
-            source_fs.delete(&record.dropping_path)?;
-            let mut g = self.containers.lock();
-            let idx = g
-                .get_mut(logical)
-                .ok_or_else(|| PlfsError::NoSuchLogical(logical.to_string()))?;
-            idx.records[pos].backend = target.to_string();
-            idx.records[pos].dropping_path = new_path;
-        }
-        Ok(total)
     }
 
     /// Persist the index of `logical` as a JSON dropping on the first

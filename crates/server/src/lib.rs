@@ -64,8 +64,8 @@ use ada_proto::{
     ResponseBody, ResponseEnvelope, Sent, StreamHead, WireIngestReport, WireQueryReport,
     DEFAULT_MAX_FRAME, HEADER_LEN,
 };
+use ada_sync::Mutex;
 use ada_telemetry::trace::{self, TraceSpanGuard};
-use parking_lot::Mutex;
 
 /// Tuning knobs for one [`Server`].
 #[derive(Debug, Clone)]

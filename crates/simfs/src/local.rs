@@ -3,7 +3,7 @@
 use crate::trace::{OpKind, TraceEvent, TraceLog};
 use crate::{Content, FileStat, FsError, SimFileSystem, TimedRead};
 use ada_storagesim::{Device, DeviceProfile, Raid50, SimDuration};
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::collections::BTreeMap;
 
 /// File-system software parameters (journal/metadata cost per operation).

@@ -10,7 +10,7 @@
 use crate::trace::{OpKind, TraceEvent, TraceLog};
 use crate::{Content, FileStat, FsError, SimFileSystem, TimedRead};
 use ada_storagesim::{Device, DeviceProfile, Link, SimDuration};
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::collections::BTreeMap;
 
 /// Striped-FS configuration.

@@ -7,7 +7,7 @@
 //! a MISC dropping from the HDD backend.
 
 use ada_storagesim::SimDuration;
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::sync::Arc;
 
 /// Kind of file-system operation.

@@ -38,7 +38,7 @@ pub use energy::EnergyMeter;
 pub use memory::{MemoryTracker, OomKilled};
 pub use network::Link;
 
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::sync::Arc;
 
 /// A span of virtual time in nanoseconds.

@@ -33,8 +33,8 @@
 //! (the `telemetry_overhead` bench in `ada-bench` guards the budget).
 //!
 //! Zero external dependencies — the container is offline; the only deps
-//! are the in-tree `ada-json` (export) and the vendored `parking_lot`
-//! stub (registration lock).
+//! are the in-tree `ada-json` (export) and `ada-sync` (registration
+//! lock).
 
 pub mod histogram;
 pub mod trace;
@@ -43,7 +43,7 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use trace::{FlightRecorder, Trace, TraceContext, TraceSpan, TraceSpanGuard};
 
 use ada_json::Value;
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

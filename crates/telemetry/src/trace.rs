@@ -51,7 +51,7 @@
 //! and error kinds.
 
 use ada_json::Value;
-use parking_lot::Mutex;
+use ada_sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};

@@ -7,7 +7,7 @@
 //! the point: for a protein study, the protein subset suffices, so the
 //! analyses run on 42 % of the data.
 //!
-//! Frame-parallel measures fan out with crossbeam scoped threads.
+//! Frame-parallel measures fan out over `std::thread::scope`.
 
 use ada_mdformats::Frame;
 use ada_mdmodel::MolecularSystem;
@@ -79,19 +79,20 @@ pub fn rmsd_series(frames: &[Frame], nthreads: usize) -> Vec<f64> {
     let reference = &first.coords;
     let nthreads = nthreads.max(1).min(frames.len());
     let chunk = frames.len().div_ceil(nthreads);
-    let mut out = vec![0.0f64; frames.len()];
-    crossbeam::thread::scope(|scope| {
-        for (f_chunk, o_chunk) in frames.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (f, slot) in f_chunk.iter().zip(o_chunk.iter_mut()) {
-                    *slot = rmsd(reference, &f.coords);
-                }
-            });
-        }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = frames
+            .chunks(chunk)
+            .map(|part| {
+                scope.spawn(move || -> Vec<f64> {
+                    part.iter().map(|f| rmsd(reference, &f.coords)).collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     })
-    // ada-lint: allow(no-panic-in-lib) scope errs only if a worker panicked; workers do pure per-frame arithmetic on equal-length zips
-    .expect("rmsd worker panicked");
-    out
 }
 
 /// Per-atom root-mean-square fluctuation (nm) around the mean structure.

@@ -14,7 +14,7 @@
 //!   traditional path) and ADA-backed tagged loading;
 //! * [`render`] — an actual software renderer (rotation + orthographic
 //!   projection + Bresenham bond drawing into a framebuffer), parallel
-//!   across frames with crossbeam;
+//!   across frames over scoped threads;
 //! * [`profiler`] — per-phase time accounting, the Fig. 8 instrument;
 //! * [`playback`] — the §2.1 motivation: an LRU frame cache replaying
 //!   access patterns ("replaying the frames back and forth") with hit-rate

@@ -267,8 +267,8 @@ fn draw_line(fb: &mut [u32], w: usize, h: usize, a: (i64, i64), b: (i64, i64), c
     }
 }
 
-/// Render every frame of a trajectory in parallel over `nthreads` crossbeam
-/// scoped threads (frames are independent). Framebuffers are dropped;
+/// Render every frame of a trajectory in parallel over `nthreads` scoped
+/// threads (frames are independent). Framebuffers are dropped;
 /// aggregate stats are returned per frame.
 pub fn render_trajectory(
     system: &MolecularSystem,
@@ -282,25 +282,26 @@ pub fn render_trajectory(
     }
     let nthreads = nthreads.max(1).min(frames.len());
     let chunk = frames.len().div_ceil(nthreads);
-    let mut out: Vec<Option<RenderStats>> = Vec::new();
-    out.resize_with(frames.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (f_chunk, o_chunk) in frames.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (f, slot) in f_chunk.iter().zip(o_chunk.iter_mut()) {
-                    let mut stats = render_frame(system, bonds, &f.coords, opts);
-                    stats.framebuffer = Vec::new(); // keep memory flat
-                    *slot = Some(stats);
-                }
-            });
-        }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = frames
+            .chunks(chunk)
+            .map(|part| {
+                scope.spawn(move || -> Vec<RenderStats> {
+                    part.iter()
+                        .map(|f| {
+                            let mut stats = render_frame(system, bonds, &f.coords, opts);
+                            stats.framebuffer = Vec::new(); // keep memory flat
+                            stats
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     })
-    // ada-lint: allow(no-panic-in-lib) scope errs only if a worker panicked; render_frame is pure rasterization arithmetic
-    .expect("render worker panicked");
-    out.into_iter()
-        // ada-lint: allow(no-panic-in-lib) every slot is filled above: the chunked zip covers all frames one-to-one
-        .map(|s| s.expect("frame rendered"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -89,7 +89,10 @@ impl TrajectoryGenerator {
     /// coordinates unperturbed, like frame 0 of an MD run).
     pub fn next_frame(&mut self) -> Frame {
         if self.frame_index > 0 {
-            // ada-lint: allow(no-panic-in-lib) constant parameters: sigma = 1.0 is finite and positive, Normal::new cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "constant parameters: sigma = 1.0 is finite and positive, Normal::new cannot fail"
+            )]
             let normal = Normal::new(0.0f32, 1.0f32).expect("unit normal");
             for (c, &sigma) in self.current.iter_mut().zip(&self.sigmas) {
                 for axis in c.iter_mut() {

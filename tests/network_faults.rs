@@ -969,3 +969,81 @@ fn peer_that_never_reads_is_evicted_and_frees_its_connection() {
     drop(deaf);
     server.shutdown();
 }
+
+/// A peer that puts a fresh client name on every request must not grow
+/// the metric registry with it: the first 64 names a `Frontend` meets get
+/// a `frontend.client.{name}.*` family each, every later one is counted
+/// under `frontend.client.other.*`.
+#[test]
+fn ten_thousand_client_names_leave_a_bounded_metric_family() {
+    let _guard = serialize();
+    const NAMES: u64 = 10_000;
+    const FAMILIES: u64 = 64; // ada-frontend's CLIENT_FAMILIES_MAX
+    let client_counters = || -> Vec<(String, u64)> {
+        ada_telemetry::global()
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("frontend.client."))
+            .collect()
+    };
+    let count_of = |counters: &[(String, u64)], name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let mut server = start_fault_server();
+    let before = client_counters();
+
+    // A query of a dataset nobody ingested is admitted, then fails typed:
+    // the cheapest request that passes admission accounting.
+    let mut s = evil_socket(&server);
+    for batch in (0..NAMES).collect::<Vec<_>>().chunks(500) {
+        let mut burst = Vec::new();
+        for &id in batch {
+            let query = RequestEnvelope {
+                id,
+                client: format!("swarm-{}", id),
+                trace_id: 0,
+                deadline_ns: 0,
+                body: RequestBody::Query {
+                    dataset: "nobody-ingested-this".to_string(),
+                    tag: None,
+                },
+            };
+            burst.extend(encode_frame(&query.encode()).unwrap());
+        }
+        s.write_all(&burst).unwrap();
+        for &id in batch {
+            let resp = read_response(&mut s).expect("one response per frame sent");
+            assert_eq!(resp.id, id);
+            match resp.body {
+                ResponseBody::Error(e) => assert_eq!(e.kind(), "unknown_dataset", "{}", e),
+                other => panic!("request {}: expected a typed error, got {:?}", id, other),
+            }
+        }
+    }
+
+    let after = client_counters();
+    assert!(
+        after.len() - before.len() <= 3 * (FAMILIES as usize + 1),
+        "{} new frontend.client.* counters",
+        after.len() - before.len()
+    );
+    let swarm = after
+        .iter()
+        .filter(|(n, _)| n.starts_with("frontend.client.swarm-"))
+        .count();
+    assert_eq!(swarm, 3 * FAMILIES as usize);
+    for id in 0..FAMILIES {
+        let name = format!("frontend.client.swarm-{}.accepted", id);
+        assert_eq!(count_of(&after, &name), 1, "{}", name);
+    }
+    let other = "frontend.client.other.accepted";
+    assert_eq!(
+        count_of(&after, other) - count_of(&before, other),
+        NAMES - FAMILIES
+    );
+    server.shutdown();
+}
