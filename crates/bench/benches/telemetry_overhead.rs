@@ -18,7 +18,7 @@
 //! `ADA_TELEMETRY_OVERHEAD_ASSERT=1 cargo bench -p ada-bench --bench
 //! telemetry_overhead`.
 
-use ada_core::{categorize_algo1, split_trajectory_serial, Ada, AdaConfig, IngestInput, Labeler};
+use ada_core::{categorize_algo1, split_trajectory, Ada, AdaConfig, IngestInput, Labeler};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::category::Taxonomy;
 use ada_mdmodel::Tag;
@@ -33,7 +33,7 @@ use std::time::Instant;
 fn split_instrumented(traj: &Trajectory, labeler: &Labeler) -> u64 {
     let (ctx, _root) = trace::root("bench.request");
     let mut s = ctx.span("bench.split");
-    let out = split_trajectory_serial(traj, labeler).unwrap();
+    let out = split_trajectory(traj, labeler).unwrap();
     s.arg("bytes", out.raw_bytes);
     s.arg("frames", traj.len());
     out.raw_bytes

@@ -471,9 +471,11 @@ impl DecodedCache {
         let found = {
             let mut shard = self.shard_for(key).lock();
             match shard.map.get(key).copied() {
+                // The slot already holds its payload's cost: a hit counts
+                // its bytes without walking the resident frames.
                 Some(idx) => shard.slots[idx].as_mut().map(|slot| {
                     slot.referenced = true;
-                    Arc::clone(&slot.payload)
+                    (Arc::clone(&slot.payload), slot.cost)
                 }),
                 None => None,
             }
@@ -486,18 +488,19 @@ impl DecodedCache {
                 m.miss.inc();
             }
         }
-        match &found {
-            Some(payload) => {
+        match found {
+            Some((payload, cost)) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .bytes_served_from_cache
-                    .fetch_add(payload.cost(), Ordering::Relaxed);
+                    .fetch_add(cost, Ordering::Relaxed);
+                Some(payload)
             }
             None => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                None
             }
         }
-        found
     }
 
     /// True when `key` is resident (no referenced-bit side effect).
@@ -696,6 +699,11 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.bytes_served_from_cache, p.cost());
+        // Every hit serves the inserted payload's bytes, the slot's count.
+        for _ in 1..5 {
+            cache.get(&key).expect("still resident");
+        }
+        assert_eq!(cache.stats().bytes_served_from_cache, 5 * p.cost());
     }
 
     #[test]

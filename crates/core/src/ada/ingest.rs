@@ -1,10 +1,15 @@
 //! The write side (§3.4): categorize → decompress → split → dispatch,
 //! then persist the label and the index.
 //!
-//! One body runs those stages over real bytes, [`Ada::ingest_windows`]: a
-//! loop over dropping-sized windows of frames, each decoded, split,
-//! dropped and stored before the next is touched, so an ingest holds one
-//! dropping's frames in memory however long the trajectory is. It takes
+//! One body runs those stages over real bytes, [`Ada::ingest_windows`]:
+//! index, then a chunk pool. One header scan finds and checks the frames;
+//! then, a dropping-sized window at a time, the window is cut into its
+//! stored chunks and the crate's pool carries each chunk through decode →
+//! split → checksum ([`ingest_chunk`]), after which the caller assembles
+//! one v2 dropping per tag from the chunk bodies and appends it. Windows
+//! do not overlap and a window's decoded frames never exist together: in
+//! flight are at most `ingest_threads` chunks of frames plus the window's
+//! encoded bodies, however long the trajectory is. The body takes
 //! "where the labeler comes from" as a parameter — parse + Algorithm 1
 //! for [`Ada::ingest`], an ingested dataset's label for
 //! [`Ada::ingest_guided`]. A size-only dataset
@@ -16,16 +21,17 @@
 use super::{max_across_backends, traced, Ada, DatasetState, IngestInput, IngestReport};
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
-use crate::preprocess::{split_trajectory_traced, SplitOptions};
+use crate::preprocess::{check_ranges, encode_chunk};
 use crate::synth::SyntheticDataset;
 use crate::AdaError;
 use ada_mdformats::parse_structure;
 use ada_mdformats::xtc::{decode_spans, index_frames, FrameSpan};
-use ada_mdformats::xtcf::seal_v2;
+use ada_mdformats::xtcf::{
+    crc32, encoded_len, V2Assembler, XTCF_DIR_ENTRY_LEN, XTCF_HEADER_LEN, XTCF_TRAILER_LEN,
+};
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_simfs::Content;
 use ada_storagesim::{CpuWork, SimDuration};
-use ada_sync::Mutex;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 
@@ -56,6 +62,58 @@ impl Labels {
             None => Ok(()),
         }
     }
+}
+
+/// One tag's share of one chunk: the chunk's frame records for the tag as
+/// a v1 byte string (assembly skips its header) and their CRC-32.
+struct TagChunk {
+    v1: Vec<u8>,
+    crc: u32,
+}
+
+/// What a worker made of one chunk of a window.
+struct ChunkOut {
+    nframes: u32,
+    /// Decoded volume of the chunk's frames.
+    raw_bytes: u64,
+    /// Per tag, in labeler order.
+    tags: Vec<TagChunk>,
+}
+
+/// The ingest pool's unit: carry one stored chunk of frames from the
+/// compressed bytes to its per-tag records. Decompressor, then splitter
+/// (gather every frame by each tag's ranges, encode the fixed-size
+/// records), then the checksum of each body while it is hot. It stops at
+/// the chunk's first bad frame.
+fn ingest_chunk(
+    xtc_bytes: &[u8],
+    chunk: &[FrameSpan],
+    labeler: &Labeler,
+    gather_buf: &mut Vec<[f32; 3]>,
+    ctx: &TraceContext,
+) -> Result<ChunkOut, AdaError> {
+    let traj = {
+        let mut ts = ctx.span("ingest.decode");
+        ts.arg("bytes", chunk.iter().map(|s| s.len).sum::<usize>());
+        ts.arg("frames", chunk.len());
+        decode_spans(xtc_bytes, chunk)?
+    };
+    let raw_bytes = traj.nbytes() as u64;
+    let mut ts = ctx.span("ingest.split");
+    ts.arg("bytes", raw_bytes);
+    ts.arg("frames", traj.len());
+    let mut tags = Vec::with_capacity(labeler.len());
+    for ranges in labeler.values() {
+        let v1 = encode_chunk(&traj, ranges, gather_buf)?;
+        let crc = crc32(&v1[XTCF_HEADER_LEN..]);
+        tags.push(TagChunk { v1, crc });
+    }
+    Ok(ChunkOut {
+        nframes: u32::try_from(chunk.len())
+            .map_err(|_| AdaError::Internal(format!("chunk of {} frames", chunk.len())))?,
+        raw_bytes,
+        tags,
+    })
 }
 
 /// What the dispatcher has written so far: virtual write time per backend
@@ -150,11 +208,11 @@ impl Ada {
     }
 
     /// The real-bytes ingest: one header scan, then one dropping-sized
-    /// window of frames at a time through decode → split → dispatch.
-    /// `labels` says where the labeler comes from. The stages of a window
-    /// are parallel inside (decode across `decode_threads`, split across
-    /// cells, sealing across backends); windows do not overlap, so the
-    /// decoded frames alive at any moment are one window's.
+    /// window of frames at a time through the chunk pool and the
+    /// dispatcher. `labels` says where the labeler comes from. Whatever
+    /// `ingest_threads` is, what is stored is what sealing the serial
+    /// split of each window would store, and the first error in (window,
+    /// chunk) order is the request's.
     fn ingest_windows(
         &self,
         dataset: &str,
@@ -165,45 +223,70 @@ impl Ada {
         let labels = labels()?;
         let spans = index_frames(xtc_bytes)?;
         labels.check_frames(&spans)?;
+        check_ranges(&labels.labeler, labels.natoms)?;
         // `check_frames` refused an empty file, so a window is never empty.
         let frames_per_dropping = match self.config.frames_per_dropping {
             0 => spans.len(),
             n => n,
         };
+        // A window's droppings are appended in backend-then-tag order, so
+        // the container's dropping sequence and logical offsets — and with
+        // them the persisted index's size and the simulated `label_write`
+        // — depend on the policy alone. (The sort is stable: tags keep
+        // labeler order within a backend.)
+        let policy = self.determinator.policy();
+        let mut order: Vec<(usize, Tag)> = labels.labeler.keys().cloned().enumerate().collect();
+        order.sort_by(|a, b| policy.backend_for(&a.1).cmp(policy.backend_for(&b.1)));
 
         self.in_new_container(dataset, || {
             let mut routed = Routed::default();
             let mut raw_bytes = 0u64;
             for window in spans.chunks(frames_per_dropping) {
-                // Decompressor: parallel across the window's frames —
-                // storage-node cores are ADA's to spend.
-                let traj = {
-                    let mut ts = ctx.span("ingest.decode");
-                    ts.arg("bytes", window.iter().map(|s| s.len).sum::<usize>());
-                    ts.arg("frames", window.len());
-                    decode_spans(xtc_bytes, window, self.config.decode_threads)?
+                // The stored chunk is the unit — `seal_v2`'s cut — carried
+                // from compressed bytes to checksummed records by one
+                // worker: storage-node cores are ADA's to spend.
+                let chunk_frames = match self.config.chunk_frames {
+                    0 => window.len(),
+                    n => n,
                 };
-                let nbytes = traj.nbytes() as u64;
-                raw_bytes += nbytes;
+                let chunks: Vec<&[FrameSpan]> = window.chunks(chunk_frames).collect();
+                let (threads, labeler) = (self.config.ingest_threads, &labels.labeler);
+                let done =
+                    crate::run_pool("ingest worker", threads, chunks.len(), ctx, |ctx, claim| {
+                        let mut done = Vec::new();
+                        let mut gather_buf = Vec::new();
+                        while let Some(c) = claim() {
+                            let out =
+                                ingest_chunk(xtc_bytes, chunks[c], labeler, &mut gather_buf, ctx);
+                            done.push((c, out));
+                        }
+                        done
+                    })?;
+                // Unit order is chunk order, so the first `Err` met here is
+                // the one the request fails with.
+                let done = done.into_iter().collect::<Result<Vec<ChunkOut>, _>>()?;
+                raw_bytes += done.iter().map(|c| c.raw_bytes).sum::<u64>();
 
-                // Splitter: divide every frame by the labeler's ranges (tag
-                // × frame-chunk work cells over the configured worker pool).
-                let subsets = {
-                    let mut ts = ctx.span("ingest.split");
-                    ts.arg("bytes", nbytes);
-                    ts.arg("frames", traj.len());
-                    let opts = SplitOptions::with_threads(self.config.split_threads);
-                    split_trajectory_traced(&traj, &labels.labeler, opts, ctx)?.subsets
-                };
-                drop(traj);
-
-                // Dispatcher: one dropping per tag to its policy-chosen
+                // Dispatcher: one dropping per tag — the chunk bodies in
+                // order under one v2 directory — to its policy-chosen
                 // backend; the window's frame count rides in the index so
                 // range reads map frames without bytes.
                 let _ts = ctx.span("ingest.dispatch");
                 let nframes = window.len() as u64;
-                for (tag, dropping) in self.seal_subsets(subsets, &labels.labeler, ctx)? {
-                    self.append(dataset, &tag, Content::real(dropping), nframes, &mut routed)?;
+                let nominal = u32::try_from(chunk_frames).unwrap_or(u32::MAX);
+                for (t, tag) in &order {
+                    let natoms = labeler[tag].count();
+                    let capacity = encoded_len(window.len(), natoms)
+                        .saturating_add(chunks.len() * XTCF_DIR_ENTRY_LEN + XTCF_TRAILER_LEN);
+                    let mut dropping = V2Assembler::with_capacity(capacity, natoms as u32, nominal);
+                    for out in &done {
+                        let TagChunk { v1, crc } = &out.tags[*t];
+                        dropping
+                            .chunk(out.nframes, *crc)
+                            .extend_from_slice(&v1[XTCF_HEADER_LEN..]);
+                    }
+                    let dropping = Content::real(dropping.finish());
+                    self.append(dataset, tag, dropping, nframes, &mut routed)?;
                 }
             }
             let label = LabelFile::new(dataset, labels.natoms, spans.len(), labels.labeler);
@@ -340,63 +423,6 @@ impl Ada {
             profile: None, // cut from the op span's tree once it closes
         })
     }
-
-    /// Seal each tag's subset of one window as one dropping. Sealing (the
-    /// per-chunk checksums) fans out over the crate's pool, one unit and
-    /// one worker per backend; the droppings come back in backend-then-tag
-    /// order for the caller to append, so the container's dropping sequence
-    /// and logical offsets — and with them the persisted index's size and
-    /// the simulated `label_write` — do not depend on which thread won a
-    /// race. (The appends never overlapped anyway: `ContainerSet`
-    /// serializes them under its lock.)
-    fn seal_subsets(
-        &self,
-        subsets: BTreeMap<Tag, Vec<u8>>,
-        labeler: &Labeler,
-        ctx: &TraceContext,
-    ) -> Result<Vec<(Tag, Vec<u8>)>, AdaError> {
-        /// One backend's tags, each with its payload or its sealed dropping.
-        type Group = Vec<(Tag, Vec<u8>)>;
-        let mut by_backend: BTreeMap<String, Group> = BTreeMap::new();
-        for (tag, payload) in subsets {
-            let backend = self.determinator.policy().backend_for(&tag).to_string();
-            by_backend.entry(backend).or_default().push((tag, payload));
-        }
-        // A unit is sealed in place, so its claimant takes it out of its slot.
-        let groups: Vec<Mutex<Group>> = by_backend.into_values().map(Mutex::new).collect();
-
-        let chunk_frames = self.config.chunk_frames;
-        let n = groups.len();
-        let sealed = crate::run_pool("dispatch worker", n, n, ctx, |ctx, claim| {
-            let mut done = Vec::new();
-            while let Some(backend) = claim() {
-                let group = std::mem::take(&mut *groups[backend].lock());
-                let mut ts = ctx.span("ingest.dispatch.backend");
-                ts.arg("tags", group.len());
-                let droppings: Result<Group, AdaError> = group
-                    .into_iter()
-                    .map(|(tag, payload)| {
-                        let natoms = labeler[&tag].count();
-                        Ok((tag, seal(payload, natoms, chunk_frames)?))
-                    })
-                    .collect();
-                done.push((backend, droppings));
-            }
-            done
-        })?;
-
-        let mut droppings = Vec::new();
-        for backend_out in sealed {
-            droppings.extend(backend_out?);
-        }
-        Ok(droppings)
-    }
-}
-
-/// Seal an XTCF payload as a chunked v2 dropping (in place, no copy).
-fn seal(payload: Vec<u8>, natoms: usize, chunk_frames: usize) -> Result<Vec<u8>, AdaError> {
-    seal_v2(payload, natoms, chunk_frames)
-        .map_err(|e| AdaError::Internal(format!("sealing a fresh dropping failed: {}", e)))
 }
 
 #[cfg(test)]
@@ -474,10 +500,10 @@ mod tests {
         let w = ada_workload::gpcr_workload(1000, 7, 91);
         let pdb_text = ada_mdformats::write_pdb(&w.system);
         let xtc_bytes = xtc_of(&w);
-        let ingest = |frames_per_dropping, decode_threads| {
+        let ingest = |frames_per_dropping, ingest_threads| {
             let ada = make_ada_with(AdaConfig {
                 frames_per_dropping,
-                decode_threads,
+                ingest_threads,
                 ..AdaConfig::paper_prototype("ssd", "hdd")
             });
             let input = IngestInput::Real {
@@ -489,11 +515,11 @@ mod tests {
         };
 
         let whole = ingest(512, 4);
-        // `decode_threads = 1` is the decoder's serial schedule: the same
-        // windows, inflated one frame after another. `0` frames per
-        // dropping is the whole trajectory as one dropping.
-        for (fpd, decode_threads) in [(1usize, 4usize), (3, 4), (100, 4), (3, 1), (0, 4)] {
-            let windowed = ingest(fpd, decode_threads);
+        // `ingest_threads = 0` is the pool's serial schedule: the same
+        // windows, every chunk carried through on the caller. `0` frames
+        // per dropping is the whole trajectory as one dropping.
+        for (fpd, ingest_threads) in [(1usize, 4usize), (3, 4), (100, 4), (3, 0), (0, 4)] {
+            let windowed = ingest(fpd, ingest_threads);
             let droppings_per_tag = if fpd == 0 { 1 } else { 7usize.div_ceil(fpd) };
             let index = windowed.containers().index("bar").unwrap();
             assert_eq!(index.len(), 2 * droppings_per_tag, "fpd {}", fpd);
@@ -662,48 +688,29 @@ mod tests {
         }
     }
 
-    /// The dispatch stage on the crate's pool: whether a window's two tags
-    /// share a backend (one unit, one worker) or not (two), every dropping
-    /// is what `seal_v2` makes of its payload inline, in backend-then-tag
-    /// order.
+    /// A panic on an ingest worker is the request's typed error, and the
+    /// ingest it ended leaves nothing behind: the pool's answer to a panic
+    /// passes through the same all-or-nothing epilogue as any other error.
     #[test]
-    fn seal_subsets_on_the_pool_equals_inline_sealing() {
-        use crate::categorizer::categorize_algo1;
-        use crate::determinator::DispatchPolicy;
-        use crate::preprocess::split_trajectory;
-        use ada_mdformats::xtcf::seal_v2;
-        use ada_telemetry::trace::TraceContext;
-
-        let w = ada_workload::gpcr_workload(900, 7, 77);
-        let (p, m) = (Tag::protein(), Tag::misc());
-        // "hdd" sorts before "ssd": the hybrid policy appends misc first.
-        let cases = [
-            (DispatchPolicy::all_to("ssd"), [&m, &p]),
-            (DispatchPolicy::hybrid_gpcr("ssd", "hdd"), [&m, &p]),
-            (DispatchPolicy::hybrid_gpcr("hdd", "ssd"), [&p, &m]),
-        ];
-        for (policy, order) in cases {
-            let cfg = AdaConfig {
-                policy,
-                chunk_frames: 3,
-                ..AdaConfig::paper_prototype("ssd", "hdd")
-            };
-            let ada = make_ada_with(cfg);
-            let labeler = categorize_algo1(&w.system, &ada.config.taxonomy);
-            let subsets = split_trajectory(&w.trajectory, &labeler).unwrap().subsets;
-            assert_eq!(subsets.len(), 2);
-
-            let expected: Vec<(Tag, Vec<u8>)> = order
-                .iter()
-                .map(|&tag| {
-                    let sealed = seal_v2(subsets[tag].clone(), labeler[tag].count(), 3).unwrap();
-                    (tag.clone(), sealed)
+    fn a_panicking_ingest_worker_is_internal_and_frees_the_name() {
+        let ada = make_ada();
+        for threads in [0, 2] {
+            let err = ada
+                .in_new_container("bar", || {
+                    let ctx = ada_telemetry::trace::TraceContext::inactive();
+                    crate::run_pool::<()>("ingest worker", threads, 3, &ctx, |_, claim| {
+                        claim();
+                        panic!("bad chunk")
+                    })
                 })
-                .collect();
-            let got = ada
-                .seal_subsets(subsets, &labeler, &TraceContext::inactive())
-                .unwrap();
-            assert_eq!(got, expected);
+                .unwrap_err();
+            match err {
+                AdaError::Internal(msg) => assert!(msg.contains("ingest worker panicked"), "{msg}"),
+                other => panic!("expected Internal, got {other:?}"),
+            }
+            assert!(ada.containers().list_logical().is_empty());
         }
+        let (input, _) = real_input(600, 2);
+        ada.ingest("bar", input).unwrap();
     }
 }

@@ -54,10 +54,7 @@ pub use ada::{
 pub use categorizer::{categorize_algo1, Labeler};
 pub use determinator::{Determinator, DispatchPolicy};
 pub use labeler::LabelFile;
-pub use preprocess::{
-    split_trajectory, split_trajectory_serial, split_trajectory_traced, PreprocessOutput,
-    SplitOptions,
-};
+pub use preprocess::{split_trajectory, PreprocessOutput};
 pub use profile::StageProfile;
 pub use synth::SyntheticDataset;
 pub use tiering::{heat_snapshot, HeatSnapshot};

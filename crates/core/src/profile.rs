@@ -9,11 +9,11 @@
 //! `tests/trace_invariants.rs::profile_is_a_fold_of_the_tree` pins it to
 //! the trace it is cut from.
 //!
-//! A stage's time is the sum of its spans' durations. An ingest's stages
-//! run one after another, window by window, and a stage is the sum of its
-//! windows' spans. A retrieval's decode workers overlap, so a query's
-//! stage times legitimately sum to more than `wall_ns`. The bottleneck is
-//! the stage with the largest time.
+//! A stage's time is the sum of its spans' durations. An ingest's pool
+//! workers each carry a chunk through decode and split, and a retrieval's
+//! decode workers overlap the same way, so the stage times of either
+//! legitimately sum to more than `wall_ns`. The bottleneck is the stage
+//! with the largest time.
 //!
 //! A profile is not measured beside the request's trace; it **is** the
 //! trace, cut one way: [`StageProfile::from_spans`] folds the finished

@@ -21,9 +21,6 @@ pub struct FrontendConfig {
     /// methods ([`crate::Frontend::ingest`] / [`crate::Frontend::query`]);
     /// `None` means wait indefinitely.
     pub default_deadline: Option<Duration>,
-    /// Floor for the `retry_after` hint carried by `Overloaded` rejections,
-    /// used until enough completions exist to estimate service time.
-    pub retry_after_floor: Duration,
 }
 
 impl Default for FrontendConfig {
@@ -34,7 +31,6 @@ impl Default for FrontendConfig {
             ingest_queue: 16,
             query_queue: 32,
             default_deadline: None,
-            retry_after_floor: Duration::from_millis(1),
         }
     }
 }

@@ -229,12 +229,16 @@ impl Drop for Slot<'_> {
     }
 }
 
+/// Floor for the `retry_after` hint carried by `Overloaded` rejections,
+/// used until enough completions exist to estimate service time.
+const RETRY_AFTER_FLOOR: Duration = Duration::from_millis(1);
+
 impl Frontend {
     /// Build the admission state over `ada`. Spawns nothing.
     pub fn new(ada: Arc<Ada>, config: FrontendConfig) -> Frontend {
         settle_malloc_thresholds();
         let config = config.normalized();
-        let retry_floor = config.retry_after_floor.as_nanos().min(u64::MAX as u128) as u64;
+        let retry_floor = RETRY_AFTER_FLOOR.as_nanos() as u64;
         Frontend {
             ada,
             core: Mutex::new(SchedulerCore::new(

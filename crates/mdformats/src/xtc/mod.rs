@@ -14,9 +14,11 @@
 //! There is one reader: a header-only [`index_frames`] scan finds the
 //! frames (ADA checks and windows a trajectory from it without
 //! decompressing anything), and [`decode_spans`] decodes any sub-slice of
-//! them, fanning the decompression out over `std::thread::scope` —
-//! decompression dominates turnaround time in the paper (Fig. 8), so the
-//! substrate makes it parallelizable. [`XtcWriter`] is the write side.
+//! them on the caller's thread — decompression dominates turnaround time
+//! in the paper (Fig. 8), and a frame decodes independently of every
+//! other, so a caller with cores to spend (ADA's ingest pool) cuts the
+//! spans into units and decodes each where it likes. [`XtcWriter`] is the
+//! write side.
 
 mod bits;
 mod coder;
@@ -164,7 +166,7 @@ pub fn write_xtc(traj: &Trajectory, precision: f32) -> Result<Vec<u8>, XtcError>
 
 /// Decode a whole XTC byte stream on the caller's thread.
 pub fn read_xtc(data: &[u8]) -> Result<Trajectory, XtcError> {
-    decode_spans(data, &index_frames(data)?, 1)
+    decode_spans(data, &index_frames(data)?)
 }
 
 /// Scan frame boundaries without decompressing coordinate payloads.
@@ -236,40 +238,12 @@ fn decode_span(data: &[u8], span: &FrameSpan) -> Result<Frame, XtcError> {
 }
 
 /// Decode the frames `spans` cover — all of [`index_frames`]`(data)` or
-/// any sub-slice of it; a frame decodes the same alone as in a full read
-/// — over `nthreads` scoped threads, each a contiguous share of the
-/// spans. With one thread (or one frame) there is nothing to fan out and
-/// the frames decode on the caller's thread.
-pub fn decode_spans(
-    data: &[u8],
-    spans: &[FrameSpan],
-    nthreads: usize,
-) -> Result<Trajectory, XtcError> {
-    let nthreads = nthreads.min(spans.len());
-    if nthreads <= 1 {
-        let mut frames = Vec::with_capacity(spans.len());
-        for span in spans {
-            frames.push(decode_span(data, span)?);
-        }
-        return Ok(Trajectory::from_frames(frames));
-    }
-    let chunk = spans.len().div_ceil(nthreads);
-    let decoded: Vec<Result<Vec<Frame>, XtcError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(|s| decode_span(data, s)).collect()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-
-    // Parts are in span order and a worker stops at its first bad span,
-    // so the first `Err` met here is the one a serial decode would return.
+/// any sub-slice of it; a frame decodes the same alone as in a full read —
+/// on the caller's thread, stopping at the first frame that fails.
+pub fn decode_spans(data: &[u8], spans: &[FrameSpan]) -> Result<Trajectory, XtcError> {
     let mut frames = Vec::with_capacity(spans.len());
-    for part in decoded {
-        frames.extend(part?);
+    for span in spans {
+        frames.push(decode_span(data, span)?);
     }
     Ok(Trajectory::from_frames(frames))
 }
@@ -355,18 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_matches_sequential() {
-        let traj = test_traj(16, 200);
-        let bytes = write_xtc(&traj, DEFAULT_PRECISION).unwrap();
-        let seq = read_xtc(&bytes).unwrap();
-        let spans = index_frames(&bytes).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let par = decode_spans(&bytes, &spans, threads).unwrap();
-            assert_eq!(seq, par);
-        }
-    }
-
-    #[test]
     fn a_sub_slice_of_the_spans_decodes_to_those_frames() {
         let traj = test_traj(9, 150);
         let bytes = write_xtc(&traj, DEFAULT_PRECISION).unwrap();
@@ -374,19 +336,17 @@ mod tests {
         let seq = read_xtc(&bytes).unwrap();
         // Frame i decoded alone is frame i of a full read, in any order.
         for i in [7usize, 0, 4, 8, 4, 2] {
-            let one = decode_spans(&bytes, &spans[i..=i], 4).unwrap();
+            let one = decode_spans(&bytes, &spans[i..=i]).unwrap();
             assert_eq!(one.frames, seq.frames[i..=i]);
         }
-        // So is a window of them, on one thread or several.
-        for threads in [1, 3] {
-            let window = decode_spans(&bytes, &spans[2..7], threads).unwrap();
-            assert_eq!(window.frames, seq.frames[2..7]);
-        }
-        assert!(decode_spans(&bytes, &[], 4).unwrap().is_empty());
+        // So is a window of them.
+        let window = decode_spans(&bytes, &spans[2..7]).unwrap();
+        assert_eq!(window.frames, seq.frames[2..7]);
+        assert!(decode_spans(&bytes, &[]).unwrap().is_empty());
         // A span that is not of this stream is an error, not a panic.
         let mut stray = spans[8];
         stray.offset = bytes.len();
-        assert!(decode_spans(&bytes, &[stray], 1).is_err());
+        assert!(decode_spans(&bytes, &[stray]).is_err());
     }
 
     #[test]

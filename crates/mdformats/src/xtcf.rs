@@ -685,6 +685,53 @@ pub fn seal_v2(
     Ok(payload)
 }
 
+/// Assembles a v2 container from chunk bodies whose checksums are already
+/// known — an ingest's workers computed them, a chunk stream's frames
+/// carried them — so nothing is walked twice. The result is what
+/// [`seal_v2`] makes of the same records cut at the same frames.
+#[derive(Debug)]
+pub struct V2Assembler {
+    file: Vec<u8>,
+    dir: ChunkDirectory,
+    natoms: u32,
+}
+
+impl V2Assembler {
+    /// A container of `natoms`-atom frames sealed at a nominal
+    /// `chunk_frames`, its buffer reserved for `capacity` bytes.
+    pub fn with_capacity(capacity: usize, natoms: u32, chunk_frames: u32) -> V2Assembler {
+        let mut file = Vec::with_capacity(capacity);
+        file.extend_from_slice(&XTCF_MAGIC.to_le_bytes());
+        file.extend_from_slice(&XTCF_VERSION_V2.to_le_bytes());
+        V2Assembler {
+            file,
+            dir: ChunkDirectory {
+                entries: Vec::new(),
+                chunk_frames,
+            },
+            natoms,
+        }
+    }
+
+    /// Enter the next chunk — `nframes` records with checksum `crc` — and
+    /// hand back the container for the caller to append that body to.
+    pub fn chunk(&mut self, nframes: u32, crc: u32) -> &mut Vec<u8> {
+        self.dir.entries.push(ChunkEntry {
+            offset: self.file.len() as u64,
+            nframes,
+            natoms: self.natoms,
+            crc,
+        });
+        &mut self.file
+    }
+
+    /// Seal the container: directory and trailer after the last body.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.dir.append_to(&mut self.file);
+        self.file
+    }
+}
+
 /// The body bytes of one chunk of a v2 file — its frame records, verbatim
 /// — once the chunk is known sound: its span lies inside the file, its
 /// CRC matches the directory's, and every record declares the directory's

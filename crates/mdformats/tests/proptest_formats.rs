@@ -127,8 +127,12 @@ proptest! {
         let spans = index_frames(&bytes).unwrap();
         prop_assert_eq!(spans.len(), traj.len());
         prop_assert_eq!(spans.last().unwrap().offset + spans.last().unwrap().len, bytes.len());
-        // Parallel decode agrees with sequential.
-        prop_assert_eq!(decode_spans(&bytes, &spans, 3).unwrap(), back);
+        // Frames decode independently: the spans cut anywhere decode to
+        // the halves of the whole.
+        let (head, tail) = spans.split_at(spans.len() / 2);
+        let mut halves = decode_spans(&bytes, head).unwrap().frames;
+        halves.extend(decode_spans(&bytes, tail).unwrap().frames);
+        prop_assert_eq!(halves, back.frames);
     }
 
     #[test]

@@ -24,8 +24,7 @@ use std::io::{Read, Write};
 
 use ada_core::AdaError;
 use ada_mdformats::xtcf::{
-    frame_record_len, ChunkDirectory, ChunkEntry, XTCF_DIR_ENTRY_LEN, XTCF_HEADER_LEN, XTCF_MAGIC,
-    XTCF_TRAILER_LEN, XTCF_VERSION_V2,
+    frame_record_len, V2Assembler, XTCF_DIR_ENTRY_LEN, XTCF_HEADER_LEN, XTCF_TRAILER_LEN,
 };
 
 use crate::errmap::{decode_error, encode_error};
@@ -254,13 +253,8 @@ fn read_stream(
                 head.nframes, head.natoms
             ))
         })?;
-    let mut container = Vec::with_capacity(container_len.min(max_frame_len as usize));
-    container.extend_from_slice(&XTCF_MAGIC.to_le_bytes());
-    container.extend_from_slice(&XTCF_VERSION_V2.to_le_bytes());
-    let mut dir = ChunkDirectory {
-        entries: Vec::new(),
-        chunk_frames: head.chunk_frames,
-    };
+    let capacity = container_len.min(max_frame_len as usize);
+    let mut container = V2Assembler::with_capacity(capacity, head.natoms, head.chunk_frames);
     let mut frames = 0u64;
     loop {
         let header = read_header(r, max_frame_len)?.ok_or(ProtoError::Truncated {
@@ -283,13 +277,7 @@ fn read_stream(
                     head.nframes
                 )));
             }
-            dir.entries.push(ChunkEntry {
-                offset: container.len() as u64,
-                nframes,
-                natoms: head.natoms,
-                crc: header.crc,
-            });
-            read_body(r, header.len, &mut container)?;
+            read_body(r, header.len, container.chunk(nframes, header.crc))?;
             continue;
         }
         let (id, end) = decode_end(&read_message(r, &header)?)?;
@@ -310,14 +298,11 @@ fn read_stream(
             StreamEnd::Done {
                 indexer_ns,
                 read_ns,
-            } => {
-                dir.append_to(&mut container);
-                ResponseBody::Query(WireQueryReport {
-                    indexer_ns,
-                    read_ns,
-                    payload: WirePayload::Xtcf(container),
-                })
-            }
+            } => ResponseBody::Query(WireQueryReport {
+                indexer_ns,
+                read_ns,
+                payload: WirePayload::Xtcf(container.finish()),
+            }),
         };
         return Ok(ResponseEnvelope { id, body });
     }

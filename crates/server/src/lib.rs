@@ -66,6 +66,7 @@ use ada_proto::{
 };
 use ada_sync::Mutex;
 use ada_telemetry::trace::{self, TraceSpanGuard};
+use ada_telemetry::{Counter, Gauge, Histogram};
 
 /// Tuning knobs for one [`Server`].
 #[derive(Debug, Clone)]
@@ -102,9 +103,47 @@ impl Default for ServerConfig {
 /// stop flag and deadlines.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
+/// Global-registry handles, resolved once in [`Server::start`]: no request
+/// looks a `server.*` metric up by name.
+struct Metrics {
+    requests: Arc<Counter>,
+    request_errors: Arc<Counter>,
+    request_ns: Arc<Histogram>,
+    bytes_read: Arc<Counter>,
+    bytes_written: Arc<Counter>,
+    write_errors: Arc<Counter>,
+    protocol_errors: Arc<Counter>,
+    accepted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    active: Arc<Gauge>,
+    accept_errors: Arc<Counter>,
+    connection_panics: Arc<Counter>,
+}
+
+impl Metrics {
+    fn register() -> Metrics {
+        let reg = ada_telemetry::global();
+        Metrics {
+            requests: reg.counter("server.requests"),
+            request_errors: reg.counter("server.request.errors"),
+            request_ns: reg.histogram("server.request.ns"),
+            bytes_read: reg.counter("server.bytes.read"),
+            bytes_written: reg.counter("server.bytes.written"),
+            write_errors: reg.counter("server.write.errors"),
+            protocol_errors: reg.counter("server.protocol.errors"),
+            accepted: reg.counter("server.connections.accepted"),
+            rejected: reg.counter("server.connections.rejected"),
+            active: reg.gauge("server.connections.active"),
+            accept_errors: reg.counter("server.accept.errors"),
+            connection_panics: reg.counter("server.connection.panics"),
+        }
+    }
+}
+
 struct Shared {
     frontend: Arc<Frontend>,
     config: ServerConfig,
+    metrics: Metrics,
     stop: Arc<AtomicBool>,
     /// Clones of live connection sockets, keyed by connection id, so
     /// shutdown can sever every socket without waiting for idle timers.
@@ -126,9 +165,7 @@ impl Shared {
     fn unregister(&self, id: u64) {
         let mut conns = self.conns.lock();
         conns.retain(|(cid, _)| *cid != id);
-        ada_telemetry::global()
-            .gauge("server.connections.active")
-            .set(conns.len() as i64);
+        self.metrics.active.set(conns.len() as i64);
     }
 }
 
@@ -159,6 +196,7 @@ impl Server {
         let shared = Arc::new(Shared {
             frontend,
             config,
+            metrics: Metrics::register(),
             stop: Arc::clone(&stop),
             conns: Mutex::new(Vec::new()),
             next_conn_id: AtomicU64::new(1),
@@ -205,27 +243,25 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let registry = ada_telemetry::global();
+    let metrics = &shared.metrics;
     let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, peer)) => {
-                registry.counter("server.connections.accepted").inc();
+                metrics.accepted.inc();
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
                 let active = shared.conns.lock().len();
                 if active >= shared.config.max_connections {
-                    registry.counter("server.connections.rejected").inc();
+                    metrics.rejected.inc();
                     reject_connection(stream, active);
                     continue;
                 }
                 let Some(conn_id) = shared.register(&stream) else {
                     continue;
                 };
-                registry
-                    .gauge("server.connections.active")
-                    .set((active + 1) as i64);
+                metrics.active.set((active + 1) as i64);
                 let conn_shared = Arc::clone(&shared);
                 let spawned = thread::Builder::new()
                     .name(format!("ada-server-conn-{}", conn_id))
@@ -239,7 +275,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 thread::sleep(POLL_TICK);
             }
             Err(_) => {
-                registry.counter("server.accept.errors").inc();
+                metrics.accept_errors.inc();
                 thread::sleep(POLL_TICK);
             }
         }
@@ -250,7 +286,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     for handle in handlers {
         if handle.join().is_err() {
-            registry.counter("server.connection.panics").inc();
+            metrics.connection_panics.inc();
         }
     }
 }
@@ -273,16 +309,14 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream, conn_id: u64, peer:
     if let Err(proto_err) = serve_connection(&shared, &stream) {
         // The byte stream is no longer trustworthy: say why under the
         // connection-level id 0 (best-effort), then close.
-        ada_telemetry::global()
-            .counter("server.protocol.errors")
-            .inc();
+        shared.metrics.protocol_errors.inc();
         let resp = ResponseEnvelope {
             id: 0,
             body: ResponseBody::Error(AdaError::Network {
                 detail: format!("{} (peer {})", proto_err, peer),
             }),
         };
-        send_response(&stream, resp);
+        send_response(&shared.metrics, &stream, resp);
     }
     let _ = stream.shutdown(Shutdown::Both);
     shared.unregister(conn_id);
@@ -295,8 +329,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream, conn_id: u64, peer:
 /// failures on a well-framed payload are answered with a typed error
 /// frame and the connection keeps serving.
 fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoError> {
-    let registry = ada_telemetry::global();
-    let config = &shared.config;
+    let (config, metrics) = (&shared.config, &shared.metrics);
     stream.set_read_timeout(Some(POLL_TICK))?;
     // `frame_timeout` in the other direction: a peer that stops reading
     // its answers is dropped like one that stops sending its request.
@@ -318,26 +351,26 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
             Err(_) if patient.stopping => return Ok(()),
             Err(e) => return Err(e),
         };
-        registry
-            .counter("server.bytes.read")
+        metrics
+            .bytes_read
             .add(payload.len() as u64 + HEADER_LEN as u64);
         let delivered = match RequestEnvelope::decode(&payload) {
             Ok(env) => {
                 drop(payload);
                 // The root outlives the write: the send is part of the
                 // request's trace.
-                let (mut root, id, answer) = execute_request(&shared.frontend, env);
-                send_answer(stream, id, answer, &mut root)
+                let (mut root, id, answer) = execute_request(shared, env);
+                send_answer(metrics, stream, id, answer, &mut root)
             }
             Err(e) => {
                 // The frame passed CRC, so the stream is still aligned:
                 // answer with a typed error and keep the connection.
-                registry.counter("server.protocol.errors").inc();
+                metrics.protocol_errors.inc();
                 let resp = ResponseEnvelope {
                     id: peek_request_id(&payload),
                     body: ResponseBody::Error(AdaError::from(e)),
                 };
-                send_response(stream, resp)
+                send_response(metrics, stream, resp)
             }
         };
         if !delivered {
@@ -376,15 +409,14 @@ impl Queried {
 
 /// Count what a write put on the wire; `None` when the peer is gone or
 /// took nothing for `frame_timeout`.
-fn written(res: Result<Sent, ProtoError>) -> Option<Sent> {
-    let registry = ada_telemetry::global();
+fn written(metrics: &Metrics, res: Result<Sent, ProtoError>) -> Option<Sent> {
     match res {
         Ok(sent) => {
-            registry.counter("server.bytes.written").add(sent.bytes);
+            metrics.bytes_written.add(sent.bytes);
             Some(sent)
         }
         Err(_) => {
-            registry.counter("server.write.errors").inc();
+            metrics.write_errors.inc();
             None
         }
     }
@@ -392,8 +424,8 @@ fn written(res: Result<Sent, ProtoError>) -> Option<Sent> {
 
 /// Write a response no request root covers; `false` when the connection
 /// is done for.
-fn send_response(mut stream: &TcpStream, resp: ResponseEnvelope) -> bool {
-    written(write_response(&mut stream, &resp)).is_some()
+fn send_response(metrics: &Metrics, mut stream: &TcpStream, resp: ResponseEnvelope) -> bool {
+    written(metrics, write_response(&mut stream, &resp)).is_some()
 }
 
 /// Write a request's answer under its root, as one `server.send` span;
@@ -401,7 +433,13 @@ fn send_response(mut stream: &TcpStream, resp: ResponseEnvelope) -> bool {
 /// chunk by chunk as it leaves, so it can still fail here, after its
 /// first chunks are gone: the stream then ends in the typed error, which
 /// counts as the request's.
-fn send_answer(mut stream: &TcpStream, id: u64, answer: Answer, root: &mut TraceSpanGuard) -> bool {
+fn send_answer(
+    metrics: &Metrics,
+    mut stream: &TcpStream,
+    id: u64,
+    answer: Answer,
+    root: &mut TraceSpanGuard,
+) -> bool {
     let mut span = root.ctx().span("server.send");
     let (res, forwarded) = match answer {
         Answer::Body(body) => {
@@ -426,16 +464,14 @@ fn send_answer(mut stream: &TcpStream, id: u64, answer: Answer, root: &mut Trace
         }
     };
     span.arg("forwarded", forwarded);
-    let Some(sent) = written(res) else {
+    let Some(sent) = written(metrics, res) else {
         span.set_error("network");
         return false;
     };
     span.arg("chunks", sent.chunks);
     span.arg("bytes", sent.bytes);
     if let Some(e) = sent.error {
-        ada_telemetry::global()
-            .counter("server.request.errors")
-            .inc();
+        metrics.request_errors.inc();
         span.set_error(e.kind());
         root.set_error(e.kind());
     }
@@ -506,9 +542,9 @@ fn peek_request_id(payload: &[u8]) -> u64 {
 /// Drive one decoded request through the frontend under a trace root
 /// minted from the wire-carried trace id. Returns the root — the caller
 /// keeps it open across the write — with the request id and the answer.
-fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> (TraceSpanGuard, u64, Answer) {
-    let registry = ada_telemetry::global();
-    registry.counter("server.requests").inc();
+fn execute_request(shared: &Shared, env: RequestEnvelope) -> (TraceSpanGuard, u64, Answer) {
+    let (frontend, metrics) = (&shared.frontend, &shared.metrics);
+    metrics.requests.inc();
     let started = Instant::now();
     let (_, mut root) = trace::root_remote("server.request", env.trace_id);
     let deadline = (env.deadline_ns != 0).then(|| Duration::from_nanos(env.deadline_ns));
@@ -596,11 +632,11 @@ fn execute_request(frontend: &Frontend, env: RequestEnvelope) -> (TraceSpanGuard
         }
     };
 
-    registry
-        .histogram("server.request.ns")
+    metrics
+        .request_ns
         .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     let answer = outcome.unwrap_or_else(|e| {
-        registry.counter("server.request.errors").inc();
+        metrics.request_errors.inc();
         Answer::Body(ResponseBody::Error(e))
     });
     (root, id, answer)

@@ -20,13 +20,11 @@
 //!   access patterns ("replaying the frames back and forth") with hit-rate
 //!   accounting.
 
-pub mod analysis;
 pub mod mol;
 pub mod playback;
 pub mod profiler;
 pub mod render;
 
-pub use analysis::{center_of_mass, com_drift, radius_of_gyration, rmsd, rmsd_series, rmsf};
 pub use mol::{MolId, Molecule, Representation, VmdSession};
 pub use playback::{AccessPattern, FrameCache, ReplayStats};
 pub use profiler::PhaseProfiler;

@@ -11,7 +11,8 @@ use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::xtcf::{
     crc32, decode_chunk, frame_record_len, parse_directory, read_xtcf, seal_v2, verify_chunk,
-    write_xtcf, XtcfReader, XTCF_DIR_ENTRY_LEN, XTCF_RECORD_NATOMS_OFFSET, XTCF_TRAILER_LEN,
+    write_xtcf, V2Assembler, XtcfReader, XTCF_DIR_ENTRY_LEN, XTCF_RECORD_NATOMS_OFFSET,
+    XTCF_TRAILER_LEN,
 };
 use ada_mdformats::{write_pdb, Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
@@ -380,6 +381,25 @@ fn golden_v2_fixture_verifies_decodes_and_reseals_byte_for_byte() {
         sealed,
         "sealing drifted: a stored CRC or the directory layout changed"
     );
+}
+
+/// The assembler — what the ingest and the client's stream reader build
+/// droppings and answers with — fed the fixture's own chunk bodies and
+/// stored CRCs writes the fixture back, byte for byte: it and `seal_v2`
+/// write one layout.
+#[test]
+fn assembler_fed_the_golden_v2_chunks_reproduces_the_fixture() {
+    let sealed = std::fs::read(GOLDEN_V2).expect("golden v2 fixture present");
+    let dir = parse_directory(&sealed).unwrap().expect("a v2 file");
+    let natoms = golden_traj().natoms() as u32;
+    let mut assembled = V2Assembler::with_capacity(0, natoms, dir.chunk_frames);
+    for e in &dir.entries {
+        let start = e.offset as usize;
+        assembled
+            .chunk(e.nframes, e.crc)
+            .extend_from_slice(&sealed[start..start + e.body_len()]);
+    }
+    assert_eq!(assembled.finish(), sealed);
 }
 
 /// Rebuild the v2 fixture after an intentional change to the *format*.

@@ -30,8 +30,8 @@ fn rig() -> Rig {
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd.clone()),
     ]));
-    // paper_prototype keeps every parallel knob on (decode_threads,
-    // split_threads=all cores, query_threads) — exactly the paths whose
+    // paper_prototype keeps every parallel knob on (ingest_threads,
+    // query_threads) — exactly the paths whose
     // determinism this suite locks in. 2 frames per dropping force the
     // ingest loop through several windows.
     let config = AdaConfig {
