@@ -23,7 +23,7 @@ use ada_mdmodel::Tag;
 use ada_platforms::figures::{fig10, fig7, fig8, fig9, table1, table2, table6};
 use ada_platforms::report::{fmt_secs, format_table};
 use ada_platforms::Platform;
-use ada_vmdsim::{render_frame, RenderOptions};
+use ada_vmdsim::render_frame;
 
 /// The command-line flags, parsed once and handed to every item.
 struct Flags {
@@ -733,9 +733,8 @@ fn print_fig1() {
     let labeler =
         ada_core::categorize_algo1(&w.system, &ada_mdmodel::category::Taxonomy::paper_default());
     let frame = &w.trajectory.frames[0];
-    let opts = RenderOptions::default();
     let mut rows = Vec::new();
-    let full = render_frame(&w.system, &[], &frame.coords, &opts);
+    let full = render_frame(&w.system, &[], &frame.coords);
     rows.push(vec![
         "original raw data (Fig. 1a)".to_string(),
         w.system.len().to_string(),
@@ -749,7 +748,7 @@ fn print_fig1() {
         let ranges = &labeler[&tag];
         let sub = w.system.subset(ranges);
         let coords = ranges.gather(&frame.coords);
-        let stats = render_frame(&sub, &[], &coords, &opts);
+        let stats = render_frame(&sub, &[], &coords);
         rows.push(vec![
             name.to_string(),
             sub.len().to_string(),

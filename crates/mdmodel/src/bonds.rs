@@ -114,8 +114,7 @@ fn dist2(a: [f32; 3], b: [f32; 3]) -> f32 {
 }
 
 /// Uniform cell grid over the coordinate bounding box.
-#[derive(Debug)]
-pub struct CellGrid {
+struct CellGrid {
     origin: [f32; 3],
     cell: f32,
     dims: [usize; 3],
@@ -126,7 +125,7 @@ pub struct CellGrid {
 
 impl CellGrid {
     /// Build a grid with cell edge ≥ `cell_size` covering all points.
-    pub fn build(coords: &[[f32; 3]], cell_size: f32) -> CellGrid {
+    fn build(coords: &[[f32; 3]], cell_size: f32) -> CellGrid {
         assert!(cell_size > 0.0);
         let mut lo = [f32::INFINITY; 3];
         let mut hi = [f32::NEG_INFINITY; 3];
@@ -199,38 +198,9 @@ impl CellGrid {
         c
     }
 
-    /// Collect all atom ids in cells within `cutoff` of `point` (coarse,
-    /// cell resolution) into `out`.
-    pub fn neighbors_within(&self, point: [f32; 3], cutoff: f32, out: &mut Vec<u32>) {
-        let c = self.cell_of(&point);
-        let reach = (cutoff / self.cell).ceil() as isize;
-        for dz in -reach..=reach {
-            let z = c[2] as isize + dz;
-            if z < 0 || z as usize >= self.dims[2] {
-                continue;
-            }
-            for dy in -reach..=reach {
-                let y = c[1] as isize + dy;
-                if y < 0 || y as usize >= self.dims[1] {
-                    continue;
-                }
-                for dx in -reach..=reach {
-                    let x = c[0] as isize + dx;
-                    if x < 0 || x as usize >= self.dims[0] {
-                        continue;
-                    }
-                    let cell = (z as usize * self.dims[1] + y as usize) * self.dims[0] + x as usize;
-                    let start = self.cell_start[cell] as usize;
-                    let end = self.cell_start[cell + 1] as usize;
-                    out.extend_from_slice(&self.atom_ids[start..end]);
-                }
-            }
-        }
-    }
-
     /// Collect candidate neighbors `j > i` within `cutoff` (coarse, cell
     /// resolution) into `out`.
-    pub fn neighbors_after(&self, i: usize, coords: &[[f32; 3]], cutoff: f32, out: &mut Vec<u32>) {
+    fn neighbors_after(&self, i: usize, coords: &[[f32; 3]], cutoff: f32, out: &mut Vec<u32>) {
         let c = self.cell_of(&coords[i]);
         let reach = (cutoff / self.cell).ceil() as isize;
         for dz in -reach..=reach {

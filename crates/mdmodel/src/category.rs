@@ -64,15 +64,6 @@ impl Category {
         }
     }
 
-    /// The single-character tag the paper's prototype assigns: protein atoms
-    /// get `p`, everything else is MISC and gets `m`.
-    pub fn paper_tag(self) -> Tag {
-        match self {
-            Category::Protein => Tag::protein(),
-            _ => Tag::misc(),
-        }
-    }
-
     /// A distinct fine-grained tag per category (the §4.1 extension where a
     /// user can ask for subsets beyond protein/MISC).
     pub fn fine_tag(self) -> Tag {
@@ -85,12 +76,6 @@ impl Category {
             Category::Ligand => Tag::new("g"),
             Category::Other => Tag::new("o"),
         }
-    }
-
-    /// Whether the paper considers this class *active* (frequently accessed,
-    /// analysed by host CPUs) for the GPCR study.
-    pub fn is_active_for_gpcr(self) -> bool {
-        matches!(self, Category::Protein)
     }
 }
 
@@ -339,26 +324,6 @@ impl Taxonomy {
         Ok(Taxonomy { rules, default_tag })
     }
 
-    /// Serialize back to the configuration-file syntax accepted by
-    /// [`Taxonomy::parse_config`] (round-trip property: parsing the output
-    /// yields an equivalent taxonomy).
-    pub fn to_config(&self) -> String {
-        let mut out = String::new();
-        for rule in &self.rules {
-            if !rule.residues.is_empty() {
-                out.push_str(&format!(
-                    "tag {} = resname {}\n",
-                    rule.tag,
-                    rule.residues.join(" ")
-                ));
-            } else if let Some(cat) = rule.category {
-                out.push_str(&format!("tag {} = category {}\n", rule.tag, cat));
-            }
-        }
-        out.push_str(&format!("default {}\n", self.default_tag));
-        out
-    }
-
     /// Tag for a residue name (the categorizer's `GetType`).
     pub fn tag_of(&self, resname: &str) -> Tag {
         let upper = resname.trim().to_ascii_uppercase();
@@ -408,14 +373,6 @@ mod tests {
         assert_eq!(Category::of_residue("DA"), Category::NucleicAcid);
         assert_eq!(Category::of_residue("LIG"), Category::Ligand);
         assert_eq!(Category::of_residue(""), Category::Other);
-    }
-
-    #[test]
-    fn paper_tags_collapse_to_p_and_m() {
-        assert_eq!(Category::Protein.paper_tag(), Tag::protein());
-        for c in [Category::Water, Category::Lipid, Category::Ion] {
-            assert_eq!(c.paper_tag(), Tag::misc());
-        }
     }
 
     #[test]
@@ -469,28 +426,6 @@ mod tests {
         let t = Taxonomy::parse_config(cfg).unwrap();
         assert_eq!(t.tag_of("ALA").as_str(), "x");
         assert_eq!(t.tag_of("GLY").as_str(), "p");
-    }
-
-    #[test]
-    fn config_roundtrip_through_to_config() {
-        for t in [
-            Taxonomy::paper_default(),
-            Taxonomy::fine_grained(),
-            Taxonomy::parse_config("tag x = resname ALA GLY\ntag w = category water\ndefault q")
-                .unwrap(),
-        ] {
-            let text = t.to_config();
-            let back = Taxonomy::parse_config(&text).unwrap();
-            for resname in ["ALA", "GLY", "SOL", "POPC", "SOD", "DA", "XYZ"] {
-                assert_eq!(
-                    t.tag_of(resname),
-                    back.tag_of(resname),
-                    "resname {}",
-                    resname
-                );
-            }
-            assert_eq!(t.default_tag(), back.default_tag());
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Chemical elements with the handful of per-element properties the rest of
-//! the stack needs: mass (memory/size accounting sanity checks) and covalent
-//! radius (bond inference in the renderer).
+//! Chemical elements with the per-element properties the rest of the stack
+//! needs: the PDB element symbol (the structure codec) and the covalent
+//! radius (bond inference for the renderer).
 
 /// Chemical element of an atom.
 ///
@@ -69,26 +69,6 @@ impl Element {
             Some('S') => Element::S,
             Some('K') => Element::K,
             _ => Element::Other,
-        }
-    }
-
-    /// Standard atomic mass in unified atomic mass units (Daltons).
-    pub fn mass(self) -> f32 {
-        match self {
-            Element::H => 1.008,
-            Element::C => 12.011,
-            Element::N => 14.007,
-            Element::O => 15.999,
-            Element::P => 30.974,
-            Element::S => 32.06,
-            Element::Na => 22.990,
-            Element::Cl => 35.45,
-            Element::K => 39.098,
-            Element::Mg => 24.305,
-            Element::Ca => 40.078,
-            Element::Zn => 65.38,
-            Element::Fe => 55.845,
-            Element::Other => 20.0,
         }
     }
 
@@ -170,30 +150,5 @@ mod tests {
     #[test]
     fn lipid_phosphorus() {
         assert_eq!(Element::from_pdb_atom_name(" P  ", "POPC"), Element::P);
-    }
-
-    #[test]
-    fn masses_are_positive_and_ordered() {
-        assert!(Element::H.mass() < Element::C.mass());
-        assert!(Element::C.mass() < Element::Fe.mass());
-        for e in [
-            Element::H,
-            Element::C,
-            Element::N,
-            Element::O,
-            Element::P,
-            Element::S,
-            Element::Na,
-            Element::Cl,
-            Element::K,
-            Element::Mg,
-            Element::Ca,
-            Element::Zn,
-            Element::Fe,
-            Element::Other,
-        ] {
-            assert!(e.mass() > 0.0);
-            assert!(e.covalent_radius_nm() > 0.0);
-        }
     }
 }

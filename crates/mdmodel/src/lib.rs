@@ -14,18 +14,19 @@
 //!   `mol addfile ... tag p` extension work too.
 //! * [`IndexRanges`] — sorted disjoint half-open index ranges; the exact data
 //!   structure the labeler stores per tag ("Data Subset Ranges" in Algo 1).
-//! * [`select`] — a small selection mini-language (`protein`, `water`,
-//!   `not protein`, `resname POPC`, ...) used by examples and tests.
 //! * [`bonds`] — covalent-radius + cell-grid bond inference used by the
 //!   VMD-like renderer.
-//! * [`PbcBox`] — periodic box with wrapping and minimum-image distance.
+//! * [`PbcBox`] — the periodic box matrix the structure and trajectory
+//!   codecs carry.
+//!
+//! Selecting and drawing atoms is the consumer's business, not the
+//! storage layer's: ADA hands VMD a tagged subset, and VMD selects within it.
 
 pub mod bonds;
 pub mod category;
 pub mod element;
 pub mod pbc;
 pub mod ranges;
-pub mod select;
 pub mod system;
 
 pub use bonds::{infer_bonds, Bond};
@@ -33,5 +34,4 @@ pub use category::{Category, Tag};
 pub use element::Element;
 pub use pbc::PbcBox;
 pub use ranges::IndexRanges;
-pub use select::{parse_selection, Selection};
 pub use system::{Atom, MolecularSystem, Residue};

@@ -1,10 +1,9 @@
 //! Periodic boundary conditions.
 //!
 //! Trajectories carry a 3×3 box matrix per frame (the XTC header stores it
-//! row-major). MD boxes here are rectangular or triclinic; the workload
-//! generator and the renderer only need wrapping and minimum-image
-//! distances for rectangular boxes, but the type keeps the full matrix so
-//! real triclinic XTC headers round-trip losslessly.
+//! row-major), and structure files carry one (PDB CRYST1, the GRO box line).
+//! MD boxes here are rectangular or triclinic; the type keeps the full
+//! matrix so real triclinic headers round-trip losslessly.
 
 /// A periodic simulation box described by three box vectors (rows).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,14 +30,6 @@ impl PbcBox {
         [self.m[0][0], self.m[1][1], self.m[2][2]]
     }
 
-    /// Box volume in nm³ (determinant of the matrix).
-    pub fn volume(&self) -> f32 {
-        let m = &self.m;
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    }
-
     /// True when the box is rectangular (off-diagonals all zero).
     pub fn is_rectangular(&self) -> bool {
         let m = &self.m;
@@ -54,118 +45,10 @@ impl PbcBox {
     pub fn is_zero(&self) -> bool {
         self.m.iter().flatten().all(|&x| x == 0.0)
     }
-
-    /// Wrap a point into the primary cell `[0, L)³` (rectangular boxes only;
-    /// returns the input unchanged for zero boxes).
-    pub fn wrap(&self, p: [f32; 3]) -> [f32; 3] {
-        if self.is_zero() {
-            return p;
-        }
-        debug_assert!(self.is_rectangular(), "wrap() requires a rectangular box");
-        let l = self.lengths();
-        let mut out = p;
-        for d in 0..3 {
-            if l[d] > 0.0 {
-                out[d] = p[d].rem_euclid(l[d]);
-            }
-        }
-        out
-    }
-
-    /// Minimum-image displacement from `a` to `b` (rectangular boxes only).
-    pub fn min_image(&self, a: [f32; 3], b: [f32; 3]) -> [f32; 3] {
-        let mut d = [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
-        if self.is_zero() {
-            return d;
-        }
-        debug_assert!(self.is_rectangular());
-        let l = self.lengths();
-        for k in 0..3 {
-            if l[k] > 0.0 {
-                d[k] -= (d[k] / l[k]).round() * l[k];
-            }
-        }
-        d
-    }
-
-    /// Minimum-image distance between two points.
-    pub fn distance(&self, a: [f32; 3], b: [f32; 3]) -> f32 {
-        let d = self.min_image(a, b);
-        (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt()
-    }
 }
 
 impl Default for PbcBox {
     fn default() -> PbcBox {
         PbcBox::zero()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn rectangular_volume() {
-        let b = PbcBox::rectangular(2.0, 3.0, 4.0);
-        assert!((b.volume() - 24.0).abs() < 1e-6);
-        assert!(b.is_rectangular());
-        assert!(!b.is_zero());
-    }
-
-    #[test]
-    fn zero_box_passthrough() {
-        let b = PbcBox::zero();
-        assert!(b.is_zero());
-        assert_eq!(b.wrap([5.0, -1.0, 2.0]), [5.0, -1.0, 2.0]);
-        let d = b.min_image([0.0; 3], [9.0, 0.0, 0.0]);
-        assert_eq!(d, [9.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn wrap_into_cell() {
-        let b = PbcBox::rectangular(10.0, 10.0, 10.0);
-        assert_eq!(b.wrap([12.5, -0.5, 10.0]), [2.5, 9.5, 0.0]);
-    }
-
-    #[test]
-    fn min_image_near_boundary() {
-        let b = PbcBox::rectangular(10.0, 10.0, 10.0);
-        // Points at 0.5 and 9.5 are 1.0 apart through the boundary.
-        assert!((b.distance([0.5, 0.0, 0.0], [9.5, 0.0, 0.0]) - 1.0).abs() < 1e-6);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_wrap_in_range(x in -100.0f32..100.0, y in -100.0f32..100.0, z in -100.0f32..100.0) {
-            let b = PbcBox::rectangular(7.5, 12.0, 3.25);
-            let w = b.wrap([x, y, z]);
-            let l = b.lengths();
-            for d in 0..3 {
-                prop_assert!(w[d] >= 0.0 && w[d] < l[d] + 1e-4);
-            }
-        }
-
-        #[test]
-        fn prop_min_image_distance_bounded(
-            a in prop::array::uniform3(-50.0f32..50.0),
-            c in prop::array::uniform3(-50.0f32..50.0),
-        ) {
-            let b = PbcBox::rectangular(10.0, 10.0, 10.0);
-            let d = b.min_image(a, c);
-            for component in d {
-                prop_assert!(component.abs() <= 5.0 + 1e-3);
-            }
-        }
-
-        #[test]
-        fn prop_distance_symmetric(
-            a in prop::array::uniform3(-20.0f32..20.0),
-            c in prop::array::uniform3(-20.0f32..20.0),
-        ) {
-            let b = PbcBox::rectangular(9.0, 9.0, 9.0);
-            prop_assert!((b.distance(a, c) - b.distance(c, a)).abs() < 1e-5);
-        }
     }
 }

@@ -141,11 +141,6 @@ impl IndexRanges {
         self.ranges.last().map(|r| r.end)
     }
 
-    /// Set union.
-    pub fn union(&self, other: &IndexRanges) -> IndexRanges {
-        IndexRanges::from_ranges(self.iter_ranges().chain(other.iter_ranges()))
-    }
-
     /// Set intersection.
     pub fn intersect(&self, other: &IndexRanges) -> IndexRanges {
         let mut out = IndexRanges::new();
@@ -182,14 +177,6 @@ impl IndexRanges {
             out.push(cursor..universe);
         }
         out
-    }
-
-    /// Set difference `self \ other`.
-    pub fn difference(&self, other: &IndexRanges) -> IndexRanges {
-        match self.end() {
-            None => IndexRanges::new(),
-            Some(end) => self.intersect(&other.complement(end)),
-        }
     }
 
     /// Gather the covered elements of `source` into a new Vec (the splitter's
@@ -290,20 +277,15 @@ mod tests {
     }
 
     #[test]
-    fn union_intersect_difference() {
-        let a = IndexRanges::from_ranges([0..5, 10..15]);
-        let b = IndexRanges::single(3..12);
-        assert_eq!(a.union(&b), IndexRanges::single(0..15));
-        assert_eq!(a.intersect(&b), IndexRanges::from_ranges([3..5, 10..12]));
-        assert_eq!(a.difference(&b), IndexRanges::from_ranges([0..3, 12..15]));
-    }
-
-    #[test]
     fn complement_basics() {
         let a = IndexRanges::from_ranges([2..4, 6..8]);
         assert_eq!(
             a.complement(10),
             IndexRanges::from_ranges([0..2, 4..6, 8..10])
+        );
+        assert_eq!(
+            IndexRanges::from_ranges([0..5, 10..15]).intersect(&IndexRanges::single(3..12)),
+            IndexRanges::from_ranges([3..5, 10..12])
         );
         assert_eq!(IndexRanges::new().complement(3), IndexRanges::single(0..3));
         assert_eq!(IndexRanges::single(0..3).complement(3), IndexRanges::new());
@@ -395,14 +377,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_union_count_via_membership(a in arb_ranges(100), b in arb_ranges(100)) {
-            let u = a.union(&b);
-            for i in 0..100usize {
-                prop_assert_eq!(u.contains(i), a.contains(i) || b.contains(i));
-            }
-        }
-
-        #[test]
         fn prop_intersect_matches_membership(a in arb_ranges(100), b in arb_ranges(100)) {
             let x = a.intersect(&b);
             for i in 0..100usize {
@@ -415,14 +389,6 @@ mod tests {
             let c = a.complement(100);
             prop_assert_eq!(a.count() + c.count(), 100);
             prop_assert!(a.intersect(&c).is_empty());
-        }
-
-        #[test]
-        fn prop_difference_matches_membership(a in arb_ranges(100), b in arb_ranges(100)) {
-            let d = a.difference(&b);
-            for i in 0..100usize {
-                prop_assert_eq!(d.contains(i), a.contains(i) && !b.contains(i));
-            }
         }
 
         #[test]

@@ -161,11 +161,6 @@ impl MolecularSystem {
         out
     }
 
-    /// Total mass in Daltons.
-    pub fn total_mass(&self) -> f64 {
-        self.atoms.iter().map(|a| a.element.mass() as f64).sum()
-    }
-
     /// Extract the sub-system covered by `ranges` (atoms, coords and residue
     /// table are all rebuilt; serials are preserved).
     pub fn subset(&self, ranges: &IndexRanges) -> MolecularSystem {
@@ -284,6 +279,9 @@ mod tests {
         assert_eq!(prot.residues.len(), 2);
         assert_eq!(prot.atoms[0].serial, 1);
         assert!((prot.protein_fraction() - 1.0).abs() < 1e-12);
+        assert_eq!(prot.pbc, s.pbc);
+        assert!(prot.pbc.is_rectangular());
+        assert!(!prot.pbc.is_zero());
     }
 
     #[test]
@@ -305,6 +303,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.protein_fraction(), 0.0);
         assert!(s.residues.is_empty());
+        assert!(s.pbc.is_zero());
     }
 
     #[test]

@@ -15,17 +15,17 @@
 //! * [`render`] — an actual software renderer (rotation + orthographic
 //!   projection + Bresenham bond drawing into a framebuffer), parallel
 //!   across frames over scoped threads;
-//! * [`profiler`] — per-phase time accounting, the Fig. 8 instrument;
 //! * [`playback`] — the §2.1 motivation: an LRU frame cache replaying
 //!   access patterns ("replaying the frames back and forth") with hit-rate
 //!   accounting.
+//!
+//! It draws what ADA delivers, one fixed view of every atom it is handed;
+//! selecting what to load is the tag's job (`mol addfile … tag p`).
 
 pub mod mol;
 pub mod playback;
-pub mod profiler;
 pub mod render;
 
-pub use mol::{MolId, Molecule, Representation, VmdSession};
+pub use mol::{MolId, Molecule, VmdSession};
 pub use playback::{AccessPattern, FrameCache, ReplayStats};
-pub use profiler::PhaseProfiler;
-pub use render::{render_frame, render_trajectory, DrawStyle, RenderOptions, RenderStats};
+pub use render::{render_frame, render_trajectory, RenderStats};

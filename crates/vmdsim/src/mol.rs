@@ -8,31 +8,17 @@
 //! $ mol addfile /mnt/bar.xtc tag p     # ADA: fetch the protein subset
 //! ```
 
-use crate::render::{render_frame, render_trajectory, DrawStyle, RenderOptions, RenderStats};
+use crate::render::{render_trajectory, RenderStats};
 use ada_core::{Ada, AdaError, RetrievedData};
 use ada_mdformats::pdb::parse_pdb;
 use ada_mdformats::{read_xtc, Frame};
-use ada_mdmodel::{infer_bonds, parse_selection, Bond, IndexRanges, MolecularSystem, Tag};
-
-/// One representation of a molecule: a selection drawn in a style (VMD's
-/// `mol addrep` / `mol modselect` / `mol modstyle`).
-#[derive(Debug, Clone)]
-pub struct Representation {
-    /// Selection text the rep was created with.
-    pub selection_text: String,
-    /// Atom ranges the selection resolved to.
-    pub atoms: IndexRanges,
-    /// Drawing style.
-    pub style: DrawStyle,
-    /// Whether the rep is drawn.
-    pub visible: bool,
-}
+use ada_mdmodel::{infer_bonds, Bond, MolecularSystem, Tag};
 
 /// Identifier of a loaded molecule within a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MolId(pub usize);
 
-/// A loaded molecule: structure + frames + derived bonds + representations.
+/// A loaded molecule: structure + frames + derived bonds.
 #[derive(Debug)]
 pub struct Molecule {
     /// Structure (possibly a tagged subset of the ingested one).
@@ -41,14 +27,24 @@ pub struct Molecule {
     pub frames: Vec<Frame>,
     /// Bonds derived from the reference coordinates.
     pub bonds: Vec<Bond>,
-    /// Representations (empty = draw everything with default style).
-    pub reps: Vec<Representation>,
 }
 
 impl Molecule {
     /// Resident memory of the loaded frames in bytes.
     pub fn frames_bytes(&self) -> u64 {
         self.frames.iter().map(|f| f.nbytes() as u64).sum()
+    }
+
+    /// Every frame must carry the structure's atom count; the first that
+    /// does not is the error, and nothing is loaded.
+    fn check_frames(&self, frames: &[Frame]) -> Result<(), AdaError> {
+        match frames.iter().find(|f| f.len() != self.system.len()) {
+            Some(f) => Err(AdaError::AtomMismatch {
+                pdb: self.system.len(),
+                xtc: f.len(),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -86,7 +82,6 @@ impl VmdSession {
             system,
             frames: Vec::new(),
             bonds,
-            reps: Vec::new(),
         });
         Ok(MolId(self.molecules.len() - 1))
     }
@@ -96,14 +91,7 @@ impl VmdSession {
     pub fn mol_addfile_xtc(&mut self, id: MolId, xtc_bytes: &[u8]) -> Result<usize, AdaError> {
         let traj = read_xtc(xtc_bytes)?;
         let mol = &mut self.molecules[id.0];
-        if let Some(f) = traj.frames.first() {
-            if f.len() != mol.system.len() {
-                return Err(AdaError::AtomMismatch {
-                    pdb: mol.system.len(),
-                    xtc: f.len(),
-                });
-            }
-        }
+        mol.check_frames(&traj.frames)?;
         let added = traj.len();
         mol.frames.extend(traj.frames);
         Ok(added)
@@ -111,7 +99,7 @@ impl VmdSession {
 
     /// `mol addfile /mnt/bar.xtc tag p` — ADA path: fetch a pre-decompressed
     /// subset; the molecule's structure is narrowed to the tag's atoms so
-    /// rendering and selections keep working.
+    /// rendering keeps working.
     pub fn mol_addfile_ada(
         &mut self,
         id: MolId,
@@ -142,13 +130,8 @@ impl VmdSession {
             let sub = mol.system.subset(ranges);
             mol.bonds = infer_bonds(&sub, &sub.coords, ada_mdmodel::bonds::DEFAULT_TOLERANCE);
             mol.system = sub;
-        } else if let Some(f) = traj.frames.first() {
-            if f.len() != mol.system.len() {
-                return Err(AdaError::AtomMismatch {
-                    pdb: mol.system.len(),
-                    xtc: f.len(),
-                });
-            }
+        } else {
+            mol.check_frames(&traj.frames)?;
         }
         let added = traj.len();
         mol.frames.extend(traj.frames);
@@ -156,86 +139,9 @@ impl VmdSession {
     }
 
     /// Render the loaded animation (all frames), parallel across frames.
-    pub fn animate(&self, id: MolId, opts: &RenderOptions, nthreads: usize) -> Vec<RenderStats> {
+    pub fn animate(&self, id: MolId, nthreads: usize) -> Vec<RenderStats> {
         let mol = &self.molecules[id.0];
-        render_trajectory(&mol.system, &mol.bonds, &mol.frames, opts, nthreads)
-    }
-
-    /// `mol addrep`: add a representation drawing `selection` in `style`.
-    /// Returns the rep index.
-    pub fn mol_addrep(
-        &mut self,
-        id: MolId,
-        selection: &str,
-        style: DrawStyle,
-    ) -> Result<usize, AdaError> {
-        let mol = &mut self.molecules[id.0];
-        let sel = parse_selection(selection).map_err(AdaError::Pdb)?;
-        let atoms = sel.evaluate(&mol.system);
-        mol.reps.push(Representation {
-            selection_text: selection.to_string(),
-            atoms,
-            style,
-            visible: true,
-        });
-        Ok(mol.reps.len() - 1)
-    }
-
-    /// `mol showrep`: toggle a representation's visibility.
-    pub fn mol_showrep(&mut self, id: MolId, rep: usize, visible: bool) {
-        self.molecules[id.0].reps[rep].visible = visible;
-    }
-
-    /// Render one frame through the molecule's representations: each
-    /// visible rep draws its selection in its own style; per-rep stats are
-    /// returned in rep order (hidden reps yield empty stats).
-    pub fn render_reps(
-        &self,
-        id: MolId,
-        frame_idx: usize,
-        opts: &RenderOptions,
-    ) -> Vec<RenderStats> {
-        let mol = &self.molecules[id.0];
-        let frame = &mol.frames[frame_idx];
-        // One coordinate buffer reused across reps (gather_into), instead
-        // of a fresh allocation per rep.
-        let mut sub_coords: Vec<[f32; 3]> = Vec::new();
-        mol.reps
-            .iter()
-            .map(|rep| {
-                if !rep.visible || rep.atoms.is_empty() {
-                    return RenderStats {
-                        atoms_drawn: 0,
-                        bonds_drawn: 0,
-                        pixels_filled: 0,
-                        framebuffer: Vec::new(),
-                    };
-                }
-                let sub_sys = mol.system.subset(&rep.atoms);
-                rep.atoms.gather_into(&frame.coords, &mut sub_coords);
-                // Remap bonds into the subset's index space.
-                let index_map: std::collections::HashMap<usize, u32> = rep
-                    .atoms
-                    .iter_indices()
-                    .enumerate()
-                    .map(|(new, old)| (old, new as u32))
-                    .collect();
-                let sub_bonds: Vec<Bond> = mol
-                    .bonds
-                    .iter()
-                    .filter_map(|b| {
-                        let a = index_map.get(&(b.a as usize))?;
-                        let c = index_map.get(&(b.b as usize))?;
-                        Some(Bond::new(*a, *c))
-                    })
-                    .collect();
-                let rep_opts = RenderOptions {
-                    style: rep.style,
-                    ..*opts
-                };
-                render_frame(&sub_sys, &sub_bonds, &sub_coords, &rep_opts)
-            })
-            .collect()
+        render_trajectory(&mol.system, &mol.bonds, &mol.frames, nthreads)
     }
 }
 
@@ -279,7 +185,7 @@ mod tests {
         let n = vmd.mol_addfile_xtc(id, &xtc_bytes).unwrap();
         assert_eq!(n, 3);
         assert_eq!(vmd.molecule(id).system.len(), w.system.len());
-        let stats = vmd.animate(id, &RenderOptions::default(), 2);
+        let stats = vmd.animate(id, 2);
         assert_eq!(stats.len(), 3);
         assert!(stats.iter().all(|s| s.pixels_filled > 0));
     }
@@ -301,7 +207,7 @@ mod tests {
         assert!((vmd.molecule(id).system.protein_fraction() - 1.0).abs() < 1e-9);
         // Less memory than the traditional load would need.
         assert!(vmd.molecule(id).frames_bytes() < (w.trajectory.nbytes() as u64));
-        let stats = vmd.animate(id, &RenderOptions::default(), 2);
+        let stats = vmd.animate(id, 2);
         assert_eq!(stats.len(), 3);
         assert!(stats[0].pixels_filled > 0);
     }
@@ -332,42 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn representations_draw_selections() {
-        let (_ada, _w, pdb_text, xtc_bytes) = setup();
-        let mut vmd = VmdSession::new();
-        let id = vmd.mol_new(&pdb_text).unwrap();
-        vmd.mol_addfile_xtc(id, &xtc_bytes).unwrap();
-        let prot_rep = vmd
-            .mol_addrep(id, "protein", crate::render::DrawStyle::Licorice)
-            .unwrap();
-        let wat_rep = vmd
-            .mol_addrep(id, "water", crate::render::DrawStyle::Points)
-            .unwrap();
-        let stats = vmd.render_reps(id, 0, &RenderOptions::default());
-        assert_eq!(stats.len(), 2);
-        assert!(stats[prot_rep].atoms_drawn > 0);
-        assert!(stats[prot_rep].bonds_drawn > 0); // licorice draws bonds
-        assert!(stats[wat_rep].atoms_drawn > 0);
-        assert_eq!(stats[wat_rep].bonds_drawn, 0); // points hide bonds
-
-        // Hide water: its stats go empty.
-        vmd.mol_showrep(id, wat_rep, false);
-        let stats2 = vmd.render_reps(id, 0, &RenderOptions::default());
-        assert_eq!(stats2[wat_rep].atoms_drawn, 0);
-        assert_eq!(stats2[prot_rep].atoms_drawn, stats[prot_rep].atoms_drawn);
-    }
-
-    #[test]
-    fn bad_rep_selection_rejected() {
-        let (_ada, _w, pdb_text, _) = setup();
-        let mut vmd = VmdSession::new();
-        let id = vmd.mol_new(&pdb_text).unwrap();
-        assert!(vmd
-            .mol_addrep(id, "resname", crate::render::DrawStyle::Lines)
-            .is_err());
-    }
-
-    #[test]
     fn atom_mismatch_rejected() {
         let (_ada, _w, pdb_text, _) = setup();
         let other = ada_workload::gpcr_workload(400, 1, 99);
@@ -378,6 +248,26 @@ mod tests {
             vmd.mol_addfile_xtc(id, &bad_xtc),
             Err(AdaError::AtomMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn ragged_xtc_is_rejected_and_loads_nothing() {
+        // A frame with another atom count after good ones: the whole file is
+        // refused, so the renderer never meets a frame it cannot draw.
+        let (_ada, w, pdb_text, mut xtc_bytes) = setup();
+        let other = ada_workload::gpcr_workload(400, 1, 99);
+        xtc_bytes.extend(write_xtc(&other.trajectory, DEFAULT_PRECISION).unwrap());
+        let mut vmd = VmdSession::new();
+        let id = vmd.mol_new(&pdb_text).unwrap();
+        match vmd.mol_addfile_xtc(id, &xtc_bytes) {
+            Err(AdaError::AtomMismatch { pdb, xtc }) => {
+                assert_eq!(pdb, w.system.len());
+                assert_eq!(xtc, other.system.len());
+            }
+            res => panic!("expected AtomMismatch, got {:?}", res),
+        }
+        assert!(vmd.molecule(id).frames.is_empty());
+        assert!(vmd.animate(id, 2).is_empty());
     }
 
     #[test]

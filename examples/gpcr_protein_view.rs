@@ -12,7 +12,7 @@ use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
 use ada_repro::ada_over_hybrid_storage;
-use ada_vmdsim::{AccessPattern, FrameCache, RenderOptions, VmdSession};
+use ada_vmdsim::{AccessPattern, FrameCache, VmdSession};
 
 fn main() {
     let workload = ada_workload::gpcr_workload(8_000, 12, 77);
@@ -33,7 +33,7 @@ fn main() {
     let mut vmd = VmdSession::new();
     let full = vmd.mol_new(&pdb_text).unwrap();
     vmd.mol_addfile_xtc(full, &xtc_bytes).unwrap();
-    let full_stats = vmd.animate(full, &RenderOptions::default(), 4);
+    let full_stats = vmd.animate(full, 4);
     let full_bytes = vmd.molecule(full).frames_bytes();
     println!(
         "traditional load: {} atoms, {} frames, {} kB resident, {} px avg",
@@ -47,7 +47,7 @@ fn main() {
     let prot = vmd.mol_new(&pdb_text).unwrap();
     vmd.mol_addfile_ada(prot, &ada, "cb1", Some(&Tag::protein()))
         .unwrap();
-    let prot_stats = vmd.animate(prot, &RenderOptions::default(), 4);
+    let prot_stats = vmd.animate(prot, 4);
     let prot_bytes = vmd.molecule(prot).frames_bytes();
     println!(
         "ADA tag-p load:   {} atoms, {} frames, {} kB resident, {} px avg",

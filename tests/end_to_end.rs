@@ -7,7 +7,7 @@ use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::{read_xtc, write_pdb};
 use ada_mdmodel::{Category, Tag};
 use ada_repro::ada_over_hybrid_storage;
-use ada_vmdsim::{RenderOptions, VmdSession};
+use ada_vmdsim::VmdSession;
 
 fn close(a: f32, b: f32) -> bool {
     (a - b).abs() < 0.5 / 1000.0 + 1e-6
@@ -65,7 +65,7 @@ fn full_pipeline_real_bytes() {
     }
 
     // And it renders.
-    let stats = vmd.animate(id, &RenderOptions::default(), 3);
+    let stats = vmd.animate(id, 3);
     assert_eq!(stats.len(), 5);
     assert!(stats.iter().all(|s| s.pixels_filled > 50));
 }
