@@ -220,29 +220,6 @@ impl DecodedDropping {
         locals.iter().all(|&l| self.frame(l).is_some())
     }
 
-    /// All frames in dropping order, consuming the payload; `None` if any
-    /// chunk is missing.
-    pub fn into_frames(self) -> Option<Vec<Frame>> {
-        let mut out = Vec::with_capacity(self.nframes());
-        for c in self.chunks {
-            match Arc::try_unwrap(c?) {
-                Ok(v) => out.extend(v),
-                Err(shared) => out.extend(shared.iter().cloned()),
-            }
-        }
-        Some(out)
-    }
-
-    /// All frames in dropping order, cloned; `None` if any chunk is
-    /// missing.
-    pub fn cloned_frames(&self) -> Option<Vec<Frame>> {
-        let mut out = Vec::with_capacity(self.nframes());
-        for c in &self.chunks {
-            out.extend(c.as_ref()?.iter().cloned());
-        }
-        Some(out)
-    }
-
     /// Resident cost of this payload in bytes (only decoded chunks count).
     pub fn cost(&self) -> u64 {
         self.chunks
@@ -832,8 +809,8 @@ mod tests {
         assert!(half.frame(2).is_none());
         assert!(half.has_frames(&[0, 1]));
         assert!(!half.has_frames(&[0, 3]));
-        assert!(half.cloned_frames().is_none());
-        assert_eq!(full.cloned_frames().unwrap().len(), 4);
+        assert!(full.has_frames(&[0, 1, 2, 3]));
+        assert_eq!(full.nframes(), 4);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`query`] — the read side as callers see it: `query` and
 //!   `query_range` over one resolve / index / heat-bump / report set.
 //! * [`retrieve`] — the I/O retriever underneath both: cache partition,
-//!   then one fetch / plan / decode-unit / assemble body whose decode
-//!   loop runs inline (the serial reference) or on a worker pool.
+//!   fetch and plan on the caller, then one unit per (window, chunk) of
+//!   the answer — check its stored chunks, write its frames — inline
+//!   (the serial reference) or on a worker pool.
 //!
 //! This file holds the public types, the [`Ada`] instance with its
 //! dataset bookkeeping, and what the three modules share.
@@ -63,12 +64,14 @@ pub struct AdaConfig {
     /// (the serial reference, no thread spawned); `n ≥ 1` runs them on a
     /// pool of `n` workers, clamped to the number of chunks in the window.
     pub ingest_threads: usize,
-    /// XTCF decode workers on the query path. Every retrieval fetches its
-    /// droppings in logical order on the caller's thread, then decodes the
-    /// planned chunks: `0` decodes them inline (the serial reference, no
-    /// thread spawned); `n ≥ 1` decodes them on a pool of `n` workers,
-    /// clamped to the number of chunks there are to decode — a one-chunk
-    /// miss starts one worker, not `n`.
+    /// Workers on the query path. Every retrieval fetches its droppings in
+    /// logical order on the caller's thread, then runs its units — one
+    /// (window, chunk) of the answer each: its stored chunks checked, its
+    /// frames written: `0` runs them inline (the serial reference, no
+    /// thread spawned); `n ≥ 1` runs them on a pool of `n` workers, clamped
+    /// to the number of units — a one-chunk miss starts one worker, not
+    /// `n`, and a request with no stored chunk to check (all cache hits)
+    /// runs inline whatever `n` is.
     pub query_threads: usize,
     /// File suffixes ADA traps ("files generated by a target application").
     pub target_suffixes: Vec<String>,

@@ -1,23 +1,21 @@
 //! The read side as callers see it: `mol addfile <dataset>.xtc [tag <t>]`
 //! ([`Ada::query`]) and the strided frame-range read of the sampling
 //! workload ([`Ada::query_range`]). Both resolve the dataset's mode, run
-//! the indexer, read (size-only datasets) or retrieve + reassemble (real
-//! ones), then bump the tag heat, through the same four helpers; the
-//! retrieval itself lives in [`super::retrieve`].
+//! the indexer, read (size-only datasets) or retrieve (real ones), then
+//! bump the tag heat, through the same four helpers; the retrieval — which
+//! writes the answer's frames too — lives in [`super::retrieve`].
 //!
 //! A caller that hands a whole tag on undecoded — the daemon, to a socket
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
 //! resolve / index / read / heat helpers, and no retrieval at all.
 
-use super::retrieve::{atoms_err, chunk_err, real_bytes, xtcf_err, FrameSelection};
+use super::retrieve::{atoms_err, chunk_err, real_bytes, xtcf_err, Take};
 use super::{observe, op_span, traced, Ada, DatasetState, QueryReport, RetrievedData};
-use crate::labeler::LabelFile;
 use crate::AdaError;
-use ada_cache::DecodedDropping;
 use ada_mdformats::xtcf::{
     frame_record_len, parse_directory, verify_chunk, ChunkDirectory, XTCF_HEADER_LEN,
 };
-use ada_mdformats::{Frame, Trajectory};
+use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
 use ada_simfs::Content;
@@ -25,7 +23,6 @@ use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// One fetched v2 dropping of a [`StoredAnswer`].
 #[derive(Debug)]
@@ -96,8 +93,8 @@ impl Ada {
     }
 
     /// [`Ada::query`] under an existing trace (see [`Ada::ingest_traced`]):
-    /// index, read, per-unit decode, cache lookup, and reassemble each
-    /// contribute a span to the request's tree.
+    /// index, read, cache lookup, a decode per checked chunk and a
+    /// reassemble per unit each contribute a span to the request's tree.
     pub fn query_traced(
         &self,
         dataset: &str,
@@ -138,36 +135,9 @@ impl Ada {
                 (data, read)
             }
             DatasetState::Real { label } => {
-                let indexed: Vec<(usize, IndexRecord, FrameSelection)> = records
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, r)| (i, r, None))
-                    .collect();
-                let (fetched, read) = self.retrieve_droppings(dataset, label, indexed, ctx)?;
-                let mut per_tag: BTreeMap<Tag, Vec<Frame>> = BTreeMap::new();
-                for (_, tag, payload) in fetched {
-                    // Unwrap a sole Arc (cache off, or evicted since the
-                    // lookup) to move the frames; clone otherwise.
-                    let frames = match Arc::try_unwrap(payload) {
-                        Ok(owned) => owned.into_frames(),
-                        Err(shared) => shared.cloned_frames(),
-                    }
-                    .ok_or_else(|| {
-                        AdaError::Internal(format!(
-                            "retrieval returned an incomplete dropping for tag '{}'",
-                            tag
-                        ))
-                    })?;
-                    per_tag.entry(Tag::new(tag)).or_default().extend(frames);
-                }
-                let traj = {
-                    let mut ts = ctx.span("query.reassemble");
-                    let traj = reassemble(label, tag, per_tag)?;
-                    ts.arg("bytes", traj.nbytes());
-                    ts.arg("frames", traj.len());
-                    traj
-                };
-                (RetrievedData::Real(traj), read)
+                let takes = records.into_iter().map(|r| (r, Take::All)).collect();
+                let (frames, read) = self.retrieve(dataset, label, tag.is_none(), takes, ctx)?;
+                (RetrievedData::Real(Trajectory::from_frames(frames)), read)
             }
         };
 
@@ -384,45 +354,16 @@ impl Ada {
                     }
                 }
                 let want: std::collections::BTreeSet<usize> = fetch_ids.into_iter().collect();
-                // Readahead droppings (no local selection) decode whole —
-                // they exist to warm the cache for the next window.
-                let indexed: Vec<(usize, IndexRecord, FrameSelection)> = records
+                let takes = records
                     .into_iter()
                     .enumerate()
                     .filter(|(i, _)| want.contains(i))
-                    .map(|(i, r)| {
-                        let sel = local_sel.get(&i).cloned();
-                        (i, r, sel)
+                    .map(|(i, r)| match local_sel.remove(&i) {
+                        Some(sel) => (r, Take::Frames(sel)),
+                        None => (r, Take::Warm),
                     })
                     .collect();
-
-                let (fetched, read) = self.retrieve_droppings(dataset, label, indexed, ctx)?;
-                let by_dropping: BTreeMap<usize, Arc<DecodedDropping>> =
-                    fetched.into_iter().map(|(i, _tag, p)| (i, p)).collect();
-
-                // Assemble the reply, cloning only the chosen frames.
-                let mut frames: Vec<Frame> = Vec::with_capacity(selected.len());
-                {
-                    let mut ts = ctx.span("query.reassemble");
-                    for f in &selected {
-                        let d = spans.partition_point(|(_, end)| *end <= *f);
-                        let frame = spans
-                            .get(d)
-                            .and_then(|(start, _)| {
-                                by_dropping.get(&d).and_then(|p| p.frame(f - start))
-                            })
-                            .ok_or_else(|| {
-                                AdaError::Internal(format!(
-                                    "dropping {} of tag '{}' is missing frame {}",
-                                    d, tag, f
-                                ))
-                            })?;
-                        frames.push(frame.clone());
-                    }
-                    let bytes: u64 = frames.iter().map(|f| f.nbytes() as u64).sum();
-                    ts.arg("bytes", bytes);
-                    ts.arg("frames", frames.len());
-                }
+                let (frames, read) = self.retrieve(dataset, label, false, takes, ctx)?;
                 (RetrievedData::Real(Trajectory::from_frames(frames)), read)
             }
         };
@@ -506,208 +447,14 @@ fn dropping_frame_spans(records: &[IndexRecord], natoms: usize) -> Vec<(usize, u
     spans
 }
 
-/// Reassemble the delivered trajectory from per-tag frame subsets: a
-/// tagged query hands back that tag's frames verbatim; a full-frame query
-/// lays every tag's subset back into its label ranges. The ranges of all
-/// tags, sorted by where they start, are the order an output frame is
-/// written in, so each frame is *appended* piece by piece — zeros only
-/// across atoms no tag covers, and where two tags' ranges overlap the
-/// piece that starts later lands on top. Each tag must contribute exactly
-/// the label's frame count — a mismatch means a corrupt or foreign
-/// dropping, and truncating to the shortest subset would silently drop
-/// frames.
-fn reassemble(
-    label: &LabelFile,
-    tag: Option<&Tag>,
-    mut per_tag: BTreeMap<Tag, Vec<Frame>>,
-) -> Result<Trajectory, AdaError> {
-    if let Some(t) = tag {
-        return Ok(Trajectory::from_frames(
-            per_tag.remove(t).unwrap_or_default(),
-        ));
-    }
-    // One piece per label range: (start, len, tag, offset in that tag's
-    // subset). Decode validated every subset frame against its ranges'
-    // atom count, so `offset + len` is inside it.
-    let mut pieces: Vec<(usize, usize, usize, usize)> = Vec::new();
-    let mut subsets: Vec<&[Frame]> = Vec::with_capacity(per_tag.len());
-    for (t, sub_frames) in &per_tag {
-        if sub_frames.len() != label.nframes {
-            return Err(AdaError::FrameCountMismatch {
-                tag: t.to_string(),
-                expected: label.nframes,
-                got: sub_frames.len(),
-            });
-        }
-        let mut offset = 0usize;
-        for r in label.ranges(t)?.iter_ranges() {
-            pieces.push((r.start, r.len(), subsets.len(), offset));
-            offset += r.len();
-        }
-        subsets.push(sub_frames);
-    }
-    pieces.sort_by_key(|&(start, ..)| start);
-    // Step, time and box are the same in every tag's copy of a frame.
-    let heads = subsets.first().copied().unwrap_or_default();
-    let frames = heads
-        .iter()
-        .enumerate()
-        .map(|(i, head)| {
-            let mut coords: Vec<[f32; 3]> = Vec::with_capacity(label.natoms);
-            for &(start, len, t, offset) in &pieces {
-                let src = &subsets[t][i].coords[offset..offset + len];
-                if coords.len() < start {
-                    coords.resize(start, [0.0; 3]);
-                }
-                let overlap = (coords.len() - start).min(len);
-                coords[start..start + overlap].copy_from_slice(&src[..overlap]);
-                coords.extend_from_slice(&src[overlap..]);
-            }
-            coords.resize(label.natoms, [0.0; 3]);
-            Frame {
-                step: head.step,
-                time: head.time,
-                pbc: head.pbc,
-                coords,
-            }
-        })
-        .collect();
-    Ok(Trajectory::from_frames(frames))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
     use super::super::{IngestInput, RetrievedData};
-    use super::reassemble;
-    use crate::labeler::LabelFile;
     use crate::synth::SyntheticDataset;
     use crate::AdaError;
-    use ada_mdformats::{Frame, Trajectory};
-    use ada_mdmodel::{IndexRanges, PbcBox, Tag};
-    use std::collections::BTreeMap;
-
-    /// The full-frame reassembly the piece list replaced — a zero-filled
-    /// frame per output frame, then one scatter per tag in tag order —
-    /// kept as the reference it is checked against.
-    fn reassemble_scatter(
-        label: &LabelFile,
-        per_tag: &BTreeMap<Tag, Vec<Frame>>,
-    ) -> Result<Trajectory, AdaError> {
-        let mut full: Option<Vec<Frame>> = None;
-        for (t, sub_frames) in per_tag {
-            if sub_frames.len() != label.nframes {
-                return Err(AdaError::FrameCountMismatch {
-                    tag: t.to_string(),
-                    expected: label.nframes,
-                    got: sub_frames.len(),
-                });
-            }
-            let ranges = label.ranges(t)?;
-            let frames = full.get_or_insert_with(|| {
-                sub_frames
-                    .iter()
-                    .map(|f| Frame {
-                        step: f.step,
-                        time: f.time,
-                        pbc: f.pbc,
-                        coords: vec![[0.0; 3]; label.natoms],
-                    })
-                    .collect()
-            });
-            for (dst, src) in frames.iter_mut().zip(sub_frames) {
-                ranges.scatter(&src.coords, &mut dst.coords);
-            }
-        }
-        Ok(Trajectory::from_frames(full.unwrap_or_default()))
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
-        #[test]
-        fn prop_reassemble_equals_the_scatter_reference(
-            seed: u64,
-            natoms in 0usize..48,
-            nframes in 0usize..4,
-            ntags in 0usize..5,
-            partition in 0usize..2,
-        ) {
-            let mut x = seed | 1;
-            let mut next = |below: usize| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 33) as usize % below.max(1)
-            };
-            // Either a partition — every atom dealt to exactly one tag —
-            // or free-for-all ranges: gaps no tag covers, and ranges of
-            // two tags that overlap.
-            let mut tags: BTreeMap<Tag, IndexRanges> = BTreeMap::new();
-            let names: Vec<Tag> = (0..ntags).map(|t| Tag::new(format!("t{}", t))).collect();
-            if partition == 1 && ntags > 0 {
-                let owner: Vec<usize> = (0..natoms).map(|_| next(ntags)).collect();
-                for (t, name) in names.iter().enumerate() {
-                    let mine = (0..natoms).filter(|&a| owner[a] == t);
-                    tags.insert(name.clone(), IndexRanges::from_indices(mine));
-                }
-            } else {
-                for name in &names {
-                    let ranges = (0..next(4)).map(|_| {
-                        let start = next(natoms + 1);
-                        start..(start + next(12)).min(natoms)
-                    });
-                    tags.insert(name.clone(), IndexRanges::from_ranges(ranges.collect::<Vec<_>>()));
-                }
-            }
-            let source: Vec<Frame> = (0..nframes)
-                .map(|f| Frame {
-                    step: f as i32 * 10,
-                    time: f as f32 * 0.5,
-                    pbc: PbcBox::rectangular(3.0, 4.0, 5.0),
-                    coords: (0..natoms)
-                        .map(|a| [a as f32 + 0.25, f as f32 + 1.0, -(next(1000) as f32) - 1.0])
-                        .collect(),
-                })
-                .collect();
-            // Both copies of an overlap come from one source frame.
-            let per_tag: BTreeMap<Tag, Vec<Frame>> = tags
-                .iter()
-                .map(|(t, r)| (t.clone(), source.iter().map(|f| f.subset(r)).collect()))
-                .collect();
-            let label = LabelFile::new("d", natoms, nframes, tags);
-            let got = reassemble(&label, None, per_tag.clone()).unwrap();
-            proptest::prop_assert_eq!(&got, &reassemble_scatter(&label, &per_tag).unwrap());
-            if partition == 1 && ntags > 0 {
-                proptest::prop_assert_eq!(&got.frames, &source);
-            }
-            // A tagged answer is that tag's subset, untouched.
-            if let Some((t, frames)) = per_tag.iter().next() {
-                let tagged = reassemble(&label, Some(t), per_tag.clone()).unwrap();
-                proptest::prop_assert_eq!(&tagged.frames, frames);
-            }
-        }
-    }
-
-    #[test]
-    fn reassemble_refuses_a_tag_that_is_short_of_frames() {
-        let tags: BTreeMap<Tag, IndexRanges> = [
-            (Tag::new("a"), IndexRanges::single(0..2)),
-            (Tag::new("b"), IndexRanges::single(2..5)),
-        ]
-        .into();
-        let label = LabelFile::new("d", 5, 3, tags);
-        let frames = |n: usize, atoms: usize| vec![Frame::from_coords(vec![[1.0; 3]; atoms]); n];
-        let per_tag: BTreeMap<Tag, Vec<Frame>> =
-            [(Tag::new("a"), frames(3, 2)), (Tag::new("b"), frames(2, 3))].into();
-        let err = reassemble(&label, None, per_tag.clone()).unwrap_err();
-        assert!(
-            matches!(&err, AdaError::FrameCountMismatch { tag, expected: 3, got: 2 } if tag == "b"),
-            "{:?}",
-            err
-        );
-        let reference = reassemble_scatter(&label, &per_tag).unwrap_err();
-        assert_eq!(err.to_string(), reference.to_string());
-    }
+    use ada_mdformats::Frame;
+    use ada_mdmodel::Tag;
 
     #[test]
     fn query_all_reassembles_full_frames() {

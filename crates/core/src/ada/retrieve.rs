@@ -1,28 +1,38 @@
-//! The I/O retriever: fetch the droppings a query needs and hand them
-//! back decoded.
+//! The I/O retriever: fetch the droppings a query needs and write its
+//! answer from them.
 //!
-//! [`Ada::retrieve_droppings`] partitions the request into cache hits and
-//! misses; the misses go through one body ([`Ada::fetch_and_decode`]):
-//! [`Ada::fetch_in_order`] on the caller's thread, [`plan`] (which units
-//! of a fetched dropping to decode) for each dropping in logical order,
-//! [`decode_unit`] (one whole v1 file or one v2 chunk, atom-count
-//! validated) over the planned units, and [`assemble`] (resident chunks +
-//! fresh chunks → payload). A backend read is a refcount clone beside a
-//! decode that costs milliseconds, so decode is the one stage worth a
-//! pool: `query_threads` workers claim units from it, and `query_threads
-//! = 0` decodes them inline — the reference schedule, which spawns
-//! nothing and which `query_equivalence` and `core.parallel_speedup`
-//! compare the pool with.
+//! [`Ada::retrieve`] is the one body of `query` and `query_range`. On the
+//! caller's thread it looks every dropping up in the cache, fetches the
+//! misses in logical order ([`Ada::fetch_in_order`]), plans each ([`plan`]:
+//! which of its chunks are resident and which are stored and still to be
+//! checked) and lays the plans out in their tags' frames ([`units`]). The
+//! answer's frames are cut into **units**: the stored chunks of all its
+//! tags, merged where they overlap — on every layout ingest writes, one
+//! (window, chunk) of the answer across the tags it needs — and the
+//! resident frames between them. A unit checks
+//! its stored chunks (`verify_chunk`, then the directory's atom count
+//! against the label's; decoded into frames first when the cache is on,
+//! because frames are what the cache keeps) and writes the answer's
+//! frames inside it, each one once, straight from its sources. The pool's
+//! `query_threads` workers claim units; `query_threads = 0` runs them
+//! inline — the reference schedule, which spawns nothing and which
+//! `query_equivalence` and `core.parallel_speedup` compare the pool with
+//! — and so does a request with nothing stored to check.
 //!
 //! Every schedule fails with the same error: a fetch failure (everything
-//! is fetched before anything is decoded), else the first failure in
-//! (dropping, chunk) order, a plan failure ranking as chunk 0.
+//! is fetched before anything is checked), else the first failure in
+//! (unit, tag in label order, chunk) order. A dropping that cannot be
+//! planned ranks ahead of the unit its first frame falls in; so does, in a
+//! full-frame answer, a tag whose frame count disagrees with the label, at
+//! its first missing or surplus frame.
+
+mod units;
 
 use super::{max_across_backends, Ada};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
-use ada_mdformats::xtcf::{decode_chunk, parse_directory, read_xtcf, ChunkDirectory};
+use ada_mdformats::xtcf::{parse_directory, read_xtcf, ChunkDirectory, ChunkEntry};
 use ada_mdformats::{FormatError, Frame};
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
@@ -31,53 +41,73 @@ use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use units::{run_unit, Layout, TagLayout};
 
-/// Per-dropping retrieval output, keyed by the record's logical index and
-/// its tag (`K = String`) or the whole record, plus the simulated backend
-/// read time of the whole batch.
-type Retrieved<K, T> = (Vec<(usize, K, T)>, SimDuration);
-
-/// Dropping-local frames a retrieval must deliver: `None` means the whole
-/// dropping (full queries, readahead warming), `Some` the ascending local
-/// frame indices a range read actually selects — the retriever decodes
-/// only the chunks those frames live in.
-pub(super) type FrameSelection = Option<Vec<usize>>;
-
-/// One retrieval work item after the cache lookup: the dropping, the
-/// frames wanted from it, and whatever partial payload is already resident
-/// (so only the missing chunks are decoded and the entry upgrades in
-/// place).
-struct RetrieveItem {
-    idx: usize,
-    record: IndexRecord,
-    select: FrameSelection,
-    prior: Option<Arc<DecodedDropping>>,
+/// How one dropping of a retrieval contributes to the answer.
+pub(super) enum Take {
+    /// Every frame.
+    All,
+    /// These dropping-local frames, ascending (a range read): only the
+    /// chunks they live in are checked.
+    Frames(Vec<usize>),
+    /// None: the dropping is decoded whole only to warm the cache (range
+    /// readahead).
+    Warm,
 }
 
-/// A freshly assembled dropping payload plus the frame bytes that were
-/// actually decoded to build it (resident prior chunks cost nothing).
-struct PayloadOutcome {
-    payload: DecodedDropping,
-    fresh_bytes: u64,
+impl Take {
+    /// Whether a resident cache entry holds everything this take needs.
+    fn covered_by(&self, entry: &DecodedDropping) -> bool {
+        match self {
+            Take::Frames(sel) => entry.has_frames(sel),
+            Take::All | Take::Warm => entry.is_complete(),
+        }
+    }
 }
 
-/// A fetched dropping with its decode plan, and what the assembly needs
-/// once the planned units are decoded.
+/// What the cache holds for one dropping of a request.
+enum Cached {
+    /// An entry that covers the take: nothing is fetched.
+    Hit(Arc<DecodedDropping>),
+    /// Fetch it; a partial entry rides along as the prior whose chunks
+    /// need no check.
+    Miss(Option<Arc<DecodedDropping>>),
+}
+
+/// Where a planned dropping's chunks come from.
+enum Source {
+    /// A cache hit.
+    Hit(Arc<DecodedDropping>),
+    /// A v1 file, which has no chunks: read whole and atom-count validated
+    /// while planning, resident from then on (the compatibility shim).
+    Whole(Arc<DecodedDropping>),
+    /// A v2 file: its units check the `todo` chunks; the other chunks the
+    /// take needs are resident in `prior`.
+    Stored {
+        content: Content,
+        dir: ChunkDirectory,
+        prior: Option<Arc<DecodedDropping>>,
+        todo: Vec<usize>,
+        /// Atoms per frame — the label's, else the directory's.
+        natoms: usize,
+    },
+}
+
+/// One dropping of a request, planned.
 struct Planned {
-    idx: usize,
     record: IndexRecord,
-    /// Atoms the label says this tag selects; every decoded frame is
-    /// checked against it.
-    natoms: Option<usize>,
-    /// Chunk directory of a v2 container. `None` is a v1 file, which
-    /// always decodes whole, as the single unit 0 (the compatibility shim).
-    dir: Option<ChunkDirectory>,
-    /// A resident payload whose chunk layout matches `dir` — only then can
-    /// its chunks be merged with a fresh decode.
-    prior: Option<Arc<DecodedDropping>>,
-    /// Chunks to decode, ascending: the ones the selection touches, minus
-    /// any already resident in `prior`.
-    units: Vec<usize>,
+    take: Take,
+    source: Source,
+}
+
+impl Planned {
+    /// The resident frames of chunk `c`.
+    fn resident(&self, c: usize) -> Option<&Arc<Vec<Frame>>> {
+        match &self.source {
+            Source::Hit(entry) | Source::Whole(entry) => entry.chunk(c),
+            Source::Stored { prior, .. } => prior.as_ref()?.chunk(c),
+        }
+    }
 }
 
 pub(super) fn xtcf_err(record: &IndexRecord, source: FormatError) -> AdaError {
@@ -88,9 +118,9 @@ pub(super) fn xtcf_err(record: &IndexRecord, source: FormatError) -> AdaError {
 }
 
 /// [`xtcf_err`] for a chunk that failed its span or checksum test
-/// (`verify_chunk`, alone or inside `decode_chunk`): the one place
+/// (`verify_chunk`, alone or inside a decode): the one place
 /// `xtcf.chunk.corrupt` is counted, whether the chunk was about to be
-/// decoded or forwarded.
+/// read, decoded or forwarded.
 pub(super) fn chunk_err(record: &IndexRecord, source: FormatError) -> AdaError {
     if matches!(source, FormatError::ChunkCorrupt { .. }) && ada_telemetry::enabled() {
         ada_telemetry::global().counter("xtcf.chunk.corrupt").inc();
@@ -98,9 +128,8 @@ pub(super) fn chunk_err(record: &IndexRecord, source: FormatError) -> AdaError {
     xtcf_err(record, source)
 }
 
-/// Frame `frame` of a unit of `record` carries `got` atoms where the
-/// tag's label ranges select `want` — reassembly would slice it out of
-/// bounds.
+/// Frame `frame` of `record` carries `got` atoms where the tag's label
+/// ranges select `want` — the answer would slice it out of bounds.
 pub(super) fn atoms_err(record: &IndexRecord, frame: usize, got: usize, want: usize) -> AdaError {
     xtcf_err(
         record,
@@ -125,34 +154,47 @@ pub(super) fn real_bytes<'a>(
     }
 }
 
-/// Map a fetched dropping and its frame selection to a decode plan.
-fn plan(item: RetrieveItem, content: &Content, label: &LabelFile) -> Result<Planned, AdaError> {
-    let RetrieveItem {
-        idx,
-        record,
-        select,
-        prior,
-    } = item;
-    let bytes = real_bytes(&record, content)?;
-    let natoms = label
-        .tags
-        .get(&Tag::new(record.tag.clone()))
-        .map(|r| r.count());
+/// What `Frame::nbytes` sums to over a chunk's frames once decoded: what a
+/// checked chunk adds to `cache.bytes_decoded`, decoded or read in place.
+fn decoded_bytes(e: &ChunkEntry) -> u64 {
+    let frame = std::mem::size_of::<Frame>() + e.natoms as usize * std::mem::size_of::<[f32; 3]>();
+    u64::from(e.nframes) * frame as u64
+}
+
+/// Plan a fetched dropping: parse its chunk directory and list the chunks
+/// its take needs that `prior` does not hold — the ones its units check.
+/// A v1 file has no chunks and is read whole here instead.
+fn plan(
+    record: IndexRecord,
+    take: Take,
+    content: Content,
+    prior: Option<Arc<DecodedDropping>>,
+    natoms: Option<usize>,
+    ctx: &TraceContext,
+) -> Result<Planned, AdaError> {
+    let bytes = real_bytes(&record, &content)?;
     let Some(dir) = parse_directory(bytes).map_err(|e| xtcf_err(&record, e))? else {
+        let entry = read_whole(&record, bytes, natoms, ctx)?;
         return Ok(Planned {
-            idx,
             record,
-            natoms,
-            dir: None,
-            prior: None,
-            units: vec![0],
+            take,
+            source: Source::Whole(Arc::new(entry)),
         });
     };
-    let prior = prior.filter(|p| p.chunk_layout() == dir.chunk_nframes().as_slice());
-    let wanted: Vec<usize> = match &select {
-        None => (0..dir.nchunks()).collect(),
-        Some(sel) => {
-            let mut out = Vec::new();
+    let same_layout = |p: &Arc<DecodedDropping>| {
+        p.chunk_layout()
+            .iter()
+            .eq(dir.entries.iter().map(|e| &e.nframes))
+    };
+    let prior = prior.filter(same_layout);
+    let mut todo: Vec<usize> = Vec::new();
+    let mut need = |c: usize| {
+        if todo.last() != Some(&c) && prior.as_ref().is_none_or(|p| p.chunk(c).is_none()) {
+            todo.push(c);
+        }
+    };
+    match &take {
+        Take::Frames(sel) => {
             for &f in sel {
                 let c = dir.chunk_of_frame(f).ok_or_else(|| {
                     xtcf_err(
@@ -164,214 +206,224 @@ fn plan(item: RetrieveItem, content: &Content, label: &LabelFile) -> Result<Plan
                         )),
                     )
                 })?;
-                if out.last() != Some(&c) {
-                    out.push(c);
-                }
+                need(c);
             }
-            out
         }
-    };
-    let units = wanted
-        .into_iter()
-        .filter(|&c| prior.as_ref().is_none_or(|p| p.chunk(c).is_none()))
-        .collect();
+        Take::All | Take::Warm => (0..dir.nchunks()).for_each(need),
+    }
+    let natoms = natoms.unwrap_or_else(|| dir.entries.first().map_or(0, |e| e.natoms as usize));
     Ok(Planned {
-        idx,
         record,
-        natoms,
-        dir: Some(dir),
-        prior,
-        units,
+        take,
+        source: Source::Stored {
+            content,
+            dir,
+            prior,
+            todo,
+            natoms,
+        },
     })
 }
 
-/// Reject frames whose atom count disagrees with the tag's label ranges —
-/// reassembly would slice them out of bounds.
-fn validate_atoms(
+/// Read a v1 file whole, under its `query.decode` span, and reject frames
+/// whose atom count disagrees with the label's.
+fn read_whole(
     record: &IndexRecord,
+    bytes: &[u8],
     natoms: Option<usize>,
-    frames: &[Frame],
-) -> Result<(), AdaError> {
-    let Some(n) = natoms else { return Ok(()) };
-    match frames.iter().enumerate().find(|(_, f)| f.len() != n) {
-        None => Ok(()),
-        Some((i, f)) => Err(atoms_err(record, i, f.len(), n)),
-    }
-}
-
-/// Decode unit `c` of a planned dropping — the whole file for v1, chunk
-/// `c` for v2 — atom-count validated. Both schedules decode through
-/// here, so the unit's span — the decode stage's only clock, and the
-/// `tag` + `bytes` a profile's per-tag volume is folded from — is opened
-/// here and nowhere else.
-fn decode_unit(
-    p: &Planned,
-    content: &Content,
-    c: usize,
     ctx: &TraceContext,
-) -> Result<Vec<Frame>, AdaError> {
+) -> Result<DecodedDropping, AdaError> {
     let mut ts = ctx.span("query.decode");
-    ts.arg("tag", p.record.tag.as_str());
-    let unit_bytes = match &p.dir {
-        None => content.len(),
-        Some(dir) => {
-            ts.arg("chunk", c);
-            dir.entries.get(c).map_or(0, |e| e.body_len() as u64)
-        }
-    };
-    ts.arg("bytes", unit_bytes);
-    let res = real_bytes(&p.record, content)
-        .and_then(|bytes| {
-            match &p.dir {
-                None => read_xtcf(bytes).map(|t| t.frames),
-                Some(dir) => decode_chunk(bytes, dir, c),
+    ts.arg("tag", record.tag.as_str());
+    ts.arg("bytes", bytes.len() as u64);
+    let res = read_xtcf(bytes)
+        .map_err(|e| chunk_err(record, e))
+        .and_then(|traj| {
+            let Some(n) = natoms else {
+                return Ok(traj.frames);
+            };
+            match traj.frames.iter().enumerate().find(|(_, f)| f.len() != n) {
+                None => Ok(traj.frames),
+                Some((i, f)) => Err(atoms_err(record, i, f.len(), n)),
             }
-            .map_err(|e| chunk_err(&p.record, e))
-        })
-        .and_then(|frames| validate_atoms(&p.record, p.natoms, &frames).map(|_| frames));
+        });
     match &res {
         Ok(frames) => ts.arg("frames", frames.len()),
         Err(e) => ts.set_error(e.kind()),
     }
-    res
-}
-
-/// Build a dropping's payload from its resident (prior) chunks plus the
-/// freshly decoded `(chunk, frames)` units, and bump the per-backend and
-/// global chunk counters: decoded chunks cost decode work, skipped ones
-/// were outside the selection or already resident.
-fn assemble(p: &Planned, mut fresh: Vec<(usize, Vec<Frame>)>) -> PayloadOutcome {
-    let fresh_bytes = fresh
-        .iter()
-        .flat_map(|(_, frames)| frames)
-        .map(|f| f.nbytes() as u64)
-        .sum();
-    let decoded = fresh.len() as u64;
-    let (payload, nchunks) = match &p.dir {
-        None => {
-            let frames = fresh.pop().map(|(_, f)| f).unwrap_or_default();
-            let natoms = p
-                .natoms
-                .unwrap_or_else(|| frames.first().map_or(0, |f| f.len()));
-            (DecodedDropping::complete(frames, natoms), 1)
-        }
-        Some(dir) => {
-            let mut chunks: Vec<Option<Arc<Vec<Frame>>>> = match &p.prior {
-                Some(prior) => (0..dir.nchunks())
-                    .map(|i| prior.chunk(i).cloned())
-                    .collect(),
-                None => vec![None; dir.nchunks()],
-            };
-            for (c, frames) in fresh {
-                if let Some(slot) = chunks.get_mut(c) {
-                    *slot = Some(Arc::new(frames));
-                }
-            }
-            let natoms = p
-                .natoms
-                .unwrap_or_else(|| dir.entries.first().map_or(0, |e| e.natoms as usize));
-            (
-                DecodedDropping::from_chunks(dir.chunk_nframes(), chunks, natoms),
-                dir.nchunks() as u64,
-            )
-        }
-    };
-    let skipped = nchunks.saturating_sub(decoded);
-    ada_plfs::note_chunk_reads(&p.record.backend, decoded, skipped);
-    if ada_telemetry::enabled() {
-        let reg = ada_telemetry::global();
-        if decoded > 0 {
-            reg.counter("xtcf.chunk.decoded").add(decoded);
-        }
-        if skipped > 0 {
-            reg.counter("xtcf.chunk.skipped").add(skipped);
-        }
-    }
-    PayloadOutcome {
-        payload,
-        fresh_bytes,
-    }
+    let frames = res?;
+    let natoms = natoms.unwrap_or_else(|| frames.first().map_or(0, Frame::len));
+    Ok(DecodedDropping::complete(frames, natoms))
 }
 
 impl Ada {
-    /// Cache-aware retrieval: partition `records` into cache hits and
-    /// misses, fetch + decode only the misses, then admit fresh payloads
-    /// whose tag is hot enough. Hits contribute **zero** backend read time — that is the
-    /// point of keeping the hot set decoded. Returns one entry per input
-    /// record, in input (logical) order.
+    /// The one retrieval body (see the module docs). Returns the answer's
+    /// frames — every label tag laid into full frames when `full`, else the
+    /// frames the takes select of the one tag `records` carry — and the
+    /// simulated backend read time. Cache hits contribute **zero** backend
+    /// read time — that is the point of keeping the hot set decoded.
     ///
-    /// Byte-equivalence contract: a hit returns exactly the frames a
-    /// fresh decode of the same dropping would return (same key ⇒ same
-    /// dropping bytes ⇒ same frames), so cache-on and cache-off queries
-    /// are indistinguishable to callers.
-    pub(super) fn retrieve_droppings(
+    /// Byte-equivalence contract: a hit supplies exactly the frames a fresh
+    /// decode of the same dropping would (same key ⇒ same dropping bytes ⇒
+    /// same frames), so cache-on and cache-off answers are
+    /// indistinguishable to callers.
+    pub(super) fn retrieve(
         &self,
         dataset: &str,
         label: &LabelFile,
-        records: Vec<(usize, IndexRecord, FrameSelection)>,
+        full: bool,
+        records: Vec<(IndexRecord, Take)>,
         ctx: &TraceContext,
-    ) -> Result<Retrieved<String, Arc<DecodedDropping>>, AdaError> {
-        let cache_on = self.cache.enabled();
-        let mut out: Vec<(usize, String, Arc<DecodedDropping>)> = Vec::with_capacity(records.len());
-        let mut misses: Vec<RetrieveItem> = Vec::new();
-        if cache_on {
-            let mut ts = ctx.span("cache.lookup");
-            for (idx, r, select) in records {
-                let key = CacheKey::new(dataset, &r.tag, r.logical_offset);
-                let expected = label
-                    .tags
-                    .get(&Tag::new(r.tag.clone()))
-                    .map(|rg| rg.count());
-                match self.cache.get(&key) {
-                    // The atom count was validated frame-by-frame once at
-                    // decode time; a hit revalidates the whole dropping
-                    // with this single comparison. A resident entry only
-                    // counts as a hit when it holds the selected frames —
-                    // otherwise it rides along as the prior and only the
-                    // missing chunks are decoded.
-                    Some(hit) if expected.is_none_or(|n| n == hit.natoms) => {
-                        let covered = match &select {
-                            None => hit.is_complete(),
-                            Some(sel) => hit.has_frames(sel),
-                        };
-                        if covered {
-                            out.push((idx, r.tag, hit));
-                        } else {
-                            misses.push(RetrieveItem {
-                                idx,
-                                record: r,
-                                select,
-                                prior: Some(hit),
-                            });
-                        }
-                    }
-                    _ => misses.push(RetrieveItem {
-                        idx,
-                        record: r,
-                        select,
-                        prior: None,
-                    }),
-                }
+    ) -> Result<(Vec<Frame>, SimDuration), AdaError> {
+        let mut tags: Vec<TagLayout> = Vec::new();
+        for (r, _) in &records {
+            if !tags.iter().any(|t| t.tag.as_str() == r.tag) {
+                tags.push(TagLayout::new(label, Tag::new(r.tag.clone())));
             }
-            ts.arg("hits", out.len());
-            ts.arg("misses", misses.len());
-        } else {
-            misses = records
-                .into_iter()
-                .map(|(idx, record, select)| RetrieveItem {
-                    idx,
-                    record,
-                    select,
-                    prior: None,
+        }
+        tags.sort_by(|a, b| a.tag.cmp(&b.tag));
+        let rank_of = |tag: &str| {
+            let rank = tags.iter().position(|t| t.tag.as_str() == tag);
+            rank.unwrap_or_default()
+        };
+
+        let cache_on = self.cache.enabled();
+        let cached: Vec<Cached> = if cache_on {
+            let mut ts = ctx.span("cache.lookup");
+            let cached: Vec<Cached> = records
+                .iter()
+                .map(|(r, take)| {
+                    // The atom count was validated once when the entry was
+                    // decoded; a hit revalidates the whole dropping with
+                    // this one comparison.
+                    let natoms = tags.get(rank_of(&r.tag)).and_then(|t| t.natoms);
+                    let entry = self
+                        .cache
+                        .get(&CacheKey::new(dataset, &r.tag, r.logical_offset))
+                        .filter(|e| natoms.is_none_or(|n| n == e.natoms));
+                    match entry {
+                        Some(e) if take.covered_by(&e) => Cached::Hit(e),
+                        prior => Cached::Miss(prior),
+                    }
                 })
                 .collect();
-        }
-
-        let (fresh, read) = if misses.is_empty() {
-            (Vec::new(), SimDuration::ZERO)
+            let hits = cached
+                .iter()
+                .filter(|c| matches!(c, Cached::Hit(_)))
+                .count();
+            ts.arg("hits", hits);
+            ts.arg("misses", cached.len() - hits);
+            cached
         } else {
-            self.fetch_and_decode(label, misses, ctx)?
+            records.iter().map(|_| Cached::Miss(None)).collect()
         };
+
+        let missed = records
+            .iter()
+            .zip(&cached)
+            .filter(|(_, c)| matches!(c, Cached::Miss(_)))
+            .map(|((r, _), _)| r);
+        let (contents, read) = if cached.iter().any(|c| matches!(c, Cached::Miss(_))) {
+            self.fetch_in_order(missed, ctx)?
+        } else {
+            (Vec::new(), SimDuration::ZERO)
+        };
+        let mut contents = contents.into_iter();
+        let planned: Vec<(usize, Result<Planned, AdaError>)> = records
+            .into_iter()
+            .zip(cached)
+            .map(|((record, take), cached)| {
+                let rank = rank_of(&record.tag);
+                let plan = match cached {
+                    Cached::Hit(entry) => Ok(Planned {
+                        record,
+                        take,
+                        source: Source::Hit(entry),
+                    }),
+                    Cached::Miss(prior) => match contents.next() {
+                        Some(content) => {
+                            let natoms = tags.get(rank).and_then(|t| t.natoms);
+                            plan(record, take, content, prior, natoms, ctx)
+                        }
+                        None => Err(AdaError::Internal("a miss was not fetched".into())),
+                    },
+                };
+                (rank, plan)
+            })
+            .collect();
+
+        let (mut layout, droppings) = Layout::new(label, full, tags, planned)?;
+        let (units, checks) = layout.units();
+        let threads = if checks { self.config.query_threads } else { 0 };
+        let outs = crate::run_pool("query unit", threads, units.len(), ctx, |ctx, claim| {
+            let mut done = Vec::new();
+            while let Some(u) = claim() {
+                let unit = units.get(u).cloned().unwrap_or_default();
+                done.push((u, run_unit(&layout, &droppings, unit, cache_on, ctx)));
+            }
+            done
+        })?;
+
+        // Units come back in frame order: the first `Err` met here is the
+        // request's, and the cut ranks behind every unit.
+        let mut frames = Vec::new();
+        let mut decoded = Vec::new();
+        for out in outs {
+            let out = out?;
+            if frames.is_empty() {
+                frames = out.frames;
+            } else {
+                frames.extend(out.frames);
+            }
+            decoded.extend(out.decoded);
+        }
+        if let Some(e) = layout.cut.take() {
+            return Err(e);
+        }
+        self.settle(dataset, droppings, decoded);
+        Ok((frames, read))
+    }
+
+    /// A retrieval succeeded: count what it read and checked — per
+    /// dropping, the chunks checked and skipped; the frame bytes decoded,
+    /// cache on or off — and offer every fresh payload to the cache.
+    /// Nothing is counted for a failed request.
+    fn settle(
+        &self,
+        dataset: &str,
+        droppings: Vec<Planned>,
+        mut decoded: Vec<(usize, usize, Arc<Vec<Frame>>)>,
+    ) {
+        let (mut bytes, mut checked, mut skipped) = (0u64, 0u64, 0u64);
+        for d in &droppings {
+            let (n, of) = match &d.source {
+                Source::Hit(_) => continue,
+                Source::Whole(entry) => {
+                    bytes += entry.cost();
+                    (1, 1)
+                }
+                Source::Stored { dir, todo, .. } => {
+                    let fresh = todo.iter().filter_map(|&c| dir.entries.get(c));
+                    bytes += fresh.map(decoded_bytes).sum::<u64>();
+                    (todo.len() as u64, dir.nchunks() as u64)
+                }
+            };
+            ada_plfs::note_chunk_reads(&d.record.backend, n, of - n);
+            checked += n;
+            skipped += of - n;
+        }
+        if bytes > 0 {
+            self.cache.note_decoded(bytes);
+        }
+        if ada_telemetry::enabled() {
+            let reg = ada_telemetry::global();
+            if checked > 0 {
+                reg.counter("xtcf.chunk.decoded").add(checked);
+            }
+            if skipped > 0 {
+                reg.counter("xtcf.chunk.skipped").add(skipped);
+            }
+        }
 
         // Admission heat is the tag's access count *before* this query
         // (the counter bumps only after the whole query succeeds), so a
@@ -380,20 +432,38 @@ impl Ada {
         // nothing — heat moves only when a query completes. Only an
         // admission reads it, so only a cache-on call with something fresh
         // pays for the snapshot.
-        let heat =
-            (cache_on && !fresh.is_empty()).then(|| crate::tiering::heat_snapshot(self, dataset));
-        for (idx, record, outcome) in fresh {
-            self.cache.note_decoded(outcome.fresh_bytes);
-            let payload = Arc::new(outcome.payload);
-            if let Some(heat) = &heat {
-                let key = CacheKey::new(dataset, &record.tag, record.logical_offset);
-                let tag_heat = heat.heat(&Tag::new(record.tag.clone()));
-                let _ = self.cache.insert(key, &payload, tag_heat);
-            }
-            out.push((idx, record.tag, payload));
+        if !self.cache.enabled() || droppings.iter().all(|d| matches!(d.source, Source::Hit(_))) {
+            return;
         }
-        out.sort_by_key(|(idx, _, _)| *idx);
-        Ok((out, read))
+        let heat = crate::tiering::heat_snapshot(self, dataset);
+        decoded.sort_unstable_by_key(|(d, c, _)| (*d, *c));
+        let mut decoded = decoded.into_iter().peekable();
+        for (i, d) in droppings.into_iter().enumerate() {
+            let payload = match d.source {
+                Source::Hit(_) => continue,
+                Source::Whole(entry) => entry,
+                Source::Stored {
+                    dir, prior, natoms, ..
+                } => {
+                    let mut chunks: Vec<Option<Arc<Vec<Frame>>>> = (0..dir.nchunks())
+                        .map(|c| prior.as_ref().and_then(|p| p.chunk(c).cloned()))
+                        .collect();
+                    while let Some((_, c, frames)) = decoded.next_if(|(at, ..)| *at == i) {
+                        if let Some(slot) = chunks.get_mut(c) {
+                            *slot = Some(frames);
+                        }
+                    }
+                    Arc::new(DecodedDropping::from_chunks(
+                        dir.chunk_nframes(),
+                        chunks,
+                        natoms,
+                    ))
+                }
+            };
+            let key = CacheKey::new(dataset, &d.record.tag, d.record.logical_offset);
+            let tag_heat = heat.heat(&Tag::new(d.record.tag.clone()));
+            let _ = self.cache.insert(key, &payload, tag_heat);
+        }
     }
 
     /// Fetch `records` one after another on the caller's thread, under
@@ -421,77 +491,6 @@ impl Ada {
         }
         ts.arg("bytes", bytes);
         Ok((fetched, max_across_backends(&per_backend)))
-    }
-
-    /// The one retrieval body. Fetch every dropping in logical order on
-    /// the caller's thread, plan each, decode the planned (dropping, chunk)
-    /// units — inline at `query_threads = 0`, else on a pool of at most
-    /// `query_threads` workers, never more than there are units — and
-    /// assemble. The simulated read time is the fetch loop's on every
-    /// schedule; the first error in (dropping, chunk) order is the
-    /// request's, a plan failure (corrupt directory, size-only bytes)
-    /// ranking as chunk 0 of its dropping.
-    fn fetch_and_decode(
-        &self,
-        label: &LabelFile,
-        items: Vec<RetrieveItem>,
-        ctx: &TraceContext,
-    ) -> Result<Retrieved<IndexRecord, PayloadOutcome>, AdaError> {
-        let (fetched, read) = self.fetch_in_order(items.iter().map(|i| &i.record), ctx)?;
-
-        // Nothing past a dropping that fails to plan can be the first
-        // error, so planning stops there; the units before it still
-        // decode, since one of them may fail first.
-        let mut planned: Vec<Planned> = Vec::with_capacity(items.len());
-        let mut plan_err = None;
-        for (item, content) in items.into_iter().zip(&fetched) {
-            match plan(item, content, label) {
-                Ok(p) => planned.push(p),
-                Err(e) => {
-                    plan_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let units: Vec<(&Planned, &Content, usize)> = planned
-            .iter()
-            .zip(&fetched)
-            .flat_map(|(p, content)| p.units.iter().map(move |&c| (p, content, c)))
-            .collect();
-
-        let threads = self.config.query_threads;
-        let decoded = crate::run_pool("query decoder", threads, units.len(), ctx, |ctx, claim| {
-            let mut done = Vec::new();
-            while let Some(u) = claim() {
-                let (p, content, c) = units[u];
-                done.push((u, decode_unit(p, content, c, ctx)));
-            }
-            done
-        })?;
-
-        // Unit order is (dropping, chunk) order, so the first `Err` met
-        // here is the one the request fails with.
-        let mut decoded = decoded.into_iter();
-        let mut fresh: Vec<Vec<(usize, Vec<Frame>)>> = Vec::with_capacity(planned.len());
-        for p in &planned {
-            let mut of_dropping = Vec::with_capacity(p.units.len());
-            for (&c, frames) in p.units.iter().zip(decoded.by_ref()) {
-                of_dropping.push((c, frames?));
-            }
-            fresh.push(of_dropping);
-        }
-        if let Some(e) = plan_err {
-            return Err(e);
-        }
-        let out = planned
-            .into_iter()
-            .zip(fresh)
-            .map(|(p, fresh)| {
-                let outcome = assemble(&p, fresh);
-                (p.idx, p.record, outcome)
-            })
-            .collect();
-        Ok((out, read))
     }
 }
 
@@ -592,7 +591,7 @@ mod tests {
             ada.query_traced("bar", None, ctx).unwrap();
         });
         let decodes = reads_then_decodes(&trace);
-        assert_eq!(decodes.len(), 6, "one unit per single-chunk dropping");
+        assert_eq!(decodes.len(), 6, "one check per stored chunk");
         let caller = &trace.root().expect("root span").thread;
         assert!(trace.spans.iter().all(|s| &s.thread == caller));
     }

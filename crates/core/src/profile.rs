@@ -11,9 +11,9 @@
 //!
 //! A stage's time is the sum of its spans' durations. An ingest's pool
 //! workers each carry a chunk through decode and split, and a retrieval's
-//! decode workers overlap the same way, so the stage times of either
-//! legitimately sum to more than `wall_ns`. The bottleneck is the stage
-//! with the largest time.
+//! each carry a (window, chunk) of the answer through decode and
+//! reassemble, so the stage times of either legitimately sum to more than
+//! `wall_ns`. The bottleneck is the stage with the largest time.
 //!
 //! A profile is not measured beside the request's trace; it **is** the
 //! trace, cut one way: [`StageProfile::from_spans`] folds the finished
@@ -40,7 +40,7 @@ const STAGES: [(&str, &str); 10] = [
 ];
 
 /// `map[key] += n`, allocating the key only the first time it is seen (a
-/// query folds one `query.decode` span per decoded chunk).
+/// query folds one `query.decode` span per checked chunk).
 fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
     match map.get_mut(key) {
         Some(total) => *total += n,

@@ -47,6 +47,7 @@
 use crate::traj::{Frame, Trajectory};
 use crate::FormatError;
 use ada_mdmodel::PbcBox;
+use std::ops::Range;
 
 /// XTCF magic bytes ("ADAF" as a little-endian u32).
 pub const XTCF_MAGIC: u32 = 0x4144_4146;
@@ -322,22 +323,49 @@ fn record_natoms(rec: &[u8]) -> u32 {
     u32::from_le_bytes(le_bytes4(&rec[XTCF_RECORD_NATOMS_OFFSET..]))
 }
 
-/// Decode one frame record. The caller fixed its length at
-/// `frame_record_len(n)` for the `n` it declares — `verify_chunk` for a
-/// chunk's records, the bound on the untrusted `n` for a v1 stream's — so
-/// the header sits at fixed offsets and the coordinates are whole rows.
-fn decode_record(rec: &[u8]) -> Frame {
-    let (head, xyz) = rec.split_at(RECORD_HEAD_LEN);
-    let f32_at = |at: usize| f32::from_le_bytes(le_bytes4(&head[at..]));
-    let mut pbc = PbcBox::zero();
-    for (i, v) in pbc.m.iter_mut().flatten().enumerate() {
-        *v = f32_at(8 + 4 * i);
+/// One frame record, read in place: the record layout is known here and
+/// nowhere else, so a caller that copies only part of a frame — some of
+/// its atoms, into a buffer of its own — reads it through this view. Its
+/// length was fixed at `frame_record_len(n)` for the `n` it declares —
+/// [`ChunkRecords::verify`] for a chunk's records, the bound on the
+/// untrusted `n` for a v1 stream's — so the header sits at fixed offsets
+/// and the coordinates are whole rows.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameRecord<'a>(&'a [u8]);
+
+impl<'a> FrameRecord<'a> {
+    fn f32_at(&self, at: usize) -> f32 {
+        f32::from_le_bytes(le_bytes4(&self.0[at..]))
     }
-    Frame {
-        step: i32::from_le_bytes(le_bytes4(head)),
-        time: f32_at(4),
-        pbc,
-        coords: xyz
+
+    /// The record's MD step.
+    pub fn step(&self) -> i32 {
+        i32::from_le_bytes(le_bytes4(self.0))
+    }
+
+    /// The record's simulation time.
+    pub fn time(&self) -> f32 {
+        self.f32_at(4)
+    }
+
+    /// The record's periodic box.
+    pub fn pbc(&self) -> PbcBox {
+        let mut pbc = PbcBox::zero();
+        for (i, v) in pbc.m.iter_mut().flatten().enumerate() {
+            *v = self.f32_at(8 + 4 * i);
+        }
+        pbc
+    }
+
+    /// Atoms the record holds.
+    fn natoms(&self) -> usize {
+        (self.0.len() - RECORD_HEAD_LEN) / 12
+    }
+
+    /// The coordinates of atoms `atoms` (indices into this record's
+    /// atoms; panics past [`FrameRecord::natoms`], like a slice).
+    pub fn coords(&self, atoms: Range<usize>) -> impl ExactSizeIterator<Item = [f32; 3]> + 'a {
+        self.0[RECORD_HEAD_LEN + 12 * atoms.start..RECORD_HEAD_LEN + 12 * atoms.end]
             .chunks_exact(12)
             .map(|c| {
                 [
@@ -346,7 +374,16 @@ fn decode_record(rec: &[u8]) -> Frame {
                     f32::from_le_bytes([c[8], c[9], c[10], c[11]]),
                 ]
             })
-            .collect(),
+    }
+
+    /// The whole record as a [`Frame`].
+    pub fn to_frame(&self) -> Frame {
+        Frame {
+            step: self.step(),
+            time: self.time(),
+            pbc: self.pbc(),
+            coords: self.coords(0..self.natoms()).collect(),
+        }
     }
 }
 
@@ -413,7 +450,7 @@ impl<'a> XtcfReader<'a> {
             Some(need) if need <= remaining => {
                 let len = RECORD_HEAD_LEN + need;
                 self.pos += len;
-                Ok(Some(decode_record(&body[..len])))
+                Ok(Some(FrameRecord(&body[..len]).to_frame()))
             }
             _ => Err(FormatError::Corrupt(format!(
                 "frame atom count {} overruns the remaining {} bytes",
@@ -791,6 +828,63 @@ pub fn verify_chunk<'a>(
     Ok(body)
 }
 
+/// The frame records of one v2 chunk, verified ([`verify_chunk`]) and read
+/// in place, one [`FrameRecord`] each.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkRecords<'a> {
+    body: &'a [u8],
+    record_len: usize,
+}
+
+impl<'a> ChunkRecords<'a> {
+    /// Verify chunk `chunk` of `data` and view its records. Corruption
+    /// surfaces as [`FormatError::ChunkCorrupt`] carrying the chunk id.
+    pub fn verify(
+        data: &'a [u8],
+        dir: &ChunkDirectory,
+        chunk: usize,
+    ) -> Result<ChunkRecords<'a>, FormatError> {
+        let body = verify_chunk(data, dir, chunk)?;
+        let natoms = dir.entries.get(chunk).map_or(0, |e| e.natoms as usize);
+        Ok(ChunkRecords {
+            body,
+            record_len: frame_record_len(natoms),
+        })
+    }
+
+    /// Atoms per record (the directory's count, which every record
+    /// declares).
+    pub fn natoms(&self) -> usize {
+        (self.record_len - RECORD_HEAD_LEN) / 12
+    }
+
+    /// Records in the chunk.
+    pub fn len(&self) -> usize {
+        self.body.len() / self.record_len
+    }
+
+    /// True for a chunk without records (a valid directory has none).
+    pub fn is_empty(&self) -> bool {
+        self.body.is_empty()
+    }
+
+    /// Record `i`, if the chunk has one.
+    pub fn get(&self, i: usize) -> Option<FrameRecord<'a>> {
+        let start = i.checked_mul(self.record_len)?;
+        self.body
+            .get(start..start.checked_add(self.record_len)?)
+            .map(FrameRecord)
+    }
+
+    /// Every record as a [`Frame`] — a copy of fixed-size records.
+    pub fn to_frames(&self) -> Vec<Frame> {
+        self.body
+            .chunks_exact(self.record_len)
+            .map(|rec| FrameRecord(rec).to_frame())
+            .collect()
+    }
+}
+
 /// Decode one chunk of a v2 file, verified first ([`verify_chunk`]) — after
 /// which its body is fixed-size records and decoding it is copying them.
 /// Corruption surfaces as [`FormatError::ChunkCorrupt`] carrying the chunk
@@ -800,12 +894,7 @@ pub fn decode_chunk(
     dir: &ChunkDirectory,
     chunk: usize,
 ) -> Result<Vec<Frame>, FormatError> {
-    let body = verify_chunk(data, dir, chunk)?;
-    let natoms = dir.entries.get(chunk).map_or(0, |e| e.natoms as usize);
-    Ok(body
-        .chunks_exact(frame_record_len(natoms))
-        .map(decode_record)
-        .collect())
+    Ok(ChunkRecords::verify(data, dir, chunk)?.to_frames())
 }
 
 /// Encode a whole trajectory.
@@ -1226,6 +1315,27 @@ mod tests {
                 chunked.extend(decode_chunk(&sealed, &dir, c).unwrap());
             }
             proptest::prop_assert_eq!(as_bits(&chunked), as_bits(&streamed));
+            // Read in place, a record and any run of its atoms are the
+            // decoded frame's, bit for bit.
+            let mut at = 0;
+            for c in 0..dir.nchunks() {
+                let records = ChunkRecords::verify(&sealed, &dir, c).unwrap();
+                proptest::prop_assert_eq!(records.natoms(), natoms);
+                for i in 0..records.len() {
+                    let (rec, want) = (records.get(i).unwrap(), &chunked[at + i]);
+                    proptest::prop_assert_eq!(
+                        as_bits(&[rec.to_frame()]),
+                        as_bits(std::slice::from_ref(want))
+                    );
+                    let lo = (bits() as usize) % (natoms + 1);
+                    let hi = lo + (bits() as usize) % (natoms - lo + 1);
+                    let part: Vec<u32> = rec.coords(lo..hi).flatten().map(f32::to_bits).collect();
+                    let whole = want.coords[lo..hi].iter().flatten().map(|v| v.to_bits());
+                    proptest::prop_assert_eq!(part, whole.collect::<Vec<u32>>());
+                }
+                proptest::prop_assert!(records.get(records.len()).is_none());
+                at += records.len();
+            }
             // And the bits are the ones written: re-encoding reproduces them.
             let mut again = XtcfWriter::with_capacity(nframes, natoms);
             for fr in &chunked {

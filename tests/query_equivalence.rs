@@ -17,6 +17,7 @@ use std::sync::Arc;
 struct Rig {
     ada: Ada,
     ssd: Arc<dyn SimFileSystem>,
+    hdd: Arc<dyn SimFileSystem>,
 }
 
 /// Hybrid SSD/HDD ADA with explicit query parallelism knobs.
@@ -29,7 +30,7 @@ fn rig_chunked(query_threads: usize, frames_per_dropping: usize, chunk_frames: u
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let containers = Arc::new(ContainerSet::new(vec![
         ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
+        ("hdd".into(), hdd.clone()),
     ]));
     let config = AdaConfig {
         query_threads,
@@ -40,6 +41,7 @@ fn rig_chunked(query_threads: usize, frames_per_dropping: usize, chunk_frames: u
     Rig {
         ada: Ada::new(config, containers, ssd.clone()),
         ssd,
+        hdd,
     }
 }
 
@@ -369,11 +371,16 @@ fn two_fault_rig(query_threads: usize) -> (Rig, Vec<String>) {
 
 /// Rewrite the dropping at `path` with `mutate` applied to its bytes.
 fn mutate_dropping(r: &Rig, path: &str, mutate: impl FnOnce(&mut Vec<u8>)) {
-    let (content, _) = r.ssd.read(path).unwrap();
+    let fs = if path.starts_with("hdd/") {
+        &r.hdd
+    } else {
+        &r.ssd
+    };
+    let (content, _) = fs.read(path).unwrap();
     let mut bytes = content.as_real().expect("real dropping").to_vec();
     mutate(&mut bytes);
-    r.ssd.delete(path).unwrap();
-    r.ssd.create(path, Content::real(bytes)).unwrap();
+    fs.delete(path).unwrap();
+    fs.create(path, Content::real(bytes)).unwrap();
 }
 
 /// Flip one byte inside the body of chunk `chunk`.
@@ -466,4 +473,37 @@ fn an_earlier_corrupt_chunk_outranks_a_later_broken_directory() {
         },
         |err, paths| is_chunk_corrupt(err, &paths[0], 1),
     );
+}
+
+#[test]
+fn across_tags_the_lower_window_and_chunk_fails_first() {
+    // A corrupt chunk 1 in tag `m`'s first dropping, a corrupt chunk 0 in
+    // tag `p`'s. `m`'s dropping comes first in logical order (dispatch
+    // sorts by backend name, `hdd` before `ssd`), but the untagged answer
+    // is written a (window, chunk) at a time across its tags, so it fails
+    // with `p`'s chunk 0 — at every thread count.
+    for threads in [0, 1, 4, 8] {
+        let r = rig_chunked(threads, 4, 2);
+        ingest_real(&r.ada, "d", 900, 12, 71);
+        let first = |tag: &str| {
+            let mut records: Vec<_> = r.ada.containers().index("d").unwrap();
+            records.retain(|rec| rec.tag == tag);
+            records.sort_by_key(|rec| rec.logical_offset);
+            records.swap_remove(0)
+        };
+        let (m, p) = (first("m"), first("p"));
+        assert!(m.logical_offset < p.logical_offset);
+        mutate_dropping(&r, &m.dropping_path, flip_in_chunk(1));
+        mutate_dropping(&r, &p.dropping_path, flip_in_chunk(0));
+        let err = r.ada.query("d", None).unwrap_err();
+        assert!(
+            is_chunk_corrupt(&err, &p.dropping_path, 0),
+            "threads={}: {:?}",
+            threads,
+            err
+        );
+        // Each tag alone fails with its own fault.
+        let err = r.ada.query("d", Some(&Tag::misc())).unwrap_err();
+        assert!(is_chunk_corrupt(&err, &m.dropping_path, 1), "{:?}", err);
+    }
 }
