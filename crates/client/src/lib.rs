@@ -4,13 +4,18 @@
 //!
 //! The client is synchronous and self-healing: one request is in flight
 //! per [`Client`] at a time, the socket is dialed lazily on first use,
-//! and any transport or protocol failure poisons the connection so the
+//! and a failure after which the stream may hold unread bytes — a
+//! transport or framing error, a connection-level (id 0) frame, a chunk
+//! that failed its check mid-stream — poisons the connection so the
 //! *next* call redials instead of reusing a desynchronized byte stream.
-//! Every failure surfaces as a typed [`AdaError`] — transport and
-//! framing problems as [`AdaError::Network`], and remote middleware
-//! errors (`Overloaded`, `DeadlineExceeded`, `UnknownDataset`, …) with
-//! exactly the kind the in-process path would have returned, courtesy
-//! of the structural error codec in `ada-proto`.
+//! A typed error the server sent as the request's answer, read in full,
+//! keeps it: a shed request costs no fresh dial. Every failure surfaces
+//! as a typed [`AdaError`] — transport and framing problems as
+//! [`AdaError::Network`], a chunk whose CRC or atom counts fail as the
+//! [`AdaError::Xtcf`] a corrupt stored dropping raises, and remote
+//! middleware errors (`Overloaded`, `DeadlineExceeded`, `UnknownDataset`,
+//! …) with exactly the kind the in-process path would have returned,
+//! courtesy of the structural error codec in `ada-proto`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -26,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use ada_core::AdaError;
 use ada_proto::{
-    read_response, write_frame, CacheStats, RequestBody, RequestEnvelope, ResponseBody,
+    read_response, write_frame, CacheStats, ProtoError, RequestBody, RequestEnvelope, ResponseBody,
     WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
 };
 use ada_sync::Mutex;
@@ -179,11 +184,16 @@ impl Client {
             body,
         };
         let mut conn = self.conn.lock();
-        let result = self.round_trip(&mut conn, &env);
+        let result = match self.round_trip(&mut conn, &env) {
+            Ok(answer) => answer,
+            Err(e) => {
+                // The stream may hold the rest of an answer: the next call
+                // redials.
+                *conn = None;
+                Err(e)
+            }
+        };
         if let Err(e) = &result {
-            // Whatever the failure, the stream may hold a half-read
-            // response; poison it so the next call redials.
-            *conn = None;
             registry.counter("client.errors").inc();
             root.set_error(e.kind());
         }
@@ -193,39 +203,51 @@ impl Client {
         result
     }
 
+    /// Send `env` and read its answer. The outer `Err` is a failure that
+    /// leaves the connection unusable; the inner one a typed error the
+    /// server answered the request with, after which the stream is aligned.
     fn round_trip(
         &self,
         conn: &mut Option<TcpStream>,
         env: &RequestEnvelope,
-    ) -> Result<ResponseBody, AdaError> {
+    ) -> Result<Result<ResponseBody, AdaError>, AdaError> {
         if conn.is_none() {
             *conn = Some(self.dial()?);
         }
         let stream = conn.as_mut().ok_or_else(|| AdaError::Network {
             detail: "connection vanished under the lock".to_string(),
         })?;
-        write_frame(stream, &env.encode()).map_err(|e| self.net(e.to_string()))?;
+        write_frame(stream, &env.encode()).map_err(|e| self.proto(e))?;
         // One frame, or a chunk stream folded into the query report it
-        // carries; a stream that breaks off is an error, never a report.
+        // carries, each chunk checked as it landed; a stream that breaks
+        // off or carries a bad chunk is an error, never a report.
         let resp = match read_response(stream, self.config.max_frame_len) {
             Ok(Some(resp)) => resp,
             Ok(None) => {
                 return Err(self.net("server closed the connection mid-request".to_string()))
             }
-            Err(e) => return Err(self.net(e.to_string())),
+            Err(e) => return Err(self.proto(e)),
         };
-        // id 0 = connection-level error (protocol violation or overload
-        // reject); anything else must match our request.
-        if resp.id != 0 && resp.id != env.id {
-            return Err(self.net(format!(
+        match (resp.id, resp.body) {
+            (id, ResponseBody::Error(e)) if id == env.id => Ok(Err(e)),
+            (id, body) if id == env.id => Ok(Ok(body)),
+            // A connection-level error (protocol violation, overload
+            // reject): the server closes the connection after it.
+            (0, ResponseBody::Error(e)) => Err(e),
+            (0, _) => Err(self.net("connection-level frame carried a non-error body".to_string())),
+            (id, _) => Err(self.net(format!(
                 "response id {} does not match request id {}",
-                resp.id, env.id
-            )));
+                id, env.id
+            ))),
         }
-        match resp.body {
-            ResponseBody::Error(e) => Err(e),
-            other if resp.id == env.id => Ok(other),
-            _ => Err(self.net("connection-level frame carried a non-error body".to_string())),
+    }
+
+    /// A failure reading or writing the stream, typed: a chunk that failed
+    /// its check as the `xtcf` error it is, everything else as `network`.
+    fn proto(&self, e: ProtoError) -> AdaError {
+        match AdaError::from(e) {
+            AdaError::Network { detail } => self.net(detail),
+            e => e,
         }
     }
 

@@ -147,7 +147,7 @@ impl IngestReport {
 }
 
 /// Payload returned by a query.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum RetrievedData {
     /// Decoded frames (real mode).
     Real(Trajectory),

@@ -408,7 +408,7 @@ fn check_chunk<'a>(
         })
         .map(|records| {
             if decode {
-                Src::Decoded(Arc::new(records.to_frames()))
+                Src::Decoded(Arc::new(records.frames().collect()))
             } else {
                 Src::Stored(records)
             }

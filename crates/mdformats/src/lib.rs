@@ -36,7 +36,7 @@ pub use xtc::{read_xtc, write_xtc, XtcError, XtcWriter};
 pub use xtcf::{read_xtcf, write_xtcf, XtcfReader, XtcfWriter};
 
 /// Errors shared by the format codecs.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormatError {
     /// Input ended before a complete record was read.
     UnexpectedEof,

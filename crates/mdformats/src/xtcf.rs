@@ -295,6 +295,18 @@ impl XtcfWriter {
         self.buf
     }
 
+    /// The frame records written since construction or the last
+    /// [`XtcfWriter::clear_records`]: a chunk's body, without the header.
+    pub fn records(&self) -> &[u8] {
+        &self.buf[XTCF_HEADER_LEN..]
+    }
+
+    /// Drop the records written so far, keeping the buffer and the atom
+    /// count every later frame must match: a writer reused chunk by chunk.
+    pub fn clear_records(&mut self) {
+        self.buf.truncate(XTCF_HEADER_LEN);
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -723,9 +735,9 @@ pub fn seal_v2(
 }
 
 /// Assembles a v2 container from chunk bodies whose checksums are already
-/// known — an ingest's workers computed them, a chunk stream's frames
-/// carried them — so nothing is walked twice. The result is what
-/// [`seal_v2`] makes of the same records cut at the same frames.
+/// known — an ingest's workers computed them — so nothing is walked twice.
+/// The result is what [`seal_v2`] makes of the same records cut at the
+/// same frames.
 #[derive(Debug)]
 pub struct V2Assembler {
     file: Vec<u8>,
@@ -770,66 +782,20 @@ impl V2Assembler {
 }
 
 /// The body bytes of one chunk of a v2 file — its frame records, verbatim
-/// — once the chunk is known sound: its span lies inside the file, its
-/// CRC matches the directory's, and every record declares the directory's
-/// atom count, so the body *is* `nframes` records of
-/// `frame_record_len(natoms)` bytes. The one check of a chunk, whether it
-/// is then decoded ([`decode_chunk`]) or handed on as stored. Corruption
-/// surfaces as [`FormatError::ChunkCorrupt`] carrying the chunk id.
+/// — once the chunk is known sound ([`ChunkRecords::verify`]). The one
+/// check of a stored chunk, whether it is then decoded ([`decode_chunk`])
+/// or handed on as stored. Corruption surfaces as
+/// [`FormatError::ChunkCorrupt`] carrying the chunk id.
 pub fn verify_chunk<'a>(
     data: &'a [u8],
     dir: &ChunkDirectory,
     chunk: usize,
 ) -> Result<&'a [u8], FormatError> {
-    let e = dir.entries.get(chunk).ok_or(FormatError::ChunkCorrupt {
-        chunk,
-        detail: format!("chunk index out of range ({} chunks)", dir.entries.len()),
-    })?;
-    let start = e.offset as usize;
-    let len = e.body_len();
-    let end = start
-        .checked_add(len)
-        .filter(|&end| end <= data.len())
-        .ok_or(FormatError::ChunkCorrupt {
-            chunk,
-            detail: format!(
-                "chunk span {}+{} exceeds the {}-byte file",
-                start,
-                len,
-                data.len()
-            ),
-        })?;
-    let body = &data[start..end];
-    let computed = crc32(body);
-    if computed != e.crc {
-        return Err(FormatError::ChunkCorrupt {
-            chunk,
-            detail: format!(
-                "checksum mismatch (stored {:#010x}, computed {:#010x})",
-                e.crc, computed
-            ),
-        });
-    }
-    for (frame, rec) in body
-        .chunks_exact(frame_record_len(e.natoms as usize))
-        .enumerate()
-    {
-        let n = record_natoms(rec);
-        if n != e.natoms {
-            return Err(FormatError::ChunkCorrupt {
-                chunk,
-                detail: format!(
-                    "frame {} declares {} atoms, the chunk directory {}",
-                    frame, n, e.natoms
-                ),
-            });
-        }
-    }
-    Ok(body)
+    ChunkRecords::verify(data, dir, chunk).map(|records| records.body)
 }
 
-/// The frame records of one v2 chunk, verified ([`verify_chunk`]) and read
-/// in place, one [`FrameRecord`] each.
+/// The frame records of one chunk, checked and read in place, one
+/// [`FrameRecord`] each.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkRecords<'a> {
     body: &'a [u8],
@@ -837,19 +803,75 @@ pub struct ChunkRecords<'a> {
 }
 
 impl<'a> ChunkRecords<'a> {
-    /// Verify chunk `chunk` of `data` and view its records. Corruption
-    /// surfaces as [`FormatError::ChunkCorrupt`] carrying the chunk id.
+    /// View `body` — chunk `chunk`'s frame records, wherever they are held
+    /// — once it is known sound: whole `natoms`-atom records, CRC-32 `crc`,
+    /// and every record declaring `natoms`, so the body *is* records of
+    /// `frame_record_len(natoms)` bytes. The one check of a chunk: a v2
+    /// file's ([`ChunkRecords::verify`]) and a chunk stream's as each chunk
+    /// lands. Corruption surfaces as [`FormatError::ChunkCorrupt`] carrying
+    /// `chunk`.
+    pub fn check(
+        body: &'a [u8],
+        natoms: u32,
+        crc: u32,
+        chunk: usize,
+    ) -> Result<ChunkRecords<'a>, FormatError> {
+        let corrupt = |detail| FormatError::ChunkCorrupt { chunk, detail };
+        let record_len = frame_record_len(natoms as usize);
+        if !body.len().is_multiple_of(record_len) {
+            return Err(corrupt(format!(
+                "{} bytes are not a whole number of {}-byte records",
+                body.len(),
+                record_len
+            )));
+        }
+        let computed = crc32(body);
+        if computed != crc {
+            return Err(corrupt(format!(
+                "checksum mismatch (stored {:#010x}, computed {:#010x})",
+                crc, computed
+            )));
+        }
+        for (frame, rec) in body.chunks_exact(record_len).enumerate() {
+            let n = record_natoms(rec);
+            if n != natoms {
+                return Err(corrupt(format!(
+                    "frame {} declares {} atoms, not the chunk's {}",
+                    frame, n, natoms
+                )));
+            }
+        }
+        Ok(ChunkRecords { body, record_len })
+    }
+
+    /// Check chunk `chunk` of the v2 file `data`: its span lies inside the
+    /// file, then [`ChunkRecords::check`] against the directory's atom count
+    /// and CRC. Corruption surfaces as [`FormatError::ChunkCorrupt`]
+    /// carrying the chunk id.
     pub fn verify(
         data: &'a [u8],
         dir: &ChunkDirectory,
         chunk: usize,
     ) -> Result<ChunkRecords<'a>, FormatError> {
-        let body = verify_chunk(data, dir, chunk)?;
-        let natoms = dir.entries.get(chunk).map_or(0, |e| e.natoms as usize);
-        Ok(ChunkRecords {
-            body,
-            record_len: frame_record_len(natoms),
-        })
+        let e = dir.entries.get(chunk).ok_or(FormatError::ChunkCorrupt {
+            chunk,
+            detail: format!("chunk index out of range ({} chunks)", dir.entries.len()),
+        })?;
+        let start = e.offset as usize;
+        let len = e.body_len();
+        let end = start
+            .checked_add(len)
+            .filter(|&end| end <= data.len())
+            .ok_or(FormatError::ChunkCorrupt {
+                chunk,
+                detail: format!(
+                    "chunk span {}+{} exceeds the {}-byte file",
+                    start,
+                    len,
+                    data.len()
+                ),
+            })?;
+        ChunkRecords::check(&data[start..end], e.natoms, e.crc, chunk)
     }
 
     /// Atoms per record (the directory's count, which every record
@@ -876,12 +898,12 @@ impl<'a> ChunkRecords<'a> {
             .map(FrameRecord)
     }
 
-    /// Every record as a [`Frame`] — a copy of fixed-size records.
-    pub fn to_frames(&self) -> Vec<Frame> {
+    /// Every record as a [`Frame`], in order — a copy of fixed-size
+    /// records.
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = Frame> + 'a {
         self.body
             .chunks_exact(self.record_len)
             .map(|rec| FrameRecord(rec).to_frame())
-            .collect()
     }
 }
 
@@ -894,7 +916,7 @@ pub fn decode_chunk(
     dir: &ChunkDirectory,
     chunk: usize,
 ) -> Result<Vec<Frame>, FormatError> {
-    Ok(ChunkRecords::verify(data, dir, chunk)?.to_frames())
+    Ok(ChunkRecords::verify(data, dir, chunk)?.frames().collect())
 }
 
 /// Encode a whole trajectory.
@@ -1139,7 +1161,7 @@ mod tests {
         assert!(decode_chunk(&broken, &dir, 0).is_ok());
         match decode_chunk(&broken, &dir, 1) {
             Err(FormatError::ChunkCorrupt { chunk: 1, detail }) => {
-                assert_eq!(detail, "frame 1 declares 26 atoms, the chunk directory 25")
+                assert_eq!(detail, "frame 1 declares 26 atoms, not the chunk's 25")
             }
             other => panic!("expected ChunkCorrupt, got {:?}", other),
         }
@@ -1148,6 +1170,43 @@ mod tests {
             verify_chunk(&broken, &dir, 1).unwrap_err().to_string(),
             decode_chunk(&broken, &dir, 1).unwrap_err().to_string()
         );
+    }
+
+    #[test]
+    fn a_chunk_body_held_alone_meets_the_check_a_stored_one_does() {
+        let sealed = seal_v2(write_xtcf(&traj()).unwrap(), 25, 3).unwrap();
+        let broken = redeclare_atoms(sealed.clone(), 0, 2, 24);
+        for file in [&sealed, &broken] {
+            let dir = parse_directory(file).unwrap().unwrap();
+            for (c, e) in dir.entries.iter().enumerate() {
+                let start = e.offset as usize;
+                let alone = file[start..start + e.body_len()].to_vec();
+                let held = ChunkRecords::check(&alone, e.natoms, e.crc, c);
+                match (held, ChunkRecords::verify(file, &dir, c)) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(
+                            a.frames().collect::<Vec<_>>(),
+                            b.frames().collect::<Vec<_>>()
+                        )
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                    (a, b) => panic!("chunk {}: alone {:?}, in the file {:?}", c, a, b),
+                }
+            }
+        }
+        assert!(decode_chunk(&broken, &parse_directory(&broken).unwrap().unwrap(), 0).is_err());
+
+        // A body that is not whole records is refused before anything reads it.
+        let dir = parse_directory(&sealed).unwrap().unwrap();
+        let e = dir.entries[0];
+        let start = e.offset as usize;
+        let ragged = &sealed[start..start + frame_record_len(25) + 7];
+        match ChunkRecords::check(ragged, 25, crc32(ragged), 4) {
+            Err(FormatError::ChunkCorrupt { chunk: 4, detail }) => {
+                assert!(detail.contains("whole number"), "{}", detail)
+            }
+            other => panic!("expected ChunkCorrupt, got {:?}", other),
+        }
     }
 
     #[test]

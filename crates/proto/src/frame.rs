@@ -10,8 +10,8 @@
 //! (`"ADAC"`: one XTCF chunk of a streamed answer, [`crate::stream`])
 //! carries the chunk's own CRC-32, the one sealed into the dropping's
 //! directory at ingest: the sender supplies it, the frame reader hands it
-//! on unchecked, and the one consumer of the bytes (`decode_chunk`)
-//! checks it — once per hop instead of once per layer.
+//! on unchecked, and the stream reader checks it as it decodes the chunk
+//! (`xtcf::ChunkRecords::check`) — once per hop instead of once per layer.
 //!
 //! The framing is deliberately paranoid in the receive direction: the
 //! declared length is validated against the receiver's limit *before*

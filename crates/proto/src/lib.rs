@@ -22,10 +22,10 @@
 //! A real-mode query response is a head message, one chunk frame per
 //! XTCF v2 chunk — the stored chunk's bytes and stored CRC, forwarded
 //! undecoded when the query is a whole tag — and a trailer message
-//! ([`stream`]). [`read_response`] assembles them into one uncompressed
-//! XTCF v2 container, which the client decodes with `parse_directory` +
-//! `decode_chunk`: every chunk is verified end to end against the CRC it
-//! was sealed with, and coordinates arrive as the `f32` bits that were
+//! ([`stream`]). [`read_response`] checks each chunk as it lands — against
+//! the CRC it was sealed with, and every record's atom count against the
+//! head's — and decodes it before the next is read, so the caller receives
+//! frames, not a container, with coordinates as the `f32` bits that were
 //! stored.
 //!
 //! A receiver validates magic, version, and declared length (against its

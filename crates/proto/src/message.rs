@@ -1,20 +1,25 @@
 //! The request/response vocabulary of the wire — one body per operation
 //! the remote `Frontend` runs — plus transport-friendly report types.
 //!
-//! A query's trajectory reaches the caller uncompressed, as one XTCF v2
-//! chunk container (the on-disk dropping format): the compute node gets
-//! the already-decompressed subset with every `f32` bit intact, and each
-//! chunk's CRC-32 is verified by the same `decode_chunk` the server-side
-//! cache uses. On the socket that container travels as a stream of its
-//! chunks ([`crate::stream`]); the one-frame encoding of a `Query` body
-//! below is what [`ResponseEnvelope::encode`] builds in memory, which the
-//! server never sends and the client still accepts.
+//! A query's trajectory reaches the caller uncompressed, as XTCF v2 chunks
+//! (the on-disk dropping format): the compute node gets the
+//! already-decompressed subset with every `f32` bit intact, and each
+//! chunk's CRC-32 and atom counts meet, on arrival, the check
+//! (`xtcf::ChunkRecords::check`) a stored chunk meets on the server. In
+//! hand, a [`WireQueryReport`] holds the frames themselves; the container
+//! exists only on the wire. On the socket the chunks travel as a stream
+//! ([`crate::stream`]); the one-frame encoding of a `Query` body below —
+//! one sealed container — is what [`ResponseEnvelope::encode`] builds in
+//! memory, which the server never sends and the client still accepts.
 
 use std::collections::BTreeMap;
 
 use ada_cache::CacheStats;
 use ada_core::{AdaError, IngestReport, QueryReport, RetrievedData};
-use ada_mdformats::xtcf::{decode_chunk, parse_directory, seal_v2, ChunkDirectory, XtcfWriter};
+use ada_mdformats::xtcf::{
+    encoded_len, frame_record_len, parse_directory, seal_v2, write_xtcf, ChunkRecords,
+    XTCF_DIR_ENTRY_LEN, XTCF_TRAILER_LEN,
+};
 use ada_mdformats::{FormatError, Trajectory};
 use ada_mdmodel::Tag;
 use ada_storagesim::SimDuration;
@@ -239,7 +244,12 @@ impl ResponseEnvelope {
             }
             ResponseBody::Query(rep) => {
                 w.put_u8(2);
-                rep.encode(&mut w);
+                if let Err(e) = rep.encode(&mut w) {
+                    // Frames of unequal atom counts have no container: the
+                    // answer is the error, as a stream of them ends in it.
+                    let body = ResponseBody::Error(e);
+                    return ResponseEnvelope { id: self.id, body }.encode();
+                }
             }
             ResponseBody::CacheStats(s) => {
                 w.put_u8(3);
@@ -383,17 +393,18 @@ impl WireIngestReport {
     }
 }
 
-/// Frames per chunk of a query payload's XTCF v2 container — the on-disk
+/// Frames per chunk of a decoded answer sealed for the wire — the on-disk
 /// default (`AdaConfig::chunk_frames`), so a sealed answer has the shape
 /// of a stored dropping.
 pub const QUERY_CHUNK_FRAMES: usize = 64;
 
-/// The data a query delivers, in wire form.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The data a query delivers.
+#[derive(Debug, Clone, PartialEq)]
 pub enum WirePayload {
-    /// The delivered frames, uncompressed, as one sealed XTCF v2 chunk
-    /// container of at most [`QUERY_CHUNK_FRAMES`] frames per chunk.
-    Xtcf(Vec<u8>),
+    /// The delivered frames, uncompressed, with the bits they were stored
+    /// with. On the wire they are XTCF v2 chunks — as stored, or sealed at
+    /// [`QUERY_CHUNK_FRAMES`] frames — each checked as it arrived.
+    Real(Trajectory),
     /// Size-only payload (synthetic datasets).
     Synthetic {
         /// Delivered bytes.
@@ -406,7 +417,7 @@ pub enum WirePayload {
 }
 
 /// [`QueryReport`] in wire form.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireQueryReport {
     /// Indexer tag-search time (simulated ns).
     pub indexer_ns: u128,
@@ -416,51 +427,60 @@ pub struct WireQueryReport {
     pub payload: WirePayload,
 }
 
-/// A query payload that fails XTCF validation, as the typed error a
-/// corrupt stored dropping raises.
-fn payload_err(source: FormatError) -> AdaError {
-    AdaError::Xtcf {
-        dropping: "query response payload".to_string(),
-        source,
+/// Frames that cannot travel, as the typed error a corrupt stored dropping
+/// raises.
+pub(crate) fn payload_err(source: FormatError) -> AdaError {
+    ProtoError::Payload(source).into()
+}
+
+/// `traj` as one sealed container of [`QUERY_CHUNK_FRAMES`]-frame chunks:
+/// the one-frame encoding's payload, and the chunks
+/// [`crate::write_response`] streams, byte for byte. Fails only on frames
+/// of unequal atom counts, which no retrieval path produces.
+fn seal(traj: &Trajectory) -> Result<Vec<u8>, FormatError> {
+    seal_v2(write_xtcf(traj)?, traj.natoms(), QUERY_CHUNK_FRAMES)
+}
+
+/// The frames of a sealed container, each chunk checked
+/// ([`ChunkRecords::verify`]) before its frames exist; a directory-less
+/// (v1) stream is not a valid payload.
+fn unseal(container: &[u8]) -> Result<Trajectory, FormatError> {
+    let dir = parse_directory(container)?
+        .ok_or_else(|| FormatError::Corrupt("v1 stream carries no chunk directory".to_string()))?;
+    let mut frames = Vec::with_capacity(dir.nframes());
+    for chunk in 0..dir.nchunks() {
+        frames.extend(ChunkRecords::verify(container, &dir, chunk)?.frames());
     }
+    Ok(Trajectory::from_frames(frames))
 }
 
-/// The chunk directory of a query payload; a directory-less (v1) stream
-/// is not a valid payload.
-pub(crate) fn payload_directory(bytes: &[u8]) -> Result<ChunkDirectory, AdaError> {
-    parse_directory(bytes).map_err(payload_err)?.ok_or_else(|| {
-        payload_err(FormatError::Corrupt(
-            "v1 stream carries no chunk directory".to_string(),
-        ))
-    })
-}
+impl TryFrom<QueryReport> for WireQueryReport {
+    type Error = AdaError;
 
-impl WireQueryReport {
-    /// Convert a middleware report for the wire: the delivered frames are
-    /// written as XTCF records (an `XtcfWriter` sized for them up front)
-    /// and sealed into one v2 chunk container.
-    /// Fails (as a typed `AdaError::Xtcf`) only on frames of unequal atom
-    /// counts, which no retrieval path produces.
-    pub fn from_report(rep: &QueryReport) -> Result<WireQueryReport, AdaError> {
-        let payload = match &rep.data {
+    /// Convert a middleware report for the wire, moving its frames. Fails
+    /// (as a typed `AdaError::Xtcf`) only on frames of unequal atom
+    /// counts, which no retrieval path produces and no container holds.
+    fn try_from(rep: QueryReport) -> Result<WireQueryReport, AdaError> {
+        let payload = match rep.data {
             RetrievedData::Real(traj) => {
                 let natoms = traj.natoms();
-                let mut w = XtcfWriter::with_capacity(traj.len(), natoms);
-                for f in &traj.frames {
-                    w.write_frame(f).map_err(payload_err)?;
+                if let Some(f) = traj.frames.iter().find(|f| f.len() != natoms) {
+                    return Err(payload_err(FormatError::Corrupt(format!(
+                        "frame atom count {} != file atom count {}",
+                        f.len(),
+                        natoms
+                    ))));
                 }
-                WirePayload::Xtcf(
-                    seal_v2(w.into_bytes(), natoms, QUERY_CHUNK_FRAMES).map_err(payload_err)?,
-                )
+                WirePayload::Real(traj)
             }
             RetrievedData::Synthetic {
                 bytes,
                 frames,
                 atoms_per_frame,
             } => WirePayload::Synthetic {
-                bytes: *bytes,
-                frames: *frames,
-                atoms_per_frame: *atoms_per_frame,
+                bytes,
+                frames,
+                atoms_per_frame,
             },
         };
         Ok(WireQueryReport {
@@ -469,34 +489,36 @@ impl WireQueryReport {
             payload,
         })
     }
+}
 
-    /// Decode the payload back into frames (real-mode responses only),
-    /// verifying every chunk's CRC; a bad chunk is an `AdaError::Xtcf`
-    /// naming it.
-    pub fn trajectory(&self) -> Result<Trajectory, AdaError> {
-        match &self.payload {
-            WirePayload::Xtcf(bytes) => {
-                let dir = payload_directory(bytes)?;
-                let mut frames = Vec::with_capacity(dir.nframes());
-                for chunk in 0..dir.nchunks() {
-                    frames.extend(decode_chunk(bytes, &dir, chunk).map_err(payload_err)?);
-                }
-                Ok(Trajectory::from_frames(frames))
-            }
+impl WireQueryReport {
+    /// [`WireQueryReport::try_from`] for a caller that only holds a
+    /// reference: the frames are copied.
+    pub fn from_report(rep: &QueryReport) -> Result<WireQueryReport, AdaError> {
+        WireQueryReport::try_from(QueryReport {
+            indexer: rep.indexer,
+            read: rep.read,
+            data: rep.data.clone(),
+            profile: None,
+        })
+    }
+
+    /// The delivered frames (real-mode responses only), moved out. Every
+    /// chunk was checked — CRC and atom counts — as it arrived, so there is
+    /// nothing left to check.
+    pub fn trajectory(self) -> Result<Trajectory, AdaError> {
+        match self.payload {
+            WirePayload::Real(traj) => Ok(traj),
             WirePayload::Synthetic { .. } => Err(AdaError::Internal(
                 "synthetic payload carries no frames".to_string(),
             )),
         }
     }
 
-    /// Delivered decoded volume: frames × XTCF record bytes, read off the
-    /// chunk directory without decoding (`0` for a payload whose
-    /// directory does not parse — it delivers no frames).
+    /// Delivered decoded volume: frames × XTCF record bytes.
     pub fn bytes(&self) -> u64 {
         match &self.payload {
-            WirePayload::Xtcf(bytes) => payload_directory(bytes).map_or(0, |dir| {
-                dir.entries.iter().map(|e| e.body_len() as u64).sum()
-            }),
+            WirePayload::Real(traj) => (traj.len() * frame_record_len(traj.natoms())) as u64,
             WirePayload::Synthetic { bytes, .. } => *bytes,
         }
     }
@@ -506,18 +528,26 @@ impl WireQueryReport {
         16 + 16
             + 1
             + match &self.payload {
-                WirePayload::Xtcf(bytes) => 4 + bytes.len(),
+                WirePayload::Real(traj) => {
+                    let chunks = traj.len().div_ceil(QUERY_CHUNK_FRAMES);
+                    4 + encoded_len(traj.len(), traj.natoms())
+                        + chunks * XTCF_DIR_ENTRY_LEN
+                        + XTCF_TRAILER_LEN
+                }
                 WirePayload::Synthetic { .. } => 24,
             }
     }
 
-    fn encode(&self, w: &mut WireWriter) {
+    /// Append the report, its frames sealed ([`seal`]); the error sealing
+    /// raises leaves `w` to be discarded.
+    fn encode(&self, w: &mut WireWriter) -> Result<(), AdaError> {
         w.put_u128(self.indexer_ns);
         w.put_u128(self.read_ns);
         match &self.payload {
-            WirePayload::Xtcf(bytes) => {
+            WirePayload::Real(traj) => {
+                let container = seal(traj).map_err(payload_err)?;
                 w.put_u8(0);
-                w.put_bytes(bytes);
+                w.put_bytes(&container);
             }
             WirePayload::Synthetic {
                 bytes,
@@ -530,13 +560,14 @@ impl WireQueryReport {
                 w.put_u64(*atoms_per_frame);
             }
         }
+        Ok(())
     }
 
     fn decode(r: &mut WireReader) -> Result<WireQueryReport, ProtoError> {
         let indexer_ns = r.get_u128()?;
         let read_ns = r.get_u128()?;
         let payload = match r.get_u8()? {
-            0 => WirePayload::Xtcf(r.get_bytes()?),
+            0 => WirePayload::Real(unseal(r.get_blob()?).map_err(ProtoError::Payload)?),
             1 => WirePayload::Synthetic {
                 bytes: r.get_u64()?,
                 frames: r.get_u64()?,
@@ -591,7 +622,6 @@ fn decode_cache_stats(r: &mut WireReader) -> Result<CacheStats, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ada_mdformats::xtcf::{frame_record_len, write_xtcf};
 
     #[test]
     fn request_envelopes_round_trip() {
@@ -686,7 +716,11 @@ mod tests {
         let query = WireQueryReport {
             indexer_ns: 11,
             read_ns: 22,
-            payload: WirePayload::Xtcf(vec![9, 8, 7]),
+            payload: WirePayload::Synthetic {
+                bytes: 9,
+                frames: 8,
+                atoms_per_frame: 7,
+            },
         };
         let resp = ResponseEnvelope {
             id: 10,
@@ -750,102 +784,74 @@ mod tests {
         }
     }
 
-    /// `from_report` → envelope → `trajectory()`, asserting bit identity.
-    fn assert_round_trips(traj: Trajectory) {
-        let wire = WireQueryReport::from_report(&real_report(traj.clone())).unwrap();
-        assert_eq!(
-            wire.bytes(),
-            (traj.len() * frame_record_len(traj.natoms())) as u64
+    #[test]
+    fn owned_and_borrowed_reports_convert_alike_and_the_owned_one_moves() {
+        let traj = ada_workload::gpcr_workload(120, QUERY_CHUNK_FRAMES + 7, 5).trajectory;
+        let (coords, record) = (
+            traj.frames[0].coords.as_ptr(),
+            frame_record_len(traj.natoms()),
         );
-        let resp = ResponseEnvelope {
-            id: 1,
-            body: ResponseBody::Query(wire.clone()),
+        let rep = real_report(traj);
+        let copied = WireQueryReport::from_report(&rep).unwrap();
+        let moved = WireQueryReport::try_from(rep).unwrap();
+        assert_eq!(copied, moved);
+        assert_eq!(copied.bytes(), ((QUERY_CHUNK_FRAMES + 7) * record) as u64);
+        let traj = moved.trajectory().unwrap();
+        assert_eq!(
+            traj.frames[0].coords.as_ptr(),
+            coords,
+            "the frames were copied"
+        );
+    }
+
+    /// A `Query` response whose one-frame payload is `container`, verbatim.
+    fn one_frame_answer(container: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u64(4);
+        w.put_u8(2);
+        w.put_u128(0);
+        w.put_u128(0);
+        w.put_u8(0);
+        w.put_bytes(container);
+        w.finish()
+    }
+
+    fn assert_xtcf_error(container: &[u8], needle: &str) {
+        let err = match ResponseEnvelope::decode(&one_frame_answer(container)) {
+            Err(e @ ProtoError::Payload(_)) => AdaError::from(e),
+            other => panic!("expected a payload error, got {:?}", other),
         };
-        let encoded = resp.encode();
-        assert_eq!(encoded.len(), 9 + wire.encoded_len());
-        assert_eq!(encoded.capacity(), encoded.len(), "encode re-allocated");
-        let back = match ResponseEnvelope::decode(&encoded).unwrap().body {
-            ResponseBody::Query(back) => back,
-            other => panic!("wrong body {:?}", other),
-        };
-        assert_eq!(back, wire);
-        let got = back.trajectory().unwrap();
-        assert_eq!(got.len(), traj.len());
-        // XTCF is bit-exact, so equal encodings mean every step, time,
-        // box and coordinate has the same bits (`==` on the floats would
-        // let `-0.0` pass for `0.0`).
-        assert_eq!(write_xtcf(&got).unwrap(), write_xtcf(&traj).unwrap());
-    }
-
-    #[test]
-    fn query_payload_round_trips_bit_identically_at_every_chunk_shape() {
-        // Empty answer, one frame, exactly one chunk, one chunk plus a
-        // ragged tail.
-        for nframes in [0, 1, QUERY_CHUNK_FRAMES, QUERY_CHUNK_FRAMES + 7] {
-            let w = ada_workload::gpcr_workload(120, nframes.max(1), 5);
-            let mut traj = w.trajectory;
-            traj.frames.truncate(nframes);
-            if let Some(f) = traj.frames.first_mut() {
-                // Values XTC quantization would not preserve.
-                f.coords[0] = [f32::MIN_POSITIVE, -0.0, 1.000_000_1];
-            }
-            assert_round_trips(traj);
-        }
-    }
-
-    #[test]
-    fn query_payload_is_sealed_at_the_fixed_chunk_size() {
-        let w = ada_workload::gpcr_workload(120, QUERY_CHUNK_FRAMES + 7, 5);
-        let wire = WireQueryReport::from_report(&real_report(w.trajectory)).unwrap();
-        let WirePayload::Xtcf(bytes) = &wire.payload else {
-            panic!("real report must seal an XTCF payload");
-        };
-        let dir = parse_directory(bytes).unwrap().unwrap();
-        assert_eq!(dir.chunk_nframes(), vec![QUERY_CHUNK_FRAMES as u32, 7]);
-    }
-
-    fn sealed_payload() -> Vec<u8> {
-        let w = ada_workload::gpcr_workload(120, 5, 9);
-        match WireQueryReport::from_report(&real_report(w.trajectory))
-            .unwrap()
-            .payload
-        {
-            WirePayload::Xtcf(bytes) => bytes,
-            other => panic!("expected XTCF payload, got {:?}", other),
-        }
-    }
-
-    fn report_of(bytes: Vec<u8>) -> WireQueryReport {
-        WireQueryReport {
-            indexer_ns: 0,
-            read_ns: 0,
-            payload: WirePayload::Xtcf(bytes),
-        }
-    }
-
-    fn assert_xtcf_error(bytes: Vec<u8>, needle: &str) {
-        let rep = report_of(bytes);
-        assert_eq!(rep.bytes(), 0, "an unparsable payload delivers nothing");
-        let err = rep.trajectory().unwrap_err();
         assert_eq!(err.kind(), "xtcf", "{}", err);
         assert!(err.to_string().contains(needle), "{}", err);
     }
 
     #[test]
-    fn hostile_query_payloads_are_typed_errors() {
-        let good = sealed_payload();
-        assert_eq!(report_of(good.clone()).trajectory().unwrap().len(), 5);
+    fn hostile_one_frame_payloads_are_typed_errors_at_decode() {
+        let w = ada_workload::gpcr_workload(120, 5, 9);
+        let natoms = w.trajectory.natoms();
+        let good = seal_v2(
+            write_xtcf(&w.trajectory).unwrap(),
+            natoms,
+            QUERY_CHUNK_FRAMES,
+        )
+        .unwrap();
+        match ResponseEnvelope::decode(&one_frame_answer(&good))
+            .unwrap()
+            .body
+        {
+            ResponseBody::Query(rep) => assert_eq!(rep.trajectory().unwrap(), w.trajectory),
+            other => panic!("wrong body {:?}", other),
+        }
 
         // Truncated directory: cut into the trailer, then into an entry.
-        assert_xtcf_error(good[..good.len() - 1].to_vec(), "footer magic");
+        assert_xtcf_error(&good[..good.len() - 1], "footer magic");
         let mut cut = good[..good.len() - 12 - 20].to_vec();
         cut.extend_from_slice(&good[good.len() - 12..]);
-        assert_xtcf_error(cut, "corrupt chunk 0");
+        assert_xtcf_error(&cut, "corrupt chunk 0");
 
         // A v1 stream (what `XtcfWriter` emits before sealing) has no
         // directory to verify against.
-        let w = ada_workload::gpcr_workload(120, 2, 9);
-        assert_xtcf_error(write_xtcf(&w.trajectory).unwrap(), "no chunk directory");
+        assert_xtcf_error(&write_xtcf(&w.trajectory).unwrap(), "no chunk directory");
 
         // Oversized declared chunk span: the single entry claims
         // u32::MAX frames of u32::MAX atoms. Rejected from the directory
@@ -853,21 +859,22 @@ mod tests {
         let mut huge = good.clone();
         let entry = huge.len() - 12 - 20;
         huge[entry + 8..entry + 16].copy_from_slice(&[0xff; 8]);
-        assert_xtcf_error(huge, "overruns");
+        assert_xtcf_error(&huge, "overruns");
 
         // A flipped body byte passes the directory and fails the chunk.
         let mut flipped = good;
         flipped[100] ^= 0x01;
-        let err = report_of(flipped).trajectory().unwrap_err();
-        assert_eq!(err.kind(), "xtcf");
-        assert!(err.to_string().contains("corrupt chunk 0"), "{}", err);
+        assert_xtcf_error(&flipped, "corrupt chunk 0: checksum");
     }
 
     #[test]
     fn truncated_query_response_is_a_typed_proto_error() {
+        let w = ada_workload::gpcr_workload(120, 5, 9);
         let resp = ResponseEnvelope {
             id: 4,
-            body: ResponseBody::Query(report_of(sealed_payload())),
+            body: ResponseBody::Query(
+                WireQueryReport::try_from(real_report(w.trajectory)).unwrap(),
+            ),
         };
         let encoded = resp.encode();
         // The blob length prefix now promises more than the frame holds.

@@ -11,21 +11,20 @@
 //! fields and the chunks as `(body, crc)` pairs — the CRC the dropping's
 //! directory already holds, so the sender checksums nothing — and ends the
 //! stream with the first error the chunk source raises. [`write_response`]
-//! sends any response the way it travels: a sealed `Query` container as the
-//! stream of its own chunks, everything else as one message frame.
-//! [`read_response`] hands a plain response back as it is and folds a
-//! stream into the `ResponseBody::Query` callers already know, the XTCF v2
-//! container assembled in place — one buffer, every chunk body read
-//! straight into it, its directory written from the chunk frames' headers
-//! — so `WireQueryReport::trajectory()`'s `decode_chunk` is the single
-//! check of every chunk on the receiving side.
+//! sends any response the way it travels: a real-mode `Query` report as a
+//! stream of its frames sealed a chunk at a time, everything else as one
+//! message frame. [`read_response`] hands a plain response back as it is
+//! and folds a stream into the `ResponseBody::Query` callers already know,
+//! checking and decoding each chunk as it lands — its CRC against the
+//! frame header, every record's atom count against the head — so the
+//! check runs while the next chunk is in flight, once, and the report
+//! holds frames, not a container.
 
 use std::io::{Read, Write};
 
 use ada_core::AdaError;
-use ada_mdformats::xtcf::{
-    frame_record_len, V2Assembler, XTCF_DIR_ENTRY_LEN, XTCF_HEADER_LEN, XTCF_TRAILER_LEN,
-};
+use ada_mdformats::xtcf::{crc32, frame_record_len, ChunkRecords, XtcfWriter};
+use ada_mdformats::{Frame, Trajectory};
 
 use crate::errmap::{decode_error, encode_error};
 use crate::frame::{
@@ -33,7 +32,8 @@ use crate::frame::{
     HEADER_LEN,
 };
 use crate::message::{
-    payload_directory, ResponseBody, ResponseEnvelope, WirePayload, WireQueryReport, DISC_ERROR,
+    payload_err, ResponseBody, ResponseEnvelope, WirePayload, WireQueryReport, DISC_ERROR,
+    QUERY_CHUNK_FRAMES,
 };
 use crate::wire::{ProtoError, WireReader, WireWriter};
 
@@ -73,6 +73,41 @@ impl Sent {
         Ok(())
     }
 
+    /// Open a stream with its head.
+    fn head(&mut self, w: &mut impl Write, head: StreamHead) -> Result<(), ProtoError> {
+        let mut p = WireWriter::new();
+        p.put_u64(head.id);
+        p.put_u8(DISC_STREAM_HEAD);
+        p.put_u32(head.natoms);
+        p.put_u64(head.nframes);
+        p.put_u32(head.chunk_frames);
+        self.message(w, &p.finish())
+    }
+
+    fn chunk(&mut self, w: &mut impl Write, body: &[u8], crc: u32) -> Result<(), ProtoError> {
+        write_chunk_frame(w, body, crc)?;
+        self.chunks += 1;
+        self.bytes += (HEADER_LEN + body.len()) as u64;
+        Ok(())
+    }
+
+    /// End the stream with the report's simulated durations.
+    fn end(
+        mut self,
+        w: &mut impl Write,
+        id: u64,
+        indexer_ns: u128,
+        read_ns: u128,
+    ) -> Result<Sent, ProtoError> {
+        let mut p = WireWriter::new();
+        p.put_u64(id);
+        p.put_u8(DISC_STREAM_END);
+        p.put_u128(indexer_ns);
+        p.put_u128(read_ns);
+        self.message(w, &p.finish())?;
+        Ok(self)
+    }
+
     /// End the stream (or answer the request) with `e`.
     fn fail(mut self, w: &mut impl Write, id: u64, e: AdaError) -> Result<Sent, ProtoError> {
         let mut p = WireWriter::new();
@@ -100,65 +135,56 @@ pub fn write_query_stream<'a>(
     chunks: impl IntoIterator<Item = Result<(&'a [u8], u32), AdaError>>,
 ) -> Result<Sent, ProtoError> {
     let mut sent = Sent::default();
-    let mut p = WireWriter::new();
-    p.put_u64(head.id);
-    p.put_u8(DISC_STREAM_HEAD);
-    p.put_u32(head.natoms);
-    p.put_u64(head.nframes);
-    p.put_u32(head.chunk_frames);
-    sent.message(w, &p.finish())?;
+    sent.head(w, head)?;
     for chunk in chunks {
         match chunk {
-            Ok((body, crc)) => {
-                write_chunk_frame(w, body, crc)?;
-                sent.chunks += 1;
-                sent.bytes += (HEADER_LEN + body.len()) as u64;
-            }
+            Ok((body, crc)) => sent.chunk(w, body, crc)?,
             Err(e) => return sent.fail(w, head.id, e),
         }
     }
-    let mut p = WireWriter::new();
-    p.put_u64(head.id);
-    p.put_u8(DISC_STREAM_END);
-    p.put_u128(indexer_ns);
-    p.put_u128(read_ns);
-    sent.message(w, &p.finish())?;
-    Ok(sent)
+    sent.end(w, head.id, indexer_ns, read_ns)
 }
 
 /// Write `resp` the way it travels. A real-mode query report is streamed
-/// as the chunks of its own sealed container (CRCs from its directory), so
-/// no answer is ever one frame and none has a size ceiling; every other
-/// response — pong, ingest report, cache stats, a size-only answer, an
-/// error — is one message frame.
+/// as its frames sealed [`QUERY_CHUNK_FRAMES`] at a time — each chunk's
+/// records written into one reused buffer, checksummed and sent before the
+/// next is written, so no answer is sealed whole, none is one frame and
+/// none has a size ceiling; frames of unequal atom counts end the stream
+/// in the error sealing raises. Every other response — pong, ingest
+/// report, cache stats, a size-only answer, an error — is one message
+/// frame.
 pub fn write_response(w: &mut impl Write, resp: &ResponseEnvelope) -> Result<Sent, ProtoError> {
     let ResponseBody::Query(WireQueryReport {
         indexer_ns,
         read_ns,
-        payload: WirePayload::Xtcf(container),
+        payload: WirePayload::Real(traj),
     }) = &resp.body
     else {
         let mut sent = Sent::default();
         sent.message(w, &resp.encode())?;
         return Ok(sent);
     };
-    let dir = match payload_directory(container) {
-        Ok(dir) => dir,
-        // Not a container `from_report` sealed; say so instead of sending it.
-        Err(e) => return Sent::default().fail(w, resp.id, e),
-    };
+    let natoms = traj.natoms();
     let head = StreamHead {
         id: resp.id,
-        natoms: dir.entries.first().map_or(0, |e| e.natoms),
-        nframes: dir.nframes() as u64,
-        chunk_frames: dir.chunk_frames,
+        natoms: u32::try_from(natoms).unwrap_or(u32::MAX),
+        nframes: traj.len() as u64,
+        chunk_frames: QUERY_CHUNK_FRAMES as u32,
     };
-    // `parse_directory` checked every span against the container.
-    let chunks = dir.entries.iter().map(|e| {
-        let start = e.offset as usize;
-        Ok((&container[start..start + e.body_len()], e.crc))
-    });
-    write_query_stream(w, head, *indexer_ns, *read_ns, chunks)
+    let mut sent = Sent::default();
+    sent.head(w, head)?;
+    let mut records = XtcfWriter::with_capacity(traj.len().min(QUERY_CHUNK_FRAMES), natoms);
+    for frames in traj.frames.chunks(QUERY_CHUNK_FRAMES) {
+        records.clear_records();
+        for f in frames {
+            if let Err(e) = records.write_frame(f) {
+                return sent.fail(w, resp.id, payload_err(e));
+            }
+        }
+        let body = records.records();
+        sent.chunk(w, body, crc32(body))?;
+    }
+    sent.end(w, resp.id, *indexer_ns, *read_ns)
 }
 
 /// The head of a stream, if `payload` is one.
@@ -209,15 +235,17 @@ fn decode_end(payload: &[u8]) -> Result<(u64, StreamEnd), ProtoError> {
 }
 
 /// Read one response from `r` (blocking): a plain one as it is, a streamed
-/// answer folded into `ResponseBody::Query` with its container assembled
-/// in place. `Ok(None)` means the peer closed cleanly before a response
-/// began. `max_frame_len` bounds every frame — head, each chunk, trailer —
-/// and the buffer reserved up front from the head's claim; an answer
-/// larger than that grows the buffer only by bytes that arrived. A stream
-/// that ends short, delivers more than its head announced, carries a chunk
-/// that is not a whole number of records, or breaks off is one typed error
-/// and no partial report; a stream the server ended with an error trailer
-/// is that error, as `ResponseBody::Error`.
+/// answer folded into `ResponseBody::Query`, each chunk checked and
+/// decoded as it lands. `Ok(None)` means the peer closed cleanly before a
+/// response began. `max_frame_len` bounds every frame — head, each chunk,
+/// trailer — and the frame storage reserved up front from the head's
+/// claim; an answer larger than that grows only by frames that arrived. A
+/// stream that ends short, delivers more than its head announced, carries
+/// a chunk that is not a whole number of records, or breaks off is one
+/// typed error and no partial report; so is a chunk whose CRC or atom
+/// counts fail ([`ProtoError::Payload`] naming the first such chunk, the
+/// rest of the stream left unread). A stream the server ended with an
+/// error trailer is that error, as `ResponseBody::Error`.
 pub fn read_response(
     r: &mut impl Read,
     max_frame_len: u32,
@@ -237,25 +265,26 @@ fn read_stream(
     max_frame_len: u32,
 ) -> Result<ResponseEnvelope, ProtoError> {
     let record = frame_record_len(head.natoms as usize);
-    // Checked: the head is a claim. One that no buffer could hold is
+    // Checked: the head is a claim. One that no memory could hold is
     // refused here, and one that merely exceeds the frame limit reserves
-    // no more than the limit.
-    let nominal_chunks = head.nframes.div_ceil(u64::from(head.chunk_frames.max(1)));
-    let container_len = head
+    // no more frames than that limit holds.
+    let announced = head
         .nframes
         .checked_mul(record as u64)
-        .and_then(|body| body.checked_add(nominal_chunks.checked_mul(XTCF_DIR_ENTRY_LEN as u64)?))
-        .and_then(|len| len.checked_add((XTCF_HEADER_LEN + XTCF_TRAILER_LEN) as u64))
         .and_then(|len| usize::try_from(len).ok())
+        .map(|_| head.nframes as usize)
         .ok_or_else(|| {
             ProtoError::Malformed(format!(
                 "stream head announces {} frames of {} atoms, more than memory addresses",
                 head.nframes, head.natoms
             ))
         })?;
-    let capacity = container_len.min(max_frame_len as usize);
-    let mut container = V2Assembler::with_capacity(capacity, head.natoms, head.chunk_frames);
-    let mut frames = 0u64;
+    let reserve = max_frame_len as usize / record.max(std::mem::size_of::<Frame>());
+    let mut frames: Vec<Frame> = Vec::with_capacity(announced.min(reserve));
+    // Every chunk is read into this one buffer and decoded out of it
+    // before the next.
+    let mut buf = Vec::new();
+    let mut chunk = 0;
     loop {
         let header = read_header(r, max_frame_len)?.ok_or(ProtoError::Truncated {
             needed: HEADER_LEN,
@@ -269,15 +298,19 @@ fn read_stream(
                     len, record
                 )));
             }
-            let nframes = (len / record) as u32;
-            frames += u64::from(nframes);
-            if frames > head.nframes {
+            if frames.len() + len / record > announced {
                 return Err(ProtoError::Malformed(format!(
                     "stream delivers more than the {} frames its head announced",
                     head.nframes
                 )));
             }
-            read_body(r, header.len, container.chunk(nframes, header.crc))?;
+            buf.clear();
+            buf.reserve(len);
+            read_body(r, header.len, &mut buf)?;
+            let records = ChunkRecords::check(&buf, head.natoms, header.crc, chunk)
+                .map_err(ProtoError::Payload)?;
+            frames.extend(records.frames());
+            chunk += 1;
             continue;
         }
         let (id, end) = decode_end(&read_message(r, &header)?)?;
@@ -289,10 +322,11 @@ fn read_stream(
         }
         let body = match end {
             StreamEnd::Failed(e) => ResponseBody::Error(e),
-            StreamEnd::Done { .. } if frames != head.nframes => {
+            StreamEnd::Done { .. } if frames.len() != announced => {
                 return Err(ProtoError::Malformed(format!(
                     "stream ended after {} of the {} frames its head announced",
-                    frames, head.nframes
+                    frames.len(),
+                    head.nframes
                 )))
             }
             StreamEnd::Done {
@@ -301,7 +335,7 @@ fn read_stream(
             } => ResponseBody::Query(WireQueryReport {
                 indexer_ns,
                 read_ns,
-                payload: WirePayload::Xtcf(container.finish()),
+                payload: WirePayload::Real(Trajectory::from_frames(frames)),
             }),
         };
         return Ok(ResponseEnvelope { id, body });
@@ -311,14 +345,26 @@ fn read_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::QUERY_CHUNK_FRAMES;
     use ada_core::{QueryReport, RetrievedData};
-    use ada_mdformats::xtcf::{crc32, parse_directory, write_xtcf};
-    use ada_mdformats::Trajectory;
+    use ada_mdformats::xtcf::{parse_directory, seal_v2, write_xtcf, XTCF_RECORD_NATOMS_OFFSET};
+    use ada_mdformats::FormatError;
     use ada_storagesim::SimDuration;
     use std::io::Cursor;
 
     const MAX: u32 = crate::DEFAULT_MAX_FRAME;
+
+    /// Every step, time, box float and coordinate as raw bits: `-0.0` is
+    /// not `0.0` here, as it would be to `==` on the floats.
+    fn bits(traj: &Trajectory) -> Vec<u32> {
+        let frame = |f: &Frame| {
+            let floats = f.pbc.m.iter().flatten().chain(f.coords.iter().flatten());
+            [f.step as u32, f.time.to_bits()]
+                .into_iter()
+                .chain(floats.map(|v| v.to_bits()))
+                .collect::<Vec<u32>>()
+        };
+        traj.frames.iter().flat_map(frame).collect()
+    }
 
     fn traj(nframes: usize) -> Trajectory {
         let mut traj = ada_workload::gpcr_workload(120, nframes.max(1), 5).trajectory;
@@ -356,11 +402,18 @@ mod tests {
         resp
     }
 
+    /// The container the answer's frames seal into at the wire's chunk
+    /// size — `from_report` sealed this, and the one-frame encoding still
+    /// carries it.
+    fn container(traj: &Trajectory) -> Vec<u8> {
+        seal_v2(write_xtcf(traj).unwrap(), traj.natoms(), QUERY_CHUNK_FRAMES).unwrap()
+    }
+
     #[test]
     fn streamed_answer_round_trips_bit_identically_at_every_chunk_shape() {
         // Empty answer, one frame, exactly one chunk, one chunk plus a
-        // ragged tail: the container the reader assembles is the
-        // container the writer streamed, byte for byte.
+        // ragged tail: the frames the reader decodes are the frames the
+        // writer sealed, bit for bit.
         for nframes in [0, 1, QUERY_CHUNK_FRAMES, QUERY_CHUNK_FRAMES + 7] {
             let traj = traj(nframes);
             let resp = sealed(traj.clone());
@@ -372,13 +425,100 @@ mod tests {
 
             let back = read_one(&wire).unwrap().unwrap();
             assert_eq!(back.id, 9);
-            let (ResponseBody::Query(back), ResponseBody::Query(rep)) = (back.body, resp.body)
-            else {
+            let ResponseBody::Query(back) = back.body else {
                 panic!("a streamed answer is a query report");
             };
-            assert_eq!(back, rep);
-            let got = back.trajectory().unwrap();
-            assert_eq!(write_xtcf(&got).unwrap(), write_xtcf(&traj).unwrap());
+            assert_eq!((back.indexer_ns, back.read_ns), (3, 5));
+            let record = frame_record_len(traj.natoms());
+            assert_eq!(back.bytes(), (nframes * record) as u64);
+            assert_eq!(bits(&back.trajectory().unwrap()), bits(&traj));
+        }
+    }
+
+    #[test]
+    fn the_wire_bytes_are_the_sealed_containers_chunks() {
+        // What `from_report` used to seal, and its chunks streamed from the
+        // container's directory: the stream `write_response` now seals a
+        // chunk at a time is that stream, byte for byte, and the one-frame
+        // encoding embeds that container.
+        for nframes in [0, 1, QUERY_CHUNK_FRAMES, QUERY_CHUNK_FRAMES + 7] {
+            let traj = traj(nframes);
+            let sealed_before = container(&traj);
+            let dir = parse_directory(&sealed_before).unwrap().unwrap();
+            let head = StreamHead {
+                id: 9,
+                natoms: dir.entries.first().map_or(0, |e| e.natoms),
+                nframes: dir.nframes() as u64,
+                chunk_frames: dir.chunk_frames,
+            };
+            let chunks = dir.entries.iter().map(|e| {
+                let start = e.offset as usize;
+                Ok((&sealed_before[start..start + e.body_len()], e.crc))
+            });
+            let mut want = Vec::new();
+            write_query_stream(&mut want, head, 3, 5, chunks).unwrap();
+
+            let resp = sealed(traj.clone());
+            let mut wire = Vec::new();
+            write_response(&mut wire, &resp).unwrap();
+            assert_eq!(wire, want, "{} frames", nframes);
+
+            let encoded = resp.encode();
+            let mut r = WireReader::new(&encoded);
+            assert_eq!((r.get_u64().unwrap(), r.get_u8().unwrap()), (9, 2));
+            assert_eq!((r.get_u128().unwrap(), r.get_u128().unwrap()), (3, 5));
+            assert_eq!(r.get_u8().unwrap(), 0);
+            assert_eq!(r.get_blob().unwrap(), &sealed_before[..]);
+            r.expect_end().unwrap();
+            assert_eq!(encoded.capacity(), encoded.len(), "encode re-allocated");
+
+            let back = match ResponseEnvelope::decode(&encoded).unwrap().body {
+                ResponseBody::Query(back) => back,
+                other => panic!("wrong body {:?}", other),
+            };
+            assert_eq!((back.indexer_ns, back.read_ns), (3, 5));
+            assert_eq!(bits(&back.trajectory().unwrap()), bits(&traj));
+        }
+    }
+
+    #[test]
+    fn frames_of_unequal_atom_counts_travel_as_the_error_sealing_raises() {
+        let mut ragged = traj(QUERY_CHUNK_FRAMES + 2);
+        ragged.frames[QUERY_CHUNK_FRAMES + 1].coords.pop();
+        let rep = QueryReport {
+            indexer: SimDuration(0),
+            read: SimDuration(0),
+            data: RetrievedData::Real(ragged.clone()),
+            profile: None,
+        };
+        assert_eq!(
+            WireQueryReport::from_report(&rep).unwrap_err().kind(),
+            "xtcf"
+        );
+        // Built by hand, it has no container: the one-frame encoding is the
+        // error, and the stream ends in it after the chunk that sealed.
+        let resp = ResponseEnvelope {
+            id: 9,
+            body: ResponseBody::Query(WireQueryReport {
+                indexer_ns: 0,
+                read_ns: 0,
+                payload: WirePayload::Real(ragged),
+            }),
+        };
+        let decoded = ResponseEnvelope::decode(&resp.encode()).unwrap();
+        let mut wire = Vec::new();
+        let sent = write_response(&mut wire, &resp).unwrap();
+        assert_eq!(sent.chunks, 1);
+        let streamed = read_one(&wire).unwrap().unwrap();
+        for resp in [decoded, streamed] {
+            assert_eq!(resp.id, 9);
+            match resp.body {
+                ResponseBody::Error(e) => {
+                    assert_eq!(e.kind(), "xtcf");
+                    assert!(e.to_string().contains("atom count"), "{}", e);
+                }
+                other => panic!("expected the sealing error, got {:?}", other),
+            }
         }
     }
 
@@ -410,12 +550,7 @@ mod tests {
 
     /// The chunk bodies of a sealed three-chunk answer, with their CRCs.
     fn three_chunks() -> (StreamHead, Vec<(Vec<u8>, u32)>) {
-        let ResponseBody::Query(rep) = sealed(traj(2 * QUERY_CHUNK_FRAMES + 3)).body else {
-            panic!("expected a query report");
-        };
-        let WirePayload::Xtcf(container) = rep.payload else {
-            panic!("expected a container");
-        };
+        let container = container(&traj(2 * QUERY_CHUNK_FRAMES + 3));
         let dir = parse_directory(&container).unwrap().unwrap();
         let head = StreamHead {
             id: 9,
@@ -531,26 +666,57 @@ mod tests {
         }
     }
 
+    /// What reading `wire` refused, as the chunk it names and its detail.
+    fn payload_error(wire: &[u8]) -> (usize, String) {
+        match read_one(wire) {
+            Err(ProtoError::Payload(FormatError::ChunkCorrupt { chunk, detail })) => {
+                (chunk, detail)
+            }
+            other => panic!("expected a chunk that failed its check, got {:?}", other),
+        }
+    }
+
     #[test]
-    fn chunk_crc_is_carried_not_checked_until_the_chunk_is_decoded() {
-        let (head, mut chunks) = three_chunks();
-        assert_eq!(chunks[1].1, crc32(&chunks[1].0));
-        chunks[1].0[60] ^= 0x10;
-        let wire = stream(head, all_ok(&chunks));
-        let ResponseBody::Query(rep) = read_one(&wire).unwrap().unwrap().body else {
-            panic!("the frames are fine, so the transport delivers them");
-        };
-        let err = rep.trajectory().unwrap_err();
+    fn a_chunk_is_checked_as_it_lands_and_the_first_bad_one_is_the_answer() {
+        let (head, chunks) = three_chunks();
+        // A flipped body byte: the frames are well formed, the CRC the
+        // frame header carries is not theirs.
+        let mut flipped = chunks.clone();
+        flipped[1].0[60] ^= 0x10;
+        let (chunk, detail) = payload_error(&stream(head, all_ok(&flipped)));
+        assert_eq!(chunk, 1);
+        assert!(detail.contains("checksum"), "{}", detail);
+
+        // A record declaring another atom count under a CRC that matches:
+        // only the atom-count check stands between it and the caller.
+        let record = frame_record_len(head.natoms as usize);
+        let mut redeclared = chunks.clone();
+        let (body, crc) = &mut redeclared[2];
+        let at = record + XTCF_RECORD_NATOMS_OFFSET;
+        body[at..at + 4].copy_from_slice(&(head.natoms + 1).to_le_bytes());
+        *crc = crc32(body);
+        let (chunk, detail) = payload_error(&stream(head, all_ok(&redeclared)));
+        assert_eq!(chunk, 2);
+        let n = head.natoms;
+        assert_eq!(
+            detail,
+            format!("frame 1 declares {} atoms, not the chunk's {}", n + 1, n)
+        );
+
+        // Both: the first chunk that fails is the one named.
+        flipped[2] = redeclared[2].clone();
+        assert_eq!(payload_error(&stream(head, all_ok(&flipped))).0, 1);
+
+        // To the caller it is the error a corrupt stored chunk raises.
+        let err = AdaError::from(read_one(&stream(head, all_ok(&flipped))).unwrap_err());
         assert_eq!(err.kind(), "xtcf");
-        let text = err.to_string();
-        assert!(text.contains("corrupt chunk 1"), "{}", text);
-        assert!(text.contains("checksum"), "{}", text);
+        assert!(err.to_string().contains("corrupt chunk 1"), "{}", err);
     }
 
     #[test]
     fn chunk_frames_are_bounded_one_by_one_and_the_reservation_by_the_limit() {
         // Three chunks of ~100 KB under a 128 KiB frame limit: the answer
-        // is above it, no frame is, and the buffer grows past what was
+        // is above it, no frame is, and the frames grow past what was
         // reserved up front.
         let (head, chunks) = three_chunks();
         let wire = stream(head, all_ok(&chunks));

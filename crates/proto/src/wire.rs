@@ -7,10 +7,16 @@
 //! peer can never panic the decoder.
 
 use ada_core::AdaError;
+use ada_mdformats::FormatError;
+
+/// The `dropping` an [`AdaError::Xtcf`] names when a query answer's frames
+/// fail their check on the receiving side.
+pub(crate) const PAYLOAD: &str = "query response payload";
 
 /// Everything that can go wrong between two protocol endpoints below the
 /// request layer: framing violations, payload corruption, and transport
-/// failures. Surfaces to callers as [`AdaError::Network`].
+/// failures. Surfaces to callers as [`AdaError::Network`], except a query
+/// answer whose frames fail their check ([`ProtoError::Payload`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
     /// The input ended before a complete field/frame was read.
@@ -49,6 +55,11 @@ pub enum ProtoError {
     /// A well-framed payload failed structural decoding (unknown
     /// discriminant, invalid UTF-8, trailing garbage).
     Malformed(String),
+    /// A query answer's frames failed their check as they arrived: a
+    /// chunk's CRC or a record's atom count (naming the chunk), or a
+    /// one-frame answer's container that does not parse. Surfaces as the
+    /// [`AdaError::Xtcf`] a corrupt stored dropping raises.
+    Payload(FormatError),
     /// The underlying socket failed (connect/read/write error, timeout,
     /// peer hangup mid-frame).
     Io(String),
@@ -73,6 +84,7 @@ impl std::fmt::Display for ProtoError {
                 declared, max
             ),
             ProtoError::Malformed(m) => write!(f, "malformed payload: {}", m),
+            ProtoError::Payload(e) => write!(f, "{}: {}", PAYLOAD, e),
             ProtoError::Io(m) => write!(f, "io: {}", m),
         }
     }
@@ -82,8 +94,14 @@ impl std::error::Error for ProtoError {}
 
 impl From<ProtoError> for AdaError {
     fn from(e: ProtoError) -> AdaError {
-        AdaError::Network {
-            detail: e.to_string(),
+        match e {
+            ProtoError::Payload(source) => AdaError::Xtcf {
+                dropping: PAYLOAD.to_string(),
+                source,
+            },
+            e => AdaError::Network {
+                detail: e.to_string(),
+            },
         }
     }
 }
@@ -256,8 +274,13 @@ impl<'a> WireReader<'a> {
 
     /// Read a length-prefixed byte blob.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
+        Ok(self.get_blob()?.to_vec())
+    }
+
+    /// Read a length-prefixed byte blob in place.
+    pub fn get_blob(&mut self) -> Result<&'a [u8], ProtoError> {
         let len = self.get_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -341,5 +364,17 @@ mod tests {
     fn proto_error_maps_to_network_kind() {
         let e: AdaError = ProtoError::BadVersion { got: 9 }.into();
         assert_eq!(e.kind(), "network");
+        // ... all but frames that failed their check, which are what a
+        // corrupt stored dropping is.
+        let e: AdaError = ProtoError::Payload(FormatError::ChunkCorrupt {
+            chunk: 2,
+            detail: "checksum mismatch".to_string(),
+        })
+        .into();
+        assert_eq!(e.kind(), "xtcf");
+        assert_eq!(
+            e.to_string(),
+            "corrupt dropping 'query response payload': corrupt chunk 2: checksum mismatch"
+        );
     }
 }

@@ -26,8 +26,8 @@
 //! stored chunks go from the backend's own bytes to the socket, each
 //! checked just before it is written — no decode, no re-seal, nothing
 //! allocated in proportion to the answer. A full-frame or ranged answer
-//! has to be assembled, so it is decoded and sealed as before and then
-//! streamed chunk by chunk out of that one container.
+//! has to be assembled, so it is decoded; its frames are moved into the
+//! wire report and sealed a chunk at a time as they are written.
 //!
 //! Requests a peer sends ahead of their answers wait in the socket
 //! buffers: TCP back-pressure is the bound on what a connection can hold
@@ -381,8 +381,8 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
 
 /// What a request left to be written.
 enum Answer {
-    /// A response in hand. A real-mode query report among these is a
-    /// sealed container, and leaves as the stream of its chunks.
+    /// A response in hand. A real-mode query report among these holds
+    /// decoded frames, and leaves as a stream of chunks sealed as they go.
     Body(ResponseBody),
     /// A whole tag as the backend stores it, to be forwarded chunk by
     /// chunk.
@@ -396,13 +396,14 @@ enum Queried {
 }
 
 impl Queried {
-    /// The answer to write: a decoded report is sealed for the wire here,
-    /// after the slot is released.
+    /// The answer to write, after the slot is released: a decoded report's
+    /// frames move into the wire report, to be sealed as they are written.
     fn into_answer(self) -> Result<Answer, AdaError> {
         match self {
             Queried::Stored(stored) => Ok(Answer::Stored(stored)),
-            Queried::Decoded(rep) => WireQueryReport::from_report(&rep)
-                .map(|wire| Answer::Body(ResponseBody::Query(wire))),
+            Queried::Decoded(rep) => {
+                WireQueryReport::try_from(rep).map(|wire| Answer::Body(ResponseBody::Query(wire)))
+            }
         }
     }
 }

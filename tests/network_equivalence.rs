@@ -33,6 +33,8 @@
 //!   errors whose `retry_after` survives the wire, and the server's
 //!   `rejected` counter agrees with what the clients saw.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -41,11 +43,14 @@ use ada_core::synth::SyntheticDataset;
 use ada_core::tiering::heat_snapshot;
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
-use ada_mdformats::xtcf::{parse_directory, read_xtcf, write_xtcf};
+use ada_mdformats::xtcf::{frame_record_len, parse_directory, read_xtcf, write_xtcf};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
-use ada_proto::{WirePayload, WireQueryReport};
+use ada_proto::{
+    encode_frame, RequestBody, RequestEnvelope, WirePayload, WireQueryReport, WireReader,
+    CHUNK_MAGIC, HEADER_LEN,
+};
 use ada_server::{Server, ServerConfig};
 use ada_simfs::{Content, LocalFs, SimFileSystem};
 use ada_telemetry::trace;
@@ -409,6 +414,48 @@ fn answers_larger_than_max_frame_len_arrive_whole() {
     server.shutdown();
 }
 
+/// How a tag answer left the server, read off a raw socket: the head's
+/// nominal chunk size and each chunk frame's frame count (its length over
+/// the record length), up to the trailer.
+fn chunk_layout(server: &Server, dataset: &str, tag: &str) -> (u32, Vec<u32>) {
+    let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let query = RequestEnvelope {
+        id: 1,
+        client: "raw".to_string(),
+        trace_id: 0,
+        deadline_ns: 0,
+        body: RequestBody::Query {
+            dataset: dataset.to_string(),
+            tag: Some(tag.to_string()),
+        },
+    };
+    s.write_all(&encode_frame(&query.encode()).unwrap())
+        .unwrap();
+    let mut frame = || {
+        let mut header = [0u8; HEADER_LEN];
+        s.read_exact(&mut header).expect("frame header");
+        let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+        let mut payload = vec![0u8; len as usize];
+        s.read_exact(&mut payload).expect("frame payload");
+        (header[..4] == CHUNK_MAGIC, payload)
+    };
+    let (chunk, head) = frame();
+    assert!(!chunk, "a stream opens with its head");
+    let mut r = WireReader::new(&head);
+    assert_eq!((r.get_u64().unwrap(), r.get_u8().unwrap()), (1, 4));
+    let record = frame_record_len(r.get_u32().unwrap() as usize);
+    let nframes = r.get_u64().unwrap();
+    let chunk_frames = r.get_u32().unwrap();
+    let mut layout = Vec::new();
+    while let (true, body) = frame() {
+        assert_eq!(body.len() % record, 0, "a chunk is whole records");
+        layout.push((body.len() / record) as u32);
+    }
+    assert_eq!(layout.iter().map(|&n| u64::from(n)).sum::<u64>(), nframes);
+    (chunk_frames, layout)
+}
+
 /// A tag spread over droppings whose length is not a multiple of the chunk
 /// size has short chunks in the middle of its answer. Forwarded, they
 /// arrive as stored — and the rest of the report is the in-process one:
@@ -434,22 +481,21 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
         let local = serial.query("ds", Some(&p)).unwrap();
         assert_eq!(remote.indexer_ns, local.indexer.0);
         assert_eq!(remote.read_ns, local.read.0);
-        let WirePayload::Xtcf(container) = &remote.payload else {
-            panic!("a real answer is an XTCF container");
-        };
-        let dir = parse_directory(container).unwrap().unwrap();
-        // Droppings of 20, 20 and 10 frames in chunks of 8.
-        assert_eq!(dir.chunk_nframes(), [8, 8, 4, 8, 8, 4, 8, 2]);
-        assert_eq!(dir.chunk_frames, 8);
         assert_eq!(wire_bits(remote), query_bits(local));
     }
+    // Droppings of 20, 20 and 10 frames, their chunks of 8 as stored.
+    assert_eq!(
+        chunk_layout(&server, "ds", "p"),
+        (8, vec![8, 8, 4, 8, 8, 4, 8, 2])
+    );
+    serial.query("ds", Some(&p)).unwrap();
     // The other tag, and a ranged read: one forwarded, one not.
     client.query("ds", Some("m")).unwrap();
     serial.query("ds", Some(&Tag::misc())).unwrap();
     client.query_range("ds", "p", 5, 45, 3).unwrap();
     serial.query_range("ds", &p, 5..45, 3).unwrap();
     assert_eq!(heat_snapshot(fe.ada(), "ds"), heat_snapshot(&serial, "ds"));
-    assert_eq!(heat_snapshot(&serial, "ds").heat(&p), 3);
+    assert_eq!(heat_snapshot(&serial, "ds").heat(&p), 4);
     server.shutdown();
 }
 

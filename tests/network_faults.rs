@@ -11,8 +11,8 @@
 //! time. Under the same load, a hostile *server* answers a query with a
 //! perfectly framed response whose XTCF payload has one flipped byte: the
 //! frame CRC passes, so only the per-chunk CRC stands between the
-//! corruption and the caller, and it must surface as a typed `xtcf`
-//! error naming the chunk — never as frames.
+//! corruption and the caller, and `Client::query` must fail with a typed
+//! `xtcf` error naming the chunk — never hand out frames.
 //!
 //! A query answer is a stream of chunk frames, which adds the faults of
 //! a stream. Corruption *stored on the backend* is found while the answer
@@ -21,9 +21,14 @@
 //! that error and no report. A hostile server's streams — closed after a
 //! chunk, longer than announced, a chunk of one and a half records, a head
 //! announcing `u64::MAX` frames, an error trailer after good chunks, a
-//! flipped byte in a chunk body — each end in one typed error, at the
-//! client or (the flipped byte, which no frame check sees) at
-//! `trajectory()`.
+//! flipped byte in a chunk body, a record declaring another atom count
+//! under a matching CRC — each end in one typed error from
+//! `Client::query`: the chunk checks run as each chunk lands.
+//!
+//! What a failure does to the connection: an error answered in full keeps
+//! it, a chunk that fails its check mid-stream drops it (the rest of the
+//! answer is still in the socket), counted in accepts on a listener the
+//! test owns.
 //!
 //! Two peers that are not malformed, only inconsiderate: one sends eight
 //! frames ahead of their answers and gets them back in request order; one
@@ -33,20 +38,20 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ada_client::{Client, ClientConfig};
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, QueryReport, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
-use ada_mdformats::xtcf::{frame_record_len, parse_directory};
+use ada_mdformats::xtcf::{crc32, frame_record_len, parse_directory, XTCF_RECORD_NATOMS_OFFSET};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_proto::{
     encode_frame, read_frame, write_query_stream, RequestBody, RequestEnvelope, ResponseBody,
-    ResponseEnvelope, StreamHead, WirePayload, WireQueryReport, CHUNK_MAGIC, DEFAULT_MAX_FRAME,
-    HEADER_LEN, MAGIC, QUERY_CHUNK_FRAMES,
+    ResponseEnvelope, StreamHead, WireQueryReport, CHUNK_MAGIC, DEFAULT_MAX_FRAME, HEADER_LEN,
+    MAGIC, QUERY_CHUNK_FRAMES,
 };
 use ada_server::{Server, ServerConfig};
 use ada_simfs::{Content, LocalFs, SimFileSystem};
@@ -233,33 +238,38 @@ fn run_fault_corpus(server: &Server) {
     }
 }
 
-/// A sealed answer of two full chunks and a three-frame tail.
+/// An answer of two full chunks and a three-frame tail.
 fn three_chunk_answer() -> WireQueryReport {
     let w = ada_workload::gpcr_workload(120, 2 * QUERY_CHUNK_FRAMES + 3, 41);
-    WireQueryReport::from_report(&QueryReport {
+    WireQueryReport::try_from(QueryReport {
         indexer: ada_storagesim::SimDuration(0),
         read: ada_storagesim::SimDuration(0),
         data: RetrievedData::Real(w.trajectory),
         profile: None,
     })
-    .expect("seal the answer")
+    .expect("frames of one atom count")
 }
 
+/// Where a one-frame `Query` response's container starts: after the id,
+/// the body discriminant, the two durations, the payload discriminant and
+/// the container's length.
+const CONTAINER_AT: usize = 8 + 1 + 16 + 16 + 1 + 4;
+
 /// A hostile server answers one query with a well-framed response (valid
-/// frame CRC, valid envelope, matching request id) whose payload has one
-/// flipped byte inside chunk 1 of three. The client must hand the answer
-/// over (the frame is fine) and `trajectory()` must refuse it with a
-/// typed `xtcf` error naming chunk 1.
+/// frame CRC, valid envelope, matching request id) whose container has one
+/// flipped byte inside chunk 1 of three. `Client::query` must refuse it
+/// with a typed `xtcf` error naming chunk 1.
 fn corrupt_chunk_in_response_is_typed() {
-    let mut wire = three_chunk_answer();
-    let WirePayload::Xtcf(bytes) = &mut wire.payload else {
-        panic!("a real report must seal an XTCF payload");
-    };
-    let dir = parse_directory(bytes)
+    let mut payload = ResponseEnvelope {
+        id: 0,
+        body: ResponseBody::Query(three_chunk_answer()),
+    }
+    .encode();
+    let dir = parse_directory(&payload[CONTAINER_AT..])
         .expect("directory parses")
         .expect("payload is v2");
     assert_eq!(dir.nchunks(), 3);
-    bytes[dir.entries[1].offset as usize + 60] ^= 0x10;
+    payload[CONTAINER_AT + dir.entries[1].offset as usize + 60] ^= 0x10;
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
@@ -272,11 +282,8 @@ fn corrupt_chunk_in_response_is_typed() {
             .expect("request frame")
             .expect("a request, not EOF");
         let id = RequestEnvelope::decode(&request).expect("request").id;
-        let resp = ResponseEnvelope {
-            id,
-            body: ResponseBody::Query(wire),
-        };
-        let frame = encode_frame(&resp.encode()).unwrap();
+        payload[..8].copy_from_slice(&id.to_le_bytes());
+        let frame = encode_frame(&payload).unwrap();
         stream.write_all(&frame).unwrap();
         let _ = stream.shutdown(Shutdown::Write);
     });
@@ -289,11 +296,8 @@ fn corrupt_chunk_in_response_is_typed() {
             ..ClientConfig::default()
         },
     );
-    let rep = victim
+    let err = victim
         .query("shared", Some("p"))
-        .expect("the frame itself is valid, so the transport must deliver it");
-    let err = rep
-        .trajectory()
         .expect_err("a corrupt chunk must never decode into frames");
     assert_eq!(err.kind(), "xtcf", "{}", err);
     let text = err.to_string();
@@ -478,9 +482,25 @@ enum Expect {
     Network(&'static str),
     /// `Client::query` fails with exactly this error text.
     Remote(&'static str),
-    /// `Client::query` succeeds; `trajectory()` fails with an `xtcf`
-    /// error mentioning this.
-    Xtcf(&'static str),
+    /// `Client::query` fails with an `xtcf` error mentioning this.
+    Xtcf(String),
+}
+
+/// The atom count of [`three_chunk_answer`]'s frames and its chunk bodies,
+/// with the CRCs they were sealed with.
+fn three_chunks() -> (u32, Vec<(Vec<u8>, u32)>) {
+    let encoded = ResponseEnvelope {
+        id: 0,
+        body: ResponseBody::Query(three_chunk_answer()),
+    }
+    .encode();
+    let container = &encoded[CONTAINER_AT..];
+    let dir = parse_directory(container).unwrap().unwrap();
+    let chunks = dir.entries.iter().map(|e| {
+        let start = e.offset as usize;
+        (container[start..start + e.body_len()].to_vec(), e.crc)
+    });
+    (dir.entries[0].natoms, chunks.collect())
 }
 
 /// The stream side of the client corpus: a hostile server answers a tag
@@ -490,22 +510,9 @@ enum Expect {
 #[test]
 fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
     let _guard = serialize();
-    let WirePayload::Xtcf(container) = three_chunk_answer().payload else {
-        panic!("a real report must seal an XTCF payload");
-    };
-    let dir = parse_directory(&container).unwrap().unwrap();
-    let natoms = dir.entries[0].natoms;
+    let (natoms, chunks) = three_chunks();
     let record = frame_record_len(natoms as usize);
-    let chunks: Vec<(Vec<u8>, u32)> = dir
-        .entries
-        .iter()
-        .map(|e| {
-            let start = e.offset as usize;
-            let body = &container[start..start + e.nframes as usize * record];
-            (body.to_vec(), e.crc)
-        })
-        .collect();
-    let total = dir.nframes() as u64;
+    let total = (2 * QUERY_CHUNK_FRAMES + 3) as u64;
 
     // Each scenario: the announced total, the chunks to send (`Err` ends
     // the stream with an `unknown_dataset` error of that name), how many
@@ -517,6 +524,14 @@ fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
     let mut flipped = good();
     if let Ok((body, _)) = &mut flipped[1] {
         body[60] ^= 0x10;
+    }
+    // Record 1 of chunk 2 declares one atom more, under a CRC re-sealed
+    // over the change: the frame and its CRC are fine, the records are not.
+    let mut redeclared = good();
+    if let Ok((body, crc)) = &mut redeclared[2] {
+        let at = record + XTCF_RECORD_NATOMS_OFFSET;
+        body[at..at + 4].copy_from_slice(&(natoms + 1).to_le_bytes());
+        *crc = crc32(body);
     }
     let mut errored = good();
     errored[2] = Err("vanished mid-stream");
@@ -575,7 +590,18 @@ fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
             total,
             flipped,
             0,
-            Expect::Xtcf("corrupt chunk 1"),
+            Expect::Xtcf("corrupt chunk 1: checksum mismatch".to_string()),
+        ),
+        (
+            "a record of another atom count in chunk 2",
+            total,
+            redeclared,
+            0,
+            Expect::Xtcf(format!(
+                "corrupt chunk 2: frame 1 declares {} atoms, not the chunk's {}",
+                natoms + 1,
+                natoms
+            )),
         ),
     ];
 
@@ -632,17 +658,104 @@ fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
                 assert_eq!(e.kind(), "unknown_dataset", "{}: {}", what, e);
                 assert!(e.to_string().ends_with(text), "{}: {}", what, e);
             }
-            (Expect::Xtcf(needle), Ok(rep)) => {
-                let e = rep.trajectory().expect_err(what);
+            (Expect::Xtcf(needle), Err(e)) => {
                 assert_eq!(e.kind(), "xtcf", "{}: {}", what, e);
-                assert!(e.to_string().contains(needle), "{}: {}", what, e);
-                assert!(e.to_string().contains("checksum"), "{}: {}", what, e);
+                assert!(e.to_string().contains(&needle), "{}: {}", what, e);
             }
             (_, Ok(_)) => panic!("{}: the client handed out a report", what),
-            (_, Err(e)) => panic!("{}: unexpected error {}", what, e),
         }
         evil.join().expect("evil server thread must not panic");
     }
+}
+
+/// A typed error the server answers a request with, read in full, leaves
+/// the connection aligned, so the client keeps it: an `unknown_dataset`
+/// reply and then a good answer arrive over one connection. A chunk that
+/// fails its check mid-stream leaves the rest of the answer in the socket,
+/// so the client drops that connection and the next call dials again.
+#[test]
+fn an_error_answer_keeps_the_connection_and_a_corrupt_chunk_drops_it() {
+    let _guard = serialize();
+    let (natoms, chunks) = three_chunks();
+    let mut flipped = chunks.clone();
+    flipped[1].0[60] ^= 0x10;
+    // What the scripted server answers its requests with, in order.
+    let script: Vec<Option<Vec<(Vec<u8>, u32)>>> =
+        vec![None, Some(chunks.clone()), Some(flipped), Some(chunks)];
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let server_accepts = Arc::clone(&accepts);
+    let server = std::thread::spawn(move || {
+        let mut script = script.into_iter();
+        while let Ok((mut stream, _)) = listener.accept() {
+            server_accepts.fetch_add(1, Ordering::SeqCst);
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            // Serve this connection until the client drops it.
+            while let Ok(Some(request)) = read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+                let id = RequestEnvelope::decode(&request).expect("request").id;
+                let Some(answer) = script.next() else {
+                    panic!("request {} past the script", id);
+                };
+                let mut wire = Vec::new();
+                match answer {
+                    None => {
+                        let body = ResponseBody::Error(AdaError::UnknownDataset("nope".into()));
+                        ada_proto::write_response(&mut wire, &ResponseEnvelope { id, body })
+                    }
+                    Some(chunks) => {
+                        let head = StreamHead {
+                            id,
+                            natoms,
+                            nframes: (2 * QUERY_CHUNK_FRAMES + 3) as u64,
+                            chunk_frames: QUERY_CHUNK_FRAMES as u32,
+                        };
+                        let chunks = chunks.iter().map(|(b, crc)| Ok((&b[..], *crc)));
+                        write_query_stream(&mut wire, head, 0, 0, chunks)
+                    }
+                }
+                .unwrap();
+                // A client that gave up mid-stream may have closed already.
+                let _ = stream.write_all(&wire);
+                if script.len() == 0 {
+                    return;
+                }
+            }
+        }
+    });
+
+    let client = Client::new(
+        addr.to_string(),
+        ClientConfig {
+            name: "keeper".to_string(),
+            io_timeout: Duration::from_secs(5),
+            ..ClientConfig::default()
+        },
+    );
+    let err = client.query("nope", Some("p")).unwrap_err();
+    assert_eq!(err.kind(), "unknown_dataset", "{}", err);
+    let rep = client.query("shared", Some("p")).unwrap();
+    assert_eq!(rep.trajectory().unwrap().len(), 2 * QUERY_CHUNK_FRAMES + 3);
+    assert_eq!(
+        accepts.load(Ordering::SeqCst),
+        1,
+        "the error answer cost a dial"
+    );
+
+    let err = client.query("shared", Some("p")).unwrap_err();
+    assert_eq!(err.kind(), "xtcf", "{}", err);
+    assert!(err.to_string().contains("corrupt chunk 1"), "{}", err);
+    let rep = client.query("shared", Some("p")).unwrap();
+    assert_eq!(rep.trajectory().unwrap().len(), 2 * QUERY_CHUNK_FRAMES + 3);
+    assert_eq!(
+        accepts.load(Ordering::SeqCst),
+        2,
+        "a corrupt chunk must drop the connection it arrived on"
+    );
+    server.join().expect("scripted server must not panic");
 }
 
 /// One raw frame off a socket: its magic and payload, nothing verified.
