@@ -52,8 +52,6 @@ pub struct CacheConfig {
     /// Minimum per-tag heat (prior access count) required to admit an
     /// entry. Reads of tags seen fewer times than this bypass the cache.
     pub min_heat: u64,
-    /// Droppings to decode ahead of a range read (0 = no readahead).
-    pub readahead: usize,
 }
 
 impl Default for CacheConfig {
@@ -62,14 +60,14 @@ impl Default for CacheConfig {
             capacity_bytes: 0,
             shards: 8,
             min_heat: 2,
-            readahead: 0,
         }
     }
 }
 
 impl CacheConfig {
     /// A cache sized for the sampling workload: the given budget, default
-    /// sharding, admission after one prior access, no readahead.
+    /// sharding and the default `min_heat` of 2 — a tag is admitted on its
+    /// third query, once two prior ones have proved it hot.
     pub fn with_capacity(capacity_bytes: u64) -> CacheConfig {
         CacheConfig {
             capacity_bytes,
@@ -126,11 +124,10 @@ impl CacheKey {
 
 /// A decoded dropping held at chunk granularity (XTCF v2's unit of random
 /// access): the dropping's chunk layout (frame count per chunk) plus
-/// whichever chunks are actually resident. v1 droppings and whole decodes
-/// are a single complete chunk. Keys stay per-dropping, but a partial
-/// window admits only the chunks it touched — cold chunks never occupy
-/// budget, and a later read that needs more chunks re-inserts a richer
-/// payload (see [`DecodedCache::insert`]).
+/// whichever chunks are actually resident. Keys stay per-dropping, but a
+/// partial window admits only the chunks it touched — cold chunks never
+/// occupy budget, and a later read that needs more chunks re-inserts a
+/// richer payload (see [`DecodedCache::insert`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedDropping {
     /// Atom count validated against the label file when decoded.
@@ -143,8 +140,7 @@ pub struct DecodedDropping {
 }
 
 impl DecodedDropping {
-    /// A fully resident single-chunk payload (v1 droppings, whole
-    /// decodes).
+    /// A fully resident single-chunk payload.
     pub fn complete(frames: Vec<Frame>, natoms: usize) -> DecodedDropping {
         let n = frames.len() as u32;
         DecodedDropping {
@@ -422,11 +418,6 @@ impl DecodedCache {
         }
     }
 
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// True when the byte budget is non-zero.
     pub fn enabled(&self) -> bool {
         self.shard_budget > 0
@@ -595,16 +586,6 @@ impl DecodedCache {
         self.shards.iter().map(|s| s.lock().resident).sum()
     }
 
-    /// Number of resident entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshot the counters.
     pub fn stats(&self) -> CacheStats {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
@@ -637,12 +618,16 @@ mod tests {
         ))
     }
 
+    /// Resident entries across all shards.
+    fn entries(cache: &DecodedCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
     fn hot_cache(capacity: u64, shards: usize) -> DecodedCache {
         DecodedCache::new(CacheConfig {
             capacity_bytes: capacity,
             shards,
             min_heat: 0,
-            readahead: 0,
         })
     }
 
@@ -656,7 +641,7 @@ mod tests {
             Admission::Disabled
         );
         assert!(cache.get(&key).is_none());
-        assert_eq!(cache.len(), 0);
+        assert_eq!(entries(&cache), 0);
         let stats = cache.stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 1);
@@ -689,7 +674,6 @@ mod tests {
             capacity_bytes: 1 << 20,
             shards: 2,
             min_heat: 3,
-            readahead: 0,
         });
         let key = CacheKey::new("ds", "misc", 0);
         assert_eq!(
@@ -712,7 +696,7 @@ mod tests {
             cache.insert(key.clone(), &payload(1024, 4, 0.0), 10),
             Admission::TooLarge
         );
-        assert_eq!(cache.len(), 0);
+        assert_eq!(entries(&cache), 0);
         assert_eq!(cache.stats().bypasses, 1);
     }
 
@@ -727,12 +711,12 @@ mod tests {
         let k2 = CacheKey::new("ds", "t", 2);
         cache.insert(k0.clone(), &payload(16, 1, 0.0), 9);
         cache.insert(k1.clone(), &payload(16, 1, 1.0), 9);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(entries(&cache), 2);
         // Touch k0 so its referenced bit is set; the hand should prefer
         // evicting k1 (referenced bit already cleared by the sweep).
         assert!(cache.get(&k0).is_some());
         cache.insert(k2.clone(), &payload(16, 1, 2.0), 9);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(entries(&cache), 2);
         assert!(cache.resident_bytes() <= cost * 2);
         assert!(cache.contains(&k2));
         assert!(cache.stats().evictions >= 1);
@@ -761,9 +745,9 @@ mod tests {
             cache.insert(CacheKey::new("a", "t", d), &payload(4, 1, 0.0), 9);
             cache.insert(CacheKey::new("b", "t", d), &payload(4, 1, 0.0), 9);
         }
-        assert_eq!(cache.len(), 8);
+        assert_eq!(entries(&cache), 8);
         cache.invalidate_dataset("a");
-        assert_eq!(cache.len(), 4);
+        assert_eq!(entries(&cache), 4);
         for d in 0..4u64 {
             assert!(!cache.contains(&CacheKey::new("a", "t", d)));
             assert!(cache.contains(&CacheKey::new("b", "t", d)));
@@ -828,7 +812,7 @@ mod tests {
         // Re-offering the poorer payload does not downgrade.
         assert_eq!(cache.insert(key.clone(), &half, 9), Admission::Admitted);
         assert!(cache.get(&key).unwrap().is_complete());
-        assert_eq!(cache.len(), 1);
+        assert_eq!(entries(&cache), 1);
     }
 
     #[test]
@@ -875,7 +859,6 @@ mod props {
                 capacity_bytes: unit * budget_units,
                 shards,
                 min_heat: 0,
-                readahead: 0,
             });
             for (op, dropping, nframes) in ops {
                 let key = CacheKey::new("ds", "t", dropping);
@@ -905,7 +888,6 @@ mod props {
                 capacity_bytes: unit * 3,
                 shards: 1,
                 min_heat: 0,
-                readahead: 0,
             });
             for dropping in keys {
                 let key = CacheKey::new("ds", "t", dropping);

@@ -529,7 +529,6 @@ mod testkit {
             capacity_bytes: 64 << 20,
             shards: 4,
             min_heat: 0,
-            readahead: 0,
         }
     }
 }

@@ -9,12 +9,10 @@
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
 //! resolve / index / read / heat helpers, and no retrieval at all.
 
-use super::retrieve::{atoms_err, chunk_err, real_bytes, xtcf_err, Take};
+use super::retrieve::{atoms_err, chunk_err, directory, real_bytes, Take};
 use super::{observe, op_span, traced, Ada, DatasetState, QueryReport, RetrievedData};
 use crate::AdaError;
-use ada_mdformats::xtcf::{
-    frame_record_len, parse_directory, verify_chunk, ChunkDirectory, XTCF_HEADER_LEN,
-};
+use ada_mdformats::xtcf::{verify_chunk, ChunkDirectory};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
@@ -24,7 +22,7 @@ use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// One fetched v2 dropping of a [`StoredAnswer`].
+/// One fetched dropping of a [`StoredAnswer`].
 #[derive(Debug)]
 struct StoredDropping {
     record: IndexRecord,
@@ -159,10 +157,10 @@ impl Ada {
     /// the same `ada.query` op span, `query.index` / `query.read` spans and
     /// `ada.query.*` counters, so the simulated `indexer` / `read` are the
     /// decoded path's — then parses every dropping's chunk directory and
-    /// bumps the tag's heat as a query does. `Ok(None)` when there is
-    /// nothing stored to forward — a size-only dataset, or a v1 dropping
-    /// (no directory, no CRCs) among the tag's: nothing was counted, and
-    /// the caller runs [`Ada::query_traced`]. The decoded-dropping cache is
+    /// bumps the tag's heat as a query does. `Ok(None)` for a size-only
+    /// dataset, which stores no chunks: nothing was counted, and the caller
+    /// runs [`Ada::query_traced`]. A dropping without a chunk directory is
+    /// the `Xtcf` error a query raises for it. The decoded-dropping cache is
     /// neither consulted nor filled: nothing here is decoded. The chunks
     /// are checked as [`StoredAnswer::chunks`] yields them, after this
     /// returns — a corrupt chunk is found once its predecessors are gone,
@@ -199,10 +197,7 @@ impl Ada {
         let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
         let mut droppings = Vec::with_capacity(records.len());
         for (record, content) in records.into_iter().zip(contents) {
-            let parsed = parse_directory(real_bytes(&record, &content)?);
-            let Some(dir) = parsed.map_err(|e| xtcf_err(&record, e))? else {
-                return Ok(None);
-            };
+            let dir = directory(&record, &content)?;
             droppings.push(StoredDropping {
                 record,
                 content,
@@ -223,9 +218,7 @@ impl Ada {
     /// shuffled `(tag × frame-range)` reads, millions of small samples per
     /// training epoch). Consults the decoded-dropping cache first and runs
     /// the regular retrieval pipeline only for the droppings the selection
-    /// actually touches; with `cache.readahead > 0`, the droppings just
-    /// past the window are decoded and admitted too, so the next
-    /// sequential window starts hot.
+    /// actually touches.
     ///
     /// Equivalence contract: `query_range(ds, t, 0..nframes, 1)` returns
     /// frames byte-identical to `query(ds, Some(t))`, cache on or off.
@@ -240,7 +233,7 @@ impl Ada {
     }
 
     /// [`Ada::query_range`] under an existing trace (see
-    /// [`Ada::query_traced`]); cache readahead shows up as its own span.
+    /// [`Ada::query_traced`]).
     pub fn query_range_traced(
         &self,
         dataset: &str,
@@ -297,8 +290,7 @@ impl Ada {
                 (data, read)
             }
             DatasetState::Real { label } => {
-                let natoms = label.ranges(tag)?.count();
-                let spans = dropping_frame_spans(&records, natoms);
+                let spans = dropping_frame_spans(&records);
                 let covered = spans.last().map_or(0, |s| s.1);
                 if window.end > covered {
                     // The label promises more frames than the droppings
@@ -311,9 +303,8 @@ impl Ada {
                 }
 
                 // Map the selection onto droppings (both are ascending),
-                // keeping each needed dropping's local frame list so the
+                // keeping each touched dropping's local frame list so the
                 // retriever decodes only the chunks those frames touch.
-                let mut needed: Vec<usize> = Vec::new();
                 let mut local_sel: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
                 let mut d = 0usize;
                 for f in &selected {
@@ -326,42 +317,13 @@ impl Ada {
                             f, tag
                         )));
                     }
-                    if needed.last() != Some(&d) {
-                        needed.push(d);
-                    }
                     local_sel.entry(d).or_default().push(*f - spans[d].0);
                 }
 
-                // Sequential readahead: also decode the droppings just
-                // past the window so the next window starts hot. Insert-
-                // only — their frames are not part of this reply.
-                let mut fetch_ids = needed.clone();
-                if self.cache.enabled() && self.config.cache.readahead > 0 {
-                    if let Some(&last) = needed.last() {
-                        let upto = last
-                            .saturating_add(self.config.cache.readahead)
-                            .min(spans.len().saturating_sub(1));
-                        for ahead in last + 1..=upto {
-                            fetch_ids.push(ahead);
-                        }
-                        if fetch_ids.len() > needed.len() {
-                            // Marker span: how many droppings beyond the
-                            // window this request pre-warmed (the fetch
-                            // itself is traced in the retrieval spans).
-                            let mut ts = ctx.span("cache.readahead");
-                            ts.arg("droppings", fetch_ids.len() - needed.len());
-                        }
-                    }
-                }
-                let want: std::collections::BTreeSet<usize> = fetch_ids.into_iter().collect();
                 let takes = records
                     .into_iter()
                     .enumerate()
-                    .filter(|(i, _)| want.contains(i))
-                    .map(|(i, r)| match local_sel.remove(&i) {
-                        Some(sel) => (r, Take::Frames(sel)),
-                        None => (r, Take::Warm),
-                    })
+                    .filter_map(|(i, r)| Some((r, Take::Frames(local_sel.remove(&i)?))))
                     .collect();
                 let (frames, read) = self.retrieve(dataset, label, false, takes, ctx)?;
                 (RetrievedData::Real(Trajectory::from_frames(frames)), read)
@@ -426,23 +388,15 @@ impl Ada {
 }
 
 /// Cumulative frame spans of a tag's droppings in logical order:
-/// `spans[i] = (first_frame, end_frame)` of `records[i]`. Droppings
-/// indexed with a frame count use it directly; legacy records (`frames ==
-/// 0`, written before the index carried frame counts) fall back to byte
-/// arithmetic, which is exact for v1 files — the tag's atom count fixes
-/// the record length. No dropping bytes are touched either way.
-fn dropping_frame_spans(records: &[IndexRecord], natoms: usize) -> Vec<(usize, usize)> {
-    let record_len = frame_record_len(natoms).max(1);
+/// `spans[i] = (first_frame, end_frame)` of `records[i]`, from the frame
+/// counts ingest records in the index. No dropping bytes are touched.
+fn dropping_frame_spans(records: &[IndexRecord]) -> Vec<(usize, usize)> {
     let mut spans = Vec::with_capacity(records.len());
     let mut at = 0usize;
     for r in records {
-        let nf = if r.frames > 0 {
-            r.frames as usize
-        } else {
-            (r.len as usize).saturating_sub(XTCF_HEADER_LEN) / record_len
-        };
-        spans.push((at, at + nf));
-        at += nf;
+        let end = at + r.frames as usize;
+        spans.push((at, end));
+        at = end;
     }
     spans
 }
@@ -633,48 +587,5 @@ mod tests {
             }
             _ => panic!("expected synthetic"),
         }
-    }
-
-    #[test]
-    fn readahead_decodes_past_the_window() {
-        let mut cache = hot_cache_cfg();
-        cache.readahead = 2;
-        let ada = make_ada_with(cached_config(2, cache));
-        let (input, _) = real_input(1000, 8); // 4 droppings of 2 frames per tag
-        ada.ingest("bar", input).unwrap();
-        let tag = Tag::protein();
-        // The window touches dropping 0 only; readahead admits 1 and 2.
-        ada.query_range("bar", &tag, 0..2, 1).unwrap();
-        assert_eq!(ada.cache_stats().inserts, 3);
-        // Next sequential window: dropping 1 is already resident, and
-        // readahead tops the hot set up with dropping 3.
-        ada.query_range("bar", &tag, 2..4, 1).unwrap();
-        assert_eq!(ada.cache_stats().inserts, 4);
-        let decoded = ada.cache_stats().bytes_decoded;
-        // Everything resident: a covering read decodes nothing.
-        ada.query_range("bar", &tag, 4..8, 1).unwrap();
-        let stats = ada.cache_stats();
-        assert_eq!(stats.bytes_decoded, decoded);
-        assert!(stats.hits > 0);
-    }
-
-    #[test]
-    fn readahead_leaves_tag_heat_untouched() {
-        // Speculative decodes must not count as accesses: heat feeds cache
-        // admission and tier rebalancing, and readahead would otherwise
-        // make sequential scans look hotter than they are.
-        let plain = make_ada_with(cached_config(2, hot_cache_cfg()));
-        let mut cache = hot_cache_cfg();
-        cache.readahead = 2;
-        let eager = make_ada_with(cached_config(2, cache));
-        for ada in [&plain, &eager] {
-            let (input, _) = real_input(1000, 8);
-            ada.ingest("bar", input).unwrap();
-            let tag = Tag::protein();
-            ada.query_range("bar", &tag, 0..2, 1).unwrap();
-            ada.query_range("bar", &tag, 2..4, 1).unwrap();
-        }
-        assert!(eager.cache_stats().inserts > plain.cache_stats().inserts);
-        assert_eq!(plain.access_counts("bar"), eager.access_counts("bar"));
     }
 }

@@ -32,7 +32,7 @@ use super::{max_across_backends, Ada};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
-use ada_mdformats::xtcf::{parse_directory, read_xtcf, ChunkDirectory, ChunkEntry};
+use ada_mdformats::xtcf::{parse_directory, ChunkDirectory, ChunkEntry};
 use ada_mdformats::{FormatError, Frame};
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
@@ -50,9 +50,6 @@ pub(super) enum Take {
     /// These dropping-local frames, ascending (a range read): only the
     /// chunks they live in are checked.
     Frames(Vec<usize>),
-    /// None: the dropping is decoded whole only to warm the cache (range
-    /// readahead).
-    Warm,
 }
 
 impl Take {
@@ -60,7 +57,7 @@ impl Take {
     fn covered_by(&self, entry: &DecodedDropping) -> bool {
         match self {
             Take::Frames(sel) => entry.has_frames(sel),
-            Take::All | Take::Warm => entry.is_complete(),
+            Take::All => entry.is_complete(),
         }
     }
 }
@@ -78,11 +75,8 @@ enum Cached {
 enum Source {
     /// A cache hit.
     Hit(Arc<DecodedDropping>),
-    /// A v1 file, which has no chunks: read whole and atom-count validated
-    /// while planning, resident from then on (the compatibility shim).
-    Whole(Arc<DecodedDropping>),
-    /// A v2 file: its units check the `todo` chunks; the other chunks the
-    /// take needs are resident in `prior`.
+    /// A stored dropping: its units check the `todo` chunks; the other
+    /// chunks the take needs are resident in `prior`.
     Stored {
         content: Content,
         dir: ChunkDirectory,
@@ -104,7 +98,7 @@ impl Planned {
     /// The resident frames of chunk `c`.
     fn resident(&self, c: usize) -> Option<&Arc<Vec<Frame>>> {
         match &self.source {
-            Source::Hit(entry) | Source::Whole(entry) => entry.chunk(c),
+            Source::Hit(entry) => entry.chunk(c),
             Source::Stored { prior, .. } => prior.as_ref()?.chunk(c),
         }
     }
@@ -161,26 +155,32 @@ fn decoded_bytes(e: &ChunkEntry) -> u64 {
     u64::from(e.nframes) * frame as u64
 }
 
+/// The chunk directory of a fetched dropping. Ingest seals every dropping
+/// with one, so a dropping without it is refused, not decoded some other
+/// way.
+pub(super) fn directory(
+    record: &IndexRecord,
+    content: &Content,
+) -> Result<ChunkDirectory, AdaError> {
+    let parsed = parse_directory(real_bytes(record, content)?).map_err(|e| xtcf_err(record, e))?;
+    parsed.ok_or_else(|| {
+        xtcf_err(
+            record,
+            FormatError::Corrupt("dropping carries no chunk directory".into()),
+        )
+    })
+}
+
 /// Plan a fetched dropping: parse its chunk directory and list the chunks
 /// its take needs that `prior` does not hold — the ones its units check.
-/// A v1 file has no chunks and is read whole here instead.
 fn plan(
     record: IndexRecord,
     take: Take,
     content: Content,
     prior: Option<Arc<DecodedDropping>>,
     natoms: Option<usize>,
-    ctx: &TraceContext,
 ) -> Result<Planned, AdaError> {
-    let bytes = real_bytes(&record, &content)?;
-    let Some(dir) = parse_directory(bytes).map_err(|e| xtcf_err(&record, e))? else {
-        let entry = read_whole(&record, bytes, natoms, ctx)?;
-        return Ok(Planned {
-            record,
-            take,
-            source: Source::Whole(Arc::new(entry)),
-        });
-    };
+    let dir = directory(&record, &content)?;
     let same_layout = |p: &Arc<DecodedDropping>| {
         p.chunk_layout()
             .iter()
@@ -209,7 +209,7 @@ fn plan(
                 need(c);
             }
         }
-        Take::All | Take::Warm => (0..dir.nchunks()).for_each(need),
+        Take::All => (0..dir.nchunks()).for_each(need),
     }
     let natoms = natoms.unwrap_or_else(|| dir.entries.first().map_or(0, |e| e.natoms as usize));
     Ok(Planned {
@@ -223,37 +223,6 @@ fn plan(
             natoms,
         },
     })
-}
-
-/// Read a v1 file whole, under its `query.decode` span, and reject frames
-/// whose atom count disagrees with the label's.
-fn read_whole(
-    record: &IndexRecord,
-    bytes: &[u8],
-    natoms: Option<usize>,
-    ctx: &TraceContext,
-) -> Result<DecodedDropping, AdaError> {
-    let mut ts = ctx.span("query.decode");
-    ts.arg("tag", record.tag.as_str());
-    ts.arg("bytes", bytes.len() as u64);
-    let res = read_xtcf(bytes)
-        .map_err(|e| chunk_err(record, e))
-        .and_then(|traj| {
-            let Some(n) = natoms else {
-                return Ok(traj.frames);
-            };
-            match traj.frames.iter().enumerate().find(|(_, f)| f.len() != n) {
-                None => Ok(traj.frames),
-                Some((i, f)) => Err(atoms_err(record, i, f.len(), n)),
-            }
-        });
-    match &res {
-        Ok(frames) => ts.arg("frames", frames.len()),
-        Err(e) => ts.set_error(e.kind()),
-    }
-    let frames = res?;
-    let natoms = natoms.unwrap_or_else(|| frames.first().map_or(0, Frame::len));
-    Ok(DecodedDropping::complete(frames, natoms))
 }
 
 impl Ada {
@@ -343,7 +312,7 @@ impl Ada {
                     Cached::Miss(prior) => match contents.next() {
                         Some(content) => {
                             let natoms = tags.get(rank).and_then(|t| t.natoms);
-                            plan(record, take, content, prior, natoms, ctx)
+                            plan(record, take, content, prior, natoms)
                         }
                         None => Err(AdaError::Internal("a miss was not fetched".into())),
                     },
@@ -396,18 +365,12 @@ impl Ada {
     ) {
         let (mut bytes, mut checked, mut skipped) = (0u64, 0u64, 0u64);
         for d in &droppings {
-            let (n, of) = match &d.source {
-                Source::Hit(_) => continue,
-                Source::Whole(entry) => {
-                    bytes += entry.cost();
-                    (1, 1)
-                }
-                Source::Stored { dir, todo, .. } => {
-                    let fresh = todo.iter().filter_map(|&c| dir.entries.get(c));
-                    bytes += fresh.map(decoded_bytes).sum::<u64>();
-                    (todo.len() as u64, dir.nchunks() as u64)
-                }
+            let Source::Stored { dir, todo, .. } = &d.source else {
+                continue;
             };
+            let fresh = todo.iter().filter_map(|&c| dir.entries.get(c));
+            bytes += fresh.map(decoded_bytes).sum::<u64>();
+            let (n, of) = (todo.len() as u64, dir.nchunks() as u64);
             ada_plfs::note_chunk_reads(&d.record.backend, n, of - n);
             checked += n;
             skipped += of - n;
@@ -428,10 +391,8 @@ impl Ada {
         // Admission heat is the tag's access count *before* this query
         // (the counter bumps only after the whole query succeeds), so a
         // tag must prove itself hot across queries before it may displace
-        // resident entries. Readahead decodes feed the same path and bump
-        // nothing — heat moves only when a query completes. Only an
-        // admission reads it, so only a cache-on call with something fresh
-        // pays for the snapshot.
+        // resident entries. Only an admission reads it, so only a cache-on
+        // call with something fresh pays for the snapshot.
         if !self.cache.enabled() || droppings.iter().all(|d| matches!(d.source, Source::Hit(_))) {
             return;
         }
@@ -439,27 +400,25 @@ impl Ada {
         decoded.sort_unstable_by_key(|(d, c, _)| (*d, *c));
         let mut decoded = decoded.into_iter().peekable();
         for (i, d) in droppings.into_iter().enumerate() {
-            let payload = match d.source {
-                Source::Hit(_) => continue,
-                Source::Whole(entry) => entry,
-                Source::Stored {
-                    dir, prior, natoms, ..
-                } => {
-                    let mut chunks: Vec<Option<Arc<Vec<Frame>>>> = (0..dir.nchunks())
-                        .map(|c| prior.as_ref().and_then(|p| p.chunk(c).cloned()))
-                        .collect();
-                    while let Some((_, c, frames)) = decoded.next_if(|(at, ..)| *at == i) {
-                        if let Some(slot) = chunks.get_mut(c) {
-                            *slot = Some(frames);
-                        }
-                    }
-                    Arc::new(DecodedDropping::from_chunks(
-                        dir.chunk_nframes(),
-                        chunks,
-                        natoms,
-                    ))
-                }
+            let Source::Stored {
+                dir, prior, natoms, ..
+            } = d.source
+            else {
+                continue;
             };
+            let mut chunks: Vec<Option<Arc<Vec<Frame>>>> = (0..dir.nchunks())
+                .map(|c| prior.as_ref().and_then(|p| p.chunk(c).cloned()))
+                .collect();
+            while let Some((_, c, frames)) = decoded.next_if(|(at, ..)| *at == i) {
+                if let Some(slot) = chunks.get_mut(c) {
+                    *slot = Some(frames);
+                }
+            }
+            let payload = Arc::new(DecodedDropping::from_chunks(
+                dir.chunk_nframes(),
+                chunks,
+                natoms,
+            ));
             let key = CacheKey::new(dataset, &d.record.tag, d.record.logical_offset);
             let tag_heat = heat.heat(&Tag::new(d.record.tag.clone()));
             let _ = self.cache.insert(key, &payload, tag_heat);

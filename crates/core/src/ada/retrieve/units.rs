@@ -20,7 +20,7 @@ impl Planned {
     /// planned dropping `at`. Returns the dropping's frame count.
     fn lay_out(&self, start: usize, at: usize, segs: &mut Vec<Seg>) -> usize {
         match &self.source {
-            Source::Hit(entry) | Source::Whole(entry) => {
+            Source::Hit(entry) => {
                 let layout = entry.chunk_layout().iter().copied();
                 self.lay_chunks(layout, &[], start, at, segs)
             }
@@ -158,7 +158,6 @@ impl Layout {
                     match &p.take {
                         Take::All => want.extend(start..tag.frames),
                         Take::Frames(sel) => want.extend(sel.iter().map(|f| start + f)),
-                        Take::Warm => {}
                     }
                     droppings.push(p);
                 }

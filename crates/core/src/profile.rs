@@ -161,7 +161,7 @@ mod tests {
                 vec![tag("m"), ("bytes", u(7))],
             ),
             // Structure below the op that is no stage of its own.
-            span(6, 4, "cache.readahead", (13, 41), vec![("droppings", u(1))]),
+            span(6, 4, "frontend.execute", (13, 41), vec![]),
             span(4, 1, "ada.query", (10, 50), vec![]),
         ];
         let p = StageProfile::from_spans("query_parallel", &spans, 4);

@@ -26,29 +26,6 @@ impl HeatSnapshot {
     pub fn heat(&self, tag: &Tag) -> u64 {
         self.counts.get(tag).copied().unwrap_or(0)
     }
-
-    /// Tags with at least one access, hottest first (ties break by tag
-    /// order, so the ranking is deterministic).
-    pub fn hottest(&self) -> Vec<(Tag, u64)> {
-        let mut v: Vec<(Tag, u64)> = self
-            .counts
-            .iter()
-            .filter(|(_, n)| **n > 0)
-            .map(|(t, n)| (t.clone(), *n))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-
-    /// Total accesses across every tag.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// True when the dataset has never been queried.
-    pub fn is_cold(&self) -> bool {
-        self.counts.values().all(|n| *n == 0)
-    }
 }
 
 /// Snapshot the per-tag access heat of `dataset`. Cheap (one clone of the
@@ -110,12 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn heat_snapshot_ranks_tags_and_is_read_only() {
+    fn heat_snapshot_reads_per_tag_heat_and_is_read_only() {
         let ada = rig();
-        let cold = heat_snapshot(&ada, "bar");
-        assert!(cold.is_cold());
-        assert_eq!(cold.total(), 0);
-        assert!(cold.hottest().is_empty());
+        assert_eq!(heat_snapshot(&ada, "bar").heat(&Tag::misc()), 0);
         for _ in 0..3 {
             ada.query("bar", Some(&Tag::misc())).unwrap();
         }
@@ -123,12 +97,10 @@ mod tests {
         let heat = heat_snapshot(&ada, "bar");
         assert_eq!(heat.heat(&Tag::misc()), 3);
         assert_eq!(heat.heat(&Tag::protein()), 1);
-        assert_eq!(heat.total(), 4);
-        assert_eq!(heat.hottest(), vec![(Tag::misc(), 3), (Tag::protein(), 1)]);
         // A snapshot is a point-in-time copy: later queries don't mutate it.
         ada.query("bar", Some(&Tag::misc())).unwrap();
         assert_eq!(heat.heat(&Tag::misc()), 3);
         // Unknown datasets read as cold, not as an error.
-        assert!(heat_snapshot(&ada, "nope").is_cold());
+        assert_eq!(heat_snapshot(&ada, "nope").heat(&Tag::protein()), 0);
     }
 }

@@ -1,6 +1,4 @@
-//! Front-end tuning knobs: per-class slots, queue capacities, deadlines.
-
-use std::time::Duration;
+//! Front-end tuning knobs: per-class slots and queue capacities.
 
 /// Configuration for [`crate::Frontend`]: per-class concurrency limits and
 /// bounded queue capacities, mirroring the storage node's fixed resources
@@ -17,10 +15,6 @@ pub struct FrontendConfig {
     pub ingest_queue: usize,
     /// Query requests allowed to wait.
     pub query_queue: usize,
-    /// Deadline attached to requests submitted through the convenience
-    /// methods ([`crate::Frontend::ingest`] / [`crate::Frontend::query`]);
-    /// `None` means wait indefinitely.
-    pub default_deadline: Option<Duration>,
 }
 
 impl Default for FrontendConfig {
@@ -30,7 +24,6 @@ impl Default for FrontendConfig {
             query_slots: 4,
             ingest_queue: 16,
             query_queue: 32,
-            default_deadline: None,
         }
     }
 }

@@ -196,7 +196,6 @@ pub struct Frontend {
     core: Mutex<SchedulerCore<Waiter>>,
     start: Instant,
     metrics: Option<Metrics>,
-    default_deadline: Option<Duration>,
 }
 
 impl std::fmt::Debug for Frontend {
@@ -248,7 +247,6 @@ impl Frontend {
             )),
             start: Instant::now(),
             metrics: ada_telemetry::enabled().then(Metrics::register),
-            default_deadline: config.default_deadline,
         }
     }
 
@@ -468,21 +466,16 @@ impl Frontend {
         res.unwrap_or_else(|payload| Err(ada_core::worker_panic(op, payload)))
     }
 
-    /// Ingest through admission control, with the configured default
-    /// deadline.
+    /// Ingest through admission control, with no deadline.
     pub fn ingest(
         &self,
         client: &str,
         dataset: &str,
         input: IngestInput,
     ) -> Result<IngestReport, AdaError> {
-        self.run(
-            Class::Ingest,
-            "ingest",
-            client,
-            self.default_deadline,
-            |ada, ctx| ada.ingest_traced(dataset, input, ctx),
-        )
+        self.run(Class::Ingest, "ingest", client, None, |ada, ctx| {
+            ada.ingest_traced(dataset, input, ctx)
+        })
     }
 
     /// Tag-aware (or full-frame) query through admission control.
@@ -492,13 +485,9 @@ impl Frontend {
         dataset: &str,
         tag: Option<&Tag>,
     ) -> Result<QueryReport, AdaError> {
-        self.run(
-            Class::Query,
-            "query",
-            client,
-            self.default_deadline,
-            |ada, ctx| ada.query_traced(dataset, tag, ctx),
-        )
+        self.run(Class::Query, "query", client, None, |ada, ctx| {
+            ada.query_traced(dataset, tag, ctx)
+        })
     }
 
     /// Strided frame-range query (the ML-sampling read path) through
@@ -511,13 +500,9 @@ impl Frontend {
         window: std::ops::Range<usize>,
         stride: usize,
     ) -> Result<QueryReport, AdaError> {
-        self.run(
-            Class::Query,
-            "query_range",
-            client,
-            self.default_deadline,
-            |ada, ctx| ada.query_range_traced(dataset, tag, window, stride, ctx),
-        )
+        self.run(Class::Query, "query_range", client, None, |ada, ctx| {
+            ada.query_range_traced(dataset, tag, window, stride, ctx)
+        })
     }
 
     /// Point-in-time admission statistics (process-local, not the global

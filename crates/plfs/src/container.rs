@@ -66,8 +66,8 @@ pub struct IndexRecord {
     /// Dropping path on that backend.
     pub dropping_path: String,
     /// Decoded frame count of the dropping, when the writer knows it
-    /// (XTCF v2 droppings record it so readers map frames to droppings
-    /// without byte arithmetic). `0` means unknown/legacy.
+    /// (ingest records it for every XTCF dropping, so readers map frames
+    /// to droppings without touching them). `0` means unknown.
     pub frames: u64,
 }
 
@@ -90,11 +90,7 @@ impl IndexRecord {
             tag: v.field("tag")?.as_str()?.to_string(),
             backend: v.field("backend")?.as_str()?.to_string(),
             dropping_path: v.field("dropping_path")?.as_str()?.to_string(),
-            // Indices persisted before the field existed load as unknown.
-            frames: match v.field("frames") {
-                Ok(f) => f.as_u64()?,
-                Err(_) => 0,
-            },
+            frames: v.field("frames")?.as_u64()?,
         })
     }
 }
@@ -590,12 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_index_without_frames_field_loads_as_unknown() {
+    fn index_without_frames_field_is_refused() {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
         cs.append_tagged("bar", "p", "mnt1", Content::real(vec![1u8; 10]))
             .unwrap();
-        // Persist an index in the pre-`frames` schema by hand.
+        // Persist an index whose record lacks the `frames` field.
         let json = Value::Arr(vec![Value::obj(vec![
             ("logical_offset", Value::num_u(0)),
             ("len", Value::num_u(10)),
@@ -611,12 +607,12 @@ mod tests {
         fs.create("mnt1/bar/hostdir.0/index", Content::real(json))
             .unwrap();
         cs.containers.lock().remove("bar");
-        cs.load_index("bar").unwrap();
-        let records = cs.index("bar").unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].frames, 0);
-        let (p, _) = cs.read_tagged("bar", "p").unwrap();
-        assert_eq!(p.as_real().unwrap().as_ref(), &[1u8; 10][..]);
+        let err = cs.load_index("bar").unwrap_err();
+        assert!(
+            matches!(&err, PlfsError::CorruptIndex(m) if m.contains("frames")),
+            "{err}"
+        );
+        assert!(!cs.exists("bar"), "a refused index loads nothing");
     }
 
     #[test]

@@ -585,10 +585,10 @@ fn execute_request(shared: &Shared, env: RequestEnvelope) -> (TraceSpanGuard, u6
         }
         RequestBody::Query { dataset, tag } => {
             let tag = tag.map(Tag::new);
-            // A whole tag is forwarded as stored; what is not stored in
-            // forwardable form (a size-only dataset, a v1 dropping) and
-            // the full-frame query take the decoded path. Either way the
-            // slot is gone before anything is sealed or written.
+            // A whole tag is forwarded as stored; a size-only dataset,
+            // which stores no chunks, and the full-frame query take the
+            // decoded path. Either way the slot is gone before anything is
+            // sealed or written.
             frontend
                 .run_rooted(
                     Class::Query,

@@ -74,7 +74,6 @@ fn eight_mixed_clients_match_serial_byte_for_byte() {
             query_slots: 4,
             ingest_queue: 64,
             query_queue: 64,
-            default_deadline: None,
             ..FrontendConfig::default()
         },
     );
@@ -172,7 +171,6 @@ fn thundering_herd_sheds_typed_overloads() {
                 query_slots: 1,
                 ingest_queue: 1,
                 query_queue: 1,
-                default_deadline: None,
                 ..FrontendConfig::default()
             },
         );
@@ -235,7 +233,6 @@ fn queued_deadline_misses_are_typed() {
             query_slots: 1,
             ingest_queue: 8,
             query_queue: 8,
-            default_deadline: None,
             ..FrontendConfig::default()
         },
     );

@@ -1,12 +1,14 @@
-//! XTCF v2 corruption corpus and the v1 compatibility gate.
+//! XTCF v2 corruption corpus and the golden fixtures.
 //!
 //! Droppings are sealed as chunked, self-describing v2 containers; this
 //! suite feeds broken variants of every structural element (chunk body,
 //! chunk directory, trailer) through the serial and parallel query
 //! pipelines and asserts typed `xtcf` errors plus a still-usable [`Ada`] —
-//! and pins the v1 read shim with a golden on-disk fixture that must keep
-//! decoding bit-identically forever.
+//! a dropping with no chunk directory at all (a v1 file) among them — and
+//! pins the v1 codec and the v2 sealer with golden on-disk fixtures that
+//! must keep decoding bit-identically forever.
 
+use ada_cache::CacheConfig;
 use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::xtcf::{
@@ -32,6 +34,10 @@ struct Rig {
 /// Hybrid rig sealing 2-frame chunks, so one 8-frame dropping carries a
 /// 4-entry chunk directory worth corrupting piecewise.
 fn rig(query_threads: usize) -> Rig {
+    rig_with(query_threads, CacheConfig::default())
+}
+
+fn rig_with(query_threads: usize, cache: CacheConfig) -> Rig {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let containers = Arc::new(ContainerSet::new(vec![
@@ -42,6 +48,7 @@ fn rig(query_threads: usize) -> Rig {
         query_threads,
         frames_per_dropping: 8,
         chunk_frames: 2,
+        cache,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     Rig {
@@ -253,36 +260,53 @@ fn record_declaring_another_atom_count_is_one_error_decoded_or_forwarded() {
 }
 
 #[test]
-fn v1_dropping_fed_to_v2_path_decodes_identically() {
-    // The compatibility shim: a dropping written in the v1 format (no
-    // directory, no trailer) must keep decoding bit-identically through
-    // the chunk-aware read path.
+fn directory_less_dropping_is_a_typed_error_on_every_read() {
+    // Ingest seals every dropping with a chunk directory, so the read path
+    // knows no other form: a v1 file in a dropping's place (no directory,
+    // no trailer) is refused by every read that touches it, on every
+    // schedule, with the cache on and admitting at once.
     for threads in THREADS {
-        let r = rig(threads);
+        let r = rig_with(
+            threads,
+            CacheConfig {
+                min_heat: 0,
+                ..CacheConfig::with_capacity(64 << 20)
+            },
+        );
         ingest(&r);
-        let reference = query_real(&r.ada, Some(&Tag::protein()));
-        let full_reference = query_real(&r.ada, None);
         let (path, bytes) = protein_dropping(&r);
-        // Strip the v2 framing by re-encoding the same frames as v1.
-        let frames = read_xtcf(&bytes).unwrap();
-        let v1_bytes = write_xtcf(&frames).unwrap();
+        let v1_bytes = write_xtcf(&read_xtcf(&bytes).unwrap()).unwrap();
         assert!(
             parse_directory(&v1_bytes).unwrap().is_none(),
             "substitute must be a genuine v1 file"
         );
         rewrite(&r, &path, v1_bytes);
+
+        let tag = Tag::protein();
+        let ctx = ada_telemetry::trace::TraceContext::inactive();
+        let errors = [
+            ("tagged query", r.ada.query("d", Some(&tag)).unwrap_err()),
+            ("untagged query", r.ada.query("d", None).unwrap_err()),
+            ("range", r.ada.query_range("d", &tag, 2..6, 2).unwrap_err()),
+            ("stored", r.ada.query_stored("d", &tag, &ctx).unwrap_err()),
+        ];
+        for (what, err) in errors {
+            assert_eq!(err.kind(), "xtcf", "threads={threads} {what}: {err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(&path), "threads={threads} {what}: {msg}");
+            assert!(
+                msg.contains("carries no chunk directory"),
+                "threads={threads} {what}: {msg}"
+            );
+        }
+        assert!(r.ada.access_counts("d").is_empty(), "threads={threads}");
+        let stats = r.ada.cache_stats();
         assert_eq!(
-            query_real(&r.ada, Some(&Tag::protein())),
-            reference,
-            "threads={}: v1 shim drifted on the tagged query",
-            threads
+            (stats.inserts, stats.resident_bytes, stats.bytes_decoded),
+            (0, 0, 0),
+            "threads={threads}"
         );
-        assert_eq!(
-            query_real(&r.ada, None),
-            full_reference,
-            "threads={}: v1 shim drifted on the untagged query",
-            threads
-        );
+        assert!(r.ada.query("d", Some(&Tag::misc())).is_ok());
     }
 }
 

@@ -15,9 +15,9 @@
 //!   `max_frame_len` arrives whole (whole-tag, full-frame, strided), and a
 //!   whole tag is forwarded as stored: ragged chunks where droppings meet
 //!   survive, the report's simulated durations and the server's tag heat
-//!   are the in-process ones, and the server decodes nothing — while what
-//!   cannot be forwarded (a v1 dropping, a size-only dataset) still
-//!   answers, decoded;
+//!   are the in-process ones, and the server decodes nothing — while a
+//!   size-only dataset, which stores no chunks, still answers, decoded,
+//!   and a v1 dropping (no chunk directory) is the in-process typed error;
 //! * remote errors keep their exact `kind()` — `unknown_dataset` and
 //!   `invalid_range` cross the wire as themselves, not as a generic
 //!   network failure;
@@ -92,7 +92,6 @@ fn start_server() -> Server {
             query_slots: 4,
             ingest_queue: 64,
             query_queue: 64,
-            default_deadline: None,
             ..FrontendConfig::default()
         },
     ));
@@ -499,11 +498,12 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
     server.shutdown();
 }
 
-/// What is not stored as checksummed chunks cannot be forwarded and is
-/// answered the old way, decoded and sealed: a tag with a v1 dropping
-/// among its droppings (no directory), and a size-only dataset.
+/// A tag with a v1 dropping among its droppings (no chunk directory) is
+/// refused remotely with the typed error the in-process query raises, on a
+/// connection that stays open; a size-only dataset, which stores no chunks,
+/// is answered through the decoded path.
 #[test]
-fn v1_droppings_and_size_only_datasets_answer_through_the_decoded_path() {
+fn v1_droppings_are_a_typed_error_and_size_only_datasets_answer_decoded() {
     let _guard = serialize();
     let (ada, ssd) = make_ada_with(AdaConfig::paper_prototype("ssd", "hdd"));
     let (mut server, fe) = serve(ada, ServerConfig::default());
@@ -524,14 +524,20 @@ fn v1_droppings_and_size_only_datasets_answer_through_the_decoded_path() {
     ssd.delete(&path).unwrap();
     ssd.create(&path, Content::real(v1)).unwrap();
 
-    let decoded_before = fe.ada().cache_stats().bytes_decoded;
-    let remote = client.query("old", Some("p")).unwrap();
-    assert_eq!(
-        fe.ada().cache_stats().bytes_decoded - decoded_before,
-        frames.nbytes() as u64,
-        "a v1 dropping is decoded on the server"
+    let accepted = ada_telemetry::global().counter("server.connections.accepted");
+    let accepted_before = accepted.get();
+    let remote = client.query("old", Some("p")).unwrap_err();
+    let local = fe.ada().query("old", Some(&Tag::protein())).unwrap_err();
+    assert_eq!(remote.kind(), "xtcf", "{}", remote);
+    assert_eq!(remote.to_string(), local.to_string());
+    assert!(remote.to_string().contains(&path), "{}", remote);
+    assert!(
+        remote.to_string().contains("carries no chunk directory"),
+        "{}",
+        remote
     );
-    assert_eq!(wire_bits(remote), frame_bits(&frames));
+    assert_eq!(fe.ada().cache_stats().bytes_decoded, 0, "nothing decoded");
+    assert!(fe.ada().access_counts("old").is_empty(), "no heat");
 
     let spec = SyntheticDataset::gpcr_paper(626);
     fe.ingest("setup", "big", IngestInput::Synthetic(spec))
@@ -543,6 +549,11 @@ fn v1_droppings_and_size_only_datasets_answer_through_the_decoded_path() {
     assert_eq!(
         (remote.indexer_ns, remote.read_ns),
         (local.indexer.0, local.read.0)
+    );
+    assert_eq!(
+        accepted.get(),
+        accepted_before,
+        "the error answer kept the connection"
     );
     server.shutdown();
 }
@@ -805,7 +816,6 @@ fn tcp_herd_is_shed_as_typed_overloads() {
                 query_slots: 1,
                 ingest_queue: 1,
                 query_queue: 1,
-                default_deadline: None,
                 ..FrontendConfig::default()
             },
         ));

@@ -28,7 +28,9 @@
 //! What a failure does to the connection: an error answered in full keeps
 //! it, a chunk that fails its check mid-stream drops it (the rest of the
 //! answer is still in the socket), counted in accepts on a listener the
-//! test owns.
+//! test owns. A request whose wire deadline passes in the admission queue
+//! is answered `deadline_exceeded` under its own id, on a connection that
+//! then serves the next request.
 //!
 //! Two peers that are not malformed, only inconsiderate: one sends eight
 //! frames ahead of their answers and gets them back in request order; one
@@ -82,7 +84,6 @@ fn start_fault_server() -> Server {
             query_slots: 4,
             ingest_queue: 64,
             query_queue: 64,
-            default_deadline: None,
             ..FrontendConfig::default()
         },
     ));
@@ -756,6 +757,72 @@ fn an_error_answer_keeps_the_connection_and_a_corrupt_chunk_drops_it() {
         "a corrupt chunk must drop the connection it arrived on"
     );
     server.join().expect("scripted server must not panic");
+}
+
+/// A request carrying a wire deadline the admission queue cannot meet
+/// (1 ns) is answered with a typed `deadline_exceeded` under its own id,
+/// counted once as expired by the frontend, and the same connection then
+/// serves a deadline-free query: one accept for both.
+#[test]
+fn a_wire_deadline_expires_in_the_queue_and_keeps_the_connection() {
+    let _guard = serialize();
+    let fe = Arc::new(Frontend::new(make_ada(), FrontendConfig::default()));
+    let mut server =
+        Server::start(Arc::clone(&fe), ServerConfig::default()).expect("server must start");
+    let w = ada_workload::gpcr_workload(300, 3, 41);
+    let input = IngestInput::Real {
+        pdb_text: ada_mdformats::write_pdb(&w.system),
+        xtc_bytes: ada_mdformats::xtc::write_xtc(
+            &w.trajectory,
+            ada_mdformats::xtc::DEFAULT_PRECISION,
+        )
+        .unwrap(),
+    };
+    fe.ingest("setup", "ds", input).unwrap();
+
+    let accepted = ada_telemetry::global().counter("server.connections.accepted");
+    let accepted_before = accepted.get();
+    let expired_before = fe.stats().query.counters.expired;
+    let query = |id: u64, deadline_ns: u64| {
+        let envelope = RequestEnvelope {
+            id,
+            client: "hurried".to_string(),
+            trace_id: 0,
+            deadline_ns,
+            body: RequestBody::Query {
+                dataset: "ds".to_string(),
+                tag: Some("p".to_string()),
+            },
+        };
+        encode_frame(&envelope.encode()).unwrap()
+    };
+    let mut s = evil_socket(&server);
+
+    s.write_all(&query(21, 1)).unwrap();
+    match read_response(&mut s) {
+        Some(ResponseEnvelope {
+            id: 21,
+            body: ResponseBody::Error(e),
+        }) => assert_eq!(e.kind(), "deadline_exceeded", "{}", e),
+        other => panic!("expected deadline_exceeded for request 21, got {:?}", other),
+    }
+    assert_eq!(fe.stats().query.counters.expired, expired_before + 1);
+
+    s.write_all(&query(22, 0)).unwrap();
+    match read_response(&mut s) {
+        Some(ResponseEnvelope {
+            id: 22,
+            body: ResponseBody::Query(rep),
+        }) => assert_eq!(rep.trajectory().expect("payload decodes").len(), 3),
+        other => panic!("expected the answer to request 22, got {:?}", other),
+    }
+    assert_eq!(fe.stats().query.counters.expired, expired_before + 1);
+    assert_eq!(
+        accepted.get() - accepted_before,
+        1,
+        "one connection for both"
+    );
+    server.shutdown();
 }
 
 /// One raw frame off a socket: its magic and payload, nothing verified.

@@ -6,7 +6,7 @@
 
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-use ada_mdformats::xtcf::{parse_directory, write_xtcf, XTCF_TRAILER_LEN};
+use ada_mdformats::xtcf::{parse_directory, seal_v2, write_xtcf, XTCF_TRAILER_LEN};
 use ada_mdformats::{write_pdb, FormatError, Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
 use ada_plfs::ContainerSet;
@@ -311,10 +311,11 @@ fn frame_count_mismatch_is_a_structured_error() {
         let r = rig(threads, 512);
         ingest_real(&r.ada, "d", 900, 3, 51);
 
-        // Splice in a foreign protein dropping: one extra well-formed
-        // frame, so tag `p` now decodes 4 frames while the label (and tag
-        // `m`) say 3. Before the mismatch check, full-frame reassembly
-        // silently truncated to the shortest subset.
+        // Splice in a foreign protein dropping, sealed and indexed as
+        // ingest would: one extra well-formed frame, so tag `p` now
+        // decodes 4 frames while the label (and tag `m`) say 3. Before the
+        // mismatch check, full-frame reassembly silently truncated to the
+        // shortest subset.
         let label = r.ada.label("d").unwrap();
         let p_atoms = label.ranges(&Tag::protein()).unwrap().count();
         let extra = Trajectory::from_frames(vec![Frame {
@@ -323,9 +324,10 @@ fn frame_count_mismatch_is_a_structured_error() {
             pbc: PbcBox::zero(),
             coords: vec![[1.0, 2.0, 3.0]; p_atoms],
         }]);
+        let sealed = seal_v2(write_xtcf(&extra).unwrap(), p_atoms, 64).unwrap();
         r.ada
             .containers()
-            .append_tagged("d", "p", "ssd", Content::real(write_xtcf(&extra).unwrap()))
+            .append_tagged_frames("d", "p", "ssd", Content::real(sealed), 1)
             .unwrap();
 
         let err = r.ada.query("d", None).unwrap_err();

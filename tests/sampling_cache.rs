@@ -4,11 +4,9 @@
 //! What must hold:
 //! * **byte identity** — every `query_range` answer with the cache on is
 //!   byte-for-byte the answer a cache-off instance gives, across whole
-//!   shuffled epochs, under concurrency, and with readahead on;
+//!   shuffled epochs and under concurrency;
 //! * **the perf claim** — with a budget covering the hot set, steady-state
-//!   epochs (2nd onward) decode at least 5x fewer bytes than cache-off;
-//! * **readahead** — sequential scans hit more with readahead enabled,
-//!   without changing a single delivered byte.
+//!   epochs (2nd onward) decode at least 5x fewer bytes than cache-off.
 
 use std::sync::{Arc, Barrier};
 
@@ -42,7 +40,6 @@ fn hot_cache() -> CacheConfig {
         capacity_bytes: 64 << 20,
         shards: 4,
         min_heat: 0,
-        readahead: 0,
     }
 }
 
@@ -234,7 +231,6 @@ fn concurrent_mixed_reads_match_cache_off_serial_rerun() {
         FrontendConfig {
             query_slots: 4,
             query_queue: 64,
-            default_deadline: None,
             ..FrontendConfig::default()
         },
     );
@@ -290,44 +286,4 @@ fn concurrent_mixed_reads_match_cache_off_serial_rerun() {
             t, i
         );
     }
-}
-
-/// Readahead: a forward sequential scan hits more with readahead enabled
-/// — and still delivers identical bytes.
-#[test]
-fn readahead_raises_hit_rate_without_changing_bytes() {
-    let scan = |readahead: usize| -> (Vec<Vec<u8>>, ada_cache::CacheStats) {
-        let ada = make_ada(
-            8,
-            CacheConfig {
-                readahead,
-                ..hot_cache()
-            },
-        );
-        ada.ingest("ds", real_input(400, 64, 5)).unwrap();
-        let tag = Tag::protein();
-        let mut out = Vec::new();
-        // One forward pass, window == dropping size: without readahead
-        // every window cold-misses; with readahead=1 each fetch warms the
-        // next window.
-        for start in (0..64).step_by(8) {
-            out.push(query_bytes(
-                ada.query_range("ds", &tag, start..start + 8, 1).unwrap(),
-            ));
-        }
-        (out, ada.cache_stats())
-    };
-
-    let (plain_bytes, plain_stats) = scan(0);
-    let (ahead_bytes, ahead_stats) = scan(1);
-    assert_eq!(
-        plain_bytes, ahead_bytes,
-        "readahead changed delivered bytes"
-    );
-    assert!(
-        ahead_stats.hits > plain_stats.hits,
-        "readahead did not raise hits: {:?} vs {:?}",
-        ahead_stats,
-        plain_stats
-    );
 }

@@ -151,7 +151,6 @@ fn concurrent_load_yields_one_connected_tree_per_request() {
             query_slots: 4,
             ingest_queue: 64,
             query_queue: 64,
-            default_deadline: None,
             ..FrontendConfig::default()
         },
     );
@@ -341,7 +340,6 @@ fn shed_request_trace_records_depth_and_retry_hint() {
                 query_slots: 1,
                 ingest_queue: 1,
                 query_queue: 1,
-                default_deadline: None,
                 ..FrontendConfig::default()
             },
         );
