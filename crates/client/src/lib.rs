@@ -51,9 +51,6 @@ pub struct ClientConfig {
     /// Receive-side limit on a frame's payload. An answer is a stream of
     /// frames and may exceed it; no single frame may.
     pub max_frame_len: u32,
-    /// Queue-wait deadline attached to every request (`None` = wait
-    /// indefinitely in the server's admission queue).
-    pub default_deadline: Option<Duration>,
 }
 
 impl Default for ClientConfig {
@@ -63,7 +60,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(30),
             max_frame_len: DEFAULT_MAX_FRAME,
-            default_deadline: None,
         }
     }
 }
@@ -176,11 +172,9 @@ impl Client {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             client: self.config.name.clone(),
             trace_id: ctx.trace_id().unwrap_or(0),
-            deadline_ns: self
-                .config
-                .default_deadline
-                .map(|d| d.as_nanos().clamp(1, u64::MAX as u128) as u64)
-                .unwrap_or(0),
+            // No deadline: the request waits in the server's admission
+            // queue for as long as it takes.
+            deadline_ns: 0,
             body,
         };
         let mut conn = self.conn.lock();

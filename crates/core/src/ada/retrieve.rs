@@ -5,26 +5,25 @@
 //! caller's thread it looks every dropping up in the cache, fetches the
 //! misses in logical order ([`Ada::fetch_in_order`]), plans each ([`plan`]:
 //! which of its chunks are resident and which are stored and still to be
-//! checked) and lays the plans out in their tags' frames ([`units`]). The
-//! answer's frames are cut into **units**: the stored chunks of all its
-//! tags, merged where they overlap — on every layout ingest writes, one
-//! (window, chunk) of the answer across the tags it needs — and the
-//! resident frames between them. A unit checks
+//! checked) and lays the plans out in their tags' windows ([`units`]). The
+//! answer is cut into **units**, one per (window, chunk): chunk *c* of
+//! every answer tag's *k*-th dropping, as ingest sealed it. A unit checks
 //! its stored chunks (`verify_chunk`, then the directory's atom count
-//! against the label's; decoded into frames first when the cache is on,
-//! because frames are what the cache keeps) and writes the answer's
-//! frames inside it, each one once, straight from its sources. The pool's
-//! `query_threads` workers claim units; `query_threads = 0` runs them
-//! inline — the reference schedule, which spawns nothing and which
-//! `query_equivalence` and `core.parallel_speedup` compare the pool with
-//! — and so does a request with nothing stored to check.
+//! against the label's), reads them in place and writes the answer's
+//! frames inside it, each one once, straight from its sources — cache on
+//! or off. The pool's `query_threads` workers claim units;
+//! `query_threads = 0` runs them inline — the reference schedule, which
+//! spawns nothing and which `query_equivalence` and
+//! `core.parallel_speedup` compare the pool with — and so does a request
+//! with nothing stored to check.
 //!
 //! Every schedule fails with the same error: a fetch failure (everything
 //! is fetched before anything is checked), else the first failure in
 //! (unit, tag in label order, chunk) order. A dropping that cannot be
 //! planned ranks ahead of the unit its first frame falls in; so does, in a
 //! full-frame answer, a tag whose frame count disagrees with the label, at
-//! its first missing or surplus frame.
+//! its first missing or surplus frame, and a tag whose window is cut into
+//! other chunks than the first tag's, at the window's first frame.
 
 mod units;
 
@@ -32,7 +31,7 @@ use super::{max_across_backends, Ada};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
-use ada_mdformats::xtcf::{parse_directory, ChunkDirectory, ChunkEntry};
+use ada_mdformats::xtcf::{decode_chunk, parse_directory, ChunkDirectory, ChunkEntry};
 use ada_mdformats::{FormatError, Frame};
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
@@ -256,8 +255,7 @@ impl Ada {
             rank.unwrap_or_default()
         };
 
-        let cache_on = self.cache.enabled();
-        let cached: Vec<Cached> = if cache_on {
+        let cached: Vec<Cached> = if self.cache.enabled() {
             let mut ts = ctx.span("cache.lookup");
             let cached: Vec<Cached> = records
                 .iter()
@@ -321,14 +319,19 @@ impl Ada {
             })
             .collect();
 
-        let (mut layout, droppings) = Layout::new(label, full, tags, planned)?;
-        let (units, checks) = layout.units();
-        let threads = if checks { self.config.query_threads } else { 0 };
+        let layout = Layout::new(label, full, tags, planned)?;
+        let units = layout.units();
+        let stored = layout
+            .droppings
+            .iter()
+            .any(|d| matches!(d.source, Source::Stored { .. }));
+        let threads = if stored { self.config.query_threads } else { 0 };
         let outs = crate::run_pool("query unit", threads, units.len(), ctx, |ctx, claim| {
             let mut done = Vec::new();
             while let Some(u) = claim() {
-                let unit = units.get(u).cloned().unwrap_or_default();
-                done.push((u, run_unit(&layout, &droppings, unit, cache_on, ctx)));
+                if let Some(unit) = units.get(u) {
+                    done.push((u, run_unit(&layout, unit, ctx)));
+                }
             }
             done
         })?;
@@ -336,33 +339,27 @@ impl Ada {
         // Units come back in frame order: the first `Err` met here is the
         // request's, and the cut ranks behind every unit.
         let mut frames = Vec::new();
-        let mut decoded = Vec::new();
         for out in outs {
             let out = out?;
             if frames.is_empty() {
-                frames = out.frames;
+                frames = out;
             } else {
-                frames.extend(out.frames);
+                frames.extend(out);
             }
-            decoded.extend(out.decoded);
         }
-        if let Some(e) = layout.cut.take() {
+        if let Some(e) = layout.cut {
             return Err(e);
         }
-        self.settle(dataset, droppings, decoded);
+        self.settle(dataset, layout.droppings);
         Ok((frames, read))
     }
 
     /// A retrieval succeeded: count what it read and checked — per
     /// dropping, the chunks checked and skipped; the frame bytes decoded,
-    /// cache on or off — and offer every fresh payload to the cache.
-    /// Nothing is counted for a failed request.
-    fn settle(
-        &self,
-        dataset: &str,
-        droppings: Vec<Planned>,
-        mut decoded: Vec<(usize, usize, Arc<Vec<Frame>>)>,
-    ) {
+    /// cache on or off — and, cache on, decode every fresh chunk
+    /// (`decode_chunk`) and offer each fresh payload to the cache. Nothing
+    /// is counted for a failed request.
+    fn settle(&self, dataset: &str, droppings: Vec<Planned>) {
         let (mut bytes, mut checked, mut skipped) = (0u64, 0u64, 0u64);
         for d in &droppings {
             let Source::Stored { dir, todo, .. } = &d.source else {
@@ -397,11 +394,13 @@ impl Ada {
             return;
         }
         let heat = crate::tiering::heat_snapshot(self, dataset);
-        decoded.sort_unstable_by_key(|(d, c, _)| (*d, *c));
-        let mut decoded = decoded.into_iter().peekable();
-        for (i, d) in droppings.into_iter().enumerate() {
+        for d in droppings {
             let Source::Stored {
-                dir, prior, natoms, ..
+                content,
+                dir,
+                prior,
+                todo,
+                natoms,
             } = d.source
             else {
                 continue;
@@ -409,9 +408,12 @@ impl Ada {
             let mut chunks: Vec<Option<Arc<Vec<Frame>>>> = (0..dir.nchunks())
                 .map(|c| prior.as_ref().and_then(|p| p.chunk(c).cloned()))
                 .collect();
-            while let Some((_, c, frames)) = decoded.next_if(|(at, ..)| *at == i) {
-                if let Some(slot) = chunks.get_mut(c) {
-                    *slot = Some(frames);
+            for c in todo {
+                let fresh = content
+                    .as_real()
+                    .and_then(|b| decode_chunk(b, &dir, c).ok());
+                if let (Some(slot), Some(frames)) = (chunks.get_mut(c), fresh) {
+                    *slot = Some(Arc::new(frames));
                 }
             }
             let payload = Arc::new(DecodedDropping::from_chunks(

@@ -1,84 +1,53 @@
-//! The answer's units: every answer tag's chunks placed in its frames
-//! ([`Layout`]), cut into units — the stored chunks of all the tags,
-//! merged where they overlap, and the resident frames between them — and
-//! one unit run ([`run_unit`]): check its stored chunks, then write the
-//! answer's frames inside it, each once, straight from the sources.
+//! The answer's units: each answer tag's planned droppings in window order
+//! ([`Layout`]), cut into units — chunk *c* of every answer tag's *k*-th
+//! dropping, the (window, chunk) ingest sealed ([`Unit`]) — and one unit
+//! run ([`run_unit`]): check its stored chunks, then write the answer's
+//! frames inside it, each once, straight from the sources.
 
-use super::{atoms_err, chunk_err, real_bytes, Planned, Source, Take};
+use super::{atoms_err, chunk_err, real_bytes, xtcf_err, Planned, Source, Take};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_mdformats::xtcf::{ChunkRecords, FrameRecord};
-use ada_mdformats::Frame;
+use ada_mdformats::{FormatError, Frame};
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_telemetry::trace::TraceContext;
 use std::ops::Range;
 use std::sync::Arc;
 
 impl Planned {
-    /// Lay the chunks the request can read — resident, or stored and to be
-    /// checked — into the tag's frames from `start` on, as segments of
-    /// planned dropping `at`. Returns the dropping's frame count.
-    fn lay_out(&self, start: usize, at: usize, segs: &mut Vec<Seg>) -> usize {
-        match &self.source {
-            Source::Hit(entry) => {
-                let layout = entry.chunk_layout().iter().copied();
-                self.lay_chunks(layout, &[], start, at, segs)
-            }
-            Source::Stored { dir, todo, .. } => {
-                let layout = dir.entries.iter().map(|e| e.nframes);
-                self.lay_chunks(layout, todo, start, at, segs)
-            }
-        }
-    }
-
-    fn lay_chunks(
-        &self,
-        layout: impl Iterator<Item = u32>,
-        todo: &[usize],
-        start: usize,
-        at: usize,
-        segs: &mut Vec<Seg>,
-    ) -> usize {
-        let mut todo = todo.iter().peekable();
-        let mut end = start;
-        segs.reserve(layout.size_hint().0);
-        for (chunk, n) in layout.enumerate() {
-            let seg_start = end;
-            end += n as usize;
-            let stored = todo.next_if_eq(&&chunk).is_some();
-            if stored || self.resident(chunk).is_some() {
-                segs.push(Seg {
-                    start: seg_start,
-                    end,
-                    dropping: at,
-                    chunk,
-                    stored,
-                });
-            }
-        }
-        end - start
+    /// The dropping's chunk layout (frames per chunk), read in place.
+    fn chunk_layout(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..).map_while(move |c| {
+            let n = match &self.source {
+                Source::Hit(entry) => entry.chunk_layout().get(c).copied(),
+                Source::Stored { dir, .. } => dir.entries.get(c).map(|e| e.nframes),
+            };
+            n.map(|n| n as usize)
+        })
     }
 }
 
-/// One chunk of an answer tag, placed in that tag's frames.
-#[derive(Debug, Clone, Copy)]
-struct Seg {
-    start: usize,
-    end: usize,
-    /// Its dropping's index among the planned ones.
-    dropping: usize,
-    chunk: usize,
-    /// Stored, and checked by its unit; else resident.
-    stored: bool,
+impl Take {
+    /// The positions in the take's frame list — the dropping's frames
+    /// (`All`), or the selection — of the frames inside `frames`.
+    fn within(&self, frames: Range<usize>) -> Range<usize> {
+        match self {
+            Take::All => frames,
+            Take::Frames(sel) => {
+                sel.partition_point(|&f| f < frames.start)..sel.partition_point(|&f| f < frames.end)
+            }
+        }
+    }
 }
 
-/// One answer tag: the atoms its label ranges select and its chunks, in
-/// frame order.
+/// One answer tag: the atoms its label ranges select and its planned
+/// droppings, in window order.
 pub(super) struct TagLayout {
     pub(super) tag: Tag,
     pub(super) natoms: Option<usize>,
-    segs: Vec<Seg>,
-    /// Frames laid out so far.
+    /// Its droppings' indices among [`Layout::droppings`], window by window.
+    windows: Vec<usize>,
+    /// Frames of its planned droppings.
     frames: usize,
     /// A dropping of this tag failed to plan: nothing past it is laid out.
     failed: bool,
@@ -90,7 +59,7 @@ impl TagLayout {
         TagLayout {
             natoms: label.tags.get(&tag).map(IndexRanges::count),
             tag,
-            segs: Vec::new(),
+            windows: Vec::new(),
             frames: 0,
             failed: false,
         }
@@ -106,21 +75,31 @@ struct Piece {
     offset: usize,
 }
 
-/// A request laid out in its answer tags' frames.
+/// A request laid out in its answer tags' windows.
 pub(super) struct Layout {
     /// The answer's tags, in label order.
     tags: Vec<TagLayout>,
-    /// The tag frames the answer is written from, ascending, all below
-    /// `end`.
-    want: Vec<usize>,
+    /// The droppings that planned, in logical order.
+    pub(super) droppings: Vec<Planned>,
     /// Frames the units cover: the answer's, or up to the cut.
     end: usize,
     /// A full-frame answer's label ranges, by start, and its atom count.
     pieces: Option<(Vec<Piece>, usize)>,
     /// The failure at frame `end` — a dropping that failed to plan, a tag
-    /// whose frame count disagrees with the label — which fails the request
-    /// once every unit before it succeeded.
+    /// whose frame count disagrees with the label, a window cut into other
+    /// chunks than the first tag's — which fails the request once every
+    /// unit before it succeeded.
     pub(super) cut: Option<AdaError>,
+}
+
+/// Chunk `chunk` of every answer tag's `window`-th planned dropping, and
+/// the answer's frames in it: positions `want` of the first tag's take
+/// ([`Take::within`]), the chunk starting at dropping-local frame `first`.
+pub(super) struct Unit {
+    window: usize,
+    chunk: usize,
+    first: usize,
+    want: Range<usize>,
 }
 
 /// Keep the failure that ranks first: lowest frame, then lowest tag rank.
@@ -132,33 +111,27 @@ fn earliest(cut: &mut Option<(usize, usize, AdaError)>, frame: usize, tag: usize
 
 impl Layout {
     /// Lay the planned droppings — `(tag rank, plan)` in logical order —
-    /// into `tags`, and find the answer's frames and its cut. Returns the
-    /// droppings that planned, which the segments index.
+    /// into `tags`' windows, and find the answer's end and its cut.
     pub(super) fn new(
         label: &LabelFile,
         full: bool,
         mut tags: Vec<TagLayout>,
         planned: Vec<(usize, Result<Planned, AdaError>)>,
-    ) -> Result<(Layout, Vec<Planned>), AdaError> {
-        let mut droppings = Vec::with_capacity(planned.len());
-        let mut want = Vec::new();
+    ) -> Result<Layout, AdaError> {
+        let mut droppings: Vec<Planned> = Vec::with_capacity(planned.len());
         let mut cut = None;
         for (rank, plan) in planned {
             let Some(tag) = tags.get_mut(rank).filter(|t| !t.failed) else {
                 continue;
             };
-            let start = tag.frames;
             match plan {
                 Err(e) => {
                     tag.failed = true;
-                    earliest(&mut cut, start, rank, e);
+                    earliest(&mut cut, tag.frames, rank, e);
                 }
                 Ok(p) => {
-                    tag.frames += p.lay_out(start, droppings.len(), &mut tag.segs);
-                    match &p.take {
-                        Take::All => want.extend(start..tag.frames),
-                        Take::Frames(sel) => want.extend(sel.iter().map(|f| start + f)),
-                    }
+                    tag.frames += p.chunk_layout().sum::<usize>();
+                    tag.windows.push(droppings.len());
                     droppings.push(p);
                 }
             }
@@ -173,6 +146,21 @@ impl Layout {
                         got: t.frames,
                     };
                     earliest(&mut cut, t.frames.min(label.nframes), rank, e);
+                }
+            }
+            // Ingest cuts every tag's window into the same chunks; a tag
+            // whose k-th dropping is cut otherwise has no unit to join.
+            for (rank, t) in tags.iter().enumerate().skip(1) {
+                let (head, mut start) = (&tags[0], 0);
+                for (k, (&i, &h)) in t.windows.iter().zip(&head.windows).enumerate() {
+                    let (d, h) = (&droppings[i], &droppings[h]);
+                    if !d.chunk_layout().eq(h.chunk_layout()) {
+                        let why = format!("window {} is cut unlike tag '{}''s", k, head.tag);
+                        let e = xtcf_err(&d.record, FormatError::Corrupt(why));
+                        earliest(&mut cut, start, rank, e);
+                        break;
+                    }
+                    start += h.chunk_layout().sum::<usize>();
                 }
             }
             let mut list = Vec::new();
@@ -191,100 +179,72 @@ impl Layout {
             list.sort_by_key(|p| p.start);
             pieces = Some((list, label.natoms));
         }
+        // Uncut, a full-frame answer's tags each hold the label's frames.
         let end = match &cut {
             Some((frame, ..)) => *frame,
-            None if full && !tags.is_empty() => label.nframes,
             None => tags.first().map_or(0, |t| t.frames),
         };
-        if full {
-            want = (0..end).collect();
-        }
-        let layout = Layout {
+        Ok(Layout {
             tags,
-            want,
+            droppings,
             end,
             pieces,
             cut: cut.map(|(.., e)| e),
+        })
+    }
+
+    /// The units, in frame order: every chunk of the first tag's droppings
+    /// that holds an answer frame below `end`.
+    pub(super) fn units(&self) -> Vec<Unit> {
+        let mut units = Vec::new();
+        let Some(head) = self.tags.first() else {
+            return units;
         };
-        Ok((layout, droppings))
-    }
-
-    /// The segments of `tag` that overlap `frames`, below `end`.
-    fn segs<'s>(&self, tag: &'s TagLayout, frames: &Range<usize>) -> &'s [Seg] {
-        let lo = tag.segs.partition_point(|s| s.end <= frames.start);
-        let hi = tag
-            .segs
-            .partition_point(|s| s.start < frames.end.min(self.end));
-        tag.segs.get(lo..hi).unwrap_or_default()
-    }
-
-    /// The answer's frames inside `frames`.
-    fn want_in(&self, frames: &Range<usize>) -> &[usize] {
-        let lo = self.want.partition_point(|&f| f < frames.start);
-        let hi = self.want.partition_point(|&f| f < frames.end);
-        self.want.get(lo..hi).unwrap_or_default()
-    }
-
-    /// The units, in frame order, and whether any has a stored chunk to
-    /// check. The stored chunks of all tags, merged where they overlap,
-    /// are one unit each — one (window, chunk) across the tags wherever
-    /// the tags' chunks align, as ingest writes them; the resident frames
-    /// between them that the answer wants are one unit per gap.
-    pub(super) fn units(&self) -> (Vec<Range<usize>>, bool) {
-        let mut stored: Vec<Range<usize>> = Vec::new();
-        for t in &self.tags {
-            let segs = self.segs(t, &(0..self.end)).iter();
-            stored.extend(segs.filter(|s| s.stored).map(|s| s.start..s.end));
-        }
-        stored.sort_unstable_by_key(|r| r.start);
-        let mut groups: Vec<Range<usize>> = Vec::with_capacity(stored.len());
-        for r in stored {
-            match groups.last_mut() {
-                Some(g) if r.start < g.end => g.end = g.end.max(r.end),
-                _ => groups.push(r),
+        let mut start = 0;
+        for (window, &i) in head.windows.iter().enumerate() {
+            let d = &self.droppings[i];
+            let below = self.end.saturating_sub(start);
+            let mut first = 0;
+            for (chunk, n) in d.chunk_layout().enumerate() {
+                if first >= below {
+                    break;
+                }
+                let want = d.take.within(first..(first + n).min(below));
+                if !want.is_empty() {
+                    units.push(Unit {
+                        window,
+                        chunk,
+                        first,
+                        want,
+                    });
+                }
+                first += n;
+            }
+            start += first;
+            if start >= self.end {
+                break;
             }
         }
-        let checks = !groups.is_empty();
-        let mut units = Vec::with_capacity(2 * groups.len() + 1);
-        let mut at = 0;
-        for g in groups {
-            units.extend(self.wanted_span(at..g.start));
-            at = g.end;
-            units.push(g);
-        }
-        units.extend(self.wanted_span(at..self.end));
-        (units, checks)
-    }
-
-    /// The span from the first to the last answer frame inside `frames`,
-    /// if it holds any.
-    fn wanted_span(&self, frames: Range<usize>) -> Option<Range<usize>> {
-        let want = self.want_in(&frames);
-        Some(*want.first()?..*want.last()? + 1)
+        units
     }
 }
 
-/// A unit's source for one chunk of one tag.
+/// A unit's source for its chunk of one tag.
 enum Src<'a> {
-    /// Frames: resident, or decoded by this unit for the cache.
+    /// Resident frames.
     Decoded(Arc<Vec<Frame>>),
     /// A checked stored chunk, read in place.
     Stored(ChunkRecords<'a>),
 }
 
 impl Src<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Src::Decoded(frames) => frames.len(),
-            Src::Stored(records) => records.len(),
-        }
-    }
-
-    fn row(&self, i: usize) -> Option<Row<'_>> {
-        match self {
-            Src::Decoded(frames) => frames.get(i).map(Row::Decoded),
-            Src::Stored(records) => records.get(i).map(Row::Stored),
-        }
+    /// The row of chunk-local frame `f`.
+    fn row(&self, f: usize) -> Result<Row<'_>, AdaError> {
+        let row = match self {
+            Src::Decoded(frames) => frames.get(f).map(Row::Decoded),
+            Src::Stored(records) => records.get(f).map(Row::Stored),
+        };
+        row.ok_or_else(|| AdaError::Internal(format!("no frame {} in the unit's chunk", f)))
     }
 }
 
@@ -337,16 +297,6 @@ impl Row<'_> {
     }
 }
 
-/// The row of tag frame `f` among one tag's sources (by frame, disjoint).
-fn row_at<'s>(sources: &'s [(Seg, Src<'_>)], f: usize) -> Result<Row<'s>, AdaError> {
-    let i = sources.partition_point(|(s, _)| s.end <= f);
-    sources
-        .get(i)
-        .filter(|(s, _)| s.start <= f)
-        .and_then(|(s, src)| src.row(f - s.start))
-        .ok_or_else(|| AdaError::Internal(format!("no planned chunk holds frame {}", f)))
-}
-
 /// One full frame from one row per answer tag, head first: each output
 /// frame is `Vec::with_capacity(natoms)` with the pieces appended in start
 /// order — zeros only across atoms no tag covers (and up to `natoms` at
@@ -374,8 +324,8 @@ fn full_frame(head: Row<'_>, rows: &[Row<'_>], pieces: &[Piece], natoms: usize) 
 }
 
 /// Check stored chunk `c` of `d` — `verify_chunk`, then the directory's
-/// atom count against the label's `natoms` — and, with `decode`, decode
-/// it into frames. Both schedules check chunks through here, so the
+/// atom count against the label's `natoms` — and hand back its records,
+/// read in place. Every schedule checks chunks through here, so the
 /// chunk's `query.decode` span — the decode stage's only clock, and the
 /// `tag` + `bytes` a profile's per-tag volume is folded from — is opened
 /// here and nowhere else.
@@ -383,9 +333,8 @@ fn check_chunk<'a>(
     d: &'a Planned,
     c: usize,
     natoms: Option<usize>,
-    decode: bool,
     ctx: &TraceContext,
-) -> Result<Src<'a>, AdaError> {
+) -> Result<ChunkRecords<'a>, AdaError> {
     let Source::Stored { content, dir, .. } = &d.source else {
         return Err(AdaError::Internal(format!(
             "chunk {} of '{}' is not stored",
@@ -404,96 +353,73 @@ fn check_chunk<'a>(
         .and_then(|records| match natoms {
             Some(n) if records.natoms() != n => Err(atoms_err(&d.record, 0, records.natoms(), n)),
             _ => Ok(records),
-        })
-        .map(|records| {
-            if decode {
-                Src::Decoded(Arc::new(records.frames().collect()))
-            } else {
-                Src::Stored(records)
-            }
         });
     match &res {
-        Ok(src) => ts.arg("frames", src.len()),
+        Ok(records) => ts.arg("frames", records.len()),
         Err(e) => ts.set_error(e.kind()),
     }
     res
 }
 
-/// What a unit made: the answer's frames inside it, and (cache on) the
-/// chunks it decoded, as `(dropping, chunk, frames)`.
-pub(super) struct UnitOut {
-    pub(super) frames: Vec<Frame>,
-    pub(super) decoded: Vec<(usize, usize, Arc<Vec<Frame>>)>,
-}
-
 /// Run one unit: check its stored chunks tag by tag in label order — the
 /// first failure is the unit's — then write the answer's frames inside it
-/// under one `query.reassemble` span. With `decode` (the cache is on) a
-/// checked chunk is decoded, read from as frames and handed back for the
-/// cache.
-pub(super) fn run_unit<'a>(
+/// under one `query.reassemble` span.
+pub(super) fn run_unit(
     layout: &Layout,
-    droppings: &'a [Planned],
-    frames: Range<usize>,
-    decode: bool,
+    unit: &Unit,
     ctx: &TraceContext,
-) -> Result<UnitOut, AdaError> {
-    let mut decoded = Vec::new();
-    let mut sources: Vec<Vec<(Seg, Src<'a>)>> = Vec::with_capacity(layout.tags.len());
+) -> Result<Vec<Frame>, AdaError> {
+    // The one tag's take, or a full-frame answer's: `All` for every tag.
+    let mut take = &Take::All;
+    let mut sources = Vec::with_capacity(layout.tags.len());
     for tag in &layout.tags {
-        let mut of_tag = Vec::new();
-        for &seg in layout.segs(tag, &frames) {
-            let missing = || AdaError::Internal(format!("no source for chunk {}", seg.chunk));
-            let d = droppings.get(seg.dropping).ok_or_else(missing)?;
-            let src = if seg.stored {
-                let src = check_chunk(d, seg.chunk, tag.natoms, decode, ctx)?;
-                if let Src::Decoded(f) = &src {
-                    decoded.push((seg.dropping, seg.chunk, Arc::clone(f)));
-                }
-                src
-            } else {
-                Src::Decoded(Arc::clone(d.resident(seg.chunk).ok_or_else(missing)?))
-            };
-            of_tag.push((seg, src));
-        }
-        sources.push(of_tag);
+        let d = tag
+            .windows
+            .get(unit.window)
+            .and_then(|&i| layout.droppings.get(i));
+        let missing =
+            || AdaError::Internal(format!("tag '{}' has no window {}", tag.tag, unit.window));
+        let d = d.ok_or_else(missing)?;
+        take = &d.take;
+        sources.push(match d.resident(unit.chunk) {
+            Some(frames) => Src::Decoded(Arc::clone(frames)),
+            None => Src::Stored(check_chunk(d, unit.chunk, tag.natoms, ctx)?),
+        });
     }
+    let frames = unit.want.clone().map(|i| match take {
+        Take::All => i - unit.first,
+        Take::Frames(sel) => sel[i] - unit.first,
+    });
 
-    let want = layout.want_in(&frames);
-    let mut out = Vec::with_capacity(want.len());
-    if !want.is_empty() {
-        let mut ts = ctx.span("query.reassemble");
-        match (&layout.pieces, sources.as_slice()) {
-            // A tagged or ranged answer: the tag's selected records.
-            (None, [of_tag]) => {
-                for &f in want {
-                    out.push(row_at(of_tag, f)?.to_frame());
-                }
-            }
-            (Some((pieces, natoms)), [_, ..]) => {
-                let mut rows = Vec::with_capacity(sources.len());
-                for &f in want {
-                    rows.clear();
-                    for of_tag in &sources {
-                        rows.push(row_at(of_tag, f)?);
-                    }
-                    if let Some(&head) = rows.first() {
-                        out.push(full_frame(head, &rows, pieces, *natoms));
-                    }
-                }
-            }
-            _ => {
-                let n = sources.len();
-                return Err(AdaError::Internal(format!("an answer over {} tags", n)));
+    let mut out = Vec::with_capacity(unit.want.len());
+    let mut ts = ctx.span("query.reassemble");
+    match (&layout.pieces, sources.as_slice()) {
+        // A tagged or ranged answer: the tag's selected records.
+        (None, [src]) => {
+            for f in frames {
+                out.push(src.row(f)?.to_frame());
             }
         }
-        ts.arg("bytes", out.iter().map(|f| f.nbytes() as u64).sum::<u64>());
-        ts.arg("frames", out.len());
+        (Some((pieces, natoms)), [_, ..]) => {
+            let mut rows = Vec::with_capacity(sources.len());
+            for f in frames {
+                rows.clear();
+                for src in &sources {
+                    rows.push(src.row(f)?);
+                }
+                if let Some(&head) = rows.first() {
+                    out.push(full_frame(head, &rows, pieces, *natoms));
+                }
+            }
+        }
+        _ => {
+            let n = sources.len();
+            return Err(AdaError::Internal(format!("an answer over {} tags", n)));
+        }
     }
-    Ok(UnitOut {
-        frames: out,
-        decoded,
-    })
+    ts.arg("bytes", out.iter().map(|f| f.nbytes() as u64).sum::<u64>());
+    ts.arg("frames", out.len());
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -503,7 +429,7 @@ mod tests {
     use crate::labeler::LabelFile;
     use crate::AdaError;
     use ada_mdformats::xtcf::{decode_chunk, parse_directory, seal_v2, write_xtcf};
-    use ada_mdformats::{Frame, Trajectory};
+    use ada_mdformats::{FormatError, Frame, Trajectory};
     use ada_mdmodel::{IndexRanges, PbcBox, Tag};
     use ada_simfs::Content;
     use std::collections::{BTreeMap, BTreeSet};
@@ -617,6 +543,34 @@ mod tests {
         out
     }
 
+    /// The paths of `tag`'s droppings, window by window.
+    fn droppings_of(ada: &Ada, tag: &Tag) -> Vec<String> {
+        let mut records = ada.containers().index("d").unwrap();
+        records.retain(|r| r.tag == tag.as_str());
+        records.sort_by_key(|r| r.logical_offset);
+        records.into_iter().map(|r| r.dropping_path).collect()
+    }
+
+    /// Whether `err` refuses window `k` as cut unlike the first tag's,
+    /// naming `dropping`.
+    fn is_refusal(err: &AdaError, dropping: &str, k: usize) -> bool {
+        let window = format!("window {} is cut unlike", k);
+        matches!(err, AdaError::Xtcf { dropping: d, source: FormatError::Corrupt(why) }
+            if d == dropping && why.starts_with(&window))
+    }
+
+    /// What only a successful request moves: decoded bytes, cache
+    /// admissions and tag heat.
+    fn settled(ada: &Ada) -> (u64, u64, u64, crate::tiering::AccessCounts) {
+        let s = ada.cache_stats();
+        (
+            s.bytes_decoded,
+            s.inserts,
+            s.bypasses,
+            ada.access_counts("d"),
+        )
+    }
+
     /// `cache.bytes_decoded` as the counter has always been defined: per
     /// chunk decoded, its frames × (`size_of::<Frame>()` + 12 × the tag's
     /// atoms). `resident` holds the chunks a cache-on instance keeps, as
@@ -657,7 +611,9 @@ mod tests {
         /// chunk sizes (aligned across the tags or not), the cache state
         /// and the schedule, a full-frame
         /// answer is every tag's stored chunks, `decode_chunk`ed, laid out by
-        /// the scatter reference; a tagged answer is the tag's decoded
+        /// the scatter reference — or, where the tags' windows are cut into
+        /// different chunks, `xtcf` naming the first such dropping, with
+        /// nothing counted; a tagged answer is the tag's decoded
         /// chunks; a range read is its window of them — bit for bit. And
         /// `cache.bytes_decoded` moves exactly as the decode model says.
         #[test]
@@ -727,6 +683,15 @@ mod tests {
                     (names[next(2)].clone(), (start..end).step_by(stride).collect())
                 })
                 .collect();
+            // Per tag, per window, its chunks' frame counts; the first
+            // window the tags cut differently is refused in full frames.
+            let cut = |&(per, chunk_frames): &(usize, usize)| -> Vec<Vec<usize>> {
+                source
+                    .chunks(if per == 0 { nframes.max(1) } else { per })
+                    .map(|w| w.chunks(if chunk_frames == 0 { w.len() } else { chunk_frames }).map(<[Frame]>::len).collect())
+                    .collect()
+            };
+            let misaligned = cut(&layouts[0]).iter().zip(&cut(&layouts[1])).position(|(a, b)| a != b);
 
             for query_threads in [0, 1, 4] {
                 for (cache_on, prior_first) in [(false, false), (true, false), (true, true)] {
@@ -768,12 +733,23 @@ mod tests {
                     // Full frames twice (the second warm when the cache is
                     // on), and each tag.
                     for _ in 0..2 {
-                        let got = frames_of(ada.query("d", None).unwrap());
-                        proptest::prop_assert_eq!(bits(&got), bits(&full), "{} full", what);
-                        for t in per_tag.keys() {
-                            model.touch(t, None);
+                        if let Some(k) = misaligned {
+                            let before = settled(&ada);
+                            let err = ada.query("d", None).unwrap_err();
+                            let p = droppings_of(&ada, &Tag::protein())[k].clone();
+                            proptest::prop_assert!(
+                                is_refusal(&err, &p, k),
+                                "{} full: {:?}", what, err
+                            );
+                            proptest::prop_assert_eq!(settled(&ada), before, "{} full", what);
+                        } else {
+                            let got = frames_of(ada.query("d", None).unwrap());
+                            proptest::prop_assert_eq!(bits(&got), bits(&full), "{} full", what);
+                            for t in per_tag.keys() {
+                                model.touch(t, None);
+                            }
+                            proptest::prop_assert_eq!(ada.cache_stats().bytes_decoded, model.bytes, "{} full", what);
                         }
-                        proptest::prop_assert_eq!(ada.cache_stats().bytes_decoded, model.bytes, "{} full", what);
                         for t in &names {
                             let got = frames_of(ada.query("d", Some(t)).unwrap());
                             let want = per_tag.get(t).cloned().unwrap_or_default();
@@ -783,6 +759,47 @@ mod tests {
                         proptest::prop_assert_eq!(ada.cache_stats().bytes_decoded, model.bytes, "{} tagged", what);
                     }
                 }
+            }
+        }
+    }
+
+    /// A full-frame answer over tags whose window is sealed in different
+    /// chunks — 2 and 3 frames, a layout ingest never writes — is refused as
+    /// `xtcf` naming the second tag's dropping, at every thread count, and
+    /// counts nothing; each tag alone, whole or ranged, is still its stored
+    /// chunks bit for bit.
+    #[test]
+    fn a_window_cut_into_other_chunks_is_refused_in_full_frames() {
+        for query_threads in [0, 1, 4] {
+            let ada = make_ada_with(AdaConfig {
+                query_threads,
+                ..AdaConfig::paper_prototype("ssd", "hdd")
+            });
+            let tags: BTreeMap<Tag, IndexRanges> = [
+                (Tag::misc(), IndexRanges::single(0..2)),
+                (Tag::protein(), IndexRanges::single(2..5)),
+            ]
+            .into();
+            let source: Vec<Frame> = (0..6)
+                .map(|i| Frame::from_coords(vec![[i as f32; 3]; 5]))
+                .collect();
+            let label = LabelFile::new("d", 5, 6, tags);
+            store(&ada, &label, &source, &[(0, 2), (0, 3)]);
+
+            let err = ada.query("d", None).unwrap_err();
+            assert_eq!(err.kind(), "xtcf");
+            let p = droppings_of(&ada, &Tag::protein()).remove(0);
+            assert!(is_refusal(&err, &p, 0), "{:?}", err);
+            assert_eq!(ada.cache_stats().bytes_decoded, 0);
+            assert!(ada.access_counts("d").is_empty());
+
+            for (t, chunks) in stored_chunks(&ada) {
+                let whole = chunks.concat();
+                let got = frames_of(ada.query("d", Some(&t)).unwrap());
+                assert_eq!(bits(&got), bits(&whole), "tag {}", t);
+                let got = frames_of(ada.query_range("d", &t, 1..6, 2).unwrap());
+                let want: Vec<Frame> = [1, 3, 5].iter().map(|&i| whole[i].clone()).collect();
+                assert_eq!(bits(&got), bits(&want), "tag {} ranged", t);
             }
         }
     }

@@ -120,8 +120,6 @@ pub enum AdaError {
         /// Atoms per frame in the `.xtc`.
         xtc: usize,
     },
-    /// Input was rejected (not produced by a target application).
-    NotTargetApplication(String),
     /// An internal invariant broke (e.g. a pipeline worker panicked or a
     /// join failed). Queries and ingests surface this as a structured
     /// error instead of poisoning channels and hanging the pipeline.
@@ -271,9 +269,6 @@ impl std::fmt::Display for AdaError {
             AdaError::AtomMismatch { pdb, xtc } => {
                 write!(f, "atom mismatch: pdb has {}, xtc frames have {}", pdb, xtc)
             }
-            AdaError::NotTargetApplication(p) => {
-                write!(f, "'{}' was not generated by a target application", p)
-            }
             AdaError::Internal(m) => write!(f, "internal error: {}", m),
             AdaError::Overloaded {
                 queue_depth,
@@ -309,7 +304,6 @@ impl AdaError {
             AdaError::UnknownDataset(_) => "unknown_dataset",
             AdaError::InvalidRange { .. } => "invalid_range",
             AdaError::AtomMismatch { .. } => "atom_mismatch",
-            AdaError::NotTargetApplication(_) => "not_target_application",
             AdaError::Internal(_) => "internal",
             AdaError::Overloaded { .. } => "overloaded",
             AdaError::DeadlineExceeded { .. } => "deadline_exceeded",
@@ -331,7 +325,6 @@ impl std::error::Error for AdaError {
             | AdaError::UnknownDataset(_)
             | AdaError::InvalidRange { .. }
             | AdaError::AtomMismatch { .. }
-            | AdaError::NotTargetApplication(_)
             | AdaError::Internal(_)
             | AdaError::Overloaded { .. }
             | AdaError::DeadlineExceeded { .. }
@@ -369,7 +362,6 @@ mod error_tests {
                 nframes: 9,
             },
             AdaError::AtomMismatch { pdb: 3, xtc: 4 },
-            AdaError::NotTargetApplication("out.csv".into()),
             AdaError::Internal("worker panicked: boom".into()),
             AdaError::Overloaded {
                 queue_depth: 9,
@@ -408,7 +400,6 @@ mod error_tests {
                 "unknown_dataset",
                 "invalid_range",
                 "atom_mismatch",
-                "not_target_application",
                 "internal",
                 "overloaded",
                 "deadline_exceeded"

@@ -19,11 +19,6 @@ impl XdrEncoder {
         XdrEncoder::default()
     }
 
-    /// Encoder writing into an existing buffer (appends).
-    pub fn with_buffer(buf: Vec<u8>) -> XdrEncoder {
-        XdrEncoder { buf }
-    }
-
     /// Finish, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -126,15 +121,6 @@ impl<'a> XdrDecoder<'a> {
     pub fn get_f32(&mut self) -> Result<f32, FormatError> {
         let b = self.take(4)?;
         Ok(f32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read `n` floats.
-    pub fn get_f32_vector(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), FormatError> {
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.get_f32()?);
-        }
-        Ok(())
     }
 
     /// Read `len` opaque bytes plus padding to a 4-byte boundary.

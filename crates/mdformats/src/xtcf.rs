@@ -545,18 +545,6 @@ impl ChunkDirectory {
         }
         None
     }
-
-    /// The `[start, end)` file-local frame span of chunk `chunk`.
-    pub fn frame_span(&self, chunk: usize) -> Option<(usize, usize)> {
-        if chunk >= self.entries.len() {
-            return None;
-        }
-        let start: usize = self.entries[..chunk]
-            .iter()
-            .map(|e| e.nframes as usize)
-            .sum();
-        Some((start, start + self.entries[chunk].nframes as usize))
-    }
 }
 
 /// Parse a file's chunk directory. `Ok(None)` means a valid v1 header (no
@@ -1087,7 +1075,6 @@ mod tests {
         assert_eq!(dir.nchunks(), 2); // 3 + 1 frames
         assert_eq!(dir.nframes(), 4);
         assert_eq!(dir.chunk_frames, 3);
-        assert_eq!(dir.frame_span(1), Some((3, 4)));
         assert_eq!(dir.chunk_of_frame(3), Some(1));
         assert_eq!(dir.chunk_of_frame(4), None);
         // Streaming shim: the v2 file decodes exactly like the v1 stream.

@@ -57,11 +57,6 @@ impl Scenario {
         }
     }
 
-    /// Whether this scenario goes through the ADA middleware.
-    pub fn uses_ada(&self) -> bool {
-        matches!(self, Scenario::AdaAll | Scenario::AdaProtein)
-    }
-
     /// Whether the compute node must decompress.
     pub fn decompresses_on_compute(&self) -> bool {
         matches!(self, Scenario::CTraditional)
@@ -85,8 +80,6 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Scenario::AdaAll.uses_ada());
-        assert!(!Scenario::DTraditional.uses_ada());
         assert!(Scenario::CTraditional.decompresses_on_compute());
         assert!(!Scenario::AdaProtein.decompresses_on_compute());
     }

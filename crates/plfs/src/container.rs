@@ -158,11 +158,6 @@ impl ContainerSet {
         }
     }
 
-    /// Backend mount names, in order.
-    pub fn backend_names(&self) -> Vec<String> {
-        self.backends.iter().map(|(n, _)| n.clone()).collect()
-    }
-
     fn backend(&self, name: &str) -> Result<&Arc<dyn SimFileSystem>, PlfsError> {
         self.backends
             .iter()

@@ -261,10 +261,7 @@ pub fn encode_error(w: &mut WireWriter, e: &AdaError) {
             w.put_u64(*pdb as u64);
             w.put_u64(*xtc as u64);
         }
-        AdaError::NotTargetApplication(p) => {
-            w.put_u8(10);
-            w.put_str(p);
-        }
+        // Discriminant 10 is retired: it decodes as unknown.
         AdaError::Internal(m) => {
             w.put_u8(11);
             w.put_str(m);
@@ -317,7 +314,6 @@ pub fn decode_error(r: &mut WireReader) -> Result<AdaError, ProtoError> {
             pdb: r.get_u64()? as usize,
             xtc: r.get_u64()? as usize,
         },
-        10 => AdaError::NotTargetApplication(r.get_str()?),
         11 => AdaError::Internal(r.get_str()?),
         12 => AdaError::Overloaded {
             queue_depth: r.get_u64()? as usize,
@@ -409,7 +405,6 @@ mod tests {
                 nframes: 100,
             },
             AdaError::AtomMismatch { pdb: 10, xtc: 12 },
-            AdaError::NotTargetApplication("foo.csv".into()),
             AdaError::Internal("worker panicked".into()),
             AdaError::Overloaded {
                 queue_depth: 17,
@@ -434,15 +429,17 @@ mod tests {
         let mut kinds: Vec<&str> = samples.iter().map(|e| e.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 15, "error kinds covered: {:?}", kinds);
+        assert_eq!(kinds.len(), 14, "error kinds covered: {:?}", kinds);
     }
 
     #[test]
     fn unknown_discriminant_is_typed() {
-        let mut r = WireReader::new(&[200]);
-        assert!(matches!(
-            decode_error(&mut r),
-            Err(ProtoError::Malformed(_))
-        ));
+        for discriminant in [[10], [200]] {
+            let mut r = WireReader::new(&discriminant);
+            assert!(matches!(
+                decode_error(&mut r),
+                Err(ProtoError::Malformed(_))
+            ));
+        }
     }
 }

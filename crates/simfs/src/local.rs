@@ -163,11 +163,6 @@ impl LocalFs {
         )
     }
 
-    /// Inspect the backing store (busy time / power for energy accounting).
-    pub fn with_backing<T>(&self, f: impl FnOnce(&Backing) -> T) -> T {
-        f(&self.inner.lock().backing)
-    }
-
     fn overhead(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.params.op_overhead_s)
     }

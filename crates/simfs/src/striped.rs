@@ -178,16 +178,6 @@ impl StripedFs {
         let net = self.network.transfer_time(len);
         disk.max(net) + SimDuration::from_secs_f64(self.params.op_overhead_s)
     }
-
-    /// Inspect server devices (energy accounting).
-    pub fn with_servers<T>(&self, f: impl FnOnce(&[Device]) -> T) -> T {
-        f(&self.inner.lock().servers)
-    }
-
-    /// Number of storage servers.
-    pub fn server_count(&self) -> usize {
-        self.inner.lock().servers.len()
-    }
 }
 
 impl SimFileSystem for StripedFs {

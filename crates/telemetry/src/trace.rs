@@ -53,7 +53,7 @@
 use ada_json::Value;
 use ada_sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -510,8 +510,6 @@ pub struct FlightRecorder {
     /// Latency bound above which a successful trace is retained
     /// (`u64::MAX` disables the threshold).
     threshold_ns: AtomicU64,
-    recent_cap: AtomicUsize,
-    retained_cap: AtomicUsize,
     recent: Mutex<VecDeque<Arc<Trace>>>,
     retained: Mutex<VecDeque<Arc<Trace>>>,
 }
@@ -525,9 +523,9 @@ impl std::fmt::Debug for FlightRecorder {
     }
 }
 
-/// Default capacity of the recent-traces ring.
+/// Capacity of the recent-traces ring.
 pub const RECENT_CAPACITY: usize = 256;
-/// Default capacity of the retained (flagged) ring.
+/// Capacity of the retained (flagged) ring.
 pub const RETAINED_CAPACITY: usize = 128;
 
 /// The process-wide flight recorder.
@@ -535,8 +533,6 @@ pub fn recorder() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightRecorder {
         threshold_ns: AtomicU64::new(u64::MAX),
-        recent_cap: AtomicUsize::new(RECENT_CAPACITY),
-        retained_cap: AtomicUsize::new(RETAINED_CAPACITY),
         recent: Mutex::new(VecDeque::new()),
         retained: Mutex::new(VecDeque::new()),
     })
@@ -550,14 +546,6 @@ impl FlightRecorder {
         self.threshold_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Resize both rings (existing overflow is evicted oldest-first).
-    pub fn set_capacity(&self, recent: usize, retained: usize) {
-        self.recent_cap.store(recent.max(1), Ordering::Relaxed);
-        self.retained_cap.store(retained.max(1), Ordering::Relaxed);
-        Self::trim(&mut self.recent.lock(), recent.max(1));
-        Self::trim(&mut self.retained.lock(), retained.max(1));
-    }
-
     fn trim(ring: &mut VecDeque<Arc<Trace>>, cap: usize) {
         while ring.len() > cap {
             ring.pop_front();
@@ -568,12 +556,12 @@ impl FlightRecorder {
         {
             let mut recent = self.recent.lock();
             recent.push_back(Arc::clone(&trace));
-            Self::trim(&mut recent, self.recent_cap.load(Ordering::Relaxed));
+            Self::trim(&mut recent, RECENT_CAPACITY);
         }
         if trace.is_flagged() {
             let mut retained = self.retained.lock();
             retained.push_back(trace);
-            Self::trim(&mut retained, self.retained_cap.load(Ordering::Relaxed));
+            Self::trim(&mut retained, RETAINED_CAPACITY);
         }
     }
 
