@@ -24,7 +24,7 @@ use crate::labeler::LabelFile;
 use crate::preprocess::{check_ranges, encode_chunk};
 use crate::synth::SyntheticDataset;
 use crate::AdaError;
-use ada_mdformats::parse_structure;
+use ada_mdformats::parse_pdb;
 use ada_mdformats::xtc::{decode_spans, index_frames, FrameSpan};
 use ada_mdformats::xtcf::{
     crc32, encoded_len, V2Assembler, XTCF_DIR_ENTRY_LEN, XTCF_HEADER_LEN, XTCF_TRAILER_LEN,
@@ -195,7 +195,7 @@ impl Ada {
     /// Categorizer: analyze the structure file (Algo 1).
     fn categorize(&self, pdb_text: &str, ctx: &TraceContext) -> Result<Labels, AdaError> {
         let _ts = ctx.span("ingest.categorize");
-        let system = parse_structure(pdb_text).map_err(AdaError::Pdb)?;
+        let system = parse_pdb(pdb_text).map_err(|e| AdaError::Pdb(e.to_string()))?;
         let labeler = categorize_algo1(&system, &self.config.taxonomy);
         Ok(Labels {
             natoms: system.len(),
@@ -429,6 +429,7 @@ impl Ada {
 mod tests {
     use super::super::testkit::*;
     use super::super::{AdaConfig, IngestInput, RetrievedData};
+    use crate::labeler::LabelFile;
     use crate::synth::SyntheticDataset;
     use crate::AdaError;
     use ada_mdmodel::Tag;
@@ -472,13 +473,7 @@ mod tests {
         assert!(report.decompress.as_secs_f64() > 1.0); // 327 MB at ~28.6 MB/s
 
         let q = ada.query("big", Some(&Tag::protein())).unwrap();
-        match q.data {
-            RetrievedData::Synthetic { bytes, frames, .. } => {
-                assert_eq!(bytes, prot);
-                assert_eq!(frames, 626);
-            }
-            _ => panic!("expected synthetic"),
-        }
+        assert!(matches!(q.data, RetrievedData::Synthetic { bytes } if bytes == prot));
         let qa = ada.query("big", None).unwrap();
         assert_eq!(qa.data.bytes(), raw);
     }
@@ -575,34 +570,29 @@ mod tests {
         }
     }
 
+    /// `.pdb` is the one structure format: a GROMACS `.gro` text has no
+    /// `ATOM` records, parses to zero atoms, and is refused by the frame
+    /// check like any other structure that disagrees with the trajectory —
+    /// leaving no dataset, container or label file behind.
     #[test]
-    fn gro_structure_ingest_works() {
-        // ADA accepts GROMACS .gro structures (auto-detected).
+    fn a_gro_structure_is_refused_and_leaves_nothing_behind() {
         let ada = make_ada();
         let w = ada_workload::gpcr_workload(900, 2, 61);
-        let gro_text = ada_mdformats::write_gro(&w.system);
-        let xtc_bytes = xtc_of(&w);
-        ada.ingest(
-            "grotest",
-            IngestInput::Real {
-                pdb_text: gro_text,
-                xtc_bytes,
-            },
-        )
-        .unwrap();
-        let q = ada.query("grotest", Some(&Tag::protein())).unwrap();
-        match q.data {
-            RetrievedData::Real(t) => {
-                assert_eq!(t.len(), 2);
-                assert_eq!(
-                    t.natoms(),
-                    w.system
-                        .category_ranges(ada_mdmodel::Category::Protein)
-                        .count()
-                );
-            }
-            _ => panic!(),
-        }
+        let gro_text = "GPCR in water\n    1\n    1ALA      N    1   0.126   1.624   1.679\n   5.00000   5.00000   5.00000\n";
+        let input = |pdb_text: &str| IngestInput::Real {
+            pdb_text: pdb_text.to_string(),
+            xtc_bytes: xtc_of(&w),
+        };
+        let err = ada.ingest("bar", input(gro_text)).unwrap_err();
+        assert_eq!(err.kind(), "atom_mismatch", "{}", err);
+        assert!(err.to_string().contains("pdb has 0"), "{}", err);
+        assert!(ada.list_datasets().is_empty());
+        assert!(ada.containers().list_logical().is_empty());
+        assert!(!ada.label_fs.exists(&LabelFile::path_for("bar")));
+
+        ada.ingest("bar", input(&ada_mdformats::write_pdb(&w.system)))
+            .unwrap();
+        assert_eq!(ada.label("bar").unwrap().natoms, w.system.len());
     }
 
     #[test]

@@ -151,14 +151,11 @@ impl IngestReport {
 pub enum RetrievedData {
     /// Decoded frames (real mode).
     Real(Trajectory),
-    /// Size-only payload (synthetic mode).
+    /// Size-only payload (synthetic mode): what [`Ada::query`] of a
+    /// size-only dataset delivers, in process only.
     Synthetic {
         /// Delivered bytes.
         bytes: u64,
-        /// Frames represented.
-        frames: u64,
-        /// Atoms per delivered frame.
-        atoms_per_frame: u64,
     },
 }
 
@@ -216,10 +213,11 @@ impl DatasetState {
         }
     }
 
-    fn nframes(&self) -> usize {
+    /// The label of a real dataset; a size-only one has none.
+    fn into_label(self) -> Result<LabelFile, AdaError> {
         match self {
-            DatasetState::Real { label } => label.nframes,
-            DatasetState::Synthetic { spec } => spec.frames as usize,
+            DatasetState::Real { label } => Ok(label),
+            DatasetState::Synthetic { .. } => Err(AdaError::size_only()),
         }
     }
 }
@@ -343,13 +341,7 @@ impl Ada {
     /// The label file of an ingested real dataset (how a client learns
     /// which atoms a tag selects).
     pub fn label(&self, dataset: &str) -> Result<LabelFile, AdaError> {
-        match self.state(dataset)? {
-            DatasetState::Real { label } => Ok(label),
-            DatasetState::Synthetic { .. } => Err(AdaError::Pdb(format!(
-                "dataset '{}' is synthetic and has no real label ranges",
-                dataset
-            ))),
-        }
+        self.state(dataset)?.into_label()
     }
 
     /// Tags known for a dataset.

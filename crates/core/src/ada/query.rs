@@ -1,13 +1,14 @@
 //! The read side as callers see it: `mol addfile <dataset>.xtc [tag <t>]`
 //! ([`Ada::query`]) and the strided frame-range read of the sampling
 //! workload ([`Ada::query_range`]). Both resolve the dataset's mode, run
-//! the indexer, read (size-only datasets) or retrieve (real ones), then
-//! bump the tag heat, through the same four helpers; the retrieval — which
-//! writes the answer's frames too — lives in [`super::retrieve`].
+//! the indexer, retrieve, then bump the tag heat, through the same three
+//! helpers; the retrieval — which writes the answer's frames too — lives
+//! in [`super::retrieve`]. A size-only dataset answers [`Ada::query`]
+//! alone, with the volume its droppings hold.
 //!
 //! A caller that hands a whole tag on undecoded — the daemon, to a socket
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
-//! resolve / index / read / heat helpers, and no retrieval at all.
+//! resolve / index / heat helpers, a fetch, and no retrieval at all.
 
 use super::retrieve::{atoms_err, chunk_err, directory, real_bytes, Take};
 use super::{observe, op_span, traced, Ada, DatasetState, QueryReport, RetrievedData};
@@ -119,18 +120,10 @@ impl Ada {
         let (records, indexer) = self.index(dataset, tag, ctx)?;
 
         let (data, read) = match &state {
-            DatasetState::Synthetic { spec } => {
-                let (bytes, read) = self.read_sizes(records.iter(), ctx)?;
-                let atoms_per_frame = match tag {
-                    Some(t) => spec.atoms_by_tag.get(t).copied().unwrap_or(0),
-                    None => spec.natoms,
-                };
-                let data = RetrievedData::Synthetic {
-                    bytes,
-                    frames: spec.frames,
-                    atoms_per_frame,
-                };
-                (data, read)
+            DatasetState::Synthetic { .. } => {
+                let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
+                let bytes = contents.iter().map(|c| c.len()).sum();
+                (RetrievedData::Synthetic { bytes }, read)
             }
             DatasetState::Real { label } => {
                 let takes = records.into_iter().map(|r| (r, Take::All)).collect();
@@ -157,11 +150,11 @@ impl Ada {
     /// the same `ada.query` op span, `query.index` / `query.read` spans and
     /// `ada.query.*` counters, so the simulated `indexer` / `read` are the
     /// decoded path's — then parses every dropping's chunk directory and
-    /// bumps the tag's heat as a query does. `Ok(None)` for a size-only
-    /// dataset, which stores no chunks: nothing was counted, and the caller
-    /// runs [`Ada::query_traced`]. A dropping without a chunk directory is
-    /// the `Xtcf` error a query raises for it. The decoded-dropping cache is
-    /// neither consulted nor filled: nothing here is decoded. The chunks
+    /// bumps the tag's heat as a query does. A size-only dataset stores no
+    /// chunks: it is [`AdaError::size_only`], before anything is read. A
+    /// dropping without a chunk directory is the `Xtcf` error a query
+    /// raises for it. The decoded-dropping cache is neither consulted nor
+    /// filled: nothing here is decoded. The chunks
     /// are checked as [`StoredAnswer::chunks`] yields them, after this
     /// returns — a corrupt chunk is found once its predecessors are gone,
     /// and by then the heat is bumped.
@@ -170,17 +163,14 @@ impl Ada {
         dataset: &str,
         tag: &Tag,
         parent: &TraceContext,
-    ) -> Result<Option<StoredAnswer>, AdaError> {
+    ) -> Result<StoredAnswer, AdaError> {
         let (ctx, mut guard) = op_span("ada.query", parent);
         let res = self.query_stored_inner(dataset, tag, &ctx);
         if let Err(e) = &res {
             guard.set_error(e.kind());
         }
         drop(guard);
-        match res {
-            Ok(None) => Ok(None),
-            decided => observe("query", decided),
-        }
+        observe("query", res)
     }
 
     fn query_stored_inner(
@@ -188,10 +178,8 @@ impl Ada {
         dataset: &str,
         tag: &Tag,
         ctx: &TraceContext,
-    ) -> Result<Option<StoredAnswer>, AdaError> {
-        let DatasetState::Real { label } = self.resolve(dataset, Some(tag))? else {
-            return Ok(None);
-        };
+    ) -> Result<StoredAnswer, AdaError> {
+        let label = self.resolve(dataset, Some(tag))?.into_label()?;
         let natoms = label.ranges(tag)?.count();
         let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
         let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
@@ -205,12 +193,12 @@ impl Ada {
             });
         }
         self.bump_heat(dataset, [tag.clone()]);
-        Ok(Some(StoredAnswer {
+        Ok(StoredAnswer {
             indexer,
             read,
             natoms,
             droppings,
-        }))
+        })
     }
 
     /// Serve a frame-range read: every `stride`-th frame of `tag` in the
@@ -218,7 +206,7 @@ impl Ada {
     /// shuffled `(tag × frame-range)` reads, millions of small samples per
     /// training epoch). Consults the decoded-dropping cache first and runs
     /// the regular retrieval pipeline only for the droppings the selection
-    /// actually touches.
+    /// actually touches. A size-only dataset is [`AdaError::size_only`].
     ///
     /// Equivalence contract: `query_range(ds, t, 0..nframes, 1)` returns
     /// frames byte-identical to `query(ds, Some(t))`, cache on or off.
@@ -255,8 +243,8 @@ impl Ada {
         stride: usize,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let state = self.resolve(dataset, Some(tag))?;
-        let nframes = state.nframes();
+        let label = self.resolve(dataset, Some(tag))?.into_label()?;
+        let nframes = label.nframes;
         if stride == 0 || window.start >= window.end || window.end > nframes {
             return Err(AdaError::InvalidRange {
                 start: window.start,
@@ -266,69 +254,42 @@ impl Ada {
             });
         }
         let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
-        let selected: Vec<usize> = window.clone().step_by(stride).collect();
+        let spans = dropping_frame_spans(&records);
+        let covered = spans.last().map_or(0, |s| s.1);
+        if window.end > covered {
+            // The label promises more frames than the droppings hold — same
+            // corruption a full query would surface.
+            return Err(AdaError::FrameCountMismatch {
+                tag: tag.to_string(),
+                expected: nframes,
+                got: covered,
+            });
+        }
 
-        let (data, read) = match &state {
-            DatasetState::Synthetic { spec } => {
-                // Size-only content: droppings cover the frame space
-                // evenly, so read just the ones the selection touches.
-                let per = nframes.div_ceil(records.len().max(1)).max(1);
-                let mut needed: Vec<usize> = Vec::new();
-                for f in &selected {
-                    let d = (*f / per).min(records.len().saturating_sub(1));
-                    if needed.last() != Some(&d) {
-                        needed.push(d);
-                    }
-                }
-                let touched = needed.into_iter().filter_map(|d| records.get(d));
-                let (bytes, read) = self.read_sizes(touched, ctx)?;
-                let data = RetrievedData::Synthetic {
-                    bytes,
-                    frames: selected.len() as u64,
-                    atoms_per_frame: spec.atoms_by_tag.get(tag).copied().unwrap_or(0),
-                };
-                (data, read)
+        // Map the selection onto droppings (both are ascending), keeping
+        // each touched dropping's local frame list so the retriever decodes
+        // only the chunks those frames touch.
+        let mut local_sel: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut d = 0usize;
+        for f in window.step_by(stride) {
+            while d < spans.len() && spans[d].1 <= f {
+                d += 1;
             }
-            DatasetState::Real { label } => {
-                let spans = dropping_frame_spans(&records);
-                let covered = spans.last().map_or(0, |s| s.1);
-                if window.end > covered {
-                    // The label promises more frames than the droppings
-                    // hold — same corruption a full query would surface.
-                    return Err(AdaError::FrameCountMismatch {
-                        tag: tag.to_string(),
-                        expected: label.nframes,
-                        got: covered,
-                    });
-                }
-
-                // Map the selection onto droppings (both are ascending),
-                // keeping each touched dropping's local frame list so the
-                // retriever decodes only the chunks those frames touch.
-                let mut local_sel: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                let mut d = 0usize;
-                for f in &selected {
-                    while d < spans.len() && spans[d].1 <= *f {
-                        d += 1;
-                    }
-                    if d >= spans.len() {
-                        return Err(AdaError::Internal(format!(
-                            "frame {} escaped the dropping spans of tag '{}'",
-                            f, tag
-                        )));
-                    }
-                    local_sel.entry(d).or_default().push(*f - spans[d].0);
-                }
-
-                let takes = records
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| Some((r, Take::Frames(local_sel.remove(&i)?))))
-                    .collect();
-                let (frames, read) = self.retrieve(dataset, label, false, takes, ctx)?;
-                (RetrievedData::Real(Trajectory::from_frames(frames)), read)
+            if d >= spans.len() {
+                return Err(AdaError::Internal(format!(
+                    "frame {} escaped the dropping spans of tag '{}'",
+                    f, tag
+                )));
             }
-        };
+            local_sel.entry(d).or_default().push(f - spans[d].0);
+        }
+
+        let takes = records
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, r)| Some((r, Take::Frames(local_sel.remove(&i)?))))
+            .collect();
+        let (frames, read) = self.retrieve(dataset, &label, false, takes, ctx)?;
 
         // A range read counts as one access of the tag — the same heat
         // accounting as a tagged query.
@@ -336,7 +297,7 @@ impl Ada {
         Ok(QueryReport {
             indexer,
             read,
-            data,
+            data: RetrievedData::Real(Trajectory::from_frames(frames)),
             profile: None, // cut from the op span's tree once it closes
         })
     }
@@ -362,17 +323,6 @@ impl Ada {
         let (mut records, indexer) = self.determinator.index_lookup(dataset, tag)?;
         records.sort_by_key(|r| r.logical_offset);
         Ok((records, indexer))
-    }
-
-    /// The whole read side of a size-only dataset: fetch the droppings in
-    /// order and report their volume.
-    fn read_sizes<'a>(
-        &self,
-        records: impl Iterator<Item = &'a IndexRecord>,
-        ctx: &TraceContext,
-    ) -> Result<(u64, SimDuration), AdaError> {
-        let (contents, read) = self.fetch_in_order(records, ctx)?;
-        Ok((contents.iter().map(|c| c.len()).sum(), read))
     }
 
     /// Count one access of each tag a query touched. Called only once
@@ -478,7 +428,7 @@ mod tests {
         }
         let tag = Tag::protein();
         let ctx = ada_telemetry::trace::TraceContext::inactive();
-        let stored = stored_ada.query_stored("bar", &tag, &ctx).unwrap().unwrap();
+        let stored = stored_ada.query_stored("bar", &tag, &ctx).unwrap();
         let report = decoded_ada.query("bar", Some(&tag)).unwrap();
         assert_eq!((stored.indexer, stored.read), (report.indexer, report.read));
         assert_eq!(stored_ada.cache_stats().bytes_decoded, 0);
@@ -504,7 +454,7 @@ mod tests {
         assert_eq!(read_xtcf(&body).unwrap().frames, frames);
 
         // Failures are `query`'s, and leave no heat; a size-only dataset
-        // has nothing stored to hand on.
+        // has nothing stored to hand on, and no frames to range over.
         let err = stored_ada.query_stored("bar", &Tag::new("zz"), &ctx);
         assert_eq!(err.unwrap_err().kind(), "unknown_tag");
         let err = stored_ada.query_stored("nope", &tag, &ctx);
@@ -513,10 +463,11 @@ mod tests {
         stored_ada
             .ingest("big", IngestInput::Synthetic(spec))
             .unwrap();
-        assert!(stored_ada
-            .query_stored("big", &tag, &ctx)
-            .unwrap()
-            .is_none());
+        let size_only = AdaError::size_only().to_string();
+        let err = stored_ada.query_stored("big", &tag, &ctx).unwrap_err();
+        assert_eq!(err.to_string(), size_only);
+        let err = stored_ada.query_range("big", &tag, 0..10, 2).unwrap_err();
+        assert_eq!(err.to_string(), size_only);
         assert!(stored_ada.access_counts("big").is_empty());
     }
 
@@ -566,26 +517,5 @@ mod tests {
         assert_eq!(err.kind(), "unknown_dataset");
         // Failed range reads leave no heat behind.
         assert!(ada.access_counts("bar").is_empty());
-    }
-
-    #[test]
-    fn query_range_synthetic_reads_partial_volume() {
-        let ada = make_ada();
-        let spec = SyntheticDataset::gpcr_paper(626);
-        ada.ingest("big", IngestInput::Synthetic(spec)).unwrap();
-        let full = ada
-            .query("big", Some(&Tag::protein()))
-            .unwrap()
-            .data
-            .bytes();
-        let q = ada.query_range("big", &Tag::protein(), 0..10, 2).unwrap();
-        match q.data {
-            RetrievedData::Synthetic { bytes, frames, .. } => {
-                assert_eq!(frames, 5);
-                assert!(bytes > 0);
-                assert!(bytes <= full);
-            }
-            _ => panic!("expected synthetic"),
-        }
     }
 }

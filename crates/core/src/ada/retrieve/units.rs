@@ -646,8 +646,8 @@ mod tests {
             if partition == 1 {
                 let owner: Vec<usize> = (0..natoms).map(|_| next(2)).collect();
                 for (t, name) in names.iter().enumerate() {
-                    let mine = (0..natoms).filter(|&a| owner[a] == t);
-                    tags.insert(name.clone(), IndexRanges::from_indices(mine));
+                    let mine = (0..natoms).filter(|&a| owner[a] == t).map(|a| a..a + 1);
+                    tags.insert(name.clone(), IndexRanges::from_ranges(mine));
                 }
             } else {
                 for name in &names {

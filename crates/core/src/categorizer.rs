@@ -90,6 +90,13 @@ mod tests {
         MolecularSystem::from_atoms("t", atoms, vec![[0.0; 3]; n], PbcBox::zero())
     }
 
+    /// More tags than protein/MISC: one per category the systems hold.
+    fn per_category() -> Taxonomy {
+        let config = "tag p = category protein\ntag w = category water\n\
+                      tag l = category lipid\ntag i = category ion\ndefault o";
+        Taxonomy::parse_config(config).unwrap()
+    }
+
     #[test]
     fn single_run_per_tag() {
         let sys = system_of(&[("ALA", 5), ("SOL", 3)]);
@@ -129,7 +136,7 @@ mod tests {
     #[test]
     fn matches_declarative_tag_ranges() {
         // Algorithm 1 must agree with the residue-granular computation.
-        for taxonomy in [Taxonomy::paper_default(), Taxonomy::fine_grained()] {
+        for taxonomy in [Taxonomy::paper_default(), per_category()] {
             let sys = system_of(&[
                 ("ALA", 3),
                 ("POPC", 52),
@@ -148,15 +155,13 @@ mod tests {
     #[test]
     fn ranges_partition_the_atom_set() {
         let sys = system_of(&[("ALA", 10), ("SOL", 20), ("POPC", 52), ("ALA", 5)]);
-        let labeler = categorize_algo1(&sys, &Taxonomy::fine_grained());
+        let labeler = categorize_algo1(&sys, &per_category());
+        assert_eq!(labeler.len(), 3);
         let total: usize = labeler.values().map(IndexRanges::count).sum();
         assert_eq!(total, sys.len());
-        // No overlaps.
-        let tags: Vec<_> = labeler.values().collect();
-        for i in 0..tags.len() {
-            for j in (i + 1)..tags.len() {
-                assert!(tags[i].intersect(tags[j]).is_empty());
-            }
+        // Every atom carries exactly one tag.
+        for atom in 0..sys.len() {
+            assert_eq!(labeler.values().filter(|r| r.contains(atom)).count(), 1);
         }
     }
 

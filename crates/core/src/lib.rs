@@ -289,6 +289,14 @@ impl std::fmt::Display for AdaError {
 }
 
 impl AdaError {
+    /// The refusal of whatever needs frames or atom ranges — a label, a
+    /// range read, stored chunks, an answer on the wire, a VMD session —
+    /// from a size-only dataset, which has only volumes: they answer
+    /// [`Ada::query`] in process and nothing else.
+    pub fn size_only() -> AdaError {
+        AdaError::Pdb("a size-only dataset has no frames and no label ranges".to_string())
+    }
+
     /// Stable short name of the error class — the suffix of the telemetry
     /// counter (`ada.{op}.err.{kind}`) every failed middleware call bumps,
     /// so error rates aggregate uniformly across variants.

@@ -59,14 +59,11 @@ proptest! {
     #[test]
     fn algo1_partitions_and_matches_spec(system in arb_system(), taxonomy in arb_taxonomy()) {
         let labeler = categorize_algo1(&system, &taxonomy);
-        // Partition: counts sum to n, ranges pairwise disjoint.
+        // Partition: counts sum to n, and every atom carries exactly one tag.
         let total: usize = labeler.values().map(IndexRanges::count).sum();
         prop_assert_eq!(total, system.len());
-        let tags: Vec<&IndexRanges> = labeler.values().collect();
-        for i in 0..tags.len() {
-            for j in (i + 1)..tags.len() {
-                prop_assert!(tags[i].intersect(tags[j]).is_empty());
-            }
+        for atom in 0..system.len() {
+            prop_assert_eq!(labeler.values().filter(|r| r.contains(atom)).count(), 1);
         }
         // Agreement with the declarative residue-granular computation.
         prop_assert_eq!(labeler, system.tag_ranges(&taxonomy));

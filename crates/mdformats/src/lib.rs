@@ -13,24 +13,20 @@
 //!   Implemented from scratch in [`xtc`].
 //! * **`.pdb`** — the Protein Data Bank structure format that *guides* the
 //!   categorizer ("One .xtc file is guided by a corresponding .pdb file").
-//!   Implemented in [`pdb`].
+//!   Implemented in [`pdb`]; it is the one structure format ADA ingests.
 //!
 //! Additionally [`xtcf`] defines **XTCF**, the uncompressed flat frame
 //! format ADA uses for the *decompressed* data subsets it stores on its
 //! backends (the paper stores decompressed protein/MISC trajectories; the
 //! on-disk encoding is unspecified, so we define a simple exact one).
 
-pub mod gro;
 pub mod pdb;
-pub mod structure;
 pub mod traj;
 pub mod xdr;
 pub mod xtc;
 pub mod xtcf;
 
-pub use gro::{parse_gro, write_gro, GroError};
 pub use pdb::{parse_pdb, write_pdb, PdbError};
-pub use structure::{detect_structure, parse_structure, StructureFormat};
 pub use traj::{Frame, Trajectory};
 pub use xtc::{read_xtc, write_xtc, XtcError, XtcWriter};
 pub use xtcf::{read_xtcf, write_xtcf, XtcfReader, XtcfWriter};

@@ -31,17 +31,6 @@ pub enum Category {
 }
 
 impl Category {
-    /// All categories in a stable order.
-    pub const ALL: [Category; 7] = [
-        Category::Protein,
-        Category::Water,
-        Category::Lipid,
-        Category::Ion,
-        Category::NucleicAcid,
-        Category::Ligand,
-        Category::Other,
-    ];
-
     /// Classify a residue name. Matching is case-insensitive on the trimmed
     /// name and follows the residue vocabularies of the PDB, CHARMM and
     /// GROMACS force fields.
@@ -61,20 +50,6 @@ impl Category {
             Category::Other
         } else {
             Category::Ligand
-        }
-    }
-
-    /// A distinct fine-grained tag per category (the §4.1 extension where a
-    /// user can ask for subsets beyond protein/MISC).
-    pub fn fine_tag(self) -> Tag {
-        match self {
-            Category::Protein => Tag::new("p"),
-            Category::Water => Tag::new("w"),
-            Category::Lipid => Tag::new("l"),
-            Category::Ion => Tag::new("i"),
-            Category::NucleicAcid => Tag::new("n"),
-            Category::Ligand => Tag::new("g"),
-            Category::Other => Tag::new("o"),
         }
     }
 }
@@ -200,21 +175,6 @@ impl Taxonomy {
                 tag: Tag::protein(),
             }],
             default_tag: Tag::misc(),
-        }
-    }
-
-    /// A taxonomy with one distinct tag per built-in category.
-    pub fn fine_grained() -> Taxonomy {
-        Taxonomy {
-            rules: Category::ALL
-                .iter()
-                .map(|&c| TaxonomyRule {
-                    residues: Vec::new(),
-                    category: Some(c),
-                    tag: c.fine_tag(),
-                })
-                .collect(),
-            default_tag: Tag::new("o"),
         }
     }
 
@@ -382,15 +342,6 @@ mod tests {
         assert_eq!(t.tag_of("SOL"), Tag::misc());
         assert_eq!(t.tag_of("POPC"), Tag::misc());
         assert_eq!(t.all_tags().len(), 2);
-    }
-
-    #[test]
-    fn fine_grained_taxonomy_distinguishes_classes() {
-        let t = Taxonomy::fine_grained();
-        assert_eq!(t.tag_of("ALA").as_str(), "p");
-        assert_eq!(t.tag_of("SOL").as_str(), "w");
-        assert_eq!(t.tag_of("POPC").as_str(), "l");
-        assert_eq!(t.tag_of("CLA").as_str(), "i");
     }
 
     #[test]

@@ -30,17 +30,6 @@ impl PbcBox {
         [self.m[0][0], self.m[1][1], self.m[2][2]]
     }
 
-    /// True when the box is rectangular (off-diagonals all zero).
-    pub fn is_rectangular(&self) -> bool {
-        let m = &self.m;
-        m[0][1] == 0.0
-            && m[0][2] == 0.0
-            && m[1][0] == 0.0
-            && m[1][2] == 0.0
-            && m[2][0] == 0.0
-            && m[2][1] == 0.0
-    }
-
     /// True when every entry is zero.
     pub fn is_zero(&self) -> bool {
         self.m.iter().flatten().all(|&x| x == 0.0)

@@ -16,7 +16,7 @@ use std::ops::Range;
 /// let misc = protein.complement(300);
 /// assert_eq!(protein.count(), 150);
 /// assert_eq!(misc.count(), 150);
-/// assert!(protein.intersect(&misc).is_empty());
+/// assert!(!misc.contains(150) && misc.contains(100));
 ///
 /// // The splitter's core operation: gather a tagged subset.
 /// let data: Vec<u32> = (0..300).collect();
@@ -56,18 +56,6 @@ impl IndexRanges {
         out
     }
 
-    /// Build from individual indices (need not be sorted or unique).
-    pub fn from_indices(iter: impl IntoIterator<Item = usize>) -> IndexRanges {
-        let mut idx: Vec<usize> = iter.into_iter().collect();
-        idx.sort_unstable();
-        idx.dedup();
-        let mut out = IndexRanges::new();
-        for i in idx {
-            out.push(i..i + 1);
-        }
-        out
-    }
-
     /// Append a range, coalescing with the tail when sorted input is pushed;
     /// out-of-order pushes fall back to a merge.
     pub fn push(&mut self, range: Range<usize>) {
@@ -98,11 +86,6 @@ impl IndexRanges {
     /// True when no index is covered.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
-    }
-
-    /// Number of maximal contiguous runs.
-    pub fn run_count(&self) -> usize {
-        self.ranges.len()
     }
 
     /// Whether `index` is covered.
@@ -139,27 +122,6 @@ impl IndexRanges {
     /// One past the largest covered index, if any.
     pub fn end(&self) -> Option<usize> {
         self.ranges.last().map(|r| r.end)
-    }
-
-    /// Set intersection.
-    pub fn intersect(&self, other: &IndexRanges) -> IndexRanges {
-        let mut out = IndexRanges::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.ranges.len() && j < other.ranges.len() {
-            let a = &self.ranges[i];
-            let b = &other.ranges[j];
-            let start = a.start.max(b.start);
-            let end = a.end.min(b.end);
-            if start < end {
-                out.push(start..end);
-            }
-            if a.end <= b.end {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        out
     }
 
     /// Complement within `0..universe`.
@@ -229,7 +191,7 @@ mod tests {
     fn single_and_count() {
         let r = IndexRanges::single(3..7);
         assert_eq!(r.count(), 4);
-        assert_eq!(r.run_count(), 1);
+        assert_eq!(r.iter_ranges().count(), 1);
         assert!(r.contains(3));
         assert!(r.contains(6));
         assert!(!r.contains(7));
@@ -249,7 +211,7 @@ mod tests {
         let mut r = IndexRanges::new();
         r.push(0..3);
         r.push(3..5);
-        assert_eq!(r.run_count(), 1);
+        assert_eq!(r.iter_ranges().count(), 1);
         assert_eq!(r.count(), 5);
     }
 
@@ -259,7 +221,7 @@ mod tests {
         r.push(10..12);
         r.push(0..2);
         r.push(11..15);
-        assert_eq!(r.run_count(), 2);
+        assert_eq!(r.iter_ranges().count(), 2);
         assert_eq!(r.count(), 2 + 5);
         assert_eq!(
             r.iter_indices().collect::<Vec<_>>(),
@@ -268,24 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn from_indices_merges_runs() {
-        let r = IndexRanges::from_indices([5, 1, 2, 3, 9, 10, 2]);
-        assert_eq!(r.run_count(), 3);
-        assert_eq!(r.count(), 6);
-        assert_eq!(r.min(), Some(1));
-        assert_eq!(r.end(), Some(11));
-    }
-
-    #[test]
     fn complement_basics() {
         let a = IndexRanges::from_ranges([2..4, 6..8]);
         assert_eq!(
             a.complement(10),
             IndexRanges::from_ranges([0..2, 4..6, 8..10])
-        );
-        assert_eq!(
-            IndexRanges::from_ranges([0..5, 10..15]).intersect(&IndexRanges::single(3..12)),
-            IndexRanges::from_ranges([3..5, 10..12])
         );
         assert_eq!(IndexRanges::new().complement(3), IndexRanges::single(0..3));
         assert_eq!(IndexRanges::single(0..3).complement(3), IndexRanges::new());
@@ -377,26 +326,10 @@ mod tests {
         }
 
         #[test]
-        fn prop_intersect_matches_membership(a in arb_ranges(100), b in arb_ranges(100)) {
-            let x = a.intersect(&b);
-            for i in 0..100usize {
-                prop_assert_eq!(x.contains(i), a.contains(i) && b.contains(i));
-            }
-        }
-
-        #[test]
         fn prop_complement_partitions(a in arb_ranges(100)) {
             let c = a.complement(100);
             prop_assert_eq!(a.count() + c.count(), 100);
-            prop_assert!(a.intersect(&c).is_empty());
-        }
-
-        #[test]
-        fn prop_from_indices_roundtrip(mut idx in prop::collection::vec(0usize..500, 0..60)) {
-            let r = IndexRanges::from_indices(idx.clone());
-            idx.sort_unstable();
-            idx.dedup();
-            prop_assert_eq!(r.iter_indices().collect::<Vec<_>>(), idx);
+            prop_assert!((0..100).all(|i| a.contains(i) != c.contains(i)));
         }
 
         #[test]

@@ -280,7 +280,6 @@ mod tests {
         assert_eq!(prot.atoms[0].serial, 1);
         assert!((prot.protein_fraction() - 1.0).abs() < 1e-12);
         assert_eq!(prot.pbc, s.pbc);
-        assert!(prot.pbc.is_rectangular());
         assert!(!prot.pbc.is_zero());
     }
 

@@ -441,5 +441,18 @@ mod tests {
                 Err(ProtoError::Malformed(_))
             ));
         }
+        // A query answer's payload kind is 0, frames; 1 is unknown like any
+        // other.
+        let mut w = WireWriter::new();
+        w.put_u64(7);
+        w.put_u8(2);
+        w.put_u128(0);
+        w.put_u128(0);
+        w.put_u8(1);
+        w.put_u64(9);
+        match crate::ResponseEnvelope::decode(&w.finish()) {
+            Err(ProtoError::Malformed(m)) => assert!(m.contains("payload discriminant 1"), "{m}"),
+            other => panic!("expected Malformed, got {:?}", other),
+        }
     }
 }

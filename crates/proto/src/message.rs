@@ -12,8 +12,6 @@
 //! one sealed container — is what [`ResponseEnvelope::encode`] builds in
 //! memory, which the server never sends and the client still accepts.
 
-use std::collections::BTreeMap;
-
 use ada_cache::CacheStats;
 use ada_core::{AdaError, IngestReport, QueryReport, RetrievedData};
 use ada_mdformats::xtcf::{
@@ -21,8 +19,6 @@ use ada_mdformats::xtcf::{
     XTCF_DIR_ENTRY_LEN, XTCF_TRAILER_LEN,
 };
 use ada_mdformats::{FormatError, Trajectory};
-use ada_mdmodel::Tag;
-use ada_storagesim::SimDuration;
 
 use crate::errmap::{decode_error, encode_error};
 use crate::wire::{ProtoError, WireReader, WireWriter};
@@ -327,26 +323,6 @@ impl WireIngestReport {
         }
     }
 
-    /// Rebuild an [`IngestReport`] (the wall-clock `profile` stays on the
-    /// server; it is meaningless in another process).
-    pub fn into_report(self) -> IngestReport {
-        IngestReport {
-            dataset: self.dataset,
-            decompress: SimDuration(self.decompress_ns),
-            categorize: SimDuration(self.categorize_ns),
-            split: SimDuration(self.split_ns),
-            write: SimDuration(self.write_ns),
-            label_write: SimDuration(self.label_write_ns),
-            raw_bytes: self.raw_bytes,
-            bytes_by_tag: self
-                .bytes_by_tag
-                .into_iter()
-                .map(|(t, b)| (Tag::new(t), b))
-                .collect::<BTreeMap<Tag, u64>>(),
-            profile: None,
-        }
-    }
-
     fn encode(&self, w: &mut WireWriter) {
         w.put_str(&self.dataset);
         w.put_u128(self.decompress_ns);
@@ -398,22 +374,15 @@ impl WireIngestReport {
 /// of a stored dropping.
 pub const QUERY_CHUNK_FRAMES: usize = 64;
 
-/// The data a query delivers.
+/// The data a query delivers. On the wire it follows a one-byte kind tag,
+/// `0`; any other tag is `ProtoError::Malformed`. A size-only dataset has
+/// no frames and never answers over the wire ([`AdaError::size_only`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WirePayload {
     /// The delivered frames, uncompressed, with the bits they were stored
     /// with. On the wire they are XTCF v2 chunks — as stored, or sealed at
     /// [`QUERY_CHUNK_FRAMES`] frames — each checked as it arrived.
     Real(Trajectory),
-    /// Size-only payload (synthetic datasets).
-    Synthetic {
-        /// Delivered bytes.
-        bytes: u64,
-        /// Frames represented.
-        frames: u64,
-        /// Atoms per delivered frame.
-        atoms_per_frame: u64,
-    },
 }
 
 /// [`QueryReport`] in wire form.
@@ -458,35 +427,25 @@ impl TryFrom<QueryReport> for WireQueryReport {
     type Error = AdaError;
 
     /// Convert a middleware report for the wire, moving its frames. Fails
-    /// (as a typed `AdaError::Xtcf`) only on frames of unequal atom
+    /// on a size-only report ([`AdaError::size_only`]: it has no frames to
+    /// send) and, as a typed `AdaError::Xtcf`, on frames of unequal atom
     /// counts, which no retrieval path produces and no container holds.
     fn try_from(rep: QueryReport) -> Result<WireQueryReport, AdaError> {
-        let payload = match rep.data {
-            RetrievedData::Real(traj) => {
-                let natoms = traj.natoms();
-                if let Some(f) = traj.frames.iter().find(|f| f.len() != natoms) {
-                    return Err(payload_err(FormatError::Corrupt(format!(
-                        "frame atom count {} != file atom count {}",
-                        f.len(),
-                        natoms
-                    ))));
-                }
-                WirePayload::Real(traj)
-            }
-            RetrievedData::Synthetic {
-                bytes,
-                frames,
-                atoms_per_frame,
-            } => WirePayload::Synthetic {
-                bytes,
-                frames,
-                atoms_per_frame,
-            },
+        let RetrievedData::Real(traj) = rep.data else {
+            return Err(AdaError::size_only());
         };
+        let natoms = traj.natoms();
+        if let Some(f) = traj.frames.iter().find(|f| f.len() != natoms) {
+            return Err(payload_err(FormatError::Corrupt(format!(
+                "frame atom count {} != file atom count {}",
+                f.len(),
+                natoms
+            ))));
+        }
         Ok(WireQueryReport {
             indexer_ns: rep.indexer.0,
             read_ns: rep.read.0,
-            payload,
+            payload: WirePayload::Real(traj),
         })
     }
 }
@@ -503,39 +462,29 @@ impl WireQueryReport {
         })
     }
 
-    /// The delivered frames (real-mode responses only), moved out. Every
-    /// chunk was checked — CRC and atom counts — as it arrived, so there is
-    /// nothing left to check.
+    /// The delivered frames, moved out. Every chunk was checked — CRC and
+    /// atom counts — as it arrived, so there is nothing left to check.
     pub fn trajectory(self) -> Result<Trajectory, AdaError> {
-        match self.payload {
-            WirePayload::Real(traj) => Ok(traj),
-            WirePayload::Synthetic { .. } => Err(AdaError::Internal(
-                "synthetic payload carries no frames".to_string(),
-            )),
-        }
+        let WirePayload::Real(traj) = self.payload;
+        Ok(traj)
     }
 
     /// Delivered decoded volume: frames × XTCF record bytes.
     pub fn bytes(&self) -> u64 {
-        match &self.payload {
-            WirePayload::Real(traj) => (traj.len() * frame_record_len(traj.natoms())) as u64,
-            WirePayload::Synthetic { bytes, .. } => *bytes,
-        }
+        let WirePayload::Real(traj) = &self.payload;
+        (traj.len() * frame_record_len(traj.natoms())) as u64
     }
 
     /// Exact size of [`WireQueryReport::encode`]'s output.
     fn encoded_len(&self) -> usize {
+        let WirePayload::Real(traj) = &self.payload;
+        let chunks = traj.len().div_ceil(QUERY_CHUNK_FRAMES);
         16 + 16
             + 1
-            + match &self.payload {
-                WirePayload::Real(traj) => {
-                    let chunks = traj.len().div_ceil(QUERY_CHUNK_FRAMES);
-                    4 + encoded_len(traj.len(), traj.natoms())
-                        + chunks * XTCF_DIR_ENTRY_LEN
-                        + XTCF_TRAILER_LEN
-                }
-                WirePayload::Synthetic { .. } => 24,
-            }
+            + 4
+            + encoded_len(traj.len(), traj.natoms())
+            + chunks * XTCF_DIR_ENTRY_LEN
+            + XTCF_TRAILER_LEN
     }
 
     /// Append the report, its frames sealed ([`seal`]); the error sealing
@@ -543,23 +492,10 @@ impl WireQueryReport {
     fn encode(&self, w: &mut WireWriter) -> Result<(), AdaError> {
         w.put_u128(self.indexer_ns);
         w.put_u128(self.read_ns);
-        match &self.payload {
-            WirePayload::Real(traj) => {
-                let container = seal(traj).map_err(payload_err)?;
-                w.put_u8(0);
-                w.put_bytes(&container);
-            }
-            WirePayload::Synthetic {
-                bytes,
-                frames,
-                atoms_per_frame,
-            } => {
-                w.put_u8(1);
-                w.put_u64(*bytes);
-                w.put_u64(*frames);
-                w.put_u64(*atoms_per_frame);
-            }
-        }
+        let WirePayload::Real(traj) = &self.payload;
+        let container = seal(traj).map_err(payload_err)?;
+        w.put_u8(0);
+        w.put_bytes(&container);
         Ok(())
     }
 
@@ -568,11 +504,6 @@ impl WireQueryReport {
         let read_ns = r.get_u128()?;
         let payload = match r.get_u8()? {
             0 => WirePayload::Real(unseal(r.get_blob()?).map_err(ProtoError::Payload)?),
-            1 => WirePayload::Synthetic {
-                bytes: r.get_u64()?,
-                frames: r.get_u64()?,
-                atoms_per_frame: r.get_u64()?,
-            },
             other => {
                 return Err(ProtoError::Malformed(format!(
                     "unknown payload discriminant {}",
@@ -622,6 +553,9 @@ fn decode_cache_stats(r: &mut WireReader) -> Result<CacheStats, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ada_mdformats::Frame;
+    use ada_mdmodel::Tag;
+    use ada_storagesim::SimDuration;
 
     #[test]
     fn request_envelopes_round_trip() {
@@ -713,22 +647,41 @@ mod tests {
             other => panic!("wrong body {:?}", other),
         }
 
-        let query = WireQueryReport {
-            indexer_ns: 11,
-            read_ns: 22,
-            payload: WirePayload::Synthetic {
-                bytes: 9,
-                frames: 8,
-                atoms_per_frame: 7,
-            },
+        // Every bit of every frame survives, at no, one and more than one
+        // chunk's worth of frames.
+        let bits = |t: &Trajectory| -> Vec<u32> {
+            let frame = |f: &Frame| {
+                let (pbc, coords) = (f.pbc.m.iter().flatten(), f.coords.iter().flatten());
+                let floats = [f.time]
+                    .into_iter()
+                    .chain(pbc.copied())
+                    .chain(coords.copied());
+                [f.step as u32]
+                    .into_iter()
+                    .chain(floats.map(f32::to_bits))
+                    .collect::<Vec<_>>()
+            };
+            t.frames.iter().flat_map(frame).collect()
         };
-        let resp = ResponseEnvelope {
-            id: 10,
-            body: ResponseBody::Query(query.clone()),
-        };
-        match ResponseEnvelope::decode(&resp.encode()).unwrap().body {
-            ResponseBody::Query(back) => assert_eq!(back, query),
-            other => panic!("wrong body {:?}", other),
+        let w = ada_workload::gpcr_workload(120, QUERY_CHUNK_FRAMES + 1, 3);
+        for n in [0, 1, QUERY_CHUNK_FRAMES + 1] {
+            let traj = Trajectory::from_frames(w.trajectory.frames[..n].to_vec());
+            let query = WireQueryReport {
+                indexer_ns: 11,
+                read_ns: 22,
+                payload: WirePayload::Real(traj.clone()),
+            };
+            let resp = ResponseEnvelope {
+                id: 10,
+                body: ResponseBody::Query(query),
+            };
+            match ResponseEnvelope::decode(&resp.encode()).unwrap().body {
+                ResponseBody::Query(back) => {
+                    assert_eq!((back.indexer_ns, back.read_ns), (11, 22));
+                    assert_eq!(bits(&back.trajectory().unwrap()), bits(&traj), "{n} frames");
+                }
+                other => panic!("wrong body {:?}", other),
+            }
         }
 
         let stats = CacheStats {
@@ -759,7 +712,18 @@ mod tests {
     }
 
     #[test]
-    fn ingest_report_round_trips_through_core_type() {
+    fn ingest_report_is_the_core_report_stripped() {
+        let rep = IngestReport {
+            dataset: "ds".into(),
+            decompress: SimDuration(10),
+            categorize: SimDuration(20),
+            split: SimDuration(30),
+            write: SimDuration(40),
+            label_write: SimDuration(50),
+            raw_bytes: 4096,
+            bytes_by_tag: [(Tag::misc(), 96), (Tag::protein(), 4000)].into(),
+            profile: None,
+        };
         let wire = WireIngestReport {
             dataset: "ds".into(),
             decompress_ns: 10,
@@ -770,8 +734,6 @@ mod tests {
             raw_bytes: 4096,
             bytes_by_tag: vec![("m".into(), 96), ("p".into(), 4000)],
         };
-        let rep = wire.clone().into_report();
-        assert_eq!(rep.total().0, 150);
         assert_eq!(WireIngestReport::from_report(&rep), wire);
     }
 

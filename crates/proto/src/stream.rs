@@ -145,14 +145,13 @@ pub fn write_query_stream<'a>(
     sent.end(w, head.id, indexer_ns, read_ns)
 }
 
-/// Write `resp` the way it travels. A real-mode query report is streamed
+/// Write `resp` the way it travels. A query report is streamed
 /// as its frames sealed [`QUERY_CHUNK_FRAMES`] at a time — each chunk's
 /// records written into one reused buffer, checksummed and sent before the
 /// next is written, so no answer is sealed whole, none is one frame and
 /// none has a size ceiling; frames of unequal atom counts end the stream
 /// in the error sealing raises. Every other response — pong, ingest
-/// report, cache stats, a size-only answer, an error — is one message
-/// frame.
+/// report, cache stats, an error — is one message frame.
 pub fn write_response(w: &mut impl Write, resp: &ResponseEnvelope) -> Result<Sent, ProtoError> {
     let ResponseBody::Query(WireQueryReport {
         indexer_ns,

@@ -20,14 +20,16 @@
 //! the request is the thread that waits for the admission slot, holds it,
 //! runs the middleware and writes the answer.
 //!
-//! A real-mode query answer leaves as a stream of chunk frames
+//! A query answer leaves as a stream of chunk frames
 //! ([`ada_proto::stream`]). A whole-tag `Query` is **forwarded**: the
 //! slot covers index + fetch ([`ada_core::Ada::query_stored`]), and the
 //! stored chunks go from the backend's own bytes to the socket, each
 //! checked just before it is written — no decode, no re-seal, nothing
 //! allocated in proportion to the answer. A full-frame or ranged answer
 //! has to be assembled, so it is decoded; its frames are moved into the
-//! wire report and sealed a chunk at a time as they are written.
+//! wire report and sealed a chunk at a time as they are written. A
+//! size-only dataset has no frames to send, and either query of it is
+//! refused ([`ada_core::AdaError::size_only`]).
 //!
 //! Requests a peer sends ahead of their answers wait in the socket
 //! buffers: TCP back-pressure is the bound on what a connection can hold
@@ -381,7 +383,7 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
 
 /// What a request left to be written.
 enum Answer {
-    /// A response in hand. A real-mode query report among these holds
+    /// A response in hand. A query report among these holds
     /// decoded frames, and leaves as a stream of chunks sealed as they go.
     Body(ResponseBody),
     /// A whole tag as the backend stores it, to be forwarded chunk by
@@ -585,10 +587,9 @@ fn execute_request(shared: &Shared, env: RequestEnvelope) -> (TraceSpanGuard, u6
         }
         RequestBody::Query { dataset, tag } => {
             let tag = tag.map(Tag::new);
-            // A whole tag is forwarded as stored; a size-only dataset,
-            // which stores no chunks, and the full-frame query take the
-            // decoded path. Either way the slot is gone before anything is
-            // sealed or written.
+            // A whole tag is forwarded as stored; the full-frame query takes
+            // the decoded path. Either way the slot is gone before anything
+            // is sealed or written.
             frontend
                 .run_rooted(
                     Class::Query,
@@ -596,17 +597,9 @@ fn execute_request(shared: &Shared, env: RequestEnvelope) -> (TraceSpanGuard, u6
                     &client,
                     deadline,
                     &mut root,
-                    |ada, ctx| {
-                        let stored = match &tag {
-                            Some(tag) => ada.query_stored(&dataset, tag, ctx)?,
-                            None => None,
-                        };
-                        match stored {
-                            Some(stored) => Ok(Queried::Stored(stored)),
-                            None => ada
-                                .query_traced(&dataset, tag.as_ref(), ctx)
-                                .map(Queried::Decoded),
-                        }
+                    |ada, ctx| match &tag {
+                        Some(tag) => ada.query_stored(&dataset, tag, ctx).map(Queried::Stored),
+                        None => ada.query_traced(&dataset, None, ctx).map(Queried::Decoded),
                     },
                 )
                 .and_then(Queried::into_answer)

@@ -7,7 +7,6 @@
 //! This matches the §4.2 cluster: one PVFS instance over three HDD nodes
 //! and one over three SSD nodes, joined by InfiniBand.
 
-use crate::trace::{OpKind, TraceEvent, TraceLog};
 use crate::{Content, FileStat, FsError, SimFileSystem, TimedRead};
 use ada_storagesim::{Device, DeviceProfile, Link, SimDuration};
 use ada_sync::Mutex;
@@ -47,7 +46,6 @@ pub struct StripedFs {
     params: StripedFsParams,
     network: Link,
     inner: Mutex<Inner>,
-    trace: Option<TraceLog>,
 }
 
 impl std::fmt::Debug for StripedFs {
@@ -79,25 +77,6 @@ impl StripedFs {
                 servers,
                 used: 0,
             }),
-            trace: None,
-        }
-    }
-
-    /// Attach an I/O trace log (builder style).
-    pub fn with_trace(mut self, log: TraceLog) -> StripedFs {
-        self.trace = Some(log);
-        self
-    }
-
-    fn record(&self, op: OpKind, path: &str, bytes: u64, duration: SimDuration) {
-        if let Some(t) = &self.trace {
-            t.record(TraceEvent {
-                fs: self.name.clone(),
-                op,
-                path: path.to_string(),
-                bytes,
-                duration,
-            });
         }
     }
 
@@ -202,10 +181,7 @@ impl SimFileSystem for StripedFs {
         let d = self.io_time(content.len(), true);
         let mut g = self.inner.lock();
         g.used += content.len();
-        let len = content.len();
         g.files.insert(path.to_string(), content);
-        drop(g);
-        self.record(OpKind::Create, path, len, d);
         Ok(d)
     }
 
@@ -235,8 +211,6 @@ impl SimFileSystem for StripedFs {
                 g.files.insert(path.to_string(), content);
             }
         }
-        drop(g);
-        self.record(OpKind::Append, path, len, d);
         Ok(d)
     }
 
@@ -249,7 +223,6 @@ impl SimFileSystem for StripedFs {
                 .ok_or_else(|| FsError::NotFound(path.to_string()))?
         };
         let d = self.io_time(content.len(), false);
-        self.record(OpKind::Read, path, content.len(), d);
         Ok((content, d))
     }
 
@@ -262,7 +235,6 @@ impl SimFileSystem for StripedFs {
                 .slice(offset, len)?
         };
         let d = self.io_time(len, false);
-        self.record(OpKind::ReadRange, path, len, d);
         Ok((content, d))
     }
 

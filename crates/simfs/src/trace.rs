@@ -110,16 +110,6 @@ impl TraceLog {
             .map(|e| e.bytes)
             .sum()
     }
-
-    /// Events touching paths containing `needle`.
-    pub fn touching(&self, needle: &str) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| e.path.contains(needle))
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +134,6 @@ mod tests {
         log.record(ev(OpKind::Read, "/b/y", 5));
         assert_eq!(log.len(), 3);
         assert_eq!(log.bytes_where(|e| e.op == OpKind::Read), 15);
-        assert_eq!(log.touching("/a/").len(), 2);
         log.clear();
         assert!(log.is_empty());
     }

@@ -114,24 +114,6 @@ impl CpuWork {
         };
         SimDuration::from_secs_f64(secs)
     }
-
-    /// Cores kept busy by this work (for power accounting).
-    pub fn busy_cores(&self, cpu: &CpuProfile) -> usize {
-        match self {
-            CpuWork::Decompress { .. } | CpuWork::Scan { .. } | CpuWork::Categorize { .. } => 1,
-            CpuWork::Render { .. } => cpu.cores,
-        }
-    }
-
-    /// Power drawn while this work runs.
-    pub fn power_w(&self, cpu: &CpuProfile) -> f64 {
-        cpu.power_w(self.busy_cores(cpu))
-    }
-
-    /// Energy in joules for this work on `cpu`.
-    pub fn energy_joules(&self, cpu: &CpuProfile) -> f64 {
-        self.duration(cpu).as_secs_f64() * self.power_w(cpu)
-    }
 }
 
 #[cfg(test)]
@@ -178,23 +160,5 @@ mod tests {
         assert_eq!(cpu.power_w(6), 152.0);
         // Clamped at core count.
         assert_eq!(cpu.power_w(100), 152.0);
-    }
-
-    #[test]
-    fn render_uses_all_cores_for_power() {
-        let cpu = CpuProfile::xeon_e7_4820_v3_quad();
-        let w = CpuWork::Render { bytes: 1 };
-        assert_eq!(w.busy_cores(&cpu), 40);
-        assert_eq!(w.power_w(&cpu), 250.0 + 240.0);
-        let d = CpuWork::Decompress { out_bytes: 1 };
-        assert_eq!(d.busy_cores(&cpu), 1);
-    }
-
-    #[test]
-    fn energy_is_power_times_time() {
-        let cpu = CpuProfile::xeon_e5_2603_v4();
-        let w = CpuWork::Scan { bytes: 500_000_000 }; // 1 s
-        let e = w.energy_joules(&cpu);
-        assert!((e - 92.0).abs() < 0.5, "energy {}", e);
     }
 }

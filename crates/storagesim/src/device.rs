@@ -2,8 +2,8 @@
 //!
 //! A device is characterized by an access (seek/queue) latency, sequential
 //! read/write bandwidth, and power draw per state. Operation costs are
-//! `latency + bytes/bandwidth`; callers aggregate durations onto the shared
-//! [`SimClock`](crate::SimClock) as serial or parallel composition demands.
+//! `latency + bytes/bandwidth`; callers add durations up, or take their max,
+//! as serial or parallel composition demands.
 
 use crate::SimDuration;
 
@@ -128,14 +128,6 @@ impl Device {
     /// Accumulated busy time.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Energy consumed over a window of `wall` virtual time, assuming the
-    /// device was active for its busy time and idle otherwise.
-    pub fn energy_joules(&self, wall: SimDuration) -> f64 {
-        let busy = self.busy.as_secs_f64().min(wall.as_secs_f64());
-        let idle = (wall.as_secs_f64() - busy).max(0.0);
-        busy * self.profile.active_power_w + idle * self.profile.idle_power_w
     }
 }
 
@@ -267,15 +259,6 @@ mod tests {
         assert_eq!(d.bytes_read(), 3_000_000_000);
         assert_eq!(d.bytes_written(), 1_000_000_000);
         assert!(d.busy_time().as_secs_f64() > 1.9);
-    }
-
-    #[test]
-    fn device_energy_split() {
-        let mut d = Device::new(DeviceProfile::wd_hdd_1tb());
-        d.read(126_000_000); // ~1 s busy
-        let e = d.energy_joules(SimDuration::from_secs_f64(10.0));
-        // ~1 s × 6.8 W + ~9 s × 3.7 W ≈ 40.2 J.
-        assert!((e - 40.2).abs() < 0.5, "energy {}", e);
     }
 
     #[test]

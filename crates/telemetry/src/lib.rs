@@ -292,16 +292,6 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Drop every metric. Handles already held keep working but are
-    /// detached from future snapshots — use between isolated profiling
-    /// runs, not mid-flight.
-    pub fn reset(&self) {
-        self.counters.lock().clear();
-        self.gauges.lock().clear();
-        self.histograms.lock().clear();
-        self.stages.lock().clear();
-    }
 }
 
 /// The process-wide registry all instrumented layers share.
@@ -478,14 +468,6 @@ mod tests {
                 .unwrap(),
             1
         );
-    }
-
-    #[test]
-    fn reset_clears_metrics() {
-        let reg = Registry::new();
-        reg.counter("a").inc();
-        reg.reset();
-        assert!(reg.snapshot().counters.is_empty());
     }
 
     #[test]

@@ -110,11 +110,7 @@ impl VmdSession {
         let report = ada.query(dataset, tag)?;
         let traj = match report.data {
             RetrievedData::Real(t) => t,
-            RetrievedData::Synthetic { .. } => {
-                return Err(AdaError::Pdb(
-                    "cannot load a synthetic dataset into a VMD session".into(),
-                ))
-            }
+            RetrievedData::Synthetic { .. } => return Err(AdaError::size_only()),
         };
         let mol = &mut self.molecules[id.0];
         if let Some(t) = tag {

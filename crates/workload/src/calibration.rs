@@ -40,34 +40,9 @@ impl Default for PaperCalibration {
 }
 
 impl PaperCalibration {
-    /// Atom count implied by the raw volume at 12 bytes/atom.
-    pub fn implied_natoms(&self) -> usize {
-        (self.raw_bytes_per_frame / 12.0).round() as usize
-    }
-
     /// Protein fraction of the decompressed volume.
     pub fn protein_fraction(&self) -> f64 {
         self.protein_bytes_per_frame / self.raw_bytes_per_frame
-    }
-
-    /// Compression ratio raw/compressed.
-    pub fn compression_ratio(&self) -> f64 {
-        self.raw_bytes_per_frame / self.compressed_bytes_per_frame
-    }
-
-    /// Calibration measured from an actual synthetic workload: encode the
-    /// trajectory with the real codec and take the observed ratios.
-    pub fn from_measured(
-        natoms: usize,
-        protein_atom_fraction: f64,
-        measured_compression_ratio: f64,
-    ) -> PaperCalibration {
-        let raw = natoms as f64 * 12.0;
-        PaperCalibration {
-            raw_bytes_per_frame: raw,
-            compressed_bytes_per_frame: raw / measured_compression_ratio,
-            protein_bytes_per_frame: raw * protein_atom_fraction,
-        }
     }
 }
 
@@ -102,11 +77,6 @@ impl DatasetSpec {
     /// Decompressed protein-subset size in bytes.
     pub fn protein_bytes(&self) -> u64 {
         (self.frames as f64 * self.cal.protein_bytes_per_frame) as u64
-    }
-
-    /// Decompressed MISC-subset size in bytes.
-    pub fn misc_bytes(&self) -> u64 {
-        self.raw_bytes() - self.protein_bytes()
     }
 }
 
@@ -301,9 +271,11 @@ mod tests {
     fn calibration_matches_paper_band() {
         let c = PaperCalibration::default();
         assert!((c.protein_fraction() - 0.425).abs() < 0.01);
-        assert!((c.compression_ratio() - 3.27).abs() < 0.1);
-        let n = c.implied_natoms();
-        assert!(n > 40_000 && n < 50_000, "implied natoms {}", n);
+        let ratio = c.raw_bytes_per_frame / c.compressed_bytes_per_frame;
+        assert!((ratio - 3.27).abs() < 0.1);
+        // 12 bytes per atom per frame.
+        let natoms = c.raw_bytes_per_frame / 12.0;
+        assert!(natoms > 40e3 && natoms < 50e3, "implied natoms {}", natoms);
     }
 
     #[test]
@@ -311,7 +283,7 @@ mod tests {
         let a = DatasetSpec::paper(626);
         let b = DatasetSpec::paper(1252);
         assert_eq!(b.raw_bytes() / a.raw_bytes(), 2);
-        assert!(a.misc_bytes() > a.protein_bytes());
+        assert!(a.raw_bytes() - a.protein_bytes() > a.protein_bytes());
     }
 
     #[test]
@@ -346,14 +318,6 @@ mod tests {
             assert!(rel(d.raw_bytes() as f64 / MB, row.raw_mb) < 0.03);
             assert!(rel(d.protein_bytes() as f64 / MB, row.ada_protein_mb) < 0.03);
         }
-    }
-
-    #[test]
-    fn from_measured_roundtrip() {
-        let c = PaperCalibration::from_measured(45_600, 0.425, 3.27);
-        assert_eq!(c.implied_natoms(), 45_600);
-        assert!((c.protein_fraction() - 0.425).abs() < 1e-12);
-        assert!((c.compression_ratio() - 3.27).abs() < 1e-9);
     }
 
     #[test]

@@ -87,7 +87,7 @@ mod tests {
         // one contiguous run.
         for cat in [Category::Protein, Category::Lipid, Category::Water] {
             let r = w.system.category_ranges(cat);
-            assert_eq!(r.run_count(), 1, "{:?} not contiguous", cat);
+            assert_eq!(r.iter_ranges().count(), 1, "{:?} not contiguous", cat);
         }
     }
 }

@@ -11,7 +11,8 @@ use ada_workload::calibration::PaperCalibration;
 #[test]
 fn real_codec_reproduces_table2_ratios_at_paper_scale() {
     let cal = PaperCalibration::default();
-    let natoms = cal.implied_natoms(); // ≈ 43,500
+    // 12 bytes per atom per frame: ≈ 43,500 atoms.
+    let natoms = (cal.raw_bytes_per_frame / 12.0).round() as usize;
     let w = ada_workload::gpcr_workload(natoms, 4, 20260705);
 
     // Raw volume per frame: 12 B/atom, so ~0.52 MB/frame.

@@ -252,7 +252,7 @@ fn record_declaring_another_atom_count_is_one_error_decoded_or_forwarded() {
     let tag = Tag::protein();
     let decoded = r.ada.query("d", Some(&tag)).unwrap_err();
     let ctx = ada_telemetry::trace::TraceContext::inactive();
-    let stored = r.ada.query_stored("d", &tag, &ctx).unwrap().unwrap();
+    let stored = r.ada.query_stored("d", &tag, &ctx).unwrap();
     let mut chunks = stored.chunks();
     assert!(chunks.next().unwrap().is_ok(), "chunk 0 is sound");
     let forwarded = chunks.next().unwrap().unwrap_err();

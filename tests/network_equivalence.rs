@@ -16,8 +16,9 @@
 //!   whole tag is forwarded as stored: ragged chunks where droppings meet
 //!   survive, the report's simulated durations and the server's tag heat
 //!   are the in-process ones, and the server decodes nothing — while a
-//!   size-only dataset, which stores no chunks, still answers, decoded,
-//!   and a v1 dropping (no chunk directory) is the in-process typed error;
+//!   v1 dropping (no chunk directory) is the in-process typed error, and a
+//!   size-only dataset, which has no frames, is refused whole-tag and
+//!   full-frame alike, each on a kept connection;
 //! * remote errors keep their exact `kind()` — `unknown_dataset` and
 //!   `invalid_range` cross the wire as themselves, not as a generic
 //!   network failure;
@@ -48,7 +49,7 @@ use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_proto::{
-    encode_frame, RequestBody, RequestEnvelope, WirePayload, WireQueryReport, WireReader,
+    encode_frame, RequestBody, RequestEnvelope, WireIngestReport, WireQueryReport, WireReader,
     CHUNK_MAGIC, HEADER_LEN,
 };
 use ada_server::{Server, ServerConfig};
@@ -500,10 +501,11 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
 
 /// A tag with a v1 dropping among its droppings (no chunk directory) is
 /// refused remotely with the typed error the in-process query raises, on a
-/// connection that stays open; a size-only dataset, which stores no chunks,
-/// is answered through the decoded path.
+/// connection that stays open. A size-only dataset has no frames to send:
+/// a tagged and an untagged query of one are each `AdaError::size_only`,
+/// on the same connection.
 #[test]
-fn v1_droppings_are_a_typed_error_and_size_only_datasets_answer_decoded() {
+fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
     let _guard = serialize();
     let (ada, ssd) = make_ada_with(AdaConfig::paper_prototype("ssd", "hdd"));
     let (mut server, fe) = serve(ada, ServerConfig::default());
@@ -542,18 +544,23 @@ fn v1_droppings_are_a_typed_error_and_size_only_datasets_answer_decoded() {
     let spec = SyntheticDataset::gpcr_paper(626);
     fe.ingest("setup", "big", IngestInput::Synthetic(spec))
         .unwrap();
-    let remote = client.query("big", Some("p")).unwrap();
-    let local = fe.ada().query("big", Some(&Tag::protein())).unwrap();
-    assert!(matches!(remote.payload, WirePayload::Synthetic { .. }));
-    assert_eq!(remote.bytes(), local.data.bytes());
+    let size_only = AdaError::size_only().to_string();
+    let remote = client.query("big", Some("p")).unwrap_err();
     assert_eq!(
-        (remote.indexer_ns, remote.read_ns),
-        (local.indexer.0, local.read.0)
+        (remote.kind(), remote.to_string()),
+        ("pdb", size_only.clone())
     );
+    assert!(fe.ada().access_counts("big").is_empty(), "no heat");
+    // The full-frame query runs in process before its answer is refused on
+    // the way to the wire, and counts its access there, as `mol addfile`
+    // of a size-only dataset does in process.
+    let remote = client.query("big", None).unwrap_err();
+    assert_eq!((remote.kind(), remote.to_string()), ("pdb", size_only));
+    assert_eq!(heat_snapshot(fe.ada(), "big").heat(&Tag::protein()), 1);
     assert_eq!(
         accepted.get(),
         accepted_before,
-        "the error answer kept the connection"
+        "every error answer kept the connection"
     );
     server.shutdown();
 }
@@ -610,11 +617,7 @@ fn remote_ingest_report_matches_in_process() {
 
     let serial = make_ada();
     let local = serial.ingest("ds", real_input(350, 4, 33)).unwrap();
-    let rebuilt = wire.into_report();
-    assert_eq!(rebuilt.dataset, local.dataset);
-    assert_eq!(rebuilt.raw_bytes, local.raw_bytes);
-    assert_eq!(rebuilt.bytes_by_tag, local.bytes_by_tag);
-    assert_eq!(rebuilt.total(), local.total());
+    assert_eq!(wire, WireIngestReport::from_report(&local));
 }
 
 /// A traced remote request produces ONE server-side tree sealed under
