@@ -1,5 +1,5 @@
 //! Regenerate every table and figure of the ADA paper's evaluation, and
-//! host the three operator gates (`serve`, `trace`, `lint`). Measuring is
+//! host the two operator gates (`serve`, `trace`). Measuring is
 //! not done here: `benchmark/` is the one harness (DESIGN.md §4).
 //!
 //! ```text
@@ -34,8 +34,6 @@ struct Flags {
     /// `--trace-out <path>`: after the items ran, export the flight
     /// recorder's traces as Chrome trace-event JSON (Perfetto-loadable).
     trace_out: Option<String>,
-    /// `--json` (`lint`): also write LINT.json next to the terminal report.
-    lint_json: bool,
     /// `--selftest` (`trace`): validate the emitted Chrome trace and the
     /// span trees, exiting non-zero on any violation. A CI gate.
     selftest: bool,
@@ -79,7 +77,6 @@ const ITEMS: &[Item] = &[
     ("contention", true, |_| print_contention()),
     ("serve", false, |f| serve(f.port, f.smoke)),
     ("trace", false, |f| run_trace(f.selftest)),
-    ("lint", false, |f| run_lint(f.lint_json)),
 ];
 
 /// Remove flag `name` from `args` and report whether it was there; with
@@ -107,9 +104,7 @@ fn usage_and_exit(unknown: &str) -> ! {
     eprintln!("usage: repro [flags] [item...]   (no item = all)");
     eprintln!("  all:   {}", names(true));
     eprintln!("  other: {}", names(false));
-    eprintln!(
-        "  flags: --metrics-out <path> --trace-out <path> --json --selftest --port <N> --smoke"
-    );
+    eprintln!("  flags: --metrics-out <path> --trace-out <path> --selftest --port <N> --smoke");
     std::process::exit(2);
 }
 
@@ -118,7 +113,6 @@ fn main() {
     let flags = Flags {
         metrics_out: take_flag(&mut args, "--metrics-out", true),
         trace_out: take_flag(&mut args, "--trace-out", true),
-        lint_json: take_flag(&mut args, "--json", false).is_some(),
         selftest: take_flag(&mut args, "--selftest", false).is_some(),
         port: take_flag(&mut args, "--port", true).map_or(0, |p| {
             p.parse().unwrap_or_else(|_| {
@@ -348,38 +342,6 @@ fn run_trace(selftest: bool) {
         for f in &failures {
             eprintln!("repro trace --selftest: FAIL: {}", f);
         }
-        std::process::exit(1);
-    }
-}
-
-/// `repro lint` — run the in-tree static analysis (see DESIGN.md §9) over
-/// the workspace and print per-rule counts; with `--json`, also write
-/// `LINT.json`. Exits non-zero on any unsuppressed finding so scripted
-/// callers can gate on it like `--deny`.
-fn run_lint(write_json: bool) {
-    let cwd = std::env::current_dir().expect("current directory");
-    let root = ada_lint::find_workspace_root(&cwd).expect("workspace root");
-    let report = ada_lint::run_workspace(&root).expect("lint scan");
-
-    for d in report.unsuppressed() {
-        println!("{}:{}:{} [{}] {}", d.path, d.line, d.col, d.rule, d.message);
-    }
-    let open = report.unsuppressed().count();
-    println!(
-        "ada-lint: {} finding{} ({} suppressed) across {} files",
-        open,
-        if open == 1 { "" } else { "s" },
-        report.suppressed().count(),
-        report.files_scanned
-    );
-    for (rule, u, s) in report.rule_counts() {
-        println!("  {:<28} {:>4} open {:>4} suppressed", rule, u, s);
-    }
-    if write_json {
-        std::fs::write("LINT.json", report.to_json().to_vec()).expect("write LINT.json");
-        println!("  wrote LINT.json\n");
-    }
-    if open > 0 {
         std::process::exit(1);
     }
 }

@@ -10,7 +10,7 @@
 //! * the **`repro` binary** (`cargo run -p ada-bench --bin repro -- all`)
 //!   regenerates every table and figure of the paper's evaluation,
 //!   printing model values next to the published ones, and hosts the
-//!   `serve`, `trace` and `lint` gates; `tests/repro_cli.rs` pins its
+//!   `serve` and `trace` gates; `tests/repro_cli.rs` pins its
 //!   item table and its `all` output (`repro_output.txt`);
 //! * the **`telemetry_overhead` bench** asserts the < 2 % price of
 //!   telemetry and of tracing.

@@ -1,4 +1,4 @@
-//! Workspace symbol table and call graph for the concurrency passes.
+//! Workspace symbol table and call graph for the lock-order pass.
 //!
 //! Built purely over the lexer's token stream — no type resolution, no
 //! macro expansion. The model recovers just enough structure for
@@ -6,10 +6,6 @@
 //!
 //! * every `fn` item (free function or method) with its body extent and
 //!   enclosing `impl` type, so call sites can be resolved to definitions;
-//! * struct fields and statics whose declared type mentions `Mutex<` /
-//!   `RwLock<` — the workspace's *named locks* (identity = field/static
-//!   name; two fields sharing a name merge into one graph node, a
-//!   deliberate over-approximation);
 //! * call resolution: `self.method(..)` resolves through the enclosing
 //!   `impl` block's type (precise), anything else resolves only when the
 //!   simple name is defined exactly once in the workspace and is not a
@@ -22,12 +18,12 @@
 
 use crate::lexer::{code_indices, Token, TokenKind};
 use crate::rules::FileClass;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One scanned source file with its derived views, shared by every pass.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// Workspace classification (crate, path, bin-target flag).
+    /// Workspace classification (crate, path).
     pub class: FileClass,
     /// The raw token stream.
     pub tokens: Vec<Token>,
@@ -98,9 +94,6 @@ pub struct Symbols {
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// Qualified name (`Type::name`) → indices into `functions`.
     pub by_qual: BTreeMap<String, Vec<usize>>,
-    /// Names of struct fields / statics declared with a `Mutex<` /
-    /// `RwLock<` type — the receivers `.read()` / `.write()` count for.
-    pub lock_fields: BTreeSet<String>,
 }
 
 /// Method names too ubiquitous to resolve by simple name: std containers
@@ -164,46 +157,31 @@ pub const CALL_DENYLIST: &[&str] = &[
 /// Scan every file and build the symbol table.
 pub fn build_symbols(files: &[SourceFile]) -> Symbols {
     let mut functions = Vec::new();
-    let mut lock_fields = BTreeSet::new();
-
     for (fidx, file) in files.iter().enumerate() {
         let impls = impl_extents(file);
         let n = file.code.len();
         let mut j = 0usize;
-        while j < n {
-            if file.tok(j).kind != TokenKind::Ident {
+        while j + 1 < n {
+            if !(file.tok(j).is_ident("fn") && file.tok(j + 1).kind == TokenKind::Ident) {
                 j += 1;
                 continue;
             }
-            match file.txt(j) {
-                "fn" if j + 1 < n && file.tok(j + 1).kind == TokenKind::Ident => {
-                    let name = file.txt(j + 1).to_string();
-                    let body = fn_body_extent(file, j + 2);
-                    let qual = impls
-                        .iter()
-                        .rfind(|(s, e, _)| *s < j && j < *e)
-                        .map(|(_, _, t)| format!("{}::{}", t, name))
-                        .unwrap_or_else(|| name.clone());
-                    functions.push(FnDef {
-                        name,
-                        qual,
-                        file: fidx,
-                        header: j,
-                        body,
-                        is_test: file.in_test_at(j),
-                    });
-                    j += 2;
-                }
-                "struct" if j + 1 < n && file.tok(j + 1).kind == TokenKind::Ident => {
-                    collect_struct_lock_fields(file, j + 2, &mut lock_fields);
-                    j += 2;
-                }
-                "static" => {
-                    collect_static_lock(file, j + 1, &mut lock_fields);
-                    j += 1;
-                }
-                _ => j += 1,
-            }
+            let name = file.txt(j + 1).to_string();
+            let body = fn_body_extent(file, j + 2);
+            let qual = impls
+                .iter()
+                .rfind(|(s, e, _)| *s < j && j < *e)
+                .map(|(_, _, t)| format!("{}::{}", t, name))
+                .unwrap_or_else(|| name.clone());
+            functions.push(FnDef {
+                name,
+                qual,
+                file: fidx,
+                header: j,
+                body,
+                is_test: file.in_test_at(j),
+            });
+            j += 2;
         }
     }
 
@@ -217,7 +195,6 @@ pub fn build_symbols(files: &[SourceFile]) -> Symbols {
         functions,
         by_name,
         by_qual,
-        lock_fields,
     }
 }
 
@@ -347,96 +324,4 @@ fn skip_angles(file: &SourceFile, open: usize) -> usize {
         j += 1;
     }
     j
-}
-
-/// Parse a struct body for fields typed `Mutex<..>` / `RwLock<..>`
-/// (possibly wrapped, e.g. `Arc<Mutex<..>>`). `start` is just after the
-/// struct name; generics and tuple structs are skipped.
-fn collect_struct_lock_fields(file: &SourceFile, start: usize, out: &mut BTreeSet<String>) {
-    let mut j = start;
-    if file.is_p(j, '<') {
-        j = skip_angles(file, j);
-    }
-    if !file.is_p(j, '{') {
-        return; // tuple struct or unit struct
-    }
-    let end = match matching_brace(file, j) {
-        Some(e) => e,
-        None => return,
-    };
-    // Split the body into fields at commas that sit at depth 1 (angle
-    // depth tracked too, so `BTreeMap<K, V>` commas don't split).
-    let mut field_start = j + 1;
-    let mut depth = 0i32;
-    let mut k = j + 1;
-    while k <= end {
-        let boundary = (file.is_p(k, ',') && depth == 0) || k == end;
-        if file.is_p(k, '{') || file.is_p(k, '(') || file.is_p(k, '[') {
-            depth += 1;
-        } else if file.is_p(k, '}') && k != end || file.is_p(k, ')') || file.is_p(k, ']') {
-            depth -= 1;
-        } else if file.is_p(k, '<') {
-            depth += 1;
-        } else if file.is_p(k, '>') && !file.is_p(k - 1, '-') {
-            depth -= 1;
-        }
-        if boundary {
-            record_lock_field(file, field_start, k, out);
-            field_start = k + 1;
-        }
-        k += 1;
-    }
-}
-
-/// One field region `NAME : TYPE` — record NAME when TYPE mentions a lock.
-fn record_lock_field(file: &SourceFile, start: usize, end: usize, out: &mut BTreeSet<String>) {
-    let mut name: Option<&str> = None;
-    let mut k = start;
-    while k + 1 < end {
-        if file.tok(k).kind == TokenKind::Ident
-            && file.is_p(k + 1, ':')
-            && !(k + 2 < end && file.is_p(k + 2, ':'))
-        {
-            name = Some(file.txt(k));
-            k += 2;
-            break;
-        }
-        k += 1;
-    }
-    let Some(name) = name else { return };
-    if type_mentions_lock(file, k, end) {
-        out.insert(name.to_string());
-    }
-}
-
-/// `static NAME: TYPE = ..;` — record NAME when TYPE mentions a lock.
-fn collect_static_lock(file: &SourceFile, start: usize, out: &mut BTreeSet<String>) {
-    let n = file.code.len();
-    let mut j = start;
-    if j < n && file.tok(j).is_ident("mut") {
-        j += 1;
-    }
-    if j >= n || file.tok(j).kind != TokenKind::Ident {
-        return;
-    }
-    let name = file.txt(j).to_string();
-    if !file.is_p(j + 1, ':') {
-        return;
-    }
-    let ty_start = j + 2;
-    let mut end = ty_start;
-    while end < n && !file.is_p(end, '=') && !file.is_p(end, ';') {
-        end += 1;
-    }
-    if type_mentions_lock(file, ty_start, end) {
-        out.insert(name);
-    }
-}
-
-fn type_mentions_lock(file: &SourceFile, start: usize, end: usize) -> bool {
-    (start..end).any(|k| {
-        (file.tok(k).is_ident("Mutex") || file.tok(k).is_ident("RwLock"))
-            && k + 1 < end
-            && file.is_p(k + 1, '<')
-    })
 }

@@ -1,22 +1,17 @@
-//! The four concurrency passes: `lock-order-cycle`, `no-blocking-under-lock`,
-//! `trace-context-propagated`, and `unjoined-spawn`.
+//! The concurrency pass: `lock-order-cycle`.
 //!
-//! All four run over the symbol table from [`crate::callgraph`] plus a
+//! It runs over the symbol table from [`crate::callgraph`] plus a
 //! per-function *guard-liveness walk*: a linear scan of each function body
 //! that tracks which lock guards are live at every token. The model
 //! (DESIGN.md §15):
 //!
 //! * `let g = x.lock();` binds a guard that lives to the end of its
 //!   enclosing `{ … }` block or an explicit `drop(g)`;
-//! * a chained acquisition (`rx.lock().recv()`) creates a *temporary*
-//!   guard live only for the rest of the statement;
-//! * `.lock()` always counts (except on `stdout`/`stderr`/`stdin`);
-//!   `.read()` / `.write()` count only when the receiver is a known
-//!   lock-typed field or static, since those names are ubiquitous io
-//!   methods. Unknown receivers become the `<anon>` lock: tracked for
-//!   liveness (blocking under them still reports) but excluded from the
-//!   acquisition-order graph, where a merged anonymous node would
-//!   fabricate cycles.
+//! * a chained acquisition (`x.lock().len()`) creates a *temporary* guard
+//!   live only for the rest of the statement;
+//! * `.lock()` counts on a named receiver (except `stdout`/`stderr`/
+//!   `stdin`); `self.lock()` and `f().lock()` name no lock and are not
+//!   tracked, since a merged anonymous node would fabricate cycles.
 //!
 //! Lock identity is the receiver *field/static name*, workspace-wide: two
 //! types with a field `state` share one graph node. That over-approximates
@@ -26,28 +21,17 @@
 
 use crate::callgraph::{resolve_call, FnDef, SourceFile, Symbols};
 use crate::lexer::TokenKind;
-use crate::rules::{Diagnostic, LOCK_ORDER, NO_BLOCKING, TRACE_PROP, UNJOINED};
+use crate::rules::{Diagnostic, LOCK_ORDER};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A lock acquisition observed in a function body.
 #[derive(Debug)]
 struct Acq {
-    /// Lock identity (receiver field name, or `<anon>`).
+    /// Lock identity (receiver field name).
     lock: String,
     /// Locks already held when this one is taken.
     held: Vec<String>,
-    /// Code index of the `lock`/`read`/`write` ident.
-    tok: usize,
-}
-
-/// A potentially-blocking operation observed in a function body.
-#[derive(Debug)]
-struct Block {
-    /// What blocks: `send`, `recv`, `recv_timeout`, `join`, `scope`.
-    op: &'static str,
-    /// Locks held at the operation.
-    held: Vec<String>,
-    /// Code index of the operation ident.
+    /// Code index of the `lock` ident.
     tok: usize,
 }
 
@@ -62,31 +46,17 @@ struct Call {
     tok: usize,
 }
 
-/// A spawn site observed in a function body.
-#[derive(Debug)]
-struct SpawnSite {
-    /// Code index of the `spawn` ident.
-    tok: usize,
-    /// Code-index range of the argument list (open paren, close paren).
-    args: (usize, usize),
-    /// `scope.spawn(..)` / `s.spawn(..)` — joined automatically at scope
-    /// end, so exempt from `unjoined-spawn`.
-    scoped: bool,
-}
-
 /// Everything the walk learns about one function.
 #[derive(Debug, Default)]
 struct FnFacts {
     direct_locks: BTreeSet<String>,
     acquisitions: Vec<Acq>,
-    blockers: Vec<Block>,
     calls: Vec<Call>,
-    spawns: Vec<SpawnSite>,
-    mentions_trace: bool,
 }
 
 /// Identifiers never treated as workspace call sites even when followed by
-/// `(` — control keywords plus tokens other detectors own.
+/// `(`: control keywords, `drop`, and the std thread, channel and lock
+/// methods.
 const NOT_CALLS: &[&str] = &[
     "if",
     "while",
@@ -113,50 +83,23 @@ const NOT_CALLS: &[&str] = &[
     "Err",
 ];
 
-/// True for identifiers that carry a trace context by convention:
-/// `TraceContext` itself and `ctx`-suffixed binding names (`ctx`,
-/// `trace_ctx`, `job.ctx`, …).
-fn trace_ident(name: &str) -> bool {
-    name == "TraceContext" || name.ends_with("ctx") || name.ends_with("Ctx")
-}
-
-/// Run all four passes and return their raw (unsuppressed) diagnostics.
+/// Run the lock-order pass and return its diagnostics.
 pub fn analyze(files: &[SourceFile], symbols: &Symbols) -> Vec<Diagnostic> {
-    let n = symbols.functions.len();
-    let mut facts: Vec<FnFacts> = Vec::with_capacity(n);
-    for f in &symbols.functions {
-        let file = &files[f.file];
-        if f.is_test {
-            facts.push(FnFacts::default());
-            continue;
-        }
-        let mut fa = match f.body {
-            Some(body) => walk_fn(file, f, body, symbols),
-            None => FnFacts::default(),
-        };
-        // The signature is part of the trace surface: `fn run(ctx:
-        // TraceContext)` touches trace even if the body never names it.
-        let sig_end = f.body.map(|(open, _)| open).unwrap_or_else(|| {
-            let mut k = f.header;
-            while k < file.code.len() && !file.is_p(k, ';') {
-                k += 1;
-            }
-            k
-        });
-        for k in f.header..sig_end.min(file.code.len()) {
-            if file.tok(k).kind == TokenKind::Ident && trace_ident(file.txt(k)) {
-                fa.mentions_trace = true;
-            }
-        }
-        facts.push(fa);
-    }
+    let facts: Vec<FnFacts> = symbols
+        .functions
+        .iter()
+        .map(|f| match f.body {
+            Some(body) if !f.is_test => walk_fn(&files[f.file], f, body, symbols),
+            _ => FnFacts::default(),
+        })
+        .collect();
 
-    // Fixpoint 1: transitive lock-acquisition sets over the call graph.
+    // Transitive lock-acquisition sets over the call graph, to a fixpoint.
     let mut trans: Vec<BTreeSet<String>> = facts.iter().map(|f| f.direct_locks.clone()).collect();
     let mut changed = true;
     while changed {
         changed = false;
-        for i in 0..n {
+        for i in 0..facts.len() {
             for c in 0..facts[i].calls.len() {
                 let callee = facts[i].calls[c].callee;
                 if callee == i {
@@ -175,28 +118,7 @@ pub fn analyze(files: &[SourceFile], symbols: &Symbols) -> Vec<Diagnostic> {
         }
     }
 
-    // Fixpoint 2: does a function touch trace context, transitively?
-    let mut touches: Vec<bool> = facts.iter().map(|f| f.mentions_trace).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..n {
-            if touches[i] {
-                continue;
-            }
-            if facts[i].calls.iter().any(|c| touches[c.callee]) {
-                touches[i] = true;
-                changed = true;
-            }
-        }
-    }
-
-    let mut diags = Vec::new();
-    diags.extend(lock_order_pass(files, symbols, &facts, &trans));
-    diags.extend(blocking_pass(files, symbols, &facts));
-    diags.extend(trace_pass(files, symbols, &facts, &touches));
-    diags.extend(unjoined_pass(files, symbols, &facts));
-    diags
+    lock_order_pass(files, symbols, &facts, &trans)
 }
 
 /// One edge in the acquisition-order graph, with its first witness.
@@ -218,13 +140,7 @@ fn lock_order_pass(
     for (i, f) in symbols.functions.iter().enumerate() {
         let file = &files[f.file];
         for a in &facts[i].acquisitions {
-            if a.lock == "<anon>" {
-                continue;
-            }
             for h in &a.held {
-                if h == "<anon>" {
-                    continue;
-                }
                 let t = file.tok(a.tok);
                 edges
                     .entry((h.clone(), a.lock.clone()))
@@ -240,18 +156,9 @@ fn lock_order_pass(
             }
         }
         for c in &facts[i].calls {
-            if c.held.is_empty() {
-                continue;
-            }
             let callee = &symbols.functions[c.callee];
             for h in &c.held {
-                if h == "<anon>" {
-                    continue;
-                }
                 for l in &trans[c.callee] {
-                    if l == "<anon>" {
-                        continue;
-                    }
                     let t = file.tok(c.tok);
                     edges
                         .entry((h.clone(), l.clone()))
@@ -297,191 +204,9 @@ fn lock_order_pass(
                     .join(", "),
                 witnesses.join("; ")
             ),
-            suppressed: None,
         });
     }
     diags
-}
-
-fn blocking_pass(files: &[SourceFile], symbols: &Symbols, facts: &[FnFacts]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (i, f) in symbols.functions.iter().enumerate() {
-        let file = &files[f.file];
-        for b in &facts[i].blockers {
-            let t = file.tok(b.tok);
-            let held = b
-                .held
-                .iter()
-                .map(|l| format!("`{}`", l))
-                .collect::<Vec<_>>()
-                .join(", ");
-            diags.push(Diagnostic {
-                rule: NO_BLOCKING,
-                path: file.class.path.clone(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "`{}` can block in {} while lock guard(s) {} are live; every other thread \
-                     needing the lock stalls behind the blocked holder (the classic \
-                     bounded-channel deadlock) — drop the guard first",
-                    b.op, f.qual, held
-                ),
-                suppressed: None,
-            });
-        }
-    }
-    diags
-}
-
-fn trace_pass(
-    files: &[SourceFile],
-    symbols: &Symbols,
-    facts: &[FnFacts],
-    touches: &[bool],
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (i, f) in symbols.functions.iter().enumerate() {
-        let file = &files[f.file];
-        if !file.class.is_instrumented() {
-            continue;
-        }
-        let self_type = self_type_of(f);
-        for s in &facts[i].spawns {
-            let (open, close) = s.args;
-            let mut ok = false;
-            for k in open + 1..close {
-                let t = file.tok(k);
-                if t.kind != TokenKind::Ident {
-                    continue;
-                }
-                if trace_ident(&t.text) {
-                    ok = true;
-                    break;
-                }
-                // A call to a function that (transitively) touches trace
-                // context counts: the spawned closure hands off to it.
-                if file.is_p(k + 1, '(') && !NOT_CALLS.contains(&t.text.as_str()) {
-                    let self_call =
-                        k >= 2 && file.is_p(k - 1, '.') && file.tok(k - 2).is_ident("self");
-                    let st = if self_call { self_type } else { None };
-                    if let Some(defs) = resolve_call(symbols, &t.text, st) {
-                        if defs.iter().any(|&d| touches[d]) {
-                            ok = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !ok {
-                let t = file.tok(s.tok);
-                diags.push(Diagnostic {
-                    rule: TRACE_PROP,
-                    path: file.class.path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "spawn in {} neither receives nor captures a TraceContext; propagate the \
-                         request ctx across the thread boundary so its span tree stays one \
-                         connected tree",
-                        f.qual
-                    ),
-                    suppressed: None,
-                });
-            }
-        }
-    }
-    diags
-}
-
-fn unjoined_pass(files: &[SourceFile], symbols: &Symbols, facts: &[FnFacts]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (i, f) in symbols.functions.iter().enumerate() {
-        let file = &files[f.file];
-        let Some((body_open, _)) = f.body else {
-            continue;
-        };
-        for s in &facts[i].spawns {
-            if s.scoped || !spawn_discarded(file, body_open, s) {
-                continue;
-            }
-            let t = file.tok(s.tok);
-            diags.push(Diagnostic {
-                rule: UNJOINED,
-                path: file.class.path.clone(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "spawn in {} discards its JoinHandle; the thread outlives supervision and \
-                     panics in it vanish — bind the handle and join it, or use a scoped spawn",
-                    f.qual
-                ),
-                suppressed: None,
-            });
-        }
-    }
-    diags
-}
-
-/// Heuristic: is the `JoinHandle` of this spawn discarded?
-///
-/// Discarded means the spawn expression is a bare statement (`…spawn(..);`
-/// with no `.join()` in the trailing method chain) or is bound to `_`
-/// (`let _ = …spawn(..);`). A handle pushed into a collection, returned,
-/// or bound to a name is treated as supervised — whether that name is
-/// *eventually* joined is beyond a token-level pass.
-fn spawn_discarded(file: &SourceFile, body_open: usize, s: &SpawnSite) -> bool {
-    // Statement prefix: tokens from the previous `;` / `{` / `}` up to the
-    // spawn path.
-    let mut k = s.tok;
-    while k > body_open + 1
-        && !(file.is_p(k - 1, ';') || file.is_p(k - 1, '{') || file.is_p(k - 1, '}'))
-    {
-        k -= 1;
-    }
-    let mut balance = 0i32;
-    let mut has_let = false;
-    let mut binder: Option<&str> = None;
-    let mut m = k;
-    while m < s.tok {
-        if file.is_p(m, '(') || file.is_p(m, '[') {
-            balance += 1;
-        } else if file.is_p(m, ')') || file.is_p(m, ']') {
-            balance -= 1;
-        } else if balance == 0 && file.tok(m).is_ident("let") {
-            has_let = true;
-            let mut b = m + 1;
-            if file.tok(b).is_ident("mut") {
-                b += 1;
-            }
-            if file.tok(b).kind == TokenKind::Ident {
-                binder = Some(file.txt(b));
-            }
-        }
-        m += 1;
-    }
-    if balance > 0 {
-        return false; // handle consumed by an enclosing call (push, collect, …)
-    }
-    if has_let {
-        return binder == Some("_");
-    }
-    // Expression statement: scan the trailing method chain for `.join(`.
-    let mut m = s.args.1 + 1;
-    loop {
-        if m + 2 < file.code.len()
-            && file.is_p(m, '.')
-            && file.tok(m + 1).kind == TokenKind::Ident
-            && file.is_p(m + 2, '(')
-        {
-            if file.txt(m + 1) == "join" {
-                return false;
-            }
-            m = matching_paren(file, m + 2) + 1;
-            continue;
-        }
-        break;
-    }
-    m < file.code.len() && file.is_p(m, ';')
 }
 
 /// `Type` for a method (`Type::name`), `None` for a free function.
@@ -493,31 +218,12 @@ fn self_type_of(f: &FnDef) -> Option<&str> {
     }
 }
 
-/// Code index of the `)` matching the `(` at `open` (falls back to the
-/// last code index on unbalanced input).
-fn matching_paren(file: &SourceFile, open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < file.code.len() {
-        if file.is_p(j, '(') {
-            depth += 1;
-        } else if file.is_p(j, ')') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    file.code.len().saturating_sub(1)
-}
-
 /// The guard-liveness walk over one function body.
 fn walk_fn(file: &SourceFile, f: &FnDef, body: (usize, usize), symbols: &Symbols) -> FnFacts {
     let (open, close) = body;
     let mut facts = FnFacts::default();
     // Nested `fn` items get their own walk; skip their extent here so their
-    // guards and spawns are not attributed to the enclosing function.
+    // guards are not attributed to the enclosing function.
     let nested: Vec<(usize, usize)> = symbols
         .functions
         .iter()
@@ -560,33 +266,16 @@ fn walk_fn(file: &SourceFile, f: &FnDef, body: (usize, usize), symbols: &Symbols
             continue;
         }
         let name = t.text.as_str();
-        if trace_ident(name) {
-            facts.mentions_trace = true;
-        }
         let prev_dot = j > 0 && file.is_p(j - 1, '.');
         let next_open = file.is_p(j + 1, '(');
 
-        // --- lock acquisition --------------------------------------------
-        if prev_dot
-            && matches!(name, "lock" | "read" | "write")
-            && next_open
-            && file.is_p(j + 2, ')')
-        {
-            let recv = if j >= 2 && file.tok(j - 2).kind == TokenKind::Ident {
-                Some(file.txt(j - 2))
-            } else {
-                None
-            };
-            let counted = if name == "lock" {
-                !matches!(recv, Some("stdout" | "stderr" | "stdin"))
-            } else {
-                matches!(recv, Some(r) if symbols.lock_fields.contains(r))
-            };
-            if counted {
-                let lock = match recv {
-                    Some("self") | None => "<anon>".to_string(),
-                    Some(r) => r.to_string(),
-                };
+        // --- lock acquisition on a named receiver ---------------------------
+        if prev_dot && name == "lock" && next_open && file.is_p(j + 2, ')') && j >= 2 {
+            let recv = file.tok(j - 2);
+            if recv.kind == TokenKind::Ident
+                && !matches!(recv.text.as_str(), "self" | "stdout" | "stderr" | "stdin")
+            {
+                let lock = recv.text.clone();
                 let held = held_locks(&scopes, &temps);
                 facts.acquisitions.push(Acq {
                     lock: lock.clone(),
@@ -618,51 +307,6 @@ fn walk_fn(file: &SourceFile, f: &FnDef, body: (usize, usize), symbols: &Symbols
                 sc.retain(|(_, b)| b.as_deref() != Some(binder.as_str()));
             }
             j += 4;
-            continue;
-        }
-
-        // --- blocking operations -----------------------------------------
-        let block_op: Option<&'static str> = if prev_dot && next_open {
-            match name {
-                "send" => Some("send"),
-                "recv" => Some("recv"),
-                "recv_timeout" => Some("recv_timeout"),
-                "join" if file.is_p(j + 2, ')') => Some("join"),
-                _ => None,
-            }
-        } else if name == "scope"
-            && next_open
-            && j >= 2
-            && file.is_p(j - 1, ':')
-            && file.is_p(j - 2, ':')
-        {
-            // `thread::scope(..)` joins every scoped thread before returning.
-            Some("scope (implicit join)")
-        } else {
-            None
-        };
-        if let Some(op) = block_op {
-            let held = held_locks(&scopes, &temps);
-            if !held.is_empty() {
-                facts.blockers.push(Block { op, held, tok: j });
-            }
-            j += 1;
-            continue;
-        }
-
-        // --- spawn sites --------------------------------------------------
-        if name == "spawn" && next_open {
-            let close_p = matching_paren(file, j + 1);
-            let scoped = prev_dot
-                && j >= 2
-                && file.tok(j - 2).kind == TokenKind::Ident
-                && matches!(file.txt(j - 2), "s" | "sc" | "scope");
-            facts.spawns.push(SpawnSite {
-                tok: j,
-                args: (j + 1, close_p),
-                scoped,
-            });
-            j += 1; // walk into the closure: its guards/sends are this thread's
             continue;
         }
 

@@ -8,29 +8,25 @@
 //! correctness rests on *project* invariants neither `rustc` nor `clippy`
 //! can state: every [`AdaError`] variant mapped to a distinct telemetry
 //! kind, every emitted metric name in the catalog and no stale one left
-//! there, one global lock order, nothing blocking under a lock, every
-//! spawn carrying its request's trace context and keeping its handle.
-//! This crate holds those seven; what the toolchain can say — no
-//! `unsafe`, no panic or printing in library code — it says itself,
-//! through `[workspace.lints]` (DESIGN.md §9).
+//! there, and one global lock order. This crate holds those four; what
+//! the toolchain can say — no `unsafe`, no panic or printing in library
+//! code — it says itself, through `[workspace.lints]` (DESIGN.md §9).
 //!
 //! * [`lexer`] — a small Rust lexer (comments, strings, raw strings,
 //!   lifetimes handled correctly) so rules match tokens, not text;
-//! * [`rules`] — the rule IDs, span-accurate diagnostics and
-//!   `// ada-lint: allow(rule-id) reason` suppression;
+//! * [`rules`] — the rule IDs and span-accurate diagnostics;
 //! * [`semantic`] — cross-file passes: the `AdaError::kind()` map stays
 //!   exhaustive and distinct, and `METRICS.md` neither misses an emitted
 //!   name nor carries a stale one;
-//! * [`callgraph`] — the workspace symbol table (functions, impl blocks,
-//!   lock-typed fields) and call resolution built over the token streams;
-//! * [`concurrency`] — the four cross-crate concurrency passes
-//!   (`lock-order-cycle`, `no-blocking-under-lock`,
-//!   `trace-context-propagated`, `unjoined-spawn`) over a per-function
-//!   guard-liveness walk (DESIGN.md §15).
+//! * [`callgraph`] — the workspace symbol table (functions, impl blocks)
+//!   and call resolution built over the token streams;
+//! * [`concurrency`] — the cross-crate `lock-order-cycle` pass over a
+//!   per-function guard-liveness walk (DESIGN.md §15).
 //!
-//! Run it as `cargo run -p ada-lint -- --workspace [--deny] [--json PATH]`
-//! or `repro lint [--json]`; the verify gate runs it with `--deny` after
-//! clippy and rustfmt, plus `--self-check` over the fixture corpus.
+//! Run it as `cargo run -p ada-lint -- --workspace [--deny] [--json PATH]`;
+//! the verify gate runs it with `--deny` after clippy and rustfmt, and
+//! `--json LINT.json` writes the committed baseline. No finding is waived:
+//! it is fixed in the code, or in the pass when the pass is wrong.
 //!
 //! [`AdaError`]: https://docs.rs/ada-core
 
@@ -41,7 +37,8 @@ pub mod rules;
 pub mod semantic;
 
 use callgraph::SourceFile;
-use rules::{Allow, Diagnostic, FileClass, RULES};
+use rules::{Diagnostic, FileClass, RULES};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Anything that stops the lint from running (I/O, missing workspace).
@@ -85,104 +82,74 @@ impl std::error::Error for LintError {
 /// The outcome of a full workspace scan.
 #[derive(Debug)]
 pub struct LintReport {
-    /// All diagnostics, suppressed ones included, ordered by path/line/col.
+    /// Every finding, ordered by path/line/col; `--deny` fails on any.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files lexed and scanned.
     pub files_scanned: usize,
 }
 
 impl LintReport {
-    /// Diagnostics an `--deny` run fails on.
-    pub fn unsuppressed(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.suppressed.is_none())
-    }
-
-    /// Diagnostics claimed by an `allow` comment.
-    pub fn suppressed(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.suppressed.is_some())
-    }
-
-    /// Per-rule `(unsuppressed, suppressed)` counts over every known rule,
-    /// zeros included, in [`RULES`] order — the lint baseline.
+    /// Per-rule `(rule, findings, files)` over every known rule, zeros
+    /// included, in [`RULES`] order — the lint baseline. `files` counts
+    /// the distinct files holding a finding of the rule.
     pub fn rule_counts(&self) -> Vec<(&'static str, usize, usize)> {
         RULES
             .iter()
             .map(|r| {
-                let open = self
+                let paths: Vec<&str> = self
                     .diagnostics
                     .iter()
-                    .filter(|d| d.rule == *r && d.suppressed.is_none())
-                    .count();
-                let quiet = self
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.rule == *r && d.suppressed.is_some())
-                    .count();
-                (*r, open, quiet)
+                    .filter(|d| d.rule == *r)
+                    .map(|d| d.path.as_str())
+                    .collect();
+                let files = paths.iter().collect::<BTreeSet<_>>().len();
+                (*r, paths.len(), files)
             })
             .collect()
     }
 
     /// Serialize the report (summary + every finding) as an `ada-json`
-    /// value — `repro lint --json` writes this to `LINT.json`. Schema
-    /// `ada-lint/2`: v1 plus a per-rule `files` count (distinct files with
-    /// any finding of that rule, suppressed included).
+    /// value — `ada-lint --json` writes this to `LINT.json`. Schema
+    /// `ada-lint/3`: `findings_total`, and per rule its `findings` and
+    /// `files` counts.
     pub fn to_json(&self) -> ada_json::Value {
         use ada_json::Value;
         let rules = Value::Obj(
             self.rule_counts()
                 .into_iter()
-                .map(|(rule, open, quiet)| {
-                    let files: std::collections::BTreeSet<&str> = self
-                        .diagnostics
-                        .iter()
-                        .filter(|d| d.rule == rule)
-                        .map(|d| d.path.as_str())
-                        .collect();
+                .map(|(rule, findings, files)| {
                     (
                         rule.to_string(),
                         Value::obj(vec![
-                            ("unsuppressed", Value::num_u(open as u64)),
-                            ("suppressed", Value::num_u(quiet as u64)),
-                            ("files", Value::num_u(files.len() as u64)),
+                            ("findings", Value::num_u(findings as u64)),
+                            ("files", Value::num_u(files as u64)),
                         ]),
                     )
                 })
                 .collect(),
         );
-        let finding = |d: &Diagnostic| {
-            let mut fields = vec![
-                ("rule", Value::str(d.rule)),
-                ("path", Value::str(d.path.clone())),
-                ("line", Value::num_u(d.line as u64)),
-                ("col", Value::num_u(d.col as u64)),
-                ("message", Value::str(d.message.clone())),
-            ];
-            if let Some(reason) = &d.suppressed {
-                fields.push(("allow_reason", Value::str(reason.clone())));
-            }
-            Value::obj(fields)
-        };
+        let findings: Vec<Value> = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Value::obj(vec![
+                    ("rule", Value::str(d.rule)),
+                    ("path", Value::str(d.path.clone())),
+                    ("line", Value::num_u(d.line as u64)),
+                    ("col", Value::num_u(d.col as u64)),
+                    ("message", Value::str(d.message.clone())),
+                ])
+            })
+            .collect();
         Value::obj(vec![
-            ("schema", Value::str("ada-lint/2")),
+            ("schema", Value::str("ada-lint/3")),
             ("files_scanned", Value::num_u(self.files_scanned as u64)),
             (
-                "unsuppressed_total",
-                Value::num_u(self.unsuppressed().count() as u64),
-            ),
-            (
-                "suppressed_total",
-                Value::num_u(self.suppressed().count() as u64),
+                "findings_total",
+                Value::num_u(self.diagnostics.len() as u64),
             ),
             ("rules", rules),
-            (
-                "findings",
-                Value::Arr(self.unsuppressed().map(finding).collect()),
-            ),
-            (
-                "suppressions",
-                Value::Arr(self.suppressed().map(finding).collect()),
-            ),
+            ("findings", Value::Arr(findings)),
         ])
     }
 }
@@ -238,15 +205,7 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, LintError> {
         load_dir(root, &examples, "examples", &mut files)?;
     }
 
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut allows: Vec<Allow> = Vec::new();
-    for file in &files {
-        let (a, d) = rules::parse_allows(&file.class, &file.tokens);
-        allows.extend(a);
-        diagnostics.extend(d);
-    }
-
-    diagnostics.extend(semantic::check_error_kinds(&files));
+    let mut diagnostics = semantic::check_error_kinds(&files);
     // The metric passes run only where a catalog exists: a workspace
     // without METRICS.md (e.g. rule-test fixtures) opted out.
     let catalog_path = root.join("METRICS.md");
@@ -262,7 +221,6 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, LintError> {
     let symbols = callgraph::build_symbols(&files);
     diagnostics.extend(concurrency::analyze(&files, &symbols));
 
-    rules::resolve_suppressions(&mut diagnostics, &mut allows);
     diagnostics.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });

@@ -1,12 +1,10 @@
-//! The rule catalog and the suppression machinery.
+//! The rule catalog, the diagnostic type and the test-region scan.
 //!
 //! Every rule has a stable ID (see [`RULES`]) and produces span-accurate
 //! diagnostics; the passes themselves live in `semantic.rs` and
-//! `concurrency.rs`. A concurrency finding can be suppressed site by site
-//! with `// ada-lint: allow(rule-id) reason` — the reason is mandatory, and
-//! the comment must sit on the finding's line or the line directly above
-//! it. Unused or malformed suppressions are themselves findings, so
-//! annotations cannot rot silently.
+//! `concurrency.rs`. No finding can be waived: a wrong kind map or a stale
+//! catalog row is fixed, and a false `lock-order-cycle` is fixed in the
+//! code or in the pass (DESIGN.md §9).
 
 use crate::lexer::{Token, TokenKind};
 
@@ -28,55 +26,12 @@ pub const METRIC_UNUSED: &str = "unregistered-metric-unused";
 /// two threads interleaving the witness paths deadlock (see
 /// `concurrency.rs`).
 pub const LOCK_ORDER: &str = "lock-order-cycle";
-/// `no-blocking-under-lock`: a bounded-channel `send`/`recv`, a
-/// `JoinHandle::join`, or a scope join while a `Mutex`/`RwLock` guard is
-/// live — the classic bounded-channel deadlock shape (see `concurrency.rs`).
-pub const NO_BLOCKING: &str = "no-blocking-under-lock";
-/// `trace-context-propagated`: every spawn in the instrumented crates must
-/// receive or capture a `TraceContext` (directly or via a callee), keeping
-/// each request's span tree one connected tree (see `concurrency.rs`).
-pub const TRACE_PROP: &str = "trace-context-propagated";
-/// `unjoined-spawn`: a spawn whose `JoinHandle` is discarded; the thread
-/// outlives supervision and its panics vanish (see `concurrency.rs`).
-pub const UNJOINED: &str = "unjoined-spawn";
-/// `malformed-allow`: an `ada-lint:` comment that does not parse as
-/// `allow(rule-id) reason` (the reason is mandatory).
-pub const MALFORMED_ALLOW: &str = "malformed-allow";
-/// `unused-allow`: an `allow` comment that suppressed nothing — stale
-/// annotations must be deleted, not accumulated.
-pub const UNUSED_ALLOW: &str = "unused-allow";
 
 /// All rule IDs, in reporting order. JSON reports emit a count per entry
 /// even when zero, so baselines diff cleanly.
-pub const RULES: &[&str] = &[
-    ERROR_KIND,
-    METRIC_NAME,
-    METRIC_UNUSED,
-    LOCK_ORDER,
-    NO_BLOCKING,
-    TRACE_PROP,
-    UNJOINED,
-    MALFORMED_ALLOW,
-    UNUSED_ALLOW,
-];
+pub const RULES: &[&str] = &[ERROR_KIND, METRIC_NAME, METRIC_UNUSED, LOCK_ORDER];
 
-/// Rules an `// ada-lint: allow(...)` comment may suppress. The semantic
-/// catalog rules are excluded (a wrong kind map or stale catalog is fixed,
-/// not waived), as are the meta-rules. The concurrency rules *are*
-/// suppressible: the passes over-approximate, and a provably-safe site
-/// carries its proof in the mandatory reason string.
-pub fn suppressible(rule: &str) -> bool {
-    !matches!(
-        rule,
-        ERROR_KIND | METRIC_NAME | METRIC_UNUSED | MALFORMED_ALLOW | UNUSED_ALLOW
-    )
-}
-
-/// Crates carrying request-scoped tracing: every spawn there must
-/// propagate a `TraceContext` (`trace-context-propagated`).
-const INSTRUMENTED_CRATES: &[&str] = &["core", "frontend", "server", "client"];
-
-/// One finding, before or after suppression resolution.
+/// One finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// Stable rule ID from [`RULES`].
@@ -89,93 +44,15 @@ pub struct Diagnostic {
     pub col: u32,
     /// Human-readable explanation with the fix direction.
     pub message: String,
-    /// `Some(reason)` once an `allow` comment claimed this finding.
-    pub suppressed: Option<String>,
 }
 
-impl Diagnostic {
-    fn new(rule: &'static str, path: &str, tok: &Token, message: String) -> Diagnostic {
-        Diagnostic {
-            rule,
-            path: path.to_string(),
-            line: tok.line,
-            col: tok.col,
-            message,
-            suppressed: None,
-        }
-    }
-}
-
-/// A parsed `// ada-lint: allow(rule) reason` directive.
-#[derive(Debug)]
-pub struct Allow {
-    /// Repo-relative path of the file carrying the directive.
-    pub path: String,
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// 1-based column of the comment.
-    pub col: u32,
-    /// The rule it suppresses.
-    pub rule: String,
-    /// Why the site is safe (mandatory).
-    pub reason: String,
-    /// Set once the directive has claimed a finding.
-    pub used: bool,
-}
-
-/// Which per-file rules apply, derived from the file's workspace position.
+/// Where a scanned file sits in the workspace.
 #[derive(Debug, Clone)]
 pub struct FileClass {
     /// Crate directory name under `crates/` (e.g. `core`).
     pub crate_name: String,
     /// Repo-relative path (e.g. `crates/core/src/ada.rs`).
     pub path: String,
-}
-
-impl FileClass {
-    /// Does the trace-propagation pass apply to this file's crate?
-    pub(crate) fn is_instrumented(&self) -> bool {
-        INSTRUMENTED_CRATES.contains(&self.crate_name.as_str())
-    }
-}
-
-/// Resolve suppressions across the whole workspace: an allow covers
-/// findings of its rule, in its file, on its own line or the line directly
-/// below (i.e. a standalone comment above the offending line, or a trailing
-/// comment on it). Afterwards, every unused allow becomes an
-/// `unused-allow` finding. Diagnostics are matched in (path, line, col)
-/// order, so resolution is deterministic.
-pub fn resolve_suppressions(diags: &mut Vec<Diagnostic>, allows: &mut [Allow]) {
-    diags.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
-    for d in diags.iter_mut() {
-        if !suppressible(d.rule) {
-            continue;
-        }
-        for a in allows.iter_mut() {
-            if a.rule == d.rule && a.path == d.path && (a.line == d.line || a.line + 1 == d.line) {
-                d.suppressed = Some(a.reason.clone());
-                a.used = true;
-                break;
-            }
-        }
-    }
-    for a in allows.iter() {
-        if !a.used {
-            diags.push(Diagnostic {
-                rule: UNUSED_ALLOW,
-                path: a.path.clone(),
-                line: a.line,
-                col: a.col,
-                message: format!(
-                    "allow({}) suppresses nothing on this or the next line; delete it",
-                    a.rule
-                ),
-                suppressed: None,
-            });
-        }
-    }
 }
 
 /// Mark every token that lives inside `#[cfg(test)]` / `#[test]` items.
@@ -294,79 +171,4 @@ fn item_extent(tokens: &[Token], code: &[usize], start: usize) -> Option<usize> 
         j += 1;
     }
     None
-}
-
-/// Extract `ada-lint: allow(rule) reason` directives from comments; emit
-/// `malformed-allow` diagnostics for ones that don't parse or lack a reason.
-pub(crate) fn parse_allows(class: &FileClass, tokens: &[Token]) -> (Vec<Allow>, Vec<Diagnostic>) {
-    let mut allows = Vec::new();
-    let mut diags = Vec::new();
-    for t in tokens {
-        if !t.is_comment() {
-            continue;
-        }
-        // Doc comments document the syntax; only plain comments carry
-        // directives.
-        let is_doc = ["///", "//!", "/**", "/*!"]
-            .iter()
-            .any(|p| t.text.starts_with(p));
-        if is_doc {
-            continue;
-        }
-        let Some(pos) = t.text.find("ada-lint:") else {
-            continue;
-        };
-        let rest = t.text[pos + "ada-lint:".len()..].trim_start();
-        let parsed = rest.strip_prefix("allow").and_then(|r| {
-            let r = r.trim_start();
-            let r = r.strip_prefix('(')?;
-            let close = r.find(')')?;
-            let rule = r[..close].trim().to_string();
-            let reason = r[close + 1..]
-                .trim()
-                .trim_start_matches([':', '-', '—'])
-                .trim()
-                .trim_end_matches("*/")
-                .trim()
-                .to_string();
-            Some((rule, reason))
-        });
-        match parsed {
-            Some((rule, reason)) if RULES.contains(&rule.as_str()) && !reason.is_empty() => {
-                allows.push(Allow {
-                    path: class.path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    rule,
-                    reason,
-                    used: false,
-                });
-            }
-            Some((rule, reason)) => {
-                let why = if !RULES.contains(&rule.as_str()) {
-                    format!("unknown rule '{}'", rule)
-                } else if reason.is_empty() {
-                    "missing reason — every allow must say why the site is safe".to_string()
-                } else {
-                    "unparsable directive".to_string()
-                };
-                diags.push(Diagnostic::new(
-                    MALFORMED_ALLOW,
-                    &class.path,
-                    t,
-                    format!("bad ada-lint directive: {}", why),
-                ));
-            }
-            None => {
-                diags.push(Diagnostic::new(
-                    MALFORMED_ALLOW,
-                    &class.path,
-                    t,
-                    "bad ada-lint directive: expected `ada-lint: allow(rule-id) reason`"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-    (allows, diags)
 }

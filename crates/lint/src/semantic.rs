@@ -13,23 +13,20 @@
 //! * a `_ =>` wildcard arm, which would let future variants silently alias,
 //! * a missing enum or missing `kind()` (configuration rot).
 //!
-//! These diagnostics are **not** suppressible: a wrong kind map silently
-//! corrupts error-rate telemetry, so there is no safe reason to allow it.
-//!
 //! The second pass, [`check_metric_names`], keeps `METRICS.md` the single
 //! source of truth for the observability vocabulary: every string literal
 //! handed to a telemetry sink (`counter`/`gauge`/`histogram`/`span`/
 //! `record`/`root`/`root_remote`) must appear backtick-quoted in the
 //! catalog. Dynamically built names (`format!`
 //! families) are invisible to the pass and are documented in the
-//! catalog's prose instead. Like the kind pass, findings here are not
-//! suppressible — an uncatalogued name is fixed by registering it.
+//! catalog's prose instead. An uncatalogued name is fixed by registering
+//! it.
 //!
 //! The third pass, [`check_metric_usage`], is the inverse: a *concrete*
 //! catalogued name (dot-separated, not a `{…}` family) that no scanned
 //! crate ever mentions in a string literal is stale and flagged at its
 //! position in `METRICS.md`, so the catalog cannot drift ahead of the
-//! code. Also not suppressible — a dead entry is deleted, not waived.
+//! code. A dead entry is deleted.
 
 use crate::callgraph::SourceFile;
 use crate::lexer::{Token, TokenKind};
@@ -213,7 +210,6 @@ pub fn check_metric_names(files: &[SourceFile], catalog: &str) -> Vec<Diagnostic
                          catalog (or rename to a registered family)",
                         name
                     ),
-                    suppressed: None,
                 });
             }
         }
@@ -276,7 +272,6 @@ pub fn check_metric_usage(files: &[SourceFile], catalog: &str) -> Vec<Diagnostic
                  catalog has drifted — delete the stale entry (or wire up the emitter)",
                 name
             ),
-            suppressed: None,
         })
         .collect()
 }
@@ -306,7 +301,6 @@ fn at(path: &str, line: u32, col: u32, message: String) -> Diagnostic {
         line,
         col,
         message,
-        suppressed: None,
     }
 }
 

@@ -1,11 +1,8 @@
-//! Fixture tests for the four concurrency passes (DESIGN.md §15).
+//! Fixture tests for the `lock-order-cycle` pass (DESIGN.md §15).
 //!
-//! Each fixture workspace pairs true positives with the nearest
-//! non-finding shape (drop-before-block, direct capture, scoped spawn,
-//! consistent lock order), and expectations are exact
-//! `(rule, path, line, col, suppressed)` tuples so spans cannot drift.
-//! The same corpora back `ada-lint --self-check` via their `EXPECT.txt`
-//! files; the last test here proves that mode's exit code.
+//! The fixture workspace pairs a true positive with the nearest
+//! non-finding shape (consistent lock order), and expectations are exact
+//! `(rule, path, line, col)` tuples so spans cannot drift.
 
 use ada_lint::run_workspace;
 use std::path::{Path, PathBuf};
@@ -16,20 +13,12 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn tuples(name: &str) -> Vec<(&'static str, String, u32, u32, bool)> {
+fn tuples(name: &str) -> Vec<(&'static str, String, u32, u32)> {
     run_workspace(&fixture(name))
         .unwrap()
         .diagnostics
         .iter()
-        .map(|d| {
-            (
-                d.rule,
-                d.path.clone(),
-                d.line,
-                d.col,
-                d.suppressed.is_some(),
-            )
-        })
+        .map(|d| (d.rule, d.path.clone(), d.line, d.col))
         .collect()
 }
 
@@ -45,8 +34,7 @@ fn lock_order_cycle_with_propagated_edge() {
             "lock-order-cycle",
             "crates/eng/src/lib.rs".to_string(),
             18,
-            25,
-            false
+            25
         )]
     );
 }
@@ -62,74 +50,4 @@ fn lock_order_message_names_both_witness_paths() {
         msg
     );
     assert!(msg.contains("crates/eng/src/lib.rs:31:20"), "{}", msg);
-}
-
-/// `send`/chained `recv`/`join` under a live guard fire; dropping the
-/// guard first does not, and the annotated site resolves as suppressed.
-#[test]
-fn blocking_under_lock_variants() {
-    let got = tuples("blocking_ws");
-    let p = "crates/pipe/src/lib.rs".to_string();
-    assert_eq!(
-        got,
-        [
-            ("no-blocking-under-lock", p.clone(), 19, 25, false),
-            ("no-blocking-under-lock", p.clone(), 24, 24, false),
-            ("no-blocking-under-lock", p.clone(), 39, 25, true),
-            ("no-blocking-under-lock", p, 46, 12, false),
-        ]
-    );
-}
-
-/// Only the ctx-less spawn in the instrumented crate fires: direct
-/// capture and propagation through a ctx-taking callee are recognized,
-/// and the uninstrumented `util` crate is exempt entirely.
-#[test]
-fn trace_context_propagation() {
-    let got = tuples("trace_ws");
-    assert_eq!(
-        got,
-        [(
-            "trace-context-propagated",
-            "crates/core/src/lib.rs".to_string(),
-            42,
-            26,
-            false
-        )]
-    );
-}
-
-/// Discarded handles (bare statement and `let _ =`) fire; joined,
-/// collected-then-joined, and scoped spawns do not.
-#[test]
-fn unjoined_spawn_variants() {
-    let got = tuples("spawn_ws");
-    let p = "crates/util/src/lib.rs".to_string();
-    assert_eq!(
-        got,
-        [
-            ("unjoined-spawn", p.clone(), 11, 18, false),
-            ("unjoined-spawn", p, 12, 26, false),
-        ]
-    );
-}
-
-/// `--self-check` replays every fixture against its `EXPECT.txt` and
-/// exits zero only when all of them still match.
-#[test]
-fn self_check_exit_code_is_green_on_the_committed_corpus() {
-    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .unwrap()
-        .parent()
-        .unwrap()
-        .to_path_buf();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ada-lint"))
-        .args(["--self-check", "--root"])
-        .arg(&repo_root)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{}", stdout);
-    assert!(stdout.contains("7/7 fixtures ok"), "{}", stdout);
 }

@@ -75,55 +75,24 @@ fn lexer_spans_are_one_based() {
     assert_eq!(spans, [("ab", 1, 1), ("cd", 1, 4), ("ef", 2, 3)]);
 }
 
-/// The dirty fixture holds the error-kind pass (three ways) and the allow
-/// machinery on `unjoined-spawn`; expectations are exact
-/// `(rule, path, line, col, suppressed)` tuples, so spans cannot drift.
+/// The dirty fixture holds the error-kind pass three ways; expectations
+/// are exact `(rule, path, line, col)` tuples, so spans cannot drift.
 #[test]
 fn fixture_workspace_reports_exact_spans() {
     let report = run_workspace(&fixture("ws")).unwrap();
-    assert_eq!(report.files_scanned, 2, "core lib + util lib");
-    let got: Vec<(&str, &str, u32, u32, bool)> = report
+    assert_eq!(report.files_scanned, 1, "core lib");
+    let got: Vec<(&str, &str, u32, u32)> = report
         .diagnostics
         .iter()
-        .map(|d| {
-            (
-                d.rule,
-                d.path.as_str(),
-                d.line,
-                d.col,
-                d.suppressed.is_some(),
-            )
-        })
+        .map(|d| (d.rule, d.path.as_str(), d.line, d.col))
         .collect();
     let core = "crates/core/src/lib.rs";
-    let util = "crates/util/src/lib.rs";
     let expected = [
-        ("error-kind-exhaustive", core, 7, 5, false), // variant C unmapped
-        ("error-kind-exhaustive", core, 14, 23, false), // duplicate kind "a"
-        ("error-kind-exhaustive", core, 15, 13, false), // wildcard arm
-        ("unjoined-spawn", util, 8, 18, false),
-        ("unjoined-spawn", util, 15, 18, true), // allow on the line above
-        ("unjoined-spawn", util, 16, 18, false), // allow covers exactly one line
-        ("unused-allow", util, 19, 1, false),
-        ("malformed-allow", util, 22, 1, false),
+        ("error-kind-exhaustive", core, 7, 5),   // variant C unmapped
+        ("error-kind-exhaustive", core, 14, 23), // duplicate kind "a"
+        ("error-kind-exhaustive", core, 15, 13), // wildcard arm
     ];
     assert_eq!(got, expected);
-}
-
-#[test]
-fn allow_comment_suppresses_exactly_one_finding_and_keeps_its_reason() {
-    let report = run_workspace(&fixture("ws")).unwrap();
-    let suppressed: Vec<_> = report.suppressed().collect();
-    assert_eq!(suppressed.len(), 1);
-    assert_eq!(suppressed[0].line, 15);
-    assert_eq!(
-        suppressed[0].suppressed.as_deref(),
-        Some("fixture: the first worker exits with the process")
-    );
-    // The structurally identical spawn on the next line stays open.
-    assert!(report
-        .unsuppressed()
-        .any(|d| d.rule == "unjoined-spawn" && d.line == 16));
 }
 
 /// The metric catalog pass: literals registered in METRICS.md (and names
@@ -159,10 +128,9 @@ fn clean_workspace_has_no_findings() {
 fn json_report_parses_back_with_per_rule_counts() {
     let report = run_workspace(&fixture("ws")).unwrap();
     let v = ada_json::parse(&report.to_json().to_vec()).unwrap();
-    assert_eq!(v.field("schema").unwrap().as_str().unwrap(), "ada-lint/2");
-    assert_eq!(v.field("files_scanned").unwrap().as_u64().unwrap(), 2);
-    assert_eq!(v.field("unsuppressed_total").unwrap().as_u64().unwrap(), 7);
-    assert_eq!(v.field("suppressed_total").unwrap().as_u64().unwrap(), 1);
+    assert_eq!(v.field("schema").unwrap().as_str().unwrap(), "ada-lint/3");
+    assert_eq!(v.field("files_scanned").unwrap().as_u64().unwrap(), 1);
+    assert_eq!(v.field("findings_total").unwrap().as_u64().unwrap(), 3);
 
     let rules = v.field("rules").unwrap();
     let count = |rule: &str, key: &str| {
@@ -174,25 +142,20 @@ fn json_report_parses_back_with_per_rule_counts() {
             .as_u64()
             .unwrap()
     };
-    assert_eq!(rules.as_obj().unwrap().len(), 9, "seven rules + two meta");
-    assert_eq!(count("unjoined-spawn", "unsuppressed"), 2);
-    assert_eq!(count("unjoined-spawn", "suppressed"), 1);
-    assert_eq!(count("error-kind-exhaustive", "unsuppressed"), 3);
-    assert_eq!(count("malformed-allow", "unsuppressed"), 1);
-    assert_eq!(count("unused-allow", "unsuppressed"), 1);
-    // v2 additions: per-rule distinct-file counts and zeroed entries for
-    // rules that never fired.
-    assert_eq!(count("unjoined-spawn", "files"), 1);
+    assert_eq!(rules.as_obj().unwrap().len(), 4, "one entry per rule");
+    assert_eq!(count("error-kind-exhaustive", "findings"), 3);
+    assert_eq!(count("error-kind-exhaustive", "files"), 1);
+    // A rule that never fired keeps a zeroed entry.
+    assert_eq!(count("lock-order-cycle", "findings"), 0);
     assert_eq!(count("lock-order-cycle", "files"), 0);
-    assert_eq!(count("lock-order-cycle", "unsuppressed"), 0);
 
-    assert_eq!(v.field("findings").unwrap().as_arr().unwrap().len(), 7);
-    let sups = v.field("suppressions").unwrap().as_arr().unwrap();
-    assert_eq!(sups.len(), 1);
+    let findings = v.field("findings").unwrap().as_arr().unwrap();
+    assert_eq!(findings.len(), 3);
     assert_eq!(
-        sups[0].field("allow_reason").unwrap().as_str().unwrap(),
-        "fixture: the first worker exits with the process"
+        findings[0].field("rule").unwrap().as_str().unwrap(),
+        "error-kind-exhaustive"
     );
+    assert_eq!(findings[0].field("line").unwrap().as_u64().unwrap(), 7);
 }
 
 /// Acceptance criterion: `--deny` exits non-zero when fixture violations
@@ -209,7 +172,7 @@ fn deny_flag_drives_the_exit_code() {
     assert_eq!(dirty.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&dirty.stdout);
     assert!(
-        stdout.contains("crates/util/src/lib.rs:8:18 [unjoined-spawn]"),
+        stdout.contains("crates/core/src/lib.rs:7:5 [error-kind-exhaustive]"),
         "diagnostic lines must be span-accurate: {}",
         stdout
     );

@@ -1,11 +1,10 @@
 //! Golden-baseline test: the committed `LINT.json` at the repo root must
 //! match a fresh scan of the real workspace, rule by rule.
 //!
-//! This pins two properties at once: the tree stays at zero open findings
-//! (every violation is either fixed or carries a reasoned allow), and the
-//! suppression counts cannot drift silently — adding or removing an
-//! `ada-lint: allow` without regenerating the baseline
-//! (`cargo run -p ada-lint -- --workspace --json LINT.json`) fails here.
+//! The tree stays at zero findings, and the baseline cannot drift
+//! silently: a changed rule set or file discovery without a regenerated
+//! baseline (`cargo run -p ada-lint -- --workspace --json LINT.json`)
+//! fails here.
 
 use ada_lint::run_workspace;
 use std::path::Path;
@@ -22,32 +21,18 @@ fn committed_baseline_matches_a_fresh_workspace_scan() {
     let baseline = ada_json::parse(&baseline_bytes).unwrap();
     assert_eq!(
         baseline.field("schema").unwrap().as_str().unwrap(),
-        "ada-lint/2"
+        "ada-lint/3"
     );
 
     let report = run_workspace(repo_root).unwrap();
-    assert_eq!(
-        report.unsuppressed().count(),
-        0,
-        "the tree must stay at zero open findings: {:?}",
-        report.unsuppressed().collect::<Vec<_>>()
+    assert!(
+        report.diagnostics.is_empty(),
+        "the tree must stay at zero findings: {:?}",
+        report.diagnostics
     );
     assert_eq!(
-        baseline
-            .field("unsuppressed_total")
-            .unwrap()
-            .as_u64()
-            .unwrap(),
+        baseline.field("findings_total").unwrap().as_u64().unwrap(),
         0
-    );
-    assert_eq!(
-        baseline
-            .field("suppressed_total")
-            .unwrap()
-            .as_u64()
-            .unwrap(),
-        report.suppressed().count() as u64,
-        "suppression count drifted; regenerate LINT.json"
     );
     assert_eq!(
         baseline.field("files_scanned").unwrap().as_u64().unwrap(),
@@ -56,14 +41,20 @@ fn committed_baseline_matches_a_fresh_workspace_scan() {
     );
 
     let rules = baseline.field("rules").unwrap();
-    for (rule, open, quiet) in report.rule_counts() {
+    let counts = report.rule_counts();
+    assert_eq!(
+        rules.as_obj().unwrap().len(),
+        counts.len(),
+        "the rule set drifted; regenerate LINT.json"
+    );
+    for (rule, findings, files) in counts {
         let entry = rules
             .field(rule)
             .unwrap_or_else(|_| panic!("rule {} missing from LINT.json", rule));
         let get = |key: &str| entry.field(key).unwrap().as_u64().unwrap();
         assert_eq!(
-            (get("unsuppressed"), get("suppressed")),
-            (open as u64, quiet as u64),
+            (get("findings"), get("files")),
+            (findings as u64, files as u64),
             "rule {} drifted from the committed baseline; regenerate LINT.json",
             rule
         );

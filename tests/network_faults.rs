@@ -64,6 +64,32 @@ fn serialize() -> MutexGuard<'static, ()> {
     GUARD.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// The threads of this process whose name starts with `prefix` and that
+/// have not begun to exit. `comm` holds a name's first 15 bytes. A thread
+/// that is exiting (`PF_EXITING` in the flags, field 9 of its `stat`) can
+/// still be listed for a moment after a `join` on it returned.
+fn live_threads_named(prefix: &str) -> Vec<String> {
+    const PF_EXITING: u64 = 0x4;
+    let tasks = std::fs::read_dir("/proc/self/task").expect("list /proc/self/task");
+    tasks
+        .filter_map(|task| {
+            let dir = task.ok()?.path();
+            let comm = std::fs::read_to_string(dir.join("comm")).ok()?;
+            let stat = std::fs::read_to_string(dir.join("stat")).ok()?;
+            // The fields after the `)` that closes the name start at field 3.
+            let flags: u64 = stat
+                .rsplit_once(')')?
+                .1
+                .split_whitespace()
+                .nth(6)?
+                .parse()
+                .ok()?;
+            (comm.starts_with(prefix) && flags & PF_EXITING == 0)
+                .then(|| comm.trim_end().to_string())
+        })
+        .collect()
+}
+
 fn make_ada() -> Arc<Ada> {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
@@ -990,10 +1016,16 @@ fn graceful_shutdown_with_clients_in_flight() {
             }));
         }
         // Let the clients get in flight, then pull the plug mid-stream.
-        // shutdown() returning means every server thread was joined.
         std::thread::sleep(Duration::from_millis(100));
         server.shutdown();
+        // shutdown() joined every server thread: none is left running.
+        let left = live_threads_named("ada-server-");
         stop.store(true, Ordering::Relaxed);
+        assert!(
+            left.is_empty(),
+            "server threads outlived shutdown(): {:?}",
+            left
+        );
         for h in handles {
             let (ok, err_kind) = h.join().expect("client thread must not panic");
             total_ok += ok;

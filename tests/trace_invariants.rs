@@ -20,6 +20,7 @@
 //! themselves (by op, flag, or a cleared recorder).
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -728,11 +729,32 @@ fn uncontended_request_runs_on_the_submitting_thread() {
 /// tree with a real queue wait, executed on its own thread — not on the
 /// thread of the client whose release started it. The overlap is a race
 /// the barrier and a multi-millisecond query stack heavily; it is retried
-/// like the thundering-herd tests.
+/// like the thundering-herd tests. A wake-up that cannot come (awaited
+/// under the scheduler lock, or lost) hangs both clients, so the scenario
+/// runs under a watchdog and such a hang fails the test.
 #[test]
 fn queued_request_traces_as_one_tree_on_its_own_thread() {
     let _g = serialize();
     trace::set_tracing(true);
+    let (done_tx, done_rx) = sync_channel::<()>(1);
+    let scenario = std::thread::spawn(move || {
+        queued_request_scenario();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        // Done, or failed an assertion and hung up: join reports which.
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            scenario.join().expect("scenario must not panic")
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("a queued query was never woken: both clients hung")
+        }
+    }
+}
+
+/// The two-client scenario of
+/// [`queued_request_traces_as_one_tree_on_its_own_thread`].
+fn queued_request_scenario() {
     for attempt in 0..5 {
         trace::recorder().clear();
         let fe = Frontend::new(
