@@ -785,8 +785,8 @@ fn print_fig10(which: Option<usize>) {
     }
 }
 
-/// The hybrid SSD/HDD instance `serve` and `trace` run over: small
-/// droppings, so a retrieval has per-backend and per-dropping fan-out.
+/// The hybrid SSD/HDD instance `serve` and `trace` run over: the paper
+/// prototype with `query_threads` query workers.
 fn hybrid_ada(query_threads: usize) -> ada_core::Ada {
     use ada_plfs::ContainerSet;
     use ada_simfs::{LocalFs, SimFileSystem};
@@ -800,7 +800,6 @@ fn hybrid_ada(query_threads: usize) -> ada_core::Ada {
     ]));
     let config = ada_core::AdaConfig {
         query_threads,
-        frames_per_dropping: 64,
         ..ada_core::AdaConfig::paper_prototype("ssd", "hdd")
     };
     ada_core::Ada::new(config, containers, ssd)

@@ -1,18 +1,12 @@
 //! The write side (§3.4): categorize → decompress → split → dispatch,
 //! then persist the label and the index.
 //!
-//! One body runs those stages over real bytes, [`Ada::ingest_windows`]:
-//! index, then a chunk pool. One header scan finds and checks the frames;
-//! then, a dropping-sized window at a time, the window is cut into its
-//! stored chunks and the crate's pool carries each chunk through decode →
-//! split → checksum ([`ingest_chunk`]), after which the caller assembles
-//! one v2 dropping per tag from the chunk bodies and appends it. Windows
-//! do not overlap and a window's decoded frames never exist together: in
-//! flight are at most `ingest_threads` chunks of frames plus the window's
-//! encoded bodies, however long the trajectory is. The body takes
-//! "where the labeler comes from" as a parameter — parse + Algorithm 1
-//! for [`Ada::ingest`], an ingested dataset's label for
-//! [`Ada::ingest_guided`]. A size-only dataset
+//! One body runs those stages over real bytes, [`Ada::ingest_real`]:
+//! parse + Algorithm 1, then a chunk pool. One header scan finds and
+//! checks the frames; the trajectory is cut into its stored chunks and the
+//! crate's pool carries each chunk through decode → split → checksum
+//! ([`ingest_chunk`]), after which the caller assembles one v2 dropping
+//! per tag from the chunk bodies and appends it. A size-only dataset
 //! ([`IngestInput::Synthetic`]) skips the codecs and dispatches volumes.
 //! Both dispatch through [`Ada::append`] and end in the same
 //! [`Ada::commit`], inside [`Ada::in_new_container`], which takes the
@@ -40,7 +34,7 @@ use std::collections::BTreeMap;
 struct Labels {
     natoms: usize,
     labeler: Labeler,
-    /// Simulated categorizer time (zero when the labeler was reused).
+    /// Simulated categorizer time.
     categorize: SimDuration,
 }
 
@@ -71,7 +65,7 @@ struct TagChunk {
     crc: u32,
 }
 
-/// What a worker made of one chunk of a window.
+/// What a worker made of one chunk of the trajectory.
 struct ChunkOut {
     nframes: u32,
     /// Decoded volume of the chunk's frames.
@@ -148,47 +142,8 @@ impl Ada {
             IngestInput::Real {
                 pdb_text,
                 xtc_bytes,
-            } => self.ingest_windows(dataset, || self.categorize(&pdb_text, ctx), &xtc_bytes, ctx),
+            } => self.ingest_real(dataset, &pdb_text, &xtc_bytes, ctx),
             IngestInput::Synthetic(spec) => self.ingest_synthetic(dataset, spec, ctx),
-        })
-    }
-
-    /// Ingest an additional trajectory guided by an already-analyzed
-    /// structure: "one .pdb file can guide multiple .xtc files, which
-    /// represent different atom motion phases" (§2.1). The categorizer
-    /// pass is skipped — the guide dataset's labeler is reused.
-    pub fn ingest_guided(
-        &self,
-        dataset: &str,
-        guide: &str,
-        xtc_bytes: &[u8],
-    ) -> Result<IngestReport, AdaError> {
-        self.ingest_guided_traced(dataset, guide, xtc_bytes, &TraceContext::inactive())
-    }
-
-    /// [`Ada::ingest_guided`] under an existing trace (see
-    /// [`Ada::ingest_traced`]).
-    pub fn ingest_guided_traced(
-        &self,
-        dataset: &str,
-        guide: &str,
-        xtc_bytes: &[u8],
-        parent: &TraceContext,
-    ) -> Result<IngestReport, AdaError> {
-        traced("ada.ingest_guided", "guided", parent, |ctx| {
-            self.ingest_windows(
-                dataset,
-                || {
-                    let guide = self.label(guide)?;
-                    Ok(Labels {
-                        natoms: guide.natoms,
-                        labeler: guide.tags,
-                        categorize: SimDuration::ZERO,
-                    })
-                },
-                xtc_bytes,
-                ctx,
-            )
         })
     }
 
@@ -207,76 +162,68 @@ impl Ada {
         })
     }
 
-    /// The real-bytes ingest: one header scan, then one dropping-sized
-    /// window of frames at a time through the chunk pool and the
-    /// dispatcher. `labels` says where the labeler comes from. Whatever
-    /// `ingest_threads` is, what is stored is what sealing the serial
-    /// split of each window would store, and the first error in (window,
-    /// chunk) order is the request's.
-    fn ingest_windows(
+    /// The real-bytes ingest: one header scan, then every stored chunk of
+    /// the trajectory through the chunk pool and one dropping per tag
+    /// through the dispatcher. Whatever `ingest_threads` is, what is
+    /// stored is what sealing the serial split of the trajectory would
+    /// store, and the first error in chunk order is the request's.
+    fn ingest_real(
         &self,
         dataset: &str,
-        labels: impl FnOnce() -> Result<Labels, AdaError>,
+        pdb_text: &str,
         xtc_bytes: &[u8],
         ctx: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        let labels = labels()?;
+        let labels = self.categorize(pdb_text, ctx)?;
         let spans = index_frames(xtc_bytes)?;
         labels.check_frames(&spans)?;
         check_ranges(&labels.labeler, labels.natoms)?;
-        // `check_frames` refused an empty file, so a window is never empty.
-        let frames_per_dropping = match self.config.frames_per_dropping {
+        // The stored chunk is the unit — `seal_v2`'s cut — carried from
+        // compressed bytes to checksummed records by one worker:
+        // storage-node cores are ADA's to spend. `check_frames` refused an
+        // empty file, so there is a chunk.
+        let chunk_frames = match self.config.chunk_frames {
             0 => spans.len(),
             n => n,
         };
-        // A window's droppings are appended in backend-then-tag order, so
-        // the container's dropping sequence and logical offsets — and with
-        // them the persisted index's size and the simulated `label_write`
-        // — depend on the policy alone. (The sort is stable: tags keep
+        let chunks: Vec<&[FrameSpan]> = spans.chunks(chunk_frames).collect();
+        // Droppings are appended in backend-then-tag order, so the
+        // container's dropping sequence and logical offsets — and with them
+        // the persisted index's size and the simulated `label_write` —
+        // depend on the policy alone. (The sort is stable: tags keep
         // labeler order within a backend.)
         let policy = self.determinator.policy();
         let mut order: Vec<(usize, Tag)> = labels.labeler.keys().cloned().enumerate().collect();
         order.sort_by(|a, b| policy.backend_for(&a.1).cmp(policy.backend_for(&b.1)));
 
         self.in_new_container(dataset, || {
-            let mut routed = Routed::default();
-            let mut raw_bytes = 0u64;
-            for window in spans.chunks(frames_per_dropping) {
-                // The stored chunk is the unit — `seal_v2`'s cut — carried
-                // from compressed bytes to checksummed records by one
-                // worker: storage-node cores are ADA's to spend.
-                let chunk_frames = match self.config.chunk_frames {
-                    0 => window.len(),
-                    n => n,
-                };
-                let chunks: Vec<&[FrameSpan]> = window.chunks(chunk_frames).collect();
-                let (threads, labeler) = (self.config.ingest_threads, &labels.labeler);
-                let done =
-                    crate::run_pool("ingest worker", threads, chunks.len(), ctx, |ctx, claim| {
-                        let mut done = Vec::new();
-                        let mut gather_buf = Vec::new();
-                        while let Some(c) = claim() {
-                            let out =
-                                ingest_chunk(xtc_bytes, chunks[c], labeler, &mut gather_buf, ctx);
-                            done.push((c, out));
-                        }
-                        done
-                    })?;
-                // Unit order is chunk order, so the first `Err` met here is
-                // the one the request fails with.
-                let done = done.into_iter().collect::<Result<Vec<ChunkOut>, _>>()?;
-                raw_bytes += done.iter().map(|c| c.raw_bytes).sum::<u64>();
+            let (threads, labeler) = (self.config.ingest_threads, &labels.labeler);
+            let done =
+                crate::run_pool("ingest worker", threads, chunks.len(), ctx, |ctx, claim| {
+                    let mut done = Vec::new();
+                    let mut gather_buf = Vec::new();
+                    while let Some(c) = claim() {
+                        let out = ingest_chunk(xtc_bytes, chunks[c], labeler, &mut gather_buf, ctx);
+                        done.push((c, out));
+                    }
+                    done
+                })?;
+            // Unit order is chunk order, so the first `Err` met here is the
+            // one the request fails with.
+            let done = done.into_iter().collect::<Result<Vec<ChunkOut>, _>>()?;
+            let raw_bytes = done.iter().map(|c| c.raw_bytes).sum::<u64>();
 
-                // Dispatcher: one dropping per tag — the chunk bodies in
-                // order under one v2 directory — to its policy-chosen
-                // backend; the window's frame count rides in the index so
-                // range reads map frames without bytes.
+            // Dispatcher: one dropping per tag — the chunk bodies in order
+            // under one v2 directory — to its policy-chosen backend; the
+            // frame count rides in the index so range reads check a window
+            // without bytes.
+            let mut routed = Routed::default();
+            {
                 let _ts = ctx.span("ingest.dispatch");
-                let nframes = window.len() as u64;
                 let nominal = u32::try_from(chunk_frames).unwrap_or(u32::MAX);
                 for (t, tag) in &order {
                     let natoms = labeler[tag].count();
-                    let capacity = encoded_len(window.len(), natoms)
+                    let capacity = encoded_len(spans.len(), natoms)
                         .saturating_add(chunks.len() * XTCF_DIR_ENTRY_LEN + XTCF_TRAILER_LEN);
                     let mut dropping = V2Assembler::with_capacity(capacity, natoms as u32, nominal);
                     for out in &done {
@@ -286,7 +233,7 @@ impl Ada {
                             .extend_from_slice(&v1[XTCF_HEADER_LEN..]);
                     }
                     let dropping = Content::real(dropping.finish());
-                    self.append(dataset, tag, dropping, nframes, &mut routed)?;
+                    self.append(dataset, tag, dropping, spans.len() as u64, &mut routed)?;
                 }
             }
             let label = LabelFile::new(dataset, labels.natoms, spans.len(), labels.labeler);
@@ -362,9 +309,7 @@ impl Ada {
         routed: &mut Routed,
     ) -> Result<(), AdaError> {
         let len = content.len();
-        let (backend, d) = self
-            .determinator
-            .dispatch_frames(dataset, tag, content, nframes)?;
+        let (backend, d) = self.determinator.dispatch(dataset, tag, content, nframes)?;
         *routed
             .write_by_backend
             .entry(backend)
@@ -491,13 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn dropping_size_does_not_change_what_is_delivered() {
+    fn chunk_size_does_not_change_what_is_delivered() {
         let w = ada_workload::gpcr_workload(1000, 7, 91);
         let pdb_text = ada_mdformats::write_pdb(&w.system);
         let xtc_bytes = xtc_of(&w);
-        let ingest = |frames_per_dropping, ingest_threads| {
+        let ingest = |chunk_frames, ingest_threads| {
             let ada = make_ada_with(AdaConfig {
-                frames_per_dropping,
+                chunk_frames,
                 ingest_threads,
                 ..AdaConfig::paper_prototype("ssd", "hdd")
             });
@@ -509,30 +454,29 @@ mod tests {
             ada
         };
 
-        let whole = ingest(512, 4);
+        let whole = ingest(64, 4);
         // `ingest_threads = 0` is the pool's serial schedule: the same
-        // windows, every chunk carried through on the caller. `0` frames
-        // per dropping is the whole trajectory as one dropping.
-        for (fpd, ingest_threads) in [(1usize, 4usize), (3, 4), (100, 4), (3, 0), (0, 4)] {
-            let windowed = ingest(fpd, ingest_threads);
-            let droppings_per_tag = if fpd == 0 { 1 } else { 7usize.div_ceil(fpd) };
-            let index = windowed.containers().index("bar").unwrap();
-            assert_eq!(index.len(), 2 * droppings_per_tag, "fpd {}", fpd);
-            // Delivered data identical regardless of where droppings are cut.
+        // chunks, every one carried through on the caller. `0` frames per
+        // chunk seals each dropping as one chunk.
+        for (chunk_frames, ingest_threads) in [(1usize, 4usize), (3, 4), (100, 4), (3, 0), (0, 4)] {
+            let chunked = ingest(chunk_frames, ingest_threads);
+            let index = chunked.containers().index("bar").unwrap();
+            assert_eq!(index.len(), 2, "one dropping per tag");
+            // Delivered data identical regardless of where chunks are cut.
             for tag in [Tag::protein(), Tag::misc()] {
                 let a = frames_of(whole.query("bar", Some(&tag)).unwrap());
-                let b = frames_of(windowed.query("bar", Some(&tag)).unwrap());
-                assert_eq!(a, b, "fpd {} tag {}", fpd, tag);
+                let b = frames_of(chunked.query("bar", Some(&tag)).unwrap());
+                assert_eq!(a, b, "chunk {} tag {}", chunk_frames, tag);
             }
             assert_eq!(
                 whole.label("bar").unwrap().tags,
-                windowed.label("bar").unwrap().tags
+                chunked.label("bar").unwrap().tags
             );
         }
     }
 
     #[test]
-    fn multi_window_ingest_rejects_bad_input() {
+    fn multi_chunk_ingest_rejects_bad_input() {
         let ada = make_ada_with(cached_config(4, Default::default()));
         let w = ada_workload::gpcr_workload(500, 9, 92);
         let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, 1000.0).unwrap();
@@ -552,9 +496,9 @@ mod tests {
         assert!(ada
             .ingest("y", input(&good_pdb, &xtc[..xtc.len() - 9]))
             .is_err());
-        // A frame of the third window that scans but does not decode (its
+        // A frame of the third chunk that scans but does not decode (its
         // precision field, which the header scan skips, is zero): two
-        // windows are stored by the time it is met.
+        // chunks are split by the time it is met.
         let mut undecodable = xtc.clone();
         let at = ada_mdformats::xtc::index_frames(&xtc).unwrap()[8].offset + 56;
         undecodable[at..at + 4].fill(0);
@@ -596,65 +540,21 @@ mod tests {
     }
 
     #[test]
-    fn one_pdb_guides_multiple_xtc_files() {
-        // §2.1: a .pdb guides several .xtc motion phases; guided ingest
-        // reuses the categorizer output.
-        let ada = make_ada();
-        let w = ada_workload::gpcr_workload(1200, 2, 77);
-        let pdb_text = ada_mdformats::write_pdb(&w.system);
-        let phase1 = xtc_of(&w);
-        ada.ingest(
-            "phase1",
-            IngestInput::Real {
-                pdb_text,
-                xtc_bytes: phase1,
-            },
-        )
-        .unwrap();
-
-        // A later motion phase over the same structure.
-        let w2 = ada_workload::gpcr_workload(1200, 3, 78);
-        let phase2 = xtc_of(&w2);
-        let report = ada.ingest_guided("phase2", "phase1", &phase2).unwrap();
-        assert_eq!(report.categorize, ada_storagesim::SimDuration::ZERO);
-        assert!(report.raw_bytes > 0);
-        let p = report.profile.expect("telemetry is on by default");
-        assert_eq!(p.mode, "guided");
-        assert!(!p.stages_ns.contains_key("categorize"));
-
-        // Labels agree between guide and guided dataset.
-        assert_eq!(
-            ada.label("phase1").unwrap().tags,
-            ada.label("phase2").unwrap().tags
-        );
-        let q = ada.query("phase2", Some(&Tag::protein())).unwrap();
-        match q.data {
-            RetrievedData::Real(t) => assert_eq!(t.len(), 3),
-            _ => panic!(),
-        }
-
-        // Mismatched structures are rejected.
-        let w3 = ada_workload::gpcr_workload(500, 1, 79);
-        let bad = xtc_of(&w3);
-        assert!(matches!(
-            ada.ingest_guided("phase3", "phase1", &bad),
-            Err(AdaError::AtomMismatch { .. })
-        ));
-        // Unknown guide rejected.
-        assert!(ada.ingest_guided("p4", "nope", &[]).is_err());
-    }
-
-    #[test]
     fn dropping_chunking_respected() {
         let mut cfg = AdaConfig::paper_prototype("ssd", "hdd");
-        cfg.frames_per_dropping = 2;
+        cfg.chunk_frames = 2;
         let ada = make_ada_with(cfg);
         let (input, w) = real_input(600, 5);
         let report = ada.ingest("bar", input).unwrap();
-        // 5 frames / 2 per dropping = 3 droppings per tag.
+        // One dropping per tag, each 5 frames / 2 per chunk = 3 chunks.
         let index = ada.containers().index("bar").unwrap();
-        assert_eq!(index.len(), 6);
-        // Three windows ran; the profile still names each stage once.
+        assert_eq!(index.len(), 2);
+        for r in &index {
+            let (content, _) = ada.containers().read_dropping(r).unwrap();
+            let dir = ada_mdformats::xtcf::parse_directory(content.as_real().unwrap());
+            assert_eq!(dir.unwrap().unwrap().nchunks(), 3);
+        }
+        // Three chunks ran; the profile still names each stage once.
         let p = report.profile.expect("telemetry is on by default");
         assert_eq!(p.mode, "serial");
         for stage in ["categorize", "decode", "split", "dispatch", "label_write"] {

@@ -3,14 +3,14 @@
 //! One module per concern, one copy of each stage:
 //!
 //! * [`ingest`] — the write side (§3.4): categorize → decompress → split
-//!   → dispatch, one body looping over dropping-sized windows of frames —
-//!   each window's stored chunks decoded, split and checksummed on a
-//!   worker pool — with one commit/abort epilogue.
+//!   → dispatch, one body — the trajectory's stored chunks decoded, split
+//!   and checksummed on a worker pool, one dropping per tag — with one
+//!   commit/abort epilogue.
 //! * [`query`] — the read side as callers see it: `query` and
 //!   `query_range` over one resolve / index / heat-bump / report set.
 //! * [`retrieve`] — the I/O retriever underneath both: cache partition,
-//!   fetch and plan on the caller, then one unit per (window, chunk) of
-//!   the answer — check its stored chunks, write its frames — inline
+//!   fetch and plan on the caller, then one unit per chunk of the
+//!   answer — check its stored chunks, write its frames — inline
 //!   (the serial reference) or on a worker pool.
 //!
 //! This file holds the public types, the [`Ada`] instance with its
@@ -49,25 +49,21 @@ pub struct AdaConfig {
     pub policy: DispatchPolicy,
     /// CPU of the storage node performing the pre-processing.
     pub storage_cpu: CpuProfile,
-    /// Frames per data dropping in real mode (log-structured chunking),
-    /// which is also the window an ingest works through at a time. `0`
-    /// stores the whole trajectory as one dropping per tag.
-    pub frames_per_dropping: usize,
     /// Frames per chunk inside a dropping (XTCF v2): each dropping is
     /// sealed as a chunked, self-describing container so range reads can
     /// decode only the chunks a selection touches — and the unit of the
     /// ingest pool's work. `0` seals each dropping as one chunk.
     pub chunk_frames: usize,
-    /// Workers of the ingest pool on the storage node. A window is cut
-    /// into its stored chunks and each chunk is decoded, split and
+    /// Workers of the ingest pool on the storage node. The trajectory is
+    /// cut into its stored chunks and each chunk is decoded, split and
     /// checksummed as one unit: `0` runs the units inline on the caller
     /// (the serial reference, no thread spawned); `n ≥ 1` runs them on a
-    /// pool of `n` workers, clamped to the number of chunks in the window.
+    /// pool of `n` workers, clamped to the number of chunks.
     pub ingest_threads: usize,
     /// Workers on the query path. Every retrieval fetches its droppings in
     /// logical order on the caller's thread, then runs its units — one
-    /// (window, chunk) of the answer each: its stored chunks checked, its
-    /// frames written: `0` runs them inline (the serial reference, no
+    /// chunk of the answer each: its stored chunks checked, its frames
+    /// written: `0` runs them inline (the serial reference, no
     /// thread spawned); `n ≥ 1` runs them on a pool of `n` workers, clamped
     /// to the number of units — a one-chunk miss starts one worker, not
     /// `n`, and a request with no stored chunk to check (all cache hits)
@@ -88,7 +84,6 @@ impl AdaConfig {
             taxonomy: Taxonomy::paper_default(),
             policy: DispatchPolicy::hybrid_gpcr(ssd_backend, hdd_backend),
             storage_cpu: CpuProfile::xeon_e5_2603_v4(),
-            frames_per_dropping: 512,
             chunk_frames: 64,
             ingest_threads: 4,
             query_threads: 4,
@@ -508,9 +503,9 @@ mod testkit {
         }
     }
 
-    pub fn cached_config(frames_per_dropping: usize, cache: ada_cache::CacheConfig) -> AdaConfig {
+    pub fn cached_config(chunk_frames: usize, cache: ada_cache::CacheConfig) -> AdaConfig {
         AdaConfig {
-            frames_per_dropping,
+            chunk_frames,
             cache,
             ..AdaConfig::paper_prototype("ssd", "hdd")
         }

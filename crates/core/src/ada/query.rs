@@ -10,20 +10,20 @@
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
 //! resolve / index / heat helpers, a fetch, and no retrieval at all.
 
-use super::retrieve::{atoms_err, chunk_err, directory, real_bytes, Take};
+use super::retrieve::{atoms_err, chunk_err, directory, real_bytes, xtcf_err, Take};
 use super::{observe, op_span, traced, Ada, DatasetState, QueryReport, RetrievedData};
 use crate::AdaError;
 use ada_mdformats::xtcf::{verify_chunk, ChunkDirectory};
-use ada_mdformats::Trajectory;
+use ada_mdformats::{FormatError, Trajectory};
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
 use ada_simfs::Content;
 use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::ops::Range;
 
-/// One fetched dropping of a [`StoredAnswer`].
+/// The fetched dropping of a [`StoredAnswer`].
 #[derive(Debug)]
 struct StoredDropping {
     record: IndexRecord,
@@ -42,7 +42,7 @@ pub struct StoredAnswer {
     /// Backend read time — the `QueryReport::read` of the same query, cache off.
     pub read: SimDuration,
     natoms: usize,
-    droppings: Vec<StoredDropping>,
+    dropping: StoredDropping,
 }
 
 impl StoredAnswer {
@@ -51,35 +51,34 @@ impl StoredAnswer {
         self.natoms
     }
 
-    /// Frames the chunk directories declare, all droppings together.
+    /// Frames the chunk directory declares.
     pub fn nframes(&self) -> usize {
-        self.droppings.iter().map(|d| d.dir.nframes()).sum()
+        self.dropping.dir.nframes()
     }
 
-    /// The nominal chunk size (frames) the droppings were sealed with.
+    /// The nominal chunk size (frames) the dropping was sealed with.
     pub fn chunk_frames(&self) -> u32 {
-        self.droppings.first().map_or(0, |d| d.dir.chunk_frames)
+        self.dropping.dir.chunk_frames
     }
 
-    /// The answer's chunks in (dropping, chunk) order, each as `(body,
-    /// nframes, crc)`: the chunk's frame records borrowed from the
-    /// backend's bytes, and the frame count and CRC-32 its directory
-    /// stores. A chunk is checked **as it is yielded** — `verify_chunk`,
-    /// the check a decode makes (a corrupt chunk is the error
-    /// [`Ada::query`] raises for it, counted in `xtcf.chunk.corrupt`), then
-    /// the atom count its records carry against the label's — so nothing
-    /// is held back while the rest is checked; stop at the first `Err`.
+    /// The answer's chunks in order, each as `(body, nframes, crc)`: the
+    /// chunk's frame records borrowed from the backend's bytes, and the
+    /// frame count and CRC-32 its directory stores. A chunk is checked
+    /// **as it is yielded** — `verify_chunk`, the check a decode makes (a
+    /// corrupt chunk is the error [`Ada::query`] raises for it, counted in
+    /// `xtcf.chunk.corrupt`), then the atom count its records carry against
+    /// the label's — so nothing is held back while the rest is checked;
+    /// stop at the first `Err`.
     pub fn chunks(&self) -> impl Iterator<Item = Result<(&[u8], u32, u32), AdaError>> + '_ {
-        self.droppings.iter().flat_map(move |d| {
-            d.dir.entries.iter().enumerate().map(move |(c, e)| {
-                let bytes = real_bytes(&d.record, &d.content)?;
-                let body = verify_chunk(bytes, &d.dir, c).map_err(|e| chunk_err(&d.record, e))?;
-                // Every record declares the directory's count (verified).
-                if e.natoms as usize != self.natoms {
-                    return Err(atoms_err(&d.record, 0, e.natoms as usize, self.natoms));
-                }
-                Ok((body, e.nframes, e.crc))
-            })
+        let d = &self.dropping;
+        d.dir.entries.iter().enumerate().map(move |(c, e)| {
+            let bytes = real_bytes(&d.record, &d.content)?;
+            let body = verify_chunk(bytes, &d.dir, c).map_err(|e| chunk_err(&d.record, e))?;
+            // Every record declares the directory's count (verified).
+            if e.natoms as usize != self.natoms {
+                return Err(atoms_err(&d.record, 0, e.natoms as usize, self.natoms));
+            }
+            Ok((body, e.nframes, e.crc))
         })
     }
 }
@@ -149,15 +148,15 @@ impl Ada {
     /// [`Ada::query`] runs up to the decode — resolve, index, read, under
     /// the same `ada.query` op span, `query.index` / `query.read` spans and
     /// `ada.query.*` counters, so the simulated `indexer` / `read` are the
-    /// decoded path's — then parses every dropping's chunk directory and
+    /// decoded path's — then parses the dropping's chunk directory and
     /// bumps the tag's heat as a query does. A size-only dataset stores no
     /// chunks: it is [`AdaError::size_only`], before anything is read. A
     /// dropping without a chunk directory is the `Xtcf` error a query
-    /// raises for it. The decoded-dropping cache is neither consulted nor
-    /// filled: nothing here is decoded. The chunks
-    /// are checked as [`StoredAnswer::chunks`] yields them, after this
-    /// returns — a corrupt chunk is found once its predecessors are gone,
-    /// and by then the heat is bumped.
+    /// raises for it; a tag without a dropping is short of every frame.
+    /// The decoded-dropping cache is neither consulted nor filled: nothing
+    /// here is decoded. The chunks are checked as [`StoredAnswer::chunks`]
+    /// yields them, after this returns — a corrupt chunk is found once its
+    /// predecessors are gone, and by then the heat is bumped.
     pub fn query_stored(
         &self,
         dataset: &str,
@@ -183,21 +182,24 @@ impl Ada {
         let natoms = label.ranges(tag)?.count();
         let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
         let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
-        let mut droppings = Vec::with_capacity(records.len());
-        for (record, content) in records.into_iter().zip(contents) {
-            let dir = directory(&record, &content)?;
-            droppings.push(StoredDropping {
-                record,
-                content,
-                dir,
+        let Some((record, content)) = records.into_iter().zip(contents).next() else {
+            return Err(AdaError::FrameCountMismatch {
+                tag: tag.to_string(),
+                expected: label.nframes,
+                got: 0,
             });
-        }
+        };
+        let dir = directory(&record, &content)?;
         self.bump_heat(dataset, [tag.clone()]);
         Ok(StoredAnswer {
             indexer,
             read,
             natoms,
-            droppings,
+            dropping: StoredDropping {
+                record,
+                content,
+                dir,
+            },
         })
     }
 
@@ -205,7 +207,7 @@ impl Ada {
     /// half-open `window` — the ML-sampling access pattern (Atompack-style
     /// shuffled `(tag × frame-range)` reads, millions of small samples per
     /// training epoch). Consults the decoded-dropping cache first and runs
-    /// the regular retrieval pipeline only for the droppings the selection
+    /// the regular retrieval pipeline only for the chunks the selection
     /// actually touches. A size-only dataset is [`AdaError::size_only`].
     ///
     /// Equivalence contract: `query_range(ds, t, 0..nframes, 1)` returns
@@ -254,10 +256,9 @@ impl Ada {
             });
         }
         let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
-        let spans = dropping_frame_spans(&records);
-        let covered = spans.last().map_or(0, |s| s.1);
+        let covered = records.first().map_or(0, |r| r.frames as usize);
         if window.end > covered {
-            // The label promises more frames than the droppings hold — same
+            // The label promises more frames than the dropping holds — same
             // corruption a full query would surface.
             return Err(AdaError::FrameCountMismatch {
                 tag: tag.to_string(),
@@ -265,30 +266,10 @@ impl Ada {
                 got: covered,
             });
         }
-
-        // Map the selection onto droppings (both are ascending), keeping
-        // each touched dropping's local frame list so the retriever decodes
-        // only the chunks those frames touch.
-        let mut local_sel: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut d = 0usize;
-        for f in window.step_by(stride) {
-            while d < spans.len() && spans[d].1 <= f {
-                d += 1;
-            }
-            if d >= spans.len() {
-                return Err(AdaError::Internal(format!(
-                    "frame {} escaped the dropping spans of tag '{}'",
-                    f, tag
-                )));
-            }
-            local_sel.entry(d).or_default().push(f - spans[d].0);
-        }
-
-        let takes = records
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, r)| Some((r, Take::Frames(local_sel.remove(&i)?))))
-            .collect();
+        // The tag's one dropping holds its frames from 0: the selection is
+        // its take, and the retriever checks only the chunks it touches.
+        let take = Take::Frames(window.step_by(stride).collect());
+        let takes = records.into_iter().zip([take]).collect();
         let (frames, read) = self.retrieve(dataset, &label, false, takes, ctx)?;
 
         // A range read counts as one access of the tag — the same heat
@@ -312,7 +293,10 @@ impl Ada {
         }
     }
 
-    /// Indexer: find the droppings, sorted into logical order.
+    /// Indexer: find the droppings, sorted into logical order. Ingest
+    /// writes one dropping per tag, so a tag with a second one is a layout
+    /// no reader knows: it is refused here, naming that dropping, before
+    /// anything is fetched.
     fn index(
         &self,
         dataset: &str,
@@ -322,6 +306,11 @@ impl Ada {
         let _ts = ctx.span("query.index");
         let (mut records, indexer) = self.determinator.index_lookup(dataset, tag)?;
         records.sort_by_key(|r| r.logical_offset);
+        let mut seen = BTreeSet::new();
+        if let Some(second) = records.iter().find(|r| !seen.insert(r.tag.as_str())) {
+            let why = format!("a second dropping of tag '{}'", second.tag);
+            return Err(xtcf_err(second, FormatError::Corrupt(why)));
+        }
         Ok((records, indexer))
     }
 
@@ -335,20 +324,6 @@ impl Ada {
             *counts.entry(t).or_insert(0) += 1;
         }
     }
-}
-
-/// Cumulative frame spans of a tag's droppings in logical order:
-/// `spans[i] = (first_frame, end_frame)` of `records[i]`, from the frame
-/// counts ingest records in the index. No dropping bytes are touched.
-fn dropping_frame_spans(records: &[IndexRecord]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::with_capacity(records.len());
-    let mut at = 0usize;
-    for r in records {
-        let end = at + r.frames as usize;
-        spans.push((at, end));
-        at = end;
-    }
-    spans
 }
 
 #[cfg(test)]
@@ -414,12 +389,10 @@ mod tests {
     #[test]
     fn stored_answer_is_the_tagged_query_undecoded() {
         use ada_mdformats::xtcf::{read_xtcf, XtcfWriter};
-        // 7 frames in droppings of 3, sealed in chunks of 2: ragged chunks
-        // in the middle of the answer (2 + 1, 2 + 1, 1).
+        // 7 frames sealed in chunks of 2: a ragged last chunk.
         let config = |query_threads| super::super::AdaConfig {
             query_threads,
-            chunk_frames: 2,
-            ..cached_config(3, ada_cache::CacheConfig::default())
+            ..cached_config(2, ada_cache::CacheConfig::default())
         };
         let (stored_ada, decoded_ada) = (make_ada_with(config(4)), make_ada_with(config(0)));
         for ada in [&stored_ada, &decoded_ada] {
@@ -447,7 +420,7 @@ mod tests {
             body.extend_from_slice(bytes);
             per_chunk.push(nframes);
         }
-        assert_eq!(per_chunk, [2, 1, 2, 1, 1]);
+        assert_eq!(per_chunk, [2, 2, 2, 1]);
         assert_eq!(stored.nframes(), 7);
         assert_eq!(stored.chunk_frames(), 2);
         assert_eq!(stored.natoms(), frames[0].len());

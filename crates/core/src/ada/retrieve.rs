@@ -5,25 +5,25 @@
 //! caller's thread it looks every dropping up in the cache, fetches the
 //! misses in logical order ([`Ada::fetch_in_order`]), plans each ([`plan`]:
 //! which of its chunks are resident and which are stored and still to be
-//! checked) and lays the plans out in their tags' windows ([`units`]). The
-//! answer is cut into **units**, one per (window, chunk): chunk *c* of
-//! every answer tag's *k*-th dropping, as ingest sealed it. A unit checks
-//! its stored chunks (`verify_chunk`, then the directory's atom count
-//! against the label's), reads them in place and writes the answer's
-//! frames inside it, each one once, straight from its sources — cache on
-//! or off. The pool's `query_threads` workers claim units;
-//! `query_threads = 0` runs them inline — the reference schedule, which
-//! spawns nothing and which `query_equivalence` and
-//! `core.parallel_speedup` compare the pool with — and so does a request
-//! with nothing stored to check.
+//! checked) and lays the plans out by tag ([`units`]). Ingest writes one
+//! dropping per tag, and [`Ada::index`] refuses a second. The answer is cut
+//! into **units**, one per chunk: chunk *c* of every answer tag's
+//! dropping, as ingest sealed it. A unit checks its stored chunks
+//! (`verify_chunk`, then the directory's atom count against the label's),
+//! reads them in place and writes the answer's frames inside it, each one
+//! once, straight from its sources — cache on or off. The pool's
+//! `query_threads` workers claim units; `query_threads = 0` runs them
+//! inline — the reference schedule, which spawns nothing and which
+//! `query_equivalence` and `core.parallel_speedup` compare the pool with —
+//! and so does a request with nothing stored to check.
 //!
 //! Every schedule fails with the same error: a fetch failure (everything
 //! is fetched before anything is checked), else the first failure in
-//! (unit, tag in label order, chunk) order. A dropping that cannot be
-//! planned ranks ahead of the unit its first frame falls in; so does, in a
-//! full-frame answer, a tag whose frame count disagrees with the label, at
-//! its first missing or surplus frame, and a tag whose window is cut into
-//! other chunks than the first tag's, at the window's first frame.
+//! (unit, tag in label order) order. A dropping that cannot be planned
+//! ranks ahead of every unit; so does, in a full-frame answer, a tag cut
+//! into other chunks than the first tag's, and a tag whose frame count
+//! disagrees with the label ranks ahead of the unit of its first missing
+//! or surplus frame.
 
 mod units;
 
@@ -46,8 +46,8 @@ use units::{run_unit, Layout, TagLayout};
 pub(super) enum Take {
     /// Every frame.
     All,
-    /// These dropping-local frames, ascending (a range read): only the
-    /// chunks they live in are checked.
+    /// These frames, ascending (a range read): only the chunks they live
+    /// in are checked.
     Frames(Vec<usize>),
 }
 
@@ -546,7 +546,7 @@ mod tests {
             query_threads: 0,
             ..cached_config(2, ada_cache::CacheConfig::default())
         });
-        let (input, _) = real_input(800, 6); // 3 droppings per tag
+        let (input, _) = real_input(800, 6); // 3 chunks per tag
         ada.ingest("bar", input).unwrap();
         let trace = traced(&ada, |ctx| {
             ada.query_traced("bar", None, ctx).unwrap();
@@ -563,7 +563,7 @@ mod tests {
             query_threads: 4,
             ..cached_config(2, ada_cache::CacheConfig::default())
         });
-        let (input, _) = real_input(800, 12); // 6 droppings per tag
+        let (input, _) = real_input(800, 12); // 6 chunks per tag
         ada.ingest("bar", input).unwrap();
         let workers = |trace: &ada_telemetry::trace::Trace, decodes: &[&TraceSpan]| {
             let caller = &trace.root().expect("root span").thread;
@@ -580,7 +580,7 @@ mod tests {
         assert_eq!(decodes.len(), 12);
         assert!(workers(&trace, &decodes) <= 4);
 
-        // One dropping, one chunk: one unit, so one worker — not four.
+        // One chunk: one unit, so one worker — not four.
         let trace = traced(&ada, |ctx| {
             let tag = Tag::protein();
             ada.query_range_traced("bar", &tag, 0..2, 1, ctx).unwrap();
@@ -595,7 +595,6 @@ mod tests {
 
     fn chunked_config(chunk_frames: usize, cache: ada_cache::CacheConfig) -> AdaConfig {
         AdaConfig {
-            frames_per_dropping: 64,
             chunk_frames,
             cache,
             ..AdaConfig::paper_prototype("ssd", "hdd")

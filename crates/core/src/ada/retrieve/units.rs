@@ -1,8 +1,8 @@
-//! The answer's units: each answer tag's planned droppings in window order
-//! ([`Layout`]), cut into units — chunk *c* of every answer tag's *k*-th
-//! dropping, the (window, chunk) ingest sealed ([`Unit`]) — and one unit
-//! run ([`run_unit`]): check its stored chunks, then write the answer's
-//! frames inside it, each once, straight from the sources.
+//! The answer's units: each answer tag's one planned dropping
+//! ([`Layout`]), cut into units — chunk *c* of every answer tag's
+//! dropping, as ingest sealed it ([`Unit`]) — and one unit run
+//! ([`run_unit`]): check its stored chunks, then write the answer's frames
+//! inside it, each once, straight from the sources.
 
 use super::{atoms_err, chunk_err, real_bytes, xtcf_err, Planned, Source, Take};
 use crate::labeler::LabelFile;
@@ -40,17 +40,15 @@ impl Take {
     }
 }
 
-/// One answer tag: the atoms its label ranges select and its planned
-/// droppings, in window order.
+/// One answer tag: the atoms its label ranges select and its one
+/// dropping.
 pub(super) struct TagLayout {
     pub(super) tag: Tag,
     pub(super) natoms: Option<usize>,
-    /// Its droppings' indices among [`Layout::droppings`], window by window.
-    windows: Vec<usize>,
-    /// Frames of its planned droppings.
+    /// Its dropping's index among [`Layout::droppings`], once planned.
+    dropping: Option<usize>,
+    /// Frames of its planned dropping.
     frames: usize,
-    /// A dropping of this tag failed to plan: nothing past it is laid out.
-    failed: bool,
 }
 
 impl TagLayout {
@@ -59,9 +57,8 @@ impl TagLayout {
         TagLayout {
             natoms: label.tags.get(&tag).map(IndexRanges::count),
             tag,
-            windows: Vec::new(),
+            dropping: None,
             frames: 0,
-            failed: false,
         }
     }
 }
@@ -75,7 +72,7 @@ struct Piece {
     offset: usize,
 }
 
-/// A request laid out in its answer tags' windows.
+/// A request laid out in its answer tags' droppings.
 pub(super) struct Layout {
     /// The answer's tags, in label order.
     tags: Vec<TagLayout>,
@@ -86,17 +83,16 @@ pub(super) struct Layout {
     /// A full-frame answer's label ranges, by start, and its atom count.
     pieces: Option<(Vec<Piece>, usize)>,
     /// The failure at frame `end` — a dropping that failed to plan, a tag
-    /// whose frame count disagrees with the label, a window cut into other
+    /// whose frame count disagrees with the label, a tag cut into other
     /// chunks than the first tag's — which fails the request once every
     /// unit before it succeeded.
     pub(super) cut: Option<AdaError>,
 }
 
-/// Chunk `chunk` of every answer tag's `window`-th planned dropping, and
-/// the answer's frames in it: positions `want` of the first tag's take
-/// ([`Take::within`]), the chunk starting at dropping-local frame `first`.
+/// Chunk `chunk` of every answer tag's dropping, and the answer's frames
+/// in it: positions `want` of the first tag's take ([`Take::within`]), the
+/// chunk starting at frame `first`.
 pub(super) struct Unit {
-    window: usize,
     chunk: usize,
     first: usize,
     want: Range<usize>,
@@ -110,8 +106,8 @@ fn earliest(cut: &mut Option<(usize, usize, AdaError)>, frame: usize, tag: usize
 }
 
 impl Layout {
-    /// Lay the planned droppings — `(tag rank, plan)` in logical order —
-    /// into `tags`' windows, and find the answer's end and its cut.
+    /// Lay the planned droppings — `(tag rank, plan)` — into `tags`, and
+    /// find the answer's end and its cut.
     pub(super) fn new(
         label: &LabelFile,
         full: bool,
@@ -121,25 +117,25 @@ impl Layout {
         let mut droppings: Vec<Planned> = Vec::with_capacity(planned.len());
         let mut cut = None;
         for (rank, plan) in planned {
-            let Some(tag) = tags.get_mut(rank).filter(|t| !t.failed) else {
-                continue;
-            };
-            match plan {
-                Err(e) => {
-                    tag.failed = true;
-                    earliest(&mut cut, tag.frames, rank, e);
-                }
-                Ok(p) => {
-                    tag.frames += p.chunk_layout().sum::<usize>();
-                    tag.windows.push(droppings.len());
+            match (plan, tags.get_mut(rank)) {
+                (Ok(p), Some(tag)) => {
+                    tag.frames = p.chunk_layout().sum();
+                    tag.dropping = Some(droppings.len());
                     droppings.push(p);
                 }
+                (Ok(_), None) => {}
+                (Err(e), _) => earliest(&mut cut, 0, rank, e),
             }
         }
         let mut pieces = None;
         if full {
+            let dropping = |t: &TagLayout| droppings.get(t.dropping?);
+            let head = tags.first().and_then(|t| Some((&t.tag, dropping(t)?)));
             for (rank, t) in tags.iter().enumerate() {
-                if !t.failed && t.frames != label.nframes {
+                let Some(d) = dropping(t) else {
+                    continue;
+                };
+                if t.frames != label.nframes {
                     let e = AdaError::FrameCountMismatch {
                         tag: t.tag.to_string(),
                         expected: label.nframes,
@@ -147,20 +143,15 @@ impl Layout {
                     };
                     earliest(&mut cut, t.frames.min(label.nframes), rank, e);
                 }
-            }
-            // Ingest cuts every tag's window into the same chunks; a tag
-            // whose k-th dropping is cut otherwise has no unit to join.
-            for (rank, t) in tags.iter().enumerate().skip(1) {
-                let (head, mut start) = (&tags[0], 0);
-                for (k, (&i, &h)) in t.windows.iter().zip(&head.windows).enumerate() {
-                    let (d, h) = (&droppings[i], &droppings[h]);
-                    if !d.chunk_layout().eq(h.chunk_layout()) {
-                        let why = format!("window {} is cut unlike tag '{}''s", k, head.tag);
+                // Ingest cuts every tag into the same chunks; a tag cut
+                // otherwise has no unit to join. (A chunk one tag has and
+                // the other lacks is the frame-count mismatch above.)
+                if let Some((head, h)) = head.filter(|_| rank > 0) {
+                    if d.chunk_layout().zip(h.chunk_layout()).any(|(a, b)| a != b) {
+                        let why = format!("chunks are cut unlike tag '{}''s", head);
                         let e = xtcf_err(&d.record, FormatError::Corrupt(why));
-                        earliest(&mut cut, start, rank, e);
-                        break;
+                        earliest(&mut cut, 0, rank, e);
                     }
-                    start += h.chunk_layout().sum::<usize>();
                 }
             }
             let mut list = Vec::new();
@@ -193,37 +184,27 @@ impl Layout {
         })
     }
 
-    /// The units, in frame order: every chunk of the first tag's droppings
+    /// The units, in frame order: every chunk of the first tag's dropping
     /// that holds an answer frame below `end`.
     pub(super) fn units(&self) -> Vec<Unit> {
         let mut units = Vec::new();
-        let Some(head) = self.tags.first() else {
+        let head = self
+            .tags
+            .first()
+            .and_then(|t| self.droppings.get(t.dropping?));
+        let Some(d) = head else {
             return units;
         };
-        let mut start = 0;
-        for (window, &i) in head.windows.iter().enumerate() {
-            let d = &self.droppings[i];
-            let below = self.end.saturating_sub(start);
-            let mut first = 0;
-            for (chunk, n) in d.chunk_layout().enumerate() {
-                if first >= below {
-                    break;
-                }
-                let want = d.take.within(first..(first + n).min(below));
-                if !want.is_empty() {
-                    units.push(Unit {
-                        window,
-                        chunk,
-                        first,
-                        want,
-                    });
-                }
-                first += n;
-            }
-            start += first;
-            if start >= self.end {
+        let mut first = 0;
+        for (chunk, n) in d.chunk_layout().enumerate() {
+            if first >= self.end {
                 break;
             }
+            let want = d.take.within(first..(first + n).min(self.end));
+            if !want.is_empty() {
+                units.push(Unit { chunk, first, want });
+            }
+            first += n;
         }
         units
     }
@@ -373,12 +354,8 @@ pub(super) fn run_unit(
     let mut take = &Take::All;
     let mut sources = Vec::with_capacity(layout.tags.len());
     for tag in &layout.tags {
-        let d = tag
-            .windows
-            .get(unit.window)
-            .and_then(|&i| layout.droppings.get(i));
-        let missing =
-            || AdaError::Internal(format!("tag '{}' has no window {}", tag.tag, unit.window));
+        let missing = || AdaError::Internal(format!("tag '{}' has no dropping", tag.tag));
+        let d = tag.dropping.and_then(|i| layout.droppings.get(i));
         let d = d.ok_or_else(missing)?;
         take = &d.take;
         sources.push(match d.resident(unit.chunk) {
@@ -488,37 +465,25 @@ mod tests {
     /// `label`, so the label can have any shape: partitions, gaps no tag
     /// covers, and ranges of two tags that overlap, which no categorizer
     /// produces. Tag `t` (label order) is stored as ingest stores a tag —
-    /// v2 droppings of `layouts[t].0` frames (`0`: one dropping), sealed in
-    /// chunks of `layouts[t].1` — with the tags' k-th droppings appended
-    /// side by side. Tags with different layouts are misaligned: a chunk of
-    /// one spans chunk boundaries of the other, which ingest never writes.
-    fn store(ada: &Ada, label: &LabelFile, source: &[Frame], layouts: &[(usize, usize)]) {
+    /// one v2 dropping, sealed in chunks of `chunk_frames[t]` frames.
+    /// Tags with different chunk sizes are misaligned: a chunk of one spans
+    /// chunk boundaries of the other, which ingest never writes. A tag past
+    /// the end of `chunk_frames` is left out; a second call appends each
+    /// tag it stores a second dropping, which ingest never writes either.
+    fn store(ada: &Ada, label: &LabelFile, source: &[Frame], chunk_frames: &[usize]) {
         let containers = ada.containers();
-        containers.create_logical("d").unwrap();
-        let windows: Vec<Vec<&[Frame]>> = layouts
-            .iter()
-            .map(|&(per, _)| {
-                source
-                    .chunks(if per == 0 { source.len().max(1) } else { per })
-                    .collect()
-            })
-            .collect();
-        for k in 0..windows.iter().map(Vec::len).max().unwrap_or(0) {
-            for ((tag, ranges), (of_tag, &(_, chunk_frames))) in
-                label.tags.iter().zip(windows.iter().zip(layouts))
-            {
-                let Some(window) = of_tag.get(k) else {
-                    continue;
-                };
-                let subset = window.iter().map(|f| f.subset(ranges)).collect();
-                let v1 = write_xtcf(&Trajectory::from_frames(subset)).unwrap();
-                let sealed = seal_v2(v1, ranges.count(), chunk_frames).unwrap();
-                let backend = if *tag == Tag::protein() { "ssd" } else { "hdd" };
-                let content = Content::real(sealed);
-                containers
-                    .append_tagged_frames("d", tag.as_str(), backend, content, window.len() as u64)
-                    .unwrap();
-            }
+        if !containers.list_logical().iter().any(|d| d == "d") {
+            containers.create_logical("d").unwrap();
+        }
+        for ((tag, ranges), &chunk_frames) in label.tags.iter().zip(chunk_frames) {
+            let subset = source.iter().map(|f| f.subset(ranges)).collect();
+            let v1 = write_xtcf(&Trajectory::from_frames(subset)).unwrap();
+            let sealed = seal_v2(v1, ranges.count(), chunk_frames).unwrap();
+            let backend = if *tag == Tag::protein() { "ssd" } else { "hdd" };
+            let content = Content::real(sealed);
+            containers
+                .append_tagged_frames("d", tag.as_str(), backend, content, source.len() as u64)
+                .unwrap();
         }
         let state = DatasetState::Real {
             label: label.clone(),
@@ -543,7 +508,7 @@ mod tests {
         out
     }
 
-    /// The paths of `tag`'s droppings, window by window.
+    /// The paths of `tag`'s droppings, in logical order.
     fn droppings_of(ada: &Ada, tag: &Tag) -> Vec<String> {
         let mut records = ada.containers().index("d").unwrap();
         records.retain(|r| r.tag == tag.as_str());
@@ -551,12 +516,11 @@ mod tests {
         records.into_iter().map(|r| r.dropping_path).collect()
     }
 
-    /// Whether `err` refuses window `k` as cut unlike the first tag's,
-    /// naming `dropping`.
-    fn is_refusal(err: &AdaError, dropping: &str, k: usize) -> bool {
-        let window = format!("window {} is cut unlike", k);
-        matches!(err, AdaError::Xtcf { dropping: d, source: FormatError::Corrupt(why) }
-            if d == dropping && why.starts_with(&window))
+    /// Whether `err` is an `xtcf` refusal naming `dropping` whose text
+    /// starts with `why`.
+    fn is_refusal(err: &AdaError, dropping: &str, why: &str) -> bool {
+        matches!(err, AdaError::Xtcf { dropping: d, source: FormatError::Corrupt(text) }
+            if d == dropping && text.starts_with(why))
     }
 
     /// What only a successful request moves: decoded bytes, cache
@@ -607,15 +571,15 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(40))]
-        /// The retrieval contract: whatever the label, the dropping and
-        /// chunk sizes (aligned across the tags or not), the cache state
-        /// and the schedule, a full-frame
-        /// answer is every tag's stored chunks, `decode_chunk`ed, laid out by
-        /// the scatter reference — or, where the tags' windows are cut into
-        /// different chunks, `xtcf` naming the first such dropping, with
-        /// nothing counted; a tagged answer is the tag's decoded
-        /// chunks; a range read is its window of them — bit for bit. And
-        /// `cache.bytes_decoded` moves exactly as the decode model says.
+        /// The retrieval contract: whatever the label, the chunk sizes
+        /// (aligned across the tags or not), the cache state and the
+        /// schedule, a full-frame answer is every tag's stored chunks,
+        /// `decode_chunk`ed, laid out by the scatter reference — or, where
+        /// the tags are cut into different chunks, `xtcf` naming the
+        /// second tag's dropping, with nothing counted; a tagged answer is
+        /// the tag's decoded chunks; a range read is its window of them —
+        /// bit for bit. And `cache.bytes_decoded` moves exactly as the
+        /// decode model says.
         #[test]
         fn prop_retrieval_is_decode_chunk_then_scatter(
             seed: u64,
@@ -623,7 +587,6 @@ mod tests {
             nframes in 0usize..12,
             partition in 0usize..2,
             chunking in 0usize..16,
-            windowing in 0usize..9,
             aligned in 0usize..2,
         ) {
             let mut x = seed | 1;
@@ -633,10 +596,10 @@ mod tests {
                 x ^= x << 17;
                 (x >> 32) as usize % below.max(1)
             };
-            let layout = |c: usize, w: usize| ([0, 3, 5][w % 3], [0, 1, 3, 64][c % 4]);
+            let layout = |c: usize| [0, 1, 3, 64][c % 4];
             let layouts = match aligned {
-                1 => [layout(chunking, windowing); 2],
-                _ => [layout(chunking, windowing), layout(chunking / 4, windowing / 3)],
+                1 => [layout(chunking); 2],
+                _ => [layout(chunking), layout(chunking / 4)],
             };
             // Either a partition — every atom dealt to exactly one tag —
             // or free-for-all ranges: gaps no tag covers, and ranges of
@@ -683,15 +646,13 @@ mod tests {
                     (names[next(2)].clone(), (start..end).step_by(stride).collect())
                 })
                 .collect();
-            // Per tag, per window, its chunks' frame counts; the first
-            // window the tags cut differently is refused in full frames.
-            let cut = |&(per, chunk_frames): &(usize, usize)| -> Vec<Vec<usize>> {
-                source
-                    .chunks(if per == 0 { nframes.max(1) } else { per })
-                    .map(|w| w.chunks(if chunk_frames == 0 { w.len() } else { chunk_frames }).map(<[Frame]>::len).collect())
-                    .collect()
+            // Per tag, its chunks' frame counts; tags cut differently are
+            // refused in full frames.
+            let cut = |chunk_frames: usize| -> Vec<usize> {
+                let per = if chunk_frames == 0 { nframes.max(1) } else { chunk_frames };
+                source.chunks(per).map(<[Frame]>::len).collect()
             };
-            let misaligned = cut(&layouts[0]).iter().zip(&cut(&layouts[1])).position(|(a, b)| a != b);
+            let misaligned = cut(layouts[0]) != cut(layouts[1]);
 
             for query_threads in [0, 1, 4] {
                 for (cache_on, prior_first) in [(false, false), (true, false), (true, true)] {
@@ -733,12 +694,12 @@ mod tests {
                     // Full frames twice (the second warm when the cache is
                     // on), and each tag.
                     for _ in 0..2 {
-                        if let Some(k) = misaligned {
+                        if misaligned {
                             let before = settled(&ada);
                             let err = ada.query("d", None).unwrap_err();
-                            let p = droppings_of(&ada, &Tag::protein())[k].clone();
+                            let p = droppings_of(&ada, &Tag::protein()).remove(0);
                             proptest::prop_assert!(
-                                is_refusal(&err, &p, k),
+                                is_refusal(&err, &p, "chunks are cut unlike"),
                                 "{} full: {:?}", what, err
                             );
                             proptest::prop_assert_eq!(settled(&ada), before, "{} full", what);
@@ -763,13 +724,13 @@ mod tests {
         }
     }
 
-    /// A full-frame answer over tags whose window is sealed in different
-    /// chunks — 2 and 3 frames, a layout ingest never writes — is refused as
-    /// `xtcf` naming the second tag's dropping, at every thread count, and
-    /// counts nothing; each tag alone, whole or ranged, is still its stored
-    /// chunks bit for bit.
+    /// A full-frame answer over tags sealed in different chunks — 2 and 3
+    /// frames, a layout ingest never writes — is refused as `xtcf` naming
+    /// the second tag's dropping, at every thread count, and counts
+    /// nothing; each tag alone, whole or ranged, is still its stored chunks
+    /// bit for bit.
     #[test]
-    fn a_window_cut_into_other_chunks_is_refused_in_full_frames() {
+    fn tags_cut_into_other_chunks_are_refused_in_full_frames() {
         for query_threads in [0, 1, 4] {
             let ada = make_ada_with(AdaConfig {
                 query_threads,
@@ -784,12 +745,12 @@ mod tests {
                 .map(|i| Frame::from_coords(vec![[i as f32; 3]; 5]))
                 .collect();
             let label = LabelFile::new("d", 5, 6, tags);
-            store(&ada, &label, &source, &[(0, 2), (0, 3)]);
+            store(&ada, &label, &source, &[2, 3]);
 
             let err = ada.query("d", None).unwrap_err();
             assert_eq!(err.kind(), "xtcf");
             let p = droppings_of(&ada, &Tag::protein()).remove(0);
-            assert!(is_refusal(&err, &p, 0), "{:?}", err);
+            assert!(is_refusal(&err, &p, "chunks are cut unlike"), "{:?}", err);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
             assert!(ada.access_counts("d").is_empty());
 
@@ -821,8 +782,8 @@ mod tests {
             .into();
             let source = vec![Frame::from_coords(vec![[1.0; 3]; 5]); 6];
             let label = LabelFile::new("d", 5, 6, tags);
-            store(&ada, &label, &source, &[(3, 2); 2]);
-            // The last protein dropping goes missing from the index.
+            store(&ada, &label, &source, &[2, 2]);
+            // The label promises three frames more than either tag holds.
             let mut short = label.clone();
             short.nframes = 9;
             ada.datasets.lock().insert(
@@ -845,6 +806,53 @@ mod tests {
             );
             assert!(ada.access_counts("d").is_empty());
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
+        }
+    }
+
+    /// A tag in two droppings — a layout ingest never writes — is refused
+    /// by the indexer as `xtcf` naming the second dropping, on every read of
+    /// that tag, before anything is fetched: no heat, no cache admission,
+    /// no decoded byte. The other tag still reads.
+    #[test]
+    fn a_tag_in_two_droppings_is_refused_on_every_read() {
+        for query_threads in [0, 4] {
+            let ada = make_ada_with(AdaConfig {
+                query_threads,
+                cache: hot_cache_cfg(),
+                ..AdaConfig::paper_prototype("ssd", "hdd")
+            });
+            let tags: BTreeMap<Tag, IndexRanges> = [
+                (Tag::misc(), IndexRanges::single(0..2)),
+                (Tag::protein(), IndexRanges::single(2..5)),
+            ]
+            .into();
+            let source: Vec<Frame> = (0..6)
+                .map(|i| Frame::from_coords(vec![[i as f32; 3]; 5]))
+                .collect();
+            let label = LabelFile::new("d", 5, 6, tags);
+            store(&ada, &label, &source, &[2, 2]);
+            // A second dropping of `m`, the first tag in label order.
+            store(&ada, &label, &source, &[2]);
+            let second = droppings_of(&ada, &Tag::misc()).remove(1);
+            let why = "a second dropping of tag 'm'";
+
+            let (m, ctx) = (Tag::misc(), ada_telemetry::trace::TraceContext::inactive());
+            let before = settled(&ada);
+            let errs = [
+                ada.query("d", None).unwrap_err(),
+                ada.query("d", Some(&m)).unwrap_err(),
+                ada.query_range("d", &m, 0..6, 2).unwrap_err(),
+                ada.query_stored("d", &m, &ctx).unwrap_err(),
+            ];
+            for err in &errs {
+                assert_eq!(err.kind(), "xtcf");
+                assert!(is_refusal(err, &second, why), "{:?}", err);
+            }
+            assert_eq!(settled(&ada), before);
+            assert!(ada.access_counts("d").is_empty());
+
+            let got = frames_of(ada.query("d", Some(&Tag::protein())).unwrap());
+            assert_eq!(got.len(), 6);
         }
     }
 }

@@ -98,20 +98,10 @@ impl Determinator {
         &self.containers
     }
 
-    /// Dispatch one tagged subset to its policy-chosen backend.
+    /// Dispatch one tagged subset to its policy-chosen backend, with its
+    /// decoded frame count recorded in its index record (`0` = unknown),
+    /// so range reads check a window straight from the index.
     pub fn dispatch(
-        &self,
-        logical: &str,
-        tag: &Tag,
-        content: Content,
-    ) -> Result<(String, SimDuration), PlfsError> {
-        self.dispatch_frames(logical, tag, content, 0)
-    }
-
-    /// [`Determinator::dispatch`] with the dropping's decoded frame count
-    /// recorded in its index record (`0` = unknown), so range reads map
-    /// frames to droppings straight from the index.
-    pub fn dispatch_frames(
         &self,
         logical: &str,
         tag: &Tag,
@@ -188,10 +178,10 @@ mod tests {
     fn dispatch_routes_by_tag() {
         let det = determinator();
         let (b1, _) = det
-            .dispatch("bar", &Tag::protein(), Content::synthetic(100))
+            .dispatch("bar", &Tag::protein(), Content::synthetic(100), 0)
             .unwrap();
         let (b2, _) = det
-            .dispatch("bar", &Tag::misc(), Content::synthetic(200))
+            .dispatch("bar", &Tag::misc(), Content::synthetic(200), 0)
             .unwrap();
         assert_eq!(b1, "ssd");
         assert_eq!(b2, "hdd");
@@ -203,11 +193,11 @@ mod tests {
     #[test]
     fn index_lookup_filters_and_charges() {
         let det = determinator();
-        det.dispatch("bar", &Tag::protein(), Content::synthetic(10))
+        det.dispatch("bar", &Tag::protein(), Content::synthetic(10), 0)
             .unwrap();
-        det.dispatch("bar", &Tag::misc(), Content::synthetic(10))
+        det.dispatch("bar", &Tag::misc(), Content::synthetic(10), 0)
             .unwrap();
-        det.dispatch("bar", &Tag::protein(), Content::synthetic(10))
+        det.dispatch("bar", &Tag::protein(), Content::synthetic(10), 0)
             .unwrap();
         let (p, d) = det.index_lookup("bar", Some(&Tag::protein())).unwrap();
         assert_eq!(p.len(), 2);
@@ -219,9 +209,9 @@ mod tests {
     #[test]
     fn retrieve_tagged_and_all() {
         let det = determinator();
-        det.dispatch("bar", &Tag::protein(), Content::real(vec![1u8; 5]))
+        det.dispatch("bar", &Tag::protein(), Content::real(vec![1u8; 5]), 0)
             .unwrap();
-        det.dispatch("bar", &Tag::misc(), Content::real(vec![2u8; 7]))
+        det.dispatch("bar", &Tag::misc(), Content::real(vec![2u8; 7]), 0)
             .unwrap();
         let (p, _) = det.retrieve("bar", Some(&Tag::protein())).unwrap();
         assert_eq!(p.len(), 5);

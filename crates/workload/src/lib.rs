@@ -32,7 +32,7 @@ pub mod sampling;
 pub use builder::{SystemBuilder, SystemSpec};
 pub use calibration::{DatasetSpec, PaperCalibration};
 pub use motion::{MotionModel, TrajectoryGenerator};
-pub use sampling::{sample_len, shuffled_epochs, Sample, SamplingConfig};
+pub use sampling::{shuffled_epochs, Sample, SamplingConfig};
 
 use ada_mdformats::Trajectory;
 use ada_mdmodel::MolecularSystem;

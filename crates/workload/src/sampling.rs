@@ -99,11 +99,6 @@ pub fn shuffled_epochs(cfg: &SamplingConfig) -> Vec<Vec<Sample>> {
         .collect()
 }
 
-/// Frames one sample delivers (`ceil((end − start) / stride)`).
-pub fn sample_len(s: &Sample) -> usize {
-    (s.end - s.start).div_ceil(s.stride.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,23 +164,5 @@ mod tests {
         let mut other = cfg();
         other.seed ^= 1;
         assert_ne!(shuffled_epochs(&other)[0], a[0]);
-    }
-
-    #[test]
-    fn sample_len_counts_strided_frames() {
-        let s = Sample {
-            tag: "p".into(),
-            start: 3,
-            end: 10,
-            stride: 2,
-        };
-        assert_eq!(sample_len(&s), 4); // frames 3, 5, 7, 9
-        let s1 = Sample {
-            tag: "p".into(),
-            start: 0,
-            end: 16,
-            stride: 1,
-        };
-        assert_eq!(sample_len(&s1), 16);
     }
 }

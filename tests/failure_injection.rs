@@ -3,7 +3,7 @@
 //! racing deletions. The middleware must fail with typed errors — never
 //! panic, never return silently wrong data.
 
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, IngestReport, LabelFile, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, IngestInput, LabelFile, RetrievedData};
 use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
@@ -18,16 +18,16 @@ struct Rig {
     hdd: Arc<dyn SimFileSystem>,
 }
 
-/// A hybrid rig on `ssd` that cuts a dropping — one window of the ingest
-/// loop — every `frames_per_dropping` frames.
-fn rig_on(ssd: Arc<dyn SimFileSystem>, frames_per_dropping: usize) -> Rig {
+/// A hybrid rig on `ssd` that seals a chunk — one unit of the ingest pool
+/// — every `chunk_frames` frames.
+fn rig_on(ssd: Arc<dyn SimFileSystem>, chunk_frames: usize) -> Rig {
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let cs = Arc::new(ContainerSet::new(vec![
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd.clone()),
     ]));
     let config = AdaConfig {
-        frames_per_dropping,
+        chunk_frames,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     Rig {
@@ -37,8 +37,8 @@ fn rig_on(ssd: Arc<dyn SimFileSystem>, frames_per_dropping: usize) -> Rig {
     }
 }
 
-/// Two frames per dropping, so that a fault in a later frame strikes
-/// after earlier windows were stored.
+/// Two frames a chunk, so that a fault in a later frame strikes after
+/// earlier chunks were split.
 fn rig() -> Rig {
     rig_on(Arc::new(LocalFs::ext4_on_nvme()), 2)
 }
@@ -148,11 +148,11 @@ fn pdb_xtc_atom_mismatch_rejected() {
 }
 
 /// Two `.xtc` files of different atom counts, concatenated: every frame
-/// is valid, the file is not. Whichever way it comes in, the answer is the
-/// same typed mismatch naming the first offending frame's count — from
-/// the frame headers, before a frame is decoded or a byte stored. (The
-/// offending frames sit in the second and third windows.) A file with no
-/// frames at all is the same mismatch against zero atoms.
+/// is valid, the file is not. The answer is the typed mismatch naming the
+/// first offending frame's count — from the frame headers, before a frame
+/// is decoded or a byte stored. (The offending frames sit in the second
+/// and third chunks.) A file with no frames at all is the same mismatch
+/// against zero atoms.
 #[test]
 fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
     let r = rig();
@@ -162,59 +162,46 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
     let good = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
     let mut ragged = good.clone();
     ragged.extend(write_xtc(&other.trajectory, DEFAULT_PRECISION).unwrap());
-    r.ada.ingest("guide", real_input(&w)).unwrap();
+    r.ada.ingest("good", real_input(&w)).unwrap();
 
-    type Ingest<'a> = Box<dyn Fn(&[u8]) -> Result<IngestReport, AdaError> + 'a>;
-    let entry_points: [(&str, Ingest); 2] = [
-        (
-            "ingest",
-            Box::new(|xtc| {
-                let input = IngestInput::Real {
-                    pdb_text: pdb.clone(),
-                    xtc_bytes: xtc.to_vec(),
-                };
-                r.ada.ingest("bad", input)
-            }),
-        ),
-        (
-            "ingest_guided",
-            Box::new(|xtc| r.ada.ingest_guided("bad", "guide", xtc)),
-        ),
-    ];
+    let ingest = |xtc: &[u8]| {
+        let input = IngestInput::Real {
+            pdb_text: pdb.clone(),
+            xtc_bytes: xtc.to_vec(),
+        };
+        r.ada.ingest("bad", input)
+    };
     let bad_files: [(&str, &[u8], usize); 2] =
         [("ragged", &ragged, other.system.len()), ("empty", &[], 0)];
-    for (name, ingest) in entry_points {
-        for (what, bytes, found) in bad_files {
-            let err = match ingest(bytes) {
-                Err(e) => e,
-                Ok(_) => panic!("{}: a {} file was ingested", name, what),
-            };
-            assert_eq!(err.kind(), "atom_mismatch", "{} {}: {}", name, what, err);
-            assert!(
-                matches!(err, AdaError::AtomMismatch { pdb, xtc }
-                    if (pdb, xtc) == (w.system.len(), found)),
-                "{} {}: {}",
-                name,
-                what,
-                err
-            );
-            // The name is free: nothing was stored, and a well-formed
-            // file ingests under it.
-            assert!(!r.ada.list_datasets().contains(&"bad".to_string()));
-            assert_eq!(files_of(&r, "bad"), Vec::<String>::new(), "{}", name);
-            ingest(&good).unwrap();
-            assert_eq!(
-                protein_frames(&r.ada, "bad"),
-                protein_frames(&r.ada, "guide")
-            );
-            r.ada.delete_dataset("bad").unwrap();
-        }
+    for (what, bytes, found) in bad_files {
+        let err = match ingest(bytes) {
+            Err(e) => e,
+            Ok(_) => panic!("a {} file was ingested", what),
+        };
+        assert_eq!(err.kind(), "atom_mismatch", "{}: {}", what, err);
+        assert!(
+            matches!(err, AdaError::AtomMismatch { pdb, xtc }
+                if (pdb, xtc) == (w.system.len(), found)),
+            "{}: {}",
+            what,
+            err
+        );
+        // The name is free: nothing was stored, and a well-formed file
+        // ingests under it.
+        assert!(!r.ada.list_datasets().contains(&"bad".to_string()));
+        assert_eq!(files_of(&r, "bad"), Vec::<String>::new(), "{}", what);
+        ingest(&good).unwrap();
+        assert_eq!(
+            protein_frames(&r.ada, "bad"),
+            protein_frames(&r.ada, "good")
+        );
+        r.ada.delete_dataset("bad").unwrap();
     }
 }
 
 /// A hybrid rig whose SSD — protein droppings, label files and the
 /// persisted index all live there — holds only 50 kB.
-fn tiny_ssd_rig(frames_per_dropping: usize) -> Rig {
+fn tiny_ssd_rig(chunk_frames: usize) -> Rig {
     let tiny_profile = DeviceProfile {
         capacity: 50_000,
         ..DeviceProfile::nvme_ssd_256gb()
@@ -224,7 +211,7 @@ fn tiny_ssd_rig(frames_per_dropping: usize) -> Rig {
         FsParams::ext4(),
         ada_simfs::local::Backing::Single(Device::new(tiny_profile)),
     ));
-    rig_on(ssd, frames_per_dropping)
+    rig_on(ssd, chunk_frames)
 }
 
 /// Every file either backend holds under `<mnt>/<dataset>/`.
@@ -242,18 +229,15 @@ fn protein_frames(ada: &Ada, dataset: &str) -> ada_mdformats::Trajectory {
 }
 
 /// Capacity exhaustion mid-ingest must fail with a typed storage error
-/// *and leave nothing behind*: the ingest is all or nothing, whichever
-/// flavour (`ingest(ada, dataset, workload)`) ran it. `fits` (one frame)
-/// is stored first as `guide`, so it doubles as the structure a guided
-/// ingest reuses; `too_big` (twelve frames) shares its structure but
-/// overflows the SSD after the window's HDD dropping (and, at two frames
-/// per dropping, whole earlier windows on both backends) are already
-/// written.
-fn assert_no_space_is_all_or_nothing(
-    frames_per_dropping: usize,
-    ingest: impl Fn(&Ada, &str, &ada_workload::Workload) -> Result<IngestReport, AdaError>,
-) {
-    let r = tiny_ssd_rig(frames_per_dropping);
+/// *and leave nothing behind*: the ingest is all or nothing. `fits` (one
+/// frame) is stored first as `guide`; `too_big` (twelve frames) shares its
+/// structure but overflows the SSD with its protein dropping after the
+/// HDD dropping is already written — at two frames a chunk, a dropping of
+/// six chunks whose late ones are past the SSD's capacity.
+fn assert_no_space_is_all_or_nothing(chunk_frames: usize) {
+    let ingest =
+        |ada: &Ada, dataset: &str, w: &ada_workload::Workload| ada.ingest(dataset, real_input(w));
+    let r = tiny_ssd_rig(chunk_frames);
     let fits = ada_workload::gpcr_workload(2000, 1, 59);
     let too_big = ada_workload::gpcr_workload(2000, 12, 59);
     r.ada.ingest("guide", real_input(&fits)).unwrap();
@@ -298,23 +282,12 @@ fn assert_no_space_is_all_or_nothing(
 
 #[test]
 fn backend_out_of_space_mid_ingest() {
-    assert_no_space_is_all_or_nothing(512, |ada, dataset, w| ada.ingest(dataset, real_input(w)));
+    assert_no_space_is_all_or_nothing(64);
 }
 
 #[test]
 fn backend_out_of_space_in_a_late_window() {
-    assert_no_space_is_all_or_nothing(2, |ada, dataset, w| ada.ingest(dataset, real_input(w)));
-}
-
-#[test]
-fn backend_out_of_space_mid_guided_ingest() {
-    assert_no_space_is_all_or_nothing(2, |ada, dataset, w| {
-        ada.ingest_guided(
-            dataset,
-            "guide",
-            &write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        )
-    });
+    assert_no_space_is_all_or_nothing(2);
 }
 
 #[test]

@@ -46,7 +46,6 @@ fn rig_with(query_threads: usize, cache: CacheConfig) -> Rig {
     ]));
     let config = AdaConfig {
         query_threads,
-        frames_per_dropping: 8,
         chunk_frames: 2,
         cache,
         ..AdaConfig::paper_prototype("ssd", "hdd")

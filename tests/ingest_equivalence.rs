@@ -1,21 +1,20 @@
 //! What an ingest stores must not depend on how it was scheduled: same
 //! label file, same per-tag stored bytes, and bit-equal query payloads —
-//! for every ingest-pool size, for every dropping size (one window of
-//! the ingest loop each; only the per-dropping framing may differ), and
-//! for guided ingest ([`Ada::ingest_guided`]) against [`Ada::ingest`].
+//! for every ingest-pool size and chunk size — and however long the
+//! trajectory, it is one dropping per tag.
 //!
 //! The ingest pool's contract sits here too, where `query_equivalence`
 //! pins the decode pool's: every stored dropping is `seal_v2` of the
-//! serial split of its window, two faults in one window fail with the
-//! earlier chunk's, and the trace shows one decode → split per chunk on
-//! the worker that ran it.
+//! serial split of the trajectory, two faults fail with the earlier
+//! chunk's, and the trace shows one decode → split per chunk on the worker
+//! that ran it.
 
 use ada_core::{
     categorize_algo1, split_trajectory, Ada, AdaConfig, AdaError, DispatchPolicy, IngestInput,
     RetrievedData,
 };
 use ada_mdformats::xtc::{index_frames, read_xtc, write_xtc, XtcError, DEFAULT_PRECISION};
-use ada_mdformats::xtcf::{seal_v2, XTCF_DIR_ENTRY_LEN, XTCF_HEADER_LEN, XTCF_TRAILER_LEN};
+use ada_mdformats::xtcf::seal_v2;
 use ada_mdformats::{write_pdb, FormatError, Trajectory};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
@@ -23,11 +22,11 @@ use ada_simfs::{LocalFs, SimFileSystem};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Hybrid SSD/HDD ADA with an explicit ingest pool and dropping size.
-fn ada_with(ingest_threads: usize, frames_per_dropping: usize) -> Ada {
+/// Hybrid SSD/HDD ADA with an explicit ingest pool and chunk size.
+fn ada_with(ingest_threads: usize, chunk_frames: usize) -> Ada {
     let config = AdaConfig {
         ingest_threads,
-        frames_per_dropping,
+        chunk_frames,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     ada_on_backends(config).0
@@ -47,7 +46,6 @@ fn ada_on_backends(config: AdaConfig) -> (Ada, [Arc<dyn SimFileSystem>; 2]) {
 struct Workload {
     pdb_text: String,
     xtc_bytes: Vec<u8>,
-    nframes: usize,
 }
 
 fn workload() -> Workload {
@@ -55,7 +53,6 @@ fn workload() -> Workload {
     Workload {
         pdb_text: write_pdb(&w.system),
         xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        nframes: w.trajectory.len(),
     }
 }
 
@@ -76,19 +73,11 @@ fn query_real(ada: &Ada, dataset: &str, tag: Option<&ada_mdmodel::Tag>) -> Traje
     }
 }
 
-/// Per-dropping framing overhead of a sealed single-chunk XTCF v2 file:
-/// the v1 header plus one chunk-directory entry plus the footer trailer.
-/// Exact here because every dropping these tests produce holds fewer
-/// frames than `AdaConfig::chunk_frames`.
-const DROPPING_OVERHEAD: u64 = (XTCF_HEADER_LEN + XTCF_DIR_ENTRY_LEN + XTCF_TRAILER_LEN) as u64;
-
 /// Every observable output of `b` equals `a`'s: label file, per-tag
-/// stored bytes (modulo `extra_droppings_per_tag` sealed droppings'
-/// framing), and bit-equal per-tag and untagged query payloads.
+/// stored bytes, and bit-equal per-tag and untagged query payloads.
 fn assert_equivalent(
     a: (&Ada, &ada_core::IngestReport),
     b: (&Ada, &ada_core::IngestReport),
-    extra_droppings_per_tag: u64,
     what: &str,
 ) {
     let (ada_a, rep_a) = a;
@@ -101,7 +90,6 @@ fn assert_equivalent(
     assert_eq!(label_a.nframes, label_b.nframes, "{}: label nframes", what);
     assert_eq!(label_a.tags, label_b.tags, "{}: label tag ranges", what);
 
-    let overhead = extra_droppings_per_tag * DROPPING_OVERHEAD;
     assert_eq!(
         rep_a.bytes_by_tag.keys().collect::<Vec<_>>(),
         rep_b.bytes_by_tag.keys().collect::<Vec<_>>(),
@@ -110,13 +98,7 @@ fn assert_equivalent(
     );
     for (tag, &bytes_a) in &rep_a.bytes_by_tag {
         let bytes_b = rep_b.bytes_by_tag[tag];
-        assert_eq!(
-            bytes_a + overhead,
-            bytes_b,
-            "{}: stored bytes for tag {:?}",
-            what,
-            tag
-        );
+        assert_eq!(bytes_a, bytes_b, "{}: stored bytes for tag {:?}", what, tag);
     }
 
     // XTCF is lossless, so delivered coordinates must be bit-equal.
@@ -140,106 +122,61 @@ fn assert_equivalent(
 #[test]
 fn batch_ingest_parallel_split_matches_serial() {
     let w = workload();
-    // One window, and 7 frames in windows of 2, 2, 2, 1.
-    for fpd in [512, 2] {
-        let serial = ada_with(1, fpd);
+    // One chunk, and 7 frames in chunks of 2, 2, 2, 1.
+    for chunk_frames in [64, 2] {
+        let serial = ada_with(1, chunk_frames);
         let rep_serial = w.ingest(&serial);
         for threads in [2, 4, 8] {
-            let par = ada_with(threads, fpd);
+            let par = ada_with(threads, chunk_frames);
             let rep_par = w.ingest(&par);
-            // Same dropping size ⇒ same droppings ⇒ byte totals exactly equal.
+            // Same chunk size ⇒ same droppings ⇒ byte totals exactly equal.
             assert_equivalent(
                 (&serial, &rep_serial),
                 (&par, &rep_par),
-                0,
-                &format!("ingest threads={} fpd={}", threads, fpd),
+                &format!("ingest threads={} chunk={}", threads, chunk_frames),
             );
         }
     }
 }
 
+/// However long the trajectory — here 600 frames, past the benchmark's
+/// 512 — the default config stores one dropping per tag holding every
+/// frame: `seal_v2` of the tag's serial split, in chunks of 64.
 #[test]
 fn dropping_size_changes_only_the_framing() {
-    let w = workload();
-    // frames_per_dropping ≫ nframes: one dropping per tag.
-    let one = ada_with(4, 1 << 20);
-    let rep_one = w.ingest(&one);
+    let w = ada_workload::gpcr_workload(300, 600, 23);
+    let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
+    let whole = read_xtc(&xtc_bytes).unwrap();
+    let config = AdaConfig::paper_prototype("ssd", "hdd");
+    let labeler = categorize_algo1(&w.system, &config.taxonomy);
+    let split = split_trajectory(&whole, &labeler).unwrap().subsets;
+    let (ada, _) = ada_on_backends(config);
+    let input = IngestInput::Real {
+        pdb_text: write_pdb(&w.system),
+        xtc_bytes,
+    };
+    let report = ada.ingest("d", input).unwrap();
 
-    // 3 frames per dropping on 7 frames is 3 droppings per tag, i.e. two
-    // extra droppings' framing per tag over the single dropping.
-    for fpd in [1, 3, w.nframes, 512] {
-        let cut = ada_with(4, fpd);
-        let rep_cut = w.ingest(&cut);
-        let droppings_per_tag = w.nframes.div_ceil(fpd);
-        assert_equivalent(
-            (&one, &rep_one),
-            (&cut, &rep_cut),
-            droppings_per_tag as u64 - 1,
-            &format!("fpd={}", fpd),
+    let index = ada.containers().index("d").unwrap();
+    assert_eq!(index.len(), labeler.len(), "one dropping per tag");
+    for record in &index {
+        let tag = Tag::new(record.tag.clone());
+        assert_eq!(record.frames, 600);
+        let sealed = seal_v2(split[&tag].clone(), labeler[&tag].count(), 64).unwrap();
+        let (stored, _) = ada.containers().read_dropping(record).unwrap();
+        assert!(
+            stored.as_real().expect("real bytes") == &sealed[..],
+            "tag {}",
+            tag
         );
-
-        // Each tag's droppings hold `fpd` frames, the last one the rest.
-        let index = cut.containers().index("d").unwrap();
-        for tag in rep_cut.bytes_by_tag.keys() {
-            let frames: Vec<u64> = index
-                .iter()
-                .filter(|r| r.tag == tag.to_string())
-                .map(|r| r.frames)
-                .collect();
-            let expect: Vec<u64> = (0..w.nframes)
-                .step_by(fpd)
-                .map(|first| fpd.min(w.nframes - first) as u64)
-                .collect();
-            assert_eq!(frames, expect, "fpd={} tag {:?}", fpd, tag);
-        }
+        assert_eq!(report.bytes_by_tag[&tag], sealed.len() as u64);
     }
 }
 
-#[test]
-fn guided_ingest_matches_batch_ingest() {
-    let w = workload();
-    // A second motion phase over the same structure (same seed ⇒ same
-    // system), with a frame count of its own so the guided label cannot
-    // get away with copying the guide's.
-    let phase2 = ada_workload::gpcr_workload(1600, 5, 11);
-    let xtc2 = write_xtc(&phase2.trajectory, DEFAULT_PRECISION).unwrap();
-    // One window, and 5 frames in windows of 2, 2, 1.
-    for (ingest_threads, fpd) in [(1, 512), (0, 512), (0, 2)] {
-        let reference = ada_with(ingest_threads, fpd);
-        let rep_ref = reference
-            .ingest(
-                "b",
-                IngestInput::Real {
-                    pdb_text: w.pdb_text.clone(),
-                    xtc_bytes: xtc2.clone(),
-                },
-            )
-            .unwrap();
-
-        let guided = ada_with(ingest_threads, fpd);
-        guided
-            .ingest(
-                "a",
-                IngestInput::Real {
-                    pdb_text: w.pdb_text.clone(),
-                    xtc_bytes: w.xtc_bytes.clone(),
-                },
-            )
-            .unwrap();
-        let rep_guided = guided.ingest_guided("b", "a", &xtc2).unwrap();
-        assert_equivalent(
-            (&reference, &rep_ref),
-            (&guided, &rep_guided),
-            0,
-            &format!("guided ingest_threads={} fpd={}", ingest_threads, fpd),
-        );
-    }
-}
-
-/// Whatever the pool size, the chunk size, the dropping size and the
-/// policy, every stored dropping is what sealing the serial split of its
-/// window makes — `seal_v2(split_trajectory(window)[tag])` — and the
-/// droppings of a window are appended in backend-then-tag order.
+/// Whatever the pool size, the chunk size and the policy, every stored
+/// dropping is what sealing the serial split of the trajectory makes —
+/// `seal_v2(split_trajectory(whole)[tag])` — and the droppings are
+/// appended in backend-then-tag order.
 #[test]
 fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
     let w = ada_workload::gpcr_workload(700, 7, 13);
@@ -264,56 +201,46 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
         ),
     ];
     for (policy, order) in &policies {
-        for frames_per_dropping in [0usize, 3] {
-            for chunk_frames in [0usize, 1, 3, 100] {
-                // What the serial reference stores.
-                let window_len = match frames_per_dropping {
-                    0 => decoded.len(),
-                    n => n,
+        for chunk_frames in [0usize, 1, 3, 100] {
+            // What the serial reference stores.
+            let subsets = split_trajectory(&decoded, &labeler).unwrap().subsets;
+            let mut expected = Vec::new();
+            for (tag, backend) in order {
+                let natoms = labeler[*tag].count();
+                let sealed = seal_v2(subsets[*tag].clone(), natoms, chunk_frames).unwrap();
+                expected.push((tag.to_string(), backend.to_string(), sealed));
+            }
+            for ingest_threads in [0usize, 1, 3, 8] {
+                let what = format!(
+                    "threads {} chunk {} policy {:?}",
+                    ingest_threads, chunk_frames, policy
+                );
+                let (ada, _) = ada_on_backends(AdaConfig {
+                    policy: policy.clone(),
+                    ingest_threads,
+                    chunk_frames,
+                    ..AdaConfig::paper_prototype("ssd", "hdd")
+                });
+                let input = IngestInput::Real {
+                    pdb_text: pdb_text.clone(),
+                    xtc_bytes: xtc_bytes.clone(),
                 };
-                let mut expected = Vec::new();
-                for window in decoded.frames.chunks(window_len) {
-                    let window = Trajectory::from_frames(window.to_vec());
-                    let subsets = split_trajectory(&window, &labeler).unwrap().subsets;
-                    for (tag, backend) in order {
-                        let natoms = labeler[*tag].count();
-                        let sealed = seal_v2(subsets[*tag].clone(), natoms, chunk_frames).unwrap();
-                        expected.push((tag.to_string(), backend.to_string(), window.len(), sealed));
-                    }
-                }
-                for ingest_threads in [0usize, 1, 3, 8] {
-                    let what = format!(
-                        "threads {} chunk {} fpd {} policy {:?}",
-                        ingest_threads, chunk_frames, frames_per_dropping, policy
-                    );
-                    let (ada, _) = ada_on_backends(AdaConfig {
-                        policy: policy.clone(),
-                        ingest_threads,
-                        chunk_frames,
-                        frames_per_dropping,
-                        ..AdaConfig::paper_prototype("ssd", "hdd")
-                    });
-                    let input = IngestInput::Real {
-                        pdb_text: pdb_text.clone(),
-                        xtc_bytes: xtc_bytes.clone(),
-                    };
-                    ada.ingest("d", input).unwrap();
-                    let index = ada.containers().index("d").unwrap();
-                    assert_eq!(index.len(), expected.len(), "{}", what);
-                    for (record, (tag, backend, frames, sealed)) in index.iter().zip(&expected) {
-                        assert_eq!((&record.tag, &record.backend), (tag, backend), "{}", what);
-                        assert_eq!(record.frames, *frames as u64, "{}", what);
-                        let (stored, _) = ada.containers().read_dropping(record).unwrap();
-                        let stored = stored.as_real().expect("real bytes");
-                        assert!(stored[..] == sealed[..], "{}: dropping {:?}", what, record);
-                    }
+                ada.ingest("d", input).unwrap();
+                let index = ada.containers().index("d").unwrap();
+                assert_eq!(index.len(), expected.len(), "{}", what);
+                for (record, (tag, backend, sealed)) in index.iter().zip(&expected) {
+                    assert_eq!((&record.tag, &record.backend), (tag, backend), "{}", what);
+                    assert_eq!(record.frames, decoded.len() as u64, "{}", what);
+                    let (stored, _) = ada.containers().read_dropping(record).unwrap();
+                    let stored = stored.as_real().expect("real bytes");
+                    assert!(stored[..] == sealed[..], "{}: dropping {:?}", what, record);
                 }
             }
         }
     }
 }
 
-/// Two faults, one answer: two differently broken frames in one window —
+/// Two faults, one answer: two differently broken frames in one ingest —
 /// both in fields the header scan skips — fail the ingest with the error
 /// of the earlier chunk, whichever worker met which first, and the failed
 /// ingest leaves nothing behind on any backend.
@@ -375,7 +302,7 @@ fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
     }
 }
 
-/// The trace of a 512-frame window at the default 64 frames a chunk: one
+/// The trace of a 512-frame ingest at the default 64 frames a chunk: one
 /// `ingest.decode` and one `ingest.split` per chunk, each chunk's split
 /// right after its own decode on the worker that ran both — never the
 /// caller at `ingest_threads: 4`, only the caller at `0`.
@@ -385,7 +312,7 @@ fn a_traced_ingest_shows_one_decode_and_split_per_chunk_on_its_worker() {
     let pdb_text = write_pdb(&w.system);
     let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
     for ingest_threads in [4usize, 0] {
-        let ada = ada_with(ingest_threads, 512);
+        let ada = ada_with(ingest_threads, 64);
         let (ctx, root) = ada_telemetry::trace::root("test.ingest");
         let id = ctx.trace_id().expect("tracing is on by default");
         let input = IngestInput::Real {

@@ -456,15 +456,14 @@ fn chunk_layout(server: &Server, dataset: &str, tag: &str) -> (u32, Vec<u32>) {
     (chunk_frames, layout)
 }
 
-/// A tag spread over droppings whose length is not a multiple of the chunk
-/// size has short chunks in the middle of its answer. Forwarded, they
-/// arrive as stored — and the rest of the report is the in-process one:
-/// the simulated durations, and the heat the query left behind.
+/// A tag whose frame count is not a multiple of the chunk size has a short
+/// last chunk. Forwarded, its chunks arrive as stored — and the rest of
+/// the report is the in-process one: the simulated durations, and the heat
+/// the query left behind.
 #[test]
 fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
     let _guard = serialize();
     let config = || AdaConfig {
-        frames_per_dropping: 20,
         chunk_frames: 8,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
@@ -483,10 +482,10 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
         assert_eq!(remote.read_ns, local.read.0);
         assert_eq!(wire_bits(remote), query_bits(local));
     }
-    // Droppings of 20, 20 and 10 frames, their chunks of 8 as stored.
+    // One dropping of 50 frames, its chunks of 8 as stored.
     assert_eq!(
         chunk_layout(&server, "ds", "p"),
-        (8, vec![8, 8, 4, 8, 8, 4, 8, 2])
+        (8, vec![8, 8, 8, 8, 8, 8, 2])
     );
     serial.query("ds", Some(&p)).unwrap();
     // The other tag, and a ranged read: one forwarded, one not.

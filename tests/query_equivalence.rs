@@ -1,12 +1,12 @@
 //! The parallel query pipeline must be observably identical to the serial
 //! reference retrieval (`query_threads = 0`): bit-equal trajectories for
 //! full-frame and per-tag queries, identical simulated read costs, and the
-//! same typed errors under injected faults — on single- and multi-dropping
+//! same typed errors under injected faults — on single- and multi-chunk
 //! datasets, real and synthetic.
 
 use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-use ada_mdformats::xtcf::{parse_directory, seal_v2, write_xtcf, XTCF_TRAILER_LEN};
+use ada_mdformats::xtcf::{parse_directory, read_xtcf, seal_v2, write_xtcf, XTCF_TRAILER_LEN};
 use ada_mdformats::{write_pdb, FormatError, Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
 use ada_plfs::ContainerSet;
@@ -20,12 +20,13 @@ struct Rig {
     hdd: Arc<dyn SimFileSystem>,
 }
 
-/// Hybrid SSD/HDD ADA with explicit query parallelism knobs.
-fn rig(query_threads: usize, frames_per_dropping: usize) -> Rig {
-    rig_chunked(query_threads, frames_per_dropping, 64)
+/// Hybrid SSD/HDD ADA with an explicit query pool, sealing its droppings
+/// in the default chunks of 64 frames.
+fn rig(query_threads: usize) -> Rig {
+    rig_chunked(query_threads, 64)
 }
 
-fn rig_chunked(query_threads: usize, frames_per_dropping: usize, chunk_frames: usize) -> Rig {
+fn rig_chunked(query_threads: usize, chunk_frames: usize) -> Rig {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let containers = Arc::new(ContainerSet::new(vec![
@@ -34,7 +35,6 @@ fn rig_chunked(query_threads: usize, frames_per_dropping: usize, chunk_frames: u
     ]));
     let config = AdaConfig {
         query_threads,
-        frames_per_dropping,
         chunk_frames,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
@@ -93,12 +93,12 @@ fn assert_queries_equivalent(ser: &Ada, par: &Ada, dataset: &str, what: &str) {
 
 #[test]
 fn parallel_matches_serial_on_multi_dropping_real_dataset() {
-    // 7 frames / 2 per dropping = 4 droppings per tag, spread over both
-    // backends — the pipeline has real fan-out to get wrong.
-    let ser = rig(0, 2);
+    // One dropping per tag on each backend, 7 frames / 2 per chunk = 4
+    // chunks each — the pipeline has real fan-out to get wrong.
+    let ser = rig_chunked(0, 2);
     ingest_real(&ser.ada, "d", 1600, 7, 11);
     for threads in [1, 2, 4, 8] {
-        let par = rig(threads, 2);
+        let par = rig_chunked(threads, 2);
         ingest_real(&par.ada, "d", 1600, 7, 11);
         assert_queries_equivalent(
             &ser.ada,
@@ -111,9 +111,9 @@ fn parallel_matches_serial_on_multi_dropping_real_dataset() {
 
 #[test]
 fn parallel_matches_serial_on_single_dropping_real_dataset() {
-    let ser = rig(0, 512);
+    let ser = rig(0);
     ingest_real(&ser.ada, "d", 900, 3, 21);
-    let par = rig(4, 512);
+    let par = rig(4);
     ingest_real(&par.ada, "d", 900, 3, 21);
     assert_queries_equivalent(&ser.ada, &par.ada, "d", "single dropping");
 }
@@ -121,11 +121,11 @@ fn parallel_matches_serial_on_single_dropping_real_dataset() {
 #[test]
 fn parallel_matches_serial_on_synthetic_dataset() {
     let spec = ada_core::SyntheticDataset::gpcr_paper(64);
-    let ser = rig(0, 512);
+    let ser = rig(0);
     ser.ada
         .ingest("syn", IngestInput::Synthetic(spec.clone()))
         .unwrap();
-    let par = rig(4, 512);
+    let par = rig(4);
     par.ada.ingest("syn", IngestInput::Synthetic(spec)).unwrap();
     assert_queries_equivalent(&ser.ada, &par.ada, "syn", "synthetic");
 }
@@ -139,13 +139,13 @@ proptest! {
     fn parallel_query_is_serial_query(
         natoms in 200usize..1200,
         nframes in 1usize..9,
-        frames_per_dropping in 1usize..4,
+        chunk_frames in 1usize..4,
         threads in 1usize..6,
         seed in 0u64..1000,
     ) {
-        let ser = rig(0, frames_per_dropping);
+        let ser = rig_chunked(0, chunk_frames);
         ingest_real(&ser.ada, "d", natoms, nframes, seed);
-        let par = rig(threads, frames_per_dropping);
+        let par = rig_chunked(threads, chunk_frames);
         ingest_real(&par.ada, "d", natoms, nframes, seed);
         for tag in [Some(Tag::protein()), Some(Tag::misc()), None] {
             let a = query_real(&ser.ada, "d", tag.as_ref());
@@ -174,7 +174,7 @@ fn corrupt_protein_dropping(r: &Rig) -> String {
 #[test]
 fn corrupt_dropping_yields_xtcf_error_on_both_paths() {
     for threads in [0, 4] {
-        let r = rig(threads, 2);
+        let r = rig_chunked(threads, 2);
         ingest_real(&r.ada, "d", 900, 5, 31);
         let dropping = corrupt_protein_dropping(&r);
         for tag in [Some(Tag::protein()), None] {
@@ -221,7 +221,7 @@ fn truncate_protein_dropping(r: &Rig, keep: usize) -> String {
 fn malformed_dropping_in_parallel_query_is_a_structured_error_not_a_panic() {
     for (what, keep) in [("truncated", 40usize), ("zero-length", 0usize)] {
         for threads in [0, 1, 4, 8] {
-            let r = rig(threads, 2);
+            let r = rig_chunked(threads, 2);
             ingest_real(&r.ada, "d", 1200, 6, 61);
             truncate_protein_dropping(&r, keep);
 
@@ -259,7 +259,7 @@ fn malformed_dropping_in_parallel_query_is_a_structured_error_not_a_panic() {
 #[test]
 fn failed_queries_do_not_bump_access_counters() {
     for threads in [0, 4] {
-        let r = rig(threads, 2);
+        let r = rig_chunked(threads, 2);
         ingest_real(&r.ada, "d", 900, 4, 41);
 
         // Unknown tag: rejected before any retrieval.
@@ -291,27 +291,32 @@ fn failed_queries_do_not_bump_access_counters() {
 #[test]
 fn frame_count_mismatch_is_a_structured_error() {
     for threads in [0, 4] {
-        let r = rig(threads, 512);
+        let r = rig_chunked(threads, 3);
         ingest_real(&r.ada, "d", 900, 3, 51);
 
-        // Splice in a foreign protein dropping, sealed and indexed as
-        // ingest would: one extra well-formed frame, so tag `p` now
-        // decodes 4 frames while the label (and tag `m`) say 3. Before the
-        // mismatch check, full-frame reassembly silently truncated to the
-        // shortest subset.
+        // Re-seal the protein dropping, as ingest would, with one extra
+        // well-formed frame in a chunk of its own: tag `p` now decodes 4
+        // frames while the label (and tag `m`) say 3. Before the mismatch
+        // check, full-frame reassembly silently truncated to the shortest
+        // subset.
         let label = r.ada.label("d").unwrap();
         let p_atoms = label.ranges(&Tag::protein()).unwrap().count();
-        let extra = Trajectory::from_frames(vec![Frame {
-            step: 99,
-            time: 9.9,
-            pbc: PbcBox::zero(),
-            coords: vec![[1.0, 2.0, 3.0]; p_atoms],
-        }]);
-        let sealed = seal_v2(write_xtcf(&extra).unwrap(), p_atoms, 64).unwrap();
-        r.ada
-            .containers()
-            .append_tagged_frames("d", "p", "ssd", Content::real(sealed), 1)
-            .unwrap();
+        let path = r
+            .ssd
+            .list("ssd/d/hostdir.0/")
+            .into_iter()
+            .find(|p| p.contains("dropping.data.p"))
+            .expect("protein dropping exists");
+        mutate_dropping(&r, &path, |b| {
+            let mut frames = read_xtcf(b).unwrap();
+            frames.frames.push(Frame {
+                step: 99,
+                time: 9.9,
+                pbc: PbcBox::zero(),
+                coords: vec![[1.0, 2.0, 3.0]; p_atoms],
+            });
+            *b = seal_v2(write_xtcf(&frames).unwrap(), p_atoms, 3).unwrap();
+        });
 
         let err = r.ada.query("d", None).unwrap_err();
         match &err {
@@ -334,23 +339,18 @@ fn frame_count_mismatch_is_a_structured_error() {
     }
 }
 
-/// Two faults in one request. Twelve frames sealed four to a dropping and
-/// two to a chunk: three protein droppings of two chunks each, so a fault
-/// has a (dropping, chunk) position to be ordered by.
+/// Two faults in one request. Twelve frames sealed two to a chunk: one
+/// dropping per tag — `m`'s on the HDD first in logical order, then
+/// `p`'s — of six chunks each, so a fault has a chunk position to be
+/// ordered by. The dropping paths, in logical order.
 fn two_fault_rig(query_threads: usize) -> (Rig, Vec<String>) {
-    let r = rig_chunked(query_threads, 4, 2);
+    let r = rig_chunked(query_threads, 2);
     ingest_real(&r.ada, "d", 900, 12, 71);
-    let mut protein: Vec<_> = r
-        .ada
-        .containers()
-        .index("d")
-        .unwrap()
-        .into_iter()
-        .filter(|rec| rec.tag == "p")
-        .collect();
-    protein.sort_by_key(|rec| rec.logical_offset);
-    let paths: Vec<String> = protein.into_iter().map(|rec| rec.dropping_path).collect();
-    assert_eq!(paths.len(), 3);
+    let mut records = r.ada.containers().index("d").unwrap();
+    records.sort_by_key(|rec| rec.logical_offset);
+    let tags: Vec<&str> = records.iter().map(|rec| rec.tag.as_str()).collect();
+    assert_eq!(tags, ["m", "p"]);
+    let paths = records.into_iter().map(|rec| rec.dropping_path).collect();
     (r, paths)
 }
 
@@ -376,9 +376,9 @@ fn flip_in_chunk(chunk: usize) -> impl FnOnce(&mut Vec<u8>) {
     }
 }
 
-/// Break the protein droppings with `faults`, then require the tagged and
-/// the untagged query to fail, at every thread count, with exactly the
-/// error the serial reference returns — and the tagged one with `expect`.
+/// Break the droppings with `faults`, then require the protein and the
+/// untagged query to fail, at every thread count, with exactly the error
+/// the serial reference returns — and with `expect`.
 fn assert_two_faults_one_answer(
     what: &str,
     faults: impl Fn(&Rig, &[String]),
@@ -391,15 +391,14 @@ fn assert_two_faults_one_answer(
         let mut got = Vec::new();
         for tag in [Some(Tag::protein()), None] {
             let err = r.ada.query("d", tag.as_ref()).unwrap_err();
-            if tag.is_some() {
-                assert!(
-                    expect(&err, &paths),
-                    "{} threads={}: {:?}",
-                    what,
-                    threads,
-                    err
-                );
-            }
+            assert!(
+                expect(&err, &paths),
+                "{} threads={} tag={:?}: {:?}",
+                what,
+                threads,
+                tag,
+                err
+            );
             got.push(format!("{:?}", err));
         }
         if threads == 0 {
@@ -418,77 +417,75 @@ fn is_chunk_corrupt(err: &AdaError, path: &str, chunk: usize) -> bool {
 #[test]
 fn a_lost_dropping_outranks_an_earlier_corrupt_chunk() {
     // Everything is fetched before anything is decoded, so the fetch
-    // failure is the request's error however early the decode fault sits.
+    // failure of `p` is the request's error however early the decode
+    // fault in `m` sits.
     assert_two_faults_one_answer(
-        "lost + corrupt",
+        "lost p + corrupt m",
         |r, paths| {
-            mutate_dropping(r, &paths[0], flip_in_chunk(1));
-            r.ssd.delete(&paths[2]).unwrap();
+            mutate_dropping(r, &paths[0], flip_in_chunk(0));
+            r.ssd.delete(&paths[1]).unwrap();
         },
-        |err, paths| matches!(err.kind(), "fs" | "plfs") && err.to_string().contains(&paths[2]),
+        |err, paths| matches!(err.kind(), "fs" | "plfs") && err.to_string().contains(&paths[1]),
     );
 }
 
 #[test]
-fn two_corrupt_chunks_fail_with_the_lower_dropping_and_chunk() {
-    // The later dropping's fault has the lower chunk id: (dropping, chunk)
-    // orders by dropping first.
+fn two_corrupt_chunks_fail_with_the_lower_chunk() {
+    // Two corrupt chunks of one dropping: the lower chunk id is the
+    // request's error, whichever worker met which first.
     assert_two_faults_one_answer(
         "corrupt + corrupt",
         |r, paths| {
-            mutate_dropping(r, &paths[0], flip_in_chunk(1));
-            mutate_dropping(r, &paths[1], flip_in_chunk(0));
+            mutate_dropping(r, &paths[1], flip_in_chunk(4));
+            mutate_dropping(r, &paths[1], flip_in_chunk(1));
         },
-        |err, paths| is_chunk_corrupt(err, &paths[0], 1),
+        |err, paths| is_chunk_corrupt(err, &paths[1], 1),
     );
 }
 
 #[test]
-fn an_earlier_corrupt_chunk_outranks_a_later_broken_directory() {
-    // A dropping that cannot be planned ranks as its own chunk 0: behind
-    // every fault of an earlier dropping.
+fn a_broken_directory_outranks_an_earlier_corrupt_chunk() {
+    // A dropping that cannot be planned ranks ahead of the unit its first
+    // frame falls in — and every dropping starts at frame 0 — so `p`'s
+    // broken directory fails the request ahead of the corrupt chunk 0 of
+    // `m`, the dropping before it in logical and label order.
     assert_two_faults_one_answer(
-        "corrupt + truncated directory",
+        "corrupt m + truncated p directory",
         |r, paths| {
-            mutate_dropping(r, &paths[0], flip_in_chunk(1));
-            mutate_dropping(r, &paths[2], |b| {
+            mutate_dropping(r, &paths[0], flip_in_chunk(0));
+            mutate_dropping(r, &paths[1], |b| {
                 let t = b.len() - XTCF_TRAILER_LEN;
                 b[t..t + 4].copy_from_slice(&0xFFFFu32.to_le_bytes());
             });
         },
-        |err, paths| is_chunk_corrupt(err, &paths[0], 1),
+        |err, paths| {
+            matches!(err, AdaError::Xtcf { dropping, source: FormatError::Corrupt(why) }
+                if dropping == &paths[1] && why.contains("truncated chunk directory"))
+        },
     );
 }
 
 #[test]
-fn across_tags_the_lower_window_and_chunk_fails_first() {
-    // A corrupt chunk 1 in tag `m`'s first dropping, a corrupt chunk 0 in
-    // tag `p`'s. `m`'s dropping comes first in logical order (dispatch
-    // sorts by backend name, `hdd` before `ssd`), but the untagged answer
-    // is written a (window, chunk) at a time across its tags, so it fails
-    // with `p`'s chunk 0 — at every thread count.
+fn across_tags_the_lower_chunk_fails_first() {
+    // A corrupt chunk 1 in tag `m`'s dropping, a corrupt chunk 0 in tag
+    // `p`'s. `m`'s dropping comes first in logical order (dispatch sorts
+    // by backend name, `hdd` before `ssd`), but the untagged answer is
+    // written a chunk at a time across its tags, so it fails with `p`'s
+    // chunk 0 — at every thread count.
     for threads in [0, 1, 4, 8] {
-        let r = rig_chunked(threads, 4, 2);
-        ingest_real(&r.ada, "d", 900, 12, 71);
-        let first = |tag: &str| {
-            let mut records: Vec<_> = r.ada.containers().index("d").unwrap();
-            records.retain(|rec| rec.tag == tag);
-            records.sort_by_key(|rec| rec.logical_offset);
-            records.swap_remove(0)
-        };
-        let (m, p) = (first("m"), first("p"));
-        assert!(m.logical_offset < p.logical_offset);
-        mutate_dropping(&r, &m.dropping_path, flip_in_chunk(1));
-        mutate_dropping(&r, &p.dropping_path, flip_in_chunk(0));
+        let (r, paths) = two_fault_rig(threads);
+        let (m, p) = (&paths[0], &paths[1]);
+        mutate_dropping(&r, m, flip_in_chunk(1));
+        mutate_dropping(&r, p, flip_in_chunk(0));
         let err = r.ada.query("d", None).unwrap_err();
         assert!(
-            is_chunk_corrupt(&err, &p.dropping_path, 0),
+            is_chunk_corrupt(&err, p, 0),
             "threads={}: {:?}",
             threads,
             err
         );
         // Each tag alone fails with its own fault.
         let err = r.ada.query("d", Some(&Tag::misc())).unwrap_err();
-        assert!(is_chunk_corrupt(&err, &m.dropping_path, 1), "{:?}", err);
+        assert!(is_chunk_corrupt(&err, m, 1), "{:?}", err);
     }
 }

@@ -18,9 +18,9 @@ use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
 use ada_workload::{shuffled_epochs, SamplingConfig};
 
-/// Hybrid SSD/HDD instance with small droppings (so ranges span several)
+/// Hybrid SSD/HDD instance with small chunks (so ranges span several)
 /// and the given cache config.
-fn make_ada(frames_per_dropping: usize, cache: CacheConfig) -> Arc<Ada> {
+fn make_ada(chunk_frames: usize, cache: CacheConfig) -> Arc<Ada> {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let cs = Arc::new(ContainerSet::new(vec![
@@ -28,7 +28,7 @@ fn make_ada(frames_per_dropping: usize, cache: CacheConfig) -> Arc<Ada> {
         ("hdd".into(), hdd),
     ]));
     let config = AdaConfig {
-        frames_per_dropping,
+        chunk_frames,
         cache,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };

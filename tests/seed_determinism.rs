@@ -32,10 +32,10 @@ fn rig() -> Rig {
     ]));
     // paper_prototype keeps every parallel knob on (ingest_threads,
     // query_threads) — exactly the paths whose
-    // determinism this suite locks in. 2 frames per dropping force the
-    // ingest loop through several windows.
+    // determinism this suite locks in. 2 frames a chunk force the ingest
+    // pool and the retrieval through several chunks.
     let config = AdaConfig {
-        frames_per_dropping: 2,
+        chunk_frames: 2,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     let ada = Ada::new(config, cs, ssd.clone());

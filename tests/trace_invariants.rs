@@ -525,7 +525,7 @@ fn assert_profile_is_fold(
 
 /// A report's profile and the `span.*` counters are two folds of the
 /// request's one span tree: recomputing them from the sealed trace gives
-/// the same numbers, on an ingest of one window and of several and on both
+/// the same numbers, on an ingest of one chunk and of several and on both
 /// retrieval schedules, under a front-end root and under the facade's own.
 #[test]
 fn profile_is_a_fold_of_the_tree() {
@@ -542,7 +542,7 @@ fn profile_is_a_fold_of_the_tree() {
         xtc_bytes: xtc.clone(),
     };
 
-    // The ingest body, in one window.
+    // The ingest body, in one chunk.
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
     let (report, t) = sealed(|| fe.ingest("c0", "whole", input()).unwrap());
     let p = report
@@ -555,19 +555,18 @@ fn profile_is_a_fold_of_the_tree() {
         ["categorize", "decode", "dispatch", "label_write", "split"]
     );
 
-    // Twelve frames at four to a dropping: three windows of the same
-    // body, the same fold — and the trace shows their schedule. No window
-    // decodes more than a dropping's frames, and window k + 1 starts
-    // decoding only once window k's droppings are stored, so one window's
-    // decoded frames are all an ingest ever holds.
+    // Twelve frames at four to a chunk: three chunks through the same
+    // body, the same fold — and the trace shows their schedule: each
+    // decode holds one chunk's frames, and the one dispatch starts once
+    // every chunk is decoded.
     let fe4 = Frontend::new(
         make_ada_with(AdaConfig {
-            frames_per_dropping: 4,
+            chunk_frames: 4,
             ..AdaConfig::paper_prototype("ssd", "hdd")
         }),
         FrontendConfig::default(),
     );
-    let (report, t) = sealed(|| fe4.ingest("c0", "windowed", input()).unwrap());
+    let (report, t) = sealed(|| fe4.ingest("c0", "chunked", input()).unwrap());
     let p = report
         .profile
         .as_ref()
@@ -578,42 +577,25 @@ fn profile_is_a_fold_of_the_tree() {
         stages(p),
         ["categorize", "decode", "dispatch", "label_write", "split"]
     );
-    let in_start_order = |name: &str| {
-        let mut spans: Vec<&TraceSpan> = t.spans.iter().filter(|s| s.name == name).collect();
-        spans.sort_by_key(|s| s.start_ns);
-        spans
-    };
-    let decodes = in_start_order("ingest.decode");
-    let dispatches = in_start_order("ingest.dispatch");
-    assert_eq!((decodes.len(), dispatches.len()), (3, 3));
+    let named =
+        |name: &str| -> Vec<&TraceSpan> { t.spans.iter().filter(|s| s.name == name).collect() };
+    let (decodes, dispatches) = (named("ingest.decode"), named("ingest.dispatch"));
+    assert_eq!((decodes.len(), dispatches.len()), (3, 1));
     for (k, decode) in decodes.iter().enumerate() {
-        assert_eq!(u64_arg(decode, "frames"), Some(4), "window {}", k);
+        assert_eq!(u64_arg(decode, "frames"), Some(4), "chunk {}", k);
         assert!(
-            k == 0 || decode.start_ns >= dispatches[k - 1].end_ns,
-            "window {} decoded before window {} was stored",
-            k,
-            k - 1
+            decode.end_ns <= dispatches[0].start_ns,
+            "chunk {} decoded after the dispatch began",
+            k
         );
     }
-
-    // No front-end entry for a guided ingest: the facade mints the root,
-    // so the op span is the trace's root span.
-    let (report, t) = sealed(|| fe.ada().ingest_guided("guided", "whole", &xtc).unwrap());
-    let p = report
-        .profile
-        .as_ref()
-        .expect("traced ingest has a profile");
-    let stored = Some(&report.bytes_by_tag);
-    assert_profile_is_fold(p, &t, "ada.ingest_guided", "guided", stored);
-    assert_eq!(t.op, "ada.ingest_guided");
-    assert_eq!(stages(p), ["decode", "dispatch", "label_write", "split"]);
 
     // Both retrieval schedules.
     for (query_threads, mode) in [(0, "query"), (4, "query_parallel")] {
         let fe = Frontend::new(
             make_ada_with(AdaConfig {
                 query_threads,
-                frames_per_dropping: 4,
+                chunk_frames: 4,
                 ..AdaConfig::paper_prototype("ssd", "hdd")
             }),
             FrontendConfig::default(),
@@ -631,7 +613,7 @@ fn profile_is_a_fold_of_the_tree() {
     // A range read, cold and then served from the cache.
     let fe = Frontend::new(
         make_ada_with(AdaConfig {
-            frames_per_dropping: 4,
+            chunk_frames: 4,
             cache: ada_cache::CacheConfig {
                 min_heat: 0,
                 ..ada_cache::CacheConfig::with_capacity(64 << 20)
@@ -697,7 +679,7 @@ fn uncontended_request_runs_on_the_submitting_thread() {
 
     let fe = Frontend::new(
         make_ada_with(AdaConfig {
-            frames_per_dropping: 4,
+            chunk_frames: 4,
             cache: ada_cache::CacheConfig {
                 min_heat: 0,
                 ..ada_cache::CacheConfig::with_capacity(64 << 20)
