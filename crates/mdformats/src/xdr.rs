@@ -34,6 +34,12 @@ impl XdrEncoder {
         self.buf.is_empty()
     }
 
+    /// Drop everything past the first `len` bytes (a no-op when fewer were
+    /// written).
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Write a 32-bit signed integer.
     pub fn put_i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_be_bytes());

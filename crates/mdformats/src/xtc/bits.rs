@@ -61,9 +61,9 @@ pub(crate) fn size_of_ints(sizes: &[u32]) -> u32 {
 }
 
 /// Widest field one buffer read or write moves: whatever the bit offset, a
-/// refilled read buffer holds at least this many bits and a flushed write
+/// filled read buffer holds at least this many bits and a flushed write
 /// accumulator has room for them.
-const WORD_BITS: u32 = 56;
+pub(crate) const WORD_BITS: u32 = 56;
 
 /// Widest mixed-radix field of the format: three ranges of at most
 /// 0xffffff (wider ones are coded per component) multiply to under 2^72,
@@ -166,6 +166,17 @@ impl Triple {
             third: Radix::new(sizes[2], max),
         }
     }
+
+    /// The components held by `field`, a field of this shape (`nbits <= 64`)
+    /// as it stands in the stream. On corrupt input the first component is
+    /// the quotient's low 32 bits, as in `receiveints`.
+    #[inline(always)]
+    pub(crate) fn unpack(&self, field: u64) -> [u32; 3] {
+        let v = from_stream_order(field, self.nbits);
+        let (q, n2) = self.third.div_rem(v);
+        let (n0, n1) = self.second.div_rem(q);
+        [n0 as u32, n1 as u32, n2 as u32]
+    }
 }
 
 /// MSB-first bit writer producing the stream of `sendbits`/`sendints`:
@@ -259,7 +270,13 @@ impl BitWriter {
 pub(crate) struct BitsEof;
 
 /// MSB-first bit reader matching [`BitWriter`]: the unread bits sit
-/// left-aligned in a 64-bit buffer refilled by one 8-byte load.
+/// left-aligned in a 64-bit buffer topped up by one 8-byte load.
+///
+/// A read is a [`fill`](Self::fill), raw takes from the buffer
+/// ([`take_raw`](Self::take_raw)) and one end-of-data check for all of them
+/// ([`spend`](Self::spend)). The decoder does this once per atom for all of
+/// the atom's reads that fit one fill; [`receive_bits`](Self::receive_bits)
+/// and [`receive_ints`](Self::receive_ints) do it per read, for the rest.
 #[derive(Debug)]
 pub(crate) struct BitReader<'a> {
     data: &'a [u8],
@@ -271,8 +288,8 @@ pub(crate) struct BitReader<'a> {
     /// Bits of `buf` counted as loaded; past the end of `data` they are
     /// zero padding, which `left` keeps from being handed out.
     have: u32,
-    /// Bits of `data` not handed out yet: a read of more is [`BitsEof`],
-    /// exactly where the bytewise reader ran out of bytes.
+    /// Bits of `data` not spent yet: spending more is [`BitsEof`], exactly
+    /// where the bytewise reader ran out of bytes.
     left: usize,
 }
 
@@ -289,50 +306,74 @@ impl<'a> BitReader<'a> {
     }
 
     /// Top `buf` up to at least [`WORD_BITS`] bits with one big-endian
-    /// 8-byte load, zero-padded past the end of `data`.
-    #[inline]
-    fn refill(&mut self) {
-        let rest = self.data.get(self.pos..).unwrap_or(&[]);
-        let word = match rest.first_chunk::<8>() {
+    /// 8-byte load, zero-padded past the end of `data`. Unconditional: at
+    /// 56 bits or more it loads no whole byte and changes nothing.
+    #[inline(always)]
+    pub(crate) fn fill(&mut self) {
+        let word = match self.data.get(self.pos..).and_then(<[u8]>::first_chunk) {
             Some(word) => u64::from_be_bytes(*word),
-            None => {
-                let mut word = [0u8; 8];
-                word[..rest.len()].copy_from_slice(rest);
-                u64::from_be_bytes(word)
-            }
+            None => self.tail_word(),
         };
         // Only whole bytes are counted as loaded; the bits of the next
         // byte that land below them are ORed in again, identically, by the
-        // next refill.
+        // next fill.
         self.buf |= word >> self.have;
         self.pos += ((63 - self.have) / 8) as usize;
         self.have |= WORD_BITS;
     }
 
-    /// Read `n <= WORD_BITS` bits.
-    #[inline]
-    fn take(&mut self, n: u32) -> Result<u64, BitsEof> {
-        debug_assert!(n <= WORD_BITS);
-        self.left = self.left.checked_sub(n as usize).ok_or(BitsEof)?;
-        if self.have < n {
-            self.refill();
-        }
+    /// The last bytes of `data` from `pos` on, zero-padded to a word.
+    #[cold]
+    fn tail_word(&self) -> u64 {
+        let rest = self.data.get(self.pos..).unwrap_or(&[]);
+        let mut word = [0u8; 8];
+        let n = rest.len().min(8);
+        word[..n].copy_from_slice(&rest[..n]);
+        u64::from_be_bytes(word)
+    }
+
+    /// The next `n` bits of the buffer, with no end-of-data check: `n` must
+    /// not pass what is loaded (at least [`WORD_BITS`] after a
+    /// [`fill`](Self::fill), less what was taken since), and the bits must
+    /// then be [`spend`](Self::spend)-accounted before the result is used.
+    #[inline(always)]
+    pub(crate) fn take_raw(&mut self, n: u32) -> u64 {
+        debug_assert!(n <= self.have, "take_raw({}) with {} loaded", n, self.have);
         let bits = (self.buf >> 1) >> (63 - n);
         self.buf <<= n;
         self.have -= n;
-        Ok(bits)
+        bits
     }
 
-    /// Read a mixed-radix number of `nbits <= 64` bits (at most two buffer
-    /// reads) and undo the stream's group order.
+    /// Account for `n` bits taken raw: [`BitsEof`] when `data` held fewer,
+    /// which is exactly when reading them a field at a time would have
+    /// failed on one of the fields.
+    #[inline(always)]
+    pub(crate) fn spend(&mut self, n: u32) -> Result<(), BitsEof> {
+        self.left = self.left.checked_sub(n as usize).ok_or(BitsEof)?;
+        Ok(())
+    }
+
+    /// Read `n <= WORD_BITS` bits, checked on its own.
     #[inline]
-    fn field(&mut self, nbits: u32) -> Result<u64, BitsEof> {
-        let field = if nbits <= WORD_BITS {
-            self.take(nbits)?
+    fn take(&mut self, n: u32) -> Result<u64, BitsEof> {
+        debug_assert!(n <= WORD_BITS);
+        self.spend(n)?;
+        if self.have < n {
+            self.fill();
+        }
+        Ok(self.take_raw(n))
+    }
+
+    /// Read an `nbits <= 64` field as it stands in the stream (at most two
+    /// buffer reads).
+    #[inline]
+    fn raw_field(&mut self, nbits: u32) -> Result<u64, BitsEof> {
+        if nbits <= WORD_BITS {
+            self.take(nbits)
         } else {
-            self.take(nbits - 32)? << 32 | self.take(32)?
-        };
-        Ok(from_stream_order(field, nbits))
+            Ok(self.take(nbits - 32)? << 32 | self.take(32)?)
+        }
     }
 
     /// Read `nbits <= 32` bits MSB-first.
@@ -343,17 +384,13 @@ impl<'a> BitReader<'a> {
     }
 
     /// Inverse of [`BitWriter::send_ints`] for a field of `shape`, whose
-    /// sizes must all be non-zero. On corrupt input the first component is
-    /// the quotient's low 32 bits, as in `receiveints`.
+    /// sizes must all be non-zero (see [`Triple::unpack`] for corrupt input).
     #[inline]
     pub(crate) fn receive_ints(&mut self, shape: &Triple) -> Result<[u32; 3], BitsEof> {
         if shape.nbits <= 64 {
-            let v = self.field(shape.nbits)?;
-            let (q, n2) = shape.third.div_rem(v);
-            let (n0, n1) = shape.second.div_rem(q);
-            Ok([n0 as u32, n1 as u32, n2 as u32])
+            Ok(shape.unpack(self.raw_field(shape.nbits)?))
         } else {
-            let low = self.field(64)?;
+            let low = from_stream_order(self.raw_field(64)?, 64);
             let v = (self.take(shape.nbits - 64)? as u128) << 64 | low as u128;
             let (s1, s2) = (shape.second.size as u128, shape.third.size as u128);
             let q = v / s2;
@@ -553,20 +590,35 @@ mod tests {
             })
     }
 
+    impl Op {
+        fn nbits(&self) -> u32 {
+            match *self {
+                Op::Bits(nbits, _) | Op::Ints { nbits, .. } => nbits,
+            }
+        }
+    }
+
     type Read = Result<[u32; 3], BitsEof>;
+
+    /// `op`'s read on the kernel.
+    fn read_new(r: &mut BitReader, op: &Op) -> Read {
+        match *op {
+            Op::Bits(nbits, _) => r.receive_bits(nbits).map(|v| [v, 0, 0]),
+            Op::Ints { nbits, sizes, .. } => r.receive_ints(&Triple::new(nbits, &sizes)),
+        }
+    }
+
+    /// `op`'s read on the bytewise reference.
+    fn read_old(r: &mut reference::BitReader, op: &Op) -> Read {
+        match *op {
+            Op::Bits(nbits, _) => r.receive_bits(nbits).map(|v| [v, 0, 0]),
+            Op::Ints { nbits, sizes, .. } => r.receive_ints(nbits, &sizes),
+        }
+    }
 
     /// Perform `op`'s read on both readers.
     fn read_both(new: &mut BitReader, old: &mut reference::BitReader, op: &Op) -> (Read, Read) {
-        match *op {
-            Op::Bits(nbits, _) => (
-                new.receive_bits(nbits).map(|v| [v, 0, 0]),
-                old.receive_bits(nbits).map(|v| [v, 0, 0]),
-            ),
-            Op::Ints { nbits, sizes, .. } => (
-                new.receive_ints(&Triple::new(nbits, &sizes)),
-                old.receive_ints(nbits, &sizes),
-            ),
-        }
+        (read_new(new, op), read_old(old, op))
     }
 
     /// Both readers agree on every read of `ops` over `data`, up to and
@@ -577,6 +629,76 @@ mod tests {
         for op in ops {
             let (got, want) = read_both(&mut new, &mut old, op);
             prop_assert_eq!(&got, &want, "{:?} over {} bytes", op, data.len());
+            if want.is_err() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// One atom's reads: taken in one fill (at most [`WORD_BITS`] bits in
+    /// all, as the decoder takes an absolute field, its run flag and code, or
+    /// a small-run field), or read and checked one at a time (its fallback).
+    #[derive(Debug, Clone)]
+    struct Atom {
+        one_fill: bool,
+        ops: Vec<Op>,
+    }
+
+    fn arb_atom() -> impl Strategy<Value = Atom> {
+        (any::<bool>(), prop::collection::vec(arb_op(), 1..5)).prop_map(|(one_fill, ops)| {
+            let ops = if one_fill {
+                ops.into_iter()
+                    .scan(0, |total, op| {
+                        *total += op.nbits();
+                        (*total <= WORD_BITS).then_some(op)
+                    })
+                    .collect()
+            } else {
+                ops
+            };
+            Atom { one_fill, ops }
+        })
+    }
+
+    /// `atom`'s reads on the kernel: one fill, raw takes, one spend — or
+    /// the checked reads.
+    fn read_atom(r: &mut BitReader, atom: &Atom) -> Result<Vec<[u32; 3]>, BitsEof> {
+        if !atom.one_fill {
+            return atom.ops.iter().map(|op| read_new(r, op)).collect();
+        }
+        r.fill();
+        let got = atom
+            .ops
+            .iter()
+            .map(|op| match *op {
+                Op::Bits(nbits, _) => [r.take_raw(nbits) as u32, 0, 0],
+                Op::Ints { nbits, sizes, .. } => {
+                    Triple::new(nbits, &sizes).unpack(r.take_raw(nbits))
+                }
+            })
+            .collect();
+        r.spend(atom.ops.iter().map(Op::nbits).sum())?;
+        Ok(got)
+    }
+
+    /// Kernel and reference read the same values atom by atom over `data`,
+    /// and the first atom the reference cannot finish is the one the
+    /// kernel's `spend` refuses.
+    fn assert_atoms_agree(data: &[u8], atoms: &[Atom]) -> Result<(), TestCaseError> {
+        let mut new = BitReader::new(data);
+        let mut old = reference::BitReader::new(data);
+        for (k, atom) in atoms.iter().enumerate() {
+            let want: Result<Vec<_>, _> =
+                atom.ops.iter().map(|op| read_old(&mut old, op)).collect();
+            prop_assert_eq!(
+                &read_atom(&mut new, atom),
+                &want,
+                "atom {} ({:?}) over {} bytes",
+                k,
+                atom,
+                data.len()
+            );
             if want.is_err() {
                 break;
             }
@@ -694,6 +816,36 @@ mod tests {
             // of all ones, reads that cross the end.
             assert_readers_agree(&data, &ops)?;
             assert_readers_agree(&vec![0xff; data.len()], &ops)?;
+        }
+
+        #[test]
+        fn prop_one_fill_reads_match_reference(
+            atoms in prop::collection::vec(arb_atom(), 1..40),
+            cut in any::<u32>(),
+            data in prop::collection::vec(any::<u8>(), 0..80),
+        ) {
+            let mut w = reference::BitWriter::new();
+            for op in atoms.iter().flat_map(|atom| &atom.ops) {
+                match *op {
+                    Op::Bits(nbits, v) => w.send_bits(nbits, v),
+                    Op::Ints { nbits, sizes, nums } => w.send_ints(nbits, &sizes, &nums),
+                }
+            }
+            let bytes = w.finish();
+            // Written, every atom reads back what was written...
+            let mut r = BitReader::new(&bytes);
+            for atom in &atoms {
+                let want = atom.ops.iter().map(|op| match *op {
+                    Op::Bits(_, v) => [v, 0, 0],
+                    Op::Ints { nums, .. } => nums,
+                });
+                prop_assert_eq!(read_atom(&mut r, atom), Ok(want.collect()), "{:?}", atom);
+            }
+            // ...and cut, arbitrary or all ones, both end on the same atom.
+            assert_atoms_agree(&bytes, &atoms)?;
+            assert_atoms_agree(&bytes[..cut as usize % (bytes.len() + 1)], &atoms)?;
+            assert_atoms_agree(&data, &atoms)?;
+            assert_atoms_agree(&vec![0xff; data.len()], &atoms)?;
         }
     }
 }

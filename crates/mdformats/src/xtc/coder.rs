@@ -19,7 +19,7 @@
 //! `1/precision` nm) but decompress∘compress is idempotent on the quantized
 //! lattice — properties the test suite checks.
 
-use super::bits::{size_of_int, size_of_ints, BitReader, BitWriter, Triple};
+use super::bits::{size_of_int, size_of_ints, BitReader, BitWriter, BitsEof, Triple, WORD_BITS};
 use crate::xdr::{XdrDecoder, XdrEncoder};
 use crate::FormatError;
 
@@ -91,6 +91,18 @@ const SMALL: [Triple; MAGICINTS.len()] = {
     }
     table
 };
+
+/// Widest absolute field an atom reads in one fill: the run flag and the
+/// 5-bit run code follow it, and a fill leaves at least [`WORD_BITS`] bits.
+/// Wider fields mean a box past ≈ 100 nm at precision 1000.
+const ONE_FILL_ABSOLUTE_BITS: u32 = WORD_BITS - 6;
+/// Widest small-run field (`smallidx`) an atom reads in one fill.
+const ONE_FILL_SMALL_BITS: u32 = WORD_BITS;
+
+/// Running out of payload bits is one error, whichever read it stopped.
+fn truncated(_: BitsEof) -> XtcError {
+    XtcError::TruncatedPayload
+}
 
 /// Encode coordinates at `precision` into `enc` (the body that follows the
 /// XTC frame header). Layout: natoms, [precision, minint×3, maxint×3,
@@ -363,35 +375,53 @@ pub(super) fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f3
     let mut r = BitReader::new(payload);
     let absolute = Triple::new(bitsize, &sizeint);
 
+    // An atom whose reads fit one fill — the absolute field, the run flag
+    // and the run code; a small-run field — costs one `fill`, raw takes and
+    // one `spend`. A wider read (a field past ONE_FILL_ABSOLUTE_BITS, the
+    // per-component path, a smallidx past ONE_FILL_SMALL_BITS) is read and
+    // checked a field at a time instead.
+    let absolute_in_one_fill = bitsize != 0 && bitsize <= ONE_FILL_ABSOLUTE_BITS;
+
     // Bound the up-front reservation so a corrupt atom count cannot force a
     // multi-gigabyte allocation before the payload proves itself.
     let mut out: Vec<[f32; 3]> = Vec::with_capacity(size.min(1 << 22));
     let mut run: u32 = 0;
     let mut i = 0usize;
     while i < size {
-        let mut this = [0i32; 3];
-        if bitsize == 0 {
-            for d in 0..3 {
-                this[d] = r
-                    .receive_bits(bitsizeint[d])
-                    .map_err(|_| XtcError::TruncatedPayload)? as i32;
-            }
+        let (nums, code) = if absolute_in_one_fill {
+            r.fill();
+            let nums = absolute.unpack(r.take_raw(bitsize));
+            let flag = r.take_raw(1) as u32;
+            // No code without the flag: a take of 0 bits.
+            let code = r.take_raw(5 * flag) as u32;
+            r.spend(bitsize + 1 + 5 * flag).map_err(truncated)?;
+            (nums, (flag == 1).then_some(code))
         } else {
-            let nums = r
-                .receive_ints(&absolute)
-                .map_err(|_| XtcError::TruncatedPayload)?;
-            this = [nums[0] as i32, nums[1] as i32, nums[2] as i32];
-        }
+            let nums = if bitsize == 0 {
+                let mut nums = [0u32; 3];
+                for d in 0..3 {
+                    nums[d] = r.receive_bits(bitsizeint[d]).map_err(truncated)?;
+                }
+                nums
+            } else {
+                r.receive_ints(&absolute).map_err(truncated)?
+            };
+            let code = match r.receive_bits(1).map_err(truncated)? {
+                1 => Some(r.receive_bits(5).map_err(truncated)?),
+                _ => None,
+            };
+            (nums, code)
+        };
         i += 1;
-        for d in 0..3 {
-            this[d] = this[d].wrapping_add(minint[d]);
-        }
-        let mut prevcoord = [this[0], this[1], this[2]];
+        let this = [
+            (nums[0] as i32).wrapping_add(minint[0]),
+            (nums[1] as i32).wrapping_add(minint[1]),
+            (nums[2] as i32).wrapping_add(minint[2]),
+        ];
+        let mut prevcoord = this;
 
-        let flag = r.receive_bits(1).map_err(|_| XtcError::TruncatedPayload)?;
         let mut is_smaller: i32 = 0;
-        if flag == 1 {
-            let v = r.receive_bits(5).map_err(|_| XtcError::TruncatedPayload)?;
+        if let Some(v) = code {
             is_smaller = (v % 3) as i32;
             run = v - is_smaller as u32;
             is_smaller -= 1;
@@ -406,10 +436,16 @@ pub(super) fn decode_3dfcoord(dec: &mut XdrDecoder) -> Result<(Vec<[f32; 3]>, f3
         }
         if run > 0 {
             let small = &SMALL[smallidx];
+            let nbits = smallidx as u32;
             for k in (0..run).step_by(3) {
-                let nums = r
-                    .receive_ints(small)
-                    .map_err(|_| XtcError::TruncatedPayload)?;
+                let nums = if nbits <= ONE_FILL_SMALL_BITS {
+                    r.fill();
+                    let nums = small.unpack(r.take_raw(nbits));
+                    r.spend(nbits).map_err(truncated)?;
+                    nums
+                } else {
+                    r.receive_ints(small).map_err(truncated)?
+                };
                 i += 1;
                 let mut this = [0i32; 3];
                 for d in 0..3 {
@@ -828,12 +864,147 @@ mod tests {
                 ]
             })
             .collect();
-        let bytes = assert_equivalent(&coords, 1000.0).unwrap();
+        assert_equivalent_at_every_cut(&coords, 1000.0, 1);
+    }
+
+    // ---- both sides of each one-fill cut (`ONE_FILL_*_BITS`) ----
+
+    /// Where a compressed block's payload starts: natoms, precision,
+    /// minint[3], maxint[3], smallidx and the byte count come first.
+    const PAYLOAD_AT: usize = 40;
+
+    /// The `k`-th i32 of a compressed block (0 natoms, 2..5 minint, 5..8
+    /// maxint, 8 smallidx, 9 the payload's byte count).
+    fn block_int(block: &[u8], k: usize) -> i32 {
+        i32::from_be_bytes(block[4 * k..4 * k + 4].try_into().unwrap())
+    }
+
+    /// `block` with its payload cut to `len` bytes and the byte count
+    /// rewritten to match: a frame whose bits run out, not its XDR.
+    fn payload_cut(block: &[u8], len: usize) -> Vec<u8> {
+        let mut out = block[..PAYLOAD_AT - 4].to_vec();
+        out.extend_from_slice(&(len as i32).to_be_bytes());
+        out.extend_from_slice(&block[PAYLOAD_AT..PAYLOAD_AT + len]);
+        out.resize(out.len() + (4 - len % 4) % 4, 0);
+        out
+    }
+
+    /// `coords` encode and decode as the reference does (bits and consumed
+    /// length), and so does the block cut at every byte and its payload cut
+    /// at every `stride`-th byte and at each of its last 8: the same
+    /// `XtcError` text. Returns the block.
+    fn assert_equivalent_at_every_cut(
+        coords: &[[f32; 3]],
+        precision: f32,
+        stride: usize,
+    ) -> Vec<u8> {
+        let bytes = assert_equivalent(coords, precision).unwrap();
         for cut in 0..bytes.len() {
             let got = decoded(decode_3dfcoord, &bytes[..cut]);
             assert!(got.is_err(), "cut at {} of {} decoded", cut, bytes.len());
             assert_eq!(got, decoded(reference::decode_3dfcoord, &bytes[..cut]));
         }
+        let nbytes = block_int(&bytes, 9) as usize;
+        for len in (0..nbytes)
+            .step_by(stride)
+            .chain(nbytes.saturating_sub(8)..nbytes)
+        {
+            let cut = payload_cut(&bytes, len);
+            let got = decoded(decode_3dfcoord, &cut);
+            assert!(got.is_err(), "payload cut at {} of {} decoded", len, nbytes);
+            assert_eq!(
+                got,
+                decoded(reference::decode_3dfcoord, &cut),
+                "payload cut at {} of {}",
+                len,
+                nbytes
+            );
+        }
+        bytes
+    }
+
+    /// A frame at precision 1 (coordinates are lattice points) spanning
+    /// `0..extent` on each axis: the two corners, then atoms at scattered
+    /// places, each followed by up to two close neighbours — absolute
+    /// atoms, small runs and run-code changes all occur.
+    fn box_frame(extent: [u32; 3], natoms: usize) -> Vec<[f32; 3]> {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |below: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as u32
+        };
+        let mut coords = vec![[0.0; 3], extent.map(|e| (e - 1) as f32)];
+        while coords.len() < natoms {
+            let at = extent.map(&mut next);
+            coords.push(at.map(|x| x as f32));
+            for _ in 0..next(3) {
+                coords.push(at.map(|x| x.saturating_sub(next(24)) as f32));
+            }
+        }
+        coords
+    }
+
+    /// `n` atoms `step` apart (precision 1): the closest consecutive pair
+    /// is one step, which fixes the header's smallidx, and a step is short
+    /// enough on every axis for the atoms to be coded as small runs.
+    fn chain_frame(step: [u32; 3], n: u32) -> Vec<[f32; 3]> {
+        (0..n).map(|k| step.map(|s| (k * s) as f32)).collect()
+    }
+
+    #[test]
+    fn absolute_fields_of_50_and_51_bits_match_the_reference() {
+        for (depth, width) in [(50_000, 50), (100_000, 51)] {
+            let extent = [1 << 17, 1 << 17, depth];
+            assert_eq!(size_of_ints(&extent), width);
+            let coords = box_frame(extent, 400);
+            let bytes = assert_equivalent_at_every_cut(&coords, 1.0, 1);
+            assert_eq!(block_int(&bytes, 5) - block_int(&bytes, 2), (1 << 17) - 1);
+            assert_eq!(
+                block_int(&bytes, 7) - block_int(&bytes, 4),
+                depth as i32 - 1
+            );
+            // Some atoms were coded as runs, cheaper than absolute fields.
+            assert!((block_int(&bytes, 9) as usize) * 8 < coords.len() * width as usize);
+        }
+        assert_eq!(ONE_FILL_ABSOLUTE_BITS, 50);
+    }
+
+    #[test]
+    fn small_runs_at_smallidx_56_and_57_match_the_reference() {
+        for (step, smallidx) in [
+            ([133_334, 133_333, 133_333], 56),
+            ([166_667, 166_667, 166_666], 57),
+        ] {
+            let coords = chain_frame(step, 40);
+            let bytes = assert_equivalent_at_every_cut(&coords, 1.0, 1);
+            assert_eq!(block_int(&bytes, 8), smallidx);
+            // Runs: fewer bits than one absolute field per atom.
+            let sizes =
+                [0, 1, 2].map(|d| (block_int(&bytes, d + 5) - block_int(&bytes, d + 2) + 1) as u32);
+            assert!(
+                (block_int(&bytes, 9) as usize) * 8 < coords.len() * size_of_ints(&sizes) as usize
+            );
+        }
+        assert_eq!(ONE_FILL_SMALL_BITS, 56);
+    }
+
+    #[test]
+    fn per_component_frames_match_the_reference() {
+        let coords = box_frame([20_000_001, 1000, 1000], 300);
+        let bytes = assert_equivalent_at_every_cut(&coords, 1.0, 1);
+        assert!(block_int(&bytes, 5) - block_int(&bytes, 2) > 0xff_ffff);
+    }
+
+    #[test]
+    fn a_paper_scale_frame_matches_the_reference() {
+        // The paper's system size (≈ 43.5 k atoms, EXPERIMENTS.md); its
+        // payload is cut at every 1999th byte.
+        let w = ada_workload::gpcr_workload(43_500, 1, 7);
+        let coords = &w.trajectory.frames[0].coords;
+        assert!(coords.len() > 40_000);
+        assert_equivalent_at_every_cut(coords, 1000.0, 1999);
     }
 
     proptest! {

@@ -73,14 +73,13 @@ impl XtcWriter {
     }
 
     /// Append one frame. All frames of a file must share one atom count.
+    /// A refused frame leaves nothing behind: no bytes, and no atom count
+    /// for the frames after it.
     pub fn write_frame(&mut self, frame: &Frame) -> Result<(), XtcError> {
-        if let Some(n) = self.natoms {
-            if n != frame.len() {
-                return Err(XtcError::BadAtomCount(frame.len() as i32));
-            }
-        } else {
-            self.natoms = Some(frame.len());
+        if self.natoms.is_some_and(|n| n != frame.len()) {
+            return Err(XtcError::BadAtomCount(frame.len() as i32));
         }
+        let start = self.enc.len();
         self.enc.put_i32(XTC_MAGIC);
         self.enc.put_i32(frame.len() as i32);
         self.enc.put_i32(frame.step);
@@ -88,7 +87,12 @@ impl XtcWriter {
         for row in &frame.pbc.m {
             self.enc.put_f32_vector(row);
         }
-        encode_3dfcoord(&mut self.enc, &frame.coords, self.precision)
+        if let Err(e) = encode_3dfcoord(&mut self.enc, &frame.coords, self.precision) {
+            self.enc.truncate(start);
+            return Err(e);
+        }
+        self.natoms = Some(frame.len());
+        Ok(())
     }
 
     /// Finish, returning the encoded file bytes.
@@ -356,6 +360,44 @@ mod tests {
             .unwrap();
         let err = w.write_frame(&Frame::from_coords(vec![[0.0; 3]; 21]));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_refused_frame_leaves_the_writer_as_it_was() {
+        let good = |n: usize| Frame::from_coords(vec![[0.5; 3]; n]);
+        let mut nan = Frame::from_coords(vec![[0.5; 3]; 20]);
+        nan.coords[11] = [f32::NAN, 0.0, 0.0];
+
+        // After a good frame: the refused one's header bytes do not stay.
+        let mut w = XtcWriter::new(DEFAULT_PRECISION);
+        w.write_frame(&good(20)).unwrap();
+        let len = w.len();
+        assert!(matches!(
+            w.write_frame(&nan),
+            Err(XtcError::CoordinateOverflow)
+        ));
+        assert_eq!(w.len(), len);
+        w.write_frame(&good(20)).unwrap();
+        let two = Trajectory::from_frames(vec![good(20); 2]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, write_xtc(&two, DEFAULT_PRECISION).unwrap());
+        assert_eq!(read_xtc(&bytes).unwrap().len(), 2);
+
+        // As the first frame: it fixes no atom count, and bad precision is
+        // refused the same way.
+        let mut w = XtcWriter::new(DEFAULT_PRECISION);
+        nan.coords.truncate(15);
+        assert!(w.write_frame(&nan).is_err());
+        assert!(w.is_empty());
+        w.write_frame(&good(20)).unwrap();
+        let mut bad = XtcWriter::new(0.0);
+        assert!(matches!(
+            bad.write_frame(&good(12)),
+            Err(XtcError::BadPrecision(_))
+        ));
+        assert!(bad.is_empty());
+        let one = Trajectory::from_frames(vec![good(20)]);
+        assert_eq!(w.into_bytes(), write_xtc(&one, DEFAULT_PRECISION).unwrap());
     }
 
     #[test]
