@@ -3,10 +3,12 @@
 //!
 //! One body runs those stages over real bytes, [`Ada::ingest_real`]:
 //! parse + Algorithm 1, then a chunk pool. One header scan finds and
-//! checks the frames; the trajectory is cut into its stored chunks and the
-//! crate's pool carries each chunk through decode → split → checksum
-//! ([`ingest_chunk`]), after which the caller assembles one v2 dropping
-//! per tag from the chunk bodies and appends it. A size-only dataset
+//! checks the frames; each tag's whole dropping is allocated once, the
+//! trajectory is cut into its stored chunks, and the crate's pool carries
+//! each chunk through decode → split → checksum ([`ingest_chunk`]),
+//! writing its records straight into that chunk's span of every tag's
+//! dropping. The caller then only seals each dropping with its directory
+//! and appends it. A size-only dataset
 //! ([`IngestInput::Synthetic`]) skips the codecs and dispatches volumes.
 //! Both dispatch through [`Ada::append`] and end in the same
 //! [`Ada::commit`], inside [`Ada::in_new_container`], which takes the
@@ -15,17 +17,18 @@
 use super::{max_across_backends, traced, Ada, DatasetState, IngestInput, IngestReport};
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
-use crate::preprocess::{check_ranges, encode_chunk};
+use crate::preprocess::check_ranges;
 use crate::synth::SyntheticDataset;
 use crate::AdaError;
 use ada_mdformats::parse_pdb;
 use ada_mdformats::xtc::{decode_spans, index_frames, FrameSpan};
 use ada_mdformats::xtcf::{
-    crc32, encoded_len, V2Assembler, XTCF_DIR_ENTRY_LEN, XTCF_HEADER_LEN, XTCF_TRAILER_LEN,
+    crc32, frame_record_len, presized_v2, write_record, ChunkDirectory, XTCF_HEADER_LEN,
 };
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_simfs::Content;
 use ada_storagesim::{CpuWork, SimDuration};
+use ada_sync::Mutex;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 
@@ -58,55 +61,60 @@ impl Labels {
     }
 }
 
-/// One tag's share of one chunk: the chunk's frame records for the tag as
-/// a v1 byte string (assembly skips its header) and their CRC-32.
-struct TagChunk {
-    v1: Vec<u8>,
-    crc: u32,
-}
-
 /// What a worker made of one chunk of the trajectory.
 struct ChunkOut {
     nframes: u32,
     /// Decoded volume of the chunk's frames.
     raw_bytes: u64,
-    /// Per tag, in labeler order.
-    tags: Vec<TagChunk>,
+    /// CRC-32 of the chunk's body, per tag in labeler order.
+    crcs: Vec<u32>,
 }
+
+/// One stored chunk of the trajectory: its frames' spans in the `.xtc`,
+/// and its span of each tag's dropping, in labeler order — taken once, by
+/// the worker that claims the chunk.
+struct Chunk<'a>(&'a [FrameSpan], Mutex<Vec<&'a mut [u8]>>);
 
 /// The ingest pool's unit: carry one stored chunk of frames from the
 /// compressed bytes to its per-tag records. Decompressor, then splitter
-/// (gather every frame by each tag's ranges, encode the fixed-size
-/// records), then the checksum of each body while it is hot. It stops at
-/// the chunk's first bad frame.
+/// (gather every frame by each tag's ranges and write its fixed-size
+/// records in place, into the chunk's span of the tag's dropping), then
+/// the checksum of each body while it is hot. It stops at the chunk's
+/// first bad frame.
 fn ingest_chunk(
     xtc_bytes: &[u8],
-    chunk: &[FrameSpan],
+    Chunk(spans, bodies): &Chunk,
     labeler: &Labeler,
     gather_buf: &mut Vec<[f32; 3]>,
     ctx: &TraceContext,
 ) -> Result<ChunkOut, AdaError> {
     let traj = {
         let mut ts = ctx.span("ingest.decode");
-        ts.arg("bytes", chunk.iter().map(|s| s.len).sum::<usize>());
-        ts.arg("frames", chunk.len());
-        decode_spans(xtc_bytes, chunk)?
+        ts.arg("bytes", spans.iter().map(|s| s.len).sum::<usize>());
+        ts.arg("frames", spans.len());
+        decode_spans(xtc_bytes, spans)?
     };
     let raw_bytes = traj.nbytes() as u64;
     let mut ts = ctx.span("ingest.split");
     ts.arg("bytes", raw_bytes);
     ts.arg("frames", traj.len());
-    let mut tags = Vec::with_capacity(labeler.len());
-    for ranges in labeler.values() {
-        let v1 = encode_chunk(&traj, ranges, gather_buf)?;
-        let crc = crc32(&v1[XTCF_HEADER_LEN..]);
-        tags.push(TagChunk { v1, crc });
+    let mut crcs = Vec::with_capacity(labeler.len());
+    let bodies = std::mem::take(&mut *bodies.lock());
+    for (ranges, body) in labeler.values().zip(bodies) {
+        // One decoded frame per span, one record slot per frame.
+        let records = body.chunks_exact_mut(frame_record_len(ranges.count()));
+        for (frame, record) in traj.frames.iter().zip(records) {
+            ranges.gather_into(&frame.coords, gather_buf);
+            write_record(record, frame.step, frame.time, &frame.pbc, gather_buf)
+                .map_err(|e| AdaError::Pdb(format!("xtcf encode: {}", e)))?;
+        }
+        crcs.push(crc32(body));
     }
     Ok(ChunkOut {
-        nframes: u32::try_from(chunk.len())
-            .map_err(|_| AdaError::Internal(format!("chunk of {} frames", chunk.len())))?,
+        nframes: u32::try_from(traj.len())
+            .map_err(|_| AdaError::Internal(format!("chunk of {} frames", traj.len())))?,
         raw_bytes,
-        tags,
+        crcs,
     })
 }
 
@@ -186,7 +194,6 @@ impl Ada {
             0 => spans.len(),
             n => n,
         };
-        let chunks: Vec<&[FrameSpan]> = spans.chunks(chunk_frames).collect();
         // Droppings are appended in backend-then-tag order, so the
         // container's dropping sequence and logical offsets — and with them
         // the persisted index's size and the simulated `label_write` —
@@ -198,22 +205,39 @@ impl Ada {
 
         self.in_new_container(dataset, || {
             let (threads, labeler) = (self.config.ingest_threads, &labels.labeler);
-            let done =
-                crate::run_pool("ingest worker", threads, chunks.len(), ctx, |ctx, claim| {
-                    let mut done = Vec::new();
-                    let mut gather_buf = Vec::new();
-                    while let Some(c) = claim() {
-                        let out = ingest_chunk(xtc_bytes, chunks[c], labeler, &mut gather_buf, ctx);
-                        done.push((c, out));
-                    }
-                    done
-                })?;
+            // Each tag's whole dropping is allocated once, before the pool
+            // runs, and cut at the chunks: a chunk's records are written
+            // once, in place, by the worker that claims it.
+            let nchunks = spans.len().div_ceil(chunk_frames);
+            let mut droppings: Vec<Vec<u8>> = labeler
+                .values()
+                .map(|ranges| presized_v2(spans.len(), ranges.count(), nchunks))
+                .collect();
+            let chunks: Vec<Chunk> = spans
+                .chunks(chunk_frames)
+                .map(|spans| Chunk(spans, Mutex::default()))
+                .collect();
+            for (file, ranges) in droppings.iter_mut().zip(labeler.values()) {
+                let span = chunk_frames.saturating_mul(frame_record_len(ranges.count()));
+                for (c, body) in file[XTCF_HEADER_LEN..].chunks_mut(span).enumerate() {
+                    chunks[c].1.lock().push(body);
+                }
+            }
+            let done = crate::run_pool("ingest worker", threads, nchunks, ctx, |ctx, claim| {
+                let mut done = Vec::new();
+                let mut gather = Vec::new();
+                while let Some(c) = claim() {
+                    let out = ingest_chunk(xtc_bytes, &chunks[c], labeler, &mut gather, ctx);
+                    done.push((c, out));
+                }
+                done
+            })?;
             // Unit order is chunk order, so the first `Err` met here is the
-            // one the request fails with.
+            // one the request fails with; nothing has been appended yet.
             let done = done.into_iter().collect::<Result<Vec<ChunkOut>, _>>()?;
             let raw_bytes = done.iter().map(|c| c.raw_bytes).sum::<u64>();
 
-            // Dispatcher: one dropping per tag — the chunk bodies in order
+            // Dispatcher: one dropping per tag — its chunk bodies sealed
             // under one v2 directory — to its policy-chosen backend; the
             // frame count rides in the index so range reads check a window
             // without bytes.
@@ -221,19 +245,13 @@ impl Ada {
             {
                 let _ts = ctx.span("ingest.dispatch");
                 let nominal = u32::try_from(chunk_frames).unwrap_or(u32::MAX);
+                let nframes = spans.len() as u64;
                 for (t, tag) in &order {
-                    let natoms = labeler[tag].count();
-                    let capacity = encoded_len(spans.len(), natoms)
-                        .saturating_add(chunks.len() * XTCF_DIR_ENTRY_LEN + XTCF_TRAILER_LEN);
-                    let mut dropping = V2Assembler::with_capacity(capacity, natoms as u32, nominal);
-                    for out in &done {
-                        let TagChunk { v1, crc } = &out.tags[*t];
-                        dropping
-                            .chunk(out.nframes, *crc)
-                            .extend_from_slice(&v1[XTCF_HEADER_LEN..]);
-                    }
-                    let dropping = Content::real(dropping.finish());
-                    self.append(dataset, tag, dropping, spans.len() as u64, &mut routed)?;
+                    let mut file = std::mem::take(&mut droppings[*t]);
+                    let crcs = done.iter().map(|out| (out.nframes, out.crcs[*t]));
+                    let dir = ChunkDirectory::contiguous(labeler[tag].count(), nominal, crcs);
+                    dir.append_to(&mut file);
+                    self.append(dataset, tag, Content::real(file), nframes, &mut routed)?;
                 }
             }
             let label = LabelFile::new(dataset, labels.natoms, spans.len(), labels.labeler);

@@ -79,14 +79,17 @@ pub struct AdaConfig {
 
 impl AdaConfig {
     /// The paper's prototype configuration for a hybrid SSD/HDD platform.
+    /// Both pools are as wide as the host: `available_parallelism`, or 1
+    /// when the host does not say.
     pub fn paper_prototype(ssd_backend: &str, hdd_backend: &str) -> AdaConfig {
+        let width = std::thread::available_parallelism().map_or(1, |n| n.get());
         AdaConfig {
             taxonomy: Taxonomy::paper_default(),
             policy: DispatchPolicy::hybrid_gpcr(ssd_backend, hdd_backend),
             storage_cpu: CpuProfile::xeon_e5_2603_v4(),
             chunk_frames: 64,
-            ingest_threads: 4,
-            query_threads: 4,
+            ingest_threads: width,
+            query_threads: width,
             target_suffixes: vec![".xtc".into(), ".pdb".into()],
             cache: ada_cache::CacheConfig::default(),
         }
@@ -627,5 +630,15 @@ mod tests {
         for stage in ["index", "read", "decode", "reassemble"] {
             assert!(qp.stages_ns.contains_key(stage), "missing stage {}", stage);
         }
+    }
+
+    /// The prototype's pools are as wide as the host, never a guess and
+    /// never `0` (the inline reference is asked for, not defaulted to).
+    #[test]
+    fn paper_prototype_pools_are_as_wide_as_the_host() {
+        let cfg = AdaConfig::paper_prototype("ssd", "hdd");
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!((cfg.ingest_threads, cfg.query_threads), (host, host));
+        assert!(host >= 1);
     }
 }

@@ -7,22 +7,23 @@
 //! all.
 //!
 //! An ingest splits one stored chunk of frames at a time
-//! ([`crate::Ada::ingest`]'s pool: decode → split → checksum per chunk, the
-//! chunk bodies assembled into one v2 dropping per tag). XTCF frame
-//! records are fixed-size and encoded independently, so chunk bodies in
-//! frame order are exactly the bytes one encode of the whole window would
-//! produce — [`split_trajectory`] is that one encode, the reference the
-//! stored droppings are compared with.
+//! ([`crate::Ada::ingest`]'s pool: decode → split → checksum per chunk,
+//! each chunk's records written once, in place, into its span of every
+//! tag's dropping). XTCF frame records are fixed-size and encoded
+//! independently, so chunk bodies in frame order are exactly the bytes one
+//! encode of the whole trajectory would produce — [`split_trajectory`] is
+//! that one encode, the reference the stored droppings are compared with.
 //!
-//! The hot loop is allocation-free after startup: a worker reuses one
-//! gather buffer across frames ([`IndexRanges::gather_into`]) and each
-//! output buffer is pre-sized from [`ada_mdformats::xtcf::encoded_len`].
+//! The reference's loop is allocation-free after startup: it reuses one
+//! gather buffer across frames ([`ada_mdmodel::IndexRanges::gather_into`])
+//! and each output buffer is pre-sized from
+//! [`ada_mdformats::xtcf::encoded_len`].
 
 use crate::categorizer::Labeler;
 use crate::AdaError;
 use ada_mdformats::xtcf::XtcfWriter;
 use ada_mdformats::Trajectory;
-use ada_mdmodel::{IndexRanges, Tag};
+use ada_mdmodel::Tag;
 use std::collections::BTreeMap;
 
 /// Result of splitting a trajectory by tags.
@@ -46,8 +47,13 @@ pub fn split_trajectory(
     let mut subsets = BTreeMap::new();
     let mut gather_buf: Vec<[f32; 3]> = Vec::new();
     for (tag, ranges) in labeler {
-        let bytes = encode_chunk(traj, ranges, &mut gather_buf)?;
-        subsets.insert(tag.clone(), bytes);
+        let mut w = XtcfWriter::with_capacity(traj.len(), ranges.count());
+        for frame in &traj.frames {
+            ranges.gather_into(&frame.coords, &mut gather_buf);
+            w.write_frame_parts(frame.step, frame.time, &frame.pbc, &gather_buf)
+                .map_err(|e| AdaError::Pdb(format!("xtcf encode: {}", e)))?;
+        }
+        subsets.insert(tag.clone(), w.into_bytes());
     }
     Ok(PreprocessOutput {
         subsets,
@@ -70,28 +76,12 @@ pub(crate) fn check_ranges(labeler: &Labeler, natoms: usize) -> Result<(), AdaEr
     Ok(())
 }
 
-/// Encode the tag subset of `traj` selected by `ranges` as one XTCF v1
-/// byte string (header + records). `gather_buf` is reused across frames
-/// so the loop allocates nothing beyond the pre-sized output buffer.
-pub(crate) fn encode_chunk(
-    traj: &Trajectory,
-    ranges: &IndexRanges,
-    gather_buf: &mut Vec<[f32; 3]>,
-) -> Result<Vec<u8>, AdaError> {
-    let mut w = XtcfWriter::with_capacity(traj.len(), ranges.count());
-    for frame in &traj.frames {
-        ranges.gather_into(&frame.coords, gather_buf);
-        w.write_frame_parts(frame.step, frame.time, &frame.pbc, gather_buf)
-            .map_err(|e| AdaError::Pdb(format!("xtcf encode: {}", e)))?;
-    }
-    Ok(w.into_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ada_mdformats::read_xtcf;
     use ada_mdmodel::category::Taxonomy;
+    use ada_mdmodel::IndexRanges;
 
     fn workload() -> (ada_mdmodel::MolecularSystem, Trajectory, Labeler) {
         let w = ada_workload::gpcr_workload(2000, 4, 3);

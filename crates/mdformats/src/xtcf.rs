@@ -220,7 +220,7 @@ impl Default for XtcfWriter {
 impl XtcfWriter {
     /// New writer with the file header emitted.
     pub fn new() -> XtcfWriter {
-        XtcfWriter::with_buf(Vec::new())
+        XtcfWriter::with_capacity(0, 0)
     }
 
     /// New writer whose buffer is sized for `nframes` × `natoms` up front
@@ -230,15 +230,11 @@ impl XtcfWriter {
         let cap = encoded_len(nframes, natoms);
         // A saturated size means the shape cannot exist in memory anyway;
         // grow on demand instead of attempting a doomed huge reservation.
-        let buf = if cap == usize::MAX {
+        let mut buf = if cap == usize::MAX {
             Vec::new()
         } else {
             Vec::with_capacity(cap)
         };
-        XtcfWriter::with_buf(buf)
-    }
-
-    fn with_buf(mut buf: Vec<u8>) -> XtcfWriter {
         buf.extend_from_slice(&XTCF_MAGIC.to_le_bytes());
         buf.extend_from_slice(&XTCF_VERSION.to_le_bytes());
         XtcfWriter { buf, natoms: None }
@@ -259,35 +255,14 @@ impl XtcfWriter {
         pbc: &PbcBox,
         coords: &[[f32; 3]],
     ) -> Result<(), FormatError> {
-        if let Some(n) = self.natoms {
-            if n != coords.len() {
-                return Err(FormatError::Corrupt(format!(
-                    "frame atom count {} != file atom count {}",
-                    coords.len(),
-                    n
-                )));
-            }
-        } else {
-            self.natoms = Some(coords.len());
+        let n = *self.natoms.get_or_insert(coords.len());
+        if n != coords.len() {
+            let msg = format!("frame atom count {} != file atom count {}", coords.len(), n);
+            return Err(FormatError::Corrupt(msg));
         }
-        self.buf.reserve(frame_record_len(coords.len()));
-        self.buf.extend_from_slice(&step.to_le_bytes());
-        self.buf.extend_from_slice(&time.to_le_bytes());
-        for row in &pbc.m {
-            for &v in row {
-                self.buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        self.buf
-            .extend_from_slice(&(coords.len() as u32).to_le_bytes());
-        let xyz = self.buf.len();
-        self.buf.resize(xyz + 12 * coords.len(), 0);
-        for (dst, c) in self.buf[xyz..].chunks_exact_mut(12).zip(coords) {
-            dst[0..4].copy_from_slice(&c[0].to_le_bytes());
-            dst[4..8].copy_from_slice(&c[1].to_le_bytes());
-            dst[8..12].copy_from_slice(&c[2].to_le_bytes());
-        }
-        Ok(())
+        let at = self.buf.len();
+        self.buf.resize(at + frame_record_len(coords.len()), 0);
+        write_record(&mut self.buf[at..], step, time, pbc, coords)
     }
 
     /// Finish, returning the file bytes.
@@ -321,6 +296,38 @@ impl XtcfWriter {
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
+}
+
+/// Write one frame record — `step`, `time`, the box, the atom count, then
+/// the coordinates — into `dst`, which must be exactly
+/// [`frame_record_len`]`(coords.len())` bytes: a slot of any other size is
+/// refused and left untouched. The one writer of the layout
+/// [`FrameRecord`] reads, whether the record is appended to a file
+/// ([`XtcfWriter`]) or written in place into a pre-sized container.
+pub fn write_record(
+    dst: &mut [u8],
+    step: i32,
+    time: f32,
+    pbc: &PbcBox,
+    coords: &[[f32; 3]],
+) -> Result<(), FormatError> {
+    let len = frame_record_len(coords.len());
+    if dst.len() != len {
+        let msg = format!("a {}-byte slot for a {}-byte record", dst.len(), len);
+        return Err(FormatError::OutOfRange(msg));
+    }
+    let (head, xyz) = dst.split_at_mut(RECORD_HEAD_LEN);
+    let fields = [step.to_le_bytes(), time.to_le_bytes()]
+        .into_iter()
+        .chain(pbc.m.iter().flatten().map(|v| v.to_le_bytes()))
+        .chain([(coords.len() as u32).to_le_bytes()]);
+    for (field, bytes) in head.chunks_exact_mut(4).zip(fields) {
+        field.copy_from_slice(&bytes);
+    }
+    for (d, v) in xyz.chunks_exact_mut(4).zip(coords.as_flattened()) {
+        d.copy_from_slice(&v.to_le_bytes());
+    }
+    Ok(())
 }
 
 /// Copy the first four bytes of a slice the caller has already
@@ -503,6 +510,35 @@ pub struct ChunkDirectory {
 }
 
 impl ChunkDirectory {
+    /// The directory of `natoms`-atom chunk bodies laid back to back after
+    /// the header — each given as `(nframes, crc)`, in body order — sealed
+    /// at a nominal `chunk_frames`: what [`seal_v2`] and an ingest write.
+    pub fn contiguous(
+        natoms: usize,
+        chunk_frames: u32,
+        chunks: impl IntoIterator<Item = (u32, u32)>,
+    ) -> ChunkDirectory {
+        let record = frame_record_len(natoms) as u64;
+        let mut offset = XTCF_HEADER_LEN as u64;
+        let entries = chunks
+            .into_iter()
+            .map(|(nframes, crc)| {
+                let e = ChunkEntry {
+                    offset,
+                    nframes,
+                    natoms: natoms as u32,
+                    crc,
+                };
+                offset = offset.saturating_add(u64::from(nframes).saturating_mul(record));
+                e
+            })
+            .collect();
+        ChunkDirectory {
+            entries,
+            chunk_frames,
+        }
+    }
+
     /// Number of chunks.
     pub fn nchunks(&self) -> usize {
         self.entries.len()
@@ -699,74 +735,31 @@ pub fn seal_v2(
         chunk_frames
     };
     payload[4..8].copy_from_slice(&XTCF_VERSION_V2.to_le_bytes());
-    let mut off = XTCF_HEADER_LEN;
-    let mut left = nframes;
-    let mut dir = ChunkDirectory {
-        entries: Vec::with_capacity(nframes.div_ceil(per_chunk)),
-        chunk_frames: u32::try_from(per_chunk).unwrap_or(u32::MAX),
-    };
-    while left > 0 {
-        let take = left.min(per_chunk);
-        let len = take * record;
-        dir.entries.push(ChunkEntry {
-            offset: off as u64,
-            nframes: u32::try_from(take)
-                .map_err(|_| FormatError::OutOfRange(format!("chunk of {} frames", take)))?,
-            natoms: natoms as u32,
-            crc: crc32(&payload[off..off + len]),
-        });
-        off += len;
-        left -= take;
-    }
+    let largest = per_chunk.min(nframes);
+    u32::try_from(largest)
+        .map_err(|_| FormatError::OutOfRange(format!("chunk of {} frames", largest)))?;
+    let chunks: Vec<_> = payload[XTCF_HEADER_LEN..]
+        .chunks(per_chunk.saturating_mul(record))
+        .map(|body| ((body.len() / record) as u32, crc32(body)))
+        .collect();
+    let per_chunk = u32::try_from(per_chunk).unwrap_or(u32::MAX);
+    let dir = ChunkDirectory::contiguous(natoms, per_chunk, chunks);
     dir.append_to(&mut payload);
     Ok(payload)
 }
 
-/// Assembles a v2 container from chunk bodies whose checksums are already
-/// known — an ingest's workers computed them — so nothing is walked twice.
-/// The result is what [`seal_v2`] makes of the same records cut at the
-/// same frames.
-#[derive(Debug)]
-pub struct V2Assembler {
-    file: Vec<u8>,
-    dir: ChunkDirectory,
-    natoms: u32,
-}
-
-impl V2Assembler {
-    /// A container of `natoms`-atom frames sealed at a nominal
-    /// `chunk_frames`, its buffer reserved for `capacity` bytes.
-    pub fn with_capacity(capacity: usize, natoms: u32, chunk_frames: u32) -> V2Assembler {
-        let mut file = Vec::with_capacity(capacity);
-        file.extend_from_slice(&XTCF_MAGIC.to_le_bytes());
-        file.extend_from_slice(&XTCF_VERSION_V2.to_le_bytes());
-        V2Assembler {
-            file,
-            dir: ChunkDirectory {
-                entries: Vec::new(),
-                chunk_frames,
-            },
-            natoms,
-        }
-    }
-
-    /// Enter the next chunk — `nframes` records with checksum `crc` — and
-    /// hand back the container for the caller to append that body to.
-    pub fn chunk(&mut self, nframes: u32, crc: u32) -> &mut Vec<u8> {
-        self.dir.entries.push(ChunkEntry {
-            offset: self.file.len() as u64,
-            nframes,
-            natoms: self.natoms,
-            crc,
-        });
-        &mut self.file
-    }
-
-    /// Seal the container: directory and trailer after the last body.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.dir.append_to(&mut self.file);
-        self.file
-    }
+/// The buffer of a v2 container whose chunk bodies — `nframes` records of
+/// `natoms` atoms in all, cut into `nchunks` chunks — are then written in
+/// place: the header and the zeroed body, with the directory and trailer
+/// [`ChunkDirectory::append_to`] seals it with already reserved.
+pub fn presized_v2(nframes: usize, natoms: usize, nchunks: usize) -> Vec<u8> {
+    let len = encoded_len(nframes, natoms);
+    let seal = XTCF_TRAILER_LEN.saturating_add(nchunks.saturating_mul(XTCF_DIR_ENTRY_LEN));
+    let mut file = vec![0u8; len.saturating_add(seal)];
+    file[0..4].copy_from_slice(&XTCF_MAGIC.to_le_bytes());
+    file[4..8].copy_from_slice(&XTCF_VERSION_V2.to_le_bytes());
+    file.truncate(len);
+    file
 }
 
 /// The body bytes of one chunk of a v2 file — its frame records, verbatim
@@ -990,6 +983,66 @@ mod tests {
         assert!(w
             .write_frame(&Frame::from_coords(vec![[0.0; 3]; 4]))
             .is_err());
+    }
+
+    /// A slot one byte short or long of the record is a typed error, and
+    /// the refused slot's bytes are as they were.
+    #[test]
+    fn write_record_refuses_a_slot_of_the_wrong_size_untouched() {
+        let f = &traj().frames[1];
+        let fits = frame_record_len(f.coords.len());
+        for len in [0, fits - 1, fits + 1] {
+            let mut slot = vec![0xA5u8; len];
+            let err = write_record(&mut slot, f.step, f.time, &f.pbc, &f.coords).unwrap_err();
+            assert!(matches!(err, FormatError::OutOfRange(_)), "{len}: {err:?}");
+            assert!(
+                slot.iter().all(|&b| b == 0xA5),
+                "slot of {len} bytes written"
+            );
+        }
+        let mut slot = vec![0xA5u8; fits];
+        write_record(&mut slot, f.step, f.time, &f.pbc, &f.coords).unwrap();
+        assert_eq!(FrameRecord(&slot).to_frame(), *f);
+    }
+
+    /// The writer's records are `write_record`'s, byte for byte — NaN
+    /// payloads, signed zeros and infinities included — and both read back
+    /// to the same bits.
+    #[test]
+    fn xtcf_writer_records_are_write_records_bytes() {
+        let odd = [
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFF80_0001),
+            -0.0,
+            f32::INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+        ];
+        let mut t = traj();
+        for (f, frame) in t.frames.iter_mut().enumerate() {
+            frame.time = odd[f % odd.len()];
+            frame.pbc.m[1][2] = odd[(f + 1) % odd.len()];
+            for (a, c) in frame.coords.iter_mut().enumerate() {
+                c[a % 3] = odd[(a + f) % odd.len()];
+            }
+        }
+        let mut w = XtcfWriter::new();
+        let record = frame_record_len(t.natoms());
+        let mut slots = vec![0u8; t.len() * record];
+        for (f, slot) in t.frames.iter().zip(slots.chunks_exact_mut(record)) {
+            w.write_frame(f).unwrap();
+            write_record(slot, f.step, f.time, &f.pbc, &f.coords).unwrap();
+        }
+        assert_eq!(w.records(), &slots[..]);
+        let bits = |f: &Frame| {
+            let head = [f.time]
+                .into_iter()
+                .chain(f.pbc.m.iter().flatten().copied());
+            let xyz = f.coords.iter().flatten().copied();
+            head.chain(xyz).map(f32::to_bits).collect::<Vec<_>>()
+        };
+        for (f, slot) in t.frames.iter().zip(slots.chunks_exact(record)) {
+            assert_eq!(bits(&FrameRecord(slot).to_frame()), bits(f));
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@ use ada_cache::CacheConfig;
 use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::xtcf::{
-    crc32, decode_chunk, frame_record_len, parse_directory, read_xtcf, seal_v2, verify_chunk,
-    write_xtcf, V2Assembler, XtcfReader, XTCF_DIR_ENTRY_LEN, XTCF_RECORD_NATOMS_OFFSET,
-    XTCF_TRAILER_LEN,
+    crc32, decode_chunk, frame_record_len, parse_directory, presized_v2, read_xtcf, seal_v2,
+    verify_chunk, write_xtcf, ChunkDirectory, XtcfReader, XTCF_DIR_ENTRY_LEN,
+    XTCF_RECORD_NATOMS_OFFSET, XTCF_TRAILER_LEN,
 };
 use ada_mdformats::{write_pdb, Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
@@ -406,23 +406,28 @@ fn golden_v2_fixture_verifies_decodes_and_reseals_byte_for_byte() {
     );
 }
 
-/// The assembler — what the ingest and the client's stream reader build
-/// droppings and answers with — fed the fixture's own chunk bodies and
-/// stored CRCs writes the fixture back, byte for byte: it and `seal_v2`
-/// write one layout.
+/// The ingest's way of sealing — a dropping pre-sized for its body,
+/// directory and trailer (`presized_v2`), each chunk body written in place,
+/// then the directory of those chunks (`ChunkDirectory::contiguous`)
+/// appended into the reserve — fed the fixture's own chunk bodies, laid at
+/// the fixture's directory offsets, and its stored CRCs writes the fixture
+/// back byte for byte, without growing the buffer: it and `seal_v2` write
+/// one layout.
 #[test]
-fn assembler_fed_the_golden_v2_chunks_reproduces_the_fixture() {
+fn golden_v2_chunks_written_in_place_reproduce_the_fixture() {
     let sealed = std::fs::read(GOLDEN_V2).expect("golden v2 fixture present");
     let dir = parse_directory(&sealed).unwrap().expect("a v2 file");
-    let natoms = golden_traj().natoms() as u32;
-    let mut assembled = V2Assembler::with_capacity(0, natoms, dir.chunk_frames);
+    let natoms = golden_traj().natoms();
+    let mut file = presized_v2(dir.nframes(), natoms, dir.nchunks());
+    let reserved = file.capacity();
     for e in &dir.entries {
-        let start = e.offset as usize;
-        assembled
-            .chunk(e.nframes, e.crc)
-            .extend_from_slice(&sealed[start..start + e.body_len()]);
+        let body = e.offset as usize..e.offset as usize + e.body_len();
+        file[body.clone()].copy_from_slice(&sealed[body]);
     }
-    assert_eq!(assembled.finish(), sealed);
+    let chunks = dir.entries.iter().map(|e| (e.nframes, e.crc));
+    ChunkDirectory::contiguous(natoms, dir.chunk_frames, chunks).append_to(&mut file);
+    assert_eq!(file.capacity(), reserved, "sealing grew the dropping");
+    assert!(file == sealed, "in-place sealing drifted from the fixture");
 }
 
 /// Rebuild the v2 fixture after an intentional change to the *format*.

@@ -6,8 +6,9 @@
 //! The ingest pool's contract sits here too, where `query_equivalence`
 //! pins the decode pool's: every stored dropping is `seal_v2` of the
 //! serial split of the trajectory, two faults fail with the earlier
-//! chunk's, and the trace shows one decode → split per chunk on the worker
-//! that ran it.
+//! chunk's, a broken last chunk leaves nothing of what the earlier chunks
+//! wrote into the shared droppings, and the trace shows one decode → split
+//! per chunk on the worker that ran it.
 
 use ada_core::{
     categorize_algo1, split_trajectory, Ada, AdaConfig, AdaError, DispatchPolicy, IngestInput,
@@ -210,7 +211,7 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
                 let sealed = seal_v2(subsets[*tag].clone(), natoms, chunk_frames).unwrap();
                 expected.push((tag.to_string(), backend.to_string(), sealed));
             }
-            for ingest_threads in [0usize, 1, 3, 8] {
+            for ingest_threads in [0usize, 1, 2, 3, 8] {
                 let what = format!(
                     "threads {} chunk {} policy {:?}",
                     ingest_threads, chunk_frames, policy
@@ -272,7 +273,7 @@ fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
     wild_smallidx(&mut smallidx_first, 3);
     zero_precision(&mut smallidx_first, 10);
 
-    for ingest_threads in [0usize, 1, 4, 8] {
+    for ingest_threads in [0usize, 1, 2, 4, 8] {
         let (ada, backends) = ada_on_backends(AdaConfig {
             ingest_threads,
             chunk_frames: 2,
@@ -299,6 +300,57 @@ fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
             assert_eq!(fs.list(""), Vec::<String>::new());
         }
         ingest(&xtc).unwrap();
+    }
+}
+
+/// A fault in the *last* chunk, met after every earlier chunk's worker has
+/// written its records into the shared droppings, still leaves nothing:
+/// no dropping, label or container on any backend, and the name is free.
+#[test]
+fn a_broken_last_chunk_discards_the_shared_droppings_and_frees_the_name() {
+    let w = ada_workload::gpcr_workload(600, 12, 29);
+    let pdb_text = write_pdb(&w.system);
+    let xtc = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
+    // Frame 11 is the last of six 2-frame chunks; zero its precision field,
+    // which the header scan skips (after the 52-byte header and the count).
+    let mut broken = xtc.clone();
+    let at = index_frames(&xtc).unwrap()[11].offset + 56;
+    broken[at..at + 4].fill(0);
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for ingest_threads in [0usize, 1, 2, host] {
+        let (ada, backends) = ada_on_backends(AdaConfig {
+            ingest_threads,
+            chunk_frames: 2,
+            ..AdaConfig::paper_prototype("ssd", "hdd")
+        });
+        let input = |xtc_bytes: &[u8]| IngestInput::Real {
+            pdb_text: pdb_text.clone(),
+            xtc_bytes: xtc_bytes.to_vec(),
+        };
+        let (ctx, root) = ada_telemetry::trace::root("test.ingest");
+        let id = ctx.trace_id().expect("tracing is on by default");
+        let err = ada.ingest_traced("d", input(&broken), &ctx).unwrap_err();
+        drop(root);
+        assert!(
+            matches!(err, AdaError::Xtc(XtcError::BadPrecision(_))),
+            "threads {}: {:?}",
+            ingest_threads,
+            err
+        );
+        // Every other chunk was split — its records written in place —
+        // before the request failed.
+        let trace = ada.flight_recorder().all().into_iter().find(|t| t.id == id);
+        let trace = trace.expect("the failed request's trace was sealed");
+        let splits = trace.spans.iter().filter(|s| s.name == "ingest.split");
+        assert_eq!(splits.count(), 5, "threads {}", ingest_threads);
+
+        assert!(ada.list_datasets().is_empty());
+        assert!(ada.containers().list_logical().is_empty());
+        for fs in &backends {
+            assert_eq!(fs.list(""), Vec::<String>::new());
+        }
+        ada.ingest("d", input(&xtc)).unwrap();
+        assert_eq!(ada.label("d").unwrap().nframes, 12);
     }
 }
 

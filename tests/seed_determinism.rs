@@ -30,12 +30,13 @@ fn rig() -> Rig {
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd.clone()),
     ]));
-    // paper_prototype keeps every parallel knob on (ingest_threads,
-    // query_threads) — exactly the paths whose
-    // determinism this suite locks in. 2 frames a chunk force the ingest
-    // pool and the retrieval through several chunks.
+    // Both pools on, four workers each whatever the host's width — exactly
+    // the paths whose determinism this suite locks in. 2 frames a chunk
+    // force the ingest pool and the retrieval through several chunks.
     let config = AdaConfig {
         chunk_frames: 2,
+        ingest_threads: 4,
+        query_threads: 4,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     let ada = Ada::new(config, cs, ssd.clone());

@@ -37,8 +37,14 @@ fn serialize() -> MutexGuard<'static, ()> {
     GUARD.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// Both pools on, four workers each whatever the host's width: the trees
+/// below must cross reader and decoder worker threads.
 fn make_ada() -> Arc<Ada> {
-    make_ada_with(AdaConfig::paper_prototype("ssd", "hdd"))
+    make_ada_with(AdaConfig {
+        ingest_threads: 4,
+        query_threads: 4,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    })
 }
 
 fn make_ada_with(config: AdaConfig) -> Arc<Ada> {
