@@ -3,8 +3,8 @@
 //!
 //! The loop is the serial splitter under a trace span that records
 //! bytes/frames — exactly the shape `Ada::ingest` uses: the span is the
-//! stage's one clock, and sealing its trace folds it into the `span.*`
-//! registry family. With telemetry disabled every record site collapses
+//! stage's one clock, and sealing its trace folds it into the flight
+//! recorder's `span.*` family. With telemetry disabled every record site collapses
 //! to a relaxed load + branch, so the enabled/disabled delta IS the
 //! telemetry cost.
 //!

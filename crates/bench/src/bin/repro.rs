@@ -8,6 +8,13 @@
 //! cargo run --release -p ada-bench --bin repro -- serve --smoke --metrics-out metrics.json
 //! cargo run --release -p ada-bench --bin repro -- trace --trace-out trace.json
 //! ```
+//!
+//! `--metrics-out <path>` writes, as JSON, the flight recorder's
+//! `span.{stage}.*` family and trace summaries, plus — for `serve` and
+//! `trace`, the two items that build a serving stack — that stack's own
+//! metrics (server, front-end, `Ada`, cache, containers, client). The
+//! paper items hold no long-lived stack, so for them it is the recorder's
+//! part alone.
 
 // A CLI: stdout and stderr are its interface, and a panic aborts one run.
 #![allow(
@@ -23,13 +30,14 @@ use ada_mdmodel::Tag;
 use ada_platforms::figures::{fig10, fig7, fig8, fig9, table1, table2, table6};
 use ada_platforms::report::{fmt_secs, format_table};
 use ada_platforms::Platform;
+use ada_telemetry::Snapshot;
 use ada_vmdsim::render_frame;
 
 /// The command-line flags, parsed once and handed to every item.
 struct Flags {
-    /// `--metrics-out <path>`: after the items ran, write the global
-    /// telemetry snapshot (counters, gauges, histograms, flight-recorder
-    /// trace summaries) as JSON.
+    /// `--metrics-out <path>`: after the items ran, write as JSON the
+    /// metrics of the stack an item kept (`serve`, `trace`) and the flight
+    /// recorder's — its `span.{stage}.*` family and trace summaries.
     metrics_out: Option<String>,
     /// `--trace-out <path>`: after the items ran, export the flight
     /// recorder's traces as Chrome trace-event JSON (Perfetto-loadable).
@@ -44,39 +52,40 @@ struct Flags {
     smoke: bool,
 }
 
-/// `(name, in_all, run)`.
-type Item = (&'static str, bool, fn(&Flags));
+/// `(name, in_all, run)`. An item that builds a serving stack writes its
+/// metrics into the snapshot it is handed.
+type Item = (&'static str, bool, fn(&Flags, &mut Snapshot));
 
 /// Every item `repro` runs: the dispatch, the expansion of `all` (the
 /// `in_all` rows, in this order) and the usage text.
 const ITEMS: &[Item] = &[
-    ("table1", true, |_| print_table1()),
-    ("table2", true, |_| print_table2()),
-    ("table3", true, |_| print_table3()),
-    ("table4", true, |_| print_table4()),
-    ("table5", true, |_| print_table5()),
-    ("table6", true, |_| print_table6()),
-    ("fig1", true, |_| print_fig1()),
-    ("fig7", true, |_| print_fig7(None)),
-    ("fig7a", false, |_| print_fig7(Some(0))),
-    ("fig7b", false, |_| print_fig7(Some(1))),
-    ("fig7c", false, |_| print_fig7(Some(2))),
-    ("fig8", true, |_| print_fig8()),
-    ("fig9", true, |_| print_fig9(None)),
-    ("fig9a", false, |_| print_fig9(Some(0))),
-    ("fig9b", false, |_| print_fig9(Some(1))),
-    ("fig9c", false, |_| print_fig9(Some(2))),
-    ("fig10", true, |_| print_fig10(None)),
-    ("fig10a", false, |_| print_fig10(Some(0))),
-    ("fig10b", false, |_| print_fig10(Some(1))),
-    ("fig10c", false, |_| print_fig10(Some(2))),
-    ("fig10d", false, |_| print_fig10(Some(3))),
-    ("ablations", true, |_| print_ablations()),
-    ("playback", true, |_| print_playback()),
-    ("amortization", true, |_| print_amortization()),
-    ("contention", true, |_| print_contention()),
-    ("serve", false, |f| serve(f.port, f.smoke)),
-    ("trace", false, |f| run_trace(f.selftest)),
+    ("table1", true, |_, _| print_table1()),
+    ("table2", true, |_, _| print_table2()),
+    ("table3", true, |_, _| print_table3()),
+    ("table4", true, |_, _| print_table4()),
+    ("table5", true, |_, _| print_table5()),
+    ("table6", true, |_, _| print_table6()),
+    ("fig1", true, |_, _| print_fig1()),
+    ("fig7", true, |_, _| print_fig7(None)),
+    ("fig7a", false, |_, _| print_fig7(Some(0))),
+    ("fig7b", false, |_, _| print_fig7(Some(1))),
+    ("fig7c", false, |_, _| print_fig7(Some(2))),
+    ("fig8", true, |_, _| print_fig8()),
+    ("fig9", true, |_, _| print_fig9(None)),
+    ("fig9a", false, |_, _| print_fig9(Some(0))),
+    ("fig9b", false, |_, _| print_fig9(Some(1))),
+    ("fig9c", false, |_, _| print_fig9(Some(2))),
+    ("fig10", true, |_, _| print_fig10(None)),
+    ("fig10a", false, |_, _| print_fig10(Some(0))),
+    ("fig10b", false, |_, _| print_fig10(Some(1))),
+    ("fig10c", false, |_, _| print_fig10(Some(2))),
+    ("fig10d", false, |_, _| print_fig10(Some(3))),
+    ("ablations", true, |_, _| print_ablations()),
+    ("playback", true, |_, _| print_playback()),
+    ("amortization", true, |_, _| print_amortization()),
+    ("contention", true, |_, _| print_contention()),
+    ("serve", false, |f, stack| serve(f.port, f.smoke, stack)),
+    ("trace", false, |f, stack| run_trace(f.selftest, stack)),
 ];
 
 /// Remove flag `name` from `args` and report whether it was there; with
@@ -123,7 +132,7 @@ fn main() {
         smoke: take_flag(&mut args, "--smoke", false).is_some(),
     };
     let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let wanted: Vec<fn(&Flags)> = if all {
+    let wanted: Vec<fn(&Flags, &mut Snapshot)> = if all {
         let in_all = ITEMS.iter().filter(|item| item.1);
         in_all.map(|item| item.2).collect()
     } else {
@@ -132,12 +141,13 @@ fn main() {
             .map(|a| find(a).unwrap_or_else(|| usage_and_exit(a)).2)
             .collect()
     };
+    let mut stack = Snapshot::default();
     for run in wanted {
-        run(&flags);
+        run(&flags, &mut stack);
     }
 
     if let Some(path) = &flags.metrics_out {
-        let snap = ada_telemetry::snapshot_with_traces();
+        let snap = ada_telemetry::snapshot_with_traces(stack);
         std::fs::write(path, snap.to_vec()).expect("write metrics snapshot");
         eprintln!("wrote metrics snapshot to {}", path);
     }
@@ -155,8 +165,9 @@ fn main() {
 /// trace-event JSON — load it in Perfetto or chrome://tracing). With
 /// `--selftest`, re-parse the export and validate the event schema, the
 /// tree invariants CI cares about, and that every sealed span reached its
-/// `span.{stage}.calls` counter, exiting non-zero on violation.
-fn run_trace(selftest: bool) {
+/// `span.{stage}.calls` counter, exiting non-zero on violation. The
+/// stack's metrics go into `stack`.
+fn run_trace(selftest: bool, stack: &mut Snapshot) {
     use ada_core::IngestInput;
     use ada_frontend::{Frontend, FrontendConfig};
     use ada_json::Value;
@@ -166,7 +177,6 @@ fn run_trace(selftest: bool) {
 
     let recorder = ada_telemetry::trace::recorder();
     recorder.clear();
-    let counters_before = ada_telemetry::global().snapshot().counters;
     recorder.set_latency_threshold(Some(std::time::Duration::from_millis(250)));
 
     let w = ada_workload::gpcr_workload(2_000, 100, 7);
@@ -196,10 +206,13 @@ fn run_trace(selftest: bool) {
     // id, and on the server's a `server.send` where the decode would be.
     let mut server =
         ada_server::Server::start(Arc::clone(&fe), Default::default()).expect("loopback server");
-    ada_client::Client::new(server.local_addr().to_string(), Default::default())
+    let client = ada_client::Client::new(server.local_addr().to_string(), Default::default());
+    client
         .query("demo", Some("p"))
         .expect("remote protein query");
     server.shutdown();
+    server.write_metrics(stack);
+    client.write_metrics(stack);
 
     let traces = recorder.all();
     let retained = recorder.retained();
@@ -273,22 +286,29 @@ fn run_trace(selftest: bool) {
         "at least one trace crosses a thread boundary",
     );
 
-    // The seal is the only feed of the `span.*` family: each counter grew
-    // by exactly the number of spans of its stage in the sealed traces.
-    let mut sealed: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
+    // The seal is the only feed of the `span.*` family: since the recorder
+    // was cleared, each stage counted exactly its spans in the sealed
+    // traces, and no stage counted a span that is not among them.
+    let mut sealed: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     for s in traces.iter().flat_map(|t| &t.spans) {
-        *sealed.entry(s.name).or_insert(0) += 1;
+        *sealed
+            .entry(ada_telemetry::key(&["span", s.name, "calls"]))
+            .or_insert(0) += 1;
     }
-    let counters = ada_telemetry::global().snapshot().counters;
-    for (stage, n) in sealed {
-        let name = format!("span.{}.calls", stage);
-        let grew = counters.get(&name).copied().unwrap_or(0)
-            - counters_before.get(&name).copied().unwrap_or(0);
-        check(
-            grew == n,
-            &format!("{} grew by {} for {} sealed span(s)", name, grew, n),
-        );
-    }
+    let mut spans_family = Snapshot::default();
+    recorder.write_metrics(&mut spans_family);
+    let calls: std::collections::BTreeMap<String, u64> = spans_family
+        .counters
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(".calls"))
+        .collect();
+    check(
+        calls == sealed,
+        &format!(
+            "span.{{stage}}.calls {:?} != sealed spans per stage {:?}",
+            calls, sealed
+        ),
+    );
 
     // Round-trip the written file through the JSON parser and validate
     // the Chrome trace-event schema.
@@ -809,8 +829,9 @@ fn hybrid_ada(query_threads: usize) -> ada_core::Ada {
 /// over a fresh paper-prototype instance. With `--smoke`, a loopback
 /// client round-trips ping/ingest/query/range/cache-stats against the
 /// live server and the process exits; without it, the daemon serves
-/// until killed.
-fn serve(port: u16, smoke: bool) {
+/// until killed. The smoke's stack — the server, the front-end and `Ada`
+/// behind it, and the client — writes its metrics into `stack`.
+fn serve(port: u16, smoke: bool, stack: &mut Snapshot) {
     use ada_client::{Client, ClientConfig};
     use ada_frontend::{Frontend, FrontendConfig};
     use ada_mdformats::write_pdb;
@@ -855,6 +876,8 @@ fn serve(port: u16, smoke: bool) {
             .expect("smoke: query_range");
         let stats = client.cache_stats().expect("smoke: cache stats");
         server.shutdown();
+        server.write_metrics(stack);
+        client.write_metrics(stack);
         println!(
             "  smoke OK — ingested {} raw bytes; protein query {} decoded B, strided range {} decoded B; cache {} hit(s) / {} miss(es)",
             ing.raw_bytes,

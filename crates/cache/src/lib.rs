@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use ada_mdformats::Frame;
 use ada_sync::Mutex;
-use ada_telemetry::{Counter, Gauge, Histogram};
+use ada_telemetry::{Histogram, Snapshot};
 
 /// Tuning knobs for the decoded-dropping cache.
 ///
@@ -308,9 +308,9 @@ impl Shard {
     }
 }
 
-/// Monotonic counters for one cache instance. Unlike the global telemetry
-/// registry these are per-`Ada`, so a benchmark can difference them across
-/// epochs without other instances polluting the numbers.
+/// Monotonic counters for one cache instance — per-`Ada`, so a benchmark
+/// can difference them across epochs without other instances polluting
+/// the numbers, and what its `cache.*` metrics read.
 #[derive(Debug, Default)]
 struct StatsCells {
     hits: AtomicU64,
@@ -360,38 +360,6 @@ impl CacheStats {
     }
 }
 
-/// Global-registry handles, registered once at construction (the same
-/// pattern as the frontend's admission metrics) so cache counters appear
-/// in snapshots even while still zero.
-struct Metrics {
-    hit: Arc<Counter>,
-    miss: Arc<Counter>,
-    evict: Arc<Counter>,
-    bypass: Arc<Counter>,
-    resident: Arc<Gauge>,
-    lookup_ns: Arc<Histogram>,
-}
-
-impl Metrics {
-    fn register() -> Metrics {
-        let reg = ada_telemetry::global();
-        Metrics {
-            hit: reg.counter("cache.hit"),
-            miss: reg.counter("cache.miss"),
-            evict: reg.counter("cache.evict"),
-            bypass: reg.counter("cache.bypass"),
-            resident: reg.gauge("cache.resident_bytes"),
-            lookup_ns: reg.histogram("cache.lookup_ns"),
-        }
-    }
-}
-
-impl std::fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Metrics").finish_non_exhaustive()
-    }
-}
-
 /// The sharded decoded-dropping store.
 #[derive(Debug)]
 pub struct DecodedCache {
@@ -399,7 +367,10 @@ pub struct DecodedCache {
     shard_budget: u64,
     shards: Vec<Mutex<Shard>>,
     stats: StatsCells,
-    metrics: Option<Metrics>,
+    /// Whether lookups are timed into `lookup_ns` (telemetry was on when
+    /// the cache was built).
+    timed: bool,
+    lookup_ns: Histogram,
 }
 
 impl DecodedCache {
@@ -410,7 +381,8 @@ impl DecodedCache {
         let shard_budget = config.capacity_bytes / nshards as u64;
         let shards = (0..nshards).map(|_| Mutex::new(Shard::default())).collect();
         DecodedCache {
-            metrics: ada_telemetry::enabled().then(Metrics::register),
+            timed: ada_telemetry::enabled(),
+            lookup_ns: Histogram::new(),
             config,
             shard_budget,
             shards,
@@ -448,13 +420,8 @@ impl DecodedCache {
                 None => None,
             }
         };
-        if let Some(m) = &self.metrics {
-            m.lookup_ns.record(start.elapsed().as_nanos() as u64);
-            if found.is_some() {
-                m.hit.inc();
-            } else {
-                m.miss.inc();
-            }
+        if self.timed {
+            self.lookup_ns.record(start.elapsed().as_nanos() as u64);
         }
         match found {
             Some((payload, cost)) => {
@@ -528,18 +495,11 @@ impl DecodedCache {
         self.stats
             .resident_hwm
             .fetch_max(resident, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.evict.add(evicted);
-            m.resident.set(resident as i64);
-        }
         Admission::Admitted
     }
 
     fn note_bypass(&self) {
         self.stats.bypasses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.bypass.inc();
-        }
     }
 
     /// Record `n` bytes of frame payload decoded from droppings. Counted
@@ -575,10 +535,6 @@ impl DecodedCache {
             }
         }
         self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.evict.add(evicted);
-            m.resident.set(self.resident_bytes() as i64);
-        }
     }
 
     /// Bytes currently resident across all shards.
@@ -600,6 +556,20 @@ impl DecodedCache {
             bytes_decoded: load(&self.stats.bytes_decoded),
             bytes_served_from_cache: load(&self.stats.bytes_served_from_cache),
         }
+    }
+
+    /// Write the `cache.*` metrics, read off [`DecodedCache::stats`]: its
+    /// hit / miss / eviction / bypass counts, resident bytes and their
+    /// high-water mark, and the lookup latency.
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        let s = self.stats();
+        snap.counter("cache.hit", s.hits);
+        snap.counter("cache.miss", s.misses);
+        snap.counter("cache.evict", s.evictions);
+        snap.counter("cache.bypass", s.bypasses);
+        let (resident, hwm) = (s.resident_bytes as i64, s.resident_hwm as i64);
+        snap.gauge("cache.resident_bytes", resident, hwm);
+        snap.histogram("cache.lookup_ns", &self.lookup_ns);
     }
 }
 

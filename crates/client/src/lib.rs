@@ -36,6 +36,7 @@ use ada_proto::{
 };
 use ada_sync::Mutex;
 use ada_telemetry::trace;
+use ada_telemetry::{Counter, Histogram, Snapshot};
 
 /// Tuning knobs for one [`Client`].
 #[derive(Debug, Clone)]
@@ -72,6 +73,16 @@ pub struct Client {
     config: ClientConfig,
     conn: Mutex<Option<TcpStream>>,
     next_id: AtomicU64,
+    metrics: Metrics,
+}
+
+/// What one client counts (`client.*`).
+#[derive(Debug, Default)]
+struct Metrics {
+    requests: Counter,
+    errors: Counter,
+    connects: Counter,
+    request_ns: Histogram,
 }
 
 impl Client {
@@ -83,6 +94,18 @@ impl Client {
             config,
             conn: Mutex::new(None),
             next_id: AtomicU64::new(1),
+            metrics: Metrics::default(),
+        }
+    }
+
+    /// Write this client's `client.*` metrics, each once it has counted.
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        let m = &self.metrics;
+        snap.nonzero("client.requests", m.requests.get());
+        snap.nonzero("client.errors", m.errors.get());
+        snap.nonzero("client.connects", m.connects.get());
+        if m.request_ns.count() > 0 {
+            snap.histogram("client.request.ns", &m.request_ns);
         }
     }
 
@@ -162,8 +185,7 @@ impl Client {
     /// Send one request and wait for its response. Serialized per client
     /// (the connection lock is held across the round trip).
     fn request(&self, body: RequestBody) -> Result<ResponseBody, AdaError> {
-        let registry = ada_telemetry::global();
-        registry.counter("client.requests").inc();
+        self.metrics.requests.inc();
         let started = Instant::now();
         let (ctx, mut root) = trace::root("client.request");
         root.arg("op", body.op_name());
@@ -188,12 +210,11 @@ impl Client {
             }
         };
         if let Err(e) = &result {
-            registry.counter("client.errors").inc();
+            self.metrics.errors.inc();
             root.set_error(e.kind());
         }
-        registry
-            .histogram("client.request.ns")
-            .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.metrics.request_ns.record(elapsed);
         result
     }
 
@@ -246,7 +267,7 @@ impl Client {
     }
 
     fn dial(&self) -> Result<TcpStream, AdaError> {
-        ada_telemetry::global().counter("client.connects").inc();
+        self.metrics.connects.inc();
         let addr: std::net::SocketAddr = self
             .addr
             .parse()

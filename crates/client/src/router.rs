@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 
 use ada_core::AdaError;
 use ada_proto::{CacheStats, WireIngestReport, WireQueryReport};
+use ada_telemetry::{Counter, Snapshot};
 
 use crate::{Client, ClientConfig};
 
@@ -89,6 +90,10 @@ impl Ring {
 pub struct Router {
     ring: Ring,
     clients: Vec<Client>,
+    /// Routed operations (`router.requests`).
+    requests: Counter,
+    /// Routed operations that came back as errors (`router.shard_errors`).
+    shard_errors: Counter,
 }
 
 impl Router {
@@ -100,7 +105,19 @@ impl Router {
             .into_iter()
             .map(|addr| Client::new(addr, config.clone()))
             .collect();
-        Router { ring, clients }
+        Router {
+            ring,
+            clients,
+            requests: Counter::new(),
+            shard_errors: Counter::new(),
+        }
+    }
+
+    /// Write this router's `router.*` metrics, each once it has counted.
+    /// Each shard's client writes its own ([`Router::client`]).
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        snap.nonzero("router.requests", self.requests.get());
+        snap.nonzero("router.shard_errors", self.shard_errors.get());
     }
 
     /// Number of shards behind this router.
@@ -168,8 +185,7 @@ impl Router {
         shard: usize,
         op: impl FnOnce(&Client) -> Result<T, AdaError>,
     ) -> Result<T, AdaError> {
-        let registry = ada_telemetry::global();
-        registry.counter("router.requests").inc();
+        self.requests.inc();
         let client = self.clients.get(shard).ok_or_else(|| {
             AdaError::Internal(format!(
                 "ring routed to shard {} but only {} clients exist",
@@ -178,7 +194,7 @@ impl Router {
             ))
         })?;
         op(client).map_err(|e| {
-            registry.counter("router.shard_errors").inc();
+            self.shard_errors.inc();
             match e {
                 AdaError::Network { detail } => AdaError::Network {
                     detail: format!("shard {}: {}", shard, detail),

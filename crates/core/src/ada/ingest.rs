@@ -14,7 +14,7 @@
 //! [`Ada::commit`], inside [`Ada::in_new_container`], which takes the
 //! dataset name back if anything after it failed.
 
-use super::{max_across_backends, traced, Ada, DatasetState, IngestInput, IngestReport};
+use super::{max_across_backends, Ada, DatasetState, IngestInput, IngestReport, Op};
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
 use crate::preprocess::check_ranges;
@@ -146,7 +146,7 @@ impl Ada {
             IngestInput::Real { .. } => "serial",
             IngestInput::Synthetic(_) => "synthetic",
         };
-        traced("ada.ingest", mode, parent, |ctx| match input {
+        self.traced(Op::Ingest, mode, parent, |ctx| match input {
             IngestInput::Real {
                 pdb_text,
                 xtc_bytes,
@@ -364,13 +364,6 @@ impl Ada {
         };
         self.datasets.lock().insert(dataset.clone(), state);
 
-        if ada_telemetry::enabled() {
-            let reg = ada_telemetry::global();
-            for (tag, bytes) in &routed.stored_by_tag {
-                reg.counter(&format!("ingest.bytes_routed.{}", tag))
-                    .add(*bytes);
-            }
-        }
         Ok(IngestReport {
             dataset,
             decompress: CpuWork::Decompress {
@@ -578,8 +571,9 @@ mod tests {
         for stage in ["categorize", "decode", "split", "dispatch", "label_write"] {
             assert!(p.stages_ns.contains_key(stage), "missing stage {}", stage);
         }
-        let snap = ada_telemetry::global().snapshot();
-        assert!(snap.counters["ada.ingest.ok"] >= 1);
+        let mut snap = ada_telemetry::Snapshot::default();
+        ada.write_metrics(&mut snap);
+        assert_eq!(snap.counters["ada.ingest.ok"], 1);
         // And the data still reads back whole.
         let q = ada.query("bar", Some(&Tag::protein())).unwrap();
         match q.data {

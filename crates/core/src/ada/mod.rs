@@ -26,9 +26,9 @@ use crate::determinator::{Determinator, DispatchPolicy};
 use crate::labeler::LabelFile;
 use crate::profile::StageProfile;
 use crate::synth::SyntheticDataset;
-use crate::AdaError;
+use crate::{AdaError, ErrorKind};
 use ada_cache::DecodedCache;
-use ada_mdformats::Trajectory;
+use ada_mdformats::{FormatError, Trajectory};
 use ada_mdmodel::category::Taxonomy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
@@ -36,6 +36,7 @@ use ada_simfs::SimFileSystem;
 use ada_storagesim::{CpuProfile, SimDuration};
 use ada_sync::Mutex;
 use ada_telemetry::trace::{TraceContext, TraceSpanGuard};
+use ada_telemetry::{key, Counter, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -264,6 +265,48 @@ pub struct Ada {
     /// which case it only carries the `bytes_decoded` counter so cache-on
     /// and cache-off runs are measured identically).
     cache: DecodedCache,
+    metrics: Metrics,
+}
+
+/// The public entry points whose outcomes `ada.{op}.*` counts.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Ingest,
+    Query,
+    QueryRange,
+}
+
+impl Op {
+    const ALL: [Op; 3] = [Op::Ingest, Op::Query, Op::QueryRange];
+
+    fn name(self) -> &'static str {
+        match self {
+            Op::Ingest => "ingest",
+            Op::Query => "query",
+            Op::QueryRange => "query_range",
+        }
+    }
+
+    /// The op span, `ada.{op}`.
+    fn span(self) -> &'static str {
+        match self {
+            Op::Ingest => "ada.ingest",
+            Op::Query => "ada.query",
+            Op::QueryRange => "ada.query_range",
+        }
+    }
+}
+
+/// What one `Ada` counts: each entry point's outcomes by [`ErrorKind`],
+/// and the stored chunks its reads checked, skipped or found corrupt.
+#[derive(Debug, Default)]
+struct Metrics {
+    ok: [Counter; 3],
+    err: [[Counter; ErrorKind::ALL.len()]; 3],
+    chunks_checked: Counter,
+    chunks_skipped: Counter,
+    /// Shared with the [`StoredAnswer`]s a forward checks after the call.
+    chunks_corrupt: Arc<Counter>,
 }
 
 impl std::fmt::Debug for Ada {
@@ -295,7 +338,28 @@ impl Ada {
             datasets: Mutex::new(BTreeMap::new()),
             access: Mutex::new(BTreeMap::new()),
             cache,
+            metrics: Metrics::default(),
         }
+    }
+
+    /// Write this instance's metrics — `ada.{op}.ok` / `ada.{op}.err.{kind}`
+    /// and `xtcf.chunk.*`, each once it has counted — then its cache's and
+    /// its container set's.
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        let m = &self.metrics;
+        for op in Op::ALL {
+            let i = op as usize;
+            snap.nonzero(&key(&["ada", op.name(), "ok"]), m.ok[i].get());
+            for kind in ErrorKind::ALL {
+                let n = m.err[i][kind as usize].get();
+                snap.nonzero(&key(&["ada", op.name(), "err", kind.name()]), n);
+            }
+        }
+        snap.nonzero("xtcf.chunk.decoded", m.chunks_checked.get());
+        snap.nonzero("xtcf.chunk.skipped", m.chunks_skipped.get());
+        snap.nonzero("xtcf.chunk.corrupt", m.chunks_corrupt.get());
+        self.cache.write_metrics(snap);
+        self.containers().write_metrics(snap);
     }
 
     /// Counters of the decoded-dropping cache (hits, evictions, bytes
@@ -354,7 +418,7 @@ impl Ada {
 
     /// The process-wide flight recorder holding recently completed (and
     /// retained slow/shed/errored) request traces — the per-request
-    /// complement to [`ada_telemetry::global`] (DESIGN.md §13).
+    /// complement to [`Ada::write_metrics`] (DESIGN.md §13).
     pub fn flight_recorder(&self) -> &'static ada_telemetry::trace::FlightRecorder {
         ada_telemetry::trace::recorder()
     }
@@ -408,32 +472,66 @@ impl Profiled for QueryReport {
     }
 }
 
-/// Run a public entry point under a trace span — the op span `ada.{op}`:
-/// a child of `parent` when the caller (e.g. the `Frontend`) is already
-/// tracing this request, else a fresh root minted for the direct library
-/// caller. A successful call's report gets its [`StageProfile`] here, cut
-/// from the op span's subtree once the op span has closed (`mode` names
-/// the code path that ran); on failure the span records
-/// [`AdaError::kind`]. Either way the outcome feeds the `ada.{op}.*`
-/// counters via [`observe`].
-fn traced<T: Profiled>(
-    trace_name: &'static str,
-    mode: &str,
-    parent: &TraceContext,
-    f: impl FnOnce(&TraceContext) -> Result<T, AdaError>,
-) -> Result<T, AdaError> {
-    let (ctx, mut guard) = op_span(trace_name, parent);
-    let mut res = f(&ctx);
-    match &mut res {
-        Ok(report) => {
-            let cut = |spans: &[_], op_span| StageProfile::from_spans(mode, spans, op_span);
-            if let Some(profile) = guard.finish_with(cut) {
-                report.set_profile(profile);
+impl Ada {
+    /// Run public entry point `op` under its op span `ada.{op}`: a child
+    /// of `parent` when the caller (e.g. the `Frontend`) is already tracing
+    /// this request, else a fresh root minted for the direct library
+    /// caller. A successful call's report gets its [`StageProfile`] here,
+    /// cut from the op span's subtree once the op span has closed (`mode`
+    /// names the code path that ran); on failure the span records
+    /// [`AdaError::kind`]. Either way the outcome is counted by
+    /// [`Ada::observe`].
+    fn traced<T: Profiled>(
+        &self,
+        op: Op,
+        mode: &str,
+        parent: &TraceContext,
+        f: impl FnOnce(&TraceContext) -> Result<T, AdaError>,
+    ) -> Result<T, AdaError> {
+        let (ctx, mut guard) = op_span(op.span(), parent);
+        let mut res = f(&ctx);
+        match &mut res {
+            Ok(report) => {
+                let cut = |spans: &[_], op_span| StageProfile::from_spans(mode, spans, op_span);
+                if let Some(profile) = guard.finish_with(cut) {
+                    report.set_profile(profile);
+                }
+            }
+            Err(e) => guard.set_error(e.kind()),
+        }
+        self.observe(op, res)
+    }
+
+    /// Count a middleware call's outcome — `ada.{op}.ok` on success,
+    /// `ada.{op}.err.{kind}` on failure, and `xtcf.chunk.corrupt` when the
+    /// failure is a stored chunk that failed its check — so every public
+    /// entry point reports errors through one uniform counter family.
+    fn observe<T>(&self, op: Op, res: Result<T, AdaError>) -> Result<T, AdaError> {
+        if ada_telemetry::enabled() {
+            let m = &self.metrics;
+            match &res {
+                Ok(_) => m.ok[op as usize].inc(),
+                Err(e) => {
+                    m.err[op as usize][e.error_kind() as usize].inc();
+                    count_corrupt(&m.chunks_corrupt, e);
+                }
             }
         }
-        Err(e) => guard.set_error(e.kind()),
+        res
     }
-    observe(trace_name.strip_prefix("ada.").unwrap_or(trace_name), res)
+}
+
+/// Count `e` in `xtcf.chunk.corrupt` when it is a stored chunk that
+/// failed its span or checksum test (`verify_chunk`, alone or inside a
+/// decode) — whether the chunk was about to be read or forwarded.
+fn count_corrupt(corrupt: &Counter, e: &AdaError) {
+    let source = match e {
+        AdaError::Xtcf { source, .. } => source,
+        _ => return,
+    };
+    if matches!(source, FormatError::ChunkCorrupt { .. }) && ada_telemetry::enabled() {
+        corrupt.inc();
+    }
 }
 
 /// Open the op span `trace_name`: a child of `parent` when the caller is
@@ -445,20 +543,6 @@ fn op_span(trace_name: &'static str, parent: &TraceContext) -> (TraceContext, Tr
     } else {
         ada_telemetry::trace::root(trace_name)
     }
-}
-
-/// Count a middleware call's outcome in the global registry — `ada.{op}.ok`
-/// on success, `ada.{op}.err.{kind}` on failure — so every public entry
-/// point reports errors through one uniform counter family.
-fn observe<T>(op: &str, res: Result<T, AdaError>) -> Result<T, AdaError> {
-    if ada_telemetry::enabled() {
-        let name = match &res {
-            Ok(_) => format!("ada.{}.ok", op),
-            Err(e) => format!("ada.{}.err.{}", op, e.kind()),
-        };
-        ada_telemetry::global().counter(&name).inc();
-    }
-    res
 }
 
 /// Fixtures shared by the unit tests of this module and its children.
@@ -589,8 +673,10 @@ mod tests {
     fn observed_errors_bump_kind_counters() {
         let ada = make_ada();
         let _ = ada.query("no_such_dataset", None);
-        let snap = ada_telemetry::global().snapshot();
-        assert!(snap.counters["ada.query.err.unknown_dataset"] >= 1);
+        let mut snap = ada_telemetry::Snapshot::default();
+        ada.write_metrics(&mut snap);
+        assert_eq!(snap.counters["ada.query.err.unknown_dataset"], 1);
+        assert!(!snap.counters.contains_key("ada.query.ok"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
 //! resolve / index / heat helpers, a fetch, and no retrieval at all.
 
-use super::retrieve::{atoms_err, chunk_err, directory, real_bytes, xtcf_err, Take};
-use super::{observe, op_span, traced, Ada, DatasetState, QueryReport, RetrievedData};
+use super::retrieve::{atoms_err, directory, real_bytes, xtcf_err, Take};
+use super::{count_corrupt, op_span, Ada, DatasetState, Op, QueryReport, RetrievedData};
 use crate::AdaError;
 use ada_mdformats::xtcf::{verify_chunk, ChunkDirectory};
 use ada_mdformats::{FormatError, Trajectory};
@@ -20,8 +20,10 @@ use ada_plfs::IndexRecord;
 use ada_simfs::Content;
 use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
+use ada_telemetry::Counter;
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The fetched dropping of a [`StoredAnswer`].
 #[derive(Debug)]
@@ -43,6 +45,8 @@ pub struct StoredAnswer {
     pub read: SimDuration,
     natoms: usize,
     dropping: StoredDropping,
+    /// The answering `Ada`'s `xtcf.chunk.corrupt`.
+    corrupt: Arc<Counter>,
 }
 
 impl StoredAnswer {
@@ -73,7 +77,11 @@ impl StoredAnswer {
         let d = &self.dropping;
         d.dir.entries.iter().enumerate().map(move |(c, e)| {
             let bytes = real_bytes(&d.record, &d.content)?;
-            let body = verify_chunk(bytes, &d.dir, c).map_err(|e| chunk_err(&d.record, e))?;
+            let body = verify_chunk(bytes, &d.dir, c).map_err(|e| {
+                let e = xtcf_err(&d.record, e);
+                count_corrupt(&self.corrupt, &e);
+                e
+            })?;
             // Every record declares the directory's count (verified).
             if e.natoms as usize != self.natoms {
                 return Err(atoms_err(&d.record, 0, e.natoms as usize, self.natoms));
@@ -104,7 +112,7 @@ impl Ada {
         } else {
             "query"
         };
-        traced("ada.query", mode, parent, |ctx| {
+        self.traced(Op::Query, mode, parent, |ctx| {
             self.query_inner(dataset, tag, ctx)
         })
     }
@@ -163,13 +171,13 @@ impl Ada {
         tag: &Tag,
         parent: &TraceContext,
     ) -> Result<StoredAnswer, AdaError> {
-        let (ctx, mut guard) = op_span("ada.query", parent);
+        let (ctx, mut guard) = op_span(Op::Query.span(), parent);
         let res = self.query_stored_inner(dataset, tag, &ctx);
         if let Err(e) = &res {
             guard.set_error(e.kind());
         }
         drop(guard);
-        observe("query", res)
+        self.observe(Op::Query, res)
     }
 
     fn query_stored_inner(
@@ -200,6 +208,7 @@ impl Ada {
                 content,
                 dir,
             },
+            corrupt: Arc::clone(&self.metrics.chunks_corrupt),
         })
     }
 
@@ -232,7 +241,7 @@ impl Ada {
         stride: usize,
         parent: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        traced("ada.query_range", "query_range", parent, |ctx| {
+        self.traced(Op::QueryRange, "query_range", parent, |ctx| {
             self.query_range_inner(dataset, tag, window, stride, ctx)
         })
     }

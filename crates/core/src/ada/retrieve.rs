@@ -110,17 +110,6 @@ pub(super) fn xtcf_err(record: &IndexRecord, source: FormatError) -> AdaError {
     }
 }
 
-/// [`xtcf_err`] for a chunk that failed its span or checksum test
-/// (`verify_chunk`, alone or inside a decode): the one place
-/// `xtcf.chunk.corrupt` is counted, whether the chunk was about to be
-/// read, decoded or forwarded.
-pub(super) fn chunk_err(record: &IndexRecord, source: FormatError) -> AdaError {
-    if matches!(source, FormatError::ChunkCorrupt { .. }) && ada_telemetry::enabled() {
-        ada_telemetry::global().counter("xtcf.chunk.corrupt").inc();
-    }
-    xtcf_err(record, source)
-}
-
 /// Frame `frame` of `record` carries `got` atoms where the tag's label
 /// ranges select `want` — the answer would slice it out of bounds.
 pub(super) fn atoms_err(record: &IndexRecord, frame: usize, got: usize, want: usize) -> AdaError {
@@ -368,7 +357,6 @@ impl Ada {
             let fresh = todo.iter().filter_map(|&c| dir.entries.get(c));
             bytes += fresh.map(decoded_bytes).sum::<u64>();
             let (n, of) = (todo.len() as u64, dir.nchunks() as u64);
-            ada_plfs::note_chunk_reads(&d.record.backend, n, of - n);
             checked += n;
             skipped += of - n;
         }
@@ -376,13 +364,8 @@ impl Ada {
             self.cache.note_decoded(bytes);
         }
         if ada_telemetry::enabled() {
-            let reg = ada_telemetry::global();
-            if checked > 0 {
-                reg.counter("xtcf.chunk.decoded").add(checked);
-            }
-            if skipped > 0 {
-                reg.counter("xtcf.chunk.skipped").add(skipped);
-            }
+            self.metrics.chunks_checked.add(checked);
+            self.metrics.chunks_skipped.add(skipped);
         }
 
         // Admission heat is the tag's access count *before* this query

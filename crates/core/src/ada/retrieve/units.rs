@@ -4,7 +4,7 @@
 //! ([`run_unit`]): check its stored chunks, then write the answer's frames
 //! inside it, each once, straight from the sources.
 
-use super::{atoms_err, chunk_err, real_bytes, xtcf_err, Planned, Source, Take};
+use super::{atoms_err, real_bytes, xtcf_err, Planned, Source, Take};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_mdformats::xtcf::{ChunkRecords, FrameRecord};
@@ -330,7 +330,7 @@ fn check_chunk<'a>(
         dir.entries.get(c).map_or(0, |e| e.body_len() as u64),
     );
     let res = real_bytes(&d.record, content)
-        .and_then(|bytes| ChunkRecords::verify(bytes, dir, c).map_err(|e| chunk_err(&d.record, e)))
+        .and_then(|bytes| ChunkRecords::verify(bytes, dir, c).map_err(|e| xtcf_err(&d.record, e)))
         .and_then(|records| match natoms {
             Some(n) if records.natoms() != n => Err(atoms_err(&d.record, 0, records.natoms(), n)),
             _ => Ok(records),

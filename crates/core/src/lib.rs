@@ -297,25 +297,104 @@ impl AdaError {
         AdaError::Pdb("a size-only dataset has no frames and no label ranges".to_string())
     }
 
-    /// Stable short name of the error class — the suffix of the telemetry
-    /// counter (`ada.{op}.err.{kind}`) every failed middleware call bumps,
-    /// so error rates aggregate uniformly across variants.
-    pub fn kind(&self) -> &'static str {
+    /// The error's class: what the `ada.{op}.err.{kind}` counters and a
+    /// failed span are indexed and labelled by.
+    pub fn error_kind(&self) -> ErrorKind {
         match self {
-            AdaError::Fs(_) => "fs",
-            AdaError::Plfs(_) => "plfs",
-            AdaError::Xtc(_) => "xtc",
-            AdaError::Xtcf { .. } => "xtcf",
-            AdaError::FrameCountMismatch { .. } => "frame_count_mismatch",
-            AdaError::Pdb(_) => "pdb",
-            AdaError::UnknownTag(_) => "unknown_tag",
-            AdaError::UnknownDataset(_) => "unknown_dataset",
-            AdaError::InvalidRange { .. } => "invalid_range",
-            AdaError::AtomMismatch { .. } => "atom_mismatch",
-            AdaError::Internal(_) => "internal",
-            AdaError::Overloaded { .. } => "overloaded",
-            AdaError::DeadlineExceeded { .. } => "deadline_exceeded",
-            AdaError::Network { .. } => "network",
+            AdaError::Fs(_) => ErrorKind::Fs,
+            AdaError::Plfs(_) => ErrorKind::Plfs,
+            AdaError::Xtc(_) => ErrorKind::Xtc,
+            AdaError::Xtcf { .. } => ErrorKind::Xtcf,
+            AdaError::FrameCountMismatch { .. } => ErrorKind::FrameCountMismatch,
+            AdaError::Pdb(_) => ErrorKind::Pdb,
+            AdaError::UnknownTag(_) => ErrorKind::UnknownTag,
+            AdaError::UnknownDataset(_) => ErrorKind::UnknownDataset,
+            AdaError::InvalidRange { .. } => ErrorKind::InvalidRange,
+            AdaError::AtomMismatch { .. } => ErrorKind::AtomMismatch,
+            AdaError::Internal(_) => ErrorKind::Internal,
+            AdaError::Overloaded { .. } => ErrorKind::Overloaded,
+            AdaError::DeadlineExceeded { .. } => ErrorKind::DeadlineExceeded,
+            AdaError::Network { .. } => ErrorKind::Network,
+        }
+    }
+
+    /// Stable short name of the error class ([`ErrorKind::name`]) — the
+    /// suffix of `ada.{op}.err.{kind}` and what a failed span records.
+    pub fn kind(&self) -> &'static str {
+        self.error_kind().name()
+    }
+}
+
+/// The class of an [`AdaError`], without its fields: one per variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// [`AdaError::Fs`].
+    Fs,
+    /// [`AdaError::Plfs`].
+    Plfs,
+    /// [`AdaError::Xtc`].
+    Xtc,
+    /// [`AdaError::Xtcf`].
+    Xtcf,
+    /// [`AdaError::FrameCountMismatch`].
+    FrameCountMismatch,
+    /// [`AdaError::Pdb`].
+    Pdb,
+    /// [`AdaError::UnknownTag`].
+    UnknownTag,
+    /// [`AdaError::UnknownDataset`].
+    UnknownDataset,
+    /// [`AdaError::InvalidRange`].
+    InvalidRange,
+    /// [`AdaError::AtomMismatch`].
+    AtomMismatch,
+    /// [`AdaError::Internal`].
+    Internal,
+    /// [`AdaError::Overloaded`].
+    Overloaded,
+    /// [`AdaError::DeadlineExceeded`].
+    DeadlineExceeded,
+    /// [`AdaError::Network`].
+    Network,
+}
+
+impl ErrorKind {
+    /// Every kind, in declaration order: `ALL[k as usize] == k`.
+    pub const ALL: [ErrorKind; 14] = [
+        ErrorKind::Fs,
+        ErrorKind::Plfs,
+        ErrorKind::Xtc,
+        ErrorKind::Xtcf,
+        ErrorKind::FrameCountMismatch,
+        ErrorKind::Pdb,
+        ErrorKind::UnknownTag,
+        ErrorKind::UnknownDataset,
+        ErrorKind::InvalidRange,
+        ErrorKind::AtomMismatch,
+        ErrorKind::Internal,
+        ErrorKind::Overloaded,
+        ErrorKind::DeadlineExceeded,
+        ErrorKind::Network,
+    ];
+
+    /// Stable short name, so error rates aggregate uniformly across
+    /// variants.
+    pub fn name(self) -> &'static str {
+        match self {
+            ErrorKind::Fs => "fs",
+            ErrorKind::Plfs => "plfs",
+            ErrorKind::Xtc => "xtc",
+            ErrorKind::Xtcf => "xtcf",
+            ErrorKind::FrameCountMismatch => "frame_count_mismatch",
+            ErrorKind::Pdb => "pdb",
+            ErrorKind::UnknownTag => "unknown_tag",
+            ErrorKind::UnknownDataset => "unknown_dataset",
+            ErrorKind::InvalidRange => "invalid_range",
+            ErrorKind::AtomMismatch => "atom_mismatch",
+            ErrorKind::Internal => "internal",
+            ErrorKind::Overloaded => "overloaded",
+            ErrorKind::DeadlineExceeded => "deadline_exceeded",
+            ErrorKind::Network => "network",
         }
     }
 }
@@ -346,6 +425,7 @@ mod error_tests {
     use super::*;
     use std::error::Error;
 
+    /// One value of every variant, in declaration order.
     fn all_variants() -> Vec<AdaError> {
         vec![
             AdaError::Fs(FsError::NotFound("x".into())),
@@ -379,7 +459,38 @@ mod error_tests {
                 waited: std::time::Duration::from_millis(12),
                 deadline: std::time::Duration::from_millis(10),
             },
+            AdaError::Network {
+                detail: "peer reset".into(),
+            },
         ]
+    }
+
+    /// A variant's place in [`all_variants`]. No wildcard arm: a new
+    /// variant does not compile until it has a place, and then
+    /// `every_variant_is_listed_once` fails until `all_variants` holds it.
+    fn listed_at(e: &AdaError) -> usize {
+        match e {
+            AdaError::Fs(_) => 0,
+            AdaError::Plfs(_) => 1,
+            AdaError::Xtc(_) => 2,
+            AdaError::Xtcf { .. } => 3,
+            AdaError::FrameCountMismatch { .. } => 4,
+            AdaError::Pdb(_) => 5,
+            AdaError::UnknownTag(_) => 6,
+            AdaError::UnknownDataset(_) => 7,
+            AdaError::InvalidRange { .. } => 8,
+            AdaError::AtomMismatch { .. } => 9,
+            AdaError::Internal(_) => 10,
+            AdaError::Overloaded { .. } => 11,
+            AdaError::DeadlineExceeded { .. } => 12,
+            AdaError::Network { .. } => 13,
+        }
+    }
+
+    #[test]
+    fn every_variant_is_listed_once() {
+        let places: Vec<usize> = all_variants().iter().map(listed_at).collect();
+        assert_eq!(places, (0..14).collect::<Vec<_>>());
     }
 
     #[test]
@@ -394,9 +505,18 @@ mod error_tests {
 
     #[test]
     fn kinds_are_stable_and_distinct() {
-        let kinds: Vec<&str> = all_variants().iter().map(|e| e.kind()).collect();
+        // Every variant has a kind of its own, and `ALL` lists each kind
+        // once, at its own index.
+        let kinds: Vec<ErrorKind> = all_variants().iter().map(|e| e.error_kind()).collect();
+        assert_eq!(kinds, ErrorKind::ALL);
+        for (i, k) in ErrorKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i);
+        }
+        let names: Vec<&str> = ErrorKind::ALL.iter().map(|k| k.name()).collect();
+        let distinct: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len(), "two kinds share a name");
         assert_eq!(
-            kinds,
+            names,
             vec![
                 "fs",
                 "plfs",
@@ -410,9 +530,13 @@ mod error_tests {
                 "atom_mismatch",
                 "internal",
                 "overloaded",
-                "deadline_exceeded"
+                "deadline_exceeded",
+                "network"
             ]
         );
+        for e in all_variants() {
+            assert_eq!(e.kind(), e.error_kind().name());
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ use ada_core::{Ada, AdaError, IngestInput, IngestReport, QueryReport};
 use ada_mdmodel::Tag;
 use ada_sync::Mutex;
 use ada_telemetry::trace::{self, TraceContext};
-use ada_telemetry::{Counter, Gauge, Histogram};
+use ada_telemetry::{key, Counter, Histogram, Snapshot};
 
 use crate::config::FrontendConfig;
 use crate::scheduler::{Class, Popped, SchedulerCore};
@@ -114,68 +114,46 @@ fn settle_malloc_thresholds() {
 /// counted under `frontend.client.other.*`.
 const CLIENT_FAMILIES_MAX: usize = 64;
 
-/// One client family's outcome counters, resolved once.
-struct ClientCounters {
-    accepted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    deadline: Arc<Counter>,
+/// One client family's admission outcomes.
+#[derive(Debug, Default)]
+struct Outcomes {
+    accepted: Counter,
+    rejected: Counter,
+    deadline: Counter,
 }
 
-impl ClientCounters {
-    fn register(family: &str) -> ClientCounters {
-        let outcome = |what: &str| {
-            ada_telemetry::global().counter(&format!("frontend.client.{}.{}", family, what))
-        };
-        ClientCounters {
-            accepted: outcome("accepted"),
-            rejected: outcome("rejected"),
-            deadline: outcome("deadline_exceeded"),
-        }
+impl Outcomes {
+    fn write(&self, snap: &mut Snapshot, client: &str) {
+        let name = |what| key(&["frontend.client", client, what]);
+        snap.counter(&name("accepted"), self.accepted.get());
+        snap.counter(&name("rejected"), self.rejected.get());
+        snap.counter(&name("deadline_exceeded"), self.deadline.get());
     }
 }
 
-/// Global-registry handles, registered once at construction so every
-/// admission metric appears in snapshots even while still zero.
+/// What a `Frontend` counts beyond its scheduler's [`ClassCounters`]
+/// (which the `frontend.{class}.*` counters and queue gauges read): the
+/// queue wait per class and the outcomes per client name.
+///
+/// [`ClassCounters`]: crate::scheduler::ClassCounters
+#[derive(Default)]
 struct Metrics {
-    queue: [Arc<Gauge>; 2],
-    wait: [Arc<Histogram>; 2],
-    accepted: [Arc<Counter>; 2],
-    rejected: [Arc<Counter>; 2],
-    deadline: [Arc<Counter>; 2],
+    wait: [Histogram; 2],
     /// The client names met so far, at most [`CLIENT_FAMILIES_MAX`] of
     /// them.
-    clients: Mutex<HashMap<String, ClientCounters>>,
-    other: ClientCounters,
+    clients: Mutex<HashMap<String, Outcomes>>,
+    other: Outcomes,
 }
 
 impl Metrics {
-    fn register() -> Metrics {
-        let reg = ada_telemetry::global();
-        let per_class = |what: &str| {
-            [Class::Ingest, Class::Query]
-                .map(|c| reg.counter(&format!("frontend.{}.{}", c.name(), what)))
-        };
-        Metrics {
-            queue: [Class::Ingest, Class::Query]
-                .map(|c| reg.gauge(&format!("frontend.queue.{}", c.name()))),
-            wait: [Class::Ingest, Class::Query]
-                .map(|c| reg.histogram(&format!("frontend.wait_ns.{}", c.name()))),
-            accepted: per_class("accepted"),
-            rejected: per_class("rejected"),
-            deadline: per_class("deadline_exceeded"),
-            clients: Mutex::new(HashMap::new()),
-            other: ClientCounters::register("other"),
-        }
-    }
-
     /// Count one outcome for `client`: one small-map lookup per request.
-    fn note_client(&self, client: &str, outcome: impl Fn(&ClientCounters) -> &Counter) {
+    fn note_client(&self, client: &str, outcome: impl Fn(&Outcomes) -> &Counter) {
         let mut clients = self.clients.lock();
         let counters = match clients.get(client) {
             Some(known) => known,
-            None if clients.len() < CLIENT_FAMILIES_MAX => clients
-                .entry(client.to_string())
-                .or_insert_with(|| ClientCounters::register(client)),
+            None if clients.len() < CLIENT_FAMILIES_MAX => {
+                clients.entry(client.to_string()).or_default()
+            }
             None => &self.other,
         };
         outcome(counters).inc();
@@ -246,8 +224,36 @@ impl Frontend {
                 retry_floor,
             )),
             start: Instant::now(),
-            metrics: ada_telemetry::enabled().then(Metrics::register),
+            metrics: ada_telemetry::enabled().then(Metrics::default),
         }
+    }
+
+    /// Write the admission metrics — per class the scheduler's outcome
+    /// counts (`frontend.{class}.*`), its queue depth and deepest queue
+    /// (`frontend.queue.{class}`) and the queue wait; per client name the
+    /// outcomes — then the `Ada` behind it.
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        let stats = self.stats();
+        for class in Class::ALL {
+            let (c, name) = (stats.class(class), class.name());
+            snap.counter(&key(&["frontend", name, "accepted"]), c.counters.admitted);
+            snap.counter(&key(&["frontend", name, "rejected"]), c.counters.rejected);
+            let expired = c.counters.expired;
+            snap.counter(&key(&["frontend", name, "deadline_exceeded"]), expired);
+            let (depth, hwm) = (c.queue_depth as i64, c.queue_hwm as i64);
+            snap.gauge(&key(&["frontend.queue", name]), depth, hwm);
+        }
+        if let Some(m) = &self.metrics {
+            for class in Class::ALL {
+                let wait = &m.wait[class.idx()];
+                snap.histogram(&key(&["frontend.wait_ns", class.name()]), wait);
+            }
+            for (client, outcomes) in m.clients.lock().iter() {
+                outcomes.write(snap, client);
+            }
+            m.other.write(snap, "other");
+        }
+        self.ada.write_metrics(snap);
     }
 
     /// Monotonic nanoseconds since the front-end was built — the queue's
@@ -262,30 +268,14 @@ impl Frontend {
         }
     }
 
-    fn note_accepted(&self, class: Class, client: &str) {
+    fn note_client(&self, client: &str, outcome: impl Fn(&Outcomes) -> &Counter) {
         if let Some(m) = &self.metrics {
-            m.accepted[class.idx()].inc();
-            m.note_client(client, |c| &c.accepted);
-        }
-    }
-
-    fn note_rejected(&self, class: Class, client: &str) {
-        if let Some(m) = &self.metrics {
-            m.rejected[class.idx()].inc();
-            m.note_client(client, |c| &c.rejected);
-        }
-    }
-
-    fn note_deadline_exceeded(&self, class: Class, client: &str) {
-        if let Some(m) = &self.metrics {
-            m.deadline[class.idx()].inc();
-            m.note_client(client, |c| &c.deadline);
+            m.note_client(client, outcome);
         }
     }
 
     /// End a critical section that enqueued a job or freed a slot: drain
-    /// `class` at the current time, moving the `frontend.queue.{class}`
-    /// gauge under the lock of the queue it mirrors. Returns what became
+    /// `class` at the current time. Returns what became
     /// of request `own`; everyone else who left is pushed onto `wakes`,
     /// for the caller to send once the guard is gone.
     fn drain(
@@ -297,9 +287,6 @@ impl Frontend {
     ) -> Option<Left> {
         let mut mine = None;
         core.drain(class, self.now_ns(), |popped, queue_depth| {
-            if let Some(m) = &self.metrics {
-                m.queue[class.idx()].dec();
-            }
             let (id, waiter, waited_ns, expired) = match popped {
                 Popped::Start { id, job, waited_ns } => (id, job, waited_ns, None),
                 Popped::Expired {
@@ -385,9 +372,6 @@ impl Frontend {
             let mut core = self.core.lock();
             core.submit(class, waiter, enqueued_ns, deadline_ns)
                 .map(|id| {
-                    if let Some(m) = &self.metrics {
-                        m.queue[class.idx()].inc();
-                    }
                     // The drain reads the clock again, after the enqueue:
                     // a 0 ns deadline has passed by then, so the request
                     // dies in the queue and not on a slot.
@@ -397,7 +381,7 @@ impl Frontend {
         send_wakes(wakes);
         let left = match offered {
             Err(rej) => {
-                self.note_rejected(class, client);
+                self.note_client(client, |c| &c.rejected);
                 // A shed request keeps a debuggable (flagged) trace: the
                 // queue depth that triggered the shed and the retry hint
                 // handed to the client.
@@ -423,11 +407,11 @@ impl Frontend {
                     class,
                     taken: Instant::now(),
                 };
-                self.note_accepted(class, client);
+                self.note_client(client, |c| &c.accepted);
                 Ok(slot)
             }
             Some((deadline_ns, queue_depth)) => {
-                self.note_deadline_exceeded(class, client);
+                self.note_client(client, |c| &c.deadline);
                 args.push(("deadline_ns", deadline_ns.into()));
                 args.push(("queue_depth", queue_depth.into()));
                 Err(AdaError::DeadlineExceeded {
@@ -505,8 +489,7 @@ impl Frontend {
         })
     }
 
-    /// Point-in-time admission statistics (process-local, not the global
-    /// telemetry registry — safe for concurrent tests in one binary).
+    /// Point-in-time admission statistics of this front-end.
     pub fn stats(&self) -> FrontendStats {
         let core = self.core.lock();
         let class_stats = |class: Class| ClassStats {

@@ -1,6 +1,5 @@
-//! Point-in-time front-end statistics, independent of the global
-//! telemetry registry so concurrent tests in one process don't share
-//! counters.
+//! Point-in-time front-end statistics of one `Frontend` — what its
+//! `frontend.{class}.*` metrics read.
 
 use crate::scheduler::{Class, ClassCounters};
 

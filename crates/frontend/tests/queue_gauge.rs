@@ -1,9 +1,6 @@
-//! The `frontend.queue.{class}` gauges move under the scheduler lock, in
-//! step with the queue they mirror, so their high-water marks are the
-//! scheduler's own and they read zero once the queue is empty.
-//!
-//! The gauges live in the process-global registry: this file holds one
-//! test so that it has a process, and therefore the gauges, to itself.
+//! The `frontend.queue.{class}` gauges of a `Frontend`'s metrics are its
+//! scheduler's queue: their high-water marks are the scheduler's own and
+//! they read zero once the queue is empty.
 
 use std::sync::{Arc, Barrier};
 
@@ -55,11 +52,13 @@ fn queue_gauges_mirror_the_scheduler_queue() {
 
     let stats = fe.stats();
     assert!(stats.is_quiescent(), "front-end not quiescent: {:?}", stats);
+    let mut snap = ada_telemetry::Snapshot::default();
+    fe.write_metrics(&mut snap);
     for class in Class::ALL {
-        let gauge = ada_telemetry::global().gauge(&format!("frontend.queue.{}", class.name()));
-        assert_eq!(gauge.get(), 0, "{} queue is empty", class.name());
+        let gauge = snap.gauges[&ada_telemetry::key(&["frontend.queue", class.name()])];
+        assert_eq!(gauge.value, 0, "{} queue is empty", class.name());
         assert_eq!(
-            gauge.high_water(),
+            gauge.high_water,
             stats.class(class).queue_hwm as i64,
             "{} gauge and scheduler disagree on the deepest queue",
             class.name()

@@ -4,6 +4,7 @@ use ada_json::Value;
 use ada_simfs::{Content, FsError, SimFileSystem};
 use ada_storagesim::SimDuration;
 use ada_sync::Mutex;
+use ada_telemetry::{key, Counter, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -95,31 +96,28 @@ impl IndexRecord {
     }
 }
 
-/// Bump the per-backend container I/O counters
-/// (`plfs.{backend}.{op}.ops` / `.bytes`) — how each mount's share of
-/// dropping traffic reaches metrics snapshots.
-fn count_op(backend: &str, op: &str, bytes: u64) {
-    if ada_telemetry::disabled() {
-        return;
-    }
-    let reg = ada_telemetry::global();
-    let base = format!("plfs.{}.{}", backend, op);
-    reg.counter(&format!("{}.ops", base)).inc();
-    reg.counter(&format!("{}.bytes", base)).add(bytes);
+/// Operations of one kind on one backend and the bytes they moved.
+#[derive(Debug, Default)]
+struct IoCount {
+    ops: Counter,
+    bytes: Counter,
 }
 
-/// Chunk-granular read accounting for chunked (XTCF v2) droppings: how
-/// many chunks a dropping read actually decoded vs skipped cold
-/// (`plfs.{backend}.read.chunks.decoded` / `.skipped` dynamic family).
-pub fn note_chunk_reads(backend: &str, decoded: u64, skipped: u64) {
-    if ada_telemetry::disabled() {
-        return;
+impl IoCount {
+    fn note(&self, bytes: u64) {
+        if ada_telemetry::enabled() {
+            self.ops.inc();
+            self.bytes.add(bytes);
+        }
     }
-    let reg = ada_telemetry::global();
-    reg.counter(&format!("plfs.{}.read.chunks.decoded", backend))
-        .add(decoded);
-    reg.counter(&format!("plfs.{}.read.chunks.skipped", backend))
-        .add(skipped);
+}
+
+/// One backend's share of dropping traffic:
+/// `plfs.{backend}.{read,write}.{ops,bytes}`.
+#[derive(Debug, Default)]
+struct BackendIo {
+    read: IoCount,
+    write: IoCount,
 }
 
 #[derive(Debug, Default)]
@@ -132,6 +130,8 @@ struct ContainerIndex {
 /// A set of backend mounts plus the containers living across them.
 pub struct ContainerSet {
     backends: Vec<(String, Arc<dyn SimFileSystem>)>,
+    /// I/O counts, one slot per backend, in `backends` order.
+    io: Vec<BackendIo>,
     containers: Mutex<BTreeMap<String, ContainerIndex>>,
 }
 
@@ -153,32 +153,59 @@ impl ContainerSet {
     pub fn new(backends: Vec<(String, Arc<dyn SimFileSystem>)>) -> ContainerSet {
         assert!(!backends.is_empty(), "need at least one backend");
         ContainerSet {
+            io: backends.iter().map(|_| BackendIo::default()).collect(),
             backends,
             containers: Mutex::new(BTreeMap::new()),
         }
     }
 
-    fn backend(&self, name: &str) -> Result<&Arc<dyn SimFileSystem>, PlfsError> {
+    fn backend(&self, name: &str) -> Result<(&Arc<dyn SimFileSystem>, &BackendIo), PlfsError> {
         self.backends
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, fs)| fs)
+            .zip(&self.io)
+            .find(|((n, _), _)| n == name)
+            .map(|((_, fs), io)| (fs, io))
             .ok_or_else(|| PlfsError::UnknownBackend(name.to_string()))
+    }
+
+    /// Write `plfs.{backend}.{read,write}.{ops,bytes}` for every backend
+    /// operation kind that has happened.
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        for ((name, _), io) in self.backends.iter().zip(&self.io) {
+            for (op, n) in [("read", &io.read), ("write", &io.write)] {
+                snap.nonzero(&key(&["plfs", name, op, "ops"]), n.ops.get());
+                snap.nonzero(&key(&["plfs", name, op, "bytes"]), n.bytes.get());
+            }
+        }
     }
 
     /// Create a logical file: a container skeleton (a `.plfs_container`
     /// marker under `mnt*/<logical>/`) on every backend, as PLFS does.
+    /// The name is claimed under the lock and the markers are created
+    /// with it released; if a backend refuses, the markers already made
+    /// are removed and the name is given back.
     pub fn create_logical(&self, logical: &str) -> Result<SimDuration, PlfsError> {
-        let mut g = self.containers.lock();
-        if g.contains_key(logical) {
-            return Err(PlfsError::LogicalExists(logical.to_string()));
+        {
+            let mut g = self.containers.lock();
+            if g.contains_key(logical) {
+                return Err(PlfsError::LogicalExists(logical.to_string()));
+            }
+            g.insert(logical.to_string(), ContainerIndex::default());
         }
+        let marker = |mnt: &str| format!("{}/{}/.plfs_container", mnt, logical);
         let mut total = SimDuration::ZERO;
-        for (mnt, fs) in &self.backends {
-            let marker = format!("{}/{}/.plfs_container", mnt, logical);
-            total += fs.create(&marker, Content::real(Vec::new()))?;
+        for (i, (mnt, fs)) in self.backends.iter().enumerate() {
+            match fs.create(&marker(mnt), Content::real(Vec::new())) {
+                Ok(d) => total += d,
+                Err(e) => {
+                    for (mnt, fs) in &self.backends[..i] {
+                        let _ = fs.delete(&marker(mnt));
+                    }
+                    self.containers.lock().remove(logical);
+                    return Err(e.into());
+                }
+            }
         }
-        g.insert(logical.to_string(), ContainerIndex::default());
         Ok(total)
     }
 
@@ -201,7 +228,7 @@ impl ContainerSet {
             .remove(logical)
             .ok_or_else(|| PlfsError::NoSuchLogical(logical.to_string()))?;
         for record in &idx.records {
-            if let Ok(fs) = self.backend(&record.backend) {
+            if let Ok((fs, _)) = self.backend(&record.backend) {
                 let _ = fs.delete(&record.dropping_path);
             }
         }
@@ -235,20 +262,30 @@ impl ContainerSet {
         content: Content,
         frames: u64,
     ) -> Result<SimDuration, PlfsError> {
-        let fs = self.backend(backend)?.clone();
-        let mut g = self.containers.lock();
-        let idx = g
-            .get_mut(logical)
-            .ok_or_else(|| PlfsError::NoSuchLogical(logical.to_string()))?;
-        let seq = idx.next_seq;
-        idx.next_seq += 1;
+        let (fs, io) = self.backend(backend)?;
+        let missing = || PlfsError::NoSuchLogical(logical.to_string());
+        // Claim a sequence number under the lock, write the dropping with
+        // it released, record the extent after.
+        let seq = {
+            let mut g = self.containers.lock();
+            let idx = g.get_mut(logical).ok_or_else(missing)?;
+            idx.next_seq += 1;
+            idx.next_seq - 1
+        };
         let dropping_path = format!(
             "{}/{}/hostdir.0/dropping.data.{}.{}",
             backend, logical, tag, seq
         );
         let len = content.len();
         let d = fs.create(&dropping_path, content)?;
-        count_op(backend, "write", len);
+        io.write.note(len);
+        let mut g = self.containers.lock();
+        let Some(idx) = g.get_mut(logical) else {
+            // The logical file was deleted while the dropping was written.
+            drop(g);
+            let _ = fs.delete(&dropping_path);
+            return Err(missing());
+        };
         idx.records.push(IndexRecord {
             logical_offset: idx.logical_len,
             len,
@@ -297,9 +334,7 @@ impl ContainerSet {
         let mut per_backend: BTreeMap<&str, SimDuration> = BTreeMap::new();
         let mut parts: Vec<Content> = Vec::with_capacity(records.len());
         for r in records {
-            let fs = self.backend(&r.backend)?;
-            let (content, d) = fs.read(&r.dropping_path)?;
-            count_op(&r.backend, "read", content.len());
+            let (content, d) = self.read_dropping(r)?;
             *per_backend
                 .entry(r.backend.as_str())
                 .or_insert(SimDuration::ZERO) += d;
@@ -349,9 +384,9 @@ impl ContainerSet {
     /// Read one dropping by its index record (the retriever's unit
     /// operation).
     pub fn read_dropping(&self, record: &IndexRecord) -> Result<(Content, SimDuration), PlfsError> {
-        let fs = self.backend(&record.backend)?;
+        let (fs, io) = self.backend(&record.backend)?;
         let (content, d) = fs.read(&record.dropping_path)?;
-        count_op(&record.backend, "read", content.len());
+        io.read.note(content.len());
         Ok((content, d))
     }
 
@@ -440,6 +475,21 @@ mod tests {
             cs.create_logical("bar"),
             Err(PlfsError::LogicalExists(_))
         ));
+    }
+
+    #[test]
+    fn a_refused_create_leaves_no_name_and_no_marker() {
+        let cs = two_backend_set();
+        let (ssd, hdd) = (&cs.backends[0].1, &cs.backends[1].1);
+        hdd.create("mnt2/bar/.plfs_container", Content::real(Vec::new()))
+            .unwrap();
+        assert!(matches!(cs.create_logical("bar"), Err(PlfsError::Fs(_))));
+        assert!(!cs.exists("bar"));
+        assert!(!ssd.exists("mnt1/bar/.plfs_container"));
+        // With the stray marker gone, the name creates cleanly.
+        hdd.delete("mnt2/bar/.plfs_container").unwrap();
+        cs.create_logical("bar").unwrap();
+        assert!(cs.exists("bar"));
     }
 
     #[test]

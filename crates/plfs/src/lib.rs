@@ -28,7 +28,7 @@
 
 pub mod container;
 
-pub use container::{note_chunk_reads, ContainerSet, IndexRecord, PlfsError};
+pub use container::{ContainerSet, IndexRecord, PlfsError};
 
 #[cfg(test)]
 mod tests {

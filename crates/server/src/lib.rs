@@ -68,7 +68,7 @@ use ada_proto::{
 };
 use ada_sync::Mutex;
 use ada_telemetry::trace::{self, TraceSpanGuard};
-use ada_telemetry::{Counter, Gauge, Histogram};
+use ada_telemetry::{Counter, Gauge, Histogram, Snapshot};
 
 /// Tuning knobs for one [`Server`].
 #[derive(Debug, Clone)]
@@ -105,40 +105,46 @@ impl Default for ServerConfig {
 /// stop flag and deadlines.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
-/// Global-registry handles, resolved once in [`Server::start`]: no request
-/// looks a `server.*` metric up by name.
+/// What one daemon counts (`server.*`).
+#[derive(Default)]
 struct Metrics {
-    requests: Arc<Counter>,
-    request_errors: Arc<Counter>,
-    request_ns: Arc<Histogram>,
-    bytes_read: Arc<Counter>,
-    bytes_written: Arc<Counter>,
-    write_errors: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    accepted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    active: Arc<Gauge>,
-    accept_errors: Arc<Counter>,
-    connection_panics: Arc<Counter>,
+    requests: Counter,
+    request_errors: Counter,
+    request_ns: Histogram,
+    bytes_read: Counter,
+    bytes_written: Counter,
+    write_errors: Counter,
+    protocol_errors: Counter,
+    accepted: Counter,
+    rejected: Counter,
+    active: Gauge,
+    accept_errors: Counter,
+    connection_panics: Counter,
 }
 
 impl Metrics {
-    fn register() -> Metrics {
-        let reg = ada_telemetry::global();
-        Metrics {
-            requests: reg.counter("server.requests"),
-            request_errors: reg.counter("server.request.errors"),
-            request_ns: reg.histogram("server.request.ns"),
-            bytes_read: reg.counter("server.bytes.read"),
-            bytes_written: reg.counter("server.bytes.written"),
-            write_errors: reg.counter("server.write.errors"),
-            protocol_errors: reg.counter("server.protocol.errors"),
-            accepted: reg.counter("server.connections.accepted"),
-            rejected: reg.counter("server.connections.rejected"),
-            active: reg.gauge("server.connections.active"),
-            accept_errors: reg.counter("server.accept.errors"),
-            connection_panics: reg.counter("server.connection.panics"),
+    fn write(&self, snap: &mut Snapshot) {
+        for (name, c) in [
+            ("server.requests", &self.requests),
+            ("server.request.errors", &self.request_errors),
+            ("server.bytes.read", &self.bytes_read),
+            ("server.bytes.written", &self.bytes_written),
+            ("server.write.errors", &self.write_errors),
+            ("server.protocol.errors", &self.protocol_errors),
+            ("server.connections.accepted", &self.accepted),
+            ("server.connections.rejected", &self.rejected),
+            ("server.accept.errors", &self.accept_errors),
+            ("server.connection.panics", &self.connection_panics),
+        ] {
+            snap.counter(name, c.get());
         }
+        let active = &self.active;
+        snap.gauge(
+            "server.connections.active",
+            active.get(),
+            active.high_water(),
+        );
+        snap.histogram("server.request.ns", &self.request_ns);
     }
 }
 
@@ -146,7 +152,7 @@ struct Shared {
     frontend: Arc<Frontend>,
     config: ServerConfig,
     metrics: Metrics,
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
     /// Clones of live connection sockets, keyed by connection id, so
     /// shutdown can sever every socket without waiting for idle timers.
     conns: Mutex<Vec<(u64, TcpStream)>>,
@@ -173,11 +179,18 @@ impl Shared {
 
 /// A running daemon. Dropping it without calling [`Server::shutdown`]
 /// shuts it down (threads are joined either way).
-#[derive(Debug)]
 pub struct Server {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for Server {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Server")
+            .field("local_addr", &self.local_addr)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Server {
@@ -194,27 +207,27 @@ impl Server {
             .map_err(|e| AdaError::Network {
                 detail: format!("set_nonblocking: {}", e),
             })?;
-        let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             frontend,
             config,
-            metrics: Metrics::register(),
-            stop: Arc::clone(&stop),
+            metrics: Metrics::default(),
+            stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             next_conn_id: AtomicU64::new(1),
         });
         // The accept loop owns every per-connection handler handle and
         // joins them before exiting, so joining it in `shutdown()` means
         // no server thread is left running.
+        let accepting = Arc::clone(&shared);
         let accept = thread::Builder::new()
             .name("ada-server-accept".to_string())
-            .spawn(move || accept_loop(listener, shared))
+            .spawn(move || accept_loop(listener, accepting))
             .map_err(|e| AdaError::Network {
                 detail: format!("spawn accept loop: {}", e),
             })?;
         Ok(Server {
             local_addr,
-            stop,
+            shared,
             accept: Some(accept),
         })
     }
@@ -227,14 +240,19 @@ impl Server {
     /// Stop accepting, sever live connections, and join every server
     /// thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
             if handle.join().is_err() {
-                ada_telemetry::global()
-                    .counter("server.connection.panics")
-                    .inc();
+                self.shared.metrics.connection_panics.inc();
             }
         }
+    }
+
+    /// Write this daemon's `server.*` metrics, then its front-end's (which
+    /// walks the `Ada` behind it). They outlive [`Server::shutdown`].
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        self.shared.metrics.write(snap);
+        self.shared.frontend.write_metrics(snap);
     }
 }
 

@@ -25,19 +25,6 @@ pub enum OpKind {
     Delete,
 }
 
-impl OpKind {
-    /// Stable short name, used as the telemetry counter suffix.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Create => "create",
-            OpKind::Append => "append",
-            OpKind::Read => "read",
-            OpKind::ReadRange => "read_range",
-            OpKind::Delete => "delete",
-        }
-    }
-}
-
 /// One traced operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -65,19 +52,8 @@ impl TraceLog {
         TraceLog::default()
     }
 
-    /// Record an event. Piggybacks per-fs, per-op counts and bytes onto
-    /// the global telemetry registry (`simfs.{fs}.{op}.ops` / `.bytes`),
-    /// so backend op mixes show up in every metrics snapshot without a
-    /// second instrumentation pass.
+    /// Record an event.
     pub fn record(&self, event: TraceEvent) {
-        if ada_telemetry::enabled() {
-            let reg = ada_telemetry::global();
-            let base = format!("simfs.{}.{}", event.fs, event.op.name());
-            reg.counter(&format!("{}.ops", base)).inc();
-            if event.bytes > 0 {
-                reg.counter(&format!("{}.bytes", base)).add(event.bytes);
-            }
-        }
         self.events.lock().push(event);
     }
 
@@ -136,15 +112,6 @@ mod tests {
         assert_eq!(log.bytes_where(|e| e.op == OpKind::Read), 15);
         log.clear();
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn record_piggybacks_telemetry_counters() {
-        let log = TraceLog::new();
-        log.record(ev(OpKind::ReadRange, "/t/z", 64));
-        let snap = ada_telemetry::global().snapshot();
-        assert!(snap.counters["simfs.test.read_range.ops"] >= 1);
-        assert!(snap.counters["simfs.test.read_range.bytes"] >= 64);
     }
 
     #[test]

@@ -9,20 +9,23 @@
 //! measurement substrate every layer shares, built so it can stay enabled
 //! in hot loops:
 //!
-//! * a global, lock-free **metrics registry** ([`Registry`], [`global`]) of
-//!   atomic [`Counter`]s, [`Gauge`]s (with high-water marks) and
-//!   log-bucketed [`Histogram`]s with p50/p90/p99 readout. Registration
-//!   takes a short lock once; the returned `Arc` handles touch only
-//!   atomics, so per-event cost on the hot path is a relaxed
-//!   `fetch_add`.
-//! * **snapshot export**: [`Registry::snapshot`] → [`Snapshot::to_json`]
-//!   via `ada-json`, consumed by `repro --metrics-out`.
+//! * lock-free metric cells: atomic [`Counter`]s, [`Gauge`]s (with
+//!   high-water marks) and log-bucketed [`Histogram`]s with p50/p90/p99
+//!   readout. They are plain fields of the instance that owns them —
+//!   built in its constructor, never registered, never looked up by name —
+//!   so counting an event is a relaxed `fetch_add` and two instances in
+//!   one process never share a count.
+//! * **snapshot export**: an owner writes its fields into a [`Snapshot`]
+//!   under the names `METRICS.md` catalogs (`Server` walks its `Frontend`,
+//!   which walks its `Ada`, which walks its cache and container set), and
+//!   [`Snapshot::to_json`] / [`snapshot_with_traces`] export it via
+//!   `ada-json`, consumed by `repro --metrics-out`.
 //! * **request tracing** ([`trace`]): per-request span *trees* with a
 //!   propagatable [`TraceContext`], a bounded [`trace::FlightRecorder`]
 //!   retaining slow/shed/errored traces, and Chrome trace-event export
 //!   ([`trace::chrome_trace`]) for Perfetto (DESIGN.md §13). A trace span
-//!   is the only stage instrumentation there is: when a trace seals, each
-//!   of its spans is folded once into the registry's
+//!   is the only stage instrumentation there is: when a trace seals, the
+//!   recorder folds each of its spans once into its
 //!   `span.{stage}.ns/.calls/.bytes/.frames` family, and `ada-core` cuts a
 //!   request's stage profile from the same tree — one clock per stage,
 //!   read by every view.
@@ -33,7 +36,7 @@
 //! (the `telemetry_overhead` bench in `ada-bench` guards the budget).
 //!
 //! Zero external dependencies — the container is offline; the only deps
-//! are the in-tree `ada-json` (export) and `ada-sync` (registration
+//! are the in-tree `ada-json` (export) and `ada-sync` (the recorder's
 //! lock).
 
 pub mod histogram;
@@ -43,10 +46,8 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use trace::{FlightRecorder, Trace, TraceContext, TraceSpan, TraceSpanGuard};
 
 use ada_json::Value;
-use ada_sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -58,12 +59,6 @@ pub fn set_enabled(on: bool) {
 /// Whether telemetry is currently recording.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether telemetry is currently off (one relaxed atomic load — the
-/// cost instrumented hot loops pay when recording is switched off).
-pub fn disabled() -> bool {
-    !enabled()
 }
 
 /// A monotonically increasing event/byte counter.
@@ -158,150 +153,12 @@ pub struct GaugeSnapshot {
     pub high_water: i64,
 }
 
-/// Handles of one stage's `span.{stage}.*` family. The byte and frame
-/// counters register on the first span that carries the arg, so a stage
-/// that never annotates them leaves no zero-valued counter behind.
-struct StageMetrics {
-    ns: Arc<Histogram>,
-    calls: Arc<Counter>,
-    bytes: Option<Arc<Counter>>,
-    frames: Option<Arc<Counter>>,
-}
-
-/// The metric store. Handles returned by `counter`/`gauge`/`histogram`
-/// are `Arc`s sharing the underlying atomics: keep them across a loop and
-/// the loop never touches the registry lock.
-#[derive(Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    /// `span.{stage}.*` handles by span name, so sealing a trace formats
-    /// and looks up a stage's metric names once, not once per span.
-    stages: Mutex<BTreeMap<&'static str, StageMetrics>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Metric handles are atomics behind Arcs; summarize by name count
-        // instead of locking all three maps for a full dump.
-        f.debug_struct("Registry")
-            .field("counters", &self.counters.lock().len())
-            .field("gauges", &self.gauges.lock().len())
-            .field("histograms", &self.histograms.lock().len())
-            .finish()
-    }
-}
-
-impl Registry {
-    /// New empty registry (tests; production code uses [`global`]).
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Get-or-register a counter.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut g = self.counters.lock();
-        match g.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(Counter::new());
-                g.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
-    }
-
-    /// Get-or-register a gauge.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut g = self.gauges.lock();
-        match g.get(name) {
-            Some(v) => Arc::clone(v),
-            None => {
-                let v = Arc::new(Gauge::new());
-                g.insert(name.to_string(), Arc::clone(&v));
-                v
-            }
-        }
-    }
-
-    /// Get-or-register a histogram.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut g = self.histograms.lock();
-        match g.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::new());
-                g.insert(name.to_string(), Arc::clone(&h));
-                h
-            }
-        }
-    }
-
-    /// Fold the spans of a sealed trace into the `span.{stage}.*` family:
-    /// per span, its duration into the `.ns` histogram, one `.calls`, and
-    /// its `bytes` / `frames` args into the counters of the same name.
-    pub(crate) fn record_spans(&self, spans: &[TraceSpan]) {
-        let mut stages = self.stages.lock();
-        for s in spans {
-            let m = stages.entry(s.name).or_insert_with(|| StageMetrics {
-                ns: self.histogram(&format!("span.{}.ns", s.name)),
-                calls: self.counter(&format!("span.{}.calls", s.name)),
-                bytes: None,
-                frames: None,
-            });
-            m.ns.record(s.duration_ns());
-            m.calls.inc();
-            for (key, slot) in [("bytes", &mut m.bytes), ("frames", &mut m.frames)] {
-                if let Some(n) = s.arg_u64(key).filter(|n| *n > 0) {
-                    slot.get_or_insert_with(|| self.counter(&format!("span.{}.{}", s.name, key)))
-                        .add(n);
-                }
-            }
-        }
-    }
-
-    /// Point-in-time snapshot of every metric.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, c)| (k.clone(), c.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        GaugeSnapshot {
-                            value: v.get(),
-                            high_water: v.high_water(),
-                        },
-                    )
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// The process-wide registry all instrumented layers share.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::default)
-}
-
-/// A point-in-time view of a [`Registry`].
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time view of one instance's metrics. Each owner — `Server`,
+/// `Frontend`, `Ada`, its cache and container set, `Client`, `Router`,
+/// the [`trace::FlightRecorder`] — holds its metrics as plain fields and
+/// writes them here under the names `METRICS.md` catalogs; a parent walks
+/// its children into the same snapshot.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
@@ -311,7 +168,38 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
+/// A metric name from its dot-separated parts — for the families whose
+/// names carry a runtime part (a backend, a client, a span), joined when a
+/// snapshot is taken, never when an event is counted.
+pub fn key(parts: &[&str]) -> String {
+    parts.join(".")
+}
+
 impl Snapshot {
+    /// Set counter `name`.
+    pub fn counter(&mut self, name: &str, value: u64) {
+        self.counters.insert(name.to_string(), value);
+    }
+
+    /// Set counter `name` if it has counted anything: the rows of a sparse
+    /// family (per op and error kind, per backend) appear once they occur.
+    pub fn nonzero(&mut self, name: &str, value: u64) {
+        if value > 0 {
+            self.counter(name, value);
+        }
+    }
+
+    /// Set gauge `name`.
+    pub fn gauge(&mut self, name: &str, value: i64, high_water: i64) {
+        let g = GaugeSnapshot { value, high_water };
+        self.gauges.insert(name.to_string(), g);
+    }
+
+    /// Set histogram `name`.
+    pub fn histogram(&mut self, name: &str, h: &Histogram) {
+        self.histograms.insert(name.to_string(), h.snapshot());
+    }
+
     /// Machine-readable export:
     /// `{"counters": {..}, "gauges": {..}, "histograms": {..}}`.
     pub fn to_json(&self) -> Value {
@@ -349,13 +237,15 @@ impl Snapshot {
     }
 }
 
-/// [`global`] registry snapshot as JSON with the flight recorder's trace
-/// summaries attached under `"traces"` — the full observability export
-/// (`repro --metrics-out` writes this).
-pub fn snapshot_with_traces() -> Value {
-    let mut v = global().snapshot().to_json();
+/// The full observability export (`repro --metrics-out` writes it): a
+/// stack's `snapshot` plus the flight recorder's `span.{stage}.*` family,
+/// as JSON, with the recorder's trace summaries under `"traces"`.
+pub fn snapshot_with_traces(mut snapshot: Snapshot) -> Value {
+    let recorder = trace::recorder();
+    recorder.write_metrics(&mut snapshot);
+    let mut v = snapshot.to_json();
     if let Value::Obj(fields) = &mut v {
-        fields.push(("traces".to_string(), trace::recorder().to_json()));
+        fields.push(("traces".to_string(), recorder.to_json()));
     }
     v
 }
@@ -375,14 +265,12 @@ mod tests {
     fn counter_concurrent_increments_none_lost() {
         // Satellite requirement: a multi-thread stress test asserting no
         // lost increments.
-        let reg = Registry::new();
-        let c = reg.counter("stress");
+        let c = Counter::new();
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 100_000;
         std::thread::scope(|s| {
             for _ in 0..THREADS {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..PER_THREAD {
                         c.inc();
                     }
@@ -390,10 +278,6 @@ mod tests {
             }
         });
         assert_eq!(c.get(), THREADS as u64 * PER_THREAD);
-        assert_eq!(
-            reg.snapshot().counters["stress"],
-            THREADS as u64 * PER_THREAD
-        );
     }
 
     #[test]
@@ -412,27 +296,24 @@ mod tests {
     }
 
     #[test]
-    fn registry_returns_shared_handles() {
-        let reg = Registry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        a.add(2);
-        b.add(3);
-        assert_eq!(reg.counter("x").get(), 5);
-        // Distinct names are distinct metrics.
-        reg.counter("y").inc();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["x"], 5);
-        assert_eq!(snap.counters["y"], 1);
+    fn sparse_rows_appear_once_they_count() {
+        let mut snap = Snapshot::default();
+        snap.nonzero("quiet", 0);
+        snap.nonzero("busy", 2);
+        snap.counter("fixed", 0);
+        assert_eq!(snap.counters.keys().collect::<Vec<_>>(), ["busy", "fixed"]);
+        assert_eq!(key(&["plfs", "ssd", "read", "ops"]), "plfs.ssd.read.ops");
     }
 
     #[test]
     fn snapshot_json_roundtrips_through_parser() {
-        let reg = Registry::new();
-        reg.counter("ops").add(7);
-        reg.gauge("queue").set(3);
-        reg.histogram("lat").record(100);
-        let json = reg.snapshot().to_json();
+        let mut snap = Snapshot::default();
+        snap.counter("ops", 7);
+        snap.gauge("queue", 1, 3);
+        let lat = Histogram::new();
+        lat.record(100);
+        snap.histogram("lat", &lat);
+        let json = snap.to_json();
         let parsed = ada_json::parse(&json.to_vec()).unwrap();
         assert_eq!(
             parsed
@@ -475,7 +356,7 @@ mod tests {
         let _g = test_guard();
         assert!(enabled());
         set_enabled(false);
-        assert!(disabled());
+        assert!(!enabled());
         set_enabled(true);
         assert!(enabled());
     }

@@ -29,8 +29,8 @@
 //! ## One clock per stage
 //!
 //! A trace span is the only record a stage writes. Sealing a trace
-//! ([`root`]'s guard dropping) folds every span of it into the registry's
-//! `span.{stage}.ns/.calls/.bytes/.frames` family, and a caller that wants
+//! ([`root`]'s guard dropping) folds every span of it into the flight
+//! recorder's `span.{stage}.ns/.calls/.bytes/.frames` family, and a caller that wants
 //! its own cut of the tree (`ada-core`'s stage profile) closes its span
 //! with [`TraceSpanGuard::finish_with`] and reads the same spans.
 //!
@@ -41,7 +41,8 @@
 //! flagged traces — errored, shed (`Overloaded`), deadline-expired, or
 //! slower than a configurable latency bound — so the one bad request out
 //! of thousands survives until someone looks. Both rings hold `Arc`s;
-//! recording a trace is two short lock acquisitions, nothing more.
+//! sealing a trace is one short lock acquisition, under which its spans
+//! are folded into the per-stage totals and it joins the rings.
 //!
 //! ## Export
 //!
@@ -50,9 +51,10 @@
 //! or `chrome://tracing`; span args carry bytes, frames, tags, backends
 //! and error kinds.
 
+use crate::{key, Histogram, Snapshot};
 use ada_json::Value;
 use ada_sync::Mutex;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -486,14 +488,13 @@ fn finalize(trace: &Arc<ActiveTrace>) {
         .find(|s| s.id == 1)
         .map(|r| (r.duration_ns(), r.error.clone()))
         .unwrap_or((0, None));
-    crate::global().record_spans(&spans);
     let rec = recorder();
     let flag = match error {
         Some(kind) => Some(format!("error:{}", kind)),
         None if duration_ns >= rec.threshold_ns.load(Ordering::Relaxed) => Some("slow".to_string()),
         None => None,
     };
-    rec.push(Arc::new(Trace {
+    rec.seal(Arc::new(Trace {
         id: trace.id,
         op: trace.op,
         duration_ns,
@@ -502,23 +503,43 @@ fn finalize(trace: &Arc<ActiveTrace>) {
     }));
 }
 
-/// Bounded, lock-cheap store of recently completed traces. One global
-/// instance ([`recorder`]) is shared by every `Ada`/`Frontend` in the
-/// process — recording is two short `Mutex` acquisitions per *request*
-/// (not per span), far off any hot loop.
+/// Bounded, lock-cheap store of recently completed traces, and the
+/// `span.{stage}.*` totals folded from them. One global instance
+/// ([`recorder`]) is shared by every `Ada`/`Frontend` in the process —
+/// sealing is one short `Mutex` acquisition per *request* (not per span),
+/// far off any hot loop.
 pub struct FlightRecorder {
     /// Latency bound above which a successful trace is retained
     /// (`u64::MAX` disables the threshold).
     threshold_ns: AtomicU64,
-    recent: Mutex<VecDeque<Arc<Trace>>>,
-    retained: Mutex<VecDeque<Arc<Trace>>>,
+    held: Mutex<Held>,
+}
+
+/// Everything a seal updates, under the recorder's one lock.
+#[derive(Default)]
+struct Held {
+    recent: VecDeque<Arc<Trace>>,
+    retained: VecDeque<Arc<Trace>>,
+    stages: BTreeMap<&'static str, StageTotals>,
+}
+
+/// One stage's `span.{stage}.*` family: every sealed span of that name
+/// adds its duration, one call, and its `bytes` / `frames` args.
+#[derive(Default)]
+struct StageTotals {
+    ns: Histogram,
+    calls: u64,
+    bytes: u64,
+    frames: u64,
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = self.held.lock();
         f.debug_struct("FlightRecorder")
-            .field("recent", &self.recent.lock().len())
-            .field("retained", &self.retained.lock().len())
+            .field("recent", &held.recent.len())
+            .field("retained", &held.retained.len())
+            .field("stages", &held.stages.len())
             .finish_non_exhaustive()
     }
 }
@@ -533,8 +554,7 @@ pub fn recorder() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightRecorder {
         threshold_ns: AtomicU64::new(u64::MAX),
-        recent: Mutex::new(VecDeque::new()),
-        retained: Mutex::new(VecDeque::new()),
+        held: Mutex::new(Held::default()),
     })
 }
 
@@ -546,33 +566,37 @@ impl FlightRecorder {
         self.threshold_ns.store(ns, Ordering::Relaxed);
     }
 
-    fn trim(ring: &mut VecDeque<Arc<Trace>>, cap: usize) {
+    fn push(ring: &mut VecDeque<Arc<Trace>>, trace: Arc<Trace>, cap: usize) {
+        ring.push_back(trace);
         while ring.len() > cap {
             ring.pop_front();
         }
     }
 
-    fn push(&self, trace: Arc<Trace>) {
-        {
-            let mut recent = self.recent.lock();
-            recent.push_back(Arc::clone(&trace));
-            Self::trim(&mut recent, RECENT_CAPACITY);
+    /// Fold a sealed trace's spans into the stage totals and hold it.
+    fn seal(&self, trace: Arc<Trace>) {
+        let mut held = self.held.lock();
+        for s in &trace.spans {
+            let t = held.stages.entry(s.name).or_default();
+            t.ns.record(s.duration_ns());
+            t.calls += 1;
+            t.bytes += s.arg_u64("bytes").unwrap_or(0);
+            t.frames += s.arg_u64("frames").unwrap_or(0);
         }
         if trace.is_flagged() {
-            let mut retained = self.retained.lock();
-            retained.push_back(trace);
-            Self::trim(&mut retained, RETAINED_CAPACITY);
+            Self::push(&mut held.retained, Arc::clone(&trace), RETAINED_CAPACITY);
         }
+        Self::push(&mut held.recent, trace, RECENT_CAPACITY);
     }
 
     /// The recent completed traces, oldest first.
     pub fn recent(&self) -> Vec<Arc<Trace>> {
-        self.recent.lock().iter().cloned().collect()
+        self.held.lock().recent.iter().cloned().collect()
     }
 
     /// The retained (flagged) traces, oldest first.
     pub fn retained(&self) -> Vec<Arc<Trace>> {
-        self.retained.lock().iter().cloned().collect()
+        self.held.lock().retained.iter().cloned().collect()
     }
 
     /// Every held trace exactly once (retained traces may have already
@@ -580,23 +604,37 @@ impl FlightRecorder {
     /// under one id — the client's and the server's of a remote request,
     /// when one process hosts both ends — are two traces.
     pub fn all(&self) -> Vec<Arc<Trace>> {
-        let mut out = self.recent();
-        out.extend(self.retained());
+        let mut out: Vec<Arc<Trace>> = {
+            let held = self.held.lock();
+            held.recent.iter().chain(&held.retained).cloned().collect()
+        };
         out.sort_by_key(|t| (t.id, t.op, Arc::as_ptr(t) as usize));
         out.dedup_by(|a, b| Arc::ptr_eq(a, b));
         out
     }
 
-    /// Drop every held trace (profiling runs isolate themselves with
-    /// this, like [`crate::Registry::reset`]).
+    /// Drop every held trace and the stage totals (profiling runs and
+    /// tests isolate themselves with this).
     pub fn clear(&self) {
-        self.recent.lock().clear();
-        self.retained.lock().clear();
+        *self.held.lock() = Held::default();
+    }
+
+    /// Write the `span.{stage}.ns/.calls/.bytes/.frames` family: a stage's
+    /// `.ns` and `.calls` once any of its spans sealed, `.bytes` /
+    /// `.frames` once a span carried a non-zero arg of that name.
+    pub fn write_metrics(&self, snap: &mut Snapshot) {
+        let held = self.held.lock();
+        for (stage, t) in &held.stages {
+            snap.histogram(&key(&["span", stage, "ns"]), &t.ns);
+            snap.counter(&key(&["span", stage, "calls"]), t.calls);
+            snap.nonzero(&key(&["span", stage, "bytes"]), t.bytes);
+            snap.nonzero(&key(&["span", stage, "frames"]), t.frames);
+        }
     }
 
     /// Summaries of held traces:
-    /// `{"recent": [...], "retained": [...]}` — the piece registry
-    /// snapshots embed.
+    /// `{"recent": [...], "retained": [...]}` — the piece
+    /// [`crate::snapshot_with_traces`] embeds.
     pub fn to_json(&self) -> Value {
         let summarize =
             |ts: Vec<Arc<Trace>>| Value::Arr(ts.iter().map(|t| t.summary_json()).collect());
@@ -785,6 +823,12 @@ mod tests {
         assert!(recorder().recent().iter().all(|t| t.op != "test.trace_off"));
     }
 
+    fn stage_metrics() -> Snapshot {
+        let mut snap = Snapshot::default();
+        recorder().write_metrics(&mut snap);
+        snap
+    }
+
     #[test]
     fn sealed_spans_feed_stage_metrics() {
         let _g = crate::test_guard();
@@ -794,11 +838,11 @@ mod tests {
             s.arg("bytes", bytes);
             s.arg("frames", frames);
         }
-        // The seal is the one place spans reach the registry.
-        let before = crate::global().snapshot();
+        // The seal is the one place spans reach the stage totals.
+        let before = stage_metrics();
         assert!(!before.counters.contains_key("span.test.fold_stage.calls"));
         drop(guard);
-        let snap = crate::global().snapshot();
+        let snap = stage_metrics();
         assert_eq!(snap.counters["span.test.fold_op.calls"], 1);
         assert_eq!(snap.counters["span.test.fold_stage.calls"], 2);
         assert_eq!(snap.counters["span.test.fold_stage.bytes"], 128);
@@ -817,7 +861,7 @@ mod tests {
         ctx.span("test.fold_off_stage").arg("bytes", 1u64);
         drop(guard);
         crate::set_enabled(true);
-        let snap = crate::global().snapshot();
+        let snap = stage_metrics();
         assert!(!snap.counters.contains_key("span.test.fold_off.calls"));
         assert!(!snap.counters.contains_key("span.test.fold_off_stage.calls"));
     }
@@ -857,8 +901,8 @@ mod tests {
             let (_ctx, guard) = root("test.trace_fill");
             drop(guard);
         }
-        assert!(rec.recent.lock().len() <= RECENT_CAPACITY);
-        assert!(rec.retained.lock().len() <= RETAINED_CAPACITY);
+        assert!(rec.recent().len() <= RECENT_CAPACITY);
+        assert!(rec.retained().len() <= RETAINED_CAPACITY);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! protein subset) fit more frames in the same budget — higher hit rate,
 //! smoother animation.
 
-use ada_telemetry::Counter;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Frame access patterns of an analyst at the VMD timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,24 +105,12 @@ pub struct FrameCache {
     /// Most-recent at the back.
     resident: VecDeque<usize>,
     stats: ReplayStats,
-    /// Global hit/miss/eviction counters (`vmd.cache.*`), registered once
-    /// at construction so `access` never touches the registry lock; absent
-    /// when telemetry is off.
-    telemetry: Option<[Arc<Counter>; 3]>,
 }
 
 impl FrameCache {
     /// Cache with `capacity_bytes` holding frames of `frame_bytes` each.
     pub fn new(capacity_bytes: u64, frame_bytes: u64) -> FrameCache {
         assert!(frame_bytes > 0, "frame size must be positive");
-        let telemetry = ada_telemetry::enabled().then(|| {
-            let reg = ada_telemetry::global();
-            [
-                reg.counter("vmd.cache.hits"),
-                reg.counter("vmd.cache.misses"),
-                reg.counter("vmd.cache.evictions"),
-            ]
-        });
         FrameCache {
             capacity_bytes,
             frame_bytes,
@@ -134,7 +120,6 @@ impl FrameCache {
                 misses: 0,
                 evictions: 0,
             },
-            telemetry,
         }
     }
 
@@ -149,15 +134,9 @@ impl FrameCache {
             self.resident.remove(pos);
             self.resident.push_back(idx);
             self.stats.hits += 1;
-            if let Some([hits, _, _]) = &self.telemetry {
-                hits.inc();
-            }
             return true;
         }
         self.stats.misses += 1;
-        if let Some([_, misses, _]) = &self.telemetry {
-            misses.inc();
-        }
         let cap = self.capacity_frames();
         if cap == 0 {
             return false;
@@ -165,9 +144,6 @@ impl FrameCache {
         while self.resident.len() >= cap {
             self.resident.pop_front();
             self.stats.evictions += 1;
-            if let Some([_, _, evictions]) = &self.telemetry {
-                evictions.inc();
-            }
         }
         self.resident.push_back(idx);
         false

@@ -7,8 +7,6 @@
 //! render-cost constant abstracts.
 
 use ada_mdmodel::{Bond, Category, MolecularSystem};
-use ada_telemetry::Counter;
-use std::sync::{Arc, OnceLock};
 
 /// Framebuffer width in pixels.
 const WIDTH: usize = 256;
@@ -46,14 +44,6 @@ fn color_of(category: Category) -> u32 {
 /// drawing `bonds` as lines over the atoms (pass `&[]` for atoms only).
 pub fn render_frame(system: &MolecularSystem, bonds: &[Bond], coords: &[[f32; 3]]) -> RenderStats {
     assert_eq!(system.len(), coords.len(), "coords must match system");
-    if ada_telemetry::enabled() {
-        // No request to hang a span on: count through a handle resolved
-        // once, so the render loop never takes the registry lock.
-        static FRAMES: OnceLock<Arc<Counter>> = OnceLock::new();
-        FRAMES
-            .get_or_init(|| ada_telemetry::global().counter("render.frame"))
-            .inc();
-    }
     if coords.is_empty() {
         return RenderStats {
             atoms_drawn: 0,

@@ -525,8 +525,12 @@ fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
     ssd.delete(&path).unwrap();
     ssd.create(&path, Content::real(v1)).unwrap();
 
-    let accepted = ada_telemetry::global().counter("server.connections.accepted");
-    let accepted_before = accepted.get();
+    let accepted = || {
+        let mut snap = ada_telemetry::Snapshot::default();
+        server.write_metrics(&mut snap);
+        snap.counters["server.connections.accepted"]
+    };
+    let accepted_before = accepted();
     let remote = client.query("old", Some("p")).unwrap_err();
     let local = fe.ada().query("old", Some(&Tag::protein())).unwrap_err();
     assert_eq!(remote.kind(), "xtcf", "{}", remote);
@@ -557,7 +561,7 @@ fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
     assert_eq!((remote.kind(), remote.to_string()), ("pdb", size_only));
     assert_eq!(heat_snapshot(fe.ada(), "big").heat(&Tag::protein()), 1);
     assert_eq!(
-        accepted.get(),
+        accepted(),
         accepted_before,
         "every error answer kept the connection"
     );

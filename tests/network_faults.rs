@@ -806,8 +806,12 @@ fn a_wire_deadline_expires_in_the_queue_and_keeps_the_connection() {
     };
     fe.ingest("setup", "ds", input).unwrap();
 
-    let accepted = ada_telemetry::global().counter("server.connections.accepted");
-    let accepted_before = accepted.get();
+    let accepted = || {
+        let mut snap = ada_telemetry::Snapshot::default();
+        server.write_metrics(&mut snap);
+        snap.counters["server.connections.accepted"]
+    };
+    let accepted_before = accepted();
     let expired_before = fe.stats().query.counters.expired;
     let query = |id: u64, deadline_ns: u64| {
         let envelope = RequestEnvelope {
@@ -843,11 +847,7 @@ fn a_wire_deadline_expires_in_the_queue_and_keeps_the_connection() {
         other => panic!("expected the answer to request 22, got {:?}", other),
     }
     assert_eq!(fe.stats().query.counters.expired, expired_before + 1);
-    assert_eq!(
-        accepted.get() - accepted_before,
-        1,
-        "one connection for both"
-    );
+    assert_eq!(accepted() - accepted_before, 1, "one connection for both");
     server.shutdown();
 }
 
@@ -1183,7 +1183,7 @@ fn peer_that_never_reads_is_evicted_and_frees_its_connection() {
 }
 
 /// A peer that puts a fresh client name on every request must not grow
-/// the metric registry with it: the first 64 names a `Frontend` meets get
+/// a server's metrics with it: the first 64 names a `Frontend` meets get
 /// a `frontend.client.{name}.*` family each, every later one is counted
 /// under `frontend.client.other.*`.
 #[test]
@@ -1191,10 +1191,10 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
     let _guard = serialize();
     const NAMES: u64 = 10_000;
     const FAMILIES: u64 = 64; // ada-frontend's CLIENT_FAMILIES_MAX
-    let client_counters = || -> Vec<(String, u64)> {
-        ada_telemetry::global()
-            .snapshot()
-            .counters
+    let client_counters = |server: &Server| -> Vec<(String, u64)> {
+        let mut snap = ada_telemetry::Snapshot::default();
+        server.write_metrics(&mut snap);
+        snap.counters
             .into_iter()
             .filter(|(name, _)| name.starts_with("frontend.client."))
             .collect()
@@ -1206,7 +1206,7 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
             .map_or(0, |(_, v)| *v)
     };
     let mut server = start_fault_server();
-    let before = client_counters();
+    let before = client_counters(&server);
 
     // A query of a dataset nobody ingested is admitted, then fails typed:
     // the cheapest request that passes admission accounting.
@@ -1237,7 +1237,7 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
         }
     }
 
-    let after = client_counters();
+    let after = client_counters(&server);
     assert!(
         after.len() - before.len() <= 3 * (FAMILIES as usize + 1),
         "{} new frontend.client.* counters",
@@ -1249,7 +1249,8 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
         .count();
     assert_eq!(swarm, 3 * FAMILIES as usize);
     for id in 0..FAMILIES {
-        let name = format!("frontend.client.swarm-{}.accepted", id);
+        let swarm_id = format!("swarm-{}", id);
+        let name = ada_telemetry::key(&["frontend.client", &swarm_id, "accepted"]);
         assert_eq!(count_of(&after, &name), 1, "{}", name);
     }
     let other = "frontend.client.other.accepted";

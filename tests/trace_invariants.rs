@@ -10,7 +10,7 @@
 //!   the shed/expired ones carrying queue-depth and retry/deadline args;
 //! * turning tracing off changes no query bytes (observability is
 //!   side-effect-free);
-//! * a report's `StageProfile` and the `span.*` registry family are folds
+//! * a report's `StageProfile` and the recorder's `span.*` family are folds
 //!   of the request's span tree, not measurements taken beside it;
 //! * an admitted request executes on the thread that submitted it, and one
 //!   that had to queue still seals as one tree, on its own thread.
@@ -249,8 +249,10 @@ fn concurrent_load_yields_one_connected_tree_per_request() {
         "every admitted request records exactly one queue wait"
     );
 
-    // The registry snapshot embeds flight-recorder summaries.
-    let snap = ada_telemetry::snapshot_with_traces();
+    // The metrics export embeds flight-recorder summaries.
+    let mut stack = ada_telemetry::Snapshot::default();
+    fe.write_metrics(&mut stack);
+    let snap = ada_telemetry::snapshot_with_traces(stack);
     let recent = snap
         .field("traces")
         .and_then(|t| t.field("recent"))
@@ -456,12 +458,14 @@ fn u64_arg(s: &TraceSpan, key: &str) -> Option<u64> {
 
 /// Run one request against a cleared recorder and return its reply with
 /// the trace it sealed, having checked that every `span.{stage}.calls`
-/// counter grew by exactly the number of spans of that stage in the trace.
+/// counter of the recorder holds exactly the number of spans of that stage
+/// in the trace, and that no other stage counted anything.
 fn sealed<R>(request: impl FnOnce() -> R) -> (R, Arc<Trace>) {
     trace::recorder().clear();
-    let before = ada_telemetry::global().snapshot().counters;
     let reply = request();
-    let after = ada_telemetry::global().snapshot().counters;
+    let mut after = ada_telemetry::Snapshot::default();
+    trace::recorder().write_metrics(&mut after);
+    let after = after.counters;
     let traces = trace::recorder().recent();
     assert_eq!(traces.len(), 1, "one request seals one trace");
     let t = Arc::clone(&traces[0]);
@@ -471,11 +475,12 @@ fn sealed<R>(request: impl FnOnce() -> R) -> (R, Arc<Trace>) {
     for s in &t.spans {
         *spans_of.entry(s.name).or_insert(0) += 1;
     }
+    let calls = after.keys().filter(|k| k.ends_with(".calls")).count();
+    assert_eq!(calls, spans_of.len(), "a stage counted with no span sealed");
     for (name, n) in spans_of {
-        let counter = format!("span.{}.calls", name);
-        let grew =
-            after.get(&counter).copied().unwrap_or(0) - before.get(&counter).copied().unwrap_or(0);
-        assert_eq!(grew, n, "{} vs {} sealed span(s)", counter, n);
+        let counter = ada_telemetry::key(&["span", name, "calls"]);
+        let counted = after.get(&counter).copied().unwrap_or(0);
+        assert_eq!(counted, n, "{} vs {} sealed span(s)", counter, n);
     }
     (reply, t)
 }
