@@ -11,7 +11,8 @@
 //! hit. This crate keeps **decoded frame payloads** resident:
 //!
 //! * keyed by `(dataset, tag, dropping)` — [`CacheKey`] — where `dropping`
-//!   is the dropping's logical offset within its `(dataset, tag)` stream;
+//!   numbers the droppings of one `(dataset, tag)` (ADA stores one dropping
+//!   per tag, so it is always `0` there);
 //! * **sharded**: each shard is an independent `ada_sync::Mutex` over a
 //!   map + CLOCK ring, so concurrent clients on different droppings do not
 //!   serialize on one lock;
@@ -88,7 +89,9 @@ pub struct CacheKey {
     pub dataset: String,
     /// Tag whose stream the dropping belongs to.
     pub tag: String,
-    /// Logical offset of the dropping within the `(dataset, tag)` stream.
+    /// Which dropping of `(dataset, tag)`: a dataset stores one dropping
+    /// per tag, so ADA's keys all carry `0`; other values key further
+    /// droppings of the same tag.
     pub dropping: u64,
 }
 

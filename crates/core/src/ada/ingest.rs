@@ -1,5 +1,5 @@
 //! The write side (§3.4): categorize → decompress → split → dispatch,
-//! then persist the label and the index.
+//! then write the label file.
 //!
 //! One body runs those stages over real bytes, [`Ada::ingest_real`]:
 //! parse + Algorithm 1, then a chunk pool. One header scan finds and
@@ -10,9 +10,10 @@
 //! dropping. The caller then only seals each dropping with its directory
 //! and appends it. A size-only dataset
 //! ([`IngestInput::Synthetic`]) skips the codecs and dispatches volumes.
-//! Both dispatch through [`Ada::append`] and end in the same
-//! [`Ada::commit`], inside [`Ada::in_new_container`], which takes the
-//! dataset name back if anything after it failed.
+//! Both dispatch through [`Ada::append`], which records each stored
+//! dropping in the label, and end in the same [`Ada::commit`], inside
+//! [`Ada::in_new_container`], which takes the dataset name back if
+//! anything after it failed.
 
 use super::{max_across_backends, Ada, DatasetState, IngestInput, IngestReport, Op};
 use crate::categorizer::{categorize_algo1, Labeler};
@@ -26,11 +27,13 @@ use ada_mdformats::xtcf::{
     crc32, frame_record_len, presized_v2, write_record, ChunkDirectory, XTCF_HEADER_LEN,
 };
 use ada_mdmodel::{IndexRanges, Tag};
+use ada_plfs::IndexRecord;
 use ada_simfs::Content;
 use ada_storagesim::{CpuWork, SimDuration};
 use ada_sync::Mutex;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What the splitter needs to know about the structure, however it was
 /// learned.
@@ -118,12 +121,13 @@ fn ingest_chunk(
     })
 }
 
-/// What the dispatcher has written so far: virtual write time per backend
-/// and stored bytes per tag.
+/// What the dispatcher has written so far: virtual write time per backend,
+/// and the stored droppings in label order — what the label file records
+/// of them.
 #[derive(Default)]
 struct Routed {
     write_by_backend: BTreeMap<String, SimDuration>,
-    stored_by_tag: BTreeMap<Tag, u64>,
+    droppings: Vec<IndexRecord>,
 }
 
 impl Ada {
@@ -194,14 +198,6 @@ impl Ada {
             0 => spans.len(),
             n => n,
         };
-        // Droppings are appended in backend-then-tag order, so the
-        // container's dropping sequence and logical offsets — and with them
-        // the persisted index's size and the simulated `label_write` —
-        // depend on the policy alone. (The sort is stable: tags keep
-        // labeler order within a backend.)
-        let policy = self.determinator.policy();
-        let mut order: Vec<(usize, Tag)> = labels.labeler.keys().cloned().enumerate().collect();
-        order.sort_by(|a, b| policy.backend_for(&a.1).cmp(policy.backend_for(&b.1)));
 
         self.in_new_container(dataset, || {
             let (threads, labeler) = (self.config.ingest_threads, &labels.labeler);
@@ -238,24 +234,22 @@ impl Ada {
             let raw_bytes = done.iter().map(|c| c.raw_bytes).sum::<u64>();
 
             // Dispatcher: one dropping per tag — its chunk bodies sealed
-            // under one v2 directory — to its policy-chosen backend; the
-            // frame count rides in the index so range reads check a window
-            // without bytes.
+            // under one v2 directory — to its policy-chosen backend, in
+            // label order.
             let mut routed = Routed::default();
             {
                 let _ts = ctx.span("ingest.dispatch");
                 let nominal = u32::try_from(chunk_frames).unwrap_or(u32::MAX);
-                let nframes = spans.len() as u64;
-                for (t, tag) in &order {
-                    let mut file = std::mem::take(&mut droppings[*t]);
-                    let crcs = done.iter().map(|out| (out.nframes, out.crcs[*t]));
-                    let dir = ChunkDirectory::contiguous(labeler[tag].count(), nominal, crcs);
-                    dir.append_to(&mut file);
-                    self.append(dataset, tag, Content::real(file), nframes, &mut routed)?;
+                let tags = droppings.iter_mut().zip(labeler).enumerate();
+                for (t, (file, (tag, ranges))) in tags {
+                    let crcs = done.iter().map(|out| (out.nframes, out.crcs[t]));
+                    ChunkDirectory::contiguous(ranges.count(), nominal, crcs).append_to(file);
+                    let file = Content::real(std::mem::take(file));
+                    self.append(dataset, tag, file, &mut routed)?;
                 }
             }
             let label = LabelFile::new(dataset, labels.natoms, spans.len(), labels.labeler);
-            self.commit(label, None, labels.categorize, raw_bytes, routed, ctx)
+            self.commit(label, false, labels.categorize, raw_bytes, routed, ctx)
         })
     }
 
@@ -275,7 +269,7 @@ impl Ada {
                 let _ts = ctx.span("ingest.dispatch");
                 for tag in spec.tags() {
                     let content = Content::synthetic(spec.tag_bytes(&tag));
-                    self.append(dataset, &tag, content, 0, &mut routed)?;
+                    self.append(dataset, &tag, content, &mut routed)?;
                 }
             }
 
@@ -292,7 +286,7 @@ impl Ada {
             let label =
                 LabelFile::new(dataset, spec.natoms as usize, spec.frames as usize, labeler);
             let raw_bytes = spec.raw_bytes();
-            self.commit(label, Some(spec), categorize, raw_bytes, routed, ctx)
+            self.commit(label, true, categorize, raw_bytes, routed, ctx)
         })
     }
 
@@ -304,7 +298,7 @@ impl Ada {
         dataset: &str,
         store: impl FnOnce() -> Result<T, AdaError>,
     ) -> Result<T, AdaError> {
-        let containers = self.determinator.containers();
+        let containers = &self.containers;
         // `LogicalExists` leaves through this `?`: that container is
         // someone else's dataset, and nothing of it may be touched.
         containers.create_logical(dataset)?;
@@ -317,32 +311,35 @@ impl Ada {
         })
     }
 
-    /// Append one dropping to its policy-chosen backend and tally it.
+    /// Dispatcher: append one tag's dropping to its policy-chosen backend
+    /// and tally it.
     fn append(
         &self,
         dataset: &str,
         tag: &Tag,
         content: Content,
-        nframes: u64,
         routed: &mut Routed,
     ) -> Result<(), AdaError> {
-        let len = content.len();
-        let (backend, d) = self.determinator.dispatch(dataset, tag, content, nframes)?;
+        let backend = self.config.policy.backend_for(tag);
+        let (record, d) = self
+            .containers
+            .append(dataset, tag.as_str(), backend, content)?;
         *routed
             .write_by_backend
-            .entry(backend)
+            .entry(record.backend.clone())
             .or_insert(SimDuration::ZERO) += d;
-        *routed.stored_by_tag.entry(tag.clone()).or_insert(0) += len;
+        routed.droppings.push(record);
         Ok(())
     }
 
-    /// The epilogue every ingest ends in: persist the label file and the
-    /// PLFS index, publish the dataset, and build the report. `synthetic`
-    /// carries the spec of a size-only dataset.
+    /// The epilogue every ingest ends in: write the label file with the
+    /// droppings `routed` stored — the commit point — publish the
+    /// dataset, and build the report. `size_only` marks a synthetic
+    /// dataset.
     fn commit(
         &self,
-        label: LabelFile,
-        synthetic: Option<SyntheticDataset>,
+        mut label: LabelFile,
+        size_only: bool,
         categorize: SimDuration,
         raw_bytes: u64,
         routed: Routed,
@@ -350,17 +347,22 @@ impl Ada {
     ) -> Result<IngestReport, AdaError> {
         let cpu = &self.config.storage_cpu;
         let dataset = label.dataset.clone();
+        let bytes_by_tag = routed
+            .droppings
+            .iter()
+            .map(|r| (Tag::new(r.tag.clone()), r.len))
+            .collect();
+        label.droppings = routed.droppings;
 
         let label_write = {
             let _ts = ctx.span("ingest.label_write");
             label.store(self.label_fs.as_ref())?
-                + self.determinator.containers().persist_index(&dataset)?
         };
 
         self.cache.invalidate_dataset(&dataset);
-        let state = match synthetic {
-            Some(spec) => DatasetState::Synthetic { spec },
-            None => DatasetState::Real { label },
+        let state = DatasetState {
+            label: Arc::new(label),
+            size_only,
         };
         self.datasets.lock().insert(dataset.clone(), state);
 
@@ -375,7 +377,7 @@ impl Ada {
             write: max_across_backends(&routed.write_by_backend),
             label_write,
             raw_bytes,
-            bytes_by_tag: routed.stored_by_tag,
+            bytes_by_tag,
             profile: None, // cut from the op span's tree once it closes
         })
     }

@@ -22,7 +22,7 @@ mod retrieve;
 
 pub use query::StoredAnswer;
 
-use crate::determinator::{Determinator, DispatchPolicy};
+use crate::determinator::DispatchPolicy;
 use crate::labeler::LabelFile;
 use crate::profile::StageProfile;
 use crate::synth::SyntheticDataset;
@@ -62,7 +62,7 @@ pub struct AdaConfig {
     /// pool of `n` workers, clamped to the number of chunks.
     pub ingest_threads: usize,
     /// Workers on the query path. Every retrieval fetches its droppings in
-    /// logical order on the caller's thread, then runs its units — one
+    /// label order on the caller's thread, then runs its units — one
     /// chunk of the answer each: its stored chunks checked, its frames
     /// written: `0` runs them inline (the serial reference, no
     /// thread spawned); `n ≥ 1` runs them on a pool of `n` workers, clamped
@@ -124,7 +124,7 @@ pub struct IngestReport {
     pub split: SimDuration,
     /// Backend write time (parallel across backends → max).
     pub write: SimDuration,
-    /// Label-file + index persistence time.
+    /// Label-file write time.
     pub label_write: SimDuration,
     /// Decompressed raw volume.
     pub raw_bytes: u64,
@@ -189,34 +189,24 @@ impl QueryReport {
     }
 }
 
-/// What ADA remembers about an ingested dataset — and, cloned out from
-/// under the lock, the mode a query against it runs in.
+/// What ADA remembers about an ingested dataset: its label file — the
+/// indexer resolves every query from it — and whether its droppings hold
+/// frames or only volumes. Cloned out from under the lock, it is the mode
+/// a query against the dataset runs in.
 #[derive(Clone)]
-enum DatasetState {
-    Real { label: LabelFile },
-    Synthetic { spec: SyntheticDataset },
+struct DatasetState {
+    label: Arc<LabelFile>,
+    size_only: bool,
 }
 
 impl DatasetState {
-    fn tags(&self) -> Vec<Tag> {
-        match self {
-            DatasetState::Real { label } => label.all_tags(),
-            DatasetState::Synthetic { spec } => spec.tags(),
-        }
-    }
-
-    fn has_tag(&self, tag: &Tag) -> bool {
-        match self {
-            DatasetState::Real { label } => label.tags.contains_key(tag),
-            DatasetState::Synthetic { spec } => spec.atoms_by_tag.contains_key(tag),
-        }
-    }
-
-    /// The label of a real dataset; a size-only one has none.
-    fn into_label(self) -> Result<LabelFile, AdaError> {
-        match self {
-            DatasetState::Real { label } => Ok(label),
-            DatasetState::Synthetic { .. } => Err(AdaError::size_only()),
+    /// The label of a real dataset; a size-only one has no frames to
+    /// answer with.
+    fn into_label(self) -> Result<Arc<LabelFile>, AdaError> {
+        if self.size_only {
+            Err(AdaError::size_only())
+        } else {
+            Ok(self.label)
         }
     }
 }
@@ -256,7 +246,7 @@ impl DatasetState {
 /// ```
 pub struct Ada {
     config: AdaConfig,
-    determinator: Determinator,
+    containers: Arc<ContainerSet>,
     label_fs: Arc<dyn SimFileSystem>,
     datasets: Mutex<BTreeMap<String, DatasetState>>,
     /// Per-dataset, per-tag query counters feeding the tiering extension.
@@ -311,11 +301,11 @@ struct Metrics {
 
 impl std::fmt::Debug for Ada {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Config + determinator identify the instance; dataset state stays
+        // Config + containers identify the instance; dataset state stays
         // behind its mutexes and `dyn SimFileSystem` has no Debug bound.
         f.debug_struct("Ada")
             .field("config", &self.config)
-            .field("determinator", &self.determinator)
+            .field("containers", &self.containers)
             .field("datasets", &self.datasets.lock().len())
             .finish_non_exhaustive()
     }
@@ -329,11 +319,10 @@ impl Ada {
         containers: Arc<ContainerSet>,
         label_fs: Arc<dyn SimFileSystem>,
     ) -> Ada {
-        let determinator = Determinator::new(containers, config.policy.clone());
         let cache = DecodedCache::new(config.cache.clone());
         Ada {
             config,
-            determinator,
+            containers,
             label_fs,
             datasets: Mutex::new(BTreeMap::new()),
             access: Mutex::new(BTreeMap::new()),
@@ -388,7 +377,7 @@ impl Ada {
 
     /// The container set (for reporting).
     pub fn containers(&self) -> &Arc<ContainerSet> {
-        self.determinator.containers()
+        &self.containers
     }
 
     /// A dataset's state, cloned out so no caller works under the lock.
@@ -403,12 +392,12 @@ impl Ada {
     /// The label file of an ingested real dataset (how a client learns
     /// which atoms a tag selects).
     pub fn label(&self, dataset: &str) -> Result<LabelFile, AdaError> {
-        self.state(dataset)?.into_label()
+        Ok(LabelFile::clone(&*self.state(dataset)?.into_label()?))
     }
 
     /// Tags known for a dataset.
     pub fn tags(&self, dataset: &str) -> Result<Vec<Tag>, AdaError> {
-        Ok(self.state(dataset)?.tags())
+        Ok(self.state(dataset)?.label.all_tags())
     }
 
     /// All ingested dataset names, sorted.
@@ -431,7 +420,7 @@ impl Ada {
         // The container goes first and the name is forgotten only once
         // that succeeded: a failed delete leaves the dataset listed, so it
         // can be retried, instead of stranding droppings nothing names.
-        self.determinator.containers().delete_logical(dataset)?;
+        self.containers.delete_logical(dataset)?;
         self.datasets.lock().remove(dataset);
         let _ = self.label_fs.delete(&LabelFile::path_for(dataset));
         self.access.lock().remove(dataset);

@@ -12,16 +12,17 @@
 
 use super::retrieve::{atoms_err, directory, real_bytes, xtcf_err, Take};
 use super::{count_corrupt, op_span, Ada, DatasetState, Op, QueryReport, RetrievedData};
+use crate::determinator::indexer_cost;
+use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_mdformats::xtcf::{verify_chunk, ChunkDirectory};
-use ada_mdformats::{FormatError, Trajectory};
+use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
 use ada_simfs::Content;
 use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
 use ada_telemetry::Counter;
-use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -123,25 +124,22 @@ impl Ada {
         tag: Option<&Tag>,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let state = self.resolve(dataset, tag)?;
-        let (records, indexer) = self.index(dataset, tag, ctx)?;
+        let DatasetState { label, size_only } = self.resolve(dataset, tag)?;
+        let (records, indexer) = self.index(&label, tag, ctx);
 
-        let (data, read) = match &state {
-            DatasetState::Synthetic { .. } => {
-                let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
-                let bytes = contents.iter().map(|c| c.len()).sum();
-                (RetrievedData::Synthetic { bytes }, read)
-            }
-            DatasetState::Real { label } => {
-                let takes = records.into_iter().map(|r| (r, Take::All)).collect();
-                let (frames, read) = self.retrieve(dataset, label, tag.is_none(), takes, ctx)?;
-                (RetrievedData::Real(Trajectory::from_frames(frames)), read)
-            }
+        let (data, read) = if size_only {
+            let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
+            let bytes = contents.iter().map(|c| c.len()).sum();
+            (RetrievedData::Synthetic { bytes }, read)
+        } else {
+            let takes = records.into_iter().map(|r| (r, Take::All)).collect();
+            let (frames, read) = self.retrieve(dataset, &label, tag.is_none(), takes, ctx)?;
+            (RetrievedData::Real(Trajectory::from_frames(frames)), read)
         };
 
         match tag {
             Some(t) => self.bump_heat(dataset, [t.clone()]),
-            None => self.bump_heat(dataset, state.tags()),
+            None => self.bump_heat(dataset, label.all_tags()),
         }
         Ok(QueryReport {
             indexer,
@@ -188,7 +186,7 @@ impl Ada {
     ) -> Result<StoredAnswer, AdaError> {
         let label = self.resolve(dataset, Some(tag))?.into_label()?;
         let natoms = label.ranges(tag)?.count();
-        let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
+        let (records, indexer) = self.index(&label, Some(tag), ctx);
         let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
         let Some((record, content)) = records.into_iter().zip(contents).next() else {
             return Err(AdaError::FrameCountMismatch {
@@ -264,20 +262,15 @@ impl Ada {
                 nframes,
             });
         }
-        let (records, indexer) = self.index(dataset, Some(tag), ctx)?;
-        let covered = records.first().map_or(0, |r| r.frames as usize);
-        if window.end > covered {
-            // The label promises more frames than the dropping holds — same
-            // corruption a full query would surface.
-            return Err(AdaError::FrameCountMismatch {
-                tag: tag.to_string(),
-                expected: nframes,
-                got: covered,
-            });
-        }
+        let (records, indexer) = self.index(&label, Some(tag), ctx);
         // The tag's one dropping holds its frames from 0: the selection is
-        // its take, and the retriever checks only the chunks it touches.
-        let take = Take::Frames(window.step_by(stride).collect());
+        // its take, and the retriever checks only the chunks it touches
+        // (and refuses a window past the frames its directory declares).
+        let end = window.end;
+        let take = Take::Frames {
+            sel: window.step_by(stride).collect(),
+            end,
+        };
         let takes = records.into_iter().zip([take]).collect();
         let (frames, read) = self.retrieve(dataset, &label, false, takes, ctx)?;
 
@@ -297,30 +290,30 @@ impl Ada {
     fn resolve(&self, dataset: &str, tag: Option<&Tag>) -> Result<DatasetState, AdaError> {
         let state = self.state(dataset)?;
         match tag {
-            Some(t) if !state.has_tag(t) => Err(AdaError::UnknownTag(t.to_string())),
+            Some(t) if !state.label.tags.contains_key(t) => {
+                Err(AdaError::UnknownTag(t.to_string()))
+            }
             _ => Ok(state),
         }
     }
 
-    /// Indexer: find the droppings, sorted into logical order. Ingest
-    /// writes one dropping per tag, so a tag with a second one is a layout
-    /// no reader knows: it is refused here, naming that dropping, before
-    /// anything is fetched.
+    /// Indexer: the stored droppings the label records for `tag` (every
+    /// tag's, in label order, for `None`), and the search's charge over
+    /// all of them.
     fn index(
         &self,
-        dataset: &str,
+        label: &LabelFile,
         tag: Option<&Tag>,
         ctx: &TraceContext,
-    ) -> Result<(Vec<IndexRecord>, SimDuration), AdaError> {
+    ) -> (Vec<IndexRecord>, SimDuration) {
         let _ts = ctx.span("query.index");
-        let (mut records, indexer) = self.determinator.index_lookup(dataset, tag)?;
-        records.sort_by_key(|r| r.logical_offset);
-        let mut seen = BTreeSet::new();
-        if let Some(second) = records.iter().find(|r| !seen.insert(r.tag.as_str())) {
-            let why = format!("a second dropping of tag '{}'", second.tag);
-            return Err(xtcf_err(second, FormatError::Corrupt(why)));
-        }
-        Ok((records, indexer))
+        let records = label
+            .droppings
+            .iter()
+            .filter(|r| tag.is_none_or(|t| r.tag == t.as_str()))
+            .cloned()
+            .collect();
+        (records, indexer_cost(label.droppings.len()))
     }
 
     /// Count one access of each tag a query touched. Called only once

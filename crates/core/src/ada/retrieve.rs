@@ -3,10 +3,10 @@
 //!
 //! [`Ada::retrieve`] is the one body of `query` and `query_range`. On the
 //! caller's thread it looks every dropping up in the cache, fetches the
-//! misses in logical order ([`Ada::fetch_in_order`]), plans each ([`plan`]:
+//! misses in label order ([`Ada::fetch_in_order`]), plans each ([`plan`]:
 //! which of its chunks are resident and which are stored and still to be
 //! checked) and lays the plans out by tag ([`units`]). Ingest writes one
-//! dropping per tag, and [`Ada::index`] refuses a second. The answer is cut
+//! dropping per tag, and the label records it. The answer is cut
 //! into **units**, one per chunk: chunk *c* of every answer tag's
 //! dropping, as ingest sealed it. A unit checks its stored chunks
 //! (`verify_chunk`, then the directory's atom count against the label's),
@@ -46,17 +46,30 @@ use units::{run_unit, Layout, TagLayout};
 pub(super) enum Take {
     /// Every frame.
     All,
-    /// These frames, ascending (a range read): only the chunks they live
-    /// in are checked.
-    Frames(Vec<usize>),
+    /// The frames a window selects, ascending, and the window's end (a
+    /// range read): only the chunks the frames live in are checked.
+    Frames { sel: Vec<usize>, end: usize },
 }
 
 impl Take {
     /// Whether a resident cache entry holds everything this take needs.
     fn covered_by(&self, entry: &DecodedDropping) -> bool {
         match self {
-            Take::Frames(sel) => entry.has_frames(sel),
+            Take::Frames { sel, .. } => entry.has_frames(sel),
             Take::All => entry.is_complete(),
+        }
+    }
+
+    /// Refuse a window that runs past the `held` frames of `tag`'s
+    /// dropping: the label's `nframes` promising more than it holds.
+    fn check_held(&self, tag: &str, held: usize, nframes: usize) -> Result<(), AdaError> {
+        match self {
+            Take::Frames { end, .. } if *end > held => Err(AdaError::FrameCountMismatch {
+                tag: tag.to_string(),
+                expected: nframes,
+                got: held,
+            }),
+            _ => Ok(()),
         }
     }
 }
@@ -159,16 +172,19 @@ pub(super) fn directory(
     })
 }
 
-/// Plan a fetched dropping: parse its chunk directory and list the chunks
-/// its take needs that `prior` does not hold — the ones its units check.
+/// Plan a fetched dropping: parse its chunk directory, refuse a window past
+/// the frames it declares, and list the chunks its take needs that `prior`
+/// does not hold — the ones its units check.
 fn plan(
     record: IndexRecord,
     take: Take,
     content: Content,
     prior: Option<Arc<DecodedDropping>>,
     natoms: Option<usize>,
+    nframes: usize,
 ) -> Result<Planned, AdaError> {
     let dir = directory(&record, &content)?;
+    take.check_held(&record.tag, dir.nframes(), nframes)?;
     let same_layout = |p: &Arc<DecodedDropping>| {
         p.chunk_layout()
             .iter()
@@ -176,27 +192,16 @@ fn plan(
     };
     let prior = prior.filter(same_layout);
     let mut todo: Vec<usize> = Vec::new();
-    let mut need = |c: usize| {
+    let need = |c: usize| {
         if todo.last() != Some(&c) && prior.as_ref().is_none_or(|p| p.chunk(c).is_none()) {
             todo.push(c);
         }
     };
     match &take {
-        Take::Frames(sel) => {
-            for &f in sel {
-                let c = dir.chunk_of_frame(f).ok_or_else(|| {
-                    xtcf_err(
-                        &record,
-                        FormatError::Corrupt(format!(
-                            "frame {} beyond the {} frames in the chunk directory",
-                            f,
-                            dir.nframes()
-                        )),
-                    )
-                })?;
-                need(c);
-            }
-        }
+        Take::Frames { sel, .. } => sel
+            .iter()
+            .filter_map(|&f| dir.chunk_of_frame(f))
+            .for_each(need),
         Take::All => (0..dir.nchunks()).for_each(need),
     }
     let natoms = natoms.unwrap_or_else(|| dir.entries.first().map_or(0, |e| e.natoms as usize));
@@ -255,7 +260,7 @@ impl Ada {
                     let natoms = tags.get(rank_of(&r.tag)).and_then(|t| t.natoms);
                     let entry = self
                         .cache
-                        .get(&CacheKey::new(dataset, &r.tag, r.logical_offset))
+                        .get(&CacheKey::new(dataset, &r.tag, 0))
                         .filter(|e| natoms.is_none_or(|n| n == e.natoms));
                     match entry {
                         Some(e) if take.covered_by(&e) => Cached::Hit(e),
@@ -291,15 +296,17 @@ impl Ada {
             .map(|((record, take), cached)| {
                 let rank = rank_of(&record.tag);
                 let plan = match cached {
-                    Cached::Hit(entry) => Ok(Planned {
-                        record,
-                        take,
-                        source: Source::Hit(entry),
-                    }),
+                    Cached::Hit(entry) => take
+                        .check_held(&record.tag, entry.nframes(), label.nframes)
+                        .map(|()| Planned {
+                            record,
+                            take,
+                            source: Source::Hit(entry),
+                        }),
                     Cached::Miss(prior) => match contents.next() {
                         Some(content) => {
                             let natoms = tags.get(rank).and_then(|t| t.natoms);
-                            plan(record, take, content, prior, natoms)
+                            plan(record, take, content, prior, natoms, label.nframes)
                         }
                         None => Err(AdaError::Internal("a miss was not fetched".into())),
                     },
@@ -404,7 +411,7 @@ impl Ada {
                 chunks,
                 natoms,
             ));
-            let key = CacheKey::new(dataset, &d.record.tag, d.record.logical_offset);
+            let key = CacheKey::new(dataset, &d.record.tag, 0);
             let tag_heat = heat.heat(&Tag::new(d.record.tag.clone()));
             let _ = self.cache.insert(key, &payload, tag_heat);
         }
@@ -420,7 +427,7 @@ impl Ada {
         records: impl Iterator<Item = &'a IndexRecord>,
         ctx: &TraceContext,
     ) -> Result<(Vec<Content>, SimDuration), AdaError> {
-        let containers = self.determinator.containers();
+        let containers = &self.containers;
         let mut ts = ctx.span("query.read");
         let mut per_backend: BTreeMap<String, SimDuration> = BTreeMap::new();
         let mut bytes = 0u64;

@@ -33,7 +33,7 @@ impl Take {
     fn within(&self, frames: Range<usize>) -> Range<usize> {
         match self {
             Take::All => frames,
-            Take::Frames(sel) => {
+            Take::Frames { sel, .. } => {
                 sel.partition_point(|&f| f < frames.start)..sel.partition_point(|&f| f < frames.end)
             }
         }
@@ -76,7 +76,7 @@ struct Piece {
 pub(super) struct Layout {
     /// The answer's tags, in label order.
     tags: Vec<TagLayout>,
-    /// The droppings that planned, in logical order.
+    /// The droppings that planned, in label order.
     pub(super) droppings: Vec<Planned>,
     /// Frames the units cover: the answer's, or up to the cut.
     end: usize,
@@ -365,7 +365,7 @@ pub(super) fn run_unit(
     }
     let frames = unit.want.clone().map(|i| match take {
         Take::All => i - unit.first,
-        Take::Frames(sel) => sel[i] - unit.first,
+        Take::Frames { sel, .. } => sel[i] - unit.first,
     });
 
     let mut out = Vec::with_capacity(unit.want.len());
@@ -410,6 +410,8 @@ mod tests {
     use ada_mdmodel::{IndexRanges, PbcBox, Tag};
     use ada_simfs::Content;
     use std::collections::{BTreeMap, BTreeSet};
+    use std::ops::Range;
+    use std::sync::Arc;
 
     /// The full-frame reassembly the unit body replaced — a zero-filled
     /// frame per output frame, then one scatter per tag in tag order —
@@ -468,33 +470,39 @@ mod tests {
     /// one v2 dropping, sealed in chunks of `chunk_frames[t]` frames.
     /// Tags with different chunk sizes are misaligned: a chunk of one spans
     /// chunk boundaries of the other, which ingest never writes. A tag past
-    /// the end of `chunk_frames` is left out; a second call appends each
-    /// tag it stores a second dropping, which ingest never writes either.
-    fn store(ada: &Ada, label: &LabelFile, source: &[Frame], chunk_frames: &[usize]) {
+    /// the end of `chunk_frames` is left out. Returns the label as stored,
+    /// its droppings recorded.
+    fn store(ada: &Ada, label: &LabelFile, source: &[Frame], chunk_frames: &[usize]) -> LabelFile {
         let containers = ada.containers();
-        if !containers.list_logical().iter().any(|d| d == "d") {
-            containers.create_logical("d").unwrap();
-        }
+        containers.create_logical("d").unwrap();
+        let mut label = label.clone();
         for ((tag, ranges), &chunk_frames) in label.tags.iter().zip(chunk_frames) {
             let subset = source.iter().map(|f| f.subset(ranges)).collect();
             let v1 = write_xtcf(&Trajectory::from_frames(subset)).unwrap();
             let sealed = seal_v2(v1, ranges.count(), chunk_frames).unwrap();
             let backend = if *tag == Tag::protein() { "ssd" } else { "hdd" };
             let content = Content::real(sealed);
-            containers
-                .append_tagged_frames("d", tag.as_str(), backend, content, source.len() as u64)
+            let (record, _) = containers
+                .append("d", tag.as_str(), backend, content)
                 .unwrap();
+            label.droppings.push(record);
         }
-        let state = DatasetState::Real {
-            label: label.clone(),
+        set_label(ada, label.clone());
+        label
+    }
+
+    /// Make `label` the label of real dataset `d`.
+    fn set_label(ada: &Ada, label: LabelFile) {
+        let state = DatasetState {
+            label: Arc::new(label),
+            size_only: false,
         };
         ada.datasets.lock().insert("d".into(), state);
     }
 
     /// Per tag, its stored chunks in frame order, each `decode_chunk`ed.
     fn stored_chunks(ada: &Ada) -> BTreeMap<Tag, Vec<Vec<Frame>>> {
-        let mut records = ada.containers().index("d").unwrap();
-        records.sort_by_key(|r| r.logical_offset);
+        let records = ada.containers().index("d").unwrap();
         let mut out: BTreeMap<Tag, Vec<Vec<Frame>>> = BTreeMap::new();
         for r in records {
             let (content, _) = ada.containers().read_dropping(&r).unwrap();
@@ -508,12 +516,11 @@ mod tests {
         out
     }
 
-    /// The paths of `tag`'s droppings, in logical order.
-    fn droppings_of(ada: &Ada, tag: &Tag) -> Vec<String> {
-        let mut records = ada.containers().index("d").unwrap();
-        records.retain(|r| r.tag == tag.as_str());
-        records.sort_by_key(|r| r.logical_offset);
-        records.into_iter().map(|r| r.dropping_path).collect()
+    /// The path of `tag`'s dropping.
+    fn dropping_of(ada: &Ada, tag: &Tag) -> String {
+        let records = ada.containers().index("d").unwrap();
+        let record = records.into_iter().find(|r| r.tag == tag.as_str());
+        record.unwrap().dropping_path
     }
 
     /// Whether `err` is an `xtcf` refusal naming `dropping` whose text
@@ -697,7 +704,7 @@ mod tests {
                         if misaligned {
                             let before = settled(&ada);
                             let err = ada.query("d", None).unwrap_err();
-                            let p = droppings_of(&ada, &Tag::protein()).remove(0);
+                            let p = dropping_of(&ada, &Tag::protein());
                             proptest::prop_assert!(
                                 is_refusal(&err, &p, "chunks are cut unlike"),
                                 "{} full: {:?}", what, err
@@ -749,7 +756,7 @@ mod tests {
 
             let err = ada.query("d", None).unwrap_err();
             assert_eq!(err.kind(), "xtcf");
-            let p = droppings_of(&ada, &Tag::protein()).remove(0);
+            let p = dropping_of(&ada, &Tag::protein());
             assert!(is_refusal(&err, &p, "chunks are cut unlike"), "{:?}", err);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
             assert!(ada.access_counts("d").is_empty());
@@ -782,16 +789,10 @@ mod tests {
             .into();
             let source = vec![Frame::from_coords(vec![[1.0; 3]; 5]); 6];
             let label = LabelFile::new("d", 5, 6, tags);
-            store(&ada, &label, &source, &[2, 2]);
             // The label promises three frames more than either tag holds.
-            let mut short = label.clone();
+            let mut short = store(&ada, &label, &source, &[2, 2]);
             short.nframes = 9;
-            ada.datasets.lock().insert(
-                "d".into(),
-                DatasetState::Real {
-                    label: short.clone(),
-                },
-            );
+            set_label(&ada, short.clone());
             let err = ada.query("d", None).unwrap_err();
             let mut per_tag = BTreeMap::new();
             for (t, frames) in stored_chunks(&ada) {
@@ -809,12 +810,14 @@ mod tests {
         }
     }
 
-    /// A tag in two droppings — a layout ingest never writes — is refused
-    /// by the indexer as `xtcf` naming the second dropping, on every read of
-    /// that tag, before anything is fetched: no heat, no cache admission,
-    /// no decoded byte. The other tag still reads.
+    /// A range read whose window runs past the frames the tag's dropping
+    /// holds — the label promises 9, the dropping's directory declares 6 —
+    /// fails with `FrameCountMismatch` naming the tag, at every thread
+    /// count, and leaves no heat and no decoded byte. So does a stride that
+    /// selects only frames the dropping holds, and so does a window whose
+    /// selected frames are all resident in the cache.
     #[test]
-    fn a_tag_in_two_droppings_is_refused_on_every_read() {
+    fn a_window_past_the_dropping_is_a_frame_count_mismatch() {
         for query_threads in [0, 4] {
             let ada = make_ada_with(AdaConfig {
                 query_threads,
@@ -826,33 +829,34 @@ mod tests {
                 (Tag::protein(), IndexRanges::single(2..5)),
             ]
             .into();
-            let source: Vec<Frame> = (0..6)
-                .map(|i| Frame::from_coords(vec![[i as f32; 3]; 5]))
-                .collect();
-            let label = LabelFile::new("d", 5, 6, tags);
-            store(&ada, &label, &source, &[2, 2]);
-            // A second dropping of `m`, the first tag in label order.
-            store(&ada, &label, &source, &[2]);
-            let second = droppings_of(&ada, &Tag::misc()).remove(1);
-            let why = "a second dropping of tag 'm'";
-
-            let (m, ctx) = (Tag::misc(), ada_telemetry::trace::TraceContext::inactive());
-            let before = settled(&ada);
-            let errs = [
-                ada.query("d", None).unwrap_err(),
-                ada.query("d", Some(&m)).unwrap_err(),
-                ada.query_range("d", &m, 0..6, 2).unwrap_err(),
-                ada.query_stored("d", &m, &ctx).unwrap_err(),
-            ];
-            for err in &errs {
-                assert_eq!(err.kind(), "xtcf");
-                assert!(is_refusal(err, &second, why), "{:?}", err);
-            }
-            assert_eq!(settled(&ada), before);
+            let source = vec![Frame::from_coords(vec![[1.0; 3]; 5]); 6];
+            let mut long = store(&ada, &LabelFile::new("d", 5, 6, tags), &source, &[2, 2]);
+            long.nframes = 9;
+            set_label(&ada, long);
+            let past = |window: Range<usize>, stride| {
+                let err = ada
+                    .query_range("d", &Tag::protein(), window, stride)
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, AdaError::FrameCountMismatch { tag, expected: 9, got: 6 } if tag == "p"),
+                    "{:?}",
+                    err
+                );
+            };
+            past(0..9, 1);
+            // Frame 0 alone is selected, but the window ends at 7.
+            past(0..7, 7);
             assert!(ada.access_counts("d").is_empty());
-
-            let got = frames_of(ada.query("d", Some(&Tag::protein())).unwrap());
+            assert_eq!(ada.cache_stats().bytes_decoded, 0);
+            // A window inside the dropping still reads, and leaves its
+            // chunks resident.
+            let got = frames_of(ada.query_range("d", &Tag::protein(), 0..6, 1).unwrap());
             assert_eq!(got.len(), 6);
+            let before = ada.cache_stats();
+            past(0..7, 7);
+            let after = ada.cache_stats();
+            assert_eq!(after.hits, before.hits + 1);
+            assert_eq!(after.bytes_decoded, before.bytes_decoded);
         }
     }
 }

@@ -3,12 +3,15 @@
 //! Algorithm 1 ends with "Store the labeler to a file named `label_file`
 //! for later I/O reference". The label file is the out-of-band metadata
 //! that lets the indexer resolve tag queries without touching (or
-//! modifying) the data subsets themselves.
+//! modifying) the data subsets themselves: per tag, its atom ranges and
+//! its one stored dropping. It is a dataset's one metadata record, and
+//! its write is an ingest's commit point.
 
 use crate::categorizer::Labeler;
 use crate::AdaError;
 use ada_json::Value;
 use ada_mdmodel::{IndexRanges, Tag};
+use ada_plfs::IndexRecord;
 use ada_simfs::{Content, SimFileSystem};
 use ada_storagesim::SimDuration;
 use std::collections::BTreeMap;
@@ -24,6 +27,9 @@ pub struct LabelFile {
     pub nframes: usize,
     /// Tag → atom index ranges.
     pub tags: BTreeMap<Tag, IndexRanges>,
+    /// Each tag's one stored dropping, in tag order (ingest records each
+    /// as it is dispatched).
+    pub droppings: Vec<IndexRecord>,
 }
 
 impl LabelFile {
@@ -39,6 +45,7 @@ impl LabelFile {
             natoms,
             nframes,
             tags: labeler,
+            droppings: Vec::new(),
         }
     }
 
@@ -64,7 +71,8 @@ impl LabelFile {
         format!("ada/labels/{}.label.json", dataset)
     }
 
-    /// JSON rendering: ranges are `[start, end)` pairs under each tag.
+    /// JSON rendering: ranges are `[start, end)` pairs under each tag, and
+    /// each stored dropping is an object of its record's fields.
     fn to_json(&self) -> Value {
         let tags = self
             .tags
@@ -82,11 +90,24 @@ impl LabelFile {
                 (tag.as_str().to_string(), Value::Arr(pairs))
             })
             .collect();
+        let droppings = self
+            .droppings
+            .iter()
+            .map(|d| {
+                Value::obj(vec![
+                    ("tag", Value::str(d.tag.clone())),
+                    ("backend", Value::str(d.backend.clone())),
+                    ("dropping_path", Value::str(d.dropping_path.clone())),
+                    ("len", Value::num_u(d.len)),
+                ])
+            })
+            .collect();
         Value::obj(vec![
             ("dataset", Value::str(self.dataset.clone())),
             ("natoms", Value::num_u(self.natoms as u64)),
             ("nframes", Value::num_u(self.nframes as u64)),
             ("tags", Value::Obj(tags)),
+            ("droppings", Value::Arr(droppings)),
         ])
     }
 
@@ -105,11 +126,28 @@ impl LabelFile {
             }
             tags.insert(Tag::new(tag.as_str()), IndexRanges::from_ranges(ranges));
         }
+        let mut droppings = Vec::new();
+        for d in v.field("droppings")?.as_arr()? {
+            droppings.push(IndexRecord {
+                tag: d.field("tag")?.as_str()?.to_string(),
+                backend: d.field("backend")?.as_str()?.to_string(),
+                dropping_path: d.field("dropping_path")?.as_str()?.to_string(),
+                len: d.field("len")?.as_u64()?,
+            });
+        }
+        // One stored dropping per tag, in tag order: a label that names a
+        // tag without one cannot answer for it.
+        let dropping_tags = droppings.iter().map(|d| d.tag.as_str());
+        if !dropping_tags.eq(tags.keys().map(Tag::as_str)) {
+            let why = "stored droppings are not one per tag, in tag order";
+            return Err(ada_json::JsonError(why.into()));
+        }
         Ok(LabelFile {
             dataset: v.field("dataset")?.as_str()?.to_string(),
             natoms: v.field("natoms")?.as_usize()?,
             nframes: v.field("nframes")?.as_usize()?,
             tags,
+            droppings,
         })
     }
 
@@ -148,7 +186,16 @@ mod tests {
         let mut tags: Labeler = BTreeMap::new();
         tags.insert(Tag::protein(), IndexRanges::single(0..100));
         tags.insert(Tag::misc(), IndexRanges::from_ranges([100..220, 250..300]));
-        LabelFile::new("bar", 300, 10, tags)
+        let mut label = LabelFile::new("bar", 300, 10, tags);
+        for (tag, backend, len) in [("m", "hdd", 2_000), ("p", "ssd", 1_000)] {
+            label.droppings.push(IndexRecord {
+                tag: tag.into(),
+                backend: backend.into(),
+                dropping_path: format!("{}/bar/hostdir.0/dropping.data.{}", backend, tag),
+                len,
+            });
+        }
+        label
     }
 
     #[test]

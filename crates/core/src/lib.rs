@@ -23,13 +23,15 @@
 //!
 //! * [`categorizer`] — Algorithm 1: a linear scan over the `.pdb` atoms
 //!   producing per-tag index ranges.
-//! * [`labeler`] — the label file: tag → ranges, stored out-of-band so "no
-//!   additional information is injected to any of data subsets".
+//! * [`labeler`] — the label file: tag → ranges and tag → stored
+//!   dropping, the one metadata record of a dataset, stored out-of-band so
+//!   "no additional information is injected to any of data subsets".
 //! * [`preprocess`] — decompressor + splitter: decode the `.xtc`, apply the
 //!   label ranges to every frame, re-encode each subset (uncompressed
 //!   XTCF) for its backend.
-//! * [`determinator`] — dispatcher (tag → backend policy), indexer
-//!   (tag → dropping paths via the PLFS index) and retriever.
+//! * [`determinator`] — the dispatcher's tag → backend policy and the
+//!   indexer's cost; the indexer resolves a tag to its dropping from the
+//!   label file, and the retriever fetches it (both run in [`Ada`]).
 //! * [`Ada`] — the facade gluing it together: [`Ada::ingest`] traps a
 //!   (`.pdb`, `.xtc`) pair on its way to storage, [`Ada::query`] serves
 //!   `mol addfile /mnt/bar.xtc tag p`.
@@ -52,7 +54,7 @@ pub use ada::{
     Ada, AdaConfig, IngestInput, IngestReport, QueryReport, RetrievedData, StoredAnswer,
 };
 pub use categorizer::{categorize_algo1, Labeler};
-pub use determinator::{Determinator, DispatchPolicy};
+pub use determinator::DispatchPolicy;
 pub use labeler::LabelFile;
 pub use preprocess::{split_trajectory, PreprocessOutput};
 pub use profile::StageProfile;
@@ -432,7 +434,7 @@ mod error_tests {
             AdaError::Plfs(PlfsError::UnknownBackend("b".into())),
             AdaError::Xtc(XtcError::TruncatedPayload),
             AdaError::Xtcf {
-                dropping: "ssd/bar/hostdir.0/dropping.data.p.0".into(),
+                dropping: "ssd/bar/hostdir.0/dropping.data.p".into(),
                 source: FormatError::Corrupt("bad magic".into()),
             },
             AdaError::FrameCountMismatch {

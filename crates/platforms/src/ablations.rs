@@ -16,10 +16,12 @@
 use crate::config::Platform;
 use crate::runner::run_scenario;
 use crate::scenario::Scenario;
+use ada_core::determinator::indexer_cost;
 use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, SyntheticDataset};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{SimFileSystem, StripedFs};
+use ada_storagesim::SimDuration;
 use std::sync::Arc;
 
 /// One row of the dispatch-policy ablation.
@@ -171,42 +173,31 @@ pub struct IndexerRow {
     pub penalty_pct: f64,
 }
 
-/// Indexer overhead as the container's dropping count grows (one dropping
-/// per tag per chunk; the paper stores whole subsets, we sweep chunking).
+/// Indexer overhead as the container's dropping count grows (the paper
+/// stores one dropping per tag; the sweep stores the dataset as `2n`
+/// tags of one dropping each): the indexer's charge over `2n` records
+/// against reading every dropping.
 pub fn indexer_cost_ablation(dropping_counts: &[usize]) -> Vec<IndexerRow> {
     use ada_simfs::Content;
     dropping_counts
         .iter()
         .map(|&n| {
             let ssd: Arc<dyn SimFileSystem> = Arc::new(ada_simfs::LocalFs::ext4_on_nvme());
-            let cs = Arc::new(ContainerSet::new(vec![("ssd".into(), ssd.clone())]));
-            let cfg = AdaConfig {
-                policy: DispatchPolicy::all_to("ssd"),
-                ..AdaConfig::paper_prototype("ssd", "ssd")
-            };
-            let ada = Ada::new(cfg, cs, ssd);
-            // Hand-build a container with n droppings per tag.
+            let cs = ContainerSet::new(vec![("ssd".into(), ssd)]);
             #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            ada.containers().create_logical("bar").unwrap();
-            let spec = SyntheticDataset::gpcr_paper(5006);
-            let per = spec.raw_bytes() / (2 * n as u64);
-            for tag in ["p", "m"] {
-                for _ in 0..n {
-                    #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-                    ada.containers()
-                        .append_tagged("bar", tag, "ssd", Content::synthetic(per))
-                        .unwrap();
-                }
+            cs.create_logical("bar").unwrap();
+            let per = SyntheticDataset::gpcr_paper(5006).raw_bytes() / (2 * n as u64);
+            // One backend: its reads queue up, so the read time is their sum.
+            let mut read = SimDuration::ZERO;
+            for t in 0..2 * n {
+                let content = Content::synthetic(per);
+                #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
+                let (record, _) = cs.append("bar", &t.to_string(), "ssd", content).unwrap();
+                #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
+                let (_, d) = cs.read_dropping(&record).unwrap();
+                read += d;
             }
-            // Indexer + read through the determinator layer.
-            let det = ada_core::Determinator::new(
-                ada.containers().clone(),
-                DispatchPolicy::all_to("ssd"),
-            );
-            #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let (_, indexer) = det.index_lookup("bar", None).unwrap();
-            #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let (_, read) = det.retrieve("bar", None).unwrap();
+            let indexer = indexer_cost(2 * n);
             IndexerRow {
                 droppings: 2 * n,
                 indexer_s: indexer.as_secs_f64(),

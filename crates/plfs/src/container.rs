@@ -1,9 +1,13 @@
-//! Container structures, droppings and the index.
+//! Containers and their droppings.
+//!
+//! The backends hold the truth: a logical file exists while backend 0
+//! holds its `.plfs_container` marker, and its droppings are the files
+//! under `{mnt}/{logical}/hostdir.0/`. A [`ContainerSet`] keeps no state
+//! per logical file; what a dataset stored is recorded by its caller
+//! (ADA's label file) from the [`IndexRecord`]s the appends return.
 
-use ada_json::Value;
 use ada_simfs::{Content, FsError, SimFileSystem};
 use ada_storagesim::SimDuration;
-use ada_sync::Mutex;
 use ada_telemetry::{key, Counter, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,17 +21,8 @@ pub enum PlfsError {
     NoSuchLogical(String),
     /// Logical file already exists.
     LogicalExists(String),
-    /// No droppings carry the requested tag.
-    NoSuchTag {
-        /// Logical file queried.
-        logical: String,
-        /// Tag queried.
-        tag: String,
-    },
     /// Underlying file-system failure.
     Fs(FsError),
-    /// Index deserialization failure.
-    CorruptIndex(String),
 }
 
 impl From<FsError> for PlfsError {
@@ -42,58 +37,24 @@ impl std::fmt::Display for PlfsError {
             PlfsError::UnknownBackend(b) => write!(f, "unknown backend '{}'", b),
             PlfsError::NoSuchLogical(l) => write!(f, "no such logical file '{}'", l),
             PlfsError::LogicalExists(l) => write!(f, "logical file '{}' exists", l),
-            PlfsError::NoSuchTag { logical, tag } => {
-                write!(f, "no droppings tagged '{}' in '{}'", tag, logical)
-            }
             PlfsError::Fs(e) => write!(f, "fs error: {}", e),
-            PlfsError::CorruptIndex(m) => write!(f, "corrupt index: {}", m),
         }
     }
 }
 
 impl std::error::Error for PlfsError {}
 
-/// One index entry: where a contiguous logical extent physically lives.
+/// One stored dropping: the tag it carries and where it lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexRecord {
-    /// Logical byte offset within the logical file.
-    pub logical_offset: u64,
-    /// Extent length in bytes.
-    pub len: u64,
     /// Tag carried by this dropping ("p", "m", ...).
     pub tag: String,
     /// Backend mount the dropping lives on.
     pub backend: String,
     /// Dropping path on that backend.
     pub dropping_path: String,
-    /// Decoded frame count of the dropping, when the writer knows it
-    /// (ingest records it for every XTCF dropping, so readers map frames
-    /// to droppings without touching them). `0` means unknown.
-    pub frames: u64,
-}
-
-impl IndexRecord {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("logical_offset", Value::num_u(self.logical_offset)),
-            ("len", Value::num_u(self.len)),
-            ("tag", Value::str(self.tag.clone())),
-            ("backend", Value::str(self.backend.clone())),
-            ("dropping_path", Value::str(self.dropping_path.clone())),
-            ("frames", Value::num_u(self.frames)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<IndexRecord, ada_json::JsonError> {
-        Ok(IndexRecord {
-            logical_offset: v.field("logical_offset")?.as_u64()?,
-            len: v.field("len")?.as_u64()?,
-            tag: v.field("tag")?.as_str()?.to_string(),
-            backend: v.field("backend")?.as_str()?.to_string(),
-            dropping_path: v.field("dropping_path")?.as_str()?.to_string(),
-            frames: v.field("frames")?.as_u64()?,
-        })
-    }
+    /// Dropping length in bytes.
+    pub len: u64,
 }
 
 /// Operations of one kind on one backend and the bytes they moved.
@@ -120,29 +81,45 @@ struct BackendIo {
     write: IoCount,
 }
 
-#[derive(Debug, Default)]
-struct ContainerIndex {
-    records: Vec<IndexRecord>,
-    next_seq: u64,
-    logical_len: u64,
+/// The container marker of `logical` on mount `mnt`.
+fn marker(mnt: &str, logical: &str) -> String {
+    format!("{}/{}/.plfs_container", mnt, logical)
 }
 
-/// A set of backend mounts plus the containers living across them.
+/// Where `logical`'s droppings live on mount `mnt`; a dropping's path is
+/// this followed by its tag.
+fn droppings(mnt: &str, logical: &str) -> String {
+    format!("{}/{}/hostdir.0/dropping.data.", mnt, logical)
+}
+
+/// `logical`'s droppings on mount `mnt`, as `(tag, path)`. A tag holds no
+/// `/`: a longer path belongs to a logical file whose name nests under this
+/// one's dropping directory, not to it.
+fn stored(mnt: &str, fs: &dyn SimFileSystem, logical: &str) -> Vec<(String, String)> {
+    let prefix = droppings(mnt, logical);
+    fs.list(&prefix)
+        .into_iter()
+        .filter_map(|path| {
+            let tag = path.strip_prefix(&prefix)?.to_string();
+            (!tag.contains('/')).then_some((tag, path))
+        })
+        .collect()
+}
+
+/// A set of backend mounts; the containers live on the backends.
 pub struct ContainerSet {
     backends: Vec<(String, Arc<dyn SimFileSystem>)>,
     /// I/O counts, one slot per backend, in `backends` order.
     io: Vec<BackendIo>,
-    containers: Mutex<BTreeMap<String, ContainerIndex>>,
 }
 
 impl std::fmt::Debug for ContainerSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Backend names identify the stack; the container index stays
-        // behind its Mutex (and `dyn SimFileSystem` has no Debug bound).
+        // Backend names identify the stack (`dyn SimFileSystem` has no
+        // Debug bound).
         let names: Vec<&str> = self.backends.iter().map(|(n, _)| n.as_str()).collect();
         f.debug_struct("ContainerSet")
             .field("backends", &names)
-            .field("containers", &self.containers.lock().len())
             .finish()
     }
 }
@@ -155,7 +132,6 @@ impl ContainerSet {
         ContainerSet {
             io: backends.iter().map(|_| BackendIo::default()).collect(),
             backends,
-            containers: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -166,6 +142,13 @@ impl ContainerSet {
             .find(|((n, _), _)| n == name)
             .map(|((_, fs), io)| (fs, io))
             .ok_or_else(|| PlfsError::UnknownBackend(name.to_string()))
+    }
+
+    /// Backend 0 and the path of `logical`'s marker there: the claim on
+    /// the name.
+    fn claim(&self, logical: &str) -> (&Arc<dyn SimFileSystem>, String) {
+        let (mnt, fs) = &self.backends[0];
+        (fs, marker(mnt, logical))
     }
 
     /// Write `plfs.{backend}.{read,write}.{ops,bytes}` for every backend
@@ -181,27 +164,22 @@ impl ContainerSet {
 
     /// Create a logical file: a container skeleton (a `.plfs_container`
     /// marker under `mnt*/<logical>/`) on every backend, as PLFS does.
-    /// The name is claimed under the lock and the markers are created
-    /// with it released; if a backend refuses, the markers already made
-    /// are removed and the name is given back.
+    /// Backend 0's marker claims the name: its create fails atomically on
+    /// an existing path, which is [`PlfsError::LogicalExists`]. If a later
+    /// backend refuses, the markers already made are removed, the claim
+    /// last, and the name is free again.
     pub fn create_logical(&self, logical: &str) -> Result<SimDuration, PlfsError> {
-        {
-            let mut g = self.containers.lock();
-            if g.contains_key(logical) {
-                return Err(PlfsError::LogicalExists(logical.to_string()));
-            }
-            g.insert(logical.to_string(), ContainerIndex::default());
-        }
-        let marker = |mnt: &str| format!("{}/{}/.plfs_container", mnt, logical);
         let mut total = SimDuration::ZERO;
         for (i, (mnt, fs)) in self.backends.iter().enumerate() {
-            match fs.create(&marker(mnt), Content::real(Vec::new())) {
+            match fs.create(&marker(mnt, logical), Content::real(Vec::new())) {
                 Ok(d) => total += d,
+                Err(FsError::AlreadyExists(_)) if i == 0 => {
+                    return Err(PlfsError::LogicalExists(logical.to_string()))
+                }
                 Err(e) => {
-                    for (mnt, fs) in &self.backends[..i] {
-                        let _ = fs.delete(&marker(mnt));
+                    for (mnt, fs) in self.backends[..i].iter().rev() {
+                        let _ = fs.delete(&marker(mnt, logical));
                     }
-                    self.containers.lock().remove(logical);
                     return Err(e.into());
                 }
             }
@@ -209,180 +187,104 @@ impl ContainerSet {
         Ok(total)
     }
 
-    /// Whether a logical file exists.
+    /// Whether a logical file exists: whether its claim is on backend 0.
     pub fn exists(&self, logical: &str) -> bool {
-        self.containers.lock().contains_key(logical)
+        let (fs, claim) = self.claim(logical);
+        fs.exists(&claim)
     }
 
-    /// All logical files, sorted.
+    /// All logical files, sorted: the claims on backend 0.
     pub fn list_logical(&self) -> Vec<String> {
-        self.containers.lock().keys().cloned().collect()
+        let (mnt, fs) = &self.backends[0];
+        let root = format!("{}/", mnt);
+        let mut names: Vec<String> = fs
+            .list(&root)
+            .iter()
+            .filter_map(|p| p.strip_prefix(&root)?.strip_suffix("/.plfs_container"))
+            .map(str::to_string)
+            .collect();
+        names.sort();
+        names
     }
 
-    /// Remove a logical file: every dropping, the persisted index, and the
-    /// container markers on all backends.
+    /// Remove a logical file: its droppings and its markers on every
+    /// backend, the claim last, so the name stays taken until the rest is
+    /// gone. A logical file whose name nests under this one keeps its own.
     pub fn delete_logical(&self, logical: &str) -> Result<(), PlfsError> {
-        let idx = self
-            .containers
-            .lock()
-            .remove(logical)
-            .ok_or_else(|| PlfsError::NoSuchLogical(logical.to_string()))?;
-        for record in &idx.records {
-            if let Ok((fs, _)) = self.backend(&record.backend) {
-                let _ = fs.delete(&record.dropping_path);
-            }
+        let (claim_fs, claim) = self.claim(logical);
+        if !claim_fs.exists(&claim) {
+            return Err(PlfsError::NoSuchLogical(logical.to_string()));
         }
         for (mnt, fs) in &self.backends {
-            let _ = fs.delete(&format!("{}/{}/hostdir.0/index", mnt, logical));
-            let _ = fs.delete(&format!("{}/{}/.plfs_container", mnt, logical));
+            for (_, path) in stored(mnt, fs.as_ref(), logical) {
+                let _ = fs.delete(&path);
+            }
+            let path = marker(mnt, logical);
+            if path != claim {
+                let _ = fs.delete(&path);
+            }
         }
-        Ok(())
+        Ok(claim_fs.delete(&claim)?)
     }
 
-    /// Append a tagged extent to `logical`, physically stored as a new
-    /// dropping on `backend`. The dropping's frame count is recorded as
-    /// unknown; writers that know it use [`ContainerSet::append_tagged_frames`].
-    pub fn append_tagged(
+    /// Store `content` as `logical`'s dropping of `tag` on `backend` —
+    /// `{backend}/{logical}/hostdir.0/dropping.data.{tag}` — and return its
+    /// record. A logical file holds one dropping per tag: a second one is
+    /// refused as the file system's `AlreadyExists`, on any backend. A
+    /// container is written by one caller at a time (ADA's ingest owns the
+    /// name it created).
+    pub fn append(
         &self,
         logical: &str,
         tag: &str,
         backend: &str,
         content: Content,
-    ) -> Result<SimDuration, PlfsError> {
-        self.append_tagged_frames(logical, tag, backend, content, 0)
-    }
-
-    /// [`ContainerSet::append_tagged`] with the dropping's decoded frame
-    /// count recorded in its index record (`0` = unknown).
-    pub fn append_tagged_frames(
-        &self,
-        logical: &str,
-        tag: &str,
-        backend: &str,
-        content: Content,
-        frames: u64,
-    ) -> Result<SimDuration, PlfsError> {
+    ) -> Result<(IndexRecord, SimDuration), PlfsError> {
         let (fs, io) = self.backend(backend)?;
-        let missing = || PlfsError::NoSuchLogical(logical.to_string());
-        // Claim a sequence number under the lock, write the dropping with
-        // it released, record the extent after.
-        let seq = {
-            let mut g = self.containers.lock();
-            let idx = g.get_mut(logical).ok_or_else(missing)?;
-            idx.next_seq += 1;
-            idx.next_seq - 1
-        };
-        let dropping_path = format!(
-            "{}/{}/hostdir.0/dropping.data.{}.{}",
-            backend, logical, tag, seq
-        );
+        if !self.exists(logical) {
+            return Err(PlfsError::NoSuchLogical(logical.to_string()));
+        }
+        for (mnt, other) in &self.backends {
+            let path = droppings(mnt, logical) + tag;
+            if mnt != backend && other.exists(&path) {
+                return Err(FsError::AlreadyExists(path).into());
+            }
+        }
+        let dropping_path = droppings(backend, logical) + tag;
         let len = content.len();
         let d = fs.create(&dropping_path, content)?;
         io.write.note(len);
-        let mut g = self.containers.lock();
-        let Some(idx) = g.get_mut(logical) else {
-            // The logical file was deleted while the dropping was written.
-            drop(g);
-            let _ = fs.delete(&dropping_path);
-            return Err(missing());
-        };
-        idx.records.push(IndexRecord {
-            logical_offset: idx.logical_len,
-            len,
+        let record = IndexRecord {
             tag: tag.to_string(),
             backend: backend.to_string(),
             dropping_path,
-            frames,
-        });
-        idx.logical_len += len;
-        Ok(d)
+            len,
+        };
+        Ok((record, d))
     }
 
-    /// Total logical length of a logical file.
-    pub fn logical_len(&self, logical: &str) -> Result<u64, PlfsError> {
-        self.containers
-            .lock()
-            .get(logical)
-            .map(|i| i.logical_len)
-            .ok_or_else(|| PlfsError::NoSuchLogical(logical.to_string()))
-    }
-
-    /// A copy of the index records of `logical`.
+    /// The records of `logical`'s droppings, in tag order, read off the
+    /// backends (`list` + `stat`).
     pub fn index(&self, logical: &str) -> Result<Vec<IndexRecord>, PlfsError> {
-        self.containers
-            .lock()
-            .get(logical)
-            .map(|i| i.records.clone())
-            .ok_or_else(|| PlfsError::NoSuchLogical(logical.to_string()))
-    }
-
-    /// Distinct tags present in `logical`, in first-seen order.
-    pub fn tags(&self, logical: &str) -> Result<Vec<String>, PlfsError> {
-        let records = self.index(logical)?;
-        let mut tags: Vec<String> = Vec::new();
-        for r in records {
-            if !tags.contains(&r.tag) {
-                tags.push(r.tag);
+        if !self.exists(logical) {
+            return Err(PlfsError::NoSuchLogical(logical.to_string()));
+        }
+        let mut records = Vec::new();
+        for (mnt, fs) in &self.backends {
+            for (tag, path) in stored(mnt, fs.as_ref(), logical) {
+                records.push(IndexRecord {
+                    tag,
+                    backend: mnt.clone(),
+                    len: fs.stat(&path)?.len,
+                    dropping_path: path,
+                });
             }
         }
-        Ok(tags)
+        records.sort_by(|a, b| a.tag.cmp(&b.tag));
+        Ok(records)
     }
 
-    fn read_records(&self, records: &[IndexRecord]) -> Result<(Content, SimDuration), PlfsError> {
-        // Fetch droppings; per-backend costs serialize, across backends they
-        // overlap (the PLFS read plan fans out to every backend at once).
-        let mut per_backend: BTreeMap<&str, SimDuration> = BTreeMap::new();
-        let mut parts: Vec<Content> = Vec::with_capacity(records.len());
-        for r in records {
-            let (content, d) = self.read_dropping(r)?;
-            *per_backend
-                .entry(r.backend.as_str())
-                .or_insert(SimDuration::ZERO) += d;
-            parts.push(content);
-        }
-        let duration = per_backend
-            .values()
-            .copied()
-            .fold(SimDuration::ZERO, SimDuration::max);
-        let mut out = Content::real(Vec::new());
-        for p in parts {
-            out = out.concat(&p);
-        }
-        Ok((out, duration))
-    }
-
-    /// Read the whole logical file (droppings concatenated in logical
-    /// order).
-    pub fn read_all(&self, logical: &str) -> Result<(Content, SimDuration), PlfsError> {
-        let mut records = self.index(logical)?;
-        records.sort_by_key(|r| r.logical_offset);
-        self.read_records(&records)
-    }
-
-    /// Read only the extents tagged `tag` — the operation behind
-    /// `mol addfile bar.xtc tag p`.
-    pub fn read_tagged(
-        &self,
-        logical: &str,
-        tag: &str,
-    ) -> Result<(Content, SimDuration), PlfsError> {
-        let mut records: Vec<IndexRecord> = self
-            .index(logical)?
-            .into_iter()
-            .filter(|r| r.tag == tag)
-            .collect();
-        if records.is_empty() {
-            return Err(PlfsError::NoSuchTag {
-                logical: logical.to_string(),
-                tag: tag.to_string(),
-            });
-        }
-        records.sort_by_key(|r| r.logical_offset);
-        self.read_records(&records)
-    }
-
-    /// Read one dropping by its index record (the retriever's unit
-    /// operation).
+    /// Read one dropping by its record (the retriever's unit operation).
     pub fn read_dropping(&self, record: &IndexRecord) -> Result<(Content, SimDuration), PlfsError> {
         let (fs, io) = self.backend(&record.backend)?;
         let (content, d) = fs.read(&record.dropping_path)?;
@@ -397,56 +299,6 @@ impl ContainerSet {
             *out.entry(r.backend).or_insert(0) += r.len;
         }
         Ok(out)
-    }
-
-    /// Persist the index of `logical` as a JSON dropping on the first
-    /// backend (PLFS writes `index` files next to data droppings; ADA's
-    /// labeler "stores its path on the underlying file system for later
-    /// use").
-    pub fn persist_index(&self, logical: &str) -> Result<SimDuration, PlfsError> {
-        let json = {
-            let g = self.containers.lock();
-            let idx = g
-                .get(logical)
-                .ok_or_else(|| PlfsError::NoSuchLogical(logical.to_string()))?;
-            Value::Arr(idx.records.iter().map(IndexRecord::to_json).collect()).to_vec()
-        };
-        let (mnt, fs) = &self.backends[0];
-        let path = format!("{}/{}/hostdir.0/index", mnt, logical);
-        if fs.exists(&path) {
-            fs.delete(&path)?;
-        }
-        Ok(fs.create(&path, Content::real(json))?)
-    }
-
-    /// Load a persisted index from backend 0, replacing the in-memory one
-    /// (recovery path; also exercises that the index really round-trips
-    /// through the FS).
-    pub fn load_index(&self, logical: &str) -> Result<SimDuration, PlfsError> {
-        let (mnt, fs) = &self.backends[0];
-        let path = format!("{}/{}/hostdir.0/index", mnt, logical);
-        let (content, d) = fs.read(&path)?;
-        let bytes = content
-            .as_real()
-            .ok_or_else(|| PlfsError::CorruptIndex("index is synthetic".into()))?;
-        let records: Vec<IndexRecord> = ada_json::parse(bytes)
-            .and_then(|v| v.as_arr()?.iter().map(IndexRecord::from_json).collect())
-            .map_err(|e| PlfsError::CorruptIndex(e.to_string()))?;
-        let logical_len = records
-            .iter()
-            .map(|r| r.logical_offset + r.len)
-            .max()
-            .unwrap_or(0);
-        let next_seq = records.len() as u64;
-        self.containers.lock().insert(
-            logical.to_string(),
-            ContainerIndex {
-                records,
-                next_seq,
-                logical_len,
-            },
-        );
-        Ok(d)
     }
 }
 
@@ -496,82 +348,130 @@ mod tests {
     fn tagged_append_routes_to_chosen_backend() {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
-        cs.append_tagged("bar", "p", "mnt1", Content::real(vec![1u8; 100]))
+        let (p, _) = cs
+            .append("bar", "p", "mnt1", Content::real(vec![1u8; 100]))
             .unwrap();
-        cs.append_tagged("bar", "m", "mnt2", Content::real(vec![2u8; 300]))
+        let (m, _) = cs
+            .append("bar", "m", "mnt2", Content::real(vec![2u8; 300]))
             .unwrap();
+        assert_eq!(p.dropping_path, "mnt1/bar/hostdir.0/dropping.data.p");
+        assert_eq!((p.backend.as_str(), p.len), ("mnt1", 100));
         let by_backend = cs.bytes_by_backend("bar").unwrap();
         assert_eq!(by_backend["mnt1"], 100);
         assert_eq!(by_backend["mnt2"], 300);
-        assert_eq!(cs.logical_len("bar").unwrap(), 400);
-        assert_eq!(cs.tags("bar").unwrap(), vec!["p", "m"]);
+        // The index is the appends' records, in tag order.
+        assert_eq!(cs.index("bar").unwrap(), vec![m, p.clone()]);
+        let (content, _) = cs.read_dropping(&p).unwrap();
+        assert_eq!(content.as_real().unwrap().as_ref(), &[1u8; 100][..]);
     }
 
     #[test]
-    fn read_all_reassembles_in_logical_order() {
+    fn a_second_dropping_of_a_tag_is_refused_on_any_backend() {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
-        cs.append_tagged("bar", "p", "mnt1", Content::real(vec![1u8, 1]))
+        cs.append("bar", "p", "mnt1", Content::real(vec![1u8; 4]))
             .unwrap();
-        cs.append_tagged("bar", "m", "mnt2", Content::real(vec![2u8, 2, 2]))
-            .unwrap();
-        cs.append_tagged("bar", "p", "mnt1", Content::real(vec![3u8]))
-            .unwrap();
-        let (c, _) = cs.read_all("bar").unwrap();
-        assert_eq!(c.as_real().unwrap().as_ref(), &[1, 1, 2, 2, 2, 3]);
+        for backend in ["mnt1", "mnt2"] {
+            let err = cs
+                .append("bar", "p", backend, Content::real(vec![2u8; 8]))
+                .unwrap_err();
+            assert!(
+                matches!(&err, PlfsError::Fs(FsError::AlreadyExists(p)) if p == "mnt1/bar/hostdir.0/dropping.data.p"),
+                "{err}"
+            );
+        }
+        let index = cs.index("bar").unwrap();
+        assert_eq!(index.len(), 1);
+        assert_eq!(index[0].len, 4);
     }
 
     #[test]
-    fn read_tagged_filters() {
+    fn a_fresh_set_reads_the_containers_off_the_backends() {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
-        cs.append_tagged("bar", "p", "mnt1", Content::real(vec![1u8, 1]))
+        cs.create_logical("a-b").unwrap();
+        cs.append("bar", "p", "mnt1", Content::real(vec![1u8; 10]))
             .unwrap();
-        cs.append_tagged("bar", "m", "mnt2", Content::real(vec![2u8, 2, 2]))
+        cs.append("bar", "m", "mnt2", Content::real(vec![2u8; 20]))
             .unwrap();
-        cs.append_tagged("bar", "p", "mnt1", Content::real(vec![3u8]))
-            .unwrap();
-        let (p, _) = cs.read_tagged("bar", "p").unwrap();
-        assert_eq!(p.as_real().unwrap().as_ref(), &[1, 1, 3]);
-        let (m, _) = cs.read_tagged("bar", "m").unwrap();
-        assert_eq!(m.as_real().unwrap().as_ref(), &[2, 2, 2]);
+        let fresh = ContainerSet::new(cs.backends.clone());
+        assert_eq!(fresh.list_logical(), vec!["a-b", "bar"]);
+        assert_eq!(fresh.index("bar").unwrap(), cs.index("bar").unwrap());
+        assert_eq!(fresh.index("a-b").unwrap(), vec![]);
         assert!(matches!(
-            cs.read_tagged("bar", "z"),
-            Err(PlfsError::NoSuchTag { .. })
+            fresh.index("nope"),
+            Err(PlfsError::NoSuchLogical(_))
         ));
     }
 
+    /// A delete removes what the container set wrote there — the markers
+    /// and droppings — and nothing else: a file it did not write stays.
     #[test]
-    fn tagged_read_skips_slow_backend() {
-        // The point of the split layout: reading "p" must not touch the HDD.
+    fn delete_removes_the_markers_and_droppings() {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
-        let mb = 1_000_000u64;
-        cs.append_tagged("bar", "p", "mnt1", Content::synthetic(400 * mb))
+        cs.create_logical("barn").unwrap();
+        cs.append("bar", "p", "mnt1", Content::real(vec![1u8; 10]))
             .unwrap();
-        cs.append_tagged("bar", "m", "mnt2", Content::synthetic(600 * mb))
+        cs.append("bar", "m", "mnt2", Content::real(vec![2u8; 20]))
             .unwrap();
-        let (_, tp) = cs.read_tagged("bar", "p").unwrap();
-        let (_, tall) = cs.read_all("bar").unwrap();
-        // 400 MB from NVMe ≈ 0.13 s; the full read is bounded by 600 MB
-        // from the HDD ≈ 4.8 s.
-        assert!(tp.as_secs_f64() < 0.2, "protein read {}", tp.as_secs_f64());
-        assert!(tall.as_secs_f64() > 4.0, "full read {}", tall.as_secs_f64());
+        let hdd = &cs.backends[1].1;
+        hdd.create("mnt2/bar/stray", Content::real(vec![3u8; 5]))
+            .unwrap();
+        cs.delete_logical("bar").unwrap();
+        assert!(!cs.exists("bar"));
+        assert_eq!(cs.list_logical(), vec!["barn"]);
+        for (mnt, fs) in &cs.backends {
+            let left: Vec<String> = fs.list(&format!("{}/bar/", mnt));
+            let stray = if mnt == "mnt2" {
+                vec!["mnt2/bar/stray"]
+            } else {
+                vec![]
+            };
+            assert_eq!(left, stray);
+            assert!(fs.exists(&format!("{}/barn/.plfs_container", mnt)));
+        }
+        assert!(matches!(
+            cs.delete_logical("bar"),
+            Err(PlfsError::NoSuchLogical(_))
+        ));
+        // The name is free again, and so is its tag.
+        cs.create_logical("bar").unwrap();
+        cs.append("bar", "m", "mnt1", Content::real(vec![4u8; 2]))
+            .unwrap();
     }
 
+    /// A logical file whose name nests under another's (`bar/x` under
+    /// `bar`) is its own: neither's index lists the other's droppings, and
+    /// deleting either leaves the other whole and readable.
     #[test]
-    fn parallel_backends_cost_max_not_sum() {
-        let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
-        let gb = 1_000_000_000u64;
-        // 3 GB on NVMe (~1 s) and 0.126 GB on HDD (~1 s).
-        cs.append_tagged("bar", "p", "mnt1", Content::synthetic(3 * gb))
-            .unwrap();
-        cs.append_tagged("bar", "m", "mnt2", Content::synthetic(126_000_000))
-            .unwrap();
-        let (_, d) = cs.read_all("bar").unwrap();
-        let secs = d.as_secs_f64();
-        assert!(secs > 0.9 && secs < 1.3, "expected ~max(1,1)={}", secs);
+    fn nested_names_keep_their_own_droppings() {
+        for (gone, kept) in [("bar", "bar/x"), ("bar/x", "bar")] {
+            let cs = two_backend_set();
+            for (name, byte) in [("bar", 1u8), ("bar/x", 2u8)] {
+                cs.create_logical(name).unwrap();
+                cs.append(name, "p", "mnt1", Content::real(vec![byte; 10]))
+                    .unwrap();
+                cs.append(name, "m", "mnt2", Content::real(vec![byte; 20]))
+                    .unwrap();
+            }
+            assert_eq!(cs.index("bar").unwrap().len(), 2);
+            assert_eq!(cs.index("bar/x").unwrap().len(), 2);
+            let before = cs.index(kept).unwrap();
+
+            cs.delete_logical(gone).unwrap();
+            assert_eq!(cs.list_logical(), vec![kept]);
+            assert_eq!(cs.index(kept).unwrap(), before);
+            let byte = if kept == "bar" { 1u8 } else { 2u8 };
+            for r in &before {
+                let (c, _) = cs.read_dropping(r).unwrap();
+                assert!(c.as_real().unwrap().iter().all(|&b| b == byte), "{kept}");
+            }
+            for (mnt, fs) in &cs.backends {
+                assert!(fs.exists(&marker(mnt, kept)));
+                assert!(!fs.exists(&marker(mnt, gone)));
+            }
+        }
     }
 
     #[test]
@@ -579,7 +479,7 @@ mod tests {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
         assert!(matches!(
-            cs.append_tagged("bar", "p", "mnt9", Content::synthetic(1)),
+            cs.append("bar", "p", "mnt9", Content::synthetic(1)),
             Err(PlfsError::UnknownBackend(_))
         ));
     }
@@ -588,87 +488,22 @@ mod tests {
     fn append_to_missing_logical_rejected() {
         let cs = two_backend_set();
         assert!(matches!(
-            cs.append_tagged("nope", "p", "mnt1", Content::synthetic(1)),
+            cs.append("nope", "p", "mnt1", Content::synthetic(1)),
             Err(PlfsError::NoSuchLogical(_))
         ));
-    }
-
-    #[test]
-    fn index_persists_and_reloads() {
-        let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
-        cs.append_tagged("bar", "p", "mnt1", Content::real(vec![1u8; 10]))
-            .unwrap();
-        cs.append_tagged("bar", "m", "mnt2", Content::real(vec![2u8; 20]))
-            .unwrap();
-        cs.persist_index("bar").unwrap();
-        let before = cs.index("bar").unwrap();
-        // Wipe the in-memory index, reload from storage.
-        cs.containers.lock().remove("bar");
-        assert!(!cs.exists("bar"));
-        cs.load_index("bar").unwrap();
-        assert_eq!(cs.index("bar").unwrap(), before);
-        assert_eq!(cs.logical_len("bar").unwrap(), 30);
-        // Data still readable through the reloaded index.
-        let (p, _) = cs.read_tagged("bar", "p").unwrap();
-        assert_eq!(p.as_real().unwrap().as_ref(), &[1u8; 10][..]);
-    }
-
-    #[test]
-    fn frame_counts_survive_the_index_round_trip() {
-        let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
-        cs.append_tagged_frames("bar", "p", "mnt1", Content::real(vec![1u8; 10]), 7)
-            .unwrap();
-        cs.append_tagged("bar", "m", "mnt2", Content::real(vec![2u8; 20]))
-            .unwrap();
-        cs.persist_index("bar").unwrap();
-        cs.containers.lock().remove("bar");
-        cs.load_index("bar").unwrap();
-        let records = cs.index("bar").unwrap();
-        assert_eq!(records[0].frames, 7);
-        assert_eq!(records[1].frames, 0); // writer did not know the count
-    }
-
-    #[test]
-    fn index_without_frames_field_is_refused() {
-        let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
-        cs.append_tagged("bar", "p", "mnt1", Content::real(vec![1u8; 10]))
-            .unwrap();
-        // Persist an index whose record lacks the `frames` field.
-        let json = Value::Arr(vec![Value::obj(vec![
-            ("logical_offset", Value::num_u(0)),
-            ("len", Value::num_u(10)),
-            ("tag", Value::str("p".to_string())),
-            ("backend", Value::str("mnt1".to_string())),
-            (
-                "dropping_path",
-                Value::str("mnt1/bar/hostdir.0/dropping.data.p.0".to_string()),
-            ),
-        ])])
-        .to_vec();
-        let fs = &cs.backends[0].1;
-        fs.create("mnt1/bar/hostdir.0/index", Content::real(json))
-            .unwrap();
-        cs.containers.lock().remove("bar");
-        let err = cs.load_index("bar").unwrap_err();
-        assert!(
-            matches!(&err, PlfsError::CorruptIndex(m) if m.contains("frames")),
-            "{err}"
-        );
-        assert!(!cs.exists("bar"), "a refused index loads nothing");
     }
 
     #[test]
     fn synthetic_droppings_flow_through() {
         let cs = two_backend_set();
         cs.create_logical("big").unwrap();
-        cs.append_tagged("big", "p", "mnt1", Content::synthetic(1 << 35))
+        let (record, _) = cs
+            .append("big", "p", "mnt1", Content::synthetic(1 << 35))
             .unwrap();
-        let (c, _) = cs.read_tagged("big", "p").unwrap();
+        let (c, _) = cs.read_dropping(&record).unwrap();
         assert_eq!(c.len(), 1 << 35);
         assert!(!c.is_real());
+        assert_eq!(cs.bytes_by_backend("big").unwrap()["mnt1"], 1 << 35);
     }
 
     // ADA's parallel query path shares one ContainerSet across reader
@@ -682,10 +517,10 @@ mod tests {
     fn concurrent_dropping_reads_see_consistent_bytes() {
         let cs = Arc::new(two_backend_set());
         cs.create_logical("bar").unwrap();
-        // One distinct dropping per (tag, seq): payload bytes identify it.
+        // One distinct dropping per tag: payload bytes identify it.
         for i in 0..8u8 {
             let backend = if i % 2 == 0 { "mnt1" } else { "mnt2" };
-            cs.append_tagged("bar", "p", backend, Content::real(vec![i; 64]))
+            cs.append("bar", &i.to_string(), backend, Content::real(vec![i; 64]))
                 .unwrap();
         }
         let records = cs.index("bar").unwrap();
@@ -696,9 +531,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for r in &records {
                     let (content, _) = cs.read_dropping(r).unwrap();
-                    let expect = (r.dropping_path.rsplit('.').next().unwrap())
-                        .parse::<u8>()
-                        .unwrap();
+                    let expect = r.tag.parse::<u8>().unwrap();
                     assert_eq!(content.as_real().unwrap().as_ref(), &[expect; 64][..]);
                 }
             }));

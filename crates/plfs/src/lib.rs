@@ -11,15 +11,17 @@
 //! This crate reproduces the abstraction ADA actually uses:
 //!
 //! * a **logical file** (e.g. `bar`) maps to a *container* on each backend
-//!   mount: a `mnt*/bar/` directory tree holding **data droppings**
-//!   (`hostdir.0/dropping.data.<seq>`) and an **index**;
-//! * every write is appended as a new dropping on a *caller-chosen backend*
-//!   and recorded in the index with its logical offset, length, tag and
-//!   physical location (Fig. 6's `bar/mnt1`, `bar/mnt2` picture);
-//! * reads reassemble a logical file — or just the droppings carrying one
-//!   tag — by walking the index; droppings living on different backends
-//!   are fetched from each backend in parallel (durations compose by
-//!   `max` per backend, `+` within a backend's queue).
+//!   mount: a `mnt*/bar/` directory holding a `.plfs_container` marker and
+//!   the **data droppings** (`hostdir.0/dropping.data.<tag>`), one per tag;
+//! * every write is stored as a tag's dropping on a *caller-chosen backend*
+//!   and described by the [`IndexRecord`] the append returns — tag,
+//!   backend, path, length (Fig. 6's `bar/mnt1`, `bar/mnt2` picture). The
+//!   caller keeps the records (ADA's label file); the backends are the
+//!   only other copy, and [`ContainerSet::index`] reads them back;
+//! * a read fetches one dropping by its record; droppings living on
+//!   different backends are fetched from each backend in parallel
+//!   (durations compose by `max` per backend, `+` within a backend's
+//!   queue).
 //!
 //! The underlying [`SimFileSystem`]s stay completely unaware that the
 //! dropping files they store are pieces of a larger logical file — PLFS's

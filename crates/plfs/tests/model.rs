@@ -1,23 +1,25 @@
 //! Model-based property testing of the PLFS container layer: a random
-//! sequence of tagged appends across random backends must reassemble — per
-//! tag and in total — exactly like a naive in-memory model, regardless of
-//! backend routing, dropping sizes, or index persistence round-trips.
+//! sequence of tagged appends across random backends must store exactly
+//! what a naive in-memory model says — one dropping per tag, the first
+//! append of each; every later append of a tag refused — and the backends
+//! alone must say so: a fresh `ContainerSet` over them lists the same
+//! records, and a delete leaves nothing of the container behind.
 
-use ada_plfs::ContainerSet;
-use ada_simfs::{Content, LocalFs, SimFileSystem};
+use ada_plfs::{ContainerSet, PlfsError};
+use ada_simfs::{Content, FsError, LocalFs, SimFileSystem};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn make_set(nbackends: usize) -> (ContainerSet, Vec<String>) {
-    let backends: Vec<(String, Arc<dyn SimFileSystem>)> = (0..nbackends)
+type Backends = Vec<(String, Arc<dyn SimFileSystem>)>;
+
+fn make_backends(nbackends: usize) -> Backends {
+    (0..nbackends)
         .map(|i| {
             let fs: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
             (format!("mnt{}", i), fs)
         })
-        .collect();
-    let names = backends.iter().map(|(n, _)| n.clone()).collect();
-    (ContainerSet::new(backends), names)
+        .collect()
 }
 
 #[derive(Debug, Clone)]
@@ -47,87 +49,93 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
+/// Run `ops` against `cs`'s logical file `bar` and the model: tag →
+/// (backend, payload) of its one dropping.
+fn apply(
+    cs: &ContainerSet,
+    names: &[String],
+    ops: &[Op],
+) -> Result<BTreeMap<String, (String, Vec<u8>)>, TestCaseError> {
+    let mut model: BTreeMap<String, (String, Vec<u8>)> = BTreeMap::new();
+    for op in ops {
+        let tag = format!("t{}", op.tag);
+        let backend = &names[op.backend];
+        let res = cs.append("bar", &tag, backend, Content::real(op.payload.clone()));
+        match model.get(&tag) {
+            // A second append of a tag is refused, whichever backend it
+            // names.
+            Some(_) => prop_assert!(
+                matches!(res, Err(PlfsError::Fs(FsError::AlreadyExists(_)))),
+                "second append of {} gave {:?}",
+                tag,
+                res
+            ),
+            None => {
+                let (record, _) = res.unwrap();
+                prop_assert_eq!(&record.tag, &tag);
+                prop_assert_eq!(&record.backend, backend);
+                prop_assert_eq!(record.len, op.payload.len() as u64);
+                model.insert(tag, (backend.clone(), op.payload.clone()));
+            }
+        }
+    }
+    Ok(model)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn appends_reassemble_like_the_model(ops in arb_ops(), persist in any::<bool>()) {
-        let (cs, backends) = make_set(3);
+    fn the_index_lists_one_record_per_appended_tag(ops in arb_ops()) {
+        let backends = make_backends(3);
+        let names: Vec<String> = backends.iter().map(|(n, _)| n.clone()).collect();
+        let cs = ContainerSet::new(backends);
         cs.create_logical("bar").unwrap();
+        let model = apply(&cs, &names, &ops)?;
 
-        let mut model_total: Vec<u8> = Vec::new();
-        let mut model_by_tag: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        for op in &ops {
-            let tag = format!("t{}", op.tag);
-            let backend = &backends[op.backend];
-            cs.append_tagged("bar", &tag, backend, Content::real(op.payload.clone()))
-                .unwrap();
-            model_total.extend_from_slice(&op.payload);
-            model_by_tag.entry(tag).or_default().extend_from_slice(&op.payload);
-        }
-
-        if persist {
-            cs.persist_index("bar").unwrap();
-            cs.load_index("bar").unwrap();
-        }
-
-        // Whole-file read matches the model.
-        let (all, _) = cs.read_all("bar").unwrap();
-        prop_assert_eq!(all.as_real().unwrap().as_ref(), &model_total[..]);
-        prop_assert_eq!(cs.logical_len("bar").unwrap(), model_total.len() as u64);
-
-        // Every tag's filtered read matches.
-        for (tag, expect) in &model_by_tag {
-            let (got, _) = cs.read_tagged("bar", tag).unwrap();
-            prop_assert_eq!(got.as_real().unwrap().as_ref(), &expect[..]);
+        // Exactly one record per appended tag, in tag order, each reading
+        // back its first payload.
+        let index = cs.index("bar").unwrap();
+        let tags: Vec<&String> = index.iter().map(|r| &r.tag).collect();
+        prop_assert_eq!(tags, model.keys().collect::<Vec<_>>());
+        for r in &index {
+            let (backend, payload) = &model[&r.tag];
+            prop_assert_eq!(&r.backend, backend);
+            prop_assert_eq!(r.len, payload.len() as u64);
+            let (got, _) = cs.read_dropping(r).unwrap();
+            prop_assert_eq!(got.as_real().unwrap().as_ref(), &payload[..]);
         }
 
         // Placement accounting matches.
-        let by_backend = cs.bytes_by_backend("bar").unwrap();
         let mut model_backend: BTreeMap<String, u64> = BTreeMap::new();
-        for op in &ops {
-            *model_backend.entry(backends[op.backend].clone()).or_insert(0) +=
-                op.payload.len() as u64;
+        for (backend, payload) in model.values() {
+            *model_backend.entry(backend.clone()).or_insert(0) += payload.len() as u64;
         }
-        for (b, bytes) in &by_backend {
-            prop_assert_eq!(*bytes, model_backend.get(b).copied().unwrap_or(0));
-        }
-
-        // Index invariant: records tile [0, logical_len) without overlap.
-        let mut records = cs.index("bar").unwrap();
-        records.sort_by_key(|r| r.logical_offset);
-        let mut cursor = 0u64;
-        for r in &records {
-            prop_assert_eq!(r.logical_offset, cursor);
-            cursor += r.len;
-        }
-        prop_assert_eq!(cursor, model_total.len() as u64);
+        prop_assert_eq!(cs.bytes_by_backend("bar").unwrap(), model_backend);
     }
 
     #[test]
-    fn tag_reads_are_order_stable(ops in arb_ops()) {
-        // Reading tags repeatedly (any order) never changes results.
-        let (cs, backends) = make_set(3);
+    fn a_fresh_set_and_a_delete_see_only_the_backends(ops in arb_ops()) {
+        let backends = make_backends(3);
+        let names: Vec<String> = backends.iter().map(|(n, _)| n.clone()).collect();
+        let cs = ContainerSet::new(backends.clone());
         cs.create_logical("bar").unwrap();
-        for op in &ops {
-            cs.append_tagged(
-                "bar",
-                &format!("t{}", op.tag),
-                &backends[op.backend],
-                Content::real(op.payload.clone()),
-            )
-            .unwrap();
-        }
-        let tags = cs.tags("bar").unwrap();
-        let first: Vec<Vec<u8>> = tags
-            .iter()
-            .map(|t| cs.read_tagged("bar", t).unwrap().0.as_real().unwrap().to_vec())
-            .collect();
-        for _ in 0..3 {
-            for (t, expect) in tags.iter().zip(&first) {
-                let (got, _) = cs.read_tagged("bar", t).unwrap();
-                prop_assert_eq!(got.as_real().unwrap().as_ref(), &expect[..]);
-            }
+        cs.create_logical("other").unwrap();
+        apply(&cs, &names, &ops)?;
+
+        // A restart: a fresh set over the same backends.
+        let fresh = ContainerSet::new(backends.clone());
+        prop_assert_eq!(fresh.list_logical(), cs.list_logical());
+        prop_assert_eq!(fresh.index("bar").unwrap(), cs.index("bar").unwrap());
+        prop_assert_eq!(fresh.bytes_by_backend("bar").unwrap(), cs.bytes_by_backend("bar").unwrap());
+
+        // A delete through the fresh set leaves nothing of `bar` on any
+        // backend, and `other` whole.
+        fresh.delete_logical("bar").unwrap();
+        prop_assert_eq!(cs.list_logical(), vec!["other".to_string()]);
+        for (mnt, fs) in &backends {
+            prop_assert!(fs.list(&format!("{}/bar/", mnt)).is_empty());
+            prop_assert!(fs.exists(&format!("{}/other/.plfs_container", mnt)));
         }
     }
 }

@@ -93,18 +93,11 @@ fn encode_plfs(w: &mut WireWriter, e: &PlfsError) {
             w.put_u8(2);
             w.put_str(l);
         }
-        PlfsError::NoSuchTag { logical, tag } => {
-            w.put_u8(3);
-            w.put_str(logical);
-            w.put_str(tag);
-        }
+        // Discriminants 3 (`NoSuchTag`) and 5 (`CorruptIndex`) are
+        // retired: they decode as unknown.
         PlfsError::Fs(fs) => {
             w.put_u8(4);
             encode_fs(w, fs);
-        }
-        PlfsError::CorruptIndex(m) => {
-            w.put_u8(5);
-            w.put_str(m);
         }
     }
 }
@@ -114,12 +107,8 @@ fn decode_plfs(r: &mut WireReader) -> Result<PlfsError, ProtoError> {
         0 => PlfsError::UnknownBackend(r.get_str()?),
         1 => PlfsError::NoSuchLogical(r.get_str()?),
         2 => PlfsError::LogicalExists(r.get_str()?),
-        3 => PlfsError::NoSuchTag {
-            logical: r.get_str()?,
-            tag: r.get_str()?,
-        },
         4 => PlfsError::Fs(decode_fs(r)?),
-        5 => PlfsError::CorruptIndex(r.get_str()?),
+        // 3 and 5 are retired, so unknown.
         other => {
             return Err(ProtoError::Malformed(format!(
                 "unknown PlfsError discriminant {}",
@@ -369,12 +358,7 @@ mod tests {
             AdaError::Plfs(PlfsError::UnknownBackend("tape".into())),
             AdaError::Plfs(PlfsError::NoSuchLogical("ds".into())),
             AdaError::Plfs(PlfsError::LogicalExists("ds".into())),
-            AdaError::Plfs(PlfsError::NoSuchTag {
-                logical: "ds".into(),
-                tag: "p".into(),
-            }),
             AdaError::Plfs(PlfsError::Fs(FsError::NotFound("x".into()))),
-            AdaError::Plfs(PlfsError::CorruptIndex("bad json".into())),
             AdaError::Xtc(XtcError::Format(FormatError::UnexpectedEof)),
             AdaError::Xtc(XtcError::Format(FormatError::Corrupt("m".into()))),
             AdaError::Xtc(XtcError::Format(FormatError::OutOfRange("v".into()))),
@@ -430,6 +414,29 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), 14, "error kinds covered: {:?}", kinds);
+    }
+
+    /// `PlfsError`'s discriminants 3 (no such tag) and 5 (corrupt index)
+    /// name errors nothing raises any more: both decode as unknown.
+    #[test]
+    fn retired_plfs_discriminants_decode_as_malformed() {
+        for retired in [3u8, 5] {
+            let mut w = WireWriter::new();
+            w.put_u8(1); // AdaError::Plfs
+            w.put_u8(retired);
+            w.put_str("ds");
+            w.put_str("p");
+            let bytes = w.finish();
+            match decode_error(&mut WireReader::new(&bytes)) {
+                Err(ProtoError::Malformed(m)) => {
+                    assert!(
+                        m.contains(&format!("PlfsError discriminant {}", retired)),
+                        "{m}"
+                    )
+                }
+                other => panic!("discriminant {} gave {:?}", retired, other),
+            }
+        }
     }
 
     #[test]

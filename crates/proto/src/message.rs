@@ -296,7 +296,7 @@ pub struct WireIngestReport {
     pub split_ns: u128,
     /// Backend write time (simulated ns).
     pub write_ns: u128,
-    /// Label/index persistence time (simulated ns).
+    /// Label-file write time (simulated ns).
     pub label_write_ns: u128,
     /// Decompressed raw volume.
     pub raw_bytes: u64,

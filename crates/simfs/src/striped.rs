@@ -180,6 +180,11 @@ impl SimFileSystem for StripedFs {
         }
         let d = self.io_time(content.len(), true);
         let mut g = self.inner.lock();
+        // Checked again under the lock that inserts: a create that raced
+        // another to the same path fails, as on a local file system.
+        if g.files.contains_key(path) {
+            return Err(FsError::AlreadyExists(path.to_string()));
+        }
         g.used += content.len();
         g.files.insert(path.to_string(), content);
         Ok(d)

@@ -1,5 +1,5 @@
 //! Failure injection across the stack: corrupted droppings, clobbered
-//! indexes and label files, capacity exhaustion mid-ingest, and queries
+//! label files, capacity exhaustion mid-ingest, and queries
 //! racing deletions. The middleware must fail with typed errors — never
 //! panic, never return silently wrong data.
 
@@ -98,18 +98,35 @@ fn deleted_dropping_yields_fs_error() {
     assert!(matches!(err, AdaError::Plfs(_)), "got {:?}", err);
 }
 
+/// The label file is a dataset's one metadata record, so `LabelFile::load`
+/// refuses one it cannot answer from: garbage bytes, and a label that
+/// records no stored dropping for one of its tags.
 #[test]
-fn corrupt_persisted_index_detected_on_reload() {
+fn corrupt_label_file_detected_on_reload() {
     let r = rig();
     ingest_demo(&r.ada, "bar");
-    let index_path = "ssd/bar/hostdir.0/index";
-    assert!(r.ssd.exists(index_path));
-    r.ssd.delete(index_path).unwrap();
+    let path = LabelFile::path_for("bar");
+    let (label, _) = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
+    assert_eq!(label, r.ada.label("bar").unwrap());
+
+    r.ssd.delete(&path).unwrap();
     r.ssd
-        .create(index_path, Content::real(b"{not json".to_vec()))
+        .create(&path, Content::real(b"{not json".to_vec()))
         .unwrap();
-    let err = r.ada.containers().load_index("bar").unwrap_err();
-    assert!(matches!(err, ada_plfs::PlfsError::CorruptIndex(_)));
+    let err = LabelFile::load(r.ssd.as_ref(), "bar").unwrap_err();
+    assert!(
+        matches!(&err, AdaError::Pdb(m) if m.starts_with("label parse")),
+        "{err}"
+    );
+
+    let mut short = label.clone();
+    short.droppings.retain(|d| d.tag != "p");
+    short.store(r.ssd.as_ref()).unwrap();
+    let err = LabelFile::load(r.ssd.as_ref(), "bar").unwrap_err();
+    assert!(
+        matches!(&err, AdaError::Pdb(m) if m.contains("not one per tag")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -199,8 +216,8 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
     }
 }
 
-/// A hybrid rig whose SSD — protein droppings, label files and the
-/// persisted index all live there — holds only 50 kB.
+/// A hybrid rig whose SSD — protein droppings and label files live
+/// there — holds only 50 kB.
 fn tiny_ssd_rig(chunk_frames: usize) -> Rig {
     let tiny_profile = DeviceProfile {
         capacity: 50_000,
@@ -250,7 +267,7 @@ fn assert_no_space_is_all_or_nothing(chunk_frames: usize) {
         other => panic!("expected NoSpace, got {:?}", other.map(|r| r.dataset)),
     }
     // The name is gone from ADA, from the container layer and from both
-    // backends — no orphan dropping, marker, index or label file.
+    // backends — no orphan dropping, marker or label file.
     assert!(!r.ada.list_datasets().contains(&"big".to_string()));
     assert!(!r
         .ada

@@ -160,9 +160,13 @@ fn dropping_size_changes_only_the_framing() {
 
     let index = ada.containers().index("d").unwrap();
     assert_eq!(index.len(), labeler.len(), "one dropping per tag");
+    assert_eq!(
+        ada.label("d").unwrap().droppings,
+        index,
+        "the label records them"
+    );
     for record in &index {
         let tag = Tag::new(record.tag.clone());
-        assert_eq!(record.frames, 600);
         let sealed = seal_v2(split[&tag].clone(), labeler[&tag].count(), 64).unwrap();
         let (stored, _) = ada.containers().read_dropping(record).unwrap();
         assert!(
@@ -176,8 +180,8 @@ fn dropping_size_changes_only_the_framing() {
 
 /// Whatever the pool size, the chunk size and the policy, every stored
 /// dropping is what sealing the serial split of the trajectory makes —
-/// `seal_v2(split_trajectory(whole)[tag])` — and the droppings are
-/// appended in backend-then-tag order.
+/// `seal_v2(split_trajectory(whole)[tag])` — one per tag, on the backend
+/// the policy names, and recorded in the label as the backends list them.
 #[test]
 fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
     let w = ada_workload::gpcr_workload(700, 7, 13);
@@ -189,7 +193,7 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
         &AdaConfig::paper_prototype("ssd", "hdd").taxonomy,
     );
     let (p, m) = (Tag::protein(), Tag::misc());
-    // "hdd" sorts before "ssd": the hybrid policy appends misc first.
+    // Per policy, each tag's backend, in tag order.
     let policies = [
         (DispatchPolicy::all_to("ssd"), [(&m, "ssd"), (&p, "ssd")]),
         (
@@ -198,7 +202,7 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
         ),
         (
             DispatchPolicy::hybrid_gpcr("hdd", "ssd"),
-            [(&p, "hdd"), (&m, "ssd")],
+            [(&m, "ssd"), (&p, "hdd")],
         ),
     ];
     for (policy, order) in &policies {
@@ -229,9 +233,9 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
                 ada.ingest("d", input).unwrap();
                 let index = ada.containers().index("d").unwrap();
                 assert_eq!(index.len(), expected.len(), "{}", what);
+                assert_eq!(ada.label("d").unwrap().droppings, index, "{}", what);
                 for (record, (tag, backend, sealed)) in index.iter().zip(&expected) {
                     assert_eq!((&record.tag, &record.backend), (tag, backend), "{}", what);
-                    assert_eq!(record.frames, decoded.len() as u64, "{}", what);
                     let (stored, _) = ada.containers().read_dropping(record).unwrap();
                     let stored = stored.as_real().expect("real bytes");
                     assert!(stored[..] == sealed[..], "{}: dropping {:?}", what, record);

@@ -340,14 +340,13 @@ fn frame_count_mismatch_is_a_structured_error() {
 }
 
 /// Two faults in one request. Twelve frames sealed two to a chunk: one
-/// dropping per tag — `m`'s on the HDD first in logical order, then
+/// dropping per tag — `m`'s on the HDD first in label order, then
 /// `p`'s — of six chunks each, so a fault has a chunk position to be
-/// ordered by. The dropping paths, in logical order.
+/// ordered by. The dropping paths, in label order.
 fn two_fault_rig(query_threads: usize) -> (Rig, Vec<String>) {
     let r = rig_chunked(query_threads, 2);
     ingest_real(&r.ada, "d", 900, 12, 71);
-    let mut records = r.ada.containers().index("d").unwrap();
-    records.sort_by_key(|rec| rec.logical_offset);
+    let records = r.ada.label("d").unwrap().droppings;
     let tags: Vec<&str> = records.iter().map(|rec| rec.tag.as_str()).collect();
     assert_eq!(tags, ["m", "p"]);
     let paths = records.into_iter().map(|rec| rec.dropping_path).collect();
@@ -468,10 +467,9 @@ fn a_broken_directory_outranks_an_earlier_corrupt_chunk() {
 #[test]
 fn across_tags_the_lower_chunk_fails_first() {
     // A corrupt chunk 1 in tag `m`'s dropping, a corrupt chunk 0 in tag
-    // `p`'s. `m`'s dropping comes first in logical order (dispatch sorts
-    // by backend name, `hdd` before `ssd`), but the untagged answer is
-    // written a chunk at a time across its tags, so it fails with `p`'s
-    // chunk 0 — at every thread count.
+    // `p`'s. `m`'s dropping comes first in label order, but the untagged
+    // answer is written a chunk at a time across its tags, so it fails
+    // with `p`'s chunk 0 — at every thread count.
     for threads in [0, 1, 4, 8] {
         let (r, paths) = two_fault_rig(threads);
         let (m, p) = (&paths[0], &paths[1]);

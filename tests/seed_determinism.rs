@@ -4,8 +4,8 @@
 //! retrieval).
 //!
 //! Two independent runs with the same seed must leave byte-identical
-//! artifacts on the simulated storage — every dropping, the persisted
-//! PLFS index, and the label file — and deliver byte-identical query
+//! artifacts on the simulated storage — every dropping, the container
+//! markers and the label file — and deliver byte-identical query
 //! results. A different seed must (trivially) diverge, proving the
 //! comparison actually looks at bytes.
 
@@ -45,7 +45,7 @@ fn rig() -> Rig {
 
 /// Run the whole pipeline for `seed` and dump every artifact byte:
 /// `backend-prefixed path → content` for both backends (droppings +
-/// persisted index + label file), plus canonical bytes of each query
+/// markers + label file), plus canonical bytes of each query
 /// path's delivered data.
 fn artifacts(seed: u64) -> BTreeMap<String, Vec<u8>> {
     let r = rig();
@@ -103,10 +103,26 @@ fn same_seed_is_byte_identical_across_runs() {
             path
         );
     }
-    // Sanity: the run actually produced droppings, an index, and a label.
+    // Sanity: the run actually produced droppings and a label, and no
+    // PLFS index: the label is the one record, naming every dropping.
     assert!(a.keys().any(|p| p.contains("dropping.data")));
-    assert!(a.keys().any(|p| p.contains("index")));
-    assert!(a.keys().any(|p| p.contains("label")));
+    assert!(
+        !a.keys().any(|p| p.ends_with("/index")),
+        "a PLFS index file"
+    );
+    let label = a
+        .iter()
+        .find(|(p, _)| p.ends_with(".label.json"))
+        .map(|(_, bytes)| String::from_utf8_lossy(bytes))
+        .expect("a label file");
+    for artifact in a.keys().filter(|p| p.contains("dropping.data")) {
+        let (_, path) = artifact.split_once(':').unwrap();
+        assert!(
+            label.contains(&format!("\"{}\"", path)),
+            "label misses {}",
+            path
+        );
+    }
 }
 
 #[test]
