@@ -10,8 +10,10 @@
 //! dropping. The caller then only seals each dropping with its directory
 //! and appends it. A size-only dataset
 //! ([`IngestInput::Synthetic`]) skips the codecs and dispatches volumes.
-//! Both dispatch through [`Ada::append`], which records each stored
-//! dropping in the label, and end in the same [`Ada::commit`], inside
+//! Both dispatch through [`Ada::append`], which tallies each stored
+//! dropping, and end in the same [`Ada::commit`] of a label that pairs
+//! each tag with its one dropping (`LabelFile::new` refuses any other
+//! set), inside
 //! [`Ada::in_new_container`], which takes the dataset name back if
 //! anything after it failed.
 
@@ -29,11 +31,15 @@ use ada_mdformats::xtcf::{
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_plfs::IndexRecord;
 use ada_simfs::Content;
-use ada_storagesim::{CpuWork, SimDuration};
+use ada_storagesim::{CpuProfile, CpuWork, SimDuration};
 use ada_sync::Mutex;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+/// CPU of the storage node performing the pre-processing: the paper's
+/// prototype's.
+static STORAGE_CPU: LazyLock<CpuProfile> = LazyLock::new(CpuProfile::xeon_e5_2603_v4);
 
 /// What the splitter needs to know about the structure, however it was
 /// learned.
@@ -122,8 +128,7 @@ fn ingest_chunk(
 }
 
 /// What the dispatcher has written so far: virtual write time per backend,
-/// and the stored droppings in label order — what the label file records
-/// of them.
+/// and the stored droppings — what the label pairs with its tags.
 #[derive(Default)]
 struct Routed {
     write_by_backend: BTreeMap<String, SimDuration>,
@@ -170,7 +175,7 @@ impl Ada {
             categorize: CpuWork::Categorize {
                 bytes: pdb_text.len() as u64,
             }
-            .duration(&self.config.storage_cpu),
+            .duration(&STORAGE_CPU),
         })
     }
 
@@ -248,8 +253,10 @@ impl Ada {
                     self.append(dataset, tag, file, &mut routed)?;
                 }
             }
-            let label = LabelFile::new(dataset, labels.natoms, spans.len(), labels.labeler);
-            self.commit(label, false, labels.categorize, raw_bytes, routed, ctx)
+            let (natoms, nframes) = (labels.natoms, spans.len());
+            let label = LabelFile::new(dataset, natoms, nframes, labels.labeler, routed.droppings)?;
+            let write = &routed.write_by_backend;
+            self.commit(label, false, labels.categorize, raw_bytes, write, ctx)
         })
     }
 
@@ -262,7 +269,7 @@ impl Ada {
         let categorize = CpuWork::Categorize {
             bytes: spec.pdb_bytes(),
         }
-        .duration(&self.config.storage_cpu);
+        .duration(&STORAGE_CPU);
         self.in_new_container(dataset, || {
             let mut routed = Routed::default();
             {
@@ -283,10 +290,10 @@ impl Ada {
                 );
                 cursor += *atoms as usize;
             }
-            let label =
-                LabelFile::new(dataset, spec.natoms as usize, spec.frames as usize, labeler);
-            let raw_bytes = spec.raw_bytes();
-            self.commit(label, true, categorize, raw_bytes, routed, ctx)
+            let (natoms, nframes) = (spec.natoms as usize, spec.frames as usize);
+            let label = LabelFile::new(dataset, natoms, nframes, labeler, routed.droppings)?;
+            let write = &routed.write_by_backend;
+            self.commit(label, true, categorize, spec.raw_bytes(), write, ctx)
         })
     }
 
@@ -332,27 +339,26 @@ impl Ada {
         Ok(())
     }
 
-    /// The epilogue every ingest ends in: write the label file with the
-    /// droppings `routed` stored — the commit point — publish the
-    /// dataset, and build the report. `size_only` marks a synthetic
-    /// dataset.
+    /// The epilogue every ingest ends in: write the label file — each tag
+    /// with the dropping the dispatcher stored for it — as the commit
+    /// point, publish the dataset, and build the report. `size_only` marks
+    /// a synthetic dataset; `write` is the dispatch's time per backend.
     fn commit(
         &self,
-        mut label: LabelFile,
+        label: LabelFile,
         size_only: bool,
         categorize: SimDuration,
         raw_bytes: u64,
-        routed: Routed,
+        write: &BTreeMap<String, SimDuration>,
         ctx: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        let cpu = &self.config.storage_cpu;
+        let cpu = &*STORAGE_CPU;
         let dataset = label.dataset.clone();
-        let bytes_by_tag = routed
-            .droppings
+        let bytes_by_tag = label
+            .entries()
             .iter()
-            .map(|r| (Tag::new(r.tag.clone()), r.len))
+            .map(|(tag, entry)| (tag.clone(), entry.dropping.len))
             .collect();
-        label.droppings = routed.droppings;
 
         let label_write = {
             let _ts = ctx.span("ingest.label_write");
@@ -374,7 +380,7 @@ impl Ada {
             .duration(cpu),
             categorize,
             split: CpuWork::Scan { bytes: raw_bytes }.duration(cpu),
-            write: max_across_backends(&routed.write_by_backend),
+            write: max_across_backends(write),
             label_write,
             raw_bytes,
             bytes_by_tag,
@@ -386,7 +392,7 @@ impl Ada {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use super::super::{AdaConfig, IngestInput, RetrievedData};
+    use super::super::{Ada, AdaConfig, IngestInput, RetrievedData};
     use crate::labeler::LabelFile;
     use crate::synth::SyntheticDataset;
     use crate::AdaError;
@@ -481,10 +487,13 @@ mod tests {
                 let b = frames_of(chunked.query("bar", Some(&tag)).unwrap());
                 assert_eq!(a, b, "chunk {} tag {}", chunk_frames, tag);
             }
-            assert_eq!(
-                whole.label("bar").unwrap().tags,
-                chunked.label("bar").unwrap().tags
-            );
+            // The same ranges per tag; only the droppings' framing differs.
+            let ranges = |ada: &Ada| {
+                let label = ada.label("bar").unwrap();
+                let entries = label.entries().values();
+                entries.map(|e| e.ranges.clone()).collect::<Vec<_>>()
+            };
+            assert_eq!(ranges(&whole), ranges(&chunked));
         }
     }
 

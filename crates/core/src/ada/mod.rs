@@ -33,12 +33,16 @@ use ada_mdmodel::category::Taxonomy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::SimFileSystem;
-use ada_storagesim::{CpuProfile, SimDuration};
+use ada_storagesim::SimDuration;
 use ada_sync::Mutex;
 use ada_telemetry::trace::{TraceContext, TraceSpanGuard};
 use ada_telemetry::{key, Counter, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// File suffixes ADA traps ("files generated by a target application"):
+/// VMD's trajectory and structure.
+const TARGET_SUFFIXES: [&str; 2] = [".xtc", ".pdb"];
 
 /// ADA middleware configuration.
 #[derive(Debug, Clone)]
@@ -48,8 +52,6 @@ pub struct AdaConfig {
     pub taxonomy: Taxonomy,
     /// Tag → backend routing.
     pub policy: DispatchPolicy,
-    /// CPU of the storage node performing the pre-processing.
-    pub storage_cpu: CpuProfile,
     /// Frames per chunk inside a dropping (XTCF v2): each dropping is
     /// sealed as a chunked, self-describing container so range reads can
     /// decode only the chunks a selection touches — and the unit of the
@@ -70,8 +72,6 @@ pub struct AdaConfig {
     /// `n`, and a request with no stored chunk to check (all cache hits)
     /// runs inline whatever `n` is.
     pub query_threads: usize,
-    /// File suffixes ADA traps ("files generated by a target application").
-    pub target_suffixes: Vec<String>,
     /// Decoded-dropping cache for the read path (hot-set sampling
     /// workloads). The default zero budget disables it; see
     /// [`ada_cache::CacheConfig`].
@@ -87,11 +87,9 @@ impl AdaConfig {
         AdaConfig {
             taxonomy: Taxonomy::paper_default(),
             policy: DispatchPolicy::hybrid_gpcr(ssd_backend, hdd_backend),
-            storage_cpu: CpuProfile::xeon_e5_2603_v4(),
             chunk_frames: 64,
             ingest_threads: width,
             query_threads: width,
-            target_suffixes: vec![".xtc".into(), ".pdb".into()],
             cache: ada_cache::CacheConfig::default(),
         }
     }
@@ -369,10 +367,7 @@ impl Ada {
     /// Whether ADA traps a file on its way to storage (§3.4: "ADA checks if
     /// a file to be written is generated by a target application").
     pub fn traps(&self, path: &str) -> bool {
-        self.config
-            .target_suffixes
-            .iter()
-            .any(|s| path.ends_with(s.as_str()))
+        TARGET_SUFFIXES.iter().any(|s| path.ends_with(s))
     }
 
     /// The container set (for reporting).

@@ -13,7 +13,7 @@
 use super::retrieve::{atoms_err, directory, real_bytes, xtcf_err, Take};
 use super::{count_corrupt, op_span, Ada, DatasetState, Op, QueryReport, RetrievedData};
 use crate::determinator::indexer_cost;
-use crate::labeler::LabelFile;
+use crate::labeler::{LabelFile, TagEntry};
 use crate::AdaError;
 use ada_mdformats::xtcf::{verify_chunk, ChunkDirectory};
 use ada_mdformats::Trajectory;
@@ -125,14 +125,20 @@ impl Ada {
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
         let DatasetState { label, size_only } = self.resolve(dataset, tag)?;
-        let (records, indexer) = self.index(&label, tag, ctx);
+        let (entries, indexer) = match tag {
+            Some(t) => self
+                .index(&label, t, ctx)
+                .map(|(e, cost)| (vec![e], cost))?,
+            None => self.index_all(&label, ctx),
+        };
 
         let (data, read) = if size_only {
-            let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
+            let records = entries.iter().map(|e| &e.dropping);
+            let (contents, read) = self.fetch_in_order(records, ctx)?;
             let bytes = contents.iter().map(|c| c.len()).sum();
             (RetrievedData::Synthetic { bytes }, read)
         } else {
-            let takes = records.into_iter().map(|r| (r, Take::All)).collect();
+            let takes = entries.into_iter().map(|e| (e, Take::All)).collect();
             let (frames, read) = self.retrieve(dataset, &label, tag.is_none(), takes, ctx)?;
             (RetrievedData::Real(Trajectory::from_frames(frames)), read)
         };
@@ -158,7 +164,7 @@ impl Ada {
     /// bumps the tag's heat as a query does. A size-only dataset stores no
     /// chunks: it is [`AdaError::size_only`], before anything is read. A
     /// dropping without a chunk directory is the `Xtcf` error a query
-    /// raises for it; a tag without a dropping is short of every frame.
+    /// raises for it.
     /// The decoded-dropping cache is neither consulted nor filled: nothing
     /// here is decoded. The chunks are checked as [`StoredAnswer::chunks`]
     /// yields them, after this returns — a corrupt chunk is found once its
@@ -185,24 +191,21 @@ impl Ada {
         ctx: &TraceContext,
     ) -> Result<StoredAnswer, AdaError> {
         let label = self.resolve(dataset, Some(tag))?.into_label()?;
-        let natoms = label.ranges(tag)?.count();
-        let (records, indexer) = self.index(&label, Some(tag), ctx);
-        let (contents, read) = self.fetch_in_order(records.iter(), ctx)?;
-        let Some((record, content)) = records.into_iter().zip(contents).next() else {
-            return Err(AdaError::FrameCountMismatch {
-                tag: tag.to_string(),
-                expected: label.nframes,
-                got: 0,
-            });
+        let (entry, indexer) = self.index(&label, tag, ctx)?;
+        let (content, read) = {
+            let mut ts = ctx.span("query.read");
+            let (content, read) = self.containers.read_dropping(&entry.dropping)?;
+            ts.arg("bytes", content.len());
+            (content, read)
         };
-        let dir = directory(&record, &content)?;
+        let dir = directory(&entry.dropping, &content)?;
         self.bump_heat(dataset, [tag.clone()]);
         Ok(StoredAnswer {
             indexer,
             read,
-            natoms,
+            natoms: entry.ranges.count(),
             dropping: StoredDropping {
-                record,
+                record: entry.dropping.clone(),
                 content,
                 dir,
             },
@@ -262,7 +265,7 @@ impl Ada {
                 nframes,
             });
         }
-        let (records, indexer) = self.index(&label, Some(tag), ctx);
+        let (entry, indexer) = self.index(&label, tag, ctx)?;
         // The tag's one dropping holds its frames from 0: the selection is
         // its take, and the retriever checks only the chunks it touches
         // (and refuses a window past the frames its directory declares).
@@ -271,8 +274,7 @@ impl Ada {
             sel: window.step_by(stride).collect(),
             end,
         };
-        let takes = records.into_iter().zip([take]).collect();
-        let (frames, read) = self.retrieve(dataset, &label, false, takes, ctx)?;
+        let (frames, read) = self.retrieve(dataset, &label, false, vec![(entry, take)], ctx)?;
 
         // A range read counts as one access of the tag — the same heat
         // accounting as a tagged query.
@@ -290,30 +292,37 @@ impl Ada {
     fn resolve(&self, dataset: &str, tag: Option<&Tag>) -> Result<DatasetState, AdaError> {
         let state = self.state(dataset)?;
         match tag {
-            Some(t) if !state.label.tags.contains_key(t) => {
+            Some(t) if !state.label.entries().contains_key(t) => {
                 Err(AdaError::UnknownTag(t.to_string()))
             }
             _ => Ok(state),
         }
     }
 
-    /// Indexer: the stored droppings the label records for `tag` (every
-    /// tag's, in label order, for `None`), and the search's charge over
-    /// all of them.
-    fn index(
+    /// Indexer: `tag`'s label entry — its ranges and its one stored
+    /// dropping — charged the tag search over every entry.
+    fn index<'l>(
         &self,
-        label: &LabelFile,
-        tag: Option<&Tag>,
+        label: &'l LabelFile,
+        tag: &Tag,
         ctx: &TraceContext,
-    ) -> (Vec<IndexRecord>, SimDuration) {
+    ) -> Result<(&'l TagEntry, SimDuration), AdaError> {
         let _ts = ctx.span("query.index");
-        let records = label
-            .droppings
-            .iter()
-            .filter(|r| tag.is_none_or(|t| r.tag == t.as_str()))
-            .cloned()
-            .collect();
-        (records, indexer_cost(label.droppings.len()))
+        Ok((label.entry(tag)?, indexer_cost(label.entries().len())))
+    }
+
+    /// Indexer of a full-frame query: every label entry, in label order,
+    /// charged as [`Ada::index`] is.
+    fn index_all<'l>(
+        &self,
+        label: &'l LabelFile,
+        ctx: &TraceContext,
+    ) -> (Vec<&'l TagEntry>, SimDuration) {
+        let _ts = ctx.span("query.index");
+        (
+            label.entries().values().collect(),
+            indexer_cost(label.entries().len()),
+        )
     }
 
     /// Count one access of each tag a query touched. Called only once

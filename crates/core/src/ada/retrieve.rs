@@ -1,12 +1,13 @@
 //! The I/O retriever: fetch the droppings a query needs and write its
 //! answer from them.
 //!
-//! [`Ada::retrieve`] is the one body of `query` and `query_range`. On the
-//! caller's thread it looks every dropping up in the cache, fetches the
-//! misses in label order ([`Ada::fetch_in_order`]), plans each ([`plan`]:
-//! which of its chunks are resident and which are stored and still to be
-//! checked) and lays the plans out by tag ([`units`]). Ingest writes one
-//! dropping per tag, and the label records it. The answer is cut
+//! [`Ada::retrieve`] is the one body of `query` and `query_range`. It
+//! takes the label entries the indexer found — each answer tag's ranges
+//! and its one dropping, in label order. On the caller's thread it looks
+//! every dropping up in the cache, fetches the misses in that order
+//! ([`Ada::fetch_in_order`]), plans each ([`plan`]: which of its chunks
+//! are resident and which are stored and still to be checked) and lays
+//! the plans out ([`units`]). The answer is cut
 //! into **units**, one per chunk: chunk *c* of every answer tag's
 //! dropping, as ingest sealed it. A unit checks its stored chunks
 //! (`verify_chunk`, then the directory's atom count against the label's),
@@ -28,7 +29,7 @@
 mod units;
 
 use super::{max_across_backends, Ada};
-use crate::labeler::LabelFile;
+use crate::labeler::{LabelFile, TagEntry};
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
 use ada_mdformats::xtcf::{decode_chunk, parse_directory, ChunkDirectory, ChunkEntry};
@@ -40,7 +41,7 @@ use ada_storagesim::SimDuration;
 use ada_telemetry::trace::TraceContext;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use units::{run_unit, Layout, TagLayout};
+use units::{run_unit, Layout};
 
 /// How one dropping of a retrieval contributes to the answer.
 pub(super) enum Take {
@@ -94,19 +95,17 @@ enum Source {
         dir: ChunkDirectory,
         prior: Option<Arc<DecodedDropping>>,
         todo: Vec<usize>,
-        /// Atoms per frame — the label's, else the directory's.
-        natoms: usize,
     },
 }
 
-/// One dropping of a request, planned.
-struct Planned {
-    record: IndexRecord,
+/// One answer tag's dropping, planned.
+struct Planned<'l> {
+    entry: &'l TagEntry,
     take: Take,
     source: Source,
 }
 
-impl Planned {
+impl Planned<'_> {
     /// The resident frames of chunk `c`.
     fn resident(&self, c: usize) -> Option<&Arc<Vec<Frame>>> {
         match &self.source {
@@ -176,14 +175,14 @@ pub(super) fn directory(
 /// the frames it declares, and list the chunks its take needs that `prior`
 /// does not hold — the ones its units check.
 fn plan(
-    record: IndexRecord,
+    entry: &TagEntry,
     take: Take,
     content: Content,
     prior: Option<Arc<DecodedDropping>>,
-    natoms: Option<usize>,
     nframes: usize,
-) -> Result<Planned, AdaError> {
-    let dir = directory(&record, &content)?;
+) -> Result<Planned<'_>, AdaError> {
+    let record = &entry.dropping;
+    let dir = directory(record, &content)?;
     take.check_held(&record.tag, dir.nframes(), nframes)?;
     let same_layout = |p: &Arc<DecodedDropping>| {
         p.chunk_layout()
@@ -204,26 +203,25 @@ fn plan(
             .for_each(need),
         Take::All => (0..dir.nchunks()).for_each(need),
     }
-    let natoms = natoms.unwrap_or_else(|| dir.entries.first().map_or(0, |e| e.natoms as usize));
     Ok(Planned {
-        record,
+        entry,
         take,
         source: Source::Stored {
             content,
             dir,
             prior,
             todo,
-            natoms,
         },
     })
 }
 
 impl Ada {
     /// The one retrieval body (see the module docs). Returns the answer's
-    /// frames — every label tag laid into full frames when `full`, else the
-    /// frames the takes select of the one tag `records` carry — and the
-    /// simulated backend read time. Cache hits contribute **zero** backend
-    /// read time — that is the point of keeping the hot set decoded.
+    /// frames — the label entries `takes` carry, in label order, laid into
+    /// full frames when `full`, else the frames the one entry's take
+    /// selects — and the simulated backend read time. Cache hits
+    /// contribute **zero** backend read time — that is the point of
+    /// keeping the hot set decoded.
     ///
     /// Byte-equivalence contract: a hit supplies exactly the frames a fresh
     /// decode of the same dropping would (same key ⇒ same dropping bytes ⇒
@@ -234,35 +232,22 @@ impl Ada {
         dataset: &str,
         label: &LabelFile,
         full: bool,
-        records: Vec<(IndexRecord, Take)>,
+        takes: Vec<(&TagEntry, Take)>,
         ctx: &TraceContext,
     ) -> Result<(Vec<Frame>, SimDuration), AdaError> {
-        let mut tags: Vec<TagLayout> = Vec::new();
-        for (r, _) in &records {
-            if !tags.iter().any(|t| t.tag.as_str() == r.tag) {
-                tags.push(TagLayout::new(label, Tag::new(r.tag.clone())));
-            }
-        }
-        tags.sort_by(|a, b| a.tag.cmp(&b.tag));
-        let rank_of = |tag: &str| {
-            let rank = tags.iter().position(|t| t.tag.as_str() == tag);
-            rank.unwrap_or_default()
-        };
-
         let cached: Vec<Cached> = if self.cache.enabled() {
             let mut ts = ctx.span("cache.lookup");
-            let cached: Vec<Cached> = records
+            let cached: Vec<Cached> = takes
                 .iter()
-                .map(|(r, take)| {
+                .map(|(entry, take)| {
                     // The atom count was validated once when the entry was
                     // decoded; a hit revalidates the whole dropping with
                     // this one comparison.
-                    let natoms = tags.get(rank_of(&r.tag)).and_then(|t| t.natoms);
-                    let entry = self
+                    let hit = self
                         .cache
-                        .get(&CacheKey::new(dataset, &r.tag, 0))
-                        .filter(|e| natoms.is_none_or(|n| n == e.natoms));
-                    match entry {
+                        .get(&CacheKey::new(dataset, &entry.dropping.tag, 0))
+                        .filter(|e| e.natoms == entry.ranges.count());
+                    match hit {
                         Some(e) if take.covered_by(&e) => Cached::Hit(e),
                         prior => Cached::Miss(prior),
                     }
@@ -276,46 +261,39 @@ impl Ada {
             ts.arg("misses", cached.len() - hits);
             cached
         } else {
-            records.iter().map(|_| Cached::Miss(None)).collect()
+            takes.iter().map(|_| Cached::Miss(None)).collect()
         };
 
-        let missed = records
+        let missed = takes
             .iter()
             .zip(&cached)
             .filter(|(_, c)| matches!(c, Cached::Miss(_)))
-            .map(|((r, _), _)| r);
+            .map(|((entry, _), _)| &entry.dropping);
         let (contents, read) = if cached.iter().any(|c| matches!(c, Cached::Miss(_))) {
             self.fetch_in_order(missed, ctx)?
         } else {
             (Vec::new(), SimDuration::ZERO)
         };
         let mut contents = contents.into_iter();
-        let planned: Vec<(usize, Result<Planned, AdaError>)> = records
+        let planned: Vec<Result<Planned, AdaError>> = takes
             .into_iter()
             .zip(cached)
-            .map(|((record, take), cached)| {
-                let rank = rank_of(&record.tag);
-                let plan = match cached {
-                    Cached::Hit(entry) => take
-                        .check_held(&record.tag, entry.nframes(), label.nframes)
-                        .map(|()| Planned {
-                            record,
-                            take,
-                            source: Source::Hit(entry),
-                        }),
-                    Cached::Miss(prior) => match contents.next() {
-                        Some(content) => {
-                            let natoms = tags.get(rank).and_then(|t| t.natoms);
-                            plan(record, take, content, prior, natoms, label.nframes)
-                        }
-                        None => Err(AdaError::Internal("a miss was not fetched".into())),
-                    },
-                };
-                (rank, plan)
+            .map(|((entry, take), cached)| match cached {
+                Cached::Hit(hit) => take
+                    .check_held(&entry.dropping.tag, hit.nframes(), label.nframes)
+                    .map(|()| Planned {
+                        entry,
+                        take,
+                        source: Source::Hit(hit),
+                    }),
+                Cached::Miss(prior) => match contents.next() {
+                    Some(content) => plan(entry, take, content, prior, label.nframes),
+                    None => Err(AdaError::Internal("a miss was not fetched".into())),
+                },
             })
             .collect();
 
-        let layout = Layout::new(label, full, tags, planned)?;
+        let layout = Layout::new(label, full, planned);
         let units = layout.units();
         let stored = layout
             .droppings
@@ -390,7 +368,6 @@ impl Ada {
                 dir,
                 prior,
                 todo,
-                natoms,
             } = d.source
             else {
                 continue;
@@ -409,10 +386,11 @@ impl Ada {
             let payload = Arc::new(DecodedDropping::from_chunks(
                 dir.chunk_nframes(),
                 chunks,
-                natoms,
+                d.entry.ranges.count(),
             ));
-            let key = CacheKey::new(dataset, &d.record.tag, 0);
-            let tag_heat = heat.heat(&Tag::new(d.record.tag.clone()));
+            let tag = &d.entry.dropping.tag;
+            let key = CacheKey::new(dataset, tag, 0);
+            let tag_heat = heat.heat(&Tag::new(tag.clone()));
             let _ = self.cache.insert(key, &payload, tag_heat);
         }
     }

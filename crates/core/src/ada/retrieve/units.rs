@@ -9,12 +9,16 @@ use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_mdformats::xtcf::{ChunkRecords, FrameRecord};
 use ada_mdformats::{FormatError, Frame};
-use ada_mdmodel::{IndexRanges, Tag};
 use ada_telemetry::trace::TraceContext;
 use std::ops::Range;
 use std::sync::Arc;
 
-impl Planned {
+impl Planned<'_> {
+    /// The dropping's frames.
+    fn frames(&self) -> usize {
+        self.chunk_layout().sum()
+    }
+
     /// The dropping's chunk layout (frames per chunk), read in place.
     fn chunk_layout(&self) -> impl Iterator<Item = usize> + '_ {
         (0..).map_while(move |c| {
@@ -40,29 +44,6 @@ impl Take {
     }
 }
 
-/// One answer tag: the atoms its label ranges select and its one
-/// dropping.
-pub(super) struct TagLayout {
-    pub(super) tag: Tag,
-    pub(super) natoms: Option<usize>,
-    /// Its dropping's index among [`Layout::droppings`], once planned.
-    dropping: Option<usize>,
-    /// Frames of its planned dropping.
-    frames: usize,
-}
-
-impl TagLayout {
-    /// Answer tag `tag`, nothing laid out yet.
-    pub(super) fn new(label: &LabelFile, tag: Tag) -> TagLayout {
-        TagLayout {
-            natoms: label.tags.get(&tag).map(IndexRanges::count),
-            tag,
-            dropping: None,
-            frames: 0,
-        }
-    }
-}
-
 /// One label range of a full-frame answer: `len` atoms written at `start`
 /// from `offset` in answer tag `tag`'s atoms.
 struct Piece {
@@ -73,11 +54,11 @@ struct Piece {
 }
 
 /// A request laid out in its answer tags' droppings.
-pub(super) struct Layout {
-    /// The answer's tags, in label order.
-    tags: Vec<TagLayout>,
-    /// The droppings that planned, in label order.
-    pub(super) droppings: Vec<Planned>,
+pub(super) struct Layout<'l> {
+    /// The droppings that planned, in label order: one per answer tag
+    /// unless one failed to plan — and then the cut is at frame 0 and no
+    /// unit runs.
+    pub(super) droppings: Vec<Planned<'l>>,
     /// Frames the units cover: the answer's, or up to the cut.
     end: usize,
     /// A full-frame answer's label ranges, by start, and its atom count.
@@ -105,59 +86,56 @@ fn earliest(cut: &mut Option<(usize, usize, AdaError)>, frame: usize, tag: usize
     }
 }
 
-impl Layout {
-    /// Lay the planned droppings — `(tag rank, plan)` — into `tags`, and
-    /// find the answer's end and its cut.
+impl<'l> Layout<'l> {
+    /// Lay out the planned droppings, one per answer tag in label order,
+    /// and find the answer's end and its cut.
     pub(super) fn new(
         label: &LabelFile,
         full: bool,
-        mut tags: Vec<TagLayout>,
-        planned: Vec<(usize, Result<Planned, AdaError>)>,
-    ) -> Result<Layout, AdaError> {
-        let mut droppings: Vec<Planned> = Vec::with_capacity(planned.len());
+        planned: Vec<Result<Planned<'l>, AdaError>>,
+    ) -> Layout<'l> {
         let mut cut = None;
-        for (rank, plan) in planned {
-            match (plan, tags.get_mut(rank)) {
-                (Ok(p), Some(tag)) => {
-                    tag.frames = p.chunk_layout().sum();
-                    tag.dropping = Some(droppings.len());
-                    droppings.push(p);
-                }
-                (Ok(_), None) => {}
-                (Err(e), _) => earliest(&mut cut, 0, rank, e),
-            }
-        }
-        let mut pieces = None;
         if full {
-            let dropping = |t: &TagLayout| droppings.get(t.dropping?);
-            let head = tags.first().and_then(|t| Some((&t.tag, dropping(t)?)));
-            for (rank, t) in tags.iter().enumerate() {
-                let Some(d) = dropping(t) else {
+            let head = planned.first().and_then(|p| p.as_ref().ok());
+            for (rank, plan) in planned.iter().enumerate() {
+                let Ok(d) = plan else {
                     continue;
                 };
-                if t.frames != label.nframes {
+                let frames = d.frames();
+                if frames != label.nframes {
                     let e = AdaError::FrameCountMismatch {
-                        tag: t.tag.to_string(),
+                        tag: d.entry.dropping.tag.clone(),
                         expected: label.nframes,
-                        got: t.frames,
+                        got: frames,
                     };
-                    earliest(&mut cut, t.frames.min(label.nframes), rank, e);
+                    earliest(&mut cut, frames.min(label.nframes), rank, e);
                 }
                 // Ingest cuts every tag into the same chunks; a tag cut
                 // otherwise has no unit to join. (A chunk one tag has and
                 // the other lacks is the frame-count mismatch above.)
-                if let Some((head, h)) = head.filter(|_| rank > 0) {
+                if let Some(h) = head.filter(|_| rank > 0) {
                     if d.chunk_layout().zip(h.chunk_layout()).any(|(a, b)| a != b) {
+                        let head = &h.entry.dropping.tag;
                         let why = format!("chunks are cut unlike tag '{}''s", head);
-                        let e = xtcf_err(&d.record, FormatError::Corrupt(why));
+                        let e = xtcf_err(&d.entry.dropping, FormatError::Corrupt(why));
                         earliest(&mut cut, 0, rank, e);
                     }
                 }
             }
+        }
+        let mut droppings = Vec::with_capacity(planned.len());
+        for (rank, plan) in planned.into_iter().enumerate() {
+            match plan {
+                Ok(p) => droppings.push(p),
+                Err(e) => earliest(&mut cut, 0, rank, e),
+            }
+        }
+        let mut pieces = None;
+        if full {
             let mut list = Vec::new();
-            for (rank, t) in tags.iter().enumerate() {
+            for (rank, d) in droppings.iter().enumerate() {
                 let mut offset = 0;
-                for r in label.ranges(&t.tag)?.iter_ranges() {
+                for r in d.entry.ranges.iter_ranges() {
                     list.push(Piece {
                         start: r.start,
                         len: r.len(),
@@ -173,26 +151,21 @@ impl Layout {
         // Uncut, a full-frame answer's tags each hold the label's frames.
         let end = match &cut {
             Some((frame, ..)) => *frame,
-            None => tags.first().map_or(0, |t| t.frames),
+            None => droppings.first().map_or(0, Planned::frames),
         };
-        Ok(Layout {
-            tags,
+        Layout {
             droppings,
             end,
             pieces,
             cut: cut.map(|(.., e)| e),
-        })
+        }
     }
 
     /// The units, in frame order: every chunk of the first tag's dropping
     /// that holds an answer frame below `end`.
     pub(super) fn units(&self) -> Vec<Unit> {
         let mut units = Vec::new();
-        let head = self
-            .tags
-            .first()
-            .and_then(|t| self.droppings.get(t.dropping?));
-        let Some(d) = head else {
+        let Some(d) = self.droppings.first() else {
             return units;
         };
         let mut first = 0;
@@ -305,7 +278,7 @@ fn full_frame(head: Row<'_>, rows: &[Row<'_>], pieces: &[Piece], natoms: usize) 
 }
 
 /// Check stored chunk `c` of `d` — `verify_chunk`, then the directory's
-/// atom count against the label's `natoms` — and hand back its records,
+/// atom count against the label's — and hand back its records,
 /// read in place. Every schedule checks chunks through here, so the
 /// chunk's `query.decode` span — the decode stage's only clock, and the
 /// `tag` + `bytes` a profile's per-tag volume is folded from — is opened
@@ -313,26 +286,26 @@ fn full_frame(head: Row<'_>, rows: &[Row<'_>], pieces: &[Piece], natoms: usize) 
 fn check_chunk<'a>(
     d: &'a Planned,
     c: usize,
-    natoms: Option<usize>,
     ctx: &TraceContext,
 ) -> Result<ChunkRecords<'a>, AdaError> {
+    let record = &d.entry.dropping;
     let Source::Stored { content, dir, .. } = &d.source else {
         return Err(AdaError::Internal(format!(
             "chunk {} of '{}' is not stored",
-            c, d.record.dropping_path
+            c, record.dropping_path
         )));
     };
     let mut ts = ctx.span("query.decode");
-    ts.arg("tag", d.record.tag.as_str());
+    ts.arg("tag", record.tag.as_str());
     ts.arg("chunk", c);
     ts.arg(
         "bytes",
         dir.entries.get(c).map_or(0, |e| e.body_len() as u64),
     );
-    let res = real_bytes(&d.record, content)
-        .and_then(|bytes| ChunkRecords::verify(bytes, dir, c).map_err(|e| xtcf_err(&d.record, e)))
-        .and_then(|records| match natoms {
-            Some(n) if records.natoms() != n => Err(atoms_err(&d.record, 0, records.natoms(), n)),
+    let res = real_bytes(record, content)
+        .and_then(|bytes| ChunkRecords::verify(bytes, dir, c).map_err(|e| xtcf_err(record, e)))
+        .and_then(|records| match (records.natoms(), d.entry.ranges.count()) {
+            (got, want) if got != want => Err(atoms_err(record, 0, got, want)),
             _ => Ok(records),
         });
     match &res {
@@ -352,15 +325,12 @@ pub(super) fn run_unit(
 ) -> Result<Vec<Frame>, AdaError> {
     // The one tag's take, or a full-frame answer's: `All` for every tag.
     let mut take = &Take::All;
-    let mut sources = Vec::with_capacity(layout.tags.len());
-    for tag in &layout.tags {
-        let missing = || AdaError::Internal(format!("tag '{}' has no dropping", tag.tag));
-        let d = tag.dropping.and_then(|i| layout.droppings.get(i));
-        let d = d.ok_or_else(missing)?;
+    let mut sources = Vec::with_capacity(layout.droppings.len());
+    for d in &layout.droppings {
         take = &d.take;
         sources.push(match d.resident(unit.chunk) {
             Some(frames) => Src::Decoded(Arc::clone(frames)),
-            None => Src::Stored(check_chunk(d, unit.chunk, tag.natoms, ctx)?),
+            None => Src::Stored(check_chunk(d, unit.chunk, ctx)?),
         });
     }
     let frames = unit.want.clone().map(|i| match take {
@@ -404,7 +374,7 @@ mod tests {
     use crate::ada::testkit::*;
     use crate::ada::{Ada, AdaConfig, DatasetState};
     use crate::labeler::LabelFile;
-    use crate::AdaError;
+    use crate::{AdaError, Labeler};
     use ada_mdformats::xtcf::{decode_chunk, parse_directory, seal_v2, write_xtcf};
     use ada_mdformats::{FormatError, Frame, Trajectory};
     use ada_mdmodel::{IndexRanges, PbcBox, Tag};
@@ -463,20 +433,25 @@ mod tests {
             .collect()
     }
 
-    /// Write `source` straight into `ada`'s containers as dataset `d` under
-    /// `label`, so the label can have any shape: partitions, gaps no tag
-    /// covers, and ranges of two tags that overlap, which no categorizer
-    /// produces. Tag `t` (label order) is stored as ingest stores a tag —
-    /// one v2 dropping, sealed in chunks of `chunk_frames[t]` frames.
-    /// Tags with different chunk sizes are misaligned: a chunk of one spans
-    /// chunk boundaries of the other, which ingest never writes. A tag past
-    /// the end of `chunk_frames` is left out. Returns the label as stored,
-    /// its droppings recorded.
-    fn store(ada: &Ada, label: &LabelFile, source: &[Frame], chunk_frames: &[usize]) -> LabelFile {
+    /// Write `source` straight into `ada`'s containers as dataset `d` of
+    /// `natoms` atoms under the tags `labeler` lays out, so the label can
+    /// have any shape: partitions, gaps no tag covers, and ranges of two
+    /// tags that overlap, which no categorizer produces. Tag `t` (label
+    /// order) is stored as ingest stores a tag — one v2 dropping, sealed in
+    /// chunks of `chunk_frames[t]` frames. Tags with different chunk sizes
+    /// are misaligned: a chunk of one spans chunk boundaries of the other,
+    /// which ingest never writes. Returns the label as stored.
+    fn store(
+        ada: &Ada,
+        natoms: usize,
+        labeler: &Labeler,
+        source: &[Frame],
+        chunk_frames: &[usize],
+    ) -> LabelFile {
         let containers = ada.containers();
         containers.create_logical("d").unwrap();
-        let mut label = label.clone();
-        for ((tag, ranges), &chunk_frames) in label.tags.iter().zip(chunk_frames) {
+        let mut droppings = Vec::new();
+        for ((tag, ranges), &chunk_frames) in labeler.iter().zip(chunk_frames) {
             let subset = source.iter().map(|f| f.subset(ranges)).collect();
             let v1 = write_xtcf(&Trajectory::from_frames(subset)).unwrap();
             let sealed = seal_v2(v1, ranges.count(), chunk_frames).unwrap();
@@ -485,8 +460,9 @@ mod tests {
             let (record, _) = containers
                 .append("d", tag.as_str(), backend, content)
                 .unwrap();
-            label.droppings.push(record);
+            droppings.push(record);
         }
+        let label = LabelFile::new("d", natoms, source.len(), labeler.clone(), droppings).unwrap();
         set_label(ada, label.clone());
         label
     }
@@ -612,7 +588,7 @@ mod tests {
             // or free-for-all ranges: gaps no tag covers, and ranges of
             // the two tags that overlap.
             let names = [Tag::misc(), Tag::protein()];
-            let mut tags: BTreeMap<Tag, IndexRanges> = BTreeMap::new();
+            let mut tags: Labeler = BTreeMap::new();
             if partition == 1 {
                 let owner: Vec<usize> = (0..natoms).map(|_| next(2)).collect();
                 for (t, name) in names.iter().enumerate() {
@@ -644,7 +620,6 @@ mod tests {
                     }
                 })
                 .collect();
-            let label = LabelFile::new("d", natoms, nframes, tags);
             let windows: Vec<(Tag, Vec<usize>)> = (0..if nframes > 0 { 3 } else { 0 })
                 .map(|_| {
                     let start = next(nframes);
@@ -669,14 +644,14 @@ mod tests {
                         cache,
                         ..AdaConfig::paper_prototype("ssd", "hdd")
                     });
-                    store(&ada, &label, &source, &layouts);
+                    let label = store(&ada, natoms, &tags, &source, &layouts);
                     let chunks = stored_chunks(&ada);
                     let per_tag: BTreeMap<Tag, Vec<Frame>> = chunks
                         .iter()
                         .map(|(t, cs)| (t.clone(), cs.concat()))
                         .collect();
                     for (t, frames) in &per_tag {
-                        let subset: Vec<Frame> = source.iter().map(|s| s.subset(&label.tags[t])).collect();
+                        let subset: Vec<Frame> = source.iter().map(|s| s.subset(&tags[t])).collect();
                         proptest::prop_assert_eq!(bits(frames), bits(&subset));
                     }
                     let full = reassemble_scatter(&label, &per_tag).unwrap().frames;
@@ -743,7 +718,7 @@ mod tests {
                 query_threads,
                 ..AdaConfig::paper_prototype("ssd", "hdd")
             });
-            let tags: BTreeMap<Tag, IndexRanges> = [
+            let tags: Labeler = [
                 (Tag::misc(), IndexRanges::single(0..2)),
                 (Tag::protein(), IndexRanges::single(2..5)),
             ]
@@ -751,8 +726,7 @@ mod tests {
             let source: Vec<Frame> = (0..6)
                 .map(|i| Frame::from_coords(vec![[i as f32; 3]; 5]))
                 .collect();
-            let label = LabelFile::new("d", 5, 6, tags);
-            store(&ada, &label, &source, &[2, 3]);
+            store(&ada, 5, &tags, &source, &[2, 3]);
 
             let err = ada.query("d", None).unwrap_err();
             assert_eq!(err.kind(), "xtcf");
@@ -782,15 +756,14 @@ mod tests {
                 query_threads,
                 ..AdaConfig::paper_prototype("ssd", "hdd")
             });
-            let tags: BTreeMap<Tag, IndexRanges> = [
+            let tags: Labeler = [
                 (Tag::misc(), IndexRanges::single(0..2)),
                 (Tag::protein(), IndexRanges::single(2..5)),
             ]
             .into();
             let source = vec![Frame::from_coords(vec![[1.0; 3]; 5]); 6];
-            let label = LabelFile::new("d", 5, 6, tags);
             // The label promises three frames more than either tag holds.
-            let mut short = store(&ada, &label, &source, &[2, 2]);
+            let mut short = store(&ada, 5, &tags, &source, &[2, 2]);
             short.nframes = 9;
             set_label(&ada, short.clone());
             let err = ada.query("d", None).unwrap_err();
@@ -824,13 +797,13 @@ mod tests {
                 cache: hot_cache_cfg(),
                 ..AdaConfig::paper_prototype("ssd", "hdd")
             });
-            let tags: BTreeMap<Tag, IndexRanges> = [
+            let tags: Labeler = [
                 (Tag::misc(), IndexRanges::single(0..2)),
                 (Tag::protein(), IndexRanges::single(2..5)),
             ]
             .into();
             let source = vec![Frame::from_coords(vec![[1.0; 3]; 5]); 6];
-            let mut long = store(&ada, &LabelFile::new("d", 5, 6, tags), &source, &[2, 2]);
+            let mut long = store(&ada, 5, &tags, &source, &[2, 2]);
             long.nframes = 9;
             set_label(&ada, long);
             let past = |window: Range<usize>, stride| {

@@ -16,6 +16,15 @@ use ada_simfs::{Content, SimFileSystem};
 use ada_storagesim::SimDuration;
 use std::collections::BTreeMap;
 
+/// One tag of a label: the atoms it selects and its one stored dropping.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TagEntry {
+    /// Atom index ranges.
+    pub ranges: IndexRanges,
+    /// The dropping ingest stored for the tag.
+    pub dropping: IndexRecord,
+}
+
 /// Serializable label metadata for one ingested dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelFile {
@@ -25,40 +34,71 @@ pub struct LabelFile {
     pub natoms: usize,
     /// Frame count of the ingested trajectory.
     pub nframes: usize,
-    /// Tag → atom index ranges.
-    pub tags: BTreeMap<Tag, IndexRanges>,
-    /// Each tag's one stored dropping, in tag order (ingest records each
-    /// as it is dispatched).
-    pub droppings: Vec<IndexRecord>,
+    /// Tag → its atom ranges and its one stored dropping, as
+    /// [`LabelFile::new`] paired them.
+    tags: BTreeMap<Tag, TagEntry>,
+}
+
+/// Pair each labeler tag with its one stored dropping, or say why they
+/// do not pair: a tag without a dropping, a dropping for a tag the
+/// labeler lacks, or one tag's dropping twice.
+fn pair(
+    labeler: Labeler,
+    mut droppings: Vec<IndexRecord>,
+) -> Result<BTreeMap<Tag, TagEntry>, String> {
+    droppings.sort_by(|a, b| a.tag.cmp(&b.tag));
+    let dropping_tags = droppings.iter().map(|d| d.tag.as_str());
+    if !dropping_tags.eq(labeler.keys().map(Tag::as_str)) {
+        return Err("stored droppings are not one per tag".into());
+    }
+    let pairs = labeler.into_iter().zip(droppings);
+    Ok(pairs
+        .map(|((tag, ranges), dropping)| (tag, TagEntry { ranges, dropping }))
+        .collect())
 }
 
 impl LabelFile {
-    /// Build from a categorizer run.
+    /// Build from a categorizer run and the droppings ingest stored, one
+    /// per labeler tag; a set whose tags differ from the labeler's is
+    /// [`AdaError::Internal`].
     pub fn new(
         dataset: impl Into<String>,
         natoms: usize,
         nframes: usize,
         labeler: Labeler,
-    ) -> LabelFile {
-        LabelFile {
-            dataset: dataset.into(),
+        droppings: Vec<IndexRecord>,
+    ) -> Result<LabelFile, AdaError> {
+        let dataset = dataset.into();
+        let tags = pair(labeler, droppings)
+            .map_err(|why| AdaError::Internal(format!("label of '{}': {}", dataset, why)))?;
+        Ok(LabelFile {
+            dataset,
             natoms,
             nframes,
-            tags: labeler,
-            droppings: Vec::new(),
-        }
+            tags,
+        })
     }
 
-    /// Ranges for one tag.
-    pub fn ranges(&self, tag: &Tag) -> Result<&IndexRanges, AdaError> {
+    /// Every tag's entry, in tag order.
+    pub fn entries(&self) -> &BTreeMap<Tag, TagEntry> {
+        &self.tags
+    }
+
+    /// One tag's entry.
+    pub fn entry(&self, tag: &Tag) -> Result<&TagEntry, AdaError> {
         self.tags
             .get(tag)
             .ok_or_else(|| AdaError::UnknownTag(tag.to_string()))
     }
 
+    /// Ranges for one tag.
+    pub fn ranges(&self, tag: &Tag) -> Result<&IndexRanges, AdaError> {
+        Ok(&self.entry(tag)?.ranges)
+    }
+
     /// Atom count under a tag.
     pub fn atoms_of(&self, tag: &Tag) -> usize {
-        self.tags.get(tag).map_or(0, IndexRanges::count)
+        self.tags.get(tag).map_or(0, |e| e.ranges.count())
     }
 
     /// All tags in order.
@@ -72,13 +112,15 @@ impl LabelFile {
     }
 
     /// JSON rendering: ranges are `[start, end)` pairs under each tag, and
-    /// each stored dropping is an object of its record's fields.
+    /// each tag's stored dropping, in tag order, is an object of its
+    /// record's fields.
     fn to_json(&self) -> Value {
         let tags = self
             .tags
             .iter()
-            .map(|(tag, ranges)| {
-                let pairs = ranges
+            .map(|(tag, entry)| {
+                let pairs = entry
+                    .ranges
                     .iter_ranges()
                     .map(|r| {
                         Value::Arr(vec![
@@ -91,9 +133,9 @@ impl LabelFile {
             })
             .collect();
         let droppings = self
-            .droppings
-            .iter()
-            .map(|d| {
+            .tags
+            .values()
+            .map(|TagEntry { dropping: d, .. }| {
                 Value::obj(vec![
                     ("tag", Value::str(d.tag.clone())),
                     ("backend", Value::str(d.backend.clone())),
@@ -112,7 +154,7 @@ impl LabelFile {
     }
 
     fn from_json(v: &Value) -> Result<LabelFile, ada_json::JsonError> {
-        let mut tags = BTreeMap::new();
+        let mut labeler = BTreeMap::new();
         for (tag, pairs) in v.field("tags")?.as_obj()? {
             let mut ranges = Vec::new();
             for pair in pairs.as_arr()? {
@@ -124,7 +166,7 @@ impl LabelFile {
                 }
                 ranges.push(pair[0].as_usize()?..pair[1].as_usize()?);
             }
-            tags.insert(Tag::new(tag.as_str()), IndexRanges::from_ranges(ranges));
+            labeler.insert(Tag::new(tag.as_str()), IndexRanges::from_ranges(ranges));
         }
         let mut droppings = Vec::new();
         for d in v.field("droppings")?.as_arr()? {
@@ -135,19 +177,11 @@ impl LabelFile {
                 len: d.field("len")?.as_u64()?,
             });
         }
-        // One stored dropping per tag, in tag order: a label that names a
-        // tag without one cannot answer for it.
-        let dropping_tags = droppings.iter().map(|d| d.tag.as_str());
-        if !dropping_tags.eq(tags.keys().map(Tag::as_str)) {
-            let why = "stored droppings are not one per tag, in tag order";
-            return Err(ada_json::JsonError(why.into()));
-        }
         Ok(LabelFile {
             dataset: v.field("dataset")?.as_str()?.to_string(),
             natoms: v.field("natoms")?.as_usize()?,
             nframes: v.field("nframes")?.as_usize()?,
-            tags,
-            droppings,
+            tags: pair(labeler, droppings).map_err(ada_json::JsonError)?,
         })
     }
 
@@ -182,20 +216,60 @@ mod tests {
     use super::*;
     use ada_simfs::LocalFs;
 
-    fn label() -> LabelFile {
-        let mut tags: Labeler = BTreeMap::new();
-        tags.insert(Tag::protein(), IndexRanges::single(0..100));
-        tags.insert(Tag::misc(), IndexRanges::from_ranges([100..220, 250..300]));
-        let mut label = LabelFile::new("bar", 300, 10, tags);
-        for (tag, backend, len) in [("m", "hdd", 2_000), ("p", "ssd", 1_000)] {
-            label.droppings.push(IndexRecord {
+    fn droppings(pairs: &[(&str, &str, u64)]) -> Vec<IndexRecord> {
+        pairs
+            .iter()
+            .map(|&(tag, backend, len)| IndexRecord {
                 tag: tag.into(),
                 backend: backend.into(),
                 dropping_path: format!("{}/bar/hostdir.0/dropping.data.{}", backend, tag),
                 len,
-            });
+            })
+            .collect()
+    }
+
+    fn labeler() -> Labeler {
+        let mut tags: Labeler = BTreeMap::new();
+        tags.insert(Tag::protein(), IndexRanges::single(0..100));
+        tags.insert(Tag::misc(), IndexRanges::from_ranges([100..220, 250..300]));
+        tags
+    }
+
+    fn label() -> LabelFile {
+        let stored = droppings(&[("p", "ssd", 1_000), ("m", "hdd", 2_000)]);
+        LabelFile::new("bar", 300, 10, labeler(), stored).unwrap()
+    }
+
+    /// A tag is its ranges and its one stored dropping, whatever order
+    /// the droppings were stored in; a dropping set whose tags differ from
+    /// the labeler's — one short, one extra, one tag twice — is refused.
+    #[test]
+    fn new_pairs_each_tag_with_its_one_dropping() {
+        let l = label();
+        let entry = l.entry(&Tag::misc()).unwrap();
+        assert_eq!(
+            (entry.dropping.tag.as_str(), entry.dropping.len),
+            ("m", 2_000)
+        );
+        assert_eq!(entry.ranges, *l.ranges(&Tag::misc()).unwrap());
+        for pairs in [
+            &[("p", "ssd", 1_000)][..],
+            &[("p", "ssd", 1_000), ("m", "hdd", 2_000), ("w", "hdd", 9)],
+            &[
+                ("p", "ssd", 1_000),
+                ("m", "hdd", 2_000),
+                ("m", "hdd", 2_000),
+            ],
+            &[("p", "ssd", 1_000), ("w", "hdd", 2_000)],
+        ] {
+            let err = LabelFile::new("bar", 300, 10, labeler(), droppings(pairs)).unwrap_err();
+            assert!(
+                matches!(&err, AdaError::Internal(m) if m.contains("not one per tag")),
+                "{:?}: {}",
+                pairs,
+                err
+            );
         }
-        label
     }
 
     #[test]

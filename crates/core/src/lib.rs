@@ -55,7 +55,7 @@ pub use ada::{
 };
 pub use categorizer::{categorize_algo1, Labeler};
 pub use determinator::DispatchPolicy;
-pub use labeler::LabelFile;
+pub use labeler::{LabelFile, TagEntry};
 pub use preprocess::{split_trajectory, PreprocessOutput};
 pub use profile::StageProfile;
 pub use synth::SyntheticDataset;

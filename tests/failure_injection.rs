@@ -99,8 +99,9 @@ fn deleted_dropping_yields_fs_error() {
 }
 
 /// The label file is a dataset's one metadata record, so `LabelFile::load`
-/// refuses one it cannot answer from: garbage bytes, and a label that
-/// records no stored dropping for one of its tags.
+/// refuses one it cannot answer from: garbage bytes, and a label whose
+/// stored droppings are not one per tag — a tag without its dropping, a
+/// dropping for a tag `tags` lacks, one tag's dropping listed twice.
 #[test]
 fn corrupt_label_file_detected_on_reload() {
     let r = rig();
@@ -109,24 +110,50 @@ fn corrupt_label_file_detected_on_reload() {
     let (label, _) = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
     assert_eq!(label, r.ada.label("bar").unwrap());
 
+    // Label `bar` as JSON text, tags `m` and `p`, its droppings list
+    // holding one dropping per named tag.
+    let write = |droppings: &[&str]| {
+        let list: Vec<String> = droppings
+            .iter()
+            .map(|tag| {
+                format!(
+                    r#"{{"tag":"{tag}","backend":"ssd","dropping_path":"ssd/bar/hostdir.0/dropping.data.{tag}","len":64}}"#
+                )
+            })
+            .collect();
+        let text = format!(
+            r#"{{"dataset":"bar","natoms":20,"nframes":2,"tags":{{"m":[[0,12]],"p":[[12,20]]}},"droppings":[{}]}}"#,
+            list.join(",")
+        );
+        r.ssd.delete(&path).unwrap();
+        r.ssd
+            .create(&path, Content::real(text.into_bytes()))
+            .unwrap();
+    };
+    write(&["m", "p"]);
+    let (written, _) = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
+    assert_eq!(written.all_tags(), [Tag::misc(), Tag::protein()]);
+
+    let refused = |what: &str, why: &str| {
+        let err = LabelFile::load(r.ssd.as_ref(), "bar").unwrap_err();
+        assert!(
+            matches!(&err, AdaError::Pdb(m) if m.starts_with("label parse: ") && m.contains(why)),
+            "{what}: {err}"
+        );
+    };
     r.ssd.delete(&path).unwrap();
     r.ssd
         .create(&path, Content::real(b"{not json".to_vec()))
         .unwrap();
-    let err = LabelFile::load(r.ssd.as_ref(), "bar").unwrap_err();
-    assert!(
-        matches!(&err, AdaError::Pdb(m) if m.starts_with("label parse")),
-        "{err}"
-    );
-
-    let mut short = label.clone();
-    short.droppings.retain(|d| d.tag != "p");
-    short.store(r.ssd.as_ref()).unwrap();
-    let err = LabelFile::load(r.ssd.as_ref(), "bar").unwrap_err();
-    assert!(
-        matches!(&err, AdaError::Pdb(m) if m.contains("not one per tag")),
-        "{err}"
-    );
+    refused("garbage", "");
+    for (what, droppings) in [
+        ("a tag without its dropping", &["m"][..]),
+        ("a dropping for a tag `tags` lacks", &["m", "p", "w"]),
+        ("one tag's dropping twice", &["m", "p", "p"]),
+    ] {
+        write(droppings);
+        refused(what, "not one per tag");
+    }
 }
 
 #[test]

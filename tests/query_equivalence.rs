@@ -346,7 +346,9 @@ fn frame_count_mismatch_is_a_structured_error() {
 fn two_fault_rig(query_threads: usize) -> (Rig, Vec<String>) {
     let r = rig_chunked(query_threads, 2);
     ingest_real(&r.ada, "d", 900, 12, 71);
-    let records = r.ada.label("d").unwrap().droppings;
+    let label = r.ada.label("d").unwrap();
+    let entries = label.entries().values();
+    let records: Vec<_> = entries.map(|e| e.dropping.clone()).collect();
     let tags: Vec<&str> = records.iter().map(|rec| rec.tag.as_str()).collect();
     assert_eq!(tags, ["m", "p"]);
     let paths = records.into_iter().map(|rec| rec.dropping_path).collect();
