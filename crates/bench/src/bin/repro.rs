@@ -168,7 +168,7 @@ fn main() {
 /// `span.{stage}.calls` counter, exiting non-zero on violation. The
 /// stack's metrics go into `stack`.
 fn run_trace(selftest: bool, stack: &mut Snapshot) {
-    use ada_core::IngestInput;
+    use ada_core::{ErrorKind, IngestInput};
     use ada_frontend::{Frontend, FrontendConfig};
     use ada_json::Value;
     use ada_mdformats::write_pdb;
@@ -241,7 +241,10 @@ fn run_trace(selftest: bool, stack: &mut Snapshot) {
         }
     };
 
-    check(err.kind() == "unknown_dataset", "failing request kind");
+    check(
+        err.error_kind() == ErrorKind::UnknownDataset,
+        "failing request kind",
+    );
     check(
         traces.len() == 7,
         "expected 7 traces (1 ingest, 4 queries, the remote query from both ends)",

@@ -13,9 +13,10 @@
 //! as a typed [`AdaError`] — transport and framing problems as
 //! [`AdaError::Network`], a chunk whose CRC or atom counts fail as the
 //! [`AdaError::Xtcf`] a corrupt stored dropping raises, and remote
-//! middleware errors (`Overloaded`, `DeadlineExceeded`, `UnknownDataset`,
-//! …) with exactly the kind the in-process path would have returned,
-//! courtesy of the structural error codec in `ada-proto`.
+//! middleware errors with exactly the kind and the text the in-process
+//! path would have returned: `Overloaded` and `DeadlineExceeded` with
+//! their fields, every other kind as an [`AdaError::Remote`] (`ada-proto`
+//! sends an error as its kind and its text).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -211,7 +212,7 @@ impl Client {
         };
         if let Err(e) = &result {
             self.metrics.errors.inc();
-            root.set_error(e.kind());
+            root.set_error(e.error_kind().name());
         }
         let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.metrics.request_ns.record(elapsed);

@@ -395,7 +395,7 @@ mod tests {
     use super::super::{Ada, AdaConfig, IngestInput, RetrievedData};
     use crate::labeler::LabelFile;
     use crate::synth::SyntheticDataset;
-    use crate::AdaError;
+    use crate::{AdaError, ErrorKind};
     use ada_mdmodel::Tag;
 
     #[test]
@@ -550,7 +550,7 @@ mod tests {
             xtc_bytes: xtc_of(&w),
         };
         let err = ada.ingest("bar", input(gro_text)).unwrap_err();
-        assert_eq!(err.kind(), "atom_mismatch", "{}", err);
+        assert_eq!(err.error_kind(), ErrorKind::AtomMismatch, "{}", err);
         assert!(err.to_string().contains("pdb has 0"), "{}", err);
         assert!(ada.list_datasets().is_empty());
         assert!(ada.containers().list_logical().is_empty());

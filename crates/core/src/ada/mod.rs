@@ -481,7 +481,7 @@ impl Ada {
                     report.set_profile(profile);
                 }
             }
-            Err(e) => guard.set_error(e.kind()),
+            Err(e) => guard.set_error(e.error_kind().name()),
         }
         self.observe(op, res)
     }

@@ -178,7 +178,7 @@ impl Ada {
         let (ctx, mut guard) = op_span(Op::Query.span(), parent);
         let res = self.query_stored_inner(dataset, tag, &ctx);
         if let Err(e) = &res {
-            guard.set_error(e.kind());
+            guard.set_error(e.error_kind().name());
         }
         drop(guard);
         self.observe(Op::Query, res)
@@ -342,7 +342,7 @@ mod tests {
     use super::super::testkit::*;
     use super::super::{IngestInput, RetrievedData};
     use crate::synth::SyntheticDataset;
-    use crate::AdaError;
+    use crate::{AdaError, ErrorKind};
     use ada_mdformats::Frame;
     use ada_mdmodel::Tag;
 
@@ -440,9 +440,9 @@ mod tests {
         // Failures are `query`'s, and leave no heat; a size-only dataset
         // has nothing stored to hand on, and no frames to range over.
         let err = stored_ada.query_stored("bar", &Tag::new("zz"), &ctx);
-        assert_eq!(err.unwrap_err().kind(), "unknown_tag");
+        assert_eq!(err.unwrap_err().error_kind(), ErrorKind::UnknownTag);
         let err = stored_ada.query_stored("nope", &tag, &ctx);
-        assert_eq!(err.unwrap_err().kind(), "unknown_dataset");
+        assert_eq!(err.unwrap_err().error_kind(), ErrorKind::UnknownDataset);
         let spec = SyntheticDataset::gpcr_paper(626);
         stored_ada
             .ingest("big", IngestInput::Synthetic(spec))
@@ -491,14 +491,14 @@ mod tests {
         let t = Tag::protein();
         for (win, stride) in [(0..0, 1), (2..1, 1), (0..4, 1), (0..3, 0)] {
             let err = ada.query_range("bar", &t, win, stride).unwrap_err();
-            assert_eq!(err.kind(), "invalid_range");
+            assert_eq!(err.error_kind(), ErrorKind::InvalidRange);
         }
         let err = ada
             .query_range("bar", &Tag::new("zz"), 0..1, 1)
             .unwrap_err();
-        assert_eq!(err.kind(), "unknown_tag");
+        assert_eq!(err.error_kind(), ErrorKind::UnknownTag);
         let err = ada.query_range("nope", &t, 0..1, 1).unwrap_err();
-        assert_eq!(err.kind(), "unknown_dataset");
+        assert_eq!(err.error_kind(), ErrorKind::UnknownDataset);
         // Failed range reads leave no heat behind.
         assert!(ada.access_counts("bar").is_empty());
     }

@@ -310,7 +310,7 @@ fn check_chunk<'a>(
         });
     match &res {
         Ok(records) => ts.arg("frames", records.len()),
-        Err(e) => ts.set_error(e.kind()),
+        Err(e) => ts.set_error(e.error_kind().name()),
     }
     res
 }
@@ -374,7 +374,7 @@ mod tests {
     use crate::ada::testkit::*;
     use crate::ada::{Ada, AdaConfig, DatasetState};
     use crate::labeler::LabelFile;
-    use crate::{AdaError, Labeler};
+    use crate::{AdaError, ErrorKind, Labeler};
     use ada_mdformats::xtcf::{decode_chunk, parse_directory, seal_v2, write_xtcf};
     use ada_mdformats::{FormatError, Frame, Trajectory};
     use ada_mdmodel::{IndexRanges, PbcBox, Tag};
@@ -729,7 +729,7 @@ mod tests {
             store(&ada, 5, &tags, &source, &[2, 3]);
 
             let err = ada.query("d", None).unwrap_err();
-            assert_eq!(err.kind(), "xtcf");
+            assert_eq!(err.error_kind(), ErrorKind::Xtcf);
             let p = dropping_of(&ada, &Tag::protein());
             assert!(is_refusal(&err, &p, "chunks are cut unlike"), "{:?}", err);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);

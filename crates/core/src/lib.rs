@@ -155,6 +155,16 @@ pub enum AdaError {
         /// where known).
         detail: String,
     },
+    /// An error raised on the far side of the wire, as it crossed it: its
+    /// class and its rendering. Every kind but the three whose fields a
+    /// caller acts on (`Overloaded`, `DeadlineExceeded`, `Network`)
+    /// arrives as this.
+    Remote {
+        /// The class the error was raised as.
+        kind: ErrorKind,
+        /// Its `Display` text, verbatim.
+        message: String,
+    },
 }
 
 /// Convert a worker-thread panic payload into a structured [`AdaError`]
@@ -286,6 +296,7 @@ impl std::fmt::Display for AdaError {
                 waited, deadline
             ),
             AdaError::Network { detail } => write!(f, "network: {}", detail),
+            AdaError::Remote { message, .. } => f.write_str(message),
         }
     }
 }
@@ -317,17 +328,13 @@ impl AdaError {
             AdaError::Overloaded { .. } => ErrorKind::Overloaded,
             AdaError::DeadlineExceeded { .. } => ErrorKind::DeadlineExceeded,
             AdaError::Network { .. } => ErrorKind::Network,
+            AdaError::Remote { kind, .. } => *kind,
         }
-    }
-
-    /// Stable short name of the error class ([`ErrorKind::name`]) — the
-    /// suffix of `ada.{op}.err.{kind}` and what a failed span records.
-    pub fn kind(&self) -> &'static str {
-        self.error_kind().name()
     }
 }
 
-/// The class of an [`AdaError`], without its fields: one per variant.
+/// The class of an [`AdaError`], without its fields: one per local
+/// variant ([`AdaError::Remote`] carries the one it was sent as).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// [`AdaError::Fs`].
@@ -380,7 +387,8 @@ impl ErrorKind {
     ];
 
     /// Stable short name, so error rates aggregate uniformly across
-    /// variants.
+    /// variants: the suffix of `ada.{op}.err.{kind}` and what a failed
+    /// span records.
     pub fn name(self) -> &'static str {
         match self {
             ErrorKind::Fs => "fs",
@@ -417,7 +425,8 @@ impl std::error::Error for AdaError {
             | AdaError::Internal(_)
             | AdaError::Overloaded { .. }
             | AdaError::DeadlineExceeded { .. }
-            | AdaError::Network { .. } => None,
+            | AdaError::Network { .. }
+            | AdaError::Remote { .. } => None,
         }
     }
 }
@@ -427,8 +436,8 @@ mod error_tests {
     use super::*;
     use std::error::Error;
 
-    /// One value of every variant, in declaration order.
-    fn all_variants() -> Vec<AdaError> {
+    /// One value of every local variant, in declaration order.
+    fn local_variants() -> Vec<AdaError> {
         vec![
             AdaError::Fs(FsError::NotFound("x".into())),
             AdaError::Plfs(PlfsError::UnknownBackend("b".into())),
@@ -467,11 +476,13 @@ mod error_tests {
         ]
     }
 
-    /// A variant's place in [`all_variants`]. No wildcard arm: a new
-    /// variant does not compile until it has a place, and then
-    /// `every_variant_is_listed_once` fails until `all_variants` holds it.
-    fn listed_at(e: &AdaError) -> usize {
-        match e {
+    /// A variant's place in [`local_variants`]; `None` for
+    /// [`AdaError::Remote`], which carries its kind instead of having one.
+    /// No wildcard arm: a new variant does not compile until it has a
+    /// place, and then `every_local_variant_is_listed_once` fails until
+    /// `local_variants` holds it.
+    fn listed_at(e: &AdaError) -> Option<usize> {
+        Some(match e {
             AdaError::Fs(_) => 0,
             AdaError::Plfs(_) => 1,
             AdaError::Xtc(_) => 2,
@@ -486,18 +497,35 @@ mod error_tests {
             AdaError::Overloaded { .. } => 11,
             AdaError::DeadlineExceeded { .. } => 12,
             AdaError::Network { .. } => 13,
+            AdaError::Remote { .. } => return None,
+        })
+    }
+
+    #[test]
+    fn every_local_variant_is_listed_once() {
+        let places: Vec<Option<usize>> = local_variants().iter().map(listed_at).collect();
+        assert_eq!(places, (0..14).map(Some).collect::<Vec<_>>());
+    }
+
+    /// A remote error is any kind it was sent as, rendered as it was sent,
+    /// with no source on this side of the wire.
+    #[test]
+    fn a_remote_error_carries_its_kind_and_text() {
+        for kind in ErrorKind::ALL {
+            let e = AdaError::Remote {
+                kind,
+                message: format!("far side: {}", kind.name()),
+            };
+            assert_eq!(listed_at(&e), None);
+            assert_eq!(e.error_kind(), kind);
+            assert_eq!(e.to_string(), format!("far side: {}", kind.name()));
+            assert!(e.source().is_none());
         }
     }
 
     #[test]
-    fn every_variant_is_listed_once() {
-        let places: Vec<usize> = all_variants().iter().map(listed_at).collect();
-        assert_eq!(places, (0..14).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn display_is_nonempty_and_distinct_per_variant() {
-        let msgs: Vec<String> = all_variants().iter().map(|e| e.to_string()).collect();
+        let msgs: Vec<String> = local_variants().iter().map(|e| e.to_string()).collect();
         for m in &msgs {
             assert!(!m.is_empty());
         }
@@ -507,9 +535,9 @@ mod error_tests {
 
     #[test]
     fn kinds_are_stable_and_distinct() {
-        // Every variant has a kind of its own, and `ALL` lists each kind
-        // once, at its own index.
-        let kinds: Vec<ErrorKind> = all_variants().iter().map(|e| e.error_kind()).collect();
+        // Every local variant has a kind of its own, and `ALL` lists each
+        // kind once, at its own index.
+        let kinds: Vec<ErrorKind> = local_variants().iter().map(|e| e.error_kind()).collect();
         assert_eq!(kinds, ErrorKind::ALL);
         for (i, k) in ErrorKind::ALL.into_iter().enumerate() {
             assert_eq!(k as usize, i);
@@ -536,15 +564,12 @@ mod error_tests {
                 "network"
             ]
         );
-        for e in all_variants() {
-            assert_eq!(e.kind(), e.error_kind().name());
-        }
     }
 
     #[test]
     fn worker_panic_extracts_str_and_string_payloads() {
         let e = worker_panic("splitter", Box::new("index out of bounds"));
-        assert_eq!(e.kind(), "internal");
+        assert_eq!(e.error_kind(), ErrorKind::Internal);
         assert!(e
             .to_string()
             .contains("splitter panicked: index out of bounds"));
@@ -556,7 +581,7 @@ mod error_tests {
 
     #[test]
     fn source_chains_wrapped_errors() {
-        for e in all_variants() {
+        for e in local_variants() {
             match &e {
                 AdaError::Fs(_) | AdaError::Plfs(_) | AdaError::Xtc(_) | AdaError::Xtcf { .. } => {
                     let src = e.source().expect("wrapped variant must expose source");

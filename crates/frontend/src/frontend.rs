@@ -349,7 +349,7 @@ impl Frontend {
             .admit(class, client, deadline, &ctx, root)
             .and_then(|slot| self.execute(slot, op, &ctx, f));
         if let Err(e) = &res {
-            root.set_error(e.kind());
+            root.set_error(e.error_kind().name());
         }
         res
     }
@@ -522,7 +522,7 @@ impl Frontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ada_core::AdaConfig;
+    use ada_core::{AdaConfig, ErrorKind};
     use ada_plfs::ContainerSet;
     use ada_simfs::{LocalFs, SimFileSystem};
 
@@ -591,7 +591,7 @@ mod tests {
     fn unknown_dataset_error_passes_through_typed() {
         let fe = Frontend::new(make_ada(), FrontendConfig::default());
         let err = fe.query("c0", "nope", None).unwrap_err();
-        assert_eq!(err.kind(), "unknown_dataset");
+        assert_eq!(err.error_kind(), ErrorKind::UnknownDataset);
     }
 
     #[test]
@@ -609,7 +609,7 @@ mod tests {
                 |ada, ctx| ada.query_traced("bar", None, ctx),
             )
             .unwrap_err();
-        assert_eq!(err.kind(), "deadline_exceeded");
+        assert_eq!(err.error_kind(), ErrorKind::DeadlineExceeded);
         let s = fe.stats();
         assert_eq!(s.query.counters.expired, 1);
         assert!(s.is_quiescent());

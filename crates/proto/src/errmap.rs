@@ -1,20 +1,17 @@
-//! Exact structural mapping of [`AdaError`] — including its nested
-//! [`FsError`]/[`PlfsError`]/[`XtcError`]/[`FormatError`] sources —
-//! across the wire.
+//! [`AdaError`] across the wire: its [`ErrorKind`] and its `Display` text.
 //!
-//! Every variant has its own discriminant and carries its full field
-//! set, so an error decoded on the client has the same `kind()`, the
-//! same `Display` rendering, and the same structured fields as the error
-//! the server's middleware produced: the networked path is
-//! *error-kind-identical* to the in-process path, which the equivalence
-//! suite (`tests/network_equivalence.rs`) locks down.
+//! An error is one byte, its kind's index in [`ErrorKind::ALL`], then its
+//! body. The three kinds whose fields a caller acts on keep them:
+//! `Overloaded` (queue depth, back-off), `DeadlineExceeded` (waited,
+//! deadline) and `Network` (detail). Every other kind's body is its
+//! rendering, and it decodes as [`AdaError::Remote`]: the same
+//! `error_kind()` and the same `to_string()` as the error the server's
+//! middleware raised, which is what the equivalence suite
+//! (`tests/network_equivalence.rs`) holds the networked path to.
 
 use std::time::Duration;
 
-use ada_core::AdaError;
-use ada_mdformats::{FormatError, XtcError};
-use ada_plfs::PlfsError;
-use ada_simfs::FsError;
+use ada_core::{AdaError, ErrorKind};
 
 use crate::wire::{ProtoError, WireReader, WireWriter};
 
@@ -29,318 +26,76 @@ fn get_duration(r: &mut WireReader) -> Result<Duration, ProtoError> {
     Ok(Duration::from_nanos(ns.min(u64::MAX as u128) as u64))
 }
 
-fn encode_fs(w: &mut WireWriter, e: &FsError) {
-    match e {
-        FsError::NotFound(p) => {
-            w.put_u8(0);
-            w.put_str(p);
-        }
-        FsError::AlreadyExists(p) => {
-            w.put_u8(1);
-            w.put_str(p);
-        }
-        FsError::NoSpace { requested, free } => {
-            w.put_u8(2);
-            w.put_u64(*requested);
-            w.put_u64(*free);
-        }
-        FsError::OutOfRange {
-            offset,
-            len,
-            file_len,
-        } => {
-            w.put_u8(3);
-            w.put_u64(*offset);
-            w.put_u64(*len);
-            w.put_u64(*file_len);
-        }
-    }
-}
-
-fn decode_fs(r: &mut WireReader) -> Result<FsError, ProtoError> {
-    Ok(match r.get_u8()? {
-        0 => FsError::NotFound(r.get_str()?),
-        1 => FsError::AlreadyExists(r.get_str()?),
-        2 => FsError::NoSpace {
-            requested: r.get_u64()?,
-            free: r.get_u64()?,
-        },
-        3 => FsError::OutOfRange {
-            offset: r.get_u64()?,
-            len: r.get_u64()?,
-            file_len: r.get_u64()?,
-        },
-        other => {
-            return Err(ProtoError::Malformed(format!(
-                "unknown FsError discriminant {}",
-                other
-            )))
-        }
-    })
-}
-
-fn encode_plfs(w: &mut WireWriter, e: &PlfsError) {
-    match e {
-        PlfsError::UnknownBackend(b) => {
-            w.put_u8(0);
-            w.put_str(b);
-        }
-        PlfsError::NoSuchLogical(l) => {
-            w.put_u8(1);
-            w.put_str(l);
-        }
-        PlfsError::LogicalExists(l) => {
-            w.put_u8(2);
-            w.put_str(l);
-        }
-        // Discriminants 3 (`NoSuchTag`) and 5 (`CorruptIndex`) are
-        // retired: they decode as unknown.
-        PlfsError::Fs(fs) => {
-            w.put_u8(4);
-            encode_fs(w, fs);
-        }
-    }
-}
-
-fn decode_plfs(r: &mut WireReader) -> Result<PlfsError, ProtoError> {
-    Ok(match r.get_u8()? {
-        0 => PlfsError::UnknownBackend(r.get_str()?),
-        1 => PlfsError::NoSuchLogical(r.get_str()?),
-        2 => PlfsError::LogicalExists(r.get_str()?),
-        4 => PlfsError::Fs(decode_fs(r)?),
-        // 3 and 5 are retired, so unknown.
-        other => {
-            return Err(ProtoError::Malformed(format!(
-                "unknown PlfsError discriminant {}",
-                other
-            )))
-        }
-    })
-}
-
-fn encode_format(w: &mut WireWriter, e: &FormatError) {
-    match e {
-        FormatError::UnexpectedEof => w.put_u8(0),
-        FormatError::Corrupt(m) => {
-            w.put_u8(1);
-            w.put_str(m);
-        }
-        FormatError::OutOfRange(m) => {
-            w.put_u8(2);
-            w.put_str(m);
-        }
-        FormatError::ChunkCorrupt { chunk, detail } => {
-            w.put_u8(3);
-            w.put_u64(*chunk as u64);
-            w.put_str(detail);
-        }
-    }
-}
-
-fn decode_format(r: &mut WireReader) -> Result<FormatError, ProtoError> {
-    Ok(match r.get_u8()? {
-        0 => FormatError::UnexpectedEof,
-        1 => FormatError::Corrupt(r.get_str()?),
-        2 => FormatError::OutOfRange(r.get_str()?),
-        3 => FormatError::ChunkCorrupt {
-            chunk: r.get_u64()? as usize,
-            detail: r.get_str()?,
-        },
-        other => {
-            return Err(ProtoError::Malformed(format!(
-                "unknown FormatError discriminant {}",
-                other
-            )))
-        }
-    })
-}
-
-fn encode_xtc(w: &mut WireWriter, e: &XtcError) {
-    match e {
-        XtcError::Format(fe) => {
-            w.put_u8(0);
-            encode_format(w, fe);
-        }
-        XtcError::CoordinateOverflow => w.put_u8(1),
-        XtcError::BadMagic(m) => {
-            w.put_u8(2);
-            w.put_i32(*m);
-        }
-        XtcError::BadPrecision(p) => {
-            w.put_u8(3);
-            w.put_f32(*p);
-        }
-        XtcError::BadAtomCount(n) => {
-            w.put_u8(4);
-            w.put_i32(*n);
-        }
-        XtcError::TruncatedPayload => w.put_u8(5),
-    }
-}
-
-fn decode_xtc(r: &mut WireReader) -> Result<XtcError, ProtoError> {
-    Ok(match r.get_u8()? {
-        0 => XtcError::Format(decode_format(r)?),
-        1 => XtcError::CoordinateOverflow,
-        2 => XtcError::BadMagic(r.get_i32()?),
-        3 => XtcError::BadPrecision(r.get_f32()?),
-        4 => XtcError::BadAtomCount(r.get_i32()?),
-        5 => XtcError::TruncatedPayload,
-        other => {
-            return Err(ProtoError::Malformed(format!(
-                "unknown XtcError discriminant {}",
-                other
-            )))
-        }
-    })
-}
-
-/// Append `e` to `w`, fully structurally.
+/// Append `e` to `w`: its kind, then its fields or its text.
 pub fn encode_error(w: &mut WireWriter, e: &AdaError) {
+    w.put_u8(e.error_kind() as u8);
     match e {
-        AdaError::Fs(fs) => {
-            w.put_u8(0);
-            encode_fs(w, fs);
-        }
-        AdaError::Plfs(p) => {
-            w.put_u8(1);
-            encode_plfs(w, p);
-        }
-        AdaError::Xtc(x) => {
-            w.put_u8(2);
-            encode_xtc(w, x);
-        }
-        AdaError::Xtcf { dropping, source } => {
-            w.put_u8(3);
-            w.put_str(dropping);
-            encode_format(w, source);
-        }
-        AdaError::FrameCountMismatch { tag, expected, got } => {
-            w.put_u8(4);
-            w.put_str(tag);
-            w.put_u64(*expected as u64);
-            w.put_u64(*got as u64);
-        }
-        AdaError::Pdb(m) => {
-            w.put_u8(5);
-            w.put_str(m);
-        }
-        AdaError::UnknownTag(t) => {
-            w.put_u8(6);
-            w.put_str(t);
-        }
-        AdaError::UnknownDataset(d) => {
-            w.put_u8(7);
-            w.put_str(d);
-        }
-        AdaError::InvalidRange {
-            start,
-            end,
-            stride,
-            nframes,
-        } => {
-            w.put_u8(8);
-            w.put_u64(*start as u64);
-            w.put_u64(*end as u64);
-            w.put_u64(*stride as u64);
-            w.put_u64(*nframes as u64);
-        }
-        AdaError::AtomMismatch { pdb, xtc } => {
-            w.put_u8(9);
-            w.put_u64(*pdb as u64);
-            w.put_u64(*xtc as u64);
-        }
-        // Discriminant 10 is retired: it decodes as unknown.
-        AdaError::Internal(m) => {
-            w.put_u8(11);
-            w.put_str(m);
-        }
         AdaError::Overloaded {
             queue_depth,
             retry_after,
         } => {
-            w.put_u8(12);
             w.put_u64(*queue_depth as u64);
             put_duration(w, *retry_after);
         }
         AdaError::DeadlineExceeded { waited, deadline } => {
-            w.put_u8(13);
             put_duration(w, *waited);
             put_duration(w, *deadline);
         }
-        AdaError::Network { detail } => {
-            w.put_u8(14);
-            w.put_str(detail);
-        }
+        AdaError::Network { detail } => w.put_str(detail),
+        _ => w.put_str(&e.to_string()),
     }
 }
 
 /// Decode an error written by [`encode_error`].
 pub fn decode_error(r: &mut WireReader) -> Result<AdaError, ProtoError> {
-    Ok(match r.get_u8()? {
-        0 => AdaError::Fs(decode_fs(r)?),
-        1 => AdaError::Plfs(decode_plfs(r)?),
-        2 => AdaError::Xtc(decode_xtc(r)?),
-        3 => AdaError::Xtcf {
-            dropping: r.get_str()?,
-            source: decode_format(r)?,
-        },
-        4 => AdaError::FrameCountMismatch {
-            tag: r.get_str()?,
-            expected: r.get_u64()? as usize,
-            got: r.get_u64()? as usize,
-        },
-        5 => AdaError::Pdb(r.get_str()?),
-        6 => AdaError::UnknownTag(r.get_str()?),
-        7 => AdaError::UnknownDataset(r.get_str()?),
-        8 => AdaError::InvalidRange {
-            start: r.get_u64()? as usize,
-            end: r.get_u64()? as usize,
-            stride: r.get_u64()? as usize,
-            nframes: r.get_u64()? as usize,
-        },
-        9 => AdaError::AtomMismatch {
-            pdb: r.get_u64()? as usize,
-            xtc: r.get_u64()? as usize,
-        },
-        11 => AdaError::Internal(r.get_str()?),
-        12 => AdaError::Overloaded {
+    let byte = r.get_u8()?;
+    let kind = ErrorKind::ALL
+        .get(byte as usize)
+        .copied()
+        .ok_or_else(|| ProtoError::Malformed(format!("unknown error kind {}", byte)))?;
+    Ok(match kind {
+        ErrorKind::Overloaded => AdaError::Overloaded {
             queue_depth: r.get_u64()? as usize,
             retry_after: get_duration(r)?,
         },
-        13 => AdaError::DeadlineExceeded {
+        ErrorKind::DeadlineExceeded => AdaError::DeadlineExceeded {
             waited: get_duration(r)?,
             deadline: get_duration(r)?,
         },
-        14 => AdaError::Network {
+        ErrorKind::Network => AdaError::Network {
             detail: r.get_str()?,
         },
-        other => {
-            return Err(ProtoError::Malformed(format!(
-                "unknown AdaError discriminant {}",
-                other
-            )))
-        }
+        kind => AdaError::Remote {
+            kind,
+            message: r.get_str()?,
+        },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ada_mdformats::{FormatError, XtcError};
+    use ada_plfs::PlfsError;
+    use ada_simfs::FsError;
 
-    fn round_trip(e: &AdaError) -> AdaError {
+    fn encode(e: &AdaError) -> Vec<u8> {
         let mut w = WireWriter::new();
         encode_error(&mut w, e);
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        let back = decode_error(&mut r).unwrap();
-        r.expect_end().unwrap();
-        back
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<AdaError, ProtoError> {
+        let mut r = WireReader::new(bytes);
+        let back = decode_error(&mut r)?;
+        r.expect_end()?;
+        Ok(back)
     }
 
     /// One representative of every `AdaError` kind (and every nested
     /// source variant) must survive the wire with an identical kind AND
-    /// an identical `Display` rendering.
+    /// an identical `Display` rendering; the three fielded kinds with
+    /// their fields equal too.
     #[test]
     fn every_error_kind_round_trips_identically() {
         let samples: Vec<AdaError> = vec![
@@ -403,50 +158,96 @@ mod tests {
             },
         ];
         for e in &samples {
-            let back = round_trip(e);
-            assert_eq!(back.kind(), e.kind(), "kind drift for {:?}", e);
+            let back = decode(&encode(e)).unwrap();
+            assert_eq!(back.error_kind(), e.error_kind(), "kind drift for {:?}", e);
             assert_eq!(back.to_string(), e.to_string(), "display drift for {:?}", e);
-        }
-        // The sample list must cover every kind string the enum exposes —
-        // a newly added variant that is not wired through here fails the
-        // coverage count.
-        let mut kinds: Vec<&str> = samples.iter().map(|e| e.kind()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(kinds.len(), 14, "error kinds covered: {:?}", kinds);
-    }
-
-    /// `PlfsError`'s discriminants 3 (no such tag) and 5 (corrupt index)
-    /// name errors nothing raises any more: both decode as unknown.
-    #[test]
-    fn retired_plfs_discriminants_decode_as_malformed() {
-        for retired in [3u8, 5] {
-            let mut w = WireWriter::new();
-            w.put_u8(1); // AdaError::Plfs
-            w.put_u8(retired);
-            w.put_str("ds");
-            w.put_str("p");
-            let bytes = w.finish();
-            match decode_error(&mut WireReader::new(&bytes)) {
-                Err(ProtoError::Malformed(m)) => {
-                    assert!(
-                        m.contains(&format!("PlfsError discriminant {}", retired)),
-                        "{m}"
-                    )
+            match (e, &back) {
+                (
+                    AdaError::Overloaded {
+                        queue_depth: q,
+                        retry_after: r,
+                    },
+                    AdaError::Overloaded {
+                        queue_depth: bq,
+                        retry_after: br,
+                    },
+                ) => assert_eq!((q, r), (bq, br)),
+                (
+                    AdaError::DeadlineExceeded {
+                        waited: w,
+                        deadline: d,
+                    },
+                    AdaError::DeadlineExceeded {
+                        waited: bw,
+                        deadline: bd,
+                    },
+                ) => assert_eq!((w, d), (bw, bd)),
+                (AdaError::Network { detail }, AdaError::Network { detail: back }) => {
+                    assert_eq!(detail, back)
                 }
-                other => panic!("discriminant {} gave {:?}", retired, other),
+                (_, AdaError::Remote { .. }) => {}
+                _ => panic!("{:?} came back as {:?}", e, back),
             }
         }
+        // The sample list must cover every kind the enum exposes — a newly
+        // added kind that is not wired through here fails the count.
+        let mut kinds: Vec<&str> = samples.iter().map(|e| e.error_kind().name()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(
+            kinds.len(),
+            ErrorKind::ALL.len(),
+            "error kinds covered: {:?}",
+            kinds
+        );
     }
 
+    /// A decoded `Remote` re-encodes to the bytes it came from, whatever
+    /// its kind: a relay passes an error on losslessly.
+    #[test]
+    fn a_remote_error_relays_byte_for_byte() {
+        let fielded = [
+            ErrorKind::Overloaded,
+            ErrorKind::DeadlineExceeded,
+            ErrorKind::Network,
+        ];
+        for kind in ErrorKind::ALL {
+            if fielded.contains(&kind) {
+                continue;
+            }
+            let mut w = WireWriter::new();
+            w.put_u8(kind as u8);
+            w.put_str(&format!("far side failed: {}", kind.name()));
+            let bytes = w.finish();
+            let e = decode(&bytes).unwrap();
+            assert!(matches!(e, AdaError::Remote { .. }), "{:?}", e);
+            assert_eq!(e.error_kind(), kind);
+            assert_eq!(e.to_string(), format!("far side failed: {}", kind.name()));
+            assert_eq!(encode(&e), bytes, "{}", kind.name());
+        }
+    }
+
+    /// Every byte past the last kind is a typed `Malformed`; a body cut
+    /// short is the reader's typed `Truncated`, as for any other field.
     #[test]
     fn unknown_discriminant_is_typed() {
-        for discriminant in [[10], [200]] {
-            let mut r = WireReader::new(&discriminant);
-            assert!(matches!(
-                decode_error(&mut r),
-                Err(ProtoError::Malformed(_))
-            ));
+        for byte in ErrorKind::ALL.len()..=255 {
+            let mut w = WireWriter::new();
+            w.put_u8(byte as u8);
+            w.put_str("text");
+            assert!(
+                matches!(decode(&w.finish()), Err(ProtoError::Malformed(_))),
+                "byte {}",
+                byte
+            );
+        }
+        let whole = encode(&AdaError::UnknownDataset("nope".into()));
+        for cut in 1..whole.len() {
+            assert!(
+                matches!(decode(&whole[..cut]), Err(ProtoError::Truncated { .. })),
+                "cut at {}",
+                cut
+            );
         }
         // A query answer's payload kind is 0, frames; 1 is unknown like any
         // other.

@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "ADAP" (message frame) or "ADAC" (chunk frame)
-//! 4       1     version (currently 4: a query answer is a stream of chunk frames)
+//! 4       1     version (currently 5: an error is its kind and its text)
 //! 5       4     payload length N, little-endian u32
 //! 9       4     IEEE CRC-32 (same polynomial as XTCF v2): of the payload in a
 //!               message frame; the chunk's own, as sealed at ingest, in a chunk frame
@@ -32,10 +32,11 @@
 //! configured maximum, *before* allocating) and, for a message frame, the
 //! CRC; every violation is a typed [`ProtoError`] that surfaces to callers
 //! as [`ada_core::AdaError::Network`]. Payloads are encoded with the
-//! fixed-width little-endian primitives in [`wire`]; every `AdaError`
-//! kind has an exact structural mapping across the wire ([`errmap`]), so
-//! a remote failure reaches the client with the same `kind()` — and for
-//! structured kinds the same fields — as the in-process path.
+//! fixed-width little-endian primitives in [`wire`]. An error crosses the
+//! wire as its kind and its text ([`errmap`]), so a remote failure reaches
+//! the client with the same `error_kind()` and the same `Display` as the
+//! in-process path — and, for the three kinds a caller acts on
+//! (`Overloaded`, `DeadlineExceeded`, `Network`), the same fields.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

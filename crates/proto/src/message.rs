@@ -553,6 +553,7 @@ fn decode_cache_stats(r: &mut WireReader) -> Result<CacheStats, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ada_core::ErrorKind;
     use ada_mdformats::Frame;
     use ada_mdmodel::Tag;
     use ada_storagesim::SimDuration;
@@ -706,7 +707,7 @@ mod tests {
             body: ResponseBody::Error(AdaError::UnknownDataset("nope".into())),
         };
         match ResponseEnvelope::decode(&resp.encode()).unwrap().body {
-            ResponseBody::Error(e) => assert_eq!(e.kind(), "unknown_dataset"),
+            ResponseBody::Error(e) => assert_eq!(e.error_kind(), ErrorKind::UnknownDataset),
             other => panic!("wrong body {:?}", other),
         }
     }
@@ -783,7 +784,7 @@ mod tests {
             Err(e @ ProtoError::Payload(_)) => AdaError::from(e),
             other => panic!("expected a payload error, got {:?}", other),
         };
-        assert_eq!(err.kind(), "xtcf", "{}", err);
+        assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
         assert!(err.to_string().contains(needle), "{}", err);
     }
 

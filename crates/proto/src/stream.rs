@@ -344,7 +344,7 @@ fn read_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ada_core::{QueryReport, RetrievedData};
+    use ada_core::{ErrorKind, QueryReport, RetrievedData};
     use ada_mdformats::xtcf::{parse_directory, seal_v2, write_xtcf, XTCF_RECORD_NATOMS_OFFSET};
     use ada_mdformats::FormatError;
     use ada_storagesim::SimDuration;
@@ -491,8 +491,8 @@ mod tests {
             profile: None,
         };
         assert_eq!(
-            WireQueryReport::from_report(&rep).unwrap_err().kind(),
-            "xtcf"
+            WireQueryReport::from_report(&rep).unwrap_err().error_kind(),
+            ErrorKind::Xtcf
         );
         // Built by hand, it has no container: the one-frame encoding is the
         // error, and the stream ends in it after the chunk that sealed.
@@ -513,7 +513,7 @@ mod tests {
             assert_eq!(resp.id, 9);
             match resp.body {
                 ResponseBody::Error(e) => {
-                    assert_eq!(e.kind(), "xtcf");
+                    assert_eq!(e.error_kind(), ErrorKind::Xtcf);
                     assert!(e.to_string().contains("atom count"), "{}", e);
                 }
                 other => panic!("expected the sealing error, got {:?}", other),
@@ -708,7 +708,7 @@ mod tests {
 
         // To the caller it is the error a corrupt stored chunk raises.
         let err = AdaError::from(read_one(&stream(head, all_ok(&flipped))).unwrap_err());
-        assert_eq!(err.kind(), "xtcf");
+        assert_eq!(err.error_kind(), ErrorKind::Xtcf);
         assert!(err.to_string().contains("corrupt chunk 1"), "{}", err);
     }
 

@@ -307,6 +307,7 @@ impl<'a> WireReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ada_core::ErrorKind;
 
     #[test]
     fn primitives_round_trip() {
@@ -363,7 +364,7 @@ mod tests {
     #[test]
     fn proto_error_maps_to_network_kind() {
         let e: AdaError = ProtoError::BadVersion { got: 9 }.into();
-        assert_eq!(e.kind(), "network");
+        assert_eq!(e.error_kind(), ErrorKind::Network);
         // ... all but frames that failed their check, which are what a
         // corrupt stored dropping is.
         let e: AdaError = ProtoError::Payload(FormatError::ChunkCorrupt {
@@ -371,7 +372,7 @@ mod tests {
             detail: "checksum mismatch".to_string(),
         })
         .into();
-        assert_eq!(e.kind(), "xtcf");
+        assert_eq!(e.error_kind(), ErrorKind::Xtcf);
         assert_eq!(
             e.to_string(),
             "corrupt dropping 'query response payload': corrupt chunk 2: checksum mismatch"

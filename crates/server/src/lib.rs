@@ -486,15 +486,15 @@ fn send_answer(
     };
     span.arg("forwarded", forwarded);
     let Some(sent) = written(metrics, res) else {
-        span.set_error("network");
+        span.set_error(ada_core::ErrorKind::Network.name());
         return false;
     };
     span.arg("chunks", sent.chunks);
     span.arg("bytes", sent.bytes);
     if let Some(e) = sent.error {
         metrics.request_errors.inc();
-        span.set_error(e.kind());
-        root.set_error(e.kind());
+        span.set_error(e.error_kind().name());
+        root.set_error(e.error_kind().name());
     }
     true
 }

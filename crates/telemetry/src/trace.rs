@@ -175,8 +175,8 @@ pub struct TraceSpan {
     pub thread: Arc<str>,
     /// Key/value annotations (bytes, frames, tag, backend, …).
     pub args: Vec<(&'static str, ArgValue)>,
-    /// `AdaError::kind()` of the failure this span observed, if any.
-    pub error: Option<String>,
+    /// `ErrorKind::name()` of the failure this span observed, if any.
+    pub error: Option<&'static str>,
 }
 
 impl TraceSpan {
@@ -307,7 +307,7 @@ struct GuardLive {
     name: &'static str,
     start_ns: u64,
     args: Vec<(&'static str, ArgValue)>,
-    error: Option<String>,
+    error: Option<&'static str>,
     root: bool,
 }
 
@@ -350,10 +350,10 @@ impl TraceSpanGuard {
         }
     }
 
-    /// Mark the span failed with an error kind (`AdaError::kind()`).
-    pub fn set_error(&mut self, kind: impl Into<String>) {
+    /// Mark the span failed with an error kind (`ErrorKind::name()`).
+    pub fn set_error(&mut self, kind: &'static str) {
         if let Some(l) = &mut self.live {
-            l.error = Some(kind.into());
+            l.error = Some(kind);
         }
     }
 
@@ -486,7 +486,7 @@ fn finalize(trace: &Arc<ActiveTrace>) {
     let (duration_ns, error) = spans
         .iter()
         .find(|s| s.id == 1)
-        .map(|r| (r.duration_ns(), r.error.clone()))
+        .map(|r| (r.duration_ns(), r.error))
         .unwrap_or((0, None));
     let rec = recorder();
     let flag = match error {
@@ -695,8 +695,8 @@ pub fn chrome_trace(traces: &[Arc<Trace>]) -> Value {
             if let Some(parent) = span.parent {
                 args.push(("parent", Value::num_u(parent)));
             }
-            if let Some(kind) = &span.error {
-                args.push(("error", Value::str(kind.clone())));
+            if let Some(kind) = span.error {
+                args.push(("error", Value::str(kind)));
             }
             for (k, v) in &span.args {
                 args.push((k, v.to_json()));

@@ -14,7 +14,7 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
 use ada_frontend::{Class, Frontend, FrontendConfig};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
@@ -352,7 +352,7 @@ fn panicking_request_is_typed_and_releases_its_slot() {
 
         ssd.poisoned.store(true, Ordering::SeqCst);
         let err = fe.query("c0", "bar", Some(&Tag::protein())).unwrap_err();
-        assert_eq!(err.kind(), "internal", "got {:?}", err);
+        assert_eq!(err.error_kind(), ErrorKind::Internal, "got {:?}", err);
         let text = err.to_string();
         assert!(
             text.contains("query") && text.contains("injected read fault"),

@@ -3,7 +3,7 @@
 //! racing deletions. The middleware must fail with typed errors — never
 //! panic, never return silently wrong data.
 
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, LabelFile, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, LabelFile, RetrievedData};
 use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
@@ -75,7 +75,7 @@ fn corrupt_dropping_bytes_yield_typed_error() {
 
     let err = r.ada.query("bar", Some(&Tag::protein())).unwrap_err();
     assert!(matches!(err, AdaError::Xtcf { .. }), "got {:?}", err);
-    assert_eq!(err.kind(), "xtcf");
+    assert_eq!(err.error_kind(), ErrorKind::Xtcf);
     // The error names the corrupt dropping and chains the format error.
     assert!(err.to_string().contains("dropping.data.p"), "got {}", err);
     assert!(std::error::Error::source(&err).is_some());
@@ -222,7 +222,13 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
             Err(e) => e,
             Ok(_) => panic!("a {} file was ingested", what),
         };
-        assert_eq!(err.kind(), "atom_mismatch", "{}: {}", what, err);
+        assert_eq!(
+            err.error_kind(),
+            ErrorKind::AtomMismatch,
+            "{}: {}",
+            what,
+            err
+        );
         assert!(
             matches!(err, AdaError::AtomMismatch { pdb, xtc }
                 if (pdb, xtc) == (w.system.len(), found)),

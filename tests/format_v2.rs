@@ -9,7 +9,7 @@
 //! must keep decoding bit-identically forever.
 
 use ada_cache::CacheConfig;
-use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
+use ada_core::{Ada, AdaConfig, ErrorKind, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::xtcf::{
     crc32, decode_chunk, frame_record_len, parse_directory, presized_v2, read_xtcf, seal_v2,
@@ -106,8 +106,8 @@ fn assert_corrupt(what: &str, detail: &str, mutate: impl Fn(Vec<u8>) -> Vec<u8>)
         for tag in [Some(Tag::protein()), None] {
             let err = r.ada.query("d", tag.as_ref()).unwrap_err();
             assert_eq!(
-                err.kind(),
-                "xtcf",
+                err.error_kind(),
+                ErrorKind::Xtcf,
                 "{} threads={} tag={:?}: got {:?}",
                 what,
                 threads,
@@ -215,7 +215,7 @@ fn windows_clear_of_the_corrupt_chunk_still_decode() {
             .ada
             .query_range("d", &Tag::protein(), 2..4, 1)
             .unwrap_err();
-        assert_eq!(err.kind(), "xtcf", "threads={}", threads);
+        assert_eq!(err.error_kind(), ErrorKind::Xtcf, "threads={}", threads);
     }
 }
 
@@ -290,7 +290,11 @@ fn directory_less_dropping_is_a_typed_error_on_every_read() {
             ("stored", r.ada.query_stored("d", &tag, &ctx).unwrap_err()),
         ];
         for (what, err) in errors {
-            assert_eq!(err.kind(), "xtcf", "threads={threads} {what}: {err:?}");
+            assert_eq!(
+                err.error_kind(),
+                ErrorKind::Xtcf,
+                "threads={threads} {what}: {err:?}"
+            );
             let msg = err.to_string();
             assert!(msg.contains(&path), "threads={threads} {what}: {msg}");
             assert!(

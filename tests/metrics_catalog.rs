@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use ada_cache::CacheConfig;
 use ada_client::{Client, ClientConfig, Router};
-use ada_core::{Ada, AdaConfig, IngestInput};
+use ada_core::{Ada, AdaConfig, ErrorKind, IngestInput};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::xtcf::parse_directory;
 use ada_mdmodel::Tag;
@@ -185,7 +185,7 @@ fn metrics_md_catalogs_exactly_what_a_stack_emits() {
     ssd.delete(&path).unwrap();
     ssd.create(&path, Content::real(bytes)).unwrap();
     let err = fe.query("local", "bad", Some(&Tag::protein())).unwrap_err();
-    assert_eq!(err.kind(), "xtcf", "{}", err);
+    assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
     server.shutdown();
 
     let mut snap = metrics_of(&server);

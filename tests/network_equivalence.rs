@@ -19,9 +19,10 @@
 //!   v1 dropping (no chunk directory) is the in-process typed error, and a
 //!   size-only dataset, which has no frames, is refused whole-tag and
 //!   full-frame alike, each on a kept connection;
-//! * remote errors keep their exact `kind()` — `unknown_dataset` and
-//!   `invalid_range` cross the wire as themselves, not as a generic
-//!   network failure;
+//! * remote errors keep their exact `error_kind()` and `Display` —
+//!   `unknown_dataset`, `invalid_range`, `unknown_tag`, and errors whose
+//!   in-process form wraps a nested source (`plfs`, `xtc`) cross the wire
+//!   as themselves, not as a generic network failure;
 //! * a traced remote request seals ONE connected tree under the
 //!   client's trace id: the server's spans are rooted from the
 //!   wire-carried id instead of minting a disconnected root, recorded on
@@ -42,12 +43,12 @@ use std::time::Duration;
 use ada_client::{Client, ClientConfig, Router};
 use ada_core::synth::SyntheticDataset;
 use ada_core::tiering::heat_snapshot;
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::xtcf::{frame_record_len, parse_directory, read_xtcf, write_xtcf};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
+use ada_plfs::{ContainerSet, PlfsError};
 use ada_proto::{
     encode_frame, RequestBody, RequestEnvelope, WireIngestReport, WireQueryReport, WireReader,
     CHUNK_MAGIC, HEADER_LEN,
@@ -356,7 +357,7 @@ fn ragged_single_frame_and_empty_windows_round_trip() {
     // An empty window delivers no payload at all: the same typed error.
     let remote = client.query_range("ds", "p", 4, 4, 1).unwrap_err();
     let local = serial.query_range("ds", &p, 4..4, 1).unwrap_err();
-    assert_eq!(remote.kind(), "invalid_range");
+    assert_eq!(remote.error_kind(), ErrorKind::InvalidRange);
     assert_eq!(remote.to_string(), local.to_string());
 
     server.shutdown();
@@ -533,7 +534,7 @@ fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
     let accepted_before = accepted();
     let remote = client.query("old", Some("p")).unwrap_err();
     let local = fe.ada().query("old", Some(&Tag::protein())).unwrap_err();
-    assert_eq!(remote.kind(), "xtcf", "{}", remote);
+    assert_eq!(remote.error_kind(), ErrorKind::Xtcf, "{}", remote);
     assert_eq!(remote.to_string(), local.to_string());
     assert!(remote.to_string().contains(&path), "{}", remote);
     assert!(
@@ -550,15 +551,18 @@ fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
     let size_only = AdaError::size_only().to_string();
     let remote = client.query("big", Some("p")).unwrap_err();
     assert_eq!(
-        (remote.kind(), remote.to_string()),
-        ("pdb", size_only.clone())
+        (remote.error_kind(), remote.to_string()),
+        (ErrorKind::Pdb, size_only.clone())
     );
     assert!(fe.ada().access_counts("big").is_empty(), "no heat");
     // The full-frame query runs in process before its answer is refused on
     // the way to the wire, and counts its access there, as `mol addfile`
     // of a size-only dataset does in process.
     let remote = client.query("big", None).unwrap_err();
-    assert_eq!((remote.kind(), remote.to_string()), ("pdb", size_only));
+    assert_eq!(
+        (remote.error_kind(), remote.to_string()),
+        (ErrorKind::Pdb, size_only)
+    );
     assert_eq!(heat_snapshot(fe.ada(), "big").heat(&Tag::protein()), 1);
     assert_eq!(
         accepted(),
@@ -568,8 +572,9 @@ fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
     server.shutdown();
 }
 
-/// Remote failures keep their exact kind: the wire carries the full
-/// `AdaError` structure, not a lossy "remote error" wrapper.
+/// Remote failures keep their exact kind and text: the wire carries an
+/// error's kind and its rendering, so a remote error reads as the
+/// in-process one, nested sources (`plfs`, `xtc`) included.
 #[test]
 fn remote_error_kinds_match_in_process() {
     let _guard = serialize();
@@ -580,28 +585,57 @@ fn remote_error_kinds_match_in_process() {
 
     // unknown dataset
     let remote = client.query("no-such-dataset", None).unwrap_err();
-    assert_eq!(remote.kind(), "unknown_dataset");
+    assert_eq!(remote.error_kind(), ErrorKind::UnknownDataset);
 
     // invalid range (frames beyond the trajectory)
     let remote = client.query_range("ds", "p", 0, 5000, 1).unwrap_err();
-    assert_eq!(remote.kind(), "invalid_range");
+    assert_eq!(remote.error_kind(), ErrorKind::InvalidRange);
 
     // unknown tag
     let remote = client.query("ds", Some("zz")).unwrap_err();
-    assert_eq!(remote.kind(), "unknown_tag");
+    assert_eq!(remote.error_kind(), ErrorKind::UnknownTag);
 
     // In-process reference: identical kinds AND identical Display text.
     let serial = make_ada();
     serial.ingest("ds", real_input(300, 3, 21)).unwrap();
     let local = serial.query("no-such-dataset", None).unwrap_err();
     let remote = client.query("no-such-dataset", None).unwrap_err();
-    assert_eq!(local.kind(), remote.kind());
+    assert_eq!(local.error_kind(), remote.error_kind());
     assert_eq!(local.to_string(), remote.to_string());
     let local = serial
         .query_range("ds", &Tag::protein(), 0..5000, 1)
         .unwrap_err();
     let remote = client.query_range("ds", "p", 0, 5000, 1).unwrap_err();
-    assert_eq!(local.kind(), remote.kind());
+    assert_eq!(local.error_kind(), remote.error_kind());
+    assert_eq!(local.to_string(), remote.to_string());
+
+    // A second ingest under a taken name: the container layer's refusal.
+    let local = serial.ingest("ds", real_input(300, 3, 21)).unwrap_err();
+    assert!(
+        matches!(local, AdaError::Plfs(PlfsError::LogicalExists(_))),
+        "{:?}",
+        local
+    );
+    let remote = client.ingest("ds", &pdb, &xtc).unwrap_err();
+    assert_eq!(remote.error_kind(), ErrorKind::Plfs);
+    assert_eq!(local.error_kind(), remote.error_kind());
+    assert_eq!(local.to_string(), remote.to_string());
+
+    // A truncated `.xtc`: the trajectory decoder's refusal.
+    let cut = xtc[..xtc.len() / 2].to_vec();
+    let local = serial
+        .ingest(
+            "cut",
+            IngestInput::Real {
+                pdb_text: pdb.clone(),
+                xtc_bytes: cut.clone(),
+            },
+        )
+        .unwrap_err();
+    assert!(matches!(local, AdaError::Xtc(_)), "{:?}", local);
+    let remote = client.ingest("cut", &pdb, &cut).unwrap_err();
+    assert_eq!(remote.error_kind(), ErrorKind::Xtc);
+    assert_eq!(local.error_kind(), remote.error_kind());
     assert_eq!(local.to_string(), remote.to_string());
 
     server.shutdown();
@@ -760,7 +794,7 @@ fn router_places_each_dataset_on_its_ring_shard() {
             .query(&name, Some("p"))
             .unwrap_or_else(|e| panic!("{} is not on its ring shard {}: {}", name, owner, e));
         let stray = router.client(1 - owner).unwrap().query(&name, Some("p"));
-        assert_eq!(stray.unwrap_err().kind(), "unknown_dataset");
+        assert_eq!(stray.unwrap_err().error_kind(), ErrorKind::UnknownDataset);
         // A whole tag is forwarded as stored: the probe decoded nothing.
         assert_eq!(
             owner_client.cache_stats().unwrap().bytes_decoded,

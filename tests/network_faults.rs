@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ada_client::{Client, ClientConfig};
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, QueryReport, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, QueryReport, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::xtcf::{crc32, frame_record_len, parse_directory, XTCF_RECORD_NATOMS_OFFSET};
 use ada_mdmodel::Tag;
@@ -169,7 +169,13 @@ fn assert_network_error(resp: Option<ResponseEnvelope>, what: &str) {
         Some(ResponseEnvelope {
             body: ResponseBody::Error(e),
             ..
-        }) => assert_eq!(e.kind(), "network", "{}: wrong kind: {}", what, e),
+        }) => assert_eq!(
+            e.error_kind(),
+            ErrorKind::Network,
+            "{}: wrong kind: {}",
+            what,
+            e
+        ),
         Some(other) => panic!("{}: expected an error frame, got {:?}", what, other.body),
         // The server may also have torn the connection down before the
         // best-effort error frame made it out; EOF is an acceptable
@@ -251,7 +257,7 @@ fn run_fault_corpus(server: &Server) {
         Some(ResponseEnvelope {
             body: ResponseBody::Error(e),
             ..
-        }) => assert_eq!(e.kind(), "network"),
+        }) => assert_eq!(e.error_kind(), ErrorKind::Network),
         other => panic!("well-framed garbage: expected error frame, got {:?}", other),
     }
     let frame = encode_frame(&ping_payload()).unwrap();
@@ -326,7 +332,7 @@ fn corrupt_chunk_in_response_is_typed() {
     let err = victim
         .query("shared", Some("p"))
         .expect_err("a corrupt chunk must never decode into frames");
-    assert_eq!(err.kind(), "xtcf", "{}", err);
+    assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
     let text = err.to_string();
     assert!(text.contains("corrupt chunk 1"), "{}", text);
     assert!(text.contains("checksum"), "{}", text);
@@ -486,7 +492,7 @@ fn hostile_server_yields_typed_client_errors() {
         );
         let started = Instant::now();
         let err = client.ping().expect_err(what);
-        assert_eq!(err.kind(), "network", "{}: {}", what, err);
+        assert_eq!(err.error_kind(), ErrorKind::Network, "{}: {}", what, err);
         assert!(
             started.elapsed() < Duration::from_secs(3),
             "{}: client took {:?} to fail",
@@ -499,7 +505,7 @@ fn hostile_server_yields_typed_client_errors() {
         // fails with a typed connect error (the listener is gone), not a
         // hang or a panic on a stale socket.
         let err = client.ping().expect_err("listener is gone");
-        assert_eq!(err.kind(), "network");
+        assert_eq!(err.error_kind(), ErrorKind::Network);
     }
 }
 
@@ -678,15 +684,15 @@ fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
         );
         match (expect, outcome) {
             (Expect::Network(needle), Err(e)) => {
-                assert_eq!(e.kind(), "network", "{}: {}", what, e);
+                assert_eq!(e.error_kind(), ErrorKind::Network, "{}: {}", what, e);
                 assert!(e.to_string().contains(needle), "{}: {}", what, e);
             }
             (Expect::Remote(text), Err(e)) => {
-                assert_eq!(e.kind(), "unknown_dataset", "{}: {}", what, e);
+                assert_eq!(e.error_kind(), ErrorKind::UnknownDataset, "{}: {}", what, e);
                 assert!(e.to_string().ends_with(text), "{}: {}", what, e);
             }
             (Expect::Xtcf(needle), Err(e)) => {
-                assert_eq!(e.kind(), "xtcf", "{}: {}", what, e);
+                assert_eq!(e.error_kind(), ErrorKind::Xtcf, "{}: {}", what, e);
                 assert!(e.to_string().contains(&needle), "{}: {}", what, e);
             }
             (_, Ok(_)) => panic!("{}: the client handed out a report", what),
@@ -763,7 +769,7 @@ fn an_error_answer_keeps_the_connection_and_a_corrupt_chunk_drops_it() {
         },
     );
     let err = client.query("nope", Some("p")).unwrap_err();
-    assert_eq!(err.kind(), "unknown_dataset", "{}", err);
+    assert_eq!(err.error_kind(), ErrorKind::UnknownDataset, "{}", err);
     let rep = client.query("shared", Some("p")).unwrap();
     assert_eq!(rep.trajectory().unwrap().len(), 2 * QUERY_CHUNK_FRAMES + 3);
     assert_eq!(
@@ -773,7 +779,7 @@ fn an_error_answer_keeps_the_connection_and_a_corrupt_chunk_drops_it() {
     );
 
     let err = client.query("shared", Some("p")).unwrap_err();
-    assert_eq!(err.kind(), "xtcf", "{}", err);
+    assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
     assert!(err.to_string().contains("corrupt chunk 1"), "{}", err);
     let rep = client.query("shared", Some("p")).unwrap();
     assert_eq!(rep.trajectory().unwrap().len(), 2 * QUERY_CHUNK_FRAMES + 3);
@@ -833,7 +839,7 @@ fn a_wire_deadline_expires_in_the_queue_and_keeps_the_connection() {
         Some(ResponseEnvelope {
             id: 21,
             body: ResponseBody::Error(e),
-        }) => assert_eq!(e.kind(), "deadline_exceeded", "{}", e),
+        }) => assert_eq!(e.error_kind(), ErrorKind::DeadlineExceeded, "{}", e),
         other => panic!("expected deadline_exceeded for request 21, got {:?}", other),
     }
     assert_eq!(fe.stats().query.counters.expired, expired_before + 1);
@@ -913,12 +919,12 @@ fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
     ssd.create(&path, Content::real(bytes)).unwrap();
 
     let local = ada.query("ds", Some(&Tag::protein())).unwrap_err();
-    assert_eq!(local.kind(), "xtcf");
+    assert_eq!(local.error_kind(), ErrorKind::Xtcf);
     assert!(local.to_string().contains("corrupt chunk 1"), "{}", local);
     let remote = client
         .query("ds", Some("p"))
         .expect_err("no report may be handed out");
-    assert_eq!(remote.kind(), local.kind());
+    assert_eq!(remote.error_kind(), local.error_kind());
     assert_eq!(remote.to_string(), local.to_string());
 
     // The same answer frame by frame: head, chunk 0 as stored, then the
@@ -1007,7 +1013,7 @@ fn graceful_shutdown_with_clients_in_flight() {
                     match client.query("shared", Some("p")) {
                         Ok(_) => ok += 1,
                         Err(e) => {
-                            err_kind = Some(e.kind().to_string());
+                            err_kind = Some(e.error_kind());
                             break;
                         }
                     }
@@ -1033,8 +1039,8 @@ fn graceful_shutdown_with_clients_in_flight() {
                 // In-flight work severed by shutdown fails typed, as a
                 // transport error or a shed — never an untyped shape.
                 assert!(
-                    kind == "network" || kind == "overloaded",
-                    "unexpected error kind {}",
+                    kind == ErrorKind::Network || kind == ErrorKind::Overloaded,
+                    "unexpected error kind {:?}",
                     kind
                 );
             }
@@ -1053,7 +1059,7 @@ fn graceful_shutdown_with_clients_in_flight() {
         },
     );
     let err = late.ping().expect_err("server is down");
-    assert_eq!(err.kind(), "network");
+    assert_eq!(err.error_kind(), ErrorKind::Network);
 }
 
 /// What a connection's single thread owes a peer that sends ahead of its
@@ -1105,7 +1111,9 @@ fn pipelined_frames_are_answered_in_request_order() {
         let resp = read_response(&mut s).expect("one response per frame sent");
         assert_eq!(resp.id, id, "responses must come back in request order");
         match (id, resp.body) {
-            (GARBAGE_ID, ResponseBody::Error(e)) => assert_eq!(e.kind(), "network", "{}", e),
+            (GARBAGE_ID, ResponseBody::Error(e)) => {
+                assert_eq!(e.error_kind(), ErrorKind::Network, "{}", e)
+            }
             (QUERY_ID, ResponseBody::Query(rep)) => {
                 assert_eq!(rep.trajectory().expect("payload decodes").len(), 3)
             }
@@ -1172,7 +1180,7 @@ fn peer_that_never_reads_is_evicted_and_frees_its_connection() {
     loop {
         match patient.ping() {
             Ok(()) => break,
-            Err(e) if e.kind() == "overloaded" && Instant::now() < give_up => {
+            Err(e) if e.error_kind() == ErrorKind::Overloaded && Instant::now() < give_up => {
                 std::thread::sleep(Duration::from_millis(25));
             }
             Err(e) => panic!("the deaf peer still holds the only connection: {}", e),
@@ -1231,7 +1239,9 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
             let resp = read_response(&mut s).expect("one response per frame sent");
             assert_eq!(resp.id, id);
             match resp.body {
-                ResponseBody::Error(e) => assert_eq!(e.kind(), "unknown_dataset", "{}", e),
+                ResponseBody::Error(e) => {
+                    assert_eq!(e.error_kind(), ErrorKind::UnknownDataset, "{}", e)
+                }
                 other => panic!("request {}: expected a typed error, got {:?}", id, other),
             }
         }

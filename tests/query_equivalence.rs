@@ -4,7 +4,7 @@
 //! same typed errors under injected faults — on single- and multi-chunk
 //! datasets, real and synthetic.
 
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::xtcf::{parse_directory, read_xtcf, seal_v2, write_xtcf, XTCF_TRAILER_LEN};
 use ada_mdformats::{write_pdb, FormatError, Frame, Trajectory};
@@ -186,7 +186,7 @@ fn corrupt_dropping_yields_xtcf_error_on_both_paths() {
                 tag,
                 err
             );
-            assert_eq!(err.kind(), "xtcf");
+            assert_eq!(err.error_kind(), ErrorKind::Xtcf);
             assert!(err.to_string().contains(&dropping), "got {}", err);
             assert!(std::error::Error::source(&err).is_some());
         }
@@ -230,13 +230,13 @@ fn malformed_dropping_in_parallel_query_is_a_structured_error_not_a_panic() {
                 // escaped the pipeline (a panic would abort this test).
                 let err = r.ada.query("d", tag.as_ref()).unwrap_err();
                 assert!(
-                    !err.kind().is_empty() && err.kind() != "internal",
-                    "{} threads={} tag={:?}: want a decode/read error, got {:?} ({})",
+                    err.error_kind() != ErrorKind::Internal,
+                    "{} threads={} tag={:?}: want a decode/read error, got {:?} ({:?})",
                     what,
                     threads,
                     tag,
                     err,
-                    err.kind()
+                    err.error_kind()
                 );
                 assert!(!err.to_string().is_empty());
             }
@@ -330,7 +330,7 @@ fn frame_count_mismatch_is_a_structured_error() {
                 threads, other
             ),
         }
-        assert_eq!(err.kind(), "frame_count_mismatch");
+        assert_eq!(err.error_kind(), ErrorKind::FrameCountMismatch);
         // The failed reassembly never counted as an access.
         assert!(r.ada.access_counts("d").is_empty());
         // Per-tag queries still deliver the subsets verbatim.
@@ -426,7 +426,10 @@ fn a_lost_dropping_outranks_an_earlier_corrupt_chunk() {
             mutate_dropping(r, &paths[0], flip_in_chunk(0));
             r.ssd.delete(&paths[1]).unwrap();
         },
-        |err, paths| matches!(err.kind(), "fs" | "plfs") && err.to_string().contains(&paths[1]),
+        |err, paths| {
+            matches!(err.error_kind(), ErrorKind::Fs | ErrorKind::Plfs)
+                && err.to_string().contains(&paths[1])
+        },
     );
 }
 

@@ -24,7 +24,7 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
-use ada_core::{Ada, AdaConfig, AdaError, IngestInput, RetrievedData, StageProfile};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData, StageProfile};
 use ada_frontend::{Class, Frontend, FrontendConfig};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
@@ -271,7 +271,7 @@ fn errored_request_trace_is_flagged_and_retained() {
 
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
     let err = fe.query("c0", "no-such-dataset", None).unwrap_err();
-    assert_eq!(err.kind(), "unknown_dataset");
+    assert_eq!(err.error_kind(), ErrorKind::UnknownDataset);
 
     let retained = fe.flight_recorder().retained();
     let t = retained
