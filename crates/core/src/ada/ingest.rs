@@ -7,47 +7,35 @@
 //! trajectory is cut into its stored chunks, and the crate's pool carries
 //! each chunk through decode → split → checksum ([`ingest_chunk`]),
 //! writing its records straight into that chunk's span of every tag's
-//! dropping. The caller then only seals each dropping with its directory
-//! and appends it. A size-only dataset
-//! ([`IngestInput::Synthetic`]) skips the codecs and dispatches volumes.
-//! Both dispatch through [`Ada::append`], which tallies each stored
-//! dropping, and end in the same [`Ada::commit`] of a label that pairs
-//! each tag with its one dropping (`LabelFile::new` refuses any other
-//! set), inside
+//! dropping. The caller then only seals each dropping with its directory,
+//! appends it to its policy-chosen backend, and ends in [`Ada::commit`]
+//! of a label that pairs each tag with its one dropping
+//! (`LabelFile::new` refuses any other set), inside
 //! [`Ada::in_new_container`], which takes the dataset name back if
-//! anything after it failed.
+//! anything after it failed. What an ingest costs is measured, in its
+//! stage profile; the virtual clock of the figures is `ada-platforms`'
+//! volume model.
 
-use super::{max_across_backends, Ada, DatasetState, IngestInput, IngestReport, Op};
+use super::{Ada, IngestInput, IngestReport, Op};
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
 use crate::preprocess::check_ranges;
-use crate::synth::SyntheticDataset;
 use crate::AdaError;
 use ada_mdformats::parse_pdb;
 use ada_mdformats::xtc::{decode_spans, index_frames, FrameSpan};
 use ada_mdformats::xtcf::{
     crc32, frame_record_len, presized_v2, write_record, ChunkDirectory, XTCF_HEADER_LEN,
 };
-use ada_mdmodel::{IndexRanges, Tag};
-use ada_plfs::IndexRecord;
 use ada_simfs::Content;
-use ada_storagesim::{CpuProfile, CpuWork, SimDuration};
 use ada_sync::Mutex;
 use ada_telemetry::trace::TraceContext;
-use std::collections::BTreeMap;
-use std::sync::{Arc, LazyLock};
-
-/// CPU of the storage node performing the pre-processing: the paper's
-/// prototype's.
-static STORAGE_CPU: LazyLock<CpuProfile> = LazyLock::new(CpuProfile::xeon_e5_2603_v4);
+use std::sync::Arc;
 
 /// What the splitter needs to know about the structure, however it was
 /// learned.
 struct Labels {
     natoms: usize,
     labeler: Labeler,
-    /// Simulated categorizer time.
-    categorize: SimDuration,
 }
 
 impl Labels {
@@ -127,14 +115,6 @@ fn ingest_chunk(
     })
 }
 
-/// What the dispatcher has written so far: virtual write time per backend,
-/// and the stored droppings — what the label pairs with its tags.
-#[derive(Default)]
-struct Routed {
-    write_by_backend: BTreeMap<String, SimDuration>,
-    droppings: Vec<IndexRecord>,
-}
-
 impl Ada {
     /// Ingest a (`.pdb`, `.xtc`) pair under `dataset`, performing the whole
     /// §3.4 pipeline on the storage node.
@@ -151,16 +131,12 @@ impl Ada {
         input: IngestInput,
         parent: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        let mode = match &input {
-            IngestInput::Real { .. } => "serial",
-            IngestInput::Synthetic(_) => "synthetic",
-        };
-        self.traced(Op::Ingest, mode, parent, |ctx| match input {
-            IngestInput::Real {
-                pdb_text,
-                xtc_bytes,
-            } => self.ingest_real(dataset, &pdb_text, &xtc_bytes, ctx),
-            IngestInput::Synthetic(spec) => self.ingest_synthetic(dataset, spec, ctx),
+        let IngestInput::Real {
+            pdb_text,
+            xtc_bytes,
+        } = input;
+        self.traced(Op::Ingest, "serial", parent, |ctx| {
+            self.ingest_real(dataset, &pdb_text, &xtc_bytes, ctx)
         })
     }
 
@@ -172,10 +148,6 @@ impl Ada {
         Ok(Labels {
             natoms: system.len(),
             labeler,
-            categorize: CpuWork::Categorize {
-                bytes: pdb_text.len() as u64,
-            }
-            .duration(&STORAGE_CPU),
         })
     }
 
@@ -241,7 +213,7 @@ impl Ada {
             // Dispatcher: one dropping per tag — its chunk bodies sealed
             // under one v2 directory — to its policy-chosen backend, in
             // label order.
-            let mut routed = Routed::default();
+            let mut stored = Vec::with_capacity(droppings.len());
             {
                 let _ts = ctx.span("ingest.dispatch");
                 let nominal = u32::try_from(chunk_frames).unwrap_or(u32::MAX);
@@ -250,50 +222,16 @@ impl Ada {
                     let crcs = done.iter().map(|out| (out.nframes, out.crcs[t]));
                     ChunkDirectory::contiguous(ranges.count(), nominal, crcs).append_to(file);
                     let file = Content::real(std::mem::take(file));
-                    self.append(dataset, tag, file, &mut routed)?;
+                    let backend = self.config.policy.backend_for(tag);
+                    let (record, _) =
+                        self.containers
+                            .append(dataset, tag.as_str(), backend, file)?;
+                    stored.push(record);
                 }
             }
             let (natoms, nframes) = (labels.natoms, spans.len());
-            let label = LabelFile::new(dataset, natoms, nframes, labels.labeler, routed.droppings)?;
-            let write = &routed.write_by_backend;
-            self.commit(label, false, labels.categorize, raw_bytes, write, ctx)
-        })
-    }
-
-    fn ingest_synthetic(
-        &self,
-        dataset: &str,
-        spec: SyntheticDataset,
-        ctx: &TraceContext,
-    ) -> Result<IngestReport, AdaError> {
-        let categorize = CpuWork::Categorize {
-            bytes: spec.pdb_bytes(),
-        }
-        .duration(&STORAGE_CPU);
-        self.in_new_container(dataset, || {
-            let mut routed = Routed::default();
-            {
-                let _ts = ctx.span("ingest.dispatch");
-                for tag in spec.tags() {
-                    let content = Content::synthetic(spec.tag_bytes(&tag));
-                    self.append(dataset, &tag, content, &mut routed)?;
-                }
-            }
-
-            // The label metadata itself is real (it is small).
-            let mut labeler = BTreeMap::new();
-            let mut cursor = 0usize;
-            for (tag, atoms) in &spec.atoms_by_tag {
-                labeler.insert(
-                    tag.clone(),
-                    IndexRanges::single(cursor..cursor + *atoms as usize),
-                );
-                cursor += *atoms as usize;
-            }
-            let (natoms, nframes) = (spec.natoms as usize, spec.frames as usize);
-            let label = LabelFile::new(dataset, natoms, nframes, labeler, routed.droppings)?;
-            let write = &routed.write_by_backend;
-            self.commit(label, true, categorize, spec.raw_bytes(), write, ctx)
+            let label = LabelFile::new(dataset, natoms, nframes, labels.labeler, stored)?;
+            self.commit(label, raw_bytes, ctx)
         })
     }
 
@@ -318,41 +256,15 @@ impl Ada {
         })
     }
 
-    /// Dispatcher: append one tag's dropping to its policy-chosen backend
-    /// and tally it.
-    fn append(
-        &self,
-        dataset: &str,
-        tag: &Tag,
-        content: Content,
-        routed: &mut Routed,
-    ) -> Result<(), AdaError> {
-        let backend = self.config.policy.backend_for(tag);
-        let (record, d) = self
-            .containers
-            .append(dataset, tag.as_str(), backend, content)?;
-        *routed
-            .write_by_backend
-            .entry(record.backend.clone())
-            .or_insert(SimDuration::ZERO) += d;
-        routed.droppings.push(record);
-        Ok(())
-    }
-
-    /// The epilogue every ingest ends in: write the label file — each tag
-    /// with the dropping the dispatcher stored for it — as the commit
-    /// point, publish the dataset, and build the report. `size_only` marks
-    /// a synthetic dataset; `write` is the dispatch's time per backend.
+    /// The ingest's epilogue: write the label file — each tag with the
+    /// dropping the dispatcher stored for it — as the commit point,
+    /// publish the dataset, and build the report.
     fn commit(
         &self,
         label: LabelFile,
-        size_only: bool,
-        categorize: SimDuration,
         raw_bytes: u64,
-        write: &BTreeMap<String, SimDuration>,
         ctx: &TraceContext,
     ) -> Result<IngestReport, AdaError> {
-        let cpu = &*STORAGE_CPU;
         let dataset = label.dataset.clone();
         let bytes_by_tag = label
             .entries()
@@ -360,28 +272,18 @@ impl Ada {
             .map(|(tag, entry)| (tag.clone(), entry.dropping.len))
             .collect();
 
-        let label_write = {
+        {
             let _ts = ctx.span("ingest.label_write");
-            label.store(self.label_fs.as_ref())?
-        };
+            label.store(self.label_fs.as_ref())?;
+        }
 
         self.cache.invalidate_dataset(&dataset);
-        let state = DatasetState {
-            label: Arc::new(label),
-            size_only,
-        };
-        self.datasets.lock().insert(dataset.clone(), state);
+        self.datasets
+            .lock()
+            .insert(dataset.clone(), Arc::new(label));
 
         Ok(IngestReport {
             dataset,
-            decompress: CpuWork::Decompress {
-                out_bytes: raw_bytes,
-            }
-            .duration(cpu),
-            categorize,
-            split: CpuWork::Scan { bytes: raw_bytes }.duration(cpu),
-            write: max_across_backends(write),
-            label_write,
             raw_bytes,
             bytes_by_tag,
             profile: None, // cut from the op span's tree once it closes
@@ -394,7 +296,6 @@ mod tests {
     use super::super::testkit::*;
     use super::super::{Ada, AdaConfig, IngestInput, RetrievedData};
     use crate::labeler::LabelFile;
-    use crate::synth::SyntheticDataset;
     use crate::{AdaError, ErrorKind};
     use ada_mdmodel::Tag;
 
@@ -404,7 +305,6 @@ mod tests {
         let (input, w) = real_input(1200, 3);
         let report = ada.ingest("bar", input).unwrap();
         assert!(report.raw_bytes > 0);
-        assert!(report.total().as_secs_f64() > 0.0);
         assert_eq!(report.bytes_by_tag.len(), 2);
 
         let q = ada.query("bar", Some(&Tag::protein())).unwrap();
@@ -424,22 +324,6 @@ mod tests {
             }
             _ => panic!("expected real data"),
         }
-    }
-
-    #[test]
-    fn synthetic_ingest_and_query() {
-        let ada = make_ada();
-        let spec = SyntheticDataset::gpcr_paper(626);
-        let raw = spec.raw_bytes();
-        let prot = spec.tag_bytes(&Tag::protein());
-        let report = ada.ingest("big", IngestInput::Synthetic(spec)).unwrap();
-        assert_eq!(report.raw_bytes, raw);
-        assert!(report.decompress.as_secs_f64() > 1.0); // 327 MB at ~28.6 MB/s
-
-        let q = ada.query("big", Some(&Tag::protein())).unwrap();
-        assert!(matches!(q.data, RetrievedData::Synthetic { bytes } if bytes == prot));
-        let qa = ada.query("big", None).unwrap();
-        assert_eq!(qa.data.bytes(), raw);
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub use query::StoredAnswer;
 use crate::determinator::DispatchPolicy;
 use crate::labeler::LabelFile;
 use crate::profile::StageProfile;
-use crate::synth::SyntheticDataset;
 use crate::{AdaError, ErrorKind};
 use ada_cache::DecodedCache;
 use ada_mdformats::{FormatError, Trajectory};
@@ -105,51 +104,32 @@ pub enum IngestInput {
         /// `.xtc` contents.
         xtc_bytes: Vec<u8>,
     },
-    /// A size-only dataset for TB-scale experiments.
-    Synthetic(SyntheticDataset),
 }
 
-/// Timing/volume breakdown of an ingest.
+/// What an ingest stored, and its measured stage profile.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     /// Dataset name.
     pub dataset: String,
-    /// Decompression time (storage-node CPU).
-    pub decompress: SimDuration,
-    /// Categorizer time (structure analysis).
-    pub categorize: SimDuration,
-    /// Splitting/filter time (linear pass over raw data).
-    pub split: SimDuration,
-    /// Backend write time (parallel across backends → max).
-    pub write: SimDuration,
-    /// Label-file write time.
-    pub label_write: SimDuration,
     /// Decompressed raw volume.
     pub raw_bytes: u64,
     /// Stored bytes per tag.
     pub bytes_by_tag: BTreeMap<Tag, u64>,
     /// Measured wall-clock stage attribution of this call, cut from its
-    /// span tree (present when the request is traced). Unlike the
-    /// simulated durations above, these are real nanoseconds spent by this
-    /// process.
+    /// span tree (present when the request is traced): the timing of an
+    /// ingest, real nanoseconds spent by this process.
     pub profile: Option<StageProfile>,
-}
-
-impl IngestReport {
-    /// End-to-end ingest duration (stages are sequential on the storage
-    /// node).
-    pub fn total(&self) -> SimDuration {
-        self.decompress + self.categorize + self.split + self.write + self.label_write
-    }
 }
 
 /// Payload returned by a query.
 #[derive(Debug, Clone)]
 pub enum RetrievedData {
-    /// Decoded frames (real mode).
+    /// Decoded frames.
     Real(Trajectory),
-    /// Size-only payload (synthetic mode): what [`Ada::query`] of a
-    /// size-only dataset delivers, in process only.
+    /// A byte count without frames. Never constructed: `Ada` stores and
+    /// answers frames only (the figures' size-only datasets live in
+    /// `ada-platforms`' volume model). Kept while the benchmark package's
+    /// `real_frames` still matches it.
     Synthetic {
         /// Delivered bytes.
         bytes: u64,
@@ -184,28 +164,6 @@ impl QueryReport {
     /// Total query-side duration.
     pub fn total(&self) -> SimDuration {
         self.indexer + self.read
-    }
-}
-
-/// What ADA remembers about an ingested dataset: its label file — the
-/// indexer resolves every query from it — and whether its droppings hold
-/// frames or only volumes. Cloned out from under the lock, it is the mode
-/// a query against the dataset runs in.
-#[derive(Clone)]
-struct DatasetState {
-    label: Arc<LabelFile>,
-    size_only: bool,
-}
-
-impl DatasetState {
-    /// The label of a real dataset; a size-only one has no frames to
-    /// answer with.
-    fn into_label(self) -> Result<Arc<LabelFile>, AdaError> {
-        if self.size_only {
-            Err(AdaError::size_only())
-        } else {
-            Ok(self.label)
-        }
     }
 }
 
@@ -246,7 +204,9 @@ pub struct Ada {
     config: AdaConfig,
     containers: Arc<ContainerSet>,
     label_fs: Arc<dyn SimFileSystem>,
-    datasets: Mutex<BTreeMap<String, DatasetState>>,
+    /// Each ingested dataset's label file: the indexer resolves every
+    /// query from it.
+    datasets: Mutex<BTreeMap<String, Arc<LabelFile>>>,
     /// Per-dataset, per-tag query counters feeding the tiering extension.
     access: Mutex<BTreeMap<String, crate::tiering::AccessCounts>>,
     /// Hot-set cache of decoded droppings (disabled at zero budget, in
@@ -375,8 +335,8 @@ impl Ada {
         &self.containers
     }
 
-    /// A dataset's state, cloned out so no caller works under the lock.
-    fn state(&self, dataset: &str) -> Result<DatasetState, AdaError> {
+    /// A dataset's label, cloned out so no caller works under the lock.
+    fn label_of(&self, dataset: &str) -> Result<Arc<LabelFile>, AdaError> {
         self.datasets
             .lock()
             .get(dataset)
@@ -384,15 +344,15 @@ impl Ada {
             .ok_or_else(|| AdaError::UnknownDataset(dataset.to_string()))
     }
 
-    /// The label file of an ingested real dataset (how a client learns
-    /// which atoms a tag selects).
+    /// The label file of an ingested dataset (how a client learns which
+    /// atoms a tag selects).
     pub fn label(&self, dataset: &str) -> Result<LabelFile, AdaError> {
-        Ok(LabelFile::clone(&*self.state(dataset)?.into_label()?))
+        Ok(LabelFile::clone(&*self.label_of(dataset)?))
     }
 
     /// Tags known for a dataset.
     pub fn tags(&self, dataset: &str) -> Result<Vec<Tag>, AdaError> {
-        Ok(self.state(dataset)?.label.all_tags())
+        Ok(self.label_of(dataset)?.all_tags())
     }
 
     /// All ingested dataset names, sorted.
@@ -422,15 +382,6 @@ impl Ada {
         self.cache.invalidate_dataset(dataset);
         Ok(())
     }
-}
-
-/// Backends serve I/O concurrently in the paper's timing model: costs sum
-/// within a backend, then reduce across backends by max.
-fn max_across_backends(per_backend: &BTreeMap<String, SimDuration>) -> SimDuration {
-    per_backend
-        .values()
-        .copied()
-        .fold(SimDuration::ZERO, SimDuration::max)
 }
 
 /// A report that carries the measured profile of the call that built it.

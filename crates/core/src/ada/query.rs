@@ -1,17 +1,16 @@
 //! The read side as callers see it: `mol addfile <dataset>.xtc [tag <t>]`
 //! ([`Ada::query`]) and the strided frame-range read of the sampling
-//! workload ([`Ada::query_range`]). Both resolve the dataset's mode, run
+//! workload ([`Ada::query_range`]). Both resolve the dataset's label, run
 //! the indexer, retrieve, then bump the tag heat, through the same three
 //! helpers; the retrieval — which writes the answer's frames too — lives
-//! in [`super::retrieve`]. A size-only dataset answers [`Ada::query`]
-//! alone, with the volume its droppings hold.
+//! in [`super::retrieve`].
 //!
 //! A caller that hands a whole tag on undecoded — the daemon, to a socket
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
 //! resolve / index / heat helpers, a fetch, and no retrieval at all.
 
 use super::retrieve::{atoms_err, directory, real_bytes, xtcf_err, Take};
-use super::{count_corrupt, op_span, Ada, DatasetState, Op, QueryReport, RetrievedData};
+use super::{count_corrupt, op_span, Ada, Op, QueryReport, RetrievedData};
 use crate::determinator::indexer_cost;
 use crate::labeler::{LabelFile, TagEntry};
 use crate::AdaError;
@@ -124,24 +123,15 @@ impl Ada {
         tag: Option<&Tag>,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let DatasetState { label, size_only } = self.resolve(dataset, tag)?;
+        let label = self.resolve(dataset, tag)?;
         let (entries, indexer) = match tag {
             Some(t) => self
                 .index(&label, t, ctx)
                 .map(|(e, cost)| (vec![e], cost))?,
             None => self.index_all(&label, ctx),
         };
-
-        let (data, read) = if size_only {
-            let records = entries.iter().map(|e| &e.dropping);
-            let (contents, read) = self.fetch_in_order(records, ctx)?;
-            let bytes = contents.iter().map(|c| c.len()).sum();
-            (RetrievedData::Synthetic { bytes }, read)
-        } else {
-            let takes = entries.into_iter().map(|e| (e, Take::All)).collect();
-            let (frames, read) = self.retrieve(dataset, &label, tag.is_none(), takes, ctx)?;
-            (RetrievedData::Real(Trajectory::from_frames(frames)), read)
-        };
+        let takes = entries.into_iter().map(|e| (e, Take::All)).collect();
+        let (frames, read) = self.retrieve(dataset, &label, tag.is_none(), takes, ctx)?;
 
         match tag {
             Some(t) => self.bump_heat(dataset, [t.clone()]),
@@ -150,7 +140,7 @@ impl Ada {
         Ok(QueryReport {
             indexer,
             read,
-            data,
+            data: RetrievedData::Real(Trajectory::from_frames(frames)),
             profile: None, // cut from the op span's tree once it closes
         })
     }
@@ -161,10 +151,8 @@ impl Ada {
     /// the same `ada.query` op span, `query.index` / `query.read` spans and
     /// `ada.query.*` counters, so the simulated `indexer` / `read` are the
     /// decoded path's — then parses the dropping's chunk directory and
-    /// bumps the tag's heat as a query does. A size-only dataset stores no
-    /// chunks: it is [`AdaError::size_only`], before anything is read. A
-    /// dropping without a chunk directory is the `Xtcf` error a query
-    /// raises for it.
+    /// bumps the tag's heat as a query does. A dropping without a chunk
+    /// directory is the `Xtcf` error a query raises for it.
     /// The decoded-dropping cache is neither consulted nor filled: nothing
     /// here is decoded. The chunks are checked as [`StoredAnswer::chunks`]
     /// yields them, after this returns — a corrupt chunk is found once its
@@ -190,7 +178,7 @@ impl Ada {
         tag: &Tag,
         ctx: &TraceContext,
     ) -> Result<StoredAnswer, AdaError> {
-        let label = self.resolve(dataset, Some(tag))?.into_label()?;
+        let label = self.resolve(dataset, Some(tag))?;
         let (entry, indexer) = self.index(&label, tag, ctx)?;
         let (content, read) = {
             let mut ts = ctx.span("query.read");
@@ -218,7 +206,7 @@ impl Ada {
     /// shuffled `(tag × frame-range)` reads, millions of small samples per
     /// training epoch). Consults the decoded-dropping cache first and runs
     /// the regular retrieval pipeline only for the chunks the selection
-    /// actually touches. A size-only dataset is [`AdaError::size_only`].
+    /// actually touches.
     ///
     /// Equivalence contract: `query_range(ds, t, 0..nframes, 1)` returns
     /// frames byte-identical to `query(ds, Some(t))`, cache on or off.
@@ -255,7 +243,7 @@ impl Ada {
         stride: usize,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let label = self.resolve(dataset, Some(tag))?.into_label()?;
+        let label = self.resolve(dataset, Some(tag))?;
         let nframes = label.nframes;
         if stride == 0 || window.start >= window.end || window.end > nframes {
             return Err(AdaError::InvalidRange {
@@ -287,15 +275,13 @@ impl Ada {
         })
     }
 
-    /// The mode a query against `dataset` runs in, with `tag` (when given)
-    /// checked against the tags the dataset actually has.
-    fn resolve(&self, dataset: &str, tag: Option<&Tag>) -> Result<DatasetState, AdaError> {
-        let state = self.state(dataset)?;
+    /// The label of `dataset`, with `tag` (when given) checked against the
+    /// tags the dataset actually has.
+    fn resolve(&self, dataset: &str, tag: Option<&Tag>) -> Result<Arc<LabelFile>, AdaError> {
+        let label = self.label_of(dataset)?;
         match tag {
-            Some(t) if !state.label.entries().contains_key(t) => {
-                Err(AdaError::UnknownTag(t.to_string()))
-            }
-            _ => Ok(state),
+            Some(t) if !label.entries().contains_key(t) => Err(AdaError::UnknownTag(t.to_string())),
+            _ => Ok(label),
         }
     }
 
@@ -340,8 +326,7 @@ impl Ada {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use super::super::{IngestInput, RetrievedData};
-    use crate::synth::SyntheticDataset;
+    use super::super::RetrievedData;
     use crate::{AdaError, ErrorKind};
     use ada_mdformats::Frame;
     use ada_mdmodel::Tag;
@@ -437,22 +422,14 @@ mod tests {
         assert_eq!(stored.natoms(), frames[0].len());
         assert_eq!(read_xtcf(&body).unwrap().frames, frames);
 
-        // Failures are `query`'s, and leave no heat; a size-only dataset
-        // has nothing stored to hand on, and no frames to range over.
+        // Failures are `query`'s, and leave no heat.
+        let heat = stored_ada.access_counts("bar");
         let err = stored_ada.query_stored("bar", &Tag::new("zz"), &ctx);
         assert_eq!(err.unwrap_err().error_kind(), ErrorKind::UnknownTag);
         let err = stored_ada.query_stored("nope", &tag, &ctx);
         assert_eq!(err.unwrap_err().error_kind(), ErrorKind::UnknownDataset);
-        let spec = SyntheticDataset::gpcr_paper(626);
-        stored_ada
-            .ingest("big", IngestInput::Synthetic(spec))
-            .unwrap();
-        let size_only = AdaError::size_only().to_string();
-        let err = stored_ada.query_stored("big", &tag, &ctx).unwrap_err();
-        assert_eq!(err.to_string(), size_only);
-        let err = stored_ada.query_range("big", &tag, 0..10, 2).unwrap_err();
-        assert_eq!(err.to_string(), size_only);
-        assert!(stored_ada.access_counts("big").is_empty());
+        assert_eq!(stored_ada.access_counts("bar"), heat);
+        assert!(stored_ada.access_counts("nope").is_empty());
     }
 
     #[test]

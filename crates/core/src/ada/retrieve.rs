@@ -28,7 +28,7 @@
 
 mod units;
 
-use super::{max_across_backends, Ada};
+use super::Ada;
 use crate::labeler::{LabelFile, TagEntry};
 use crate::AdaError;
 use ada_cache::{CacheKey, DecodedDropping};
@@ -396,11 +396,11 @@ impl Ada {
     }
 
     /// Fetch `records` one after another on the caller's thread, under
-    /// one `query.read` span: the read stage of every retrieval, and all
-    /// there is to a size-only (synthetic) query. The simulated read time
-    /// is the paper's model, not this loop's clock: reads within a backend
-    /// queue up, backends overlap.
-    pub(super) fn fetch_in_order<'a>(
+    /// one `query.read` span: the read stage of every retrieval. The
+    /// simulated read time is the paper's model, not this loop's clock:
+    /// reads within a backend queue up, backends overlap, so the slowest
+    /// backend's sum is the read.
+    fn fetch_in_order<'a>(
         &self,
         records: impl Iterator<Item = &'a IndexRecord>,
         ctx: &TraceContext,
@@ -419,7 +419,8 @@ impl Ada {
             fetched.push(content);
         }
         ts.arg("bytes", bytes);
-        Ok((fetched, max_across_backends(&per_backend)))
+        let read = per_backend.into_values().max().unwrap_or_default();
+        Ok((fetched, read))
     }
 }
 

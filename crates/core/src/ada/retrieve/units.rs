@@ -372,7 +372,7 @@ pub(super) fn run_unit(
 #[cfg(test)]
 mod tests {
     use crate::ada::testkit::*;
-    use crate::ada::{Ada, AdaConfig, DatasetState};
+    use crate::ada::{Ada, AdaConfig};
     use crate::labeler::LabelFile;
     use crate::{AdaError, ErrorKind, Labeler};
     use ada_mdformats::xtcf::{decode_chunk, parse_directory, seal_v2, write_xtcf};
@@ -469,11 +469,7 @@ mod tests {
 
     /// Make `label` the label of real dataset `d`.
     fn set_label(ada: &Ada, label: LabelFile) {
-        let state = DatasetState {
-            label: Arc::new(label),
-            size_only: false,
-        };
-        ada.datasets.lock().insert("d".into(), state);
+        ada.datasets.lock().insert("d".into(), Arc::new(label));
     }
 
     /// Per tag, its stored chunks in frame order, each `decode_chunk`ed.

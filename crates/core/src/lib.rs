@@ -36,10 +36,11 @@
 //!   (`.pdb`, `.xtc`) pair on its way to storage, [`Ada::query`] serves
 //!   `mol addfile /mnt/bar.xtc tag p`.
 //!
-//! Everything works in two data modes (see `ada-simfs`): `Real` bytes are
-//! decoded/split/re-encoded by the actual codecs; `Synthetic` volumes flow
-//! through the same stage graph with byte counts only, so the TB-scale
-//! platform experiments exercise identical code paths.
+//! `Ada` has one data plane: real bytes, decoded, split and re-encoded by
+//! the actual codecs, and timed by the spans of each request. The paper's
+//! TB-scale figures need only volumes and placement; they store per-tag
+//! byte counts through `ada-platforms`' volume model, over the same
+//! containers and the same [`DispatchPolicy`].
 
 pub mod ada;
 pub mod categorizer;
@@ -47,7 +48,6 @@ pub mod determinator;
 pub mod labeler;
 pub mod preprocess;
 pub mod profile;
-pub mod synth;
 pub mod tiering;
 
 pub use ada::{
@@ -58,7 +58,6 @@ pub use determinator::DispatchPolicy;
 pub use labeler::{LabelFile, TagEntry};
 pub use preprocess::{split_trajectory, PreprocessOutput};
 pub use profile::StageProfile;
-pub use synth::SyntheticDataset;
 pub use tiering::{heat_snapshot, HeatSnapshot};
 
 use ada_mdformats::FormatError;
@@ -302,10 +301,10 @@ impl std::fmt::Display for AdaError {
 }
 
 impl AdaError {
-    /// The refusal of whatever needs frames or atom ranges — a label, a
-    /// range read, stored chunks, an answer on the wire, a VMD session —
-    /// from a size-only dataset, which has only volumes: they answer
-    /// [`Ada::query`] in process and nothing else.
+    /// The refusal of a [`RetrievedData::Synthetic`] payload where frames
+    /// are needed — an answer on the wire, a VMD session. `Ada` never
+    /// constructs that variant, so nothing raises this today; it stays
+    /// while the variant does.
     pub fn size_only() -> AdaError {
         AdaError::Pdb("a size-only dataset has no frames and no label ranges".to_string())
     }

@@ -53,8 +53,8 @@ fn add(map: &mut BTreeMap<String, u64>, key: &str, n: u64) {
 /// Measured wall-clock attribution of one ingest or query call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageProfile {
-    /// Which entry point and schedule produced this: `"serial"` or
-    /// `"synthetic"` for an ingest; `"query"`, `"query_parallel"` or
+    /// Which entry point and schedule produced this: `"serial"` for an
+    /// ingest; `"query"`, `"query_parallel"` or
     /// `"query_range"` for a read.
     pub mode: String,
     /// Per-stage wall time (the sum of the stage's spans), nanoseconds.

@@ -16,8 +16,9 @@
 use crate::config::Platform;
 use crate::runner::run_scenario;
 use crate::scenario::Scenario;
+use crate::volumes::{self, SyntheticDataset};
 use ada_core::determinator::indexer_cost;
-use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, SyntheticDataset};
+use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{SimFileSystem, StripedFs};
@@ -56,28 +57,19 @@ pub fn dispatch_policy_ablation(frames: u64) -> Vec<PolicyRow> {
         .map(|(label, policy)| {
             let ssd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_ssd_3nodes());
             let hdd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_hdd_3nodes());
-            let cs = Arc::new(ContainerSet::new(vec![
+            let cs = ContainerSet::new(vec![
                 ("pvfs-ssd".into(), ssd.clone()),
                 ("pvfs-hdd".into(), hdd),
-            ]));
-            let cfg = AdaConfig {
-                policy,
-                ..AdaConfig::paper_prototype("pvfs-ssd", "pvfs-hdd")
-            };
-            let ada = Ada::new(cfg, cs, ssd);
+            ]);
+            let spec = SyntheticDataset::gpcr_paper(frames);
             #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            ada.ingest(
-                "bar",
-                IngestInput::Synthetic(SyntheticDataset::gpcr_paper(frames)),
-            )
-            .expect("ingest");
+            let (stored, _) = volumes::ingest(&cs, ssd.as_ref(), &policy, "bar", &spec).expect("ingest");
             #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let qp = ada.query("bar", Some(&Tag::protein())).expect("query p");
+            let qp = volumes::query(&cs, &stored, Some(&Tag::protein())).expect("query p");
             #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let qa = ada.query("bar", None).expect("query all");
+            let qa = volumes::query(&cs, &stored, None).expect("query all");
             #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let ssd_bytes = ada
-                .containers()
+            let ssd_bytes = cs
                 .bytes_by_backend("bar")
                 .expect("placement")
                 .get("pvfs-ssd")

@@ -11,7 +11,8 @@
 use crate::config::Platform;
 use crate::runner::run_scenario;
 use crate::scenario::Scenario;
-use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, SyntheticDataset};
+use crate::volumes::{self, SyntheticDataset};
+use ada_core::DispatchPolicy;
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
 use std::sync::Arc;
@@ -36,25 +37,17 @@ pub struct Amortization {
 /// Compute the break-even point on the SSD server for a dataset of
 /// `frames` frames.
 pub fn ingest_amortization(frames: u64) -> Amortization {
-    // One-time ingest cost through the real middleware.
+    // One-time ingest cost, priced by the volume model.
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let cs = Arc::new(ContainerSet::new(vec![("ssd".into(), ssd.clone())]));
-    let cfg = AdaConfig {
-        policy: DispatchPolicy::all_to("ssd"),
-        ..AdaConfig::paper_prototype("ssd", "ssd")
-    };
-    let ada = Ada::new(cfg, cs, ssd);
+    let cs = ContainerSet::new(vec![("ssd".into(), ssd.clone())]);
+    let policy = DispatchPolicy::all_to("ssd");
+    let spec = SyntheticDataset::gpcr_paper(frames);
     #[expect(
         clippy::expect_used,
         reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
     )]
-    let report = ada
-        .ingest(
-            "bar",
-            IngestInput::Synthetic(SyntheticDataset::gpcr_paper(frames)),
-        )
-        .expect("ingest");
-    let ingest_s = report.total().as_secs_f64();
+    let (_, ingest) = volumes::ingest(&cs, ssd.as_ref(), &policy, "bar", &spec).expect("ingest");
+    let ingest_s = ingest.as_secs_f64();
 
     let platform = Platform::ssd_server();
     let ada_query_s = run_scenario(&platform, Scenario::AdaProtein, frames)

@@ -12,10 +12,12 @@
 //!   (Tables 4 and 5) plus the calibrated power model;
 //! * [`scenario`] — the Table 3 notation (`C`/`D` × `ext4`/`PVFS`/`XFS` ×
 //!   `ADA (all)` / `ADA (protein)`) as a type;
+//! * [`volumes`] — the volume model: ADA's ingest and query over per-tag
+//!   byte counts, stored on the platform's real placement (simfs → plfs,
+//!   `DispatchPolicy`) and priced by the device and CPU models;
 //! * [`runner`] — executes one scenario at one frame count end-to-end
-//!   through the real middleware stack (simfs → plfs → ada-core) with
-//!   synthetic volumes, producing retrieval / turnaround / memory / energy
-//!   metrics and OOM kills;
+//!   over the real placement and the real volumes, producing retrieval /
+//!   turnaround / memory / energy metrics and OOM kills;
 //! * [`figures`] — one generator per table and figure of the paper,
 //!   returning printable rows (used by the `repro` binary and asserted by
 //!   the shape tests).
@@ -29,6 +31,7 @@ pub mod playback;
 pub mod report;
 pub mod runner;
 pub mod scenario;
+pub mod volumes;
 
 pub use config::{Platform, PlatformKind};
 pub use runner::{run_scenario, KillPoint, RunMetrics};

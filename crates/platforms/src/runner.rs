@@ -1,11 +1,12 @@
 //! Execute one scenario at one frame count, end to end.
 //!
-//! The runner assembles the real middleware stack (simulated file systems →
-//! PLFS containers → ADA) for the chosen platform, seeds it with a
-//! paper-calibrated synthetic dataset, and then plays the VMD workflow of
-//! Fig. 2: retrieve → (decompress) → (locate active data) → render. It
-//! returns the paper's metrics: raw-data retrieval time, data-processing
-//! turnaround time, peak memory, OOM kills, and energy.
+//! The runner assembles the chosen platform's storage (simulated file
+//! systems → PLFS containers, with ADA's placement), stores a
+//! paper-calibrated dataset's volumes through the volume model
+//! ([`crate::volumes`]), and then plays the VMD workflow of Fig. 2:
+//! retrieve → (decompress) → (locate active data) → render. It returns the
+//! paper's metrics: raw-data retrieval time, data-processing turnaround
+//! time, peak memory, OOM kills, and energy.
 //!
 //! Phase semantics (documented deviations in EXPERIMENTS.md):
 //!
@@ -20,7 +21,8 @@
 
 use crate::config::{Platform, PlatformKind, STREAM_BUFFER_BYTES};
 use crate::scenario::Scenario;
-use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, SyntheticDataset};
+use crate::volumes::{self, SyntheticDataset};
+use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{Content, LocalFs, SimFileSystem, StripedFs};
@@ -82,58 +84,48 @@ impl RunMetrics {
 struct Stack {
     /// Plain file system holding `bar.xtc` (compressed) and `bar.raw`.
     plain: Arc<dyn SimFileSystem>,
-    /// ADA over its backends.
-    ada: Ada,
+    /// ADA's backends, the one holding its label files, and its placement.
+    containers: ContainerSet,
+    label_fs: Arc<dyn SimFileSystem>,
+    policy: DispatchPolicy,
 }
 
 fn build_stack(platform: &Platform) -> Stack {
     match platform.kind {
         PlatformKind::SsdServer => {
-            let plain: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
             // One ext4 namespace over the NVMe storage: Fig. 7a shows
             // D-ADA(all) ≈ D-ext4 (+ indexer), i.e. the two subsets are
             // read through the same device path, not two drives in
             // parallel.
             let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-            let cs = Arc::new(ContainerSet::new(vec![("ssd".into(), ssd.clone())]));
-            let cfg = AdaConfig {
-                policy: DispatchPolicy::all_to("ssd"),
-                ..AdaConfig::paper_prototype("ssd", "ssd")
-            };
             Stack {
-                plain,
-                ada: Ada::new(cfg, cs, ssd),
+                plain: Arc::new(LocalFs::ext4_on_nvme()),
+                containers: ContainerSet::new(vec![("ssd".into(), ssd.clone())]),
+                label_fs: ssd,
+                policy: DispatchPolicy::all_to("ssd"),
             }
         }
         PlatformKind::Cluster9 => {
-            let plain: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_hdd_3nodes());
             let ssd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_ssd_3nodes());
             let hdd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_hdd_3nodes());
-            let cs = Arc::new(ContainerSet::new(vec![
-                ("pvfs-ssd".into(), ssd.clone()),
-                ("pvfs-hdd".into(), hdd),
-            ]));
-            let cfg = AdaConfig {
-                policy: DispatchPolicy::hybrid_gpcr("pvfs-ssd", "pvfs-hdd"),
-                ..AdaConfig::paper_prototype("pvfs-ssd", "pvfs-hdd")
-            };
             Stack {
-                plain,
-                ada: Ada::new(cfg, cs, ssd),
+                plain: Arc::new(StripedFs::pvfs_hdd_3nodes()),
+                containers: ContainerSet::new(vec![
+                    ("pvfs-ssd".into(), ssd.clone()),
+                    ("pvfs-hdd".into(), hdd),
+                ]),
+                label_fs: ssd,
+                policy: DispatchPolicy::hybrid_gpcr("pvfs-ssd", "pvfs-hdd"),
             }
         }
         PlatformKind::FatNode => {
-            let plain: Arc<dyn SimFileSystem> = Arc::new(LocalFs::xfs_on_raid50());
             // The fat node has a single array: ADA's split is logical only.
             let raid: Arc<dyn SimFileSystem> = Arc::new(LocalFs::xfs_on_raid50());
-            let cs = Arc::new(ContainerSet::new(vec![("raid".into(), raid.clone())]));
-            let cfg = AdaConfig {
-                policy: DispatchPolicy::all_to("raid"),
-                ..AdaConfig::paper_prototype("raid", "raid")
-            };
             Stack {
-                plain,
-                ada: Ada::new(cfg, cs, raid),
+                plain: Arc::new(LocalFs::xfs_on_raid50()),
+                containers: ContainerSet::new(vec![("raid".into(), raid.clone())]),
+                label_fs: raid,
+                policy: DispatchPolicy::all_to("raid"),
             }
         }
     }
@@ -191,10 +183,14 @@ pub fn run_scenario(platform: &Platform, scenario: Scenario, frames: u64) -> Run
                 clippy::expect_used,
                 reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
             )]
-            stack
-                .ada
-                .ingest("bar", IngestInput::Synthetic(spec.clone()))
-                .expect("ingest");
+            let (stored, _) = volumes::ingest(
+                &stack.containers,
+                stack.label_fs.as_ref(),
+                &stack.policy,
+                "bar",
+                &spec,
+            )
+            .expect("ingest");
             let tag = if scenario == Scenario::AdaProtein {
                 Some(Tag::protein())
             } else {
@@ -204,9 +200,9 @@ pub fn run_scenario(platform: &Platform, scenario: Scenario, frames: u64) -> Run
                 clippy::expect_used,
                 reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
             )]
-            let q = stack.ada.query("bar", tag.as_ref()).expect("query");
+            let q = volumes::query(&stack.containers, &stored, tag.as_ref()).expect("query");
             indexer = q.indexer;
-            (q.read, q.data.bytes())
+            (q.read, q.bytes)
         }
     };
 

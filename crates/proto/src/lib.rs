@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "ADAP" (message frame) or "ADAC" (chunk frame)
-//! 4       1     version (currently 5: an error is its kind and its text)
+//! 4       1     version (currently 6: an ingest report is volumes only)
 //! 5       4     payload length N, little-endian u32
 //! 9       4     IEEE CRC-32 (same polynomial as XTCF v2): of the payload in a
 //!               message frame; the chunk's own, as sealed at ingest, in a chunk frame

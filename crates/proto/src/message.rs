@@ -282,22 +282,11 @@ impl ResponseEnvelope {
 }
 
 /// [`IngestReport`] minus the process-local wall-clock profile: the
-/// simulated stage durations and stored-volume accounting, exactly as the
-/// remote middleware computed them.
+/// stored-volume accounting, exactly as the remote middleware made it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireIngestReport {
     /// Dataset name.
     pub dataset: String,
-    /// Decompression time (simulated ns).
-    pub decompress_ns: u128,
-    /// Categorizer time (simulated ns).
-    pub categorize_ns: u128,
-    /// Splitting/filter time (simulated ns).
-    pub split_ns: u128,
-    /// Backend write time (simulated ns).
-    pub write_ns: u128,
-    /// Label-file write time (simulated ns).
-    pub label_write_ns: u128,
     /// Decompressed raw volume.
     pub raw_bytes: u64,
     /// Stored bytes per tag label, sorted by label.
@@ -309,11 +298,6 @@ impl WireIngestReport {
     pub fn from_report(rep: &IngestReport) -> WireIngestReport {
         WireIngestReport {
             dataset: rep.dataset.clone(),
-            decompress_ns: rep.decompress.0,
-            categorize_ns: rep.categorize.0,
-            split_ns: rep.split.0,
-            write_ns: rep.write.0,
-            label_write_ns: rep.label_write.0,
             raw_bytes: rep.raw_bytes,
             bytes_by_tag: rep
                 .bytes_by_tag
@@ -325,11 +309,6 @@ impl WireIngestReport {
 
     fn encode(&self, w: &mut WireWriter) {
         w.put_str(&self.dataset);
-        w.put_u128(self.decompress_ns);
-        w.put_u128(self.categorize_ns);
-        w.put_u128(self.split_ns);
-        w.put_u128(self.write_ns);
-        w.put_u128(self.label_write_ns);
         w.put_u64(self.raw_bytes);
         w.put_u32(self.bytes_by_tag.len().min(u32::MAX as usize) as u32);
         for (tag, bytes) in &self.bytes_by_tag {
@@ -340,11 +319,6 @@ impl WireIngestReport {
 
     fn decode(r: &mut WireReader) -> Result<WireIngestReport, ProtoError> {
         let dataset = r.get_str()?;
-        let decompress_ns = r.get_u128()?;
-        let categorize_ns = r.get_u128()?;
-        let split_ns = r.get_u128()?;
-        let write_ns = r.get_u128()?;
-        let label_write_ns = r.get_u128()?;
         let raw_bytes = r.get_u64()?;
         let n = r.get_u32()? as usize;
         // Cap the pre-allocation by what the frame can actually hold
@@ -358,11 +332,6 @@ impl WireIngestReport {
         }
         Ok(WireIngestReport {
             dataset,
-            decompress_ns,
-            categorize_ns,
-            split_ns,
-            write_ns,
-            label_write_ns,
             raw_bytes,
             bytes_by_tag,
         })
@@ -375,8 +344,9 @@ impl WireIngestReport {
 pub const QUERY_CHUNK_FRAMES: usize = 64;
 
 /// The data a query delivers. On the wire it follows a one-byte kind tag,
-/// `0`; any other tag is `ProtoError::Malformed`. A size-only dataset has
-/// no frames and never answers over the wire ([`AdaError::size_only`]).
+/// `0`; any other tag is `ProtoError::Malformed`. Only frames travel: a
+/// [`RetrievedData::Synthetic`] payload, which `Ada` never builds, is
+/// refused ([`AdaError::size_only`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WirePayload {
     /// The delivered frames, uncompressed, with the bits they were stored
@@ -427,8 +397,8 @@ impl TryFrom<QueryReport> for WireQueryReport {
     type Error = AdaError;
 
     /// Convert a middleware report for the wire, moving its frames. Fails
-    /// on a size-only report ([`AdaError::size_only`]: it has no frames to
-    /// send) and, as a typed `AdaError::Xtcf`, on frames of unequal atom
+    /// on a report without frames ([`AdaError::size_only`]) and, as a
+    /// typed `AdaError::Xtcf`, on frames of unequal atom
     /// counts, which no retrieval path produces and no container holds.
     fn try_from(rep: QueryReport) -> Result<WireQueryReport, AdaError> {
         let RetrievedData::Real(traj) = rep.data else {
@@ -631,11 +601,6 @@ mod tests {
     fn response_reports_round_trip() {
         let ingest = WireIngestReport {
             dataset: "ds".into(),
-            decompress_ns: 1,
-            categorize_ns: 2,
-            split_ns: 3,
-            write_ns: 4,
-            label_write_ns: 5,
             raw_bytes: 1024,
             bytes_by_tag: vec![("m".into(), 7), ("p".into(), 1000)],
         };
@@ -716,22 +681,12 @@ mod tests {
     fn ingest_report_is_the_core_report_stripped() {
         let rep = IngestReport {
             dataset: "ds".into(),
-            decompress: SimDuration(10),
-            categorize: SimDuration(20),
-            split: SimDuration(30),
-            write: SimDuration(40),
-            label_write: SimDuration(50),
             raw_bytes: 4096,
             bytes_by_tag: [(Tag::misc(), 96), (Tag::protein(), 4000)].into(),
             profile: None,
         };
         let wire = WireIngestReport {
             dataset: "ds".into(),
-            decompress_ns: 10,
-            categorize_ns: 20,
-            split_ns: 30,
-            write_ns: 40,
-            label_write_ns: 50,
             raw_bytes: 4096,
             bytes_by_tag: vec![("m".into(), 96), ("p".into(), 4000)],
         };

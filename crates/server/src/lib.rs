@@ -27,9 +27,8 @@
 //! checked just before it is written — no decode, no re-seal, nothing
 //! allocated in proportion to the answer. A full-frame or ranged answer
 //! has to be assembled, so it is decoded; its frames are moved into the
-//! wire report and sealed a chunk at a time as they are written. A
-//! size-only dataset has no frames to send, and either query of it is
-//! refused ([`ada_core::AdaError::size_only`]).
+//! wire report and sealed a chunk at a time as they are written. Every
+//! dataset `Ada` stores holds frames, so every query has some to send.
 //!
 //! Requests a peer sends ahead of their answers wait in the socket
 //! buffers: TCP back-pressure is the bound on what a connection can hold

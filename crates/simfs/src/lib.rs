@@ -11,9 +11,10 @@
 //! ## The dual-mode data plane
 //!
 //! File contents are a [`Content`]: either `Real` bytes (actual PDB/XTC
-//! payloads, exercised end-to-end by the correctness tests) or `Synthetic`
-//! size-only blobs (used for the fat-node experiments whose raw datasets
-//! reach 2.6 TB — far beyond what a test process should materialize).
+//! payloads, the only kind `ada-core` stores) or `Synthetic` size-only
+//! blobs (what `ada-platforms`' volume model stores for the figures, whose
+//! fat-node datasets reach 2.6 TB — far beyond what a test process should
+//! materialize).
 //! Every operation charges identical virtual time for both modes, because
 //! the simulator charges by byte count, not by buffer contents.
 //!

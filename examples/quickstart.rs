@@ -45,13 +45,10 @@ fn main() {
         )
         .unwrap();
     println!("\ningest (on the storage node):");
-    println!(
-        "  decompress: {:>8.3} s (virtual)",
-        report.decompress.as_secs_f64()
-    );
-    println!("  categorize: {:>8.3} s", report.categorize.as_secs_f64());
-    println!("  split:      {:>8.3} s", report.split.as_secs_f64());
-    println!("  write:      {:>8.3} s", report.write.as_secs_f64());
+    println!("  decompressed: {} kB raw", report.raw_bytes / 1000);
+    if let Some(profile) = &report.profile {
+        println!("  took {:.1} ms (measured)", profile.wall_ns as f64 / 1e6);
+    }
     for (tag, bytes) in &report.bytes_by_tag {
         println!("  stored tag '{}': {} kB", tag, bytes / 1000);
     }

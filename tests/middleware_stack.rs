@@ -3,8 +3,9 @@
 //! striped FS under the PLFS layer — the Fig. 4/5/6 plumbing exercised
 //! together.
 
-use ada_core::{Ada, AdaConfig, IngestInput, SyntheticDataset};
+use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
+use ada_platforms::volumes::{self, SyntheticDataset};
 use ada_plfs::{ContainerSet, PlfsError};
 use ada_simfs::{Content, FsError, LocalFs, SimFileSystem, StripedFs};
 use std::sync::Arc;
@@ -21,15 +22,14 @@ fn cluster_set() -> ContainerSet {
     ContainerSet::new(cluster_backends())
 }
 
-/// A size-only dataset over the striped PVFS pair: its protein dropping
-/// reads from the SSD side alone, and a full query reads both backends at
-/// once, so its read time is the slower backend's.
+/// The volume model's dataset over the striped PVFS pair: its protein
+/// dropping reads from the SSD side alone, and a full query reads both
+/// backends at once, so its read time is the slower backend's.
 #[test]
 fn containers_over_striped_fs() {
     let backends = cluster_backends();
-    let cs = Arc::new(ContainerSet::new(backends.clone()));
-    let config = AdaConfig::paper_prototype("pvfs-ssd", "pvfs-hdd");
-    let ada = Ada::new(config, Arc::clone(&cs), Arc::clone(&backends[0].1));
+    let cs = ContainerSet::new(backends.clone());
+    let policy = DispatchPolicy::hybrid_gpcr("pvfs-ssd", "pvfs-hdd");
     // 1000 frames of 12-byte atoms: 425 MB of protein, 575 MB of the rest.
     let spec = SyntheticDataset {
         frames: 1000,
@@ -37,7 +37,8 @@ fn containers_over_striped_fs() {
         compressed_bytes: 300_000_000,
         atoms_by_tag: [(Tag::protein(), 35_417), (Tag::misc(), 47_917)].into(),
     };
-    ada.ingest("bar", IngestInput::Synthetic(spec)).unwrap();
+    let label_fs = backends[0].1.as_ref();
+    let (stored, _) = volumes::ingest(&cs, label_fs, &policy, "bar", &spec).unwrap();
 
     // Protein read hits only the SSD PVFS: ~425MB / 510MB/s ≈ 0.83 s.
     let index = cs.index("bar").unwrap();
@@ -50,7 +51,7 @@ fn containers_over_striped_fs() {
         tp.as_secs_f64()
     );
     // Full read bounded by the HDD side: 575MB / 378MB/s ≈ 1.52 s.
-    let ta = ada.query("bar", None).unwrap().read;
+    let ta = volumes::query(&cs, &stored, None).unwrap().read;
     assert!(
         ta.as_secs_f64() > 1.3 && ta.as_secs_f64() < 1.8,
         "full read {}",

@@ -16,9 +16,8 @@
 //!   whole tag is forwarded as stored: ragged chunks where droppings meet
 //!   survive, the report's simulated durations and the server's tag heat
 //!   are the in-process ones, and the server decodes nothing — while a
-//!   v1 dropping (no chunk directory) is the in-process typed error, and a
-//!   size-only dataset, which has no frames, is refused whole-tag and
-//!   full-frame alike, each on a kept connection;
+//!   v1 dropping (no chunk directory) is the in-process typed error,
+//!   whole-tag and full-frame alike, each on a kept connection;
 //! * remote errors keep their exact `error_kind()` and `Display` —
 //!   `unknown_dataset`, `invalid_range`, `unknown_tag`, and errors whose
 //!   in-process form wraps a nested source (`plfs`, `xtc`) cross the wire
@@ -41,7 +40,6 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ada_client::{Client, ClientConfig, Router};
-use ada_core::synth::SyntheticDataset;
 use ada_core::tiering::heat_snapshot;
 use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
@@ -501,11 +499,10 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
 
 /// A tag with a v1 dropping among its droppings (no chunk directory) is
 /// refused remotely with the typed error the in-process query raises, on a
-/// connection that stays open. A size-only dataset has no frames to send:
-/// a tagged and an untagged query of one are each `AdaError::size_only`,
+/// connection that stays open — tagged, and again in a full-frame query
 /// on the same connection.
 #[test]
-fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
+fn v1_droppings_are_typed_errors_on_a_kept_connection() {
     let _guard = serialize();
     let (ada, ssd) = make_ada_with(AdaConfig::paper_prototype("ssd", "hdd"));
     let (mut server, fe) = serve(ada, ServerConfig::default());
@@ -545,25 +542,11 @@ fn v1_droppings_and_size_only_datasets_are_typed_errors_on_a_kept_connection() {
     assert_eq!(fe.ada().cache_stats().bytes_decoded, 0, "nothing decoded");
     assert!(fe.ada().access_counts("old").is_empty(), "no heat");
 
-    let spec = SyntheticDataset::gpcr_paper(626);
-    fe.ingest("setup", "big", IngestInput::Synthetic(spec))
-        .unwrap();
-    let size_only = AdaError::size_only().to_string();
-    let remote = client.query("big", Some("p")).unwrap_err();
-    assert_eq!(
-        (remote.error_kind(), remote.to_string()),
-        (ErrorKind::Pdb, size_only.clone())
-    );
-    assert!(fe.ada().access_counts("big").is_empty(), "no heat");
-    // The full-frame query runs in process before its answer is refused on
-    // the way to the wire, and counts its access there, as `mol addfile`
-    // of a size-only dataset does in process.
-    let remote = client.query("big", None).unwrap_err();
-    assert_eq!(
-        (remote.error_kind(), remote.to_string()),
-        (ErrorKind::Pdb, size_only)
-    );
-    assert_eq!(heat_snapshot(fe.ada(), "big").heat(&Tag::protein()), 1);
+    let remote = client.query("old", None).unwrap_err();
+    let local = fe.ada().query("old", None).unwrap_err();
+    assert_eq!(remote.error_kind(), ErrorKind::Xtcf, "{}", remote);
+    assert_eq!(remote.to_string(), local.to_string());
+    assert!(fe.ada().access_counts("old").is_empty(), "no heat");
     assert_eq!(
         accepted(),
         accepted_before,

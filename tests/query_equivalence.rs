@@ -2,7 +2,7 @@
 //! reference retrieval (`query_threads = 0`): bit-equal trajectories for
 //! full-frame and per-tag queries, identical simulated read costs, and the
 //! same typed errors under injected faults — on single- and multi-chunk
-//! datasets, real and synthetic.
+//! datasets.
 
 use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
@@ -83,9 +83,6 @@ fn assert_queries_equivalent(ser: &Ada, par: &Ada, dataset: &str, what: &str) {
                 // XTCF is lossless: delivered coordinates are bit-equal.
                 assert_eq!(ta, tb, "{}: trajectory, tag {:?}", what, tag);
             }
-            (RetrievedData::Synthetic { bytes: ba }, RetrievedData::Synthetic { bytes: bb }) => {
-                assert_eq!(ba, bb, "{}: synthetic, tag {:?}", what, tag);
-            }
             _ => panic!("{}: serial and parallel modes disagree", what),
         }
     }
@@ -116,18 +113,6 @@ fn parallel_matches_serial_on_single_dropping_real_dataset() {
     let par = rig(4);
     ingest_real(&par.ada, "d", 900, 3, 21);
     assert_queries_equivalent(&ser.ada, &par.ada, "d", "single dropping");
-}
-
-#[test]
-fn parallel_matches_serial_on_synthetic_dataset() {
-    let spec = ada_core::SyntheticDataset::gpcr_paper(64);
-    let ser = rig(0);
-    ser.ada
-        .ingest("syn", IngestInput::Synthetic(spec.clone()))
-        .unwrap();
-    let par = rig(4);
-    par.ada.ingest("syn", IngestInput::Synthetic(spec)).unwrap();
-    assert_queries_equivalent(&ser.ada, &par.ada, "syn", "synthetic");
 }
 
 proptest! {

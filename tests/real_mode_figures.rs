@@ -2,8 +2,10 @@
 //! an actual workload through the actual middleware — no synthetic
 //! volumes — and the orderings the paper reports must still hold.
 //!
-//! This closes the loop between the two data planes: the synthetic-mode
-//! figures (crates/platforms) and the real codecs agree on who wins.
+//! The figures themselves (`crates/platforms`) run over the real placement
+//! and the real volumes: `ada-platforms`' volume model stores per-tag byte
+//! counts where `Ada` stores frames, on the same devices. This suite closes
+//! the loop: `Ada` with the real codecs agrees with them on who wins.
 
 use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
