@@ -21,7 +21,7 @@
 //!   the eviction hand clears it, and only unreferenced entries are
 //!   dropped;
 //! * **admission-gated by heat**: callers pass the per-tag access count
-//!   (from `ada_core::tiering::heat_snapshot`) at insert time; cold
+//!   (`ada_core::Ada::access_counts`, before the query) at insert time; cold
 //!   one-shot reads bypass the store instead of thrashing the hot set.
 //!
 //! Entries are [`Arc`]-wrapped, so eviction never invalidates a payload an

@@ -357,11 +357,11 @@ impl Ada {
         // (the counter bumps only after the whole query succeeds), so a
         // tag must prove itself hot across queries before it may displace
         // resident entries. Only an admission reads it, so only a cache-on
-        // call with something fresh pays for the snapshot.
+        // call with something fresh pays for the copy of the counters.
         if !self.cache.enabled() || droppings.iter().all(|d| matches!(d.source, Source::Hit(_))) {
             return;
         }
-        let heat = crate::tiering::heat_snapshot(self, dataset);
+        let heat = self.access_counts(dataset);
         for d in droppings {
             let Source::Stored {
                 content,
@@ -390,7 +390,7 @@ impl Ada {
             ));
             let tag = &d.entry.dropping.tag;
             let key = CacheKey::new(dataset, tag, 0);
-            let tag_heat = heat.heat(&Tag::new(tag.clone()));
+            let tag_heat = heat.get(&Tag::new(tag.clone())).copied().unwrap_or(0);
             let _ = self.cache.insert(key, &payload, tag_heat);
         }
     }

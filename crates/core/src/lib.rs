@@ -58,7 +58,6 @@ pub use determinator::DispatchPolicy;
 pub use labeler::{LabelFile, TagEntry};
 pub use preprocess::{split_trajectory, PreprocessOutput};
 pub use profile::StageProfile;
-pub use tiering::{heat_snapshot, HeatSnapshot};
 
 use ada_mdformats::FormatError;
 use ada_mdformats::XtcError;

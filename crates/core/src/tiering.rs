@@ -5,42 +5,18 @@
 //! the data — a solvation analysis hammers the water subset. ADA counts
 //! tag accesses, and the decoded-dropping cache admits by that heat.
 
-use crate::ada::Ada;
 use ada_mdmodel::Tag;
 use std::collections::BTreeMap;
 
-/// Per-tag access counters for one dataset.
+/// Per-tag access counters for one dataset, as
+/// [`Ada::access_counts`](crate::ada::Ada::access_counts)
+/// copies them out; a tag never queried is absent.
 pub type AccessCounts = BTreeMap<Tag, u64>;
-
-/// A read-only view of one dataset's per-tag access heat, taken at a
-/// point in time. Cache admission consumes this instead of reaching into
-/// [`Ada`]'s counter internals, so "how hot is this tag" has one answer
-/// everywhere.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HeatSnapshot {
-    counts: AccessCounts,
-}
-
-impl HeatSnapshot {
-    /// Access count of `tag` (0 when never queried).
-    pub fn heat(&self, tag: &Tag) -> u64 {
-        self.counts.get(tag).copied().unwrap_or(0)
-    }
-}
-
-/// Snapshot the per-tag access heat of `dataset`. Cheap (one clone of the
-/// dataset's counter map under the access lock) and read-only — the
-/// canonical input for cache admission.
-pub fn heat_snapshot(ada: &Ada, dataset: &str) -> HeatSnapshot {
-    HeatSnapshot {
-        counts: ada.access_counts(dataset),
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ada::{AdaConfig, IngestInput};
+    use crate::ada::{Ada, AdaConfig, IngestInput};
     use ada_plfs::ContainerSet;
     use ada_simfs::{LocalFs, SimFileSystem};
     use std::sync::Arc;
@@ -87,20 +63,20 @@ mod tests {
     }
 
     #[test]
-    fn heat_snapshot_reads_per_tag_heat_and_is_read_only() {
+    fn access_counts_are_a_point_in_time_copy() {
         let ada = rig();
-        assert_eq!(heat_snapshot(&ada, "bar").heat(&Tag::misc()), 0);
+        assert!(!ada.access_counts("bar").contains_key(&Tag::misc()));
         for _ in 0..3 {
             ada.query("bar", Some(&Tag::misc())).unwrap();
         }
         ada.query("bar", Some(&Tag::protein())).unwrap();
-        let heat = heat_snapshot(&ada, "bar");
-        assert_eq!(heat.heat(&Tag::misc()), 3);
-        assert_eq!(heat.heat(&Tag::protein()), 1);
-        // A snapshot is a point-in-time copy: later queries don't mutate it.
+        let heat = ada.access_counts("bar");
+        assert_eq!(heat[&Tag::misc()], 3);
+        assert_eq!(heat[&Tag::protein()], 1);
+        // A copy: later queries don't mutate it.
         ada.query("bar", Some(&Tag::misc())).unwrap();
-        assert_eq!(heat.heat(&Tag::misc()), 3);
+        assert_eq!(heat[&Tag::misc()], 3);
         // Unknown datasets read as cold, not as an error.
-        assert_eq!(heat_snapshot(&ada, "nope").heat(&Tag::protein()), 0);
+        assert!(ada.access_counts("nope").is_empty());
     }
 }

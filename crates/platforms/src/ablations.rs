@@ -21,7 +21,7 @@ use ada_core::determinator::indexer_cost;
 use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
-use ada_simfs::{SimFileSystem, StripedFs};
+use ada_simfs::{LocalFs, SimFileSystem};
 use ada_storagesim::SimDuration;
 use std::sync::Arc;
 
@@ -55,8 +55,8 @@ pub fn dispatch_policy_ablation(frames: u64) -> Vec<PolicyRow> {
     policies
         .into_iter()
         .map(|(label, policy)| {
-            let ssd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_ssd_3nodes());
-            let hdd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_hdd_3nodes());
+            let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_ssd_3nodes());
+            let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes());
             let cs = ContainerSet::new(vec![
                 ("pvfs-ssd".into(), ssd.clone()),
                 ("pvfs-hdd".into(), hdd),

@@ -25,7 +25,7 @@ use crate::volumes::{self, SyntheticDataset};
 use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
-use ada_simfs::{Content, LocalFs, SimFileSystem, StripedFs};
+use ada_simfs::{Content, LocalFs, SimFileSystem};
 use ada_storagesim::{CpuWork, MemoryTracker, SimDuration};
 use std::sync::Arc;
 
@@ -106,10 +106,10 @@ fn build_stack(platform: &Platform) -> Stack {
             }
         }
         PlatformKind::Cluster9 => {
-            let ssd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_ssd_3nodes());
-            let hdd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_hdd_3nodes());
+            let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_ssd_3nodes());
+            let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes());
             Stack {
-                plain: Arc::new(StripedFs::pvfs_hdd_3nodes()),
+                plain: Arc::new(LocalFs::pvfs_hdd_3nodes()),
                 containers: ContainerSet::new(vec![
                     ("pvfs-ssd".into(), ssd.clone()),
                     ("pvfs-hdd".into(), hdd),

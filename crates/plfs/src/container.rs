@@ -502,7 +502,7 @@ mod tests {
             .unwrap();
         let (c, _) = cs.read_dropping(&record).unwrap();
         assert_eq!(c.len(), 1 << 35);
-        assert!(!c.is_real());
+        assert!(c.as_real().is_none());
         assert_eq!(cs.bytes_by_backend("big").unwrap()["mnt1"], 1 << 35);
     }
 

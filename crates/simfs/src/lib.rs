@@ -1,12 +1,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-//! # ada-simfs — simulated file systems
+//! # ada-simfs — the simulated file system
 //!
-//! The file-system layer ADA sits on top of (Fig. 4's bottom box): local
-//! file systems over a single device or array ([`local::LocalFs`], with
-//! ext4/XFS parameter presets) and a PVFS/OrangeFS-like striped parallel
-//! file system over storage nodes ([`striped::StripedFs`]).
+//! The file-system layer ADA sits on top of (Fig. 4's bottom box). There is
+//! one file system, [`LocalFs`]: a store (an in-memory file table) charged
+//! to a medium (a [`Backing`]). The medium is a single device, a RAID-50
+//! array, or a PVFS/OrangeFS-like striped parallel file system's storage
+//! servers and network, and it is a pure function from a byte count to a
+//! virtual duration. Its presets are the paper's file systems: ext4 on the
+//! NVMe SSD server, XFS on the fat node's RAID-50 array, and the cluster's
+//! PVFS over three HDD nodes and over three SSD nodes.
 //!
 //! ## The dual-mode data plane
 //!
@@ -16,19 +20,19 @@
 //! fat-node datasets reach 2.6 TB — far beyond what a test process should
 //! materialize).
 //! Every operation charges identical virtual time for both modes, because
-//! the simulator charges by byte count, not by buffer contents.
+//! the medium charges by byte count, not by buffer contents.
 //!
 //! File systems never touch the shared clock themselves — operations return
 //! [`SimDuration`]s and callers compose them (sequential `+`, parallel
 //! `max`), which is what lets the platform harness model concurrent striped
 //! reads correctly.
 
+pub mod backing;
 pub mod local;
-pub mod striped;
 pub mod trace;
 
-pub use local::{FsParams, LocalFs};
-pub use striped::{StripedFs, StripedFsParams};
+pub use backing::Backing;
+pub use local::LocalFs;
 pub use trace::{OpKind, TraceEvent, TraceLog};
 
 use ada_storagesim::SimDuration;
@@ -68,11 +72,6 @@ impl Content {
     /// True when zero-length.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether this is real data.
-    pub fn is_real(&self) -> bool {
-        matches!(self, Content::Real(_))
     }
 
     /// Borrow real bytes, or `None` for synthetic content.
@@ -121,8 +120,6 @@ impl Content {
 pub struct FileStat {
     /// File length in bytes.
     pub len: u64,
-    /// Whether contents are real bytes.
-    pub is_real: bool,
 }
 
 /// File-system errors.
@@ -222,9 +219,9 @@ mod tests {
         let r = Content::real(vec![1u8, 2, 3]);
         let s = Content::synthetic(1 << 40);
         assert_eq!(r.len(), 3);
-        assert!(r.is_real());
+        assert!(r.as_real().is_some());
         assert_eq!(s.len(), 1 << 40);
-        assert!(!s.is_real());
+        assert!(s.as_real().is_none());
         assert!(Content::real(Vec::new()).is_empty());
     }
 
@@ -246,7 +243,7 @@ mod tests {
         assert_eq!(ab.as_real().unwrap().as_ref(), &[1, 2, 3]);
         let s = Content::synthetic(5);
         let mixed = a.concat(&s);
-        assert!(!mixed.is_real());
+        assert!(mixed.as_real().is_none());
         assert_eq!(mixed.len(), 6);
     }
 }

@@ -1,9 +1,10 @@
 //! Block device models.
 //!
-//! A device is characterized by an access (seek/queue) latency, sequential
-//! read/write bandwidth, and power draw per state. Operation costs are
-//! `latency + bytes/bandwidth`; callers add durations up, or take their max,
-//! as serial or parallel composition demands.
+//! A device is characterized by an access (seek/queue) latency and
+//! sequential read/write bandwidth. Operation costs are
+//! `latency + bytes/bandwidth`, pure functions of the byte count: a device
+//! keeps no state, and callers add durations up, or take their max, as
+//! serial or parallel composition demands.
 
 use crate::SimDuration;
 
@@ -18,10 +19,6 @@ pub struct DeviceProfile {
     pub read_bw: f64,
     /// Sequential write bandwidth, bytes/second.
     pub write_bw: f64,
-    /// Power while reading/writing, watts.
-    pub active_power_w: f64,
-    /// Idle power, watts.
-    pub idle_power_w: f64,
     /// Capacity in bytes.
     pub capacity: u64,
 }
@@ -34,8 +31,6 @@ impl DeviceProfile {
             access_latency_s: 8.5e-3,
             read_bw: 126.0e6,
             write_bw: 120.0e6,
-            active_power_w: 6.8,
-            idle_power_w: 3.7,
             capacity: 1_000_000_000_000,
         }
     }
@@ -47,8 +42,6 @@ impl DeviceProfile {
             access_latency_s: 60.0e-6,
             read_bw: 3_000.0e6,
             write_bw: 1_000.0e6,
-            active_power_w: 5.5,
-            idle_power_w: 0.6,
             capacity: 256_000_000_000,
         }
     }
@@ -60,8 +53,6 @@ impl DeviceProfile {
             access_latency_s: 20.0e-6,
             read_bw: 3_000.0e6,
             write_bw: 1_000.0e6,
-            active_power_w: 6.0,
-            idle_power_w: 0.5,
             capacity: 256_000_000_000,
         }
     }
@@ -77,60 +68,6 @@ impl DeviceProfile {
     }
 }
 
-/// A stateful device: a profile plus usage counters for utilization and
-/// energy reporting.
-#[derive(Debug, Clone)]
-pub struct Device {
-    /// Device class parameters.
-    pub profile: DeviceProfile,
-    bytes_read: u64,
-    bytes_written: u64,
-    busy: SimDuration,
-}
-
-impl Device {
-    /// New idle device.
-    pub fn new(profile: DeviceProfile) -> Device {
-        Device {
-            profile,
-            bytes_read: 0,
-            bytes_written: 0,
-            busy: SimDuration::ZERO,
-        }
-    }
-
-    /// Charge a sequential read; returns its duration.
-    pub fn read(&mut self, bytes: u64) -> SimDuration {
-        let d = self.profile.read_time(bytes);
-        self.bytes_read += bytes;
-        self.busy += d;
-        d
-    }
-
-    /// Charge a sequential write; returns its duration.
-    pub fn write(&mut self, bytes: u64) -> SimDuration {
-        let d = self.profile.write_time(bytes);
-        self.bytes_written += bytes;
-        self.busy += d;
-        d
-    }
-
-    /// Total bytes read so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Accumulated busy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-}
-
 /// A RAID-50 array: striped groups of RAID-5 sets (Table 5: ten 1 TB WD
 /// HDDs). Reads stripe across all data disks; writes pay a parity factor.
 #[derive(Debug, Clone)]
@@ -141,9 +78,6 @@ pub struct Raid50 {
     pub groups: usize,
     /// Disks per group (including one parity disk each).
     pub disks_per_group: usize,
-    bytes_read: u64,
-    bytes_written: u64,
-    busy: SimDuration,
 }
 
 impl Raid50 {
@@ -159,15 +93,7 @@ impl Raid50 {
             member,
             groups,
             disks_per_group,
-            bytes_read: 0,
-            bytes_written: 0,
-            busy: SimDuration::ZERO,
         }
-    }
-
-    /// Total member disks.
-    pub fn disks(&self) -> usize {
-        self.groups * self.disks_per_group
     }
 
     /// Data-bearing disks (one parity per group).
@@ -187,44 +113,14 @@ impl Raid50 {
         self.member.write_bw * self.data_disks() as f64 * 0.85
     }
 
-    /// Charge a striped read.
-    pub fn read(&mut self, bytes: u64) -> SimDuration {
-        let d = SimDuration::from_secs_f64(
-            self.member.access_latency_s + bytes as f64 / self.read_bw(),
-        );
-        self.bytes_read += bytes;
-        self.busy += d;
-        d
+    /// Time of a striped read.
+    pub fn read(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_secs_f64(self.member.access_latency_s + bytes as f64 / self.read_bw())
     }
 
-    /// Charge a striped write.
-    pub fn write(&mut self, bytes: u64) -> SimDuration {
-        let d = SimDuration::from_secs_f64(
-            self.member.access_latency_s + bytes as f64 / self.write_bw(),
-        );
-        self.bytes_written += bytes;
-        self.busy += d;
-        d
-    }
-
-    /// Array power while active (all member disks spinning + seeking).
-    pub fn active_power_w(&self) -> f64 {
-        self.member.active_power_w * self.disks() as f64
-    }
-
-    /// Array idle power.
-    pub fn idle_power_w(&self) -> f64 {
-        self.member.idle_power_w * self.disks() as f64
-    }
-
-    /// Total bytes read.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Accumulated busy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
+    /// Time of a striped write.
+    pub fn write(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_secs_f64(self.member.access_latency_s + bytes as f64 / self.write_bw())
     }
 }
 
@@ -251,20 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn device_counters() {
-        let mut d = Device::new(DeviceProfile::nvme_ssd_256gb());
-        let r = d.read(3_000_000_000);
-        assert!((r.as_secs_f64() - 1.0).abs() < 0.01);
-        d.write(1_000_000_000);
-        assert_eq!(d.bytes_read(), 3_000_000_000);
-        assert_eq!(d.bytes_written(), 1_000_000_000);
-        assert!(d.busy_time().as_secs_f64() > 1.9);
-    }
-
-    #[test]
     fn raid50_geometry() {
         let arr = Raid50::fatnode_array();
-        assert_eq!(arr.disks(), 10);
         assert_eq!(arr.data_disks(), 8);
         // 8 × 126 MB/s ≈ 1 GB/s aggregate read.
         assert!((arr.read_bw() - 1_008.0e6).abs() < 1.0);
@@ -272,10 +156,10 @@ mod tests {
 
     #[test]
     fn raid50_read_beats_single_disk() {
-        let mut arr = Raid50::fatnode_array();
-        let mut disk = Device::new(DeviceProfile::wd_hdd_1tb());
+        let arr = Raid50::fatnode_array();
+        let disk = DeviceProfile::wd_hdd_1tb();
         let bytes = 10_000_000_000;
-        let ratio = disk.read(bytes).as_secs_f64() / arr.read(bytes).as_secs_f64();
+        let ratio = disk.read_time(bytes).as_secs_f64() / arr.read(bytes).as_secs_f64();
         assert!(ratio > 7.5 && ratio < 8.5, "ratio {}", ratio);
     }
 

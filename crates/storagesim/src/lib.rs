@@ -14,15 +14,17 @@
 //!   sequential bandwidth, with presets for the exact hardware in Tables 4
 //!   and 5 (WD 1 TB HDD @126 MB/s, Plextor 256 GB SSD @3000/1000 MB/s,
 //!   RAID-50 of ten HDDs);
-//! * [`network`] — links with latency + bandwidth (10 GbE and loop-back
-//!   presets);
+//! * [`network`] — links with latency + bandwidth (a 10 GbE preset);
 //! * [`cpu`] — a throughput CPU model (decompression, scanning, rendering
 //!   rates per core) with presets for the two Xeons the paper uses;
 //! * [`memory`] — a capacity-limited tracker that reproduces the paper's
 //!   OOM kills ("both XFS and ADA (all) are killed by the system due to
 //!   memory shortage").
 //!
-//! Everything is deterministic: same inputs → same virtual timings.
+//! Everything is deterministic: same inputs → same virtual timings. A
+//! device or link is a pure function from a byte count to a duration and
+//! keeps no state. The platform's power model, storage included, lives in
+//! `ada-platforms`' `Platform`.
 
 pub mod cpu;
 pub mod device;
@@ -30,7 +32,7 @@ pub mod memory;
 pub mod network;
 
 pub use cpu::{CpuProfile, CpuWork};
-pub use device::{Device, DeviceProfile, Raid50};
+pub use device::{DeviceProfile, Raid50};
 pub use memory::{MemoryTracker, OomKilled};
 pub use network::Link;
 

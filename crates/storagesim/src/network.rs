@@ -27,20 +27,8 @@ impl Link {
         }
     }
 
-    /// A loop-back "link" for single-node platforms (no network cost).
-    pub fn local() -> Link {
-        Link {
-            name: "local".into(),
-            latency_s: 0.0,
-            bandwidth: f64::INFINITY,
-        }
-    }
-
     /// Time to move `bytes` across the link.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
-        if self.bandwidth.is_infinite() {
-            return SimDuration::from_secs_f64(self.latency_s);
-        }
         SimDuration::from_secs_f64(self.latency_s + bytes as f64 / self.bandwidth)
     }
 }
@@ -54,12 +42,6 @@ mod tests {
         // 1 GB over 1.25 GB/s ≈ 0.8 s.
         let t = Link::tenge().transfer_time(1_000_000_000).as_secs_f64();
         assert!((t - 0.8).abs() < 1e-3);
-    }
-
-    #[test]
-    fn local_link_is_free() {
-        let l = Link::local();
-        assert_eq!(l.transfer_time(u64::MAX), SimDuration::ZERO);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! under a request does not take the process down: `Frontend` answers it
 //! as `AdaError::Internal` through its `catch_unwind`, and the next
 //! request must still be able to take every lock the failed one held.
-//! And every guarded state — scheduler slots, cache shards, container
-//! indexes, device clocks, trace rings — is O(1) bookkeeping updated in
-//! steps that each leave it valid, so there is no half-written invariant
-//! for the flag to protect.
+//! And every guarded state — scheduler slots, cache shards, file tables,
+//! trace rings — is bookkeeping updated in steps that each leave it
+//! valid, so there is no half-written invariant for the flag to protect.
 //!
 //! **No lock is taken under another.** In a debug build each thread
 //! notes whether it holds an `ada_sync` guard, and `lock()` refuses

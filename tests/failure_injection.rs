@@ -8,8 +8,8 @@ use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
-use ada_simfs::{Content, FsParams, LocalFs, SimFileSystem};
-use ada_storagesim::{Device, DeviceProfile};
+use ada_simfs::{Backing, Content, LocalFs, SimFileSystem};
+use ada_storagesim::DeviceProfile;
 use std::sync::Arc;
 
 struct Rig {
@@ -258,8 +258,8 @@ fn tiny_ssd_rig(chunk_frames: usize) -> Rig {
     };
     let ssd = Arc::new(LocalFs::new(
         "tiny-ssd",
-        FsParams::ext4(),
-        ada_simfs::local::Backing::Single(Device::new(tiny_profile)),
+        50.0e-6, // ext4's per-operation cost
+        Backing::Single(tiny_profile),
     ));
     rig_on(ssd, chunk_frames)
 }

@@ -7,15 +7,27 @@ use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
 use ada_platforms::volumes::{self, SyntheticDataset};
 use ada_plfs::{ContainerSet, PlfsError};
-use ada_simfs::{Content, FsError, LocalFs, SimFileSystem, StripedFs};
+use ada_simfs::{Content, FsError, LocalFs, OpKind, SimFileSystem, TraceLog};
 use std::sync::Arc;
 
 type Backends = Vec<(String, Arc<dyn SimFileSystem>)>;
 
 fn cluster_backends() -> Backends {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_ssd_3nodes());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_hdd_3nodes());
+    traced_cluster_backends(&TraceLog::new())
+}
+
+/// The PVFS pair, both file systems recording into `log`.
+fn traced_cluster_backends(log: &TraceLog) -> Backends {
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_ssd_3nodes().with_trace(log.clone()));
+    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes().with_trace(log.clone()));
     vec![("pvfs-ssd".into(), ssd), ("pvfs-hdd".into(), hdd)]
+}
+
+/// The file systems that served a read recorded in `log`, in order.
+fn read_from(log: &TraceLog) -> Vec<String> {
+    let reads = log.events().into_iter();
+    let reads = reads.filter(|e| matches!(e.op, OpKind::Read | OpKind::ReadRange));
+    reads.map(|e| e.fs).collect()
 }
 
 fn cluster_set() -> ContainerSet {
@@ -23,11 +35,13 @@ fn cluster_set() -> ContainerSet {
 }
 
 /// The volume model's dataset over the striped PVFS pair: its protein
-/// dropping reads from the SSD side alone, and a full query reads both
-/// backends at once, so its read time is the slower backend's.
+/// dropping reads from the SSD side alone (as its trace shows), and a
+/// full query reads both backends at once, so its read time is the slower
+/// backend's.
 #[test]
 fn containers_over_striped_fs() {
-    let backends = cluster_backends();
+    let log = TraceLog::new();
+    let backends = traced_cluster_backends(&log);
     let cs = ContainerSet::new(backends.clone());
     let policy = DispatchPolicy::hybrid_gpcr("pvfs-ssd", "pvfs-hdd");
     // 1000 frames of 12-byte atoms: 425 MB of protein, 575 MB of the rest.
@@ -44,14 +58,22 @@ fn containers_over_striped_fs() {
     let index = cs.index("bar").unwrap();
     let p = index.iter().find(|r| r.tag == "p").unwrap();
     assert_eq!(p.backend, "pvfs-ssd");
-    let (_, tp) = cs.read_dropping(p).unwrap();
+    log.clear();
+    let tp = volumes::query(&cs, &stored, Some(&Tag::protein()))
+        .unwrap()
+        .read;
+    assert_eq!(read_from(&log), ["pvfs-ssd"]);
     assert!(
         tp.as_secs_f64() > 0.7 && tp.as_secs_f64() < 1.0,
         "protein read {}",
         tp.as_secs_f64()
     );
     // Full read bounded by the HDD side: 575MB / 378MB/s ≈ 1.52 s.
+    log.clear();
     let ta = volumes::query(&cs, &stored, None).unwrap().read;
+    let mut full = read_from(&log);
+    full.sort();
+    assert_eq!(full, ["pvfs-hdd", "pvfs-ssd"]);
     assert!(
         ta.as_secs_f64() > 1.3 && ta.as_secs_f64() < 1.8,
         "full read {}",
@@ -90,7 +112,7 @@ fn mixed_local_and_striped_backends() {
     // ADA's architecture allows any SimFileSystem as a backend; mix a
     // local NVMe ext4 with a striped HDD PVFS.
     let local: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let striped: Arc<dyn SimFileSystem> = Arc::new(StripedFs::pvfs_hdd_3nodes());
+    let striped: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes());
     let cs = ContainerSet::new(vec![("nvme".into(), local), ("pvfs".into(), striped)]);
     cs.create_logical("bar").unwrap();
     cs.append("bar", "p", "nvme", Content::real(vec![1u8, 2, 3]))

@@ -40,7 +40,6 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ada_client::{Client, ClientConfig, Router};
-use ada_core::tiering::heat_snapshot;
 use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::xtcf::{frame_record_len, parse_directory, read_xtcf, write_xtcf};
@@ -492,8 +491,8 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
     serial.query("ds", Some(&Tag::misc())).unwrap();
     client.query_range("ds", "p", 5, 45, 3).unwrap();
     serial.query_range("ds", &p, 5..45, 3).unwrap();
-    assert_eq!(heat_snapshot(fe.ada(), "ds"), heat_snapshot(&serial, "ds"));
-    assert_eq!(heat_snapshot(&serial, "ds").heat(&p), 4);
+    assert_eq!(fe.ada().access_counts("ds"), serial.access_counts("ds"));
+    assert_eq!(serial.access_counts("ds")[&p], 4);
     server.shutdown();
 }
 
