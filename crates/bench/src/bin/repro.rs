@@ -539,7 +539,7 @@ fn print_ablations() {
         .into_iter()
         .map(|r| {
             vec![
-                r.droppings.to_string(),
+                r.tags.to_string(),
                 format!("{:.2} ms", r.indexer_s * 1e3),
                 format!("{:.2}%", r.penalty_pct),
             ]
@@ -548,8 +548,8 @@ fn print_ablations() {
     println!(
         "{}",
         format_table(
-            "Ablation — indexer cost vs container dropping count (5,006-frame dataset)",
-            &["droppings", "indexer time", "penalty vs full read"],
+            "Ablation — indexer cost vs tags per label, one dropping each (5,006-frame dataset)",
+            &["tag count", "indexer time", "penalty vs full read"],
             &rows
         )
     );

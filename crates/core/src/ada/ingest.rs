@@ -223,9 +223,9 @@ impl Ada {
                     ChunkDirectory::contiguous(ranges.count(), nominal, crcs).append_to(file);
                     let file = Content::real(std::mem::take(file));
                     let backend = self.config.policy.backend_for(tag);
-                    let (record, _) =
-                        self.containers
-                            .append(dataset, tag.as_str(), backend, file)?;
+                    let record = self
+                        .containers
+                        .append(dataset, tag.as_str(), backend, file)?;
                     stored.push(record);
                 }
             }
@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(index.len(), 2);
         for r in &index {
             let (content, _) = ada.containers().read_dropping(r).unwrap();
-            let dir = ada_mdformats::xtcf::parse_directory(content.as_real().unwrap());
+            let dir = ada_mdformats::xtcf::parse_directory(content.bytes());
             assert_eq!(dir.unwrap().unwrap().nchunks(), 3);
         }
         // Three chunks ran; the profile still names each stage once.

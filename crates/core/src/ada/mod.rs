@@ -127,7 +127,7 @@ pub enum RetrievedData {
     /// Decoded frames.
     Real(Trajectory),
     /// A byte count without frames. Never constructed: `Ada` stores and
-    /// answers frames only (the figures' size-only datasets live in
+    /// answers frames only (the figures price their datasets' volumes in
     /// `ada-platforms`' volume model). Kept while the benchmark package's
     /// `real_frames` still matches it.
     Synthetic {

@@ -9,7 +9,7 @@
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
 //! resolve / index / heat helpers, a fetch, and no retrieval at all.
 
-use super::retrieve::{atoms_err, directory, real_bytes, xtcf_err, Take};
+use super::retrieve::{atoms_err, directory, xtcf_err, Take};
 use super::{count_corrupt, op_span, Ada, Op, QueryReport, RetrievedData};
 use crate::determinator::indexer_cost;
 use crate::labeler::{LabelFile, TagEntry};
@@ -76,8 +76,7 @@ impl StoredAnswer {
     pub fn chunks(&self) -> impl Iterator<Item = Result<(&[u8], u32, u32), AdaError>> + '_ {
         let d = &self.dropping;
         d.dir.entries.iter().enumerate().map(move |(c, e)| {
-            let bytes = real_bytes(&d.record, &d.content)?;
-            let body = verify_chunk(bytes, &d.dir, c).map_err(|e| {
+            let body = verify_chunk(d.content.bytes(), &d.dir, c).map_err(|e| {
                 let e = xtcf_err(&d.record, e);
                 count_corrupt(&self.corrupt, &e);
                 e

@@ -134,20 +134,6 @@ pub(super) fn atoms_err(record: &IndexRecord, frame: usize, got: usize, want: us
     )
 }
 
-/// The bytes of a fetched dropping; size-only content cannot be decoded.
-pub(super) fn real_bytes<'a>(
-    record: &IndexRecord,
-    content: &'a Content,
-) -> Result<&'a [u8], AdaError> {
-    match content.as_real() {
-        Some(bytes) => Ok(bytes),
-        None => Err(xtcf_err(
-            record,
-            FormatError::Corrupt("expected real dropping bytes".into()),
-        )),
-    }
-}
-
 /// What `Frame::nbytes` sums to over a chunk's frames once decoded: what a
 /// checked chunk adds to `cache.bytes_decoded`, decoded or read in place.
 fn decoded_bytes(e: &ChunkEntry) -> u64 {
@@ -162,7 +148,7 @@ pub(super) fn directory(
     record: &IndexRecord,
     content: &Content,
 ) -> Result<ChunkDirectory, AdaError> {
-    let parsed = parse_directory(real_bytes(record, content)?).map_err(|e| xtcf_err(record, e))?;
+    let parsed = parse_directory(content.bytes()).map_err(|e| xtcf_err(record, e))?;
     parsed.ok_or_else(|| {
         xtcf_err(
             record,
@@ -376,9 +362,7 @@ impl Ada {
                 .map(|c| prior.as_ref().and_then(|p| p.chunk(c).cloned()))
                 .collect();
             for c in todo {
-                let fresh = content
-                    .as_real()
-                    .and_then(|b| decode_chunk(b, &dir, c).ok());
+                let fresh = decode_chunk(content.bytes(), &dir, c).ok();
                 if let (Some(slot), Some(frames)) = (chunks.get_mut(c), fresh) {
                     *slot = Some(Arc::new(frames));
                 }

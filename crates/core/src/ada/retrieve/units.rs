@@ -4,7 +4,7 @@
 //! ([`run_unit`]): check its stored chunks, then write the answer's frames
 //! inside it, each once, straight from the sources.
 
-use super::{atoms_err, real_bytes, xtcf_err, Planned, Source, Take};
+use super::{atoms_err, xtcf_err, Planned, Source, Take};
 use crate::labeler::LabelFile;
 use crate::AdaError;
 use ada_mdformats::xtcf::{ChunkRecords, FrameRecord};
@@ -302,8 +302,8 @@ fn check_chunk<'a>(
         "bytes",
         dir.entries.get(c).map_or(0, |e| e.body_len() as u64),
     );
-    let res = real_bytes(record, content)
-        .and_then(|bytes| ChunkRecords::verify(bytes, dir, c).map_err(|e| xtcf_err(record, e)))
+    let res = ChunkRecords::verify(content.bytes(), dir, c)
+        .map_err(|e| xtcf_err(record, e))
         .and_then(|records| match (records.natoms(), d.entry.ranges.count()) {
             (got, want) if got != want => Err(atoms_err(record, 0, got, want)),
             _ => Ok(records),
@@ -457,7 +457,7 @@ mod tests {
             let sealed = seal_v2(v1, ranges.count(), chunk_frames).unwrap();
             let backend = if *tag == Tag::protein() { "ssd" } else { "hdd" };
             let content = Content::real(sealed);
-            let (record, _) = containers
+            let record = containers
                 .append("d", tag.as_str(), backend, content)
                 .unwrap();
             droppings.push(record);
@@ -478,7 +478,7 @@ mod tests {
         let mut out: BTreeMap<Tag, Vec<Vec<Frame>>> = BTreeMap::new();
         for r in records {
             let (content, _) = ada.containers().read_dropping(&r).unwrap();
-            let bytes = content.as_real().unwrap();
+            let bytes = content.bytes();
             let dir = parse_directory(bytes).unwrap().unwrap();
             let chunks = out.entry(Tag::new(r.tag.clone())).or_default();
             for c in 0..dir.nchunks() {

@@ -13,7 +13,6 @@ use ada_json::Value;
 use ada_mdmodel::{IndexRanges, Tag};
 use ada_plfs::IndexRecord;
 use ada_simfs::{Content, SimFileSystem};
-use ada_storagesim::SimDuration;
 use std::collections::BTreeMap;
 
 /// One tag of a label: the atoms it selects and its one stored dropping.
@@ -111,10 +110,10 @@ impl LabelFile {
         format!("ada/labels/{}.label.json", dataset)
     }
 
-    /// JSON rendering: ranges are `[start, end)` pairs under each tag, and
-    /// each tag's stored dropping, in tag order, is an object of its
-    /// record's fields.
-    fn to_json(&self) -> Value {
+    /// JSON rendering — what [`LabelFile::store`] writes: ranges are
+    /// `[start, end)` pairs under each tag, and each tag's stored
+    /// dropping, in tag order, is an object of its record's fields.
+    pub fn to_json(&self) -> Value {
         let tags = self
             .tags
             .iter()
@@ -185,8 +184,8 @@ impl LabelFile {
         })
     }
 
-    /// Persist to a file system; returns the write duration.
-    pub fn store(&self, fs: &dyn SimFileSystem) -> Result<SimDuration, AdaError> {
+    /// Persist to a file system.
+    pub fn store(&self, fs: &dyn SimFileSystem) -> Result<(), AdaError> {
         let json = self.to_json().to_vec();
         let path = LabelFile::path_for(&self.dataset);
         if fs.exists(&path) {
@@ -196,18 +195,11 @@ impl LabelFile {
     }
 
     /// Load a dataset's label file.
-    pub fn load(
-        fs: &dyn SimFileSystem,
-        dataset: &str,
-    ) -> Result<(LabelFile, SimDuration), AdaError> {
-        let (content, d) = fs.read(&LabelFile::path_for(dataset))?;
-        let bytes = content
-            .as_real()
-            .ok_or_else(|| AdaError::Pdb("label file is synthetic".into()))?;
-        let label = ada_json::parse(bytes)
+    pub fn load(fs: &dyn SimFileSystem, dataset: &str) -> Result<LabelFile, AdaError> {
+        let (content, _) = fs.read(&LabelFile::path_for(dataset))?;
+        ada_json::parse(content.bytes())
             .and_then(|v| LabelFile::from_json(&v))
-            .map_err(|e| AdaError::Pdb(format!("label parse: {}", e)))?;
-        Ok((label, d))
+            .map_err(|e| AdaError::Pdb(format!("label parse: {}", e)))
     }
 }
 
@@ -219,12 +211,7 @@ mod tests {
     fn droppings(pairs: &[(&str, &str, u64)]) -> Vec<IndexRecord> {
         pairs
             .iter()
-            .map(|&(tag, backend, len)| IndexRecord {
-                tag: tag.into(),
-                backend: backend.into(),
-                dropping_path: format!("{}/bar/hostdir.0/dropping.data.{}", backend, tag),
-                len,
-            })
+            .map(|&(tag, backend, len)| IndexRecord::new("bar", tag, backend, len))
             .collect()
     }
 
@@ -290,11 +277,10 @@ mod tests {
     fn store_load_roundtrip() {
         let fs = LocalFs::ext4_on_nvme();
         let l = label();
-        let wd = l.store(&fs).unwrap();
-        assert!(wd.as_secs_f64() > 0.0);
-        let (back, rd) = LabelFile::load(&fs, "bar").unwrap();
-        assert_eq!(back, l);
-        assert!(rd.as_secs_f64() > 0.0);
+        l.store(&fs).unwrap();
+        let stored = fs.stat(&LabelFile::path_for("bar")).unwrap().len;
+        assert_eq!(stored, l.to_json().to_vec().len() as u64);
+        assert_eq!(LabelFile::load(&fs, "bar").unwrap(), l);
     }
 
     #[test]
@@ -304,8 +290,7 @@ mod tests {
         l.store(&fs).unwrap();
         l.nframes = 99;
         l.store(&fs).unwrap();
-        let (back, _) = LabelFile::load(&fs, "bar").unwrap();
-        assert_eq!(back.nframes, 99);
+        assert_eq!(LabelFile::load(&fs, "bar").unwrap().nframes, 99);
     }
 
     #[test]

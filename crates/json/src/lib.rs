@@ -1,13 +1,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-//! Minimal JSON support for ADA's persistence formats (label files and
-//! PLFS container indexes).
-//!
-//! The repository previously serialized these through `serde_json`; the
-//! formats are tiny and fixed, so a small hand-rolled value model keeps
-//! the build dependency-free. Numbers are stored as `f64`, which is exact
-//! for integers up to 2^53 — far beyond any offset this system produces.
+//! Minimal JSON for what ADA writes as text: its label files, metrics
+//! snapshots and trace exports. The formats are small and fixed, so a
+//! small value model keeps the build dependency-free. Numbers are stored
+//! as `f64`, which is exact for integers up to 2^53 — far beyond any
+//! offset this system produces.
 //!
 //! Output is deterministic: objects serialize in insertion order and the
 //! writer has a single canonical rendering (no whitespace).

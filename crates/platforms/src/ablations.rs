@@ -11,7 +11,7 @@
 //! 3. **Render working set** — the OOM-kill boundary's sensitivity to the
 //!    memory-overhead fraction on the fat node.
 //! 4. **Indexer cost** — the Fig. 7a "D-ADA(all) slightly slower than
-//!    D-ext4" penalty as a function of droppings per dataset.
+//!    D-ext4" penalty as a function of tags per label.
 
 use crate::config::Platform;
 use crate::runner::run_scenario;
@@ -20,10 +20,8 @@ use crate::volumes::{self, SyntheticDataset};
 use ada_core::determinator::indexer_cost;
 use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
+use ada_simfs::LocalFs;
 use ada_storagesim::SimDuration;
-use std::sync::Arc;
 
 /// One row of the dispatch-policy ablation.
 #[derive(Debug, Clone)]
@@ -55,26 +53,19 @@ pub fn dispatch_policy_ablation(frames: u64) -> Vec<PolicyRow> {
     policies
         .into_iter()
         .map(|(label, policy)| {
-            let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_ssd_3nodes());
-            let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes());
-            let cs = ContainerSet::new(vec![
-                ("pvfs-ssd".into(), ssd.clone()),
-                ("pvfs-hdd".into(), hdd),
-            ]);
+            let backends = [
+                ("pvfs-ssd", LocalFs::pvfs_ssd_3nodes()),
+                ("pvfs-hdd", LocalFs::pvfs_hdd_3nodes()),
+            ];
             let spec = SyntheticDataset::gpcr_paper(frames);
             #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let (stored, _) = volumes::ingest(&cs, ssd.as_ref(), &policy, "bar", &spec).expect("ingest");
+            let (stored, _) = volumes::ingest(&backends, &backends[0].1, &policy, "bar", &spec).expect("ingest");
             #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let qp = volumes::query(&cs, &stored, Some(&Tag::protein())).expect("query p");
+            let qp = volumes::query(&backends, &stored, Some(&Tag::protein())).expect("query p");
             #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let qa = volumes::query(&cs, &stored, None).expect("query all");
-            #[expect(clippy::expect_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            let ssd_bytes = cs
-                .bytes_by_backend("bar")
-                .expect("placement")
-                .get("pvfs-ssd")
-                .copied()
-                .unwrap_or(0);
+            let qa = volumes::query(&backends, &stored, None).expect("query all");
+            let on_ssd = stored.entries().values().filter(|e| e.dropping.backend == "pvfs-ssd");
+            let ssd_bytes = on_ssd.map(|e| e.dropping.len).sum();
             PolicyRow {
                 policy: label.to_string(),
                 protein_read_s: qp.read.as_secs_f64(),
@@ -157,41 +148,30 @@ pub fn render_overhead_sweep(fractions: &[f64]) -> Vec<OverheadRow> {
 /// One row of the indexer-cost ablation.
 #[derive(Debug, Clone)]
 pub struct IndexerRow {
-    /// Droppings in the dataset's container.
-    pub droppings: usize,
+    /// Tags in the dataset's label, one dropping each.
+    pub tags: usize,
     /// Indexer search time, seconds.
     pub indexer_s: f64,
     /// Relative retrieval penalty of D-ADA(all) vs a dropping-free read.
     pub penalty_pct: f64,
 }
 
-/// Indexer overhead as the container's dropping count grows (the paper
-/// stores one dropping per tag; the sweep stores the dataset as `2n`
-/// tags of one dropping each): the indexer's charge over `2n` records
-/// against reading every dropping.
-pub fn indexer_cost_ablation(dropping_counts: &[usize]) -> Vec<IndexerRow> {
-    use ada_simfs::Content;
-    dropping_counts
+/// Indexer overhead as the label's tag count grows: the paper's label
+/// holds two tags; the sweep splits the 5,006-frame dataset evenly over
+/// `2n` tags of one dropping each on the SSD server and charges the
+/// indexer's search of `2n` entries against reading every dropping.
+pub fn indexer_cost_ablation(tag_pairs: &[usize]) -> Vec<IndexerRow> {
+    let ssd = LocalFs::ext4_on_nvme();
+    tag_pairs
         .iter()
         .map(|&n| {
-            let ssd: Arc<dyn SimFileSystem> = Arc::new(ada_simfs::LocalFs::ext4_on_nvme());
-            let cs = ContainerSet::new(vec![("ssd".into(), ssd)]);
-            #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-            cs.create_logical("bar").unwrap();
-            let per = SyntheticDataset::gpcr_paper(5006).raw_bytes() / (2 * n as u64);
+            let tags = 2 * n;
+            let per = SyntheticDataset::gpcr_paper(5006).raw_bytes() / tags as u64;
             // One backend: its reads queue up, so the read time is their sum.
-            let mut read = SimDuration::ZERO;
-            for t in 0..2 * n {
-                let content = Content::synthetic(per);
-                #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-                let (record, _) = cs.append("bar", &t.to_string(), "ssd", content).unwrap();
-                #[expect(clippy::unwrap_used, reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable")]
-                let (_, d) = cs.read_dropping(&record).unwrap();
-                read += d;
-            }
-            let indexer = indexer_cost(2 * n);
+            let read: SimDuration = (0..tags).map(|_| ssd.cost(per, false)).sum();
+            let indexer = indexer_cost(tags);
             IndexerRow {
-                droppings: 2 * n,
+                tags,
                 indexer_s: indexer.as_secs_f64(),
                 penalty_pct: indexer.as_secs_f64() / read.as_secs_f64() * 100.0,
             }
@@ -253,10 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn indexer_cost_grows_with_droppings() {
+    fn indexer_cost_grows_with_tags() {
         let rows = indexer_cost_ablation(&[1, 64, 4096]);
         assert!(rows[0].indexer_s < rows[2].indexer_s);
-        // Even at 8192 droppings the penalty stays in single-digit percent
+        // Even at 8192 tags the penalty stays in single-digit percent
         // of an NVMe full read (the "slightly longer" observation).
         assert!(rows[2].penalty_pct < 10.0, "{}", rows[2].penalty_pct);
     }

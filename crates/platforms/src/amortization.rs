@@ -13,9 +13,7 @@ use crate::runner::run_scenario;
 use crate::scenario::Scenario;
 use crate::volumes::{self, SyntheticDataset};
 use ada_core::DispatchPolicy;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
-use std::sync::Arc;
+use ada_simfs::LocalFs;
 
 /// Amortization analysis result.
 #[derive(Debug, Clone)]
@@ -38,15 +36,15 @@ pub struct Amortization {
 /// `frames` frames.
 pub fn ingest_amortization(frames: u64) -> Amortization {
     // One-time ingest cost, priced by the volume model.
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let cs = ContainerSet::new(vec![("ssd".into(), ssd.clone())]);
+    let backends = [("ssd", LocalFs::ext4_on_nvme())];
     let policy = DispatchPolicy::all_to("ssd");
     let spec = SyntheticDataset::gpcr_paper(frames);
     #[expect(
         clippy::expect_used,
         reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
     )]
-    let (_, ingest) = volumes::ingest(&cs, ssd.as_ref(), &policy, "bar", &spec).expect("ingest");
+    let (_, ingest) =
+        volumes::ingest(&backends, &backends[0].1, &policy, "bar", &spec).expect("ingest");
     let ingest_s = ingest.as_secs_f64();
 
     let platform = Platform::ssd_server();

@@ -13,8 +13,9 @@
 //! * [`scenario`] — the Table 3 notation (`C`/`D` × `ext4`/`PVFS`/`XFS` ×
 //!   `ADA (all)` / `ADA (protein)`) as a type;
 //! * [`volumes`] — the volume model: ADA's ingest and query over per-tag
-//!   byte counts, stored on the platform's real placement (simfs → plfs,
-//!   `DispatchPolicy`) and priced by the device and CPU models;
+//!   byte counts, placed as `Ada` places them (`DispatchPolicy`, plfs's
+//!   dropping paths) and priced on the platform's media
+//!   (`LocalFs::cost`) and by the CPU model; it stores nothing;
 //! * [`runner`] — executes one scenario at one frame count end-to-end
 //!   over the real placement and the real volumes, producing retrieval /
 //!   turnaround / memory / energy metrics and OOM kills;

@@ -1,8 +1,8 @@
 //! Execute one scenario at one frame count, end to end.
 //!
-//! The runner assembles the chosen platform's storage (simulated file
-//! systems → PLFS containers, with ADA's placement), stores a
-//! paper-calibrated dataset's volumes through the volume model
+//! The runner assembles the chosen platform's media (the plain file
+//! system, ADA's backends and its placement), prices a paper-calibrated
+//! dataset's volumes on them through the volume model
 //! ([`crate::volumes`]), and then plays the VMD workflow of Fig. 2:
 //! retrieve → (decompress) → (locate active data) → render. It returns the
 //! paper's metrics: raw-data retrieval time, data-processing turnaround
@@ -24,10 +24,8 @@ use crate::scenario::Scenario;
 use crate::volumes::{self, SyntheticDataset};
 use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{Content, LocalFs, SimFileSystem};
+use ada_simfs::LocalFs;
 use ada_storagesim::{CpuWork, MemoryTracker, SimDuration};
-use std::sync::Arc;
 
 /// Where an OOM kill struck.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,10 +81,10 @@ impl RunMetrics {
 
 struct Stack {
     /// Plain file system holding `bar.xtc` (compressed) and `bar.raw`.
-    plain: Arc<dyn SimFileSystem>,
-    /// ADA's backends, the one holding its label files, and its placement.
-    containers: ContainerSet,
-    label_fs: Arc<dyn SimFileSystem>,
+    plain: LocalFs,
+    /// ADA's backends, the first holding its label files, and its
+    /// placement.
+    backends: Vec<(&'static str, LocalFs)>,
     policy: DispatchPolicy,
 }
 
@@ -97,37 +95,26 @@ fn build_stack(platform: &Platform) -> Stack {
             // D-ADA(all) ≈ D-ext4 (+ indexer), i.e. the two subsets are
             // read through the same device path, not two drives in
             // parallel.
-            let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
             Stack {
-                plain: Arc::new(LocalFs::ext4_on_nvme()),
-                containers: ContainerSet::new(vec![("ssd".into(), ssd.clone())]),
-                label_fs: ssd,
+                plain: LocalFs::ext4_on_nvme(),
+                backends: vec![("ssd", LocalFs::ext4_on_nvme())],
                 policy: DispatchPolicy::all_to("ssd"),
             }
         }
-        PlatformKind::Cluster9 => {
-            let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_ssd_3nodes());
-            let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes());
-            Stack {
-                plain: Arc::new(LocalFs::pvfs_hdd_3nodes()),
-                containers: ContainerSet::new(vec![
-                    ("pvfs-ssd".into(), ssd.clone()),
-                    ("pvfs-hdd".into(), hdd),
-                ]),
-                label_fs: ssd,
-                policy: DispatchPolicy::hybrid_gpcr("pvfs-ssd", "pvfs-hdd"),
-            }
-        }
-        PlatformKind::FatNode => {
-            // The fat node has a single array: ADA's split is logical only.
-            let raid: Arc<dyn SimFileSystem> = Arc::new(LocalFs::xfs_on_raid50());
-            Stack {
-                plain: Arc::new(LocalFs::xfs_on_raid50()),
-                containers: ContainerSet::new(vec![("raid".into(), raid.clone())]),
-                label_fs: raid,
-                policy: DispatchPolicy::all_to("raid"),
-            }
-        }
+        PlatformKind::Cluster9 => Stack {
+            plain: LocalFs::pvfs_hdd_3nodes(),
+            backends: vec![
+                ("pvfs-ssd", LocalFs::pvfs_ssd_3nodes()),
+                ("pvfs-hdd", LocalFs::pvfs_hdd_3nodes()),
+            ],
+            policy: DispatchPolicy::hybrid_gpcr("pvfs-ssd", "pvfs-hdd"),
+        },
+        // The fat node has a single array: ADA's split is logical only.
+        PlatformKind::FatNode => Stack {
+            plain: LocalFs::xfs_on_raid50(),
+            backends: vec![("raid", LocalFs::xfs_on_raid50())],
+            policy: DispatchPolicy::all_to("raid"),
+        },
     }
 }
 
@@ -140,57 +127,26 @@ pub fn run_scenario(platform: &Platform, scenario: Scenario, frames: u64) -> Run
     let stack = build_stack(platform);
     let cpu = &platform.cpu;
 
-    // Seed storage. Ingest-time pre-processing is deliberately outside the
-    // measured window: the paper measures read→render turnaround; ADA pays
-    // its costs "when the .pdb and .xtc files are sent to ADA for permanent
-    // storage" (§3.4).
+    // Ingest-time pre-processing is deliberately outside the measured
+    // window: the paper measures read→render turnaround; ADA pays its costs
+    // "when the .pdb and .xtc files are sent to ADA for permanent storage"
+    // (§3.4).
     let mut indexer = SimDuration::ZERO;
     let (mut retrieval, delivered_bytes) = match scenario {
-        Scenario::CTraditional => {
-            #[expect(
-                clippy::expect_used,
-                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
-            )]
-            stack
-                .plain
-                .create("bar.xtc", Content::synthetic(spec.compressed_bytes))
-                .expect("seed compressed");
-            #[expect(
-                clippy::expect_used,
-                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
-            )]
-            let (_, d) = stack.plain.read("bar.xtc").expect("read compressed");
-            (d, spec.compressed_bytes)
-        }
-        Scenario::DTraditional => {
-            #[expect(
-                clippy::expect_used,
-                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
-            )]
-            stack
-                .plain
-                .create("bar.raw", Content::synthetic(raw_bytes))
-                .expect("seed raw");
-            #[expect(
-                clippy::expect_used,
-                reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
-            )]
-            let (_, d) = stack.plain.read("bar.raw").expect("read raw");
-            (d, raw_bytes)
-        }
+        Scenario::CTraditional => (
+            stack.plain.cost(spec.compressed_bytes, false),
+            spec.compressed_bytes,
+        ),
+        Scenario::DTraditional => (stack.plain.cost(raw_bytes, false), raw_bytes),
         Scenario::AdaAll | Scenario::AdaProtein => {
+            let backends = &stack.backends;
             #[expect(
                 clippy::expect_used,
                 reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
             )]
-            let (stored, _) = volumes::ingest(
-                &stack.containers,
-                stack.label_fs.as_ref(),
-                &stack.policy,
-                "bar",
-                &spec,
-            )
-            .expect("ingest");
+            let (stored, _) =
+                volumes::ingest(backends, &backends[0].1, &stack.policy, "bar", &spec)
+                    .expect("ingest");
             let tag = if scenario == Scenario::AdaProtein {
                 Some(Tag::protein())
             } else {
@@ -200,7 +156,7 @@ pub fn run_scenario(platform: &Platform, scenario: Scenario, frames: u64) -> Run
                 clippy::expect_used,
                 reason = "paper-figure harness over fixed synthetic inputs; a failure is a harness bug and aborting one repro run is acceptable"
             )]
-            let q = volumes::query(&stack.containers, &stored, tag.as_ref()).expect("query");
+            let q = volumes::query(backends, &stored, tag.as_ref()).expect("query");
             indexer = q.indexer;
             (q.read, q.bytes)
         }

@@ -1,22 +1,23 @@
-//! The volume model: ADA's ingest and query over per-tag byte counts.
+//! The volume model: ADA's ingest and query priced over per-tag byte
+//! counts.
 //!
 //! Figs. 7–10 are functions of volumes and placement (DESIGN.md §2), so
-//! the figures store no frames: a [`SyntheticDataset`] is a frame count,
-//! an atom count and each tag's atom share. [`ingest`] stores it through
-//! the calls `Ada` makes on real bytes, in the same order — the dispatch
-//! policy picks each tag's backend, `ContainerSet::append` stores one
-//! dropping of the tag's volume, `LabelFile::new` pairs the tags with
-//! their droppings and `LabelFile::store` writes the label — and prices
-//! the storage node's CPU work on the paper prototype's Xeon. [`query`]
-//! reads the droppings back as `Ada::query` does and charges the indexer.
-//! Within a backend costs add up; the backends run at once, so the
-//! slowest one bounds a dispatch or a read.
+//! the figures store nothing: a [`SyntheticDataset`] is a frame count, an
+//! atom count and each tag's atom share. [`ingest`] places it as `Ada`
+//! places real bytes — the dispatch policy picks each tag's backend, the
+//! tag's record names the dropping plfs would store there
+//! ([`IndexRecord::new`], its one path rule), `LabelFile::new` pairs the
+//! tags with those records — and prices each dropping and the label file
+//! on its medium with [`LocalFs::cost`], and the storage node's CPU work
+//! on the paper prototype's Xeon. [`query`] prices the reads `Ada::query`
+//! makes and charges the indexer. Within a backend costs add up; the
+//! backends run at once, so the slowest one bounds a dispatch or a read.
 
 use ada_core::determinator::indexer_cost;
 use ada_core::{AdaError, DispatchPolicy, LabelFile};
 use ada_mdmodel::{IndexRanges, Tag};
-use ada_plfs::ContainerSet;
-use ada_simfs::{Content, SimFileSystem};
+use ada_plfs::{IndexRecord, PlfsError};
+use ada_simfs::{FsError, LocalFs};
 use ada_storagesim::{CpuProfile, CpuWork, SimDuration};
 use std::collections::BTreeMap;
 
@@ -77,35 +78,47 @@ pub struct QueryCost {
     pub bytes: u64,
 }
 
-/// Store `spec` as `dataset` on `containers` — one dropping per tag, on
+/// Place `spec` as `dataset` on `backends` — one dropping per tag, on
 /// the backend `policy` names — and its label file on `label_fs`. Returns
 /// the label and the ingest's time on the storage node: categorize,
-/// decompress, split, the dispatch's slowest backend, the label write.
+/// decompress, split, the dispatch's slowest backend, the label write. A
+/// backend whose medium cannot hold its droppings refuses them as
+/// [`FsError::NoSpace`], as the container layer would.
 pub fn ingest(
-    containers: &ContainerSet,
-    label_fs: &dyn SimFileSystem,
+    backends: &[(&str, LocalFs)],
+    label_fs: &LocalFs,
     policy: &DispatchPolicy,
     dataset: &str,
     spec: &SyntheticDataset,
 ) -> Result<(LabelFile, SimDuration), AdaError> {
-    containers.create_logical(dataset)?;
-    let mut write = BTreeMap::new();
+    let mut written: BTreeMap<&str, (u64, SimDuration)> = BTreeMap::new();
     let mut droppings = Vec::new();
     let mut labeler = BTreeMap::new();
     let mut cursor = 0usize;
     for (tag, &atoms) in &spec.atoms_by_tag {
-        let content = Content::synthetic(spec.tag_bytes(tag));
         let backend = policy.backend_for(tag);
-        let (record, d) = containers.append(dataset, tag.as_str(), backend, content)?;
-        *write.entry(record.backend.clone()).or_default() += d;
-        droppings.push(record);
+        let fs = medium(backends, backend)?;
+        let len = spec.tag_bytes(tag);
+        let (used, time) = written.entry(backend).or_default();
+        let free = fs.capacity() - *used;
+        if len > free {
+            let full = FsError::NoSpace {
+                requested: len,
+                free,
+            };
+            return Err(PlfsError::Fs(full).into());
+        }
+        *used += len;
+        *time += fs.cost(len, true);
+        droppings.push(IndexRecord::new(dataset, tag.as_str(), backend, len));
         let atoms = atoms as usize;
         labeler.insert(tag.clone(), IndexRanges::single(cursor..cursor + atoms));
         cursor += atoms;
     }
     let (natoms, nframes) = (spec.natoms as usize, spec.frames as usize);
     let label = LabelFile::new(dataset, natoms, nframes, labeler, droppings)?;
-    let label_write = label.store(label_fs)?;
+    let label_write = label_fs.cost(label.to_json().to_vec().len() as u64, true);
+    let dispatch = written.into_values().map(|(_, time)| time).max();
 
     let cpu = CpuProfile::xeon_e5_2603_v4();
     let (raw, pdb) = (spec.raw_bytes(), spec.pdb_bytes());
@@ -115,13 +128,14 @@ pub fn ingest(
         CpuWork::Scan { bytes: raw },
     ];
     let preprocess: SimDuration = preprocess.iter().map(|w| w.duration(&cpu)).sum();
-    Ok((label, preprocess + slowest(&write) + label_write))
+    let total = preprocess + dispatch.unwrap_or_default() + label_write;
+    Ok((label, total))
 }
 
 /// Read back `tag`'s dropping of `stored` — every tag's, in label order,
-/// when `tag` is `None` — charged as `Ada::query` charges it.
+/// when `tag` is `None` — priced as `Ada::query` charges it.
 pub fn query(
-    containers: &ContainerSet,
+    backends: &[(&str, LocalFs)],
     stored: &LabelFile,
     tag: Option<&Tag>,
 ) -> Result<QueryCost, AdaError> {
@@ -129,23 +143,25 @@ pub fn query(
         Some(t) => vec![stored.entry(t)?],
         None => stored.entries().values().collect(),
     };
-    let mut read = BTreeMap::new();
+    let mut read: BTreeMap<&str, SimDuration> = BTreeMap::new();
     let mut bytes = 0;
     for entry in entries {
-        let (content, d) = containers.read_dropping(&entry.dropping)?;
-        *read.entry(entry.dropping.backend.clone()).or_default() += d;
-        bytes += content.len();
+        let d = &entry.dropping;
+        *read.entry(&d.backend).or_default() += medium(backends, &d.backend)?.cost(d.len, false);
+        bytes += d.len;
     }
     Ok(QueryCost {
         indexer: indexer_cost(stored.entries().len()),
-        read: slowest(&read),
+        read: read.into_values().max().unwrap_or_default(),
         bytes,
     })
 }
 
-/// The time of work spread over backends that serve it at once.
-fn slowest(per_backend: &BTreeMap<String, SimDuration>) -> SimDuration {
-    per_backend.values().copied().max().unwrap_or_default()
+/// The medium of the backend named `backend`.
+fn medium<'a>(backends: &'a [(&str, LocalFs)], backend: &str) -> Result<&'a LocalFs, AdaError> {
+    let found = backends.iter().find(|(name, _)| *name == backend);
+    let unknown = || PlfsError::UnknownBackend(backend.to_string()).into();
+    found.map(|(_, fs)| fs).ok_or_else(unknown)
 }
 
 #[cfg(test)]
@@ -177,6 +193,42 @@ mod tests {
             d.raw_bytes()
         );
         assert_eq!(d.tag_bytes(&Tag::new("zz")), 0);
+    }
+
+    /// A backend refuses the droppings its medium cannot hold, as the
+    /// store would: the first tag past the free space, in tag order.
+    #[test]
+    fn a_volume_past_its_medium_is_no_space() {
+        // 600,000 frames: 180 GB of misc and 133 GB of protein, 313 GB in
+        // all, past the NVMe drive's 256 GB.
+        let spec = SyntheticDataset::gpcr_paper(600_000);
+        let (p, m) = (
+            spec.tag_bytes(&Tag::protein()),
+            spec.tag_bytes(&Tag::misc()),
+        );
+        let backends = [
+            ("ssd", LocalFs::ext4_on_nvme()),
+            ("hdd", LocalFs::ext4_on_hdd()),
+        ];
+        let label_fs = &backends[0].1;
+        let all_ssd = DispatchPolicy::all_to("ssd");
+        let err = ingest(&backends, label_fs, &all_ssd, "bar", &spec).unwrap_err();
+        let free = label_fs.capacity() - m;
+        assert!(
+            matches!(err, AdaError::Plfs(PlfsError::Fs(FsError::NoSpace { requested, free: f })) if requested == p && f == free),
+            "{err}"
+        );
+        // Split over the two media, each share fits.
+        let hybrid = DispatchPolicy::hybrid_gpcr("ssd", "hdd");
+        let (label, _) = ingest(&backends, label_fs, &hybrid, "bar", &spec).unwrap();
+        assert_eq!(label.entry(&Tag::protein()).unwrap().dropping.len, p);
+        // A backend with no medium is the container layer's error.
+        let nowhere = DispatchPolicy::all_to("tape");
+        let err = ingest(&backends, label_fs, &nowhere, "bar", &spec).unwrap_err();
+        assert!(
+            matches!(err, AdaError::Plfs(PlfsError::UnknownBackend(_))),
+            "{err}"
+        );
     }
 
     #[test]

@@ -57,6 +57,20 @@ pub struct IndexRecord {
     pub len: u64,
 }
 
+impl IndexRecord {
+    /// The record of `logical`'s `len`-byte dropping of `tag` on
+    /// `backend`, at the one path a container keeps it:
+    /// `{backend}/{logical}/hostdir.0/dropping.data.{tag}`.
+    pub fn new(logical: &str, tag: &str, backend: &str, len: u64) -> IndexRecord {
+        IndexRecord {
+            tag: tag.to_string(),
+            backend: backend.to_string(),
+            dropping_path: droppings(backend, logical) + tag,
+            len,
+        }
+    }
+}
+
 /// Operations of one kind on one backend and the bytes they moved.
 #[derive(Debug, Default)]
 struct IoCount {
@@ -168,11 +182,10 @@ impl ContainerSet {
     /// an existing path, which is [`PlfsError::LogicalExists`]. If a later
     /// backend refuses, the markers already made are removed, the claim
     /// last, and the name is free again.
-    pub fn create_logical(&self, logical: &str) -> Result<SimDuration, PlfsError> {
-        let mut total = SimDuration::ZERO;
+    pub fn create_logical(&self, logical: &str) -> Result<(), PlfsError> {
         for (i, (mnt, fs)) in self.backends.iter().enumerate() {
             match fs.create(&marker(mnt, logical), Content::real(Vec::new())) {
-                Ok(d) => total += d,
+                Ok(()) => {}
                 Err(FsError::AlreadyExists(_)) if i == 0 => {
                     return Err(PlfsError::LogicalExists(logical.to_string()))
                 }
@@ -184,7 +197,7 @@ impl ContainerSet {
                 }
             }
         }
-        Ok(total)
+        Ok(())
     }
 
     /// Whether a logical file exists: whether its claim is on backend 0.
@@ -227,9 +240,8 @@ impl ContainerSet {
         Ok(claim_fs.delete(&claim)?)
     }
 
-    /// Store `content` as `logical`'s dropping of `tag` on `backend` —
-    /// `{backend}/{logical}/hostdir.0/dropping.data.{tag}` — and return its
-    /// record. A logical file holds one dropping per tag: a second one is
+    /// Store `content` as `logical`'s dropping of `tag` on `backend`, at
+    /// [`IndexRecord::new`]'s path, and return its record. A logical file holds one dropping per tag: a second one is
     /// refused as the file system's `AlreadyExists`, on any backend. A
     /// container is written by one caller at a time (ADA's ingest owns the
     /// name it created).
@@ -239,7 +251,7 @@ impl ContainerSet {
         tag: &str,
         backend: &str,
         content: Content,
-    ) -> Result<(IndexRecord, SimDuration), PlfsError> {
+    ) -> Result<IndexRecord, PlfsError> {
         let (fs, io) = self.backend(backend)?;
         if !self.exists(logical) {
             return Err(PlfsError::NoSuchLogical(logical.to_string()));
@@ -250,17 +262,10 @@ impl ContainerSet {
                 return Err(FsError::AlreadyExists(path).into());
             }
         }
-        let dropping_path = droppings(backend, logical) + tag;
-        let len = content.len();
-        let d = fs.create(&dropping_path, content)?;
-        io.write.note(len);
-        let record = IndexRecord {
-            tag: tag.to_string(),
-            backend: backend.to_string(),
-            dropping_path,
-            len,
-        };
-        Ok((record, d))
+        let record = IndexRecord::new(logical, tag, backend, content.len());
+        fs.create(&record.dropping_path, content)?;
+        io.write.note(record.len);
+        Ok(record)
     }
 
     /// The records of `logical`'s droppings, in tag order, read off the
@@ -272,12 +277,8 @@ impl ContainerSet {
         let mut records = Vec::new();
         for (mnt, fs) in &self.backends {
             for (tag, path) in stored(mnt, fs.as_ref(), logical) {
-                records.push(IndexRecord {
-                    tag,
-                    backend: mnt.clone(),
-                    len: fs.stat(&path)?.len,
-                    dropping_path: path,
-                });
+                let len = fs.stat(&path)?.len;
+                records.push(IndexRecord::new(logical, &tag, mnt, len));
             }
         }
         records.sort_by(|a, b| a.tag.cmp(&b.tag));
@@ -348,13 +349,14 @@ mod tests {
     fn tagged_append_routes_to_chosen_backend() {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
-        let (p, _) = cs
+        let p = cs
             .append("bar", "p", "mnt1", Content::real(vec![1u8; 100]))
             .unwrap();
-        let (m, _) = cs
+        let m = cs
             .append("bar", "m", "mnt2", Content::real(vec![2u8; 300]))
             .unwrap();
         assert_eq!(p.dropping_path, "mnt1/bar/hostdir.0/dropping.data.p");
+        assert_eq!(p, IndexRecord::new("bar", "p", "mnt1", 100));
         assert_eq!((p.backend.as_str(), p.len), ("mnt1", 100));
         let by_backend = cs.bytes_by_backend("bar").unwrap();
         assert_eq!(by_backend["mnt1"], 100);
@@ -362,7 +364,7 @@ mod tests {
         // The index is the appends' records, in tag order.
         assert_eq!(cs.index("bar").unwrap(), vec![m, p.clone()]);
         let (content, _) = cs.read_dropping(&p).unwrap();
-        assert_eq!(content.as_real().unwrap().as_ref(), &[1u8; 100][..]);
+        assert_eq!(content.bytes().as_ref(), &[1u8; 100][..]);
     }
 
     #[test]
@@ -465,7 +467,7 @@ mod tests {
             let byte = if kept == "bar" { 1u8 } else { 2u8 };
             for r in &before {
                 let (c, _) = cs.read_dropping(r).unwrap();
-                assert!(c.as_real().unwrap().iter().all(|&b| b == byte), "{kept}");
+                assert!(c.bytes().iter().all(|&b| b == byte), "{kept}");
             }
             for (mnt, fs) in &cs.backends {
                 assert!(fs.exists(&marker(mnt, kept)));
@@ -479,7 +481,7 @@ mod tests {
         let cs = two_backend_set();
         cs.create_logical("bar").unwrap();
         assert!(matches!(
-            cs.append("bar", "p", "mnt9", Content::synthetic(1)),
+            cs.append("bar", "p", "mnt9", Content::real(vec![0u8])),
             Err(PlfsError::UnknownBackend(_))
         ));
     }
@@ -488,22 +490,9 @@ mod tests {
     fn append_to_missing_logical_rejected() {
         let cs = two_backend_set();
         assert!(matches!(
-            cs.append("nope", "p", "mnt1", Content::synthetic(1)),
+            cs.append("nope", "p", "mnt1", Content::real(vec![0u8])),
             Err(PlfsError::NoSuchLogical(_))
         ));
-    }
-
-    #[test]
-    fn synthetic_droppings_flow_through() {
-        let cs = two_backend_set();
-        cs.create_logical("big").unwrap();
-        let (record, _) = cs
-            .append("big", "p", "mnt1", Content::synthetic(1 << 35))
-            .unwrap();
-        let (c, _) = cs.read_dropping(&record).unwrap();
-        assert_eq!(c.len(), 1 << 35);
-        assert!(c.as_real().is_none());
-        assert_eq!(cs.bytes_by_backend("big").unwrap()["mnt1"], 1 << 35);
     }
 
     // ADA's parallel query path shares one ContainerSet across reader
@@ -532,7 +521,7 @@ mod tests {
                 for r in &records {
                     let (content, _) = cs.read_dropping(r).unwrap();
                     let expect = r.tag.parse::<u8>().unwrap();
-                    assert_eq!(content.as_real().unwrap().as_ref(), &[expect; 64][..]);
+                    assert_eq!(content.bytes().as_ref(), &[expect; 64][..]);
                 }
             }));
         }

@@ -71,7 +71,7 @@ fn apply(
                 res
             ),
             None => {
-                let (record, _) = res.unwrap();
+                let record = res.unwrap();
                 prop_assert_eq!(&record.tag, &tag);
                 prop_assert_eq!(&record.backend, backend);
                 prop_assert_eq!(record.len, op.payload.len() as u64);
@@ -103,7 +103,7 @@ proptest! {
             prop_assert_eq!(&r.backend, backend);
             prop_assert_eq!(r.len, payload.len() as u64);
             let (got, _) = cs.read_dropping(r).unwrap();
-            prop_assert_eq!(got.as_real().unwrap().as_ref(), &payload[..]);
+            prop_assert_eq!(got.bytes().as_ref(), &payload[..]);
         }
 
         // Placement accounting matches.

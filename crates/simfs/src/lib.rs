@@ -12,106 +12,72 @@
 //! NVMe SSD server, XFS on the fat node's RAID-50 array, and the cluster's
 //! PVFS over three HDD nodes and over three SSD nodes.
 //!
-//! ## The dual-mode data plane
-//!
-//! File contents are a [`Content`]: either `Real` bytes (actual PDB/XTC
-//! payloads, the only kind `ada-core` stores) or `Synthetic` size-only
-//! blobs (what `ada-platforms`' volume model stores for the figures, whose
-//! fat-node datasets reach 2.6 TB — far beyond what a test process should
-//! materialize).
-//! Every operation charges identical virtual time for both modes, because
-//! the medium charges by byte count, not by buffer contents.
-//!
-//! File systems never touch the shared clock themselves — operations return
-//! [`SimDuration`]s and callers compose them (sequential `+`, parallel
-//! `max`), which is what lets the platform harness model concurrent striped
-//! reads correctly.
+//! A file system stores bytes. What an operation costs is
+//! [`LocalFs::cost`]: the medium's time for the byte count plus the file
+//! system's per-operation overhead. A read returns that duration with its
+//! bytes, a write returns none, and no file system touches a shared clock:
+//! callers compose durations (`+` within one queue, `max` across media
+//! that serve at once). A model that needs only the price of a volume —
+//! `ada-platforms`' figures, whose fat-node datasets reach 2.6 TB — calls
+//! `cost` on the medium and stores nothing.
 
 pub mod backing;
 pub mod local;
-pub mod trace;
 
 pub use backing::Backing;
 pub use local::LocalFs;
-pub use trace::{OpKind, TraceEvent, TraceLog};
 
 use ada_storagesim::SimDuration;
 use bytes::Bytes;
 
-/// File contents: real bytes or a size-only synthetic blob.
+/// File contents: bytes, cheaply clonable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Content {
-    /// Actual bytes (cheaply clonable).
-    Real(Bytes),
-    /// A virtual blob of `len` bytes whose contents are never materialized.
-    Synthetic {
-        /// Virtual length in bytes.
-        len: u64,
-    },
-}
+pub struct Content(Bytes);
 
 impl Content {
-    /// Real content from a byte vector.
+    /// Content from a byte vector.
     pub fn real(data: impl Into<Bytes>) -> Content {
-        Content::Real(data.into())
+        Content(data.into())
     }
 
-    /// Synthetic content of `len` bytes.
-    pub fn synthetic(len: u64) -> Content {
-        Content::Synthetic { len }
+    /// The bytes.
+    pub fn bytes(&self) -> &Bytes {
+        &self.0
+    }
+
+    /// The bytes, as the option the benchmark's ladder binds: always
+    /// `Some`.
+    pub fn as_real(&self) -> Option<&Bytes> {
+        Some(&self.0)
     }
 
     /// Length in bytes.
     pub fn len(&self) -> u64 {
-        match self {
-            Content::Real(b) => b.len() as u64,
-            Content::Synthetic { len } => *len,
-        }
+        self.0.len() as u64
     }
 
     /// True when zero-length.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
-    /// Borrow real bytes, or `None` for synthetic content.
-    pub fn as_real(&self) -> Option<&Bytes> {
-        match self {
-            Content::Real(b) => Some(b),
-            Content::Synthetic { .. } => None,
-        }
-    }
-
-    /// Sub-range `[offset, offset+len)`; synthetic content slices to a
-    /// synthetic blob, real content to a zero-copy `Bytes` slice.
+    /// Sub-range `[offset, offset+len)`, a zero-copy slice.
     pub fn slice(&self, offset: u64, len: u64) -> Result<Content, FsError> {
-        if offset + len > self.len() {
-            return Err(FsError::OutOfRange {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len() => {
+                Ok(Content(self.0.slice(offset as usize..end as usize)))
+            }
+            _ => Err(FsError::OutOfRange {
                 offset,
                 len,
                 file_len: self.len(),
-            });
+            }),
         }
-        Ok(match self {
-            Content::Real(b) => Content::Real(b.slice(offset as usize..(offset + len) as usize)),
-            Content::Synthetic { .. } => Content::Synthetic { len },
-        })
     }
 
-    /// Concatenate (append semantics). Real ++ Real stays real; any
-    /// synthetic operand degrades the result to synthetic (sizes add).
+    /// `self` followed by `other` (append semantics).
     pub fn concat(&self, other: &Content) -> Content {
-        match (self, other) {
-            (Content::Real(a), Content::Real(b)) => {
-                let mut v = Vec::with_capacity(a.len() + b.len());
-                v.extend_from_slice(a);
-                v.extend_from_slice(b);
-                Content::Real(Bytes::from(v))
-            }
-            _ => Content::Synthetic {
-                len: self.len() + other.len(),
-            },
-        }
+        Content(Bytes::from([&self.0[..], &other.0[..]].concat()))
     }
 }
 
@@ -181,10 +147,10 @@ pub trait SimFileSystem: Send + Sync {
     fn name(&self) -> &str;
 
     /// Create a file with contents. Fails if the path exists.
-    fn create(&self, path: &str, content: Content) -> Result<SimDuration, FsError>;
+    fn create(&self, path: &str, content: Content) -> Result<(), FsError>;
 
     /// Append to an existing file (creates it when absent).
-    fn append(&self, path: &str, content: Content) -> Result<SimDuration, FsError>;
+    fn append(&self, path: &str, content: Content) -> Result<(), FsError>;
 
     /// Read a whole file.
     fn read(&self, path: &str) -> Result<TimedRead, FsError>;
@@ -215,35 +181,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn content_len_and_kind() {
+    fn content_len_and_bytes() {
         let r = Content::real(vec![1u8, 2, 3]);
-        let s = Content::synthetic(1 << 40);
         assert_eq!(r.len(), 3);
-        assert!(r.as_real().is_some());
-        assert_eq!(s.len(), 1 << 40);
-        assert!(s.as_real().is_none());
+        assert_eq!(r.as_real(), Some(r.bytes()));
         assert!(Content::real(Vec::new()).is_empty());
     }
 
     #[test]
-    fn slice_real_and_synthetic() {
+    fn slice_in_and_out_of_range() {
         let r = Content::real((0u8..10).collect::<Vec<_>>());
         let sl = r.slice(2, 5).unwrap();
-        assert_eq!(sl.as_real().unwrap().as_ref(), &[2, 3, 4, 5, 6]);
-        let s = Content::synthetic(100);
-        assert_eq!(s.slice(10, 50).unwrap().len(), 50);
+        assert_eq!(sl.bytes().as_ref(), &[2, 3, 4, 5, 6]);
         assert!(matches!(r.slice(8, 5), Err(FsError::OutOfRange { .. })));
+        assert!(matches!(
+            r.slice(u64::MAX, 2),
+            Err(FsError::OutOfRange { .. })
+        ));
     }
 
     #[test]
-    fn concat_rules() {
-        let a = Content::real(vec![1u8]);
-        let b = Content::real(vec![2u8, 3]);
-        let ab = a.concat(&b);
-        assert_eq!(ab.as_real().unwrap().as_ref(), &[1, 2, 3]);
-        let s = Content::synthetic(5);
-        let mixed = a.concat(&s);
-        assert!(mixed.as_real().is_none());
-        assert_eq!(mixed.len(), 6);
+    fn concat_appends() {
+        let ab = Content::real(vec![1u8]).concat(&Content::real(vec![2u8, 3]));
+        assert_eq!(ab.bytes().as_ref(), &[1, 2, 3]);
     }
 }

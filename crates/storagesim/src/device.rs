@@ -11,8 +11,6 @@ use crate::SimDuration;
 /// Static parameters of a device class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
-    /// Human-readable model name.
-    pub name: String,
     /// Per-operation access latency in seconds (seek + controller).
     pub access_latency_s: f64,
     /// Sequential read bandwidth, bytes/second.
@@ -27,7 +25,6 @@ impl DeviceProfile {
     /// Western Digital 1 TB SATA HDD (Table 4: 126 MB/s max transfer).
     pub fn wd_hdd_1tb() -> DeviceProfile {
         DeviceProfile {
-            name: "WD 1TB HDD (SATA)".into(),
             access_latency_s: 8.5e-3,
             read_bw: 126.0e6,
             write_bw: 120.0e6,
@@ -38,7 +35,6 @@ impl DeviceProfile {
     /// Plextor 256 GB PCIe SSD (Table 4: 3000 MB/s read, 1000 MB/s write).
     pub fn plextor_ssd_256gb() -> DeviceProfile {
         DeviceProfile {
-            name: "Plextor 256GB SSD (PCI-e)".into(),
             access_latency_s: 60.0e-6,
             read_bw: 3_000.0e6,
             write_bw: 1_000.0e6,
@@ -49,7 +45,6 @@ impl DeviceProfile {
     /// 256 GB NVMe SSD of the §4.1 SSD server (same class as the Plextor).
     pub fn nvme_ssd_256gb() -> DeviceProfile {
         DeviceProfile {
-            name: "256GB NVMe SSD".into(),
             access_latency_s: 20.0e-6,
             read_bw: 3_000.0e6,
             write_bw: 1_000.0e6,

@@ -9,8 +9,6 @@ use crate::SimDuration;
 /// A point-to-point network link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Link {
-    /// Name for reports.
-    pub name: String,
     /// One-way latency in seconds.
     pub latency_s: f64,
     /// Bandwidth in bytes/second.
@@ -21,7 +19,6 @@ impl Link {
     /// 10-Gigabit Ethernet.
     pub fn tenge() -> Link {
         Link {
-            name: "10 GbE".into(),
             latency_s: 10.0e-6,
             bandwidth: 1.25e9,
         }

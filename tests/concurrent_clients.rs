@@ -19,7 +19,6 @@ use ada_frontend::{Class, Frontend, FrontendConfig};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{Content, FileStat, FsError, LocalFs, SimFileSystem, TimedRead};
-use ada_storagesim::SimDuration;
 
 fn make_ada() -> Arc<Ada> {
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
@@ -290,10 +289,10 @@ impl SimFileSystem for PanickyFs {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn create(&self, path: &str, content: Content) -> Result<SimDuration, FsError> {
+    fn create(&self, path: &str, content: Content) -> Result<(), FsError> {
         self.inner.create(path, content)
     }
-    fn append(&self, path: &str, content: Content) -> Result<SimDuration, FsError> {
+    fn append(&self, path: &str, content: Content) -> Result<(), FsError> {
         self.inner.append(path, content)
     }
     fn read(&self, path: &str) -> Result<TimedRead, FsError> {

@@ -1,9 +1,9 @@
 //! Model agreement: `ada-platforms`' volume model — per-tag byte counts
-//! stored where `Ada` stores frames, which is what the figures run on —
-//! must agree with `Ada` ingesting and querying real bytes on everything
-//! the figures depend on: the paths written, placement, per-backend and
-//! raw volumes, the indexer and the read. The model's own timing structure
-//! must scale as the paper's does.
+//! placed where `Ada` stores frames and priced on the same media, which
+//! is what the figures run on — must agree with `Ada` ingesting and
+//! querying real bytes on everything the figures depend on: the dropping
+//! paths, placement, per-backend and raw volumes, the indexer and the
+//! read. The model's own timing structure must scale as the paper's does.
 
 use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, IngestReport, LabelFile};
 use ada_mdformats::write_pdb;
@@ -13,50 +13,41 @@ use ada_platforms::volumes::{self, SyntheticDataset};
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
 use ada_storagesim::{CpuProfile, CpuWork};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A fresh hybrid deployment: an NVMe backend, which also holds the label
-/// files, and an HDD one under one container set.
-struct Hybrid {
-    cs: Arc<ContainerSet>,
-    ssd: Arc<dyn SimFileSystem>,
-    hdd: Arc<dyn SimFileSystem>,
+/// The hybrid deployment's media: an NVMe backend, which also holds the
+/// label files, and an HDD one.
+fn media() -> [(&'static str, LocalFs); 2] {
+    [
+        ("ssd", LocalFs::ext4_on_nvme()),
+        ("hdd", LocalFs::ext4_on_hdd()),
+    ]
 }
 
-fn hybrid() -> Hybrid {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd.clone()),
-    ]);
-    Hybrid {
-        cs: Arc::new(cs),
-        ssd,
-        hdd,
-    }
-}
-
-/// `Ada` over a fresh hybrid deployment with `policy`, a real ingest of
-/// `w` into it as `bar`, and the deployment.
-fn real_ingest(w: &ada_workload::Workload, policy: &DispatchPolicy) -> (Ada, IngestReport, Hybrid) {
-    let h = hybrid();
+/// `Ada` over a fresh hybrid deployment with `policy`, and a real ingest
+/// of `w` into it as `bar`.
+fn real_ingest(w: &ada_workload::Workload, policy: &DispatchPolicy) -> (Ada, IngestReport) {
+    let [(_, ssd), (_, hdd)] = media();
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(ssd);
+    let hdd: Arc<dyn SimFileSystem> = Arc::new(hdd);
+    let cs = ContainerSet::new(vec![("ssd".into(), ssd.clone()), ("hdd".into(), hdd)]);
     let config = AdaConfig {
         policy: policy.clone(),
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
-    let ada = Ada::new(config, Arc::clone(&h.cs), Arc::clone(&h.ssd));
+    let ada = Ada::new(config, Arc::new(cs), ssd);
     let input = IngestInput::Real {
         pdb_text: write_pdb(&w.system),
         xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
     };
     let report = ada.ingest("bar", input).unwrap();
-    (ada, report, h)
+    (ada, report)
 }
 
-/// The model's ingest, on an identical fresh deployment, of the volumes
-/// `ada`'s label of `bar` records: its frames, atoms and atom shares.
-fn model_ingest(ada: &Ada, policy: &DispatchPolicy) -> (Hybrid, LabelFile) {
+/// The model's ingest, on the same media, of the volumes `ada`'s label of
+/// `bar` records: its frames, atoms and atom shares.
+fn model_ingest(ada: &Ada, policy: &DispatchPolicy) -> LabelFile {
     let label = ada.label("bar").unwrap();
     let spec = SyntheticDataset {
         frames: label.nframes as u64,
@@ -66,9 +57,9 @@ fn model_ingest(ada: &Ada, policy: &DispatchPolicy) -> (Hybrid, LabelFile) {
             .map(|(tag, entry)| (tag.clone(), entry.ranges.count() as u64))
             .collect(),
     };
-    let h = hybrid();
-    let (stored, _) = volumes::ingest(&h.cs, h.ssd.as_ref(), policy, "bar", &spec).unwrap();
-    (h, stored)
+    let media = media();
+    let (stored, _) = volumes::ingest(&media, &media[0].1, policy, "bar", &spec).unwrap();
+    stored
 }
 
 fn within_1pct(real: f64, model: f64, what: &str) {
@@ -80,14 +71,16 @@ fn within_1pct(real: f64, model: f64, what: &str) {
 fn synthetic_volumes_match_real_ingest() {
     let w = ada_workload::gpcr_workload(4000, 4, 11);
     let policy = DispatchPolicy::hybrid_gpcr("ssd", "hdd");
-    let (ada, report, _) = real_ingest(&w, &policy);
-    let (model_stack, stored) = model_ingest(&ada, &policy);
-    let cs = &model_stack.cs;
+    let (ada, report) = real_ingest(&w, &policy);
+    let stored = model_ingest(&ada, &policy);
 
     // The same backends hold the same volumes; the real droppings carry
     // XTCF framing (frame headers, the chunk directory) on top.
     let real = ada.containers().bytes_by_backend("bar").unwrap();
-    let model = cs.bytes_by_backend("bar").unwrap();
+    let mut model = BTreeMap::new();
+    for entry in stored.entries().values() {
+        *model.entry(entry.dropping.backend.clone()).or_insert(0) += entry.dropping.len;
+    }
     assert_eq!(real.keys().collect::<Vec<_>>(), ["hdd", "ssd"]);
     assert_eq!(
         real.keys().collect::<Vec<_>>(),
@@ -96,14 +89,15 @@ fn synthetic_volumes_match_real_ingest() {
     for (backend, bytes) in &real {
         within_1pct(*bytes as f64, model[backend] as f64, backend);
     }
-    let raw: u64 = stored.entries().values().map(|e| e.dropping.len).sum();
+    let raw: u64 = model.values().sum();
     within_1pct(report.raw_bytes as f64, raw as f64, "raw bytes");
 
     // Each query reads the same droppings off the same devices: the same
     // indexer charge, and a read within the framing's share.
+    let media = media();
     for tag in [Some(Tag::protein()), Some(Tag::misc()), None] {
         let q = ada.query("bar", tag.as_ref()).unwrap();
-        let m = volumes::query(cs, &stored, tag.as_ref()).unwrap();
+        let m = volumes::query(&media, &stored, tag.as_ref()).unwrap();
         assert_eq!(q.indexer, m.indexer, "indexer, tag {tag:?}");
         let what = format!("read, tag {tag:?}");
         within_1pct(q.read.as_secs_f64(), m.read.as_secs_f64(), &what);
@@ -120,8 +114,8 @@ fn placement_identical_across_modes() {
         DispatchPolicy::new(vec![(Tag::protein(), "hdd".into())], "ssd"),
     ];
     for policy in policies {
-        let (ada, _, _) = real_ingest(&w, &policy);
-        let (_, stored) = model_ingest(&ada, &policy);
+        let (ada, _) = real_ingest(&w, &policy);
+        let stored = model_ingest(&ada, &policy);
         // Every tag's dropping on the backend the policy names, both ways.
         let label = ada.label("bar").unwrap();
         for (tag, entry) in label.entries() {
@@ -134,37 +128,36 @@ fn placement_identical_across_modes() {
 }
 
 /// DESIGN.md §2's substitution: the same volumes over the same paths. The
-/// model writes exactly the files `Ada` writes — each tag's dropping under
-/// the same path on the same backend, the container markers, the label
-/// file on the label backend — and nothing else.
+/// model's label names, for every tag, the dropping `Ada`'s label names:
+/// the same path on the same backend.
 #[test]
 fn model_writes_the_paths_ada_writes() {
     let w = ada_workload::gpcr_workload(1500, 3, 17);
     let policy = DispatchPolicy::hybrid_gpcr("ssd", "hdd");
-    let (ada, _, real) = real_ingest(&w, &policy);
-    let (model, stored) = model_ingest(&ada, &policy);
-    assert_eq!(real.ssd.list(""), model.ssd.list(""));
-    assert_eq!(real.hdd.list(""), model.hdd.list(""));
-    assert!(model.ssd.exists(&LabelFile::path_for("bar")));
+    let (ada, _) = real_ingest(&w, &policy);
+    let stored = model_ingest(&ada, &policy);
     let label = ada.label("bar").unwrap();
+    assert_eq!(label.all_tags(), stored.all_tags());
     for (tag, entry) in label.entries() {
-        let path = &stored.entries()[tag].dropping.dropping_path;
-        assert_eq!(&entry.dropping.dropping_path, path, "tag {tag}");
+        let (real, model) = (&entry.dropping, &stored.entries()[tag].dropping);
+        let place =
+            |d: &ada_plfs::IndexRecord| (d.tag.clone(), d.backend.clone(), d.dropping_path.clone());
+        assert_eq!(place(real), place(model), "tag {tag}");
     }
 }
 
 #[test]
 fn synthetic_query_durations_scale_with_volume() {
-    let h = hybrid();
+    let media = media();
     let policy = DispatchPolicy::hybrid_gpcr("ssd", "hdd");
     let ingest = |name, frames| {
         let spec = SyntheticDataset::gpcr_paper(frames);
-        volumes::ingest(&h.cs, h.ssd.as_ref(), &policy, name, &spec).unwrap()
+        volumes::ingest(&media, &media[0].1, &policy, name, &spec).unwrap()
     };
     let (a, _) = ingest("a", 1000);
     let (b, _) = ingest("b", 4000);
-    let qa = volumes::query(&h.cs, &a, Some(&Tag::protein())).unwrap();
-    let qb = volumes::query(&h.cs, &b, Some(&Tag::protein())).unwrap();
+    let qa = volumes::query(&media, &a, Some(&Tag::protein())).unwrap();
+    let qb = volumes::query(&media, &b, Some(&Tag::protein())).unwrap();
     let ratio = qb.read.as_secs_f64() / qa.read.as_secs_f64();
     // 4x the frames → ~4x the read time (modulo fixed latencies).
     assert!(ratio > 3.0 && ratio < 5.0, "ratio {}", ratio);
@@ -187,9 +180,9 @@ fn synthetic_ingest_decompression_dominates() {
     let split = CpuWork::Scan { bytes: raw }.duration(&cpu);
     assert!(decompress.as_secs_f64() > 5.0 * (categorize + split).as_secs_f64());
 
-    let h = hybrid();
+    let media = media();
     let policy = DispatchPolicy::hybrid_gpcr("ssd", "hdd");
-    let (_, ingest) = volumes::ingest(&h.cs, h.ssd.as_ref(), &policy, "x", &spec).unwrap();
+    let (_, ingest) = volumes::ingest(&media, &media[0].1, &policy, "x", &spec).unwrap();
     assert!(ingest > decompress + categorize + split);
     assert!(decompress.as_secs_f64() > 0.5 * ingest.as_secs_f64());
 }

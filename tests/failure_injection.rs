@@ -107,7 +107,7 @@ fn corrupt_label_file_detected_on_reload() {
     let r = rig();
     ingest_demo(&r.ada, "bar");
     let path = LabelFile::path_for("bar");
-    let (label, _) = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
+    let label = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
     assert_eq!(label, r.ada.label("bar").unwrap());
 
     // Label `bar` as JSON text, tags `m` and `p`, its droppings list
@@ -131,7 +131,7 @@ fn corrupt_label_file_detected_on_reload() {
             .unwrap();
     };
     write(&["m", "p"]);
-    let (written, _) = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
+    let written = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
     assert_eq!(written.all_tags(), [Tag::misc(), Tag::protein()]);
 
     let refused = |what: &str, why: &str| {

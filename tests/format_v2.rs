@@ -77,7 +77,7 @@ fn protein_dropping(r: &Rig) -> (String, Vec<u8>) {
         .find(|p| p.contains("dropping.data.p"))
         .expect("protein dropping exists");
     let (content, _) = r.ssd.read(&path).unwrap();
-    let bytes = content.as_real().expect("real dropping").to_vec();
+    let bytes = content.bytes().to_vec();
     (path, bytes)
 }
 

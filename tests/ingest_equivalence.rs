@@ -182,11 +182,7 @@ fn dropping_size_changes_only_the_framing() {
         let tag = Tag::new(record.tag.clone());
         let sealed = seal_v2(split[&tag].clone(), labeler[&tag].count(), 64).unwrap();
         let (stored, _) = ada.containers().read_dropping(record).unwrap();
-        assert!(
-            stored.as_real().expect("real bytes") == &sealed[..],
-            "tag {}",
-            tag
-        );
+        assert!(stored.bytes() == &sealed[..], "tag {}", tag);
         assert_eq!(report.bytes_by_tag[&tag], sealed.len() as u64);
     }
 }
@@ -250,7 +246,7 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
                 for (record, (tag, backend, sealed)) in index.iter().zip(&expected) {
                     assert_eq!((&record.tag, &record.backend), (tag, backend), "{}", what);
                     let (stored, _) = ada.containers().read_dropping(record).unwrap();
-                    let stored = stored.as_real().expect("real bytes");
+                    let stored = stored.bytes();
                     assert!(stored[..] == sealed[..], "{}: dropping {:?}", what, record);
                 }
             }

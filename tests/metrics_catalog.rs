@@ -179,7 +179,7 @@ fn metrics_md_catalogs_exactly_what_a_stack_emits() {
         .find(|p| p.contains("dropping.data.p"))
         .expect("protein dropping exists");
     let (content, _) = ssd.read(&path).unwrap();
-    let mut bytes = content.as_real().expect("real dropping").to_vec();
+    let mut bytes = content.bytes().to_vec();
     let dir = parse_directory(&bytes).unwrap().unwrap();
     bytes[dir.entries[1].offset as usize + 60] ^= 0x10;
     ssd.delete(&path).unwrap();

@@ -7,27 +7,17 @@ use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
 use ada_platforms::volumes::{self, SyntheticDataset};
 use ada_plfs::{ContainerSet, PlfsError};
-use ada_simfs::{Content, FsError, LocalFs, OpKind, SimFileSystem, TraceLog};
+use ada_simfs::{Backing, Content, FsError, LocalFs, SimFileSystem};
+use ada_storagesim::DeviceProfile;
 use std::sync::Arc;
 
 type Backends = Vec<(String, Arc<dyn SimFileSystem>)>;
 
+/// The §4.2 cluster's PVFS pair.
 fn cluster_backends() -> Backends {
-    traced_cluster_backends(&TraceLog::new())
-}
-
-/// The PVFS pair, both file systems recording into `log`.
-fn traced_cluster_backends(log: &TraceLog) -> Backends {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_ssd_3nodes().with_trace(log.clone()));
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes().with_trace(log.clone()));
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_ssd_3nodes());
+    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes());
     vec![("pvfs-ssd".into(), ssd), ("pvfs-hdd".into(), hdd)]
-}
-
-/// The file systems that served a read recorded in `log`, in order.
-fn read_from(log: &TraceLog) -> Vec<String> {
-    let reads = log.events().into_iter();
-    let reads = reads.filter(|e| matches!(e.op, OpKind::Read | OpKind::ReadRange));
-    reads.map(|e| e.fs).collect()
 }
 
 fn cluster_set() -> ContainerSet {
@@ -35,14 +25,15 @@ fn cluster_set() -> ContainerSet {
 }
 
 /// The volume model's dataset over the striped PVFS pair: its protein
-/// dropping reads from the SSD side alone (as its trace shows), and a
-/// full query reads both backends at once, so its read time is the slower
-/// backend's.
+/// dropping is read from the SSD side alone, and a full query reads both
+/// backends at once, so its read time is the slower backend's.
 #[test]
 fn containers_over_striped_fs() {
-    let log = TraceLog::new();
-    let backends = traced_cluster_backends(&log);
-    let cs = ContainerSet::new(backends.clone());
+    let media = [
+        ("pvfs-ssd", LocalFs::pvfs_ssd_3nodes()),
+        ("pvfs-hdd", LocalFs::pvfs_hdd_3nodes()),
+    ];
+    let (ssd, hdd) = (&media[0].1, &media[1].1);
     let policy = DispatchPolicy::hybrid_gpcr("pvfs-ssd", "pvfs-hdd");
     // 1000 frames of 12-byte atoms: 425 MB of protein, 575 MB of the rest.
     let spec = SyntheticDataset {
@@ -51,29 +42,28 @@ fn containers_over_striped_fs() {
         compressed_bytes: 300_000_000,
         atoms_by_tag: [(Tag::protein(), 35_417), (Tag::misc(), 47_917)].into(),
     };
-    let label_fs = backends[0].1.as_ref();
-    let (stored, _) = volumes::ingest(&cs, label_fs, &policy, "bar", &spec).unwrap();
+    let (stored, _) = volumes::ingest(&media, ssd, &policy, "bar", &spec).unwrap();
+    let p = &stored.entry(&Tag::protein()).unwrap().dropping;
+    let m = &stored.entry(&Tag::misc()).unwrap().dropping;
+    assert_eq!(
+        (p.backend.as_str(), m.backend.as_str()),
+        ("pvfs-ssd", "pvfs-hdd")
+    );
 
     // Protein read hits only the SSD PVFS: ~425MB / 510MB/s ≈ 0.83 s.
-    let index = cs.index("bar").unwrap();
-    let p = index.iter().find(|r| r.tag == "p").unwrap();
-    assert_eq!(p.backend, "pvfs-ssd");
-    log.clear();
-    let tp = volumes::query(&cs, &stored, Some(&Tag::protein()))
+    let tp = volumes::query(&media, &stored, Some(&Tag::protein()))
         .unwrap()
         .read;
-    assert_eq!(read_from(&log), ["pvfs-ssd"]);
+    assert_eq!(tp, ssd.cost(p.len, false));
     assert!(
         tp.as_secs_f64() > 0.7 && tp.as_secs_f64() < 1.0,
         "protein read {}",
         tp.as_secs_f64()
     );
     // Full read bounded by the HDD side: 575MB / 378MB/s ≈ 1.52 s.
-    log.clear();
-    let ta = volumes::query(&cs, &stored, None).unwrap().read;
-    let mut full = read_from(&log);
-    full.sort();
-    assert_eq!(full, ["pvfs-hdd", "pvfs-ssd"]);
+    let ta = volumes::query(&media, &stored, None).unwrap().read;
+    assert_eq!(ta, hdd.cost(m.len, false));
+    assert!(ta > ssd.cost(p.len, false));
     assert!(
         ta.as_secs_f64() > 1.3 && ta.as_secs_f64() < 1.8,
         "full read {}",
@@ -104,7 +94,7 @@ fn index_survives_restart_on_striped_backend() {
     let index = fresh.index("bar").unwrap();
     let p = index.iter().find(|r| r.tag == "p").unwrap();
     let (content, _) = fresh.read_dropping(p).unwrap();
-    assert_eq!(content.as_real().unwrap().as_ref(), &[7u8; 1000][..]);
+    assert_eq!(content.bytes().as_ref(), &[7u8; 1000][..]);
 }
 
 #[test]
@@ -125,7 +115,7 @@ fn mixed_local_and_striped_backends() {
         .iter()
         .map(|r| {
             let (c, _) = cs.read_dropping(r).unwrap();
-            (r.backend.clone(), c.as_real().unwrap().to_vec())
+            (r.backend.clone(), c.bytes().to_vec())
         })
         .collect();
     assert_eq!(
@@ -137,34 +127,47 @@ fn mixed_local_and_striped_backends() {
     assert_eq!(by_backend["pvfs"], 2);
 }
 
+/// A backend's refusal reaches the container layer's caller typed, and
+/// the refused dropping is not indexed.
 #[test]
 fn backend_capacity_errors_propagate() {
-    let tiny: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme()); // 256 GB
+    let small = DeviceProfile {
+        capacity: 1_000,
+        ..DeviceProfile::nvme_ssd_256gb()
+    };
+    let tiny: Arc<dyn SimFileSystem> =
+        Arc::new(LocalFs::new("tiny", 50.0e-6, Backing::Single(small)));
     let cs = ContainerSet::new(vec![("ssd".into(), tiny)]);
     cs.create_logical("huge").unwrap();
     let err = cs
-        .append("huge", "p", "ssd", Content::synthetic(300_000_000_000))
+        .append("huge", "p", "ssd", Content::real(vec![0u8; 1_001]))
         .unwrap_err();
-    assert!(matches!(err, PlfsError::Fs(FsError::NoSpace { .. })));
+    assert!(matches!(
+        err,
+        PlfsError::Fs(FsError::NoSpace {
+            requested: 1_001,
+            free: 1_000
+        })
+    ));
     assert!(cs.index("huge").unwrap().is_empty());
 }
 
 #[test]
 fn many_logical_files_coexist() {
     let cs = cluster_set();
-    for i in 0..50 {
+    for i in 0..50usize {
         let name = format!("traj{}", i);
         cs.create_logical(&name).unwrap();
-        cs.append(&name, "p", "pvfs-ssd", Content::synthetic(1000 + i))
-            .unwrap();
+        let dropping = Content::real(vec![0u8; 1000 + i]);
+        cs.append(&name, "p", "pvfs-ssd", dropping).unwrap();
     }
     assert_eq!(cs.list_logical().len(), 50);
-    for i in 0..50 {
+    for i in 0..50usize {
         let name = format!("traj{}", i);
         let index = cs.index(&name).unwrap();
         assert_eq!(index.len(), 1);
-        assert_eq!(index[0].len, 1000 + i);
+        assert_eq!(index[0].len, 1000 + i as u64);
         let (c, _) = cs.read_dropping(&index[0]).unwrap();
-        assert_eq!(c.len(), 1000 + i);
+        assert_eq!(c.len(), 1000 + i as u64);
     }
 }

@@ -516,7 +516,7 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
         .find(|p| p.contains("dropping.data.p"))
         .expect("protein dropping exists");
     let (content, _) = ssd.read(&path).unwrap();
-    let frames = read_xtcf(content.as_real().expect("real dropping")).unwrap();
+    let frames = read_xtcf(content.bytes()).unwrap();
     let v1 = write_xtcf(&frames).unwrap();
     assert!(parse_directory(&v1).unwrap().is_none(), "a genuine v1 file");
     ssd.delete(&path).unwrap();

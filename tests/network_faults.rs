@@ -911,7 +911,7 @@ fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
         .find(|p| p.contains("dropping.data.p"))
         .expect("protein dropping exists");
     let (content, _) = ssd.read(&path).unwrap();
-    let mut bytes = content.as_real().expect("real dropping").to_vec();
+    let mut bytes = content.bytes().to_vec();
     let dir = parse_directory(&bytes).unwrap().unwrap();
     assert_eq!(dir.nchunks(), 3);
     bytes[dir.entries[1].offset as usize + 60] ^= 0x10;
@@ -949,7 +949,7 @@ fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
     let len0 = 2 * frame_record_len(dir.entries[0].natoms as usize);
     let start0 = dir.entries[0].offset as usize;
     let (content, _) = ssd.read(&path).unwrap();
-    assert_eq!(chunk0, content.as_real().unwrap()[start0..start0 + len0]);
+    assert_eq!(chunk0, content.bytes()[start0..start0 + len0]);
     let (magic, trailer) = read_raw_frame(&mut s);
     assert_eq!(magic, MAGIC);
     match ResponseEnvelope::decode(&trailer)

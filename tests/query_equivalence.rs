@@ -348,7 +348,7 @@ fn mutate_dropping(r: &Rig, path: &str, mutate: impl FnOnce(&mut Vec<u8>)) {
         &r.ssd
     };
     let (content, _) = fs.read(path).unwrap();
-    let mut bytes = content.as_real().expect("real dropping").to_vec();
+    let mut bytes = content.bytes().to_vec();
     mutate(&mut bytes);
     fs.delete(path).unwrap();
     fs.create(path, Content::real(bytes)).unwrap();

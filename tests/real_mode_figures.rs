@@ -3,9 +3,10 @@
 //! volumes — and the orderings the paper reports must still hold.
 //!
 //! The figures themselves (`crates/platforms`) run over the real placement
-//! and the real volumes: `ada-platforms`' volume model stores per-tag byte
-//! counts where `Ada` stores frames, on the same devices. This suite closes
-//! the loop: `Ada` with the real codecs agrees with them on who wins.
+//! and the real volumes: `ada-platforms`' volume model prices per-tag byte
+//! counts where `Ada` stores frames, on the same media, and stores
+//! nothing. This suite closes the loop: `Ada` with the real codecs agrees
+//! with them on who wins.
 
 use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, RetrievedData};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
@@ -68,7 +69,7 @@ fn run_real_fig7(natoms: usize, nframes: usize) -> Vec<RealRun> {
     // C-ext4: read compressed, decompress for real, scan, render protein.
     {
         let (content, read) = plain.read("bar.xtc").unwrap();
-        let decoded = ada_mdformats::read_xtc(content.as_real().unwrap()).unwrap();
+        let decoded = ada_mdformats::read_xtc(content.bytes()).unwrap();
         let decompress = CpuWork::Decompress {
             out_bytes: decoded.nbytes() as u64,
         }
@@ -84,7 +85,7 @@ fn run_real_fig7(natoms: usize, nframes: usize) -> Vec<RealRun> {
     // D-ext4: read raw XTCF, scan, render.
     {
         let (content, read) = plain.read("bar.raw").unwrap();
-        let decoded = ada_mdformats::read_xtcf(content.as_real().unwrap()).unwrap();
+        let decoded = ada_mdformats::read_xtcf(content.bytes()).unwrap();
         out.push(RealRun {
             label: "D-ext4",
             retrieval: read,

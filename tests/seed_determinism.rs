@@ -63,11 +63,7 @@ fn artifacts(seed: u64) -> BTreeMap<String, Vec<u8>> {
     for (name, fs) in [("ssd", &r.ssd), ("hdd", &r.hdd)] {
         for path in fs.list("") {
             let (content, _) = fs.read(&path).unwrap();
-            let bytes = content
-                .as_real()
-                .unwrap_or_else(|| panic!("artifact {} is not real bytes", path))
-                .to_vec();
-            out.insert(format!("{}:{}", name, path), bytes);
+            out.insert(format!("{}:{}", name, path), content.bytes().to_vec());
         }
     }
     for (label, tag) in [

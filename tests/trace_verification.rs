@@ -1,111 +1,95 @@
-//! Trace-level verification of the paper's central I/O claim: a tagged
-//! protein query must never touch the HDD backend, and the byte volumes
-//! seen on the wire must equal the label's subset sizes.
+//! I/O-level verification of the paper's central claim: a tagged protein
+//! query must never touch the HDD backend, and the byte volumes moved must
+//! equal the label's subset sizes. The container set counts every
+//! dropping read and write per backend
+//! (`plfs.{backend}.{read,write}.{ops,bytes}`); the tests read those
+//! counts around each operation.
 
 use ada_core::{Ada, AdaConfig, IngestInput};
 use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, OpKind, SimFileSystem, TraceLog};
+use ada_simfs::{LocalFs, SimFileSystem};
+use ada_telemetry::Snapshot;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn traced_rig() -> (Ada, TraceLog, TraceLog) {
-    let ssd_trace = TraceLog::new();
-    let hdd_trace = TraceLog::new();
-    let ssd: Arc<dyn SimFileSystem> =
-        Arc::new(LocalFs::ext4_on_nvme().with_trace(ssd_trace.clone()));
-    let hdd: Arc<dyn SimFileSystem> =
-        Arc::new(LocalFs::ext4_on_hdd().with_trace(hdd_trace.clone()));
+/// `Ada` over an NVMe backend, which also holds the label files, and an
+/// HDD one, with `w` ingested as `bar`.
+fn ingested(w: &ada_workload::Workload) -> (Ada, ada_core::IngestReport) {
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
+    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
     let cs = Arc::new(ContainerSet::new(vec![
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd),
     ]));
     let ada = Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd);
-    (ada, ssd_trace, hdd_trace)
+    let input = IngestInput::Real {
+        pdb_text: write_pdb(&w.system),
+        xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
+    };
+    let report = ada.ingest("bar", input).unwrap();
+    (ada, report)
+}
+
+/// The container set's dropping traffic so far, by metric name.
+fn io(ada: &Ada) -> BTreeMap<String, u64> {
+    let mut snap = Snapshot::default();
+    ada.containers().write_metrics(&mut snap);
+    snap.counters
+}
+
+/// How much `name` grew from `before` to `after` (an absent counter has
+/// counted nothing).
+fn grew(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>, name: &str) -> u64 {
+    let at = |m: &BTreeMap<String, u64>| m.get(name).copied().unwrap_or(0);
+    at(after) - at(before)
 }
 
 #[test]
 fn protein_query_never_reads_the_hdd() {
-    let (ada, ssd_trace, hdd_trace) = traced_rig();
-    let w = ada_workload::gpcr_workload(2500, 3, 777);
-    ada.ingest(
-        "bar",
-        IngestInput::Real {
-            pdb_text: write_pdb(&w.system),
-            xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        },
-    )
-    .unwrap();
-
-    ssd_trace.clear();
-    hdd_trace.clear();
+    let (ada, _) = ingested(&ada_workload::gpcr_workload(2500, 3, 777));
+    let before = io(&ada);
     ada.query("bar", Some(&Tag::protein())).unwrap();
+    let after = io(&ada);
 
     // Not a single read hit the HDD backend.
-    let hdd_reads = hdd_trace.bytes_where(|e| matches!(e.op, OpKind::Read | OpKind::ReadRange));
-    assert_eq!(hdd_reads, 0, "HDD events: {:?}", hdd_trace.events());
-    // The SSD served exactly the protein droppings.
-    let ssd_reads = ssd_trace.bytes_where(|e| e.op == OpKind::Read);
+    assert_eq!(grew(&before, &after, "plfs.hdd.read.ops"), 0, "{after:?}");
+    assert_eq!(grew(&before, &after, "plfs.hdd.read.bytes"), 0);
+    // The SSD served exactly the protein dropping, once.
     let label = ada.label("bar").unwrap();
-    let expected = label.atoms_of(&Tag::protein()) as u64 * 12 * 3;
+    let protein = &label.entry(&Tag::protein()).unwrap().dropping;
+    assert_eq!(grew(&before, &after, "plfs.ssd.read.ops"), 1);
+    let ssd_reads = grew(&before, &after, "plfs.ssd.read.bytes");
+    assert_eq!(ssd_reads, protein.len);
     // XTCF framing adds headers; reads must be >= payload and < +5%.
+    let expected = label.atoms_of(&Tag::protein()) as u64 * 12 * 3;
     assert!(
         ssd_reads >= expected && ssd_reads < expected * 105 / 100,
         "ssd read {} vs expected ~{}",
         ssd_reads,
         expected
     );
-    // Every SSD read touched a protein dropping path.
-    for e in ssd_trace.events() {
-        if e.op == OpKind::Read {
-            assert!(
-                e.path.contains("dropping.data.p"),
-                "unexpected read: {}",
-                e.path
-            );
-        }
-    }
 }
 
 #[test]
 fn misc_query_never_reads_the_ssd_droppings() {
-    let (ada, ssd_trace, _hdd_trace) = traced_rig();
-    let w = ada_workload::gpcr_workload(2000, 2, 778);
-    ada.ingest(
-        "bar",
-        IngestInput::Real {
-            pdb_text: write_pdb(&w.system),
-            xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        },
-    )
-    .unwrap();
-    ssd_trace.clear();
+    let (ada, _) = ingested(&ada_workload::gpcr_workload(2000, 2, 778));
+    let before = io(&ada);
     ada.query("bar", Some(&Tag::misc())).unwrap();
-    let dropping_reads = ssd_trace
-        .events()
-        .into_iter()
-        .filter(|e| e.op == OpKind::Read && e.path.contains("dropping.data"))
-        .count();
-    assert_eq!(dropping_reads, 0);
+    let after = io(&ada);
+    assert_eq!(grew(&before, &after, "plfs.ssd.read.ops"), 0, "{after:?}");
+    assert_eq!(grew(&before, &after, "plfs.hdd.read.ops"), 1);
 }
 
 #[test]
 fn ingest_write_volume_matches_raw_plus_framing() {
-    let (ada, ssd_trace, hdd_trace) = traced_rig();
-    let w = ada_workload::gpcr_workload(1500, 4, 779);
-    let report = ada
-        .ingest(
-            "bar",
-            IngestInput::Real {
-                pdb_text: write_pdb(&w.system),
-                xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-            },
-        )
-        .unwrap();
-    let written = ssd_trace.bytes_where(|e| matches!(e.op, OpKind::Create | OpKind::Append))
-        + hdd_trace.bytes_where(|e| matches!(e.op, OpKind::Create | OpKind::Append));
-    // Everything decompressed got written once, plus label/index/markers.
+    let (ada, report) = ingested(&ada_workload::gpcr_workload(1500, 4, 779));
+    let io = io(&ada);
+    let written = io["plfs.ssd.write.bytes"] + io["plfs.hdd.write.bytes"];
+    // Everything decompressed got written once, plus the XTCF framing.
     assert!(written >= report.raw_bytes);
     assert!(written < report.raw_bytes * 102 / 100 + 100_000);
+    assert_eq!((io["plfs.ssd.write.ops"], io["plfs.hdd.write.ops"]), (1, 1));
 }
