@@ -10,9 +10,10 @@
 //! fetch + XTCF decode cost; the hot set is inflated from scratch on each
 //! hit. This crate keeps **decoded frame payloads** resident:
 //!
-//! * keyed by `(dataset, tag, dropping)` — [`CacheKey`] — where `dropping`
-//!   numbers the droppings of one `(dataset, tag)` (ADA stores one dropping
-//!   per tag, so it is always `0` there);
+//! * keyed by `(dataset, tag, generation)` — [`CacheKey`] — where
+//!   `generation` names one commit of the dataset (ADA takes a fresh one
+//!   each time a name is ingested, so a payload decoded before the name
+//!   was deleted and re-ingested is never found under the new commit);
 //! * **sharded**: each shard is an independent `ada_sync::Mutex` over a
 //!   map + CLOCK ring, so concurrent clients on different droppings do not
 //!   serialize on one lock;
@@ -89,19 +90,17 @@ pub struct CacheKey {
     pub dataset: String,
     /// Tag whose stream the dropping belongs to.
     pub tag: String,
-    /// Which dropping of `(dataset, tag)`: a dataset stores one dropping
-    /// per tag, so ADA's keys all carry `0`; other values key further
-    /// droppings of the same tag.
-    pub dropping: u64,
+    /// Which commit of the dataset the payload was decoded from.
+    pub generation: u64,
 }
 
 impl CacheKey {
     /// Build a key.
-    pub fn new(dataset: &str, tag: &str, dropping: u64) -> CacheKey {
+    pub fn new(dataset: &str, tag: &str, generation: u64) -> CacheKey {
         CacheKey {
             dataset: dataset.to_string(),
             tag: tag.to_string(),
-            dropping,
+            generation,
         }
     }
 
@@ -120,7 +119,7 @@ impl CacheKey {
         eat(&[0xff]);
         eat(self.tag.as_bytes());
         eat(&[0xff]);
-        eat(&self.dropping.to_le_bytes());
+        eat(&self.generation.to_le_bytes());
         h
     }
 }

@@ -11,12 +11,12 @@
 //! appends it to its policy-chosen backend, and ends in [`Ada::commit`]
 //! of a label that pairs each tag with its one dropping
 //! (`LabelFile::new` refuses any other set), inside
-//! [`Ada::in_new_container`], which takes the dataset name back if
-//! anything after it failed. What an ingest costs is measured, in its
-//! stage profile; the virtual clock of the figures is `ada-platforms`'
-//! volume model.
+//! [`Ada::claimed`], which holds the dataset name for the ingest and
+//! releases it, after removing what was written, if anything failed. What
+//! an ingest costs is measured, in its stage profile; the virtual clock of
+//! the figures is `ada-platforms`' volume model.
 
-use super::{Ada, IngestInput, IngestReport, Op};
+use super::{Ada, IngestInput, IngestReport, Name, Op};
 use crate::categorizer::{categorize_algo1, Labeler};
 use crate::labeler::LabelFile;
 use crate::preprocess::check_ranges;
@@ -29,6 +29,8 @@ use ada_mdformats::xtcf::{
 use ada_simfs::Content;
 use ada_sync::Mutex;
 use ada_telemetry::trace::TraceContext;
+use std::collections::btree_map::Entry;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// What the splitter needs to know about the structure, however it was
@@ -176,7 +178,7 @@ impl Ada {
             n => n,
         };
 
-        self.in_new_container(dataset, || {
+        self.claimed(dataset, || {
             let (threads, labeler) = (self.config.ingest_threads, &labels.labeler);
             // Each tag's whole dropping is allocated once, before the pool
             // runs, and cut at the chunks: a chunk's records are written
@@ -236,29 +238,34 @@ impl Ada {
     }
 
     /// Run the storing half of an ingest — dispatch, then [`Ada::commit`]
-    /// — in a freshly created container, all or nothing: if `store`
-    /// fails, everything it wrote is removed and the name is free again.
-    fn in_new_container<T>(
+    /// — under a claim on the name, all or nothing. The claim is taken
+    /// before anything is written: a name that is stored, or being
+    /// ingested or deleted, is `DatasetExists`, and nothing of it is
+    /// touched. If `store` fails, everything it wrote is removed, and only
+    /// then is the claim released.
+    fn claimed<T>(
         &self,
         dataset: &str,
         store: impl FnOnce() -> Result<T, AdaError>,
     ) -> Result<T, AdaError> {
-        let containers = &self.containers;
-        // `LogicalExists` leaves through this `?`: that container is
-        // someone else's dataset, and nothing of it may be touched.
-        containers.create_logical(dataset)?;
+        match self.datasets.lock().entry(dataset.to_string()) {
+            Entry::Occupied(_) => return Err(AdaError::DatasetExists(dataset.to_string())),
+            Entry::Vacant(name) => name.insert(Name::Claimed),
+        };
         store().inspect_err(|_| {
-            // `commit` publishes the name as its last, infallible step, so
-            // an error means no one can have seen this dataset: reclaim
+            // `commit` makes the name `Live` as its last, infallible step,
+            // so an error means no one can have seen this dataset: reclaim
             // its droppings on every backend and a half-written label.
-            let _ = containers.delete_logical(dataset);
+            self.containers.delete_logical(dataset);
             let _ = self.label_fs.delete(&LabelFile::path_for(dataset));
+            self.datasets.lock().remove(dataset);
         })
     }
 
     /// The ingest's epilogue: write the label file — each tag with the
-    /// dropping the dispatcher stored for it — as the commit point,
-    /// publish the dataset, and build the report.
+    /// dropping the dispatcher stored for it — as the commit point, make
+    /// the claimed name `Live` at a fresh generation, and build the
+    /// report.
     fn commit(
         &self,
         label: LabelFile,
@@ -277,10 +284,15 @@ impl Ada {
             label.store(self.label_fs.as_ref())?;
         }
 
-        self.cache.invalidate_dataset(&dataset);
-        self.datasets
-            .lock()
-            .insert(dataset.clone(), Arc::new(label));
+        // `Relaxed`: a commit needs only a value no other commit took; the
+        // entry itself is published under the map's lock.
+        let generation = self.generations.fetch_add(1, Ordering::Relaxed);
+        let live = Name::Live {
+            heat: vec![0; label.entries().len()],
+            label: Arc::new(label),
+            generation,
+        };
+        self.datasets.lock().insert(dataset.clone(), live);
 
         Ok(IngestReport {
             dataset,
@@ -383,7 +395,7 @@ mod tests {
 
     #[test]
     fn multi_chunk_ingest_rejects_bad_input() {
-        let ada = make_ada_with(cached_config(4, Default::default()));
+        let (ada, backends) = rig(cached_config(4, Default::default()));
         let w = ada_workload::gpcr_workload(500, 9, 92);
         let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, 1000.0).unwrap();
         let input = |pdb_text: &str, xtc_bytes: &[u8]| IngestInput::Real {
@@ -412,12 +424,14 @@ mod tests {
             ada.ingest("z", input(&good_pdb, &undecodable)),
             Err(AdaError::Xtc(_))
         ));
-        // No failure keeps its name: all three ingest cleanly afterwards.
+        // No failure keeps its name or leaves a file: all three ingest
+        // cleanly afterwards.
         assert!(ada.list_datasets().is_empty());
-        assert!(ada.containers().list_logical().is_empty());
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
         for name in ["x", "y", "z"] {
             ada.ingest(name, input(&good_pdb, &xtc)).unwrap();
         }
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
     }
 
     /// `.pdb` is the one structure format: a GROMACS `.gro` text has no
@@ -426,7 +440,7 @@ mod tests {
     /// leaving no dataset, container or label file behind.
     #[test]
     fn a_gro_structure_is_refused_and_leaves_nothing_behind() {
-        let ada = make_ada();
+        let (ada, backends) = rig(AdaConfig::paper_prototype("ssd", "hdd"));
         let w = ada_workload::gpcr_workload(900, 2, 61);
         let gro_text = "GPCR in water\n    1\n    1ALA      N    1   0.126   1.624   1.679\n   5.00000   5.00000   5.00000\n";
         let input = |pdb_text: &str| IngestInput::Real {
@@ -437,7 +451,7 @@ mod tests {
         assert_eq!(err.error_kind(), ErrorKind::AtomMismatch, "{}", err);
         assert!(err.to_string().contains("pdb has 0"), "{}", err);
         assert!(ada.list_datasets().is_empty());
-        assert!(ada.containers().list_logical().is_empty());
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
         assert!(!ada.label_fs.exists(&LabelFile::path_for("bar")));
 
         ada.ingest("bar", input(&ada_mdformats::write_pdb(&w.system)))
@@ -485,15 +499,63 @@ mod tests {
         }
     }
 
+    /// While an ingest holds a name's claim, the name is taken to a second
+    /// ingest (`dataset_exists`) and unknown to a delete and to every
+    /// query (`unknown_dataset`): each runs from inside the first ingest's
+    /// claim. The claim ends with the ingest, which leaves the name free.
+    #[test]
+    fn a_claimed_name_is_taken_to_ingests_and_unknown_to_the_rest() {
+        let (ada, backends) = rig(AdaConfig::paper_prototype("ssd", "hdd"));
+        fn kind<T>(res: Result<T, AdaError>) -> Option<ErrorKind> {
+            res.err().map(|e| e.error_kind())
+        }
+        let err = ada
+            .claimed("bar", || {
+                let (second, _) = real_input(600, 2);
+                assert_eq!(
+                    kind(ada.ingest("bar", second)),
+                    Some(ErrorKind::DatasetExists)
+                );
+                assert_eq!(
+                    kind(ada.delete_dataset("bar")),
+                    Some(ErrorKind::UnknownDataset)
+                );
+                let p = Tag::protein();
+                assert_eq!(
+                    kind(ada.query("bar", None)),
+                    Some(ErrorKind::UnknownDataset)
+                );
+                let range = ada.query_range("bar", &p, 0..1, 1);
+                assert_eq!(kind(range), Some(ErrorKind::UnknownDataset));
+                let ctx = ada_telemetry::trace::TraceContext::inactive();
+                let stored = ada.query_stored("bar", &p, &ctx);
+                assert_eq!(kind(stored), Some(ErrorKind::UnknownDataset));
+                assert_eq!(kind(ada.label("bar")), Some(ErrorKind::UnknownDataset));
+                assert!(ada.list_datasets().is_empty());
+                Err::<(), _>(AdaError::Internal("the first ingest fails".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, AdaError::Internal(_)), "{err:?}");
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
+        let (input, _) = real_input(600, 2);
+        ada.ingest("bar", input).unwrap();
+        let (again, _) = real_input(600, 2);
+        assert_eq!(
+            kind(ada.ingest("bar", again)),
+            Some(ErrorKind::DatasetExists)
+        );
+        assert_eq!(ada.list_datasets(), vec!["bar"]);
+    }
+
     /// A panic on an ingest worker is the request's typed error, and the
     /// ingest it ended leaves nothing behind: the pool's answer to a panic
     /// passes through the same all-or-nothing epilogue as any other error.
     #[test]
     fn a_panicking_ingest_worker_is_internal_and_frees_the_name() {
-        let ada = make_ada();
+        let (ada, backends) = rig(AdaConfig::paper_prototype("ssd", "hdd"));
         for threads in [0, 2] {
             let err = ada
-                .in_new_container("bar", || {
+                .claimed("bar", || {
                     let ctx = ada_telemetry::trace::TraceContext::inactive();
                     crate::run_pool::<()>("ingest worker", threads, 3, &ctx, |_, claim| {
                         claim();
@@ -505,7 +567,8 @@ mod tests {
                 AdaError::Internal(msg) => assert!(msg.contains("ingest worker panicked"), "{msg}"),
                 other => panic!("expected Internal, got {other:?}"),
             }
-            assert!(ada.containers().list_logical().is_empty());
+            assert!(ada.list_datasets().is_empty());
+            assert_eq!(strays(&ada, &backends), Vec::<String>::new());
         }
         let (input, _) = real_input(600, 2);
         ada.ingest("bar", input).unwrap();

@@ -14,7 +14,8 @@
 //!   (the serial reference) or on a worker pool.
 //!
 //! This file holds the public types, the [`Ada`] instance with its
-//! dataset bookkeeping, and what the three modules share.
+//! dataset map — the one owner of every dataset name, [`Name`] — and what
+//! the three modules share.
 
 mod ingest;
 mod query;
@@ -25,6 +26,7 @@ pub use query::StoredAnswer;
 use crate::determinator::DispatchPolicy;
 use crate::labeler::LabelFile;
 use crate::profile::StageProfile;
+use crate::tiering::AccessCounts;
 use crate::{AdaError, ErrorKind};
 use ada_cache::DecodedCache;
 use ada_mdformats::{FormatError, Trajectory};
@@ -37,6 +39,7 @@ use ada_sync::Mutex;
 use ada_telemetry::trace::{TraceContext, TraceSpanGuard};
 use ada_telemetry::{key, Counter, Snapshot};
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// File suffixes ADA traps ("files generated by a target application"):
@@ -204,16 +207,39 @@ pub struct Ada {
     config: AdaConfig,
     containers: Arc<ContainerSet>,
     label_fs: Arc<dyn SimFileSystem>,
-    /// Each ingested dataset's label file: the indexer resolves every
-    /// query from it.
-    datasets: Mutex<BTreeMap<String, Arc<LabelFile>>>,
-    /// Per-dataset, per-tag query counters feeding the tiering extension.
-    access: Mutex<BTreeMap<String, crate::tiering::AccessCounts>>,
+    /// Every name that is stored, or being ingested or deleted: the one
+    /// place that decides who owns a dataset name.
+    datasets: Mutex<BTreeMap<String, Name>>,
+    /// The generation the next commit takes.
+    generations: AtomicU64,
     /// Hot-set cache of decoded droppings (disabled at zero budget, in
     /// which case it only carries the `bytes_decoded` counter so cache-on
     /// and cache-off runs are measured identically).
     cache: DecodedCache,
     metrics: Metrics,
+}
+
+/// Who holds a dataset name. Every transition is made under the dataset
+/// map's lock: an ingest inserts `Claimed` before it writes anything and
+/// makes it `Live` at its commit (or removes it after its rollback); a
+/// delete makes a `Live` name `Claimed` before it removes anything and
+/// removes the name last.
+enum Name {
+    /// An ingest or a delete of the name is in flight: no query resolves
+    /// it, and no other ingest or delete takes it.
+    Claimed,
+    /// A committed dataset.
+    Live {
+        /// Its label file: the indexer resolves every query from it.
+        label: Arc<LabelFile>,
+        /// This commit of the name, fresh per commit: the third field of
+        /// every cache key made from `label`, so a payload decoded for an
+        /// earlier commit is never found under this one.
+        generation: u64,
+        /// Per-tag query counts of this commit, in label order, feeding
+        /// the cache's admission; a re-ingested name starts cold.
+        heat: Vec<u64>,
+    },
 }
 
 /// The public entry points whose outcomes `ada.{op}.*` counts.
@@ -283,7 +309,7 @@ impl Ada {
             containers,
             label_fs,
             datasets: Mutex::new(BTreeMap::new()),
-            access: Mutex::new(BTreeMap::new()),
+            generations: AtomicU64::new(0),
             cache,
             metrics: Metrics::default(),
         }
@@ -318,10 +344,17 @@ impl Ada {
         self.cache.stats()
     }
 
-    /// Per-tag access counts of a dataset (untagged queries count every
-    /// tag they touched).
-    pub fn access_counts(&self, dataset: &str) -> crate::tiering::AccessCounts {
-        self.access.lock().get(dataset).cloned().unwrap_or_default()
+    /// Per-tag access counts of a dataset's current commit (untagged
+    /// queries count every tag they touched); empty for a name that is
+    /// not stored.
+    pub fn access_counts(&self, dataset: &str) -> AccessCounts {
+        match self.datasets.lock().get(dataset) {
+            Some(Name::Live { label, heat, .. }) => {
+                let counts = label.entries().keys().zip(heat).filter(|(_, n)| **n > 0);
+                counts.map(|(tag, n)| (tag.clone(), *n)).collect()
+            }
+            _ => AccessCounts::new(),
+        }
     }
 
     /// Whether ADA traps a file on its way to storage (§3.4: "ADA checks if
@@ -335,29 +368,71 @@ impl Ada {
         &self.containers
     }
 
-    /// A dataset's label, cloned out so no caller works under the lock.
-    fn label_of(&self, dataset: &str) -> Result<Arc<LabelFile>, AdaError> {
-        self.datasets
-            .lock()
-            .get(dataset)
-            .cloned()
-            .ok_or_else(|| AdaError::UnknownDataset(dataset.to_string()))
+    /// A `Live` dataset's label and its generation, cloned out so no
+    /// caller works under the lock.
+    fn label_of(&self, dataset: &str) -> Result<(Arc<LabelFile>, u64), AdaError> {
+        match self.datasets.lock().get(dataset) {
+            Some(Name::Live {
+                label, generation, ..
+            }) => Ok((Arc::clone(label), *generation)),
+            _ => Err(AdaError::UnknownDataset(dataset.to_string())),
+        }
+    }
+
+    /// Run a read of `dataset`: `read` gets its `Live` label — with
+    /// `tag`, when given, checked against the label's tags — and the
+    /// label's generation. The read's outcome stands only while that
+    /// commit is still `Live` — a delete claims the name before it removes
+    /// anything, so the droppings the read saw were that commit's — and a
+    /// success then counts one access of `tag`, or of every tag when `tag`
+    /// is `None`, on that commit. Otherwise the name was deleted under the
+    /// read, which answers as if it came after the delete:
+    /// `UnknownDataset`.
+    fn read_live<T>(
+        &self,
+        dataset: &str,
+        tag: Option<&Tag>,
+        read: impl FnOnce(&LabelFile, u64) -> Result<T, AdaError>,
+    ) -> Result<T, AdaError> {
+        let (label, generation) = self.label_of(dataset)?;
+        if let Some(t) = tag.filter(|t| !label.entries().contains_key(*t)) {
+            return Err(AdaError::UnknownTag(t.to_string()));
+        }
+        let res = read(&label, generation);
+        match self.datasets.lock().get_mut(dataset) {
+            Some(Name::Live {
+                generation: live,
+                heat,
+                ..
+            }) if *live == generation => {
+                let touched = label.entries().keys();
+                let hits = touched.map(|t| res.is_ok() && tag.is_none_or(|q| q == t));
+                for (n, hit) in heat.iter_mut().zip(hits) {
+                    *n += u64::from(hit);
+                }
+                res
+            }
+            _ => Err(AdaError::UnknownDataset(dataset.to_string())),
+        }
     }
 
     /// The label file of an ingested dataset (how a client learns which
     /// atoms a tag selects).
     pub fn label(&self, dataset: &str) -> Result<LabelFile, AdaError> {
-        Ok(LabelFile::clone(&*self.label_of(dataset)?))
+        Ok(LabelFile::clone(&self.label_of(dataset)?.0))
     }
 
     /// Tags known for a dataset.
     pub fn tags(&self, dataset: &str) -> Result<Vec<Tag>, AdaError> {
-        Ok(self.label_of(dataset)?.all_tags())
+        Ok(self.label_of(dataset)?.0.all_tags())
     }
 
-    /// All ingested dataset names, sorted.
+    /// All stored dataset names, sorted; a name being ingested or deleted
+    /// is not one.
     pub fn list_datasets(&self) -> Vec<String> {
-        self.datasets.lock().keys().cloned().collect()
+        let names = self.datasets.lock();
+        let live = names.iter().filter(|(_, n)| matches!(n, Name::Live { .. }));
+        live.map(|(dataset, _)| dataset.clone()).collect()
     }
 
     /// The process-wide flight recorder holding recently completed (and
@@ -367,19 +442,26 @@ impl Ada {
         ada_telemetry::trace::recorder()
     }
 
-    /// Remove a dataset: droppings, container, label file, access stats.
+    /// Remove a dataset. The name is claimed first (`Live` → `Claimed`),
+    /// so no query resolves it and no ingest takes it while it goes. Its
+    /// label file, the commit record, is removed next: if that fails, the
+    /// dataset is `Live` again and nothing else was touched. Then its
+    /// droppings go on every backend, then its cached payloads, and last
+    /// the name.
     pub fn delete_dataset(&self, dataset: &str) -> Result<(), AdaError> {
-        if !self.datasets.lock().contains_key(dataset) {
-            return Err(AdaError::UnknownDataset(dataset.to_string()));
+        let live = match self.datasets.lock().get_mut(dataset) {
+            Some(name @ Name::Live { .. }) => std::mem::replace(name, Name::Claimed),
+            _ => return Err(AdaError::UnknownDataset(dataset.to_string())),
+        };
+        if let Err(e) = self.label_fs.delete(&LabelFile::path_for(dataset)) {
+            if let Some(name) = self.datasets.lock().get_mut(dataset) {
+                *name = live;
+            }
+            return Err(e.into());
         }
-        // The container goes first and the name is forgotten only once
-        // that succeeded: a failed delete leaves the dataset listed, so it
-        // can be retried, instead of stranding droppings nothing names.
-        self.containers.delete_logical(dataset)?;
-        self.datasets.lock().remove(dataset);
-        let _ = self.label_fs.delete(&LabelFile::path_for(dataset));
-        self.access.lock().remove(dataset);
+        self.containers.delete_logical(dataset);
         self.cache.invalidate_dataset(dataset);
+        self.datasets.lock().remove(dataset);
         Ok(())
     }
 }
@@ -492,13 +574,33 @@ mod testkit {
     }
 
     pub fn make_ada_with(config: AdaConfig) -> Ada {
+        rig(config).0
+    }
+
+    /// An instance over an SSD and an HDD backend (labels on the SSD),
+    /// and the two backends.
+    pub fn rig(config: AdaConfig) -> (Ada, [Arc<dyn SimFileSystem>; 2]) {
         let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
         let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
         let cs = Arc::new(ContainerSet::new(vec![
             ("ssd".into(), ssd.clone()),
-            ("hdd".into(), hdd),
+            ("hdd".into(), hdd.clone()),
         ]));
-        Ada::new(config, cs, ssd)
+        (Ada::new(config, cs, ssd.clone()), [ssd, hdd])
+    }
+
+    /// Every file on `backends` that no listed dataset accounts for: not a
+    /// dropping its label names, nor its label file.
+    pub fn strays(ada: &Ada, backends: &[Arc<dyn SimFileSystem>]) -> Vec<String> {
+        let mut owned = std::collections::BTreeSet::new();
+        for dataset in ada.list_datasets() {
+            let label = ada.label(&dataset).unwrap();
+            let droppings = label.entries().values();
+            owned.extend(droppings.map(|e| e.dropping.dropping_path.clone()));
+            owned.insert(LabelFile::path_for(&dataset));
+        }
+        let files = backends.iter().flat_map(|fs| fs.list(""));
+        files.filter(|f| !owned.contains(f)).collect()
     }
 
     pub fn xtc_of(w: &ada_workload::Workload) -> Vec<u8> {
@@ -585,12 +687,18 @@ mod tests {
         let ada = make_ada();
         let (input, _) = real_input(700, 1);
         ada.ingest("a", input).unwrap();
-        // The container vanishes behind ADA's back: the delete fails, and
-        // the dataset must not be half-forgotten because of it.
-        ada.containers().delete_logical("a").unwrap();
-        assert!(matches!(ada.delete_dataset("a"), Err(AdaError::Plfs(_))));
+        let droppings = ada.containers().index("a").unwrap();
+        assert_eq!(droppings.len(), 2);
+        // The label file, the commit record, vanishes behind ADA's back:
+        // the delete fails, and the dataset must not be half-forgotten
+        // because of it — still listed, its droppings in place.
+        ada.label_fs.delete(&LabelFile::path_for("a")).unwrap();
+        let err = ada.delete_dataset("a").unwrap_err();
+        assert!(matches!(err, AdaError::Fs(_)), "{err:?}");
         assert_eq!(ada.list_datasets(), vec!["a"]);
         assert!(ada.label("a").is_ok());
+        assert_eq!(ada.containers().index("a").unwrap(), droppings);
+        assert!(ada.query("a", Some(&Tag::protein())).is_ok());
     }
 
     #[test]

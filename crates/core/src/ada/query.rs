@@ -1,13 +1,14 @@
 //! The read side as callers see it: `mol addfile <dataset>.xtc [tag <t>]`
 //! ([`Ada::query`]) and the strided frame-range read of the sampling
-//! workload ([`Ada::query_range`]). Both resolve the dataset's label, run
-//! the indexer, retrieve, then bump the tag heat, through the same three
-//! helpers; the retrieval — which writes the answer's frames too — lives
-//! in [`super::retrieve`].
+//! workload ([`Ada::query_range`]). Both run the indexer and retrieve
+//! inside `Ada::read_live`, which resolves the dataset's label and its
+//! generation, and lets the answer stand, and bumps the tag heat, only if
+//! that generation is still `Live` afterwards; the retrieval — which
+//! writes the answer's frames too — lives in [`super::retrieve`].
 //!
 //! A caller that hands a whole tag on undecoded — the daemon, to a socket
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
-//! resolve / index / heat helpers, a fetch, and no retrieval at all.
+//! `read_live` and indexer, a fetch, and no retrieval at all.
 
 use super::retrieve::{atoms_err, directory, xtcf_err, Take};
 use super::{count_corrupt, op_span, Ada, Op, QueryReport, RetrievedData};
@@ -122,25 +123,20 @@ impl Ada {
         tag: Option<&Tag>,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let label = self.resolve(dataset, tag)?;
-        let (entries, indexer) = match tag {
-            Some(t) => self
-                .index(&label, t, ctx)
-                .map(|(e, cost)| (vec![e], cost))?,
-            None => self.index_all(&label, ctx),
-        };
-        let takes = entries.into_iter().map(|e| (e, Take::All)).collect();
-        let (frames, read) = self.retrieve(dataset, &label, tag.is_none(), takes, ctx)?;
-
-        match tag {
-            Some(t) => self.bump_heat(dataset, [t.clone()]),
-            None => self.bump_heat(dataset, label.all_tags()),
-        }
-        Ok(QueryReport {
-            indexer,
-            read,
-            data: RetrievedData::Real(Trajectory::from_frames(frames)),
-            profile: None, // cut from the op span's tree once it closes
+        self.read_live(dataset, tag, |label, generation| {
+            let (entries, indexer) = match tag {
+                Some(t) => self.index(label, t, ctx).map(|(e, cost)| (vec![e], cost))?,
+                None => self.index_all(label, ctx),
+            };
+            let takes = entries.into_iter().map(|e| (e, Take::All)).collect();
+            let full = tag.is_none();
+            let (frames, read) = self.retrieve(dataset, generation, label, full, takes, ctx)?;
+            Ok(QueryReport {
+                indexer,
+                read,
+                data: RetrievedData::Real(Trajectory::from_frames(frames)),
+                profile: None, // cut from the op span's tree once it closes
+            })
         })
     }
 
@@ -149,8 +145,8 @@ impl Ada {
     /// [`Ada::query`] runs up to the decode — resolve, index, read, under
     /// the same `ada.query` op span, `query.index` / `query.read` spans and
     /// `ada.query.*` counters, so the simulated `indexer` / `read` are the
-    /// decoded path's — then parses the dropping's chunk directory and
-    /// bumps the tag's heat as a query does. A dropping without a chunk
+    /// decoded path's — then parses the dropping's chunk directory, all
+    /// inside `read_live` as a query is. A dropping without a chunk
     /// directory is the `Xtcf` error a query raises for it.
     /// The decoded-dropping cache is neither consulted nor filled: nothing
     /// here is decoded. The chunks are checked as [`StoredAnswer::chunks`]
@@ -177,26 +173,26 @@ impl Ada {
         tag: &Tag,
         ctx: &TraceContext,
     ) -> Result<StoredAnswer, AdaError> {
-        let label = self.resolve(dataset, Some(tag))?;
-        let (entry, indexer) = self.index(&label, tag, ctx)?;
-        let (content, read) = {
-            let mut ts = ctx.span("query.read");
-            let (content, read) = self.containers.read_dropping(&entry.dropping)?;
-            ts.arg("bytes", content.len());
-            (content, read)
-        };
-        let dir = directory(&entry.dropping, &content)?;
-        self.bump_heat(dataset, [tag.clone()]);
-        Ok(StoredAnswer {
-            indexer,
-            read,
-            natoms: entry.ranges.count(),
-            dropping: StoredDropping {
-                record: entry.dropping.clone(),
-                content,
-                dir,
-            },
-            corrupt: Arc::clone(&self.metrics.chunks_corrupt),
+        self.read_live(dataset, Some(tag), |label, _| {
+            let (entry, indexer) = self.index(label, tag, ctx)?;
+            let (content, read) = {
+                let mut ts = ctx.span("query.read");
+                let (content, read) = self.containers.read_dropping(&entry.dropping)?;
+                ts.arg("bytes", content.len());
+                (content, read)
+            };
+            let dir = directory(&entry.dropping, &content)?;
+            Ok(StoredAnswer {
+                indexer,
+                read,
+                natoms: entry.ranges.count(),
+                dropping: StoredDropping {
+                    record: entry.dropping.clone(),
+                    content,
+                    dir,
+                },
+                corrupt: Arc::clone(&self.metrics.chunks_corrupt),
+            })
         })
     }
 
@@ -242,46 +238,37 @@ impl Ada {
         stride: usize,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let label = self.resolve(dataset, Some(tag))?;
-        let nframes = label.nframes;
-        if stride == 0 || window.start >= window.end || window.end > nframes {
-            return Err(AdaError::InvalidRange {
-                start: window.start,
-                end: window.end,
-                stride,
-                nframes,
-            });
-        }
-        let (entry, indexer) = self.index(&label, tag, ctx)?;
-        // The tag's one dropping holds its frames from 0: the selection is
-        // its take, and the retriever checks only the chunks it touches
-        // (and refuses a window past the frames its directory declares).
-        let end = window.end;
-        let take = Take::Frames {
-            sel: window.step_by(stride).collect(),
-            end,
-        };
-        let (frames, read) = self.retrieve(dataset, &label, false, vec![(entry, take)], ctx)?;
-
         // A range read counts as one access of the tag — the same heat
         // accounting as a tagged query.
-        self.bump_heat(dataset, [tag.clone()]);
-        Ok(QueryReport {
-            indexer,
-            read,
-            data: RetrievedData::Real(Trajectory::from_frames(frames)),
-            profile: None, // cut from the op span's tree once it closes
+        self.read_live(dataset, Some(tag), |label, generation| {
+            let nframes = label.nframes;
+            if stride == 0 || window.start >= window.end || window.end > nframes {
+                return Err(AdaError::InvalidRange {
+                    start: window.start,
+                    end: window.end,
+                    stride,
+                    nframes,
+                });
+            }
+            let (entry, indexer) = self.index(label, tag, ctx)?;
+            // The tag's one dropping holds its frames from 0: the selection
+            // is its take, and the retriever checks only the chunks it
+            // touches (and refuses a window past the frames its directory
+            // declares).
+            let end = window.end;
+            let take = Take::Frames {
+                sel: window.step_by(stride).collect(),
+                end,
+            };
+            let takes = vec![(entry, take)];
+            let (frames, read) = self.retrieve(dataset, generation, label, false, takes, ctx)?;
+            Ok(QueryReport {
+                indexer,
+                read,
+                data: RetrievedData::Real(Trajectory::from_frames(frames)),
+                profile: None, // cut from the op span's tree once it closes
+            })
         })
-    }
-
-    /// The label of `dataset`, with `tag` (when given) checked against the
-    /// tags the dataset actually has.
-    fn resolve(&self, dataset: &str, tag: Option<&Tag>) -> Result<Arc<LabelFile>, AdaError> {
-        let label = self.label_of(dataset)?;
-        match tag {
-            Some(t) if !label.entries().contains_key(t) => Err(AdaError::UnknownTag(t.to_string())),
-            _ => Ok(label),
-        }
     }
 
     /// Indexer: `tag`'s label entry — its ranges and its one stored
@@ -308,17 +295,6 @@ impl Ada {
             label.entries().values().collect(),
             indexer_cost(label.entries().len()),
         )
-    }
-
-    /// Count one access of each tag a query touched. Called only once
-    /// retrieval succeeded, so failed queries (unknown tags, lost
-    /// droppings, corrupt data) don't skew tag-heat accounting.
-    fn bump_heat(&self, dataset: &str, touched: impl IntoIterator<Item = Tag>) {
-        let mut g = self.access.lock();
-        let counts = g.entry(dataset.to_string()).or_default();
-        for t in touched {
-            *counts.entry(t).or_insert(0) += 1;
-        }
     }
 }
 

@@ -210,12 +210,14 @@ impl Ada {
     /// keeping the hot set decoded.
     ///
     /// Byte-equivalence contract: a hit supplies exactly the frames a fresh
-    /// decode of the same dropping would (same key ⇒ same dropping bytes ⇒
-    /// same frames), so cache-on and cache-off answers are
-    /// indistinguishable to callers.
+    /// decode of the same dropping would (same key ⇒ same commit of the
+    /// dataset ⇒ same dropping bytes ⇒ same frames), so cache-on and
+    /// cache-off answers are indistinguishable to callers. The key's third
+    /// field is the `generation` the label was resolved at.
     pub(super) fn retrieve(
         &self,
         dataset: &str,
+        generation: u64,
         label: &LabelFile,
         full: bool,
         takes: Vec<(&TagEntry, Take)>,
@@ -231,7 +233,7 @@ impl Ada {
                     // this one comparison.
                     let hit = self
                         .cache
-                        .get(&CacheKey::new(dataset, &entry.dropping.tag, 0))
+                        .get(&CacheKey::new(dataset, &entry.dropping.tag, generation))
                         .filter(|e| e.natoms == entry.ranges.count());
                     match hit {
                         Some(e) if take.covered_by(&e) => Cached::Hit(e),
@@ -310,7 +312,7 @@ impl Ada {
         if let Some(e) = layout.cut {
             return Err(e);
         }
-        self.settle(dataset, layout.droppings);
+        self.settle(dataset, generation, layout.droppings);
         Ok((frames, read))
     }
 
@@ -318,8 +320,10 @@ impl Ada {
     /// dropping, the chunks checked and skipped; the frame bytes decoded,
     /// cache on or off — and, cache on, decode every fresh chunk
     /// (`decode_chunk`) and offer each fresh payload to the cache. Nothing
-    /// is counted for a failed request.
-    fn settle(&self, dataset: &str, droppings: Vec<Planned>) {
+    /// is counted for a failed request. A payload is keyed by the
+    /// `generation` its label was resolved at: should the name be deleted
+    /// and re-committed meanwhile, it is never found under the new commit.
+    fn settle(&self, dataset: &str, generation: u64, droppings: Vec<Planned>) {
         let (mut bytes, mut checked, mut skipped) = (0u64, 0u64, 0u64);
         for d in &droppings {
             let Source::Stored { dir, todo, .. } = &d.source else {
@@ -373,7 +377,7 @@ impl Ada {
                 d.entry.ranges.count(),
             ));
             let tag = &d.entry.dropping.tag;
-            let key = CacheKey::new(dataset, tag, 0);
+            let key = CacheKey::new(dataset, tag, generation);
             let tag_heat = heat.get(&Tag::new(tag.clone())).copied().unwrap_or(0);
             let _ = self.cache.insert(key, &payload, tag_heat);
         }
@@ -411,9 +415,57 @@ impl Ada {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use super::super::AdaConfig;
+    use super::super::{AdaConfig, IngestInput};
+    use super::{plan, Take};
+    use ada_mdformats::Trajectory;
     use ada_mdmodel::Tag;
     use ada_telemetry::trace::{TraceContext, TraceSpan};
+
+    /// A payload a query decoded from commit g of a name — its `settle`
+    /// landing only after the name was deleted and re-committed at a later
+    /// generation — is never served for the new commit: not to a whole-tag
+    /// query, not to a range read, not from the cache.
+    #[test]
+    fn a_late_settle_from_an_old_commit_is_never_served() {
+        // Two inputs of one structure: eight frames, and six others.
+        let w = ada_workload::gpcr_workload(600, 8, 1);
+        let other = ada_workload::gpcr_workload(600, 6, 2).trajectory;
+        let input = |t: &Trajectory| IngestInput::Real {
+            pdb_text: ada_mdformats::write_pdb(&w.system),
+            xtc_bytes: ada_mdformats::xtc::write_xtc(t, 1000.0).unwrap(),
+        };
+        let tag = Tag::protein();
+        let reference = make_ada();
+        reference.ingest("d", input(&other)).unwrap();
+        let expected = frames_of(reference.query("d", Some(&tag)).unwrap());
+
+        let ada = make_ada_with(cached_config(2, hot_cache_cfg()));
+        ada.ingest("d", input(&w.trajectory)).unwrap();
+        // A query resolves commit g and fetches its protein dropping ...
+        let (old, g) = ada.label_of("d").unwrap();
+        let entry = old.entry(&tag).unwrap();
+        let (content, _) = ada.containers().read_dropping(&entry.dropping).unwrap();
+        // ... the name is deleted and re-committed meanwhile ...
+        ada.delete_dataset("d").unwrap();
+        ada.ingest("d", input(&other)).unwrap();
+        assert!(ada.label_of("d").unwrap().1 > g);
+        // ... and only then does the query's settle offer its payload.
+        let inserts = ada.cache_stats().inserts;
+        let planned = plan(entry, Take::All, content, None, old.nframes).unwrap();
+        ada.settle("d", g, vec![planned]);
+        assert_eq!(
+            ada.cache_stats().inserts,
+            inserts + 1,
+            "admitted at min_heat 0"
+        );
+
+        for _ in 0..2 {
+            assert_eq!(frames_of(ada.query("d", Some(&tag)).unwrap()), expected);
+            let range = frames_of(ada.query_range("d", &tag, 0..6, 1).unwrap());
+            assert_eq!(range, expected);
+        }
+        assert!(ada.cache_stats().hits > 0, "the new commit's own payload");
+    }
 
     #[test]
     fn cached_query_is_byte_identical_and_stops_decoding() {

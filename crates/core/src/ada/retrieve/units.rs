@@ -372,7 +372,7 @@ pub(super) fn run_unit(
 #[cfg(test)]
 mod tests {
     use crate::ada::testkit::*;
-    use crate::ada::{Ada, AdaConfig};
+    use crate::ada::{Ada, AdaConfig, Name};
     use crate::labeler::LabelFile;
     use crate::{AdaError, ErrorKind, Labeler};
     use ada_mdformats::xtcf::{decode_chunk, parse_directory, seal_v2, write_xtcf};
@@ -449,7 +449,6 @@ mod tests {
         chunk_frames: &[usize],
     ) -> LabelFile {
         let containers = ada.containers();
-        containers.create_logical("d").unwrap();
         let mut droppings = Vec::new();
         for ((tag, ranges), &chunk_frames) in labeler.iter().zip(chunk_frames) {
             let subset = source.iter().map(|f| f.subset(ranges)).collect();
@@ -467,9 +466,15 @@ mod tests {
         label
     }
 
-    /// Make `label` the label of real dataset `d`.
+    /// Make `label` the label of real dataset `d`, committed at
+    /// generation 0 with no heat.
     fn set_label(ada: &Ada, label: LabelFile) {
-        ada.datasets.lock().insert("d".into(), Arc::new(label));
+        let live = Name::Live {
+            heat: vec![0; label.entries().len()],
+            label: Arc::new(label),
+            generation: 0,
+        };
+        ada.datasets.lock().insert("d".into(), live);
     }
 
     /// Per tag, its stored chunks in frame order, each `decode_chunk`ed.

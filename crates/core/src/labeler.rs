@@ -184,14 +184,12 @@ impl LabelFile {
         })
     }
 
-    /// Persist to a file system.
+    /// Persist to a file system: a create, which the file system refuses
+    /// as `AlreadyExists` over an existing label. A label file exists only
+    /// for a committed dataset, so an ingest never meets one.
     pub fn store(&self, fs: &dyn SimFileSystem) -> Result<(), AdaError> {
         let json = self.to_json().to_vec();
-        let path = LabelFile::path_for(&self.dataset);
-        if fs.exists(&path) {
-            fs.delete(&path)?;
-        }
-        Ok(fs.create(&path, Content::real(json))?)
+        Ok(fs.create(&LabelFile::path_for(&self.dataset), Content::real(json))?)
     }
 
     /// Load a dataset's label file.
@@ -206,7 +204,7 @@ impl LabelFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ada_simfs::LocalFs;
+    use ada_simfs::{FsError, LocalFs};
 
     fn droppings(pairs: &[(&str, &str, u64)]) -> Vec<IndexRecord> {
         pairs
@@ -284,13 +282,17 @@ mod tests {
     }
 
     #[test]
-    fn store_overwrites() {
+    fn store_over_an_existing_label_is_refused() {
         let fs = LocalFs::ext4_on_nvme();
         let mut l = label();
         l.store(&fs).unwrap();
         l.nframes = 99;
-        l.store(&fs).unwrap();
-        assert_eq!(LabelFile::load(&fs, "bar").unwrap().nframes, 99);
+        let err = l.store(&fs).unwrap_err();
+        assert!(
+            matches!(&err, AdaError::Fs(FsError::AlreadyExists(p)) if *p == LabelFile::path_for("bar")),
+            "{err}"
+        );
+        assert_eq!(LabelFile::load(&fs, "bar").unwrap().nframes, 10);
     }
 
     #[test]

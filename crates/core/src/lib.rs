@@ -153,6 +153,9 @@ pub enum AdaError {
         /// where known).
         detail: String,
     },
+    /// An ingest named a dataset that is already stored, or whose ingest
+    /// or delete is in flight: the name has one owner at a time.
+    DatasetExists(String),
     /// An error raised on the far side of the wire, as it crossed it: its
     /// class and its rendering. Every kind but the three whose fields a
     /// caller acts on (`Overloaded`, `DeadlineExceeded`, `Network`)
@@ -238,8 +241,13 @@ impl From<FsError> for AdaError {
 }
 
 impl From<PlfsError> for AdaError {
+    /// A file system's refusal is `Fs` whichever layer met it: an
+    /// out-of-space dropping and an out-of-space label file are one kind.
     fn from(e: PlfsError) -> AdaError {
-        AdaError::Plfs(e)
+        match e {
+            PlfsError::Fs(e) => AdaError::Fs(e),
+            e => AdaError::Plfs(e),
+        }
     }
 }
 
@@ -294,6 +302,7 @@ impl std::fmt::Display for AdaError {
                 waited, deadline
             ),
             AdaError::Network { detail } => write!(f, "network: {}", detail),
+            AdaError::DatasetExists(d) => write!(f, "dataset '{}' exists", d),
             AdaError::Remote { message, .. } => f.write_str(message),
         }
     }
@@ -326,6 +335,7 @@ impl AdaError {
             AdaError::Overloaded { .. } => ErrorKind::Overloaded,
             AdaError::DeadlineExceeded { .. } => ErrorKind::DeadlineExceeded,
             AdaError::Network { .. } => ErrorKind::Network,
+            AdaError::DatasetExists(_) => ErrorKind::DatasetExists,
             AdaError::Remote { kind, .. } => *kind,
         }
     }
@@ -363,11 +373,14 @@ pub enum ErrorKind {
     DeadlineExceeded,
     /// [`AdaError::Network`].
     Network,
+    /// [`AdaError::DatasetExists`].
+    DatasetExists,
 }
 
 impl ErrorKind {
-    /// Every kind, in declaration order: `ALL[k as usize] == k`.
-    pub const ALL: [ErrorKind; 14] = [
+    /// Every kind, in declaration order: `ALL[k as usize] == k`. A kind's
+    /// index is its byte on the wire, so a new kind goes last.
+    pub const ALL: [ErrorKind; 15] = [
         ErrorKind::Fs,
         ErrorKind::Plfs,
         ErrorKind::Xtc,
@@ -382,6 +395,7 @@ impl ErrorKind {
         ErrorKind::Overloaded,
         ErrorKind::DeadlineExceeded,
         ErrorKind::Network,
+        ErrorKind::DatasetExists,
     ];
 
     /// Stable short name, so error rates aggregate uniformly across
@@ -403,6 +417,7 @@ impl ErrorKind {
             ErrorKind::Overloaded => "overloaded",
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
             ErrorKind::Network => "network",
+            ErrorKind::DatasetExists => "dataset_exists",
         }
     }
 }
@@ -424,6 +439,7 @@ impl std::error::Error for AdaError {
             | AdaError::Overloaded { .. }
             | AdaError::DeadlineExceeded { .. }
             | AdaError::Network { .. }
+            | AdaError::DatasetExists(_)
             | AdaError::Remote { .. } => None,
         }
     }
@@ -471,6 +487,7 @@ mod error_tests {
             AdaError::Network {
                 detail: "peer reset".into(),
             },
+            AdaError::DatasetExists("d".into()),
         ]
     }
 
@@ -495,6 +512,7 @@ mod error_tests {
             AdaError::Overloaded { .. } => 11,
             AdaError::DeadlineExceeded { .. } => 12,
             AdaError::Network { .. } => 13,
+            AdaError::DatasetExists(_) => 14,
             AdaError::Remote { .. } => return None,
         })
     }
@@ -502,7 +520,7 @@ mod error_tests {
     #[test]
     fn every_local_variant_is_listed_once() {
         let places: Vec<Option<usize>> = local_variants().iter().map(listed_at).collect();
-        assert_eq!(places, (0..14).map(Some).collect::<Vec<_>>());
+        assert_eq!(places, (0..15).map(Some).collect::<Vec<_>>());
     }
 
     /// A remote error is any kind it was sent as, rendered as it was sent,
@@ -559,9 +577,30 @@ mod error_tests {
                 "internal",
                 "overloaded",
                 "deadline_exceeded",
-                "network"
+                "network",
+                "dataset_exists"
             ]
         );
+    }
+
+    /// A file system's refusal is `fs` whether it reached `Ada` directly
+    /// (a label write) or through the container layer (a dropping append).
+    #[test]
+    fn a_file_system_refusal_is_fs_through_either_layer() {
+        let no_space = || FsError::NoSpace {
+            requested: 9,
+            free: 3,
+        };
+        let direct = AdaError::from(no_space());
+        let through_plfs = AdaError::from(PlfsError::Fs(no_space()));
+        assert!(matches!(
+            through_plfs,
+            AdaError::Fs(FsError::NoSpace { .. })
+        ));
+        assert_eq!(direct.error_kind(), through_plfs.error_kind());
+        assert_eq!(direct.to_string(), through_plfs.to_string());
+        let unknown = AdaError::from(PlfsError::UnknownBackend("tape".into()));
+        assert_eq!(unknown.error_kind(), ErrorKind::Plfs);
     }
 
     #[test]

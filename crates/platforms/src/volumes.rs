@@ -83,7 +83,7 @@ pub struct QueryCost {
 /// the label and the ingest's time on the storage node: categorize,
 /// decompress, split, the dispatch's slowest backend, the label write. A
 /// backend whose medium cannot hold its droppings refuses them as
-/// [`FsError::NoSpace`], as the container layer would.
+/// [`FsError::NoSpace`], the `fs` error `Ada::ingest` meets there.
 pub fn ingest(
     backends: &[(&str, LocalFs)],
     label_fs: &LocalFs,
@@ -106,7 +106,7 @@ pub fn ingest(
                 requested: len,
                 free,
             };
-            return Err(PlfsError::Fs(full).into());
+            return Err(full.into());
         }
         *used += len;
         *time += fs.cost(len, true);
@@ -215,7 +215,7 @@ mod tests {
         let err = ingest(&backends, label_fs, &all_ssd, "bar", &spec).unwrap_err();
         let free = label_fs.capacity() - m;
         assert!(
-            matches!(err, AdaError::Plfs(PlfsError::Fs(FsError::NoSpace { requested, free: f })) if requested == p && f == free),
+            matches!(err, AdaError::Fs(FsError::NoSpace { requested, free: f }) if requested == p && f == free),
             "{err}"
         );
         // Split over the two media, each share fits.

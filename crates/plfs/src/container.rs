@@ -1,10 +1,12 @@
 //! Containers and their droppings.
 //!
-//! The backends hold the truth: a logical file exists while backend 0
-//! holds its `.plfs_container` marker, and its droppings are the files
-//! under `{mnt}/{logical}/hostdir.0/`. A [`ContainerSet`] keeps no state
-//! per logical file; what a dataset stored is recorded by its caller
-//! (ADA's label file) from the [`IndexRecord`]s the appends return.
+//! A logical file's droppings are the files under
+//! `{mnt}/{logical}/hostdir.0/` on each backend; nothing else is stored
+//! for it. A [`ContainerSet`] keeps no state per logical file and decides
+//! nothing about names: who owns a name, and whether it exists, is its
+//! caller's to say (ADA's dataset map), and what a dataset stored is
+//! recorded by that caller (ADA's label file) from the [`IndexRecord`]s
+//! the appends return.
 
 use ada_simfs::{Content, FsError, SimFileSystem};
 use ada_storagesim::SimDuration;
@@ -17,10 +19,6 @@ use std::sync::Arc;
 pub enum PlfsError {
     /// Unknown backend mount name.
     UnknownBackend(String),
-    /// Logical file does not exist.
-    NoSuchLogical(String),
-    /// Logical file already exists.
-    LogicalExists(String),
     /// Underlying file-system failure.
     Fs(FsError),
 }
@@ -35,8 +33,6 @@ impl std::fmt::Display for PlfsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlfsError::UnknownBackend(b) => write!(f, "unknown backend '{}'", b),
-            PlfsError::NoSuchLogical(l) => write!(f, "no such logical file '{}'", l),
-            PlfsError::LogicalExists(l) => write!(f, "logical file '{}' exists", l),
             PlfsError::Fs(e) => write!(f, "fs error: {}", e),
         }
     }
@@ -93,11 +89,6 @@ impl IoCount {
 struct BackendIo {
     read: IoCount,
     write: IoCount,
-}
-
-/// The container marker of `logical` on mount `mnt`.
-fn marker(mnt: &str, logical: &str) -> String {
-    format!("{}/{}/.plfs_container", mnt, logical)
 }
 
 /// Where `logical`'s droppings live on mount `mnt`; a dropping's path is
@@ -158,13 +149,6 @@ impl ContainerSet {
             .ok_or_else(|| PlfsError::UnknownBackend(name.to_string()))
     }
 
-    /// Backend 0 and the path of `logical`'s marker there: the claim on
-    /// the name.
-    fn claim(&self, logical: &str) -> (&Arc<dyn SimFileSystem>, String) {
-        let (mnt, fs) = &self.backends[0];
-        (fs, marker(mnt, logical))
-    }
-
     /// Write `plfs.{backend}.{read,write}.{ops,bytes}` for every backend
     /// operation kind that has happened.
     pub fn write_metrics(&self, snap: &mut Snapshot) {
@@ -176,75 +160,22 @@ impl ContainerSet {
         }
     }
 
-    /// Create a logical file: a container skeleton (a `.plfs_container`
-    /// marker under `mnt*/<logical>/`) on every backend, as PLFS does.
-    /// Backend 0's marker claims the name: its create fails atomically on
-    /// an existing path, which is [`PlfsError::LogicalExists`]. If a later
-    /// backend refuses, the markers already made are removed, the claim
-    /// last, and the name is free again.
-    pub fn create_logical(&self, logical: &str) -> Result<(), PlfsError> {
-        for (i, (mnt, fs)) in self.backends.iter().enumerate() {
-            match fs.create(&marker(mnt, logical), Content::real(Vec::new())) {
-                Ok(()) => {}
-                Err(FsError::AlreadyExists(_)) if i == 0 => {
-                    return Err(PlfsError::LogicalExists(logical.to_string()))
-                }
-                Err(e) => {
-                    for (mnt, fs) in self.backends[..i].iter().rev() {
-                        let _ = fs.delete(&marker(mnt, logical));
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether a logical file exists: whether its claim is on backend 0.
-    pub fn exists(&self, logical: &str) -> bool {
-        let (fs, claim) = self.claim(logical);
-        fs.exists(&claim)
-    }
-
-    /// All logical files, sorted: the claims on backend 0.
-    pub fn list_logical(&self) -> Vec<String> {
-        let (mnt, fs) = &self.backends[0];
-        let root = format!("{}/", mnt);
-        let mut names: Vec<String> = fs
-            .list(&root)
-            .iter()
-            .filter_map(|p| p.strip_prefix(&root)?.strip_suffix("/.plfs_container"))
-            .map(str::to_string)
-            .collect();
-        names.sort();
-        names
-    }
-
-    /// Remove a logical file: its droppings and its markers on every
-    /// backend, the claim last, so the name stays taken until the rest is
-    /// gone. A logical file whose name nests under this one keeps its own.
-    pub fn delete_logical(&self, logical: &str) -> Result<(), PlfsError> {
-        let (claim_fs, claim) = self.claim(logical);
-        if !claim_fs.exists(&claim) {
-            return Err(PlfsError::NoSuchLogical(logical.to_string()));
-        }
+    /// Remove `logical`'s droppings on every backend. A logical file
+    /// whose name nests under this one keeps its own, and a dropping
+    /// already gone stays gone.
+    pub fn delete_logical(&self, logical: &str) {
         for (mnt, fs) in &self.backends {
             for (_, path) in stored(mnt, fs.as_ref(), logical) {
                 let _ = fs.delete(&path);
             }
-            let path = marker(mnt, logical);
-            if path != claim {
-                let _ = fs.delete(&path);
-            }
         }
-        Ok(claim_fs.delete(&claim)?)
     }
 
     /// Store `content` as `logical`'s dropping of `tag` on `backend`, at
-    /// [`IndexRecord::new`]'s path, and return its record. A logical file holds one dropping per tag: a second one is
-    /// refused as the file system's `AlreadyExists`, on any backend. A
-    /// container is written by one caller at a time (ADA's ingest owns the
-    /// name it created).
+    /// [`IndexRecord::new`]'s path, and return its record. A logical file
+    /// holds one dropping per tag: a second one is refused as the file
+    /// system's `AlreadyExists`, on any backend. A container is written by
+    /// one caller at a time (ADA's ingest, which holds the name's claim).
     pub fn append(
         &self,
         logical: &str,
@@ -253,9 +184,6 @@ impl ContainerSet {
         content: Content,
     ) -> Result<IndexRecord, PlfsError> {
         let (fs, io) = self.backend(backend)?;
-        if !self.exists(logical) {
-            return Err(PlfsError::NoSuchLogical(logical.to_string()));
-        }
         for (mnt, other) in &self.backends {
             let path = droppings(mnt, logical) + tag;
             if mnt != backend && other.exists(&path) {
@@ -269,11 +197,8 @@ impl ContainerSet {
     }
 
     /// The records of `logical`'s droppings, in tag order, read off the
-    /// backends (`list` + `stat`).
+    /// backends (`list` + `stat`); none for a name with nothing stored.
     pub fn index(&self, logical: &str) -> Result<Vec<IndexRecord>, PlfsError> {
-        if !self.exists(logical) {
-            return Err(PlfsError::NoSuchLogical(logical.to_string()));
-        }
         let mut records = Vec::new();
         for (mnt, fs) in &self.backends {
             for (tag, path) in stored(mnt, fs.as_ref(), logical) {
@@ -315,40 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn create_and_marker_files() {
-        let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
-        assert!(cs.exists("bar"));
-        // Container skeleton exists on both mounts (Fig. 6).
-        let (_, ssd) = (&cs.backends[0].0, &cs.backends[0].1);
-        assert!(ssd.exists("mnt1/bar/.plfs_container"));
-        let (_, hdd) = (&cs.backends[1].0, &cs.backends[1].1);
-        assert!(hdd.exists("mnt2/bar/.plfs_container"));
-        assert!(matches!(
-            cs.create_logical("bar"),
-            Err(PlfsError::LogicalExists(_))
-        ));
-    }
-
-    #[test]
-    fn a_refused_create_leaves_no_name_and_no_marker() {
-        let cs = two_backend_set();
-        let (ssd, hdd) = (&cs.backends[0].1, &cs.backends[1].1);
-        hdd.create("mnt2/bar/.plfs_container", Content::real(Vec::new()))
-            .unwrap();
-        assert!(matches!(cs.create_logical("bar"), Err(PlfsError::Fs(_))));
-        assert!(!cs.exists("bar"));
-        assert!(!ssd.exists("mnt1/bar/.plfs_container"));
-        // With the stray marker gone, the name creates cleanly.
-        hdd.delete("mnt2/bar/.plfs_container").unwrap();
-        cs.create_logical("bar").unwrap();
-        assert!(cs.exists("bar"));
-    }
-
-    #[test]
     fn tagged_append_routes_to_chosen_backend() {
         let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
         let p = cs
             .append("bar", "p", "mnt1", Content::real(vec![1u8; 100]))
             .unwrap();
@@ -370,7 +263,6 @@ mod tests {
     #[test]
     fn a_second_dropping_of_a_tag_is_refused_on_any_backend() {
         let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
         cs.append("bar", "p", "mnt1", Content::real(vec![1u8; 4]))
             .unwrap();
         for backend in ["mnt1", "mnt2"] {
@@ -387,42 +279,41 @@ mod tests {
         assert_eq!(index[0].len, 4);
     }
 
+    /// A fresh set over the same backends indexes what the first one
+    /// stored; a name with nothing stored indexes as empty.
     #[test]
-    fn a_fresh_set_reads_the_containers_off_the_backends() {
+    fn a_fresh_set_reads_the_droppings_off_the_backends() {
         let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
-        cs.create_logical("a-b").unwrap();
         cs.append("bar", "p", "mnt1", Content::real(vec![1u8; 10]))
             .unwrap();
         cs.append("bar", "m", "mnt2", Content::real(vec![2u8; 20]))
             .unwrap();
         let fresh = ContainerSet::new(cs.backends.clone());
-        assert_eq!(fresh.list_logical(), vec!["a-b", "bar"]);
         assert_eq!(fresh.index("bar").unwrap(), cs.index("bar").unwrap());
-        assert_eq!(fresh.index("a-b").unwrap(), vec![]);
-        assert!(matches!(
-            fresh.index("nope"),
-            Err(PlfsError::NoSuchLogical(_))
-        ));
+        assert_eq!(fresh.index("bar").unwrap().len(), 2);
+        assert_eq!(fresh.index("nope").unwrap(), vec![]);
+        assert!(fresh.bytes_by_backend("nope").unwrap().is_empty());
     }
 
-    /// A delete removes what the container set wrote there — the markers
-    /// and droppings — and nothing else: a file it did not write stays.
+    /// A delete removes the droppings the container set wrote there and
+    /// nothing else: a file it did not write stays, and so does a name
+    /// that shares its prefix (`barn`).
     #[test]
-    fn delete_removes_the_markers_and_droppings() {
+    fn delete_removes_the_droppings() {
         let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
-        cs.create_logical("barn").unwrap();
-        cs.append("bar", "p", "mnt1", Content::real(vec![1u8; 10]))
-            .unwrap();
-        cs.append("bar", "m", "mnt2", Content::real(vec![2u8; 20]))
-            .unwrap();
+        for name in ["bar", "barn"] {
+            cs.append(name, "p", "mnt1", Content::real(vec![1u8; 10]))
+                .unwrap();
+            cs.append(name, "m", "mnt2", Content::real(vec![2u8; 20]))
+                .unwrap();
+        }
         let hdd = &cs.backends[1].1;
         hdd.create("mnt2/bar/stray", Content::real(vec![3u8; 5]))
             .unwrap();
-        cs.delete_logical("bar").unwrap();
-        assert!(!cs.exists("bar"));
-        assert_eq!(cs.list_logical(), vec!["barn"]);
+        let barn = cs.index("barn").unwrap();
+        cs.delete_logical("bar");
+        assert_eq!(cs.index("bar").unwrap(), vec![]);
+        assert_eq!(cs.index("barn").unwrap(), barn);
         for (mnt, fs) in &cs.backends {
             let left: Vec<String> = fs.list(&format!("{}/bar/", mnt));
             let stray = if mnt == "mnt2" {
@@ -431,14 +322,9 @@ mod tests {
                 vec![]
             };
             assert_eq!(left, stray);
-            assert!(fs.exists(&format!("{}/barn/.plfs_container", mnt)));
         }
-        assert!(matches!(
-            cs.delete_logical("bar"),
-            Err(PlfsError::NoSuchLogical(_))
-        ));
-        // The name is free again, and so is its tag.
-        cs.create_logical("bar").unwrap();
+        // A second delete finds nothing to remove; the tag is free again.
+        cs.delete_logical("bar");
         cs.append("bar", "m", "mnt1", Content::real(vec![4u8; 2]))
             .unwrap();
     }
@@ -451,7 +337,6 @@ mod tests {
         for (gone, kept) in [("bar", "bar/x"), ("bar/x", "bar")] {
             let cs = two_backend_set();
             for (name, byte) in [("bar", 1u8), ("bar/x", 2u8)] {
-                cs.create_logical(name).unwrap();
                 cs.append(name, "p", "mnt1", Content::real(vec![byte; 10]))
                     .unwrap();
                 cs.append(name, "m", "mnt2", Content::real(vec![byte; 20]))
@@ -461,17 +346,13 @@ mod tests {
             assert_eq!(cs.index("bar/x").unwrap().len(), 2);
             let before = cs.index(kept).unwrap();
 
-            cs.delete_logical(gone).unwrap();
-            assert_eq!(cs.list_logical(), vec![kept]);
+            cs.delete_logical(gone);
+            assert_eq!(cs.index(gone).unwrap(), vec![]);
             assert_eq!(cs.index(kept).unwrap(), before);
             let byte = if kept == "bar" { 1u8 } else { 2u8 };
             for r in &before {
                 let (c, _) = cs.read_dropping(r).unwrap();
                 assert!(c.bytes().iter().all(|&b| b == byte), "{kept}");
-            }
-            for (mnt, fs) in &cs.backends {
-                assert!(fs.exists(&marker(mnt, kept)));
-                assert!(!fs.exists(&marker(mnt, gone)));
             }
         }
     }
@@ -479,19 +360,9 @@ mod tests {
     #[test]
     fn unknown_backend_rejected() {
         let cs = two_backend_set();
-        cs.create_logical("bar").unwrap();
         assert!(matches!(
             cs.append("bar", "p", "mnt9", Content::real(vec![0u8])),
             Err(PlfsError::UnknownBackend(_))
-        ));
-    }
-
-    #[test]
-    fn append_to_missing_logical_rejected() {
-        let cs = two_backend_set();
-        assert!(matches!(
-            cs.append("nope", "p", "mnt1", Content::real(vec![0u8])),
-            Err(PlfsError::NoSuchLogical(_))
         ));
     }
 
@@ -505,7 +376,6 @@ mod tests {
     #[test]
     fn concurrent_dropping_reads_see_consistent_bytes() {
         let cs = Arc::new(two_backend_set());
-        cs.create_logical("bar").unwrap();
         // One distinct dropping per tag: payload bytes identify it.
         for i in 0..8u8 {
             let backend = if i % 2 == 0 { "mnt1" } else { "mnt2" };

@@ -11,8 +11,11 @@
 //! This crate reproduces the abstraction ADA actually uses:
 //!
 //! * a **logical file** (e.g. `bar`) maps to a *container* on each backend
-//!   mount: a `mnt*/bar/` directory holding a `.plfs_container` marker and
-//!   the **data droppings** (`hostdir.0/dropping.data.<tag>`), one per tag;
+//!   mount: a `mnt*/bar/` directory holding its **data droppings**
+//!   (`hostdir.0/dropping.data.<tag>`), one per tag. The container set
+//!   does not decide who owns a name or whether it exists: its caller
+//!   does (ADA's dataset map), and a name with nothing stored simply
+//!   indexes as empty;
 //! * every write is stored as a tag's dropping on a *caller-chosen backend*
 //!   and described by the [`IndexRecord`] the append returns — tag,
 //!   backend, path, length (Fig. 6's `bar/mnt1`, `bar/mnt2` picture). The

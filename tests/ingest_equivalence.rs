@@ -10,6 +10,8 @@
 //! wrote into the shared droppings, and the trace shows one decode → split
 //! per chunk on the worker that ran it.
 
+mod common;
+
 use ada_core::{
     categorize_algo1, split_trajectory, Ada, AdaConfig, AdaError, DispatchPolicy, IngestInput,
     RetrievedData,
@@ -42,6 +44,11 @@ fn ada_on_backends(config: AdaConfig) -> (Ada, [Arc<dyn SimFileSystem>; 2]) {
         ("hdd".into(), hdd.clone()),
     ]));
     (Ada::new(config, containers, ssd.clone()), [ssd, hdd])
+}
+
+/// Every file on `backends` that no listed dataset of `ada` accounts for.
+fn strays(ada: &Ada, [ssd, hdd]: &[Arc<dyn SimFileSystem>; 2]) -> Vec<String> {
+    common::strays(ada, &[ssd, hdd])
 }
 
 /// The stored droppings dataset `d`'s label records, in tag order.
@@ -308,11 +315,9 @@ fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
 
         // Nothing of either attempt is left, and the name is free.
         assert!(ada.list_datasets().is_empty());
-        assert!(ada.containers().list_logical().is_empty());
-        for fs in &backends {
-            assert_eq!(fs.list(""), Vec::<String>::new());
-        }
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
         ingest(&xtc).unwrap();
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
     }
 }
 
@@ -358,12 +363,10 @@ fn a_broken_last_chunk_discards_the_shared_droppings_and_frees_the_name() {
         assert_eq!(splits.count(), 5, "threads {}", ingest_threads);
 
         assert!(ada.list_datasets().is_empty());
-        assert!(ada.containers().list_logical().is_empty());
-        for fs in &backends {
-            assert_eq!(fs.list(""), Vec::<String>::new());
-        }
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
         ada.ingest("d", input(&xtc)).unwrap();
         assert_eq!(ada.label("d").unwrap().nframes, 12);
+        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
     }
 }
 

@@ -78,14 +78,12 @@ fn containers_over_striped_fs() {
 fn index_survives_restart_on_striped_backend() {
     let backends = cluster_backends();
     let cs = ContainerSet::new(backends.clone());
-    cs.create_logical("bar").unwrap();
     cs.append("bar", "p", "pvfs-ssd", Content::real(vec![7u8; 1000]))
         .unwrap();
     cs.append("bar", "m", "pvfs-hdd", Content::real(vec![9u8; 2000]))
         .unwrap();
 
     let fresh = ContainerSet::new(backends);
-    assert_eq!(fresh.list_logical(), cs.list_logical());
     assert_eq!(fresh.index("bar").unwrap(), cs.index("bar").unwrap());
     assert_eq!(
         fresh.bytes_by_backend("bar").unwrap(),
@@ -104,7 +102,6 @@ fn mixed_local_and_striped_backends() {
     let local: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let striped: Arc<dyn SimFileSystem> = Arc::new(LocalFs::pvfs_hdd_3nodes());
     let cs = ContainerSet::new(vec![("nvme".into(), local), ("pvfs".into(), striped)]);
-    cs.create_logical("bar").unwrap();
     cs.append("bar", "p", "nvme", Content::real(vec![1u8, 2, 3]))
         .unwrap();
     cs.append("bar", "m", "pvfs", Content::real(vec![4u8, 5]))
@@ -138,7 +135,6 @@ fn backend_capacity_errors_propagate() {
     let tiny: Arc<dyn SimFileSystem> =
         Arc::new(LocalFs::new("tiny", 50.0e-6, Backing::Single(small)));
     let cs = ContainerSet::new(vec![("ssd".into(), tiny)]);
-    cs.create_logical("huge").unwrap();
     let err = cs
         .append("huge", "p", "ssd", Content::real(vec![0u8; 1_001]))
         .unwrap_err();
@@ -157,11 +153,9 @@ fn many_logical_files_coexist() {
     let cs = cluster_set();
     for i in 0..50usize {
         let name = format!("traj{}", i);
-        cs.create_logical(&name).unwrap();
         let dropping = Content::real(vec![0u8; 1000 + i]);
         cs.append(&name, "p", "pvfs-ssd", dropping).unwrap();
     }
-    assert_eq!(cs.list_logical().len(), 50);
     for i in 0..50usize {
         let name = format!("traj{}", i);
         let index = cs.index(&name).unwrap();

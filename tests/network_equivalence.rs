@@ -19,9 +19,9 @@
 //!   v1 dropping (no chunk directory) is the in-process typed error,
 //!   whole-tag and full-frame alike, each on a kept connection;
 //! * remote errors keep their exact `error_kind()` and `Display` —
-//!   `unknown_dataset`, `invalid_range`, `unknown_tag`, and errors whose
-//!   in-process form wraps a nested source (`plfs`, `xtc`) cross the wire
-//!   as themselves, not as a generic network failure;
+//!   `unknown_dataset`, `invalid_range`, `unknown_tag`, `dataset_exists`,
+//!   and errors whose in-process form wraps a nested source (`xtc`) cross
+//!   the wire as themselves, not as a generic network failure;
 //! * a traced remote request seals ONE connected tree under the
 //!   client's trace id: the server's spans are rooted from the
 //!   wire-carried id instead of minting a disconnected root, recorded on
@@ -45,7 +45,7 @@ use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::xtcf::{frame_record_len, parse_directory, read_xtcf, write_xtcf};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
-use ada_plfs::{ContainerSet, PlfsError};
+use ada_plfs::ContainerSet;
 use ada_proto::{
     encode_frame, RequestBody, RequestEnvelope, WireIngestReport, WireQueryReport, WireReader,
     CHUNK_MAGIC, HEADER_LEN,
@@ -556,7 +556,7 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
 
 /// Remote failures keep their exact kind and text: the wire carries an
 /// error's kind and its rendering, so a remote error reads as the
-/// in-process one, nested sources (`plfs`, `xtc`) included.
+/// in-process one, nested sources (`xtc`) included.
 #[test]
 fn remote_error_kinds_match_in_process() {
     let _guard = serialize();
@@ -591,15 +591,11 @@ fn remote_error_kinds_match_in_process() {
     assert_eq!(local.error_kind(), remote.error_kind());
     assert_eq!(local.to_string(), remote.to_string());
 
-    // A second ingest under a taken name: the container layer's refusal.
+    // A second ingest under a taken name: the name's owner refuses it.
     let local = serial.ingest("ds", real_input(300, 3, 21)).unwrap_err();
-    assert!(
-        matches!(local, AdaError::Plfs(PlfsError::LogicalExists(_))),
-        "{:?}",
-        local
-    );
+    assert!(matches!(local, AdaError::DatasetExists(_)), "{:?}", local);
     let remote = client.ingest("ds", &pdb, &xtc).unwrap_err();
-    assert_eq!(remote.error_kind(), ErrorKind::Plfs);
+    assert_eq!(remote.error_kind(), ErrorKind::DatasetExists);
     assert_eq!(local.error_kind(), remote.error_kind());
     assert_eq!(local.to_string(), remote.to_string());
 

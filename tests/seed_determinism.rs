@@ -4,8 +4,8 @@
 //! retrieval).
 //!
 //! Two independent runs with the same seed must leave byte-identical
-//! artifacts on the simulated storage — every dropping, the container
-//! markers and the label file — and deliver byte-identical query
+//! artifacts on the simulated storage — every dropping and the label
+//! file — and deliver byte-identical query
 //! results. A different seed must (trivially) diverge, proving the
 //! comparison actually looks at bytes.
 
@@ -45,7 +45,7 @@ fn rig() -> Rig {
 
 /// Run the whole pipeline for `seed` and dump every artifact byte:
 /// `backend-prefixed path → content` for both backends (droppings +
-/// markers + label file), plus canonical bytes of each query
+/// label file), plus canonical bytes of each query
 /// path's delivered data.
 fn artifacts(seed: u64) -> BTreeMap<String, Vec<u8>> {
     let r = rig();
