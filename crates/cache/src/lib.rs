@@ -31,6 +31,7 @@
 //! `tests/sampling_cache.rs` and the property tests at the bottom of this
 //! file.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,24 +84,35 @@ impl CacheConfig {
     }
 }
 
-/// Identity of one decoded dropping.
+/// Identity of one decoded dropping. A key built to look an entry up
+/// borrows its names; the cache keeps an owned copy only of a key it
+/// stores.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CacheKey {
+pub struct CacheKey<'a> {
     /// Dataset label.
-    pub dataset: String,
+    pub dataset: Cow<'a, str>,
     /// Tag whose stream the dropping belongs to.
-    pub tag: String,
+    pub tag: Cow<'a, str>,
     /// Which commit of the dataset the payload was decoded from.
     pub generation: u64,
 }
 
-impl CacheKey {
-    /// Build a key.
-    pub fn new(dataset: &str, tag: &str, generation: u64) -> CacheKey {
+impl<'a> CacheKey<'a> {
+    /// Build a key that borrows its names.
+    pub fn new(dataset: &'a str, tag: &'a str, generation: u64) -> CacheKey<'a> {
         CacheKey {
-            dataset: dataset.to_string(),
-            tag: tag.to_string(),
+            dataset: Cow::Borrowed(dataset),
+            tag: Cow::Borrowed(tag),
             generation,
+        }
+    }
+
+    /// The key with names of its own, as a shard stores it.
+    fn into_owned(self) -> CacheKey<'static> {
+        CacheKey {
+            dataset: Cow::Owned(self.dataset.into_owned()),
+            tag: Cow::Owned(self.tag.into_owned()),
+            generation: self.generation,
         }
     }
 
@@ -245,7 +257,7 @@ pub enum Admission {
 /// One resident entry in a shard's CLOCK ring.
 #[derive(Debug)]
 struct Slot {
-    key: CacheKey,
+    key: CacheKey<'static>,
     payload: Arc<DecodedDropping>,
     cost: u64,
     referenced: bool,
@@ -254,7 +266,7 @@ struct Slot {
 /// One shard: key → slot map plus the CLOCK ring the hand walks.
 #[derive(Debug, Default)]
 struct Shard {
-    map: BTreeMap<CacheKey, usize>,
+    map: BTreeMap<CacheKey<'static>, usize>,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
     hand: usize,
@@ -277,18 +289,31 @@ impl Shard {
                 slot.referenced = false;
                 continue;
             }
-            let victim = self.slots[self.hand].take();
-            if let Some(victim) = victim {
-                self.map.remove(&victim.key);
-                self.resident -= victim.cost;
-                self.free.push(self.hand);
-                evicted += 1;
-            }
+            evicted += u64::from(self.evict(self.hand));
         }
         evicted
     }
 
-    fn insert(&mut self, key: CacheKey, payload: Arc<DecodedDropping>, cost: u64) {
+    /// Empty slot `idx`: its entry leaves the map and the budget. False
+    /// when the slot was empty.
+    fn evict(&mut self, idx: usize) -> bool {
+        let Some(slot) = self.slots.get_mut(idx).and_then(Option::take) else {
+            return false;
+        };
+        self.map.remove(&slot.key);
+        self.resident -= slot.cost;
+        self.free.push(idx);
+        true
+    }
+
+    /// The slot holding `key`. The map is read as one keyed by borrowed
+    /// names (a map is covariant in its key), so a lookup copies nothing.
+    fn find(&self, key: &CacheKey<'_>) -> Option<usize> {
+        let map: &BTreeMap<CacheKey<'_>, usize> = &self.map;
+        map.get(key).copied()
+    }
+
+    fn insert(&mut self, key: CacheKey<'static>, payload: Arc<DecodedDropping>, cost: u64) {
         let slot = Slot {
             key: key.clone(),
             payload,
@@ -397,14 +422,14 @@ impl DecodedCache {
         self.shard_budget > 0
     }
 
-    fn shard_for(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard_for(&self, key: &CacheKey<'_>) -> &Mutex<Shard> {
         let idx = (key.shard_hash() % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
 
     /// Look up a decoded dropping. A hit sets the CLOCK referenced bit
     /// and returns a shared handle that survives later eviction.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<DecodedDropping>> {
+    pub fn get(&self, key: &CacheKey<'_>) -> Option<Arc<DecodedDropping>> {
         if !self.enabled() {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -412,7 +437,7 @@ impl DecodedCache {
         let start = Instant::now();
         let found = {
             let mut shard = self.shard_for(key).lock();
-            match shard.map.get(key).copied() {
+            match shard.find(key) {
                 // The slot already holds its payload's cost: a hit counts
                 // its bytes without walking the resident frames.
                 Some(idx) => shard.slots[idx].as_mut().map(|slot| {
@@ -441,8 +466,8 @@ impl DecodedCache {
     }
 
     /// True when `key` is resident (no referenced-bit side effect).
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        self.enabled() && self.shard_for(key).lock().map.contains_key(key)
+    pub fn contains(&self, key: &CacheKey<'_>) -> bool {
+        self.enabled() && self.shard_for(key).lock().find(key).is_some()
     }
 
     /// Offer a freshly decoded dropping. `heat` is the tag's prior access
@@ -451,7 +476,12 @@ impl DecodedCache {
     /// payloads (larger than a shard's budget) are refused too. Returns
     /// the admission outcome; the payload itself is handed back to the
     /// caller either way via the `Arc` it passed in.
-    pub fn insert(&self, key: CacheKey, payload: &Arc<DecodedDropping>, heat: u64) -> Admission {
+    pub fn insert(
+        &self,
+        key: CacheKey<'_>,
+        payload: &Arc<DecodedDropping>,
+        heat: u64,
+    ) -> Admission {
         if !self.enabled() {
             self.note_bypass();
             return Admission::Disabled;
@@ -467,7 +497,7 @@ impl DecodedCache {
         }
         let evicted = {
             let mut shard = self.shard_for(&key).lock();
-            if let Some(idx) = shard.map.get(&key).copied() {
+            if let Some(idx) = shard.find(&key) {
                 let existing_cost = shard.slots[idx].as_ref().map_or(0, |s| s.cost);
                 if cost <= existing_cost {
                     if let Some(slot) = shard.slots[idx].as_mut() {
@@ -481,14 +511,10 @@ impl DecodedCache {
                 // The offered payload carries more resident chunks than
                 // the stored one (a partial window grew): upgrade in
                 // place, re-running eviction for the size difference.
-                if let Some(old) = shard.slots[idx].take() {
-                    shard.map.remove(&old.key);
-                    shard.resident -= old.cost;
-                    shard.free.push(idx);
-                }
+                shard.evict(idx);
             }
             let evicted = shard.make_room(cost, self.shard_budget);
-            shard.insert(key, Arc::clone(payload), cost);
+            shard.insert(key.into_owned(), Arc::clone(payload), cost);
             evicted
         };
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
@@ -520,23 +546,32 @@ impl DecodedCache {
         let mut evicted = 0u64;
         for shard in &self.shards {
             let mut shard = shard.lock();
-            let stale: Vec<CacheKey> = shard
+            let stale: Vec<usize> = shard
                 .map
-                .keys()
-                .filter(|k| k.dataset == dataset)
-                .cloned()
+                .iter()
+                .filter(|(k, _)| k.dataset == dataset)
+                .map(|(_, &idx)| idx)
                 .collect();
-            for key in stale {
-                if let Some(idx) = shard.map.remove(&key) {
-                    if let Some(slot) = shard.slots[idx].take() {
-                        shard.resident -= slot.cost;
-                        shard.free.push(idx);
-                        evicted += 1;
-                    }
-                }
+            for idx in stale {
+                evicted += u64::from(shard.evict(idx));
             }
         }
         self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Drop the entry under `key`, if one is resident (a payload settled
+    /// for a commit that was deleted meanwhile must not hold budget).
+    pub fn remove(&self, key: &CacheKey<'_>) {
+        if !self.enabled() {
+            return;
+        }
+        let evicted = {
+            let mut shard = self.shard_for(key).lock();
+            shard.find(key).is_some_and(|idx| shard.evict(idx))
+        };
+        self.stats
+            .evictions
+            .fetch_add(u64::from(evicted), Ordering::Relaxed);
     }
 
     /// Bytes currently resident across all shards.

@@ -379,6 +379,14 @@ impl Ada {
         }
     }
 
+    /// Whether `dataset` is `Live` at commit `generation`.
+    fn is_live(&self, dataset: &str, generation: u64) -> bool {
+        matches!(
+            self.datasets.lock().get(dataset),
+            Some(Name::Live { generation: live, .. }) if *live == generation
+        )
+    }
+
     /// Run a read of `dataset`: `read` gets its `Live` label — with
     /// `tag`, when given, checked against the label's tags — and the
     /// label's generation. The read's outcome stands only while that
@@ -420,11 +428,6 @@ impl Ada {
     /// atoms a tag selects).
     pub fn label(&self, dataset: &str) -> Result<LabelFile, AdaError> {
         Ok(LabelFile::clone(&self.label_of(dataset)?.0))
-    }
-
-    /// Tags known for a dataset.
-    pub fn tags(&self, dataset: &str) -> Result<Vec<Tag>, AdaError> {
-        Ok(self.label_of(dataset)?.0.all_tags())
     }
 
     /// All stored dataset names, sorted; a name being ingested or deleted
@@ -501,7 +504,7 @@ impl Ada {
     fn traced<T: Profiled>(
         &self,
         op: Op,
-        mode: &str,
+        mode: &'static str,
         parent: &TraceContext,
         f: impl FnOnce(&TraceContext) -> Result<T, AdaError>,
     ) -> Result<T, AdaError> {
@@ -553,7 +556,10 @@ fn count_corrupt(corrupt: &Counter, e: &AdaError) {
 
 /// Open the op span `trace_name`: a child of `parent` when the caller is
 /// already tracing this request, else a fresh root.
-fn op_span(trace_name: &'static str, parent: &TraceContext) -> (TraceContext, TraceSpanGuard) {
+fn op_span<'p>(
+    trace_name: &'static str,
+    parent: &'p TraceContext,
+) -> (TraceContext, TraceSpanGuard<'p>) {
     if parent.is_active() {
         let g = parent.span(trace_name);
         (g.ctx(), g)

@@ -31,7 +31,7 @@ mod units;
 use super::Ada;
 use crate::labeler::{LabelFile, TagEntry};
 use crate::AdaError;
-use ada_cache::{CacheKey, DecodedDropping};
+use ada_cache::{Admission, CacheKey, DecodedDropping};
 use ada_mdformats::xtcf::{decode_chunk, parse_directory, ChunkDirectory, ChunkEntry};
 use ada_mdformats::{FormatError, Frame};
 use ada_mdmodel::Tag;
@@ -323,6 +323,10 @@ impl Ada {
     /// is counted for a failed request. A payload is keyed by the
     /// `generation` its label was resolved at: should the name be deleted
     /// and re-committed meanwhile, it is never found under the new commit.
+    /// Nor does it stay resident: a payload stored once that commit is no
+    /// longer `Live` is taken out again. (A delete claims the name before
+    /// it invalidates the cache, so a payload stored before this check
+    /// found the commit `Live` is the delete's to remove.)
     fn settle(&self, dataset: &str, generation: u64, droppings: Vec<Planned>) {
         let (mut bytes, mut checked, mut skipped) = (0u64, 0u64, 0u64);
         for d in &droppings {
@@ -338,7 +342,8 @@ impl Ada {
         if bytes > 0 {
             self.cache.note_decoded(bytes);
         }
-        if ada_telemetry::enabled() {
+        // An all-hit request read no stored chunk: nothing to add.
+        if checked + skipped > 0 && ada_telemetry::enabled() {
             self.metrics.chunks_checked.add(checked);
             self.metrics.chunks_skipped.add(skipped);
         }
@@ -379,7 +384,10 @@ impl Ada {
             let tag = &d.entry.dropping.tag;
             let key = CacheKey::new(dataset, tag, generation);
             let tag_heat = heat.get(&Tag::new(tag.clone())).copied().unwrap_or(0);
-            let _ = self.cache.insert(key, &payload, tag_heat);
+            let stored = self.cache.insert(key.clone(), &payload, tag_heat) == Admission::Admitted;
+            if stored && !self.is_live(dataset, generation) {
+                self.cache.remove(&key);
+            }
         }
     }
 
@@ -416,7 +424,7 @@ impl Ada {
 mod tests {
     use super::super::testkit::*;
     use super::super::{AdaConfig, IngestInput};
-    use super::{plan, Take};
+    use super::{plan, CacheKey, Take};
     use ada_mdformats::Trajectory;
     use ada_mdmodel::Tag;
     use ada_telemetry::trace::{TraceContext, TraceSpan};
@@ -458,6 +466,14 @@ mod tests {
             inserts + 1,
             "admitted at min_heat 0"
         );
+        // ... and taken out again: commit g is not `Live`, so its payload
+        // holds no budget.
+        let stale = CacheKey::new("d", &entry.dropping.tag, g);
+        assert!(
+            !ada.cache.contains(&stale),
+            "the stale payload stays resident"
+        );
+        assert_eq!(ada.cache_stats().resident_bytes, 0);
 
         for _ in 0..2 {
             assert_eq!(frames_of(ada.query("d", Some(&tag)).unwrap()), expected);

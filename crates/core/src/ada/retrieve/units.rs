@@ -123,13 +123,12 @@ impl<'l> Layout<'l> {
                 }
             }
         }
-        let mut droppings = Vec::with_capacity(planned.len());
-        for (rank, plan) in planned.into_iter().enumerate() {
-            match plan {
-                Ok(p) => droppings.push(p),
-                Err(e) => earliest(&mut cut, 0, rank, e),
-            }
-        }
+        // Collected in place: the planned list's buffer holds the droppings.
+        let droppings: Vec<Planned> = planned
+            .into_iter()
+            .enumerate()
+            .filter_map(|(rank, plan)| plan.map_err(|e| earliest(&mut cut, 0, rank, e)).ok())
+            .collect();
         let mut pieces = None;
         if full {
             let mut list = Vec::new();

@@ -202,7 +202,7 @@ pub(crate) fn run_pool<T: Send>(
         let unit = next.fetch_add(1, Ordering::Relaxed);
         (unit < units).then_some(unit)
     };
-    let done = if threads == 0 {
+    let mut done = if threads == 0 {
         // The caller's thread is the one worker: its panic is answered in
         // the shape a joined worker's is.
         catch_unwind(AssertUnwindSafe(|| worker(ctx, &claim))).map_err(|p| worker_panic(what, p))?
@@ -221,17 +221,17 @@ pub(crate) fn run_pool<T: Send>(
             Ok::<_, AdaError>(done)
         })?
     };
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(units, || None);
-    for (unit, result) in done {
-        if let Some(slot) = slots.get_mut(unit) {
-            *slot = Some(result);
-        }
+    // Each unit is claimed once, so in unit order the results are units
+    // 0, 1, … — already so when the caller ran them all.
+    done.sort_unstable_by_key(|(unit, _)| *unit);
+    let whole = done.len() == units && done.iter().enumerate().all(|(i, (unit, _))| i == *unit);
+    if !whole {
+        return Err(AdaError::Internal(format!(
+            "{} left a unit unclaimed",
+            what
+        )));
     }
-    slots
-        .into_iter()
-        .collect::<Option<Vec<T>>>()
-        .ok_or_else(|| AdaError::Internal(format!("{} left a unit unclaimed", what)))
+    Ok(done.into_iter().map(|(_, result)| result).collect())
 }
 
 impl From<FsError> for AdaError {

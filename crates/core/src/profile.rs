@@ -56,7 +56,7 @@ pub struct StageProfile {
     /// Which entry point and schedule produced this: `"serial"` for an
     /// ingest; `"query"`, `"query_parallel"` or
     /// `"query_range"` for a read.
-    pub mode: String,
+    pub mode: &'static str,
     /// Per-stage wall time (the sum of the stage's spans), nanoseconds.
     pub stages_ns: BTreeMap<String, u64>,
     /// Bytes stored (ingest) or freshly decoded (query) per tag.
@@ -65,39 +65,83 @@ pub struct StageProfile {
     pub wall_ns: u64,
 }
 
+/// The spans found under the op span so far, as one bit per id past the
+/// op's: a request of up to 64 spans keeps them in one word.
+struct Subtree {
+    op: u64,
+    first: u64,
+    rest: Vec<u64>,
+}
+
+impl Subtree {
+    fn contains(&self, id: u64) -> bool {
+        let Some(k) = id.checked_sub(self.op) else {
+            return false;
+        };
+        let word = match k / 64 {
+            0 => self.first,
+            i => self.rest.get(i as usize - 1).copied().unwrap_or(0),
+        };
+        word >> (k % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, id: u64) {
+        let k = id.saturating_sub(self.op);
+        let word = match (k / 64) as usize {
+            0 => &mut self.first,
+            i => {
+                if self.rest.len() < i {
+                    self.rest.resize(i, 0);
+                }
+                &mut self.rest[i - 1]
+            }
+        };
+        *word |= 1 << (k % 64);
+    }
+}
+
 impl StageProfile {
     /// Cut a profile from a request's finished spans: fold the subtree of
     /// span `op`, which must itself be finished. `wall_ns` is the op
     /// span's duration; each stage span adds its duration to its stage;
     /// `query.decode` spans add their `bytes` under their `tag`.
-    pub fn from_spans(mode: &str, spans: &[TraceSpan], op: u64) -> StageProfile {
+    pub fn from_spans(mode: &'static str, spans: &[TraceSpan], op: u64) -> StageProfile {
         let mut p = StageProfile {
-            mode: mode.to_string(),
+            mode,
             ..StageProfile::default()
         };
-        // A span's id is allocated after its parent's, so one pass in id
-        // order has seen every ancestor before it meets a descendant.
-        let mut by_id: Vec<&TraceSpan> = spans.iter().filter(|s| s.id >= op).collect();
-        by_id.sort_unstable_by_key(|s| s.id);
-        let mut subtree: Vec<u64> = Vec::with_capacity(by_id.len());
-        for s in by_id {
-            let inside = s.id == op
-                || s.parent
-                    .is_some_and(|up| subtree.binary_search(&up).is_ok());
+        // Each table row's total, once a span of it was met.
+        let mut row_ns: [Option<u64>; STAGES.len()] = [None; STAGES.len()];
+        // `spans` is in completion order, and a span closes after every
+        // span under it: walked backwards, it meets each span's parent
+        // before the span.
+        let mut subtree = Subtree {
+            op,
+            first: 0,
+            rest: Vec::new(),
+        };
+        for s in spans.iter().rev() {
+            let inside = s.id == op || s.parent.is_some_and(|up| subtree.contains(up));
             if !inside {
                 continue;
             }
-            subtree.push(s.id);
+            subtree.insert(s.id);
             if s.id == op {
                 p.wall_ns = s.duration_ns();
             }
-            if let Some((_, stage)) = STAGES.iter().find(|(name, _)| *name == s.name) {
-                add(&mut p.stages_ns, stage, s.duration_ns());
+            if let Some(row) = STAGES.iter().position(|(name, _)| *name == s.name) {
+                *row_ns[row].get_or_insert(0) += s.duration_ns();
             }
-            if let ("query.decode", Some(ArgValue::Str(tag)), Some(bytes)) =
-                (s.name, s.arg("tag"), s.arg_u64("bytes"))
-            {
+            if s.name != "query.decode" {
+                continue;
+            }
+            if let (Some(ArgValue::Str(tag)), Some(bytes)) = (s.arg("tag"), s.arg_u64("bytes")) {
                 add(&mut p.bytes_by_tag, tag, bytes);
+            }
+        }
+        for ((_, stage), ns) in STAGES.iter().zip(row_ns) {
+            if let Some(ns) = ns {
+                add(&mut p.stages_ns, stage, ns);
             }
         }
         p

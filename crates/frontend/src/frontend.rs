@@ -14,14 +14,19 @@
 //! argument; there are no idle workers to fall back on.
 //!
 //! A request is the closure its caller hands [`Frontend::run`]; the
-//! scheduler never sees it. A submitter whose own request left the queue
-//! in its own drain (the uncontended case) calls it on its own stack and
-//! never touches another thread. Otherwise it blocks on its one-shot wake
-//! channel until a finishing caller's drain hands it `Start` or
+//! scheduler never sees it. A submitter that finds a slot free (the
+//! uncontended case) leaves the queue in its own drain, calls the request
+//! on its own stack, and neither builds a wake channel nor touches another
+//! thread. Otherwise it queues the sending end of a one-shot wake channel
+//! and blocks on it until a finishing caller's drain hands it `Start` or
 //! `Expired`. Wakes are collected under the lock and sent after it is
 //! released; a wake channel (`sync_channel(1)`, read only by a request
 //! that has to wait) holds one message and gets exactly one, so the send
 //! never blocks.
+//!
+//! The queue's clock is the trace clock ([`trace::now_ns`]): the stamps
+//! that order and expire the queue are also the queue-wait span's ends
+//! and the service time's start, so no stamp is read twice.
 //!
 //! Nobody holds the scheduler lock while waiting or while touching
 //! storage, so the lock guards only O(1) queue operations.
@@ -38,12 +43,12 @@
 //! [`settle_malloc_thresholds`], which [`Frontend::new`] runs so that the
 //! first request is served like the millionth.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Once};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ada_core::{Ada, AdaError, IngestInput, IngestReport, QueryReport};
 use ada_mdmodel::Tag;
@@ -68,12 +73,14 @@ struct Left {
 }
 
 /// All the scheduler holds of a queued request: the sending end of the
-/// one-shot channel its caller blocks on if it has to wait. The request,
-/// its client name and its trace context stay on the caller's stack.
-type Waiter = SyncSender<Left>;
+/// one-shot channel its caller blocks on if it has to wait — `None` for a
+/// request that was offered a free slot, which leaves the queue in its
+/// own drain. The request, its client name and its trace context stay on
+/// the caller's stack.
+type Waiter = Option<SyncSender<Left>>;
 
 /// Outcomes collected under the scheduler guard, delivered once it is gone.
-type Wakes = Vec<(Waiter, Left)>;
+type Wakes = Vec<(SyncSender<Left>, Left)>;
 
 fn send_wakes(wakes: Wakes) {
     for (waiter, left) in wakes {
@@ -141,7 +148,7 @@ struct Metrics {
     wait: [Histogram; 2],
     /// The client names met so far, at most [`CLIENT_FAMILIES_MAX`] of
     /// them.
-    clients: Mutex<HashMap<String, Outcomes>>,
+    clients: Mutex<BTreeMap<String, Outcomes>>,
     other: Outcomes,
 }
 
@@ -172,7 +179,6 @@ impl Metrics {
 pub struct Frontend {
     ada: Arc<Ada>,
     core: Mutex<SchedulerCore<Waiter>>,
-    start: Instant,
     metrics: Option<Metrics>,
 }
 
@@ -190,17 +196,20 @@ impl std::fmt::Debug for Frontend {
 struct Slot<'a> {
     frontend: &'a Frontend,
     class: Class,
-    taken: Instant,
+    /// When the request left the queue (the queue's clock).
+    taken_ns: u64,
 }
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        let service_ns = self.taken.elapsed().as_nanos() as u64;
+        let now_ns = trace::now_ns();
+        let service_ns = now_ns.saturating_sub(self.taken_ns);
         let mut wakes = Wakes::new();
         {
             let mut core = self.frontend.core.lock();
             core.complete(self.class, service_ns);
-            self.frontend.drain(&mut core, self.class, None, &mut wakes);
+            self.frontend
+                .drain(&mut core, self.class, now_ns, None, &mut wakes);
         }
         send_wakes(wakes);
     }
@@ -223,7 +232,6 @@ impl Frontend {
                 (config.query_slots, config.query_queue),
                 retry_floor,
             )),
-            start: Instant::now(),
             metrics: ada_telemetry::enabled().then(Metrics::default),
         }
     }
@@ -256,12 +264,6 @@ impl Frontend {
         self.ada.write_metrics(snap);
     }
 
-    /// Monotonic nanoseconds since the front-end was built — the queue's
-    /// clock (enqueue stamps, deadline expiry).
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
     fn note_wait(&self, class: Class, waited_ns: u64) {
         if let Some(m) = &self.metrics {
             m.wait[class.idx()].record(waited_ns);
@@ -275,18 +277,19 @@ impl Frontend {
     }
 
     /// End a critical section that enqueued a job or freed a slot: drain
-    /// `class` at the current time. Returns what became
+    /// `class` at `now_ns`, the current time. Returns what became
     /// of request `own`; everyone else who left is pushed onto `wakes`,
     /// for the caller to send once the guard is gone.
     fn drain(
         &self,
         core: &mut SchedulerCore<Waiter>,
         class: Class,
+        now_ns: u64,
         own: Option<u64>,
         wakes: &mut Wakes,
     ) -> Option<Left> {
         let mut mine = None;
-        core.drain(class, self.now_ns(), |popped, queue_depth| {
+        core.drain(class, now_ns, |popped, queue_depth| {
             let (id, waiter, waited_ns, expired) = match popped {
                 Popped::Start { id, job, waited_ns } => (id, job, waited_ns, None),
                 Popped::Expired {
@@ -299,7 +302,7 @@ impl Frontend {
             let left = Left { waited_ns, expired };
             if own == Some(id) {
                 mine = Some(left);
-            } else {
+            } else if let Some(waiter) = waiter {
                 wakes.push((waiter, left));
             }
         });
@@ -365,17 +368,27 @@ impl Frontend {
         root: &mut trace::TraceSpanGuard,
     ) -> Result<Slot<'_>, AdaError> {
         let deadline_ns = deadline.map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
-        let (waiter, wake) = sync_channel::<Left>(1);
-        let enqueued_ns = self.now_ns();
+        let enqueued_ns = trace::now_ns();
         let mut wakes = Wakes::new();
+        let mut wake = None;
         let offered = {
             let mut core = self.core.lock();
+            // With a slot free this request leaves the queue in its own
+            // drain below; only one that will wait needs a channel.
+            let waiter = match core.has_free_slot(class) {
+                true => None,
+                false => {
+                    let (waiter, woken) = sync_channel::<Left>(1);
+                    wake = Some(woken);
+                    Some(waiter)
+                }
+            };
             core.submit(class, waiter, enqueued_ns, deadline_ns)
                 .map(|id| {
                     // The drain reads the clock again, after the enqueue:
                     // a 0 ns deadline has passed by then, so the request
                     // dies in the queue and not on a slot.
-                    self.drain(&mut core, class, Some(id), &mut wakes)
+                    self.drain(&mut core, class, trace::now_ns(), Some(id), &mut wakes)
                 })
         };
         send_wakes(wakes);
@@ -393,11 +406,13 @@ impl Frontend {
                 });
             }
             Ok(Some(left)) => left,
-            Ok(None) => wake.recv().map_err(|_| {
+            Ok(None) => wake.and_then(|woken| woken.recv().ok()).ok_or_else(|| {
                 AdaError::Internal("frontend scheduler dropped a queued request".to_string())
             })?,
         };
-        let end = trace::now_ns();
+        // The request left the queue when the drain that let it go read the
+        // clock: `waited_ns` after it was enqueued.
+        let end = enqueued_ns.saturating_add(left.waited_ns);
         self.note_wait(class, left.waited_ns);
         let mut args = vec![("waited_ns", left.waited_ns.into())];
         let admitted = match left.expired {
@@ -405,7 +420,7 @@ impl Frontend {
                 let slot = Slot {
                     frontend: self,
                     class,
-                    taken: Instant::now(),
+                    taken_ns: end,
                 };
                 self.note_client(client, |c| &c.accepted);
                 Ok(slot)
@@ -420,8 +435,7 @@ impl Frontend {
                 })
             }
         };
-        let start = end.saturating_sub(left.waited_ns);
-        ctx.record("frontend.queue_wait", start, end, args);
+        ctx.record("frontend.queue_wait", enqueued_ns, end, args);
         admitted
     }
 

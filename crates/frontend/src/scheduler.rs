@@ -164,14 +164,14 @@ impl<T> SchedulerCore<T> {
         now_ns: u64,
         deadline_ns: Option<u64>,
     ) -> Result<u64, Rejection> {
-        let retry = self.retry_after_ns(class);
         let st = &mut self.classes[class.idx()];
         st.counters.submitted += 1;
         if st.queue.len() >= st.capacity {
             st.counters.rejected += 1;
+            let queue_depth = st.queue.len();
             return Err(Rejection {
-                queue_depth: st.queue.len(),
-                retry_after_ns: retry,
+                queue_depth,
+                retry_after_ns: self.retry_after_ns(class),
             });
         }
         let id = self.next_id;
@@ -227,6 +227,13 @@ impl<T> SchedulerCore<T> {
         while let Some(popped) = self.pop(class, now_ns) {
             leave(popped, self.queue_depth(class));
         }
+    }
+
+    /// Whether a slot of `class` is free with nobody queued for it: a job
+    /// submitted now leaves the queue in the drain that follows.
+    pub fn has_free_slot(&self, class: Class) -> bool {
+        let st = &self.classes[class.idx()];
+        st.running < st.slots && st.queue.is_empty()
     }
 
     /// Release the slot a `Start` consumed and record its service time,

@@ -460,7 +460,8 @@ fn send_answer(
     answer: Answer,
     root: &mut TraceSpanGuard,
 ) -> bool {
-    let mut span = root.ctx().span("server.send");
+    let ctx = root.ctx();
+    let mut span = ctx.span("server.send");
     let (res, forwarded) = match answer {
         Answer::Body(body) => {
             let resp = ResponseEnvelope { id, body };
@@ -562,7 +563,10 @@ fn peek_request_id(payload: &[u8]) -> u64 {
 /// Drive one decoded request through the frontend under a trace root
 /// minted from the wire-carried trace id. Returns the root — the caller
 /// keeps it open across the write — with the request id and the answer.
-fn execute_request(shared: &Shared, env: RequestEnvelope) -> (TraceSpanGuard, u64, Answer) {
+fn execute_request(
+    shared: &Shared,
+    env: RequestEnvelope,
+) -> (TraceSpanGuard<'static>, u64, Answer) {
     let (frontend, metrics) = (&shared.frontend, &shared.metrics);
     metrics.requests.inc();
     let started = Instant::now();

@@ -117,39 +117,19 @@ impl Histogram {
     /// winning bucket and clamped to the observed min/max. Returns 0.0
     /// when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
+        self.tally().quantile(q)
+    }
+
+    /// The counts as they stand, read into plain integers.
+    fn tally(&self) -> Tally {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        Tally {
+            buckets: std::array::from_fn(|i| load(&self.buckets[i])),
+            count: load(&self.count),
+            sum: load(&self.sum),
+            min: load(&self.min),
+            max: load(&self.max),
         }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the requested sample, 1-based.
-        let rank = (q * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= rank {
-                let lo = bucket_lower(i) as f64;
-                let hi = bucket_upper(i) as f64;
-                // Position of the rank inside this bucket, interpolated
-                // as if samples were uniform across the octave (midpoint
-                // rule, so a full bucket never reads back as its
-                // exclusive upper bound).
-                let frac = ((rank - cum) as f64 - 0.5) / c as f64;
-                let v = lo + frac * (hi - lo);
-                let min = self.min.load(Ordering::Relaxed) as f64;
-                let max = self.max.load(Ordering::Relaxed) as f64;
-                return v.clamp(min, max);
-            }
-            cum += c;
-        }
-        self.max.load(Ordering::Relaxed) as f64
     }
 
     /// Fold another histogram into this one (used when per-thread
@@ -176,12 +156,88 @@ impl Histogram {
 
     /// Point-in-time stats.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        self.tally().snapshot()
+    }
+}
+
+/// A [`Histogram`]'s numbers as plain integers, for an owner that updates
+/// them under a lock it holds anyway (the flight recorder's seal): a
+/// sample is five plain adds and compares instead of five atomic
+/// read-modify-writes, and reads back through the same buckets.
+#[derive(Debug, Clone)]
+pub(crate) struct Tally {
+    buckets: [u64; NUM_BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally {
+            buckets: [0; NUM_BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl Tally {
+    /// Record one sample, as [`Histogram::record`] does.
+    pub(crate) fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// See [`Histogram::quantile`].
+    fn quantile(&self, q: f64) -> f64 {
+        let total: u64 = self.buckets.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        // Rank of the requested sample, 1-based.
+        let rank = (q * total as f64).ceil().max(1.0) as u64;
+        let mut cum = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if cum + c >= rank {
+                let lo = bucket_lower(i) as f64;
+                let hi = bucket_upper(i) as f64;
+                // Position of the rank inside this bucket, interpolated
+                // as if samples were uniform across the octave (midpoint
+                // rule, so a full bucket never reads back as its
+                // exclusive upper bound).
+                let frac = ((rank - cum) as f64 - 0.5) / c as f64;
+                let v = lo + frac * (hi - lo);
+                return v.clamp(self.min as f64, self.max as f64);
+            }
+            cum += c;
+        }
+        self.max as f64
+    }
+
+    /// See [`Histogram::snapshot`].
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        let empty = self.count == 0;
         HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min().unwrap_or(0),
-            max: self.max().unwrap_or(0),
-            mean: self.mean(),
+            count: self.count,
+            sum: self.sum,
+            min: if empty { 0 } else { self.min },
+            max: if empty { 0 } else { self.max },
+            mean: if empty {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            },
             p50: self.quantile(0.50),
             p90: self.quantile(0.90),
             p99: self.quantile(0.99),
@@ -351,6 +407,17 @@ mod tests {
             merged.merge_from(s);
         }
         assert_eq!(merged.snapshot(), direct.snapshot());
+    }
+
+    #[test]
+    fn a_tally_reads_back_as_the_histogram() {
+        let (h, mut t) = (Histogram::new(), Tally::default());
+        assert_eq!(t.snapshot(), h.snapshot());
+        for v in [0u64, 1, 7, 512, 1_000, 1 << 40, u64::MAX] {
+            h.record(v);
+            t.record(v);
+            assert_eq!(t.snapshot(), h.snapshot());
+        }
     }
 
     #[test]

@@ -51,10 +51,12 @@
 //! or `chrome://tracing`; span args carry bytes, frames, tags, backends
 //! and error kinds.
 
-use crate::{key, Histogram, Snapshot};
+use crate::histogram::Tally;
+use crate::{key, Snapshot};
 use ada_json::Value;
 use ada_sync::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -257,21 +259,21 @@ impl TraceContext {
 
     /// Open a child span of the current span. The guard records the span
     /// when dropped; use [`TraceSpanGuard::ctx`] to parent deeper work
-    /// under the new span.
-    pub fn span(&self, name: &'static str) -> TraceSpanGuard {
+    /// under the new span. The guard borrows this context's handle on the
+    /// trace, so opening a span shares nothing more than an id.
+    pub fn span(&self, name: &'static str) -> TraceSpanGuard<'_> {
         let Some(trace) = &self.inner else {
             return TraceSpanGuard { live: None };
         };
         TraceSpanGuard {
             live: Some(GuardLive {
-                trace: Arc::clone(trace),
+                trace: Handle::Child(trace),
                 id: trace.alloc_span(),
                 parent: Some(self.span),
                 name,
                 start_ns: now_ns(),
                 args: Vec::new(),
                 error: None,
-                root: false,
             }),
         }
     }
@@ -300,21 +302,54 @@ impl TraceContext {
     }
 }
 
-struct GuardLive {
-    trace: Arc<ActiveTrace>,
+/// A live guard's hold on its trace: the root guard owns a handle (it
+/// seals the trace), every other guard borrows the handle of the context
+/// it was opened from.
+enum Handle<'a> {
+    Root(Arc<ActiveTrace>),
+    Child(&'a Arc<ActiveTrace>),
+}
+
+impl Handle<'_> {
+    fn trace(&self) -> &Arc<ActiveTrace> {
+        match self {
+            Handle::Root(trace) => trace,
+            Handle::Child(trace) => trace,
+        }
+    }
+
+    /// Add `span` to the trace's finished spans and, under the same lock,
+    /// hand `f` all of them; a root's handle then seals the trace, once
+    /// the lock is released.
+    fn close<R>(self, span: TraceSpan, f: impl FnOnce(&[TraceSpan]) -> R) -> R {
+        let (out, sealed) = {
+            let mut spans = self.trace().spans.lock();
+            spans.push(span);
+            let out = f(&spans);
+            let root = matches!(self, Handle::Root(_));
+            (out, root.then(|| std::mem::take(&mut *spans)))
+        };
+        if let (Handle::Root(trace), Some(spans)) = (&self, sealed) {
+            finalize(trace, spans);
+        }
+        out
+    }
+}
+
+struct GuardLive<'a> {
+    trace: Handle<'a>,
     id: u64,
     parent: Option<u64>,
     name: &'static str,
     start_ns: u64,
     args: Vec<(&'static str, ArgValue)>,
     error: Option<&'static str>,
-    root: bool,
 }
 
-impl GuardLive {
-    /// End the span now and add it to its trace's finished spans.
-    fn close(self) -> (Arc<ActiveTrace>, u64, bool) {
-        self.trace.push(TraceSpan {
+impl<'a> GuardLive<'a> {
+    /// End the span now: its trace's handle, and the finished span.
+    fn end(self) -> (Handle<'a>, TraceSpan) {
+        let span = TraceSpan {
             id: self.id,
             parent: self.parent,
             name: self.name,
@@ -323,18 +358,20 @@ impl GuardLive {
             thread: thread_label(),
             args: self.args,
             error: self.error,
-        });
-        (self.trace, self.id, self.root)
+        };
+        (self.trace, span)
     }
 }
 
 /// An open trace span; records itself (and, for the root, seals the whole
-/// trace into the flight recorder) on drop.
-pub struct TraceSpanGuard {
-    live: Option<GuardLive>,
+/// trace into the flight recorder) on drop. A child span's guard borrows
+/// the context it was opened from; a root's guard (`'static`) owns its
+/// trace.
+pub struct TraceSpanGuard<'a> {
+    live: Option<GuardLive<'a>>,
 }
 
-impl std::fmt::Debug for TraceSpanGuard {
+impl std::fmt::Debug for TraceSpanGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceSpanGuard")
             .field("name", &self.live.as_ref().map(|l| l.name))
@@ -342,7 +379,7 @@ impl std::fmt::Debug for TraceSpanGuard {
     }
 }
 
-impl TraceSpanGuard {
+impl TraceSpanGuard<'_> {
     /// Attach a key/value annotation.
     pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
         if let Some(l) = &mut self.live {
@@ -362,7 +399,7 @@ impl TraceSpanGuard {
     pub fn ctx(&self) -> TraceContext {
         match &self.live {
             Some(l) => TraceContext {
-                inner: Some(Arc::clone(&l.trace)),
+                inner: Some(Arc::clone(l.trace.trace())),
                 span: l.id,
             },
             None => TraceContext::inactive(),
@@ -375,29 +412,25 @@ impl TraceSpanGuard {
     /// the guard is inert. Workers of the span must have been joined —
     /// what they have not pushed yet, `f` does not see.
     pub fn finish_with<R>(mut self, f: impl FnOnce(&[TraceSpan], u64) -> R) -> Option<R> {
-        let (trace, id, root) = self.live.take()?.close();
-        let out = f(&trace.spans.lock(), id);
-        if root {
-            finalize(&trace);
-        }
-        Some(out)
+        let live = self.live.take()?;
+        let id = live.id;
+        let (handle, span) = live.end();
+        Some(handle.close(span, |spans| f(spans, id)))
     }
 }
 
-impl Drop for TraceSpanGuard {
+impl Drop for TraceSpanGuard<'_> {
     fn drop(&mut self) {
         let Some(l) = self.live.take() else { return };
-        let (trace, _, root) = l.close();
-        if root {
-            finalize(&trace);
-        }
+        let (handle, span) = l.end();
+        handle.close(span, |_| ());
     }
 }
 
 /// Mint a new trace rooted at `op` and return its context plus the root
 /// guard. With tracing off, both are inert. The root guard must outlive
 /// every worker of the request (drop it last).
-pub fn root(op: &'static str) -> (TraceContext, TraceSpanGuard) {
+pub fn root(op: &'static str) -> (TraceContext, TraceSpanGuard<'static>) {
     root_with_id(op, None)
 }
 
@@ -406,11 +439,11 @@ pub fn root(op: &'static str) -> (TraceContext, TraceSpanGuard) {
 /// under the same 128-bit id the client minted, so the flight recorder
 /// holds one client-side and one server-side tree per request, joined by
 /// id. `id == 0` (an untraced remote caller) falls back to a fresh id.
-pub fn root_remote(op: &'static str, id: u128) -> (TraceContext, TraceSpanGuard) {
+pub fn root_remote(op: &'static str, id: u128) -> (TraceContext, TraceSpanGuard<'static>) {
     root_with_id(op, (id != 0).then_some(id))
 }
 
-fn root_with_id(op: &'static str, id: Option<u128>) -> (TraceContext, TraceSpanGuard) {
+fn root_with_id(op: &'static str, id: Option<u128>) -> (TraceContext, TraceSpanGuard<'static>) {
     if !tracing_enabled() {
         return (TraceContext::inactive(), TraceSpanGuard { live: None });
     }
@@ -418,18 +451,17 @@ fn root_with_id(op: &'static str, id: Option<u128>) -> (TraceContext, TraceSpanG
         id: id.unwrap_or_else(next_trace_id),
         op,
         next_span: AtomicU64::new(2),
-        spans: Mutex::new(Vec::with_capacity(16)),
+        spans: Mutex::new(Vec::with_capacity(8)),
     });
     let guard = TraceSpanGuard {
         live: Some(GuardLive {
-            trace: Arc::clone(&trace),
+            trace: Handle::Root(Arc::clone(&trace)),
             id: 1,
             parent: None,
             name: op,
             start_ns: now_ns(),
             args: Vec::new(),
             error: None,
-            root: true,
         }),
     };
     let ctx = TraceContext {
@@ -480,8 +512,9 @@ impl Trace {
     }
 }
 
-fn finalize(trace: &Arc<ActiveTrace>) {
-    let mut spans = std::mem::take(&mut *trace.spans.lock());
+/// Seal a finished trace — its root's `spans`, taken out of `trace` —
+/// into the flight recorder.
+fn finalize(trace: &ActiveTrace, mut spans: Vec<TraceSpan>) {
     spans.sort_by_key(|s| (s.start_ns, s.id));
     let (duration_ns, error) = spans
         .iter()
@@ -506,8 +539,9 @@ fn finalize(trace: &Arc<ActiveTrace>) {
 /// Bounded, lock-cheap store of recently completed traces, and the
 /// `span.{stage}.*` totals folded from them. One global instance
 /// ([`recorder`]) is shared by every `Ada`/`Frontend` in the process —
-/// sealing is one short `Mutex` acquisition per *request* (not per span),
-/// far off any hot loop.
+/// sealing is one short `Mutex` acquisition per *request* (not per span):
+/// under it a span adds to plain integers, and the trace a full ring
+/// pushes out is freed once the lock is released.
 pub struct FlightRecorder {
     /// Latency bound above which a successful trace is retained
     /// (`u64::MAX` disables the threshold).
@@ -520,17 +554,63 @@ pub struct FlightRecorder {
 struct Held {
     recent: VecDeque<Arc<Trace>>,
     retained: VecDeque<Arc<Trace>>,
-    stages: BTreeMap<&'static str, StageTotals>,
+    /// Every stage's totals, in the order its name was first sealed.
+    stages: Vec<(&'static str, StageTotals)>,
+    /// Where a span name's totals are, by the name's address and length:
+    /// a seal finds them without reading the name. Two copies of one name
+    /// (each crate that spells it may hold its own) find the same entry.
+    by_addr: HashMap<(usize, usize), usize, BuildHasherDefault<AddrHasher>>,
+}
+
+impl Held {
+    fn stage(&mut self, name: &'static str) -> &mut StageTotals {
+        let addr = (name.as_ptr() as usize, name.len());
+        let k = match self.by_addr.get(&addr) {
+            Some(&k) => k,
+            None => {
+                let seen = self.stages.iter().position(|(n, _)| *n == name);
+                let k = seen.unwrap_or_else(|| {
+                    self.stages.push((name, StageTotals::default()));
+                    self.stages.len() - 1
+                });
+                self.by_addr.insert(addr, k);
+                k
+            }
+        };
+        &mut self.stages[k].1
+    }
 }
 
 /// One stage's `span.{stage}.*` family: every sealed span of that name
-/// adds its duration, one call, and its `bytes` / `frames` args.
+/// adds its duration (its count is the stage's calls) and its `bytes` /
+/// `frames` args.
 #[derive(Default)]
 struct StageTotals {
-    ns: Histogram,
-    calls: u64,
+    ns: Tally,
     bytes: u64,
     frames: u64,
+}
+
+/// The address map's hasher: rustc's FxHash, a rotate, xor and multiply
+/// per word — a few nanoseconds where `std`'s SipHash costs more than the
+/// rest of a span's fold, and the same on every run.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -566,27 +646,34 @@ impl FlightRecorder {
         self.threshold_ns.store(ns, Ordering::Relaxed);
     }
 
-    fn push(ring: &mut VecDeque<Arc<Trace>>, trace: Arc<Trace>, cap: usize) {
+    /// Append `trace` to `ring` and hand back the oldest trace when that
+    /// took the ring past `cap`.
+    fn push(ring: &mut VecDeque<Arc<Trace>>, trace: Arc<Trace>, cap: usize) -> Option<Arc<Trace>> {
         ring.push_back(trace);
-        while ring.len() > cap {
-            ring.pop_front();
-        }
+        (ring.len() > cap).then(|| ring.pop_front()).flatten()
     }
 
-    /// Fold a sealed trace's spans into the stage totals and hold it.
+    /// Fold a sealed trace's spans into the stage totals and hold it. The
+    /// traces this pushes out of the rings are freed after the lock.
     fn seal(&self, trace: Arc<Trace>) {
-        let mut held = self.held.lock();
-        for s in &trace.spans {
-            let t = held.stages.entry(s.name).or_default();
-            t.ns.record(s.duration_ns());
-            t.calls += 1;
-            t.bytes += s.arg_u64("bytes").unwrap_or(0);
-            t.frames += s.arg_u64("frames").unwrap_or(0);
-        }
-        if trace.is_flagged() {
-            Self::push(&mut held.retained, Arc::clone(&trace), RETAINED_CAPACITY);
-        }
-        Self::push(&mut held.recent, trace, RECENT_CAPACITY);
+        let _evicted = {
+            let mut held = self.held.lock();
+            for s in &trace.spans {
+                let t = held.stage(s.name);
+                t.ns.record(s.duration_ns());
+                t.bytes += s.arg_u64("bytes").unwrap_or(0);
+                t.frames += s.arg_u64("frames").unwrap_or(0);
+            }
+            let retained = if trace.is_flagged() {
+                Self::push(&mut held.retained, Arc::clone(&trace), RETAINED_CAPACITY)
+            } else {
+                None
+            };
+            (
+                Self::push(&mut held.recent, trace, RECENT_CAPACITY),
+                retained,
+            )
+        };
     }
 
     /// The recent completed traces, oldest first.
@@ -625,8 +712,9 @@ impl FlightRecorder {
     pub fn write_metrics(&self, snap: &mut Snapshot) {
         let held = self.held.lock();
         for (stage, t) in &held.stages {
-            snap.histogram(&key(&["span", stage, "ns"]), &t.ns);
-            snap.counter(&key(&["span", stage, "calls"]), t.calls);
+            let ns = t.ns.snapshot();
+            snap.histograms.insert(key(&["span", stage, "ns"]), ns);
+            snap.counter(&key(&["span", stage, "calls"]), ns.count);
             snap.nonzero(&key(&["span", stage, "bytes"]), t.bytes);
             snap.nonzero(&key(&["span", stage, "frames"]), t.frames);
         }
@@ -851,6 +939,21 @@ mod tests {
         // Un-annotated stages leave no zero-valued byte/frame counters.
         assert!(!snap.counters.contains_key("span.test.fold_op.bytes"));
         assert!(!snap.counters.contains_key("span.test.fold_op.frames"));
+    }
+
+    #[test]
+    fn a_name_spelled_twice_is_one_stage() {
+        let _g = crate::test_guard();
+        // Two copies of one name at two addresses, as two crates may hold.
+        let copy: &'static str = Box::leak(String::from("test.twice").into_boxed_str());
+        let (ctx, guard) = root("test.twice_op");
+        ctx.span("test.twice").arg("bytes", 3u64);
+        ctx.span(copy).arg("bytes", 4u64);
+        drop(guard);
+        let snap = stage_metrics();
+        assert_eq!(snap.counters["span.test.twice.calls"], 2);
+        assert_eq!(snap.counters["span.test.twice.bytes"], 7);
+        assert_eq!(snap.histograms["span.test.twice.ns"].count, 2);
     }
 
     #[test]

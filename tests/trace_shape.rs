@@ -1,0 +1,235 @@
+//! The sealed trace of two requests, pinned span by span: a warm
+//! `Frontend::query_range` cache hit and a cache-off `Frontend::query`.
+//! Each span's name, parent, args (keys and values) and thread is
+//! written out here, so a change to how spans are recorded cannot drop,
+//! rename or re-parent one, lose an arg, or move a span to another thread
+//! without failing this suite. Only the queue wait's `waited_ns` is a
+//! clock reading; its key and kind are pinned, not its value.
+//!
+//! The flight recorder is process-global: the tests serialize on a local
+//! mutex and read a recorder they cleared just before their request.
+
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use ada_cache::CacheConfig;
+use ada_core::{Ada, AdaConfig, IngestInput, QueryReport, RetrievedData};
+use ada_frontend::{Frontend, FrontendConfig};
+use ada_mdformats::xtcf::parse_directory;
+use ada_mdmodel::Tag;
+use ada_plfs::ContainerSet;
+use ada_simfs::{LocalFs, SimFileSystem};
+use ada_telemetry::trace::{self, ArgValue, Trace, TraceSpan};
+
+static GUARD: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    GUARD.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// A front-end over an SSD/HDD `Ada` holding `d`: 64 frames (one stored
+/// chunk per tag) of a 600-atom system.
+fn stack(config: AdaConfig) -> Frontend {
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
+    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
+    let cs = Arc::new(ContainerSet::new(vec![
+        ("ssd".into(), ssd.clone()),
+        ("hdd".into(), hdd),
+    ]));
+    let fe = Frontend::new(
+        Arc::new(Ada::new(config, cs, ssd)),
+        FrontendConfig::default(),
+    );
+    let w = ada_workload::gpcr_workload(600, 64, 47);
+    let input = IngestInput::Real {
+        pdb_text: ada_mdformats::write_pdb(&w.system),
+        xtc_bytes: ada_mdformats::xtc::write_xtc(
+            &w.trajectory,
+            ada_mdformats::xtc::DEFAULT_PRECISION,
+        )
+        .unwrap(),
+    };
+    fe.ingest("c0", "d", input).unwrap();
+    fe
+}
+
+/// Run `request` against a cleared recorder; its reply and the one trace
+/// it sealed, spans in id order.
+fn sealed(request: impl FnOnce() -> QueryReport) -> (QueryReport, Vec<TraceSpan>) {
+    trace::recorder().clear();
+    let reply = request();
+    let traces: Vec<Arc<Trace>> = trace::recorder().recent();
+    assert_eq!(traces.len(), 1, "one request seals one trace");
+    let mut spans = traces[0].spans.clone();
+    spans.sort_by_key(|s| s.id);
+    (reply, spans)
+}
+
+/// The answer's frames and the bytes `query.reassemble` reports for them.
+fn frames_and_bytes(reply: &QueryReport) -> (u64, u64) {
+    match &reply.data {
+        RetrievedData::Real(t) => (t.len() as u64, t.nbytes() as u64),
+        other => panic!("expected frames, got {:?}", other),
+    }
+}
+
+fn s(v: &str) -> ArgValue {
+    ArgValue::Str(v.to_string())
+}
+
+/// One pinned span: id, name, parent, args. `None` for an arg value is a
+/// clock reading: only its key and that it is a `U64` are pinned.
+type Pinned = (
+    u64,
+    &'static str,
+    Option<u64>,
+    Vec<(&'static str, Option<ArgValue>)>,
+);
+
+fn assert_spans(spans: &[TraceSpan], pinned: &[Pinned]) {
+    let got: Vec<(u64, &str, Option<u64>)> =
+        spans.iter().map(|s| (s.id, s.name, s.parent)).collect();
+    let want: Vec<(u64, &str, Option<u64>)> = pinned.iter().map(|p| (p.0, p.1, p.2)).collect();
+    assert_eq!(got, want, "span ids, names and parents");
+    for (span, (_, name, _, args)) in spans.iter().zip(pinned) {
+        let keys: Vec<&str> = span.args.iter().map(|(k, _)| *k).collect();
+        let want_keys: Vec<&str> = args.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, want_keys, "{} arg keys", name);
+        for ((key, got), (_, want)) in span.args.iter().zip(args) {
+            match want {
+                Some(v) => assert_eq!(got, v, "{} arg {}", name, key),
+                None => assert!(
+                    matches!(got, ArgValue::U64(_)),
+                    "{} arg {}: {:?}",
+                    name,
+                    key,
+                    got
+                ),
+            }
+        }
+        assert_eq!(span.error, None, "{} error", name);
+    }
+}
+
+#[test]
+fn a_warm_range_hit_seals_seven_spans_on_the_callers_thread() {
+    let _g = serialize();
+    trace::set_tracing(true);
+    let cache = CacheConfig {
+        min_heat: 0,
+        ..CacheConfig::with_capacity(64 << 20)
+    };
+    let fe = stack(AdaConfig {
+        cache,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    });
+    let p = Tag::protein();
+    // The first read decodes the window's chunk and leaves it resident.
+    fe.query_range("c0", "d", &p, 16..32, 1).unwrap();
+    let (reply, spans) = sealed(|| fe.query_range("c0", "d", &p, 16..32, 1).unwrap());
+    let (frames, bytes) = frames_and_bytes(&reply);
+    assert_eq!(frames, 16);
+
+    let u = |n: u64| Some(ArgValue::U64(n));
+    assert_spans(
+        &spans,
+        &[
+            (
+                1,
+                "frontend.request",
+                None,
+                vec![("op", Some(s("query_range"))), ("client", Some(s("c0")))],
+            ),
+            (2, "frontend.queue_wait", Some(1), vec![("waited_ns", None)]),
+            (3, "frontend.execute", Some(1), vec![]),
+            (4, "ada.query_range", Some(3), vec![]),
+            (5, "query.index", Some(4), vec![]),
+            (
+                6,
+                "cache.lookup",
+                Some(4),
+                vec![("hits", u(1)), ("misses", u(0))],
+            ),
+            (
+                7,
+                "query.reassemble",
+                Some(4),
+                vec![("bytes", u(bytes)), ("frames", u(frames))],
+            ),
+        ],
+    );
+    // An all-hit request checks no stored chunk, so it runs inline: every
+    // span is the caller's.
+    let caller = &spans[0].thread;
+    for span in &spans {
+        assert_eq!(&span.thread, caller, "{} ran off the caller", span.name);
+    }
+}
+
+#[test]
+fn a_cache_off_query_decodes_and_reassembles_on_its_one_worker() {
+    let _g = serialize();
+    trace::set_tracing(true);
+    let fe = stack(AdaConfig {
+        query_threads: 1,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    });
+    let p = Tag::protein();
+    let (reply, spans) = sealed(|| fe.query("c0", "d", Some(&p)).unwrap());
+    let (frames, bytes) = frames_and_bytes(&reply);
+    assert_eq!(frames, 64);
+
+    // What the stored dropping holds: its length, and its one chunk's body.
+    let label = fe.ada().label("d").unwrap();
+    let record = &label.entry(&p).unwrap().dropping;
+    let (content, _) = fe.ada().containers().read_dropping(record).unwrap();
+    let dir = parse_directory(content.bytes()).unwrap().unwrap();
+    assert_eq!(dir.nchunks(), 1);
+    let body = dir.entries[0].body_len() as u64;
+
+    let u = |n: u64| Some(ArgValue::U64(n));
+    assert_spans(
+        &spans,
+        &[
+            (
+                1,
+                "frontend.request",
+                None,
+                vec![("op", Some(s("query"))), ("client", Some(s("c0")))],
+            ),
+            (2, "frontend.queue_wait", Some(1), vec![("waited_ns", None)]),
+            (3, "frontend.execute", Some(1), vec![]),
+            (4, "ada.query", Some(3), vec![]),
+            (5, "query.index", Some(4), vec![]),
+            (6, "query.read", Some(4), vec![("bytes", u(content.len()))]),
+            (
+                7,
+                "query.decode",
+                Some(4),
+                vec![
+                    ("tag", Some(s("p"))),
+                    ("chunk", u(0)),
+                    ("bytes", u(body)),
+                    ("frames", u(frames)),
+                ],
+            ),
+            (
+                8,
+                "query.reassemble",
+                Some(4),
+                vec![("bytes", u(bytes)), ("frames", u(frames))],
+            ),
+        ],
+    );
+    // The caller admits, indexes and reads; the pool's one worker checks
+    // the chunk and writes the answer.
+    let caller = &spans[0].thread;
+    for span in &spans[..6] {
+        assert_eq!(&span.thread, caller, "{} ran off the caller", span.name);
+    }
+    let worker = &spans[6].thread;
+    assert_ne!(worker, caller, "the decode ran on the caller");
+    assert_eq!(
+        &spans[7].thread, worker,
+        "reassemble left the decode's worker"
+    );
+}
