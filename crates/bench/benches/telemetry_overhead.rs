@@ -10,8 +10,9 @@
 //!
 //! A second group measures request *tracing* the same way: a full
 //! ingest+query roundtrip through the `Ada` facade (which mints a trace
-//! root and records a span tree per request) with tracing on vs
-//! `trace::set_tracing(false)`. Tracing must fit the same <2 % budget.
+//! root in its stack's recorder and records a span tree per request) with
+//! telemetry on vs `set_enabled(false)`, the one switch. Tracing must fit
+//! the same <2 % budget.
 //!
 //! The <2 % regression assertions are off by default (Criterion
 //! wall-clock noise on shared CI would flake them); opt in with
@@ -24,14 +25,14 @@ use ada_mdmodel::category::Taxonomy;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
-use ada_telemetry::trace;
+use ada_telemetry::trace::FlightRecorder;
 use ada_workload::gpcr_workload;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn split_instrumented(traj: &Trajectory, labeler: &Labeler) -> u64 {
-    let (ctx, _root) = trace::root("bench.request");
+fn split_instrumented(traj: &Trajectory, labeler: &Labeler, rec: &FlightRecorder) -> u64 {
+    let (ctx, _root) = rec.root("bench.request");
     let mut s = ctx.span("bench.split");
     let out = split_trajectory(traj, labeler).unwrap();
     s.arg("bytes", out.raw_bytes);
@@ -40,10 +41,10 @@ fn split_instrumented(traj: &Trajectory, labeler: &Labeler) -> u64 {
 }
 
 /// Mean ns per instrumented split over `reps` runs.
-fn measure(traj: &Trajectory, labeler: &Labeler, reps: u32) -> f64 {
+fn measure(traj: &Trajectory, labeler: &Labeler, rec: &FlightRecorder, reps: u32) -> f64 {
     let t = Instant::now();
     for _ in 0..reps {
-        black_box(split_instrumented(traj, labeler));
+        black_box(split_instrumented(traj, labeler, rec));
     }
     t.elapsed().as_nanos() as f64 / f64::from(reps)
 }
@@ -51,6 +52,7 @@ fn measure(traj: &Trajectory, labeler: &Labeler, reps: u32) -> f64 {
 fn bench_overhead(c: &mut Criterion) {
     let w = gpcr_workload(20_000, 6, 5);
     let labeler = categorize_algo1(&w.system, &Taxonomy::paper_default());
+    let rec = FlightRecorder::new();
 
     let mut g = c.benchmark_group("telemetry_overhead");
     g.sample_size(10);
@@ -60,11 +62,11 @@ fn bench_overhead(c: &mut Criterion) {
 
     ada_telemetry::set_enabled(true);
     g.bench_function("split_telemetry_enabled", |b| {
-        b.iter(|| split_instrumented(&w.trajectory, &labeler))
+        b.iter(|| split_instrumented(&w.trajectory, &labeler, &rec))
     });
     ada_telemetry::set_enabled(false);
     g.bench_function("split_telemetry_disabled", |b| {
-        b.iter(|| split_instrumented(&w.trajectory, &labeler))
+        b.iter(|| split_instrumented(&w.trajectory, &labeler, &rec))
     });
     ada_telemetry::set_enabled(true);
     g.finish();
@@ -72,13 +74,13 @@ fn bench_overhead(c: &mut Criterion) {
     if std::env::var("ADA_TELEMETRY_OVERHEAD_ASSERT").as_deref() == Ok("1") {
         // Interleave the two modes so drift hits both equally; warm up first.
         let (reps, rounds) = (8, 5);
-        measure(&w.trajectory, &labeler, reps);
+        measure(&w.trajectory, &labeler, &rec, reps);
         let (mut on, mut off) = (0.0, 0.0);
         for _ in 0..rounds {
             ada_telemetry::set_enabled(true);
-            on += measure(&w.trajectory, &labeler, reps);
+            on += measure(&w.trajectory, &labeler, &rec, reps);
             ada_telemetry::set_enabled(false);
-            off += measure(&w.trajectory, &labeler, reps);
+            off += measure(&w.trajectory, &labeler, &rec, reps);
         }
         ada_telemetry::set_enabled(true);
         let overhead = on / off - 1.0;
@@ -108,7 +110,7 @@ fn tracing_bench_ada() -> Ada {
 
 /// One traced request pair: ingest a fresh dataset (unique name per rep
 /// — ingest refuses to overwrite), query the protein tag, delete. Each
-/// call mints a trace root and records its span tree when tracing is on.
+/// call mints a trace root and records its span tree when telemetry is on.
 fn roundtrip(ada: &Ada, pdb_text: &str, xtc_bytes: &[u8], rep: u64) -> u64 {
     let dataset = format!("ovh{}", rep);
     ada.ingest(
@@ -149,21 +151,21 @@ fn bench_tracing_overhead(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     g.throughput(Throughput::Bytes(w.trajectory.nbytes() as u64));
 
-    trace::set_tracing(true);
-    g.bench_function("ingest_query_tracing_enabled", |b| {
+    ada_telemetry::set_enabled(true);
+    g.bench_function("ingest_query_telemetry_enabled", |b| {
         b.iter(|| {
             rep += 1;
             roundtrip(&ada, &pdb_text, &xtc_bytes, rep)
         })
     });
-    trace::set_tracing(false);
-    g.bench_function("ingest_query_tracing_disabled", |b| {
+    ada_telemetry::set_enabled(false);
+    g.bench_function("ingest_query_telemetry_disabled", |b| {
         b.iter(|| {
             rep += 1;
             roundtrip(&ada, &pdb_text, &xtc_bytes, rep)
         })
     });
-    trace::set_tracing(true);
+    ada_telemetry::set_enabled(true);
     g.finish();
 
     if std::env::var("ADA_TELEMETRY_OVERHEAD_ASSERT").as_deref() == Ok("1") {
@@ -171,13 +173,12 @@ fn bench_tracing_overhead(c: &mut Criterion) {
         measure_roundtrip(&ada, &pdb_text, &xtc_bytes, reps, &mut rep);
         let (mut on, mut off) = (0.0, 0.0);
         for _ in 0..rounds {
-            trace::set_tracing(true);
+            ada_telemetry::set_enabled(true);
             on += measure_roundtrip(&ada, &pdb_text, &xtc_bytes, reps, &mut rep);
-            trace::set_tracing(false);
+            ada_telemetry::set_enabled(false);
             off += measure_roundtrip(&ada, &pdb_text, &xtc_bytes, reps, &mut rep);
         }
-        trace::set_tracing(true);
-        trace::recorder().clear();
+        ada_telemetry::set_enabled(true);
         let overhead = on / off - 1.0;
         println!(
             "tracing overhead on ingest+query roundtrip: {:+.3}% (enabled {:.2} ms, disabled {:.2} ms)",

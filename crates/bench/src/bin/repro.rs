@@ -9,12 +9,13 @@
 //! cargo run --release -p ada-bench --bin repro -- trace --trace-out trace.json
 //! ```
 //!
-//! `--metrics-out <path>` writes, as JSON, the flight recorder's
-//! `span.{stage}.*` family and trace summaries, plus — for `serve` and
-//! `trace`, the two items that build a serving stack — that stack's own
-//! metrics (server, front-end, `Ada`, cache, containers, client). The
-//! paper items hold no long-lived stack, so for them it is the recorder's
-//! part alone.
+//! `--metrics-out <path>` writes, as JSON, the metrics of the serving
+//! stack that `serve` and `trace` build (server, front-end, `Ada` with
+//! its flight recorder's `span.{stage}.*` family, cache, containers, and
+//! the client with its own recorder's) and each recorder's trace
+//! summaries; `--trace-out <path>` exports those recorders' traces as
+//! Chrome trace-event JSON. The paper items hold no long-lived stack, so
+//! for them both are empty.
 
 // A CLI: stdout and stderr are its interface, and a panic aborts one run.
 #![allow(
@@ -30,21 +31,21 @@ use ada_mdmodel::Tag;
 use ada_platforms::figures::{fig10, fig7, fig8, fig9, table1, table2, table6};
 use ada_platforms::report::{fmt_secs, format_table};
 use ada_platforms::Platform;
+use ada_telemetry::trace::{chrome_trace, FlightRecorder, Trace};
 use ada_telemetry::Snapshot;
 use ada_vmdsim::render_frame;
+use std::sync::Arc;
 
 /// The command-line flags, parsed once and handed to every item.
 struct Flags {
-    /// `--metrics-out <path>`: after the items ran, write as JSON the
-    /// metrics of the stack an item kept (`serve`, `trace`) and the flight
-    /// recorder's — its `span.{stage}.*` family and trace summaries.
+    /// `--metrics-out <path>`: after the items ran, write as JSON what
+    /// they kept: the metrics of the stack an item built (`serve`,
+    /// `trace`) and its recorders' trace summaries.
     metrics_out: Option<String>,
-    /// `--trace-out <path>`: after the items ran, export the flight
-    /// recorder's traces as Chrome trace-event JSON (Perfetto-loadable).
+    /// `--trace-out <path>`: after the items ran, export the traces of
+    /// the recorders they kept as Chrome trace-event JSON
+    /// (Perfetto-loadable).
     trace_out: Option<String>,
-    /// `--selftest` (`trace`): validate the emitted Chrome trace and the
-    /// span trees, exiting non-zero on any violation. A CI gate.
-    selftest: bool,
     /// `--port <N>` (`serve`): TCP port to bind; 0 picks a free one.
     port: u16,
     /// `--smoke` (`serve`): round-trip a loopback client against the live
@@ -52,9 +53,27 @@ struct Flags {
     smoke: bool,
 }
 
+/// What the items that build a serving stack keep for the exports.
+#[derive(Default)]
+struct Kept {
+    /// The stack's metrics, its recorders' `span.*` families among them.
+    metrics: Snapshot,
+    /// Each kept recorder's trace summaries.
+    summaries: Vec<ada_json::Value>,
+    /// Every trace the kept recorders hold.
+    traces: Vec<Arc<Trace>>,
+}
+
+impl Kept {
+    fn keep(&mut self, recorder: &FlightRecorder) {
+        self.summaries.push(recorder.to_json());
+        self.traces.extend(recorder.all());
+    }
+}
+
 /// `(name, in_all, run)`. An item that builds a serving stack writes its
-/// metrics into the snapshot it is handed.
-type Item = (&'static str, bool, fn(&Flags, &mut Snapshot));
+/// metrics and its recorders into what it is handed.
+type Item = (&'static str, bool, fn(&Flags, &mut Kept));
 
 /// Every item `repro` runs: the dispatch, the expansion of `all` (the
 /// `in_all` rows, in this order) and the usage text.
@@ -84,8 +103,8 @@ const ITEMS: &[Item] = &[
     ("playback", true, |_, _| print_playback()),
     ("amortization", true, |_, _| print_amortization()),
     ("contention", true, |_, _| print_contention()),
-    ("serve", false, |f, stack| serve(f.port, f.smoke, stack)),
-    ("trace", false, |f, stack| run_trace(f.selftest, stack)),
+    ("serve", false, |f, kept| serve(f.port, f.smoke, kept)),
+    ("trace", false, |_, kept| run_trace(kept)),
 ];
 
 /// Remove flag `name` from `args` and report whether it was there; with
@@ -113,7 +132,7 @@ fn usage_and_exit(unknown: &str) -> ! {
     eprintln!("usage: repro [flags] [item...]   (no item = all)");
     eprintln!("  all:   {}", names(true));
     eprintln!("  other: {}", names(false));
-    eprintln!("  flags: --metrics-out <path> --trace-out <path> --selftest --port <N> --smoke");
+    eprintln!("  flags: --metrics-out <path> --trace-out <path> --port <N> --smoke");
     std::process::exit(2);
 }
 
@@ -122,7 +141,6 @@ fn main() {
     let flags = Flags {
         metrics_out: take_flag(&mut args, "--metrics-out", true),
         trace_out: take_flag(&mut args, "--trace-out", true),
-        selftest: take_flag(&mut args, "--selftest", false).is_some(),
         port: take_flag(&mut args, "--port", true).map_or(0, |p| {
             p.parse().unwrap_or_else(|_| {
                 eprintln!("--port needs a numeric value");
@@ -132,7 +150,7 @@ fn main() {
         smoke: take_flag(&mut args, "--smoke", false).is_some(),
     };
     let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let wanted: Vec<fn(&Flags, &mut Snapshot)> = if all {
+    let wanted: Vec<fn(&Flags, &mut Kept)> = if all {
         let in_all = ITEMS.iter().filter(|item| item.1);
         in_all.map(|item| item.2).collect()
     } else {
@@ -141,18 +159,21 @@ fn main() {
             .map(|a| find(a).unwrap_or_else(|| usage_and_exit(a)).2)
             .collect()
     };
-    let mut stack = Snapshot::default();
+    let mut kept = Kept::default();
     for run in wanted {
-        run(&flags, &mut stack);
+        run(&flags, &mut kept);
     }
 
     if let Some(path) = &flags.metrics_out {
-        let snap = ada_telemetry::snapshot_with_traces(stack);
+        let mut snap = kept.metrics.to_json();
+        if let ada_json::Value::Obj(fields) = &mut snap {
+            fields.push(("traces".to_string(), ada_json::Value::Arr(kept.summaries)));
+        }
         std::fs::write(path, snap.to_vec()).expect("write metrics snapshot");
         eprintln!("wrote metrics snapshot to {}", path);
     }
     if let Some(path) = &flags.trace_out {
-        let json = ada_telemetry::trace::recorder().export_chrome();
+        let json = chrome_trace(&kept.traces);
         std::fs::write(path, json.to_vec()).expect("write chrome trace");
         eprintln!("wrote chrome trace to {}", path);
     }
@@ -161,29 +182,22 @@ fn main() {
 /// `repro trace` — run a small mixed workload through the front-end (an
 /// ingest, tag/full/range queries, one failing request, and the tag query
 /// once more over loopback TCP, where it is forwarded), then export the
-/// flight recorder's span trees as `TRACE_events.json` (Chrome
-/// trace-event JSON — load it in Perfetto or chrome://tracing). With
-/// `--selftest`, re-parse the export and validate the event schema, the
-/// tree invariants CI cares about, and that every sealed span reached its
-/// `span.{stage}.calls` counter, exiting non-zero on violation. The
-/// stack's metrics go into `stack`.
-fn run_trace(selftest: bool, stack: &mut Snapshot) {
-    use ada_core::{ErrorKind, IngestInput};
+/// stack's and the client's span trees as `TRACE_events.json` (Chrome
+/// trace-event JSON — load it in Perfetto or chrome://tracing). The
+/// stack's metrics and both recorders go into `kept`.
+fn run_trace(kept: &mut Kept) {
+    use ada_core::IngestInput;
     use ada_frontend::{Frontend, FrontendConfig};
-    use ada_json::Value;
     use ada_mdformats::write_pdb;
     use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-    use std::sync::Arc;
-
-    let recorder = ada_telemetry::trace::recorder();
-    recorder.clear();
-    recorder.set_latency_threshold(Some(std::time::Duration::from_millis(250)));
 
     let w = ada_workload::gpcr_workload(2_000, 100, 7);
     let fe = Arc::new(Frontend::new(
         Arc::new(hybrid_ada(2)),
         FrontendConfig::default(),
     ));
+    let recorder = fe.flight_recorder();
+    recorder.set_latency_threshold(Some(std::time::Duration::from_millis(250)));
     fe.ingest(
         "demo-client",
         "demo",
@@ -199,11 +213,11 @@ fn run_trace(selftest: bool, stack: &mut Snapshot) {
     fe.query_range("demo-client", "demo", &Tag::protein(), 0..64, 4)
         .expect("range query");
     // One failing request, so the export demonstrates a flagged trace.
-    let err = fe
-        .query("demo-client", "no-such-dataset", None)
+    fe.query("demo-client", "no-such-dataset", None)
         .expect_err("unknown dataset must fail");
-    // The tag query again, as a compute node sends it: two trees under one
-    // id, and on the server's a `server.send` where the decode would be.
+    // The tag query again, as a compute node sends it: one tree in the
+    // client's recorder and one in the stack's under the same id, and on
+    // the stack's a `server.send` where the decode would be.
     let mut server =
         ada_server::Server::start(Arc::clone(&fe), Default::default()).expect("loopback server");
     let client = ada_client::Client::new(server.local_addr().to_string(), Default::default());
@@ -211,13 +225,13 @@ fn run_trace(selftest: bool, stack: &mut Snapshot) {
         .query("demo", Some("p"))
         .expect("remote protein query");
     server.shutdown();
-    server.write_metrics(stack);
-    client.write_metrics(stack);
+    server.write_metrics(&mut kept.metrics);
+    client.write_metrics(&mut kept.metrics);
 
-    let traces = recorder.all();
-    let retained = recorder.retained();
+    let traces = [recorder.all(), client.flight_recorder().all()].concat();
+    let retained = [recorder.retained(), client.flight_recorder().retained()].concat();
     let spans: usize = traces.iter().map(|t| t.spans.len()).sum();
-    let json = recorder.export_chrome();
+    let json = chrome_trace(&traces);
     std::fs::write("TRACE_events.json", json.to_vec()).expect("write TRACE_events.json");
     println!(
         "repro trace: {} trace(s), {} span(s), {} retained (flagged: {:?})",
@@ -230,143 +244,8 @@ fn run_trace(selftest: bool, stack: &mut Snapshot) {
             .collect::<Vec<_>>()
     );
     println!("  wrote TRACE_events.json — open in Perfetto or chrome://tracing\n");
-
-    if !selftest {
-        return;
-    }
-    let mut failures: Vec<String> = Vec::new();
-    let mut check = |ok: bool, msg: &str| {
-        if !ok {
-            failures.push(msg.to_string());
-        }
-    };
-
-    check(
-        err.error_kind() == ErrorKind::UnknownDataset,
-        "failing request kind",
-    );
-    check(
-        traces.len() == 7,
-        "expected 7 traces (1 ingest, 4 queries, the remote query from both ends)",
-    );
-    let forwarded = traces.iter().any(|t| {
-        let sent_stored = |s: &ada_telemetry::trace::TraceSpan| {
-            s.name == "server.send"
-                && s.arg("forwarded") == Some(&ada_telemetry::trace::ArgValue::Str("true".into()))
-        };
-        t.spans.iter().any(sent_stored) && t.spans.iter().all(|s| s.name != "query.decode")
-    });
-    check(
-        forwarded,
-        "remote tag query forwarded: server.send, no query.decode",
-    );
-    check(
-        retained
-            .iter()
-            .any(|t| t.flag.as_deref() == Some("error:unknown_dataset")),
-        "errored trace retained with its kind",
-    );
-    for t in &traces {
-        check(
-            t.spans.iter().filter(|s| s.parent.is_none()).count() == 1,
-            "exactly one root span per trace",
-        );
-        for s in &t.spans {
-            if let Some(p) = s.parent {
-                check(
-                    t.spans.iter().any(|o| o.id == p),
-                    "parent links resolve within the trace",
-                );
-            }
-        }
-    }
-    check(
-        traces.iter().any(|t| {
-            let threads: std::collections::BTreeSet<&str> =
-                t.spans.iter().map(|s| &*s.thread).collect();
-            threads.len() >= 2
-        }),
-        "at least one trace crosses a thread boundary",
-    );
-
-    // The seal is the only feed of the `span.*` family: since the recorder
-    // was cleared, each stage counted exactly its spans in the sealed
-    // traces, and no stage counted a span that is not among them.
-    let mut sealed: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    for s in traces.iter().flat_map(|t| &t.spans) {
-        *sealed
-            .entry(ada_telemetry::key(&["span", s.name, "calls"]))
-            .or_insert(0) += 1;
-    }
-    let mut spans_family = Snapshot::default();
-    recorder.write_metrics(&mut spans_family);
-    let calls: std::collections::BTreeMap<String, u64> = spans_family
-        .counters
-        .into_iter()
-        .filter(|(name, _)| name.ends_with(".calls"))
-        .collect();
-    check(
-        calls == sealed,
-        &format!(
-            "span.{{stage}}.calls {:?} != sealed spans per stage {:?}",
-            calls, sealed
-        ),
-    );
-
-    // Round-trip the written file through the JSON parser and validate
-    // the Chrome trace-event schema.
-    let bytes = std::fs::read("TRACE_events.json").expect("read back TRACE_events.json");
-    match ada_json::parse(&bytes) {
-        Err(e) => check(false, &format!("export must re-parse: {:?}", e)),
-        Ok(parsed) => match parsed.field("traceEvents").and_then(Value::as_arr) {
-            Err(_) => check(false, "export must contain a traceEvents array"),
-            Ok(events) => {
-                check(!events.is_empty(), "traceEvents must be non-empty");
-                let mut xs = 0usize;
-                for ev in events {
-                    let ph = ev.field("ph").and_then(Value::as_str).unwrap_or("");
-                    check(ph == "X" || ph == "M", "event phase must be X or M");
-                    check(
-                        ev.field("name").and_then(Value::as_str).is_ok(),
-                        "event name",
-                    );
-                    check(ev.field("pid").and_then(Value::as_u64).is_ok(), "event pid");
-                    check(ev.field("tid").and_then(Value::as_u64).is_ok(), "event tid");
-                    if ph == "X" {
-                        xs += 1;
-                        check(
-                            matches!(ev.field("ts"), Ok(Value::Num(n)) if *n >= 0.0),
-                            "X event ts",
-                        );
-                        check(
-                            matches!(ev.field("dur"), Ok(Value::Num(n)) if *n >= 0.0),
-                            "X event dur",
-                        );
-                        check(
-                            ev.field("args")
-                                .and_then(|a| a.field("trace"))
-                                .and_then(Value::as_str)
-                                .is_ok(),
-                            "X event args.trace id",
-                        );
-                    }
-                }
-                check(xs == spans, "one X event per recorded span");
-            }
-        },
-    }
-
-    recorder.set_latency_threshold(None);
-    if failures.is_empty() {
-        println!("repro trace --selftest: ok ({} spans validated)\n", spans);
-    } else {
-        failures.sort();
-        failures.dedup();
-        for f in &failures {
-            eprintln!("repro trace --selftest: FAIL: {}", f);
-        }
-        std::process::exit(1);
-    }
+    kept.keep(recorder);
+    kept.keep(client.flight_recorder());
 }
 
 fn print_contention() {
@@ -813,7 +692,6 @@ fn print_fig10(which: Option<usize>) {
 fn hybrid_ada(query_threads: usize) -> ada_core::Ada {
     use ada_plfs::ContainerSet;
     use ada_simfs::{LocalFs, SimFileSystem};
-    use std::sync::Arc;
 
     let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
     let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
@@ -834,13 +712,12 @@ fn hybrid_ada(query_threads: usize) -> ada_core::Ada {
 /// live server and the process exits; without it, the daemon serves
 /// until killed. The smoke's stack — the server, the front-end and `Ada`
 /// behind it, and the client — writes its metrics into `stack`.
-fn serve(port: u16, smoke: bool, stack: &mut Snapshot) {
+fn serve(port: u16, smoke: bool, kept: &mut Kept) {
     use ada_client::{Client, ClientConfig};
     use ada_frontend::{Frontend, FrontendConfig};
     use ada_mdformats::write_pdb;
     use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
     use ada_server::{Server, ServerConfig};
-    use std::sync::Arc;
     use std::time::Duration;
 
     let ada = Arc::new(hybrid_ada(0));
@@ -849,7 +726,7 @@ fn serve(port: u16, smoke: bool, stack: &mut Snapshot) {
         addr: format!("127.0.0.1:{}", port),
         ..ServerConfig::default()
     };
-    let mut server = match Server::start(fe, config) {
+    let mut server = match Server::start(Arc::clone(&fe), config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("ada-server failed to start: {}", e);
@@ -879,8 +756,10 @@ fn serve(port: u16, smoke: bool, stack: &mut Snapshot) {
             .expect("smoke: query_range");
         let stats = client.cache_stats().expect("smoke: cache stats");
         server.shutdown();
-        server.write_metrics(stack);
-        client.write_metrics(stack);
+        server.write_metrics(&mut kept.metrics);
+        client.write_metrics(&mut kept.metrics);
+        kept.keep(fe.flight_recorder());
+        kept.keep(client.flight_recorder());
         println!(
             "  smoke OK — ingested {} raw bytes; protein query {} decoded B, strided range {} decoded B; cache {} hit(s) / {} miss(es)",
             ing.raw_bytes,
@@ -891,7 +770,8 @@ fn serve(port: u16, smoke: bool, stack: &mut Snapshot) {
         );
         // How the two answers left the server: its `server.send` spans, in
         // request order (ping, ingest, query, range, cache stats).
-        let sends: Vec<String> = ada_telemetry::trace::recorder()
+        let sends: Vec<String> = fe
+            .flight_recorder()
             .all()
             .iter()
             .flat_map(|t| t.spans.iter())

@@ -14,9 +14,9 @@
 //!   `generation` names one commit of the dataset (ADA takes a fresh one
 //!   each time a name is ingested, so a payload decoded before the name
 //!   was deleted and re-ingested is never found under the new commit);
-//! * **sharded**: each shard is an independent `ada_sync::Mutex` over a
-//!   map + CLOCK ring, so concurrent clients on different droppings do not
-//!   serialize on one lock;
+//! * **sharded**: each of its eight shards is an independent
+//!   `ada_sync::Mutex` over a map + CLOCK ring, so concurrent clients on
+//!   different droppings do not serialize on one lock;
 //! * bounded by a **byte budget** split evenly across shards, enforced
 //!   with CLOCK (second-chance) eviction — a hit sets the referenced bit,
 //!   the eviction hand clears it, and only unreferenced entries are
@@ -35,11 +35,13 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use ada_mdformats::Frame;
 use ada_sync::Mutex;
-use ada_telemetry::{Histogram, Snapshot};
+use ada_telemetry::Snapshot;
+
+/// Shards of every cache: the byte budget is split evenly across them.
+const SHARDS: usize = 8;
 
 /// Tuning knobs for the decoded-dropping cache.
 ///
@@ -50,8 +52,6 @@ use ada_telemetry::{Histogram, Snapshot};
 pub struct CacheConfig {
     /// Total byte budget across all shards. `0` disables the cache.
     pub capacity_bytes: u64,
-    /// Number of independent shards (clamped to ≥ 1).
-    pub shards: usize,
     /// Minimum per-tag heat (prior access count) required to admit an
     /// entry. Reads of tags seen fewer times than this bypass the cache.
     pub min_heat: u64,
@@ -61,16 +61,15 @@ impl Default for CacheConfig {
     fn default() -> CacheConfig {
         CacheConfig {
             capacity_bytes: 0,
-            shards: 8,
             min_heat: 2,
         }
     }
 }
 
 impl CacheConfig {
-    /// A cache sized for the sampling workload: the given budget, default
-    /// sharding and the default `min_heat` of 2 — a tag is admitted on its
-    /// third query, once two prior ones have proved it hot.
+    /// A cache sized for the sampling workload: the given budget and the
+    /// default `min_heat` of 2 — a tag is admitted on its third query,
+    /// once two prior ones have proved it hot.
     pub fn with_capacity(capacity_bytes: u64) -> CacheConfig {
         CacheConfig {
             capacity_bytes,
@@ -394,22 +393,21 @@ pub struct DecodedCache {
     shard_budget: u64,
     shards: Vec<Mutex<Shard>>,
     stats: StatsCells,
-    /// Whether lookups are timed into `lookup_ns` (telemetry was on when
-    /// the cache was built).
-    timed: bool,
-    lookup_ns: Histogram,
 }
 
 impl DecodedCache {
     /// Build a cache for `config`. A zero budget yields a disabled cache
     /// whose lookups and inserts are constant-time no-ops.
     pub fn new(config: CacheConfig) -> DecodedCache {
-        let nshards = config.shards.max(1);
+        DecodedCache::sharded(config, SHARDS)
+    }
+
+    /// A cache of `nshards` shards (the unit tests pin eviction order in
+    /// one).
+    fn sharded(config: CacheConfig, nshards: usize) -> DecodedCache {
         let shard_budget = config.capacity_bytes / nshards as u64;
         let shards = (0..nshards).map(|_| Mutex::new(Shard::default())).collect();
         DecodedCache {
-            timed: ada_telemetry::enabled(),
-            lookup_ns: Histogram::new(),
             config,
             shard_budget,
             shards,
@@ -434,7 +432,6 @@ impl DecodedCache {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let start = Instant::now();
         let found = {
             let mut shard = self.shard_for(key).lock();
             match shard.find(key) {
@@ -447,9 +444,6 @@ impl DecodedCache {
                 None => None,
             }
         };
-        if self.timed {
-            self.lookup_ns.record(start.elapsed().as_nanos() as u64);
-        }
         match found {
             Some((payload, cost)) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -596,8 +590,8 @@ impl DecodedCache {
     }
 
     /// Write the `cache.*` metrics, read off [`DecodedCache::stats`]: its
-    /// hit / miss / eviction / bypass counts, resident bytes and their
-    /// high-water mark, and the lookup latency.
+    /// hit / miss / eviction / bypass counts, and resident bytes and their
+    /// high-water mark.
     pub fn write_metrics(&self, snap: &mut Snapshot) {
         let s = self.stats();
         snap.counter("cache.hit", s.hits);
@@ -606,7 +600,6 @@ impl DecodedCache {
         snap.counter("cache.bypass", s.bypasses);
         let (resident, hwm) = (s.resident_bytes as i64, s.resident_hwm as i64);
         snap.gauge("cache.resident_bytes", resident, hwm);
-        snap.histogram("cache.lookup_ns", &self.lookup_ns);
     }
 }
 
@@ -630,12 +623,13 @@ mod tests {
         cache.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
-    fn hot_cache(capacity: u64, shards: usize) -> DecodedCache {
-        DecodedCache::new(CacheConfig {
+    /// A cache of `shards` shards that admits every insert.
+    pub(super) fn hot_cache(capacity: u64, shards: usize) -> DecodedCache {
+        let config = CacheConfig {
             capacity_bytes: capacity,
-            shards,
             min_heat: 0,
-        })
+        };
+        DecodedCache::sharded(config, shards)
     }
 
     #[test]
@@ -679,7 +673,6 @@ mod tests {
     fn cold_tags_bypass_admission() {
         let cache = DecodedCache::new(CacheConfig {
             capacity_bytes: 1 << 20,
-            shards: 2,
             min_heat: 3,
         });
         let key = CacheKey::new("ds", "misc", 0);
@@ -834,6 +827,7 @@ mod tests {
 
 #[cfg(test)]
 mod props {
+    use super::tests::hot_cache;
     use super::*;
     use proptest::prelude::*;
 
@@ -862,11 +856,7 @@ mod props {
             ops in prop::collection::vec((0u8..3, 0u64..24, 1usize..5), 1..120),
         ) {
             let unit = payload_of(8, 1, 0.0).cost();
-            let cache = DecodedCache::new(CacheConfig {
-                capacity_bytes: unit * budget_units,
-                shards,
-                min_heat: 0,
-            });
+            let cache = hot_cache(unit * budget_units, shards);
             for (op, dropping, nframes) in ops {
                 let key = CacheKey::new("ds", "t", dropping);
                 match op {
@@ -891,11 +881,7 @@ mod props {
         ) {
             // Budget for exactly 3 single-frame payloads in one shard.
             let unit = payload_of(8, 1, 0.0).cost();
-            let cache = DecodedCache::new(CacheConfig {
-                capacity_bytes: unit * 3,
-                shards: 1,
-                min_heat: 0,
-            });
+            let cache = hot_cache(unit * 3, 1);
             for dropping in keys {
                 let key = CacheKey::new("ds", "t", dropping);
                 let fresh = payload_of(8, 1, dropping as f32);

@@ -28,7 +28,7 @@ pub use router::{Ring, Router};
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ada_core::AdaError;
 use ada_proto::{
@@ -36,8 +36,8 @@ use ada_proto::{
     WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
 };
 use ada_sync::Mutex;
-use ada_telemetry::trace;
-use ada_telemetry::{Counter, Histogram, Snapshot};
+use ada_telemetry::trace::FlightRecorder;
+use ada_telemetry::{Counter, Snapshot};
 
 /// Tuning knobs for one [`Client`].
 #[derive(Debug, Clone)]
@@ -75,6 +75,9 @@ pub struct Client {
     conn: Mutex<Option<TcpStream>>,
     next_id: AtomicU64,
     metrics: Metrics,
+    /// The client's half of every remote trace: one `client.request` root
+    /// per call, whose id the server's tree adopts.
+    recorder: FlightRecorder,
 }
 
 /// What one client counts (`client.*`).
@@ -83,7 +86,6 @@ struct Metrics {
     requests: Counter,
     errors: Counter,
     connects: Counter,
-    request_ns: Histogram,
 }
 
 impl Client {
@@ -96,18 +98,24 @@ impl Client {
             conn: Mutex::new(None),
             next_id: AtomicU64::new(1),
             metrics: Metrics::default(),
+            recorder: FlightRecorder::new(),
         }
     }
 
-    /// Write this client's `client.*` metrics, each once it has counted.
+    /// Write this client's `client.*` metrics, each once it has counted,
+    /// then its flight recorder's `span.*` family.
     pub fn write_metrics(&self, snap: &mut Snapshot) {
         let m = &self.metrics;
         snap.nonzero("client.requests", m.requests.get());
         snap.nonzero("client.errors", m.errors.get());
         snap.nonzero("client.connects", m.connects.get());
-        if m.request_ns.count() > 0 {
-            snap.histogram("client.request.ns", &m.request_ns);
-        }
+        self.recorder.write_metrics(snap);
+    }
+
+    /// This client's flight recorder: its `client.request` trees, each
+    /// under the id the server's tree of the same request carries.
+    pub fn flight_recorder(&self) -> &FlightRecorder {
+        &self.recorder
     }
 
     /// The server address this client dials.
@@ -187,8 +195,7 @@ impl Client {
     /// (the connection lock is held across the round trip).
     fn request(&self, body: RequestBody) -> Result<ResponseBody, AdaError> {
         self.metrics.requests.inc();
-        let started = Instant::now();
-        let (ctx, mut root) = trace::root("client.request");
+        let (ctx, mut root) = self.recorder.root("client.request");
         root.arg("op", body.op_name());
         root.arg("addr", self.addr.as_str());
         let env = RequestEnvelope {
@@ -214,8 +221,6 @@ impl Client {
             self.metrics.errors.inc();
             root.set_error(e.error_kind().name());
         }
-        let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.metrics.request_ns.record(elapsed);
         result
     }
 

@@ -36,7 +36,7 @@ use ada_plfs::ContainerSet;
 use ada_simfs::SimFileSystem;
 use ada_storagesim::SimDuration;
 use ada_sync::Mutex;
-use ada_telemetry::trace::{TraceContext, TraceSpanGuard};
+use ada_telemetry::trace::{FlightRecorder, TraceContext, TraceSpanGuard};
 use ada_telemetry::{key, Counter, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
@@ -217,6 +217,9 @@ pub struct Ada {
     /// and cache-off runs are measured identically).
     cache: DecodedCache,
     metrics: Metrics,
+    /// Where every trace rooted on this stack seals — by this facade, its
+    /// `Frontend` or its `Server` — and the `span.*` family it writes.
+    recorder: FlightRecorder,
 }
 
 /// Who holds a dataset name. Every transition is made under the dataset
@@ -312,12 +315,13 @@ impl Ada {
             generations: AtomicU64::new(0),
             cache,
             metrics: Metrics::default(),
+            recorder: FlightRecorder::new(),
         }
     }
 
     /// Write this instance's metrics — `ada.{op}.ok` / `ada.{op}.err.{kind}`
-    /// and `xtcf.chunk.*`, each once it has counted — then its cache's and
-    /// its container set's.
+    /// and `xtcf.chunk.*`, each once it has counted — then its flight
+    /// recorder's `span.*` family, its cache's and its container set's.
     pub fn write_metrics(&self, snap: &mut Snapshot) {
         let m = &self.metrics;
         for op in Op::ALL {
@@ -331,6 +335,7 @@ impl Ada {
         snap.nonzero("xtcf.chunk.decoded", m.chunks_checked.get());
         snap.nonzero("xtcf.chunk.skipped", m.chunks_skipped.get());
         snap.nonzero("xtcf.chunk.corrupt", m.chunks_corrupt.get());
+        self.recorder.write_metrics(snap);
         self.cache.write_metrics(snap);
         self.containers().write_metrics(snap);
     }
@@ -438,11 +443,11 @@ impl Ada {
         live.map(|(dataset, _)| dataset.clone()).collect()
     }
 
-    /// The process-wide flight recorder holding recently completed (and
-    /// retained slow/shed/errored) request traces — the per-request
-    /// complement to [`Ada::write_metrics`] (DESIGN.md §13).
-    pub fn flight_recorder(&self) -> &'static ada_telemetry::trace::FlightRecorder {
-        ada_telemetry::trace::recorder()
+    /// This stack's flight recorder: the recently completed (and retained
+    /// slow/shed/errored) traces of the requests it served — the
+    /// per-request complement to [`Ada::write_metrics`] (DESIGN.md §13).
+    pub fn flight_recorder(&self) -> &FlightRecorder {
+        &self.recorder
     }
 
     /// Remove a dataset. The name is claimed first (`Live` → `Claimed`),
@@ -508,7 +513,7 @@ impl Ada {
         parent: &TraceContext,
         f: impl FnOnce(&TraceContext) -> Result<T, AdaError>,
     ) -> Result<T, AdaError> {
-        let (ctx, mut guard) = op_span(op.span(), parent);
+        let (ctx, mut guard) = self.op_span(op.span(), parent);
         let mut res = f(&ctx);
         match &mut res {
             Ok(report) => {
@@ -539,6 +544,22 @@ impl Ada {
         }
         res
     }
+
+    /// Open the op span `trace_name`: a child of `parent` when the caller
+    /// is already tracing this request, else a fresh root in this stack's
+    /// recorder.
+    fn op_span<'p>(
+        &'p self,
+        trace_name: &'static str,
+        parent: &'p TraceContext,
+    ) -> (TraceContext, TraceSpanGuard<'p>) {
+        if parent.is_active() {
+            let g = parent.span(trace_name);
+            (g.ctx(), g)
+        } else {
+            self.recorder.root(trace_name)
+        }
+    }
 }
 
 /// Count `e` in `xtcf.chunk.corrupt` when it is a stored chunk that
@@ -551,20 +572,6 @@ fn count_corrupt(corrupt: &Counter, e: &AdaError) {
     };
     if matches!(source, FormatError::ChunkCorrupt { .. }) && ada_telemetry::enabled() {
         corrupt.inc();
-    }
-}
-
-/// Open the op span `trace_name`: a child of `parent` when the caller is
-/// already tracing this request, else a fresh root.
-fn op_span<'p>(
-    trace_name: &'static str,
-    parent: &'p TraceContext,
-) -> (TraceContext, TraceSpanGuard<'p>) {
-    if parent.is_active() {
-        let g = parent.span(trace_name);
-        (g.ctx(), g)
-    } else {
-        ada_telemetry::trace::root(trace_name)
     }
 }
 
@@ -644,7 +651,6 @@ mod testkit {
     pub fn hot_cache_cfg() -> ada_cache::CacheConfig {
         ada_cache::CacheConfig {
             capacity_bytes: 64 << 20,
-            shards: 4,
             min_heat: 0,
         }
     }

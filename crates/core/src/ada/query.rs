@@ -11,7 +11,7 @@
 //! `read_live` and indexer, a fetch, and no retrieval at all.
 
 use super::retrieve::{atoms_err, directory, xtcf_err, Take};
-use super::{count_corrupt, op_span, Ada, Op, QueryReport, RetrievedData};
+use super::{count_corrupt, Ada, Op, QueryReport, RetrievedData};
 use crate::determinator::indexer_cost;
 use crate::labeler::{LabelFile, TagEntry};
 use crate::AdaError;
@@ -158,7 +158,7 @@ impl Ada {
         tag: &Tag,
         parent: &TraceContext,
     ) -> Result<StoredAnswer, AdaError> {
-        let (ctx, mut guard) = op_span(Op::Query.span(), parent);
+        let (ctx, mut guard) = self.op_span(Op::Query.span(), parent);
         let res = self.query_stored_inner(dataset, tag, &ctx);
         if let Err(e) = &res {
             guard.set_error(e.error_kind().name());

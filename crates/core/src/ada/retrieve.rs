@@ -538,7 +538,7 @@ mod tests {
         ada: &super::Ada,
         request: impl FnOnce(&TraceContext),
     ) -> std::sync::Arc<ada_telemetry::trace::Trace> {
-        let (ctx, root) = ada_telemetry::trace::root("ada.query");
+        let (ctx, root) = ada.flight_recorder().root("ada.query");
         let id = ctx.trace_id().expect("tracing is on by default");
         request(&ctx);
         drop(root);

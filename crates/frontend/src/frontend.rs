@@ -324,17 +324,18 @@ impl Frontend {
         f: impl FnOnce(&Ada, &TraceContext) -> Result<T, AdaError>,
     ) -> Result<T, AdaError> {
         // Every request — including one about to be shed — gets a trace
-        // root here at admission; the guard seals the trace when this
-        // function returns.
-        let (_, mut root) = trace::root("frontend.request");
+        // root here at admission, in the stack's recorder; the guard seals
+        // the trace when this function returns.
+        let (_, mut root) = self.ada.flight_recorder().root("frontend.request");
         self.run_rooted(class, op, client, deadline, &mut root, f)
     }
 
     /// [`Frontend::run`] under a caller-minted trace root. The networked
     /// server uses this with a root minted from the wire-carried trace id
-    /// ([`trace::root_remote`]), so the admission queue wait, slot
-    /// execution, and every middleware span seal into the *client's*
-    /// trace instead of a disconnected local one. The caller keeps the
+    /// ([`trace::FlightRecorder::root_remote`], in this stack's recorder),
+    /// so the admission queue wait, slot execution, and every middleware
+    /// span seal under the *client's* trace id instead of a disconnected
+    /// local one. The caller keeps the
     /// root guard alive until this returns (the guard seals the tree).
     pub fn run_rooted<T>(
         &self,
@@ -524,11 +525,11 @@ impl Frontend {
         &self.ada
     }
 
-    /// The process-wide flight recorder of completed request traces
+    /// The flight recorder of this stack's completed request traces
     /// (passthrough of [`Ada::flight_recorder`]): every admitted request
     /// leaves a recent trace; shed, expired, errored, and
     /// over-latency-threshold requests are retained.
-    pub fn flight_recorder(&self) -> &'static ada_telemetry::trace::FlightRecorder {
+    pub fn flight_recorder(&self) -> &ada_telemetry::trace::FlightRecorder {
         self.ada.flight_recorder()
     }
 }

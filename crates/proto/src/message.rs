@@ -33,8 +33,8 @@ pub struct RequestEnvelope {
     /// Client name for admission accounting (`frontend.client.{name}.*`).
     pub client: String,
     /// The caller's 128-bit trace id; the server mints its root span
-    /// from it (`trace::root_remote`) so both halves of the request seal
-    /// under one id. `0` = caller is not tracing.
+    /// from it (`FlightRecorder::root_remote`) so both halves of the
+    /// request — the client's tree and the server's — seal under one id. `0` = caller is not tracing.
     pub trace_id: u128,
     /// Queue-wait deadline in nanoseconds, `0` = wait indefinitely.
     pub deadline_ns: u64,

@@ -3,10 +3,10 @@
 //!
 //! The daemon adds transport, not semantics: every request decoded off
 //! the wire is driven through [`Frontend::run_rooted`] under a trace
-//! root minted from the wire-carried trace id
-//! ([`trace::root_remote`]), so admission, shedding, deadlines, and the
-//! flight-recorder tree behave exactly as they do for an in-process
-//! caller — the protocol equivalence suite holds the two paths
+//! root minted from the wire-carried trace id in the stack's recorder
+//! ([`ada_telemetry::trace::FlightRecorder::root_remote`]), so admission,
+//! shedding, deadlines, and the flight-recorder tree behave exactly as
+//! they do for an in-process caller — the protocol equivalence suite holds the two paths
 //! bit-identical (every delivered `f32`).
 //!
 //! ## Threading model
@@ -66,7 +66,7 @@ use ada_proto::{
     DEFAULT_MAX_FRAME, HEADER_LEN,
 };
 use ada_sync::Mutex;
-use ada_telemetry::trace::{self, TraceSpanGuard};
+use ada_telemetry::trace::TraceSpanGuard;
 use ada_telemetry::{Counter, Gauge, Histogram, Snapshot};
 
 /// Tuning knobs for one [`Server`].
@@ -563,14 +563,12 @@ fn peek_request_id(payload: &[u8]) -> u64 {
 /// Drive one decoded request through the frontend under a trace root
 /// minted from the wire-carried trace id. Returns the root — the caller
 /// keeps it open across the write — with the request id and the answer.
-fn execute_request(
-    shared: &Shared,
-    env: RequestEnvelope,
-) -> (TraceSpanGuard<'static>, u64, Answer) {
+fn execute_request(shared: &Shared, env: RequestEnvelope) -> (TraceSpanGuard<'_>, u64, Answer) {
     let (frontend, metrics) = (&shared.frontend, &shared.metrics);
     metrics.requests.inc();
     let started = Instant::now();
-    let (_, mut root) = trace::root_remote("server.request", env.trace_id);
+    let recorder = frontend.ada().flight_recorder();
+    let (_, mut root) = recorder.root_remote("server.request", env.trace_id);
     let deadline = (env.deadline_ns != 0).then(|| Duration::from_nanos(env.deadline_ns));
     let RequestEnvelope {
         id, client, body, ..

@@ -17,12 +17,13 @@
 //!   one process never share a count.
 //! * **snapshot export**: an owner writes its fields into a [`Snapshot`]
 //!   under the names `METRICS.md` catalogs (`Server` walks its `Frontend`,
-//!   which walks its `Ada`, which walks its cache and container set), and
-//!   [`Snapshot::to_json`] / [`snapshot_with_traces`] export it via
-//!   `ada-json`, consumed by `repro --metrics-out`.
+//!   which walks its `Ada`, which walks its flight recorder, cache and
+//!   container set), and [`Snapshot::to_json`] exports it via `ada-json`,
+//!   consumed by `repro --metrics-out`.
 //! * **request tracing** ([`trace`]): per-request span *trees* with a
 //!   propagatable [`TraceContext`], a bounded [`trace::FlightRecorder`]
-//!   retaining slow/shed/errored traces, and Chrome trace-event export
+//!   per stack (each `Ada` and each `Client` owns one) retaining
+//!   slow/shed/errored traces, and Chrome trace-event export
 //!   ([`trace::chrome_trace`]) for Perfetto (DESIGN.md §13). A trace span
 //!   is the only stage instrumentation there is: when a trace seals, the
 //!   recorder folds each of its spans once into its
@@ -31,7 +32,7 @@
 //!   read by every view.
 //!
 //! Telemetry is on by default and globally switchable: [`set_enabled`]
-//! flips an `AtomicBool` that trace roots and the instrumented call
+//! flips the one `AtomicBool` that trace roots and the instrumented call
 //! sites check first, so a disabled build path costs one relaxed load
 //! (the `telemetry_overhead` bench in `ada-bench` guards the budget).
 //!
@@ -155,7 +156,7 @@ pub struct GaugeSnapshot {
 
 /// A point-in-time view of one instance's metrics. Each owner — `Server`,
 /// `Frontend`, `Ada`, its cache and container set, `Client`, `Router`,
-/// the [`trace::FlightRecorder`] — holds its metrics as plain fields and
+/// a [`trace::FlightRecorder`] — holds its metrics as plain fields and
 /// writes them here under the names `METRICS.md` catalogs; a parent walks
 /// its children into the same snapshot.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -235,26 +236,6 @@ impl Snapshot {
             ("histograms", histograms),
         ])
     }
-}
-
-/// The full observability export (`repro --metrics-out` writes it): a
-/// stack's `snapshot` plus the flight recorder's `span.{stage}.*` family,
-/// as JSON, with the recorder's trace summaries under `"traces"`.
-pub fn snapshot_with_traces(mut snapshot: Snapshot) -> Value {
-    let recorder = trace::recorder();
-    recorder.write_metrics(&mut snapshot);
-    let mut v = snapshot.to_json();
-    if let Value::Obj(fields) = &mut v {
-        fields.push(("traces".to_string(), recorder.to_json()));
-    }
-    v
-}
-
-/// Serializes tests that observe or flip the global enable switch.
-#[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -349,15 +330,5 @@ mod tests {
                 .unwrap(),
             1
         );
-    }
-
-    #[test]
-    fn enable_switch() {
-        let _g = test_guard();
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
     }
 }

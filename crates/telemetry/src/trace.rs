@@ -4,34 +4,38 @@
 //! The metrics side of this crate answers *aggregate* questions (how many
 //! queries, p99 decode time). This module answers the per-request one —
 //! "why was **this** request slow" — by giving every request a
-//! [`TraceContext`] minted at its entry point (`Frontend` admission, or
-//! the `Ada` facade for direct callers) and carried **explicitly** across
-//! every thread boundary of the pipelines: the splitter's and the
-//! retriever's worker pools. Each stage opens a child span; the spans of
+//! [`TraceContext`] minted at its entry point (`Frontend` admission, the
+//! server's wire-carried id, the `Ada` facade for direct callers, or the
+//! `Client`) from the [`FlightRecorder`] its trace seals into, and carried
+//! **explicitly** across every thread boundary of the pipelines: the
+//! splitter's and the retriever's worker pools. Each stage opens a child span; the spans of
 //! one request form a single connected tree regardless of which threads
 //! executed them.
 //!
 //! ## Context propagation rules
 //!
 //! * A context is either **active** (it carries a shared handle to the
-//!   request's span buffer) or **inactive** (tracing disabled — every
-//!   operation is a no-op costing one branch).
+//!   request's span buffer) or **inactive** (telemetry switched off by
+//!   [`crate::set_enabled`] — every operation is a no-op costing one
+//!   branch).
 //! * A spawned worker is handed the context (or a clone); its spans land
 //!   in the same tree. Nothing is implicit — there is no thread-local
 //!   "current span", so a context passed along is the only way causality
 //!   crosses a thread boundary.
 //! * The **root** guard finishes the trace: when it drops, the span
 //!   buffer is sealed into an immutable [`Trace`] and offered to the
-//!   global [`FlightRecorder`]. Workers must therefore be joined before
-//!   the root drops (the pipelines already do — they run under scoped
-//!   threads); late spans from leaked clones are dropped on the floor.
+//!   [`FlightRecorder`] the root was minted from — the one of the stack
+//!   that served the request, so two stacks in one process keep disjoint
+//!   traces. Workers must therefore be joined before the root drops (the
+//!   pipelines already do — they run under scoped threads); late spans
+//!   from leaked clones are dropped on the floor.
 //!
 //! ## One clock per stage
 //!
 //! A trace span is the only record a stage writes. Sealing a trace
-//! ([`root`]'s guard dropping) folds every span of it into the flight
-//! recorder's `span.{stage}.ns/.calls/.bytes/.frames` family, and a caller that wants
-//! its own cut of the tree (`ada-core`'s stage profile) closes its span
+//! ([`FlightRecorder::root`]'s guard dropping) folds every span of it into
+//! the recorder's `span.{stage}.ns/.calls/.bytes/.frames` family, and a
+//! caller that wants its own cut of the tree (`ada-core`'s stage profile) closes its span
 //! with [`TraceSpanGuard::finish_with`] and reads the same spans.
 //!
 //! ## Flight recorder
@@ -57,22 +61,9 @@ use ada_json::Value;
 use ada_sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-static TRACING: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable trace collection (metrics are governed separately by
-/// [`crate::set_enabled`]; tracing requires both switches on).
-pub fn set_tracing(on: bool) {
-    TRACING.store(on, Ordering::Relaxed);
-}
-
-/// Whether trace collection is currently on.
-pub fn tracing_enabled() -> bool {
-    crate::enabled() && TRACING.load(Ordering::Relaxed)
-}
 
 /// The process-wide monotonic epoch all span timestamps are relative to,
 /// so spans recorded on different threads are directly comparable.
@@ -302,18 +293,18 @@ impl TraceContext {
     }
 }
 
-/// A live guard's hold on its trace: the root guard owns a handle (it
-/// seals the trace), every other guard borrows the handle of the context
-/// it was opened from.
+/// A live guard's hold on its trace: the root guard owns a handle and
+/// borrows the recorder it seals the trace into, every other guard
+/// borrows the handle of the context it was opened from.
 enum Handle<'a> {
-    Root(Arc<ActiveTrace>),
+    Root(Arc<ActiveTrace>, &'a FlightRecorder),
     Child(&'a Arc<ActiveTrace>),
 }
 
 impl Handle<'_> {
     fn trace(&self) -> &Arc<ActiveTrace> {
         match self {
-            Handle::Root(trace) => trace,
+            Handle::Root(trace, _) => trace,
             Handle::Child(trace) => trace,
         }
     }
@@ -326,11 +317,11 @@ impl Handle<'_> {
             let mut spans = self.trace().spans.lock();
             spans.push(span);
             let out = f(&spans);
-            let root = matches!(self, Handle::Root(_));
+            let root = matches!(self, Handle::Root(..));
             (out, root.then(|| std::mem::take(&mut *spans)))
         };
-        if let (Handle::Root(trace), Some(spans)) = (&self, sealed) {
-            finalize(trace, spans);
+        if let (Handle::Root(trace, recorder), Some(spans)) = (&self, sealed) {
+            recorder.finalize(trace, spans);
         }
         out
     }
@@ -364,9 +355,9 @@ impl<'a> GuardLive<'a> {
 }
 
 /// An open trace span; records itself (and, for the root, seals the whole
-/// trace into the flight recorder) on drop. A child span's guard borrows
-/// the context it was opened from; a root's guard (`'static`) owns its
-/// trace.
+/// trace into its flight recorder) on drop. A child span's guard borrows
+/// the context it was opened from; a root's guard owns its trace and
+/// borrows the recorder it was minted from.
 pub struct TraceSpanGuard<'a> {
     live: Option<GuardLive<'a>>,
 }
@@ -427,50 +418,6 @@ impl Drop for TraceSpanGuard<'_> {
     }
 }
 
-/// Mint a new trace rooted at `op` and return its context plus the root
-/// guard. With tracing off, both are inert. The root guard must outlive
-/// every worker of the request (drop it last).
-pub fn root(op: &'static str) -> (TraceContext, TraceSpanGuard<'static>) {
-    root_with_id(op, None)
-}
-
-/// Mint a new trace rooted at `op` that *continues* a trace id carried
-/// over the wire (the networked RPC path): the server's span tree seals
-/// under the same 128-bit id the client minted, so the flight recorder
-/// holds one client-side and one server-side tree per request, joined by
-/// id. `id == 0` (an untraced remote caller) falls back to a fresh id.
-pub fn root_remote(op: &'static str, id: u128) -> (TraceContext, TraceSpanGuard<'static>) {
-    root_with_id(op, (id != 0).then_some(id))
-}
-
-fn root_with_id(op: &'static str, id: Option<u128>) -> (TraceContext, TraceSpanGuard<'static>) {
-    if !tracing_enabled() {
-        return (TraceContext::inactive(), TraceSpanGuard { live: None });
-    }
-    let trace = Arc::new(ActiveTrace {
-        id: id.unwrap_or_else(next_trace_id),
-        op,
-        next_span: AtomicU64::new(2),
-        spans: Mutex::new(Vec::with_capacity(8)),
-    });
-    let guard = TraceSpanGuard {
-        live: Some(GuardLive {
-            trace: Handle::Root(Arc::clone(&trace)),
-            id: 1,
-            parent: None,
-            name: op,
-            start_ns: now_ns(),
-            args: Vec::new(),
-            error: None,
-        }),
-    };
-    let ctx = TraceContext {
-        inner: Some(trace),
-        span: 1,
-    };
-    (ctx, guard)
-}
-
 /// One completed request's span tree, sealed and immutable.
 #[derive(Debug)]
 pub struct Trace {
@@ -512,36 +459,13 @@ impl Trace {
     }
 }
 
-/// Seal a finished trace — its root's `spans`, taken out of `trace` —
-/// into the flight recorder.
-fn finalize(trace: &ActiveTrace, mut spans: Vec<TraceSpan>) {
-    spans.sort_by_key(|s| (s.start_ns, s.id));
-    let (duration_ns, error) = spans
-        .iter()
-        .find(|s| s.id == 1)
-        .map(|r| (r.duration_ns(), r.error))
-        .unwrap_or((0, None));
-    let rec = recorder();
-    let flag = match error {
-        Some(kind) => Some(format!("error:{}", kind)),
-        None if duration_ns >= rec.threshold_ns.load(Ordering::Relaxed) => Some("slow".to_string()),
-        None => None,
-    };
-    rec.seal(Arc::new(Trace {
-        id: trace.id,
-        op: trace.op,
-        duration_ns,
-        spans,
-        flag,
-    }));
-}
-
 /// Bounded, lock-cheap store of recently completed traces, and the
-/// `span.{stage}.*` totals folded from them. One global instance
-/// ([`recorder`]) is shared by every `Ada`/`Frontend` in the process —
-/// sealing is one short `Mutex` acquisition per *request* (not per span):
-/// under it a span adds to plain integers, and the trace a full ring
-/// pushes out is freed once the lock is released.
+/// `span.{stage}.*` totals folded from them. Each `Ada` builds one (its
+/// `Frontend` and `Server` root their requests in it through `ada()`),
+/// and each `Client` keeps one for its half of a remote trace — sealing
+/// is one short `Mutex` acquisition per *request* (not per span): under
+/// it a span adds to plain integers, and the trace a full ring pushes out
+/// is freed once the lock is released.
 pub struct FlightRecorder {
     /// Latency bound above which a successful trace is retained
     /// (`u64::MAX` disables the threshold).
@@ -629,16 +553,96 @@ pub const RECENT_CAPACITY: usize = 256;
 /// Capacity of the retained (flagged) ring.
 pub const RETAINED_CAPACITY: usize = 128;
 
-/// The process-wide flight recorder.
-pub fn recorder() -> &'static FlightRecorder {
-    static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| FlightRecorder {
-        threshold_ns: AtomicU64::new(u64::MAX),
-        held: Mutex::new(Held::default()),
-    })
+impl Default for FlightRecorder {
+    fn default() -> FlightRecorder {
+        FlightRecorder::new()
+    }
 }
 
 impl FlightRecorder {
+    /// An empty recorder with no latency threshold.
+    pub fn new() -> FlightRecorder {
+        FlightRecorder {
+            threshold_ns: AtomicU64::new(u64::MAX),
+            held: Mutex::new(Held::default()),
+        }
+    }
+
+    /// Mint a new trace rooted at `op` that seals into this recorder, and
+    /// return its context plus the root guard. With telemetry off
+    /// ([`crate::set_enabled`]), both are inert. The root guard must
+    /// outlive every worker of the request (drop it last).
+    pub fn root(&self, op: &'static str) -> (TraceContext, TraceSpanGuard<'_>) {
+        self.root_with_id(op, None)
+    }
+
+    /// Mint a new trace rooted at `op` that *continues* a trace id carried
+    /// over the wire (the networked RPC path): the server's span tree seals
+    /// under the same 128-bit id the client minted, so the client's
+    /// recorder and the server's stack each hold their tree of the request,
+    /// joined by id. `id == 0` (an untraced remote caller) falls back to a
+    /// fresh id.
+    pub fn root_remote(&self, op: &'static str, id: u128) -> (TraceContext, TraceSpanGuard<'_>) {
+        self.root_with_id(op, (id != 0).then_some(id))
+    }
+
+    fn root_with_id(
+        &self,
+        op: &'static str,
+        id: Option<u128>,
+    ) -> (TraceContext, TraceSpanGuard<'_>) {
+        if !crate::enabled() {
+            return (TraceContext::inactive(), TraceSpanGuard { live: None });
+        }
+        let trace = Arc::new(ActiveTrace {
+            id: id.unwrap_or_else(next_trace_id),
+            op,
+            next_span: AtomicU64::new(2),
+            spans: Mutex::new(Vec::with_capacity(8)),
+        });
+        let guard = TraceSpanGuard {
+            live: Some(GuardLive {
+                trace: Handle::Root(Arc::clone(&trace), self),
+                id: 1,
+                parent: None,
+                name: op,
+                start_ns: now_ns(),
+                args: Vec::new(),
+                error: None,
+            }),
+        };
+        let ctx = TraceContext {
+            inner: Some(trace),
+            span: 1,
+        };
+        (ctx, guard)
+    }
+
+    /// Seal a finished trace — its root's `spans`, taken out of `trace` —
+    /// into this recorder.
+    fn finalize(&self, trace: &ActiveTrace, mut spans: Vec<TraceSpan>) {
+        spans.sort_by_key(|s| (s.start_ns, s.id));
+        let (duration_ns, error) = spans
+            .iter()
+            .find(|s| s.id == 1)
+            .map(|r| (r.duration_ns(), r.error))
+            .unwrap_or((0, None));
+        let flag = match error {
+            Some(kind) => Some(format!("error:{}", kind)),
+            None if duration_ns >= self.threshold_ns.load(Ordering::Relaxed) => {
+                Some("slow".to_string())
+            }
+            None => None,
+        };
+        self.seal(Arc::new(Trace {
+            id: trace.id,
+            op: trace.op,
+            duration_ns,
+            spans,
+            flag,
+        }));
+    }
+
     /// Retain any successful trace at least this slow; `None` disables
     /// the latency trigger (errored/shed traces are always retained).
     pub fn set_latency_threshold(&self, bound: Option<Duration>) {
@@ -687,9 +691,9 @@ impl FlightRecorder {
     }
 
     /// Every held trace exactly once (retained traces may have already
-    /// rotated out of the recent ring), ordered by trace id. Two trees
-    /// under one id — the client's and the server's of a remote request,
-    /// when one process hosts both ends — are two traces.
+    /// rotated out of the recent ring), ordered by trace id. The other
+    /// tree of a remote request, under the same id, is in the recorder of
+    /// the other end.
     pub fn all(&self) -> Vec<Arc<Trace>> {
         let mut out: Vec<Arc<Trace>> = {
             let held = self.held.lock();
@@ -700,15 +704,10 @@ impl FlightRecorder {
         out
     }
 
-    /// Drop every held trace and the stage totals (profiling runs and
-    /// tests isolate themselves with this).
-    pub fn clear(&self) {
-        *self.held.lock() = Held::default();
-    }
-
-    /// Write the `span.{stage}.ns/.calls/.bytes/.frames` family: a stage's
-    /// `.ns` and `.calls` once any of its spans sealed, `.bytes` /
-    /// `.frames` once a span carried a non-zero arg of that name.
+    /// Write the `span.{stage}.ns/.calls/.bytes/.frames` family (its
+    /// owner's `write_metrics` walk calls this): a stage's `.ns` and
+    /// `.calls` once any of its spans sealed, `.bytes` / `.frames` once a
+    /// span carried a non-zero arg of that name.
     pub fn write_metrics(&self, snap: &mut Snapshot) {
         let held = self.held.lock();
         for (stage, t) in &held.stages {
@@ -721,8 +720,8 @@ impl FlightRecorder {
     }
 
     /// Summaries of held traces:
-    /// `{"recent": [...], "retained": [...]}` — the piece
-    /// [`crate::snapshot_with_traces`] embeds.
+    /// `{"recent": [...], "retained": [...]}` — what `repro --metrics-out`
+    /// writes beside a stack's metrics.
     pub fn to_json(&self) -> Value {
         let summarize =
             |ts: Vec<Arc<Trace>>| Value::Arr(ts.iter().map(|t| t.summary_json()).collect());
@@ -730,11 +729,6 @@ impl FlightRecorder {
             ("recent", summarize(self.recent())),
             ("retained", summarize(self.retained())),
         ])
-    }
-
-    /// Chrome trace-event export of everything held (see [`chrome_trace`]).
-    pub fn export_chrome(&self) -> Value {
-        chrome_trace(&self.all())
     }
 }
 
@@ -814,15 +808,13 @@ pub fn chrome_trace(traces: &[Arc<Trace>]) -> Value {
 mod tests {
     use super::*;
 
-    // Trace tests share the global recorder and the enable switches with
-    // every other test in this binary; they serialize on the crate's
-    // test_guard and match on their own ids instead of assuming an empty
-    // recorder.
+    // Each test seals into a recorder of its own. None flips the enable
+    // switch: that is `tests/enable_switch.rs`, a binary of its own.
 
     #[test]
     fn root_span_tree_crosses_threads_connected() {
-        let _g = crate::test_guard();
-        let (ctx, mut guard) = root("test.trace_op");
+        let rec = FlightRecorder::new();
+        let (ctx, mut guard) = rec.root("test.trace_op");
         guard.arg("client", "c0");
         let id = ctx.trace_id().expect("tracing is on");
         {
@@ -836,11 +828,10 @@ mod tests {
             });
         }
         drop(guard);
-        let trace = recorder()
-            .recent()
-            .into_iter()
-            .find(|t| t.id == id)
-            .expect("trace recorded");
+        let recent = rec.recent();
+        assert_eq!(recent.len(), 1);
+        let trace = &recent[0];
+        assert_eq!(trace.id, id);
         assert_eq!(trace.op, "test.trace_op");
         assert_eq!(trace.spans.len(), 3);
         let root = trace.root().unwrap();
@@ -866,71 +857,47 @@ mod tests {
 
     #[test]
     fn errored_trace_is_retained_with_kind() {
-        let _g = crate::test_guard();
-        let (_ctx, mut guard) = root("test.trace_err");
+        let rec = FlightRecorder::new();
+        let (_ctx, mut guard) = rec.root("test.trace_err");
         guard.set_error("unknown_dataset");
         drop(guard);
-        let t = recorder()
-            .retained()
-            .into_iter()
-            .rev()
-            .find(|t| t.op == "test.trace_err")
-            .expect("flagged trace retained");
+        let retained = rec.retained();
+        let t = retained.first().expect("flagged trace retained");
         assert_eq!(t.flag.as_deref(), Some("error:unknown_dataset"));
         assert_eq!(t.root().unwrap().error.as_deref(), Some("unknown_dataset"));
     }
 
     #[test]
     fn latency_threshold_retains_slow_traces() {
-        let _g = crate::test_guard();
-        recorder().set_latency_threshold(Some(Duration::from_nanos(1)));
-        let (_ctx, guard) = root("test.trace_slow");
+        let rec = FlightRecorder::new();
+        rec.set_latency_threshold(Some(Duration::from_nanos(1)));
+        let (_ctx, guard) = rec.root("test.trace_slow");
         std::thread::sleep(Duration::from_millis(1));
         drop(guard);
-        recorder().set_latency_threshold(None);
-        let t = recorder()
-            .retained()
-            .into_iter()
-            .rev()
-            .find(|t| t.op == "test.trace_slow")
-            .expect("slow trace retained");
+        let retained = rec.retained();
+        let t = retained.first().expect("slow trace retained");
         assert_eq!(t.flag.as_deref(), Some("slow"));
     }
 
-    #[test]
-    fn disabled_tracing_costs_nothing_and_records_nothing() {
-        let _g = crate::test_guard();
-        set_tracing(false);
-        let (ctx, guard) = root("test.trace_off");
-        assert!(!ctx.is_active());
-        let child = ctx.span("test.trace_off_child");
-        assert!(!child.ctx().is_active());
-        drop(child);
-        drop(guard);
-        set_tracing(true);
-        assert!(recorder().recent().iter().all(|t| t.op != "test.trace_off"));
-    }
-
-    fn stage_metrics() -> Snapshot {
+    fn stage_metrics(rec: &FlightRecorder) -> Snapshot {
         let mut snap = Snapshot::default();
-        recorder().write_metrics(&mut snap);
+        rec.write_metrics(&mut snap);
         snap
     }
 
     #[test]
     fn sealed_spans_feed_stage_metrics() {
-        let _g = crate::test_guard();
-        let (ctx, guard) = root("test.fold_op");
+        let rec = FlightRecorder::new();
+        let (ctx, guard) = rec.root("test.fold_op");
         for (bytes, frames) in [(100u64, 2u64), (28, 0)] {
             let mut s = ctx.span("test.fold_stage");
             s.arg("bytes", bytes);
             s.arg("frames", frames);
         }
         // The seal is the one place spans reach the stage totals.
-        let before = stage_metrics();
-        assert!(!before.counters.contains_key("span.test.fold_stage.calls"));
+        assert!(stage_metrics(&rec).counters.is_empty());
         drop(guard);
-        let snap = stage_metrics();
+        let snap = stage_metrics(&rec);
         assert_eq!(snap.counters["span.test.fold_op.calls"], 1);
         assert_eq!(snap.counters["span.test.fold_stage.calls"], 2);
         assert_eq!(snap.counters["span.test.fold_stage.bytes"], 128);
@@ -943,36 +910,44 @@ mod tests {
 
     #[test]
     fn a_name_spelled_twice_is_one_stage() {
-        let _g = crate::test_guard();
+        let rec = FlightRecorder::new();
         // Two copies of one name at two addresses, as two crates may hold.
         let copy: &'static str = Box::leak(String::from("test.twice").into_boxed_str());
-        let (ctx, guard) = root("test.twice_op");
+        let (ctx, guard) = rec.root("test.twice_op");
         ctx.span("test.twice").arg("bytes", 3u64);
         ctx.span(copy).arg("bytes", 4u64);
         drop(guard);
-        let snap = stage_metrics();
+        let snap = stage_metrics(&rec);
         assert_eq!(snap.counters["span.test.twice.calls"], 2);
         assert_eq!(snap.counters["span.test.twice.bytes"], 7);
         assert_eq!(snap.histograms["span.test.twice.ns"].count, 2);
     }
 
     #[test]
-    fn disabled_telemetry_registers_no_stage_metrics() {
-        let _g = crate::test_guard();
-        crate::set_enabled(false);
-        let (ctx, guard) = root("test.fold_off");
-        ctx.span("test.fold_off_stage").arg("bytes", 1u64);
+    fn two_recorders_keep_disjoint_traces_and_stage_metrics() {
+        let (a, b) = (FlightRecorder::new(), FlightRecorder::new());
+        let (_, guard) = a.root("test.stack_a");
         drop(guard);
-        crate::set_enabled(true);
-        let snap = stage_metrics();
-        assert!(!snap.counters.contains_key("span.test.fold_off.calls"));
-        assert!(!snap.counters.contains_key("span.test.fold_off_stage.calls"));
+        let (ctx, guard) = b.root_remote("test.stack_b", 7);
+        drop(ctx.span("test.stack_b_stage"));
+        drop(guard);
+        assert_eq!(
+            a.all().iter().map(|t| t.op).collect::<Vec<_>>(),
+            ["test.stack_a"]
+        );
+        assert_eq!(b.all().iter().map(|t| t.id).collect::<Vec<_>>(), [7]);
+        let calls = |rec| -> Vec<String> { stage_metrics(rec).counters.into_keys().collect() };
+        assert_eq!(calls(&a), ["span.test.stack_a.calls"]);
+        assert_eq!(
+            calls(&b),
+            ["span.test.stack_b.calls", "span.test.stack_b_stage.calls"]
+        );
     }
 
     #[test]
     fn finish_with_reads_the_trace_then_seals_a_root() {
-        let _g = crate::test_guard();
-        let (ctx, root_guard) = root("test.finish_root");
+        let rec = FlightRecorder::new();
+        let (ctx, root_guard) = rec.root("test.finish_root");
         let id = ctx.trace_id().expect("tracing is on");
         let op = ctx.span("test.finish_op");
         drop(op.ctx().span("test.finish_child"));
@@ -988,39 +963,38 @@ mod tests {
             root_guard.finish_with(|spans, id| (spans.len(), id)),
             Some((3, 1))
         );
-        assert!(recorder().recent().iter().any(|t| t.id == id));
-
-        set_tracing(false);
-        let (_, inert) = root("test.finish_off");
-        assert_eq!(inert.finish_with(|_, _| ()), None);
-        set_tracing(true);
+        assert!(rec.recent().iter().any(|t| t.id == id));
     }
 
     #[test]
     fn rings_stay_bounded() {
-        let _g = crate::test_guard();
-        let rec = recorder();
+        let rec = FlightRecorder::new();
         for _ in 0..RECENT_CAPACITY + 16 {
-            let (_ctx, guard) = root("test.trace_fill");
-            drop(guard);
+            let (_ctx, mut guard) = rec.root("test.trace_fill");
+            guard.set_error("internal");
         }
-        assert!(rec.recent().len() <= RECENT_CAPACITY);
-        assert!(rec.retained().len() <= RETAINED_CAPACITY);
+        assert_eq!(rec.recent().len(), RECENT_CAPACITY);
+        assert_eq!(rec.retained().len(), RETAINED_CAPACITY);
     }
 
     #[test]
     fn chrome_export_parses_and_has_schema() {
-        let _g = crate::test_guard();
-        let (ctx, _guard) = root("test.trace_export");
+        let rec = FlightRecorder::new();
+        let (ctx, _guard) = rec.root("test.trace_export");
         {
             let mut s = ctx.span("test.trace_export_child");
             s.arg("backend", "ssd");
         }
         drop(_guard);
-        let json = recorder().export_chrome();
+        let json = chrome_trace(&rec.all());
         let parsed = ada_json::parse(&json.to_vec()).unwrap();
         let events = parsed.field("traceEvents").unwrap().as_arr().unwrap();
-        assert!(!events.is_empty());
+        let phase = |ev: &Value| ev.field("ph").unwrap().as_str().unwrap() == "X";
+        assert_eq!(
+            events.iter().filter(|ev| phase(ev)).count(),
+            2,
+            "one X event per span"
+        );
         for ev in events {
             let ph = ev.field("ph").unwrap().as_str().unwrap();
             assert!(ph == "X" || ph == "M", "unexpected phase {}", ph);

@@ -345,7 +345,7 @@ fn a_broken_last_chunk_discards_the_shared_droppings_and_frees_the_name() {
             pdb_text: pdb_text.clone(),
             xtc_bytes: xtc_bytes.to_vec(),
         };
-        let (ctx, root) = ada_telemetry::trace::root("test.ingest");
+        let (ctx, root) = ada.flight_recorder().root("test.ingest");
         let id = ctx.trace_id().expect("tracing is on by default");
         let err = ada.ingest_traced("d", input(&broken), &ctx).unwrap_err();
         drop(root);
@@ -381,7 +381,7 @@ fn a_traced_ingest_shows_one_decode_and_split_per_chunk_on_its_worker() {
     let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
     for ingest_threads in [4usize, 0] {
         let ada = ada_with(ingest_threads, 64);
-        let (ctx, root) = ada_telemetry::trace::root("test.ingest");
+        let (ctx, root) = ada.flight_recorder().root("test.ingest");
         let id = ctx.trace_id().expect("tracing is on by default");
         let input = IngestInput::Real {
             pdb_text: pdb_text.clone(),

@@ -9,9 +9,11 @@
 //! ways: a name with no row fails, and so does a row nothing emitted.
 //!
 //! `two_servers_in_one_process_count_their_own_load`: two stacks in one
-//! process under different loads read different values.
+//! process under different op mixes read different values, and each
+//! stack's flight recorder holds only its own traces and `span.*` family.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use ada_cache::CacheConfig;
 use ada_client::{Client, ClientConfig, Router};
@@ -22,17 +24,10 @@ use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_server::{Server, ServerConfig};
 use ada_simfs::{Content, LocalFs, SimFileSystem};
-use ada_telemetry::{trace, Snapshot};
+use ada_telemetry::Snapshot;
 
-static GUARD: Mutex<()> = Mutex::new(());
-
-/// Both tests seal traces into the one process-wide recorder; the
-/// catalog test reads the span names back from its rings.
-fn serialize() -> MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// A served stack: `Ada` with a hot cache and 2-frame chunks over an SSD
+/// A served stack: `Ada` (with its flight recorder) with a hot cache and
+/// 2-frame chunks over an SSD
 /// and an HDD backend, its front-end and a daemon. The SSD is handed back
 /// so a test can corrupt what was stored on it.
 fn stack() -> (Server, Arc<Frontend>, Arc<dyn SimFileSystem>) {
@@ -46,7 +41,6 @@ fn stack() -> (Server, Arc<Frontend>, Arc<dyn SimFileSystem>) {
         chunk_frames: 2,
         cache: CacheConfig {
             capacity_bytes: 64 << 20,
-            shards: 4,
             min_heat: 0,
         },
         ..AdaConfig::paper_prototype("ssd", "hdd")
@@ -145,9 +139,6 @@ fn matches(pattern: &str, name: &str, spans: &[String]) -> bool {
 
 #[test]
 fn metrics_md_catalogs_exactly_what_a_stack_emits() {
-    let _g = serialize();
-    trace::set_tracing(true);
-    trace::recorder().clear();
     let (mut server, fe, ssd) = stack();
     let remote = client(&server, "catalog");
     let router = Router::new(
@@ -191,13 +182,12 @@ fn metrics_md_catalogs_exactly_what_a_stack_emits() {
     let mut snap = metrics_of(&server);
     remote.write_metrics(&mut snap);
     router.write_metrics(&mut snap);
-    trace::recorder().write_metrics(&mut snap);
     let mut emitted: Vec<(Kind, String)> = Vec::new();
     emitted.extend(snap.counters.keys().map(|k| (Kind::Counter, k.clone())));
     emitted.extend(snap.gauges.keys().map(|k| (Kind::Gauge, k.clone())));
     emitted.extend(snap.histograms.keys().map(|k| (Kind::Histogram, k.clone())));
-    let mut span_names: Vec<String> = trace::recorder()
-        .all()
+    let traces = [fe.flight_recorder().all(), remote.flight_recorder().all()].concat();
+    let mut span_names: Vec<String> = traces
         .iter()
         .flat_map(|t| t.spans.iter().map(|s| s.name.to_string()))
         .collect();
@@ -273,9 +263,8 @@ fn catalog_patterns_match_one_name_part_per_hole() {
 
 #[test]
 fn two_servers_in_one_process_count_their_own_load() {
-    let _g = serialize();
-    let (mut busy, _, _) = stack();
-    let (mut idle, _, _) = stack();
+    let (mut busy, busy_fe, _) = stack();
+    let (mut idle, idle_fe, _) = stack();
     let (pdb, xtc) = real_bytes(300, 6, 9);
     let c = client(&busy, "busy");
     c.ingest("ds", &pdb, &xtc)
@@ -287,18 +276,34 @@ fn two_servers_in_one_process_count_their_own_load() {
     c.ingest("ds", &pdb, &xtc)
         .expect("ingest on the idle server");
     c.query_range("ds", "p", 0, 4, 1).expect("range query");
+    c.query("ds", Some("p")).expect("tag query");
     busy.shutdown();
     idle.shutdown();
 
     let (b, i) = (metrics_of(&busy), metrics_of(&idle));
     assert_eq!(b.counters["server.requests"], 4);
-    assert_eq!(i.counters["server.requests"], 2);
+    assert_eq!(i.counters["server.requests"], 3);
     assert_eq!(b.counters["frontend.query.accepted"], 3);
-    assert_eq!(i.counters["frontend.query.accepted"], 1);
+    assert_eq!(i.counters["frontend.query.accepted"], 2);
     assert_eq!(b.counters["frontend.client.busy.accepted"], 4);
     assert!(!i.counters.contains_key("frontend.client.busy.accepted"));
     // The first read of the window misses, every later one hits.
     assert_eq!(b.counters["cache.hit"], 2);
     assert_eq!(i.counters["cache.hit"], 0);
     assert_eq!(b.counters["cache.miss"], i.counters["cache.miss"]);
+
+    // Each stack's recorder holds the trees of the requests it served and
+    // nothing else, and its `span.*` family counts only their spans.
+    let ids = |fe: &Frontend| -> BTreeSet<u128> {
+        fe.flight_recorder().all().iter().map(|t| t.id).collect()
+    };
+    let (b_ids, i_ids) = (ids(&busy_fe), ids(&idle_fe));
+    assert_eq!((b_ids.len(), i_ids.len()), (4, 3));
+    assert!(b_ids.is_disjoint(&i_ids), "a trace sealed in both stacks");
+    assert_eq!(b.counters["span.server.request.calls"], 4);
+    assert_eq!(i.counters["span.server.request.calls"], 3);
+    assert_eq!(b.counters["span.ada.query_range.calls"], 3);
+    assert_eq!(i.counters["span.ada.query_range.calls"], 1);
+    assert!(!b.counters.contains_key("span.ada.query.calls"));
+    assert_eq!(i.counters["span.ada.query.calls"], 1);
 }

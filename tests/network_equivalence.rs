@@ -635,18 +635,16 @@ fn remote_ingest_report_matches_in_process() {
     assert_eq!(wire, WireIngestReport::from_report(&local));
 }
 
-/// A traced remote request produces ONE server-side tree sealed under
-/// the client's trace id — the wire carries the id, `root_remote` adopts
-/// it, and the frontend's spans nest under that root. The whole tree down
-/// to the middleware's facade span is recorded on the connection's own
-/// thread, and its root names the op that actually ran, once.
+/// A traced remote request produces one tree in the client's recorder
+/// and ONE in the serving stack's, sealed under the same trace id — the
+/// wire carries the id, `root_remote` adopts it, and the frontend's spans
+/// nest under that root. The whole server tree down to the middleware's
+/// facade span is recorded on the connection's own thread, and its root
+/// names the op that actually ran, once.
 #[test]
 fn server_trace_tree_adopts_the_wire_trace_id() {
     let _guard = serialize();
-    trace::set_tracing(true);
-    trace::recorder().clear();
-
-    let mut server = start_server();
+    let (mut server, fe) = serve(make_ada(), ServerConfig::default());
     let client = client_for(&server, "traced");
     let (pdb, xtc) = real_bytes(300, 3, 55);
     client.ingest("ds", &pdb, &xtc).unwrap();
@@ -654,32 +652,22 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
     client.query("ds", Some("p")).unwrap();
     server.shutdown();
 
-    let traces = trace::recorder().recent();
-    let client_roots: Vec<_> = traces
-        .iter()
-        .filter(|t| {
-            t.root()
-                .map(|r| r.name == "client.request")
-                .unwrap_or(false)
-        })
-        .collect();
-    let server_roots: Vec<_> = traces
-        .iter()
-        .filter(|t| {
-            t.root()
-                .map(|r| r.name == "server.request")
-                .unwrap_or(false)
-        })
-        .collect();
-    assert_eq!(client_roots.len(), 3, "one client tree per request");
-    assert_eq!(server_roots.len(), 3, "one server tree per request");
+    // Each end holds its own half of every request, and only that half.
+    let roots = |traces: &[Arc<trace::Trace>]| -> Vec<&'static str> {
+        traces.iter().map(|t| t.op).collect()
+    };
+    let client_trees = client.flight_recorder().all();
+    let server_trees = fe.flight_recorder().all();
+    assert_eq!(roots(&client_trees), ["client.request"; 3]);
+    assert_eq!(roots(&server_trees), ["server.request"; 3]);
+    let ids = |traces: &[Arc<trace::Trace>]| -> Vec<u128> { traces.iter().map(|t| t.id).collect() };
+    assert_eq!(
+        ids(&client_trees),
+        ids(&server_trees),
+        "both ends' trees of one request carry one id"
+    );
     let mut ops = Vec::new();
-    for st in &server_roots {
-        assert!(
-            client_roots.iter().any(|ct| ct.id == st.id),
-            "server tree {:x} does not share its id with any client tree",
-            st.id
-        );
+    for st in &server_trees {
         let root = st.root().unwrap();
         let mut keys: Vec<_> = root.args.iter().map(|(k, _)| *k).collect();
         keys.sort_unstable();
@@ -738,7 +726,6 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
     }
     ops.sort_unstable();
     assert_eq!(ops, ["ingest", "ingest", "query"]);
-    trace::set_tracing(false);
 }
 
 /// Two servers, each over its own instance, behind one `Router`: every

@@ -38,7 +38,6 @@ fn make_ada(chunk_frames: usize, cache: CacheConfig) -> Arc<Ada> {
 fn hot_cache() -> CacheConfig {
     CacheConfig {
         capacity_bytes: 64 << 20,
-        shards: 4,
         min_heat: 0,
     }
 }

@@ -8,20 +8,19 @@
 //! * shed (`overloaded`), deadline-expired, and errored requests still
 //!   produce a trace, flagged and retained by the flight recorder, with
 //!   the shed/expired ones carrying queue-depth and retry/deadline args;
-//! * turning tracing off changes no query bytes (observability is
-//!   side-effect-free);
 //! * a report's `StageProfile` and the recorder's `span.*` family are folds
 //!   of the request's span tree, not measurements taken beside it;
 //! * an admitted request executes on the thread that submitted it, and one
 //!   that had to queue still seals as one tree, on its own thread.
 //!
-//! The flight recorder is process-global, so these tests serialize on a
-//! local mutex and only assert on traces they can attribute to
-//! themselves (by op, flag, or a cleared recorder).
+//! Each test reads the flight recorder of the stack it built, so the
+//! tests run side by side. That turning telemetry off changes no query
+//! bytes is `tests/tracing_toggle.rs`: the switch is process-global, and
+//! that test has its binary to itself.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{sync_channel, RecvTimeoutError};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData, StageProfile};
@@ -29,13 +28,8 @@ use ada_frontend::{Class, Frontend, FrontendConfig};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
-use ada_telemetry::trace::{self, ArgValue, Trace, TraceSpan};
-
-static GUARD: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(|p| p.into_inner())
-}
+use ada_telemetry::trace::{ArgValue, FlightRecorder, Trace, TraceSpan};
+use ada_telemetry::Snapshot;
 
 /// Both pools on, four workers each whatever the host's width: the trees
 /// below must cross reader and decoder worker threads.
@@ -147,9 +141,6 @@ fn assert_tree_invariants(t: &Trace) {
 fn concurrent_load_yields_one_connected_tree_per_request() {
     const CLIENTS: usize = 6;
     const QUERIES_PER_CLIENT: usize = 4;
-    let _g = serialize();
-    trace::set_tracing(true);
-    trace::recorder().clear();
 
     let fe = Frontend::new(
         make_ada(),
@@ -249,26 +240,21 @@ fn concurrent_load_yields_one_connected_tree_per_request() {
         "every admitted request records exactly one queue wait"
     );
 
-    // The metrics export embeds flight-recorder summaries.
-    let mut stack = ada_telemetry::Snapshot::default();
+    // The stack's metrics walk writes its recorder's `span.*` family, and
+    // the recorder's summaries list every request.
+    let mut stack = Snapshot::default();
     fe.write_metrics(&mut stack);
-    let snap = ada_telemetry::snapshot_with_traces(stack);
-    let recent = snap
-        .field("traces")
-        .and_then(|t| t.field("recent"))
-        .and_then(|r| r.as_arr())
-        .expect("snapshot embeds trace summaries");
-    assert!(recent.len() >= requests.len());
+    let roots = stack.counters["span.frontend.request.calls"];
+    assert_eq!(roots, requests.len() as u64);
+    let summaries = fe.flight_recorder().to_json();
+    let recent = summaries.field("recent").and_then(|r| r.as_arr());
+    assert_eq!(recent.expect("recent summaries").len(), requests.len());
 }
 
 /// An errored request (unknown dataset) still produces a full trace,
 /// flagged with the error kind and retained by the flight recorder.
 #[test]
 fn errored_request_trace_is_flagged_and_retained() {
-    let _g = serialize();
-    trace::set_tracing(true);
-    trace::recorder().clear();
-
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
     let err = fe.query("c0", "no-such-dataset", None).unwrap_err();
     assert_eq!(err.error_kind(), ErrorKind::UnknownDataset);
@@ -289,10 +275,6 @@ fn errored_request_trace_is_flagged_and_retained() {
 /// records how long it waited, the deadline, and the observed depth.
 #[test]
 fn expired_request_trace_records_wait_and_depth() {
-    let _g = serialize();
-    trace::set_tracing(true);
-    trace::recorder().clear();
-
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
     fe.ingest("setup", "d", real_input(300, 2, 3)).unwrap();
     // 1 ns is always in the past by the time the queue drains.
@@ -338,10 +320,7 @@ fn expired_request_trace_records_wait_and_depth() {
 #[test]
 fn shed_request_trace_records_depth_and_retry_hint() {
     const CLIENTS: usize = 8;
-    let _g = serialize();
-    trace::set_tracing(true);
     for attempt in 0..5 {
-        trace::recorder().clear();
         let fe = Frontend::new(
             make_ada(),
             FrontendConfig {
@@ -404,34 +383,6 @@ fn shed_request_trace_records_depth_and_retry_hint() {
     panic!("8 clients through a 1-slot/1-deep queue never overlapped in 5 attempts");
 }
 
-/// Tracing must be side-effect-free: the same ingest+query sequence with
-/// tracing on and off returns byte-identical data.
-#[test]
-fn tracing_toggle_leaves_query_bytes_identical() {
-    let _g = serialize();
-
-    let run = |tracing_on: bool| -> Vec<u8> {
-        trace::set_tracing(tracing_on);
-        let ada = make_ada();
-        ada.ingest("d", real_input(600, 3, 42)).unwrap();
-        let report = ada.query("d", Some(&Tag::protein())).unwrap();
-        match report.data {
-            RetrievedData::Real(traj) => {
-                ada_mdformats::xtc::write_xtc(&traj, ada_mdformats::xtc::DEFAULT_PRECISION).unwrap()
-            }
-            other => panic!("expected real data, got {:?}", other),
-        }
-    };
-
-    let with_tracing = run(true);
-    let without_tracing = run(false);
-    trace::set_tracing(true);
-    assert_eq!(
-        with_tracing, without_tracing,
-        "tracing on/off changed query bytes"
-    );
-}
-
 /// The span → stage table as METRICS.md documents it, written out here so
 /// the check does not lean on `StageProfile::from_spans`' own copy.
 fn stage_of(span: &str) -> Option<&'static str> {
@@ -456,31 +407,45 @@ fn u64_arg(s: &TraceSpan, key: &str) -> Option<u64> {
     }
 }
 
-/// Run one request against a cleared recorder and return its reply with
-/// the trace it sealed, having checked that every `span.{stage}.calls`
-/// counter of the recorder holds exactly the number of spans of that stage
-/// in the trace, and that no other stage counted anything.
-fn sealed<R>(request: impl FnOnce() -> R) -> (R, Arc<Trace>) {
-    trace::recorder().clear();
+/// Run one request on the stack that `recorder` belongs to and return its
+/// reply with the trace it sealed, having checked that the request moved
+/// every `span.{stage}.calls` counter of the recorder by exactly the
+/// number of spans of that stage in the trace, and no other counter.
+fn sealed<R>(recorder: &FlightRecorder, request: impl FnOnce() -> R) -> (R, Arc<Trace>) {
+    let calls = || -> BTreeMap<String, u64> {
+        let mut snap = Snapshot::default();
+        recorder.write_metrics(&mut snap);
+        let counters = snap.counters.into_iter();
+        counters.filter(|(k, _)| k.ends_with(".calls")).collect()
+    };
+    let (before, held) = (calls(), recorder.recent().len());
     let reply = request();
-    let mut after = ada_telemetry::Snapshot::default();
-    trace::recorder().write_metrics(&mut after);
-    let after = after.counters;
-    let traces = trace::recorder().recent();
-    assert_eq!(traces.len(), 1, "one request seals one trace");
-    let t = Arc::clone(&traces[0]);
+    let after = calls();
+    let traces = recorder.recent();
+    assert_eq!(traces.len(), held + 1, "one request seals one trace");
+    let t = Arc::clone(&traces[held]);
     assert_tree_invariants(&t);
 
     let mut spans_of: BTreeMap<&str, u64> = BTreeMap::new();
     for s in &t.spans {
         *spans_of.entry(s.name).or_insert(0) += 1;
     }
-    let calls = after.keys().filter(|k| k.ends_with(".calls")).count();
-    assert_eq!(calls, spans_of.len(), "a stage counted with no span sealed");
+    let moved = after.iter().filter(|(k, n)| before.get(*k) != Some(n));
+    assert_eq!(
+        moved.count(),
+        spans_of.len(),
+        "a stage counted with no span sealed"
+    );
     for (name, n) in spans_of {
         let counter = ada_telemetry::key(&["span", name, "calls"]);
-        let counted = after.get(&counter).copied().unwrap_or(0);
-        assert_eq!(counted, n, "{} vs {} sealed span(s)", counter, n);
+        let counted = |calls: &BTreeMap<String, u64>| calls.get(&counter).copied().unwrap_or(0);
+        assert_eq!(
+            counted(&after) - counted(&before),
+            n,
+            "{} vs {} sealed span(s)",
+            counter,
+            n
+        );
     }
     (reply, t)
 }
@@ -540,8 +505,6 @@ fn assert_profile_is_fold(
 /// retrieval schedules, under a front-end root and under the facade's own.
 #[test]
 fn profile_is_a_fold_of_the_tree() {
-    let _g = serialize();
-    trace::set_tracing(true);
     let stages = |p: &StageProfile| -> Vec<String> { p.stages_ns.keys().cloned().collect() };
 
     let w = ada_workload::gpcr_workload(900, 12, 21);
@@ -555,7 +518,9 @@ fn profile_is_a_fold_of_the_tree() {
 
     // The ingest body, in one chunk.
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
-    let (report, t) = sealed(|| fe.ingest("c0", "whole", input()).unwrap());
+    let (report, t) = sealed(fe.flight_recorder(), || {
+        fe.ingest("c0", "whole", input()).unwrap()
+    });
     let p = report
         .profile
         .as_ref()
@@ -577,7 +542,9 @@ fn profile_is_a_fold_of_the_tree() {
         }),
         FrontendConfig::default(),
     );
-    let (report, t) = sealed(|| fe4.ingest("c0", "chunked", input()).unwrap());
+    let (report, t) = sealed(fe4.flight_recorder(), || {
+        fe4.ingest("c0", "chunked", input()).unwrap()
+    });
     let p = report
         .profile
         .as_ref()
@@ -613,7 +580,9 @@ fn profile_is_a_fold_of_the_tree() {
         );
         fe.ingest("c0", "d", input()).unwrap();
         for tag in [Some(Tag::protein()), None] {
-            let (report, t) = sealed(|| fe.query("c0", "d", tag.as_ref()).unwrap());
+            let (report, t) = sealed(fe.flight_recorder(), || {
+                fe.query("c0", "d", tag.as_ref()).unwrap()
+            });
             let p = report.profile.as_ref().expect("traced query has a profile");
             assert_profile_is_fold(p, &t, "ada.query", mode, None);
             assert_eq!(stages(p), ["decode", "index", "read", "reassemble"]);
@@ -638,7 +607,7 @@ fn profile_is_a_fold_of_the_tree() {
         fe.query_range("c0", "d", &Tag::protein(), 2..10, 2)
             .unwrap()
     };
-    let (cold, t) = sealed(range);
+    let (cold, t) = sealed(fe.flight_recorder(), range);
     let p = cold
         .profile
         .as_ref()
@@ -648,7 +617,7 @@ fn profile_is_a_fold_of_the_tree() {
         stages(p),
         ["cache_lookup", "decode", "index", "read", "reassemble"]
     );
-    let (hit, t) = sealed(range);
+    let (hit, t) = sealed(fe.flight_recorder(), range);
     let p = hit
         .profile
         .as_ref()
@@ -656,21 +625,13 @@ fn profile_is_a_fold_of_the_tree() {
     assert_profile_is_fold(p, &t, "ada.query_range", "query_range", None);
     assert_eq!(stages(p), ["cache_lookup", "index", "reassemble"]);
     assert!(p.bytes_by_tag.is_empty(), "a cache hit decodes nothing");
-
-    // Untraced, there is no tree to cut a profile from — and nothing else
-    // about the reply changes.
-    trace::set_tracing(false);
-    let untraced = range();
-    trace::set_tracing(true);
-    assert!(untraced.profile.is_none());
     let frames = |r: ada_core::QueryReport| match r.data {
         RetrievedData::Real(traj) => traj.frames,
         other => panic!("expected real data, got {:?}", other),
     };
-    let (cold, hit, untraced) = (frames(cold), frames(hit), frames(untraced));
+    let (cold, hit) = (frames(cold), frames(hit));
     assert_eq!(cold.len(), 4);
     assert_eq!(cold, hit);
-    assert_eq!(cold, untraced);
 }
 
 fn span_named<'a>(t: &'a Trace, name: &str) -> &'a TraceSpan {
@@ -685,9 +646,6 @@ fn span_named<'a>(t: &'a Trace, name: &str) -> &'a TraceSpan {
 /// facade all carry the root's thread label.
 #[test]
 fn uncontended_request_runs_on_the_submitting_thread() {
-    let _g = serialize();
-    trace::set_tracing(true);
-
     let fe = Frontend::new(
         make_ada_with(AdaConfig {
             chunk_frames: 4,
@@ -705,7 +663,7 @@ fn uncontended_request_runs_on_the_submitting_thread() {
             .unwrap()
     };
     range(); // warm the cache: the next read starts no decode worker
-    let (_, t) = sealed(range);
+    let (_, t) = sealed(fe.flight_recorder(), range);
     let root = t.root().unwrap();
     for name in ["frontend.queue_wait", "frontend.execute", "ada.query_range"] {
         assert_eq!(
@@ -727,8 +685,6 @@ fn uncontended_request_runs_on_the_submitting_thread() {
 /// runs under a watchdog and such a hang fails the test.
 #[test]
 fn queued_request_traces_as_one_tree_on_its_own_thread() {
-    let _g = serialize();
-    trace::set_tracing(true);
     let (done_tx, done_rx) = sync_channel::<()>(1);
     let scenario = std::thread::spawn(move || {
         queued_request_scenario();
@@ -749,7 +705,6 @@ fn queued_request_traces_as_one_tree_on_its_own_thread() {
 /// [`queued_request_traces_as_one_tree_on_its_own_thread`].
 fn queued_request_scenario() {
     for attempt in 0..5 {
-        trace::recorder().clear();
         let fe = Frontend::new(
             make_ada(),
             FrontendConfig {

@@ -6,10 +6,9 @@
 //! without failing this suite. Only the queue wait's `waited_ns` is a
 //! clock reading; its key and kind are pinned, not its value.
 //!
-//! The flight recorder is process-global: the tests serialize on a local
-//! mutex and read a recorder they cleared just before their request.
+//! Each test reads the flight recorder of the stack it built.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use ada_cache::CacheConfig;
 use ada_core::{Ada, AdaConfig, IngestInput, QueryReport, RetrievedData};
@@ -18,13 +17,7 @@ use ada_mdformats::xtcf::parse_directory;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{LocalFs, SimFileSystem};
-use ada_telemetry::trace::{self, ArgValue, Trace, TraceSpan};
-
-static GUARD: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(|p| p.into_inner())
-}
+use ada_telemetry::trace::{ArgValue, TraceSpan};
 
 /// A front-end over an SSD/HDD `Ada` holding `d`: 64 frames (one stored
 /// chunk per tag) of a 600-atom system.
@@ -52,14 +45,14 @@ fn stack(config: AdaConfig) -> Frontend {
     fe
 }
 
-/// Run `request` against a cleared recorder; its reply and the one trace
-/// it sealed, spans in id order.
-fn sealed(request: impl FnOnce() -> QueryReport) -> (QueryReport, Vec<TraceSpan>) {
-    trace::recorder().clear();
+/// Run `request` on `fe`; its reply and the one trace it sealed in the
+/// stack's recorder, spans in id order.
+fn sealed(fe: &Frontend, request: impl FnOnce() -> QueryReport) -> (QueryReport, Vec<TraceSpan>) {
+    let held = fe.flight_recorder().recent().len();
     let reply = request();
-    let traces: Vec<Arc<Trace>> = trace::recorder().recent();
-    assert_eq!(traces.len(), 1, "one request seals one trace");
-    let mut spans = traces[0].spans.clone();
+    let traces = fe.flight_recorder().recent();
+    assert_eq!(traces.len(), held + 1, "one request seals one trace");
+    let mut spans = traces[held].spans.clone();
     spans.sort_by_key(|s| s.id);
     (reply, spans)
 }
@@ -112,8 +105,6 @@ fn assert_spans(spans: &[TraceSpan], pinned: &[Pinned]) {
 
 #[test]
 fn a_warm_range_hit_seals_seven_spans_on_the_callers_thread() {
-    let _g = serialize();
-    trace::set_tracing(true);
     let cache = CacheConfig {
         min_heat: 0,
         ..CacheConfig::with_capacity(64 << 20)
@@ -125,7 +116,7 @@ fn a_warm_range_hit_seals_seven_spans_on_the_callers_thread() {
     let p = Tag::protein();
     // The first read decodes the window's chunk and leaves it resident.
     fe.query_range("c0", "d", &p, 16..32, 1).unwrap();
-    let (reply, spans) = sealed(|| fe.query_range("c0", "d", &p, 16..32, 1).unwrap());
+    let (reply, spans) = sealed(&fe, || fe.query_range("c0", "d", &p, 16..32, 1).unwrap());
     let (frames, bytes) = frames_and_bytes(&reply);
     assert_eq!(frames, 16);
 
@@ -167,14 +158,12 @@ fn a_warm_range_hit_seals_seven_spans_on_the_callers_thread() {
 
 #[test]
 fn a_cache_off_query_decodes_and_reassembles_on_its_one_worker() {
-    let _g = serialize();
-    trace::set_tracing(true);
     let fe = stack(AdaConfig {
         query_threads: 1,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     });
     let p = Tag::protein();
-    let (reply, spans) = sealed(|| fe.query("c0", "d", Some(&p)).unwrap());
+    let (reply, spans) = sealed(&fe, || fe.query("c0", "d", Some(&p)).unwrap());
     let (frames, bytes) = frames_and_bytes(&reply);
     assert_eq!(frames, 64);
 

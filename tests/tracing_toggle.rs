@@ -1,0 +1,100 @@
+//! Observability is side-effect-free: with telemetry switched off by
+//! `ada_telemetry::set_enabled(false)`, the one switch, a stack answers
+//! with the same bytes and only loses its trace and stage profile.
+//!
+//! The switch is process-global, so this test has its binary to itself:
+//! a trace test running beside it would see its roots go inert.
+
+use std::sync::Arc;
+
+use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
+use ada_frontend::{Frontend, FrontendConfig};
+use ada_mdformats::{Frame, Trajectory};
+use ada_mdmodel::Tag;
+use ada_plfs::ContainerSet;
+use ada_simfs::{LocalFs, SimFileSystem};
+
+/// Both pools four wide, 4-frame chunks and a cache that admits on the
+/// first read.
+fn make_ada() -> Arc<Ada> {
+    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
+    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
+    let cs = Arc::new(ContainerSet::new(vec![
+        ("ssd".into(), ssd.clone()),
+        ("hdd".into(), hdd),
+    ]));
+    let config = AdaConfig {
+        ingest_threads: 4,
+        query_threads: 4,
+        chunk_frames: 4,
+        cache: ada_cache::CacheConfig {
+            min_heat: 0,
+            ..ada_cache::CacheConfig::with_capacity(64 << 20)
+        },
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    };
+    Arc::new(Ada::new(config, cs, ssd))
+}
+
+fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
+    let w = ada_workload::gpcr_workload(natoms, nframes, seed);
+    IngestInput::Real {
+        pdb_text: ada_mdformats::write_pdb(&w.system),
+        xtc_bytes: ada_mdformats::xtc::write_xtc(
+            &w.trajectory,
+            ada_mdformats::xtc::DEFAULT_PRECISION,
+        )
+        .unwrap(),
+    }
+}
+
+fn trajectory(data: RetrievedData) -> Trajectory {
+    match data {
+        RetrievedData::Real(traj) => traj,
+        other => panic!("expected real data, got {:?}", other),
+    }
+}
+
+/// What one stack answers with telemetry `on` or off: a tag query's XTC
+/// bytes, and a cold then a warm range read's frames through the
+/// front-end — each with whether it carried a profile — and how many
+/// traces its recorder sealed.
+fn run(on: bool) -> (Vec<u8>, Vec<(Vec<Frame>, bool)>, usize) {
+    ada_telemetry::set_enabled(on);
+    let fe = Frontend::new(make_ada(), FrontendConfig::default());
+    let ada = fe.ada();
+    ada.ingest("d", real_input(600, 12, 42)).unwrap();
+    let report = ada.query("d", Some(&Tag::protein())).unwrap();
+    assert_eq!(report.profile.is_some(), on);
+    let traj = trajectory(report.data);
+    let xtc = ada_mdformats::xtc::write_xtc(&traj, ada_mdformats::xtc::DEFAULT_PRECISION).unwrap();
+    let ranges = (0..2)
+        .map(|_| {
+            let r = fe
+                .query_range("c0", "d", &Tag::protein(), 2..10, 2)
+                .unwrap();
+            let profiled = r.profile.is_some();
+            (trajectory(r.data).frames, profiled)
+        })
+        .collect();
+    let sealed = ada.flight_recorder().all().len();
+    ada_telemetry::set_enabled(true);
+    (xtc, ranges, sealed)
+}
+
+#[test]
+fn tracing_toggle_leaves_query_bytes_identical() {
+    let (xtc_on, ranges_on, sealed_on) = run(true);
+    let (xtc_off, ranges_off, sealed_off) = run(false);
+    assert_eq!(xtc_on, xtc_off, "tracing on/off changed query bytes");
+    assert_eq!((sealed_on, sealed_off), (4, 0));
+    for (on, off) in ranges_on.into_iter().zip(ranges_off) {
+        assert_eq!(on.0.len(), 4);
+        assert_eq!(on.0, off.0, "tracing on/off changed a range read");
+        assert_eq!(
+            (on.1, off.1),
+            (true, false),
+            "only a traced read is profiled"
+        );
+    }
+}
