@@ -30,10 +30,10 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use ada_core::AdaError;
+use ada_core::{AdaError, IngestReport};
 use ada_proto::{
     read_response, write_frame, CacheStats, ProtoError, RequestBody, RequestEnvelope, ResponseBody,
-    WireIngestReport, WireQueryReport, DEFAULT_MAX_FRAME,
+    WireQueryReport, DEFAULT_MAX_FRAME,
 };
 use ada_sync::Mutex;
 use ada_telemetry::trace::FlightRecorder;
@@ -137,7 +137,7 @@ impl Client {
         dataset: &str,
         pdb_text: &str,
         xtc_bytes: &[u8],
-    ) -> Result<WireIngestReport, AdaError> {
+    ) -> Result<IngestReport, AdaError> {
         let body = RequestBody::Ingest {
             dataset: dataset.to_string(),
             pdb_text: pdb_text.to_string(),

@@ -21,8 +21,8 @@
 
 use std::collections::BTreeMap;
 
-use ada_core::AdaError;
-use ada_proto::{CacheStats, WireIngestReport, WireQueryReport};
+use ada_core::{AdaError, IngestReport};
+use ada_proto::{CacheStats, WireQueryReport};
 use ada_telemetry::{Counter, Snapshot};
 
 use crate::{Client, ClientConfig};
@@ -142,7 +142,7 @@ impl Router {
         dataset: &str,
         pdb_text: &str,
         xtc_bytes: &[u8],
-    ) -> Result<WireIngestReport, AdaError> {
+    ) -> Result<IngestReport, AdaError> {
         let shard = self.shard_for(dataset);
         self.route(shard, |c| c.ingest(dataset, pdb_text, xtc_bytes))
     }

@@ -13,8 +13,8 @@
 //! (`LabelFile::new` refuses any other set), inside
 //! [`Ada::claimed`], which holds the dataset name for the ingest and
 //! releases it, after removing what was written, if anything failed. What
-//! an ingest costs is measured, in its stage profile; the virtual clock of
-//! the figures is `ada-platforms`' volume model.
+//! an ingest costs is measured, in its trace; the virtual clock of the
+//! figures is `ada-platforms`' volume model.
 
 use super::{Ada, IngestInput, IngestReport, Name, Op};
 use crate::categorizer::{categorize_algo1, Labeler};
@@ -137,7 +137,7 @@ impl Ada {
             pdb_text,
             xtc_bytes,
         } = input;
-        self.traced(Op::Ingest, "serial", parent, |ctx| {
+        self.traced(Op::Ingest, parent, |ctx| {
             self.ingest_real(dataset, &pdb_text, &xtc_bytes, ctx)
         })
     }
@@ -298,7 +298,6 @@ impl Ada {
             dataset,
             raw_bytes,
             bytes_by_tag,
-            profile: None, // cut from the op span's tree once it closes
         })
     }
 }
@@ -465,7 +464,7 @@ mod tests {
         cfg.chunk_frames = 2;
         let ada = make_ada_with(cfg);
         let (input, w) = real_input(600, 5);
-        let report = ada.ingest("bar", input).unwrap();
+        ada.ingest("bar", input).unwrap();
         // One dropping per tag, each 5 frames / 2 per chunk = 3 chunks.
         let index = ada.containers().index("bar").unwrap();
         assert_eq!(index.len(), 2);
@@ -473,12 +472,6 @@ mod tests {
             let (content, _) = ada.containers().read_dropping(r).unwrap();
             let dir = ada_mdformats::xtcf::parse_directory(content.bytes());
             assert_eq!(dir.unwrap().unwrap().nchunks(), 3);
-        }
-        // Three chunks ran; the profile still names each stage once.
-        let p = report.profile.expect("telemetry is on by default");
-        assert_eq!(p.mode, "serial");
-        for stage in ["categorize", "decode", "split", "dispatch", "label_write"] {
-            assert!(p.stages_ns.contains_key(stage), "missing stage {}", stage);
         }
         let mut snap = ada_telemetry::Snapshot::default();
         ada.write_metrics(&mut snap);

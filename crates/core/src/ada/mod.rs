@@ -25,7 +25,6 @@ pub use query::StoredAnswer;
 
 use crate::determinator::DispatchPolicy;
 use crate::labeler::LabelFile;
-use crate::profile::StageProfile;
 use crate::tiering::AccessCounts;
 use crate::{AdaError, ErrorKind};
 use ada_cache::DecodedCache;
@@ -109,8 +108,9 @@ pub enum IngestInput {
     },
 }
 
-/// What an ingest stored, and its measured stage profile.
-#[derive(Debug, Clone)]
+/// What an ingest stored. Its timing is its trace, in the stack's flight
+/// recorder ([`Ada::flight_recorder`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestReport {
     /// Dataset name.
     pub dataset: String,
@@ -118,10 +118,6 @@ pub struct IngestReport {
     pub raw_bytes: u64,
     /// Stored bytes per tag.
     pub bytes_by_tag: BTreeMap<Tag, u64>,
-    /// Measured wall-clock stage attribution of this call, cut from its
-    /// span tree (present when the request is traced): the timing of an
-    /// ingest, real nanoseconds spent by this process.
-    pub profile: Option<StageProfile>,
 }
 
 /// Payload returned by a query.
@@ -158,16 +154,6 @@ pub struct QueryReport {
     pub read: SimDuration,
     /// Delivered data.
     pub data: RetrievedData,
-    /// Measured wall-clock stage attribution of this call, cut from its
-    /// span tree (present when the request is traced).
-    pub profile: Option<StageProfile>,
-}
-
-impl QueryReport {
-    /// Total query-side duration.
-    pub fn total(&self) -> SimDuration {
-        self.indexer + self.read
-    }
 }
 
 /// The ADA middleware instance for one storage deployment.
@@ -472,66 +458,27 @@ impl Ada {
         self.datasets.lock().remove(dataset);
         Ok(())
     }
-}
 
-/// A report that carries the measured profile of the call that built it.
-trait Profiled {
-    fn set_profile(&mut self, profile: StageProfile);
-}
-
-impl Profiled for IngestReport {
-    fn set_profile(&mut self, mut profile: StageProfile) {
-        // Stored bytes are a count the dispatcher already made, not a clock.
-        profile.bytes_by_tag = self
-            .bytes_by_tag
-            .iter()
-            .map(|(tag, bytes)| (tag.to_string(), *bytes))
-            .collect();
-        self.profile = Some(profile);
-    }
-}
-
-impl Profiled for QueryReport {
-    fn set_profile(&mut self, profile: StageProfile) {
-        self.profile = Some(profile);
-    }
-}
-
-impl Ada {
     /// Run public entry point `op` under its op span `ada.{op}`: a child
     /// of `parent` when the caller (e.g. the `Frontend`) is already tracing
     /// this request, else a fresh root minted for the direct library
-    /// caller. A successful call's report gets its [`StageProfile`] here,
-    /// cut from the op span's subtree once the op span has closed (`mode`
-    /// names the code path that ran); on failure the span records
-    /// [`AdaError::kind`]. Either way the outcome is counted by
-    /// [`Ada::observe`].
-    fn traced<T: Profiled>(
+    /// caller. On failure the span records [`AdaError::kind`]. The span
+    /// closes before the outcome is counted — `ada.{op}.ok` on success,
+    /// `ada.{op}.err.{kind}` on failure, and `xtcf.chunk.corrupt` when the
+    /// failure is a stored chunk that failed its check — so every public
+    /// entry point reports through one span and one counter family.
+    fn traced<T>(
         &self,
         op: Op,
-        mode: &'static str,
         parent: &TraceContext,
         f: impl FnOnce(&TraceContext) -> Result<T, AdaError>,
     ) -> Result<T, AdaError> {
         let (ctx, mut guard) = self.op_span(op.span(), parent);
-        let mut res = f(&ctx);
-        match &mut res {
-            Ok(report) => {
-                let cut = |spans: &[_], op_span| StageProfile::from_spans(mode, spans, op_span);
-                if let Some(profile) = guard.finish_with(cut) {
-                    report.set_profile(profile);
-                }
-            }
-            Err(e) => guard.set_error(e.error_kind().name()),
+        let res = f(&ctx);
+        if let Err(e) = &res {
+            guard.set_error(e.error_kind().name());
         }
-        self.observe(op, res)
-    }
-
-    /// Count a middleware call's outcome — `ada.{op}.ok` on success,
-    /// `ada.{op}.err.{kind}` on failure, and `xtcf.chunk.corrupt` when the
-    /// failure is a stored chunk that failed its check — so every public
-    /// entry point reports errors through one uniform counter family.
-    fn observe<T>(&self, op: Op, res: Result<T, AdaError>) -> Result<T, AdaError> {
+        drop(guard);
         if ada_telemetry::enabled() {
             let m = &self.metrics;
             match &res {
@@ -732,45 +679,6 @@ mod tests {
         ada.write_metrics(&mut snap);
         assert_eq!(snap.counters["ada.query.err.unknown_dataset"], 1);
         assert!(!snap.counters.contains_key("ada.query.ok"));
-    }
-
-    #[test]
-    fn reports_carry_stage_profiles() {
-        let ada = make_ada();
-        let (input, _) = real_input(1000, 4);
-        let report = ada.ingest("bar", input).unwrap();
-        let p = report.profile.expect("telemetry is on by default");
-        assert_eq!(p.mode, "serial");
-        for stage in ["categorize", "decode", "split", "dispatch", "label_write"] {
-            assert!(p.stages_ns.contains_key(stage), "missing stage {}", stage);
-        }
-        assert!(p.wall_ns > 0);
-        assert_eq!(p.bytes_by_tag.len(), 2);
-
-        let q = ada.query("bar", Some(&Tag::protein())).unwrap();
-        let qp = q.profile.expect("query profile");
-        assert_eq!(
-            qp.mode, "query_parallel",
-            "paper prototype queries in parallel"
-        );
-        for stage in ["index", "read", "decode", "reassemble"] {
-            assert!(qp.stages_ns.contains_key(stage), "missing stage {}", stage);
-        }
-        assert_eq!(qp.bytes_by_tag.keys().collect::<Vec<_>>(), vec!["p"]);
-
-        // The serial reference path reports the same stages under its own
-        // mode.
-        let mut cfg = AdaConfig::paper_prototype("ssd", "hdd");
-        cfg.query_threads = 0;
-        let ada = make_ada_with(cfg);
-        let (input, _) = real_input(1000, 4);
-        ada.ingest("bar", input).unwrap();
-        let q = ada.query("bar", None).unwrap();
-        let qp = q.profile.expect("query profile");
-        assert_eq!(qp.mode, "query");
-        for stage in ["index", "read", "decode", "reassemble"] {
-            assert!(qp.stages_ns.contains_key(stage), "missing stage {}", stage);
-        }
     }
 
     /// The prototype's pools are as wide as the host, never a guess and

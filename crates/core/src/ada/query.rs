@@ -107,14 +107,7 @@ impl Ada {
         tag: Option<&Tag>,
         parent: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        let mode = if self.config.query_threads > 0 {
-            "query_parallel"
-        } else {
-            "query"
-        };
-        self.traced(Op::Query, mode, parent, |ctx| {
-            self.query_inner(dataset, tag, ctx)
-        })
+        self.traced(Op::Query, parent, |ctx| self.query_inner(dataset, tag, ctx))
     }
 
     fn query_inner(
@@ -135,7 +128,6 @@ impl Ada {
                 indexer,
                 read,
                 data: RetrievedData::Real(Trajectory::from_frames(frames)),
-                profile: None, // cut from the op span's tree once it closes
             })
         })
     }
@@ -158,13 +150,9 @@ impl Ada {
         tag: &Tag,
         parent: &TraceContext,
     ) -> Result<StoredAnswer, AdaError> {
-        let (ctx, mut guard) = self.op_span(Op::Query.span(), parent);
-        let res = self.query_stored_inner(dataset, tag, &ctx);
-        if let Err(e) = &res {
-            guard.set_error(e.error_kind().name());
-        }
-        drop(guard);
-        self.observe(Op::Query, res)
+        self.traced(Op::Query, parent, |ctx| {
+            self.query_stored_inner(dataset, tag, ctx)
+        })
     }
 
     fn query_stored_inner(
@@ -225,7 +213,7 @@ impl Ada {
         stride: usize,
         parent: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        self.traced(Op::QueryRange, "query_range", parent, |ctx| {
+        self.traced(Op::QueryRange, parent, |ctx| {
             self.query_range_inner(dataset, tag, window, stride, ctx)
         })
     }
@@ -266,7 +254,6 @@ impl Ada {
                 indexer,
                 read,
                 data: RetrievedData::Real(Trajectory::from_frames(frames)),
-                profile: None, // cut from the op span's tree once it closes
             })
         })
     }

@@ -279,9 +279,8 @@ fn full_frame(head: Row<'_>, rows: &[Row<'_>], pieces: &[Piece], natoms: usize) 
 /// Check stored chunk `c` of `d` — `verify_chunk`, then the directory's
 /// atom count against the label's — and hand back its records,
 /// read in place. Every schedule checks chunks through here, so the
-/// chunk's `query.decode` span — the decode stage's only clock, and the
-/// `tag` + `bytes` a profile's per-tag volume is folded from — is opened
-/// here and nowhere else.
+/// chunk's `query.decode` span — the decode stage's only clock, with the
+/// `tag` + `bytes` it decoded — is opened here and nowhere else.
 fn check_chunk<'a>(
     d: &'a Planned,
     c: usize,

@@ -47,7 +47,6 @@ pub mod categorizer;
 pub mod determinator;
 pub mod labeler;
 pub mod preprocess;
-pub mod profile;
 pub mod tiering;
 
 pub use ada::{
@@ -57,7 +56,6 @@ pub use categorizer::{categorize_algo1, Labeler};
 pub use determinator::DispatchPolicy;
 pub use labeler::{LabelFile, TagEntry};
 pub use preprocess::{split_trajectory, PreprocessOutput};
-pub use profile::StageProfile;
 
 use ada_mdformats::FormatError;
 use ada_mdformats::XtcError;

@@ -19,6 +19,8 @@ use ada_mdformats::xtcf::{
     XTCF_DIR_ENTRY_LEN, XTCF_TRAILER_LEN,
 };
 use ada_mdformats::{FormatError, Trajectory};
+use ada_mdmodel::Tag;
+use std::collections::BTreeMap;
 
 use crate::errmap::{decode_error, encode_error};
 use crate::wire::{ProtoError, WireReader, WireWriter};
@@ -208,8 +210,9 @@ pub struct ResponseEnvelope {
 pub enum ResponseBody {
     /// Answer to [`RequestBody::Ping`].
     Pong,
-    /// Answer to [`RequestBody::Ingest`].
-    Ingest(WireIngestReport),
+    /// Answer to [`RequestBody::Ingest`]: the stored-volume accounting,
+    /// exactly as the remote middleware made it.
+    Ingest(IngestReport),
     /// Answer to [`RequestBody::Query`] / [`RequestBody::QueryRange`].
     Query(WireQueryReport),
     /// Answer to [`RequestBody::CacheStats`].
@@ -236,7 +239,7 @@ impl ResponseEnvelope {
             ResponseBody::Pong => w.put_u8(0),
             ResponseBody::Ingest(rep) => {
                 w.put_u8(1);
-                rep.encode(&mut w);
+                encode_ingest_report(rep, &mut w);
             }
             ResponseBody::Query(rep) => {
                 w.put_u8(2);
@@ -265,7 +268,7 @@ impl ResponseEnvelope {
         let id = r.get_u64()?;
         let body = match r.get_u8()? {
             0 => ResponseBody::Pong,
-            1 => ResponseBody::Ingest(WireIngestReport::decode(&mut r)?),
+            1 => ResponseBody::Ingest(decode_ingest_report(&mut r)?),
             2 => ResponseBody::Query(WireQueryReport::decode(&mut r)?),
             3 => ResponseBody::CacheStats(decode_cache_stats(&mut r)?),
             DISC_ERROR => ResponseBody::Error(decode_error(&mut r)?),
@@ -281,61 +284,45 @@ impl ResponseEnvelope {
     }
 }
 
-/// [`IngestReport`] minus the process-local wall-clock profile: the
-/// stored-volume accounting, exactly as the remote middleware made it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireIngestReport {
-    /// Dataset name.
-    pub dataset: String,
-    /// Decompressed raw volume.
-    pub raw_bytes: u64,
-    /// Stored bytes per tag label, sorted by label.
-    pub bytes_by_tag: Vec<(String, u64)>,
+/// An [`IngestReport`]: its dataset, raw volume, and per-tag stored bytes
+/// in label order.
+fn encode_ingest_report(rep: &IngestReport, w: &mut WireWriter) {
+    w.put_str(&rep.dataset);
+    w.put_u64(rep.raw_bytes);
+    w.put_u32(rep.bytes_by_tag.len().min(u32::MAX as usize) as u32);
+    for (tag, bytes) in &rep.bytes_by_tag {
+        w.put_str(tag.as_str());
+        w.put_u64(*bytes);
+    }
 }
 
-impl WireIngestReport {
-    /// Strip an [`IngestReport`] to its wire form.
-    pub fn from_report(rep: &IngestReport) -> WireIngestReport {
-        WireIngestReport {
-            dataset: rep.dataset.clone(),
-            raw_bytes: rep.raw_bytes,
-            bytes_by_tag: rep
-                .bytes_by_tag
-                .iter()
-                .map(|(t, b)| (t.as_str().to_string(), *b))
-                .collect(),
+/// The inverse of [`encode_ingest_report`]. Tags must arrive strictly
+/// ascending, as an encoder writes them: a repeated or out-of-order tag is
+/// `Malformed`, never merged.
+fn decode_ingest_report(r: &mut WireReader) -> Result<IngestReport, ProtoError> {
+    let dataset = r.get_str()?;
+    let raw_bytes = r.get_u64()?;
+    let n = r.get_u32()?;
+    let mut bytes_by_tag = BTreeMap::new();
+    for _ in 0..n {
+        let tag = Tag::new(r.get_str()?);
+        let bytes = r.get_u64()?;
+        if bytes_by_tag
+            .last_key_value()
+            .is_some_and(|(last, _)| *last >= tag)
+        {
+            return Err(ProtoError::Malformed(format!(
+                "ingest report tag '{}' out of order",
+                tag
+            )));
         }
+        bytes_by_tag.insert(tag, bytes);
     }
-
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_str(&self.dataset);
-        w.put_u64(self.raw_bytes);
-        w.put_u32(self.bytes_by_tag.len().min(u32::MAX as usize) as u32);
-        for (tag, bytes) in &self.bytes_by_tag {
-            w.put_str(tag);
-            w.put_u64(*bytes);
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> Result<WireIngestReport, ProtoError> {
-        let dataset = r.get_str()?;
-        let raw_bytes = r.get_u64()?;
-        let n = r.get_u32()? as usize;
-        // Cap the pre-allocation by what the frame can actually hold
-        // (each entry is ≥ 12 encoded bytes) so a hostile count cannot
-        // balloon memory before the reads start failing.
-        let mut bytes_by_tag = Vec::with_capacity(n.min(r.remaining() / 12 + 1));
-        for _ in 0..n {
-            let tag = r.get_str()?;
-            let bytes = r.get_u64()?;
-            bytes_by_tag.push((tag, bytes));
-        }
-        Ok(WireIngestReport {
-            dataset,
-            raw_bytes,
-            bytes_by_tag,
-        })
-    }
+    Ok(IngestReport {
+        dataset,
+        raw_bytes,
+        bytes_by_tag,
+    })
 }
 
 /// Frames per chunk of a decoded answer sealed for the wire — the on-disk
@@ -428,7 +415,6 @@ impl WireQueryReport {
             indexer: rep.indexer,
             read: rep.read,
             data: rep.data.clone(),
-            profile: None,
         })
     }
 
@@ -525,7 +511,6 @@ mod tests {
     use super::*;
     use ada_core::ErrorKind;
     use ada_mdformats::Frame;
-    use ada_mdmodel::Tag;
     use ada_storagesim::SimDuration;
 
     #[test]
@@ -599,20 +584,6 @@ mod tests {
 
     #[test]
     fn response_reports_round_trip() {
-        let ingest = WireIngestReport {
-            dataset: "ds".into(),
-            raw_bytes: 1024,
-            bytes_by_tag: vec![("m".into(), 7), ("p".into(), 1000)],
-        };
-        let resp = ResponseEnvelope {
-            id: 9,
-            body: ResponseBody::Ingest(ingest.clone()),
-        };
-        match ResponseEnvelope::decode(&resp.encode()).unwrap().body {
-            ResponseBody::Ingest(back) => assert_eq!(back, ingest),
-            other => panic!("wrong body {:?}", other),
-        }
-
         // Every bit of every frame survives, at no, one and more than one
         // chunk's worth of frames.
         let bits = |t: &Trajectory| -> Vec<u32> {
@@ -677,20 +648,51 @@ mod tests {
         }
     }
 
+    /// An ingest answer's bytes: the id, the body discriminant, then the
+    /// dataset, the raw volume and each tag's stored bytes in label order.
+    /// A peer of protocol version 7 reads exactly these bytes, so they may
+    /// change only with `frame::VERSION`.
+    const INGEST_ANSWER: [u8; 53] = [
+        9, 0, 0, 0, 0, 0, 0, 0, 1, // id 9, Ingest
+        2, 0, 0, 0, b'd', b's', // dataset "ds"
+        0, 16, 0, 0, 0, 0, 0, 0, // raw_bytes 4096
+        2, 0, 0, 0, // two tags
+        1, 0, 0, 0, b'm', 96, 0, 0, 0, 0, 0, 0, 0, // m: 96
+        1, 0, 0, 0, b'p', 160, 15, 0, 0, 0, 0, 0, 0, // p: 4000
+    ];
+
     #[test]
-    fn ingest_report_is_the_core_report_stripped() {
+    fn ingest_report_bytes_are_pinned() {
         let rep = IngestReport {
             dataset: "ds".into(),
             raw_bytes: 4096,
-            bytes_by_tag: [(Tag::misc(), 96), (Tag::protein(), 4000)].into(),
-            profile: None,
+            bytes_by_tag: [(Tag::protein(), 4000), (Tag::misc(), 96)].into(),
         };
-        let wire = WireIngestReport {
-            dataset: "ds".into(),
-            raw_bytes: 4096,
-            bytes_by_tag: vec![("m".into(), 96), ("p".into(), 4000)],
+        let resp = ResponseEnvelope {
+            id: 9,
+            body: ResponseBody::Ingest(rep.clone()),
         };
-        assert_eq!(WireIngestReport::from_report(&rep), wire);
+        assert_eq!(resp.encode(), INGEST_ANSWER);
+        match ResponseEnvelope::decode(&INGEST_ANSWER).unwrap().body {
+            ResponseBody::Ingest(back) => assert_eq!(back, rep),
+            other => panic!("wrong body {:?}", other),
+        }
+    }
+
+    /// A peer's report whose tags repeat or descend is refused, not merged.
+    #[test]
+    fn ingest_report_tags_must_ascend() {
+        let m = &INGEST_ANSWER[27..40];
+        let p = &INGEST_ANSWER[40..];
+        for (tags, what) in [([m, m], "repeated"), ([p, m], "descending")] {
+            let mut bytes = INGEST_ANSWER[..27].to_vec();
+            bytes.extend(tags.concat());
+            let res = ResponseEnvelope::decode(&bytes);
+            assert!(
+                matches!(res, Err(ProtoError::Malformed(_))),
+                "{what}: {res:?}"
+            );
+        }
     }
 
     fn real_report(traj: Trajectory) -> QueryReport {
@@ -698,7 +700,6 @@ mod tests {
             indexer: SimDuration(3),
             read: SimDuration(5),
             data: RetrievedData::Real(traj),
-            profile: None,
         }
     }
 

@@ -380,7 +380,6 @@ mod tests {
             indexer: SimDuration(3),
             read: SimDuration(5),
             data: RetrievedData::Real(traj),
-            profile: None,
         };
         ResponseEnvelope {
             id: 9,
@@ -488,7 +487,6 @@ mod tests {
             indexer: SimDuration(0),
             read: SimDuration(0),
             data: RetrievedData::Real(ragged.clone()),
-            profile: None,
         };
         assert_eq!(
             WireQueryReport::from_report(&rep).unwrap_err().error_kind(),

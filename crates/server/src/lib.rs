@@ -62,8 +62,8 @@ use ada_frontend::{Class, Frontend};
 use ada_mdmodel::Tag;
 use ada_proto::{
     read_frame, write_query_stream, write_response, ProtoError, RequestBody, RequestEnvelope,
-    ResponseBody, ResponseEnvelope, Sent, StreamHead, WireIngestReport, WireQueryReport,
-    DEFAULT_MAX_FRAME, HEADER_LEN,
+    ResponseBody, ResponseEnvelope, Sent, StreamHead, WireQueryReport, DEFAULT_MAX_FRAME,
+    HEADER_LEN,
 };
 use ada_sync::Mutex;
 use ada_telemetry::trace::TraceSpanGuard;
@@ -602,7 +602,7 @@ fn execute_request(shared: &Shared, env: RequestEnvelope) -> (TraceSpanGuard<'_>
                     &mut root,
                     |ada, ctx| ada.ingest_traced(&dataset, input, ctx),
                 )
-                .map(|rep| Answer::Body(ResponseBody::Ingest(WireIngestReport::from_report(&rep))))
+                .map(|rep| Answer::Body(ResponseBody::Ingest(rep)))
         }
         RequestBody::Query { dataset, tag } => {
             let tag = tag.map(Tag::new);

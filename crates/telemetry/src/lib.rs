@@ -27,9 +27,9 @@
 //!   ([`trace::chrome_trace`]) for Perfetto (DESIGN.md §13). A trace span
 //!   is the only stage instrumentation there is: when a trace seals, the
 //!   recorder folds each of its spans once into its
-//!   `span.{stage}.ns/.calls/.bytes/.frames` family, and `ada-core` cuts a
-//!   request's stage profile from the same tree — one clock per stage,
-//!   read by every view.
+//!   `span.{stage}.ns/.calls/.bytes/.frames` family, and the sealed tree
+//!   stays in the recorder as the request's own timing — one clock per
+//!   stage, read by every view.
 //!
 //! Telemetry is on by default and globally switchable: [`set_enabled`]
 //! flips the one `AtomicBool` that trace roots and the instrumented call

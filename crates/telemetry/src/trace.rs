@@ -34,9 +34,9 @@
 //!
 //! A trace span is the only record a stage writes. Sealing a trace
 //! ([`FlightRecorder::root`]'s guard dropping) folds every span of it into
-//! the recorder's `span.{stage}.ns/.calls/.bytes/.frames` family, and a
-//! caller that wants its own cut of the tree (`ada-core`'s stage profile) closes its span
-//! with [`TraceSpanGuard::finish_with`] and reads the same spans.
+//! the recorder's `span.{stage}.ns/.calls/.bytes/.frames` family; a caller
+//! that wants one request's cut of the tree reads its sealed [`Trace`]
+//! from the recorder.
 //!
 //! ## Flight recorder
 //!
@@ -309,21 +309,20 @@ impl Handle<'_> {
         }
     }
 
-    /// Add `span` to the trace's finished spans and, under the same lock,
-    /// hand `f` all of them; a root's handle then seals the trace, once
-    /// the lock is released.
-    fn close<R>(self, span: TraceSpan, f: impl FnOnce(&[TraceSpan]) -> R) -> R {
-        let (out, sealed) = {
-            let mut spans = self.trace().spans.lock();
-            spans.push(span);
-            let out = f(&spans);
-            let root = matches!(self, Handle::Root(..));
-            (out, root.then(|| std::mem::take(&mut *spans)))
-        };
-        if let (Handle::Root(trace, recorder), Some(spans)) = (&self, sealed) {
-            recorder.finalize(trace, spans);
+    /// Add `span` to the trace's finished spans; a root's handle then
+    /// seals the trace, once the lock is released.
+    fn close(self, span: TraceSpan) {
+        match self {
+            Handle::Child(trace) => trace.push(span),
+            Handle::Root(trace, recorder) => {
+                let spans = {
+                    let mut spans = trace.spans.lock();
+                    spans.push(span);
+                    std::mem::take(&mut *spans)
+                };
+                recorder.finalize(&trace, spans);
+            }
         }
-        out
     }
 }
 
@@ -335,23 +334,6 @@ struct GuardLive<'a> {
     start_ns: u64,
     args: Vec<(&'static str, ArgValue)>,
     error: Option<&'static str>,
-}
-
-impl<'a> GuardLive<'a> {
-    /// End the span now: its trace's handle, and the finished span.
-    fn end(self) -> (Handle<'a>, TraceSpan) {
-        let span = TraceSpan {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            start_ns: self.start_ns,
-            end_ns: now_ns(),
-            thread: thread_label(),
-            args: self.args,
-            error: self.error,
-        };
-        (self.trace, span)
-    }
 }
 
 /// An open trace span; records itself (and, for the root, seals the whole
@@ -396,25 +378,22 @@ impl TraceSpanGuard<'_> {
             None => TraceContext::inactive(),
         }
     }
-
-    /// Close the span now and read the trace as it stands: `f` gets every
-    /// finished span of the trace (completion order, this span last) and
-    /// this span's id, before a root guard seals them away. `None` when
-    /// the guard is inert. Workers of the span must have been joined —
-    /// what they have not pushed yet, `f` does not see.
-    pub fn finish_with<R>(mut self, f: impl FnOnce(&[TraceSpan], u64) -> R) -> Option<R> {
-        let live = self.live.take()?;
-        let id = live.id;
-        let (handle, span) = live.end();
-        Some(handle.close(span, |spans| f(spans, id)))
-    }
 }
 
 impl Drop for TraceSpanGuard<'_> {
     fn drop(&mut self) {
         let Some(l) = self.live.take() else { return };
-        let (handle, span) = l.end();
-        handle.close(span, |_| ());
+        let span = TraceSpan {
+            id: l.id,
+            parent: l.parent,
+            name: l.name,
+            start_ns: l.start_ns,
+            end_ns: now_ns(),
+            thread: thread_label(),
+            args: l.args,
+            error: l.error,
+        };
+        l.trace.close(span);
     }
 }
 
@@ -942,28 +921,6 @@ mod tests {
             calls(&b),
             ["span.test.stack_b.calls", "span.test.stack_b_stage.calls"]
         );
-    }
-
-    #[test]
-    fn finish_with_reads_the_trace_then_seals_a_root() {
-        let rec = FlightRecorder::new();
-        let (ctx, root_guard) = rec.root("test.finish_root");
-        let id = ctx.trace_id().expect("tracing is on");
-        let op = ctx.span("test.finish_op");
-        drop(op.ctx().span("test.finish_child"));
-        let seen = op
-            .finish_with(|spans, op_id| {
-                assert_eq!(spans.last().map(|s| s.id), Some(op_id));
-                spans.iter().map(|s| s.name).collect::<Vec<_>>()
-            })
-            .expect("live guard");
-        assert_eq!(seen, ["test.finish_child", "test.finish_op"]);
-        // A root closed this way still seals its trace.
-        assert_eq!(
-            root_guard.finish_with(|spans, id| (spans.len(), id)),
-            Some((3, 1))
-        );
-        assert!(rec.recent().iter().any(|t| t.id == id));
     }
 
     #[test]

@@ -46,8 +46,9 @@ fn main() {
         .unwrap();
     println!("\ningest (on the storage node):");
     println!("  decompressed: {} kB raw", report.raw_bytes / 1000);
-    if let Some(profile) = &report.profile {
-        println!("  took {:.1} ms (measured)", profile.wall_ns as f64 / 1e6);
+    // A request's timing is its trace, in the stack's flight recorder.
+    if let Some(trace) = ada.flight_recorder().recent().last() {
+        println!("  took {:.1} ms (measured)", trace.duration_ns as f64 / 1e6);
     }
     for (tag, bytes) in &report.bytes_by_tag {
         println!("  stored tag '{}': {} kB", tag, bytes / 1000);

@@ -47,8 +47,8 @@ use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_proto::{
-    encode_frame, RequestBody, RequestEnvelope, WireIngestReport, WireQueryReport, WireReader,
-    CHUNK_MAGIC, HEADER_LEN,
+    encode_frame, RequestBody, RequestEnvelope, WireQueryReport, WireReader, CHUNK_MAGIC,
+    HEADER_LEN,
 };
 use ada_server::{Server, ServerConfig};
 use ada_simfs::{Content, LocalFs, SimFileSystem};
@@ -619,8 +619,8 @@ fn remote_error_kinds_match_in_process() {
     server.shutdown();
 }
 
-/// Ingest reports survive the wire: simulated stage durations and the
-/// stored-volume accounting match an identical in-process ingest.
+/// Ingest reports survive the wire: the remote report equals an
+/// identical in-process ingest's, field for field.
 #[test]
 fn remote_ingest_report_matches_in_process() {
     let _guard = serialize();
@@ -632,7 +632,7 @@ fn remote_ingest_report_matches_in_process() {
 
     let serial = make_ada();
     let local = serial.ingest("ds", real_input(350, 4, 33)).unwrap();
-    assert_eq!(wire, WireIngestReport::from_report(&local));
+    assert_eq!(wire, local);
 }
 
 /// A traced remote request produces one tree in the client's recorder

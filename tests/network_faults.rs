@@ -278,7 +278,6 @@ fn three_chunk_answer() -> WireQueryReport {
         indexer: ada_storagesim::SimDuration(0),
         read: ada_storagesim::SimDuration(0),
         data: RetrievedData::Real(w.trajectory),
-        profile: None,
     })
     .expect("frames of one atom count")
 }

@@ -8,8 +8,9 @@
 //! * shed (`overloaded`), deadline-expired, and errored requests still
 //!   produce a trace, flagged and retained by the flight recorder, with
 //!   the shed/expired ones carrying queue-depth and retry/deadline args;
-//! * a report's `StageProfile` and the recorder's `span.*` family are folds
-//!   of the request's span tree, not measurements taken beside it;
+//! * each entry point's stages are spans under its op span in the sealed
+//!   trace, and the recorder's `span.*` family is a fold of that tree,
+//!   not a measurement taken beside it;
 //! * an admitted request executes on the thread that submitted it, and one
 //!   that had to queue still seals as one tree, on its own thread.
 //!
@@ -18,12 +19,12 @@
 //! bytes is `tests/tracing_toggle.rs`: the switch is process-global, and
 //! that test has its binary to itself.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData, StageProfile};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
 use ada_frontend::{Class, Frontend, FrontendConfig};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
@@ -383,23 +384,6 @@ fn shed_request_trace_records_depth_and_retry_hint() {
     panic!("8 clients through a 1-slot/1-deep queue never overlapped in 5 attempts");
 }
 
-/// The span → stage table as METRICS.md documents it, written out here so
-/// the check does not lean on `StageProfile::from_spans`' own copy.
-fn stage_of(span: &str) -> Option<&'static str> {
-    Some(match span {
-        "ingest.categorize" => "categorize",
-        "ingest.decode" | "query.decode" => "decode",
-        "ingest.split" => "split",
-        "ingest.dispatch" => "dispatch",
-        "ingest.label_write" => "label_write",
-        "query.index" => "index",
-        "cache.lookup" => "cache_lookup",
-        "query.read" => "read",
-        "query.reassemble" => "reassemble",
-        _ => return None,
-    })
-}
-
 fn u64_arg(s: &TraceSpan, key: &str) -> Option<u64> {
     match arg(s, key) {
         Some(ArgValue::U64(n)) => Some(*n),
@@ -450,63 +434,46 @@ fn sealed<R>(recorder: &FlightRecorder, request: impl FnOnce() -> R) -> (R, Arc<
     (reply, t)
 }
 
-/// Recompute a profile from the sealed trace — the subtree of the span
-/// named `op` — and require `p` to be exactly that.
-fn assert_profile_is_fold(
-    p: &StageProfile,
-    t: &Trace,
-    op: &str,
-    mode: &str,
-    stored_by_tag: Option<&BTreeMap<Tag, u64>>,
-) {
-    let op_span = t
-        .spans
-        .iter()
-        .find(|s| s.name == op)
-        .unwrap_or_else(|| panic!("trace {:x} has no {} span", t.id, op));
-    let under_op = |s: &TraceSpan| {
+/// The subtree of the span named `op`, the op span itself excluded: its
+/// distinct span names, sorted, and the distinct `tag`s its
+/// `query.decode` spans decoded.
+fn under_op<'t>(t: &'t Trace, op: &str) -> (Vec<&'static str>, Vec<&'t str>) {
+    let op_span = span_named(t, op);
+    let inside = |s: &TraceSpan| {
         let mut cur = s;
-        while cur.id != op_span.id {
-            match cur.parent {
-                Some(up) => cur = span_by_id(t, up),
-                None => return false,
+        while let Some(up) = cur.parent {
+            if up == op_span.id {
+                return true;
             }
+            cur = span_by_id(t, up);
         }
-        true
+        false
     };
-
-    let mut stages_ns: BTreeMap<String, u64> = BTreeMap::new();
-    let mut decoded_by_tag: BTreeMap<String, u64> = BTreeMap::new();
-    for s in t.spans.iter().filter(|s| under_op(s)) {
-        if let Some(stage) = stage_of(s.name) {
-            *stages_ns.entry(stage.to_string()).or_insert(0) += s.end_ns - s.start_ns;
-        }
-        if s.name == "query.decode" {
-            let Some(ArgValue::Str(tag)) = arg(s, "tag") else {
-                panic!("query.decode span without a tag");
-            };
-            *decoded_by_tag.entry(tag.clone()).or_insert(0) += u64_arg(s, "bytes").unwrap();
-        }
-    }
-    let bytes_by_tag = match stored_by_tag {
-        Some(stored) => stored.iter().map(|(t, b)| (t.to_string(), *b)).collect(),
-        None => decoded_by_tag,
-    };
-
-    assert_eq!(p.mode, mode);
-    assert_eq!(p.wall_ns, op_span.end_ns - op_span.start_ns, "{} wall", op);
-    assert_eq!(p.stages_ns, stages_ns, "{} stages", op);
-    assert_eq!(p.bytes_by_tag, bytes_by_tag, "{} per-tag bytes", op);
+    let spans: Vec<&TraceSpan> = t.spans.iter().filter(|s| inside(s)).collect();
+    let names: BTreeSet<&'static str> = spans.iter().map(|s| s.name).collect();
+    let tags = spans.iter().filter(|s| s.name == "query.decode");
+    let tags = tags.map(|s| match arg(s, "tag") {
+        Some(ArgValue::Str(tag)) => tag.as_str(),
+        other => panic!("query.decode span without a tag: {:?}", other),
+    });
+    let tags: BTreeSet<&str> = tags.collect();
+    (names.into_iter().collect(), tags.into_iter().collect())
 }
 
-/// A report's profile and the `span.*` counters are two folds of the
-/// request's one span tree: recomputing them from the sealed trace gives
-/// the same numbers, on an ingest of one chunk and of several and on both
-/// retrieval schedules, under a front-end root and under the facade's own.
+/// A request's timing is its sealed trace: every stage of an entry point
+/// is a span under its op span, and the `span.*` counters move by exactly
+/// the spans sealed (`sealed`) — on an ingest of one chunk and of several,
+/// on both retrieval schedules, tagged and full, and on a range read cold
+/// and served from the cache.
 #[test]
-fn profile_is_a_fold_of_the_tree() {
-    let stages = |p: &StageProfile| -> Vec<String> { p.stages_ns.keys().cloned().collect() };
-
+fn stage_spans_sit_under_the_op_span() {
+    const INGEST: [&str; 5] = [
+        "ingest.categorize",
+        "ingest.decode",
+        "ingest.dispatch",
+        "ingest.label_write",
+        "ingest.split",
+    ];
     let w = ada_workload::gpcr_workload(900, 12, 21);
     let pdb = ada_mdformats::write_pdb(&w.system);
     let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
@@ -518,21 +485,13 @@ fn profile_is_a_fold_of_the_tree() {
 
     // The ingest body, in one chunk.
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
-    let (report, t) = sealed(fe.flight_recorder(), || {
+    let (_, t) = sealed(fe.flight_recorder(), || {
         fe.ingest("c0", "whole", input()).unwrap()
     });
-    let p = report
-        .profile
-        .as_ref()
-        .expect("traced ingest has a profile");
-    assert_profile_is_fold(p, &t, "ada.ingest", "serial", Some(&report.bytes_by_tag));
-    assert_eq!(
-        stages(p),
-        ["categorize", "decode", "dispatch", "label_write", "split"]
-    );
+    assert_eq!(under_op(&t, "ada.ingest").0, INGEST);
 
     // Twelve frames at four to a chunk: three chunks through the same
-    // body, the same fold — and the trace shows their schedule: each
+    // body, the same stages — and the trace shows their schedule: each
     // decode holds one chunk's frames, and the one dispatch starts once
     // every chunk is decoded.
     let fe4 = Frontend::new(
@@ -542,19 +501,10 @@ fn profile_is_a_fold_of_the_tree() {
         }),
         FrontendConfig::default(),
     );
-    let (report, t) = sealed(fe4.flight_recorder(), || {
+    let (_, t) = sealed(fe4.flight_recorder(), || {
         fe4.ingest("c0", "chunked", input()).unwrap()
     });
-    let p = report
-        .profile
-        .as_ref()
-        .expect("traced ingest has a profile");
-    let stored = Some(&report.bytes_by_tag);
-    assert_profile_is_fold(p, &t, "ada.ingest", "serial", stored);
-    assert_eq!(
-        stages(p),
-        ["categorize", "decode", "dispatch", "label_write", "split"]
-    );
+    assert_eq!(under_op(&t, "ada.ingest").0, INGEST);
     let named =
         |name: &str| -> Vec<&TraceSpan> { t.spans.iter().filter(|s| s.name == name).collect() };
     let (decodes, dispatches) = (named("ingest.decode"), named("ingest.dispatch"));
@@ -568,8 +518,8 @@ fn profile_is_a_fold_of_the_tree() {
         );
     }
 
-    // Both retrieval schedules.
-    for (query_threads, mode) in [(0, "query"), (4, "query_parallel")] {
+    // Both retrieval schedules, tagged and full.
+    for query_threads in [0, 4] {
         let fe = Frontend::new(
             make_ada_with(AdaConfig {
                 query_threads,
@@ -579,14 +529,23 @@ fn profile_is_a_fold_of_the_tree() {
             FrontendConfig::default(),
         );
         fe.ingest("c0", "d", input()).unwrap();
-        for tag in [Some(Tag::protein()), None] {
-            let (report, t) = sealed(fe.flight_recorder(), || {
+        for (tag, decoded) in [
+            (Some(Tag::protein()), ["p"].as_slice()),
+            (None, &["m", "p"]),
+        ] {
+            let (_, t) = sealed(fe.flight_recorder(), || {
                 fe.query("c0", "d", tag.as_ref()).unwrap()
             });
-            let p = report.profile.as_ref().expect("traced query has a profile");
-            assert_profile_is_fold(p, &t, "ada.query", mode, None);
-            assert_eq!(stages(p), ["decode", "index", "read", "reassemble"]);
-            assert_eq!(p.bytes_by_tag.len(), if tag.is_some() { 1 } else { 2 });
+            let (names, tags) = under_op(&t, "ada.query");
+            let at = format!("query_threads {query_threads}, tag {tag:?}");
+            let stages = [
+                "query.decode",
+                "query.index",
+                "query.read",
+                "query.reassemble",
+            ];
+            assert_eq!(names, stages, "{at}");
+            assert_eq!(tags, decoded, "{at}");
         }
     }
 
@@ -608,23 +567,22 @@ fn profile_is_a_fold_of_the_tree() {
             .unwrap()
     };
     let (cold, t) = sealed(fe.flight_recorder(), range);
-    let p = cold
-        .profile
-        .as_ref()
-        .expect("traced range read has a profile");
-    assert_profile_is_fold(p, &t, "ada.query_range", "query_range", None);
+    let (names, tags) = under_op(&t, "ada.query_range");
     assert_eq!(
-        stages(p),
-        ["cache_lookup", "decode", "index", "read", "reassemble"]
+        names,
+        [
+            "cache.lookup",
+            "query.decode",
+            "query.index",
+            "query.read",
+            "query.reassemble"
+        ]
     );
+    assert_eq!(tags, ["p"]);
     let (hit, t) = sealed(fe.flight_recorder(), range);
-    let p = hit
-        .profile
-        .as_ref()
-        .expect("traced range read has a profile");
-    assert_profile_is_fold(p, &t, "ada.query_range", "query_range", None);
-    assert_eq!(stages(p), ["cache_lookup", "index", "reassemble"]);
-    assert!(p.bytes_by_tag.is_empty(), "a cache hit decodes nothing");
+    let (names, tags) = under_op(&t, "ada.query_range");
+    assert_eq!(names, ["cache.lookup", "query.index", "query.reassemble"]);
+    assert!(tags.is_empty(), "a cache hit decodes nothing");
     let frames = |r: ada_core::QueryReport| match r.data {
         RetrievedData::Real(traj) => traj.frames,
         other => panic!("expected real data, got {:?}", other),

@@ -1,6 +1,6 @@
 //! Observability is side-effect-free: with telemetry switched off by
 //! `ada_telemetry::set_enabled(false)`, the one switch, a stack answers
-//! with the same bytes and only loses its trace and stage profile.
+//! with the same bytes and only loses its traces.
 //!
 //! The switch is process-global, so this test has its binary to itself:
 //! a trace test running beside it would see its roots go inert.
@@ -57,15 +57,13 @@ fn trajectory(data: RetrievedData) -> Trajectory {
 
 /// What one stack answers with telemetry `on` or off: a tag query's XTC
 /// bytes, and a cold then a warm range read's frames through the
-/// front-end — each with whether it carried a profile — and how many
-/// traces its recorder sealed.
-fn run(on: bool) -> (Vec<u8>, Vec<(Vec<Frame>, bool)>, usize) {
+/// front-end, and how many traces its recorder sealed.
+fn run(on: bool) -> (Vec<u8>, Vec<Vec<Frame>>, usize) {
     ada_telemetry::set_enabled(on);
     let fe = Frontend::new(make_ada(), FrontendConfig::default());
     let ada = fe.ada();
     ada.ingest("d", real_input(600, 12, 42)).unwrap();
     let report = ada.query("d", Some(&Tag::protein())).unwrap();
-    assert_eq!(report.profile.is_some(), on);
     let traj = trajectory(report.data);
     let xtc = ada_mdformats::xtc::write_xtc(&traj, ada_mdformats::xtc::DEFAULT_PRECISION).unwrap();
     let ranges = (0..2)
@@ -73,8 +71,7 @@ fn run(on: bool) -> (Vec<u8>, Vec<(Vec<Frame>, bool)>, usize) {
             let r = fe
                 .query_range("c0", "d", &Tag::protein(), 2..10, 2)
                 .unwrap();
-            let profiled = r.profile.is_some();
-            (trajectory(r.data).frames, profiled)
+            trajectory(r.data).frames
         })
         .collect();
     let sealed = ada.flight_recorder().all().len();
@@ -89,12 +86,7 @@ fn tracing_toggle_leaves_query_bytes_identical() {
     assert_eq!(xtc_on, xtc_off, "tracing on/off changed query bytes");
     assert_eq!((sealed_on, sealed_off), (4, 0));
     for (on, off) in ranges_on.into_iter().zip(ranges_off) {
-        assert_eq!(on.0.len(), 4);
-        assert_eq!(on.0, off.0, "tracing on/off changed a range read");
-        assert_eq!(
-            (on.1, off.1),
-            (true, false),
-            "only a traced read is profiled"
-        );
+        assert_eq!(on.len(), 4);
+        assert_eq!(on, off, "tracing on/off changed a range read");
     }
 }
