@@ -241,8 +241,11 @@ impl Ada {
     /// — under a claim on the name, all or nothing. The claim is taken
     /// before anything is written: a name that is stored, or being
     /// ingested or deleted, is `DatasetExists`, and nothing of it is
-    /// touched. If `store` fails, everything it wrote is removed, and only
-    /// then is the claim released.
+    /// touched. Under a name nobody held, any dropping stored is a
+    /// leftover of a delete or a rollback that could not remove it, so the
+    /// claim sweeps them first; a sweep that fails fails the ingest and
+    /// releases the claim. If `store` fails, everything it wrote that can
+    /// be removed is, and only then is the claim released.
     fn claimed<T>(
         &self,
         dataset: &str,
@@ -252,11 +255,17 @@ impl Ada {
             Entry::Occupied(_) => return Err(AdaError::DatasetExists(dataset.to_string())),
             Entry::Vacant(name) => name.insert(Name::Claimed),
         };
+        if let Some(e) = self.containers.delete_logical(dataset).into_iter().next() {
+            self.datasets.lock().remove(dataset);
+            return Err(AdaError::Fs(e));
+        }
         store().inspect_err(|_| {
             // `commit` makes the name `Live` as its last, infallible step,
             // so an error means no one can have seen this dataset: reclaim
-            // its droppings on every backend and a half-written label.
-            self.containers.delete_logical(dataset);
+            // its droppings on every backend and a half-written label. The
+            // ingest's own error is the one reported; a dropping left
+            // behind is the next claim's to sweep.
+            let _ = self.containers.delete_logical(dataset);
             let _ = self.label_fs.delete(&LabelFile::path_for(dataset));
             self.datasets.lock().remove(dataset);
         })
@@ -288,7 +297,6 @@ impl Ada {
         // entry itself is published under the map's lock.
         let generation = self.generations.fetch_add(1, Ordering::Relaxed);
         let live = Name::Live {
-            heat: vec![0; label.entries().len()],
             label: Arc::new(label),
             generation,
         };

@@ -7,7 +7,7 @@
 //!   and checksummed on a worker pool, one dropping per tag — with one
 //!   commit/abort epilogue.
 //! * [`query`] — the read side as callers see it: `query` and
-//!   `query_range` over one resolve / index / heat-bump / report set.
+//!   `query_range` over one resolve / index / report set.
 //! * [`retrieve`] — the I/O retriever underneath both: cache partition,
 //!   fetch and plan on the caller, then one unit per chunk of the
 //!   answer — check its stored chunks, write its frames — inline
@@ -25,7 +25,6 @@ pub use query::StoredAnswer;
 
 use crate::determinator::DispatchPolicy;
 use crate::labeler::LabelFile;
-use crate::tiering::AccessCounts;
 use crate::{AdaError, ErrorKind};
 use ada_cache::DecodedCache;
 use ada_mdformats::{FormatError, Trajectory};
@@ -225,9 +224,6 @@ enum Name {
         /// every cache key made from `label`, so a payload decoded for an
         /// earlier commit is never found under this one.
         generation: u64,
-        /// Per-tag query counts of this commit, in label order, feeding
-        /// the cache's admission; a re-ingested name starts cold.
-        heat: Vec<u64>,
     },
 }
 
@@ -261,13 +257,15 @@ impl Op {
 }
 
 /// What one `Ada` counts: each entry point's outcomes by [`ErrorKind`],
-/// and the stored chunks its reads checked, skipped or found corrupt.
+/// the stored chunks its reads checked, skipped or found corrupt, and the
+/// frame bytes `settle` decoded for the cache.
 #[derive(Debug, Default)]
 struct Metrics {
     ok: [Counter; 3],
     err: [[Counter; ErrorKind::ALL.len()]; 3],
     chunks_checked: Counter,
     chunks_skipped: Counter,
+    settle_decoded: Counter,
     /// Shared with the [`StoredAnswer`]s a forward checks after the call.
     chunks_corrupt: Arc<Counter>,
 }
@@ -305,9 +303,10 @@ impl Ada {
         }
     }
 
-    /// Write this instance's metrics — `ada.{op}.ok` / `ada.{op}.err.{kind}`
-    /// and `xtcf.chunk.*`, each once it has counted — then its flight
-    /// recorder's `span.*` family, its cache's and its container set's.
+    /// Write this instance's metrics — `ada.{op}.ok` / `ada.{op}.err.{kind}`,
+    /// `xtcf.chunk.*` and `cache.settle.bytes_decoded`, each once it has
+    /// counted — then its flight recorder's `span.*` family, its cache's
+    /// and its container set's.
     pub fn write_metrics(&self, snap: &mut Snapshot) {
         let m = &self.metrics;
         for op in Op::ALL {
@@ -321,6 +320,7 @@ impl Ada {
         snap.nonzero("xtcf.chunk.decoded", m.chunks_checked.get());
         snap.nonzero("xtcf.chunk.skipped", m.chunks_skipped.get());
         snap.nonzero("xtcf.chunk.corrupt", m.chunks_corrupt.get());
+        snap.nonzero("cache.settle.bytes_decoded", m.settle_decoded.get());
         self.recorder.write_metrics(snap);
         self.cache.write_metrics(snap);
         self.containers().write_metrics(snap);
@@ -333,19 +333,6 @@ impl Ada {
     /// rung difference across epochs.
     pub fn cache_stats(&self) -> ada_cache::CacheStats {
         self.cache.stats()
-    }
-
-    /// Per-tag access counts of a dataset's current commit (untagged
-    /// queries count every tag they touched); empty for a name that is
-    /// not stored.
-    pub fn access_counts(&self, dataset: &str) -> AccessCounts {
-        match self.datasets.lock().get(dataset) {
-            Some(Name::Live { label, heat, .. }) => {
-                let counts = label.entries().keys().zip(heat).filter(|(_, n)| **n > 0);
-                counts.map(|(tag, n)| (tag.clone(), *n)).collect()
-            }
-            _ => AccessCounts::new(),
-        }
     }
 
     /// Whether ADA traps a file on its way to storage (§3.4: "ADA checks if
@@ -363,9 +350,7 @@ impl Ada {
     /// caller works under the lock.
     fn label_of(&self, dataset: &str) -> Result<(Arc<LabelFile>, u64), AdaError> {
         match self.datasets.lock().get(dataset) {
-            Some(Name::Live {
-                label, generation, ..
-            }) => Ok((Arc::clone(label), *generation)),
+            Some(Name::Live { label, generation }) => Ok((Arc::clone(label), *generation)),
             _ => Err(AdaError::UnknownDataset(dataset.to_string())),
         }
     }
@@ -382,11 +367,9 @@ impl Ada {
     /// `tag`, when given, checked against the label's tags — and the
     /// label's generation. The read's outcome stands only while that
     /// commit is still `Live` — a delete claims the name before it removes
-    /// anything, so the droppings the read saw were that commit's — and a
-    /// success then counts one access of `tag`, or of every tag when `tag`
-    /// is `None`, on that commit. Otherwise the name was deleted under the
-    /// read, which answers as if it came after the delete:
-    /// `UnknownDataset`.
+    /// anything, so the droppings the read saw were that commit's.
+    /// Otherwise the name was deleted under the read, which answers as if
+    /// it came after the delete: `UnknownDataset`.
     fn read_live<T>(
         &self,
         dataset: &str,
@@ -398,20 +381,10 @@ impl Ada {
             return Err(AdaError::UnknownTag(t.to_string()));
         }
         let res = read(&label, generation);
-        match self.datasets.lock().get_mut(dataset) {
-            Some(Name::Live {
-                generation: live,
-                heat,
-                ..
-            }) if *live == generation => {
-                let touched = label.entries().keys();
-                let hits = touched.map(|t| res.is_ok() && tag.is_none_or(|q| q == t));
-                for (n, hit) in heat.iter_mut().zip(hits) {
-                    *n += u64::from(hit);
-                }
-                res
-            }
-            _ => Err(AdaError::UnknownDataset(dataset.to_string())),
+        if self.is_live(dataset, generation) {
+            res
+        } else {
+            Err(AdaError::UnknownDataset(dataset.to_string()))
         }
     }
 
@@ -441,7 +414,10 @@ impl Ada {
     /// label file, the commit record, is removed next: if that fails, the
     /// dataset is `Live` again and nothing else was touched. Then its
     /// droppings go on every backend, then its cached payloads, and last
-    /// the name.
+    /// the name. Once the label is gone the dataset is gone: a dropping
+    /// that could not be removed is reported — the first one, as `Fs` —
+    /// after the name is released, and the next ingest of the name sweeps
+    /// it.
     pub fn delete_dataset(&self, dataset: &str) -> Result<(), AdaError> {
         let live = match self.datasets.lock().get_mut(dataset) {
             Some(name @ Name::Live { .. }) => std::mem::replace(name, Name::Claimed),
@@ -453,10 +429,13 @@ impl Ada {
             }
             return Err(e.into());
         }
-        self.containers.delete_logical(dataset);
+        let leftovers = self.containers.delete_logical(dataset);
         self.cache.invalidate_dataset(dataset);
         self.datasets.lock().remove(dataset);
-        Ok(())
+        match leftovers.into_iter().next() {
+            Some(e) => Err(AdaError::Fs(e)),
+            None => Ok(()),
+        }
     }
 
     /// Run public entry point `op` under its op span `ada.{op}`: a child
@@ -595,11 +574,19 @@ mod testkit {
         }
     }
 
+    /// Every `ada.{op}.*` outcome `ada` counted so far, as
+    /// `"{op}.ok={n}"` / `"{op}.err.{kind}={n}"`, in name order: which
+    /// calls counted as a success, and which as a failure of what kind.
+    pub fn outcomes(ada: &Ada) -> Vec<String> {
+        let mut snap = Snapshot::default();
+        ada.write_metrics(&mut snap);
+        let ops = snap.counters.iter();
+        ops.filter_map(|(name, n)| Some(format!("{}={}", name.strip_prefix("ada.")?, n)))
+            .collect()
+    }
+
     pub fn hot_cache_cfg() -> ada_cache::CacheConfig {
-        ada_cache::CacheConfig {
-            capacity_bytes: 64 << 20,
-            min_heat: 0,
-        }
+        ada_cache::CacheConfig::with_capacity(64 << 20)
     }
 }
 

@@ -2,9 +2,9 @@
 //! ([`Ada::query`]) and the strided frame-range read of the sampling
 //! workload ([`Ada::query_range`]). Both run the indexer and retrieve
 //! inside `Ada::read_live`, which resolves the dataset's label and its
-//! generation, and lets the answer stand, and bumps the tag heat, only if
-//! that generation is still `Live` afterwards; the retrieval — which
-//! writes the answer's frames too — lives in [`super::retrieve`].
+//! generation, and lets the answer stand only if that generation is still
+//! `Live` afterwards; the retrieval — which writes the answer's frames
+//! too — lives in [`super::retrieve`].
 //!
 //! A caller that hands a whole tag on undecoded — the daemon, to a socket
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
@@ -143,7 +143,8 @@ impl Ada {
     /// The decoded-dropping cache is neither consulted nor filled: nothing
     /// here is decoded. The chunks are checked as [`StoredAnswer::chunks`]
     /// yields them, after this returns — a corrupt chunk is found once its
-    /// predecessors are gone, and by then the heat is bumped.
+    /// predecessors are gone, and by then the call has counted as an
+    /// `ada.query.ok`.
     pub fn query_stored(
         &self,
         dataset: &str,
@@ -226,8 +227,6 @@ impl Ada {
         stride: usize,
         ctx: &TraceContext,
     ) -> Result<QueryReport, AdaError> {
-        // A range read counts as one access of the tag — the same heat
-        // accounting as a tagged query.
         self.read_live(dataset, Some(tag), |label, generation| {
             let nframes = label.nframes;
             if stride == 0 || window.start >= window.end || window.end > nframes {
@@ -363,10 +362,10 @@ mod tests {
         let report = decoded_ada.query("bar", Some(&tag)).unwrap();
         assert_eq!((stored.indexer, stored.read), (report.indexer, report.read));
         assert_eq!(stored_ada.cache_stats().bytes_decoded, 0);
-        assert_eq!(
-            stored_ada.access_counts("bar"),
-            decoded_ada.access_counts("bar")
-        );
+        // Each counts as one successful query.
+        for ada in [&stored_ada, &decoded_ada] {
+            assert_eq!(outcomes(ada), ["ingest.ok=1", "query.ok=1"]);
+        }
 
         // The chunk bodies, end to end, are the v1 stream of the frames.
         let frames = frames_of(report);
@@ -384,14 +383,21 @@ mod tests {
         assert_eq!(stored.natoms(), frames[0].len());
         assert_eq!(read_xtcf(&body).unwrap().frames, frames);
 
-        // Failures are `query`'s, and leave no heat.
-        let heat = stored_ada.access_counts("bar");
+        // Failures are `query`'s, counted as its errors and never as a
+        // success.
         let err = stored_ada.query_stored("bar", &Tag::new("zz"), &ctx);
         assert_eq!(err.unwrap_err().error_kind(), ErrorKind::UnknownTag);
         let err = stored_ada.query_stored("nope", &tag, &ctx);
         assert_eq!(err.unwrap_err().error_kind(), ErrorKind::UnknownDataset);
-        assert_eq!(stored_ada.access_counts("bar"), heat);
-        assert!(stored_ada.access_counts("nope").is_empty());
+        assert_eq!(
+            outcomes(&stored_ada),
+            [
+                "ingest.ok=1",
+                "query.err.unknown_dataset=1",
+                "query.err.unknown_tag=1",
+                "query.ok=1"
+            ]
+        );
     }
 
     #[test]
@@ -438,7 +444,16 @@ mod tests {
         assert_eq!(err.error_kind(), ErrorKind::UnknownTag);
         let err = ada.query_range("nope", &t, 0..1, 1).unwrap_err();
         assert_eq!(err.error_kind(), ErrorKind::UnknownDataset);
-        // Failed range reads leave no heat behind.
-        assert!(ada.access_counts("bar").is_empty());
+        // Failed range reads count as failures of their kind, never as a
+        // success.
+        assert_eq!(
+            outcomes(&ada),
+            [
+                "ingest.ok=1",
+                "query_range.err.invalid_range=4",
+                "query_range.err.unknown_dataset=1",
+                "query_range.err.unknown_tag=1"
+            ]
+        );
     }
 }

@@ -34,7 +34,6 @@ use crate::AdaError;
 use ada_cache::{Admission, CacheKey, DecodedDropping};
 use ada_mdformats::xtcf::{decode_chunk, parse_directory, ChunkDirectory, ChunkEntry};
 use ada_mdformats::{FormatError, Frame};
-use ada_mdmodel::Tag;
 use ada_plfs::IndexRecord;
 use ada_simfs::Content;
 use ada_storagesim::SimDuration;
@@ -318,8 +317,12 @@ impl Ada {
 
     /// A retrieval succeeded: count what it read and checked — per
     /// dropping, the chunks checked and skipped; the frame bytes decoded,
-    /// cache on or off — and, cache on, decode every fresh chunk
-    /// (`decode_chunk`) and offer each fresh payload to the cache. Nothing
+    /// cache on or off — and, cache on, offer each fresh payload to the
+    /// cache. A payload's cost is known from the chunk directory before
+    /// anything is decoded — its chunks `prior` holds and its fresh ones —
+    /// so one the cache would refuse (`DecodedCache::admission`) is not
+    /// decoded at all; an admitted one has its fresh chunks decoded
+    /// (`decode_chunk`), counted in `cache.settle.bytes_decoded`. Nothing
     /// is counted for a failed request. A payload is keyed by the
     /// `generation` its label was resolved at: should the name be deleted
     /// and re-committed meanwhile, it is never found under the new commit.
@@ -348,15 +351,9 @@ impl Ada {
             self.metrics.chunks_skipped.add(skipped);
         }
 
-        // Admission heat is the tag's access count *before* this query
-        // (the counter bumps only after the whole query succeeds), so a
-        // tag must prove itself hot across queries before it may displace
-        // resident entries. Only an admission reads it, so only a cache-on
-        // call with something fresh pays for the copy of the counters.
-        if !self.cache.enabled() || droppings.iter().all(|d| matches!(d.source, Source::Hit(_))) {
+        if !self.cache.enabled() {
             return;
         }
-        let heat = self.access_counts(dataset);
         for d in droppings {
             let Source::Stored {
                 content,
@@ -370,21 +367,31 @@ impl Ada {
             let mut chunks: Vec<Option<Arc<Vec<Frame>>>> = (0..dir.nchunks())
                 .map(|c| prior.as_ref().and_then(|p| p.chunk(c).cloned()))
                 .collect();
+            let cost = |c: usize| dir.entries.get(c).map_or(0, decoded_bytes);
+            let fresh: u64 = todo.iter().map(|&c| cost(c)).sum();
+            let held: u64 = (0..chunks.len())
+                .filter(|&c| chunks[c].is_some())
+                .map(cost)
+                .sum();
+            if self.cache.admission(held + fresh) != Admission::Admitted {
+                continue;
+            }
             for c in todo {
-                let fresh = decode_chunk(content.bytes(), &dir, c).ok();
-                if let (Some(slot), Some(frames)) = (chunks.get_mut(c), fresh) {
+                let frames = decode_chunk(content.bytes(), &dir, c).ok();
+                if let (Some(slot), Some(frames)) = (chunks.get_mut(c), frames) {
                     *slot = Some(Arc::new(frames));
                 }
+            }
+            if ada_telemetry::enabled() {
+                self.metrics.settle_decoded.add(fresh);
             }
             let payload = Arc::new(DecodedDropping::from_chunks(
                 dir.chunk_nframes(),
                 chunks,
                 d.entry.ranges.count(),
             ));
-            let tag = &d.entry.dropping.tag;
-            let key = CacheKey::new(dataset, tag, generation);
-            let tag_heat = heat.get(&Tag::new(tag.clone())).copied().unwrap_or(0);
-            let stored = self.cache.insert(key.clone(), &payload, tag_heat) == Admission::Admitted;
+            let key = CacheKey::new(dataset, &d.entry.dropping.tag, generation);
+            let stored = self.cache.insert(key.clone(), &payload, 0) == Admission::Admitted;
             if stored && !self.is_live(dataset, generation) {
                 self.cache.remove(&key);
             }
@@ -461,11 +468,7 @@ mod tests {
         let inserts = ada.cache_stats().inserts;
         let planned = plan(entry, Take::All, content, None, old.nframes).unwrap();
         ada.settle("d", g, vec![planned]);
-        assert_eq!(
-            ada.cache_stats().inserts,
-            inserts + 1,
-            "admitted at min_heat 0"
-        );
+        assert_eq!(ada.cache_stats().inserts, inserts + 1, "admitted");
         // ... and taken out again: commit g is not `Live`, so its payload
         // holds no budget.
         let stale = CacheKey::new("d", &entry.dropping.tag, g);
@@ -512,25 +515,51 @@ mod tests {
         assert!(cold.cache_stats().bytes_decoded > cold_decoded);
     }
 
+    /// `(cache.bytes_decoded, cache.settle.bytes_decoded, cache.bypass)`.
+    fn decoded(ada: &super::Ada) -> (u64, u64, u64) {
+        let mut snap = ada_telemetry::Snapshot::default();
+        ada.write_metrics(&mut snap);
+        let settled = snap.counters.get("cache.settle.bytes_decoded");
+        let stats = ada.cache_stats();
+        (
+            stats.bytes_decoded,
+            settled.copied().unwrap_or(0),
+            stats.bypasses,
+        )
+    }
+
+    /// `settle` decodes for the cache exactly what it admits: an admitted
+    /// miss decodes its fresh chunks a second time, as many bytes as the
+    /// query's own count; a miss the cache refuses as too large decodes
+    /// nothing more, and is counted as one bypass.
     #[test]
-    fn min_heat_gates_admission_until_tag_proves_hot() {
-        let mut cache = hot_cache_cfg();
-        cache.min_heat = 2;
-        let ada = make_ada_with(cached_config(2, cache));
+    fn settle_decodes_only_what_the_cache_admits() {
+        let tag = Tag::protein();
+        let ada = make_ada_with(cached_config(2, hot_cache_cfg()));
         let (input, _) = real_input(1000, 4);
         ada.ingest("bar", input).unwrap();
-        let tag = Tag::protein();
-        // Queries 1 and 2 run at heat 0 and 1: both bypass admission.
+        ada.query_range("bar", &tag, 0..2, 1).unwrap();
+        let (bytes, settled, bypasses) = decoded(&ada);
+        assert!(bytes > 0);
+        assert_eq!((settled, bypasses), (bytes, 0), "one chunk, admitted");
+        // A wider window: only its fresh chunk is decoded, twice.
         ada.query("bar", Some(&tag)).unwrap();
-        ada.query("bar", Some(&tag)).unwrap();
+        let (more, settled, _) = decoded(&ada);
+        assert_eq!(settled, more, "admitted on its first query");
+        assert_eq!(decoded(&ada), (more, more, 0));
+
+        // One byte a shard: every payload is too large.
+        let tiny = ada_cache::CacheConfig::with_capacity(8);
+        let ada = make_ada_with(cached_config(2, tiny));
+        let (input, _) = real_input(1000, 4);
+        ada.ingest("bar", input).unwrap();
+        for n in 1..=2 {
+            ada.query("bar", Some(&tag)).unwrap();
+            let (bytes, settled, bypasses) = decoded(&ada);
+            assert!(bytes > 0);
+            assert_eq!((settled, bypasses), (0, n), "refused before decoding");
+        }
         assert_eq!(ada.cache_stats().inserts, 0);
-        assert!(ada.cache_stats().bypasses > 0);
-        // Query 3 runs at heat 2: admitted; query 4 is all hits.
-        ada.query("bar", Some(&tag)).unwrap();
-        assert!(ada.cache_stats().inserts > 0);
-        let before = ada.cache_stats().bytes_decoded;
-        ada.query("bar", Some(&tag)).unwrap();
-        assert_eq!(ada.cache_stats().bytes_decoded, before);
     }
 
     /// Run `request` under a fresh root and return the trace it sealed.

@@ -465,10 +465,9 @@ mod tests {
     }
 
     /// Make `label` the label of real dataset `d`, committed at
-    /// generation 0 with no heat.
+    /// generation 0.
     fn set_label(ada: &Ada, label: LabelFile) {
         let live = Name::Live {
-            heat: vec![0; label.entries().len()],
             label: Arc::new(label),
             generation: 0,
         };
@@ -506,15 +505,12 @@ mod tests {
     }
 
     /// What only a successful request moves: decoded bytes, cache
-    /// admissions and tag heat.
-    fn settled(ada: &Ada) -> (u64, u64, u64, crate::tiering::AccessCounts) {
+    /// admissions and the `ada.{op}.ok` counts.
+    fn settled(ada: &Ada) -> (u64, u64, u64, Vec<String>) {
         let s = ada.cache_stats();
-        (
-            s.bytes_decoded,
-            s.inserts,
-            s.bypasses,
-            ada.access_counts("d"),
-        )
+        let mut oks = outcomes(ada);
+        oks.retain(|o| o.contains(".ok="));
+        (s.bytes_decoded, s.inserts, s.bypasses, oks)
     }
 
     /// `cache.bytes_decoded` as the counter has always been defined: per
@@ -732,7 +728,7 @@ mod tests {
             let p = dropping_of(&ada, &Tag::protein());
             assert!(is_refusal(&err, &p, "chunks are cut unlike"), "{:?}", err);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
-            assert!(ada.access_counts("d").is_empty());
+            assert_eq!(outcomes(&ada), ["query.err.xtcf=1"]);
 
             for (t, chunks) in stored_chunks(&ada) {
                 let whole = chunks.concat();
@@ -777,7 +773,7 @@ mod tests {
                 "{:?}",
                 err
             );
-            assert!(ada.access_counts("d").is_empty());
+            assert_eq!(outcomes(&ada), ["query.err.frame_count_mismatch=1"]);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
         }
     }
@@ -785,7 +781,7 @@ mod tests {
     /// A range read whose window runs past the frames the tag's dropping
     /// holds — the label promises 9, the dropping's directory declares 6 —
     /// fails with `FrameCountMismatch` naming the tag, at every thread
-    /// count, and leaves no heat and no decoded byte. So does a stride that
+    /// count, and counts no success and no decoded byte. So does a stride that
     /// selects only frames the dropping holds, and so does a window whose
     /// selected frames are all resident in the cache.
     #[test]
@@ -818,7 +814,7 @@ mod tests {
             past(0..9, 1);
             // Frame 0 alone is selected, but the window ends at 7.
             past(0..7, 7);
-            assert!(ada.access_counts("d").is_empty());
+            assert_eq!(outcomes(&ada), ["query_range.err.frame_count_mismatch=2"]);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
             // A window inside the dropping still reads, and leaves its
             // chunks resident.

@@ -47,7 +47,6 @@ pub mod categorizer;
 pub mod determinator;
 pub mod labeler;
 pub mod preprocess;
-pub mod tiering;
 
 pub use ada::{
     Ada, AdaConfig, IngestInput, IngestReport, QueryReport, RetrievedData, StoredAnswer,

@@ -160,15 +160,19 @@ impl ContainerSet {
         }
     }
 
-    /// Remove `logical`'s droppings on every backend. A logical file
-    /// whose name nests under this one keeps its own, and a dropping
-    /// already gone stays gone.
-    pub fn delete_logical(&self, logical: &str) {
+    /// Remove `logical`'s droppings on every backend: every one that can
+    /// be removed is, and the removals that failed are returned, in
+    /// backend order. A logical file whose name nests under this one keeps
+    /// its own, and a dropping already gone stays gone.
+    #[must_use = "a failed removal leaves its dropping behind"]
+    pub fn delete_logical(&self, logical: &str) -> Vec<FsError> {
+        let mut failed = Vec::new();
         for (mnt, fs) in &self.backends {
             for (_, path) in stored(mnt, fs.as_ref(), logical) {
-                let _ = fs.delete(&path);
+                failed.extend(fs.delete(&path).err());
             }
         }
+        failed
     }
 
     /// Store `content` as `logical`'s dropping of `tag` on `backend`, at
@@ -311,7 +315,7 @@ mod tests {
         hdd.create("mnt2/bar/stray", Content::real(vec![3u8; 5]))
             .unwrap();
         let barn = cs.index("barn").unwrap();
-        cs.delete_logical("bar");
+        assert_eq!(cs.delete_logical("bar"), vec![]);
         assert_eq!(cs.index("bar").unwrap(), vec![]);
         assert_eq!(cs.index("barn").unwrap(), barn);
         for (mnt, fs) in &cs.backends {
@@ -324,7 +328,7 @@ mod tests {
             assert_eq!(left, stray);
         }
         // A second delete finds nothing to remove; the tag is free again.
-        cs.delete_logical("bar");
+        assert_eq!(cs.delete_logical("bar"), vec![]);
         cs.append("bar", "m", "mnt1", Content::real(vec![4u8; 2]))
             .unwrap();
     }
@@ -346,7 +350,7 @@ mod tests {
             assert_eq!(cs.index("bar/x").unwrap().len(), 2);
             let before = cs.index(kept).unwrap();
 
-            cs.delete_logical(gone);
+            assert_eq!(cs.delete_logical(gone), vec![]);
             assert_eq!(cs.index(gone).unwrap(), vec![]);
             assert_eq!(cs.index(kept).unwrap(), before);
             let byte = if kept == "bar" { 1u8 } else { 2u8 };

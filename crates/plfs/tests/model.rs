@@ -129,7 +129,7 @@ proptest! {
 
         // A delete through the fresh set leaves nothing of `bar` on any
         // backend, and `other` whole.
-        fresh.delete_logical("bar");
+        prop_assert_eq!(fresh.delete_logical("bar"), vec![]);
         prop_assert_eq!(cs.index("bar").unwrap(), vec![]);
         prop_assert_eq!(cs.index("other").unwrap(), other);
         for (mnt, fs) in &backends {

@@ -18,7 +18,7 @@
 //!
 //! Every case runs in process and through a loopback `Server` (ingest and
 //! query over the wire, delete through the serving stack's `Ada`), at
-//! `query_threads` 0 and 2, with the cache off and on (`min_heat` 0). The
+//! `query_threads` 0 and 2, with the cache off and on. The
 //! three shapes are fixed-seed cases: two readers against two writers,
 //! three writers alone, and two readers against three writers.
 
@@ -113,10 +113,7 @@ fn stack(query_threads: usize, cache: bool) -> (Arc<Ada>, [Arc<dyn SimFileSystem
         chunk_frames: 2,
         query_threads,
         cache: if cache {
-            CacheConfig {
-                min_heat: 0,
-                ..CacheConfig::with_capacity(1 << 30)
-            }
+            CacheConfig::with_capacity(1 << 30)
         } else {
             CacheConfig::default()
         },

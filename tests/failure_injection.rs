@@ -11,7 +11,10 @@ use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{Backing, Content, FsError, LocalFs, SimFileSystem};
+use ada_simfs::{FileStat, TimedRead};
 use ada_storagesim::DeviceProfile;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 struct Rig {
@@ -23,7 +26,11 @@ struct Rig {
 /// A hybrid rig on `ssd` that seals a chunk — one unit of the ingest pool
 /// — every `chunk_frames` frames.
 fn rig_on(ssd: Arc<dyn SimFileSystem>, chunk_frames: usize) -> Rig {
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
+    rig_over(ssd, Arc::new(LocalFs::ext4_on_hdd()), chunk_frames)
+}
+
+/// A hybrid rig over the given SSD and HDD.
+fn rig_over(ssd: Arc<dyn SimFileSystem>, hdd: Arc<dyn SimFileSystem>, chunk_frames: usize) -> Rig {
     let cs = Arc::new(ContainerSet::new(vec![
         ("ssd".into(), ssd.clone()),
         ("hdd".into(), hdd.clone()),
@@ -399,4 +406,164 @@ fn queries_against_wrong_tags_and_names_never_panic() {
             Err(AdaError::UnknownDataset(_))
         ));
     }
+}
+
+/// A backend that refuses some of its calls of one operation: those of
+/// `op` ("create" or "delete") numbered in `refused` (the first is 1),
+/// each storing or removing nothing. A refused create is out of space; a
+/// refused delete names the file it leaves in place. Every other call is
+/// the inner file system's.
+struct Flaky {
+    inner: LocalFs,
+    op: &'static str,
+    refused: Range<usize>,
+    calls: AtomicUsize,
+}
+
+impl Flaky {
+    fn new(inner: LocalFs, op: &'static str, refused: Range<usize>) -> Arc<dyn SimFileSystem> {
+        Arc::new(Flaky {
+            inner,
+            op,
+            refused,
+            calls: AtomicUsize::new(0),
+        })
+    }
+
+    fn refuses(&self, op: &str) -> bool {
+        op == self.op
+            && self
+                .refused
+                .contains(&(self.calls.fetch_add(1, Ordering::SeqCst) + 1))
+    }
+}
+
+impl SimFileSystem for Flaky {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn create(&self, path: &str, content: Content) -> Result<(), FsError> {
+        if self.refuses("create") {
+            let requested = content.len();
+            return Err(FsError::NoSpace { requested, free: 0 });
+        }
+        self.inner.create(path, content)
+    }
+    fn append(&self, path: &str, content: Content) -> Result<(), FsError> {
+        self.inner.append(path, content)
+    }
+    fn read(&self, path: &str) -> Result<TimedRead, FsError> {
+        self.inner.read(path)
+    }
+    fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<TimedRead, FsError> {
+        self.inner.read_range(path, offset, len)
+    }
+    fn delete(&self, path: &str) -> Result<(), FsError> {
+        if self.refuses("delete") {
+            return Err(FsError::NotFound(path.to_string()));
+        }
+        self.inner.delete(path)
+    }
+    fn stat(&self, path: &str) -> Result<FileStat, FsError> {
+        self.inner.stat(path)
+    }
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+    fn used_bytes(&self) -> u64 {
+        self.inner.used_bytes()
+    }
+}
+
+/// A full-frame query's frames, every field as its bits.
+fn frame_bits(ada: &Ada, dataset: &str) -> Vec<(i32, u32, Vec<u32>)> {
+    let traj = match ada.query(dataset, None).unwrap().data {
+        RetrievedData::Real(t) => t,
+        other => panic!("expected real data, got {:?}", other),
+    };
+    let bits = |f: &ada_mdformats::Frame| {
+        let pbc = f.pbc.m.iter().flatten();
+        let coords = f.coords.iter().flatten();
+        pbc.chain(coords).map(|v| v.to_bits()).collect()
+    };
+    let frames = traj.frames.iter();
+    frames
+        .map(|f| (f.step, f.time.to_bits(), bits(f)))
+        .collect()
+}
+
+/// The misc dropping of `d`: the first one stored, on the HDD.
+const LEFTOVER: &str = "hdd/d/hostdir.0/dropping.data.m";
+
+/// A dropping the backend refuses to remove is reported by the delete
+/// that met it — kind `fs`, naming the dropping — yet the dataset is gone:
+/// its label removed, its name unlisted and unknown to a query. The next
+/// ingest of the name sweeps the leftover first; while the sweep is
+/// refused, the ingest fails with that refusal and leaves the name free,
+/// and once it goes through, the name reads back what was stored before.
+#[test]
+fn a_dropping_a_delete_leaves_behind_is_reported_then_swept() {
+    let w = ada_workload::gpcr_workload(900, 5, 62);
+    // The HDD refuses its first two deletes: the delete's and one sweep.
+    let hdd = Flaky::new(LocalFs::ext4_on_hdd(), "delete", 1..3);
+    let r = rig_over(Arc::new(LocalFs::ext4_on_nvme()), hdd, 2);
+    r.ada.ingest("d", real_input(&w)).unwrap();
+    let stored = frame_bits(&r.ada, "d");
+
+    let err = r.ada.delete_dataset("d").unwrap_err();
+    assert!(
+        matches!(&err, AdaError::Fs(FsError::NotFound(p)) if p == LEFTOVER),
+        "{err:?}"
+    );
+    assert_eq!(err.error_kind(), ErrorKind::Fs);
+    assert!(r.ada.list_datasets().is_empty());
+    assert!(!r.ssd.exists(&LabelFile::path_for("d")));
+    assert_eq!(files_of(&r, "d"), [LEFTOVER]);
+    assert!(matches!(
+        r.ada.query("d", None),
+        Err(AdaError::UnknownDataset(_))
+    ));
+
+    // The sweep is refused: the ingest stores nothing and frees the name.
+    let err = r.ada.ingest("d", real_input(&w)).unwrap_err();
+    assert!(
+        matches!(&err, AdaError::Fs(FsError::NotFound(p)) if p == LEFTOVER),
+        "{err:?}"
+    );
+    assert!(r.ada.list_datasets().is_empty());
+    assert_eq!(files_of(&r, "d"), [LEFTOVER]);
+
+    r.ada.ingest("d", real_input(&w)).unwrap();
+    assert_eq!(frame_bits(&r.ada, "d"), stored);
+    assert_eq!(strays(&r), Vec::<String>::new());
+}
+
+/// An ingest that fails once its droppings are stored — its label write
+/// refused — rolls them back; a dropping the rollback cannot remove stays
+/// behind without holding the name. The ingest reports its own error, and
+/// the next ingest of the name sweeps the leftover and reads back what a
+/// clean ingest stores.
+#[test]
+fn a_dropping_a_rollback_leaves_behind_is_swept_by_the_next_ingest() {
+    let w = ada_workload::gpcr_workload(900, 5, 63);
+    let clean = rig();
+    clean.ada.ingest("d", real_input(&w)).unwrap();
+    // The SSD refuses its second create (the label, after the protein
+    // dropping); the HDD its first delete (the rollback's, of `m`).
+    let ssd = Flaky::new(LocalFs::ext4_on_nvme(), "create", 2..3);
+    let hdd = Flaky::new(LocalFs::ext4_on_hdd(), "delete", 1..2);
+    let r = rig_over(ssd, hdd, 2);
+
+    let err = r.ada.ingest("d", real_input(&w)).unwrap_err();
+    assert!(
+        matches!(err, AdaError::Fs(FsError::NoSpace { free: 0, .. })),
+        "{err:?}"
+    );
+    assert!(r.ada.list_datasets().is_empty());
+    assert!(!r.ssd.exists(&LabelFile::path_for("d")));
+    assert_eq!(files_of(&r, "d"), [LEFTOVER]);
+
+    r.ada.ingest("d", real_input(&w)).unwrap();
+    assert_eq!(frame_bits(&r.ada, "d"), frame_bits(&clean.ada, "d"));
+    assert_eq!(strays(&r), Vec::<String>::new());
 }

@@ -86,6 +86,18 @@ fn rewrite(r: &Rig, path: &str, bytes: Vec<u8>) {
     r.ssd.create(path, Content::real(bytes)).unwrap();
 }
 
+/// Every `ada.{op}.*` outcome `ada` counted so far, as `"{op}.ok={n}"` /
+/// `"{op}.err.{kind}={n}"`, in name order: which calls counted as a
+/// success, and which as a failure of what kind.
+fn outcomes(ada: &Ada) -> Vec<String> {
+    let mut snap = ada_telemetry::Snapshot::default();
+    ada.write_metrics(&mut snap);
+    let counters = snap.counters.iter();
+    counters
+        .filter_map(|(name, n)| Some(format!("{}={n}", name.strip_prefix("ada.")?)))
+        .collect()
+}
+
 fn query_real(ada: &Ada, tag: Option<&Tag>) -> Trajectory {
     match ada.query("d", tag).unwrap().data {
         RetrievedData::Real(t) => t,
@@ -265,13 +277,7 @@ fn directory_less_dropping_is_a_typed_error_on_every_read() {
     // no trailer) is refused by every read that touches it, on every
     // schedule, with the cache on and admitting at once.
     for threads in THREADS {
-        let r = rig_with(
-            threads,
-            CacheConfig {
-                min_heat: 0,
-                ..CacheConfig::with_capacity(64 << 20)
-            },
-        );
+        let r = rig_with(threads, CacheConfig::with_capacity(64 << 20));
         ingest(&r);
         let (path, bytes) = protein_dropping(&r);
         let v1_bytes = write_xtcf(&read_xtcf(&bytes).unwrap()).unwrap();
@@ -302,7 +308,8 @@ fn directory_less_dropping_is_a_typed_error_on_every_read() {
                 "threads={threads} {what}: {msg}"
             );
         }
-        assert!(r.ada.access_counts("d").is_empty(), "threads={threads}");
+        let failed = ["ingest.ok=1", "query.err.xtcf=3", "query_range.err.xtcf=1"];
+        assert_eq!(outcomes(&r.ada), failed, "threads={threads}");
         let stats = r.ada.cache_stats();
         assert_eq!(
             (stats.inserts, stats.resident_bytes, stats.bytes_decoded),

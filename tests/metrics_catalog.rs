@@ -39,10 +39,7 @@ fn stack() -> (Server, Arc<Frontend>, Arc<dyn SimFileSystem>) {
     ]));
     let config = AdaConfig {
         chunk_frames: 2,
-        cache: CacheConfig {
-            capacity_bytes: 64 << 20,
-            min_heat: 0,
-        },
+        cache: CacheConfig::with_capacity(64 << 20),
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     let ada = Arc::new(Ada::new(config, cs, ssd.clone()));

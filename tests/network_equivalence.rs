@@ -117,6 +117,18 @@ fn real_bytes(natoms: usize, nframes: usize, seed: u64) -> (String, Vec<u8>) {
     )
 }
 
+/// Every `ada.{op}.*` outcome `ada` counted so far, as `"{op}.ok={n}"` /
+/// `"{op}.err.{kind}={n}"`, in name order: which calls counted as a
+/// success, and which as a failure of what kind.
+fn outcomes(ada: &Ada) -> Vec<String> {
+    let mut snap = ada_telemetry::Snapshot::default();
+    ada.write_metrics(&mut snap);
+    let counters = snap.counters.iter();
+    counters
+        .filter_map(|(name, n)| Some(format!("{}={n}", name.strip_prefix("ada.")?)))
+        .collect()
+}
+
 fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
     let (pdb_text, xtc_bytes) = real_bytes(natoms, nframes, seed);
     IngestInput::Real {
@@ -456,10 +468,10 @@ fn chunk_layout(server: &Server, dataset: &str, tag: &str) -> (u32, Vec<u32>) {
 
 /// A tag whose frame count is not a multiple of the chunk size has a short
 /// last chunk. Forwarded, its chunks arrive as stored — and the rest of
-/// the report is the in-process one: the simulated durations, and the heat
-/// the query left behind.
+/// the report is the in-process one: the simulated durations, and the
+/// successes the stack counted.
 #[test]
-fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
+fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_counts() {
     let _guard = serialize();
     let config = || AdaConfig {
         chunk_frames: 8,
@@ -491,8 +503,9 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_heat() {
     serial.query("ds", Some(&Tag::misc())).unwrap();
     client.query_range("ds", "p", 5, 45, 3).unwrap();
     serial.query_range("ds", &p, 5..45, 3).unwrap();
-    assert_eq!(fe.ada().access_counts("ds"), serial.access_counts("ds"));
-    assert_eq!(serial.access_counts("ds")[&p], 4);
+    let counted = ["ingest.ok=1", "query.ok=4", "query_range.ok=1"];
+    assert_eq!(outcomes(fe.ada()), outcomes(&serial));
+    assert_eq!(outcomes(&serial), counted);
     server.shutdown();
 }
 
@@ -539,13 +552,15 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
         remote
     );
     assert_eq!(fe.ada().cache_stats().bytes_decoded, 0, "nothing decoded");
-    assert!(fe.ada().access_counts("old").is_empty(), "no heat");
+    let failed = ["ingest.ok=1", "query.err.xtcf=2"];
+    assert_eq!(outcomes(fe.ada()), failed, "no success");
 
     let remote = client.query("old", None).unwrap_err();
     let local = fe.ada().query("old", None).unwrap_err();
     assert_eq!(remote.error_kind(), ErrorKind::Xtcf, "{}", remote);
     assert_eq!(remote.to_string(), local.to_string());
-    assert!(fe.ada().access_counts("old").is_empty(), "no heat");
+    let failed = ["ingest.ok=1", "query.err.xtcf=4"];
+    assert_eq!(outcomes(fe.ada()), failed, "no success");
     assert_eq!(
         accepted(),
         accepted_before,

@@ -57,6 +57,18 @@ fn ingest_real(ada: &Ada, name: &str, natoms: usize, nframes: usize, seed: u64) 
     .unwrap();
 }
 
+/// Every `ada.{op}.*` outcome `ada` counted so far, as `"{op}.ok={n}"` /
+/// `"{op}.err.{kind}={n}"`, in name order: which calls counted as a
+/// success, and which as a failure of what kind.
+fn outcomes(ada: &Ada) -> Vec<String> {
+    let mut snap = ada_telemetry::Snapshot::default();
+    ada.write_metrics(&mut snap);
+    let counters = snap.counters.iter();
+    counters
+        .filter_map(|(name, n)| Some(format!("{}={n}", name.strip_prefix("ada.")?)))
+        .collect()
+}
+
 fn query_real(ada: &Ada, dataset: &str, tag: Option<&Tag>) -> Trajectory {
     match ada.query(dataset, tag).unwrap().data {
         RetrievedData::Real(t) => t,
@@ -250,9 +262,10 @@ fn failed_queries_do_not_bump_access_counters() {
 
         // Unknown tag: rejected before any retrieval.
         r.ada.query("d", Some(&Tag::new("zz"))).unwrap_err();
-        assert!(
-            r.ada.access_counts("d").is_empty(),
-            "threads={}: unknown-tag query counted",
+        assert_eq!(
+            outcomes(&r.ada),
+            ["ingest.ok=1", "query.err.unknown_tag=1"],
+            "threads={}: unknown-tag query counted as a success",
             threads
         );
 
@@ -260,17 +273,19 @@ fn failed_queries_do_not_bump_access_counters() {
         corrupt_protein_dropping(&r);
         r.ada.query("d", None).unwrap_err();
         r.ada.query("d", Some(&Tag::protein())).unwrap_err();
-        assert!(
-            r.ada.access_counts("d").is_empty(),
-            "threads={}: failed query counted",
+        let failed = ["ingest.ok=1", "query.err.unknown_tag=1", "query.err.xtcf=2"];
+        assert_eq!(
+            outcomes(&r.ada),
+            failed,
+            "threads={}: failed query counted as a success",
             threads
         );
 
-        // A successful query is the first (and only) thing counted.
+        // A successful query is the first (and only) success counted.
         r.ada.query("d", Some(&Tag::misc())).unwrap();
-        let counts = r.ada.access_counts("d");
-        assert_eq!(counts.get(&Tag::misc()), Some(&1));
-        assert_eq!(counts.get(&Tag::protein()), None);
+        let mut counted = failed.to_vec();
+        counted.push("query.ok=1");
+        assert_eq!(outcomes(&r.ada), counted, "threads={}", threads);
     }
 }
 
@@ -317,8 +332,11 @@ fn frame_count_mismatch_is_a_structured_error() {
             ),
         }
         assert_eq!(err.error_kind(), ErrorKind::FrameCountMismatch);
-        // The failed reassembly never counted as an access.
-        assert!(r.ada.access_counts("d").is_empty());
+        // The failed reassembly never counted as a success.
+        assert_eq!(
+            outcomes(&r.ada),
+            ["ingest.ok=1", "query.err.frame_count_mismatch=1"]
+        );
         // Per-tag queries still deliver the subsets verbatim.
         assert_eq!(query_real(&r.ada, "d", Some(&Tag::protein())).len(), 4);
         assert_eq!(query_real(&r.ada, "d", Some(&Tag::misc())).len(), 3);

@@ -36,10 +36,7 @@ fn make_ada(chunk_frames: usize, cache: CacheConfig) -> Arc<Ada> {
 }
 
 fn hot_cache() -> CacheConfig {
-    CacheConfig {
-        capacity_bytes: 64 << 20,
-        min_heat: 0,
-    }
+    CacheConfig::with_capacity(64 << 20)
 }
 
 fn cache_off() -> CacheConfig {

@@ -553,10 +553,7 @@ fn stage_spans_sit_under_the_op_span() {
     let fe = Frontend::new(
         make_ada_with(AdaConfig {
             chunk_frames: 4,
-            cache: ada_cache::CacheConfig {
-                min_heat: 0,
-                ..ada_cache::CacheConfig::with_capacity(64 << 20)
-            },
+            cache: ada_cache::CacheConfig::with_capacity(64 << 20),
             ..AdaConfig::paper_prototype("ssd", "hdd")
         }),
         FrontendConfig::default(),
@@ -607,10 +604,7 @@ fn uncontended_request_runs_on_the_submitting_thread() {
     let fe = Frontend::new(
         make_ada_with(AdaConfig {
             chunk_frames: 4,
-            cache: ada_cache::CacheConfig {
-                min_heat: 0,
-                ..ada_cache::CacheConfig::with_capacity(64 << 20)
-            },
+            cache: ada_cache::CacheConfig::with_capacity(64 << 20),
             ..AdaConfig::paper_prototype("ssd", "hdd")
         }),
         FrontendConfig::default(),

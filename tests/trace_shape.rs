@@ -105,10 +105,7 @@ fn assert_spans(spans: &[TraceSpan], pinned: &[Pinned]) {
 
 #[test]
 fn a_warm_range_hit_seals_seven_spans_on_the_callers_thread() {
-    let cache = CacheConfig {
-        min_heat: 0,
-        ..CacheConfig::with_capacity(64 << 20)
-    };
+    let cache = CacheConfig::with_capacity(64 << 20);
     let fe = stack(AdaConfig {
         cache,
         ..AdaConfig::paper_prototype("ssd", "hdd")

@@ -27,10 +27,7 @@ fn make_ada() -> Arc<Ada> {
         ingest_threads: 4,
         query_threads: 4,
         chunk_frames: 4,
-        cache: ada_cache::CacheConfig {
-            min_heat: 0,
-            ..ada_cache::CacheConfig::with_capacity(64 << 20)
-        },
+        cache: ada_cache::CacheConfig::with_capacity(64 << 20),
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
     Arc::new(Ada::new(config, cs, ssd))
