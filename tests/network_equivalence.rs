@@ -14,8 +14,8 @@
 //! * an answer is a stream of chunk frames, so one larger than
 //!   `max_frame_len` arrives whole (whole-tag, full-frame, strided), and a
 //!   whole tag is forwarded as stored: ragged chunks where droppings meet
-//!   survive, the report's simulated durations and the server's tag heat
-//!   are the in-process ones, and the server decodes nothing — while a
+//!   survive, the report's simulated durations and the `ada.{op}.ok`
+//!   counts the server's stack keeps are the in-process ones, and the server decodes nothing — while a
 //!   v1 dropping (no chunk directory) is the in-process typed error,
 //!   whole-tag and full-frame alike, each on a kept connection;
 //! * remote errors keep their exact `error_kind()` and `Display` —
