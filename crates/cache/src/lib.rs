@@ -129,17 +129,15 @@ pub struct DecodedDropping {
     chunk_nframes: Vec<u32>,
     /// Resident chunks, parallel to `chunk_nframes`; `None` = not decoded.
     chunks: Vec<Option<Arc<Vec<Frame>>>>,
+    /// Resident bytes, summed once at construction (see [`Self::cost`]).
+    cost: u64,
 }
 
 impl DecodedDropping {
     /// A fully resident single-chunk payload.
     pub fn complete(frames: Vec<Frame>, natoms: usize) -> DecodedDropping {
         let n = frames.len() as u32;
-        DecodedDropping {
-            natoms,
-            chunk_nframes: vec![n],
-            chunks: vec![Some(Arc::new(frames))],
-        }
+        DecodedDropping::from_chunks(vec![n], vec![Some(Arc::new(frames))], natoms)
     }
 
     /// A payload with the given chunk layout and residency. `chunks` must
@@ -151,10 +149,17 @@ impl DecodedDropping {
         natoms: usize,
     ) -> DecodedDropping {
         debug_assert_eq!(chunk_nframes.len(), chunks.len());
+        let cost = chunks
+            .iter()
+            .flatten()
+            .flat_map(|c| c.iter())
+            .map(|f| f.nbytes() as u64)
+            .sum();
         DecodedDropping {
             natoms,
             chunk_nframes,
             chunks,
+            cost,
         }
     }
 
@@ -208,14 +213,11 @@ impl DecodedDropping {
         locals.iter().all(|&l| self.frame(l).is_some())
     }
 
-    /// Resident cost of this payload in bytes (only decoded chunks count).
+    /// Resident cost of this payload in bytes (only decoded chunks count):
+    /// the frames' `nbytes`, summed once when the payload was built, so an
+    /// insert prices it without walking its frames.
     pub fn cost(&self) -> u64 {
-        self.chunks
-            .iter()
-            .flatten()
-            .flat_map(|c| c.iter())
-            .map(|f| f.nbytes() as u64)
-            .sum()
+        self.cost
     }
 }
 
@@ -757,6 +759,49 @@ mod tests {
         assert!(!half.has_frames(&[0, 3]));
         assert!(full.has_frames(&[0, 1, 2, 3]));
         assert_eq!(full.nframes(), 4);
+    }
+
+    #[test]
+    fn the_cost_field_equals_the_frame_walk() {
+        let walk = |p: &DecodedDropping| -> u64 {
+            (0..p.nchunks())
+                .filter_map(|i| p.chunk(i))
+                .flat_map(|c| c.iter())
+                .map(|f| f.nbytes() as u64)
+                .sum()
+        };
+        // Chunks of different frame counts and atom counts, so a cost taken
+        // from the layout or from one chunk would differ from the walk.
+        let chunk = |nframes: usize, natoms: usize| {
+            Arc::new(
+                (0..nframes)
+                    .map(|_| frame(natoms, 0.25))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let layout = vec![3, 1, 2];
+        let resident = [
+            [true, true, true],
+            [true, false, true],
+            [false, true, false],
+            [false, false, false],
+        ];
+        for mask in resident {
+            let chunks = layout
+                .iter()
+                .zip(mask)
+                .zip([4, 9, 16])
+                .map(|((&n, r), natoms)| r.then(|| chunk(n as usize, natoms)))
+                .collect();
+            let p = DecodedDropping::from_chunks(layout.clone(), chunks, 4);
+            assert_eq!(p.cost(), walk(&p), "resident {:?}", mask);
+            assert_eq!(p.is_complete(), mask.iter().all(|&r| r));
+        }
+        let complete = payload(12, 5, 1.0);
+        assert!(complete.is_complete());
+        assert_eq!(complete.cost(), walk(&complete));
+        assert_eq!(complete.cost(), 5 * frame(12, 1.0).nbytes() as u64);
+        assert_eq!(payload(12, 0, 1.0).cost(), 0);
     }
 
     #[test]

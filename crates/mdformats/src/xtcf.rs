@@ -163,19 +163,114 @@ fn le_word(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
+/// The sparse multiple of the CRC polynomial P the spread stage folds by,
+/// as word exponents: x^(64·3006) + x^(64·2866) + x^(64·2215) + 1 ≡ 0
+/// (mod P) (`crc32_multiple_is_zero_mod_p` proves it). XORing word `i`
+/// into words `i + A - e` for each exponent `e` past the first (`A` the
+/// first) and zeroing word `i` adds a multiple of P to the message, so
+/// the CRC does not move. Found by a meet-in-the-middle search (DESIGN.md
+/// §14 *The checksum kernel*).
+const CRC32_MULTIPLE: [usize; 3] = [3006, 2866, 2215];
+/// Words of the spread's ring: the multiple's span, the farthest a word
+/// is carried.
+const CRC32_RING: usize = CRC32_MULTIPLE[0];
+/// The two nearer distances a word is carried (the farthest is the ring
+/// itself: the slot a word leaves is the one its far target reads).
+const CRC32_NEAR: usize = CRC32_RING - CRC32_MULTIPLE[1];
+const CRC32_MID: usize = CRC32_RING - CRC32_MULTIPLE[2];
+/// Most words one spread step carries: a step's three ring ranges may not
+/// overlap, so it is at most the smallest gap between them round the ring.
+/// Chosen by the sweep in DESIGN.md §14, not a setting.
+const CRC32_SPREAD_BLOCK: usize = 64;
+const _: () = assert!(
+    CRC32_SPREAD_BLOCK <= CRC32_NEAR
+        && CRC32_SPREAD_BLOCK <= CRC32_MID - CRC32_NEAR
+        && CRC32_SPREAD_BLOCK <= CRC32_RING - CRC32_MID
+);
+
 /// IEEE CRC-32 (the zlib/PNG polynomial) — the workspace's one checksum:
-/// XTCF chunks and the wire's message frames. A *braided* kernel (zlib's
-/// `crc32_braid`, after Kadatch & Jenkins): [`CRC32_LANES`] states run over
-/// interleaved words with no dependency between them, so a step waits on
-/// the load ports, not on one chain of table lookups. Every block but the
-/// last whole one advances each lane by a block; the last folds the lanes
-/// into one state, in stream order, through the word tables; what is left
-/// (and any input shorter than two blocks) goes a word, then a byte, at a
-/// time. The value is the serial one whatever the split — the bytewise
-/// loop in the tests is the reference.
+/// XTCF chunks and the wire's message frames. Two stages. An input of at
+/// least two rings of words (48 KB: a chunk of the bench fixture is 678 or
+/// 906 KB, a request a few bytes) is first *spread*: every word but the
+/// last [`CRC32_RING`] is carried forward by the sparse multiple
+/// [`CRC32_MULTIPLE`] and dropped, three XORs into a ring of pending
+/// words, a loop with no table lookup. What
+/// is left — the last ring of words, each with its pending word, and the
+/// byte remainder — goes through the braid ([`crc32_braid`]). Shorter
+/// inputs go to the braid whole. The value is the serial one whatever the
+/// split — the bytewise loop in the tests is the reference.
 pub fn crc32(data: &[u8]) -> u32 {
+    let raw = if data.len() / 8 < 2 * CRC32_RING {
+        crc32_braid(0xFFFF_FFFF, data)
+    } else {
+        crc32_spread(data)
+    };
+    raw ^ 0xFFFF_FFFF
+}
+
+/// The spread stage and the braid after it, on an input of at least
+/// [`CRC32_RING`] words (the pending word of word 0, the folded initial
+/// state, is read in the tail if no word is spread); returns the raw state
+/// (before the final XOR).
+fn crc32_spread(data: &[u8]) -> u32 {
+    let (words, remainder) = data.as_chunks::<8>();
+    let (spread, last) = words.split_at(words.len() - CRC32_RING);
+    // `ring[i % CRC32_RING]` is what is pending for word `i`. The initial
+    // state is folded into word 0 as its pending word (over the first four
+    // bytes an init state and a XOR into the message are the same thing),
+    // so the braid below starts from state 0 — over the spread region the
+    // message is now all zeros, and the CRC of zeros from 0 is 0.
+    let mut ring = [0u64; CRC32_RING];
+    ring[0] = 0xFFFF_FFFF;
+    let mut at = 0;
+    let mut rest = spread;
+    while !rest.is_empty() {
+        let near = (at + CRC32_NEAR) % CRC32_RING;
+        let mid = (at + CRC32_MID) % CRC32_RING;
+        let n = CRC32_SPREAD_BLOCK
+            .min(rest.len())
+            .min(CRC32_RING - at)
+            .min(CRC32_RING - near)
+            .min(CRC32_RING - mid);
+        let (block, after) = rest.split_at(n);
+        let Ok([far, near, mid]) =
+            ring.get_disjoint_mut([at..at + n, near..near + n, mid..mid + n])
+        else {
+            // Not reached: a step is no longer than the smallest gap
+            // between its ranges and wraps none of them, so they never
+            // overlap.
+            return crc32_braid(0xFFFF_FFFF, data);
+        };
+        for (((w, far), near), mid) in block.iter().zip(far).zip(near).zip(mid) {
+            let v = u64::from_le_bytes(*w) ^ *far;
+            *far = v;
+            *near ^= v;
+            *mid ^= v;
+        }
+        at = (at + n) % CRC32_RING;
+        rest = after;
+    }
+    // The last ring of words, each with its pending word, in stream order:
+    // the ring from slot `at` round to `at - 1`.
+    let mut tail = [0u8; CRC32_RING * 8];
+    let (tail_words, _) = tail.as_chunks_mut::<8>();
+    let pending = ring[at..].iter().chain(&ring[..at]);
+    for ((out, w), p) in tail_words.iter_mut().zip(last).zip(pending) {
+        *out = (u64::from_le_bytes(*w) ^ p).to_le_bytes();
+    }
+    crc32_braid(crc32_braid(0, &tail), remainder)
+}
+
+/// The braided kernel (zlib's `crc32_braid`, after Kadatch & Jenkins) from
+/// raw state `c` to the raw state after `data`: [`CRC32_LANES`] states run
+/// over interleaved words with no dependency between them, so a step waits
+/// on the load ports, not on one chain of table lookups. Every block but
+/// the last whole one advances each lane by a block; the last folds the
+/// lanes into one state, in stream order, through the word tables; what
+/// is left (and any input shorter than two blocks) goes a word, then a
+/// byte, at a time.
+fn crc32_braid(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut rest = data;
     let nblocks = data.len() / CRC32_BLOCK;
     if nblocks >= 2 {
@@ -201,7 +296,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t.word[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
 }
 
 /// Streaming XTCF writer.
@@ -1308,11 +1403,154 @@ mod tests {
     /// The byte-at-a-time table loop the braided kernel (and the slicing
     /// loop before it) replaced, kept as the reference it is checked against.
     fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
+        bytewise_step(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    /// The reference loop from raw state `c` over `data`.
+    fn bytewise_step(mut c: u32, data: &[u8]) -> u32 {
         for &b in data {
             c = CRC32_TABLES.word[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
-        c ^ 0xFFFF_FFFF
+        c
+    }
+
+    /// `len` bytes of one xorshift stream: cheap at megabytes and dense in
+    /// every byte value.
+    fn xorshift_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// `x^n mod P` over GF(2), P the IEEE polynomial in its plain (not
+    /// reflected) form, by square and multiply.
+    fn x_pow_mod_p(mut n: u64) -> u32 {
+        const P: u64 = 0x1_04C1_1DB7;
+        let mul = |a: u32, b: u32| {
+            let mut product = 0u64;
+            for bit in 0..32 {
+                if b >> bit & 1 != 0 {
+                    product ^= u64::from(a) << bit;
+                }
+            }
+            for bit in (32..64).rev() {
+                if product >> bit & 1 != 0 {
+                    product ^= P << (bit - 32);
+                }
+            }
+            product as u32
+        };
+        let (mut result, mut square) = (1u32, 2u32);
+        while n != 0 {
+            if n & 1 != 0 {
+                result = mul(result, square);
+            }
+            square = mul(square, square);
+            n >>= 1;
+        }
+        result
+    }
+
+    #[test]
+    fn crc32_multiple_is_zero_mod_p() {
+        // The identity the spread stage rests on, from its constants: the
+        // sum of x^(64·e) over the exponents, plus 1, is a multiple of P.
+        let sum = CRC32_MULTIPLE
+            .iter()
+            .fold(1, |acc, &e| acc ^ x_pow_mod_p(64 * e as u64));
+        assert_eq!(sum, 0);
+        // And the check has teeth: no exponent alone, and no neighbour of
+        // the nearest, is a multiple.
+        let off_by_one = 1
+            ^ x_pow_mod_p(64 * CRC32_MULTIPLE[0] as u64)
+            ^ x_pow_mod_p(64 * (CRC32_MULTIPLE[1] as u64 + 1))
+            ^ x_pow_mod_p(64 * CRC32_MULTIPLE[2] as u64);
+        assert_ne!(off_by_one, 0);
+        for &e in &CRC32_MULTIPLE {
+            assert_ne!(x_pow_mod_p(64 * e as u64), 1, "x^(64·{})", e);
+        }
+        assert_eq!(x_pow_mod_p(32), 0x04C1_1DB7);
+    }
+
+    #[test]
+    fn crc32_spread_equals_bytewise_around_its_thresholds_and_ring_wraps() {
+        // Lengths in words where the spread region (every word but the last
+        // ring) meets an edge: the two-ring threshold below which the braid
+        // runs alone, an ordinary step edge, the first wrap of the mid and
+        // the near range and the far range's second lap. Every start 0..16
+        // and every length within 16 bytes either side.
+        let a = CRC32_RING;
+        let edges = [
+            2 * a,
+            2 * a + CRC32_SPREAD_BLOCK,
+            3 * a - CRC32_MID,
+            3 * a - CRC32_NEAR,
+            3 * a,
+        ];
+        let buf = xorshift_bytes(52, 16 + 8 * 3 * a + 16);
+        for words in edges {
+            let lo = 8 * words - 16;
+            for start in 0..16 {
+                let s = &buf[start..];
+                let mut c = bytewise_step(0xFFFF_FFFF, &s[..lo]);
+                for len in lo..=lo + 32 {
+                    assert_eq!(
+                        crc32(&s[..len]),
+                        c ^ 0xFFFF_FFFF,
+                        "start {} len {} ({} words {:+} bytes)",
+                        start,
+                        len,
+                        words,
+                        len as isize - 8 * words as isize
+                    );
+                    c = bytewise_step(c, &s[len..=len]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_detects_a_single_bit_flip_in_every_stage() {
+        // Two and a half rings of words and a 5-byte remainder. A flip in
+        // word 0 (the folded initial state), in the spread region, on each
+        // side of the ring's wraps, in the last ring (the braid's words)
+        // and in the remainder changes the CRC, to the reference's value.
+        let a = CRC32_RING;
+        let words = 2 * a + a / 2;
+        let mut buf = xorshift_bytes(7, 8 * words + 5);
+        let clean = crc32(&buf);
+        assert_eq!(clean, crc32_bytewise(&buf));
+        let flipped_words = [
+            0,
+            1000,
+            a - CRC32_MID - 1,
+            a - CRC32_MID,
+            a - CRC32_NEAR - 1,
+            a - CRC32_NEAR,
+            a - 1,
+            a,
+            words - a - 1,
+            words - a,
+            words - 1,
+        ];
+        let mut bits: Vec<usize> = flipped_words
+            .iter()
+            .flat_map(|&w| [0, 31, 32, 63].map(|b| 64 * w + b))
+            .collect();
+        bits.extend([0, 39].map(|b| 64 * words + b));
+        for bit in bits {
+            buf[bit / 8] ^= 1 << (bit % 8);
+            let c = crc32(&buf);
+            assert_ne!(c, clean, "bit {} (word {})", bit, bit / 64);
+            assert_eq!(c, crc32_bytewise(&buf), "bit {} (word {})", bit, bit / 64);
+            buf[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]
@@ -1351,20 +1589,12 @@ mod tests {
         #[test]
         fn prop_crc32_braided_equals_bytewise(
             seed: u64,
-            len in 0usize..(1 << 20) + 1,
+            len in 0usize..(4 << 20) + 1,
             start in 0usize..16,
         ) {
-            // One xorshift stream fills the buffer: cheap at 1 MiB and
-            // dense in every byte value.
-            let mut x = seed | 1;
-            let buf: Vec<u8> = (0..start + len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x >> 24) as u8
-                })
-                .collect();
+            // Most lengths are past the spread threshold (48 KB): random
+            // ring phases at the end of the spread, random remainders.
+            let buf = xorshift_bytes(seed, start + len);
             let s = &buf[start..];
             proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
         }
