@@ -104,8 +104,6 @@ fn thread_label() -> Arc<str> {
 pub enum ArgValue {
     /// Unsigned integer (bytes, frames, depths).
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Free-form text (tags, backends).
     Str(String),
 }
@@ -114,7 +112,6 @@ impl ArgValue {
     fn to_json(&self) -> Value {
         match self {
             ArgValue::U64(n) => Value::num_u(*n),
-            ArgValue::I64(n) => Value::Num(*n as f64),
             ArgValue::Str(s) => Value::str(s.clone()),
         }
     }
@@ -133,11 +130,6 @@ impl From<usize> for ArgValue {
 impl From<u32> for ArgValue {
     fn from(n: u32) -> ArgValue {
         ArgValue::U64(u64::from(n))
-    }
-}
-impl From<i64> for ArgValue {
-    fn from(n: i64) -> ArgValue {
-        ArgValue::I64(n)
     }
 }
 impl From<&str> for ArgValue {

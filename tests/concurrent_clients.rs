@@ -9,38 +9,19 @@
 //!   same accepted set on a fresh, serially-driven instance;
 //! * the front-end's accounting balances at quiescence.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
-use ada_frontend::{Class, Frontend, FrontendConfig};
+use ada_core::{AdaConfig, AdaError, ErrorKind, RetrievedData};
+use ada_frontend::{Class, FrontendConfig};
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{Content, FileStat, FsError, LocalFs, SimFileSystem, TimedRead};
-
-fn make_ada() -> Arc<Ada> {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    Arc::new(Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd))
-}
-
-fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
-    let w = ada_workload::gpcr_workload(natoms, nframes, seed);
-    IngestInput::Real {
-        pdb_text: ada_mdformats::write_pdb(&w.system),
-        xtc_bytes: ada_mdformats::xtc::write_xtc(
-            &w.trajectory,
-            ada_mdformats::xtc::DEFAULT_PRECISION,
-        )
-        .unwrap(),
-    }
-}
+use ada_simfs::{Content, FileStat, FsError, SimFileSystem, TimedRead};
+use ada_workload::gpcr_workload;
+use common::{input, Rig};
 
 /// Canonical byte form of a query result, for the byte-identity check.
 fn query_bytes(ada_result: ada_core::QueryReport) -> Vec<u8> {
@@ -66,17 +47,15 @@ fn tag_cycle(i: usize) -> Option<Tag> {
 fn eight_mixed_clients_match_serial_byte_for_byte() {
     const CLIENTS: usize = 8;
     const QUERIES_PER_CLIENT: usize = 6;
-    let fe = Frontend::new(
-        make_ada(),
-        FrontendConfig {
-            ingest_slots: 2,
-            query_slots: 4,
-            ingest_queue: 64,
-            query_queue: 64,
-            ..FrontendConfig::default()
-        },
-    );
-    fe.ingest("setup", "shared", real_input(500, 3, 7)).unwrap();
+    let rig = Rig::paper().with_frontend(FrontendConfig {
+        ingest_slots: 2,
+        query_slots: 4,
+        ingest_queue: 64,
+        query_queue: 64,
+    });
+    let fe = rig.frontend();
+    fe.ingest("setup", "shared", input(&gpcr_workload(500, 3, 7)))
+        .unwrap();
 
     // (dataset, tag index, bytes) per accepted query, collected per thread.
     let mut harvested: Vec<(String, usize, Vec<u8>)> = Vec::new();
@@ -94,8 +73,12 @@ fn eight_mixed_clients_match_serial_byte_for_byte() {
                 // ingest/query interleaving on the shared instance.
                 let dataset = if t % 2 == 1 {
                     let name = format!("ds{}", t);
-                    fe.ingest(&client, &name, real_input(400, 2, 100 + t as u64))
-                        .unwrap();
+                    fe.ingest(
+                        &client,
+                        &name,
+                        input(&gpcr_workload(400, 2, 100 + t as u64)),
+                    )
+                    .unwrap();
                     name
                 } else {
                     "shared".to_string()
@@ -128,11 +111,17 @@ fn eight_mixed_clients_match_serial_byte_for_byte() {
 
     // Serial reference: a fresh instance, driven from one thread, same
     // accepted set. Every concurrent result must match byte-for-byte.
-    let serial = make_ada();
-    serial.ingest("shared", real_input(500, 3, 7)).unwrap();
+    let serial = Rig::paper();
+    let serial = serial.ada();
+    serial
+        .ingest("shared", input(&gpcr_workload(500, 3, 7)))
+        .unwrap();
     for t in (1..CLIENTS).step_by(2) {
         serial
-            .ingest(&format!("ds{}", t), real_input(400, 2, 100 + t as u64))
+            .ingest(
+                &format!("ds{}", t),
+                input(&gpcr_workload(400, 2, 100 + t as u64)),
+            )
             .unwrap();
     }
     for (dataset, tag_idx, bytes) in &harvested {
@@ -163,17 +152,15 @@ fn thundering_herd_sheds_typed_overloads() {
     // microseconds. Retry the scenario a few times to make the test
     // deterministic in practice on any scheduler.
     for attempt in 0..5 {
-        let fe = Frontend::new(
-            make_ada(),
-            FrontendConfig {
-                ingest_slots: 1,
-                query_slots: 1,
-                ingest_queue: 1,
-                query_queue: 1,
-                ..FrontendConfig::default()
-            },
-        );
-        fe.ingest("setup", "big", real_input(2500, 8, 11)).unwrap();
+        let rig = Rig::paper().with_frontend(FrontendConfig {
+            ingest_slots: 1,
+            query_slots: 1,
+            ingest_queue: 1,
+            query_queue: 1,
+        });
+        let fe = rig.frontend();
+        fe.ingest("setup", "big", input(&gpcr_workload(2500, 8, 11)))
+            .unwrap();
 
         let barrier = Barrier::new(CLIENTS);
         let mut ok = 0u64;
@@ -225,17 +212,15 @@ fn thundering_herd_sheds_typed_overloads() {
 #[test]
 fn queued_deadline_misses_are_typed() {
     const CLIENTS: usize = 4;
-    let fe = Frontend::new(
-        make_ada(),
-        FrontendConfig {
-            ingest_slots: 1,
-            query_slots: 1,
-            ingest_queue: 8,
-            query_queue: 8,
-            ..FrontendConfig::default()
-        },
-    );
-    fe.ingest("setup", "bar", real_input(400, 2, 3)).unwrap();
+    let rig = Rig::paper().with_frontend(FrontendConfig {
+        ingest_slots: 1,
+        query_slots: 1,
+        ingest_queue: 8,
+        query_queue: 8,
+    });
+    let fe = rig.frontend();
+    fe.ingest("setup", "bar", input(&gpcr_workload(400, 2, 3)))
+        .unwrap();
 
     let barrier = Barrier::new(CLIENTS);
     std::thread::scope(|scope| {
@@ -273,7 +258,7 @@ fn queued_deadline_misses_are_typed() {
 /// A file system whose reads panic while `poisoned` is set: a bug in a
 /// layer below the front-end, on demand.
 struct PanickyFs {
-    inner: LocalFs,
+    inner: Arc<dyn SimFileSystem>,
     poisoned: AtomicBool,
 }
 
@@ -325,29 +310,24 @@ impl SimFileSystem for PanickyFs {
 fn panicking_request_is_typed_and_releases_its_slot() {
     let (done_tx, done_rx) = sync_channel::<()>(1);
     let scenario = std::thread::spawn(move || {
+        let [inner, hdd] = common::store();
         let ssd = Arc::new(PanickyFs {
-            inner: LocalFs::ext4_on_nvme(),
+            inner,
             poisoned: AtomicBool::new(false),
         });
-        let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-        let cs = Arc::new(ContainerSet::new(vec![
-            ("ssd".into(), ssd.clone() as Arc<dyn SimFileSystem>),
-            ("hdd".into(), hdd),
-        ]));
         // Serial retrieval: the read, and so the panic, happen on the
         // thread that executes the request, not in a pool of `ada-core`.
         let config = AdaConfig {
             query_threads: 0,
             ..AdaConfig::paper_prototype("ssd", "hdd")
         };
-        let fe = Frontend::new(
-            Arc::new(Ada::new(config, cs, ssd.clone())),
-            FrontendConfig {
-                query_slots: 1,
-                ..FrontendConfig::default()
-            },
-        );
-        fe.ingest("setup", "bar", real_input(400, 2, 3)).unwrap();
+        let rig = Rig::over(ssd.clone(), hdd, config).with_frontend(FrontendConfig {
+            query_slots: 1,
+            ..FrontendConfig::default()
+        });
+        let fe = rig.frontend();
+        fe.ingest("setup", "bar", input(&gpcr_workload(400, 2, 3)))
+            .unwrap();
 
         ssd.poisoned.store(true, Ordering::SeqCst);
         let err = fe.query("c0", "bar", Some(&Tag::protein())).unwrap_err();

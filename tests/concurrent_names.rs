@@ -28,15 +28,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use ada_cache::CacheConfig;
-use ada_client::{Client, ClientConfig};
+use ada_client::Client;
 use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, LabelFile, RetrievedData};
-use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdformats::{write_pdb, Frame, Trajectory};
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_server::{Server, ServerConfig};
-use ada_simfs::{LocalFs, SimFileSystem};
+use ada_server::ServerConfig;
+use common::Rig;
 
 const NAME: &str = "d";
 
@@ -72,7 +70,8 @@ fn inputs() -> Vec<Input> {
         .into_iter()
         .map(|t: &Trajectory| {
             let xtc = write_xtc(t, DEFAULT_PRECISION).unwrap();
-            let reference = stack(0, false).0;
+            let reference = rig(0, false);
+            let reference = reference.ada();
             reference.ingest(NAME, real(&pdb, &xtc)).unwrap();
             let answers = [Some(Tag::protein()), None]
                 .map(|tag| frames(reference.query(NAME, tag.as_ref()).unwrap().data));
@@ -100,16 +99,9 @@ fn frames(data: RetrievedData) -> Vec<Frame> {
     }
 }
 
-/// An instance over an SSD and an HDD backend (labels on the SSD), two
-/// frames a chunk, and the two backends.
-fn stack(query_threads: usize, cache: bool) -> (Arc<Ada>, [Arc<dyn SimFileSystem>; 2]) {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let containers = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd.clone()),
-    ]));
-    let config = AdaConfig {
+/// A rig of two frames a chunk.
+fn rig(query_threads: usize, cache: bool) -> Rig {
+    Rig::new(AdaConfig {
         chunk_frames: 2,
         query_threads,
         cache: if cache {
@@ -118,11 +110,7 @@ fn stack(query_threads: usize, cache: bool) -> (Arc<Ada>, [Arc<dyn SimFileSystem
             CacheConfig::default()
         },
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    (
-        Arc::new(Ada::new(config, containers, ssd.clone())),
-        [ssd, hdd],
-    )
+    })
 }
 
 /// How a thread reaches the instance: in process, or over the wire with
@@ -159,50 +147,32 @@ impl Caller {
     }
 }
 
-/// One configuration of the stack under test, and its server when the
-/// callers go over the wire.
+/// One configuration of the stack under test, served when the callers go
+/// over the wire.
 struct Case {
-    ada: Arc<Ada>,
-    backends: [Arc<dyn SimFileSystem>; 2],
-    server: Option<Server>,
+    rig: Rig,
+    wire: bool,
     what: String,
 }
 
 impl Case {
     fn new(wire: bool, query_threads: usize, cache: bool) -> Case {
-        let (ada, backends) = stack(query_threads, cache);
-        let server = wire.then(|| {
-            let fe = Arc::new(Frontend::new(Arc::clone(&ada), FrontendConfig::default()));
-            Server::start(fe, ServerConfig::default()).expect("server must start")
-        });
+        let rig = rig(query_threads, cache);
+        let rig = if wire {
+            rig.serve(ServerConfig::default())
+        } else {
+            rig
+        };
         let what = format!("wire {wire}, query_threads {query_threads}, cache {cache}");
-        Case {
-            ada,
-            backends,
-            server,
-            what,
-        }
+        Case { rig, wire, what }
     }
 
     fn caller(&self) -> Caller {
-        match &self.server {
-            None => Caller::Local(Arc::clone(&self.ada)),
-            Some(server) => {
-                let config = ClientConfig {
-                    name: "concurrent-names".into(),
-                    ..ClientConfig::default()
-                };
-                let client = Client::new(server.local_addr().to_string(), config);
-                Caller::Remote(client, Arc::clone(&self.ada))
-            }
-        }
-    }
-}
-
-impl Drop for Case {
-    fn drop(&mut self) {
-        if let Some(server) = &mut self.server {
-            server.shutdown();
+        let ada = Arc::clone(self.rig.ada());
+        if self.wire {
+            Caller::Remote(self.rig.client("concurrent-names"), ada)
+        } else {
+            Caller::Local(ada)
         }
     }
 }
@@ -272,7 +242,7 @@ fn race(case: &Case, shape: &Shape, inputs: &[Input], seed: u64, what: &str) {
     let tick = || clock.fetch_add(1, Ordering::SeqCst);
     // Whatever the last round left stored is live from the start.
     let mut start = Vec::new();
-    if let Ok(label) = case.ada.label(NAME) {
+    if let Ok(label) = case.rig.ada().label(NAME) {
         let input = inputs.iter().position(|i| i.nframes == label.nframes);
         let t = tick();
         start.push(Commit {
@@ -365,20 +335,16 @@ fn race(case: &Case, shape: &Shape, inputs: &[Input], seed: u64, what: &str) {
 /// droppings that label names exist, no other file lies on any backend,
 /// and queries answer with the committed input, or `unknown_dataset`.
 fn check_quiescent(case: &Case, inputs: &[Input], what: &str) {
-    let [ssd, hdd] = &case.backends;
-    let listed = case.ada.list_datasets() == [NAME];
-    let label_file = ssd.exists(&LabelFile::path_for(NAME));
-    let mut files = ssd.list(&format!("ssd/{NAME}/"));
-    files.extend(hdd.list(&format!("hdd/{NAME}/")));
+    let (rig, ada) = (&case.rig, case.rig.ada());
+    let listed = ada.list_datasets() == [NAME];
+    let label_file = rig.ssd.exists(&LabelFile::path_for(NAME));
+    let mut files = rig.ssd.list(&format!("ssd/{NAME}/"));
+    files.extend(rig.hdd.list(&format!("hdd/{NAME}/")));
     files.sort();
-    assert_eq!(
-        common::strays(&case.ada, &[ssd, hdd]),
-        Vec::<String>::new(),
-        "{what}"
-    );
-    let callers = [Caller::Local(Arc::clone(&case.ada)), case.caller()];
+    assert_eq!(rig.strays(), Vec::<String>::new(), "{what}");
+    let callers = [Caller::Local(Arc::clone(ada)), case.caller()];
     if listed {
-        let label = case.ada.label(NAME).unwrap();
+        let label = ada.label(NAME).unwrap();
         assert!(
             label_file,
             "{what}: a listed dataset without its label file"

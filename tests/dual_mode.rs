@@ -4,15 +4,18 @@
 //! querying real bytes on everything the figures depend on: the dropping
 //! paths, placement, per-backend and raw volumes, the indexer and the
 //! read. The model's own timing structure must scale as the paper's does.
+//!
+//! The suite pins its media: the model prices each read on a `LocalFs`
+//! medium, so `Ada` must read off the same one.
 
-use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, IngestReport, LabelFile};
-use ada_mdformats::write_pdb;
-use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
+mod common;
+
+use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestReport, LabelFile};
 use ada_mdmodel::Tag;
 use ada_platforms::volumes::{self, SyntheticDataset};
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
+use ada_simfs::LocalFs;
 use ada_storagesim::{CpuProfile, CpuWork};
+use common::Rig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -27,21 +30,14 @@ fn media() -> [(&'static str, LocalFs); 2] {
 
 /// `Ada` over a fresh hybrid deployment with `policy`, and a real ingest
 /// of `w` into it as `bar`.
-fn real_ingest(w: &ada_workload::Workload, policy: &DispatchPolicy) -> (Ada, IngestReport) {
+fn real_ingest(w: &ada_workload::Workload, policy: &DispatchPolicy) -> (Arc<Ada>, IngestReport) {
     let [(_, ssd), (_, hdd)] = media();
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(ssd);
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(hdd);
-    let cs = ContainerSet::new(vec![("ssd".into(), ssd.clone()), ("hdd".into(), hdd)]);
     let config = AdaConfig {
         policy: policy.clone(),
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
-    let ada = Ada::new(config, Arc::new(cs), ssd);
-    let input = IngestInput::Real {
-        pdb_text: write_pdb(&w.system),
-        xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-    };
-    let report = ada.ingest("bar", input).unwrap();
+    let ada = Arc::clone(Rig::over(Arc::new(ssd), Arc::new(hdd), config).ada());
+    let report = ada.ingest("bar", common::input(w)).unwrap();
     (ada, report)
 }
 

@@ -2,12 +2,13 @@
 //! ingest on the storage side → VMD session on the compute side →
 //! rendered animation — the complete Fig. 3b data path on real bytes.
 
-use ada_core::{IngestInput, RetrievedData};
-use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-use ada_mdformats::{read_xtc, write_pdb};
+mod common;
+
+use ada_core::RetrievedData;
+use ada_mdformats::read_xtc;
 use ada_mdmodel::{Category, Tag};
-use ada_repro::ada_over_hybrid_storage;
 use ada_vmdsim::VmdSession;
+use common::{fixture, input, Rig};
 
 fn close(a: f32, b: f32) -> bool {
     (a - b).abs() < 0.5 / 1000.0 + 1e-6
@@ -16,20 +17,12 @@ fn close(a: f32, b: f32) -> bool {
 #[test]
 fn full_pipeline_real_bytes() {
     let w = ada_workload::gpcr_workload(3000, 5, 4242);
-    let pdb_text = write_pdb(&w.system);
-    let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
+    let (pdb_text, xtc_bytes) = fixture(&w);
 
     // Storage side.
-    let ada = ada_over_hybrid_storage();
-    let report = ada
-        .ingest(
-            "cb1",
-            IngestInput::Real {
-                pdb_text: pdb_text.clone(),
-                xtc_bytes: xtc_bytes.clone(),
-            },
-        )
-        .unwrap();
+    let rig = Rig::paper();
+    let ada = rig.ada();
+    let report = ada.ingest("cb1", input(&w)).unwrap();
     // Every decompressed byte is stored exactly once across the two tags
     // (modulo XTCF per-dropping headers).
     let stored: u64 = report.bytes_by_tag.values().sum();
@@ -44,7 +37,7 @@ fn full_pipeline_real_bytes() {
     // Compute side: tagged load, then render.
     let mut vmd = VmdSession::new();
     let id = vmd.mol_new(&pdb_text).unwrap();
-    vmd.mol_addfile_ada(id, &ada, "cb1", Some(&Tag::protein()))
+    vmd.mol_addfile_ada(id, ada, "cb1", Some(&Tag::protein()))
         .unwrap();
     let mol = vmd.molecule(id);
     let prot_atoms = w.system.category_ranges(Category::Protein).count();
@@ -73,15 +66,9 @@ fn full_pipeline_real_bytes() {
 #[test]
 fn misc_subset_complements_protein() {
     let w = ada_workload::gpcr_workload(2000, 3, 7);
-    let ada = ada_over_hybrid_storage();
-    ada.ingest(
-        "cb1",
-        IngestInput::Real {
-            pdb_text: write_pdb(&w.system),
-            xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        },
-    )
-    .unwrap();
+    let rig = Rig::paper();
+    let ada = rig.ada();
+    ada.ingest("cb1", input(&w)).unwrap();
 
     let p = match ada.query("cb1", Some(&Tag::protein())).unwrap().data {
         RetrievedData::Real(t) => t,
@@ -100,16 +87,10 @@ fn misc_subset_complements_protein() {
 #[test]
 fn untagged_query_equals_direct_decode() {
     let w = ada_workload::gpcr_workload(1500, 4, 99);
-    let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
-    let ada = ada_over_hybrid_storage();
-    ada.ingest(
-        "cb1",
-        IngestInput::Real {
-            pdb_text: write_pdb(&w.system),
-            xtc_bytes: xtc_bytes.clone(),
-        },
-    )
-    .unwrap();
+    let (_, xtc_bytes) = fixture(&w);
+    let rig = Rig::paper();
+    let ada = rig.ada();
+    ada.ingest("cb1", input(&w)).unwrap();
     let via_ada = match ada.query("cb1", None).unwrap().data {
         RetrievedData::Real(t) => t,
         _ => unreachable!(),
@@ -132,19 +113,16 @@ fn untagged_query_equals_direct_decode() {
 #[test]
 fn ingest_is_idempotent_per_dataset_name() {
     let w = ada_workload::gpcr_workload(800, 1, 3);
-    let ada = ada_over_hybrid_storage();
-    let input = || IngestInput::Real {
-        pdb_text: write_pdb(&w.system),
-        xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-    };
-    ada.ingest("x", input()).unwrap();
+    let rig = Rig::paper();
+    let ada = rig.ada();
+    ada.ingest("x", input(&w)).unwrap();
     // Second ingest under the same name: the name has one owner.
-    let err = ada.ingest("x", input()).unwrap_err();
+    let err = ada.ingest("x", input(&w)).unwrap_err();
     assert_eq!(
         err.error_kind(),
         ada_core::ErrorKind::DatasetExists,
         "{err}"
     );
     // A different name is fine.
-    assert!(ada.ingest("y", input()).is_ok());
+    assert!(ada.ingest("y", input(&w)).is_ok());
 }

@@ -9,65 +9,40 @@ use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, LabelFile, Retr
 use ada_mdformats::write_pdb;
 use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
 use ada_simfs::{Backing, Content, FsError, LocalFs, SimFileSystem};
 use ada_simfs::{FileStat, TimedRead};
 use ada_storagesim::DeviceProfile;
+use common::{input, Rig};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-struct Rig {
-    ada: Ada,
-    ssd: Arc<dyn SimFileSystem>,
-    hdd: Arc<dyn SimFileSystem>,
-}
-
-/// A hybrid rig on `ssd` that seals a chunk — one unit of the ingest pool
-/// — every `chunk_frames` frames.
-fn rig_on(ssd: Arc<dyn SimFileSystem>, chunk_frames: usize) -> Rig {
-    rig_over(ssd, Arc::new(LocalFs::ext4_on_hdd()), chunk_frames)
-}
-
-/// A hybrid rig over the given SSD and HDD.
+/// A hybrid rig over the given SSD and HDD that seals a chunk — one unit
+/// of the ingest pool — every `chunk_frames` frames.
 fn rig_over(ssd: Arc<dyn SimFileSystem>, hdd: Arc<dyn SimFileSystem>, chunk_frames: usize) -> Rig {
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd.clone()),
-    ]));
     let config = AdaConfig {
         chunk_frames,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
-    Rig {
-        ada: Ada::new(config, cs, ssd.clone()),
-        ssd,
-        hdd,
-    }
+    Rig::over(ssd, hdd, config)
 }
 
 /// Two frames a chunk, so that a fault in a later frame strikes after
 /// earlier chunks were split.
 fn rig() -> Rig {
-    rig_on(Arc::new(LocalFs::ext4_on_nvme()), 2)
-}
-
-fn real_input(w: &ada_workload::Workload) -> IngestInput {
-    IngestInput::Real {
-        pdb_text: write_pdb(&w.system),
-        xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-    }
+    let [ssd, hdd] = common::store();
+    rig_over(ssd, hdd, 2)
 }
 
 fn ingest_demo(ada: &Ada, name: &str) {
     let w = ada_workload::gpcr_workload(900, 2, 55);
-    ada.ingest(name, real_input(&w)).unwrap();
+    ada.ingest(name, input(&w)).unwrap();
 }
 
 #[test]
 fn corrupt_dropping_bytes_yield_typed_error() {
     let r = rig();
-    ingest_demo(&r.ada, "bar");
+    ingest_demo(r.ada(), "bar");
     // Clobber the protein dropping in place: delete + recreate with junk
     // of the same length.
     let paths = r.ssd.list("ssd/bar/hostdir.0/");
@@ -82,20 +57,20 @@ fn corrupt_dropping_bytes_yield_typed_error() {
         .create(&dropping, Content::real(vec![0xAAu8; len as usize]))
         .unwrap();
 
-    let err = r.ada.query("bar", Some(&Tag::protein())).unwrap_err();
+    let err = r.ada().query("bar", Some(&Tag::protein())).unwrap_err();
     assert!(matches!(err, AdaError::Xtcf { .. }), "got {:?}", err);
     assert_eq!(err.error_kind(), ErrorKind::Xtcf);
     // The error names the corrupt dropping and chains the format error.
     assert!(err.to_string().contains("dropping.data.p"), "got {}", err);
     assert!(std::error::Error::source(&err).is_some());
     // The MISC subset is unaffected.
-    assert!(r.ada.query("bar", Some(&Tag::misc())).is_ok());
+    assert!(r.ada().query("bar", Some(&Tag::misc())).is_ok());
 }
 
 #[test]
 fn deleted_dropping_yields_fs_error() {
     let r = rig();
-    ingest_demo(&r.ada, "bar");
+    ingest_demo(r.ada(), "bar");
     let paths = r.ssd.list("ssd/bar/hostdir.0/");
     let dropping = paths
         .iter()
@@ -103,7 +78,7 @@ fn deleted_dropping_yields_fs_error() {
         .unwrap()
         .clone();
     r.ssd.delete(&dropping).unwrap();
-    let err = r.ada.query("bar", Some(&Tag::protein())).unwrap_err();
+    let err = r.ada().query("bar", Some(&Tag::protein())).unwrap_err();
     assert!(
         matches!(err, AdaError::Fs(FsError::NotFound(_))),
         "got {:?}",
@@ -119,10 +94,10 @@ fn deleted_dropping_yields_fs_error() {
 #[test]
 fn corrupt_label_file_detected_on_reload() {
     let r = rig();
-    ingest_demo(&r.ada, "bar");
+    ingest_demo(r.ada(), "bar");
     let path = LabelFile::path_for("bar");
     let label = LabelFile::load(r.ssd.as_ref(), "bar").unwrap();
-    assert_eq!(label, r.ada.label("bar").unwrap());
+    assert_eq!(label, r.ada().label("bar").unwrap());
 
     // Label `bar` as JSON text, tags `m` and `p`, its droppings list
     // holding one dropping per named tag.
@@ -175,7 +150,7 @@ fn truncated_xtc_at_ingest_is_rejected_cleanly() {
     let r = rig();
     let w = ada_workload::gpcr_workload(900, 2, 56);
     let xtc = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
-    let result = r.ada.ingest(
+    let result = r.ada().ingest(
         "bad",
         IngestInput::Real {
             pdb_text: write_pdb(&w.system),
@@ -185,7 +160,7 @@ fn truncated_xtc_at_ingest_is_rejected_cleanly() {
     assert!(matches!(result, Err(AdaError::Xtc(_))));
     // The failed dataset is not queryable.
     assert!(matches!(
-        r.ada.query("bad", None),
+        r.ada().query("bad", None),
         Err(AdaError::UnknownDataset(_))
     ));
 }
@@ -195,7 +170,7 @@ fn pdb_xtc_atom_mismatch_rejected() {
     let r = rig();
     let w1 = ada_workload::gpcr_workload(900, 1, 57);
     let w2 = ada_workload::gpcr_workload(400, 1, 58);
-    let result = r.ada.ingest(
+    let result = r.ada().ingest(
         "bad",
         IngestInput::Real {
             pdb_text: write_pdb(&w1.system),
@@ -220,14 +195,14 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
     let good = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
     let mut ragged = good.clone();
     ragged.extend(write_xtc(&other.trajectory, DEFAULT_PRECISION).unwrap());
-    r.ada.ingest("good", real_input(&w)).unwrap();
+    r.ada().ingest("good", input(&w)).unwrap();
 
     let ingest = |xtc: &[u8]| {
         let input = IngestInput::Real {
             pdb_text: pdb.clone(),
             xtc_bytes: xtc.to_vec(),
         };
-        r.ada.ingest("bad", input)
+        r.ada().ingest("bad", input)
     };
     let bad_files: [(&str, &[u8], usize); 2] =
         [("ragged", &ragged, other.system.len()), ("empty", &[], 0)];
@@ -252,14 +227,14 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
         );
         // The name is free: nothing was stored, and a well-formed file
         // ingests under it.
-        assert!(!r.ada.list_datasets().contains(&"bad".to_string()));
+        assert!(!r.ada().list_datasets().contains(&"bad".to_string()));
         assert_eq!(files_of(&r, "bad"), Vec::<String>::new(), "{}", what);
         ingest(&good).unwrap();
         assert_eq!(
-            protein_frames(&r.ada, "bad"),
-            protein_frames(&r.ada, "good")
+            protein_frames(r.ada(), "bad"),
+            protein_frames(r.ada(), "good")
         );
-        r.ada.delete_dataset("bad").unwrap();
+        r.ada().delete_dataset("bad").unwrap();
     }
 }
 
@@ -280,12 +255,8 @@ fn ssd_of_capacity(capacity: u64, chunk_frames: usize) -> Rig {
         50.0e-6, // ext4's per-operation cost
         Backing::Single(tiny_profile),
     ));
-    rig_on(ssd, chunk_frames)
-}
-
-/// Every file on either backend that no listed dataset accounts for.
-fn strays(r: &Rig) -> Vec<String> {
-    common::strays(&r.ada, &[&r.ssd, &r.hdd])
+    let [_, hdd] = common::store();
+    rig_over(ssd, hdd, chunk_frames)
 }
 
 /// Every file either backend holds under `<mnt>/<dataset>/`.
@@ -310,31 +281,31 @@ fn protein_frames(ada: &Ada, dataset: &str) -> ada_mdformats::Trajectory {
 /// six chunks whose late ones are past the SSD's capacity.
 fn assert_no_space_is_all_or_nothing(chunk_frames: usize) {
     let ingest =
-        |ada: &Ada, dataset: &str, w: &ada_workload::Workload| ada.ingest(dataset, real_input(w));
+        |ada: &Ada, dataset: &str, w: &ada_workload::Workload| ada.ingest(dataset, input(w));
     let r = tiny_ssd_rig(chunk_frames);
     let fits = ada_workload::gpcr_workload(2000, 1, 59);
     let too_big = ada_workload::gpcr_workload(2000, 12, 59);
-    r.ada.ingest("guide", real_input(&fits)).unwrap();
+    r.ada().ingest("guide", input(&fits)).unwrap();
     let guide_files = files_of(&r, "guide");
-    let guide_frames = protein_frames(&r.ada, "guide");
+    let guide_frames = protein_frames(r.ada(), "guide");
 
-    assert_no_space(ingest(&r.ada, "big", &too_big));
+    assert_no_space(ingest(r.ada(), "big", &too_big));
     assert_left_nothing(&r, "big");
 
     // So the name can be reused: an input that fits ingests under it and
     // is queryable.
-    ingest(&r.ada, "big", &fits).unwrap();
-    assert_eq!(protein_frames(&r.ada, "big"), guide_frames);
+    ingest(r.ada(), "big", &fits).unwrap();
+    assert_eq!(protein_frames(r.ada(), "big"), guide_frames);
 
     // The opposite failure: a name that is taken belongs to someone else.
     // The refused ingest must not touch the dataset that owns it.
-    match ingest(&r.ada, "guide", &fits) {
+    match ingest(r.ada(), "guide", &fits) {
         Err(AdaError::DatasetExists(_)) => {}
         other => panic!("expected DatasetExists, got {:?}", other.map(|r| r.dataset)),
     }
     assert_eq!(files_of(&r, "guide"), guide_files);
     assert!(r.ssd.exists(&LabelFile::path_for("guide")));
-    assert_eq!(protein_frames(&r.ada, "guide"), guide_frames);
+    assert_eq!(protein_frames(r.ada(), "guide"), guide_frames);
 }
 
 /// A refusal for want of space, whichever write met it: the file
@@ -349,12 +320,12 @@ fn assert_no_space(res: Result<ada_core::IngestReport, AdaError>) -> u64 {
 /// `dataset` is gone from ADA and from both backends — no orphan
 /// dropping or label file — and no other file is left unaccounted for.
 fn assert_left_nothing(r: &Rig, dataset: &str) {
-    assert!(!r.ada.list_datasets().contains(&dataset.to_string()));
+    assert!(!r.ada().list_datasets().contains(&dataset.to_string()));
     assert_eq!(files_of(r, dataset), Vec::<String>::new());
     assert!(!r.ssd.exists(&LabelFile::path_for(dataset)));
-    assert_eq!(strays(r), Vec::<String>::new());
+    assert_eq!(r.strays(), Vec::<String>::new());
     assert!(matches!(
-        r.ada.query(dataset, None),
+        r.ada().query(dataset, None),
         Err(AdaError::UnknownDataset(_))
     ));
 }
@@ -367,19 +338,19 @@ fn assert_left_nothing(r: &Rig, dataset: &str) {
 fn label_write_out_of_space_is_fs_and_leaves_nothing() {
     let w = ada_workload::gpcr_workload(2000, 1, 59);
     let roomy = rig();
-    roomy.ada.ingest("big", real_input(&w)).unwrap();
+    roomy.ada().ingest("big", input(&w)).unwrap();
     let len = |path: &str| roomy.ssd.stat(path).unwrap().len;
     let dropping = len("ssd/big/hostdir.0/dropping.data.p");
     let label = len(&LabelFile::path_for("big"));
     assert_eq!(roomy.ssd.list("").len(), 2, "the SSD holds the two");
 
     let r = ssd_of_capacity(dropping + label - 1, 2);
-    assert_eq!(assert_no_space(r.ada.ingest("big", real_input(&w))), label);
+    assert_eq!(assert_no_space(r.ada().ingest("big", input(&w))), label);
     assert_left_nothing(&r, "big");
     // With the label's room, the same input ingests.
     let r = ssd_of_capacity(dropping + label, 2);
-    r.ada.ingest("big", real_input(&w)).unwrap();
-    assert_eq!(strays(&r), Vec::<String>::new());
+    r.ada().ingest("big", input(&w)).unwrap();
+    assert_eq!(r.strays(), Vec::<String>::new());
 }
 
 #[test]
@@ -395,14 +366,14 @@ fn backend_out_of_space_in_a_late_window() {
 #[test]
 fn queries_against_wrong_tags_and_names_never_panic() {
     let r = rig();
-    ingest_demo(&r.ada, "bar");
+    ingest_demo(r.ada(), "bar");
     for tag in ["", "P", "pp", "protein", "\0", "🧬"] {
-        let res = r.ada.query("bar", Some(&Tag::new(tag)));
+        let res = r.ada().query("bar", Some(&Tag::new(tag)));
         assert!(matches!(res, Err(AdaError::UnknownTag(_))), "tag {:?}", tag);
     }
     for name in ["", "BAR", "bar ", "../bar"] {
         assert!(matches!(
-            r.ada.query(name, None),
+            r.ada().query(name, None),
             Err(AdaError::UnknownDataset(_))
         ));
     }
@@ -414,14 +385,18 @@ fn queries_against_wrong_tags_and_names_never_panic() {
 /// refused delete names the file it leaves in place. Every other call is
 /// the inner file system's.
 struct Flaky {
-    inner: LocalFs,
+    inner: Arc<dyn SimFileSystem>,
     op: &'static str,
     refused: Range<usize>,
     calls: AtomicUsize,
 }
 
 impl Flaky {
-    fn new(inner: LocalFs, op: &'static str, refused: Range<usize>) -> Arc<dyn SimFileSystem> {
+    fn new(
+        inner: Arc<dyn SimFileSystem>,
+        op: &'static str,
+        refused: Range<usize>,
+    ) -> Arc<dyn SimFileSystem> {
         Arc::new(Flaky {
             inner,
             op,
@@ -505,37 +480,37 @@ const LEFTOVER: &str = "hdd/d/hostdir.0/dropping.data.m";
 fn a_dropping_a_delete_leaves_behind_is_reported_then_swept() {
     let w = ada_workload::gpcr_workload(900, 5, 62);
     // The HDD refuses its first two deletes: the delete's and one sweep.
-    let hdd = Flaky::new(LocalFs::ext4_on_hdd(), "delete", 1..3);
-    let r = rig_over(Arc::new(LocalFs::ext4_on_nvme()), hdd, 2);
-    r.ada.ingest("d", real_input(&w)).unwrap();
-    let stored = frame_bits(&r.ada, "d");
+    let [ssd, hdd] = common::store();
+    let r = rig_over(ssd, Flaky::new(hdd, "delete", 1..3), 2);
+    r.ada().ingest("d", input(&w)).unwrap();
+    let stored = frame_bits(r.ada(), "d");
 
-    let err = r.ada.delete_dataset("d").unwrap_err();
+    let err = r.ada().delete_dataset("d").unwrap_err();
     assert!(
         matches!(&err, AdaError::Fs(FsError::NotFound(p)) if p == LEFTOVER),
         "{err:?}"
     );
     assert_eq!(err.error_kind(), ErrorKind::Fs);
-    assert!(r.ada.list_datasets().is_empty());
+    assert!(r.ada().list_datasets().is_empty());
     assert!(!r.ssd.exists(&LabelFile::path_for("d")));
     assert_eq!(files_of(&r, "d"), [LEFTOVER]);
     assert!(matches!(
-        r.ada.query("d", None),
+        r.ada().query("d", None),
         Err(AdaError::UnknownDataset(_))
     ));
 
     // The sweep is refused: the ingest stores nothing and frees the name.
-    let err = r.ada.ingest("d", real_input(&w)).unwrap_err();
+    let err = r.ada().ingest("d", input(&w)).unwrap_err();
     assert!(
         matches!(&err, AdaError::Fs(FsError::NotFound(p)) if p == LEFTOVER),
         "{err:?}"
     );
-    assert!(r.ada.list_datasets().is_empty());
+    assert!(r.ada().list_datasets().is_empty());
     assert_eq!(files_of(&r, "d"), [LEFTOVER]);
 
-    r.ada.ingest("d", real_input(&w)).unwrap();
-    assert_eq!(frame_bits(&r.ada, "d"), stored);
-    assert_eq!(strays(&r), Vec::<String>::new());
+    r.ada().ingest("d", input(&w)).unwrap();
+    assert_eq!(frame_bits(r.ada(), "d"), stored);
+    assert_eq!(r.strays(), Vec::<String>::new());
 }
 
 /// An ingest that fails once its droppings are stored — its label write
@@ -547,23 +522,24 @@ fn a_dropping_a_delete_leaves_behind_is_reported_then_swept() {
 fn a_dropping_a_rollback_leaves_behind_is_swept_by_the_next_ingest() {
     let w = ada_workload::gpcr_workload(900, 5, 63);
     let clean = rig();
-    clean.ada.ingest("d", real_input(&w)).unwrap();
+    clean.ada().ingest("d", input(&w)).unwrap();
     // The SSD refuses its second create (the label, after the protein
     // dropping); the HDD its first delete (the rollback's, of `m`).
-    let ssd = Flaky::new(LocalFs::ext4_on_nvme(), "create", 2..3);
-    let hdd = Flaky::new(LocalFs::ext4_on_hdd(), "delete", 1..2);
+    let [ssd, hdd] = common::store();
+    let ssd = Flaky::new(ssd, "create", 2..3);
+    let hdd = Flaky::new(hdd, "delete", 1..2);
     let r = rig_over(ssd, hdd, 2);
 
-    let err = r.ada.ingest("d", real_input(&w)).unwrap_err();
+    let err = r.ada().ingest("d", input(&w)).unwrap_err();
     assert!(
         matches!(err, AdaError::Fs(FsError::NoSpace { free: 0, .. })),
         "{err:?}"
     );
-    assert!(r.ada.list_datasets().is_empty());
+    assert!(r.ada().list_datasets().is_empty());
     assert!(!r.ssd.exists(&LabelFile::path_for("d")));
     assert_eq!(files_of(&r, "d"), [LEFTOVER]);
 
-    r.ada.ingest("d", real_input(&w)).unwrap();
-    assert_eq!(frame_bits(&r.ada, "d"), frame_bits(&clean.ada, "d"));
-    assert_eq!(strays(&r), Vec::<String>::new());
+    r.ada().ingest("d", input(&w)).unwrap();
+    assert_eq!(frame_bits(r.ada(), "d"), frame_bits(clean.ada(), "d"));
+    assert_eq!(r.strays(), Vec::<String>::new());
 }

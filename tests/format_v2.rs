@@ -8,28 +8,23 @@
 //! pins the v1 codec and the v2 sealer with golden on-disk fixtures that
 //! must keep decoding bit-identically forever.
 
+mod common;
+
 use ada_cache::CacheConfig;
-use ada_core::{Ada, AdaConfig, ErrorKind, IngestInput, RetrievedData};
-use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
+use ada_core::{Ada, AdaConfig, ErrorKind, RetrievedData};
 use ada_mdformats::xtcf::{
     crc32, decode_chunk, frame_record_len, parse_directory, presized_v2, read_xtcf, seal_v2,
     verify_chunk, write_xtcf, ChunkDirectory, XtcfReader, XTCF_DIR_ENTRY_LEN,
     XTCF_RECORD_NATOMS_OFFSET, XTCF_TRAILER_LEN,
 };
-use ada_mdformats::{write_pdb, Frame, Trajectory};
+use ada_mdformats::{Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
-use ada_plfs::ContainerSet;
-use ada_simfs::{Content, LocalFs, SimFileSystem};
-use std::sync::Arc;
+use ada_simfs::Content;
+use common::Rig;
 
 /// Every pipeline shape the decode path can take: serial reference, one
 /// worker, and genuinely parallel fan-out.
 const THREADS: [usize; 4] = [0, 1, 4, 8];
-
-struct Rig {
-    ada: Ada,
-    ssd: Arc<dyn SimFileSystem>,
-}
 
 /// Hybrid rig sealing 2-frame chunks, so one 8-frame dropping carries a
 /// 4-entry chunk directory worth corrupting piecewise.
@@ -38,35 +33,17 @@ fn rig(query_threads: usize) -> Rig {
 }
 
 fn rig_with(query_threads: usize, cache: CacheConfig) -> Rig {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let containers = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    let config = AdaConfig {
+    Rig::new(AdaConfig {
         query_threads,
         chunk_frames: 2,
         cache,
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    Rig {
-        ada: Ada::new(config, containers, ssd.clone()),
-        ssd,
-    }
+    })
 }
 
 fn ingest(r: &Rig) {
     let w = ada_workload::gpcr_workload(900, 8, 47);
-    r.ada
-        .ingest(
-            "d",
-            IngestInput::Real {
-                pdb_text: write_pdb(&w.system),
-                xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-            },
-        )
-        .unwrap();
+    r.ada().ingest("d", common::input(&w)).unwrap();
 }
 
 fn protein_dropping(r: &Rig) -> (String, Vec<u8>) {
@@ -116,7 +93,7 @@ fn assert_corrupt(what: &str, detail: &str, mutate: impl Fn(Vec<u8>) -> Vec<u8>)
         let (path, bytes) = protein_dropping(&r);
         rewrite(&r, &path, mutate(bytes));
         for tag in [Some(Tag::protein()), None] {
-            let err = r.ada.query("d", tag.as_ref()).unwrap_err();
+            let err = r.ada().query("d", tag.as_ref()).unwrap_err();
             assert_eq!(
                 err.error_kind(),
                 ErrorKind::Xtcf,
@@ -144,7 +121,7 @@ fn assert_corrupt(what: &str, detail: &str, mutate: impl Fn(Vec<u8>) -> Vec<u8>)
         // MISC never touches the broken dropping: the pipeline survived
         // (a dead stage thread would poison later queries).
         assert!(
-            r.ada.query("d", Some(&Tag::misc())).is_ok(),
+            r.ada().query("d", Some(&Tag::misc())).is_ok(),
             "{} threads={}: instance unusable after failed query",
             what,
             threads
@@ -201,14 +178,14 @@ fn windows_clear_of_the_corrupt_chunk_still_decode() {
     for threads in THREADS {
         let r = rig(threads);
         ingest(&r);
-        let reference = query_real(&r.ada, Some(&Tag::protein()));
+        let reference = query_real(r.ada(), Some(&Tag::protein()));
         let (path, mut bytes) = protein_dropping(&r);
         let dir = parse_directory(&bytes).unwrap().expect("sealed v2");
         let at = dir.entries[1].offset as usize + 5;
         bytes[at] ^= 0xFF;
         rewrite(&r, &path, bytes);
         let win = match r
-            .ada
+            .ada()
             .query_range("d", &Tag::protein(), 0..2, 1)
             .unwrap()
             .data
@@ -224,7 +201,7 @@ fn windows_clear_of_the_corrupt_chunk_still_decode() {
         );
         // The window over the broken chunk still fails, typed.
         let err = r
-            .ada
+            .ada()
             .query_range("d", &Tag::protein(), 2..4, 1)
             .unwrap_err();
         assert_eq!(err.error_kind(), ErrorKind::Xtcf, "threads={}", threads);
@@ -261,9 +238,9 @@ fn record_declaring_another_atom_count_is_one_error_decoded_or_forwarded() {
     let (path, bytes) = protein_dropping(&r);
     rewrite(&r, &path, redeclare(bytes));
     let tag = Tag::protein();
-    let decoded = r.ada.query("d", Some(&tag)).unwrap_err();
+    let decoded = r.ada().query("d", Some(&tag)).unwrap_err();
     let ctx = ada_telemetry::trace::TraceContext::inactive();
-    let stored = r.ada.query_stored("d", &tag, &ctx).unwrap();
+    let stored = r.ada().query_stored("d", &tag, &ctx).unwrap();
     let mut chunks = stored.chunks();
     assert!(chunks.next().unwrap().is_ok(), "chunk 0 is sound");
     let forwarded = chunks.next().unwrap().unwrap_err();
@@ -290,10 +267,13 @@ fn directory_less_dropping_is_a_typed_error_on_every_read() {
         let tag = Tag::protein();
         let ctx = ada_telemetry::trace::TraceContext::inactive();
         let errors = [
-            ("tagged query", r.ada.query("d", Some(&tag)).unwrap_err()),
-            ("untagged query", r.ada.query("d", None).unwrap_err()),
-            ("range", r.ada.query_range("d", &tag, 2..6, 2).unwrap_err()),
-            ("stored", r.ada.query_stored("d", &tag, &ctx).unwrap_err()),
+            ("tagged query", r.ada().query("d", Some(&tag)).unwrap_err()),
+            ("untagged query", r.ada().query("d", None).unwrap_err()),
+            (
+                "range",
+                r.ada().query_range("d", &tag, 2..6, 2).unwrap_err(),
+            ),
+            ("stored", r.ada().query_stored("d", &tag, &ctx).unwrap_err()),
         ];
         for (what, err) in errors {
             assert_eq!(
@@ -309,14 +289,14 @@ fn directory_less_dropping_is_a_typed_error_on_every_read() {
             );
         }
         let failed = ["ingest.ok=1", "query.err.xtcf=3", "query_range.err.xtcf=1"];
-        assert_eq!(outcomes(&r.ada), failed, "threads={threads}");
-        let stats = r.ada.cache_stats();
+        assert_eq!(outcomes(r.ada()), failed, "threads={threads}");
+        let stats = r.ada().cache_stats();
         assert_eq!(
             (stats.inserts, stats.resident_bytes, stats.bytes_decoded),
             (0, 0, 0),
             "threads={threads}"
         );
-        assert!(r.ada.query("d", Some(&Tag::misc())).is_ok());
+        assert!(r.ada().query("d", Some(&Tag::misc())).is_ok());
     }
 }
 

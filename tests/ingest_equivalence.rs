@@ -16,39 +16,22 @@ use ada_core::{
     categorize_algo1, split_trajectory, Ada, AdaConfig, AdaError, DispatchPolicy, IngestInput,
     RetrievedData,
 };
-use ada_mdformats::xtc::{index_frames, read_xtc, write_xtc, XtcError, DEFAULT_PRECISION};
+use ada_mdformats::xtc::{index_frames, read_xtc, XtcError};
 use ada_mdformats::xtcf::seal_v2;
-use ada_mdformats::{write_pdb, FormatError, Trajectory};
+use ada_mdformats::{FormatError, Trajectory};
 use ada_mdmodel::Tag;
-use ada_plfs::{ContainerSet, IndexRecord};
-use ada_simfs::{LocalFs, SimFileSystem};
+use ada_plfs::IndexRecord;
+use common::{fixture, input, Rig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Hybrid SSD/HDD ADA with an explicit ingest pool and chunk size.
-fn ada_with(ingest_threads: usize, chunk_frames: usize) -> Ada {
-    let config = AdaConfig {
+/// A hybrid SSD/HDD rig with an explicit ingest pool and chunk size.
+fn rig_with(ingest_threads: usize, chunk_frames: usize) -> Rig {
+    Rig::new(AdaConfig {
         ingest_threads,
         chunk_frames,
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    ada_on_backends(config).0
-}
-
-/// An ADA over fresh SSD and HDD backends, and the two backends.
-fn ada_on_backends(config: AdaConfig) -> (Ada, [Arc<dyn SimFileSystem>; 2]) {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let containers = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd.clone()),
-    ]));
-    (Ada::new(config, containers, ssd.clone()), [ssd, hdd])
-}
-
-/// Every file on `backends` that no listed dataset of `ada` accounts for.
-fn strays(ada: &Ada, [ssd, hdd]: &[Arc<dyn SimFileSystem>; 2]) -> Vec<String> {
-    common::strays(ada, &[ssd, hdd])
+    })
 }
 
 /// The stored droppings dataset `d`'s label records, in tag order.
@@ -56,29 +39,6 @@ fn droppings(ada: &Ada) -> Vec<IndexRecord> {
     let label = ada.label("d").unwrap();
     let entries = label.entries().values();
     entries.map(|e| e.dropping.clone()).collect()
-}
-
-struct Workload {
-    pdb_text: String,
-    xtc_bytes: Vec<u8>,
-}
-
-fn workload() -> Workload {
-    let w = ada_workload::gpcr_workload(1600, 7, 11);
-    Workload {
-        pdb_text: write_pdb(&w.system),
-        xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-    }
-}
-
-impl Workload {
-    fn ingest(&self, ada: &Ada) -> ada_core::IngestReport {
-        let input = IngestInput::Real {
-            pdb_text: self.pdb_text.clone(),
-            xtc_bytes: self.xtc_bytes.clone(),
-        };
-        ada.ingest("d", input).unwrap()
-    }
 }
 
 fn query_real(ada: &Ada, dataset: &str, tag: Option<&ada_mdmodel::Tag>) -> Trajectory {
@@ -146,18 +106,18 @@ fn assert_equivalent(
 
 #[test]
 fn batch_ingest_parallel_split_matches_serial() {
-    let w = workload();
+    let w = ada_workload::gpcr_workload(1600, 7, 11);
     // One chunk, and 7 frames in chunks of 2, 2, 2, 1.
     for chunk_frames in [64, 2] {
-        let serial = ada_with(1, chunk_frames);
-        let rep_serial = w.ingest(&serial);
+        let serial = rig_with(1, chunk_frames);
+        let rep_serial = serial.ada().ingest("d", input(&w)).unwrap();
         for threads in [2, 4, 8] {
-            let par = ada_with(threads, chunk_frames);
-            let rep_par = w.ingest(&par);
+            let par = rig_with(threads, chunk_frames);
+            let rep_par = par.ada().ingest("d", input(&w)).unwrap();
             // Same chunk size ⇒ same droppings ⇒ byte totals exactly equal.
             assert_equivalent(
-                (&serial, &rep_serial),
-                (&par, &rep_par),
+                (serial.ada(), &rep_serial),
+                (par.ada(), &rep_par),
                 &format!("ingest threads={} chunk={}", threads, chunk_frames),
             );
         }
@@ -170,21 +130,17 @@ fn batch_ingest_parallel_split_matches_serial() {
 #[test]
 fn dropping_size_changes_only_the_framing() {
     let w = ada_workload::gpcr_workload(300, 600, 23);
-    let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
-    let whole = read_xtc(&xtc_bytes).unwrap();
+    let whole = read_xtc(&fixture(&w).1).unwrap();
     let config = AdaConfig::paper_prototype("ssd", "hdd");
     let labeler = categorize_algo1(&w.system, &config.taxonomy);
     let split = split_trajectory(&whole, &labeler).unwrap().subsets;
-    let (ada, _) = ada_on_backends(config);
-    let input = IngestInput::Real {
-        pdb_text: write_pdb(&w.system),
-        xtc_bytes,
-    };
-    let report = ada.ingest("d", input).unwrap();
+    let rig = Rig::new(config);
+    let ada = rig.ada();
+    let report = ada.ingest("d", input(&w)).unwrap();
 
     let index = ada.containers().index("d").unwrap();
     assert_eq!(index.len(), labeler.len(), "one dropping per tag");
-    assert_eq!(droppings(&ada), index, "the label records them");
+    assert_eq!(droppings(ada), index, "the label records them");
     for record in &index {
         let tag = Tag::new(record.tag.clone());
         let sealed = seal_v2(split[&tag].clone(), labeler[&tag].count(), 64).unwrap();
@@ -201,9 +157,7 @@ fn dropping_size_changes_only_the_framing() {
 #[test]
 fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
     let w = ada_workload::gpcr_workload(700, 7, 13);
-    let pdb_text = write_pdb(&w.system);
-    let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
-    let decoded = read_xtc(&xtc_bytes).unwrap();
+    let decoded = read_xtc(&fixture(&w).1).unwrap();
     let labeler = categorize_algo1(
         &w.system,
         &AdaConfig::paper_prototype("ssd", "hdd").taxonomy,
@@ -236,20 +190,17 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
                     "threads {} chunk {} policy {:?}",
                     ingest_threads, chunk_frames, policy
                 );
-                let (ada, _) = ada_on_backends(AdaConfig {
+                let rig = Rig::new(AdaConfig {
                     policy: policy.clone(),
                     ingest_threads,
                     chunk_frames,
                     ..AdaConfig::paper_prototype("ssd", "hdd")
                 });
-                let input = IngestInput::Real {
-                    pdb_text: pdb_text.clone(),
-                    xtc_bytes: xtc_bytes.clone(),
-                };
-                ada.ingest("d", input).unwrap();
+                let ada = rig.ada();
+                ada.ingest("d", input(&w)).unwrap();
                 let index = ada.containers().index("d").unwrap();
                 assert_eq!(index.len(), expected.len(), "{}", what);
-                assert_eq!(droppings(&ada), index, "{}", what);
+                assert_eq!(droppings(ada), index, "{}", what);
                 for (record, (tag, backend, sealed)) in index.iter().zip(&expected) {
                     assert_eq!((&record.tag, &record.backend), (tag, backend), "{}", what);
                     let (stored, _) = ada.containers().read_dropping(record).unwrap();
@@ -267,9 +218,7 @@ fn every_stored_dropping_is_the_sealed_serial_split_of_its_window() {
 /// ingest leaves nothing behind on any backend.
 #[test]
 fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
-    let w = ada_workload::gpcr_workload(600, 12, 17);
-    let pdb_text = write_pdb(&w.system);
-    let xtc = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
+    let (pdb_text, xtc) = fixture(&ada_workload::gpcr_workload(600, 12, 17));
     let spans = index_frames(&xtc).unwrap();
     // The compressed body's `precision` and `smallidx` fields, by their
     // offsets in a frame (after the 52-byte header and the atom count).
@@ -294,11 +243,12 @@ fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
     zero_precision(&mut smallidx_first, 10);
 
     for ingest_threads in [0usize, 1, 2, 4, 8] {
-        let (ada, backends) = ada_on_backends(AdaConfig {
+        let rig = Rig::new(AdaConfig {
             ingest_threads,
             chunk_frames: 2,
             ..AdaConfig::paper_prototype("ssd", "hdd")
         });
+        let ada = rig.ada();
         let ingest = |xtc_bytes: &[u8]| {
             ada.ingest(
                 "d",
@@ -315,9 +265,9 @@ fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
 
         // Nothing of either attempt is left, and the name is free.
         assert!(ada.list_datasets().is_empty());
-        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
+        assert_eq!(rig.strays(), Vec::<String>::new());
         ingest(&xtc).unwrap();
-        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
+        assert_eq!(rig.strays(), Vec::<String>::new());
     }
 }
 
@@ -326,9 +276,7 @@ fn two_broken_chunks_fail_with_the_earlier_chunks_error_and_store_nothing() {
 /// no dropping, label or container on any backend, and the name is free.
 #[test]
 fn a_broken_last_chunk_discards_the_shared_droppings_and_frees_the_name() {
-    let w = ada_workload::gpcr_workload(600, 12, 29);
-    let pdb_text = write_pdb(&w.system);
-    let xtc = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
+    let (pdb_text, xtc) = fixture(&ada_workload::gpcr_workload(600, 12, 29));
     // Frame 11 is the last of six 2-frame chunks; zero its precision field,
     // which the header scan skips (after the 52-byte header and the count).
     let mut broken = xtc.clone();
@@ -336,11 +284,12 @@ fn a_broken_last_chunk_discards_the_shared_droppings_and_frees_the_name() {
     broken[at..at + 4].fill(0);
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     for ingest_threads in [0usize, 1, 2, host] {
-        let (ada, backends) = ada_on_backends(AdaConfig {
+        let rig = Rig::new(AdaConfig {
             ingest_threads,
             chunk_frames: 2,
             ..AdaConfig::paper_prototype("ssd", "hdd")
         });
+        let ada = rig.ada();
         let input = |xtc_bytes: &[u8]| IngestInput::Real {
             pdb_text: pdb_text.clone(),
             xtc_bytes: xtc_bytes.to_vec(),
@@ -363,10 +312,10 @@ fn a_broken_last_chunk_discards_the_shared_droppings_and_frees_the_name() {
         assert_eq!(splits.count(), 5, "threads {}", ingest_threads);
 
         assert!(ada.list_datasets().is_empty());
-        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
+        assert_eq!(rig.strays(), Vec::<String>::new());
         ada.ingest("d", input(&xtc)).unwrap();
         assert_eq!(ada.label("d").unwrap().nframes, 12);
-        assert_eq!(strays(&ada, &backends), Vec::<String>::new());
+        assert_eq!(rig.strays(), Vec::<String>::new());
     }
 }
 
@@ -377,17 +326,12 @@ fn a_broken_last_chunk_discards_the_shared_droppings_and_frees_the_name() {
 #[test]
 fn a_traced_ingest_shows_one_decode_and_split_per_chunk_on_its_worker() {
     let w = ada_workload::gpcr_workload(300, 512, 19);
-    let pdb_text = write_pdb(&w.system);
-    let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
     for ingest_threads in [4usize, 0] {
-        let ada = ada_with(ingest_threads, 64);
+        let rig = rig_with(ingest_threads, 64);
+        let ada = rig.ada();
         let (ctx, root) = ada.flight_recorder().root("test.ingest");
         let id = ctx.trace_id().expect("tracing is on by default");
-        let input = IngestInput::Real {
-            pdb_text: pdb_text.clone(),
-            xtc_bytes: xtc_bytes.clone(),
-        };
-        ada.ingest_traced("d", input, &ctx).unwrap();
+        ada.ingest_traced("d", input(&w), &ctx).unwrap();
         drop(root);
         let trace = ada.flight_recorder().all().into_iter().find(|t| t.id == id);
         let trace = trace.expect("the trace was just sealed");

@@ -12,70 +12,36 @@
 //! process under different op mixes read different values, and each
 //! stack's flight recorder holds only its own traces and `span.*` family.
 
+mod common;
+
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use ada_cache::CacheConfig;
-use ada_client::{Client, ClientConfig, Router};
-use ada_core::{Ada, AdaConfig, ErrorKind, IngestInput};
-use ada_frontend::{Frontend, FrontendConfig};
+use ada_client::{ClientConfig, Router};
+use ada_core::{AdaConfig, ErrorKind};
+use ada_frontend::Frontend;
 use ada_mdformats::xtcf::parse_directory;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_server::{Server, ServerConfig};
-use ada_simfs::{Content, LocalFs, SimFileSystem};
+use ada_server::ServerConfig;
+use ada_simfs::Content;
 use ada_telemetry::Snapshot;
+use ada_workload::gpcr_workload;
+use common::{fixture, input, Rig};
 
-/// A served stack: `Ada` (with its flight recorder) with a hot cache and
-/// 2-frame chunks over an SSD
-/// and an HDD backend, its front-end and a daemon. The SSD is handed back
-/// so a test can corrupt what was stored on it.
-fn stack() -> (Server, Arc<Frontend>, Arc<dyn SimFileSystem>) {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    let config = AdaConfig {
+/// A served rig: `Ada` (with its flight recorder) with a hot cache and
+/// 2-frame chunks, its front-end and a daemon.
+fn served() -> Rig {
+    Rig::new(AdaConfig {
         chunk_frames: 2,
         cache: CacheConfig::with_capacity(64 << 20),
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    let ada = Arc::new(Ada::new(config, cs, ssd.clone()));
-    let fe = Arc::new(Frontend::new(ada, FrontendConfig::default()));
-    let server = Server::start(Arc::clone(&fe), ServerConfig::default()).expect("server starts");
-    (server, fe, ssd)
+    })
+    .serve(ServerConfig::default())
 }
 
-fn client(server: &Server, name: &str) -> Client {
-    let config = ClientConfig {
-        name: name.to_string(),
-        ..ClientConfig::default()
-    };
-    Client::new(server.local_addr().to_string(), config)
-}
-
-fn real_bytes(natoms: usize, nframes: usize, seed: u64) -> (String, Vec<u8>) {
-    let w = ada_workload::gpcr_workload(natoms, nframes, seed);
-    (
-        ada_mdformats::write_pdb(&w.system),
-        ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-            .unwrap(),
-    )
-}
-
-fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
-    let (pdb_text, xtc_bytes) = real_bytes(natoms, nframes, seed);
-    IngestInput::Real {
-        pdb_text,
-        xtc_bytes,
-    }
-}
-
-fn metrics_of(server: &Server) -> Snapshot {
+fn metrics_of(rig: &Rig) -> Snapshot {
     let mut snap = Snapshot::default();
-    server.write_metrics(&mut snap);
+    rig.server().write_metrics(&mut snap);
     snap
 }
 
@@ -136,15 +102,15 @@ fn matches(pattern: &str, name: &str, spans: &[String]) -> bool {
 
 #[test]
 fn metrics_md_catalogs_exactly_what_a_stack_emits() {
-    let (mut server, fe, ssd) = stack();
-    let remote = client(&server, "catalog");
+    let mut rig = served();
+    let remote = rig.client("catalog");
     let router = Router::new(
-        vec![server.local_addr().to_string()],
+        vec![rig.server().local_addr().to_string()],
         ClientConfig::default(),
     );
 
     // Over the wire: an ingest, a forwarded tag query and a failed query.
-    let (pdb, xtc) = real_bytes(300, 6, 5);
+    let (pdb, xtc) = fixture(&gpcr_workload(300, 6, 5));
     remote.ingest("ds", &pdb, &xtc).expect("remote ingest");
     remote.query("ds", Some("p")).expect("remote tag query");
     remote
@@ -156,10 +122,11 @@ fn metrics_md_catalogs_exactly_what_a_stack_emits() {
     // In process: ranged and full-frame reads through the cache (the
     // range, first, reads one of three chunks and skips two), then a
     // dataset whose stored chunk 1 is corrupt.
+    let (fe, ssd) = (rig.frontend(), &rig.ssd);
     fe.query_range("local", "ds", &Tag::protein(), 0..2, 1)
         .expect("range query");
     fe.query("local", "ds", None).expect("full-frame query");
-    fe.ingest("local", "bad", real_input(300, 6, 6))
+    fe.ingest("local", "bad", input(&gpcr_workload(300, 6, 6)))
         .expect("second ingest");
     let path = ssd
         .list("ssd/bad/hostdir.0/")
@@ -174,16 +141,20 @@ fn metrics_md_catalogs_exactly_what_a_stack_emits() {
     ssd.create(&path, Content::real(bytes)).unwrap();
     let err = fe.query("local", "bad", Some(&Tag::protein())).unwrap_err();
     assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
-    server.shutdown();
+    rig.shutdown();
 
-    let mut snap = metrics_of(&server);
+    let mut snap = metrics_of(&rig);
     remote.write_metrics(&mut snap);
     router.write_metrics(&mut snap);
     let mut emitted: Vec<(Kind, String)> = Vec::new();
     emitted.extend(snap.counters.keys().map(|k| (Kind::Counter, k.clone())));
     emitted.extend(snap.gauges.keys().map(|k| (Kind::Gauge, k.clone())));
     emitted.extend(snap.histograms.keys().map(|k| (Kind::Histogram, k.clone())));
-    let traces = [fe.flight_recorder().all(), remote.flight_recorder().all()].concat();
+    let traces = [
+        rig.frontend().flight_recorder().all(),
+        remote.flight_recorder().all(),
+    ]
+    .concat();
     let mut span_names: Vec<String> = traces
         .iter()
         .flat_map(|t| t.spans.iter().map(|s| s.name.to_string()))
@@ -260,16 +231,15 @@ fn catalog_patterns_match_one_name_part_per_hole() {
 
 #[test]
 fn two_servers_in_one_process_count_their_own_load() {
-    let (mut busy, busy_fe, _) = stack();
-    let (mut idle, idle_fe, _) = stack();
-    let (pdb, xtc) = real_bytes(300, 6, 9);
-    let c = client(&busy, "busy");
+    let (mut busy, mut idle) = (served(), served());
+    let (pdb, xtc) = fixture(&gpcr_workload(300, 6, 9));
+    let c = busy.client("busy");
     c.ingest("ds", &pdb, &xtc)
         .expect("ingest on the busy server");
     for _ in 0..3 {
         c.query_range("ds", "p", 0, 4, 1).expect("range query");
     }
-    let c = client(&idle, "idle");
+    let c = idle.client("idle");
     c.ingest("ds", &pdb, &xtc)
         .expect("ingest on the idle server");
     c.query_range("ds", "p", 0, 4, 1).expect("range query");
@@ -294,7 +264,7 @@ fn two_servers_in_one_process_count_their_own_load() {
     let ids = |fe: &Frontend| -> BTreeSet<u128> {
         fe.flight_recorder().all().iter().map(|t| t.id).collect()
     };
-    let (b_ids, i_ids) = (ids(&busy_fe), ids(&idle_fe));
+    let (b_ids, i_ids) = (ids(busy.frontend()), ids(idle.frontend()));
     assert_eq!((b_ids.len(), i_ids.len()), (4, 3));
     assert!(b_ids.is_disjoint(&i_ids), "a trace sealed in both stacks");
     assert_eq!(b.counters["span.server.request.calls"], 4);

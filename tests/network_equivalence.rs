@@ -34,25 +34,28 @@
 //!   errors whose `retry_after` survives the wire, and the server's
 //!   `rejected` counter agrees with what the clients saw.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
-use ada_client::{Client, ClientConfig, Router};
+use ada_client::{ClientConfig, Router};
 use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
-use ada_frontend::{Frontend, FrontendConfig};
+use ada_frontend::FrontendConfig;
 use ada_mdformats::xtcf::{frame_record_len, parse_directory, read_xtcf, write_xtcf};
 use ada_mdformats::Trajectory;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
 use ada_proto::{
     encode_frame, RequestBody, RequestEnvelope, WireQueryReport, WireReader, CHUNK_MAGIC,
     HEADER_LEN,
 };
 use ada_server::{Server, ServerConfig};
-use ada_simfs::{Content, LocalFs, SimFileSystem};
+use ada_simfs::Content;
 use ada_telemetry::trace;
+use ada_workload::gpcr_workload;
+use common::{fixture, input, Rig};
 
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -60,61 +63,22 @@ fn serialize() -> MutexGuard<'static, ()> {
     GUARD.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// A fresh in-process instance: the serial reference.
 fn make_ada() -> Arc<Ada> {
-    make_ada_with(AdaConfig::paper_prototype("ssd", "hdd")).0
+    Arc::clone(Rig::paper().ada())
 }
 
-/// An instance and its SSD backend (where tag `p` lives).
-fn make_ada_with(config: AdaConfig) -> (Arc<Ada>, Arc<dyn SimFileSystem>) {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    (Arc::new(Ada::new(config, cs, ssd.clone())), ssd)
-}
-
-/// A server over `ada` whose frontend the test keeps, to ingest without a
-/// request frame and to read the instance's state afterwards.
-fn serve(ada: Arc<Ada>, config: ServerConfig) -> (Server, Arc<Frontend>) {
-    let fe = Arc::new(Frontend::new(ada, FrontendConfig::default()));
-    let server = Server::start(Arc::clone(&fe), config).expect("server must start");
-    (server, fe)
-}
-
-fn start_server() -> Server {
-    let fe = Arc::new(Frontend::new(
-        make_ada(),
-        FrontendConfig {
-            ingest_slots: 2,
-            query_slots: 4,
-            ingest_queue: 64,
-            query_queue: 64,
-            ..FrontendConfig::default()
-        },
-    ));
-    Server::start(fe, ServerConfig::default()).expect("server must start")
-}
-
-fn client_for(server: &Server, name: &str) -> Client {
-    Client::new(
-        server.local_addr().to_string(),
-        ClientConfig {
-            name: name.to_string(),
-            ..ClientConfig::default()
-        },
-    )
-}
-
-/// `(pdb_text, xtc_bytes)` of a deterministic workload.
-fn real_bytes(natoms: usize, nframes: usize, seed: u64) -> (String, Vec<u8>) {
-    let w = ada_workload::gpcr_workload(natoms, nframes, seed);
-    (
-        ada_mdformats::write_pdb(&w.system),
-        ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-            .unwrap(),
-    )
+/// A served rig whose queues admit every request the tests send.
+fn served() -> Rig {
+    let frontend = FrontendConfig {
+        ingest_slots: 2,
+        query_slots: 4,
+        ingest_queue: 64,
+        query_queue: 64,
+    };
+    Rig::paper()
+        .with_frontend(frontend)
+        .serve(ServerConfig::default())
 }
 
 /// Every `ada.{op}.*` outcome `ada` counted so far, as `"{op}.ok={n}"` /
@@ -127,14 +91,6 @@ fn outcomes(ada: &Ada) -> Vec<String> {
     counters
         .filter_map(|(name, n)| Some(format!("{}={n}", name.strip_prefix("ada.")?)))
         .collect()
-}
-
-fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
-    let (pdb_text, xtc_bytes) = real_bytes(natoms, nframes, seed);
-    IngestInput::Real {
-        pdb_text,
-        xtc_bytes,
-    }
 }
 
 /// One frame as raw bits: step, time, box, every coordinate. Comparing
@@ -203,30 +159,28 @@ fn eight_tcp_clients_match_in_process_serial_byte_for_byte() {
     let _guard = serialize();
     const CLIENTS: usize = 8;
     const QUERIES_PER_CLIENT: usize = 4;
-    let mut server = start_server();
+    let mut rig = served();
 
     // Shared dataset every client can read.
-    let (pdb, xtc) = real_bytes(500, 6, 7);
-    client_for(&server, "setup")
-        .ingest("shared", &pdb, &xtc)
-        .unwrap();
+    let (pdb, xtc) = fixture(&gpcr_workload(500, 6, 7));
+    rig.client("setup").ingest("shared", &pdb, &xtc).unwrap();
 
     let barrier = Barrier::new(CLIENTS);
     let mut harvested: Vec<Op> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..CLIENTS {
-            let server = &server;
+            let rig = &rig;
             let barrier = &barrier;
             handles.push(scope.spawn(move || {
-                let client = client_for(server, &format!("c{}", t));
+                let client = rig.client(&format!("c{}", t));
                 barrier.wait();
                 let mut out = Vec::new();
                 // Odd clients first ingest a private dataset, exercising
                 // ingest/query interleaving over the wire.
                 let dataset = if t % 2 == 1 {
                     let name = format!("ds{}", t);
-                    let (pdb, xtc) = real_bytes(400, 4, 100 + t as u64);
+                    let (pdb, xtc) = fixture(&gpcr_workload(400, 4, 100 + t as u64));
                     client.ingest(&name, &pdb, &xtc).unwrap();
                     name
                 } else {
@@ -262,15 +216,20 @@ fn eight_tcp_clients_match_in_process_serial_byte_for_byte() {
             harvested.extend(h.join().expect("client thread must not panic"));
         }
     });
-    server.shutdown();
+    rig.shutdown();
     assert_eq!(harvested.len(), CLIENTS * QUERIES_PER_CLIENT);
 
     // Serial reference: a fresh in-process instance, one thread.
     let serial = make_ada();
-    serial.ingest("shared", real_input(500, 6, 7)).unwrap();
+    serial
+        .ingest("shared", input(&gpcr_workload(500, 6, 7)))
+        .unwrap();
     for t in (1..CLIENTS).step_by(2) {
         serial
-            .ingest(&format!("ds{}", t), real_input(400, 4, 100 + t as u64))
+            .ingest(
+                &format!("ds{}", t),
+                input(&gpcr_workload(400, 4, 100 + t as u64)),
+            )
             .unwrap();
     }
     for op in &harvested {
@@ -317,12 +276,14 @@ fn eight_tcp_clients_match_in_process_serial_byte_for_byte() {
 fn ragged_single_frame_and_empty_windows_round_trip() {
     let _guard = serialize();
     let nframes = ada_proto::QUERY_CHUNK_FRAMES + 6;
-    let mut server = start_server();
-    let client = client_for(&server, "ragged");
-    let (pdb, xtc) = real_bytes(300, nframes, 77);
+    let mut rig = served();
+    let client = rig.client("ragged");
+    let (pdb, xtc) = fixture(&gpcr_workload(300, nframes, 77));
     client.ingest("ds", &pdb, &xtc).unwrap();
     let serial = make_ada();
-    serial.ingest("ds", real_input(300, nframes, 77)).unwrap();
+    serial
+        .ingest("ds", input(&gpcr_workload(300, nframes, 77)))
+        .unwrap();
     let p = Tag::protein();
 
     // Whole tag: one full chunk plus a six-frame tail.
@@ -369,7 +330,7 @@ fn ragged_single_frame_and_empty_windows_round_trip() {
     assert_eq!(remote.error_kind(), ErrorKind::InvalidRange);
     assert_eq!(remote.to_string(), local.to_string());
 
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// An answer is as many frames as it has chunks, so `max_frame_len` — here
@@ -386,19 +347,19 @@ fn answers_larger_than_max_frame_len_arrive_whole() {
         max_frame_len: MAX_FRAME,
         ..ServerConfig::default()
     };
-    let (mut server, fe) = serve(make_ada(), config);
+    let mut rig = Rig::paper().serve(config);
     // In process: the `.xtc` alone would not fit a request frame.
-    fe.ingest("setup", "ds", real_input(250, nframes, 91))
+    rig.frontend()
+        .ingest("setup", "ds", input(&gpcr_workload(250, nframes, 91)))
         .unwrap();
     let serial = make_ada();
-    serial.ingest("ds", real_input(250, nframes, 91)).unwrap();
-    let client = Client::new(
-        server.local_addr().to_string(),
-        ClientConfig {
-            max_frame_len: MAX_FRAME,
-            ..ClientConfig::default()
-        },
-    );
+    serial
+        .ingest("ds", input(&gpcr_workload(250, nframes, 91)))
+        .unwrap();
+    let client = rig.client_with(ClientConfig {
+        max_frame_len: MAX_FRAME,
+        ..ClientConfig::default()
+    });
     let p = Tag::protein();
 
     let oversize = |rep: WireQueryReport| {
@@ -421,7 +382,7 @@ fn answers_larger_than_max_frame_len_arrive_whole() {
         oversize(client.query_range("ds", "p", 1, nframes as u64, 2).unwrap()),
         query_bits(serial.query_range("ds", &p, 1..nframes, 2).unwrap())
     );
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// How a tag answer left the server, read off a raw socket: the head's
@@ -477,12 +438,15 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_counts() {
         chunk_frames: 8,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
-    let (mut server, fe) = serve(make_ada_with(config()).0, ServerConfig::default());
-    let (serial, _) = make_ada_with(config());
-    let client = client_for(&server, "ragged-stored");
-    let (pdb, xtc) = real_bytes(400, 50, 63);
+    let mut rig = Rig::new(config()).serve(ServerConfig::default());
+    let serial = Rig::new(config());
+    let serial = serial.ada();
+    let client = rig.client("ragged-stored");
+    let (pdb, xtc) = fixture(&gpcr_workload(400, 50, 63));
     client.ingest("ds", &pdb, &xtc).unwrap();
-    serial.ingest("ds", real_input(400, 50, 63)).unwrap();
+    serial
+        .ingest("ds", input(&gpcr_workload(400, 50, 63)))
+        .unwrap();
     let p = Tag::protein();
 
     for _ in 0..2 {
@@ -494,7 +458,7 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_counts() {
     }
     // One dropping of 50 frames, its chunks of 8 as stored.
     assert_eq!(
-        chunk_layout(&server, "ds", "p"),
+        chunk_layout(rig.server(), "ds", "p"),
         (8, vec![8, 8, 8, 8, 8, 8, 2])
     );
     serial.query("ds", Some(&p)).unwrap();
@@ -504,9 +468,9 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_counts() {
     client.query_range("ds", "p", 5, 45, 3).unwrap();
     serial.query_range("ds", &p, 5..45, 3).unwrap();
     let counted = ["ingest.ok=1", "query.ok=4", "query_range.ok=1"];
-    assert_eq!(outcomes(fe.ada()), outcomes(&serial));
-    assert_eq!(outcomes(&serial), counted);
-    server.shutdown();
+    assert_eq!(outcomes(rig.ada()), outcomes(serial));
+    assert_eq!(outcomes(serial), counted);
+    rig.shutdown();
 }
 
 /// A tag with a v1 dropping among its droppings (no chunk directory) is
@@ -516,10 +480,10 @@ fn forwarded_multi_dropping_answer_keeps_ragged_chunks_durations_and_counts() {
 #[test]
 fn v1_droppings_are_typed_errors_on_a_kept_connection() {
     let _guard = serialize();
-    let (ada, ssd) = make_ada_with(AdaConfig::paper_prototype("ssd", "hdd"));
-    let (mut server, fe) = serve(ada, ServerConfig::default());
-    let client = client_for(&server, "fallback");
-    let (pdb, xtc) = real_bytes(300, 6, 71);
+    let mut rig = Rig::paper().serve(ServerConfig::default());
+    let ssd = Arc::clone(&rig.ssd);
+    let client = rig.client("fallback");
+    let (pdb, xtc) = fixture(&gpcr_workload(300, 6, 71));
     client.ingest("old", &pdb, &xtc).unwrap();
 
     // Re-encode the protein dropping as the v1 file it would have been.
@@ -537,12 +501,12 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
 
     let accepted = || {
         let mut snap = ada_telemetry::Snapshot::default();
-        server.write_metrics(&mut snap);
+        rig.server().write_metrics(&mut snap);
         snap.counters["server.connections.accepted"]
     };
     let accepted_before = accepted();
     let remote = client.query("old", Some("p")).unwrap_err();
-    let local = fe.ada().query("old", Some(&Tag::protein())).unwrap_err();
+    let local = rig.ada().query("old", Some(&Tag::protein())).unwrap_err();
     assert_eq!(remote.error_kind(), ErrorKind::Xtcf, "{}", remote);
     assert_eq!(remote.to_string(), local.to_string());
     assert!(remote.to_string().contains(&path), "{}", remote);
@@ -551,22 +515,22 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
         "{}",
         remote
     );
-    assert_eq!(fe.ada().cache_stats().bytes_decoded, 0, "nothing decoded");
+    assert_eq!(rig.ada().cache_stats().bytes_decoded, 0, "nothing decoded");
     let failed = ["ingest.ok=1", "query.err.xtcf=2"];
-    assert_eq!(outcomes(fe.ada()), failed, "no success");
+    assert_eq!(outcomes(rig.ada()), failed, "no success");
 
     let remote = client.query("old", None).unwrap_err();
-    let local = fe.ada().query("old", None).unwrap_err();
+    let local = rig.ada().query("old", None).unwrap_err();
     assert_eq!(remote.error_kind(), ErrorKind::Xtcf, "{}", remote);
     assert_eq!(remote.to_string(), local.to_string());
     let failed = ["ingest.ok=1", "query.err.xtcf=4"];
-    assert_eq!(outcomes(fe.ada()), failed, "no success");
+    assert_eq!(outcomes(rig.ada()), failed, "no success");
     assert_eq!(
         accepted(),
         accepted_before,
         "every error answer kept the connection"
     );
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// Remote failures keep their exact kind and text: the wire carries an
@@ -575,9 +539,9 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
 #[test]
 fn remote_error_kinds_match_in_process() {
     let _guard = serialize();
-    let mut server = start_server();
-    let client = client_for(&server, "errs");
-    let (pdb, xtc) = real_bytes(300, 3, 21);
+    let mut rig = served();
+    let client = rig.client("errs");
+    let (pdb, xtc) = fixture(&gpcr_workload(300, 3, 21));
     client.ingest("ds", &pdb, &xtc).unwrap();
 
     // unknown dataset
@@ -594,7 +558,9 @@ fn remote_error_kinds_match_in_process() {
 
     // In-process reference: identical kinds AND identical Display text.
     let serial = make_ada();
-    serial.ingest("ds", real_input(300, 3, 21)).unwrap();
+    serial
+        .ingest("ds", input(&gpcr_workload(300, 3, 21)))
+        .unwrap();
     let local = serial.query("no-such-dataset", None).unwrap_err();
     let remote = client.query("no-such-dataset", None).unwrap_err();
     assert_eq!(local.error_kind(), remote.error_kind());
@@ -607,7 +573,9 @@ fn remote_error_kinds_match_in_process() {
     assert_eq!(local.to_string(), remote.to_string());
 
     // A second ingest under a taken name: the name's owner refuses it.
-    let local = serial.ingest("ds", real_input(300, 3, 21)).unwrap_err();
+    let local = serial
+        .ingest("ds", input(&gpcr_workload(300, 3, 21)))
+        .unwrap_err();
     assert!(matches!(local, AdaError::DatasetExists(_)), "{:?}", local);
     let remote = client.ingest("ds", &pdb, &xtc).unwrap_err();
     assert_eq!(remote.error_kind(), ErrorKind::DatasetExists);
@@ -631,7 +599,7 @@ fn remote_error_kinds_match_in_process() {
     assert_eq!(local.error_kind(), remote.error_kind());
     assert_eq!(local.to_string(), remote.to_string());
 
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// Ingest reports survive the wire: the remote report equals an
@@ -639,14 +607,16 @@ fn remote_error_kinds_match_in_process() {
 #[test]
 fn remote_ingest_report_matches_in_process() {
     let _guard = serialize();
-    let mut server = start_server();
-    let client = client_for(&server, "rep");
-    let (pdb, xtc) = real_bytes(350, 4, 33);
+    let mut rig = served();
+    let client = rig.client("rep");
+    let (pdb, xtc) = fixture(&gpcr_workload(350, 4, 33));
     let wire = client.ingest("ds", &pdb, &xtc).unwrap();
-    server.shutdown();
+    rig.shutdown();
 
     let serial = make_ada();
-    let local = serial.ingest("ds", real_input(350, 4, 33)).unwrap();
+    let local = serial
+        .ingest("ds", input(&gpcr_workload(350, 4, 33)))
+        .unwrap();
     assert_eq!(wire, local);
 }
 
@@ -659,20 +629,20 @@ fn remote_ingest_report_matches_in_process() {
 #[test]
 fn server_trace_tree_adopts_the_wire_trace_id() {
     let _guard = serialize();
-    let (mut server, fe) = serve(make_ada(), ServerConfig::default());
-    let client = client_for(&server, "traced");
-    let (pdb, xtc) = real_bytes(300, 3, 55);
+    let mut rig = Rig::paper().serve(ServerConfig::default());
+    let client = rig.client("traced");
+    let (pdb, xtc) = fixture(&gpcr_workload(300, 3, 55));
     client.ingest("ds", &pdb, &xtc).unwrap();
     client.ingest("ds-again", &pdb, &xtc).unwrap();
     client.query("ds", Some("p")).unwrap();
-    server.shutdown();
+    rig.shutdown();
 
     // Each end holds its own half of every request, and only that half.
     let roots = |traces: &[Arc<trace::Trace>]| -> Vec<&'static str> {
         traces.iter().map(|t| t.op).collect()
     };
     let client_trees = client.flight_recorder().all();
-    let server_trees = fe.flight_recorder().all();
+    let server_trees = rig.frontend().flight_recorder().all();
     assert_eq!(roots(&client_trees), ["client.request"; 3]);
     assert_eq!(roots(&server_trees), ["server.request"; 3]);
     let ids = |traces: &[Arc<trace::Trace>]| -> Vec<u128> { traces.iter().map(|t| t.id).collect() };
@@ -750,8 +720,11 @@ fn server_trace_tree_adopts_the_wire_trace_id() {
 fn router_places_each_dataset_on_its_ring_shard() {
     let _guard = serialize();
     const DATASETS: usize = 8;
-    let mut servers = [start_server(), start_server()];
-    let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let mut servers = [served(), served()];
+    let addrs = servers
+        .iter()
+        .map(|s| s.server().local_addr().to_string())
+        .collect();
     let router = Router::new(addrs, ClientConfig::default());
     assert_eq!(router.shards(), 2);
 
@@ -760,10 +733,10 @@ fn router_places_each_dataset_on_its_ring_shard() {
     let mut owned = [0usize; 2];
     for d in 0..DATASETS {
         let name = format!("ds{}", d);
-        let (pdb, xtc) = real_bytes(300, 5, 200 + d as u64);
+        let (pdb, xtc) = fixture(&gpcr_workload(300, 5, 200 + d as u64));
         router.ingest(&name, &pdb, &xtc).unwrap();
         serial
-            .ingest(&name, real_input(300, 5, 200 + d as u64))
+            .ingest(&name, input(&gpcr_workload(300, 5, 200 + d as u64)))
             .unwrap();
 
         let owner = router.shard_for(&name);
@@ -829,31 +802,26 @@ fn tcp_herd_is_shed_as_typed_overloads() {
     // Same race, same remedy as the in-process test: the queries take
     // milliseconds, the submit window after the barrier microseconds.
     for attempt in 0..5 {
-        let fe = Arc::new(Frontend::new(
-            make_ada(),
-            FrontendConfig {
-                ingest_slots: 1,
-                query_slots: 1,
-                ingest_queue: 1,
-                query_queue: 1,
-                ..FrontendConfig::default()
-            },
-        ));
-        let mut server =
-            Server::start(fe.clone(), ServerConfig::default()).expect("server must start");
-        let (pdb, xtc) = real_bytes(2500, 8, 11);
-        client_for(&server, "setup")
-            .ingest("big", &pdb, &xtc)
-            .unwrap();
+        let frontend = FrontendConfig {
+            ingest_slots: 1,
+            query_slots: 1,
+            ingest_queue: 1,
+            query_queue: 1,
+        };
+        let mut rig = Rig::paper()
+            .with_frontend(frontend)
+            .serve(ServerConfig::default());
+        let (pdb, xtc) = fixture(&gpcr_workload(2500, 8, 11));
+        rig.client("setup").ingest("big", &pdb, &xtc).unwrap();
 
         let barrier = Barrier::new(CLIENTS);
         let (mut ok, mut overloaded) = (0u64, 0u64);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..CLIENTS {
-                let (server, barrier) = (&server, &barrier);
+                let (rig, barrier) = (&rig, &barrier);
                 handles.push(scope.spawn(move || {
-                    let client = client_for(server, &format!("c{}", t));
+                    let client = rig.client(&format!("c{}", t));
                     client.ping().unwrap(); // dial before the race, not in it
                     barrier.wait();
                     client.query("big", None)
@@ -874,10 +842,10 @@ fn tcp_herd_is_shed_as_typed_overloads() {
                 }
             }
         });
-        server.shutdown();
+        rig.shutdown();
         assert_eq!(ok + overloaded, CLIENTS as u64);
         assert!(ok >= 1, "at least one request must be served");
-        assert_eq!(fe.stats().query.counters.rejected, overloaded);
+        assert_eq!(rig.frontend().stats().query.counters.rejected, overloaded);
         if overloaded >= 1 {
             return;
         }

@@ -38,6 +38,8 @@
 //! `frame_timeout` instead of holding it (and a `max_connections` slot)
 //! until shutdown.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,18 +47,18 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ada_client::{Client, ClientConfig};
-use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, QueryReport, RetrievedData};
-use ada_frontend::{Frontend, FrontendConfig};
+use ada_core::{AdaConfig, AdaError, ErrorKind, QueryReport, RetrievedData};
+use ada_frontend::FrontendConfig;
 use ada_mdformats::xtcf::{crc32, frame_record_len, parse_directory, XTCF_RECORD_NATOMS_OFFSET};
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
 use ada_proto::{
     encode_frame, read_frame, write_query_stream, RequestBody, RequestEnvelope, ResponseBody,
     ResponseEnvelope, StreamHead, WireQueryReport, CHUNK_MAGIC, DEFAULT_MAX_FRAME, HEADER_LEN,
     MAGIC, QUERY_CHUNK_FRAMES,
 };
-use ada_server::{Server, ServerConfig};
-use ada_simfs::{Content, LocalFs, SimFileSystem};
+use ada_server::ServerConfig;
+use ada_simfs::Content;
+use common::{fixture, input, Rig};
 
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -90,56 +92,35 @@ fn live_threads_named(prefix: &str) -> Vec<String> {
         .collect()
 }
 
-fn make_ada() -> Arc<Ada> {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    Arc::new(Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd))
-}
-
 /// A server with short fault deadlines (so slow-loris eviction is fast)
 /// and a 1 MiB frame limit (so the oversized case is cheap to assert).
-fn start_fault_server() -> Server {
-    let fe = Arc::new(Frontend::new(
-        make_ada(),
-        FrontendConfig {
-            ingest_slots: 2,
-            query_slots: 4,
-            ingest_queue: 64,
-            query_queue: 64,
-            ..FrontendConfig::default()
-        },
-    ));
-    Server::start(
-        fe,
-        ServerConfig {
-            idle_timeout: Duration::from_secs(5),
-            frame_timeout: Duration::from_millis(300),
-            max_frame_len: 1 << 20,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server must start")
+fn start_fault_server() -> Rig {
+    let frontend = FrontendConfig {
+        ingest_slots: 2,
+        query_slots: 4,
+        ingest_queue: 64,
+        query_queue: 64,
+    };
+    Rig::paper().with_frontend(frontend).serve(ServerConfig {
+        idle_timeout: Duration::from_secs(5),
+        frame_timeout: Duration::from_millis(300),
+        max_frame_len: 1 << 20,
+        ..ServerConfig::default()
+    })
 }
 
-fn well_behaved_client(server: &Server, name: &str) -> Client {
-    Client::new(
-        server.local_addr().to_string(),
-        ClientConfig {
-            name: name.to_string(),
-            io_timeout: Duration::from_secs(10),
-            ..ClientConfig::default()
-        },
-    )
+fn well_behaved_client(rig: &Rig, name: &str) -> Client {
+    rig.client_with(ClientConfig {
+        name: name.to_string(),
+        io_timeout: Duration::from_secs(10),
+        ..ClientConfig::default()
+    })
 }
 
 /// Raw evil socket with a bounded read patience (a hung server would
 /// otherwise hang the test — the timeout IS the no-hang assertion).
-fn evil_socket(server: &Server) -> TcpStream {
-    let s = TcpStream::connect(server.local_addr()).expect("connect");
+fn evil_socket(rig: &Rig) -> TcpStream {
+    let s = TcpStream::connect(rig.server().local_addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s
 }
@@ -187,24 +168,24 @@ fn assert_network_error(resp: Option<ResponseEnvelope>, what: &str) {
 /// The six-fault corpus against a live server. Each fault uses a fresh
 /// evil connection; the final step proves the server still serves
 /// well-formed peers.
-fn run_fault_corpus(server: &Server) {
+fn run_fault_corpus(rig: &Rig) {
     // 1. Truncated frame: header declares 64 payload bytes, 10 arrive,
     //    then the write side closes.
-    let mut s = evil_socket(server);
+    let mut s = evil_socket(rig);
     let frame = encode_frame(&[0xab; 64]).unwrap();
     s.write_all(&frame[..frame.len() - 54]).unwrap();
     s.shutdown(Shutdown::Write).unwrap();
     assert_network_error(read_response(&mut s), "truncated frame");
 
     // 2. Flipped CRC byte.
-    let mut s = evil_socket(server);
+    let mut s = evil_socket(rig);
     let mut frame = encode_frame(&ping_payload()).unwrap();
     frame[9] ^= 0x01;
     s.write_all(&frame).unwrap();
     assert_network_error(read_response(&mut s), "flipped crc");
 
     // 3. Bad magic.
-    let mut s = evil_socket(server);
+    let mut s = evil_socket(rig);
     let mut frame = encode_frame(&ping_payload()).unwrap();
     frame[0] = b'X';
     s.write_all(&frame).unwrap();
@@ -214,7 +195,7 @@ fn run_fault_corpus(server: &Server) {
     //    limit. The server must reject from the header alone — before
     //    allocating — so the response arrives although no payload was
     //    ever sent.
-    let mut s = evil_socket(server);
+    let mut s = evil_socket(rig);
     let mut frame = encode_frame(&[0u8; 4]).unwrap();
     frame[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
     s.write_all(&frame[..13]).unwrap();
@@ -228,14 +209,14 @@ fn run_fault_corpus(server: &Server) {
     // 5. Mid-response connection drop: a valid request whose sender
     //    vanishes before reading the reply. The server's write fails
     //    internally; nothing may leak or wedge.
-    let mut s = evil_socket(server);
+    let mut s = evil_socket(rig);
     let frame = encode_frame(&ping_payload()).unwrap();
     s.write_all(&frame).unwrap();
     drop(s);
 
     // 6. Slow-loris: half a header, then silence. The server's frame
     //    deadline must evict the connection in bounded time.
-    let mut s = evil_socket(server);
+    let mut s = evil_socket(rig);
     let frame = encode_frame(&ping_payload()).unwrap();
     s.write_all(&frame[..5]).unwrap();
     let started = Instant::now();
@@ -250,7 +231,7 @@ fn run_fault_corpus(server: &Server) {
     //    request. The stream stays aligned, so the server answers with a
     //    typed error and KEEPS the connection — a ping on the same
     //    socket must still work.
-    let mut s = evil_socket(server);
+    let mut s = evil_socket(rig);
     let frame = encode_frame(&[0xff, 0xee, 0xdd]).unwrap();
     s.write_all(&frame).unwrap();
     match read_response(&mut s) {
@@ -343,12 +324,10 @@ fn corrupt_chunk_in_response_is_typed() {
 /// while hostile peers are being evicted).
 fn corpus_under_background_load(background: usize) {
     let _guard = serialize();
-    let server = start_fault_server();
+    let rig = start_fault_server();
     let w = ada_workload::gpcr_workload(300, 3, 17);
-    let pdb = ada_mdformats::write_pdb(&w.system);
-    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-        .unwrap();
-    well_behaved_client(&server, "setup")
+    let (pdb, xtc) = fixture(&w);
+    well_behaved_client(&rig, "setup")
         .ingest("shared", &pdb, &xtc)
         .unwrap();
 
@@ -356,10 +335,10 @@ fn corpus_under_background_load(background: usize) {
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..background {
-            let server = &server;
+            let rig = &rig;
             let stop = &stop;
             handles.push(scope.spawn(move || {
-                let client = well_behaved_client(server, &format!("bg{}", t));
+                let client = well_behaved_client(rig, &format!("bg{}", t));
                 let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     client.query("shared", Some("p")).expect("background query");
@@ -369,7 +348,7 @@ fn corpus_under_background_load(background: usize) {
             }));
         }
 
-        run_fault_corpus(&server);
+        run_fault_corpus(&rig);
         corrupt_chunk_in_response_is_typed();
 
         stop.store(true, Ordering::Relaxed);
@@ -380,7 +359,7 @@ fn corpus_under_background_load(background: usize) {
     });
 
     // The server is still healthy for a fresh client after the corpus.
-    well_behaved_client(&server, "after")
+    well_behaved_client(&rig, "after")
         .query("shared", None)
         .unwrap();
 }
@@ -797,23 +776,14 @@ fn an_error_answer_keeps_the_connection_and_a_corrupt_chunk_drops_it() {
 #[test]
 fn a_wire_deadline_expires_in_the_queue_and_keeps_the_connection() {
     let _guard = serialize();
-    let fe = Arc::new(Frontend::new(make_ada(), FrontendConfig::default()));
-    let mut server =
-        Server::start(Arc::clone(&fe), ServerConfig::default()).expect("server must start");
+    let mut rig = Rig::paper().serve(ServerConfig::default());
+    let fe = rig.frontend();
     let w = ada_workload::gpcr_workload(300, 3, 41);
-    let input = IngestInput::Real {
-        pdb_text: ada_mdformats::write_pdb(&w.system),
-        xtc_bytes: ada_mdformats::xtc::write_xtc(
-            &w.trajectory,
-            ada_mdformats::xtc::DEFAULT_PRECISION,
-        )
-        .unwrap(),
-    };
-    fe.ingest("setup", "ds", input).unwrap();
+    fe.ingest("setup", "ds", input(&w)).unwrap();
 
     let accepted = || {
         let mut snap = ada_telemetry::Snapshot::default();
-        server.write_metrics(&mut snap);
+        rig.server().write_metrics(&mut snap);
         snap.counters["server.connections.accepted"]
     };
     let accepted_before = accepted();
@@ -831,7 +801,7 @@ fn a_wire_deadline_expires_in_the_queue_and_keeps_the_connection() {
         };
         encode_frame(&envelope.encode()).unwrap()
     };
-    let mut s = evil_socket(&server);
+    let mut s = evil_socket(&rig);
 
     s.write_all(&query(21, 1)).unwrap();
     match read_response(&mut s) {
@@ -853,7 +823,7 @@ fn a_wire_deadline_expires_in_the_queue_and_keeps_the_connection() {
     }
     assert_eq!(fe.stats().query.counters.expired, expired_before + 1);
     assert_eq!(accepted() - accepted_before, 1, "one connection for both");
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// One raw frame off a socket: its magic and payload, nothing verified.
@@ -875,24 +845,15 @@ fn read_raw_frame(stream: &mut TcpStream) -> ([u8; 4], Vec<u8>) {
 #[test]
 fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
     let _guard = serialize();
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
     let config = AdaConfig {
         chunk_frames: 2,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     };
-    let ada = Arc::new(Ada::new(config, cs, ssd.clone()));
-    let fe = Arc::new(Frontend::new(Arc::clone(&ada), FrontendConfig::default()));
-    let mut server = Server::start(fe, ServerConfig::default()).expect("server must start");
-    let client = well_behaved_client(&server, "reader");
+    let mut rig = Rig::new(config).serve(ServerConfig::default());
+    let (ada, ssd) = (rig.ada(), &rig.ssd);
+    let client = well_behaved_client(&rig, "reader");
     let w = ada_workload::gpcr_workload(300, 6, 37);
-    let pdb = ada_mdformats::write_pdb(&w.system);
-    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-        .unwrap();
+    let (pdb, xtc) = fixture(&w);
     client.ingest("ds", &pdb, &xtc).unwrap();
     assert_eq!(
         client
@@ -928,7 +889,7 @@ fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
 
     // The same answer frame by frame: head, chunk 0 as stored, then the
     // error — nothing of chunk 1 or 2.
-    let mut s = evil_socket(&server);
+    let mut s = evil_socket(&rig);
     let query = RequestEnvelope {
         id: 11,
         client: "raw".to_string(),
@@ -970,7 +931,7 @@ fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
         })
     ));
     assert!(client.query("ds", Some("m")).is_ok());
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// Graceful shutdown with clients in flight: every in-flight call either
@@ -979,13 +940,11 @@ fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
 #[test]
 fn graceful_shutdown_with_clients_in_flight() {
     let _guard = serialize();
-    let mut server = start_fault_server();
-    let addr = server.local_addr();
+    let mut rig = start_fault_server();
+    let addr = rig.server().local_addr();
     let w = ada_workload::gpcr_workload(300, 3, 29);
-    let pdb = ada_mdformats::write_pdb(&w.system);
-    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-        .unwrap();
-    well_behaved_client(&server, "setup")
+    let (pdb, xtc) = fixture(&w);
+    well_behaved_client(&rig, "setup")
         .ingest("shared", &pdb, &xtc)
         .unwrap();
 
@@ -1022,7 +981,7 @@ fn graceful_shutdown_with_clients_in_flight() {
         }
         // Let the clients get in flight, then pull the plug mid-stream.
         std::thread::sleep(Duration::from_millis(100));
-        server.shutdown();
+        rig.shutdown();
         // shutdown() joined every server thread: none is left running.
         let left = live_threads_named("ada-server-");
         stop.store(true, Ordering::Relaxed);
@@ -1069,12 +1028,10 @@ fn graceful_shutdown_with_clients_in_flight() {
 #[test]
 fn pipelined_frames_are_answered_in_request_order() {
     let _guard = serialize();
-    let mut server = start_fault_server();
+    let mut rig = start_fault_server();
     let w = ada_workload::gpcr_workload(300, 3, 23);
-    let pdb = ada_mdformats::write_pdb(&w.system);
-    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-        .unwrap();
-    well_behaved_client(&server, "setup")
+    let (pdb, xtc) = fixture(&w);
+    well_behaved_client(&rig, "setup")
         .ingest("shared", &pdb, &xtc)
         .unwrap();
 
@@ -1103,7 +1060,7 @@ fn pipelined_frames_are_answered_in_request_order() {
         };
         burst.extend(encode_frame(&payload).unwrap());
     }
-    let mut s = evil_socket(&server);
+    let mut s = evil_socket(&rig);
     s.write_all(&burst).unwrap();
 
     for id in 1..=K {
@@ -1121,7 +1078,7 @@ fn pipelined_frames_are_answered_in_request_order() {
             (_, other) => panic!("frame {}: expected a pong, got {:?}", id, other),
         }
     }
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// A peer that sends queries and never reads an answer holds its
@@ -1132,33 +1089,21 @@ fn pipelined_frames_are_answered_in_request_order() {
 fn peer_that_never_reads_is_evicted_and_frees_its_connection() {
     let _guard = serialize();
     let frame_timeout = Duration::from_millis(300);
-    let fe = Arc::new(Frontend::new(make_ada(), FrontendConfig::default()));
-    let mut server = Server::start(
-        Arc::clone(&fe),
-        ServerConfig {
-            max_connections: 1,
-            frame_timeout,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server must start");
+    let mut rig = Rig::paper().serve(ServerConfig {
+        max_connections: 1,
+        frame_timeout,
+        ..ServerConfig::default()
+    });
 
     // In process, so the one connection is still free for the hostile peer.
     let w = ada_workload::gpcr_workload(3000, 32, 31);
-    let input = IngestInput::Real {
-        pdb_text: ada_mdformats::write_pdb(&w.system),
-        xtc_bytes: ada_mdformats::xtc::write_xtc(
-            &w.trajectory,
-            ada_mdformats::xtc::DEFAULT_PRECISION,
-        )
-        .unwrap(),
-    };
-    let raw_bytes = fe.ingest("setup", "big", input).unwrap().raw_bytes;
+    let ingest = rig.frontend().ingest("setup", "big", input(&w));
+    let raw_bytes = ingest.unwrap().raw_bytes;
     assert!(raw_bytes >= 1 << 20, "answer too small: {} B", raw_bytes);
 
     // 64 answers of ≥ 1 MiB are several times what the loopback socket
     // buffers between the two ends can absorb.
-    let mut deaf = evil_socket(&server);
+    let mut deaf = evil_socket(&rig);
     for id in 1..=64 {
         let query = RequestEnvelope {
             id,
@@ -1174,7 +1119,7 @@ fn peer_that_never_reads_is_evicted_and_frees_its_connection() {
             .unwrap();
     }
 
-    let patient = well_behaved_client(&server, "patient");
+    let patient = well_behaved_client(&rig, "patient");
     let give_up = Instant::now() + frame_timeout + Duration::from_secs(3);
     loop {
         match patient.ping() {
@@ -1186,7 +1131,7 @@ fn peer_that_never_reads_is_evicted_and_frees_its_connection() {
         }
     }
     drop(deaf);
-    server.shutdown();
+    rig.shutdown();
 }
 
 /// A peer that puts a fresh client name on every request must not grow
@@ -1198,9 +1143,9 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
     let _guard = serialize();
     const NAMES: u64 = 10_000;
     const FAMILIES: u64 = 64; // ada-frontend's CLIENT_FAMILIES_MAX
-    let client_counters = |server: &Server| -> Vec<(String, u64)> {
+    let client_counters = |rig: &Rig| -> Vec<(String, u64)> {
         let mut snap = ada_telemetry::Snapshot::default();
-        server.write_metrics(&mut snap);
+        rig.server().write_metrics(&mut snap);
         snap.counters
             .into_iter()
             .filter(|(name, _)| name.starts_with("frontend.client."))
@@ -1212,12 +1157,12 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     };
-    let mut server = start_fault_server();
-    let before = client_counters(&server);
+    let mut rig = start_fault_server();
+    let before = client_counters(&rig);
 
     // A query of a dataset nobody ingested is admitted, then fails typed:
     // the cheapest request that passes admission accounting.
-    let mut s = evil_socket(&server);
+    let mut s = evil_socket(&rig);
     for batch in (0..NAMES).collect::<Vec<_>>().chunks(500) {
         let mut burst = Vec::new();
         for &id in batch {
@@ -1246,7 +1191,7 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
         }
     }
 
-    let after = client_counters(&server);
+    let after = client_counters(&rig);
     assert!(
         after.len() - before.len() <= 3 * (FAMILIES as usize + 1),
         "{} new frontend.client.* counters",
@@ -1267,5 +1212,5 @@ fn ten_thousand_client_names_leave_a_bounded_metric_family() {
         count_of(&after, other) - count_of(&before, other),
         NAMES - FAMILIES
     );
-    server.shutdown();
+    rig.shutdown();
 }

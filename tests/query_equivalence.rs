@@ -4,21 +4,15 @@
 //! same typed errors under injected faults — on single- and multi-chunk
 //! datasets.
 
-use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
-use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-use ada_mdformats::xtcf::{parse_directory, read_xtcf, seal_v2, write_xtcf, XTCF_TRAILER_LEN};
-use ada_mdformats::{write_pdb, FormatError, Frame, Trajectory};
-use ada_mdmodel::{PbcBox, Tag};
-use ada_plfs::ContainerSet;
-use ada_simfs::{Content, LocalFs, SimFileSystem};
-use proptest::prelude::*;
-use std::sync::Arc;
+mod common;
 
-struct Rig {
-    ada: Ada,
-    ssd: Arc<dyn SimFileSystem>,
-    hdd: Arc<dyn SimFileSystem>,
-}
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, RetrievedData};
+use ada_mdformats::xtcf::{parse_directory, read_xtcf, seal_v2, write_xtcf, XTCF_TRAILER_LEN};
+use ada_mdformats::{FormatError, Frame, Trajectory};
+use ada_mdmodel::{PbcBox, Tag};
+use ada_simfs::Content;
+use common::Rig;
+use proptest::prelude::*;
 
 /// Hybrid SSD/HDD ADA with an explicit query pool, sealing its droppings
 /// in the default chunks of 64 frames.
@@ -27,34 +21,16 @@ fn rig(query_threads: usize) -> Rig {
 }
 
 fn rig_chunked(query_threads: usize, chunk_frames: usize) -> Rig {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let containers = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd.clone()),
-    ]));
-    let config = AdaConfig {
+    Rig::new(AdaConfig {
         query_threads,
         chunk_frames,
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    Rig {
-        ada: Ada::new(config, containers, ssd.clone()),
-        ssd,
-        hdd,
-    }
+    })
 }
 
 fn ingest_real(ada: &Ada, name: &str, natoms: usize, nframes: usize, seed: u64) {
     let w = ada_workload::gpcr_workload(natoms, nframes, seed);
-    ada.ingest(
-        name,
-        IngestInput::Real {
-            pdb_text: write_pdb(&w.system),
-            xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-        },
-    )
-    .unwrap();
+    ada.ingest(name, common::input(&w)).unwrap();
 }
 
 /// Every `ada.{op}.*` outcome `ada` counted so far, as `"{op}.ok={n}"` /
@@ -106,13 +82,13 @@ fn parallel_matches_serial_on_multi_dropping_real_dataset() {
     // One dropping per tag on each backend, 7 frames / 2 per chunk = 4
     // chunks each — the pipeline has real fan-out to get wrong.
     let ser = rig_chunked(0, 2);
-    ingest_real(&ser.ada, "d", 1600, 7, 11);
+    ingest_real(ser.ada(), "d", 1600, 7, 11);
     for threads in [1, 2, 4, 8] {
         let par = rig_chunked(threads, 2);
-        ingest_real(&par.ada, "d", 1600, 7, 11);
+        ingest_real(par.ada(), "d", 1600, 7, 11);
         assert_queries_equivalent(
-            &ser.ada,
-            &par.ada,
+            ser.ada(),
+            par.ada(),
             "d",
             &format!("query_threads={}", threads),
         );
@@ -122,10 +98,10 @@ fn parallel_matches_serial_on_multi_dropping_real_dataset() {
 #[test]
 fn parallel_matches_serial_on_single_dropping_real_dataset() {
     let ser = rig(0);
-    ingest_real(&ser.ada, "d", 900, 3, 21);
+    ingest_real(ser.ada(), "d", 900, 3, 21);
     let par = rig(4);
-    ingest_real(&par.ada, "d", 900, 3, 21);
-    assert_queries_equivalent(&ser.ada, &par.ada, "d", "single dropping");
+    ingest_real(par.ada(), "d", 900, 3, 21);
+    assert_queries_equivalent(ser.ada(), par.ada(), "d", "single dropping");
 }
 
 proptest! {
@@ -142,12 +118,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let ser = rig_chunked(0, chunk_frames);
-        ingest_real(&ser.ada, "d", natoms, nframes, seed);
+        ingest_real(ser.ada(), "d", natoms, nframes, seed);
         let par = rig_chunked(threads, chunk_frames);
-        ingest_real(&par.ada, "d", natoms, nframes, seed);
+        ingest_real(par.ada(), "d", natoms, nframes, seed);
         for tag in [Some(Tag::protein()), Some(Tag::misc()), None] {
-            let a = query_real(&ser.ada, "d", tag.as_ref());
-            let b = query_real(&par.ada, "d", tag.as_ref());
+            let a = query_real(ser.ada(), "d", tag.as_ref());
+            let b = query_real(par.ada(), "d", tag.as_ref());
             prop_assert_eq!(a, b);
         }
     }
@@ -173,10 +149,10 @@ fn corrupt_protein_dropping(r: &Rig) -> String {
 fn corrupt_dropping_yields_xtcf_error_on_both_paths() {
     for threads in [0, 4] {
         let r = rig_chunked(threads, 2);
-        ingest_real(&r.ada, "d", 900, 5, 31);
+        ingest_real(r.ada(), "d", 900, 5, 31);
         let dropping = corrupt_protein_dropping(&r);
         for tag in [Some(Tag::protein()), None] {
-            let err = r.ada.query("d", tag.as_ref()).unwrap_err();
+            let err = r.ada().query("d", tag.as_ref()).unwrap_err();
             assert!(
                 matches!(err, AdaError::Xtcf { .. }),
                 "threads={} tag={:?}: got {:?}",
@@ -189,7 +165,7 @@ fn corrupt_dropping_yields_xtcf_error_on_both_paths() {
             assert!(std::error::Error::source(&err).is_some());
         }
         // The MISC subset never touches the corrupt dropping.
-        assert!(r.ada.query("d", Some(&Tag::misc())).is_ok());
+        assert!(r.ada().query("d", Some(&Tag::misc())).is_ok());
     }
 }
 
@@ -220,13 +196,13 @@ fn malformed_dropping_in_parallel_query_is_a_structured_error_not_a_panic() {
     for (what, keep) in [("truncated", 40usize), ("zero-length", 0usize)] {
         for threads in [0, 1, 4, 8] {
             let r = rig_chunked(threads, 2);
-            ingest_real(&r.ada, "d", 1200, 6, 61);
+            ingest_real(r.ada(), "d", 1200, 6, 61);
             truncate_protein_dropping(&r, keep);
 
             for tag in [Some(Tag::protein()), None] {
                 // `unwrap_err` both asserts failure and proves no panic
                 // escaped the pipeline (a panic would abort this test).
-                let err = r.ada.query("d", tag.as_ref()).unwrap_err();
+                let err = r.ada().query("d", tag.as_ref()).unwrap_err();
                 assert!(
                     err.error_kind() != ErrorKind::Internal,
                     "{} threads={} tag={:?}: want a decode/read error, got {:?} ({:?})",
@@ -242,14 +218,14 @@ fn malformed_dropping_in_parallel_query_is_a_structured_error_not_a_panic() {
             // The pipeline survived: untouched subsets still retrieve, so
             // no stage thread died holding a channel.
             assert!(
-                r.ada.query("d", Some(&Tag::misc())).is_ok(),
+                r.ada().query("d", Some(&Tag::misc())).is_ok(),
                 "{} threads={}: pipeline unusable after failed query",
                 what,
                 threads
             );
             // And the instance still ingests + queries fresh datasets.
-            ingest_real(&r.ada, "d2", 600, 3, 62);
-            assert!(r.ada.query("d2", None).is_ok());
+            ingest_real(r.ada(), "d2", 600, 3, 62);
+            assert!(r.ada().query("d2", None).is_ok());
         }
     }
 }
@@ -258,12 +234,12 @@ fn malformed_dropping_in_parallel_query_is_a_structured_error_not_a_panic() {
 fn failed_queries_do_not_bump_access_counters() {
     for threads in [0, 4] {
         let r = rig_chunked(threads, 2);
-        ingest_real(&r.ada, "d", 900, 4, 41);
+        ingest_real(r.ada(), "d", 900, 4, 41);
 
         // Unknown tag: rejected before any retrieval.
-        r.ada.query("d", Some(&Tag::new("zz"))).unwrap_err();
+        r.ada().query("d", Some(&Tag::new("zz"))).unwrap_err();
         assert_eq!(
-            outcomes(&r.ada),
+            outcomes(r.ada()),
             ["ingest.ok=1", "query.err.unknown_tag=1"],
             "threads={}: unknown-tag query counted as a success",
             threads
@@ -271,21 +247,21 @@ fn failed_queries_do_not_bump_access_counters() {
 
         // Corrupt dropping: retrieval starts but fails — still no count.
         corrupt_protein_dropping(&r);
-        r.ada.query("d", None).unwrap_err();
-        r.ada.query("d", Some(&Tag::protein())).unwrap_err();
+        r.ada().query("d", None).unwrap_err();
+        r.ada().query("d", Some(&Tag::protein())).unwrap_err();
         let failed = ["ingest.ok=1", "query.err.unknown_tag=1", "query.err.xtcf=2"];
         assert_eq!(
-            outcomes(&r.ada),
+            outcomes(r.ada()),
             failed,
             "threads={}: failed query counted as a success",
             threads
         );
 
         // A successful query is the first (and only) success counted.
-        r.ada.query("d", Some(&Tag::misc())).unwrap();
+        r.ada().query("d", Some(&Tag::misc())).unwrap();
         let mut counted = failed.to_vec();
         counted.push("query.ok=1");
-        assert_eq!(outcomes(&r.ada), counted, "threads={}", threads);
+        assert_eq!(outcomes(r.ada()), counted, "threads={}", threads);
     }
 }
 
@@ -293,14 +269,14 @@ fn failed_queries_do_not_bump_access_counters() {
 fn frame_count_mismatch_is_a_structured_error() {
     for threads in [0, 4] {
         let r = rig_chunked(threads, 3);
-        ingest_real(&r.ada, "d", 900, 3, 51);
+        ingest_real(r.ada(), "d", 900, 3, 51);
 
         // Re-seal the protein dropping, as ingest would, with one extra
         // well-formed frame in a chunk of its own: tag `p` now decodes 4
         // frames while the label (and tag `m`) say 3. Before the mismatch
         // check, full-frame reassembly silently truncated to the shortest
         // subset.
-        let label = r.ada.label("d").unwrap();
+        let label = r.ada().label("d").unwrap();
         let p_atoms = label.ranges(&Tag::protein()).unwrap().count();
         let path = r
             .ssd
@@ -319,7 +295,7 @@ fn frame_count_mismatch_is_a_structured_error() {
             *b = seal_v2(write_xtcf(&frames).unwrap(), p_atoms, 3).unwrap();
         });
 
-        let err = r.ada.query("d", None).unwrap_err();
+        let err = r.ada().query("d", None).unwrap_err();
         match &err {
             AdaError::FrameCountMismatch { tag, expected, got } => {
                 assert_eq!(tag, "p", "threads={}", threads);
@@ -334,12 +310,12 @@ fn frame_count_mismatch_is_a_structured_error() {
         assert_eq!(err.error_kind(), ErrorKind::FrameCountMismatch);
         // The failed reassembly never counted as a success.
         assert_eq!(
-            outcomes(&r.ada),
+            outcomes(r.ada()),
             ["ingest.ok=1", "query.err.frame_count_mismatch=1"]
         );
         // Per-tag queries still deliver the subsets verbatim.
-        assert_eq!(query_real(&r.ada, "d", Some(&Tag::protein())).len(), 4);
-        assert_eq!(query_real(&r.ada, "d", Some(&Tag::misc())).len(), 3);
+        assert_eq!(query_real(r.ada(), "d", Some(&Tag::protein())).len(), 4);
+        assert_eq!(query_real(r.ada(), "d", Some(&Tag::misc())).len(), 3);
     }
 }
 
@@ -349,8 +325,8 @@ fn frame_count_mismatch_is_a_structured_error() {
 /// ordered by. The dropping paths, in label order.
 fn two_fault_rig(query_threads: usize) -> (Rig, Vec<String>) {
     let r = rig_chunked(query_threads, 2);
-    ingest_real(&r.ada, "d", 900, 12, 71);
-    let label = r.ada.label("d").unwrap();
+    ingest_real(r.ada(), "d", 900, 12, 71);
+    let label = r.ada().label("d").unwrap();
     let entries = label.entries().values();
     let records: Vec<_> = entries.map(|e| e.dropping.clone()).collect();
     let tags: Vec<&str> = records.iter().map(|rec| rec.tag.as_str()).collect();
@@ -395,7 +371,7 @@ fn assert_two_faults_one_answer(
         faults(&r, &paths);
         let mut got = Vec::new();
         for tag in [Some(Tag::protein()), None] {
-            let err = r.ada.query("d", tag.as_ref()).unwrap_err();
+            let err = r.ada().query("d", tag.as_ref()).unwrap_err();
             assert!(
                 expect(&err, &paths),
                 "{} threads={} tag={:?}: {:?}",
@@ -484,7 +460,7 @@ fn across_tags_the_lower_chunk_fails_first() {
         let (m, p) = (&paths[0], &paths[1]);
         mutate_dropping(&r, m, flip_in_chunk(1));
         mutate_dropping(&r, p, flip_in_chunk(0));
-        let err = r.ada.query("d", None).unwrap_err();
+        let err = r.ada().query("d", None).unwrap_err();
         assert!(
             is_chunk_corrupt(&err, p, 0),
             "threads={}: {:?}",
@@ -492,7 +468,7 @@ fn across_tags_the_lower_chunk_fails_first() {
             err
         );
         // Each tag alone fails with its own fault.
-        let err = r.ada.query("d", Some(&Tag::misc())).unwrap_err();
+        let err = r.ada().query("d", Some(&Tag::misc())).unwrap_err();
         assert!(is_chunk_corrupt(&err, m, 1), "{:?}", err);
     }
 }

@@ -7,10 +7,14 @@
 //! counts where `Ada` stores frames, on the same media, and stores
 //! nothing. This suite closes the loop: `Ada` with the real codecs agrees
 //! with them on who wins.
+//!
+//! The suite pins its medium: one NVMe ext4 SSD holds every dropping, as
+//! the plain ext4 baseline it races holds its files.
 
-use ada_core::{Ada, AdaConfig, DispatchPolicy, IngestInput, RetrievedData};
-use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
-use ada_mdformats::{write_pdb, write_xtcf};
+mod common;
+
+use ada_core::{Ada, AdaConfig, DispatchPolicy, RetrievedData};
+use ada_mdformats::write_xtcf;
 use ada_mdmodel::Tag;
 use ada_plfs::ContainerSet;
 use ada_simfs::{Content, LocalFs, SimFileSystem};
@@ -27,16 +31,13 @@ struct RealRun {
 /// Execute the four scenarios over a real workload on an NVMe ext4 stack.
 fn run_real_fig7(natoms: usize, nframes: usize) -> Vec<RealRun> {
     let w = ada_workload::gpcr_workload(natoms, nframes, 31337);
-    let pdb_text = write_pdb(&w.system);
-    let xtc_bytes = write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap();
+    let (_, xtc_bytes) = common::fixture(&w);
     let raw_xtcf = write_xtcf(&w.trajectory).unwrap();
     let cpu = CpuProfile::xeon_e5_2603_v4();
 
     // Plain ext4 holding both variants.
     let plain = LocalFs::ext4_on_nvme();
-    plain
-        .create("bar.xtc", Content::real(xtc_bytes.clone()))
-        .unwrap();
+    plain.create("bar.xtc", Content::real(xtc_bytes)).unwrap();
     plain
         .create("bar.raw", Content::real(raw_xtcf.clone()))
         .unwrap();
@@ -49,14 +50,7 @@ fn run_real_fig7(natoms: usize, nframes: usize) -> Vec<RealRun> {
         ..AdaConfig::paper_prototype("ssd", "ssd")
     };
     let ada = Ada::new(cfg, cs, ssd);
-    ada.ingest(
-        "bar",
-        IngestInput::Real {
-            pdb_text,
-            xtc_bytes: xtc_bytes.clone(),
-        },
-    )
-    .unwrap();
+    ada.ingest("bar", common::input(&w)).unwrap();
 
     let render = |bytes: u64| CpuWork::Render { bytes }.duration(&cpu);
     let scan = |bytes: u64| CpuWork::Scan { bytes }.duration(&cpu);

@@ -8,31 +8,29 @@
 //! * **the perf claim** — with a budget covering the hot set, steady-state
 //!   epochs (2nd onward) decode at least 5x fewer bytes than cache-off.
 
+mod common;
+
 use std::sync::{Arc, Barrier};
 
 use ada_cache::CacheConfig;
-use ada_core::{Ada, AdaConfig, IngestInput, QueryReport, RetrievedData};
-use ada_frontend::{Frontend, FrontendConfig};
+use ada_core::{Ada, AdaConfig, QueryReport, RetrievedData};
+use ada_frontend::FrontendConfig;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
-use ada_workload::{shuffled_epochs, SamplingConfig};
+use ada_workload::{gpcr_workload, shuffled_epochs, SamplingConfig};
+use common::{input, Rig};
 
-/// Hybrid SSD/HDD instance with small chunks (so ranges span several)
-/// and the given cache config.
-fn make_ada(chunk_frames: usize, cache: CacheConfig) -> Arc<Ada> {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    let config = AdaConfig {
+/// Hybrid SSD/HDD rig with small chunks (so ranges span several) and the
+/// given cache config.
+fn rig(chunk_frames: usize, cache: CacheConfig) -> Rig {
+    Rig::new(AdaConfig {
         chunk_frames,
         cache,
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    Arc::new(Ada::new(config, cs, ssd))
+    })
+}
+
+fn make_ada(chunk_frames: usize, cache: CacheConfig) -> Arc<Ada> {
+    Arc::clone(rig(chunk_frames, cache).ada())
 }
 
 fn hot_cache() -> CacheConfig {
@@ -43,18 +41,6 @@ fn cache_off() -> CacheConfig {
     CacheConfig {
         capacity_bytes: 0,
         ..CacheConfig::default()
-    }
-}
-
-fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
-    let w = ada_workload::gpcr_workload(natoms, nframes, seed);
-    IngestInput::Real {
-        pdb_text: ada_mdformats::write_pdb(&w.system),
-        xtc_bytes: ada_mdformats::xtc::write_xtc(
-            &w.trajectory,
-            ada_mdformats::xtc::DEFAULT_PRECISION,
-        )
-        .unwrap(),
     }
 }
 
@@ -85,8 +71,12 @@ fn schedule() -> Vec<Vec<ada_workload::Sample>> {
 fn shuffled_epochs_are_byte_identical_cache_on_vs_off() {
     let cached = make_ada(16, hot_cache());
     let plain = make_ada(16, cache_off());
-    cached.ingest("ds", real_input(600, 96, 21)).unwrap();
-    plain.ingest("ds", real_input(600, 96, 21)).unwrap();
+    cached
+        .ingest("ds", input(&gpcr_workload(600, 96, 21)))
+        .unwrap();
+    plain
+        .ingest("ds", input(&gpcr_workload(600, 96, 21)))
+        .unwrap();
 
     for epoch in &schedule() {
         for s in epoch {
@@ -118,7 +108,7 @@ fn shuffled_epochs_are_byte_identical_cache_on_vs_off() {
 #[test]
 fn full_window_range_read_equals_tagged_query() {
     let ada = make_ada(16, hot_cache());
-    ada.ingest("ds", real_input(500, 48, 3)).unwrap();
+    ada.ingest("ds", input(&gpcr_workload(500, 48, 3))).unwrap();
     let tag = Tag::protein();
     let whole = query_bytes(ada.query("ds", Some(&tag)).unwrap());
     // Twice: a cold pass (misses populate) and a warm pass (all hits).
@@ -135,7 +125,8 @@ fn full_window_range_read_equals_tagged_query() {
 fn steady_state_epochs_decode_five_times_less() {
     let run = |cache: CacheConfig| -> Vec<u64> {
         let ada = make_ada(16, cache);
-        ada.ingest("ds", real_input(600, 96, 21)).unwrap();
+        ada.ingest("ds", input(&gpcr_workload(600, 96, 21)))
+            .unwrap();
         let mut per_epoch = Vec::new();
         let mut before = ada.cache_stats().bytes_decoded;
         for epoch in &schedule() {
@@ -220,16 +211,15 @@ fn concurrent_mixed_reads_match_cache_off_serial_rerun() {
         }
     };
 
-    let cached = make_ada(16, hot_cache());
-    cached.ingest("ds", real_input(600, 48, 9)).unwrap();
-    let fe = Frontend::new(
-        Arc::clone(&cached),
-        FrontendConfig {
-            query_slots: 4,
-            query_queue: 64,
-            ..FrontendConfig::default()
-        },
-    );
+    let rig = rig(16, hot_cache()).with_frontend(FrontendConfig {
+        query_slots: 4,
+        query_queue: 64,
+        ..FrontendConfig::default()
+    });
+    let (cached, fe) = (rig.ada(), rig.frontend());
+    cached
+        .ingest("ds", input(&gpcr_workload(600, 48, 9)))
+        .unwrap();
 
     let mut harvested: Vec<(usize, usize, Vec<u8>)> = Vec::new();
     let barrier = Barrier::new(CLIENTS);
@@ -268,7 +258,9 @@ fn concurrent_mixed_reads_match_cache_off_serial_rerun() {
 
     // Serial cache-off reference.
     let plain = make_ada(16, cache_off());
-    plain.ingest("ds", real_input(600, 48, 9)).unwrap();
+    plain
+        .ingest("ds", input(&gpcr_workload(600, 48, 9)))
+        .unwrap();
     for (t, i, bytes) in &harvested {
         let expect = issue(
             &|tag| plain.query("ds", Some(tag)).unwrap(),

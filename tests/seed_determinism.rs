@@ -9,38 +9,24 @@
 //! results. A different seed must (trivially) diverge, proving the
 //! comparison actually looks at bytes.
 
+mod common;
+
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
+use ada_core::{AdaConfig, RetrievedData};
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
-
-struct Rig {
-    ada: Ada,
-    ssd: Arc<dyn SimFileSystem>,
-    hdd: Arc<dyn SimFileSystem>,
-}
+use common::Rig;
 
 fn rig() -> Rig {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd.clone()),
-    ]));
     // Both pools on, four workers each whatever the host's width — exactly
     // the paths whose determinism this suite locks in. 2 frames a chunk
     // force the ingest pool and the retrieval through several chunks.
-    let config = AdaConfig {
+    Rig::new(AdaConfig {
         chunk_frames: 2,
         ingest_threads: 4,
         query_threads: 4,
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    let ada = Ada::new(config, cs, ssd.clone());
-    Rig { ada, ssd, hdd }
+    })
 }
 
 /// Run the whole pipeline for `seed` and dump every artifact byte:
@@ -50,14 +36,7 @@ fn rig() -> Rig {
 fn artifacts(seed: u64) -> BTreeMap<String, Vec<u8>> {
     let r = rig();
     let w = ada_workload::gpcr_workload(1200, 6, seed);
-    let pdb = ada_mdformats::write_pdb(&w.system);
-    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-        .unwrap();
-    let input = IngestInput::Real {
-        pdb_text: pdb,
-        xtc_bytes: xtc,
-    };
-    r.ada.ingest("bar", input).unwrap();
+    r.ada().ingest("bar", common::input(&w)).unwrap();
 
     let mut out = BTreeMap::new();
     for (name, fs) in [("ssd", &r.ssd), ("hdd", &r.hdd)] {
@@ -71,7 +50,7 @@ fn artifacts(seed: u64) -> BTreeMap<String, Vec<u8>> {
         ("query:misc", Some(Tag::misc())),
         ("query:full", None),
     ] {
-        let q = r.ada.query("bar", tag.as_ref()).unwrap();
+        let q = r.ada().query("bar", tag.as_ref()).unwrap();
         let traj = match q.data {
             RetrievedData::Real(t) => t,
             other => panic!("expected real data, got {:?}", other),

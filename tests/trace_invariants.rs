@@ -19,48 +19,28 @@
 //! bytes is `tests/tracing_toggle.rs`: the switch is process-global, and
 //! that test has its binary to itself.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
-use ada_frontend::{Class, Frontend, FrontendConfig};
+use ada_core::{AdaConfig, AdaError, ErrorKind, RetrievedData};
+use ada_frontend::{Class, FrontendConfig};
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
 use ada_telemetry::trace::{ArgValue, FlightRecorder, Trace, TraceSpan};
 use ada_telemetry::Snapshot;
+use ada_workload::gpcr_workload;
+use common::{input, Rig};
 
 /// Both pools on, four workers each whatever the host's width: the trees
 /// below must cross reader and decoder worker threads.
-fn make_ada() -> Arc<Ada> {
-    make_ada_with(AdaConfig {
+fn pooled() -> AdaConfig {
+    AdaConfig {
         ingest_threads: 4,
         query_threads: 4,
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    })
-}
-
-fn make_ada_with(config: AdaConfig) -> Arc<Ada> {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    Arc::new(Ada::new(config, cs, ssd))
-}
-
-fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
-    let w = ada_workload::gpcr_workload(natoms, nframes, seed);
-    IngestInput::Real {
-        pdb_text: ada_mdformats::write_pdb(&w.system),
-        xtc_bytes: ada_mdformats::xtc::write_xtc(
-            &w.trajectory,
-            ada_mdformats::xtc::DEFAULT_PRECISION,
-        )
-        .unwrap(),
     }
 }
 
@@ -143,17 +123,16 @@ fn concurrent_load_yields_one_connected_tree_per_request() {
     const CLIENTS: usize = 6;
     const QUERIES_PER_CLIENT: usize = 4;
 
-    let fe = Frontend::new(
-        make_ada(),
-        FrontendConfig {
-            ingest_slots: 2,
-            query_slots: 4,
-            ingest_queue: 64,
-            query_queue: 64,
-            ..FrontendConfig::default()
-        },
-    );
-    fe.ingest("setup", "shared", real_input(500, 4, 7)).unwrap();
+    let rig = Rig::new(pooled()).with_frontend(FrontendConfig {
+        ingest_slots: 2,
+        query_slots: 4,
+        ingest_queue: 64,
+        query_queue: 64,
+        ..FrontendConfig::default()
+    });
+    let fe = rig.frontend();
+    fe.ingest("setup", "shared", input(&gpcr_workload(500, 4, 7)))
+        .unwrap();
 
     let barrier = Barrier::new(CLIENTS);
     std::thread::scope(|scope| {
@@ -256,7 +235,8 @@ fn concurrent_load_yields_one_connected_tree_per_request() {
 /// flagged with the error kind and retained by the flight recorder.
 #[test]
 fn errored_request_trace_is_flagged_and_retained() {
-    let fe = Frontend::new(make_ada(), FrontendConfig::default());
+    let rig = Rig::new(pooled()).with_frontend(FrontendConfig::default());
+    let fe = rig.frontend();
     let err = fe.query("c0", "no-such-dataset", None).unwrap_err();
     assert_eq!(err.error_kind(), ErrorKind::UnknownDataset);
 
@@ -276,8 +256,10 @@ fn errored_request_trace_is_flagged_and_retained() {
 /// records how long it waited, the deadline, and the observed depth.
 #[test]
 fn expired_request_trace_records_wait_and_depth() {
-    let fe = Frontend::new(make_ada(), FrontendConfig::default());
-    fe.ingest("setup", "d", real_input(300, 2, 3)).unwrap();
+    let rig = Rig::new(pooled()).with_frontend(FrontendConfig::default());
+    let fe = rig.frontend();
+    fe.ingest("setup", "d", input(&gpcr_workload(300, 2, 3)))
+        .unwrap();
     // 1 ns is always in the past by the time the queue drains.
     let err = fe
         .run(
@@ -322,17 +304,16 @@ fn expired_request_trace_records_wait_and_depth() {
 fn shed_request_trace_records_depth_and_retry_hint() {
     const CLIENTS: usize = 8;
     for attempt in 0..5 {
-        let fe = Frontend::new(
-            make_ada(),
-            FrontendConfig {
-                ingest_slots: 1,
-                query_slots: 1,
-                ingest_queue: 1,
-                query_queue: 1,
-                ..FrontendConfig::default()
-            },
-        );
-        fe.ingest("setup", "big", real_input(2500, 8, 11)).unwrap();
+        let rig = Rig::new(pooled()).with_frontend(FrontendConfig {
+            ingest_slots: 1,
+            query_slots: 1,
+            ingest_queue: 1,
+            query_queue: 1,
+            ..FrontendConfig::default()
+        });
+        let fe = rig.frontend();
+        fe.ingest("setup", "big", input(&gpcr_workload(2500, 8, 11)))
+            .unwrap();
 
         let barrier = Barrier::new(CLIENTS);
         let mut shed = 0u64;
@@ -474,19 +455,13 @@ fn stage_spans_sit_under_the_op_span() {
         "ingest.label_write",
         "ingest.split",
     ];
-    let w = ada_workload::gpcr_workload(900, 12, 21);
-    let pdb = ada_mdformats::write_pdb(&w.system);
-    let xtc = ada_mdformats::xtc::write_xtc(&w.trajectory, ada_mdformats::xtc::DEFAULT_PRECISION)
-        .unwrap();
-    let input = || IngestInput::Real {
-        pdb_text: pdb.clone(),
-        xtc_bytes: xtc.clone(),
-    };
+    let w = gpcr_workload(900, 12, 21);
 
     // The ingest body, in one chunk.
-    let fe = Frontend::new(make_ada(), FrontendConfig::default());
+    let rig = Rig::new(pooled()).with_frontend(FrontendConfig::default());
+    let fe = rig.frontend();
     let (_, t) = sealed(fe.flight_recorder(), || {
-        fe.ingest("c0", "whole", input()).unwrap()
+        fe.ingest("c0", "whole", input(&w)).unwrap()
     });
     assert_eq!(under_op(&t, "ada.ingest").0, INGEST);
 
@@ -494,15 +469,14 @@ fn stage_spans_sit_under_the_op_span() {
     // body, the same stages — and the trace shows their schedule: each
     // decode holds one chunk's frames, and the one dispatch starts once
     // every chunk is decoded.
-    let fe4 = Frontend::new(
-        make_ada_with(AdaConfig {
-            chunk_frames: 4,
-            ..AdaConfig::paper_prototype("ssd", "hdd")
-        }),
-        FrontendConfig::default(),
-    );
+    let rig4 = Rig::new(AdaConfig {
+        chunk_frames: 4,
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    })
+    .with_frontend(FrontendConfig::default());
+    let fe4 = rig4.frontend();
     let (_, t) = sealed(fe4.flight_recorder(), || {
-        fe4.ingest("c0", "chunked", input()).unwrap()
+        fe4.ingest("c0", "chunked", input(&w)).unwrap()
     });
     assert_eq!(under_op(&t, "ada.ingest").0, INGEST);
     let named =
@@ -520,15 +494,14 @@ fn stage_spans_sit_under_the_op_span() {
 
     // Both retrieval schedules, tagged and full.
     for query_threads in [0, 4] {
-        let fe = Frontend::new(
-            make_ada_with(AdaConfig {
-                query_threads,
-                chunk_frames: 4,
-                ..AdaConfig::paper_prototype("ssd", "hdd")
-            }),
-            FrontendConfig::default(),
-        );
-        fe.ingest("c0", "d", input()).unwrap();
+        let rig = Rig::new(AdaConfig {
+            query_threads,
+            chunk_frames: 4,
+            ..AdaConfig::paper_prototype("ssd", "hdd")
+        })
+        .with_frontend(FrontendConfig::default());
+        let fe = rig.frontend();
+        fe.ingest("c0", "d", input(&w)).unwrap();
         for (tag, decoded) in [
             (Some(Tag::protein()), ["p"].as_slice()),
             (None, &["m", "p"]),
@@ -550,15 +523,14 @@ fn stage_spans_sit_under_the_op_span() {
     }
 
     // A range read, cold and then served from the cache.
-    let fe = Frontend::new(
-        make_ada_with(AdaConfig {
-            chunk_frames: 4,
-            cache: ada_cache::CacheConfig::with_capacity(64 << 20),
-            ..AdaConfig::paper_prototype("ssd", "hdd")
-        }),
-        FrontendConfig::default(),
-    );
-    fe.ingest("c0", "d", input()).unwrap();
+    let rig = Rig::new(AdaConfig {
+        chunk_frames: 4,
+        cache: ada_cache::CacheConfig::with_capacity(64 << 20),
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    })
+    .with_frontend(FrontendConfig::default());
+    let fe = rig.frontend();
+    fe.ingest("c0", "d", input(&w)).unwrap();
     let range = || {
         fe.query_range("c0", "d", &Tag::protein(), 2..10, 2)
             .unwrap()
@@ -601,15 +573,15 @@ fn span_named<'a>(t: &'a Trace, name: &str) -> &'a TraceSpan {
 /// facade all carry the root's thread label.
 #[test]
 fn uncontended_request_runs_on_the_submitting_thread() {
-    let fe = Frontend::new(
-        make_ada_with(AdaConfig {
-            chunk_frames: 4,
-            cache: ada_cache::CacheConfig::with_capacity(64 << 20),
-            ..AdaConfig::paper_prototype("ssd", "hdd")
-        }),
-        FrontendConfig::default(),
-    );
-    fe.ingest("c0", "d", real_input(600, 12, 5)).unwrap();
+    let rig = Rig::new(AdaConfig {
+        chunk_frames: 4,
+        cache: ada_cache::CacheConfig::with_capacity(64 << 20),
+        ..AdaConfig::paper_prototype("ssd", "hdd")
+    })
+    .with_frontend(FrontendConfig::default());
+    let fe = rig.frontend();
+    fe.ingest("c0", "d", input(&gpcr_workload(600, 12, 5)))
+        .unwrap();
     let range = || {
         fe.query_range("c0", "d", &Tag::protein(), 2..10, 2)
             .unwrap()
@@ -657,14 +629,13 @@ fn queued_request_traces_as_one_tree_on_its_own_thread() {
 /// [`queued_request_traces_as_one_tree_on_its_own_thread`].
 fn queued_request_scenario() {
     for attempt in 0..5 {
-        let fe = Frontend::new(
-            make_ada(),
-            FrontendConfig {
-                query_slots: 1,
-                ..FrontendConfig::default()
-            },
-        );
-        fe.ingest("setup", "big", real_input(2500, 8, 11)).unwrap();
+        let rig = Rig::new(pooled()).with_frontend(FrontendConfig {
+            query_slots: 1,
+            ..FrontendConfig::default()
+        });
+        let fe = rig.frontend();
+        fe.ingest("setup", "big", input(&gpcr_workload(2500, 8, 11)))
+            .unwrap();
 
         let barrier = Barrier::new(2);
         std::thread::scope(|scope| {

@@ -8,41 +8,23 @@
 //!
 //! Each test reads the flight recorder of the stack it built.
 
-use std::sync::Arc;
+mod common;
 
 use ada_cache::CacheConfig;
-use ada_core::{Ada, AdaConfig, IngestInput, QueryReport, RetrievedData};
+use ada_core::{AdaConfig, QueryReport, RetrievedData};
 use ada_frontend::{Frontend, FrontendConfig};
 use ada_mdformats::xtcf::parse_directory;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
 use ada_telemetry::trace::{ArgValue, TraceSpan};
+use common::Rig;
 
-/// A front-end over an SSD/HDD `Ada` holding `d`: 64 frames (one stored
-/// chunk per tag) of a 600-atom system.
-fn stack(config: AdaConfig) -> Frontend {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    let fe = Frontend::new(
-        Arc::new(Ada::new(config, cs, ssd)),
-        FrontendConfig::default(),
-    );
+/// A rig with a front-end over an SSD/HDD `Ada` holding `d`: 64 frames
+/// (one stored chunk per tag) of a 600-atom system.
+fn stack(config: AdaConfig) -> Rig {
+    let rig = Rig::new(config).with_frontend(FrontendConfig::default());
     let w = ada_workload::gpcr_workload(600, 64, 47);
-    let input = IngestInput::Real {
-        pdb_text: ada_mdformats::write_pdb(&w.system),
-        xtc_bytes: ada_mdformats::xtc::write_xtc(
-            &w.trajectory,
-            ada_mdformats::xtc::DEFAULT_PRECISION,
-        )
-        .unwrap(),
-    };
-    fe.ingest("c0", "d", input).unwrap();
-    fe
+    rig.frontend().ingest("c0", "d", common::input(&w)).unwrap();
+    rig
 }
 
 /// Run `request` on `fe`; its reply and the one trace it sealed in the
@@ -106,10 +88,11 @@ fn assert_spans(spans: &[TraceSpan], pinned: &[Pinned]) {
 #[test]
 fn a_warm_range_hit_seals_seven_spans_on_the_callers_thread() {
     let cache = CacheConfig::with_capacity(64 << 20);
-    let fe = stack(AdaConfig {
+    let rig = stack(AdaConfig {
         cache,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     });
+    let fe = rig.frontend();
     let p = Tag::protein();
     // The first read decodes the window's chunk and leaves it resident.
     fe.query_range("c0", "d", &p, 16..32, 1).unwrap();
@@ -155,10 +138,11 @@ fn a_warm_range_hit_seals_seven_spans_on_the_callers_thread() {
 
 #[test]
 fn a_cache_off_query_decodes_and_reassembles_on_its_one_worker() {
-    let fe = stack(AdaConfig {
+    let rig = stack(AdaConfig {
         query_threads: 1,
         ..AdaConfig::paper_prototype("ssd", "hdd")
     });
+    let fe = rig.frontend();
     let p = Tag::protein();
     let (reply, spans) = sealed(&fe, || fe.query("c0", "d", Some(&p)).unwrap());
     let (frames, bytes) = frames_and_bytes(&reply);

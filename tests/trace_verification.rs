@@ -5,32 +5,21 @@
 //! (`plfs.{backend}.{read,write}.{ops,bytes}`); the tests read those
 //! counts around each operation.
 
-use ada_core::{Ada, AdaConfig, IngestInput};
-use ada_mdformats::write_pdb;
-use ada_mdformats::xtc::{write_xtc, DEFAULT_PRECISION};
+mod common;
+
+use ada_core::Ada;
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
 use ada_telemetry::Snapshot;
+use common::Rig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// `Ada` over an NVMe backend, which also holds the label files, and an
-/// HDD one, with `w` ingested as `bar`.
-fn ingested(w: &ada_workload::Workload) -> (Ada, ada_core::IngestReport) {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    let ada = Ada::new(AdaConfig::paper_prototype("ssd", "hdd"), cs, ssd);
-    let input = IngestInput::Real {
-        pdb_text: write_pdb(&w.system),
-        xtc_bytes: write_xtc(&w.trajectory, DEFAULT_PRECISION).unwrap(),
-    };
-    let report = ada.ingest("bar", input).unwrap();
-    (ada, report)
+/// `Ada` over the rig's SSD (which also holds the label files) and HDD,
+/// with `w` ingested as `bar`.
+fn ingested(w: &ada_workload::Workload) -> (Arc<Ada>, ada_core::IngestReport) {
+    let rig = Rig::paper();
+    let report = rig.ada().ingest("bar", common::input(w)).unwrap();
+    (Arc::clone(rig.ada()), report)
 }
 
 /// The container set's dropping traffic so far, by metric name.

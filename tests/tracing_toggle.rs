@@ -5,44 +5,24 @@
 //! The switch is process-global, so this test has its binary to itself:
 //! a trace test running beside it would see its roots go inert.
 
-use std::sync::Arc;
+mod common;
 
-use ada_core::{Ada, AdaConfig, IngestInput, RetrievedData};
-use ada_frontend::{Frontend, FrontendConfig};
+use ada_core::{AdaConfig, RetrievedData};
+use ada_frontend::FrontendConfig;
 use ada_mdformats::{Frame, Trajectory};
 use ada_mdmodel::Tag;
-use ada_plfs::ContainerSet;
-use ada_simfs::{LocalFs, SimFileSystem};
+use common::Rig;
 
 /// Both pools four wide, 4-frame chunks and a cache that admits on the
 /// first read.
-fn make_ada() -> Arc<Ada> {
-    let ssd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_nvme());
-    let hdd: Arc<dyn SimFileSystem> = Arc::new(LocalFs::ext4_on_hdd());
-    let cs = Arc::new(ContainerSet::new(vec![
-        ("ssd".into(), ssd.clone()),
-        ("hdd".into(), hdd),
-    ]));
-    let config = AdaConfig {
+fn rig() -> Rig {
+    Rig::new(AdaConfig {
         ingest_threads: 4,
         query_threads: 4,
         chunk_frames: 4,
         cache: ada_cache::CacheConfig::with_capacity(64 << 20),
         ..AdaConfig::paper_prototype("ssd", "hdd")
-    };
-    Arc::new(Ada::new(config, cs, ssd))
-}
-
-fn real_input(natoms: usize, nframes: usize, seed: u64) -> IngestInput {
-    let w = ada_workload::gpcr_workload(natoms, nframes, seed);
-    IngestInput::Real {
-        pdb_text: ada_mdformats::write_pdb(&w.system),
-        xtc_bytes: ada_mdformats::xtc::write_xtc(
-            &w.trajectory,
-            ada_mdformats::xtc::DEFAULT_PRECISION,
-        )
-        .unwrap(),
-    }
+    })
 }
 
 fn trajectory(data: RetrievedData) -> Trajectory {
@@ -57,9 +37,13 @@ fn trajectory(data: RetrievedData) -> Trajectory {
 /// front-end, and how many traces its recorder sealed.
 fn run(on: bool) -> (Vec<u8>, Vec<Vec<Frame>>, usize) {
     ada_telemetry::set_enabled(on);
-    let fe = Frontend::new(make_ada(), FrontendConfig::default());
-    let ada = fe.ada();
-    ada.ingest("d", real_input(600, 12, 42)).unwrap();
+    let rig = rig().with_frontend(FrontendConfig::default());
+    let (fe, ada) = (rig.frontend(), rig.ada());
+    ada.ingest(
+        "d",
+        common::input(&ada_workload::gpcr_workload(600, 12, 42)),
+    )
+    .unwrap();
     let report = ada.query("d", Some(&Tag::protein())).unwrap();
     let traj = trajectory(report.data);
     let xtc = ada_mdformats::xtc::write_xtc(&traj, ada_mdformats::xtc::DEFAULT_PRECISION).unwrap();
