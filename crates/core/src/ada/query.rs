@@ -8,7 +8,9 @@
 //!
 //! A caller that hands a whole tag on undecoded — the daemon, to a socket
 //! — asks for the stored chunks instead ([`Ada::query_stored`]): the same
-//! `read_live` and indexer, a fetch, and no retrieval at all.
+//! `read_live` and indexer, one read of the tag's dropping, and no
+//! retrieval at all. Its [`StoredAnswer`] holds the chunks and what a
+//! stream head announces (atoms, frames), and no simulated duration.
 
 use super::retrieve::{atoms_err, directory, xtcf_err, Take};
 use super::{count_corrupt, Ada, Op, QueryReport, RetrievedData};
@@ -40,10 +42,6 @@ struct StoredDropping {
 /// on needs them checked, not decoded.
 #[derive(Debug)]
 pub struct StoredAnswer {
-    /// Indexer tag-search time — the `QueryReport::indexer` of the same query.
-    pub indexer: SimDuration,
-    /// Backend read time — the `QueryReport::read` of the same query, cache off.
-    pub read: SimDuration,
     natoms: usize,
     dropping: StoredDropping,
     /// The answering `Ada`'s `xtcf.chunk.corrupt`.
@@ -61,20 +59,15 @@ impl StoredAnswer {
         self.dropping.dir.nframes()
     }
 
-    /// The nominal chunk size (frames) the dropping was sealed with.
-    pub fn chunk_frames(&self) -> u32 {
-        self.dropping.dir.chunk_frames
-    }
-
-    /// The answer's chunks in order, each as `(body, nframes, crc)`: the
-    /// chunk's frame records borrowed from the backend's bytes, and the
-    /// frame count and CRC-32 its directory stores. A chunk is checked
-    /// **as it is yielded** — `verify_chunk`, the check a decode makes (a
-    /// corrupt chunk is the error [`Ada::query`] raises for it, counted in
-    /// `xtcf.chunk.corrupt`), then the atom count its records carry against
-    /// the label's — so nothing is held back while the rest is checked;
-    /// stop at the first `Err`.
-    pub fn chunks(&self) -> impl Iterator<Item = Result<(&[u8], u32, u32), AdaError>> + '_ {
+    /// The answer's chunks in order, each as `(body, crc)`: the chunk's
+    /// frame records borrowed from the backend's bytes, and the CRC-32 its
+    /// directory stores. A chunk is checked **as it is yielded** —
+    /// `verify_chunk`, the check a decode makes (a corrupt chunk is the
+    /// error [`Ada::query`] raises for it, counted in `xtcf.chunk.corrupt`),
+    /// then the atom count its records carry against the label's — so
+    /// nothing is held back while the rest is checked; stop at the first
+    /// `Err`.
+    pub fn chunks(&self) -> impl Iterator<Item = Result<(&[u8], u32), AdaError>> + '_ {
         let d = &self.dropping;
         d.dir.entries.iter().enumerate().map(move |(c, e)| {
             let body = verify_chunk(d.content.bytes(), &d.dir, c).map_err(|e| {
@@ -86,7 +79,7 @@ impl StoredAnswer {
             if e.natoms as usize != self.natoms {
                 return Err(atoms_err(&d.record, 0, e.natoms as usize, self.natoms));
             }
-            Ok((body, e.nframes, e.crc))
+            Ok((body, e.crc))
         })
     }
 }
@@ -134,12 +127,13 @@ impl Ada {
 
     /// The whole of `tag` as its stored chunks, undecoded — for a caller
     /// that forwards them (the daemon's tagged `Query`). Runs what
-    /// [`Ada::query`] runs up to the decode — resolve, index, read, under
-    /// the same `ada.query` op span, `query.index` / `query.read` spans and
-    /// `ada.query.*` counters, so the simulated `indexer` / `read` are the
-    /// decoded path's — then parses the dropping's chunk directory, all
-    /// inside `read_live` as a query is. A dropping without a chunk
-    /// directory is the `Xtcf` error a query raises for it.
+    /// [`Ada::query`] runs up to the decode — `read_live`, the index and
+    /// one read of the tag's dropping, under the same `ada.query` op span,
+    /// `query.index` / `query.read` spans and `ada.query.*` counters —
+    /// then parses the dropping's chunk directory, inside `read_live` as a
+    /// query is. The answer carries no simulated duration: only frames
+    /// leave. A dropping without a chunk directory is the `Xtcf` error a
+    /// query raises for it.
     /// The decoded-dropping cache is neither consulted nor filled: nothing
     /// here is decoded. The chunks are checked as [`StoredAnswer::chunks`]
     /// yields them, after this returns — a corrupt chunk is found once its
@@ -163,17 +157,15 @@ impl Ada {
         ctx: &TraceContext,
     ) -> Result<StoredAnswer, AdaError> {
         self.read_live(dataset, Some(tag), |label, _| {
-            let (entry, indexer) = self.index(label, tag, ctx)?;
-            let (content, read) = {
+            let (entry, _) = self.index(label, tag, ctx)?;
+            let content = {
                 let mut ts = ctx.span("query.read");
-                let (content, read) = self.containers.read_dropping(&entry.dropping)?;
+                let (content, _) = self.containers.read_dropping(&entry.dropping)?;
                 ts.arg("bytes", content.len());
-                (content, read)
+                content
             };
             let dir = directory(&entry.dropping, &content)?;
             Ok(StoredAnswer {
-                indexer,
-                read,
                 natoms: entry.ranges.count(),
                 dropping: StoredDropping {
                     record: entry.dropping.clone(),
@@ -345,7 +337,7 @@ mod tests {
 
     #[test]
     fn stored_answer_is_the_tagged_query_undecoded() {
-        use ada_mdformats::xtcf::{read_xtcf, XtcfWriter};
+        use ada_mdformats::xtcf::{frame_record_len, read_xtcf, XtcfWriter};
         // 7 frames sealed in chunks of 2: a ragged last chunk.
         let config = |query_threads| super::super::AdaConfig {
             query_threads,
@@ -360,7 +352,6 @@ mod tests {
         let ctx = ada_telemetry::trace::TraceContext::inactive();
         let stored = stored_ada.query_stored("bar", &tag, &ctx).unwrap();
         let report = decoded_ada.query("bar", Some(&tag)).unwrap();
-        assert_eq!((stored.indexer, stored.read), (report.indexer, report.read));
         assert_eq!(stored_ada.cache_stats().bytes_decoded, 0);
         // Each counts as one successful query.
         for ada in [&stored_ada, &decoded_ada] {
@@ -368,18 +359,20 @@ mod tests {
         }
 
         // The chunk bodies, end to end, are the v1 stream of the frames.
+        // Each chunk's frame count is its length over the record length.
         let frames = frames_of(report);
+        let record = frame_record_len(stored.natoms());
         let mut body = XtcfWriter::new().into_bytes();
         let mut per_chunk = Vec::new();
         for chunk in stored.chunks() {
-            let (bytes, nframes, crc) = chunk.unwrap();
+            let (bytes, crc) = chunk.unwrap();
             assert_eq!(crc, ada_mdformats::xtcf::crc32(bytes));
+            assert_eq!(bytes.len() % record, 0, "a chunk is whole records");
             body.extend_from_slice(bytes);
-            per_chunk.push(nframes);
+            per_chunk.push(bytes.len() / record);
         }
         assert_eq!(per_chunk, [2, 2, 2, 1]);
         assert_eq!(stored.nframes(), 7);
-        assert_eq!(stored.chunk_frames(), 2);
         assert_eq!(stored.natoms(), frames[0].len());
         assert_eq!(read_xtcf(&body).unwrap().frames, frames);
 

@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "ADAP" (message frame) or "ADAC" (chunk frame)
-//! 4       1     version (currently 7)
+//! 4       1     version (currently 8)
 //! 5       4     payload length N, little-endian u32
 //! 9       4     IEEE CRC-32 (same polynomial as XTCF v2): of the payload in a
 //!               message frame; the chunk's own, as sealed at ingest, in a chunk frame
@@ -55,7 +55,7 @@ pub use frame::{
     HEADER_LEN, MAGIC, VERSION,
 };
 pub use message::{
-    RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, WirePayload, WireQueryReport,
+    RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope, WireQueryReport,
     QUERY_CHUNK_FRAMES,
 };
 pub use stream::{read_response, write_query_stream, write_response, Sent, StreamHead};

@@ -7,10 +7,13 @@
 //! chunk's CRC-32 and atom counts meet, on arrival, the check
 //! (`xtcf::ChunkRecords::check`) a stored chunk meets on the server. In
 //! hand, a [`WireQueryReport`] holds the frames themselves; the container
-//! exists only on the wire. On the socket the chunks travel as a stream
-//! ([`crate::stream`]); the one-frame encoding of a `Query` body below —
-//! one sealed container — is what [`ResponseEnvelope::encode`] builds in
-//! memory, which the server never sends and the client still accepts.
+//! exists only on the wire, and nothing travels beside the frames: the
+//! simulated durations of the in-process `QueryReport` stay in process.
+//! On the socket the chunks travel as a stream ([`crate::stream`]); the
+//! one-frame encoding of a `Query` body below — `id | 0x02 |` one sealed
+//! container as a `u32`-prefixed blob — is what [`ResponseEnvelope::encode`]
+//! builds in memory for the benchmark ladder's codec rungs, which the
+//! server never sends and the client still accepts.
 
 use ada_cache::CacheStats;
 use ada_core::{AdaError, IngestReport, QueryReport, RetrievedData};
@@ -330,28 +333,13 @@ fn decode_ingest_report(r: &mut WireReader) -> Result<IngestReport, ProtoError> 
 /// of a stored dropping.
 pub const QUERY_CHUNK_FRAMES: usize = 64;
 
-/// The data a query delivers. On the wire it follows a one-byte kind tag,
-/// `0`; any other tag is `ProtoError::Malformed`. Only frames travel: a
-/// [`RetrievedData::Synthetic`] payload, which `Ada` never builds, is
-/// refused ([`AdaError::size_only`]).
+/// [`QueryReport`] in wire form: the delivered frames, uncompressed, with
+/// the bits they were stored with. On the wire they are XTCF v2 chunks —
+/// as stored, or sealed at [`QUERY_CHUNK_FRAMES`] frames — each checked as
+/// it arrived. Only frames travel: a [`RetrievedData::Synthetic`] report,
+/// which `Ada` never builds, is refused ([`AdaError::size_only`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum WirePayload {
-    /// The delivered frames, uncompressed, with the bits they were stored
-    /// with. On the wire they are XTCF v2 chunks — as stored, or sealed at
-    /// [`QUERY_CHUNK_FRAMES`] frames — each checked as it arrived.
-    Real(Trajectory),
-}
-
-/// [`QueryReport`] in wire form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireQueryReport {
-    /// Indexer tag-search time (simulated ns).
-    pub indexer_ns: u128,
-    /// Backend read time (simulated ns).
-    pub read_ns: u128,
-    /// Delivered data.
-    pub payload: WirePayload,
-}
+pub struct WireQueryReport(pub Trajectory);
 
 /// Frames that cannot travel, as the typed error a corrupt stored dropping
 /// raises.
@@ -399,11 +387,7 @@ impl TryFrom<QueryReport> for WireQueryReport {
                 natoms
             ))));
         }
-        Ok(WireQueryReport {
-            indexer_ns: rep.indexer.0,
-            read_ns: rep.read.0,
-            payload: WirePayload::Real(traj),
-        })
+        Ok(WireQueryReport(traj))
     }
 }
 
@@ -421,57 +405,32 @@ impl WireQueryReport {
     /// The delivered frames, moved out. Every chunk was checked — CRC and
     /// atom counts — as it arrived, so there is nothing left to check.
     pub fn trajectory(self) -> Result<Trajectory, AdaError> {
-        let WirePayload::Real(traj) = self.payload;
-        Ok(traj)
+        Ok(self.0)
     }
 
     /// Delivered decoded volume: frames × XTCF record bytes.
     pub fn bytes(&self) -> u64 {
-        let WirePayload::Real(traj) = &self.payload;
-        (traj.len() * frame_record_len(traj.natoms())) as u64
+        (self.0.len() * frame_record_len(self.0.natoms())) as u64
     }
 
     /// Exact size of [`WireQueryReport::encode`]'s output.
     fn encoded_len(&self) -> usize {
-        let WirePayload::Real(traj) = &self.payload;
+        let traj = &self.0;
         let chunks = traj.len().div_ceil(QUERY_CHUNK_FRAMES);
-        16 + 16
-            + 1
-            + 4
-            + encoded_len(traj.len(), traj.natoms())
-            + chunks * XTCF_DIR_ENTRY_LEN
-            + XTCF_TRAILER_LEN
+        4 + encoded_len(traj.len(), traj.natoms()) + chunks * XTCF_DIR_ENTRY_LEN + XTCF_TRAILER_LEN
     }
 
-    /// Append the report, its frames sealed ([`seal`]); the error sealing
-    /// raises leaves `w` to be discarded.
+    /// Append the report: its frames sealed ([`seal`]) as one blob; the
+    /// error sealing raises leaves `w` to be discarded.
     fn encode(&self, w: &mut WireWriter) -> Result<(), AdaError> {
-        w.put_u128(self.indexer_ns);
-        w.put_u128(self.read_ns);
-        let WirePayload::Real(traj) = &self.payload;
-        let container = seal(traj).map_err(payload_err)?;
-        w.put_u8(0);
+        let container = seal(&self.0).map_err(payload_err)?;
         w.put_bytes(&container);
         Ok(())
     }
 
     fn decode(r: &mut WireReader) -> Result<WireQueryReport, ProtoError> {
-        let indexer_ns = r.get_u128()?;
-        let read_ns = r.get_u128()?;
-        let payload = match r.get_u8()? {
-            0 => WirePayload::Real(unseal(r.get_blob()?).map_err(ProtoError::Payload)?),
-            other => {
-                return Err(ProtoError::Malformed(format!(
-                    "unknown payload discriminant {}",
-                    other
-                )))
-            }
-        };
-        Ok(WireQueryReport {
-            indexer_ns,
-            read_ns,
-            payload,
-        })
+        let traj = unseal(r.get_blob()?).map_err(ProtoError::Payload)?;
+        Ok(WireQueryReport(traj))
     }
 }
 
@@ -603,18 +562,12 @@ mod tests {
         let w = ada_workload::gpcr_workload(120, QUERY_CHUNK_FRAMES + 1, 3);
         for n in [0, 1, QUERY_CHUNK_FRAMES + 1] {
             let traj = Trajectory::from_frames(w.trajectory.frames[..n].to_vec());
-            let query = WireQueryReport {
-                indexer_ns: 11,
-                read_ns: 22,
-                payload: WirePayload::Real(traj.clone()),
-            };
             let resp = ResponseEnvelope {
                 id: 10,
-                body: ResponseBody::Query(query),
+                body: ResponseBody::Query(WireQueryReport(traj.clone())),
             };
             match ResponseEnvelope::decode(&resp.encode()).unwrap().body {
                 ResponseBody::Query(back) => {
-                    assert_eq!((back.indexer_ns, back.read_ns), (11, 22));
                     assert_eq!(bits(&back.trajectory().unwrap()), bits(&traj), "{n} frames");
                 }
                 other => panic!("wrong body {:?}", other),
@@ -650,7 +603,7 @@ mod tests {
 
     /// An ingest answer's bytes: the id, the body discriminant, then the
     /// dataset, the raw volume and each tag's stored bytes in label order.
-    /// A peer of protocol version 7 reads exactly these bytes, so they may
+    /// A peer of protocol version 8 reads exactly these bytes, so they may
     /// change only with `frame::VERSION`.
     const INGEST_ANSWER: [u8; 53] = [
         9, 0, 0, 0, 0, 0, 0, 0, 1, // id 9, Ingest
@@ -728,9 +681,6 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u64(4);
         w.put_u8(2);
-        w.put_u128(0);
-        w.put_u128(0);
-        w.put_u8(0);
         w.put_bytes(container);
         w.finish()
     }

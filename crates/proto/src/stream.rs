@@ -1,14 +1,17 @@
 //! A real-mode query answer on the wire: the stored chunks, streamed.
 //!
 //! ```text
-//! head     message frame   id | 0x04 | natoms u32 | nframes u64 | chunk_frames u32
+//! head     message frame   id | 0x04 | natoms u32 | nframes u64
 //! chunk*   chunk frame     the chunk's XTCF frame records, verbatim; header CRC = the chunk's own
-//! trailer  message frame   id | 0x05 | indexer_ns u128 | read_ns u128
+//! trailer  message frame   id | 0x05
 //!                       or id | 0xff | AdaError            (the ordinary error response)
 //! ```
 //!
-//! The grammar lives here once. [`write_query_stream`] takes the head
-//! fields and the chunks as `(body, crc)` pairs — the CRC the dropping's
+//! The stream carries frames and what a reader needs to check and hold
+//! them — their atom count and their number — and nothing else: the
+//! chunk size is each chunk frame's length, and no simulated duration
+//! travels. The grammar lives here once. [`write_query_stream`] takes the
+//! head and the chunks as `(body, crc)` pairs — the CRC the dropping's
 //! directory already holds, so the sender checksums nothing — and ends the
 //! stream with the first error the chunk source raises. [`write_response`]
 //! sends any response the way it travels: a real-mode `Query` report as a
@@ -32,8 +35,7 @@ use crate::frame::{
     HEADER_LEN,
 };
 use crate::message::{
-    payload_err, ResponseBody, ResponseEnvelope, WirePayload, WireQueryReport, DISC_ERROR,
-    QUERY_CHUNK_FRAMES,
+    payload_err, ResponseBody, ResponseEnvelope, WireQueryReport, DISC_ERROR, QUERY_CHUNK_FRAMES,
 };
 use crate::wire::{ProtoError, WireReader, WireWriter};
 
@@ -50,8 +52,6 @@ pub struct StreamHead {
     pub natoms: u32,
     /// Frames the chunks deliver in total.
     pub nframes: u64,
-    /// The nominal chunk size (frames) the chunks were sealed with.
-    pub chunk_frames: u32,
 }
 
 /// What writing one response put on the wire.
@@ -80,7 +80,6 @@ impl Sent {
         p.put_u8(DISC_STREAM_HEAD);
         p.put_u32(head.natoms);
         p.put_u64(head.nframes);
-        p.put_u32(head.chunk_frames);
         self.message(w, &p.finish())
     }
 
@@ -91,19 +90,11 @@ impl Sent {
         Ok(())
     }
 
-    /// End the stream with the report's simulated durations.
-    fn end(
-        mut self,
-        w: &mut impl Write,
-        id: u64,
-        indexer_ns: u128,
-        read_ns: u128,
-    ) -> Result<Sent, ProtoError> {
+    /// End the stream: every chunk was sent.
+    fn end(mut self, w: &mut impl Write, id: u64) -> Result<Sent, ProtoError> {
         let mut p = WireWriter::new();
         p.put_u64(id);
         p.put_u8(DISC_STREAM_END);
-        p.put_u128(indexer_ns);
-        p.put_u128(read_ns);
         self.message(w, &p.finish())?;
         Ok(self)
     }
@@ -123,15 +114,13 @@ impl Sent {
 /// Write one streamed answer: the head, one chunk frame per `(body, crc)`
 /// the iterator yields — `body` a chunk's frame records, `crc` the CRC-32
 /// already stored for them; neither is copied or recomputed — and the
-/// trailer with the report's simulated durations. The first `Err` the
-/// iterator yields ends the stream with that error as its trailer
-/// ([`Sent::error`]); the receiver then hands out the error and no report.
+/// trailer. The first `Err` the iterator yields ends the stream with that
+/// error as its trailer ([`Sent::error`]); the receiver then hands out the
+/// error and no report.
 /// `Err` is a transport failure: the connection is no longer aligned.
 pub fn write_query_stream<'a>(
     w: &mut impl Write,
     head: StreamHead,
-    indexer_ns: u128,
-    read_ns: u128,
     chunks: impl IntoIterator<Item = Result<(&'a [u8], u32), AdaError>>,
 ) -> Result<Sent, ProtoError> {
     let mut sent = Sent::default();
@@ -142,7 +131,7 @@ pub fn write_query_stream<'a>(
             Err(e) => return sent.fail(w, head.id, e),
         }
     }
-    sent.end(w, head.id, indexer_ns, read_ns)
+    sent.end(w, head.id)
 }
 
 /// Write `resp` the way it travels. A query report is streamed
@@ -153,12 +142,7 @@ pub fn write_query_stream<'a>(
 /// in the error sealing raises. Every other response — pong, ingest
 /// report, cache stats, an error — is one message frame.
 pub fn write_response(w: &mut impl Write, resp: &ResponseEnvelope) -> Result<Sent, ProtoError> {
-    let ResponseBody::Query(WireQueryReport {
-        indexer_ns,
-        read_ns,
-        payload: WirePayload::Real(traj),
-    }) = &resp.body
-    else {
+    let ResponseBody::Query(WireQueryReport(traj)) = &resp.body else {
         let mut sent = Sent::default();
         sent.message(w, &resp.encode())?;
         return Ok(sent);
@@ -168,7 +152,6 @@ pub fn write_response(w: &mut impl Write, resp: &ResponseEnvelope) -> Result<Sen
         id: resp.id,
         natoms: u32::try_from(natoms).unwrap_or(u32::MAX),
         nframes: traj.len() as u64,
-        chunk_frames: QUERY_CHUNK_FRAMES as u32,
     };
     let mut sent = Sent::default();
     sent.head(w, head)?;
@@ -183,7 +166,7 @@ pub fn write_response(w: &mut impl Write, resp: &ResponseEnvelope) -> Result<Sen
         let body = records.records();
         sent.chunk(w, body, crc32(body))?;
     }
-    sent.end(w, resp.id, *indexer_ns, *read_ns)
+    sent.end(w, resp.id)
 }
 
 /// The head of a stream, if `payload` is one.
@@ -198,7 +181,6 @@ fn decode_head(payload: &[u8]) -> Result<Option<StreamHead>, ProtoError> {
         id,
         natoms: r.get_u32()?,
         nframes: r.get_u64()?,
-        chunk_frames: r.get_u32()?,
     };
     r.expect_end()?;
     Ok(Some(head))
@@ -206,8 +188,8 @@ fn decode_head(payload: &[u8]) -> Result<Option<StreamHead>, ProtoError> {
 
 /// How the message frame that ends a stream ends it.
 enum StreamEnd {
-    /// Every chunk was sent; the report's simulated durations.
-    Done { indexer_ns: u128, read_ns: u128 },
+    /// Every chunk was sent.
+    Done,
     /// The server ended the stream early with this error.
     Failed(AdaError),
 }
@@ -217,10 +199,7 @@ fn decode_end(payload: &[u8]) -> Result<(u64, StreamEnd), ProtoError> {
     let mut r = WireReader::new(payload);
     let id = r.get_u64()?;
     let end = match r.get_u8()? {
-        DISC_STREAM_END => StreamEnd::Done {
-            indexer_ns: r.get_u128()?,
-            read_ns: r.get_u128()?,
-        },
+        DISC_STREAM_END => StreamEnd::Done,
         DISC_ERROR => StreamEnd::Failed(decode_error(&mut r)?),
         other => {
             return Err(ProtoError::Malformed(format!(
@@ -321,21 +300,16 @@ fn read_stream(
         }
         let body = match end {
             StreamEnd::Failed(e) => ResponseBody::Error(e),
-            StreamEnd::Done { .. } if frames.len() != announced => {
+            StreamEnd::Done if frames.len() != announced => {
                 return Err(ProtoError::Malformed(format!(
                     "stream ended after {} of the {} frames its head announced",
                     frames.len(),
                     head.nframes
                 )))
             }
-            StreamEnd::Done {
-                indexer_ns,
-                read_ns,
-            } => ResponseBody::Query(WireQueryReport {
-                indexer_ns,
-                read_ns,
-                payload: WirePayload::Real(Trajectory::from_frames(frames)),
-            }),
+            StreamEnd::Done => {
+                ResponseBody::Query(WireQueryReport(Trajectory::from_frames(frames)))
+            }
         };
         return Ok(ResponseEnvelope { id, body });
     }
@@ -426,7 +400,6 @@ mod tests {
             let ResponseBody::Query(back) = back.body else {
                 panic!("a streamed answer is a query report");
             };
-            assert_eq!((back.indexer_ns, back.read_ns), (3, 5));
             let record = frame_record_len(traj.natoms());
             assert_eq!(back.bytes(), (nframes * record) as u64);
             assert_eq!(bits(&back.trajectory().unwrap()), bits(&traj));
@@ -447,14 +420,13 @@ mod tests {
                 id: 9,
                 natoms: dir.entries.first().map_or(0, |e| e.natoms),
                 nframes: dir.nframes() as u64,
-                chunk_frames: dir.chunk_frames,
             };
             let chunks = dir.entries.iter().map(|e| {
                 let start = e.offset as usize;
                 Ok((&sealed_before[start..start + e.body_len()], e.crc))
             });
             let mut want = Vec::new();
-            write_query_stream(&mut want, head, 3, 5, chunks).unwrap();
+            write_query_stream(&mut want, head, chunks).unwrap();
 
             let resp = sealed(traj.clone());
             let mut wire = Vec::new();
@@ -464,8 +436,6 @@ mod tests {
             let encoded = resp.encode();
             let mut r = WireReader::new(&encoded);
             assert_eq!((r.get_u64().unwrap(), r.get_u8().unwrap()), (9, 2));
-            assert_eq!((r.get_u128().unwrap(), r.get_u128().unwrap()), (3, 5));
-            assert_eq!(r.get_u8().unwrap(), 0);
             assert_eq!(r.get_blob().unwrap(), &sealed_before[..]);
             r.expect_end().unwrap();
             assert_eq!(encoded.capacity(), encoded.len(), "encode re-allocated");
@@ -474,8 +444,69 @@ mod tests {
                 ResponseBody::Query(back) => back,
                 other => panic!("wrong body {:?}", other),
             };
-            assert_eq!((back.indexer_ns, back.read_ns), (3, 5));
             assert_eq!(bits(&back.trajectory().unwrap()), bits(&traj));
+        }
+    }
+
+    /// A one-frame, one-atom answer to request 9 as protocol version 8
+    /// sends it: the head, one chunk frame holding the frame's record under
+    /// the record's CRC-32, and the trailer. A peer of version 8 reads
+    /// exactly these bytes, so they may change only with `frame::VERSION`.
+    const STREAMED_ANSWER: [u8; 129] = [
+        b'A', b'D', b'A', b'P', 8, 21, 0, 0, 0, 4, 105, 154, 108, // head frame, CRC
+        9, 0, 0, 0, 0, 0, 0, 0, 4, // id 9, stream head
+        1, 0, 0, 0, // natoms 1
+        1, 0, 0, 0, 0, 0, 0, 0, // nframes 1
+        b'A', b'D', b'A', b'C', 8, 60, 0, 0, 0, 127, 44, 67, 212, // chunk frame, its CRC
+        7, 0, 0, 0, 0, 0, 0, 63, // step 7, time 0.5
+        0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, // box row 0: 2, 0, 0
+        0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, // box row 1: 0, 2, 0
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, // box row 2: 0, 0, 2
+        1, 0, 0, 0, // n 1
+        0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 128, 62, // xyz 1, -0, 0.25
+        b'A', b'D', b'A', b'P', 8, 9, 0, 0, 0, 122, 86, 192, 58, // trailer frame, CRC
+        9, 0, 0, 0, 0, 0, 0, 0, 5, // id 9, stream end
+    ];
+
+    #[test]
+    fn streamed_answer_bytes_are_pinned() {
+        let frame = Frame {
+            step: 7,
+            time: 0.5,
+            pbc: ada_mdmodel::PbcBox::rectangular(2.0, 2.0, 2.0),
+            coords: vec![[1.0, -0.0, 0.25]],
+        };
+        let traj = Trajectory::from_frames(vec![frame]);
+        // Sealed from frames, and forwarded as a stored chunk: one stream.
+        let body = ResponseBody::Query(WireQueryReport(traj.clone()));
+        let mut sealed = Vec::new();
+        write_response(&mut sealed, &ResponseEnvelope { id: 9, body }).unwrap();
+        assert_eq!(sealed, STREAMED_ANSWER);
+        let head = StreamHead {
+            id: 9,
+            natoms: 1,
+            nframes: 1,
+        };
+        let record = &STREAMED_ANSWER[2 * HEADER_LEN + 21..][..60];
+        let mut forwarded = Vec::new();
+        write_query_stream(&mut forwarded, head, [Ok((record, crc32(record)))]).unwrap();
+        assert_eq!(forwarded, STREAMED_ANSWER);
+        let ResponseBody::Query(back) = read_one(&STREAMED_ANSWER).unwrap().unwrap().body else {
+            panic!("a streamed answer is a query report");
+        };
+        assert_eq!(bits(&back.trajectory().unwrap()), bits(&traj));
+
+        // A head or a trailer with bytes past its end — version 7's chunk
+        // size, its two durations — is malformed.
+        let trailer_at = STREAMED_ANSWER.len() - HEADER_LEN - 9;
+        for (at, len, extra) in [(0, 21, 4), (trailer_at, 9, 32)] {
+            let mut payload = STREAMED_ANSWER[at + HEADER_LEN..][..len].to_vec();
+            payload.resize(len + extra, 0);
+            let mut longer = Vec::new();
+            write_frame(&mut longer, &payload).unwrap();
+            let mut wire = STREAMED_ANSWER.to_vec();
+            wire.splice(at..at + HEADER_LEN + len, longer);
+            malformed(&wire, &format!("{} trailing bytes", extra));
         }
     }
 
@@ -496,11 +527,7 @@ mod tests {
         // error, and the stream ends in it after the chunk that sealed.
         let resp = ResponseEnvelope {
             id: 9,
-            body: ResponseBody::Query(WireQueryReport {
-                indexer_ns: 0,
-                read_ns: 0,
-                payload: WirePayload::Real(ragged),
-            }),
+            body: ResponseBody::Query(WireQueryReport(ragged)),
         };
         let decoded = ResponseEnvelope::decode(&resp.encode()).unwrap();
         let mut wire = Vec::new();
@@ -553,7 +580,6 @@ mod tests {
             id: 9,
             natoms: dir.entries[0].natoms,
             nframes: dir.nframes() as u64,
-            chunk_frames: dir.chunk_frames,
         };
         let record = frame_record_len(head.natoms as usize);
         let chunks = dir.entries.iter().map(|e| {
@@ -572,7 +598,7 @@ mod tests {
 
     fn stream(head: StreamHead, chunks: Chunks<'_>) -> Vec<u8> {
         let mut wire = Vec::new();
-        write_query_stream(&mut wire, head, 3, 5, chunks).unwrap();
+        write_query_stream(&mut wire, head, chunks).unwrap();
         wire
     }
 
@@ -595,7 +621,7 @@ mod tests {
         // Ends short: a trailer after two of three chunks; EOF after the
         // same two; EOF inside the third.
         malformed(&stream(head, all_ok(&chunks[..2])), "ended after");
-        let trailer_len = HEADER_LEN + 8 + 1 + 32;
+        let trailer_len = HEADER_LEN + 8 + 1;
         let two = good.len() - trailer_len - HEADER_LEN - chunks[2].0.len();
         for cut in [two, good.len() - trailer_len - 10] {
             assert!(matches!(
@@ -632,13 +658,11 @@ mod tests {
 
         // A trailer for another request.
         let mut other_id = Vec::new();
-        write_query_stream(&mut other_id, StreamHead { nframes: 0, ..head }, 0, 0, []).unwrap();
+        write_query_stream(&mut other_id, StreamHead { nframes: 0, ..head }, []).unwrap();
         let end = other_id.len() - trailer_len;
         let mut trailer = WireWriter::new();
         trailer.put_u64(head.id + 1);
         trailer.put_u8(DISC_STREAM_END);
-        trailer.put_u128(0);
-        trailer.put_u128(0);
         other_id.truncate(end);
         write_frame(&mut other_id, &trailer.finish()).unwrap();
         malformed(&other_id, "trailer for request");

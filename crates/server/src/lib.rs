@@ -472,14 +472,9 @@ fn send_answer(
                 id,
                 natoms: u32::try_from(stored.natoms()).unwrap_or(u32::MAX),
                 nframes: stored.nframes() as u64,
-                chunk_frames: stored.chunk_frames(),
             };
-            let chunks = stored
-                .chunks()
-                .map(|chunk| chunk.map(|(body, _, crc)| (body, crc)));
-            let (indexer, read) = (stored.indexer.0, stored.read.0);
             (
-                write_query_stream(&mut stream, head, indexer, read, chunks),
+                write_query_stream(&mut stream, head, stored.chunks()),
                 "true",
             )
         }

@@ -264,9 +264,8 @@ fn three_chunk_answer() -> WireQueryReport {
 }
 
 /// Where a one-frame `Query` response's container starts: after the id,
-/// the body discriminant, the two durations, the payload discriminant and
-/// the container's length.
-const CONTAINER_AT: usize = 8 + 1 + 16 + 16 + 1 + 4;
+/// the body discriminant and the container's length.
+const CONTAINER_AT: usize = 8 + 1 + 4;
 
 /// A hostile server answers one query with a well-framed response (valid
 /// frame CRC, valid envelope, matching request id) whose container has one
@@ -531,7 +530,7 @@ fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
     // the outcome.
     type Chunk = Result<(Vec<u8>, u32), &'static str>;
     let good = || -> Vec<Chunk> { chunks.iter().cloned().map(Ok).collect() };
-    let trailer_len = HEADER_LEN + 8 + 1 + 32;
+    let trailer_len = HEADER_LEN + 8 + 1;
     let mut flipped = good();
     if let Ok((body, _)) = &mut flipped[1] {
         body[60] ^= 0x10;
@@ -631,14 +630,13 @@ fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
                 id: RequestEnvelope::decode(&request).expect("request").id,
                 natoms,
                 nframes,
-                chunk_frames: QUERY_CHUNK_FRAMES as u32,
             };
             let mut wire = Vec::new();
             let chunks = chunks.iter().map(|c| match c {
                 Ok((body, crc)) => Ok((&body[..], *crc)),
                 Err(name) => Err(AdaError::UnknownDataset(name.to_string())),
             });
-            write_query_stream(&mut wire, head, 0, 0, chunks).unwrap();
+            write_query_stream(&mut wire, head, chunks).unwrap();
             // The peer may have given up already; that is its answer.
             let _ = stream.write_all(&wire[..wire.len() - cut]);
             let _ = stream.shutdown(Shutdown::Both);
@@ -722,10 +720,9 @@ fn an_error_answer_keeps_the_connection_and_a_corrupt_chunk_drops_it() {
                             id,
                             natoms,
                             nframes: (2 * QUERY_CHUNK_FRAMES + 3) as u64,
-                            chunk_frames: QUERY_CHUNK_FRAMES as u32,
                         };
                         let chunks = chunks.iter().map(|(b, crc)| Ok((&b[..], *crc)));
-                        write_query_stream(&mut wire, head, 0, 0, chunks)
+                        write_query_stream(&mut wire, head, chunks)
                     }
                 }
                 .unwrap();
