@@ -264,7 +264,8 @@ impl Client {
     }
 
     /// A failure reading or writing the stream, typed: a chunk that failed
-    /// its check as the `xtcf` error it is, everything else as `network`.
+    /// its check as the `corrupt` error it is (`AdaError::Xtcf`), everything
+    /// else as `network`.
     fn proto(&self, e: ProtoError) -> AdaError {
         match AdaError::from(e) {
             AdaError::Network { detail } => self.net(detail),

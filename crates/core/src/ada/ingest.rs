@@ -105,7 +105,7 @@ fn ingest_chunk(
         for (frame, record) in traj.frames.iter().zip(records) {
             ranges.gather_into(&frame.coords, gather_buf);
             write_record(record, frame.step, frame.time, &frame.pbc, gather_buf)
-                .map_err(|e| AdaError::Pdb(format!("xtcf encode: {}", e)))?;
+                .map_err(|e| AdaError::Encode(e.to_string()))?;
         }
         crcs.push(crc32(body));
     }
@@ -455,7 +455,7 @@ mod tests {
             xtc_bytes: xtc_of(&w),
         };
         let err = ada.ingest("bar", input(gro_text)).unwrap_err();
-        assert_eq!(err.error_kind(), ErrorKind::AtomMismatch, "{}", err);
+        assert_eq!(err.error_kind(), ErrorKind::BadInput, "{}", err);
         assert!(err.to_string().contains("pdb has 0"), "{}", err);
         assert!(ada.list_datasets().is_empty());
         assert_eq!(strays(&ada, &backends), Vec::<String>::new());

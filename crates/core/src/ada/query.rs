@@ -427,7 +427,12 @@ mod tests {
         let (input, _) = real_input(800, 3);
         ada.ingest("bar", input).unwrap();
         let t = Tag::protein();
-        for (win, stride) in [(0..0, 1), (2..1, 1), (0..4, 1), (0..3, 0)] {
+        for (win, stride) in [
+            (0..0, 1),
+            (std::ops::Range { start: 2, end: 1 }, 1),
+            (0..4, 1),
+            (0..3, 0),
+        ] {
             let err = ada.query_range("bar", &t, win, stride).unwrap_err();
             assert_eq!(err.error_kind(), ErrorKind::InvalidRange);
         }

@@ -497,7 +497,7 @@ mod tests {
         record.unwrap().dropping_path
     }
 
-    /// Whether `err` is an `xtcf` refusal naming `dropping` whose text
+    /// Whether `err` is an `Xtcf` refusal naming `dropping` whose text
     /// starts with `why`.
     fn is_refusal(err: &AdaError, dropping: &str, why: &str) -> bool {
         matches!(err, AdaError::Xtcf { dropping: d, source: FormatError::Corrupt(text) }
@@ -553,7 +553,7 @@ mod tests {
         /// (aligned across the tags or not), the cache state and the
         /// schedule, a full-frame answer is every tag's stored chunks,
         /// `decode_chunk`ed, laid out by the scatter reference — or, where
-        /// the tags are cut into different chunks, `xtcf` naming the
+        /// the tags are cut into different chunks, `corrupt` naming the
         /// second tag's dropping, with nothing counted; a tagged answer is
         /// the tag's decoded chunks; a range read is its window of them —
         /// bit for bit. And `cache.bytes_decoded` moves exactly as the
@@ -702,7 +702,7 @@ mod tests {
     }
 
     /// A full-frame answer over tags sealed in different chunks — 2 and 3
-    /// frames, a layout ingest never writes — is refused as `xtcf` naming
+    /// frames, a layout ingest never writes — is refused as `corrupt` naming
     /// the second tag's dropping, at every thread count, and counts
     /// nothing; each tag alone, whole or ranged, is still its stored chunks
     /// bit for bit.
@@ -724,11 +724,11 @@ mod tests {
             store(&ada, 5, &tags, &source, &[2, 3]);
 
             let err = ada.query("d", None).unwrap_err();
-            assert_eq!(err.error_kind(), ErrorKind::Xtcf);
+            assert_eq!(err.error_kind(), ErrorKind::Corrupt);
             let p = dropping_of(&ada, &Tag::protein());
             assert!(is_refusal(&err, &p, "chunks are cut unlike"), "{:?}", err);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
-            assert_eq!(outcomes(&ada), ["query.err.xtcf=1"]);
+            assert_eq!(outcomes(&ada), ["query.err.corrupt=1"]);
 
             for (t, chunks) in stored_chunks(&ada) {
                 let whole = chunks.concat();
@@ -773,7 +773,7 @@ mod tests {
                 "{:?}",
                 err
             );
-            assert_eq!(outcomes(&ada), ["query.err.frame_count_mismatch=1"]);
+            assert_eq!(outcomes(&ada), ["query.err.corrupt=1"]);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
         }
     }
@@ -814,7 +814,7 @@ mod tests {
             past(0..9, 1);
             // Frame 0 alone is selected, but the window ends at 7.
             past(0..7, 7);
-            assert_eq!(outcomes(&ada), ["query_range.err.frame_count_mismatch=2"]);
+            assert_eq!(outcomes(&ada), ["query_range.err.corrupt=2"]);
             assert_eq!(ada.cache_stats().bytes_decoded, 0);
             // A window inside the dropping still reads, and leaves its
             // chunks resident.

@@ -197,7 +197,7 @@ impl LabelFile {
         let (content, _) = fs.read(&LabelFile::path_for(dataset))?;
         ada_json::parse(content.bytes())
             .and_then(|v| LabelFile::from_json(&v))
-            .map_err(|e| AdaError::Pdb(format!("label parse: {}", e)))
+            .map_err(|e| AdaError::Label(e.to_string()))
     }
 }
 

@@ -51,7 +51,7 @@ pub fn split_trajectory(
         for frame in &traj.frames {
             ranges.gather_into(&frame.coords, &mut gather_buf);
             w.write_frame_parts(frame.step, frame.time, &frame.pbc, &gather_buf)
-                .map_err(|e| AdaError::Pdb(format!("xtcf encode: {}", e)))?;
+                .map_err(|e| AdaError::Encode(e.to_string()))?;
         }
         subsets.insert(tag.clone(), w.into_bytes());
     }

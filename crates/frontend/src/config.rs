@@ -59,7 +59,6 @@ mod tests {
             query_slots: 0,
             ingest_queue: 0,
             query_queue: 0,
-            ..FrontendConfig::default()
         }
         .normalized();
         assert_eq!(c.ingest_slots, 1);

@@ -47,11 +47,11 @@ fn class_of(query: bool) -> Class {
 /// triples, this keeps the strategy primitive-only (the vendored proptest
 /// has no `prop_oneof`).
 fn decode(code: u8, a: u64, b: u64) -> Op {
-    let query = a % 2 == 0;
+    let query = a.is_multiple_of(2);
     match code % 4 {
         0 => Op::Submit {
             query,
-            deadline: if b % 3 == 0 { b % 5_000 } else { 0 },
+            deadline: if b.is_multiple_of(3) { b % 5_000 } else { 0 },
         },
         1 => Op::Pop { query },
         2 => Op::Complete {

@@ -16,7 +16,7 @@
 use ada_core::determinator::indexer_cost;
 use ada_core::{AdaError, DispatchPolicy, LabelFile};
 use ada_mdmodel::{IndexRanges, Tag};
-use ada_plfs::{IndexRecord, PlfsError};
+use ada_plfs::IndexRecord;
 use ada_simfs::{FsError, LocalFs};
 use ada_storagesim::{CpuProfile, CpuWork, SimDuration};
 use std::collections::BTreeMap;
@@ -83,7 +83,7 @@ pub struct QueryCost {
 /// the label and the ingest's time on the storage node: categorize,
 /// decompress, split, the dispatch's slowest backend, the label write. A
 /// backend whose medium cannot hold its droppings refuses them as
-/// [`FsError::NoSpace`], the `fs` error `Ada::ingest` meets there.
+/// [`FsError::NoSpace`], the `no_space` error `Ada::ingest` meets there.
 pub fn ingest(
     backends: &[(&str, LocalFs)],
     label_fs: &LocalFs,
@@ -160,13 +160,14 @@ pub fn query(
 /// The medium of the backend named `backend`.
 fn medium<'a>(backends: &'a [(&str, LocalFs)], backend: &str) -> Result<&'a LocalFs, AdaError> {
     let found = backends.iter().find(|(name, _)| *name == backend);
-    let unknown = || PlfsError::UnknownBackend(backend.to_string()).into();
+    let unknown = || FsError::Unmounted(backend.to_string()).into();
     found.map(|(_, fs)| fs).ok_or_else(unknown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ada_core::ErrorKind;
 
     #[test]
     fn paper_volumes() {
@@ -218,17 +219,17 @@ mod tests {
             matches!(err, AdaError::Fs(FsError::NoSpace { requested, free: f }) if requested == p && f == free),
             "{err}"
         );
+        assert_eq!(err.error_kind(), ErrorKind::NoSpace);
         // Split over the two media, each share fits.
         let hybrid = DispatchPolicy::hybrid_gpcr("ssd", "hdd");
         let (label, _) = ingest(&backends, label_fs, &hybrid, "bar", &spec).unwrap();
         assert_eq!(label.entry(&Tag::protein()).unwrap().dropping.len, p);
-        // A backend with no medium is the container layer's error.
+        // A backend with no medium is the container layer's error: the
+        // policy and the mounts disagree.
         let nowhere = DispatchPolicy::all_to("tape");
         let err = ingest(&backends, label_fs, &nowhere, "bar", &spec).unwrap_err();
-        assert!(
-            matches!(err, AdaError::Plfs(PlfsError::UnknownBackend(_))),
-            "{err}"
-        );
+        assert!(matches!(err, AdaError::Fs(FsError::Unmounted(_))), "{err}");
+        assert_eq!(err.error_kind(), ErrorKind::Internal);
     }
 
     #[test]

@@ -14,32 +14,6 @@ use ada_telemetry::{key, Counter, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// PLFS-layer errors.
-#[derive(Debug)]
-pub enum PlfsError {
-    /// Unknown backend mount name.
-    UnknownBackend(String),
-    /// Underlying file-system failure.
-    Fs(FsError),
-}
-
-impl From<FsError> for PlfsError {
-    fn from(e: FsError) -> PlfsError {
-        PlfsError::Fs(e)
-    }
-}
-
-impl std::fmt::Display for PlfsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlfsError::UnknownBackend(b) => write!(f, "unknown backend '{}'", b),
-            PlfsError::Fs(e) => write!(f, "fs error: {}", e),
-        }
-    }
-}
-
-impl std::error::Error for PlfsError {}
-
 /// One stored dropping: the tag it carries and where it lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexRecord {
@@ -140,13 +114,13 @@ impl ContainerSet {
         }
     }
 
-    fn backend(&self, name: &str) -> Result<(&Arc<dyn SimFileSystem>, &BackendIo), PlfsError> {
+    fn backend(&self, name: &str) -> Result<(&Arc<dyn SimFileSystem>, &BackendIo), FsError> {
         self.backends
             .iter()
             .zip(&self.io)
             .find(|((n, _), _)| n == name)
             .map(|((_, fs), io)| (fs, io))
-            .ok_or_else(|| PlfsError::UnknownBackend(name.to_string()))
+            .ok_or_else(|| FsError::Unmounted(name.to_string()))
     }
 
     /// Write `plfs.{backend}.{read,write}.{ops,bytes}` for every backend
@@ -186,12 +160,12 @@ impl ContainerSet {
         tag: &str,
         backend: &str,
         content: Content,
-    ) -> Result<IndexRecord, PlfsError> {
+    ) -> Result<IndexRecord, FsError> {
         let (fs, io) = self.backend(backend)?;
         for (mnt, other) in &self.backends {
             let path = droppings(mnt, logical) + tag;
             if mnt != backend && other.exists(&path) {
-                return Err(FsError::AlreadyExists(path).into());
+                return Err(FsError::AlreadyExists(path));
             }
         }
         let record = IndexRecord::new(logical, tag, backend, content.len());
@@ -202,7 +176,7 @@ impl ContainerSet {
 
     /// The records of `logical`'s droppings, in tag order, read off the
     /// backends (`list` + `stat`); none for a name with nothing stored.
-    pub fn index(&self, logical: &str) -> Result<Vec<IndexRecord>, PlfsError> {
+    pub fn index(&self, logical: &str) -> Result<Vec<IndexRecord>, FsError> {
         let mut records = Vec::new();
         for (mnt, fs) in &self.backends {
             for (tag, path) in stored(mnt, fs.as_ref(), logical) {
@@ -215,7 +189,7 @@ impl ContainerSet {
     }
 
     /// Read one dropping by its record (the retriever's unit operation).
-    pub fn read_dropping(&self, record: &IndexRecord) -> Result<(Content, SimDuration), PlfsError> {
+    pub fn read_dropping(&self, record: &IndexRecord) -> Result<(Content, SimDuration), FsError> {
         let (fs, io) = self.backend(&record.backend)?;
         let (content, d) = fs.read(&record.dropping_path)?;
         io.read.note(content.len());
@@ -223,7 +197,7 @@ impl ContainerSet {
     }
 
     /// Bytes stored per backend for `logical` (reporting).
-    pub fn bytes_by_backend(&self, logical: &str) -> Result<BTreeMap<String, u64>, PlfsError> {
+    pub fn bytes_by_backend(&self, logical: &str) -> Result<BTreeMap<String, u64>, FsError> {
         let mut out = BTreeMap::new();
         for r in self.index(logical)? {
             *out.entry(r.backend).or_insert(0) += r.len;
@@ -274,7 +248,7 @@ mod tests {
                 .append("bar", "p", backend, Content::real(vec![2u8; 8]))
                 .unwrap_err();
             assert!(
-                matches!(&err, PlfsError::Fs(FsError::AlreadyExists(p)) if p == "mnt1/bar/hostdir.0/dropping.data.p"),
+                matches!(&err, FsError::AlreadyExists(p) if p == "mnt1/bar/hostdir.0/dropping.data.p"),
                 "{err}"
             );
         }
@@ -366,7 +340,7 @@ mod tests {
         let cs = two_backend_set();
         assert!(matches!(
             cs.append("bar", "p", "mnt9", Content::real(vec![0u8])),
-            Err(PlfsError::UnknownBackend(_))
+            Err(FsError::Unmounted(_))
         ));
     }
 

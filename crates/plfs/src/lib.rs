@@ -33,7 +33,7 @@
 
 pub mod container;
 
-pub use container::{ContainerSet, IndexRecord, PlfsError};
+pub use container::{ContainerSet, IndexRecord};
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! alone must say so: a fresh `ContainerSet` over them lists the same
 //! records, and a delete leaves nothing of the container behind.
 
-use ada_plfs::{ContainerSet, PlfsError};
+use ada_plfs::ContainerSet;
 use ada_simfs::{Content, FsError, LocalFs, SimFileSystem};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -65,13 +65,18 @@ fn apply(
             // A second append of a tag is refused, whichever backend it
             // names.
             Some(_) => prop_assert!(
-                matches!(res, Err(PlfsError::Fs(FsError::AlreadyExists(_)))),
+                matches!(res, Err(FsError::AlreadyExists(_))),
                 "second append of {} gave {:?}",
                 tag,
                 res
             ),
             None => {
-                let record = res.unwrap();
+                let Ok(record) = res else {
+                    return Err(TestCaseError(format!(
+                        "first append of {} gave {:?}",
+                        tag, res
+                    )));
+                };
                 prop_assert_eq!(&record.tag, &tag);
                 prop_assert_eq!(&record.backend, backend);
                 prop_assert_eq!(record.len, op.payload.len() as u64);

@@ -76,7 +76,6 @@ pub fn decode_error(r: &mut WireReader) -> Result<AdaError, ProtoError> {
 mod tests {
     use super::*;
     use ada_mdformats::{FormatError, XtcError};
-    use ada_plfs::PlfsError;
     use ada_simfs::FsError;
 
     fn encode(e: &AdaError) -> Vec<u8> {
@@ -110,8 +109,8 @@ mod tests {
                 len: 10,
                 file_len: 7,
             }),
-            AdaError::Plfs(PlfsError::UnknownBackend("tape".into())),
-            AdaError::from(PlfsError::Fs(FsError::NotFound("x".into()))),
+            AdaError::Fs(FsError::Refused("/a".into())),
+            AdaError::Fs(FsError::Unmounted("tape".into())),
             AdaError::Xtc(XtcError::Format(FormatError::UnexpectedEof)),
             AdaError::Xtc(XtcError::Format(FormatError::Corrupt("m".into()))),
             AdaError::Xtc(XtcError::Format(FormatError::OutOfRange("v".into()))),
@@ -133,6 +132,8 @@ mod tests {
                 got: 9,
             },
             AdaError::Pdb("bad atom line".into()),
+            AdaError::Label("expected ':'".into()),
+            AdaError::Encode("slot of 12 B".into()),
             AdaError::UnknownTag("q".into()),
             AdaError::UnknownDataset("nope".into()),
             AdaError::InvalidRange {

@@ -30,7 +30,7 @@ pub const MAGIC: [u8; 4] = *b"ADAP";
 pub const CHUNK_MAGIC: [u8; 4] = *b"ADAC";
 
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 8;
+pub const VERSION: u8 = 9;
 
 /// Encoded header size: magic(4) + version(1) + length(4) + crc(4).
 pub const HEADER_LEN: usize = 13;
@@ -330,7 +330,10 @@ mod tests {
 
     #[test]
     fn bad_version_is_typed() {
-        // A newer peer's; version 7's, whose stream head carried a chunk
+        // A newer peer's; version 8's, whose error kinds named layers (`fs`
+        // … `dataset_exists`, 0–14) and whose kind bytes this build would
+        // read as other conditions — its byte 0, `fs`, as `no_space`;
+        // version 7's, whose stream head carried a chunk
         // size and whose trailer and one-frame query answer carried two
         // simulated durations this build would misread; version 6's, which
         // had no `dataset_exists` kind and would read byte 14 as unknown;
@@ -339,7 +342,7 @@ mod tests {
         // field by field; version 3's, whose query answer was one frame;
         // version 2's, whose `Ingest` carried a fourth field this build
         // would misread.
-        for version in [VERSION + 1, 7, 6, 5, 4, 3, 2] {
+        for version in [VERSION + 1, 8, 7, 6, 5, 4, 3, 2] {
             let mut frame = encode_frame(b"x").unwrap();
             frame[4] = version;
             let mut cursor = std::io::Cursor::new(frame);

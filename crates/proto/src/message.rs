@@ -589,12 +589,20 @@ mod tests {
         }
     }
 
+    /// An error answer's bytes: the id, the error discriminant, the kind's
+    /// byte (`unknown_dataset` is 2 since protocol version 9) and the
+    /// error's text.
     #[test]
     fn error_response_keeps_the_kind() {
         let resp = ResponseEnvelope {
             id: 3,
             body: ResponseBody::Error(AdaError::UnknownDataset("nope".into())),
         };
+        let head = [3, 0, 0, 0, 0, 0, 0, 0, 255, 2, 22, 0, 0, 0];
+        assert_eq!(
+            resp.encode(),
+            [&head[..], b"unknown dataset 'nope'"].concat()
+        );
         match ResponseEnvelope::decode(&resp.encode()).unwrap().body {
             ResponseBody::Error(e) => assert_eq!(e.error_kind(), ErrorKind::UnknownDataset),
             other => panic!("wrong body {:?}", other),
@@ -603,7 +611,7 @@ mod tests {
 
     /// An ingest answer's bytes: the id, the body discriminant, then the
     /// dataset, the raw volume and each tag's stored bytes in label order.
-    /// A peer of protocol version 8 reads exactly these bytes, so they may
+    /// A peer of protocol version 9 reads exactly these bytes, so they may
     /// change only with `frame::VERSION`.
     const INGEST_ANSWER: [u8; 53] = [
         9, 0, 0, 0, 0, 0, 0, 0, 1, // id 9, Ingest
@@ -690,7 +698,7 @@ mod tests {
             Err(e @ ProtoError::Payload(_)) => AdaError::from(e),
             other => panic!("expected a payload error, got {:?}", other),
         };
-        assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
+        assert_eq!(err.error_kind(), ErrorKind::Corrupt, "{}", err);
         assert!(err.to_string().contains(needle), "{}", err);
     }
 

@@ -448,23 +448,23 @@ mod tests {
         }
     }
 
-    /// A one-frame, one-atom answer to request 9 as protocol version 8
+    /// A one-frame, one-atom answer to request 9 as protocol version 9
     /// sends it: the head, one chunk frame holding the frame's record under
-    /// the record's CRC-32, and the trailer. A peer of version 8 reads
+    /// the record's CRC-32, and the trailer. A peer of version 9 reads
     /// exactly these bytes, so they may change only with `frame::VERSION`.
     const STREAMED_ANSWER: [u8; 129] = [
-        b'A', b'D', b'A', b'P', 8, 21, 0, 0, 0, 4, 105, 154, 108, // head frame, CRC
+        b'A', b'D', b'A', b'P', 9, 21, 0, 0, 0, 4, 105, 154, 108, // head frame, CRC
         9, 0, 0, 0, 0, 0, 0, 0, 4, // id 9, stream head
         1, 0, 0, 0, // natoms 1
         1, 0, 0, 0, 0, 0, 0, 0, // nframes 1
-        b'A', b'D', b'A', b'C', 8, 60, 0, 0, 0, 127, 44, 67, 212, // chunk frame, its CRC
+        b'A', b'D', b'A', b'C', 9, 60, 0, 0, 0, 127, 44, 67, 212, // chunk frame, its CRC
         7, 0, 0, 0, 0, 0, 0, 63, // step 7, time 0.5
         0, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, // box row 0: 2, 0, 0
         0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, // box row 1: 0, 2, 0
         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, // box row 2: 0, 0, 2
         1, 0, 0, 0, // n 1
         0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 128, 62, // xyz 1, -0, 0.25
-        b'A', b'D', b'A', b'P', 8, 9, 0, 0, 0, 122, 86, 192, 58, // trailer frame, CRC
+        b'A', b'D', b'A', b'P', 9, 9, 0, 0, 0, 122, 86, 192, 58, // trailer frame, CRC
         9, 0, 0, 0, 0, 0, 0, 0, 5, // id 9, stream end
     ];
 
@@ -521,7 +521,7 @@ mod tests {
         };
         assert_eq!(
             WireQueryReport::from_report(&rep).unwrap_err().error_kind(),
-            ErrorKind::Xtcf
+            ErrorKind::Corrupt
         );
         // Built by hand, it has no container: the one-frame encoding is the
         // error, and the stream ends in it after the chunk that sealed.
@@ -538,7 +538,7 @@ mod tests {
             assert_eq!(resp.id, 9);
             match resp.body {
                 ResponseBody::Error(e) => {
-                    assert_eq!(e.error_kind(), ErrorKind::Xtcf);
+                    assert_eq!(e.error_kind(), ErrorKind::Corrupt);
                     assert!(e.to_string().contains("atom count"), "{}", e);
                 }
                 other => panic!("expected the sealing error, got {:?}", other),
@@ -730,7 +730,7 @@ mod tests {
 
         // To the caller it is the error a corrupt stored chunk raises.
         let err = AdaError::from(read_one(&stream(head, all_ok(&flipped))).unwrap_err());
-        assert_eq!(err.error_kind(), ErrorKind::Xtcf);
+        assert_eq!(err.error_kind(), ErrorKind::Corrupt);
         assert!(err.to_string().contains("corrupt chunk 1"), "{}", err);
     }
 

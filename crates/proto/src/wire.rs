@@ -372,7 +372,7 @@ mod tests {
             detail: "checksum mismatch".to_string(),
         })
         .into();
-        assert_eq!(e.error_kind(), ErrorKind::Xtcf);
+        assert_eq!(e.error_kind(), ErrorKind::Corrupt);
         assert_eq!(
             e.to_string(),
             "corrupt dropping 'query response payload': corrupt chunk 2: checksum mismatch"

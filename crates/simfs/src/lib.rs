@@ -111,6 +111,11 @@ pub enum FsError {
         /// Actual file length.
         file_len: u64,
     },
+    /// The medium refused the call on this path: nothing was stored or
+    /// removed.
+    Refused(String),
+    /// No backend is mounted under this name.
+    Unmounted(String),
 }
 
 impl std::fmt::Display for FsError {
@@ -130,6 +135,8 @@ impl std::fmt::Display for FsError {
                 "range {}+{} exceeds file length {}",
                 offset, len, file_len
             ),
+            FsError::Refused(p) => write!(f, "refused: {}", p),
+            FsError::Unmounted(b) => write!(f, "unknown backend '{}'", b),
         }
     }
 }

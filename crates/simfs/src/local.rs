@@ -397,9 +397,12 @@ mod tests {
         assert!(d.as_secs_f64() > 0.0 && d.as_secs_f64() < 0.02);
     }
 
+    /// One case of the store's contract: its name and its check.
+    type Case = (&'static str, fn(&LocalFs));
+
     /// The store's contract, one case a row; each runs on a fresh file
     /// system of every preset.
-    const CONTRACT: [(&str, fn(&LocalFs)); 11] = [
+    const CONTRACT: [Case; 11] = [
         ("create_read_roundtrip", create_read_roundtrip),
         ("create_existing_fails", create_existing_fails),
         ("missing_path_is_not_found", missing_path_is_not_found),

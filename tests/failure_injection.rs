@@ -59,7 +59,7 @@ fn corrupt_dropping_bytes_yield_typed_error() {
 
     let err = r.ada().query("bar", Some(&Tag::protein())).unwrap_err();
     assert!(matches!(err, AdaError::Xtcf { .. }), "got {:?}", err);
-    assert_eq!(err.error_kind(), ErrorKind::Xtcf);
+    assert_eq!(err.error_kind(), ErrorKind::Corrupt);
     // The error names the corrupt dropping and chains the format error.
     assert!(err.to_string().contains("dropping.data.p"), "got {}", err);
     assert!(std::error::Error::source(&err).is_some());
@@ -84,7 +84,8 @@ fn deleted_dropping_yields_fs_error() {
         "got {:?}",
         err
     );
-    assert_eq!(err.error_kind(), ErrorKind::Fs);
+    // A dropping missing under a live label: the store disagrees with it.
+    assert_eq!(err.error_kind(), ErrorKind::Corrupt);
 }
 
 /// The label file is a dataset's one metadata record, so `LabelFile::load`
@@ -125,8 +126,10 @@ fn corrupt_label_file_detected_on_reload() {
 
     let refused = |what: &str, why: &str| {
         let err = LabelFile::load(r.ssd.as_ref(), "bar").unwrap_err();
+        assert_eq!(err.error_kind(), ErrorKind::Corrupt, "{what}: {err}");
+        let text = err.to_string();
         assert!(
-            matches!(&err, AdaError::Pdb(m) if m.starts_with("label parse: ") && m.contains(why)),
+            text.starts_with("pdb: label parse: ") && text.contains(why),
             "{what}: {err}"
         );
     };
@@ -211,13 +214,7 @@ fn ragged_xtc_is_an_atom_mismatch_from_every_ingest() {
             Err(e) => e,
             Ok(_) => panic!("a {} file was ingested", what),
         };
-        assert_eq!(
-            err.error_kind(),
-            ErrorKind::AtomMismatch,
-            "{}: {}",
-            what,
-            err
-        );
+        assert_eq!(err.error_kind(), ErrorKind::BadInput, "{}: {}", what, err);
         assert!(
             matches!(err, AdaError::AtomMismatch { pdb, xtc }
                 if (pdb, xtc) == (w.system.len(), found)),
@@ -309,10 +306,14 @@ fn assert_no_space_is_all_or_nothing(chunk_frames: usize) {
 }
 
 /// A refusal for want of space, whichever write met it: the file
-/// system's own error, kind `fs`. Returns the size of the refused write.
+/// system's own error, kind `no_space`. Returns the size of the refused
+/// write.
 fn assert_no_space(res: Result<ada_core::IngestReport, AdaError>) -> u64 {
     match res {
-        Err(AdaError::Fs(FsError::NoSpace { requested, .. })) => requested,
+        Err(e @ AdaError::Fs(FsError::NoSpace { requested, .. })) => {
+            assert_eq!(e.error_kind(), ErrorKind::NoSpace);
+            requested
+        }
         other => panic!("expected NoSpace, got {:?}", other.map(|r| r.dataset)),
     }
 }
@@ -332,7 +333,7 @@ fn assert_left_nothing(r: &Rig, dataset: &str) {
 
 /// The label file is an ingest's last write. When it is the one that runs
 /// out of space — every dropping stored, the SSD one byte short of the
-/// label — the refusal is the same `fs` kind a dropping's is, and the
+/// label — the refusal is the same `no_space` kind a dropping's is, and the
 /// ingest leaves nothing behind.
 #[test]
 fn label_write_out_of_space_is_fs_and_leaves_nothing() {
@@ -382,8 +383,8 @@ fn queries_against_wrong_tags_and_names_never_panic() {
 /// A backend that refuses some of its calls of one operation: those of
 /// `op` ("create" or "delete") numbered in `refused` (the first is 1),
 /// each storing or removing nothing. A refused create is out of space; a
-/// refused delete names the file it leaves in place. Every other call is
-/// the inner file system's.
+/// refused delete is the medium's refusal, naming the file it leaves in
+/// place. Every other call is the inner file system's.
 struct Flaky {
     inner: Arc<dyn SimFileSystem>,
     op: &'static str,
@@ -435,7 +436,7 @@ impl SimFileSystem for Flaky {
     }
     fn delete(&self, path: &str) -> Result<(), FsError> {
         if self.refuses("delete") {
-            return Err(FsError::NotFound(path.to_string()));
+            return Err(FsError::Refused(path.to_string()));
         }
         self.inner.delete(path)
     }
@@ -471,7 +472,7 @@ fn frame_bits(ada: &Ada, dataset: &str) -> Vec<(i32, u32, Vec<u32>)> {
 const LEFTOVER: &str = "hdd/d/hostdir.0/dropping.data.m";
 
 /// A dropping the backend refuses to remove is reported by the delete
-/// that met it — kind `fs`, naming the dropping — yet the dataset is gone:
+/// that met it — kind `io`, naming the dropping — yet the dataset is gone:
 /// its label removed, its name unlisted and unknown to a query. The next
 /// ingest of the name sweeps the leftover first; while the sweep is
 /// refused, the ingest fails with that refusal and leaves the name free,
@@ -487,10 +488,10 @@ fn a_dropping_a_delete_leaves_behind_is_reported_then_swept() {
 
     let err = r.ada().delete_dataset("d").unwrap_err();
     assert!(
-        matches!(&err, AdaError::Fs(FsError::NotFound(p)) if p == LEFTOVER),
+        matches!(&err, AdaError::Fs(FsError::Refused(p)) if p == LEFTOVER),
         "{err:?}"
     );
-    assert_eq!(err.error_kind(), ErrorKind::Fs);
+    assert_eq!(err.error_kind(), ErrorKind::Io);
     assert!(r.ada().list_datasets().is_empty());
     assert!(!r.ssd.exists(&LabelFile::path_for("d")));
     assert_eq!(files_of(&r, "d"), [LEFTOVER]);
@@ -502,9 +503,10 @@ fn a_dropping_a_delete_leaves_behind_is_reported_then_swept() {
     // The sweep is refused: the ingest stores nothing and frees the name.
     let err = r.ada().ingest("d", input(&w)).unwrap_err();
     assert!(
-        matches!(&err, AdaError::Fs(FsError::NotFound(p)) if p == LEFTOVER),
+        matches!(&err, AdaError::Fs(FsError::Refused(p)) if p == LEFTOVER),
         "{err:?}"
     );
+    assert_eq!(err.error_kind(), ErrorKind::Io);
     assert!(r.ada().list_datasets().is_empty());
     assert_eq!(files_of(&r, "d"), [LEFTOVER]);
 
@@ -535,6 +537,7 @@ fn a_dropping_a_rollback_leaves_behind_is_swept_by_the_next_ingest() {
         matches!(err, AdaError::Fs(FsError::NoSpace { free: 0, .. })),
         "{err:?}"
     );
+    assert_eq!(err.error_kind(), ErrorKind::NoSpace);
     assert!(r.ada().list_datasets().is_empty());
     assert!(!r.ssd.exists(&LabelFile::path_for("d")));
     assert_eq!(files_of(&r, "d"), [LEFTOVER]);

@@ -3,7 +3,7 @@
 //! Droppings are sealed as chunked, self-describing v2 containers; this
 //! suite feeds broken variants of every structural element (chunk body,
 //! chunk directory, trailer) through the serial and parallel query
-//! pipelines and asserts typed `xtcf` errors plus a still-usable [`Ada`] —
+//! pipelines and asserts typed `corrupt` errors plus a still-usable [`Ada`] —
 //! a dropping with no chunk directory at all (a v1 file) among them — and
 //! pins the v1 codec and the v2 sealer with golden on-disk fixtures that
 //! must keep decoding bit-identically forever.
@@ -83,7 +83,7 @@ fn query_real(ada: &Ada, tag: Option<&Tag>) -> Trajectory {
 }
 
 /// Corpus driver: `mutate` breaks the protein dropping's bytes; tagged and
-/// untagged queries must fail with a typed `xtcf` error whose message
+/// untagged queries must fail with a typed `corrupt` error whose message
 /// names both the dropping and `detail`, on every pipeline shape — and
 /// the instance must stay fully usable afterwards.
 fn assert_corrupt(what: &str, detail: &str, mutate: impl Fn(Vec<u8>) -> Vec<u8>) {
@@ -96,7 +96,7 @@ fn assert_corrupt(what: &str, detail: &str, mutate: impl Fn(Vec<u8>) -> Vec<u8>)
             let err = r.ada().query("d", tag.as_ref()).unwrap_err();
             assert_eq!(
                 err.error_kind(),
-                ErrorKind::Xtcf,
+                ErrorKind::Corrupt,
                 "{} threads={} tag={:?}: got {:?}",
                 what,
                 threads,
@@ -204,7 +204,7 @@ fn windows_clear_of_the_corrupt_chunk_still_decode() {
             .ada()
             .query_range("d", &Tag::protein(), 2..4, 1)
             .unwrap_err();
-        assert_eq!(err.error_kind(), ErrorKind::Xtcf, "threads={}", threads);
+        assert_eq!(err.error_kind(), ErrorKind::Corrupt, "threads={}", threads);
     }
 }
 
@@ -278,7 +278,7 @@ fn directory_less_dropping_is_a_typed_error_on_every_read() {
         for (what, err) in errors {
             assert_eq!(
                 err.error_kind(),
-                ErrorKind::Xtcf,
+                ErrorKind::Corrupt,
                 "threads={threads} {what}: {err:?}"
             );
             let msg = err.to_string();
@@ -288,7 +288,11 @@ fn directory_less_dropping_is_a_typed_error_on_every_read() {
                 "threads={threads} {what}: {msg}"
             );
         }
-        let failed = ["ingest.ok=1", "query.err.xtcf=3", "query_range.err.xtcf=1"];
+        let failed = [
+            "ingest.ok=1",
+            "query.err.corrupt=3",
+            "query_range.err.corrupt=1",
+        ];
         assert_eq!(outcomes(r.ada()), failed, "threads={threads}");
         let stats = r.ada().cache_stats();
         assert_eq!(

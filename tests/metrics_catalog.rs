@@ -140,7 +140,7 @@ fn metrics_md_catalogs_exactly_what_a_stack_emits() {
     ssd.delete(&path).unwrap();
     ssd.create(&path, Content::real(bytes)).unwrap();
     let err = fe.query("local", "bad", Some(&Tag::protein())).unwrap_err();
-    assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
+    assert_eq!(err.error_kind(), ErrorKind::Corrupt, "{}", err);
     rig.shutdown();
 
     let mut snap = metrics_of(&rig);

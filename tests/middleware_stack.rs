@@ -6,7 +6,7 @@
 use ada_core::DispatchPolicy;
 use ada_mdmodel::Tag;
 use ada_platforms::volumes::{self, SyntheticDataset};
-use ada_plfs::{ContainerSet, PlfsError};
+use ada_plfs::ContainerSet;
 use ada_simfs::{Backing, Content, FsError, LocalFs, SimFileSystem};
 use ada_storagesim::DeviceProfile;
 use std::sync::Arc;
@@ -138,13 +138,13 @@ fn backend_capacity_errors_propagate() {
     let err = cs
         .append("huge", "p", "ssd", Content::real(vec![0u8; 1_001]))
         .unwrap_err();
-    assert!(matches!(
+    assert_eq!(
         err,
-        PlfsError::Fs(FsError::NoSpace {
+        FsError::NoSpace {
             requested: 1_001,
             free: 1_000
-        })
-    ));
+        }
+    );
     assert!(cs.index("huge").unwrap().is_empty());
 }
 

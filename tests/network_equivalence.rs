@@ -20,8 +20,12 @@
 //!   whole-tag and full-frame alike, each on a kept connection;
 //! * remote errors keep their exact `error_kind()` and `Display` —
 //!   `unknown_dataset`, `invalid_range`, `unknown_tag`, `dataset_exists`,
-//!   and errors whose in-process form wraps a nested source (`xtc`) cross
-//!   the wire as themselves, not as a generic network failure;
+//!   and errors whose in-process form wraps a nested source (`bad_input`
+//!   from the trajectory decoder) cross the wire as themselves, not as a
+//!   generic network failure;
+//! * one condition is one kind whichever layer met it: a dropping and a
+//!   label file the SSD cannot hold are both `no_space`, a flipped chunk
+//!   byte and a deleted dropping both `corrupt`, in process and remote;
 //! * a traced remote request seals ONE connected tree under the
 //!   client's trace id: the server's spans are rooted from the
 //!   wire-carried id instead of minting a disconnected root, recorded on
@@ -42,7 +46,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ada_client::{ClientConfig, Router};
-use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, RetrievedData};
+use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, IngestInput, LabelFile, RetrievedData};
 use ada_frontend::FrontendConfig;
 use ada_mdformats::xtcf::{frame_record_len, parse_directory, read_xtcf, write_xtcf};
 use ada_mdformats::Trajectory;
@@ -52,7 +56,8 @@ use ada_proto::{
     HEADER_LEN,
 };
 use ada_server::{Server, ServerConfig};
-use ada_simfs::Content;
+use ada_simfs::{Backing, Content, FsError, LocalFs};
+use ada_storagesim::DeviceProfile;
 use ada_telemetry::trace;
 use ada_workload::gpcr_workload;
 use common::{fixture, input, Rig};
@@ -508,7 +513,7 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
     let accepted_before = accepted();
     let remote = client.query("old", Some("p")).unwrap_err();
     let local = rig.ada().query("old", Some(&Tag::protein())).unwrap_err();
-    assert_eq!(remote.error_kind(), ErrorKind::Xtcf, "{}", remote);
+    assert_eq!(remote.error_kind(), ErrorKind::Corrupt, "{}", remote);
     assert_eq!(remote.to_string(), local.to_string());
     assert!(remote.to_string().contains(&path), "{}", remote);
     assert!(
@@ -517,14 +522,14 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
         remote
     );
     assert_eq!(rig.ada().cache_stats().bytes_decoded, 0, "nothing decoded");
-    let failed = ["ingest.ok=1", "query.err.xtcf=2"];
+    let failed = ["ingest.ok=1", "query.err.corrupt=2"];
     assert_eq!(outcomes(rig.ada()), failed, "no success");
 
     let remote = client.query("old", None).unwrap_err();
     let local = rig.ada().query("old", None).unwrap_err();
-    assert_eq!(remote.error_kind(), ErrorKind::Xtcf, "{}", remote);
+    assert_eq!(remote.error_kind(), ErrorKind::Corrupt, "{}", remote);
     assert_eq!(remote.to_string(), local.to_string());
-    let failed = ["ingest.ok=1", "query.err.xtcf=4"];
+    let failed = ["ingest.ok=1", "query.err.corrupt=4"];
     assert_eq!(outcomes(rig.ada()), failed, "no success");
     assert_eq!(
         accepted(),
@@ -536,7 +541,7 @@ fn v1_droppings_are_typed_errors_on_a_kept_connection() {
 
 /// Remote failures keep their exact kind and text: the wire carries an
 /// error's kind and its rendering, so a remote error reads as the
-/// in-process one, nested sources (`xtc`) included.
+/// in-process one, nested sources (the trajectory decoder's) included.
 #[test]
 fn remote_error_kinds_match_in_process() {
     let _guard = serialize();
@@ -596,10 +601,95 @@ fn remote_error_kinds_match_in_process() {
         .unwrap_err();
     assert!(matches!(local, AdaError::Xtc(_)), "{:?}", local);
     let remote = client.ingest("cut", &pdb, &cut).unwrap_err();
-    assert_eq!(remote.error_kind(), ErrorKind::Xtc);
+    assert_eq!(remote.error_kind(), ErrorKind::BadInput);
     assert_eq!(local.error_kind(), remote.error_kind());
     assert_eq!(local.to_string(), remote.to_string());
 
+    rig.shutdown();
+}
+
+/// `local` and `remote` are both `kind`, and read alike.
+fn one_kind(local: &AdaError, remote: &AdaError, kind: ErrorKind, what: &str) {
+    assert_eq!(local.error_kind(), kind, "{}: {}", what, local);
+    assert_eq!(remote.error_kind(), kind, "{}: {}", what, remote);
+    assert_eq!(remote.to_string(), local.to_string(), "{}", what);
+}
+
+/// One condition is one kind, whichever layer met it and on either side
+/// of the wire: a dropping the SSD cannot hold (the container layer's
+/// append) and a label file it cannot hold (`Ada`'s own write) are both
+/// `no_space`; a chunk byte flipped on the backend (the chunk check) and
+/// a dropping deleted from it (the file system's read) are both
+/// `corrupt`, for a whole-tag and a full-frame query alike.
+#[test]
+fn one_condition_arrives_as_one_kind_whichever_layer_met_it() {
+    let _guard = serialize();
+    let w = gpcr_workload(300, 6, 73);
+    let (pdb, xtc) = fixture(&w);
+
+    // An SSD one byte short of the protein dropping, then of the dropping
+    // and the label file, which the label write comes to last.
+    let roomy = Rig::paper();
+    roomy.ada().ingest("ds", input(&w)).unwrap();
+    let len = |path: &str| roomy.ssd.stat(path).unwrap().len;
+    let dropping = len("ssd/ds/hostdir.0/dropping.data.p");
+    let label = len(&LabelFile::path_for("ds"));
+    for (what, capacity, refused) in [
+        ("a dropping", dropping - 1, dropping),
+        ("a label file", dropping + label - 1, label),
+    ] {
+        let profile = DeviceProfile {
+            capacity,
+            ..DeviceProfile::nvme_ssd_256gb()
+        };
+        let ssd = Arc::new(LocalFs::new("small-ssd", 50.0e-6, Backing::Single(profile)));
+        let [_, hdd] = common::store();
+        let config = AdaConfig::paper_prototype("ssd", "hdd");
+        let mut rig = Rig::over(ssd, hdd, config).serve(ServerConfig::default());
+        let local = rig.ada().ingest("ds", input(&w)).unwrap_err();
+        let remote = rig.client("full").ingest("ds", &pdb, &xtc).unwrap_err();
+        assert!(
+            matches!(local, AdaError::Fs(FsError::NoSpace { requested, .. }) if requested == refused),
+            "{}: {:?}",
+            what,
+            local
+        );
+        one_kind(&local, &remote, ErrorKind::NoSpace, what);
+        assert_eq!(outcomes(rig.ada()), ["ingest.err.no_space=2"], "{}", what);
+        rig.shutdown();
+    }
+
+    let mut rig = served();
+    let client = rig.client("corrupt");
+    client.ingest("flipped", &pdb, &xtc).unwrap();
+    client.ingest("lost", &pdb, &xtc).unwrap();
+    let protein = |dataset: &str| format!("ssd/{}/hostdir.0/dropping.data.p", dataset);
+    let (content, _) = rig.ssd.read(&protein("flipped")).unwrap();
+    let mut bytes = content.bytes().to_vec();
+    let dir = parse_directory(&bytes).unwrap().expect("sealed v2");
+    bytes[dir.entries[0].offset as usize + 5] ^= 0xFF;
+    rig.ssd.delete(&protein("flipped")).unwrap();
+    rig.ssd
+        .create(&protein("flipped"), Content::real(bytes))
+        .unwrap();
+    rig.ssd.delete(&protein("lost")).unwrap();
+    for (what, dataset) in [
+        ("a flipped chunk byte", "flipped"),
+        ("a lost dropping", "lost"),
+    ] {
+        for tag in [Some("p"), None] {
+            let local = rig.ada().query(dataset, tag.map(Tag::new).as_ref());
+            let remote = client.query(dataset, tag).unwrap_err();
+            one_kind(&local.unwrap_err(), &remote, ErrorKind::Corrupt, what);
+        }
+    }
+    // The remote whole-tag query over the flipped chunk is forwarded: its
+    // read succeeded (`query.ok`), and the chunk check met the flip in the
+    // stream (`xtcf.chunk.corrupt`).
+    assert_eq!(
+        outcomes(rig.ada()),
+        ["ingest.ok=2", "query.err.corrupt=7", "query.ok=1"]
+    );
     rig.shutdown();
 }
 

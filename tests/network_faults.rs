@@ -12,7 +12,7 @@
 //! perfectly framed response whose XTCF payload has one flipped byte: the
 //! frame CRC passes, so only the per-chunk CRC stands between the
 //! corruption and the caller, and `Client::query` must fail with a typed
-//! `xtcf` error naming the chunk — never hand out frames.
+//! `corrupt` error naming the chunk — never hand out frames.
 //!
 //! A query answer is a stream of chunk frames, which adds the faults of
 //! a stream. Corruption *stored on the backend* is found while the answer
@@ -270,7 +270,7 @@ const CONTAINER_AT: usize = 8 + 1 + 4;
 /// A hostile server answers one query with a well-framed response (valid
 /// frame CRC, valid envelope, matching request id) whose container has one
 /// flipped byte inside chunk 1 of three. `Client::query` must refuse it
-/// with a typed `xtcf` error naming chunk 1.
+/// with a typed `corrupt` error naming chunk 1.
 fn corrupt_chunk_in_response_is_typed() {
     let mut payload = ResponseEnvelope {
         id: 0,
@@ -311,11 +311,22 @@ fn corrupt_chunk_in_response_is_typed() {
     let err = victim
         .query("shared", Some("p"))
         .expect_err("a corrupt chunk must never decode into frames");
-    assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
+    assert_eq!(err.error_kind(), ErrorKind::Corrupt, "{}", err);
     let text = err.to_string();
     assert!(text.contains("corrupt chunk 1"), "{}", text);
     assert!(text.contains("checksum"), "{}", text);
     evil.join().expect("evil server thread must not panic");
+}
+
+/// Sets its flag when dropped — also while the test thread unwinds from a
+/// failed assertion — so the background clients stop and the scope's join
+/// returns: a corpus that fails fails the suite instead of hanging it.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 /// The corpus with N background clients hammering the same server; every
@@ -347,10 +358,11 @@ fn corpus_under_background_load(background: usize) {
             }));
         }
 
+        let stopping = StopOnDrop(&stop);
         run_fault_corpus(&rig);
         corrupt_chunk_in_response_is_typed();
 
-        stop.store(true, Ordering::Relaxed);
+        drop(stopping);
         for h in handles {
             let served = h.join().expect("background client must not panic");
             assert!(served > 0, "background client never got a request through");
@@ -492,7 +504,7 @@ enum Expect {
     Network(&'static str),
     /// `Client::query` fails with exactly this error text.
     Remote(&'static str),
-    /// `Client::query` fails with an `xtcf` error mentioning this.
+    /// `Client::query` fails with a `corrupt` error mentioning this.
     Xtcf(String),
 }
 
@@ -668,7 +680,7 @@ fn hostile_chunk_streams_yield_one_typed_error_and_no_report() {
                 assert!(e.to_string().ends_with(text), "{}: {}", what, e);
             }
             (Expect::Xtcf(needle), Err(e)) => {
-                assert_eq!(e.error_kind(), ErrorKind::Xtcf, "{}: {}", what, e);
+                assert_eq!(e.error_kind(), ErrorKind::Corrupt, "{}: {}", what, e);
                 assert!(e.to_string().contains(&needle), "{}: {}", what, e);
             }
             (_, Ok(_)) => panic!("{}: the client handed out a report", what),
@@ -754,7 +766,7 @@ fn an_error_answer_keeps_the_connection_and_a_corrupt_chunk_drops_it() {
     );
 
     let err = client.query("shared", Some("p")).unwrap_err();
-    assert_eq!(err.error_kind(), ErrorKind::Xtcf, "{}", err);
+    assert_eq!(err.error_kind(), ErrorKind::Corrupt, "{}", err);
     assert!(err.to_string().contains("corrupt chunk 1"), "{}", err);
     let rep = client.query("shared", Some("p")).unwrap();
     assert_eq!(rep.trajectory().unwrap().len(), 2 * QUERY_CHUNK_FRAMES + 3);
@@ -876,7 +888,7 @@ fn stored_corruption_ends_a_forwarded_stream_in_the_in_process_error() {
     ssd.create(&path, Content::real(bytes)).unwrap();
 
     let local = ada.query("ds", Some(&Tag::protein())).unwrap_err();
-    assert_eq!(local.error_kind(), ErrorKind::Xtcf);
+    assert_eq!(local.error_kind(), ErrorKind::Corrupt);
     assert!(local.to_string().contains("corrupt chunk 1"), "{}", local);
     let remote = client
         .query("ds", Some("p"))

@@ -10,7 +10,7 @@ use ada_core::{Ada, AdaConfig, AdaError, ErrorKind, RetrievedData};
 use ada_mdformats::xtcf::{parse_directory, read_xtcf, seal_v2, write_xtcf, XTCF_TRAILER_LEN};
 use ada_mdformats::{FormatError, Frame, Trajectory};
 use ada_mdmodel::{PbcBox, Tag};
-use ada_simfs::Content;
+use ada_simfs::{Content, FsError};
 use common::Rig;
 use proptest::prelude::*;
 
@@ -160,7 +160,7 @@ fn corrupt_dropping_yields_xtcf_error_on_both_paths() {
                 tag,
                 err
             );
-            assert_eq!(err.error_kind(), ErrorKind::Xtcf);
+            assert_eq!(err.error_kind(), ErrorKind::Corrupt);
             assert!(err.to_string().contains(&dropping), "got {}", err);
             assert!(std::error::Error::source(&err).is_some());
         }
@@ -249,7 +249,11 @@ fn failed_queries_do_not_bump_access_counters() {
         corrupt_protein_dropping(&r);
         r.ada().query("d", None).unwrap_err();
         r.ada().query("d", Some(&Tag::protein())).unwrap_err();
-        let failed = ["ingest.ok=1", "query.err.unknown_tag=1", "query.err.xtcf=2"];
+        let failed = [
+            "ingest.ok=1",
+            "query.err.corrupt=2",
+            "query.err.unknown_tag=1",
+        ];
         assert_eq!(
             outcomes(r.ada()),
             failed,
@@ -307,12 +311,9 @@ fn frame_count_mismatch_is_a_structured_error() {
                 threads, other
             ),
         }
-        assert_eq!(err.error_kind(), ErrorKind::FrameCountMismatch);
+        assert_eq!(err.error_kind(), ErrorKind::Corrupt);
         // The failed reassembly never counted as a success.
-        assert_eq!(
-            outcomes(r.ada()),
-            ["ingest.ok=1", "query.err.frame_count_mismatch=1"]
-        );
+        assert_eq!(outcomes(r.ada()), ["ingest.ok=1", "query.err.corrupt=1"]);
         // Per-tag queries still deliver the subsets verbatim.
         assert_eq!(query_real(r.ada(), "d", Some(&Tag::protein())).len(), 4);
         assert_eq!(query_real(r.ada(), "d", Some(&Tag::misc())).len(), 3);
@@ -407,8 +408,9 @@ fn a_lost_dropping_outranks_an_earlier_corrupt_chunk() {
             r.ssd.delete(&paths[1]).unwrap();
         },
         |err, paths| {
-            matches!(err.error_kind(), ErrorKind::Fs | ErrorKind::Plfs)
-                && err.to_string().contains(&paths[1])
+            // Both faults are `corrupt`: the lost dropping is the one named.
+            matches!(err, AdaError::Fs(FsError::NotFound(p)) if *p == paths[1])
+                && err.error_kind() == ErrorKind::Corrupt
         },
     );
 }
